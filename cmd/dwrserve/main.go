@@ -155,11 +155,29 @@ type liveOptions struct {
 
 // runLive brings the HTTP front-end up over empty segment stores and
 // lets a crawl fill them while queries are served: the continuous
-// crawl-index-serve pipeline on wall-clock time. The crawl goroutine is
-// the single writer (segment writers are single-producer); queries read
-// immutable manifest snapshots, so they never block on ingest or on the
-// background merges.
+// crawl-index-serve pipeline on wall-clock time.
 func runLive(o liveOptions) error {
+	h, crawl, err := newLive(o)
+	if err != nil {
+		return err
+	}
+	go func() {
+		fetched, indexed := crawl()
+		fmt.Printf("dwrserve: crawl finished — %d pages fetched, %d docs searchable\n", fetched, indexed)
+	}()
+	fmt.Printf("dwrserve: serving LIVE on %s (c=%d workers, %d partitions filling as the crawl runs)\n",
+		o.addr, o.c, o.partitions)
+	return http.ListenAndServe(o.addr, h)
+}
+
+// newLive wires the -live system and returns its HTTP handler plus the
+// crawl that fills it. crawl runs to completion — streaming every page
+// into the segment writers, sealing the final partial segments, and
+// waiting out the background merges — and reports pages fetched and
+// documents indexed. It is the single writer (segment writers are
+// single-producer); queries read immutable manifest snapshots, so they
+// never block on ingest or on the background merges.
+func newLive(o liveOptions) (h http.Handler, crawl func() (fetched, indexed int), err error) {
 	wcfg := simweb.DefaultConfig()
 	wcfg.Seed = o.seed
 	wcfg.Hosts = o.hosts
@@ -179,10 +197,10 @@ func runLive(o liveOptions) error {
 	}
 	eng, err := qproc.NewLiveEngine(stores, opts...)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
-	go func() {
+	crawl = func() (fetched, indexed int) {
 		ccfg := crawler.DefaultConfig()
 		ccfg.Seed = o.seed
 		cr := crawler.New(web, ccfg)
@@ -193,7 +211,6 @@ func runLive(o liveOptions) error {
 			}
 		}
 		cr.Seed(seeds)
-		indexed := 0
 		cr.OnPage(func(p *crawler.Page) {
 			doc := textproc.ParseHTML(p.HTML)
 			terms := textproc.Tokenize(doc.Text)
@@ -214,9 +231,8 @@ func runLive(o liveOptions) error {
 		for _, s := range stores {
 			s.Quiesce()
 		}
-		fmt.Printf("dwrserve: crawl finished — %d pages fetched, %d docs searchable\n",
-			st.DistinctPages, indexed)
-	}()
+		return st.DistinctPages, indexed
+	}
 
 	f := server.NewFrontend(eng, server.Config{
 		Workers:    o.c,
@@ -229,8 +245,5 @@ func runLive(o liveOptions) error {
 	})
 	f.Tokenize = textproc.Tokenize
 	f.Resolve = web.URL
-
-	fmt.Printf("dwrserve: serving LIVE on %s (c=%d workers, %d partitions filling as the crawl runs)\n",
-		o.addr, o.c, o.partitions)
-	return http.ListenAndServe(o.addr, f.Handler())
+	return f.Handler(), crawl, nil
 }

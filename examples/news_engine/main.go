@@ -52,13 +52,13 @@ func main() {
 
 	// A breaking story arrives and is searchable immediately.
 	dyn.Add(1_000_000, []string{"breaking", "story", "about", "everything"})
-	if rs := dyn.Search([]string{"breaking", "story"}, 3); len(rs) > 0 {
+	if rs := search(dyn, []string{"breaking", "story"}, 3); len(rs) > 0 {
 		fmt.Printf("\nbreaking story indexed and found instantly: doc %d (score %.3f)\n",
 			rs[0].Doc, rs[0].Score)
 	}
 	// Retraction: delete works just as immediately.
 	dyn.Delete(1_000_000)
-	if rs := dyn.Search([]string{"breaking", "story"}, 3); len(rs) == 0 {
+	if rs := search(dyn, []string{"breaking", "story"}, 3); len(rs) == 0 {
 		fmt.Println("retracted story gone from results")
 	}
 
@@ -66,13 +66,13 @@ func main() {
 	// a term whose results span at least two topics so preferences can
 	// show (common head-of-Zipf words qualify).
 	var sample string
-	var base []index.SearchResult
+	var base []rank.Result
 	for _, p := range web.Pages {
 		if p.Private {
 			continue
 		}
 		cand := web.Vocabs[web.Hosts[p.Host].Lang].Word(int(p.Terms[0]))
-		rs := dyn.Search([]string{cand}, 8)
+		rs := search(dyn, []string{cand}, 8)
 		topics := map[int]bool{}
 		for _, r := range rs {
 			topics[topicOf[r.Doc]] = true
@@ -96,14 +96,10 @@ func main() {
 	ana, _ := store.Get("ana")
 	ben, _ := store.Get("ben")
 	fmt.Printf("\nprofiles survived a primary crash: ana v%d, ben v%d\n", ana.Version, ben.Version)
-	baseR := make([]rank.Result, 0, len(base))
-	for _, r := range base {
-		baseR = append(baseR, rank.Result{Doc: r.Doc, Score: r.Score})
-	}
 	fmt.Printf("\nquery %q: %d base results\n", sample, len(base))
 	tf := func(doc int) int { return topicOf[doc] }
-	fmt.Printf("ana sees first:  %v\n", firstDocs(personal.Rerank(baseR, tf, ana, 1.0), 3))
-	fmt.Printf("ben sees first:  %v\n", firstDocs(personal.Rerank(baseR, tf, ben, 1.0), 3))
+	fmt.Printf("ana sees first:  %v\n", firstDocs(personal.Rerank(base, tf, ana, 1.0), 3))
+	fmt.Printf("ben sees first:  %v\n", firstDocs(personal.Rerank(base, tf, ben, 1.0), 3))
 
 	// Drift detection over the audience's query stream.
 	lcfg := querylog.DefaultConfig()
@@ -119,6 +115,14 @@ func main() {
 			break
 		}
 	}
+}
+
+// search ranks the dynamic index's current view — sealed segments plus
+// the unflushed buffer — with statistics aggregated over that view.
+func search(dyn *index.Dynamic, terms []string, k int) []rank.Result {
+	v := dyn.View()
+	rs, _ := rank.EvaluateView(v, nil, rank.NewScorer(rank.FromGlobal(v.LocalStats(terms))), terms, k, rank.PruneNone, 0)
+	return rs
 }
 
 func firstDocs(rs []rank.Result, n int) []int {

@@ -2,8 +2,6 @@ package index
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 )
 
@@ -15,8 +13,8 @@ import (
 // operation usually requires locking the index."
 //
 // Structure: newly added documents accumulate in an in-memory buffer
-// that is searchable by scan; when the buffer fills it is sealed into
-// an immutable segment of a SegmentStore, whose tiered size-ratio
+// that readers index as a throwaway segment (View); when it fills it is
+// sealed into an immutable segment of a SegmentStore, whose tiered size-ratio
 // policy merges segments geometrically (Lester, Moffat & Zobel —
 // reference [15] of the paper), so there are at most O(log n) segments
 // and each document is re-merged O(log n) times.
@@ -24,8 +22,8 @@ import (
 // Unlike the paper's pessimistic locking story, readers here never wait
 // for maintenance: every mutation publishes a fresh immutable snapshot
 // (buffer + segment manifest) behind one pointer, segment builds and
-// merges run with no lock held, and Search evaluates entirely against
-// the snapshot it grabbed. The historical "lockout effect" experiment
+// merges run with no lock held, and a query evaluates entirely against
+// the View it grabbed. The historical "lockout effect" experiment
 // (C15) now measures the absence of reader stalls rather than their
 // cost.
 type Dynamic struct {
@@ -58,6 +56,11 @@ type Dynamic struct {
 type dynSnapshot struct {
 	buffer []Doc
 	man    *Manifest
+
+	// view is man plus the buffer indexed as one more segment, built by
+	// the first View call on this snapshot.
+	viewOnce sync.Once
+	view     *Manifest
 }
 
 // NewDynamic creates a dynamic index sealing a segment every bufferCap
@@ -199,14 +202,7 @@ func (d *Dynamic) Flush() {
 // flagged the old implementation for: the write lock used to be held
 // across the entire build-and-merge cascade.
 func (d *Dynamic) sealBuffer(buf []Doc) {
-	b := NewBuilder(d.opts)
-	for _, doc := range buf {
-		if err := b.AddDocument(doc.Ext, doc.Terms); err != nil {
-			// Add dedupes against the buffer, so this is unreachable.
-			panic(err)
-		}
-	}
-	if err := d.store.Apply(b.BuildParallel(1)); err != nil {
+	if err := d.store.Apply(indexDocs(d.opts, buf)); err != nil {
 		// Add dedupes against the store, so this is unreachable.
 		panic(err)
 	}
@@ -214,6 +210,18 @@ func (d *Dynamic) sealBuffer(buf []Doc) {
 	for _, doc := range buf {
 		delete(d.bufByExt, doc.Ext)
 	}
+}
+
+// indexDocs indexes buffered documents as one immutable segment.
+func indexDocs(opts Options, buf []Doc) *Index {
+	b := NewBuilder(opts)
+	for _, doc := range buf {
+		if err := b.AddDocument(doc.Ext, doc.Terms); err != nil {
+			// Add dedupes against the buffer, so this is unreachable.
+			panic(err)
+		}
+	}
+	return b.BuildParallel(1)
 }
 
 // Segments returns the current number of sealed segments.
@@ -274,52 +282,23 @@ func (d *Dynamic) Maintenance() MaintenanceStats {
 	}
 }
 
-// SearchResult is one hit from Dynamic.Search.
-type SearchResult struct {
-	Doc   int
-	Score float64
-}
-
-// Search evaluates a disjunctive query across all segments and the
-// in-memory buffer and returns the top k by BM25-like scoring, using
-// statistics aggregated over the live collection. It grabs one snapshot
-// and evaluates with no lock held: a concurrent flush, merge, or delete
-// swaps the snapshot pointer but never mutates what this query sees.
-func (d *Dynamic) Search(terms []string, k int) []SearchResult {
+// View returns the current snapshot as a partition view for
+// internal/rank: the store's manifest with the unflushed buffer indexed
+// as one more segment. The buffer segment is built at most once per
+// published snapshot, by the first reader that asks and with no index
+// lock held; a concurrent flush, merge, or delete swaps the snapshot
+// pointer but never mutates a view already handed out.
+func (d *Dynamic) View() *Manifest {
 	s := d.snapshot()
-	rs, _ := searchView(s.man.segments, s.man.deleted, s.buffer, terms, k)
-	return rs
-}
-
-// SearchScanned is Search plus the number of postings scanned — the
-// work counter latency cost models are driven by.
-func (d *Dynamic) SearchScanned(terms []string, k int) ([]SearchResult, int64) {
-	s := d.snapshot()
-	return searchView(s.man.segments, s.man.deleted, s.buffer, terms, k)
-}
-
-func bm25IDF(n, df int) float64 {
-	idf := math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
-	if idf < 1e-6 {
-		idf = 1e-6
-	}
-	return idf
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func sortSearchResults(rs []SearchResult) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+	s.viewOnce.Do(func() {
+		s.view = s.man
+		if len(s.buffer) == 0 {
+			return
 		}
-		return rs[i].Doc < rs[j].Doc
+		segs := append(append([]*Index(nil), s.man.segments...), indexDocs(d.opts, s.buffer))
+		s.view = &Manifest{gen: s.man.gen, segments: segs, deleted: s.man.deleted}
 	})
+	return s.view
 }
 
 // reconstructTerms rebuilds a document's token sequence from positional

@@ -26,11 +26,10 @@ func TestDynamicSearchMatchesStatic(t *testing.T) {
 	if d.NumDocs() != static.NumDocs() {
 		t.Fatalf("dynamic has %d docs, static %d", d.NumDocs(), static.NumDocs())
 	}
-	// Dynamic search (segments + buffer, aggregated stats) must find the
-	// same documents as the static index for single-term queries; scores
-	// use the same BM25 so the match sets are identical.
+	// The dynamic view (segments + buffer) must hold the same documents
+	// as the static index for single-term queries.
 	for _, term := range []string{"alpha", "kappa", "omicron"} {
-		dres := d.Search([]string{term}, 1000)
+		dres := liveMatches(d.View(), []string{term})
 		it := static.Postings(term)
 		want := 0
 		if it != nil {
@@ -67,19 +66,19 @@ func TestDynamicDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := len(d.Search([]string{"zz"}, 100))
+	before := len(liveMatches(d.View(), []string{"zz"}))
 	if before != 20 {
 		t.Fatalf("found %d docs before delete", before)
 	}
 	d.Delete(5)  // in a segment by now
 	d.Delete(19) // most recent: likely in buffer
-	after := d.Search([]string{"zz"}, 100)
+	after := liveMatches(d.View(), []string{"zz"})
 	if len(after) != 18 {
 		t.Fatalf("found %d docs after deleting 2", len(after))
 	}
-	for _, r := range after {
-		if r.Doc == 5 || r.Doc == 19 {
-			t.Fatalf("deleted doc %d still returned", r.Doc)
+	for _, ext := range after {
+		if ext == 5 || ext == 19 {
+			t.Fatalf("deleted doc %d still returned", ext)
 		}
 	}
 	if d.NumDocs() != 18 {
@@ -102,7 +101,7 @@ func TestDynamicTombstonesCompactedOnMerge(t *testing.T) {
 		}
 	}
 	d.Flush()
-	if got := len(d.Search([]string{"w"}, 100)); got != 39 {
+	if got := len(liveMatches(d.View(), []string{"w"})); got != 39 {
 		t.Fatalf("found %d docs, want 39", got)
 	}
 }
@@ -152,12 +151,9 @@ func TestDynamicConcurrentReadersAndWriter(t *testing.T) {
 					return
 				default:
 				}
-				rs := d.Search([]string{"shared"}, 10)
-				for i := 1; i < len(rs); i++ {
-					if rs[i-1].Score < rs[i].Score {
-						t.Error("unsorted results under concurrency")
-						return
-					}
+				if ext := firstRepeat(liveMatches(d.View(), []string{"shared"})); ext >= 0 {
+					t.Errorf("doc %d resident twice in one view under concurrency", ext)
+					return
 				}
 			}
 		}()
@@ -166,7 +162,7 @@ func TestDynamicConcurrentReadersAndWriter(t *testing.T) {
 	if got := d.NumDocs(); got != 400 {
 		t.Fatalf("NumDocs = %d after concurrent load, want 400", got)
 	}
-	if got := len(d.Search([]string{"shared"}, 1000)); got != 400 {
+	if got := len(liveMatches(d.View(), []string{"shared"})); got != 400 {
 		t.Fatalf("search finds %d docs, want 400", got)
 	}
 }
@@ -189,7 +185,7 @@ func TestReconstructTermsExact(t *testing.T) {
 
 func TestDynamicEmptySearch(t *testing.T) {
 	d := NewDynamic(DefaultOptions(), 4, 3)
-	if rs := d.Search([]string{"x"}, 10); rs != nil {
-		t.Fatalf("empty dynamic index returned %v", rs)
+	if exts := liveMatches(d.View(), []string{"x"}); len(exts) != 0 {
+		t.Fatalf("empty dynamic index returned %v", exts)
 	}
 }

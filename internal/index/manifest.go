@@ -9,6 +9,11 @@ package index
 // atomicity unit of the streaming pipeline: no query ever observes a
 // half-applied flush, merge, or delete, because the only shared mutable
 // state is a single pointer.
+//
+// A Manifest is also the partition view internal/rank evaluates: its
+// segments, its tombstones, and statistics and score bounds aggregated
+// over both. A static Index is the one-segment, no-tombstone case
+// (ViewOf).
 type Manifest struct {
 	gen      uint64
 	segments []*Index
@@ -19,9 +24,19 @@ func emptyManifest() *Manifest {
 	return &Manifest{deleted: make(map[int]bool)}
 }
 
+// ViewOf wraps a built index as a single-segment manifest with no
+// tombstones — the partition view of a static collection.
+func ViewOf(ix *Index) *Manifest {
+	return &Manifest{segments: []*Index{ix}}
+}
+
 // Gen returns the manifest's generation: 0 for the empty store, +1 for
 // every published segment apply, merge, delete, or compaction.
 func (m *Manifest) Gen() uint64 { return m.gen }
+
+// Segments returns the resident segments, oldest first. The slice is
+// shared with the manifest and must not be modified.
+func (m *Manifest) Segments() []*Index { return m.segments }
 
 // NumSegments returns the number of resident segments.
 func (m *Manifest) NumSegments() int { return len(m.segments) }
@@ -34,6 +49,16 @@ func (m *Manifest) NumDocs() int {
 		n += s.NumDocs()
 	}
 	return n - len(m.deleted)
+}
+
+// TotalLen returns the total token count across resident segments
+// (tombstoned documents included until a merge reclaims them).
+func (m *Manifest) TotalLen() int64 {
+	var n int64
+	for _, s := range m.segments {
+		n += s.TotalLen()
+	}
+	return n
 }
 
 // Tombstones returns the number of tombstoned documents still
@@ -55,138 +80,47 @@ func (m *Manifest) Contains(ext int) bool {
 // Deleted reports whether ext is tombstoned.
 func (m *Manifest) Deleted(ext int) bool { return m.deleted[ext] }
 
-// CollectionStats returns the manifest's aggregated collection
-// statistics (over every term) plus the merged per-term score-bound
-// summaries — the inputs a federated mediator keeps fresh per site. The
-// numbers are aggregated over all resident segments: NumDocs matches
-// NumDocs() (tombstones subtracted), while DF/CF/TotalLen still count
-// tombstoned documents until a merge reclaims them, making them safe
-// upper bounds for selection. The manifest is immutable, so the call is
-// a pure function of the snapshot.
-func (m *Manifest) CollectionStats() (Stats, map[string]TermScoreMeta) {
+// LocalStats aggregates the segments' statistics restricted to the
+// given terms (nil = all terms) — Index.LocalStats for a view. NumDocs
+// matches NumDocs() (tombstones subtracted), while DF/CF/TotalLen still
+// count tombstoned documents until a merge reclaims them. The manifest
+// is immutable, so the call is a pure function of the snapshot.
+func (m *Manifest) LocalStats(terms []string) Stats {
 	parts := make([]Stats, len(m.segments))
 	for i, s := range m.segments {
-		parts[i] = s.LocalStats(nil)
+		parts[i] = s.LocalStats(terms)
 	}
 	st := MergeStats(parts...)
 	st.NumDocs -= len(m.deleted)
-	bounds := make(map[string]TermScoreMeta)
+	return st
+}
+
+// TermScoreMeta returns term's score-bound summary merged over the
+// segments (MergeTermScoreMeta) — a safe bound for every resident
+// posting, tombstoned or not; ok is false when no segment holds the
+// term.
+func (m *Manifest) TermScoreMeta(term string) (tm TermScoreMeta, ok bool) {
 	for _, s := range m.segments {
-		for i := range s.termList {
-			e := &s.termList[i]
-			tm := TermScoreMeta{MaxTF: e.pl.maxTF, MinLen: e.pl.minLen,
-				SatBound: e.pl.satScale, QuantAvg: e.pl.quantAvg}
-			if old, ok := bounds[e.term]; ok {
-				tm = MergeTermScoreMeta(old, tm)
+		if sm, has := s.TermScoreMeta(term); has {
+			if ok {
+				sm = MergeTermScoreMeta(tm, sm)
 			}
-			bounds[e.term] = tm
+			tm, ok = sm, true
 		}
+	}
+	return tm, ok
+}
+
+// CollectionStats returns the manifest's whole-lexicon statistics
+// (LocalStats(nil)) plus the merged score-bound summary of every term —
+// the inputs a federated mediator keeps fresh per site. Tombstoned
+// documents still count toward DF/CF/TotalLen, making the numbers safe
+// upper bounds for selection.
+func (m *Manifest) CollectionStats() (Stats, map[string]TermScoreMeta) {
+	st := m.LocalStats(nil)
+	bounds := make(map[string]TermScoreMeta, len(st.DF))
+	for t := range st.DF {
+		bounds[t], _ = m.TermScoreMeta(t)
 	}
 	return st, bounds
-}
-
-// Search evaluates a disjunctive query over the manifest's live
-// documents and returns the top k by BM25-like scoring, with collection
-// statistics aggregated across all segments. The manifest is immutable,
-// so Search is safe from any number of goroutines and needs no lock.
-func (m *Manifest) Search(terms []string, k int) []SearchResult {
-	rs, _ := searchView(m.segments, m.deleted, nil, terms, k)
-	return rs
-}
-
-// SearchScanned is Search plus the number of postings scanned — the
-// work counter latency cost models are driven by.
-func (m *Manifest) SearchScanned(terms []string, k int) ([]SearchResult, int64) {
-	return searchView(m.segments, m.deleted, nil, terms, k)
-}
-
-// searchView is the shared scorer behind Manifest.Search and
-// Dynamic.Search: a disjunctive BM25-like evaluation over immutable
-// segments plus an optional in-memory buffer of unflushed documents,
-// with document frequencies and lengths aggregated over the whole view.
-// (Scoring duplicates a little of internal/rank to avoid an import
-// cycle; the formulas match.) The returned int64 counts postings
-// scanned, including buffer term matches.
-func searchView(segments []*Index, deleted map[int]bool, buffer []Doc, terms []string, k int) ([]SearchResult, int64) {
-	numDocs := len(buffer)
-	var totalLen int64
-	df := make(map[string]int, len(terms))
-	uniq := make([]string, 0, len(terms))
-	seen := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		if !seen[t] {
-			seen[t] = true
-			uniq = append(uniq, t)
-		}
-	}
-	for _, s := range segments {
-		numDocs += s.NumDocs()
-		totalLen += s.TotalLen()
-		for _, t := range uniq {
-			df[t] += s.DF(t)
-		}
-	}
-	for _, doc := range buffer {
-		totalLen += int64(len(doc.Terms))
-		for _, t := range uniq {
-			for _, w := range doc.Terms {
-				if w == t {
-					df[t]++
-					break
-				}
-			}
-		}
-	}
-	numDocs -= len(deleted)
-	if numDocs <= 0 {
-		return nil, 0
-	}
-	avgLen := float64(totalLen) / float64(numDocs)
-
-	var scanned int64
-	scores := make(map[int]float64)
-	addScore := func(ext int, tf int32, docLen int, idf float64) {
-		if deleted[ext] {
-			return
-		}
-		const k1, b = 1.2, 0.75
-		norm := 1 - b + b*float64(docLen)/maxf(avgLen, 1)
-		scores[ext] += idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*norm)
-	}
-	for _, t := range uniq {
-		idf := bm25IDF(numDocs, df[t])
-		for _, s := range segments {
-			it := s.Postings(t)
-			if it == nil {
-				continue
-			}
-			for it.Next() {
-				p := it.Posting()
-				scanned++
-				addScore(s.ExtID(p.Doc), p.TF, s.DocLen(p.Doc), idf)
-			}
-		}
-		for _, doc := range buffer {
-			tf := int32(0)
-			for _, w := range doc.Terms {
-				if w == t {
-					tf++
-				}
-			}
-			if tf > 0 {
-				scanned++
-				addScore(doc.Ext, tf, len(doc.Terms), idf)
-			}
-		}
-	}
-
-	out := make([]SearchResult, 0, len(scores))
-	for doc, score := range scores {
-		out = append(out, SearchResult{Doc: doc, Score: score})
-	}
-	sortSearchResults(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, scanned
 }

@@ -13,7 +13,7 @@ import (
 // options that leave within-budget answers identical.
 //
 // A cache-key function is any function whose name ends in "CacheKey"
-// (DocCacheKey, FederatedCacheKey, liveMediatedCacheKey, ...). Two
+// (DocCacheKey, TermCacheKey, FederatedCacheKey). Two
 // obligations are checked from its type information:
 //
 //   - For a parameter whose named type ends in "QueryOptions": every

@@ -29,6 +29,7 @@ var (
 	_ DeadlineQuerier = (*DocEngine)(nil)
 	_ DeadlineQuerier = (*TermEngine)(nil)
 	_ DeadlineQuerier = (*MultiSite)(nil)
+	_ DeadlineQuerier = (*LiveEngine)(nil)
 )
 
 // QueryTopKWithin implements DeadlineQuerier: QueryTopK with a per-call
@@ -49,12 +50,22 @@ func (e *TermEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) 
 	return e.query(terms, k, deadlineMs)
 }
 
-// QueryTopKWithin implements DeadlineQuerier. Site selection happens
-// before the budget is known to be busted, so the check is on the final
-// routed answer: an over-budget reply is dropped, not delivered late.
-// Like QueryTopK it is meant for a single driving goroutine.
+// QueryTopKWithin implements DeadlineQuerier: the query is submitted
+// from HomeRegion at virtual hour Now, with the canonical cache key of
+// the term list. With a mediator configured (WithMediator) it takes the
+// federated path — collection selection decides the site subset;
+// without one the single-executor Submit path is byte-identical to the
+// pre-mediator broker. Site selection happens before the budget is known
+// to be busted, so the check is on the final routed answer: an
+// over-budget reply is dropped, not delivered late. Like Submit, it is
+// meant for a single driving goroutine.
 func (m *MultiSite) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
-	r := m.Submit(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
+	var r SiteQueryResult
+	if m.mediator != nil {
+		r = m.QueryFederated(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
+	} else {
+		r = m.Submit(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
+	}
 	qr := r.QueryResult
 	enforceDeadline(&qr, deadlineMs)
 	return qr

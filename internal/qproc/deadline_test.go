@@ -154,6 +154,30 @@ func TestDeadlineCacheInteraction(t *testing.T) {
 	}
 }
 
+// TestLiveEngineDeadline: a front-end finds LiveEngine through the
+// DeadlineQuerier assertion, so `dwrserve -live -deadline N` propagates
+// its budget; a budget no query can meet fails without being cached.
+func TestLiveEngineDeadline(t *testing.T) {
+	live, _, _ := liveFixture(t, corpus(28, 300, 200), 2, 32,
+		WithResultCache(ResultCacheConfig{Capacity: 64}))
+	var eng Engine = live
+	dq, ok := eng.(DeadlineQuerier)
+	if !ok {
+		t.Fatal("LiveEngine is not a DeadlineQuerier: a serving deadline would be dropped")
+	}
+	q := []string{"w0001", "w0002"}
+	qr := dq.QueryTopKWithin(q, 10, 1e-9)
+	if !errors.Is(qr.Err, ErrDeadlineExceeded) || qr.Results != nil {
+		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
+	}
+	if qr = eng.QueryTopK(q, 10); qr.Err != nil || qr.FromCache || len(qr.Results) == 0 {
+		t.Fatalf("after busted query: err=%v fromCache=%v results=%d, want a clean miss", qr.Err, qr.FromCache, len(qr.Results))
+	}
+	if qr = dq.QueryTopKWithin(q, 10, 1e9); qr.Err != nil || !qr.FromCache {
+		t.Fatalf("generous budget on hit: err=%v fromCache=%v", qr.Err, qr.FromCache)
+	}
+}
+
 // TestTermEngineDeadlineTruncatesPipeline: when the budget dies mid-
 // route, later hops are never contacted — the abandoned query reports
 // fewer servers than the full evaluation.

@@ -18,6 +18,12 @@ import (
 // broker scatters queries, optionally after collection selection, then
 // merges the per-partition top-k lists.
 //
+// A partition is a source of immutable views (index.Manifest): a built
+// index wrapped once (NewDocEngine) or a segment store whose manifest of
+// the moment is taken per query (NewLiveEngine). Everything downstream
+// of the per-query snapshot — statistics, bounds, waves, fault policy,
+// caching — is the same code for both.
+//
 // The scatter-gather is real: partition evaluations fan out over a
 // bounded worker pool (WithWorkers; default GOMAXPROCS) and the broker
 // aggregates per-partition results serially at the gather point, so
@@ -28,9 +34,12 @@ import (
 type DocEngine struct {
 	cost  CostModel
 	lanMs float64
-	parts []*index.Index
-	// global statistics of the whole collection, available when the
-	// broker runs the two-round protocol or precomputes them offline.
+	// sources yield each partition's current view.
+	sources []func() *index.Manifest
+	// parts and global exist only on engines built from documents: the
+	// partition indexes, and the statistics of the whole collection
+	// precomputed from them (GlobalPrecomputed, phrase queries).
+	parts     []*index.Index
 	global    index.Stats
 	workers   int // broker fan-out width; <=0 = GOMAXPROCS, 1 = serial
 	mu        sync.Mutex
@@ -88,37 +97,52 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 		}
 		builders[p].AddDocument(d.Ext, d.Terms)
 	}
-	e := &DocEngine{
-		cost:      DefaultCostModel(),
-		lanMs:     0.3,
-		workers:   eo.workers,
-		busyMs:    make([]float64, dp.K),
-		downs:     make([]bool, dp.K),
-		partition: dp,
-		topkOpts:  DocQueryOptions{Stats: GlobalPrecomputed},
+	parts := index.BuildAll(builders, eo.workers)
+	sources := make([]func() *index.Manifest, len(parts))
+	for i, ix := range parts {
+		v := index.ViewOf(ix)
+		sources[i] = func() *index.Manifest { return v }
 	}
-	e.parts = index.BuildAll(builders, e.workers)
-	stats := make([]index.Stats, len(e.parts))
-	conc.Do(len(e.parts), e.workers, func(i int) {
-		stats[i] = e.parts[i].LocalStats(nil)
+	stats := make([]index.Stats, len(parts))
+	conc.Do(len(parts), eo.workers, func(i int) {
+		stats[i] = parts[i].LocalStats(nil)
 	})
+	e := newBroker(eo, sources)
+	e.parts = parts
+	e.partition = dp
 	e.global = index.MergeStats(stats...)
 	if e.global.NumDocs == 0 {
 		return nil, fmt.Errorf("qproc: document partition covers no documents")
 	}
-	e.rcache = eo.resultCache()
 	e.installPostingsCache(eo.plBytes)
-	e.rb = eo.robust(dp.K)
-	e.pruning = eo.pruning
-	e.threshold = eo.threshold
+	e.topkOpts = DocQueryOptions{Stats: GlobalPrecomputed}
 	if eo.docDefault != nil {
 		e.topkOpts = *eo.docDefault
 	}
 	return e, nil
 }
 
+// newBroker builds the engine around its partition sources: everything
+// that does not depend on where the partitions' postings live. QueryTopK
+// defaults to the two-round protocol, the one statistics mode that needs
+// nothing precomputed.
+func newBroker(eo engineOptions, sources []func() *index.Manifest) *DocEngine {
+	return &DocEngine{
+		cost:      DefaultCostModel(),
+		lanMs:     0.3,
+		sources:   sources,
+		workers:   eo.workers,
+		busyMs:    make([]float64, len(sources)),
+		downs:     make([]bool, len(sources)),
+		rcache:    eo.resultCache(),
+		rb:        eo.robust(len(sources)),
+		pruning:   eo.pruning,
+		threshold: eo.threshold,
+	}
+}
+
 // K returns the number of partitions.
-func (e *DocEngine) K() int { return len(e.parts) }
+func (e *DocEngine) K() int { return len(e.sources) }
 
 // Partition returns the underlying document partition.
 func (e *DocEngine) Partition() partition.DocPartition { return e.partition }
@@ -206,7 +230,8 @@ const (
 	// query. Rankings equal a centralized evaluation.
 	GlobalTwoRound StatsMode = iota
 	// GlobalPrecomputed uses engine-wide statistics computed at indexing
-	// time (one round, exact, but stale under index updates).
+	// time (one round, exact, but stale under index updates — engines
+	// over segment stores do not offer it).
 	GlobalPrecomputed
 	// LocalOnly scores each partition with its own statistics (one
 	// round, no stats traffic, rankings may diverge from centralized).
@@ -303,8 +328,16 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 	}
 	var qr QueryResult
 
+	// Snapshot every partition before statistics or evaluation: the
+	// answer is a pure function of the views captured here, however many
+	// manifests their stores swap in while it is being computed.
+	views := make([]*index.Manifest, len(e.sources))
+	for p, src := range e.sources {
+		views[p] = src()
+	}
+
 	// Choose target partitions.
-	targets := make([]int, 0, len(e.parts))
+	targets := make([]int, 0, len(views))
 	if opt.Selector != nil && opt.SelectN > 0 {
 		ranked := opt.Selector.Rank(terms)
 		n := opt.SelectN
@@ -313,7 +346,7 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 		}
 		targets = append(targets, ranked[:n]...)
 	} else {
-		for p := range e.parts {
+		for p := range views {
 			targets = append(targets, p)
 		}
 	}
@@ -351,17 +384,19 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 		qr.Rounds = 2
 		parts := make([]index.Stats, len(targets))
 		conc.Do(len(targets), e.workers, func(i int) {
-			parts[i] = e.parts[targets[i]].LocalStats(terms)
+			parts[i] = views[targets[i]].LocalStats(terms)
 		})
 		// Stats messages are tiny; the round still costs a LAN RTT.
 		qr.BytesTransferred += int64(16 * len(terms) * len(targets))
 		merged := index.MergeStats(parts...)
 		// NumDocs/TotalLen must cover the full engine, not just the
-		// contacted partitions' term stats: reuse the engine-wide
-		// figures precomputed at construction instead of re-walking
-		// every partition on every query.
-		merged.NumDocs = e.global.NumDocs
-		merged.TotalLen = e.global.TotalLen
+		// contacted partitions' term stats: sum the resident figures of
+		// every snapshot the query holds.
+		merged.NumDocs, merged.TotalLen = 0, 0
+		for _, v := range views {
+			merged.NumDocs += v.NumDocs()
+			merged.TotalLen += v.TotalLen()
+		}
 		s := rank.NewScorer(rank.FromGlobal(merged))
 		for i := range scorers {
 			scorers[i] = s
@@ -376,7 +411,7 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 	default: // LocalOnly
 		qr.Rounds = 1
 		conc.Do(len(targets), e.workers, func(i int) {
-			scorers[i] = rank.NewScorer(rank.FromIndex(e.parts[targets[i]]))
+			scorers[i] = rank.NewScorer(rank.FromGlobal(views[targets[i]].LocalStats(terms)))
 		})
 	}
 
@@ -397,7 +432,7 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 	if shared {
 		bounds = make([]float64, len(targets))
 		conc.Do(len(targets), e.workers, func(i int) {
-			bounds[i] = rank.QueryBound(e.parts[targets[i]], scorers[i], terms)
+			bounds[i] = rank.QueryBound(views[targets[i]], scorers[i], terms)
 		})
 		// Descending bound; ties by ascending partition index keep the
 		// schedule deterministic at any worker width.
@@ -451,18 +486,17 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 		conc.Do(len(ws), e.workers, func(j int) {
 			i := ws[j]
 			p := targets[i]
-			ix := e.parts[p]
 			// Level 2: serve encoded posting lists from the partition
 			// server's cache when configured. The provider contract keeps
 			// results and accounting byte-identical either way.
-			var pp rank.PostingsProvider = ix
+			var bind func(*index.Index) rank.PostingsProvider
 			if e.pcaches != nil {
-				pp = e.pcaches[p].Bind(ix)
+				bind = func(ix *index.Index) rank.PostingsProvider { return e.pcaches[p].Bind(ix) }
 			}
 			if opt.Conjunctive {
-				evals[i].rs, evals[i].es = rank.EvaluateANDFrom(pp, ix, scorers[i], terms, opt.K)
+				evals[i].rs, evals[i].es = rank.EvaluateViewAND(views[p], bind, scorers[i], terms, opt.K)
 			} else {
-				evals[i].rs, evals[i].es = rank.EvaluateTopKSeededFrom(pp, ix, scorers[i], terms, opt.K, opt.Pruning, waveSeed)
+				evals[i].rs, evals[i].es = rank.EvaluateView(views[p], bind, scorers[i], terms, opt.K, opt.Pruning, waveSeed)
 			}
 		})
 		var waveSlowest float64

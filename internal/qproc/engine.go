@@ -103,7 +103,7 @@ func (e *DocEngine) Stats() EngineStats {
 // "could the next query use this partition".
 func (e *DocEngine) Health() Health {
 	e.mu.Lock()
-	h := Health{Units: len(e.parts)}
+	h := Health{Units: e.K()}
 	down := make(map[int]bool)
 	for p, d := range e.downs {
 		if d {
@@ -113,7 +113,7 @@ func (e *DocEngine) Health() Health {
 	tick := int64(e.queries) + 1
 	e.mu.Unlock()
 	if e.rb != nil && e.rb.inj != nil {
-		for _, p := range e.rb.inj.DownUnits(tick, len(e.parts), e.rb.policy.Replicas) {
+		for _, p := range e.rb.inj.DownUnits(tick, h.Units, e.rb.policy.Replicas) {
 			down[p] = true
 		}
 	}
@@ -163,20 +163,10 @@ func (e *TermEngine) Health() Health {
 
 // --- MultiSite ---
 
-// QueryTopK implements Engine: the query is submitted from HomeRegion at
-// virtual hour Now, with the canonical cache key of the term list. Like
-// Submit, it is meant for a single driving goroutine. With a mediator
-// configured (WithMediator) the query takes the federated path —
-// collection selection decides the site subset; without one the
-// single-executor Submit path is byte-identical to the pre-mediator
-// broker.
+// QueryTopK implements Engine: QueryTopKWithin with no budget, so a
+// deadline never changes which path a query takes.
 func (m *MultiSite) QueryTopK(terms []string, k int) QueryResult {
-	if m.mediator != nil {
-		r := m.QueryFederated(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
-		return r.QueryResult
-	}
-	r := m.Submit(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
-	return r.QueryResult
+	return m.QueryTopKWithin(terms, k, 0)
 }
 
 // K implements Engine: the number of sites.

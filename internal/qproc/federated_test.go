@@ -262,6 +262,30 @@ func TestFederatedMediatedVsExhaustive(t *testing.T) {
 	}
 }
 
+// TestFederatedDeadlineKeepsMediation: a deadline must not change which
+// path a query takes. A mediated MultiSite driven through
+// QueryTopKWithin with a budget nothing busts contacts the same site
+// subsets and returns the same answers as QueryTopK.
+func TestFederatedDeadlineKeepsMediation(t *testing.T) {
+	build := func() *MultiSite {
+		m, stats := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
+		m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
+		return m
+	}
+	plain, budgeted := build(), build()
+	for _, q := range topicalTestQueries(9, 60, 4) {
+		want := qrFingerprint(plain.QueryTopK(q, 10))
+		got := qrFingerprint(budgeted.QueryTopKWithin(q, 10, 1e9))
+		if want != got {
+			t.Fatalf("query %v diverged under a generous budget:\n%s\nvs\n%s", q, want, got)
+		}
+	}
+	want, got := plain.Stats().Selection, budgeted.Stats().Selection
+	if got != want || got.Mediated == 0 {
+		t.Fatalf("selection under a deadline %s, without %s", got.String(), want.String())
+	}
+}
+
 // TestFederatedOutageFallsBackToFullFanout: when the mediator's chosen
 // site is inside an outage window it never enters the up set, and the
 // query widens to the remaining sites instead of failing.

@@ -2,263 +2,83 @@ package qproc
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
-	"dwr/internal/conc"
 	"dwr/internal/index"
-	"dwr/internal/metrics"
-	"dwr/internal/rank"
 )
 
 // LiveEngine is the document-partitioned broker for collections that
 // are still being written: every partition is an index.SegmentStore
 // whose segment manifest is atomically swapped by segment writers and
-// background merges while queries are in flight. A query takes one
-// immutable manifest snapshot per partition before scattering, so no
-// request ever observes a half-swapped view — a document is either
-// entirely visible in the snapshot or not there at all. Each store's
-// OnChange hook bumps the broker result cache's generation, so cached
-// answers never outlive the index state they were computed from.
+// background merges while queries are in flight. It is a DocEngine whose
+// partition sources are the stores: a query takes one immutable manifest
+// snapshot per partition before anything else, so no request ever
+// observes a half-swapped view, aggregates statistics over exactly those
+// snapshots (the two-round protocol), and evaluates them through the
+// same rank evaluators, wave scheduler, fault policy and result cache as
+// a static engine. With no tombstones pending, its ranking is therefore
+// bit for bit the static engine's over the same documents, however the
+// stores happen to have cut them into segments. Each store's OnChange
+// hook bumps the result cache's generation, so cached answers never
+// outlive the index state they were computed from.
 //
-// LiveEngine deliberately reuses the static engines' configuration
-// surface (Option) and answer shape (QueryResult); it trades their
-// richer machinery (global-statistics rounds, selection, fault policy)
-// for freshness: every partition scores against its own snapshot's
-// statistics, exactly like index.Dynamic does for a single partition.
+// The type exists to hide what makes no sense over mutable stores —
+// PartIndex, GlobalPrecomputed statistics, per-partition posting-list
+// caches (WithPostingsCache is ignored) — not to add behaviour.
 type LiveEngine struct {
-	cost     CostModel
-	stores   []*index.SegmentStore
-	workers  int
-	rcache   *ResultCache
-	mediator Mediator
-
-	mu      sync.Mutex
-	queries int
-	busyMs  []float64
-	scanned int64
-	maxGen  []uint64 // highest manifest generation seen per partition
-	sel     metrics.SelectionCounters
+	broker *DocEngine
+	stores []*index.SegmentStore
 }
 
 // NewLiveEngine builds a broker over the given per-partition segment
 // stores. The stores may already be receiving writes; they keep
 // receiving writes while the engine serves. Supported options:
 // WithWorkers, WithResultCache / WithResultCacheInstance (the cache is
-// wired to every store's OnChange hook), and the ambient defaults.
+// wired to every store's OnChange hook), WithPruning,
+// WithThresholdSharing, WithFaultPolicy / WithInjector, and the ambient
+// defaults.
 func NewLiveEngine(stores []*index.SegmentStore, options ...Option) (*LiveEngine, error) {
 	if len(stores) == 0 {
 		return nil, fmt.Errorf("qproc: NewLiveEngine needs at least one segment store")
 	}
-	eo := resolveOptions(options)
-	e := &LiveEngine{
-		cost:     DefaultCostModel(),
-		stores:   stores,
-		workers:  eo.workers,
-		rcache:   eo.resultCache(),
-		mediator: eo.mediator,
-		busyMs:   make([]float64, len(stores)),
-		maxGen:   make([]uint64, len(stores)),
+	sources := make([]func() *index.Manifest, len(stores))
+	for i, s := range stores {
+		sources[i] = s.Manifest
 	}
-	if e.rcache != nil {
+	b := newBroker(resolveOptions(options), sources)
+	if b.rcache != nil {
 		for _, s := range stores {
-			s.OnChange(e.rcache.Invalidate)
+			s.OnChange(b.rcache.Invalidate)
 		}
 	}
-	return e, nil
-}
-
-// LiveCacheKey is the result-cache key of an unmediated (full fan-out)
-// LiveEngine query: the canonical term list plus k.
-func LiveCacheKey(terms []string, k int) string {
-	return fmt.Sprintf("live|k=%d|%s", k, NormalizeQueryKey(terms))
-}
-
-// liveMediatedCacheKey names the exact partition subset a mediated
-// answer was computed from (the `sel=` rule: differently-selected
-// evaluations must not collide).
-func liveMediatedCacheKey(terms []string, k int, parts []int) string {
-	return FederatedCacheKey("live|"+NormalizeQueryKey(terms), k, parts, false)
+	return &LiveEngine{broker: b, stores: stores}, nil
 }
 
 // Query evaluates terms over one manifest snapshot per partition and
 // returns the merged top-k with resource accounting. Safe for
-// concurrent callers and concurrent with writes to the stores. With a
-// mediator configured (WithMediator) the scatter is restricted to the
-// selected partitions; a full-fan-out decision shares the unmediated
-// cache key, since its answer is identical by construction.
-func (e *LiveEngine) Query(terms []string, k int) QueryResult {
-	if k <= 0 {
-		k = 10
-	}
-
-	// Mediation: pick the partition subset before the cache lookup, so
-	// the key can name it. Stats freshness is the mediator's job (it
-	// watches the stores' OnChange hooks, like the result cache does).
-	targets := make([]int, len(e.stores))
-	for i := range targets {
-		targets[i] = i
-	}
-	full := true
-	if e.mediator != nil {
-		d := e.mediator.Decide(terms, targets)
-		if !d.FullFanout {
-			var sel []int
-			for _, p := range d.Sites {
-				if p >= 0 && p < len(e.stores) {
-					sel = append(sel, p)
-				}
-			}
-			if len(sel) > 0 {
-				targets, full = sel, false
-			}
-		}
-	}
-
-	var ckey string
-	if e.rcache != nil {
-		if full {
-			ckey = LiveCacheKey(terms, k)
-		} else {
-			ckey = liveMediatedCacheKey(terms, k, targets)
-		}
-		if hit, ok := e.rcache.Get(ckey); ok {
-			qr := QueryResult{Results: hit.Results, FromCache: true, LatencyMs: e.cost.CacheHitMs}
-			e.note(qr, nil, nil, nil, full, 0)
-			return qr
-		}
-	}
-
-	// Snapshot, then scatter. Taking all snapshots before evaluating
-	// makes the answer a pure function of the captured manifests.
-	mans := make([]*index.Manifest, len(targets))
-	for i, p := range targets {
-		mans[i] = e.stores[p].Manifest()
-	}
-	partRes := make([][]index.SearchResult, len(mans))
-	partScanned := make([]int64, len(mans))
-	conc.Do(len(mans), e.workers, func(i int) {
-		partRes[i], partScanned[i] = mans[i].SearchScanned(terms, k)
-	})
-
-	// Serial gather: identical result no matter how the scatter was
-	// scheduled.
-	var merged []rank.Result
-	for _, rs := range partRes {
-		for _, r := range rs {
-			merged = append(merged, rank.Result{Doc: r.Doc, Score: r.Score})
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
-		}
-		return merged[i].Doc < merged[j].Doc
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-
-	qr := QueryResult{
-		Results:           merged,
-		ServersContacted:  len(mans),
-		PartitionsSkipped: len(e.stores) - len(targets),
-		Rounds:            1,
-		Waves:             1,
-	}
-	var maxMs float64
-	for _, n := range partScanned {
-		qr.PostingsDecoded += int(n)
-		ms := e.cost.ServiceMs(int(n))
-		if ms > maxMs {
-			maxMs = ms
-		}
-	}
-	qr.BytesTransferred = int64(len(mans)) * resultBytes(k)
-	qr.LatencyMs = maxMs
-	e.note(qr, targets, mans, partScanned, full, len(e.stores)-len(targets))
-	if e.rcache != nil {
-		e.rcache.Put(ckey, qr)
-	}
-	return qr
-}
-
-// note records per-query accounting under the stats lock. targets maps
-// the scatter slots back to partition indexes (nil for cache hits).
-func (e *LiveEngine) note(qr QueryResult, targets []int, mans []*index.Manifest, scanned []int64, full bool, skipped int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.queries++
-	for i := range scanned {
-		e.busyMs[targets[i]] += e.cost.ServiceMs(int(scanned[i]))
-		e.scanned += scanned[i]
-	}
-	for i := range mans {
-		if g := mans[i].Gen(); g > e.maxGen[targets[i]] {
-			e.maxGen[targets[i]] = g
-		}
-	}
-	if e.mediator != nil && !qr.FromCache {
-		e.sel.Queries++
-		if full {
-			e.sel.FullFanout++
-		} else {
-			e.sel.Mediated++
-		}
-		e.sel.SitesContacted += len(targets)
-		e.sel.SitesSkipped += skipped
-	}
-}
-
-// ObserveSelectionRecall feeds one Recall@k sample of a mediated answer
-// against the full fan-out into the selection counters.
-func (e *LiveEngine) ObserveSelectionRecall(r float64) {
-	e.mu.Lock()
-	e.sel.RecallSum += r
-	e.sel.RecallSamples++
-	e.mu.Unlock()
-}
+// concurrent callers and concurrent with writes to the stores.
+func (e *LiveEngine) Query(terms []string, k int) QueryResult { return e.broker.QueryTopK(terms, k) }
 
 // QueryTopK implements Engine.
 func (e *LiveEngine) QueryTopK(terms []string, k int) QueryResult { return e.Query(terms, k) }
+
+// QueryTopKWithin implements DeadlineQuerier; see DocEngine.QueryTopKWithin.
+func (e *LiveEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
+	return e.broker.QueryTopKWithin(terms, k, deadlineMs)
+}
 
 // K implements Engine: the number of partitions (segment stores).
 func (e *LiveEngine) K() int { return len(e.stores) }
 
 // Stats implements Engine.
-func (e *LiveEngine) Stats() EngineStats {
-	e.mu.Lock()
-	st := EngineStats{Queries: e.queries, Selection: e.sel}
-	e.mu.Unlock()
-	if e.rcache != nil {
-		st.ResultCache = e.rcache.Stats()
-	}
-	return st
-}
+func (e *LiveEngine) Stats() EngineStats { return e.broker.Stats() }
 
-// Health implements Engine. Segment stores are in-process and cannot be
-// down; a partition that has not received documents yet simply answers
-// from an empty manifest.
-func (e *LiveEngine) Health() Health { return Health{Units: len(e.stores)} }
+// Health implements Engine: partitions marked down (SetDown) or failed
+// by the injector. A partition that has not received documents yet is
+// up; it answers from an empty manifest.
+func (e *LiveEngine) Health() Health { return e.broker.Health() }
 
-// ResultCache returns the installed result cache (nil if none).
-func (e *LiveEngine) ResultCache() *ResultCache { return e.rcache }
-
-// BusyMs returns the accumulated virtual busy time per partition.
-func (e *LiveEngine) BusyMs() []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]float64(nil), e.busyMs...)
-}
-
-// Generations returns, per partition, the highest manifest generation
-// any query has observed — operational visibility into how fresh the
-// served view is.
-func (e *LiveEngine) Generations() []uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]uint64(nil), e.maxGen...)
-}
+// SetDown marks a partition as failed or recovered; see DocEngine.SetDown.
+func (e *LiveEngine) SetDown(p int, down bool) { e.broker.SetDown(p, down) }
 
 // NumDocs returns the total live documents across the current
 // partition manifests (tombstoned documents excluded).

@@ -1,20 +1,29 @@
 package qproc
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"dwr/internal/conc"
 	"dwr/internal/index"
+	"dwr/internal/rank"
 )
 
-// liveFixture builds a LiveEngine over nparts segment stores filled
-// with docs round-robin through segment writers.
-func liveFixture(t *testing.T, docs []index.Doc, nparts, segDocs int, options ...Option) (*LiveEngine, []*index.SegmentStore, []*index.SegmentWriter) {
+// liveStores fills nparts segment stores with docs round-robin through
+// segment writers sealing every segDocs documents. A non-nil pool runs
+// the merge cascades in the background (quiesced before returning).
+func liveStores(t *testing.T, docs []index.Doc, nparts, segDocs int, pool *conc.Pool) ([]*index.SegmentStore, []*index.SegmentWriter) {
 	t.Helper()
 	stores := make([]*index.SegmentStore, nparts)
 	writers := make([]*index.SegmentWriter, nparts)
 	for i := range stores {
 		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
+		if pool != nil {
+			stores[i].Background(pool)
+		}
 		writers[i] = index.NewSegmentWriter(stores[i], segDocs)
 	}
 	for _, d := range docs {
@@ -22,39 +31,159 @@ func liveFixture(t *testing.T, docs []index.Doc, nparts, segDocs int, options ..
 			t.Fatal(err)
 		}
 	}
-	for _, w := range writers {
+	for i, w := range writers {
 		if err := w.Cut(); err != nil {
 			t.Fatal(err)
 		}
+		stores[i].Quiesce()
 	}
+	return stores, writers
+}
+
+// liveFixture builds a LiveEngine over liveStores.
+func liveFixture(t *testing.T, docs []index.Doc, nparts, segDocs int, options ...Option) (*LiveEngine, []*index.SegmentStore, []*index.SegmentWriter) {
+	t.Helper()
+	stores, writers := liveStores(t, docs, nparts, segDocs, nil)
+	return liveOver(t, stores, options...), stores, writers
+}
+
+func liveOver(t *testing.T, stores []*index.SegmentStore, options ...Option) *LiveEngine {
+	t.Helper()
 	eng, err := NewLiveEngine(stores, options...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, stores, writers
+	return eng
 }
 
-// TestLiveEngineMatchesManifestSearch pins the single-partition answer
-// contract: the broker adds scatter, gather, and caching around
-// Manifest.Search but must not change its ranking. (Across partitions
-// LiveEngine scores with per-snapshot statistics, like index.Dynamic,
-// so a global-statistics DocEngine is deliberately NOT the oracle.)
-func TestLiveEngineMatchesManifestSearch(t *testing.T) {
-	docs := corpus(71, 600, 200)
-	live, stores, _ := liveFixture(t, docs, 1, 64)
-	for _, q := range [][]string{{"w0001"}, {"w0002", "w0005"}, {"w0000", "w0001", "w0003"}} {
-		a := live.Query(q, 10)
-		b := stores[0].Manifest().Search(q, 10)
-		if len(a.Results) != len(b) {
-			t.Fatalf("query %v: broker returned %d results, manifest %d", q, len(a.Results), len(b))
-		}
-		for i := range a.Results {
-			if a.Results[i].Doc != b[i].Doc || a.Results[i].Score != b[i].Score {
-				t.Fatalf("query %v rank %d: broker (%d, %v), manifest (%d, %v)",
-					q, i, a.Results[i].Doc, a.Results[i].Score, b[i].Doc, b[i].Score)
+// brokerGrid runs fn over the grid every static-vs-live equivalence
+// check covers: widths {1,4,16} × pruning {none, MaxScore, Block-Max} ×
+// {single-wave, shared thresholds}.
+func brokerGrid(fn func(label string, options ...Option)) {
+	for _, workers := range []int{1, 4, 16} {
+		for _, mode := range []rank.Pruning{rank.PruneNone, rank.PruneMaxScore, rank.PruneBlockMax} {
+			for _, shared := range []bool{false, true} {
+				fn(fmt.Sprintf("workers=%d pruning=%d shared=%v", workers, mode, shared),
+					WithWorkers(workers), WithPruning(mode), WithThresholdSharing(shared))
 			}
 		}
 	}
+}
+
+// staticAnswers is the oracle of the equivalence suite: the serial,
+// exhaustive, single-wave static DocEngine over docs.
+func staticAnswers(t *testing.T, docs []index.Doc, nparts int, queries [][]string, k int) [][]rank.Result {
+	t.Helper()
+	static := newDocEngine(t, docs, nparts, WithWorkers(1))
+	want := make([][]rank.Result, len(queries))
+	for i, q := range queries {
+		want[i] = static.QueryTopK(q, k).Results
+	}
+	return want
+}
+
+// TestLiveEngineStaticEquivalence: the same seeded corpus served from
+// built partition indexes and from segment stores — however the stores
+// have cut it up: small segments mid-cascade, larger ones, merges on a
+// background pool, fully compacted — ranks identically, bit for bit, at
+// every broker configuration. Run under -race in CI.
+func TestLiveEngineStaticEquivalence(t *testing.T) {
+	const nparts = 4
+	docs := corpus(81, 1400, 1500)
+	queries := zipfQueries(82, 50, 1500)
+	pool := conc.NewPool(2)
+	compacted, _ := liveStores(t, docs, nparts, 32, nil)
+	for _, st := range compacted {
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small, _ := liveStores(t, docs, nparts, 6, nil)  // 350 docs/partition: tiers of 282, 60, 6 and 2
+	large, _ := liveStores(t, docs, nparts, 25, nil) // tiers of 250, 75 and 25
+	merged, _ := liveStores(t, docs, nparts, 6, pool)
+	if n := small[0].Manifest().NumSegments(); n < 3 {
+		t.Fatalf("fixture: %d segments per partition; the views exercise no cross-segment seeding", n)
+	}
+	for _, k := range []int{10, 100} {
+		want := staticAnswers(t, docs, nparts, queries, k)
+		for name, stores := range map[string][]*index.SegmentStore{
+			"segDocs=6": small, "segDocs=25": large, "background merges": merged, "compacted": compacted,
+		} {
+			brokerGrid(func(label string, options ...Option) {
+				live := liveOver(t, stores, options...)
+				for qi, q := range queries {
+					if got := live.Query(q, k).Results; !reflect.DeepEqual(want[qi], got) {
+						t.Fatalf("%s %s k=%d query %d %v:\nstatic %v\nlive   %v", name, label, k, qi, q, want[qi], got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLiveEngineTombstoneEquivalence: with seeded tombstones pending,
+// every broker configuration answers exactly as the exhaustive
+// single-wave one over the same views and never returns a tombstoned
+// document; once Compact has reclaimed them the answer is the static
+// engine's over the surviving documents.
+func TestLiveEngineTombstoneEquivalence(t *testing.T) {
+	const nparts, k = 4, 10
+	docs := corpus(83, 1400, 1500)
+	queries := zipfQueries(84, 50, 1500)
+	stores, _ := liveStores(t, docs, nparts, 6, nil)
+	rng := rand.New(rand.NewSource(85))
+	dead := map[int]bool{}
+	var survivors []index.Doc
+	for _, d := range docs {
+		if rng.Intn(5) > 0 {
+			survivors = append(survivors, d)
+			continue
+		}
+		if !stores[d.Ext%nparts].Delete(d.Ext) {
+			t.Fatalf("Delete(%d) found nothing", d.Ext)
+		}
+		dead[d.Ext] = true
+	}
+	if n := stores[0].Manifest().NumSegments(); n < 3 || stores[0].Manifest().Tombstones() == 0 {
+		t.Fatalf("fixture: %d segments, %d tombstones in partition 0", n, stores[0].Manifest().Tombstones())
+	}
+
+	exhaustive := liveOver(t, stores, WithWorkers(1))
+	want := make([][]rank.Result, len(queries))
+	for i, q := range queries {
+		want[i] = exhaustive.Query(q, k).Results
+		for _, r := range want[i] {
+			if dead[r.Doc] {
+				t.Fatalf("query %v returned tombstoned doc %d", q, r.Doc)
+			}
+		}
+	}
+	brokerGrid(func(label string, options ...Option) {
+		live := liveOver(t, stores, options...)
+		for qi, q := range queries {
+			if got := live.Query(q, k).Results; !reflect.DeepEqual(want[qi], got) {
+				t.Fatalf("%s query %d %v:\nexhaustive %v\ngot        %v", label, qi, q, want[qi], got)
+			}
+		}
+	})
+
+	for _, st := range stores {
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The static oracle partitions the survivors by position, the stores
+	// by ID; with collection-wide statistics the merged ranking does not
+	// depend on the assignment.
+	static := staticAnswers(t, survivors, nparts, queries, k)
+	brokerGrid(func(label string, options ...Option) {
+		live := liveOver(t, stores, options...)
+		for qi, q := range queries {
+			if got := live.Query(q, k).Results; !reflect.DeepEqual(static[qi], got) {
+				t.Fatalf("after Compact, %s query %d %v:\nstatic %v\nlive   %v", label, qi, q, static[qi], got)
+			}
+		}
+	})
 }
 
 // TestLiveEngineAnswerIndependentOfFanOut: the scatter schedule (serial
@@ -119,6 +248,35 @@ func TestLiveEngineCacheInvalidatedBySwap(t *testing.T) {
 	}
 	if qr := eng.Query(q, 10); qr.FromCache {
 		t.Fatal("cache served a stale answer after a segment seal")
+	}
+}
+
+// TestLiveEngineSetDown: the live broker has the static broker's
+// topology surface — a partition marked down is skipped, the answer is
+// flagged Degraded and never cached, and Health names the partition.
+func TestLiveEngineSetDown(t *testing.T) {
+	eng, _, _ := liveFixture(t, corpus(75, 300, 150), 3, 32,
+		WithResultCache(ResultCacheConfig{Capacity: 64}))
+	q := []string{"w0001", "w0002"}
+	eng.SetDown(1, true)
+	if h := eng.Health(); !reflect.DeepEqual(h.Down, []int{1}) || h.Units != 3 {
+		t.Fatalf("health %+v, want partition 1 of 3 down", h)
+	}
+	for pass := 0; pass < 2; pass++ {
+		qr := eng.Query(q, 20)
+		if !qr.Degraded || qr.FromCache || qr.ServersContacted != 2 {
+			t.Fatalf("pass %d: degraded=%v fromCache=%v contacted=%d, want an uncached degraded answer from 2 partitions",
+				pass, qr.Degraded, qr.FromCache, qr.ServersContacted)
+		}
+		for _, r := range qr.Results {
+			if r.Doc%3 == 1 {
+				t.Fatalf("doc %d of the down partition in the answer", r.Doc)
+			}
+		}
+	}
+	eng.SetDown(1, false)
+	if qr := eng.Query(q, 20); qr.Degraded || qr.ServersContacted != 3 {
+		t.Fatalf("after recovery: degraded=%v contacted=%d", qr.Degraded, qr.ServersContacted)
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // Option configures an engine at construction. The same options apply
-// to DocEngine, TermEngine, and MultiSite (options that do not apply to
-// an engine kind are ignored): pass them to NewDocEngine /
-// NewTermEngine / NewMultiSite after the positional arguments. This is
+// to DocEngine, LiveEngine, TermEngine, and MultiSite (options that do
+// not apply to an engine kind are ignored): pass them to NewDocEngine /
+// NewLiveEngine / NewTermEngine / NewMultiSite after the positional
+// arguments. This is
 // the one configuration surface — engines are immutable once built,
 // apart from topology changes (SetDown) and cache invalidation.
 type Option func(*engineOptions)
@@ -114,14 +115,14 @@ func WithThresholdSharing(on bool) Option {
 }
 
 // WithMediator puts a federated query mediator on the engine's serving
-// path: MultiSite.QueryTopK takes the QueryFederated route (collection
-// selection picks the site subset each query touches, with full fan-out
-// as the confidence/fault fallback), and LiveEngine restricts its
-// partition scatter to the mediator-selected segment stores. The
-// mediator must be deterministic for fixed statistics; cache keys gain a
-// `sel=` component naming the selected subset. Engines without a
-// federated scatter (DocEngine, TermEngine) ignore the option. Passing
-// nil disables mediation, overriding any ambient default.
+// path: MultiSite.QueryTopK and QueryTopKWithin take the QueryFederated
+// route (collection selection picks the site subset each query touches,
+// with full fan-out as the confidence/fault fallback). The mediator must
+// be deterministic for fixed statistics; cache keys gain a `sel=`
+// component naming the selected subset. Engines without a federated
+// scatter (DocEngine, LiveEngine, TermEngine) ignore the option — their
+// partitions are skipped rank-safely by threshold sharing instead.
+// Passing nil disables mediation, overriding any ambient default.
 func WithMediator(m Mediator) Option {
 	return func(o *engineOptions) { o.mediator = m }
 }

@@ -29,15 +29,16 @@ func (s *Scorer) TermUpperBound(idf float64, m index.TermScoreMeta) float64 {
 	return ub
 }
 
-// QueryBound bounds the disjunctive score of any single document in ix
-// for the query terms, using only the resident per-term metadata — the
-// broker-side estimate a threshold-sharing scheduler orders and skips
-// partitions by. Terms absent from the partition contribute nothing; a
-// bound of 0 therefore means no query term occurs in the partition.
-func QueryBound(ix *index.Index, s *Scorer, terms []string) float64 {
+// QueryBound bounds the disjunctive score of any single document in the
+// partition view v for the query terms, using only the resident per-term
+// metadata (merged over the view's segments) — the broker-side estimate
+// a threshold-sharing scheduler orders and skips partitions by. Terms
+// absent from the partition contribute nothing; a bound of 0 therefore
+// means no query term occurs in the partition.
+func QueryBound(v *index.Manifest, s *Scorer, terms []string) float64 {
 	sum := 0.0
 	for _, t := range dedup(terms) {
-		m, ok := ix.TermScoreMeta(t)
+		m, ok := v.TermScoreMeta(t)
 		if !ok {
 			continue
 		}

@@ -114,8 +114,15 @@ func EvaluateTopKSeeded(ix *index.Index, s *Scorer, terms []string, k int, mode 
 // has fewer than k seed-beating documents, which a merging broker by
 // construction never misses.
 func EvaluateTopKSeededFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
+	return evaluateTopK(pp, ix, nil, s, terms, k, mode, seed)
+}
+
+// evaluateTopK is EvaluateTopKSeededFrom with a tombstone filter; see
+// evaluateOR. The score bounds cover tombstoned postings too, so they
+// stay valid upper bounds for the live ones.
+func evaluateTopK(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
 	if mode == PruneNone || k <= 0 {
-		rs, es := EvaluateORFrom(pp, ix, s, terms, k)
+		rs, es := evaluateOR(pp, ix, dead, s, terms, k)
 		if len(rs) >= k && k > 0 {
 			es.FinalThreshold = rs[k-1].Score
 		}
@@ -157,7 +164,7 @@ func EvaluateTopKSeededFrom(pp PostingsProvider, ix *index.Index, s *Scorer, ter
 		sc.heap = tk.rs[:0]
 		return tk.results(), es
 	}
-	tk := &topK{k: k, rs: sc.heap[:0]}
+	tk := &topK{k: k, rs: sc.heap[:0], dead: dead}
 	if len(cursors) == 0 {
 		if seed > 0 {
 			es.FinalThreshold = seed

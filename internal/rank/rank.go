@@ -178,6 +178,14 @@ func EvaluateOR(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, Ev
 // EvalStats accounting charges the same costs either way: a cache hit
 // changes where bytes come from, not what the query logically touched.
 func EvaluateORFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+	return evaluateOR(pp, ix, nil, s, terms, k)
+}
+
+// evaluateOR is EvaluateORFrom over one segment of a partition view:
+// documents dead reports tombstoned (nil = none) are scored like any
+// other — their postings are physically there — but never offered to
+// the heap.
+func evaluateOR(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -205,7 +213,7 @@ func EvaluateORFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []str
 			sc.heads = append(sc.heads, orHead{doc: cursors[i].it.Posting().Doc, i: i})
 		}
 	}
-	tk := &topK{k: k, rs: sc.heap[:0]}
+	tk := &topK{k: k, rs: sc.heap[:0], dead: dead}
 	heads := sc.heads
 	for len(heads) > 0 {
 		// Find minimum doc among heads.
@@ -254,6 +262,11 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 // EvaluateANDFrom is EvaluateAND over a PostingsProvider; see
 // EvaluateORFrom for the contract.
 func EvaluateANDFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+	return evaluateAND(pp, ix, nil, s, terms, k)
+}
+
+// evaluateAND is EvaluateANDFrom with a tombstone filter; see evaluateOR.
+func evaluateAND(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -276,7 +289,7 @@ func EvaluateANDFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []st
 	// Rarest list first minimizes skips.
 	sort.Slice(cursors, func(i, j int) bool { return cursors[i].it.Count() < cursors[j].it.Count() })
 	driver := cursors[0]
-	tk := &topK{k: k, rs: sc.heap[:0]}
+	tk := &topK{k: k, rs: sc.heap[:0], dead: dead}
 	finish := func() []Result {
 		for i := range cursors {
 			es.BytesDecoded += cursors[i].it.BytesDecoded()
@@ -327,10 +340,14 @@ func dedup(terms []string) []string {
 	return out
 }
 
-// topK keeps the k best results (max score, tie: min doc).
+// topK keeps the k best results (max score, tie: min doc). Documents
+// dead reports tombstoned (nil = none) are refused at offer: a deleted
+// document that entered the heap would raise the pruning threshold
+// against live ones.
 type topK struct {
-	k  int
-	rs resultHeap
+	k    int
+	rs   resultHeap
+	dead func(ext int) bool
 }
 
 type resultHeap []Result
@@ -361,15 +378,19 @@ func (t *topK) offer(r Result) {
 		return
 	}
 	if len(t.rs) < t.k {
-		heap.Push(&t.rs, r)
+		if !t.isDead(r.Doc) {
+			heap.Push(&t.rs, r)
+		}
 		return
 	}
 	worst := t.rs[0]
-	if r.Score > worst.Score || (r.Score == worst.Score && r.Doc < worst.Doc) {
+	if (r.Score > worst.Score || (r.Score == worst.Score && r.Doc < worst.Doc)) && !t.isDead(r.Doc) {
 		t.rs[0] = r
 		heap.Fix(&t.rs, 0)
 	}
 }
+
+func (t *topK) isDead(ext int) bool { return t.dead != nil && t.dead(ext) }
 
 func (t *topK) results() []Result {
 	out := make([]Result, len(t.rs))

@@ -162,14 +162,14 @@ func TestTermUpperBoundDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for _, q := range pruneQueries(rng, ix, 60) {
 		for si, s := range scorers {
-			qb := QueryBound(ix, s, q)
+			qb := QueryBound(index.ViewOf(ix), s, q)
 			rs, _ := EvaluateOR(ix, s, q, 1)
 			if len(rs) > 0 && !Competitive(qb, rs[0].Score) {
 				t.Fatalf("scorer %d query %v: best score %g beats query bound %g beyond slack", si, q, rs[0].Score, qb)
 			}
 		}
 	}
-	if qb := QueryBound(ix, NewScorer(local), []string{"absent", "alsoabsent"}); qb != 0 {
+	if qb := QueryBound(index.ViewOf(ix), NewScorer(local), []string{"absent", "alsoabsent"}); qb != 0 {
 		t.Fatalf("query bound %g for absent terms, want 0", qb)
 	}
 }

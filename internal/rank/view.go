@@ -1,0 +1,72 @@
+package rank
+
+import "dwr/internal/index"
+
+// EvaluateView is EvaluateTopKSeededFrom over a partition view: every
+// segment of v is evaluated in turn with the same scorer — built from
+// view-wide or collection-wide statistics, never a segment's own — and
+// the per-segment lists are merged. Tombstoned documents are refused at
+// the heap, and each segment starts from the tighter of the caller's
+// seed and the running k-th score of the segments before it, so later
+// (usually newer, smaller) segments are pruned against what the earlier
+// ones already found. A segment's quantized block bounds rarely match a
+// view-wide average document length; the analytic bound the evaluator
+// falls back to is valid for any statistics.
+//
+// bind, when non-nil, supplies each segment's posting lists (a
+// posting-list cache bound to it); nil reads the segments directly. A
+// single-segment view returns that segment's list as-is, so a static
+// index wrapped by index.ViewOf costs exactly one
+// EvaluateTopKSeededFrom.
+func EvaluateView(v *index.Manifest, bind func(*index.Index) PostingsProvider, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
+	return evaluateView(v, bind, s, terms, k, false, mode, seed)
+}
+
+// EvaluateViewAND is EvaluateANDFrom over a partition view; see
+// EvaluateView.
+func EvaluateViewAND(v *index.Manifest, bind func(*index.Index) PostingsProvider, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+	return evaluateView(v, bind, s, terms, k, true, PruneNone, 0)
+}
+
+func evaluateView(v *index.Manifest, bind func(*index.Index) PostingsProvider, s *Scorer, terms []string, k int, conj bool, mode Pruning, seed float64) ([]Result, EvalStats) {
+	var dead func(int) bool
+	if v.Tombstones() > 0 {
+		dead = v.Deleted
+	}
+	segs := v.Segments()
+	m := TopKMerger{tk: topK{k: k}}
+	var total EvalStats
+	if seed > 0 {
+		total.FinalThreshold = seed
+	}
+	for _, seg := range segs {
+		var pp PostingsProvider = seg
+		if bind != nil {
+			pp = bind(seg)
+		}
+		var rs []Result
+		var es EvalStats
+		if conj {
+			rs, es = evaluateAND(pp, seg, dead, s, terms, k)
+		} else {
+			rs, es = evaluateTopK(pp, seg, dead, s, terms, k, mode, total.FinalThreshold)
+		}
+		if len(segs) == 1 {
+			return rs, es
+		}
+		m.Add(rs)
+		total.PostingsDecoded += es.PostingsDecoded
+		total.ListsAccessed += es.ListsAccessed
+		total.BytesRead += es.BytesRead
+		total.BytesDecoded += es.BytesDecoded
+		// The next seed: this segment's floor, or the merged k-th score
+		// once k results are in — never lower than the segment's own.
+		if es.FinalThreshold > total.FinalThreshold {
+			total.FinalThreshold = es.FinalThreshold
+		}
+		if t, ok := m.Threshold(); ok && t > total.FinalThreshold {
+			total.FinalThreshold = t
+		}
+	}
+	return m.Results(), total
+}
