@@ -28,7 +28,10 @@ type Federation struct {
 }
 
 // Interface conformance, checked at compile time.
-var _ qproc.Engine = (*Federation)(nil)
+var (
+	_ qproc.Engine          = (*Federation)(nil)
+	_ qproc.DeadlineQuerier = (*Federation)(nil)
+)
 
 // NewFederation wraps ms (which should be configured with
 // qproc.WithMediator; without one every query is a plain full fan-out).
@@ -36,9 +39,16 @@ func NewFederation(ms *qproc.MultiSite) *Federation {
 	return &Federation{ms: ms}
 }
 
-// QueryTopK implements qproc.Engine: one federated submission from the
-// MultiSite's HomeRegion at its virtual hour Now.
+// QueryTopK implements qproc.Engine: QueryTopKWithin with no budget.
 func (f *Federation) QueryTopK(terms []string, k int) qproc.QueryResult {
+	return f.QueryTopKWithin(terms, k, 0)
+}
+
+// QueryTopKWithin implements qproc.DeadlineQuerier: one federated
+// submission from the MultiSite's HomeRegion at its virtual hour Now,
+// the budget checked on the final routed answer as in
+// MultiSite.QueryTopKWithin.
+func (f *Federation) QueryTopKWithin(terms []string, k int, deadlineMs float64) qproc.QueryResult {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	r := f.ms.QueryFederated(terms, qproc.NormalizeQueryKey(terms), f.ms.HomeRegion, f.ms.Now, k)
@@ -49,6 +59,7 @@ func (f *Federation) QueryTopK(terms []string, k int) qproc.QueryResult {
 			f.ms.ObserveSelectionRecall(Recall(r.Results, exh))
 		}
 	}
+	qproc.EnforceDeadline(&r.QueryResult, deadlineMs)
 	return r.QueryResult
 }
 

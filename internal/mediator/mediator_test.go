@@ -1,8 +1,10 @@
 package mediator
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dwr/internal/cluster"
@@ -246,12 +248,11 @@ func TestMediatorDecisionsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFederationServesAndSamplesRecall wires the whole stack: engines →
-// mediator → mediated MultiSite → Federation, then checks queries
-// succeed, pruning happens, and sampled Recall@k against the exhaustive
-// fan-out stays high.
-func TestFederationServesAndSamplesRecall(t *testing.T) {
-	const nSites = 4
+// topicalFederation wires the whole stack — engines → mediator →
+// mediated MultiSite → Federation — sampling recall on every mediated
+// answer.
+func topicalFederation(t *testing.T, nSites int) *Federation {
+	t.Helper()
 	engines := topicalEngines(t, 7, nSites, 120)
 	med := New(Config{SelectN: 2, MinConfidence: 0.3}, engineSources(engines)...)
 	ms := qproc.NewMultiSite(cluster.NewNetwork(1, nSites), qproc.RouteGeo, qproc.WithMediator(med))
@@ -260,6 +261,17 @@ func TestFederationServesAndSamplesRecall(t *testing.T) {
 	}
 	f := NewFederation(ms)
 	f.SampleEvery = 1
+	return f
+}
+
+// TestFederationServesAndSamplesRecall wires the whole stack: engines →
+// mediator → mediated MultiSite → Federation, then checks queries
+// succeed, pruning happens, and sampled Recall@k against the exhaustive
+// fan-out stays high.
+func TestFederationServesAndSamplesRecall(t *testing.T) {
+	const nSites = 4
+	f := topicalFederation(t, nSites)
+	ms := f.MultiSite()
 	if f.K() != nSites || f.MultiSite() != ms {
 		t.Fatal("federation does not delegate to the wrapped broker")
 	}
@@ -289,6 +301,33 @@ func TestFederationServesAndSamplesRecall(t *testing.T) {
 	}
 	if mr := st.Selection.MeanRecall(); mr < 0.95 {
 		t.Fatalf("mean sampled recall %.3f < 0.95", mr)
+	}
+}
+
+// TestFederationHonoursDeadline: a front-end finds Federation through
+// the DeadlineQuerier assertion, so `dwrserve -federate -deadline N`
+// propagates its budget. A budget no routed answer can meet is refused
+// with no results; a generous one changes nothing — answers, site
+// fan-out and recall sampling replay QueryTopK's exactly.
+func TestFederationHonoursDeadline(t *testing.T) {
+	queries := [][]string{{"s0w01"}, {"shared02"}, {"s1w05", "s1w06"}, {"s2w00"}, {"shared11", "s0w03"}, {"s0w01"}}
+	plain, within := topicalFederation(t, 4), topicalFederation(t, 4)
+	var eng qproc.Engine = within
+	dq, ok := eng.(qproc.DeadlineQuerier)
+	if !ok {
+		t.Fatal("Federation is not a DeadlineQuerier: a serving deadline would be dropped")
+	}
+	for _, q := range queries {
+		want, got := plain.QueryTopK(q, 10), dq.QueryTopKWithin(q, 10, 1e9)
+		if want.Err != nil || len(want.Results) == 0 || !reflect.DeepEqual(want, got) {
+			t.Fatalf("query %v: a generous budget changed the answer:\n%+v\n%+v", q, want, got)
+		}
+	}
+	if want, got := plain.Stats(), within.Stats(); want.Selection != got.Selection || want.Selection.SitesContacted == 0 {
+		t.Fatalf("a generous budget changed the fan-out or the sampling: %s vs %s", want.Selection.String(), got.Selection.String())
+	}
+	if qr := dq.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, qproc.ErrDeadlineExceeded) || qr.Results != nil {
+		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
 	}
 }
 

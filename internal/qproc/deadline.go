@@ -37,17 +37,7 @@ var (
 // (tightening any FaultPolicy.DeadlineMs) and enforced on the merged
 // answer.
 func (e *DocEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
-	opt := e.topkOpts
-	opt.K = k
-	opt.DeadlineMs = deadlineMs
-	return e.Query(terms, opt)
-}
-
-// QueryTopKWithin implements DeadlineQuerier: the pipeline is abandoned
-// at the first hop that would start after the budget is spent, and the
-// remaining hops are never contacted.
-func (e *TermEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
-	return e.query(terms, k, deadlineMs)
+	return e.Query(terms, DocQueryOptions{K: k, Stats: e.topkStats, DeadlineMs: deadlineMs})
 }
 
 // QueryTopKWithin implements DeadlineQuerier: the query is submitted
@@ -67,14 +57,16 @@ func (m *MultiSite) QueryTopKWithin(terms []string, k int, deadlineMs float64) Q
 		r = m.Submit(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
 	}
 	qr := r.QueryResult
-	enforceDeadline(&qr, deadlineMs)
+	EnforceDeadline(&qr, deadlineMs)
 	return qr
 }
 
-// enforceDeadline converts an answer that arrived after its budget into
+// EnforceDeadline converts an answer that arrived after its budget into
 // a deadline failure: no results, latency capped at the budget (the
-// moment the caller stopped waiting).
-func enforceDeadline(qr *QueryResult, deadlineMs float64) {
+// moment the caller stopped waiting). Engines apply it to every answer
+// they return; it is exported for engines defined outside this package
+// (mediator.Federation).
+func EnforceDeadline(qr *QueryResult, deadlineMs float64) {
 	if deadlineMs <= 0 || qr.LatencyMs <= deadlineMs || qr.Err != nil {
 		return
 	}

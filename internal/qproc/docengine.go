@@ -3,7 +3,6 @@ package qproc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dwr/internal/conc"
 	"dwr/internal/index"
@@ -32,8 +31,7 @@ import (
 // partition indexes are immutable concurrent-reader structures and the
 // busy-load accounting is guarded by a mutex taken only at the gather.
 type DocEngine struct {
-	cost  CostModel
-	lanMs float64
+	broker
 	// sources yield each partition's current view.
 	sources []func() *index.Manifest
 	// parts and global exist only on engines built from documents: the
@@ -41,24 +39,8 @@ type DocEngine struct {
 	// precomputed from them (GlobalPrecomputed, phrase queries).
 	parts     []*index.Index
 	global    index.Stats
-	workers   int // broker fan-out width; <=0 = GOMAXPROCS, 1 = serial
-	mu        sync.Mutex
-	busyMs    []float64
-	downs     []bool
-	queries   int
-	degraded  int
-	failed    int
+	downs     []bool // SetDown marks, guarded by mu
 	partition partition.DocPartition
-	// rcache is the broker-level result cache (level 1); pcaches are the
-	// per-partition-server posting-list caches (level 2). Both nil by
-	// default; configure at construction (WithResultCache /
-	// WithPostingsCache).
-	rcache  *ResultCache
-	pcaches []*index.PostingsCache
-	// rb is the robustness runtime (deadline/retry/hedge policy over the
-	// fault-injection layer); nil unless fault options were given, in
-	// which case partition calls route through it at the gather point.
-	rb *robustness
 	// pruning is the default top-k strategy for disjunctive queries
 	// (WithPruning); DocQueryOptions.Pruning overrides per query.
 	pruning rank.Pruning
@@ -67,9 +49,11 @@ type DocEngine struct {
 	// query. tsc accumulates what the scheduler did (guarded by mu).
 	threshold bool
 	tsc       metrics.ThresholdCounters
-	// topkOpts are the per-query options QueryTopK (the uniform Engine
-	// surface) uses; K is overridden per call.
-	topkOpts DocQueryOptions
+	// topkStats is the statistics mode of QueryTopK (the uniform Engine
+	// surface): GlobalPrecomputed on engines built from documents, the
+	// two-round protocol over segment stores, where nothing is
+	// precomputed.
+	topkStats StatsMode
 }
 
 // NewDocEngine builds per-partition indexes from docs according to the
@@ -107,7 +91,7 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 	conc.Do(len(parts), eo.workers, func(i int) {
 		stats[i] = parts[i].LocalStats(nil)
 	})
-	e := newBroker(eo, sources)
+	e := newDocBroker(eo, sources)
 	e.parts = parts
 	e.partition = dp
 	e.global = index.MergeStats(stats...)
@@ -115,34 +99,21 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 		return nil, fmt.Errorf("qproc: document partition covers no documents")
 	}
 	e.installPostingsCache(eo.plBytes)
-	e.topkOpts = DocQueryOptions{Stats: GlobalPrecomputed}
-	if eo.docDefault != nil {
-		e.topkOpts = *eo.docDefault
-	}
+	e.topkStats = GlobalPrecomputed
 	return e, nil
 }
 
-// newBroker builds the engine around its partition sources: everything
-// that does not depend on where the partitions' postings live. QueryTopK
-// defaults to the two-round protocol, the one statistics mode that needs
-// nothing precomputed.
-func newBroker(eo engineOptions, sources []func() *index.Manifest) *DocEngine {
+// newDocBroker builds the engine around its partition sources:
+// everything that does not depend on where the partitions' postings live.
+func newDocBroker(eo engineOptions, sources []func() *index.Manifest) *DocEngine {
 	return &DocEngine{
-		cost:      DefaultCostModel(),
-		lanMs:     0.3,
+		broker:    newBroker(eo, len(sources)),
 		sources:   sources,
-		workers:   eo.workers,
-		busyMs:    make([]float64, len(sources)),
 		downs:     make([]bool, len(sources)),
-		rcache:    eo.resultCache(),
-		rb:        eo.robust(len(sources)),
 		pruning:   eo.pruning,
 		threshold: eo.threshold,
 	}
 }
-
-// K returns the number of partitions.
-func (e *DocEngine) K() int { return len(e.sources) }
 
 // Partition returns the underlying document partition.
 func (e *DocEngine) Partition() partition.DocPartition { return e.partition }
@@ -152,9 +123,6 @@ func (e *DocEngine) PartIndex(p int) *index.Index { return e.parts[p] }
 
 // GlobalStats returns the precomputed whole-collection statistics.
 func (e *DocEngine) GlobalStats() index.Stats { return e.global }
-
-// Workers reports the configured fan-out width (0 = GOMAXPROCS).
-func (e *DocEngine) Workers() int { return e.workers }
 
 // SetDown marks a query processor as failed (true) or recovered (false);
 // the broker skips failed processors and flags the answer Degraded — the
@@ -171,52 +139,6 @@ func (e *DocEngine) SetDown(p int, down bool) {
 	if e.rcache != nil {
 		e.rcache.Invalidate()
 	}
-}
-
-// ResultCache returns the installed result cache (nil if none).
-func (e *DocEngine) ResultCache() *ResultCache { return e.rcache }
-
-// installPostingsCache materializes the WithPostingsCache option.
-func (e *DocEngine) installPostingsCache(bytesPerPartition int64) {
-	if bytesPerPartition <= 0 {
-		e.pcaches = nil
-		return
-	}
-	e.pcaches = make([]*index.PostingsCache, len(e.parts))
-	for i := range e.pcaches {
-		e.pcaches[i] = index.NewPostingsCache(bytesPerPartition)
-	}
-}
-
-// PostingsCacheStats aggregates hit/miss/occupancy over the partition
-// servers' posting-list caches (zero value if disabled).
-func (e *DocEngine) PostingsCacheStats() PostingsCacheStats {
-	var out PostingsCacheStats
-	for _, pc := range e.pcaches {
-		h, m, b := pc.Stats()
-		out.Hits += h
-		out.Misses += m
-		out.UsedBytes += b
-	}
-	return out
-}
-
-// BusyMs returns accumulated per-processor busy time — the Figure 2
-// measurement.
-func (e *DocEngine) BusyMs() []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]float64(nil), e.busyMs...)
-}
-
-// ResetBusy clears the busy-load accounting.
-func (e *DocEngine) ResetBusy() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i := range e.busyMs {
-		e.busyMs[i] = 0
-	}
-	e.queries = 0
 }
 
 // StatsMode selects which statistics drive scoring (experiment C9).
@@ -314,18 +236,31 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 	if opt.Threshold == ThresholdDefault && e.threshold {
 		opt.Threshold = ThresholdShared
 	}
-	var ckey string
+	var key string
 	if e.rcache != nil {
-		ckey = DocCacheKey(terms, opt)
-		if hit, ok := e.rcache.Get(ckey); ok {
-			// A hit answers at the broker: same ranked results, no
-			// fan-out, so the work counters are genuinely zero and the
-			// latency is one local lookup.
-			qr := QueryResult{Results: hit.Results, FromCache: true, LatencyMs: e.cost.CacheHitMs}
-			enforceDeadline(&qr, opt.DeadlineMs)
-			return qr
+		key = DocCacheKey(terms, opt)
+	}
+	return e.answer(key, opt.DeadlineMs, func(tick int64) QueryResult {
+		return e.evaluate(tick, terms, opt)
+	})
+}
+
+// live drops the partitions marked down (SetDown) from targets, in
+// place.
+func (e *DocEngine) live(targets []int) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	live := targets[:0]
+	for _, p := range targets {
+		if !e.downs[p] {
+			live = append(live, p)
 		}
 	}
+	return live
+}
+
+// evaluate is a result-cache miss: opt resolved, tick drawn by the frame.
+func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) QueryResult {
 	var qr QueryResult
 
 	// Snapshot every partition before statistics or evaluation: the
@@ -350,28 +285,14 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 			targets = append(targets, p)
 		}
 	}
-	e.mu.Lock()
-	e.queries++
-	// tick is the fault-schedule clock: decision i of the injector's
-	// timeline. Captured under the lock so every query sees a distinct,
-	// reproducible tick regardless of worker interleaving.
-	tick := int64(e.queries)
-	live := targets[:0]
-	for _, p := range targets {
-		if e.downs[p] {
-			qr.Degraded = true
-			continue
-		}
-		live = append(live, p)
-	}
-	e.mu.Unlock()
-	targets = live
+	// Down-marked targets are lost before they are contacted: the answer
+	// is degraded (or refused, fail-fast) exactly as if their calls failed.
+	down := len(targets)
+	targets = e.live(targets)
+	down -= len(targets)
 	qr.ServersContacted = len(targets)
 	if len(targets) == 0 {
-		if e.rb != nil && e.rb.policy.Mode == FailFast && qr.Degraded {
-			qr.Err = fmt.Errorf("all selected partitions down: %w", ErrUnavailable)
-		}
-		e.noteOutcome(&qr)
+		e.degrade(&qr, down, down, "partitions")
 		return qr
 	}
 
@@ -502,42 +423,15 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 		var waveSlowest float64
 		e.mu.Lock()
 		for _, i := range ws {
-			p := targets[i]
-			es := evals[i].es
-			service := e.cost.ServiceMs(es.PostingsDecoded)
-			if e.rb != nil {
-				// Robust path: the call's fate (retries, hedges, failover,
-				// latency, or loss) is simulated deterministically from the
-				// engine tick. A clean call costs exactly lanMs+service, so
-				// with zero faults injected this path is byte-identical to
-				// the plain one below.
-				cr := e.rb.call(tick, p, e.lanMs, service, opt.DeadlineMs)
-				qr.Retries += cr.retries
-				qr.Hedges += cr.hedges
-				if cr.latencyMs > waveSlowest {
-					waveSlowest = cr.latencyMs
-				}
-				if !cr.ok {
-					// The partition never answered within budget: its
-					// contribution is lost and its server did no accountable
-					// work for this query.
-					e.rb.lost()
-					lost++
-					continue
-				}
-				e.busyMs[p] += service
-			} else {
-				e.busyMs[p] += service
-				if t := e.lanMs + service; t > waveSlowest {
-					waveSlowest = t
-				}
+			ms, ok := e.call(tick, targets[i], e.cost.ServiceMs(evals[i].es.PostingsDecoded), opt.DeadlineMs, &qr)
+			if ms > waveSlowest {
+				waveSlowest = ms
 			}
-			//dwrlint:allow statsmerge:FinalThreshold the broker seeds later waves from its own merged heap, not the partitions' final thresholds
-			qr.PostingsDecoded += es.PostingsDecoded
-			qr.ListsAccessed += es.ListsAccessed
-			qr.PostingBytesRead += es.BytesRead
-			qr.PostingBytesDecoded += es.BytesDecoded
-			qr.BytesTransferred += resultBytes(len(evals[i].rs))
+			if !ok {
+				lost++
+				continue
+			}
+			qr.addEval(evals[i].es, len(evals[i].rs))
 			merger.Add(evals[i].rs)
 		}
 		e.mu.Unlock()
@@ -561,34 +455,6 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 		})
 		e.mu.Unlock()
 	}
-	if lost > 0 || (qr.Degraded && e.rb != nil && e.rb.policy.Mode == FailFast) {
-		if e.rb.policy.Mode == FailFast {
-			qr.Err = fmt.Errorf("%d of %d partitions unavailable: %w", lost, len(targets), ErrUnavailable)
-			qr.Results = nil
-		} else {
-			qr.Degraded = true
-		}
-	}
-	enforceDeadline(&qr, opt.DeadlineMs)
-	if e.rcache != nil && !qr.Degraded && qr.Err == nil {
-		// Degraded answers are partial; caching them would keep serving
-		// the partial ranking after the servers recover.
-		e.rcache.Put(ckey, qr)
-	}
-	e.noteOutcome(&qr)
+	e.degrade(&qr, lost+down, len(targets)+down, "partitions")
 	return qr
-}
-
-// noteOutcome tallies degraded/failed answers for EngineStats.
-func (e *DocEngine) noteOutcome(qr *QueryResult) {
-	if qr.Err == nil && !qr.Degraded {
-		return
-	}
-	e.mu.Lock()
-	if qr.Err != nil {
-		e.failed++
-	} else {
-		e.degraded++
-	}
-	e.mu.Unlock()
 }

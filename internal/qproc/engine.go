@@ -12,7 +12,7 @@ import "dwr/internal/metrics"
 type Engine interface {
 	// QueryTopK evaluates terms and returns the top-k answer with full
 	// resource accounting. Engine-specific per-query knobs take their
-	// configured defaults (WithDocQueryDefaults for DocEngine).
+	// engine's defaults (WithPruning, WithThresholdSharing).
 	QueryTopK(terms []string, k int) QueryResult
 	// K returns the engine's unit count: partitions, term servers, or
 	// sites.
@@ -73,56 +73,27 @@ func (h Health) Healthy() bool { return len(h.Down) == 0 }
 
 // --- DocEngine ---
 
-// QueryTopK implements Engine: one evaluation with the engine's default
-// per-query options (WithDocQueryDefaults) and the given k.
+// QueryTopK implements Engine: QueryTopKWithin with no budget.
 func (e *DocEngine) QueryTopK(terms []string, k int) QueryResult {
-	opt := e.topkOpts
-	opt.K = k
-	return e.Query(terms, opt)
+	return e.QueryTopKWithin(terms, k, 0)
 }
 
 // Stats implements Engine.
 func (e *DocEngine) Stats() EngineStats {
+	st := e.broker.Stats()
 	e.mu.Lock()
-	st := EngineStats{Queries: e.queries, Degraded: e.degraded, Failed: e.failed, Threshold: e.tsc}
-	if e.rb != nil {
-		st.Faults = e.rb.snapshot()
-		st.Latency = e.rb.hist
-	}
+	st.Threshold = e.tsc
 	e.mu.Unlock()
-	if e.rcache != nil {
-		st.ResultCache = e.rcache.Stats()
-	}
-	st.Postings = e.PostingsCacheStats()
 	return st
 }
 
 // Health implements Engine: partitions marked down (SetDown) plus
-// partitions whose every replica the injector currently fails. The
-// injector view is evaluated at the next query's tick, so Health answers
-// "could the next query use this partition".
+// partitions whose every replica the injector currently fails.
 func (e *DocEngine) Health() Health {
 	e.mu.Lock()
-	h := Health{Units: e.K()}
-	down := make(map[int]bool)
-	for p, d := range e.downs {
-		if d {
-			down[p] = true
-		}
-	}
-	tick := int64(e.queries) + 1
+	down := append([]bool(nil), e.downs...)
 	e.mu.Unlock()
-	if e.rb != nil && e.rb.inj != nil {
-		for _, p := range e.rb.inj.DownUnits(tick, h.Units, e.rb.policy.Replicas) {
-			down[p] = true
-		}
-	}
-	for p := 0; p < h.Units; p++ {
-		if down[p] {
-			h.Down = append(h.Down, p)
-		}
-	}
-	return h
+	return e.health(down)
 }
 
 // --- TermEngine ---
@@ -132,34 +103,9 @@ func (e *TermEngine) QueryTopK(terms []string, k int) QueryResult {
 	return e.Query(terms, k)
 }
 
-// Stats implements Engine.
-func (e *TermEngine) Stats() EngineStats {
-	e.mu.Lock()
-	st := EngineStats{Queries: e.queries, Degraded: e.degraded, Failed: e.failed}
-	if e.rb != nil {
-		st.Faults = e.rb.snapshot()
-		st.Latency = e.rb.hist
-	}
-	e.mu.Unlock()
-	if e.rcache != nil {
-		st.ResultCache = e.rcache.Stats()
-	}
-	st.Postings = e.PostingsCacheStats()
-	return st
-}
-
 // Health implements Engine: term servers whose every replica the
 // injector currently fails (TermEngine has no static down-marking).
-func (e *TermEngine) Health() Health {
-	h := Health{Units: len(e.servers)}
-	e.mu.Lock()
-	tick := int64(e.queries) + 1
-	e.mu.Unlock()
-	if e.rb != nil && e.rb.inj != nil {
-		h.Down = e.rb.inj.DownUnits(tick, len(e.servers), e.rb.policy.Replicas)
-	}
-	return h
-}
+func (e *TermEngine) Health() Health { return e.health(make([]bool, e.K())) }
 
 // --- MultiSite ---
 
@@ -208,22 +154,9 @@ func (m *MultiSite) Stats() EngineStats {
 // Health implements Engine: sites inside an outage window at virtual
 // hour Now, plus sites the injector currently fails entirely.
 func (m *MultiSite) Health() Health {
-	h := Health{Units: len(m.Sites)}
-	down := make(map[int]bool)
+	down := make([]bool, len(m.Sites))
 	for _, s := range m.Sites {
-		if !s.UpAt(m.Now) {
-			down[s.ID] = true
-		}
+		down[s.ID] = !s.UpAt(m.Now)
 	}
-	if m.rb != nil && m.rb.inj != nil {
-		for _, s := range m.rb.inj.DownUnits(m.ticks+1, len(m.Sites), 1) {
-			down[s] = true
-		}
-	}
-	for s := 0; s < h.Units; s++ {
-		if down[s] {
-			h.Down = append(h.Down, s)
-		}
-	}
-	return h
+	return m.siteRB().health(down, m.ticks+1)
 }

@@ -25,7 +25,7 @@ import (
 // PartIndex, GlobalPrecomputed statistics, per-partition posting-list
 // caches (WithPostingsCache is ignored) — not to add behaviour.
 type LiveEngine struct {
-	broker *DocEngine
+	doc    *DocEngine
 	stores []*index.SegmentStore
 }
 
@@ -44,41 +44,41 @@ func NewLiveEngine(stores []*index.SegmentStore, options ...Option) (*LiveEngine
 	for i, s := range stores {
 		sources[i] = s.Manifest
 	}
-	b := newBroker(resolveOptions(options), sources)
-	if b.rcache != nil {
+	doc := newDocBroker(resolveOptions(options), sources)
+	if doc.rcache != nil {
 		for _, s := range stores {
-			s.OnChange(b.rcache.Invalidate)
+			s.OnChange(doc.rcache.Invalidate)
 		}
 	}
-	return &LiveEngine{broker: b, stores: stores}, nil
+	return &LiveEngine{doc: doc, stores: stores}, nil
 }
 
 // Query evaluates terms over one manifest snapshot per partition and
 // returns the merged top-k with resource accounting. Safe for
 // concurrent callers and concurrent with writes to the stores.
-func (e *LiveEngine) Query(terms []string, k int) QueryResult { return e.broker.QueryTopK(terms, k) }
+func (e *LiveEngine) Query(terms []string, k int) QueryResult { return e.doc.QueryTopK(terms, k) }
 
 // QueryTopK implements Engine.
 func (e *LiveEngine) QueryTopK(terms []string, k int) QueryResult { return e.Query(terms, k) }
 
 // QueryTopKWithin implements DeadlineQuerier; see DocEngine.QueryTopKWithin.
 func (e *LiveEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
-	return e.broker.QueryTopKWithin(terms, k, deadlineMs)
+	return e.doc.QueryTopKWithin(terms, k, deadlineMs)
 }
 
 // K implements Engine: the number of partitions (segment stores).
 func (e *LiveEngine) K() int { return len(e.stores) }
 
 // Stats implements Engine.
-func (e *LiveEngine) Stats() EngineStats { return e.broker.Stats() }
+func (e *LiveEngine) Stats() EngineStats { return e.doc.Stats() }
 
 // Health implements Engine: partitions marked down (SetDown) or failed
 // by the injector. A partition that has not received documents yet is
 // up; it answers from an empty manifest.
-func (e *LiveEngine) Health() Health { return e.broker.Health() }
+func (e *LiveEngine) Health() Health { return e.doc.Health() }
 
 // SetDown marks a partition as failed or recovered; see DocEngine.SetDown.
-func (e *LiveEngine) SetDown(p int, down bool) { e.broker.SetDown(p, down) }
+func (e *LiveEngine) SetDown(p int, down bool) { e.doc.SetDown(p, down) }
 
 // NumDocs returns the total live documents across the current
 // partition manifests (tombstoned documents excluded).

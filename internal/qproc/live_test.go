@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -184,6 +185,134 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLiveEngineOracleEquivalence is the model-based check of the
+// segment stores behind the one read path: a seeded random schedule of
+// adds, cuts, deletes, background merges and compactions runs over three
+// stores while a plain map tracks which documents are searchable. After
+// every step (stores with pending tombstones quiesced, so no merge moves
+// the statistics mid-check) all four broker configurations — workers {1,4} ×
+// {MaxScore with shared thresholds, exhaustive single-wave} — must agree
+// bit for bit and return only documents the model holds. Whenever no
+// tombstone is pending the answer must also equal, bit for bit, a static
+// engine built from scratch over the model's documents; pending
+// tombstones still count toward DF and collection length (see
+// Manifest.LocalStats), so until a merge reclaims them the from-scratch
+// scores legitimately differ. Run under -race in CI.
+func TestLiveEngineOracleEquivalence(t *testing.T) {
+	const nparts, k, steps = 3, 10, 48
+	rng := rand.New(rand.NewSource(97))
+	feed := corpus(98, 700, 150)
+	queries := zipfQueries(99, 6, 150)
+	pool := conc.NewPool(2)
+	stores := make([]*index.SegmentStore, nparts)
+	writers := make([]*index.SegmentWriter, nparts)
+	for i := range stores {
+		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
+		stores[i].Background(pool)
+		writers[i] = index.NewSegmentWriter(stores[i], 1<<30) // seals on Cut only
+	}
+	defer pool.Wait()
+	var lives []*LiveEngine
+	for _, workers := range []int{1, 4} {
+		lives = append(lives,
+			liveOver(t, stores, WithWorkers(workers), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)),
+			liveOver(t, stores, WithWorkers(workers)))
+	}
+
+	searchable := map[int]index.Doc{}       // sealed and not deleted
+	buffered := make([][]index.Doc, nparts) // added, not yet cut
+	home := map[int]int{}                   // document → store
+	var survivors []index.Doc               // searchable, ascending by ID
+	exact := 0
+	for step := 0; step < steps; step++ {
+		p := rng.Intn(nparts)
+		var op string
+		switch r := rng.Intn(100); {
+		case r < 35 && len(feed) > 0:
+			op = "add"
+			n := 1 + rng.Intn(40)
+			if n > len(feed) {
+				n = len(feed)
+			}
+			for _, d := range feed[:n] {
+				if err := writers[p].AddDocument(d.Ext, d.Terms); err != nil {
+					t.Fatal(err)
+				}
+				home[d.Ext] = p
+			}
+			buffered[p] = append(buffered[p], feed[:n]...)
+			feed = feed[n:]
+		case r < 65:
+			op = "cut"
+			if err := writers[p].Cut(); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range buffered[p] {
+				searchable[d.Ext] = d
+			}
+			buffered[p] = nil
+		case r < 80 && len(survivors) > 0:
+			op = "delete"
+			d := survivors[rng.Intn(len(survivors))]
+			if !stores[home[d.Ext]].Delete(d.Ext) {
+				t.Fatalf("step %d: Delete(%d) found nothing", step, d.Ext)
+			}
+			delete(searchable, d.Ext)
+		case r < 90:
+			op = "quiesce"
+			stores[p].Quiesce()
+		default:
+			op = "compact"
+			for _, st := range stores {
+				if _, err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		survivors = survivors[:0]
+		pending := 0
+		for _, d := range searchable {
+			survivors = append(survivors, d)
+		}
+		sort.Slice(survivors, func(i, j int) bool { return survivors[i].Ext < survivors[j].Ext })
+		for _, st := range stores {
+			if st.Manifest().Tombstones() > 0 {
+				// A background merge reclaiming tombstones moves DF under
+				// the queries below; without tombstones a merge in flight
+				// changes no statistic and is left running.
+				st.Quiesce()
+			}
+			pending += st.Manifest().Tombstones()
+		}
+		var want [][]rank.Result
+		if pending == 0 && len(survivors) > 0 {
+			want = staticAnswers(t, survivors, nparts, queries, k)
+			exact++
+		}
+		for qi, q := range queries {
+			ref := lives[0].Query(q, k).Results
+			if want != nil {
+				ref = want[qi]
+			}
+			for li, live := range lives {
+				got := live.Query(q, k).Results
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("step %d (%s), config %d, query %v, %d tombstones pending:\nwant %v\ngot  %v", step, op, li, q, pending, ref, got)
+				}
+				for _, r := range got {
+					if _, ok := searchable[r.Doc]; !ok {
+						t.Fatalf("step %d (%s), config %d, query %v: doc %d is not searchable in the model", step, op, li, q, r.Doc)
+					}
+				}
+			}
+		}
+	}
+	if exact < steps/3 {
+		t.Fatalf("only %d of %d steps were checked against the from-scratch engine", exact, steps)
+	}
 }
 
 // TestLiveEngineAnswerIndependentOfFanOut: the scatter schedule (serial

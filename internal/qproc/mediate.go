@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dwr/internal/conc"
 	"dwr/internal/rank"
 )
 
@@ -82,29 +81,17 @@ func FederatedCacheKey(key string, k int, sites []int, full bool) string {
 // fault outcomes are consumed serially in site order at the gather, so
 // the answer is deterministic at any width.
 func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHours float64, k int) (out SiteQueryResult) {
-	out.Executor = -1
-	m.ticks++
-	tick := m.ticks
-
-	coord := m.nearestUp(region, atHours)
-	if coord < 0 {
-		out.Failed = true
-		out.Err = ErrAllSitesDown
+	c, tick := m.coordinate(&out, region, atHours)
+	if c == nil {
 		return out
 	}
-	out.Coordinator = coord
-	c := m.Sites[coord]
-	out.LatencyMs += m.Net.Latency(region, c.Region, 64)
+	coord := c.ID
 	out.BytesTransferred += 64
 
-	// Reachable sites, ascending by ID (Sites is append-ordered).
-	var ups []*Site
-	upIDs := make([]int, 0, len(m.Sites))
-	for _, s := range m.Sites {
-		if s.UpAt(atHours) {
-			ups = append(ups, s)
-			upIDs = append(upIDs, s.ID)
-		}
+	ups := m.upSites(atHours)
+	upIDs := make([]int, len(ups))
+	for i, s := range ups {
+		upIDs[i] = s.ID
 	}
 
 	// Collection selection. The decision is made before the cache lookup
@@ -147,30 +134,11 @@ func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHou
 		targetIDs[i] = s.ID
 	}
 	ckey := FederatedCacheKey(key, k, targetIDs, full)
-	if m.CacheTTL > 0 {
-		if e, ok := c.Cache.Get(ckey); ok {
-			age := atHours - e.StoredAt
-			if age <= m.CacheTTL {
-				out.Results = e.Value
-				out.FromCache = true
-				out.LatencyMs += 0.2
-				return out
-			}
-			// Stale entry: rescue the query if nothing below can answer
-			// (the paper's "upon query processor failures, the system
-			// returns cached results").
-			defer func() {
-				needFallback := out.Failed || (len(out.Results) == 0 && !out.FromCache)
-				if needFallback && len(e.Value) > 0 {
-					out.Results = e.Value
-					out.FromCache = true
-					out.Stale = true
-					out.Failed = false
-					out.Err = nil
-				}
-			}()
-		}
+	stale, hit := m.probe(&out, c, ckey, atHours)
+	if hit {
+		return out
 	}
+	defer m.settle(&out, c, ckey, atHours, stale)
 
 	rb := m.siteRB()
 	lists, answered := m.scatterSites(&out, targets, terms, tick, 0, coord, k, rb)
@@ -205,10 +173,6 @@ func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHou
 	if len(out.Results) == 0 && out.ServersContacted == 0 {
 		// Every contacted replica had all partitions down.
 		out.Err = fmt.Errorf("no live query processors at any federated site: %w", ErrAllSitesDown)
-		return out
-	}
-	if m.CacheTTL > 0 && out.Err == nil && !out.Degraded {
-		c.Cache.Put(ckey, out.Results, atHours)
 	}
 	return out
 }
@@ -219,10 +183,7 @@ func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHou
 // so results and accounting are identical at any Workers. It returns the
 // per-site result lists of the sites that answered.
 func (m *MultiSite) scatterSites(out *SiteQueryResult, targets []*Site, terms []string, tick int64, attempt, coord, k int, rb *robustness) (lists [][]rank.Result, answered int) {
-	answers := make([]QueryResult, len(targets))
-	conc.Do(len(targets), m.Workers, func(i int) {
-		answers[i] = targets[i].Engine.Query(terms, DocQueryOptions{K: k, Stats: GlobalPrecomputed})
-	})
+	answers := m.evalSites(targets, terms, k)
 	cRegion := m.Sites[coord].Region
 	var maxMs float64
 	for i, s := range targets {
@@ -255,7 +216,7 @@ func (m *MultiSite) scatterSites(out *SiteQueryResult, targets []*Site, terms []
 		if ms > maxMs {
 			maxMs = ms
 		}
-		if qr.Err != nil || (qr.ServersContacted == 0 && len(qr.Results) == 0 && !qr.FromCache) {
+		if qr.Err != nil || qr.unanswered() {
 			// The site's engine refused or had nothing live; it consumed
 			// latency but contributes no results.
 			if qr.Err != nil {
@@ -265,24 +226,7 @@ func (m *MultiSite) scatterSites(out *SiteQueryResult, targets []*Site, terms []
 		}
 		lists = append(lists, qr.Results)
 		answered++
-		if qr.Rounds > out.Rounds {
-			// The sites evaluate in parallel, so the scatter's round count
-			// is the slowest site's, not the sum.
-			out.Rounds = qr.Rounds
-		}
-		out.ServersContacted += qr.ServersContacted
-		out.PostingsDecoded += qr.PostingsDecoded
-		out.ListsAccessed += qr.ListsAccessed
-		out.PostingBytesRead += qr.PostingBytesRead
-		out.PostingBytesDecoded += qr.PostingBytesDecoded
-		out.BytesTransferred += qr.BytesTransferred
-		out.PartitionsSkipped += qr.PartitionsSkipped
-		out.Waves += qr.Waves
-		out.Retries += qr.Retries
-		out.Hedges += qr.Hedges
-		if qr.Degraded {
-			out.Degraded = true
-		}
+		out.addSite(&qr)
 	}
 	out.LatencyMs += maxMs
 	return lists, answered
@@ -297,11 +241,7 @@ func (m *MultiSite) scatterSites(out *SiteQueryResult, targets []*Site, terms []
 // depend on them).
 func (m *MultiSite) QueryExhaustiveResults(terms []string, atHours float64, k int) []rank.Result {
 	var lists [][]rank.Result
-	for _, s := range m.Sites {
-		if !s.UpAt(atHours) {
-			continue
-		}
-		qr := s.Engine.Query(terms, DocQueryOptions{K: k, Stats: GlobalPrecomputed})
+	for _, qr := range m.evalSites(m.upSites(atHours), terms, k) {
 		if qr.Err == nil {
 			lists = append(lists, qr.Results)
 		}

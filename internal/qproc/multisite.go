@@ -164,6 +164,8 @@ func (m *MultiSite) siteRB() *robustness {
 		if m.faultPolicy != nil {
 			p = *m.faultPolicy
 		}
+		// A site has no replica behind it: failover is to another site.
+		p.Replicas = 1
 		m.rb = newRobustness(p, m.injector, len(m.Sites))
 	}
 	return m.rb
@@ -188,55 +190,144 @@ type SiteQueryResult struct {
 	Confidence     float64
 }
 
-// Submit routes one query: terms, origin region, arrival in virtual
-// hours. The nearest up site coordinates; the answer may come from its
-// cache (fresh, or stale if every replica is down), or from the
-// executing site chosen by the routing policy.
-// The result is a named return so the deferred stale-cache fallback can
-// rewrite it after the main path has decided to fail.
-func (m *MultiSite) Submit(terms []string, key string, region int, atHours float64, k int) (out SiteQueryResult) {
+// coordinate is the front half of every routed query: it draws the next
+// fault-schedule tick, finds the nearest up site to coordinate, and
+// charges the client ↔ coordinator hop. With no site up anywhere the
+// query has failed and c is nil.
+func (m *MultiSite) coordinate(out *SiteQueryResult, region int, atHours float64) (c *Site, tick int64) {
 	out.Executor = -1
 	m.ticks++
-	tick := m.ticks
-
 	coord := m.nearestUp(region, atHours)
 	if coord < 0 {
-		// No coordinator reachable at all.
 		out.Failed = true
 		out.Err = ErrAllSitesDown
-		return out
+		return nil, m.ticks
 	}
 	out.Coordinator = coord
-	c := m.Sites[coord]
-	// Client ↔ coordinator hop.
+	c = m.Sites[coord]
 	out.LatencyMs += m.Net.Latency(region, c.Region, 64)
+	return c, m.ticks
+}
 
-	// Cache lookup at the coordinator.
-	if m.CacheTTL > 0 {
-		if e, ok := c.Cache.Get(key); ok {
-			age := atHours - e.StoredAt
-			if age <= m.CacheTTL {
-				out.Results = e.Value
-				out.FromCache = true
-				out.LatencyMs += 0.2
-				return out
-			}
-			// Stale: keep as a fallback if execution fails below or
-			// every query processor is gone (empty degraded answer) —
-			// the paper's "upon query processor failures, the system
-			// returns cached results".
-			defer func() {
-				needFallback := out.Failed || (len(out.Results) == 0 && !out.FromCache)
-				if needFallback && len(e.Value) > 0 {
-					out.Results = e.Value
-					out.FromCache = true
-					out.Stale = true
-					out.Failed = false
-					out.Err = nil
-				}
-			}()
+// probe looks key up in the coordinator's cache. A fresh entry answers
+// the query (hit). An entry past its TTL is returned as stale, for
+// settle to fall back on.
+func (m *MultiSite) probe(out *SiteQueryResult, c *Site, key string, atHours float64) (stale []rank.Result, hit bool) {
+	if m.CacheTTL <= 0 {
+		return nil, false
+	}
+	e, ok := c.Cache.Get(key)
+	if !ok {
+		return nil, false
+	}
+	if atHours-e.StoredAt > m.CacheTTL {
+		return e.Value, false
+	}
+	out.Results = e.Value
+	out.FromCache = true
+	out.LatencyMs += 0.2
+	return nil, true
+}
+
+// settle closes a routed query that missed the cache; callers defer it
+// so it sees the answer however the evaluation returned. A complete
+// answer is stored at the coordinator — degraded or refused ones never
+// are: a partial result would keep serving after the processors recover,
+// and would clobber a fresher complete entry kept for stale fallback.
+// An execution that failed, or found every query processor gone (empty
+// answer), is rescued by the stale entry probe found — the paper's "upon
+// query processor failures, the system returns cached results".
+func (m *MultiSite) settle(out *SiteQueryResult, c *Site, key string, atHours float64, stale []rank.Result) {
+	if m.CacheTTL > 0 && out.Err == nil && !out.Degraded {
+		c.Cache.Put(key, out.Results, atHours)
+	}
+	if (out.Failed || len(out.Results) == 0) && len(stale) > 0 {
+		out.Results = stale
+		out.FromCache = true
+		out.Stale = true
+		out.Failed = false
+		out.Err = nil
+	}
+}
+
+// query evaluates terms on the site's replica the way every multi-site
+// path does: top-k with the engine's precomputed global statistics.
+func (s *Site) query(terms []string, k int) QueryResult {
+	return s.Engine.Query(terms, DocQueryOptions{K: k, Stats: GlobalPrecomputed})
+}
+
+// upSites returns the sites reachable at virtual hour t, ascending by ID
+// (Sites is append-ordered).
+func (m *MultiSite) upSites(t float64) []*Site {
+	var ups []*Site
+	for _, s := range m.Sites {
+		if s.UpAt(t) {
+			ups = append(ups, s)
 		}
 	}
+	return ups
+}
+
+// evalSites evaluates terms on every target site's engine over the
+// worker pool (sites are full replicas with independent engines).
+// Callers consume the answers serially in site order, where the
+// stateful WAN model and the fault schedule are consulted.
+func (m *MultiSite) evalSites(targets []*Site, terms []string, k int) []QueryResult {
+	answers := make([]QueryResult, len(targets))
+	conc.Do(len(targets), m.Workers, func(i int) {
+		answers[i] = targets[i].query(terms, k)
+	})
+	return answers
+}
+
+// unanswered reports that a site's engine had no live query processor
+// to evaluate on: nothing contacted, nothing found, nothing cached.
+func (qr *QueryResult) unanswered() bool {
+	return qr.ServersContacted == 0 && len(qr.Results) == 0 && !qr.FromCache
+}
+
+// addSite folds one site engine's work into the multi-site answer.
+// Sites evaluate in parallel, so Rounds is the slowest site's, not the
+// sum. Where the site's latency lands depends on the route, so it is
+// returned for the caller to place: a single executor adds it, a
+// scatter keeps only the slowest site's.
+func (out *SiteQueryResult) addSite(qr *QueryResult) (engineMs float64) {
+	if qr.Rounds > out.Rounds {
+		out.Rounds = qr.Rounds
+	}
+	out.ServersContacted += qr.ServersContacted
+	out.PostingsDecoded += qr.PostingsDecoded
+	out.ListsAccessed += qr.ListsAccessed
+	out.PostingBytesRead += qr.PostingBytesRead
+	out.PostingBytesDecoded += qr.PostingBytesDecoded
+	out.BytesTransferred += qr.BytesTransferred
+	out.PartitionsSkipped += qr.PartitionsSkipped
+	out.Waves += qr.Waves
+	out.Retries += qr.Retries
+	out.Hedges += qr.Hedges
+	if qr.Degraded {
+		out.Degraded = true
+	}
+	return qr.LatencyMs
+}
+
+// Submit routes one query: terms, origin region, arrival in virtual
+// hours. The nearest up site coordinates; the answer may come from its
+// cache (fresh, or stale if every replica is down), or from the single
+// executing site the routing policy chooses.
+// The result is a named return so the deferred settle can rewrite it
+// after the main path has decided to fail.
+func (m *MultiSite) Submit(terms []string, key string, region int, atHours float64, k int) (out SiteQueryResult) {
+	c, tick := m.coordinate(&out, region, atHours)
+	if c == nil {
+		return out
+	}
+	stale, hit := m.probe(&out, c, key, atHours)
+	if hit {
+		return out
+	}
+	defer m.settle(&out, c, key, atHours, stale)
+	coord := c.ID
 
 	exec := m.chooseExecutor(coord, atHours)
 	if exec < 0 {
@@ -314,21 +405,9 @@ func (m *MultiSite) Submit(terms []string, key string, region int, atHours float
 	if exec != coord {
 		out.LatencyMs += m.Net.Latency(c.Region, x.Region, 128)
 	}
-	qr := x.Engine.Query(terms, DocQueryOptions{K: k, Stats: GlobalPrecomputed})
+	qr := x.query(terms, k)
 	out.Results = qr.Results
-	out.ServersContacted = qr.ServersContacted
-	out.Rounds = qr.Rounds
-	out.PostingsDecoded = qr.PostingsDecoded
-	out.ListsAccessed = qr.ListsAccessed
-	out.PostingBytesRead = qr.PostingBytesRead
-	out.PostingBytesDecoded = qr.PostingBytesDecoded
-	out.BytesTransferred = qr.BytesTransferred
-	out.Degraded = qr.Degraded
-	out.PartitionsSkipped = qr.PartitionsSkipped
-	out.Waves = qr.Waves
-	out.Retries += qr.Retries
-	out.Hedges += qr.Hedges
-	out.LatencyMs += qr.LatencyMs + out.QueueMs
+	out.LatencyMs += out.addSite(&qr) + out.QueueMs
 	if exec != coord {
 		out.LatencyMs += m.Net.Latency(x.Region, c.Region, int(resultBytes(len(qr.Results))))
 	}
@@ -336,18 +415,10 @@ func (m *MultiSite) Submit(terms []string, key string, region int, atHours float
 	case qr.Err != nil:
 		// The engine's fault policy refused the answer (fail-fast).
 		out.Err = qr.Err
-	case qr.ServersContacted == 0 && len(qr.Results) == 0 && !qr.FromCache:
+	case qr.unanswered():
 		// Every partition of the executing replica is down: nothing
-		// anywhere could answer. The deferred stale fallback may still
-		// rescue this.
+		// anywhere could answer. The stale fallback may still rescue this.
 		out.Err = fmt.Errorf("site %d has no live query processors: %w", exec, ErrAllSitesDown)
-	}
-	if m.CacheTTL > 0 && out.Err == nil && !qr.Degraded {
-		// Degraded or refused answers are never cached: a partial result
-		// stored here would keep serving after the processors recover,
-		// and would clobber a fresher complete entry used for stale
-		// fallback.
-		c.Cache.Put(key, qr.Results, atHours)
 	}
 	return out
 }
@@ -442,16 +513,8 @@ func (m *MultiSite) QueryIncremental(terms []string, region int, atHours float64
 		ms   float64
 		res  []rank.Result
 	}
-	var ups []*Site
-	for _, s := range m.Sites {
-		if s.UpAt(atHours) {
-			ups = append(ups, s)
-		}
-	}
-	answers := make([]QueryResult, len(ups))
-	conc.Do(len(ups), m.Workers, func(i int) {
-		answers[i] = ups[i].Engine.Query(terms, DocQueryOptions{K: k, Stats: GlobalPrecomputed})
-	})
+	ups := m.upSites(atHours)
+	answers := m.evalSites(ups, terms, k)
 	arrivals := make([]arrival, 0, len(ups))
 	for i, s := range ups {
 		qr := answers[i]

@@ -27,7 +27,6 @@ type engineOptions struct {
 	plSet      bool
 	policy     *FaultPolicy
 	injector   *faultsim.Injector
-	docDefault *DocQueryOptions
 	pruning    rank.Pruning
 	threshold  bool
 	mediator   Mediator
@@ -146,16 +145,6 @@ func WithFaultPolicy(p FaultPolicy) Option {
 // FaultPolicy was configured, DefaultFaultPolicy() applies.
 func WithInjector(in *faultsim.Injector) Option {
 	return func(o *engineOptions) { o.injector = in }
-}
-
-// WithDocQueryDefaults sets the DocQueryOptions used when a DocEngine
-// is driven through the uniform Engine interface (QueryTopK). The K
-// field is overridden per call. Other engines ignore it.
-func WithDocQueryDefaults(opt DocQueryOptions) Option {
-	return func(o *engineOptions) {
-		d := opt
-		o.docDefault = &d
-	}
 }
 
 // Ambient construction defaults: a single option list CLIs set once so

@@ -14,53 +14,49 @@ import (
 
 // QueryPhrase evaluates an exact-phrase query on the document-partitioned
 // engine. Positions stay inside each partition; evaluation fans out over
-// the broker's worker pool like Query.
+// the broker's worker pool like Query, and every partition call passes
+// through the same fault policy and outcome tally.
 func (e *DocEngine) QueryPhrase(terms []string, k int) QueryResult {
 	if k <= 0 {
 		k = 10
 	}
-	var qr QueryResult
-	scorer := rank.NewScorer(rank.FromGlobal(e.global))
-	e.mu.Lock()
-	e.queries++
-	targets := make([]int, 0, len(e.parts))
-	for p := range e.parts {
-		if e.downs[p] {
-			qr.Degraded = true
-			continue
+	return e.answer("", 0, func(tick int64) QueryResult {
+		qr := QueryResult{Rounds: 1}
+		scorer := rank.NewScorer(rank.FromGlobal(e.global))
+		targets := make([]int, len(e.parts))
+		for p := range targets {
+			targets[p] = p
 		}
-		targets = append(targets, p)
-	}
-	e.mu.Unlock()
-	qr.ServersContacted = len(targets)
+		targets = e.live(targets)
+		down := len(e.parts) - len(targets)
+		qr.ServersContacted = len(targets)
 
-	evals := make([]partEval, len(targets))
-	conc.Do(len(targets), e.workers, func(i int) {
-		evals[i].rs, evals[i].es = rank.EvaluatePhrase(e.parts[targets[i]], scorer, terms, k)
-	})
-	lists := make([][]rank.Result, len(targets))
-	var slowest float64
-	e.mu.Lock()
-	for i, p := range targets {
-		es := evals[i].es
-		service := e.cost.ServiceMs(es.PostingsDecoded)
-		e.busyMs[p] += service
-		if t := e.lanMs + service; t > slowest {
-			slowest = t
+		evals := make([]partEval, len(targets))
+		conc.Do(len(targets), e.workers, func(i int) {
+			evals[i].rs, evals[i].es = rank.EvaluatePhrase(e.parts[targets[i]], scorer, terms, k)
+		})
+		merger := rank.NewTopKMerger(k)
+		var slowest float64
+		lost := 0
+		e.mu.Lock()
+		for i, p := range targets {
+			ms, ok := e.call(tick, p, e.cost.ServiceMs(evals[i].es.PostingsDecoded), 0, &qr)
+			if ms > slowest {
+				slowest = ms
+			}
+			if !ok {
+				lost++
+				continue
+			}
+			qr.addEval(evals[i].es, len(evals[i].rs))
+			merger.Add(evals[i].rs)
 		}
-		//dwrlint:allow statsmerge:FinalThreshold phrase evaluation is exhaustive per partition; there is no threshold to feed forward
-		qr.PostingsDecoded += es.PostingsDecoded
-		qr.ListsAccessed += es.ListsAccessed
-		qr.PostingBytesRead += es.BytesRead
-		qr.PostingBytesDecoded += es.BytesDecoded
-		qr.BytesTransferred += resultBytes(len(evals[i].rs))
-		lists[i] = evals[i].rs
-	}
-	e.mu.Unlock()
-	qr.Results = rank.MergeResults(k, lists...)
-	qr.LatencyMs = slowest + e.lanMs
-	qr.Rounds = 1
-	return qr
+		e.mu.Unlock()
+		qr.Results = merger.Results()
+		qr.LatencyMs = slowest + e.lanMs
+		e.degrade(&qr, lost+down, len(e.parts), "partitions")
+		return qr
+	})
 }
 
 // QueryPhrase evaluates an exact-phrase query through the term-
@@ -77,9 +73,12 @@ func (e *TermEngine) QueryPhrase(terms []string, k int, compressPositions bool) 
 	if k <= 0 {
 		k = 10
 	}
-	e.mu.Lock()
-	e.queries++
-	e.mu.Unlock()
+	return e.answer("", 0, func(tick int64) QueryResult {
+		return e.evaluatePhrase(tick, terms, k, compressPositions)
+	})
+}
+
+func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressPositions bool) QueryResult {
 	var qr QueryResult
 	if len(terms) == 0 {
 		return qr
@@ -97,10 +96,11 @@ func (e *TermEngine) QueryPhrase(terms []string, k int, compressPositions bool) 
 	// processed grouped by owning server, in route order.
 	var starts map[int][]int32
 	latency := 0.0
+	lost := 0
 	for _, s := range route {
 		ix := e.servers[s]
-		postings := 0
-		var bytesRead int64
+		prev := starts
+		var es rank.EvalStats
 		for slot, t := range terms {
 			if e.tp.Assign[t] != s {
 				continue
@@ -110,11 +110,11 @@ func (e *TermEngine) QueryPhrase(terms []string, k int, compressPositions bool) 
 				starts = map[int][]int32{}
 				break
 			}
-			qr.ListsAccessed++
-			bytesRead += int64(ix.PostingBytes(t))
+			es.ListsAccessed++
+			es.BytesRead += int64(ix.PostingBytes(t))
 			cur := make(map[int][]int32)
 			for it.Next() {
-				postings++
+				es.PostingsDecoded++
 				p := it.Posting()
 				ext := ix.ExtID(p.Doc)
 				if starts != nil {
@@ -141,24 +141,28 @@ func (e *TermEngine) QueryPhrase(terms []string, k int, compressPositions bool) 
 				break
 			}
 		}
-		service := e.cost.ServiceMs(postings) + e.cost.AccumulatorMs(len(starts))
+		service := e.cost.ServiceMs(es.PostingsDecoded) + e.cost.AccumulatorMs(len(starts))
 		e.mu.Lock()
-		e.busyMs[s] += service
+		ms, ok := e.call(tick, s, service, 0, &qr)
 		e.mu.Unlock()
-		latency += e.lanMs + service
-		qr.PostingsDecoded += postings
-		qr.PostingBytesRead += bytesRead
+		latency += ms
+		if !ok {
+			// Lost hop: the pipeline routes around the server, so the
+			// candidates travel on without its terms' constraint.
+			starts = prev
+			lost++
+			continue
+		}
 		// Ship the accumulator: per doc an 8-byte header plus positions.
-		var shipped int64
+		qr.addEval(es, 0)
 		for _, ss := range starts {
-			shipped += 8
+			qr.BytesTransferred += 8
 			if compressPositions {
-				shipped += int64(rank.EncodedPositionsSize(ss))
+				qr.BytesTransferred += int64(rank.EncodedPositionsSize(ss))
 			} else {
-				shipped += int64(4 * len(ss))
+				qr.BytesTransferred += int64(4 * len(ss))
 			}
 		}
-		qr.BytesTransferred += shipped
 		if len(starts) == 0 {
 			break
 		}
@@ -187,6 +191,7 @@ func (e *TermEngine) QueryPhrase(terms []string, k int, compressPositions bool) 
 	}
 	qr.Results = rs
 	qr.LatencyMs = latency
+	e.degrade(&qr, lost, len(route), "pipeline hops")
 	return qr
 }
 

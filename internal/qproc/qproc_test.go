@@ -307,6 +307,14 @@ func TestDocEngineFailedProcessorDegrades(t *testing.T) {
 			}
 		}
 	}
+	// A phrase answer missing the same partition is a degraded outcome
+	// too, and is tallied like the term query's.
+	if ph := e.QueryPhrase(q, 50); !ph.Degraded || ph.ServersContacted != 3 {
+		t.Fatalf("phrase query with a down processor: degraded=%v contacted=%d", ph.Degraded, ph.ServersContacted)
+	}
+	if st := e.Stats(); st.Degraded != 2 {
+		t.Fatalf("Stats().Degraded = %d after a degraded query and a degraded phrase query", st.Degraded)
+	}
 	e.SetDown(2, false)
 	restored := e.Query(q, DocQueryOptions{K: 50, Stats: GlobalPrecomputed})
 	if restored.Degraded {

@@ -310,6 +310,24 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 	return res
 }
 
+// health lists, ascending, the units marked in down plus those whose
+// every replica the injector fails at tick (marking them in down too).
+// Safe on a nil receiver: without fault options only down counts.
+func (rb *robustness) health(down []bool, tick int64) Health {
+	if rb != nil && rb.inj != nil {
+		for _, u := range rb.inj.DownUnits(tick, len(down), rb.policy.Replicas) {
+			down[u] = true
+		}
+	}
+	h := Health{Units: len(down)}
+	for u, d := range down {
+		if d {
+			h.Down = append(h.Down, u)
+		}
+	}
+	return h
+}
+
 // lost records a partition that contributed nothing.
 func (rb *robustness) lost() { rb.counters.Lost++ }
 

@@ -3,7 +3,6 @@ package qproc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dwr/internal/conc"
 	"dwr/internal/index"
@@ -27,25 +26,10 @@ import (
 // paper's comparison against scatter-gather is unchanged at any worker
 // count.
 type TermEngine struct {
-	cost     CostModel
-	lanMs    float64
-	tp       partition.TermPartition
-	servers  []*index.Index
-	scorer   *rank.Scorer // term-partitioned servers know exact global stats
-	workers  int
-	mu       sync.Mutex
-	busyMs   []float64
-	queries  int
-	degraded int
-	failed   int
-	// rcache caches complete results at the broker; pcaches cache
-	// decoded posting lists per term server. Both nil by default.
-	rcache  *ResultCache
-	pcaches []*index.PostingsCache
-	// rb is the robustness runtime; nil unless fault options were given.
-	// A lost pipeline hop is bypassed: its terms' contributions are
-	// missing from the accumulator, so the answer is Degraded.
-	rb *robustness
+	broker
+	tp      partition.TermPartition
+	servers []*index.Index
+	scorer  *rank.Scorer // term-partitioned servers know exact global stats
 }
 
 // NewTermEngine builds per-server term-sliced indexes from docs under
@@ -73,13 +57,7 @@ func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartit
 			})
 		}
 	}
-	e := &TermEngine{
-		cost:    DefaultCostModel(),
-		lanMs:   0.3,
-		tp:      tp,
-		workers: eo.workers,
-		busyMs:  make([]float64, tp.K),
-	}
+	e := &TermEngine{broker: newBroker(eo, tp.K), tp: tp}
 	e.servers = index.BuildAll(builders, e.workers)
 	stats := make([]index.Stats, len(e.servers))
 	conc.Do(len(e.servers), e.workers, func(i int) {
@@ -91,62 +69,8 @@ func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartit
 	merged.NumDocs = e.servers[0].NumDocs()
 	merged.TotalLen = e.servers[0].TotalLen()
 	e.scorer = rank.NewScorer(rank.FromGlobal(merged))
-	e.rcache = eo.resultCache()
 	e.installPostingsCache(eo.plBytes)
-	e.rb = eo.robust(tp.K)
 	return e, nil
-}
-
-// K returns the number of term servers.
-func (e *TermEngine) K() int { return len(e.servers) }
-
-// Workers reports the configured fan-out width (0 = GOMAXPROCS).
-func (e *TermEngine) Workers() int { return e.workers }
-
-// ResultCache returns the installed result cache (nil if none).
-func (e *TermEngine) ResultCache() *ResultCache { return e.rcache }
-
-// installPostingsCache materializes the WithPostingsCache option.
-func (e *TermEngine) installPostingsCache(bytesPerServer int64) {
-	if bytesPerServer <= 0 {
-		e.pcaches = nil
-		return
-	}
-	e.pcaches = make([]*index.PostingsCache, len(e.servers))
-	for i := range e.pcaches {
-		e.pcaches[i] = index.NewPostingsCache(bytesPerServer)
-	}
-}
-
-// PostingsCacheStats aggregates hit/miss/occupancy over the term
-// servers' posting-list caches (zero value if disabled).
-func (e *TermEngine) PostingsCacheStats() PostingsCacheStats {
-	var out PostingsCacheStats
-	for _, pc := range e.pcaches {
-		h, m, b := pc.Stats()
-		out.Hits += h
-		out.Misses += m
-		out.UsedBytes += b
-	}
-	return out
-}
-
-// BusyMs returns accumulated per-server busy time — the right-hand side
-// of Figure 2.
-func (e *TermEngine) BusyMs() []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]float64(nil), e.busyMs...)
-}
-
-// ResetBusy clears the busy-load accounting.
-func (e *TermEngine) ResetBusy() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i := range e.busyMs {
-		e.busyMs[i] = 0
-	}
-	e.queries = 0
 }
 
 // accEntry is one posting's score contribution, recorded in scan order
@@ -162,43 +86,40 @@ type accEntry struct {
 // per-posting score deltas its terms add to the travelling accumulator,
 // plus the resource counters the gather folds in route order.
 type hopEval struct {
-	entries      []accEntry
-	postings     int
-	lists        int
-	bytesRead    int64
-	bytesDecoded int64
+	entries []accEntry
+	es      rank.EvalStats
 }
 
 // Query evaluates terms through the pipeline and returns the top-k.
 func (e *TermEngine) Query(terms []string, k int) QueryResult {
-	return e.query(terms, k, 0)
+	return e.QueryTopKWithin(terms, k, 0)
 }
 
-// query is Query with an optional latency budget (deadlineMs > 0): the
-// pipeline is cut short at the first hop that would start after the
-// budget is spent, and the answer is a deadline failure rather than a
+// QueryTopKWithin implements DeadlineQuerier: Query with a latency
+// budget (deadlineMs > 0). The pipeline is abandoned at the first hop
+// that would start after the budget is spent, the remaining hops are
+// never contacted, and the answer is a deadline failure rather than a
 // late delivery.
-func (e *TermEngine) query(terms []string, k int, deadlineMs float64) QueryResult {
+func (e *TermEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
 	if k <= 0 {
 		k = 10
 	}
-	var ckey string
+	var key string
 	if e.rcache != nil {
-		ckey = TermCacheKey(terms, k)
-		if hit, ok := e.rcache.Get(ckey); ok {
-			qr := QueryResult{Results: hit.Results, FromCache: true, LatencyMs: e.cost.CacheHitMs}
-			enforceDeadline(&qr, deadlineMs)
-			return qr
-		}
+		key = TermCacheKey(terms, k)
 	}
+	return e.answer(key, deadlineMs, func(tick int64) QueryResult {
+		return e.evaluate(tick, terms, k, deadlineMs)
+	})
+}
+
+// evaluate is a result-cache miss: one trip down the pipeline.
+func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs float64) QueryResult {
 	var qr QueryResult
 	route := e.tp.PartsOf(terms)
 	qr.ServersContacted = len(route)
 	qr.Rounds = len(route) // pipeline hops
 	if len(route) == 0 {
-		e.mu.Lock()
-		e.queries++
-		e.mu.Unlock()
 		return qr
 	}
 
@@ -227,18 +148,18 @@ func (e *TermEngine) query(terms []string, k int, deadlineMs float64) QueryResul
 			if it == nil {
 				continue
 			}
-			h.bytesRead += int64(ix.PostingBytes(t))
-			h.lists++
+			h.es.BytesRead += int64(ix.PostingBytes(t))
+			h.es.ListsAccessed++
 			idf := e.scorer.IDF(t)
 			for it.Next() {
-				h.postings++
+				h.es.PostingsDecoded++
 				p := it.Posting()
 				h.entries = append(h.entries, accEntry{
 					doc:   ix.ExtID(p.Doc),
 					delta: e.scorer.Term(p.TF, ix.DocLen(p.Doc), idf),
 				})
 			}
-			h.bytesDecoded += it.BytesDecoded()
+			h.es.BytesDecoded += it.BytesDecoded()
 		}
 	})
 
@@ -250,9 +171,8 @@ func (e *TermEngine) query(terms []string, k int, deadlineMs float64) QueryResul
 	latency := 0.0
 	lost := 0
 	timedOut := false
+	var added []int
 	e.mu.Lock()
-	e.queries++
-	tick := int64(e.queries)
 	for i, s := range route {
 		h := &hops[i]
 		if deadlineMs > 0 && latency >= deadlineMs {
@@ -265,58 +185,40 @@ func (e *TermEngine) query(terms []string, k int, deadlineMs float64) QueryResul
 			qr.Rounds = i
 			break
 		}
-		if e.rb != nil {
-			// The hop's service cost depends on the accumulator size the
-			// server would forward, so compute it prospectively (without
-			// folding) — on success the fold below produces exactly this
-			// size, keeping the zero-fault path byte-identical.
-			var added []int
-			for _, en := range h.entries {
-				if _, ok := acc[en.doc]; !ok {
-					acc[en.doc] = 0
-					added = append(added, en.doc)
-				}
+		// The hop's service cost depends on the accumulator size the
+		// server would forward, so size it first: new documents enter as
+		// zero placeholders, which the fold below then adds to exactly as
+		// it would to a missing entry.
+		added = added[:0]
+		for _, en := range h.entries {
+			if _, ok := acc[en.doc]; !ok {
+				acc[en.doc] = 0
+				added = append(added, en.doc)
 			}
-			service := e.cost.ServiceMs(h.postings) + e.cost.AccumulatorMs(len(acc))
-			remaining := 0.0
-			if deadlineMs > 0 {
-				remaining = deadlineMs - latency
-			}
-			cr := e.rb.call(tick, s, e.lanMs, service, remaining)
-			qr.Retries += cr.retries
-			qr.Hedges += cr.hedges
-			latency += cr.latencyMs
-			if !cr.ok {
-				// Lost hop: the pipeline routes around the server, so its
-				// terms' contributions are missing downstream. Undo the
-				// prospective placeholder entries so they don't inflate
-				// the accumulator.
-				for _, d := range added {
-					delete(acc, d)
-				}
-				e.rb.lost()
-				lost++
-				continue
-			}
-			for _, en := range h.entries {
-				acc[en.doc] += en.delta
-			}
-			e.busyMs[s] += service
-		} else {
-			for _, en := range h.entries {
-				acc[en.doc] += en.delta
-			}
-			service := e.cost.ServiceMs(h.postings) + e.cost.AccumulatorMs(len(acc))
-			e.busyMs[s] += service
-			latency += e.lanMs + service
 		}
-		qr.ListsAccessed += h.lists
-		qr.PostingsDecoded += h.postings
-		qr.PostingBytesRead += h.bytesRead
-		qr.PostingBytesDecoded += h.bytesDecoded
+		service := e.cost.ServiceMs(h.es.PostingsDecoded) + e.cost.AccumulatorMs(len(acc))
+		remaining := 0.0
+		if deadlineMs > 0 {
+			remaining = deadlineMs - latency
+		}
+		ms, ok := e.call(tick, s, service, remaining, &qr)
+		latency += ms
+		if !ok {
+			// Lost hop: the pipeline routes around the server, so its
+			// terms' contributions are missing downstream and its
+			// placeholders must not inflate the accumulator.
+			for _, d := range added {
+				delete(acc, d)
+			}
+			lost++
+			continue
+		}
+		for _, en := range h.entries {
+			acc[en.doc] += en.delta
+		}
 		// The partially-resolved query (accumulator) moves to the next
 		// server.
-		qr.BytesTransferred += resultBytes(len(acc))
+		qr.addEval(h.es, len(acc))
 	}
 	e.mu.Unlock()
 	latency += e.lanMs // final answer back to the broker
@@ -331,31 +233,11 @@ func (e *TermEngine) query(terms []string, k int, deadlineMs float64) QueryResul
 	}
 	qr.Results = rs
 	qr.LatencyMs = latency
-	if lost > 0 {
-		if e.rb.policy.Mode == FailFast {
-			qr.Err = fmt.Errorf("%d of %d pipeline hops unavailable: %w", lost, len(route), ErrUnavailable)
-			qr.Results = nil
-		} else {
-			qr.Degraded = true
-		}
-	}
+	e.degrade(&qr, lost, len(route), "pipeline hops")
 	if timedOut && qr.Err == nil {
 		qr.Err = fmt.Errorf("pipeline abandoned mid-route: %w", ErrDeadlineExceeded)
 		qr.Results = nil
 		qr.LatencyMs = deadlineMs
-	}
-	enforceDeadline(&qr, deadlineMs)
-	if e.rcache != nil && !qr.Degraded && qr.Err == nil {
-		e.rcache.Put(ckey, qr)
-	}
-	if qr.Err != nil || qr.Degraded {
-		e.mu.Lock()
-		if qr.Err != nil {
-			e.failed++
-		} else {
-			e.degraded++
-		}
-		e.mu.Unlock()
 	}
 	return qr
 }
