@@ -142,10 +142,9 @@ func BenchmarkAblationSkipLists(b *testing.B) {
 }
 
 // BenchmarkAblationPruning compares the exhaustive top-k evaluator
-// against MaxScore and Block-Max pruning at k=10 and k=100: queries per
-// second, allocations, and encoded posting bytes decoded per query. The
-// rankings are identical (pinned by the Equivalence tests); only the
-// work differs.
+// against MaxScore pruning at k=10 and k=100: queries per second,
+// allocations, and encoded posting bytes decoded per query. The rankings
+// are identical (pinned by the Equivalence tests); only the work differs.
 func BenchmarkAblationPruning(b *testing.B) {
 	docs := benchCorpus()
 	ix := buildWith(docs, index.DefaultOptions())
@@ -167,7 +166,6 @@ func BenchmarkAblationPruning(b *testing.B) {
 		}{
 			{"exhaustive", rank.PruneNone},
 			{"maxscore", rank.PruneMaxScore},
-			{"blockmax", rank.PruneBlockMax},
 		} {
 			b.Run(fmt.Sprintf("%s/k%d", m.name, k), func(b *testing.B) {
 				b.ReportAllocs()

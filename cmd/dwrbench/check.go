@@ -2,97 +2,49 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
+	"strings"
 )
 
-// workTol is the allowed relative drift of deterministic work counters
-// (decoded bytes, postings, partitions contacted/skipped, waves) between
-// a fresh run and the committed artifact. These counters are seeded and
-// replay exactly, so the band only absorbs float formatting; any real
-// drift means the evaluator or scheduler changed behavior without the
-// artifact being regenerated.
+// workTol is the allowed relative drift of counters between a fresh run
+// and the committed artifact. Counters are seeded and replay exactly, so
+// the band only absorbs float formatting; any real drift means the code
+// changed behavior without the artifact being regenerated.
 const workTol = 0.01
 
-// runBenchCheck re-runs the -pruning and -threshold scenarios with the
-// configurations recorded in their committed BENCH_<scenario>.json
-// artifacts under dir, and fails (nonzero exit via error) when a fresh
-// run drifts: deterministic work counters beyond workTol, wall-clock
-// speedup ratios beyond tol, or any ranking no longer rank-identical.
+// runCheck re-runs every registered scenario that has a committed
+// BENCH_<scenario>.json under dir, from the config recorded in it, and
+// fails when the fresh report drifts from the committed one (see diff).
 // This is the CI closing of the loop — a perf regression or a silent
 // behavior change must update the artifact in the same commit.
-func runBenchCheck(w io.Writer, dir string, tol float64) error {
-	var violations []string
+func runCheck(w io.Writer, dir string, tol float64) error {
+	var violations, names []string
 	checked := 0
-
-	if base, err := loadBench[pruningReport](dir, "pruning"); err == nil {
-		fmt.Fprintf(w, "check pruning: re-running committed config %+v\n", base.Config)
-		fresh, err := pruningBench(w, pruningOptions{
-			seed: base.Config.Seed, docs: base.Config.Docs, queries: base.Config.Queries,
-		})
+	for _, s := range scenarios {
+		names = append(names, s.name)
+		base, err := loadReport(dir, s.name)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			return err
 		}
-		violations = append(violations, diffPruning(base, fresh, tol)...)
-		checked++
-		fmt.Fprintln(w)
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
-	if base, err := loadBench[thresholdReport](dir, "threshold"); err == nil {
-		fmt.Fprintf(w, "check threshold: re-running committed config %+v\n", base.Config)
-		fresh, err := thresholdBench(w, thresholdOptions{
-			seed: base.Config.Seed, docs: base.Config.Docs,
-			queries: base.Config.Queries, parts: base.Config.Partitions,
-		})
+		fmt.Fprintf(w, "check %s: re-running the committed config\n", s.name)
+		fresh, err := s.run(w, base.Config)
 		if err != nil {
 			return err
 		}
-		violations = append(violations, diffThreshold(base, fresh, tol)...)
+		fresh.render(w)
+		violations = append(violations, diff(base, fresh, tol)...)
 		checked++
-		fmt.Fprintln(w)
-	} else if !os.IsNotExist(err) {
-		return err
 	}
-
-	if base, err := loadBench[freshReport](dir, "fresh"); err == nil {
-		fmt.Fprintf(w, "check fresh: re-running committed config %+v\n", base.Config)
-		fresh, err := freshBench(w, freshOptions{
-			seed: base.Config.Seed, hosts: base.Config.Hosts, parts: base.Config.Parts,
-			segDocs: base.Config.SegDocs, rate: base.Config.RateQPS,
-		})
-		if err != nil {
-			return err
-		}
-		violations = append(violations, diffFresh(base, fresh)...)
-		checked++
-		fmt.Fprintln(w)
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
-	if base, err := loadBench[federateReport](dir, "federate"); err == nil {
-		fmt.Fprintf(w, "check federate: re-running committed config %+v\n", base.Config)
-		fresh, err := federateBench(w, federateOptions{
-			seed: base.Config.Seed, sites: base.Config.Sites,
-			perSite: base.Config.PerSite, queries: base.Config.Queries,
-		})
-		if err != nil {
-			return err
-		}
-		violations = append(violations, diffFederate(base, fresh)...)
-		checked++
-		fmt.Fprintln(w)
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
 	if checked == 0 {
-		return fmt.Errorf("no BENCH_pruning.json, BENCH_threshold.json, BENCH_fresh.json, or BENCH_federate.json baseline under %q", dir)
+		return fmt.Errorf("no BENCH_<scenario>.json baseline under %q for any of: %s", dir, strings.Join(names, ", "))
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -100,20 +52,21 @@ func runBenchCheck(w io.Writer, dir string, tol float64) error {
 		}
 		return fmt.Errorf("%d drift violation(s) against committed baselines", len(violations))
 	}
-	fmt.Fprintf(w, "check ok: %d scenario(s) match their committed baselines (work within %.0f%%, speedups within %.0f%%)\n",
+	fmt.Fprintf(w, "check ok: %d scenario(s) match their committed baselines (counters within %.0f%%, ratios within %.0f%%)\n",
 		checked, 100*workTol, 100*tol)
 	return nil
 }
 
-// loadBench parses dir/BENCH_<scenario>.json into the report type.
-func loadBench[T any](dir, scenario string) (T, error) {
-	var rep T
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+scenario+".json"))
+// loadReport parses dir/BENCH_<scenario>.json.
+func loadReport(dir, scenario string) (report, error) {
+	var rep report
+	path := artifactPath(dir, scenario)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return rep, err
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("BENCH_%s.json: %w", scenario, err)
+		return rep, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
 }
@@ -127,150 +80,51 @@ func drifted(base, fresh, tol float64) bool {
 	return math.Abs(fresh-base)/math.Abs(base) > tol
 }
 
-func diffPruning(base, fresh pruningReport, tol float64) []string {
-	var out []string
-	if len(base.Runs) != len(fresh.Runs) {
-		return []string{fmt.Sprintf("pruning: %d baseline rows vs %d fresh rows", len(base.Runs), len(fresh.Runs))}
+// diff lists every way fresh departs from base: rows must match by
+// position and name, each of a row's four maps must hold the same keys,
+// counters must stay within workTol, ratios within tol, and every
+// invariant must be true. Timing values are never compared.
+func diff(base, fresh report, tol float64) []string {
+	if len(base.Rows) != len(fresh.Rows) {
+		return []string{fmt.Sprintf("%s: %d baseline rows vs %d fresh rows", base.Scenario, len(base.Rows), len(fresh.Rows))}
 	}
-	for i, b := range base.Runs {
-		f := fresh.Runs[i]
-		id := fmt.Sprintf("pruning %s k=%d", b.Mode, b.K)
-		if b.Mode != f.Mode || b.K != f.K {
-			out = append(out, fmt.Sprintf("%s: fresh row is %s k=%d", id, f.Mode, f.K))
+	within := func(tol float64) func(b, f float64) bool {
+		return func(b, f float64) bool { return !drifted(b, f, tol) }
+	}
+	var out []string
+	for i, b := range base.Rows {
+		f := fresh.Rows[i]
+		id := base.Scenario + " " + b.Name
+		if b.Name != f.Name {
+			out = append(out, fmt.Sprintf("%s: fresh row %d is %q", id, i, f.Name))
 			continue
 		}
-		if !f.RankIdentical {
-			out = append(out, id+": fresh run no longer rank-identical")
-		}
-		for _, c := range []struct {
-			name        string
-			base, fresh float64
-		}{
-			{"bytes_decoded_per_query", b.BytesDecodedPerQuery, f.BytesDecodedPerQuery},
-			{"postings_per_query", b.PostingsPerQuery, f.PostingsPerQuery},
-		} {
-			if drifted(c.base, c.fresh, workTol) {
-				out = append(out, fmt.Sprintf("%s: %s %.1f vs baseline %.1f (work counters must replay)", id, c.name, c.fresh, c.base))
-			}
-		}
-		if drifted(b.SpeedupVsExhaustive, f.SpeedupVsExhaustive, tol) {
-			out = append(out, fmt.Sprintf("%s: speedup_vs_exhaustive %.2f vs baseline %.2f (tol %.0f%%)",
-				id, f.SpeedupVsExhaustive, b.SpeedupVsExhaustive, 100*tol))
-		}
+		out = append(out, compare(id, "counter", b.Counters, f.Counters, within(workTol),
+			fmt.Sprintf("counters must replay within %.0f%%", 100*workTol))...)
+		out = append(out, compare(id, "ratio", b.Ratios, f.Ratios, within(tol),
+			fmt.Sprintf("tol %.0f%%", 100*tol))...)
+		out = append(out, compare(id, "timing", b.Timings, f.Timings,
+			func(_, _ float64) bool { return true }, "")...)
+		out = append(out, compare(id, "invariant", b.Invariants, f.Invariants,
+			func(_, f bool) bool { return f }, "must be true")...)
 	}
 	return out
 }
 
-// diffFresh holds every -fresh metric except wall-clock time to
-// workTol: the scenario runs entirely on virtual time, so the crawl,
-// the seal points, the merge cascades, and the query schedule replay
-// exactly — any drift is a behavior change.
-func diffFresh(base, fresh freshReport) []string {
+// compare holds one of a row's maps against the baseline's: a key on one
+// side only is a violation, and so is a pair of values ok rejects.
+func compare[V any](id, kind string, base, fresh map[string]V, ok func(base, fresh V) bool, rule string) []string {
 	var out []string
-	if !fresh.ReplayIdentical {
-		out = append(out, "fresh: two replays of the pipeline no longer answer identically")
-	}
-	for _, c := range []struct {
-		name        string
-		base, fresh float64
-	}{
-		{"pages_crawled", float64(base.Pages), float64(fresh.Pages)},
-		{"docs_indexed", float64(base.DocsIndexed), float64(fresh.DocsIndexed)},
-		{"segments_sealed", float64(base.SegmentsSealed), float64(fresh.SegmentsSealed)},
-		{"merges", float64(base.Merges), float64(fresh.Merges)},
-		{"final_segments", float64(base.FinalSegments), float64(fresh.FinalSegments)},
-		{"manifest_swaps", base.ManifestSwaps, fresh.ManifestSwaps},
-		{"queries_served", float64(base.QueriesServed), float64(fresh.QueriesServed)},
-		{"crawl_virtual_s", base.CrawlVirtualS, fresh.CrawlVirtualS},
-		{"fresh_p50_s", base.FreshP50S, fresh.FreshP50S},
-		{"fresh_p99_s", base.FreshP99S, fresh.FreshP99S},
-		{"serve_p50_ms", base.ServeP50Ms, fresh.ServeP50Ms},
-		{"serve_p99_ms", base.ServeP99Ms, fresh.ServeP99Ms},
-		{"cache_hit_ratio", base.CacheHitRatio, fresh.CacheHitRatio},
-	} {
-		if drifted(c.base, c.fresh, workTol) {
-			out = append(out, fmt.Sprintf("fresh: %s %.3f vs baseline %.3f (virtual-time metrics must replay)", c.name, c.fresh, c.base))
-		}
-	}
-	return out
-}
-
-// diffFederate holds every -federate metric to workTol: the scenario's
-// costs, latencies (virtual WAN milliseconds), recall, and fan-out
-// counters all replay exactly for a fixed seed, so any drift is a
-// behavior change in the mediator or the broker.
-func diffFederate(base, fresh federateReport) []string {
-	var out []string
-	if len(base.Runs) != len(fresh.Runs) {
-		return []string{fmt.Sprintf("federate: %d baseline rows vs %d fresh rows", len(base.Runs), len(fresh.Runs))}
-	}
-	for i, b := range base.Runs {
-		f := fresh.Runs[i]
-		id := "federate " + b.Mode
-		if b.Mode != f.Mode {
-			out = append(out, fmt.Sprintf("%s: fresh row is %s", id, f.Mode))
-			continue
-		}
-		if !f.ReplayIdentical {
-			out = append(out, id+": two replays no longer answer identically")
-		}
-		for _, c := range []struct {
-			name        string
-			base, fresh float64
-		}{
-			{"frac_under_half", b.FracUnderHalf, f.FracUnderHalf},
-			{"frac_under_half_good", b.FracUnderHalfGood, f.FracUnderHalfGood},
-			{"frac_full_fanout", b.FracFullFanout, f.FracFullFanout},
-			{"mean_recall_at_10", b.MeanRecall, f.MeanRecall},
-			{"sites_contacted_per_query", b.SitesContactedPerQuery, f.SitesContactedPerQuery},
-			{"sites_skipped_per_query", b.SitesSkippedPerQuery, f.SitesSkippedPerQuery},
-			{"bytes_per_query", b.BytesPerQuery, f.BytesPerQuery},
-			{"latency_p50_ms", b.LatencyP50Ms, f.LatencyP50Ms},
-			{"latency_p99_ms", b.LatencyP99Ms, f.LatencyP99Ms},
-			{"failures", float64(b.Failures), float64(f.Failures)},
-			{"retries", float64(b.Retries), float64(f.Retries)},
-		} {
-			if drifted(c.base, c.fresh, workTol) {
-				out = append(out, fmt.Sprintf("%s: %s %.3f vs baseline %.3f (mediation metrics must replay)", id, c.name, c.fresh, c.base))
-			}
-		}
-	}
-	return out
-}
-
-func diffThreshold(base, fresh thresholdReport, tol float64) []string {
-	var out []string
-	if len(base.Runs) != len(fresh.Runs) {
-		return []string{fmt.Sprintf("threshold: %d baseline rows vs %d fresh rows", len(base.Runs), len(fresh.Runs))}
-	}
-	for i, b := range base.Runs {
-		f := fresh.Runs[i]
-		id := fmt.Sprintf("threshold %s k=%d", b.Mode, b.K)
-		if b.Mode != f.Mode || b.K != f.K {
-			out = append(out, fmt.Sprintf("%s: fresh row is %s k=%d", id, f.Mode, f.K))
-			continue
-		}
-		if !f.RankIdentical {
-			out = append(out, id+": fresh run no longer rank-identical")
-		}
-		for _, c := range []struct {
-			name        string
-			base, fresh float64
-		}{
-			{"bytes_decoded_per_query", b.BytesDecodedPerQuery, f.BytesDecodedPerQuery},
-			{"postings_per_query", b.PostingsPerQuery, f.PostingsPerQuery},
-			{"contacted_per_query", b.ContactedPerQuery, f.ContactedPerQuery},
-			{"skipped_per_query", b.SkippedPerQuery, f.SkippedPerQuery},
-			{"waves_per_query", b.WavesPerQuery, f.WavesPerQuery},
-			{"bytes_vs_blockmax", b.BytesVsBlockmax, f.BytesVsBlockmax},
-		} {
-			if drifted(c.base, c.fresh, workTol) {
-				out = append(out, fmt.Sprintf("%s: %s %.2f vs baseline %.2f (work counters must replay)", id, c.name, c.fresh, c.base))
-			}
-		}
-		if drifted(b.SpeedupVsBlockmax, f.SpeedupVsBlockmax, tol) {
-			out = append(out, fmt.Sprintf("%s: speedup_vs_blockmax %.2f vs baseline %.2f (tol %.0f%%)",
-				id, f.SpeedupVsBlockmax, b.SpeedupVsBlockmax, 100*tol))
+	for _, k := range unionKeys(base, fresh) {
+		b, inBase := base[k]
+		f, inFresh := fresh[k]
+		switch {
+		case !inFresh:
+			out = append(out, fmt.Sprintf("%s: %s %s is in the baseline only", id, kind, k))
+		case !inBase:
+			out = append(out, fmt.Sprintf("%s: %s %s is in the fresh run only", id, kind, k))
+		case !ok(b, f):
+			out = append(out, fmt.Sprintf("%s: %s %s = %v, baseline %v (%s)", id, kind, k, f, b, rule))
 		}
 	}
 	return out

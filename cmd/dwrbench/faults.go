@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
-	"strings"
 
 	"dwr/internal/core"
 	"dwr/internal/faultsim"
@@ -13,27 +11,35 @@ import (
 	"dwr/internal/querylog"
 )
 
-// faultScenario is one fault environment replayed against the same
-// corpus, partition, and query log.
-type faultScenario struct {
+// faultsConfig seeds the fault schedules.
+type faultsConfig struct {
+	Seed int64 `json:"seed"`
+}
+
+var faultsScenario = define("faults",
+	"fault injection: one query log under crash / flaky / slow / outage schedules; availability, tail latency, retry and hedge work",
+	faultsConfig{Seed: 42}, measureFaults)
+
+// faultEnv is one fault environment replayed against the same corpus,
+// partition, and query log.
+type faultEnv struct {
 	name   string
 	faults *core.FaultConfig // nil = no faults (baseline)
 	note   string
-	// predictFail, when > 0, prints the policy's replication-arithmetic
+	// predictFail, when > 0, reports the policy's replication-arithmetic
 	// availability prediction for this per-attempt failure probability.
 	predictFail float64
 }
 
-// runFaultScenarios builds one small end-to-end engine, then replays the
-// same query log under a ladder of fault environments, reporting
-// availability and tail latency for each. Everything derives from fixed
-// seeds: rerunning prints byte-identical output (no wall-clock numbers).
-func runFaultScenarios(w io.Writer, seed int64) error {
+// measureFaults builds one small end-to-end engine, then replays the
+// same query log under each fault environment. Everything derives from
+// fixed seeds and virtual time, so every value is a counter.
+func measureFaults(w io.Writer, c faultsConfig) ([]row, error) {
 	cfg := core.DefaultConfig()
 	cfg.Web.Hosts = 60
 	base, err := core.Build(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	lcfg := querylog.DefaultConfig()
 	lcfg.Seed = cfg.Seed + 5
@@ -41,30 +47,29 @@ func runFaultScenarios(w io.Writer, seed int64) error {
 	lcfg.Distinct = 400
 	lg := querylog.Generate(base.Web, lcfg)
 
-	parts := base.Query.K()
 	failFast := qproc.DefaultFaultPolicy()
 	failFast.Mode = qproc.FailFast
 	failFast.DeadlineMs = 80
-	scenarios := []faultScenario{
+	envs := []faultEnv{
 		{
 			name: "baseline",
 			note: "no faults injected; the robust path must match the plain engine exactly",
 		},
 		{
 			name:        "flaky-10",
-			faults:      &core.FaultConfig{Seed: seed, FlakyP: 0.10},
+			faults:      &core.FaultConfig{Seed: c.Seed, FlakyP: 0.10},
 			note:        "every partition replica fails 10% of calls; default policy (2 replicas, 2 retries)",
 			predictFail: 0.10,
 		},
 		{
 			name:   "flaky-10-no-retry",
-			faults: &core.FaultConfig{Seed: seed, FlakyP: 0.10, Policy: &qproc.FaultPolicy{MaxRetries: 0, Replicas: 1}},
+			faults: &core.FaultConfig{Seed: c.Seed, FlakyP: 0.10, Policy: &qproc.FaultPolicy{MaxRetries: 0, Replicas: 1}},
 			note:   "same fault schedule with retries disabled — the control",
 		},
 		{
 			name: "crash-and-outage",
 			faults: &core.FaultConfig{
-				Seed:       seed,
+				Seed:       c.Seed,
 				CrashParts: []int{0},
 				Windows:    []faultsim.Window{{Unit: 1, Replica: 0, From: 500, To: 1000}},
 			},
@@ -72,34 +77,33 @@ func runFaultScenarios(w io.Writer, seed int64) error {
 		},
 		{
 			name:   "slow-30-hedged",
-			faults: &core.FaultConfig{Seed: seed, SlowP: 0.30, SlowMeanMs: 25},
+			faults: &core.FaultConfig{Seed: c.Seed, SlowP: 0.30, SlowMeanMs: 25},
 			note:   "30% of calls straggle (log-normal, mean 25ms); hedging at the partition p95",
 		},
 		{
 			name:   "flaky-10-fail-fast",
-			faults: &core.FaultConfig{Seed: seed, FlakyP: 0.10, Policy: &failFast},
+			faults: &core.FaultConfig{Seed: c.Seed, FlakyP: 0.10, Policy: &failFast},
 			note:   "fail-fast mode with an 80ms deadline: partial answers are refused, not degraded",
 		},
 	}
 
-	fmt.Fprintf(w, "fault-injection scenarios: %d partitions, %d queries, fault seed %d\n",
-		parts, len(lg.Queries), seed)
-	fmt.Fprintf(w, "(virtual-time simulation; output is deterministic for fixed seeds)\n\n")
-
-	for _, sc := range scenarios {
+	fmt.Fprintf(w, "%d partitions, %d queries\n", base.Query.K(), len(lg.Queries))
+	var rows []row
+	for _, env := range envs {
+		fmt.Fprintf(w, "%s: %s\n", env.name, env.note)
 		opts := []qproc.Option{qproc.WithWorkers(0)}
-		if sc.faults != nil {
-			pol := qproc.DefaultFaultPolicy()
-			if sc.faults.Policy != nil {
-				pol = *sc.faults.Policy
+		pol := qproc.DefaultFaultPolicy()
+		if env.faults != nil {
+			if env.faults.Policy != nil {
+				pol = *env.faults.Policy
 			}
 			opts = append(opts,
-				qproc.WithInjector(sc.faults.Injector()),
+				qproc.WithInjector(env.faults.Injector()),
 				qproc.WithFaultPolicy(pol))
 		}
 		eng, err := qproc.NewDocEngine(cfg.Index, base.Docs, base.Partition, opts...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		var lat metrics.Sample
@@ -116,43 +120,29 @@ func runFaultScenarios(w io.Writer, seed int64) error {
 				clean++
 			}
 		}
-		st := eng.Stats()
-
-		fmt.Fprintf(w, "== %s ==\n", sc.name)
-		fmt.Fprintf(w, "   %s\n", sc.note)
+		f := eng.Stats().Faults
 		n := float64(len(lg.Queries))
-		fmt.Fprintf(w, "   availability  %6.2f%% clean   %5.2f%% degraded   %5.2f%% failed\n",
-			100*float64(clean)/n, 100*float64(degraded)/n, 100*float64(failed)/n)
-		fmt.Fprintf(w, "   latency ms    p50=%.2f  p95=%.2f  p99=%.2f  max=%.2f\n",
-			lat.Quantile(0.5), lat.Quantile(0.95), lat.Quantile(0.99), lat.Max())
-		fmt.Fprintf(w, "   fault path    %s\n", st.Faults)
-		if st.Latency != nil {
-			var q95 []string
-			for p := 0; p < st.Latency.Parts(); p++ {
-				v := st.Latency.Quantile(p, 0.95)
-				if math.IsInf(v, 1) {
-					q95 = append(q95, "-")
-					continue
-				}
-				q95 = append(q95, fmt.Sprintf("%.1f", v))
-			}
-			fmt.Fprintf(w, "   per-partition p95 (bucketed) [%s]\n", strings.Join(q95, " "))
+		r := row{Name: env.name, Counters: map[string]float64{
+			"clean_pct":     100 * float64(clean) / n,
+			"degraded_pct":  100 * float64(degraded) / n,
+			"failed_pct":    100 * float64(failed) / n,
+			"p50_ms":        lat.Quantile(0.5),
+			"p95_ms":        lat.Quantile(0.95),
+			"p99_ms":        lat.Quantile(0.99),
+			"max_ms":        lat.Max(),
+			"faults_seen":   float64(f.FaultsSeen),
+			"retries":       float64(f.Retries),
+			"failovers":     float64(f.Failovers),
+			"hedges":        float64(f.Hedges),
+			"hedge_wins":    float64(f.HedgeWins),
+			"timeouts":      float64(f.Timeouts),
+			"lost":          float64(f.Lost),
+			"partitions_up": float64(eng.Health().Live()),
+		}}
+		if env.predictFail > 0 {
+			r.Counters["predicted_partition_availability"] = pol.PredictedAvailability(env.predictFail)
 		}
-		if sc.predictFail > 0 && sc.faults != nil {
-			pol := qproc.DefaultFaultPolicy()
-			if sc.faults.Policy != nil {
-				pol = *sc.faults.Policy
-			}
-			fmt.Fprintf(w, "   predicted per-partition availability at %.0f%% attempt failure: %.4f\n",
-				100*sc.predictFail, pol.PredictedAvailability(sc.predictFail))
-		}
-		h := eng.Health()
-		if h.Healthy() {
-			fmt.Fprintf(w, "   health        %d/%d partitions up\n", h.Live(), h.Units)
-		} else {
-			fmt.Fprintf(w, "   health        %d/%d partitions up, down: %v\n", h.Live(), h.Units, h.Down)
-		}
-		fmt.Fprintln(w)
+		rows = append(rows, r)
 	}
-	return nil
+	return rows, nil
 }

@@ -1,10 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 
 	"dwr/internal/cluster"
 	"dwr/internal/index"
@@ -14,127 +14,62 @@ import (
 	"dwr/internal/randx"
 )
 
-// federateOptions sizes the federated-mediation scenario.
-type federateOptions struct {
-	seed    int64
-	sites   int
-	perSite int
-	queries int
-	dir     string // BENCH_federate.json destination ("" = don't write)
+// federateConfig sizes the federated-mediation scenario.
+type federateConfig struct {
+	Seed    int64 `json:"seed"`
+	Sites   int   `json:"sites"`
+	PerSite int   `json:"per_site_docs"`
+	Queries int   `json:"queries"`
 }
 
-// federateRun is one mode's measurement row of BENCH_federate.json.
-// Every field is deterministic for a fixed seed: latencies are virtual
-// WAN milliseconds, recall is measured against the exhaustive fan-out
-// over the same up set, and the whole pipeline is replayed twice and
-// must fingerprint identically.
-type federateRun struct {
-	Mode                   string  `json:"mode"`
-	Queries                int     `json:"queries"`
-	FracUnderHalf          float64 `json:"frac_under_half"`      // touched < 50% of sites
-	FracUnderHalfGood      float64 `json:"frac_under_half_good"` // ...at recall@10 >= 0.95
-	FracFullFanout         float64 `json:"frac_full_fanout"`
-	MeanRecall             float64 `json:"mean_recall_at_10"`
-	SitesContactedPerQuery float64 `json:"sites_contacted_per_query"`
-	SitesSkippedPerQuery   float64 `json:"sites_skipped_per_query"`
-	BytesPerQuery          float64 `json:"bytes_per_query"`
-	LatencyP50Ms           float64 `json:"latency_p50_ms"`
-	LatencyP99Ms           float64 `json:"latency_p99_ms"`
-	Failures               int     `json:"failures"`
-	Retries                int     `json:"retries"`
-	ReplayIdentical        bool    `json:"replay_identical"`
-}
+var federateScenario = define("federate",
+	"federated mediation under a rolling outage: per-query collection selection vs exhaustive fan-out; recall, sites touched, WAN bytes",
+	federateConfig{Seed: 42, Sites: 8, PerSite: 300, Queries: 400}, measureFederate)
 
-// federateReport is the full BENCH_federate.json document.
-type federateReport struct {
-	Scenario string `json:"scenario"`
-	Config   struct {
-		Seed    int64 `json:"seed"`
-		Sites   int   `json:"sites"`
-		PerSite int   `json:"per_site_docs"`
-		Queries int   `json:"queries"`
-	} `json:"config"`
-	Runs []federateRun `json:"runs"`
-}
-
-// runFederateBench measures collection selection on the serving path: a
-// topical multi-site federation answers a mixed query stream once with
-// the mediator deciding per query which sites to contact, and once with
-// the classic exhaustive fan-out, under a rolling multi-site outage
-// schedule. The mediated run must answer at least half the queries
-// touching under half the sites while keeping Recall@10 >= 0.95 against
-// the exhaustive reference, and both runs must replay byte-identically.
-func runFederateBench(w io.Writer, o federateOptions) error {
-	_, err := federateBench(w, o)
-	return err
-}
-
-// federateBench is runFederateBench returning the measured report, so
-// -check can diff a fresh run against the committed artifact.
-func federateBench(w io.Writer, o federateOptions) (federateReport, error) {
-	rep := federateReport{Scenario: "federate"}
-	rep.Config.Seed = o.seed
-	rep.Config.Sites = o.sites
-	rep.Config.PerSite = o.perSite
-	rep.Config.Queries = o.queries
-
-	fmt.Fprintf(w, "federated query mediation: %d sites x %d docs, %d queries, seed %d\n",
-		o.sites, o.perSite, o.queries, o.seed)
-	fmt.Fprintf(w, "sites 1, 4, ... are down hours [6,12); recall is measured against the exhaustive fan-out over the same up set\n\n")
-	fmt.Fprintf(w, "%-11s %8s %9s %9s %9s %8s %8s %9s %8s %8s %6s\n",
-		"mode", "queries", "<half", "<half&ok", "fullfan", "recall", "sites/q", "bytes/q", "p50ms", "p99ms", "replay")
-
+// measureFederate measures collection selection on the serving path,
+// once with the mediator deciding per query which sites to contact and
+// once with the classic exhaustive fan-out (sites 1, 4, ... are down
+// hours [6,12)). Every value is a counter: latencies are virtual WAN
+// milliseconds. Each pass is replayed and must fingerprint identically,
+// no query may fail while healthy fallback sites exist, and the
+// mediated pass must answer at least half the queries touching under
+// half the sites at Recall@10 >= 0.95.
+func measureFederate(_ io.Writer, c federateConfig) ([]row, error) {
+	if c.Sites < 1 || c.PerSite < 1 || c.Queries < 1 {
+		return nil, errors.New("sites, per_site_docs and queries must be positive")
+	}
+	var rows []row
 	for _, mode := range []string{"fullfanout", "mediated"} {
-		run, fp1, err := federatePass(o, mode)
+		r, fp1, err := federatePass(c, mode)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
-		_, fp2, err := federatePass(o, mode)
+		_, fp2, err := federatePass(c, mode)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
-		run.ReplayIdentical = fp1 == fp2
-		rep.Runs = append(rep.Runs, run)
-		fmt.Fprintf(w, "%-11s %8d %8.1f%% %8.1f%% %8.1f%% %8.3f %8.2f %9.0f %8.1f %8.1f %6v\n",
-			run.Mode, run.Queries, 100*run.FracUnderHalf, 100*run.FracUnderHalfGood,
-			100*run.FracFullFanout, run.MeanRecall, run.SitesContactedPerQuery,
-			run.BytesPerQuery, run.LatencyP50Ms, run.LatencyP99Ms, run.ReplayIdentical)
-		if !run.ReplayIdentical {
-			return rep, fmt.Errorf("federate %s: two replays diverged (fingerprints %x vs %x)", mode, fp1, fp2)
-		}
-		if run.Failures > 0 {
-			return rep, fmt.Errorf("federate %s: %d queries failed despite healthy fallback sites", mode, run.Failures)
+		r.Invariants = map[string]bool{
+			"replay_identical": fp1 == fp2,
+			"no_failures":      r.Counters["failures"] == 0,
 		}
 		if mode == "mediated" {
-			if run.FracUnderHalfGood < 0.5 {
-				return rep, fmt.Errorf("federate mediated: only %.1f%% of queries were answered touching under half the sites at recall >= 0.95 (need >= 50%%)",
-					100*run.FracUnderHalfGood)
-			}
-			if run.MeanRecall < 0.95 {
-				return rep, fmt.Errorf("federate mediated: mean recall@10 %.3f < 0.95", run.MeanRecall)
-			}
+			r.Invariants["frac_under_half_good>=0.5"] = r.Counters["frac_under_half_good"] >= 0.5
+			r.Invariants["mean_recall_at_10>=0.95"] = r.Counters["mean_recall_at_10"] >= 0.95
 		}
+		rows = append(rows, r)
 	}
-
-	if o.dir != "" {
-		path, err := writeBenchJSON(o.dir, "federate", rep)
-		if err != nil {
-			return rep, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	return rep, nil
+	return rows, nil
 }
 
 // federateWorkload builds the seeded topical federation corpus (site s
 // owns the "s<s>w*" vocabulary; a fifth of all words come from a shared
 // pool every site holds) and the mixed query stream.
-func federateWorkload(o federateOptions) ([][]index.Doc, [][]string) {
-	rng := randx.New(o.seed)
-	siteDocs := make([][]index.Doc, o.sites)
-	for s := 0; s < o.sites; s++ {
-		docs := make([]index.Doc, o.perSite)
-		for d := 0; d < o.perSite; d++ {
+func federateWorkload(o federateConfig) ([][]index.Doc, [][]string) {
+	rng := randx.New(o.Seed)
+	siteDocs := make([][]index.Doc, o.Sites)
+	for s := 0; s < o.Sites; s++ {
+		docs := make([]index.Doc, o.PerSite)
+		for d := 0; d < o.PerSite; d++ {
 			terms := make([]string, 20+rng.Intn(40))
 			for j := range terms {
 				if rng.Intn(5) == 0 {
@@ -147,13 +82,13 @@ func federateWorkload(o federateOptions) ([][]index.Doc, [][]string) {
 		}
 		siteDocs[s] = docs
 	}
-	queries := make([][]string, o.queries)
+	queries := make([][]string, o.Queries)
 	for i := range queries {
 		if rng.Intn(3) == 0 {
 			queries[i] = []string{fmt.Sprintf("shared%02d", rng.Intn(30))}
 			continue
 		}
-		s := rng.Intn(o.sites)
+		s := rng.Intn(o.Sites)
 		q := []string{fmt.Sprintf("s%dw%02d", s, rng.Intn(60))}
 		if rng.Intn(2) == 0 {
 			q = append(q, fmt.Sprintf("s%dw%02d", s, rng.Intn(60)))
@@ -166,17 +101,17 @@ func federateWorkload(o federateOptions) ([][]index.Doc, [][]string) {
 // federatePass builds a fresh federation and drives the full query
 // stream through it once, returning the measured row and a fingerprint
 // of every answer and counter (replays must match it exactly).
-func federatePass(o federateOptions, mode string) (federateRun, uint64, error) {
+func federatePass(o federateConfig, mode string) (row, uint64, error) {
 	siteDocs, queries := federateWorkload(o)
-	engines := make([]*qproc.DocEngine, o.sites)
-	for s := 0; s < o.sites; s++ {
+	engines := make([]*qproc.DocEngine, o.Sites)
+	for s := 0; s < o.Sites; s++ {
 		ids := make([]int, len(siteDocs[s]))
 		for i, d := range siteDocs[s] {
 			ids[i] = d.Ext
 		}
 		e, err := qproc.NewDocEngine(index.DefaultOptions(), siteDocs[s], partition.RoundRobinDocs(ids, 2))
 		if err != nil {
-			return federateRun{}, 0, err
+			return row{}, 0, err
 		}
 		engines[s] = e
 	}
@@ -189,7 +124,7 @@ func federatePass(o federateOptions, mode string) (federateRun, uint64, error) {
 		msOpts = append(msOpts, qproc.WithMediator(
 			mediator.New(mediator.Config{SelectN: 2, MinConfidence: 0.3}, srcs...)))
 	}
-	ms := qproc.NewMultiSite(cluster.NewNetwork(o.seed, o.sites), qproc.RouteGeo, msOpts...)
+	ms := qproc.NewMultiSite(cluster.NewNetwork(o.Seed, o.Sites), qproc.RouteGeo, msOpts...)
 	for s, e := range engines {
 		site := qproc.NewSite(s, s, e, 64, 1_000_000)
 		if s%3 == 1 {
@@ -200,23 +135,20 @@ func federatePass(o federateOptions, mode string) (federateRun, uint64, error) {
 		ms.Sites = append(ms.Sites, site)
 	}
 
-	run := federateRun{Mode: mode, Queries: len(queries)}
 	h := fnv.New64a()
 	var lat []float64
 	var bytes int64
-	var contacted, skipped, underHalf, underHalfGood, fullFan int
+	var contacted, skipped, underHalf, underHalfGood, fullFan, failures, retries int
 	var recallSum float64
-	qrng := randx.New(o.seed + 1)
+	qrng := randx.New(o.Seed + 1)
 	for i, q := range queries {
 		at := float64(i % 24)
-		region := qrng.Intn(o.sites)
+		region := qrng.Intn(o.Sites)
 		r := ms.QueryFederated(q, qproc.NormalizeQueryKey(q), region, at, 10)
 		if r.Failed {
-			run.Failures++
+			failures++
 		}
-		if r.Retries > 0 {
-			run.Retries += r.Retries
-		}
+		retries += r.Retries
 		contacted += r.SitesContacted
 		skipped += r.SitesSkipped
 		bytes += r.BytesTransferred
@@ -226,7 +158,7 @@ func federatePass(o federateOptions, mode string) (federateRun, uint64, error) {
 		if r.FullFanout {
 			fullFan++
 		}
-		if 2*r.SitesContacted < o.sites {
+		if 2*r.SitesContacted < o.Sites {
 			underHalf++
 			if rec >= 0.95 {
 				underHalfGood++
@@ -244,15 +176,19 @@ func federatePass(o federateOptions, mode string) (federateRun, uint64, error) {
 	fmt.Fprintf(h, "sel=%s\n", st.Selection.String())
 
 	n := float64(len(queries))
-	run.FracUnderHalf = float64(underHalf) / n
-	run.FracUnderHalfGood = float64(underHalfGood) / n
-	run.FracFullFanout = float64(fullFan) / n
-	run.MeanRecall = recallSum / n
-	run.SitesContactedPerQuery = float64(contacted) / n
-	run.SitesSkippedPerQuery = float64(skipped) / n
-	run.BytesPerQuery = float64(bytes) / n
-	sort.Float64s(lat)
-	run.LatencyP50Ms = lat[len(lat)/2]
-	run.LatencyP99Ms = lat[min(len(lat)-1, len(lat)*99/100)]
-	return run, h.Sum64(), nil
+	p50, p99 := medianAndP99(lat)
+	return row{Name: mode, Counters: map[string]float64{
+		"queries":                   n,
+		"frac_under_half":           float64(underHalf) / n,     // touched < 50% of sites
+		"frac_under_half_good":      float64(underHalfGood) / n, // ...at recall@10 >= 0.95
+		"frac_full_fanout":          float64(fullFan) / n,
+		"mean_recall_at_10":         recallSum / n,
+		"sites_contacted_per_query": float64(contacted) / n,
+		"sites_skipped_per_query":   float64(skipped) / n,
+		"bytes_per_query":           float64(bytes) / n,
+		"latency_p50_ms":            p50,
+		"latency_p99_ms":            p99,
+		"failures":                  float64(failures),
+		"retries":                   float64(retries),
+	}}, h.Sum64(), nil
 }

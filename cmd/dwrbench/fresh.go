@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"reflect"
 	"time"
 
 	"dwr/internal/crawler"
@@ -16,156 +18,63 @@ import (
 	"dwr/internal/textproc"
 )
 
-// freshOptions sizes the continuous-indexing scenario.
-type freshOptions struct {
-	seed    int64
-	hosts   int
-	parts   int
-	segDocs int
-	rate    float64 // query arrivals per virtual second during the crawl
-	dir     string  // BENCH_fresh.json destination ("" = don't write)
+// freshConfig sizes the continuous-indexing scenario.
+type freshConfig struct {
+	Seed    int64   `json:"seed"`
+	Hosts   int     `json:"hosts"`
+	Parts   int     `json:"parts"`
+	SegDocs int     `json:"seg_docs"`
+	RateQPS float64 `json:"rate_qps"` // query arrivals per virtual second during the crawl
 }
 
-// freshReport is the full BENCH_fresh.json document. Everything in it
-// except WallMs is deterministic for a fixed config: the crawl order,
-// the query schedule, segment seal points, and merge cascades all run
-// on virtual time.
-type freshReport struct {
-	Scenario string `json:"scenario"`
-	Config   struct {
-		Seed    int64   `json:"seed"`
-		Hosts   int     `json:"hosts"`
-		Parts   int     `json:"parts"`
-		SegDocs int     `json:"seg_docs"`
-		RateQPS float64 `json:"rate_qps"`
-	} `json:"config"`
-	Pages           int     `json:"pages_crawled"`
-	DocsIndexed     int     `json:"docs_indexed"`
-	SegmentsSealed  int     `json:"segments_sealed"`
-	Merges          int     `json:"merges"`
-	FinalSegments   int     `json:"final_segments"`
-	ManifestSwaps   float64 `json:"manifest_swaps"`
-	CrawlVirtualS   float64 `json:"crawl_virtual_s"`
-	QueriesServed   int     `json:"queries_served"`
-	CacheHitRatio   float64 `json:"cache_hit_ratio"`
-	FreshP50S       float64 `json:"fresh_p50_s"`
-	FreshP99S       float64 `json:"fresh_p99_s"`
-	FreshMaxS       float64 `json:"fresh_max_s"`
-	ServeP50Ms      float64 `json:"serve_p50_ms"`
-	ServeP99Ms      float64 `json:"serve_p99_ms"`
-	ReplayIdentical bool    `json:"replay_identical"`
-	WallMs          float64 `json:"wall_ms"`
-}
+var freshScenario = define("fresh",
+	"continuous indexing: crawl + index + serve on one virtual clock; freshness lag, serving latency, two-replay identity",
+	freshConfig{Seed: 42, Hosts: 100, Parts: 4, SegDocs: 32, RateQPS: 2.0}, measureFresh)
 
-// freshMetrics is one replay's measurement, plus the fingerprint of
-// every served answer for the two-replay identity check.
-type freshMetrics struct {
-	pages, docsIndexed, sealed, merges, finalSegments int
-	mergedDocs, tombstonesDropped                     int
-	swaps                                             uint64
-	crawlVirtualS                                     float64
-	queriesServed                                     int
-	cacheHitRatio                                     float64
-	freshP50, freshP99, freshMax                      float64
-	serveP50, serveP99                                float64
-	fingerprint                                       uint64
-}
-
-// runFreshBench runs the crawl→index→serve pipeline end to end: crawler
-// agents stream fetched pages into per-partition segment writers while
-// a LiveEngine answers loadgen traffic over the same stores, all on one
-// virtual clock. The scenario reports freshness lag — the virtual
-// seconds between a page's download and the atomic manifest swap that
-// makes it searchable — alongside serving latency quantiles, then runs
-// the whole pipeline a second time and verifies the two replays served
-// byte-identical answers.
-func runFreshBench(w io.Writer, o freshOptions) error {
-	_, err := freshBench(w, o)
-	return err
-}
-
-// freshBench is runFreshBench returning the measured report, so -check
-// can diff a fresh run against the committed artifact.
-func freshBench(w io.Writer, o freshOptions) (freshReport, error) {
-	fmt.Fprintf(w, "continuous indexing: crawl + index + serve on one virtual clock\n")
-	fmt.Fprintf(w, "%d hosts, %d partitions, %d-doc segments, %.1f queries/virtual-second, seed %d\n\n",
-		o.hosts, o.parts, o.segDocs, o.rate, o.seed)
-
+// measureFresh runs the crawl→index→serve pipeline end to end, twice.
+// Everything but wall_ms runs on virtual time — the crawl order, the
+// query schedule, segment seal points, and merge cascades — so freshness
+// lag (the virtual seconds between a page's download and the atomic
+// manifest swap that makes it searchable) and serving latency are
+// counters, and the second replay must reproduce every answer and
+// counter of the first.
+func measureFresh(_ io.Writer, c freshConfig) ([]row, error) {
+	if c.Hosts < 1 || c.Parts < 1 || c.SegDocs < 1 || c.RateQPS <= 0 {
+		return nil, errors.New("hosts, parts, seg_docs and rate_qps must be positive")
+	}
 	t0 := time.Now()
-	m1 := freshReplay(o)
-	m2 := freshReplay(o)
+	counters, fp1 := freshReplay(c)
+	again, fp2 := freshReplay(c)
 	wallMs := float64(time.Since(t0).Microseconds()) / 1000
-
-	rep := freshReport{Scenario: "fresh"}
-	rep.Config.Seed = o.seed
-	rep.Config.Hosts = o.hosts
-	rep.Config.Parts = o.parts
-	rep.Config.SegDocs = o.segDocs
-	rep.Config.RateQPS = o.rate
-	rep.Pages = m1.pages
-	rep.DocsIndexed = m1.docsIndexed
-	rep.SegmentsSealed = m1.sealed
-	rep.Merges = m1.merges
-	rep.FinalSegments = m1.finalSegments
-	rep.ManifestSwaps = float64(m1.swaps)
-	rep.CrawlVirtualS = m1.crawlVirtualS
-	rep.QueriesServed = m1.queriesServed
-	rep.CacheHitRatio = m1.cacheHitRatio
-	rep.FreshP50S = m1.freshP50
-	rep.FreshP99S = m1.freshP99
-	rep.FreshMaxS = m1.freshMax
-	rep.ServeP50Ms = m1.serveP50
-	rep.ServeP99Ms = m1.serveP99
-	rep.ReplayIdentical = m1 == m2 // fingerprint and every counter
-	rep.WallMs = wallMs
-
-	fmt.Fprintf(w, "crawl:   %d pages in %.0f virtual s; %d docs indexed into %d partitions\n",
-		rep.Pages, rep.CrawlVirtualS, rep.DocsIndexed, o.parts)
-	fmt.Fprintf(w, "index:   %d segments sealed, %d merges (%d docs rewritten, %d tombstones dropped), %d final segments, %.0f manifest swaps\n",
-		rep.SegmentsSealed, rep.Merges, m1.mergedDocs, m1.tombstonesDropped, rep.FinalSegments, rep.ManifestSwaps)
-	fmt.Fprintf(w, "fresh:   crawl→searchable lag p50 %.1fs  p99 %.1fs  max %.1fs\n",
-		rep.FreshP50S, rep.FreshP99S, rep.FreshMaxS)
-	fmt.Fprintf(w, "serve:   %d queries, latency p50 %.3fms  p99 %.3fms, cache hit ratio %.2f\n",
-		rep.QueriesServed, rep.ServeP50Ms, rep.ServeP99Ms, rep.CacheHitRatio)
-	if rep.ReplayIdentical {
-		fmt.Fprintf(w, "replay:  second run byte-identical (every answer and counter)\n")
-	} else {
-		fmt.Fprintf(w, "replay:  FAILED — second run diverged\n")
-	}
-
-	if o.dir != "" {
-		path, err := writeBenchJSON(o.dir, "fresh", rep)
-		if err != nil {
-			return rep, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	if !rep.ReplayIdentical {
-		return rep, fmt.Errorf("fresh: two replays of seed %d diverged", o.seed)
-	}
-	return rep, nil
+	return []row{{
+		Name:       "pipeline",
+		Counters:   counters,
+		Timings:    map[string]float64{"wall_ms": wallMs},
+		Invariants: map[string]bool{"replay_identical": fp1 == fp2 && reflect.DeepEqual(counters, again)},
+	}}, nil
 }
 
-// freshReplay runs one full crawl→index→serve pass and measures it.
-func freshReplay(o freshOptions) freshMetrics {
+// freshReplay runs one full crawl→index→serve pass and returns its
+// counters and a fingerprint of every answer it served.
+func freshReplay(o freshConfig) (map[string]float64, uint64) {
 	wcfg := simweb.DefaultConfig()
-	wcfg.Hosts = o.hosts
-	wcfg.Seed = o.seed
+	wcfg.Hosts = o.Hosts
+	wcfg.Seed = o.Seed
 	web := simweb.New(wcfg)
 	lg := querylog.Generate(web, querylog.DefaultConfig())
 	arrivals := loadgen.Open(lg, loadgen.OpenConfig{
-		Seed: o.seed, Rate: o.rate, N: 20000, K: 10,
+		Seed: o.Seed, Rate: o.RateQPS, N: 20000, K: 10,
 	}).Init()
 
 	// One segment store per partition; a writer streams crawled pages
 	// into each. Merges run inline: deterministic scheduling is what
 	// makes the two-replay identity check meaningful (dwrserve -live is
 	// the wall-clock mode with background merges).
-	stores := make([]*index.SegmentStore, o.parts)
-	writers := make([]*index.SegmentWriter, o.parts)
+	stores := make([]*index.SegmentStore, o.Parts)
+	writers := make([]*index.SegmentWriter, o.Parts)
 	for i := range stores {
 		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-		writers[i] = index.NewSegmentWriter(stores[i], o.segDocs)
+		writers[i] = index.NewSegmentWriter(stores[i], o.SegDocs)
 	}
 	eng, err := qproc.NewLiveEngine(stores, qproc.WithResultCache(qproc.ResultCacheConfig{
 		Capacity: 512, Shards: 8,
@@ -179,7 +88,7 @@ func freshReplay(o freshOptions) freshMetrics {
 		fetchedAt float64
 	}
 	var (
-		m       freshMetrics
+		served  int
 		pending []pendingDoc
 		lag     metrics.Sample
 		serveMs metrics.Sample
@@ -191,7 +100,7 @@ func freshReplay(o freshOptions) freshMetrics {
 		for ai < len(arrivals) && arrivals[ai].At <= clock {
 			qr := eng.Query(arrivals[ai].Req.Terms, arrivals[ai].Req.K)
 			serveMs.Add(qr.LatencyMs)
-			m.queriesServed++
+			served++
 			fmt.Fprintf(fp, "%v|%v|", qr.FromCache, qr.LatencyMs)
 			for _, r := range qr.Results {
 				fmt.Fprintf(fp, "%d:%v ", r.Doc, r.Score)
@@ -212,7 +121,7 @@ func freshReplay(o freshOptions) freshMetrics {
 	}
 
 	ccfg := crawler.DefaultConfig()
-	ccfg.Seed = o.seed
+	ccfg.Seed = o.Seed
 	c := crawler.New(web, ccfg)
 	var seeds []string
 	for _, h := range web.Hosts {
@@ -231,7 +140,7 @@ func freshReplay(o freshOptions) freshMetrics {
 		if len(terms) == 0 {
 			return
 		}
-		part := p.PageID % o.parts
+		part := p.PageID % o.Parts
 		if err := writers[part].AddDocument(p.PageID, terms); err != nil {
 			return // refetch of an already-indexed page
 		}
@@ -239,7 +148,6 @@ func freshReplay(o freshOptions) freshMetrics {
 		drainSearchable()
 	})
 	st := c.Run()
-	m.pages = st.DistinctPages
 	if st.VirtualSeconds > clock {
 		clock = st.VirtualSeconds
 	}
@@ -259,23 +167,26 @@ func freshReplay(o freshOptions) freshMetrics {
 		serveDue()
 	}
 
-	m.docsIndexed = eng.NumDocs()
+	m := map[string]float64{
+		"pages_crawled":   float64(st.DistinctPages),
+		"docs_indexed":    float64(eng.NumDocs()),
+		"crawl_virtual_s": st.VirtualSeconds,
+		"queries_served":  float64(served),
+		"cache_hit_ratio": eng.Stats().ResultCache.HitRatio(),
+		"fresh_p50_s":     lag.Quantile(0.5),
+		"fresh_p99_s":     lag.Quantile(0.99),
+		"fresh_max_s":     lag.Quantile(1),
+		"serve_p50_ms":    serveMs.Quantile(0.5),
+		"serve_p99_ms":    serveMs.Quantile(0.99),
+	}
 	for _, s := range stores {
 		ss := s.Stats()
-		m.sealed += ss.Applied
-		m.merges += ss.Merges
-		m.mergedDocs += ss.MergedDocs
-		m.tombstonesDropped += ss.TombstonesDropped
-		m.finalSegments += ss.Segments
-		m.swaps += ss.Gen
+		m["segments_sealed"] += float64(ss.Applied)
+		m["merges"] += float64(ss.Merges)
+		m["merged_docs"] += float64(ss.MergedDocs)
+		m["tombstones_dropped"] += float64(ss.TombstonesDropped)
+		m["final_segments"] += float64(ss.Segments)
+		m["manifest_swaps"] += float64(ss.Gen)
 	}
-	m.crawlVirtualS = st.VirtualSeconds
-	m.cacheHitRatio = eng.Stats().ResultCache.HitRatio()
-	m.freshP50 = lag.Quantile(0.5)
-	m.freshP99 = lag.Quantile(0.99)
-	m.freshMax = lag.Quantile(1)
-	m.serveP50 = serveMs.Quantile(0.5)
-	m.serveP99 = serveMs.Quantile(0.99)
-	m.fingerprint = fp.Sum64()
-	return m
+	return m, fp.Sum64()
 }

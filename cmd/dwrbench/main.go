@@ -1,29 +1,32 @@
 // Command dwrbench regenerates the paper's tables and figures (and the
-// quantitative claims embedded in its prose) as terminal reports.
+// quantitative claims embedded in its prose) as terminal reports, and
+// runs the repo's measured scenarios.
 //
 // Usage:
 //
-//	dwrbench            # run every experiment, in paper order
-//	dwrbench -list      # list experiment IDs and titles
-//	dwrbench -exp F2    # run one experiment (T1, F1, F2, F5, F6, C1..C14)
-//	dwrbench -faults    # run the fault-injection scenario suite
-//	dwrbench -serve     # run the serving front-end capacity sweep
-//	dwrbench -pruning   # exhaustive vs MaxScore vs Block-Max top-k comparison
-//	dwrbench -threshold # single-wave scatter vs threshold-sharing waves
-//	dwrbench -fresh     # continuous indexing: crawl + index + serve on one virtual clock
-//	dwrbench -federate  # federated mediation: collection selection on the serving path
-//	dwrbench -check     # re-run scenarios against committed BENCH_*.json baselines
+//	dwrbench                  # run every experiment, in paper order
+//	dwrbench -list            # experiment IDs and titles, scenario names and descriptions
+//	dwrbench -exp F2          # run one experiment by ID
+//	dwrbench -run pruning     # run one scenario and write BENCH_pruning.json under -benchdir
+//	dwrbench -run pruning -config '{"docs":2000,"queries":150}' -benchdir ""
+//	dwrbench -check           # re-run every scenario against its committed baseline
 //
-// The -serve, -pruning, -threshold, -fresh, and -federate scenarios also
-// write machine-readable BENCH_<scenario>.json artifacts under -benchdir so
-// the perf trajectory is tracked across commits instead of eyeballed
-// from captured terminal output; -check closes the loop by failing when
-// a fresh run drifts from the committed artifacts.
+// A scenario is one registry entry (scenario.go): a default config and a
+// function measuring it into a report of rows, each value filed as a
+// counter, a ratio, a timing or an invariant. -config overlays a JSON
+// object on the default config. -check re-runs each scenario from the
+// config recorded in its BENCH_<scenario>.json under -benchdir and fails
+// when a counter drifts more than 1%, a ratio more than -checktol, a
+// key or row appears or disappears, or an invariant is false — so the
+// perf trajectory is tracked across commits instead of eyeballed from
+// captured terminal output.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,53 +34,38 @@ import (
 	"dwr/internal/qproc"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiments and exit")
-	exp := flag.String("exp", "all", "experiment ID to run, or 'all'")
-	workers := flag.Int("workers", 0, "engine fan-out width (0 = GOMAXPROCS, 1 = serial); every experiment reports identical numbers at any value")
-	cacheCap := flag.Int("cachecap", 0, "give every constructed engine a broker result cache of this many entries (0 = off, the default: cached answers change the latency numbers)")
-	cacheTTL := flag.Int("cachettl", 0, "result-cache entry TTL in queries (0 = never expires)")
-	cacheShards := flag.Int("cacheshards", 0, "result-cache lock shards (0 = 8)")
-	cachePolicy := flag.String("cachepolicy", "lru", "result-cache replacement for -cachecap: lru | lfu")
-	plCache := flag.Int64("plcache", 0, "per-server posting-list cache budget in bytes of resident encoded blocks plus block metadata (0 = off; results are identical, only decode work changes)")
-	faults := flag.Bool("faults", false, "run the fault-injection scenario suite: availability and tail latency under crash/flaky/slow/outage schedules (deterministic for a fixed -faultseed)")
-	faultSeed := flag.Int64("faultseed", 42, "fault-schedule seed for -faults")
-	serve := flag.Bool("serve", false, "run the serving front-end capacity sweep: open-loop load at multiples of the G/G/c bound c/E[S], validating saturation and graceful degradation (deterministic for a fixed -serveseed)")
-	serveC := flag.Int("servec", 150, "front-end worker pool width c for -serve (the paper's 150-thread Apache configuration)")
-	serveN := flag.Int("serven", 6000, "arrivals per rate point for -serve")
-	serveRates := flag.String("serverates", "0.3,0.6,0.9,1.1,1.5,2.0", "comma-separated multipliers of the capacity bound for -serve")
-	serveSeed := flag.Int64("serveseed", 42, "workload seed for -serve")
-	pruning := flag.Bool("pruning", false, "run the exhaustive-vs-pruned top-k comparison (full OR vs MaxScore vs Block-Max WAND), verifying rank-identical results while measuring QPS, latency quantiles, allocations, and decoded posting bytes")
-	pruneSeed := flag.Int64("pruneseed", 42, "corpus and query seed for -pruning")
-	pruneDocs := flag.Int("prunedocs", 8000, "corpus size in documents for -pruning")
-	pruneQueries := flag.Int("prunequeries", 400, "query count for -pruning")
-	threshold := flag.Bool("threshold", false, "run the distributed threshold-sharing comparison: single-wave scatter vs bound-ordered waves seeded with the broker's running k-th score, verifying rank-identical results while measuring QPS, latency quantiles, decoded posting bytes, skipped partitions, and waves")
-	thresholdSeed := flag.Int64("thresholdseed", 42, "corpus and query seed for -threshold")
-	thresholdDocs := flag.Int("thresholddocs", 24000, "corpus size in documents for -threshold")
-	thresholdQueries := flag.Int("thresholdqueries", 200, "query count for -threshold")
-	thresholdParts := flag.Int("thresholdparts", 8, "document partitions for -threshold")
-	fresh := flag.Bool("fresh", false, "run the continuous-indexing scenario: crawler agents stream pages into per-partition segment writers while a live engine serves loadgen traffic over the same stores, reporting crawl→searchable freshness lag and serving latency; the whole pipeline is replayed twice and must answer byte-identically")
-	freshSeed := flag.Int64("freshseed", 42, "web, crawl, and workload seed for -fresh")
-	freshHosts := flag.Int("freshhosts", 100, "simulated web hosts for -fresh")
-	freshParts := flag.Int("freshparts", 4, "index partitions (segment stores) for -fresh")
-	freshSegDocs := flag.Int("freshsegdocs", 32, "documents per sealed segment for -fresh")
-	freshRate := flag.Float64("freshrate", 2.0, "query arrivals per virtual second for -fresh")
-	federate := flag.Bool("federate", false, "run the federated mediation scenario: a topical multi-site federation answers a mixed query stream with per-query collection selection (mediated) and with the classic exhaustive fan-out, under a rolling outage schedule; at least half the queries must be answered touching under half the sites at Recall@10 >= 0.95, and both modes must replay byte-identically")
-	federateSeed := flag.Int64("federateseed", 42, "corpus, outage, and workload seed for -federate")
-	federateSites := flag.Int("federatesites", 8, "federation sites for -federate")
-	federateDocs := flag.Int("federatedocs", 300, "documents per site for -federate")
-	federateQueries := flag.Int("federatequeries", 400, "query count for -federate")
-	check := flag.Bool("check", false, "re-run the -pruning, -threshold, -fresh, and -federate scenarios against their committed BENCH_<scenario>.json baselines in -benchdir: deterministic work counters must match within 1%, speedups within -checktol, and every ranking must stay rank-identical (nonzero exit on violation)")
-	checkTol := flag.Float64("checktol", 0.35, "allowed relative drift of wall-clock speedup ratios for -check (work counters are always held to 1%)")
-	benchDir := flag.String("benchdir", "docs", "directory for machine-readable BENCH_<scenario>.json artifacts (empty = don't write)")
-	flag.Parse()
-	var defaults []qproc.Option
-	defaults = append(defaults, qproc.WithWorkers(*workers))
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made explicit:
+// 0 on success, 1 when a run or check fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dwrbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiments and scenarios and exit")
+	exp := fs.String("exp", "all", "experiment ID to run, or 'all'")
+	scen := fs.String("run", "", "scenario to run (see -list); writes BENCH_<scenario>.json under -benchdir")
+	config := fs.String("config", "", "JSON object overlaid on the -run scenario's default config, e.g. '{\"docs\":2000}'")
+	check := fs.Bool("check", false, "re-run every scenario with a committed BENCH_<scenario>.json in -benchdir from the config recorded there: counters must match within 1%, ratios within -checktol, rows and keys exactly, and every invariant must hold (nonzero exit on violation)")
+	checkTol := fs.Float64("checktol", 0.35, "allowed relative drift of wall-clock ratios for -check (counters are always held to 1%)")
+	benchDir := fs.String("benchdir", "docs", "directory of the BENCH_<scenario>.json artifacts (empty = -run doesn't write)")
+	workers := fs.Int("workers", 0, "engine fan-out width (0 = GOMAXPROCS, 1 = serial); every experiment reports identical numbers at any value")
+	cacheCap := fs.Int("cachecap", 0, "give every constructed engine a broker result cache of this many entries (0 = off, the default: cached answers change the latency numbers)")
+	cacheTTL := fs.Int("cachettl", 0, "result-cache entry TTL in queries (0 = never expires)")
+	cacheShards := fs.Int("cacheshards", 0, "result-cache lock shards (0 = 8)")
+	cachePolicy := fs.String("cachepolicy", "lru", "result-cache replacement for -cachecap: lru | lfu")
+	plCache := fs.Int64("plcache", 0, "per-server posting-list cache budget in bytes of resident encoded blocks plus block metadata (0 = off; results are identical, only decode work changes)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "dwrbench: %v\n", err)
+		return code
+	}
+	defaults := []qproc.Option{qproc.WithWorkers(*workers)}
 	if *cacheCap > 0 {
 		policy, err := qproc.ParseCachePolicy(*cachePolicy)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		defaults = append(defaults, qproc.WithResultCache(qproc.ResultCacheConfig{
 			Capacity:   *cacheCap,
@@ -91,94 +79,50 @@ func main() {
 	}
 	qproc.SetDefaultOptions(defaults...)
 
-	if *faults {
-		if err := runFaultScenarios(os.Stdout, *faultSeed); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+	switch {
+	case *config != "" && *scen == "":
+		return fail(2, errors.New("-config needs -run"))
 
-	if *serve {
-		opts := serveOptions{c: *serveC, n: *serveN, rates: *serveRates, seed: *serveSeed, dir: *benchDir}
-		if err := runServeSweep(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pruning {
-		opts := pruningOptions{seed: *pruneSeed, docs: *pruneDocs, queries: *pruneQueries, dir: *benchDir}
-		if err := runPruningBench(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *threshold {
-		opts := thresholdOptions{seed: *thresholdSeed, docs: *thresholdDocs, queries: *thresholdQueries, parts: *thresholdParts, dir: *benchDir}
-		if err := runThresholdBench(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fresh {
-		opts := freshOptions{seed: *freshSeed, hosts: *freshHosts, parts: *freshParts,
-			segDocs: *freshSegDocs, rate: *freshRate, dir: *benchDir}
-		if err := runFreshBench(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *federate {
-		opts := federateOptions{seed: *federateSeed, sites: *federateSites,
-			perSite: *federateDocs, queries: *federateQueries, dir: *benchDir}
-		if err := runFederateBench(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *check {
-		if err := runBenchCheck(os.Stdout, *benchDir, *checkTol); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
+	case *list:
+		fmt.Fprintln(stdout, "experiments (-exp):")
 		for _, e := range experiments.Registry() {
-			r := e.Run // do not run; IDs and titles only via a cheap call table
-			_ = r
-			fmt.Println(e.ID)
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.ID, e.Title)
 		}
-		return
-	}
+		fmt.Fprintln(stdout, "scenarios (-run):")
+		for _, s := range scenarios {
+			fmt.Fprintf(stdout, "  %-10s %s\n", s.name, s.desc)
+		}
 
-	if *exp != "all" {
+	case *check:
+		if err := runCheck(stdout, *benchDir, *checkTol); err != nil {
+			return fail(1, err)
+		}
+
+	case *scen != "":
+		s := findScenario(*scen)
+		if s == nil {
+			return fail(2, fmt.Errorf("unknown scenario %q (use -list)", *scen))
+		}
+		if err := runScenario(stdout, s, []byte(*config), *benchDir); err != nil {
+			return fail(1, err)
+		}
+
+	case *exp != "all":
 		r := experiments.Run(*exp)
 		if r == nil {
-			fmt.Fprintf(os.Stderr, "dwrbench: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+			return fail(2, fmt.Errorf("unknown experiment %q (use -list)", *exp))
 		}
-		fmt.Print(r.String())
-		return
-	}
+		fmt.Fprint(stdout, r.String())
 
-	start := time.Now()
-	for _, e := range experiments.Registry() {
-		t0 := time.Now()
-		r := e.Run()
-		fmt.Print(r.String())
-		fmt.Printf("(%s took %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+	default:
+		start := time.Now()
+		for _, e := range experiments.Registry() {
+			t0 := time.Now()
+			r := e.Run()
+			fmt.Fprint(stdout, r.String())
+			fmt.Fprintf(stdout, "(%s took %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		}
+		fmt.Fprintf(stdout, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Printf("all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }

@@ -1,108 +1,41 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"reflect"
-	"runtime"
-	"sort"
-	"time"
 
 	"dwr/internal/index"
-	"dwr/internal/randx"
 	"dwr/internal/rank"
 )
 
-// pruningOptions sizes the exhaustive-vs-pruned comparison.
-type pruningOptions struct {
-	seed    int64
-	docs    int
-	queries int
-	dir     string // BENCH_pruning.json destination ("" = don't write)
+// pruningConfig sizes the exhaustive-vs-pruned comparison.
+type pruningConfig struct {
+	Seed    int64 `json:"seed"`
+	Docs    int   `json:"docs"`
+	Queries int   `json:"queries"`
 }
 
-// pruningRun is one (mode, k) measurement row of BENCH_pruning.json.
-type pruningRun struct {
-	Mode                 string  `json:"mode"`
-	K                    int     `json:"k"`
-	QPS                  float64 `json:"qps"`
-	P50Us                float64 `json:"p50_us"`
-	P99Us                float64 `json:"p99_us"`
-	AllocsPerQuery       float64 `json:"allocs_per_query"`
-	BytesDecodedPerQuery float64 `json:"bytes_decoded_per_query"`
-	PostingsPerQuery     float64 `json:"postings_per_query"`
-	SpeedupVsExhaustive  float64 `json:"speedup_vs_exhaustive"`
-	RankIdentical        bool    `json:"rank_identical"`
-}
+var pruningScenario = define("pruning",
+	"exhaustive vs MaxScore top-k on one index (k=10, 100): decode work, QPS, rank identity",
+	pruningConfig{Seed: 42, Docs: 8000, Queries: 400}, measurePruning)
 
-// pruningReport is the full BENCH_pruning.json document.
-type pruningReport struct {
-	Scenario string `json:"scenario"`
-	Config   struct {
-		Seed    int64 `json:"seed"`
-		Docs    int   `json:"docs"`
-		Queries int   `json:"queries"`
-	} `json:"config"`
-	IndexBytes int64        `json:"index_bytes"`
-	Runs       []pruningRun `json:"runs"`
-}
-
-// runPruningBench measures the dynamic-pruning evaluators against the
-// exhaustive OR baseline on a seeded Zipf corpus: wall-clock QPS and
-// latency quantiles, allocations per query, and the decode work the
-// block metadata lets the pruned paths skip. Every pruned ranking is
-// checked rank-identical (bitwise-equal scores) against the exhaustive
-// answer before its numbers are reported. Timing varies run to run;
-// rankings and decode counts do not.
-func runPruningBench(w io.Writer, o pruningOptions) error {
-	_, err := pruningBench(w, o)
-	return err
-}
-
-// pruningBench is runPruningBench returning the measured report, so
-// -check can diff a fresh run against the committed artifact.
-func pruningBench(w io.Writer, o pruningOptions) (pruningReport, error) {
-	rng := randx.New(o.seed)
-	z := randx.NewZipf(3000, 1.0)
+// measurePruning runs the dynamic-pruning evaluator against the
+// exhaustive OR baseline on a seeded Zipf corpus, counting the decode
+// work the block metadata lets the pruned path skip.
+func measurePruning(w io.Writer, c pruningConfig) ([]row, error) {
+	if c.Docs < 1 || c.Queries < 1 {
+		return nil, errors.New("docs and queries must be positive")
+	}
+	docs, queries := zipfWorkload(c.Seed, c.Docs, c.Queries)
 	b := index.NewBuilder(index.DefaultOptions())
-	for d := 0; d < o.docs; d++ {
-		terms := make([]string, 40+rng.Intn(160))
-		for i := range terms {
-			terms[i] = fmt.Sprintf("w%04d", z.Draw(rng))
-		}
-		b.AddDocument(d, terms)
+	for _, d := range docs {
+		b.AddDocument(d.Ext, d.Terms)
 	}
 	ix := index.MustBuild(b)
 	s := rank.NewScorer(rank.FromIndex(ix))
-	queries := make([][]string, o.queries)
-	for i := range queries {
-		q := make([]string, 2+rng.Intn(3))
-		for j := range q {
-			q[j] = fmt.Sprintf("w%04d", z.Draw(rng))
-		}
-		queries[i] = q
-	}
 
-	fmt.Fprintf(w, "dynamic-pruning comparison: %d docs, %d queries, seed %d (index %d bytes)\n",
-		o.docs, len(queries), o.seed, ix.SizeBytes())
-	fmt.Fprintf(w, "every pruned ranking is verified bitwise-identical to the exhaustive top-k\n\n")
-	fmt.Fprintf(w, "%-12s %4s %9s %9s %9s %10s %12s %10s %8s\n",
-		"mode", "k", "qps", "p50us", "p99us", "allocs/q", "bytes_dec/q", "postings/q", "speedup")
-
-	rep := pruningReport{Scenario: "pruning"}
-	rep.Config.Seed = o.seed
-	rep.Config.Docs = o.docs
-	rep.Config.Queries = len(queries)
-	rep.IndexBytes = ix.SizeBytes()
-
-	modes := []struct {
-		name string
-		mode rank.Pruning
-	}{
-		{"exhaustive", rank.PruneNone},
-		{"maxscore", rank.PruneMaxScore},
-		{"blockmax", rank.PruneBlockMax},
-	}
+	rows := []row{{Name: "index", Counters: map[string]float64{"index_bytes": float64(ix.SizeBytes())}}}
 	for _, k := range []int{10, 100} {
 		// Exhaustive baselines double as the equivalence reference.
 		want := make([][]rank.Result, len(queries))
@@ -110,70 +43,25 @@ func pruningBench(w io.Writer, o pruningOptions) (pruningReport, error) {
 			want[i], _ = rank.EvaluateTopK(ix, s, q, k, rank.PruneNone)
 		}
 		var exhaustiveQPS float64
-		for _, m := range modes {
-			run, err := measurePruning(ix, s, queries, want, k, m.name, m.mode)
-			if err != nil {
-				return rep, err
-			}
+		for _, m := range []struct {
+			name string
+			mode rank.Pruning
+		}{
+			{"exhaustive", rank.PruneNone},
+			{"maxscore", rank.PruneMaxScore},
+		} {
+			r := timedPass(w, fmt.Sprintf("%s k=%d", m.name, k), queries, want, func(q []string, work map[string]float64) []rank.Result {
+				got, es := rank.EvaluateTopK(ix, s, q, k, m.mode)
+				work["bytes_decoded_per_query"] += float64(es.BytesDecoded)
+				work["postings_per_query"] += float64(es.PostingsDecoded)
+				return got
+			})
 			if m.mode == rank.PruneNone {
-				exhaustiveQPS = run.QPS
+				exhaustiveQPS = r.Timings["qps"]
 			}
-			run.SpeedupVsExhaustive = run.QPS / exhaustiveQPS
-			rep.Runs = append(rep.Runs, run)
-			fmt.Fprintf(w, "%-12s %4d %9.0f %9.1f %9.1f %10.1f %12.1f %10.1f %7.2fx\n",
-				run.Mode, run.K, run.QPS, run.P50Us, run.P99Us,
-				run.AllocsPerQuery, run.BytesDecodedPerQuery, run.PostingsPerQuery,
-				run.SpeedupVsExhaustive)
+			r.Ratios = map[string]float64{"speedup_vs_exhaustive": r.Timings["qps"] / exhaustiveQPS}
+			rows = append(rows, r)
 		}
 	}
-
-	if o.dir != "" {
-		path, err := writeBenchJSON(o.dir, "pruning", rep)
-		if err != nil {
-			return rep, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	return rep, nil
-}
-
-// measurePruning times one (mode, k) pass over the query set, checking
-// each ranking against the exhaustive reference as it goes.
-func measurePruning(ix *index.Index, s *rank.Scorer, queries [][]string, want [][]rank.Result, k int, name string, mode rank.Pruning) (pruningRun, error) {
-	run := pruningRun{Mode: name, K: k, RankIdentical: true}
-	// Warmup pass: fault in caches and steady-state the allocator so the
-	// timed pass measures evaluation, not first-touch effects.
-	for _, q := range queries {
-		rank.EvaluateTopK(ix, s, q, k, mode)
-	}
-	lat := make([]float64, len(queries))
-	var bytesDec, postings int64
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for i, q := range queries {
-		t0 := time.Now()
-		got, es := rank.EvaluateTopK(ix, s, q, k, mode)
-		lat[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
-		bytesDec += es.BytesDecoded
-		postings += int64(es.PostingsDecoded)
-		if !reflect.DeepEqual(got, want[i]) {
-			run.RankIdentical = false
-			return run, fmt.Errorf("%s k=%d: query %v diverged from the exhaustive ranking:\nexhaustive %v\npruned     %v",
-				name, k, q, want[i], got)
-		}
-	}
-	runtime.ReadMemStats(&ms1)
-	var totalUs float64
-	for _, v := range lat {
-		totalUs += v
-	}
-	sort.Float64s(lat)
-	n := float64(len(queries))
-	run.QPS = n / (totalUs / 1e6)
-	run.P50Us = lat[len(lat)/2]
-	run.P99Us = lat[min(len(lat)-1, len(lat)*99/100)]
-	run.AllocsPerQuery = float64(ms1.Mallocs-ms0.Mallocs) / n
-	run.BytesDecodedPerQuery = float64(bytesDec) / n
-	run.PostingsPerQuery = float64(postings) / n
-	return run, nil
+	return rows, nil
 }

@@ -1,10 +1,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"dwr/internal/core"
 	"dwr/internal/loadgen"
@@ -14,47 +13,41 @@ import (
 	"dwr/internal/server"
 )
 
-// serveOptions sizes the -serve sweep.
-type serveOptions struct {
-	c     int    // front-end worker pool width (G/G/c)
-	n     int    // arrivals per rate point
-	rates string // comma-separated multipliers of the capacity bound
-	seed  int64  // workload + admission seed
-	dir   string // BENCH_serve.json destination ("" = don't write)
+// serveConfig sizes the capacity sweep; the default 150 workers are the
+// paper's 150-thread Apache configuration.
+type serveConfig struct {
+	Seed     int64     `json:"seed"`     // workload + admission seed
+	Workers  int       `json:"workers"`  // front-end worker pool width (G/G/c)
+	Arrivals int       `json:"arrivals"` // arrivals per rate point
+	Rates    []float64 `json:"rates"`    // multipliers of the capacity bound
 }
 
-// serveRun is one sweep row of BENCH_serve.json.
-type serveRun struct {
-	Load       string  `json:"load"`
-	OfferedQPS float64 `json:"offered_qps"`
-	GoodputQPS float64 `json:"goodput_qps"`
-	ShedPct    float64 `json:"shed_pct"`
-	UtilPct    float64 `json:"util_pct"`
-	P50Ms      float64 `json:"p50_ms"`
-	P95Ms      float64 `json:"p95_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-}
+var serveScenario = define("serve",
+	"front-end capacity sweep: open-loop load at multiples of the G/G/c bound c/E[S] (paper §5, Figure 6), closed-loop and faulty points",
+	serveConfig{Seed: 42, Workers: 150, Arrivals: 6000, Rates: []float64{0.3, 0.6, 0.9, 1.1, 1.5, 2.0}}, measureServe)
 
-// runServeSweep validates the paper's G/G/c capacity bound λ < c/E[S]
-// (Section 5, Figure 6) against a real engine: it measures E[S] on log
-// traffic, computes the predicted bound, then drives the serving
-// front-end (internal/server) at multiples of it with an open-loop
-// generator, reporting goodput, shed rate, and latency quantiles per
-// point — the hockey stick at the bound and graceful degradation past
-// it. A closed-loop point and a serving-under-faults point close the
-// section. Everything runs in virtual time off fixed seeds: rerunning
-// prints byte-identical output.
-func runServeSweep(w io.Writer, o serveOptions) error {
-	mults, err := parseRates(o.rates)
-	if err != nil {
-		return err
+// measureServe validates the paper's G/G/c capacity bound λ < c/E[S]
+// against a real engine: it measures E[S] on log traffic, computes the
+// predicted bound, then drives the serving front-end (internal/server)
+// at multiples of it with an open-loop generator, reporting goodput,
+// shed rate, and latency quantiles per point — the hockey stick at the
+// bound and graceful degradation past it. Everything runs in virtual
+// time off fixed seeds, so every value is a counter.
+func measureServe(w io.Writer, o serveConfig) ([]row, error) {
+	if o.Workers < 1 || o.Arrivals < 1 || len(o.Rates) == 0 {
+		return nil, errors.New("workers and arrivals must be positive and rates non-empty")
+	}
+	for _, m := range o.Rates {
+		if m <= 0 {
+			return nil, fmt.Errorf("bad rate multiplier %v", m)
+		}
 	}
 
 	cfg := core.DefaultConfig()
 	cfg.Web.Hosts = 60
 	base, err := core.Build(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	lcfg := querylog.DefaultConfig()
 	lcfg.Seed = cfg.Seed + 9
@@ -64,50 +57,39 @@ func runServeSweep(w io.Writer, o serveOptions) error {
 
 	// Probe E[S] on the head of the log: the mean virtual service time
 	// of real engine evaluations is what the bound divides by.
-	probe := len(lg.Queries)
-	if probe > 500 {
-		probe = 500
-	}
 	var svc metrics.Sample
-	for _, q := range lg.Queries[:probe] {
+	for _, q := range lg.Queries[:min(500, len(lg.Queries))] {
 		svc.Add(base.Query.QueryTopK(q.Terms, 10).LatencyMs)
 	}
 	meanMs := svc.Mean()
-	bound := queueing.CapacityBound(o.c, meanMs/1000)
+	bound := queueing.CapacityBound(o.Workers, meanMs/1000)
+	capacity := map[string]float64{
+		"capacity_bound_qps": bound,
+		"service_mean_ms":    meanMs,
+		"service_p95_ms":     svc.Quantile(0.95),
+		"service_p99_ms":     svc.Quantile(0.99),
+	}
+	rows := []row{{Name: "capacity", Counters: capacity}}
 
-	fmt.Fprintf(w, "serving front-end capacity sweep: c=%d workers, %d arrivals/point, seed %d\n",
-		o.c, o.n, o.seed)
-	fmt.Fprintf(w, "measured E[S] = %.3f ms over %d probe queries (p95=%.2f p99=%.2f)\n",
-		meanMs, probe, svc.Quantile(0.95), svc.Quantile(0.99))
-	fmt.Fprintf(w, "G/G/%d capacity bound c/E[S] = %.0f qps; admission paced at 1.05x bound\n",
-		o.c, bound)
-	fmt.Fprintf(w, "(virtual-time simulation; output is deterministic for fixed seeds)\n\n")
-
+	// Admission is paced at 1.05x the bound.
 	scfg := server.Config{
-		Workers:    o.c,
-		QueueCap:   2 * o.c,
+		Workers:    o.Workers,
+		QueueCap:   2 * o.Workers,
 		DeadlineMs: 50 * meanMs,
 		AdmitRate:  1.05 * bound,
 		Shed:       server.ShedConfig{TargetP99Ms: 10 * meanMs, Window: 200},
-		Seed:       o.seed,
+		Seed:       o.Seed,
 	}
-
-	fmt.Fprintf(w, "%-9s %9s %9s %7s %7s %8s %8s %8s %6s\n",
-		"load", "offered", "goodput", "shed%", "util", "p50ms", "p95ms", "p99ms", "level")
-	var rows []serveRun
-	var sat float64
-	for _, m := range mults {
+	for _, m := range o.Rates {
 		src := loadgen.Open(lg, loadgen.OpenConfig{
-			Seed: o.seed + int64(m*1000), Rate: m * bound, N: o.n, BatchFrac: 0.2,
+			Seed: o.Seed + int64(m*1000), Rate: m * bound, N: o.Arrivals, BatchFrac: 0.2,
 		})
 		rep := server.Run(base.Query, scfg, src)
-		rows = append(rows, writeServeRow(w, fmt.Sprintf("%.2fx", m), rep))
-		if rep.GoodputQPS > sat {
-			sat = rep.GoodputQPS
-		}
+		rows = append(rows, serveRow(fmt.Sprintf("%.2fx", m), rep))
+		capacity["peak_goodput_qps"] = max(capacity["peak_goodput_qps"], rep.GoodputQPS)
 	}
-	fmt.Fprintf(w, "\nsaturation: peak goodput %.0f qps = %.2fx the predicted bound %.0f qps\n\n",
-		sat, sat/bound, bound)
+	// Saturation: how close the measured peak comes to the predicted bound.
+	capacity["peak_goodput_over_bound"] = capacity["peak_goodput_qps"] / bound
 
 	// Closed loop: a population 4x the pool saturates the workers but
 	// self-limits to N/(E[R]+Z) — run with no admission limits to show
@@ -116,86 +98,47 @@ func runServeSweep(w io.Writer, o serveOptions) error {
 	ccfg.AdmitRate = 0
 	ccfg.Shed = server.ShedConfig{}
 	ccfg.DeadlineMs = 0
-	ccfg.QueueCap = 4 * o.c
+	ccfg.QueueCap = 4 * o.Workers
 	closed := loadgen.Closed(lg, loadgen.ClosedConfig{
-		Seed: o.seed + 7, Users: 4 * o.c, ThinkMeanSec: meanMs / 1000, N: o.n,
+		Seed: o.Seed + 7, Users: 4 * o.Workers, ThinkMeanSec: meanMs / 1000, N: o.Arrivals,
 	})
-	rep := server.Run(base.Query, ccfg, closed)
-	fmt.Fprintf(w, "closed loop, %d users, think E[Z]=E[S], no admission limits:\n", 4*o.c)
-	rows = append(rows, writeServeRow(w, "closed", rep))
+	fmt.Fprintf(w, "closed: %d users, think E[Z]=E[S], no admission limits\n", 4*o.Workers)
+	rows = append(rows, serveRow("closed", server.Run(base.Query, ccfg, closed)))
 
 	// Serving under faults: same sweep point (0.9x bound) against an
 	// engine whose partitions flake and straggle, best-effort policy.
 	fcfg := cfg
-	fcfg.Faults = &core.FaultConfig{Seed: o.seed + 13, FlakyP: 0.05, SlowP: 0.10, SlowMeanMs: 3 * meanMs}
+	fcfg.Faults = &core.FaultConfig{Seed: o.Seed + 13, FlakyP: 0.05, SlowP: 0.10, SlowMeanMs: 3 * meanMs}
 	faulty, err := core.Build(fcfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fsrc := loadgen.Open(lg, loadgen.OpenConfig{
-		Seed: o.seed + 17, Rate: 0.9 * bound, N: o.n, BatchFrac: 0.2,
+		Seed: o.Seed + 17, Rate: 0.9 * bound, N: o.Arrivals, BatchFrac: 0.2,
 	})
 	frep := server.Run(faulty.Query, scfg, fsrc)
-	fmt.Fprintf(w, "\nserving under faults (5%% flaky, 10%% straggling partition calls) at 0.90x bound:\n")
-	fmt.Fprintf(w, "(retries and hedges inflate E[S], shrinking the effective bound; the\n")
-	fmt.Fprintf(w, " front-end sheds the difference instead of letting latency run away)\n")
-	rows = append(rows, writeServeRow(w, "faulty", frep))
-	fmt.Fprintf(w, "  engine outcomes: %d degraded, %d deadline, %d failed of %d offered\n",
-		frep.Degraded, frep.EngineDeadline, frep.EngineFailed, frep.Offered)
-
-	if o.dir != "" {
-		doc := struct {
-			Scenario string     `json:"scenario"`
-			Seed     int64      `json:"seed"`
-			Workers  int        `json:"workers"`
-			BoundQPS float64    `json:"capacity_bound_qps"`
-			Runs     []serveRun `json:"runs"`
-		}{Scenario: "serve", Seed: o.seed, Workers: o.c, BoundQPS: bound, Runs: rows}
-		path, err := writeBenchJSON(o.dir, "serve", doc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	return nil
+	fmt.Fprintf(w, "faulty: 5%% flaky, 10%% straggling partition calls at 0.90x bound; retries and hedges inflate E[S],\n")
+	fmt.Fprintf(w, "        shrinking the effective bound, and the front-end sheds the difference instead of letting latency run away\n")
+	fr := serveRow("faulty", frep)
+	fr.Counters["degraded"] = float64(frep.Degraded)
+	fr.Counters["engine_deadline"] = float64(frep.EngineDeadline)
+	fr.Counters["engine_failed"] = float64(frep.EngineFailed)
+	return append(rows, fr), nil
 }
 
-// writeServeRow prints one sweep point and returns it as a JSON row.
-func writeServeRow(w io.Writer, label string, r server.Report) serveRun {
+// serveRow reports one front-end run; latencies are the interactive
+// class's.
+func serveRow(label string, r server.Report) row {
 	shed := r.ShedOverload + r.ShedAdmission + r.ShedQueueFull + r.EvictedDeadline
 	it := r.Class[server.Interactive]
-	row := serveRun{
-		Load:       label,
-		OfferedQPS: r.OfferedQPS,
-		GoodputQPS: r.GoodputQPS,
-		ShedPct:    100 * float64(shed) / float64(r.Offered),
-		UtilPct:    100 * r.Utilization,
-		P50Ms:      it.P50Ms,
-		P95Ms:      it.P95Ms,
-		P99Ms:      it.P99Ms,
-	}
-	fmt.Fprintf(w, "%-9s %9.0f %9.0f %6.1f%% %6.1f%% %8.2f %8.2f %8.2f %6.2f\n",
-		label, r.OfferedQPS, r.GoodputQPS, row.ShedPct, row.UtilPct,
-		it.P50Ms, it.P95Ms, it.P99Ms, r.FinalShedLevel)
-	return row
-}
-
-// parseRates parses "0.3,0.6,..." into multipliers.
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate multiplier %q", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no rate multipliers in %q", s)
-	}
-	return out, nil
+	return row{Name: label, Counters: map[string]float64{
+		"offered_qps": r.OfferedQPS,
+		"goodput_qps": r.GoodputQPS,
+		"shed_pct":    100 * float64(shed) / float64(r.Offered),
+		"util_pct":    100 * r.Utilization,
+		"p50_ms":      it.P50Ms,
+		"p95_ms":      it.P95Ms,
+		"p99_ms":      it.P99Ms,
+		"shed_level":  r.FinalShedLevel,
+	}}
 }

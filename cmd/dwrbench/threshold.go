@@ -1,212 +1,87 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"reflect"
-	"sort"
-	"time"
 
 	"dwr/internal/index"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
-	"dwr/internal/randx"
 	"dwr/internal/rank"
 )
 
-// thresholdOptions sizes the distributed threshold-sharing comparison.
-type thresholdOptions struct {
-	seed    int64
-	docs    int
-	queries int
-	parts   int
-	dir     string // BENCH_threshold.json destination ("" = don't write)
+// thresholdConfig sizes the distributed threshold-sharing comparison.
+type thresholdConfig struct {
+	Seed       int64 `json:"seed"`
+	Docs       int   `json:"docs"`
+	Queries    int   `json:"queries"`
+	Partitions int   `json:"partitions"`
 }
 
-// thresholdRun is one (mode, k) measurement row of BENCH_threshold.json.
-type thresholdRun struct {
-	Mode                 string  `json:"mode"`
-	K                    int     `json:"k"`
-	QPS                  float64 `json:"qps"`
-	P50Us                float64 `json:"p50_us"`
-	P99Us                float64 `json:"p99_us"`
-	BytesDecodedPerQuery float64 `json:"bytes_decoded_per_query"`
-	PostingsPerQuery     float64 `json:"postings_per_query"`
-	ContactedPerQuery    float64 `json:"contacted_per_query"`
-	SkippedPerQuery      float64 `json:"skipped_per_query"`
-	WavesPerQuery        float64 `json:"waves_per_query"`
-	SpeedupVsBlockmax    float64 `json:"speedup_vs_blockmax"`
-	BytesVsBlockmax      float64 `json:"bytes_vs_blockmax"`
-	RankIdentical        bool    `json:"rank_identical"`
-}
+var thresholdScenario = define("threshold",
+	"single-wave scatter vs threshold-sharing waves over MaxScore partitions: decode work, skips, waves, QPS, rank identity",
+	thresholdConfig{Seed: 42, Docs: 24000, Queries: 200, Partitions: 8}, measureThreshold)
 
-// thresholdReport is the full BENCH_threshold.json document.
-type thresholdReport struct {
-	Scenario string `json:"scenario"`
-	Config   struct {
-		Seed       int64 `json:"seed"`
-		Docs       int   `json:"docs"`
-		Queries    int   `json:"queries"`
-		Partitions int   `json:"partitions"`
-	} `json:"config"`
-	Runs []thresholdRun `json:"runs"`
-}
-
-// runThresholdBench measures the bound-ordered wave schedule against the
+// measureThreshold runs the bound-ordered wave schedule against the
 // classic single-wave scatter on a document-partitioned engine: the
 // broker seeds each later wave with its running k-th score, so low-bound
-// partitions start with a live threshold (deeper block skipping) or are
-// skipped outright when their score bound cannot be competitive. Every
-// mode's ranking is checked bitwise-identical to the exhaustive answer.
-// The blockmax row is the PR 6 single-wave dynamic-pruning baseline the
-// threshold rows are judged against. Timing varies run to run; rankings,
-// decode counts, skip counts, and wave counts do not.
-func runThresholdBench(w io.Writer, o thresholdOptions) error {
-	_, err := thresholdBench(w, o)
-	return err
-}
-
-// thresholdBench is runThresholdBench returning the measured report, so
-// -check can diff a fresh run against the committed artifact.
-func thresholdBench(w io.Writer, o thresholdOptions) (thresholdReport, error) {
-	docs, queries := thresholdWorkload(o)
-	fmt.Fprintf(w, "distributed threshold sharing: %d docs over %d partitions, %d queries, seed %d\n",
-		o.docs, o.parts, len(queries), o.seed)
-	fmt.Fprintf(w, "every ranking is verified bitwise-identical to the exhaustive scatter-gather\n\n")
-	fmt.Fprintf(w, "%-12s %4s %9s %9s %9s %12s %9s %8s %6s %8s %8s\n",
-		"mode", "k", "qps", "p50us", "p99us", "bytes_dec/q", "parts/q", "skip/q", "waves", "speedup", "bytes%")
-
-	rep := thresholdReport{Scenario: "threshold"}
-	rep.Config.Seed = o.seed
-	rep.Config.Docs = o.docs
-	rep.Config.Queries = len(queries)
-	rep.Config.Partitions = o.parts
-
+// partitions start with a live threshold (deeper skipping) or are
+// skipped outright when their score bound cannot be competitive. The
+// maxscore row — single-wave MaxScore, the configuration bench/ serves —
+// is the baseline the maxscore+ts row is judged against.
+func measureThreshold(w io.Writer, c thresholdConfig) ([]row, error) {
+	if c.Docs < 1 || c.Queries < 1 || c.Partitions < 1 {
+		return nil, errors.New("docs, queries and partitions must be positive")
+	}
+	docs, queries := zipfWorkload(c.Seed, c.Docs, c.Queries)
+	ids := make([]int, len(docs))
+	for i, d := range docs {
+		ids[i] = d.Ext
+	}
+	dp := partition.RoundRobinDocs(ids, c.Partitions)
 	modes := []struct {
 		name    string
 		options []qproc.Option
 	}{
 		{"exhaustive", nil},
-		{"blockmax", []qproc.Option{qproc.WithPruning(rank.PruneBlockMax)}},
-		{"blockmax+ts", []qproc.Option{qproc.WithPruning(rank.PruneBlockMax), qproc.WithThresholdSharing(true)}},
+		{"maxscore", []qproc.Option{qproc.WithPruning(rank.PruneMaxScore)}},
+		{"maxscore+ts", []qproc.Option{qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true)}},
 	}
 	engines := make([]*qproc.DocEngine, len(modes))
-	ids := make([]int, len(docs))
-	for i, d := range docs {
-		ids[i] = d.Ext
-	}
-	dp := partition.RoundRobinDocs(ids, o.parts)
 	for i, m := range modes {
 		e, err := qproc.NewDocEngine(index.DefaultOptions(), docs, dp, m.options...)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		engines[i] = e
 	}
 
+	var rows []row
 	for _, k := range []int{10, 100} {
+		opt := qproc.DocQueryOptions{K: k, Stats: qproc.GlobalPrecomputed}
 		want := make([][]rank.Result, len(queries))
 		for i, q := range queries {
-			want[i] = engines[0].Query(q, qproc.DocQueryOptions{K: k, Stats: qproc.GlobalPrecomputed}).Results
+			want[i] = engines[0].Query(q, opt).Results
 		}
-		kRuns := make([]thresholdRun, len(modes))
-		var blockmax thresholdRun
+		first := len(rows)
 		for mi, m := range modes {
-			run, err := measureThreshold(engines[mi], queries, want, k, m.name)
-			if err != nil {
-				return rep, err
-			}
-			if m.name == "blockmax" {
-				blockmax = run
-			}
-			kRuns[mi] = run
+			rows = append(rows, timedPass(w, fmt.Sprintf("%s k=%d", m.name, k), queries, want, func(q []string, work map[string]float64) []rank.Result {
+				qr := engines[mi].Query(q, opt)
+				work["bytes_decoded_per_query"] += float64(qr.PostingBytesDecoded)
+				work["postings_per_query"] += float64(qr.PostingsDecoded)
+				work["contacted_per_query"] += float64(qr.ServersContacted)
+				work["skipped_per_query"] += float64(qr.PartitionsSkipped)
+				work["waves_per_query"] += float64(qr.Waves)
+				return qr.Results
+			}))
 		}
-		for _, run := range kRuns {
-			run.SpeedupVsBlockmax = run.QPS / blockmax.QPS
-			run.BytesVsBlockmax = run.BytesDecodedPerQuery / blockmax.BytesDecodedPerQuery
-			rep.Runs = append(rep.Runs, run)
-			fmt.Fprintf(w, "%-12s %4d %9.0f %9.1f %9.1f %12.1f %9.2f %8.2f %6.2f %7.2fx %7.1f%%\n",
-				run.Mode, run.K, run.QPS, run.P50Us, run.P99Us, run.BytesDecodedPerQuery,
-				run.ContactedPerQuery, run.SkippedPerQuery, run.WavesPerQuery,
-				run.SpeedupVsBlockmax, 100*run.BytesVsBlockmax)
+		base := rows[first+1] // modes[1], single-wave maxscore
+		for i := first; i < len(rows); i++ {
+			r := &rows[i]
+			r.Counters["bytes_vs_maxscore"] = r.Counters["bytes_decoded_per_query"] / base.Counters["bytes_decoded_per_query"]
+			r.Ratios = map[string]float64{"speedup_vs_maxscore": r.Timings["qps"] / base.Timings["qps"]}
 		}
 	}
-
-	if o.dir != "" {
-		path, err := writeBenchJSON(o.dir, "threshold", rep)
-		if err != nil {
-			return rep, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	return rep, nil
-}
-
-// thresholdWorkload builds the seeded Zipf corpus and query set shared
-// by every mode (and by -check re-runs).
-func thresholdWorkload(o thresholdOptions) ([]index.Doc, [][]string) {
-	rng := randx.New(o.seed)
-	z := randx.NewZipf(3000, 1.0)
-	docs := make([]index.Doc, o.docs)
-	for d := range docs {
-		terms := make([]string, 40+rng.Intn(160))
-		for i := range terms {
-			terms[i] = fmt.Sprintf("w%04d", z.Draw(rng))
-		}
-		docs[d] = index.Doc{Ext: d, Terms: terms}
-	}
-	queries := make([][]string, o.queries)
-	for i := range queries {
-		q := make([]string, 2+rng.Intn(3))
-		for j := range q {
-			q[j] = fmt.Sprintf("w%04d", z.Draw(rng))
-		}
-		queries[i] = q
-	}
-	return docs, queries
-}
-
-// measureThreshold times one (engine, k) pass over the query set,
-// checking each ranking against the exhaustive reference as it goes.
-func measureThreshold(e *qproc.DocEngine, queries [][]string, want [][]rank.Result, k int, name string) (thresholdRun, error) {
-	run := thresholdRun{Mode: name, K: k, RankIdentical: true}
-	opt := qproc.DocQueryOptions{K: k, Stats: qproc.GlobalPrecomputed}
-	// Warmup pass: fault in caches and steady-state the allocator so the
-	// timed pass measures evaluation, not first-touch effects.
-	for _, q := range queries {
-		e.Query(q, opt)
-	}
-	lat := make([]float64, len(queries))
-	var bytesDec, postings int64
-	var contacted, skipped, waves int
-	for i, q := range queries {
-		t0 := time.Now()
-		qr := e.Query(q, opt)
-		lat[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
-		bytesDec += qr.PostingBytesDecoded
-		postings += int64(qr.PostingsDecoded)
-		contacted += qr.ServersContacted
-		skipped += qr.PartitionsSkipped
-		waves += qr.Waves
-		if !reflect.DeepEqual(qr.Results, want[i]) {
-			run.RankIdentical = false
-			return run, fmt.Errorf("%s k=%d: query %v diverged from the exhaustive ranking:\nexhaustive %v\ngot        %v",
-				name, k, q, want[i], qr.Results)
-		}
-	}
-	var totalUs float64
-	for _, v := range lat {
-		totalUs += v
-	}
-	sort.Float64s(lat)
-	n := float64(len(queries))
-	run.QPS = n / (totalUs / 1e6)
-	run.P50Us = lat[len(lat)/2]
-	run.P99Us = lat[min(len(lat)-1, len(lat)*99/100)]
-	run.BytesDecodedPerQuery = float64(bytesDec) / n
-	run.PostingsPerQuery = float64(postings) / n
-	run.ContactedPerQuery = float64(contacted) / n
-	run.SkippedPerQuery = float64(skipped) / n
-	run.WavesPerQuery = float64(waves) / n
-	return run, nil
+	return rows, nil
 }

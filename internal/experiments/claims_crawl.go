@@ -15,7 +15,7 @@ import (
 // replicas, ≈30,000 machines, >$100M; and the 2010 projection of
 // ≈50,000-machine clusters and ≈1.5M machines overall.
 func Claim1CapacityPlan() *Result {
-	r := &Result{ID: "C1", Title: "Section 1 capacity arithmetic and 2010 projection"}
+	r := newResult("C1")
 	p2007 := capacity.Derive(capacity.DefaultParams())
 	p2010 := capacity.Project(capacity.DefaultParams(), 16.7, 3)
 	t := metrics.NewTable("derived deployment plans",
@@ -38,7 +38,7 @@ func Claim1CapacityPlan() *Result {
 // crawling agent joins or leaves a pool of 20, under modulo hashing vs
 // consistent hashing (UbiCrawler).
 func Claim2ConsistentHashing() *Result {
-	r := &Result{ID: "C2", Title: "URL assignment churn: modulo vs consistent hashing (20 agents, 50k hosts)"}
+	r := newResult("C2")
 	const agents, hosts = 20, 50000
 	keys := make([]string, hosts)
 	for i := range keys {
@@ -112,7 +112,7 @@ func seedAllHosts(w *simweb.Web, c *crawler.Crawler) {
 // cuts message count, and pre-seeding the most-cited URLs suppresses the
 // power-law head of the exchange traffic.
 func Claim3URLExchange() *Result {
-	r := &Result{ID: "C3", Title: "URL exchange traffic: locality, batching, most-cited seeding (4 agents)"}
+	r := newResult("C3")
 	w := crawlWeb()
 	run := func(batch, seedTop int) crawler.Stats {
 		cfg := crawler.DefaultConfig()
@@ -157,7 +157,7 @@ func Claim3URLExchange() *Result {
 // Claim4DNSCache (C4) shows DNS as a crawler bottleneck and caching as
 // the standard mitigation.
 func Claim4DNSCache() *Result {
-	r := &Result{ID: "C4", Title: "DNS load with and without a resolver cache"}
+	r := newResult("C4")
 	w := crawlWeb()
 	run := func(useCache bool) crawler.Stats {
 		cfg := crawler.DefaultConfig()
@@ -187,7 +187,7 @@ func Claim4DNSCache() *Result {
 // reports coverage, plus the freshness economics of conditional requests
 // and sitemaps on re-crawl.
 func Claim5Coverage() *Result {
-	r := &Result{ID: "C5", Title: "Crawler robustness: coverage under failures, and re-crawl economics"}
+	r := newResult("C5")
 	w := crawlWeb()
 	c := crawler.New(w, crawler.DefaultConfig())
 	seedAllHosts(w, c)

@@ -18,7 +18,7 @@ import (
 // significantly".
 func Claim16DriftReconfiguration() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C16", Title: "User-model drift: routing degradation and automatic reconfiguration"}
+	r := newResult("C16")
 
 	// A strongly drifting four-week log over the fixture web.
 	lcfg := querylog.DefaultConfig()

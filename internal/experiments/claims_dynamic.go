@@ -26,7 +26,7 @@ import (
 // under each partitioning.
 func Claim15OnlineMaintenance() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C15", Title: "Online index maintenance: lockout under concurrent updates"}
+	r := newResult("C15")
 
 	// Phase 1: concurrent updates and queries against the dynamic index,
 	// for two buffer sizes. Small buffers seal segments often (many

@@ -14,7 +14,7 @@ import (
 // the party that offloads "obtains" worse results — here, worse latency
 // — from the same routing decision.
 func Claim22FederatedVsOpen() *Result {
-	r := &Result{ID: "C22", Title: "Federated vs open systems: the value of offloading under self-interest"}
+	r := newResult("C22")
 
 	run := func(selfish bool) (p99Queue, meanLat float64, offloaded int) {
 		f := sharedFixture()

@@ -14,7 +14,7 @@ import (
 // each prefix of the crawl, compared against discovery-order (BFS)
 // crawling.
 func Claim23FrontierPrioritization() *Result {
-	r := &Result{ID: "C23", Title: "Frontier prioritization: in-degree mass captured by crawl prefix"}
+	r := newResult("C23")
 	wcfg := simweb.DefaultConfig()
 	wcfg.Hosts = 150
 	web := simweb.New(wcfg)

@@ -11,7 +11,7 @@ import (
 // geographic locations and assigning hosts to same-region agents keeps
 // download traffic off the wide-area network, at no loss of coverage.
 func Claim18GeoCrawling() *Result {
-	r := &Result{ID: "C18", Title: "Geographic crawler placement: region-affinity vs region-blind assignment (6 agents, 3 regions)"}
+	r := newResult("C18")
 	wcfg := simweb.DefaultConfig()
 	wcfg.Hosts = 200
 	web := simweb.New(wcfg)

@@ -20,7 +20,7 @@ import (
 // throughput (modelled as the bottleneck server's busy time per query).
 func Claim6TermVsDoc() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C6", Title: "Term vs document partitioning: disk, network, throughput (8 servers)"}
+	r := newResult("C6")
 	const k = 8
 	opts := index.DefaultOptions()
 	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(f.docIDs(), k))
@@ -85,7 +85,7 @@ func Claim6TermVsDoc() *Result {
 // the servers contacted per query under each.
 func Claim7BinPacking() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C7", Title: "Term-partitioned load balancing: random vs bin-packing vs co-occurrence-aware (8 servers)"}
+	r := newResult("C7")
 	const k = 8
 	qf := f.train.TermWeights()
 	weight := func(t string) float64 {
@@ -130,7 +130,7 @@ func Claim7BinPacking() *Result {
 // the collection is never recalled by training queries.
 func Claim8CollectionSelection() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C8", Title: "Collection selection: query-driven vs CORI vs random (16 partitions)"}
+	r := newResult("C8")
 	const k = 16
 	rng := randx.New(9)
 	scorer := rank.NewScorer(rank.FromIndex(f.central))
@@ -256,7 +256,7 @@ func Claim8CollectionSelection() *Result {
 // divergence shrinks as partitions get larger (fewer of them).
 func Claim9GlobalStats() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C9", Title: "Global vs local statistics: result agreement with the centralized ranking"}
+	r := newResult("C9")
 	scorer := rank.NewScorer(rank.FromIndex(f.central))
 	queries := queryTerms(f.test, 400)
 
@@ -312,7 +312,7 @@ func Claim9GlobalStats() *Result {
 // compression/skip ablation of the layout choices.
 func Claim14IndexBuild() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C14", Title: "Index construction strategies and layout ablation"}
+	r := newResult("C14")
 	opts := index.DefaultOptions()
 
 	timeIt := func(fn func() *index.Index) (*index.Index, float64) {

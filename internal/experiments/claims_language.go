@@ -20,7 +20,7 @@ import (
 // (one partition instead of all), and the cost of misrouting.
 func Claim17LanguageRouting() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C17", Title: "Language-partitioned index and language-identified query routing"}
+	r := newResult("C17")
 
 	langs := f.web.Config.Languages
 	langIdx := make(map[string]int, len(langs))

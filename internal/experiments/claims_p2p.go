@@ -14,7 +14,7 @@ import (
 // flat in the population size — until free-riding erodes the serving
 // fraction. Structured-overlay routing costs O(log n) hops.
 func Claim19P2PArchitecture() *Result {
-	r := &Result{ID: "C19", Title: "Client/server vs peer-to-peer: capacity scaling and overlay routing"}
+	r := newResult("C19")
 	m := p2p.CapacityModel{ServeQPS: 100, DemandQPS: 5}
 
 	// Capacity scaling.

@@ -15,7 +15,7 @@ import (
 // identical rankings without any server state.
 func Claim21Personalization() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C21", Title: "Personalization: consistent per-user state and client-side alternative"}
+	r := newResult("C21")
 
 	topicOf := func(doc int) int {
 		if doc >= 0 && doc < len(f.web.Pages) {

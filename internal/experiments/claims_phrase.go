@@ -18,7 +18,7 @@ import (
 // cuts the bill.
 func Claim20PhraseShipping() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C20", Title: "Phrase search: position shipping across the two partitionings"}
+	r := newResult("C20")
 	const k = 8
 
 	de, err := qproc.NewDocEngine(index.DefaultOptions(), f.docs, partition.RoundRobinDocs(f.docIDs(), k))

@@ -38,7 +38,7 @@ func newFixtureMultiSite(n int, policy qproc.RoutingPolicy, ttl float64, hourlyC
 // query-processor outage.
 func Claim10Caching() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C10", Title: "Result caching: policy hit ratios and failure masking"}
+	r := newResult("C10")
 
 	// Hit ratios on the full log replayed in arrival order; static keys
 	// for SDC come from the training days' most popular queries.
@@ -164,7 +164,7 @@ func Claim10Caching() *Result {
 // Claim11Replication (C11) tabulates availability versus replication
 // degree and exercises the three replication mechanisms under failures.
 func Claim11Replication() *Result {
-	r := &Result{ID: "C11", Title: "Replication degree vs availability, and mechanism behaviour under faults"}
+	r := newResult("C11")
 	t := metrics.NewTable("availability of r replicas (per-replica availability a)",
 		"a \\ r", "1", "2", "3", "4")
 	for _, a := range []float64{0.9, 0.95, 0.99} {
@@ -211,7 +211,7 @@ func Claim11Replication() *Result {
 // region-blind routing, and hourly offloading of a peaking region.
 func Claim12MultiSiteRouting() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C12", Title: "Multi-site routing: geographic proximity and peak-hour offloading (3 sites)"}
+	r := newResult("C12")
 
 	// Geo vs round-robin on the real log (regions + hours).
 	replay := func(policy qproc.RoutingPolicy) (mean float64) {
@@ -296,7 +296,7 @@ func Claim12MultiSiteRouting() *Result {
 // matches a full evaluation.
 func Claim13Incremental() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "C13", Title: "Incremental query processing across 3 sites"}
+	r := newResult("C13")
 	m := newFixtureMultiSite(3, qproc.RouteGeo, 0, 0)
 	var first, last metrics.Welford
 	var converged int

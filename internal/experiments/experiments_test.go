@@ -247,6 +247,9 @@ func TestRegistryRunsEverything(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range Registry() {
 		ids[e.ID] = true
+		if e.Title == "" {
+			t.Errorf("registry entry %s has no title", e.ID)
+		}
 	}
 	for _, want := range []string{"T1", "F1", "F2", "F5", "F6", "C1", "C2", "C3", "C4", "C5",
 		"C6", "C7", "C8", "C9", "C10", "C11", "C12", "C13", "C14"} {

@@ -16,7 +16,7 @@ import (
 // Table1Inventory (T1) prints the paper's Table 1 with the components of
 // this repository implementing each cell, and records full coverage.
 func Table1Inventory() *Result {
-	r := &Result{ID: "T1", Title: "Main modules of a distributed Web retrieval system, and key issues for each module"}
+	r := newResult("T1")
 	t := metrics.NewTable("module × issue coverage", "module", "issue", "paper topic", "implemented by")
 	covered := 0
 	for _, c := range core.Table1() {
@@ -43,7 +43,7 @@ func Table1Inventory() *Result {
 // inducing very different per-query server contact patterns.
 func Figure1Partitioning() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "F1", Title: "Document vs term partitioning of the term-document matrix"}
+	r := newResult("F1")
 	const k = 4
 	opts := index.DefaultOptions()
 
@@ -115,7 +115,7 @@ func Figure1Partitioning() *Result {
 // strongly imbalanced for pipelined term partitioning.
 func Figure2BusyLoad() *Result {
 	f := sharedFixture()
-	r := &Result{ID: "F2", Title: "Average busy load per server: document vs pipelined term partitioning (8 servers)"}
+	r := newResult("F2")
 	const k = 8
 	opts := index.DefaultOptions()
 
@@ -162,7 +162,7 @@ func Figure2BusyLoad() *Result {
 // histogram: 16 sites observed for 8 months; each bar is the average
 // number of sites whose monthly availability fell below the threshold.
 func Figure5Availability() *Result {
-	r := &Result{ID: "F5", Title: "Site unavailability in a 16-site multi-site system (8 months)"}
+	r := newResult("F5")
 	sites := cluster.NewSites(42, 16, 4, cluster.DefaultFailureModel(), 8*30*24)
 	monthly := cluster.MonthlyAvailability(sites, 8)
 	thresholds := []float64{1.0, 0.999, 0.995, 0.99, 0.98, 0.95}
@@ -187,7 +187,7 @@ func Figure5Availability() *Result {
 // the analytic bound c/E[S] across service times, validated by the
 // discrete-event simulator on both sides of the bound.
 func Figure6Capacity() *Result {
-	r := &Result{ID: "F6", Title: "Maximum capacity of a front-end server, G/G/150 model"}
+	r := newResult("F6")
 	const c = 150
 	t := metrics.NewTable("capacity bound vs service time",
 		"service (ms)", "bound (kqps)", "Kingman wait@95% load (ms)")

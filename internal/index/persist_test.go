@@ -51,7 +51,7 @@ func TestPersistRoundTrip(t *testing.T) {
 			t.Fatalf("block count %d round-tripped as %d", ref.NumBlocks(), it.NumBlocks())
 		}
 		for bi := 0; bi < ref.NumBlocks(); bi++ {
-			if it.BlockLastDoc(bi) != ref.BlockLastDoc(bi) ||
+			if it.pl.blocks[bi].lastDoc != ref.pl.blocks[bi].lastDoc ||
 				it.BlockMaxTF(bi) != ref.BlockMaxTF(bi) ||
 				it.BlockMinDocLen(bi) != ref.BlockMinDocLen(bi) ||
 				it.BlockMaxSat(bi) != ref.BlockMaxSat(bi) {

@@ -313,9 +313,8 @@ func decodeGroupVarint(data []byte, pos, n int, out []uint32) int {
 // Iterator walks a posting list in document order, decoding one block at
 // a time. Use Next to advance one posting and SkipTo to jump forward via
 // the block metadata; blocks the cursor jumps over are never decoded.
-// The block accessors (NumBlocks, BlockLastDoc, BlockMaxTF, ...) expose
-// the metadata dynamic-pruning evaluators skip non-competitive blocks
-// with.
+// The block accessors (NumBlocks, BlockMaxTF, BlockMaxSat, ...) expose
+// the metadata dynamic-pruning evaluators build their list bounds from.
 type Iterator struct {
 	pl      *postingList
 	opts    Options
@@ -532,14 +531,6 @@ func (it *Iterator) BytesDecoded() int64 { return it.bytes }
 
 // NumBlocks returns the number of skip-aligned blocks in the list.
 func (it *Iterator) NumBlocks() int { return len(it.pl.blocks) }
-
-// CurrentBlock returns the index of the block holding the current
-// posting. Valid only after Next or SkipTo returned true.
-func (it *Iterator) CurrentBlock() int { return it.bi }
-
-// BlockLastDoc returns the last document ordinal of block b — readable
-// without decoding the block.
-func (it *Iterator) BlockLastDoc(b int) int32 { return it.pl.blocks[b].lastDoc }
 
 // BlockMaxTF returns the maximum term frequency within block b.
 func (it *Iterator) BlockMaxTF(b int) int32 { return it.pl.blocks[b].maxTF }

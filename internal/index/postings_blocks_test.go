@@ -145,8 +145,8 @@ func TestBlockMetadataInvariants(t *testing.T) {
 		bs := ix.Options().blockSize()
 		for bi := 0; bi < it.NumBlocks(); bi++ {
 			lo, hi := bi*bs, min((bi+1)*bs, len(ps))
-			if it.BlockLastDoc(bi) != ps[hi-1].Doc {
-				t.Fatalf("term %q block %d: lastDoc %d, want %d", term, bi, it.BlockLastDoc(bi), ps[hi-1].Doc)
+			if it.pl.blocks[bi].lastDoc != ps[hi-1].Doc {
+				t.Fatalf("term %q block %d: lastDoc %d, want %d", term, bi, it.pl.blocks[bi].lastDoc, ps[hi-1].Doc)
 			}
 			for _, p := range ps[lo:hi] {
 				if p.TF > it.BlockMaxTF(bi) {

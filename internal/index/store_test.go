@@ -165,7 +165,7 @@ func TestSegmentWriterStreamsToReferenceIndex(t *testing.T) {
 		t.Fatalf("buffered %d docs, want %d", w.Buffered(), len(docs)%32)
 	}
 	// Buffered docs are not yet searchable — that gap is the freshness
-	// lag the -fresh scenario measures.
+	// lag the fresh scenario measures.
 	if s.Manifest().NumDocs() != len(docs)-w.Buffered() {
 		t.Fatalf("manifest has %d docs before Cut, want %d", s.Manifest().NumDocs(), len(docs)-w.Buffered())
 	}

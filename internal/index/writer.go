@@ -10,7 +10,7 @@ import "fmt"
 // searchable through the store's manifest, and the store's merge policy
 // compacts them inline or in the background. Documents still in the
 // unsealed buffer are NOT searchable — the gap between fetch and seal
-// is exactly the freshness lag dwrbench -fresh measures.
+// is exactly the freshness lag dwrbench -run fresh measures.
 //
 // A SegmentWriter is a single-goroutine producer; concurrent searches
 // go through the store's Manifest.

@@ -58,11 +58,11 @@ func liveOver(t *testing.T, stores []*index.SegmentStore, options ...Option) *Li
 }
 
 // brokerGrid runs fn over the grid every static-vs-live equivalence
-// check covers: widths {1,4,16} × pruning {none, MaxScore, Block-Max} ×
+// check covers: widths {1,4,16} × pruning {none, MaxScore} ×
 // {single-wave, shared thresholds}.
 func brokerGrid(fn func(label string, options ...Option)) {
 	for _, workers := range []int{1, 4, 16} {
-		for _, mode := range []rank.Pruning{rank.PruneNone, rank.PruneMaxScore, rank.PruneBlockMax} {
+		for _, mode := range []rank.Pruning{rank.PruneNone, rank.PruneMaxScore} {
 			for _, shared := range []bool{false, true} {
 				fn(fmt.Sprintf("workers=%d pruning=%d shared=%v", workers, mode, shared),
 					WithWorkers(workers), WithPruning(mode), WithThresholdSharing(shared))

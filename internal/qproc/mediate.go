@@ -251,7 +251,7 @@ func (m *MultiSite) QueryExhaustiveResults(terms []string, atHours float64, k in
 
 // ObserveSelectionRecall feeds one Recall@k measurement of a mediated
 // answer against the exhaustive fan-out into the selection counters.
-// Callers that sample quality (mediator.Federation, dwrbench -federate)
+// Callers that sample quality (mediator.Federation, dwrbench -run federate)
 // use it so EngineStats.Selection reports measured — not asserted —
 // result quality.
 func (m *MultiSite) ObserveSelectionRecall(r float64) {

@@ -84,9 +84,9 @@ func WithPostingsCache(bytesPerServer int64) Option {
 }
 
 // WithPruning selects the engine's default top-k evaluation strategy
-// for disjunctive queries: rank.PruneMaxScore or rank.PruneBlockMax
-// enable dynamic pruning over the block-max posting metadata,
-// rank.PruneNone (the default) evaluates exhaustively. Pruned and
+// for disjunctive queries: rank.PruneMaxScore enables dynamic pruning
+// over the per-block score-bound posting metadata, rank.PruneNone (the
+// default) evaluates exhaustively. Pruned and
 // exhaustive evaluation are rank-identical (see rank.EvaluateTopK); only
 // the decode work differs, so brokers, caches, fault policy, and
 // deadline propagation compose unchanged. Per-query DocQueryOptions.

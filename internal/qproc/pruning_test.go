@@ -31,7 +31,7 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		for _, cacheBytes := range []int64{0, 1 << 21} {
-			for _, mode := range []rank.Pruning{rank.PruneMaxScore, rank.PruneBlockMax} {
+			for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
 				e := newDocEngine(t, docs, parts,
 					WithWorkers(workers),
 					WithPostingsCache(cacheBytes),
@@ -51,13 +51,13 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 }
 
 // TestDocEnginePrunedDecodesFewerBytes checks the accounting plumbing:
-// PostingBytesDecoded is reported, and block-max pruning decodes fewer
+// PostingBytesDecoded is reported, and MaxScore pruning decodes fewer
 // posting bytes than exhaustive evaluation over a query batch.
 func TestDocEnginePrunedDecodesFewerBytes(t *testing.T) {
 	docs := corpus(33, 1200, 1500)
 	queries := zipfQueries(34, 150, 1500)
 	exh := newDocEngine(t, docs, 4)
-	prn := newDocEngine(t, docs, 4, WithPruning(rank.PruneBlockMax))
+	prn := newDocEngine(t, docs, 4, WithPruning(rank.PruneMaxScore))
 	var exhBytes, prnBytes int64
 	for _, q := range queries {
 		a := exh.Query(q, DocQueryOptions{K: 10})
@@ -78,7 +78,7 @@ func TestDocEnginePrunedDecodesFewerBytes(t *testing.T) {
 // so differently-evaluated answers don't collide.
 func TestDocEnginePruningOptionPlumbing(t *testing.T) {
 	docs := corpus(35, 300, 800)
-	e := newDocEngine(t, docs, 2, WithPruning(rank.PruneBlockMax))
+	e := newDocEngine(t, docs, 2, WithPruning(rank.PruneMaxScore))
 	q := []string{"w0003", "w0011"}
 	def := e.Query(q, DocQueryOptions{K: 5})
 	per := e.Query(q, DocQueryOptions{K: 5, Pruning: rank.PruneMaxScore})

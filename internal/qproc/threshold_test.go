@@ -32,7 +32,7 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		for _, cacheBytes := range []int64{0, 1 << 21} {
-			for _, mode := range []rank.Pruning{rank.PruneMaxScore, rank.PruneBlockMax} {
+			for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
 				e := newDocEngine(t, docs, parts,
 					WithWorkers(workers),
 					WithResultCache(ResultCacheConfig{Capacity: 256}),
@@ -57,14 +57,14 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 
 // TestThresholdSharingSkipsAndSaves checks the point of the schedule:
 // over a query batch the wave path skips partitions, decodes fewer
-// posting bytes than the single-wave block-max baseline, and reports it
+// posting bytes than the single-wave MaxScore baseline, and reports it
 // all through QueryResult and EngineStats.Threshold.
 func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 	docs := corpus(53, 1600, 1500)
 	queries := zipfQueries(54, 150, 1500)
 	parts := 8
-	base := newDocEngine(t, docs, parts, WithPruning(rank.PruneBlockMax))
-	ts := newDocEngine(t, docs, parts, WithPruning(rank.PruneBlockMax), WithThresholdSharing(true))
+	base := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore))
+	ts := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
 	var baseBytes, tsBytes int64
 	var skipped, waves int
 	for _, q := range queries {
@@ -138,7 +138,7 @@ func TestThresholdSharingUnderFaultsEquivalence(t *testing.T) {
 	mk := func(shared bool) *DocEngine {
 		return newDocEngine(t, docs, parts,
 			WithWorkers(4),
-			WithPruning(rank.PruneBlockMax),
+			WithPruning(rank.PruneMaxScore),
 			WithThresholdSharing(shared),
 			WithFaultPolicy(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort}),
 			WithInjector(faultsim.New(42).Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12})))

@@ -18,11 +18,6 @@ const (
 	// exceeds their combined bound, and non-essential probes abandon
 	// early.
 	PruneMaxScore
-	// PruneBlockMax is PruneMaxScore plus block-level skipping (Ding &
-	// Suel's Block-Max WAND idea): when the current candidates' per-block
-	// upper bounds cannot beat the threshold, the evaluator skips past
-	// whole blocks without decoding them.
-	PruneBlockMax
 )
 
 // pruneSlack is the relative score tolerance of the pruned evaluators: a
@@ -243,57 +238,6 @@ func evaluateTopK(pp PostingsProvider, ix *index.Index, dead func(ext int) bool,
 		}
 		if !alive {
 			return finish(tk)
-		}
-
-		if mode == PruneBlockMax && !math.IsInf(thr, -1) {
-			// Block-level check: bound the candidate by the current blocks
-			// of the essential cursors positioned at it. If non-competitive,
-			// every document up to the nearest of (a) those blocks' last
-			// documents and (b) the next essential cursor's document is
-			// equally bounded, so skip the whole range without decoding.
-			bound := 0.0
-			if m > 0 {
-				bound = prefix[m-1]
-			}
-			blockLast := int32(math.MaxInt32)
-			next := int32(math.MaxInt32)
-			for _, i := range order[m:] {
-				c := &cursors[i]
-				if c.done {
-					continue
-				}
-				if c.doc == d {
-					bound += c.blockUB(s, c.it.CurrentBlock())
-					if l := c.it.BlockLastDoc(c.it.CurrentBlock()); l < blockLast {
-						blockLast = l
-					}
-				} else if c.doc < next {
-					next = c.doc
-				}
-			}
-			if bound < thr {
-				target := blockLast + 1
-				if next < target {
-					target = next
-				}
-				if target <= d {
-					target = d + 1
-				}
-				for _, i := range order[m:] {
-					c := &cursors[i]
-					if c.done || c.doc != d {
-						continue
-					}
-					if c.it.SkipTo(target) {
-						es.PostingsDecoded++
-						p := c.it.Posting()
-						c.doc, c.tf = p.Doc, p.TF
-					} else {
-						c.done = true
-					}
-				}
-				continue
-			}
 		}
 
 		// Score the candidate: essential contributions first, then probe

@@ -51,7 +51,7 @@ func TestPrunedEquivalenceExhaustive(t *testing.T) {
 		s := NewScorer(FromIndex(ix))
 		rng := rand.New(rand.NewSource(12))
 		queries := pruneQueries(rng, ix, 150)
-		for _, mode := range []Pruning{PruneMaxScore, PruneBlockMax} {
+		for _, mode := range []Pruning{PruneMaxScore} {
 			for _, k := range []int{1, 3, 10, 100} {
 				for qi, q := range queries {
 					want, _ := EvaluateOR(ix, s, q, k)
@@ -82,7 +82,7 @@ func TestPrunedEquivalenceNonDefaultScorer(t *testing.T) {
 		{K1: index.DefaultBM25K1, B: index.DefaultBM25B, Stats: st},
 	}
 	for si, s := range scorers {
-		for _, mode := range []Pruning{PruneMaxScore, PruneBlockMax} {
+		for _, mode := range []Pruning{PruneMaxScore} {
 			for _, q := range queries {
 				want, _ := EvaluateOR(ix, s, q, 10)
 				got, _ := EvaluateTopK(ix, s, q, 10, mode)
@@ -109,7 +109,7 @@ func TestPrunedEquivalenceWithCache(t *testing.T) {
 		for _, q := range queries {
 			cp := pc.Bind(ix)
 			want, _ := EvaluateORFrom(ix, ix, s, q, 10)
-			got, _ := EvaluateTopKFrom(cp, ix, s, q, 10, PruneBlockMax)
+			got, _ := EvaluateTopKFrom(cp, ix, s, q, 10, PruneMaxScore)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query %v: cached pruned differs:\n%v\n%v", q, want, got)
 			}
@@ -130,20 +130,20 @@ func TestPrunedEquivalenceFallbacks(t *testing.T) {
 	term := ix.Terms()[0]
 	for _, q := range [][]string{nil, {"absent"}, {term}, {term, term, "absent"}} {
 		want, _ := EvaluateOR(ix, s, q, 10)
-		for _, mode := range []Pruning{PruneNone, PruneMaxScore, PruneBlockMax} {
+		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			got, _ := EvaluateTopK(ix, s, q, 10, mode)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("mode %d query %v: %v vs %v", mode, q, want, got)
 			}
 		}
 	}
-	if rs, _ := EvaluateTopK(ix, s, []string{term}, 0, PruneBlockMax); len(rs) != 0 {
+	if rs, _ := EvaluateTopK(ix, s, []string{term}, 0, PruneMaxScore); len(rs) != 0 {
 		t.Fatalf("k=0 returned %v", rs)
 	}
 }
 
 // TestPrunedDecodesFewerBytes is the point of the whole exercise: on
-// top-10 queries the block-max evaluator must decode strictly fewer
+// top-10 queries the MaxScore evaluator must decode strictly fewer
 // posting bytes than the exhaustive one, without changing results.
 func TestPrunedDecodesFewerBytes(t *testing.T) {
 	ix := pruneCorpus(19, index.DefaultOptions())
@@ -152,7 +152,7 @@ func TestPrunedDecodesFewerBytes(t *testing.T) {
 	var exhaustive, pruned int64
 	for _, q := range pruneQueries(rng, ix, 200) {
 		_, e1 := EvaluateOR(ix, s, q, 10)
-		_, e2 := EvaluateTopK(ix, s, q, 10, PruneBlockMax)
+		_, e2 := EvaluateTopK(ix, s, q, 10, PruneMaxScore)
 		exhaustive += e1.BytesDecoded
 		pruned += e2.BytesDecoded
 	}
@@ -160,8 +160,8 @@ func TestPrunedDecodesFewerBytes(t *testing.T) {
 		t.Fatal("exhaustive evaluation decoded nothing")
 	}
 	if pruned >= exhaustive {
-		t.Fatalf("block-max decoded %d bytes, exhaustive %d — no savings", pruned, exhaustive)
+		t.Fatalf("maxscore decoded %d bytes, exhaustive %d — no savings", pruned, exhaustive)
 	}
-	t.Logf("decoded bytes: exhaustive %d, block-max %d (%.1f%%)",
+	t.Logf("decoded bytes: exhaustive %d, maxscore %d (%.1f%%)",
 		exhaustive, pruned, 100*float64(pruned)/float64(exhaustive))
 }

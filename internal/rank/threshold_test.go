@@ -27,7 +27,7 @@ func TestSeededEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	for _, mode := range []Pruning{PruneMaxScore, PruneBlockMax} {
+	for _, mode := range []Pruning{PruneMaxScore} {
 		for _, k := range []int{1, 5, 10} {
 			for qi, q := range queries {
 				exh, _ := EvaluateOR(ix, s, q, k)
@@ -63,7 +63,7 @@ func TestSeedZeroMatchesUnseeded(t *testing.T) {
 	s := NewScorer(FromIndex(ix))
 	rng := rand.New(rand.NewSource(44))
 	for _, q := range pruneQueries(rng, ix, 60) {
-		for _, mode := range []Pruning{PruneNone, PruneMaxScore, PruneBlockMax} {
+		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			want, wes := EvaluateTopK(ix, s, q, 10, mode)
 			for _, seed := range []float64{0, -1} {
 				got, ges := EvaluateTopKSeeded(ix, s, q, 10, mode, seed)

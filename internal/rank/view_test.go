@@ -74,7 +74,7 @@ func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 		}
 		for _, k := range []int{1, 10, 100} {
 			want, _ := EvaluateOR(ix, s, q, k)
-			for _, mode := range []Pruning{PruneNone, PruneMaxScore, PruneBlockMax} {
+			for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 				got, es := EvaluateView(view, nil, s, q, k, mode, 0)
 				if len(want) == 0 && len(got) == 0 {
 					continue
@@ -112,7 +112,7 @@ func TestViewEquivalenceSingleSegmentIsTheEvaluator(t *testing.T) {
 	s := NewScorer(FromIndex(ix))
 	rng := rand.New(rand.NewSource(64))
 	for _, q := range pruneQueries(rng, ix, 60) {
-		for _, mode := range []Pruning{PruneNone, PruneMaxScore, PruneBlockMax} {
+		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			for _, seed := range []float64{0, 2.5} {
 				want, wes := EvaluateTopKSeeded(ix, s, q, 10, mode, seed)
 				got, ges := EvaluateView(view, nil, s, q, 10, mode, seed)
@@ -153,7 +153,7 @@ func TestViewEquivalenceTombstones(t *testing.T) {
 		s := NewScorer(FromGlobal(view.LocalStats(q)))
 		for _, k := range []int{1, 10, 100} {
 			want, _ := EvaluateOR(survivors, s, q, k)
-			for _, mode := range []Pruning{PruneNone, PruneMaxScore, PruneBlockMax} {
+			for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 				got, _ := EvaluateView(view, nil, s, q, k, mode, 0)
 				for _, r := range got {
 					if dead[r.Doc] {
