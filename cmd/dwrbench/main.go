@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cacheTTL := fs.Int("cachettl", 0, "result-cache entry TTL in queries (0 = never expires)")
 	cacheShards := fs.Int("cacheshards", 0, "result-cache lock shards (0 = 8)")
 	cachePolicy := fs.String("cachepolicy", "lru", "result-cache replacement for -cachecap: lru | lfu")
-	plCache := fs.Int64("plcache", 0, "per-server posting-list cache budget in bytes of resident encoded blocks plus block metadata (0 = off; results are identical, only decode work changes)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,9 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			TTLQueries: *cacheTTL,
 			Policy:     policy,
 		}))
-	}
-	if *plCache > 0 {
-		defaults = append(defaults, qproc.WithPostingsCache(*plCache))
 	}
 	qproc.SetDefaultOptions(defaults...)
 

@@ -33,7 +33,6 @@ func main() {
 	cacheTTL := flag.Int("cachettl", 0, "result-cache entry TTL in queries (0 = never expires)")
 	cacheShards := flag.Int("cacheshards", 0, "result-cache lock shards (0 = 8)")
 	cachePolicy := flag.String("cachepolicy", "sdc", "result-cache replacement: lru | lfu | sdc (sdc warms its static set from a query-log sample)")
-	plCache := flag.Int64("plcache", 0, "per-partition posting-list cache budget in bytes of resident encoded blocks plus block metadata (0 = off)")
 	flag.Parse()
 
 	qproc.SetDefaultOptions(qproc.WithWorkers(*workers))
@@ -49,11 +48,10 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Cache = core.CacheConfig{
-		Capacity:     *cacheCap,
-		Shards:       *cacheShards,
-		TTLQueries:   *cacheTTL,
-		Policy:       policy,
-		PostingBytes: *plCache,
+		Capacity:   *cacheCap,
+		Shards:     *cacheShards,
+		TTLQueries: *cacheTTL,
+		Policy:     policy,
 	}
 	switch *strategy {
 	case "random":

@@ -12,26 +12,9 @@ import (
 	"dwr/internal/mediator"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
-	"dwr/internal/server"
-	"dwr/internal/textproc"
 )
 
-// federateServeOptions carries the -federate configuration.
-type federateServeOptions struct {
-	addr                  string
-	c, queueCap           int
-	deadline              float64
-	admitRate, admitBurst float64
-	shedTarget            float64
-	shedWindow            int
-	seed                  int64
-	hosts, partitions     int
-	workers, cacheCap     int
-	sites                 int
-	sampleEvery           int
-}
-
-// runFederate serves the crawled corpus as a federation of sites with
+// newFederate serves the crawled corpus as a federation of sites with
 // the query mediator on the serving path: documents are split across
 // sites by Web host (the natural federation boundary — one site per
 // group of hosts), a mediator maintains per-site collection statistics,
@@ -39,19 +22,11 @@ type federateServeOptions struct {
 // full fan-out as the low-confidence fallback. The /stats endpoint's
 // Selection counters report how many sites queries touched and the
 // sampled Recall@k of mediated answers against the exhaustive fan-out.
-func runFederate(o federateServeOptions) error {
-	qproc.SetDefaultOptions(qproc.WithWorkers(o.workers))
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.seed
-	cfg.Web.Seed = o.seed
-	cfg.Web.Hosts = o.hosts
-	cfg.Partitions = o.partitions
-	cfg.Workers = o.workers
-
-	fmt.Printf("dwrserve: building federation corpus (%d hosts)...\n", o.hosts)
-	eng, err := core.Build(cfg)
+// It returns the HTTP handler plus the built corpus.
+func newFederate(o options) (http.Handler, *core.Engine, error) {
+	eng, err := buildCorpus(o, 0)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	// Split the corpus across sites by host: every page of a host lands
@@ -67,15 +42,15 @@ func runFederate(o federateServeOptions) error {
 	var srcs []mediator.StatsSource
 	for s := range engines {
 		if len(siteDocs[s]) == 0 {
-			return fmt.Errorf("site %d received no documents; use fewer sites or more hosts", s)
+			return nil, nil, fmt.Errorf("site %d received no documents; use fewer sites or more hosts", s)
 		}
 		ids := make([]int, len(siteDocs[s]))
 		for i, d := range siteDocs[s] {
 			ids[i] = d.Ext
 		}
-		e, err := qproc.NewDocEngine(cfg.Index, siteDocs[s], partition.RoundRobinDocs(ids, o.partitions))
+		e, err := qproc.NewDocEngine(eng.Config.Index, siteDocs[s], partition.RoundRobinDocs(ids, o.partitions))
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		engines[s] = e
 		srcs = append(srcs, mediator.EngineSource{Eng: e})
@@ -97,22 +72,7 @@ func runFederate(o federateServeOptions) error {
 	}
 	fed := mediator.NewFederation(ms)
 	fed.SampleEvery = o.sampleEvery
-
-	f := server.NewFrontend(fed, server.Config{
-		Workers:    o.c,
-		QueueCap:   o.queueCap,
-		DeadlineMs: o.deadline,
-		AdmitRate:  o.admitRate,
-		AdmitBurst: o.admitBurst,
-		Shed:       server.ShedConfig{TargetP99Ms: o.shedTarget, Window: o.shedWindow},
-		Seed:       o.seed,
-	})
-	f.Tokenize = textproc.Tokenize
-	f.Resolve = eng.URLOf
-
-	fmt.Printf("dwrserve: serving FEDERATED on %s (c=%d workers, %d sites, mediated collection selection)\n",
-		o.addr, o.c, o.sites)
-	return http.ListenAndServe(o.addr, f.Handler())
+	return frontend(fed, eng.URLOf, o), eng, nil
 }
 
 // hostSite assigns a document's host to a site deterministically.

@@ -45,102 +45,15 @@ import (
 	"dwr/internal/crawler"
 	"dwr/internal/index"
 	"dwr/internal/qproc"
+	"dwr/internal/rank"
 	"dwr/internal/server"
 	"dwr/internal/simweb"
 	"dwr/internal/textproc"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	c := flag.Int("c", 150, "worker pool width (the G/G/c 'c'; the paper's 150-thread Apache configuration)")
-	queueCap := flag.Int("queuecap", 0, "wait queue bound across classes (0 = 2x workers, -1 = no queue)")
-	deadline := flag.Float64("deadline", 0, "per-request deadline in ms, propagated into the engine (0 = none)")
-	admitRate := flag.Float64("admitrate", 0, "token-bucket sustained admissions per second (0 = off)")
-	admitBurst := flag.Float64("admitburst", 0, "token-bucket burst (0 = worker count)")
-	shedTarget := flag.Float64("shedtarget", 0, "adaptive shedder p99 latency SLO in ms (0 = off)")
-	shedWindow := flag.Int("shedwindow", 0, "completions per shed control period (0 = 200)")
-	seed := flag.Int64("seed", 1, "build + admission seed")
-	hosts := flag.Int("hosts", 80, "hosts in the synthetic web")
-	partitions := flag.Int("partitions", 4, "query processors")
-	workers := flag.Int("workers", 0, "engine scatter-gather fan-out (0 = GOMAXPROCS); distinct from -c, the front-end pool")
-	cacheCap := flag.Int("cachecap", 0, "broker result-cache capacity in entries (0 = off)")
-	live := flag.Bool("live", false, "serve while crawling: stream crawled pages into per-partition segment writers and answer queries over atomically swapped segment manifests, with merges on a background pool")
-	segDocs := flag.Int("segdocs", 128, "documents per sealed segment for -live")
-	mergeWorkers := flag.Int("mergeworkers", 2, "background merge pool width for -live")
-	federate := flag.Bool("federate", false, "serve as a federation of sites with mediated collection selection: documents are split across -sites by Web host, and a query mediator decides per query which sites to contact (full fan-out on low confidence)")
-	sites := flag.Int("sites", 4, "federation sites for -federate")
-	sampleEvery := flag.Int("sampleevery", 16, "sample Recall@k of every Nth mediated answer against the exhaustive fan-out for -federate (0 = off)")
-	flag.Parse()
-
-	if *federate {
-		if err := runFederate(federateServeOptions{
-			addr: *addr, c: *c, queueCap: *queueCap, deadline: *deadline,
-			admitRate: *admitRate, admitBurst: *admitBurst,
-			shedTarget: *shedTarget, shedWindow: *shedWindow,
-			seed: *seed, hosts: *hosts, partitions: *partitions,
-			workers: *workers, cacheCap: *cacheCap,
-			sites: *sites, sampleEvery: *sampleEvery,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *live {
-		if err := runLive(liveOptions{
-			addr: *addr, c: *c, queueCap: *queueCap, deadline: *deadline,
-			admitRate: *admitRate, admitBurst: *admitBurst,
-			shedTarget: *shedTarget, shedWindow: *shedWindow,
-			seed: *seed, hosts: *hosts, partitions: *partitions,
-			workers: *workers, cacheCap: *cacheCap,
-			segDocs: *segDocs, mergeWorkers: *mergeWorkers,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "dwrserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	qproc.SetDefaultOptions(qproc.WithWorkers(*workers))
-	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Web.Seed = *seed
-	cfg.Web.Hosts = *hosts
-	cfg.Partitions = *partitions
-	cfg.Workers = *workers
-	cfg.Cache = core.CacheConfig{Capacity: *cacheCap}
-
-	fmt.Printf("dwrserve: building engine (%d hosts, %d partitions)...\n", *hosts, *partitions)
-	eng, err := core.Build(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dwrserve: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("dwrserve: %d documents indexed across %d partitions\n",
-		len(eng.Docs), eng.Query.K())
-
-	f := server.NewFrontend(eng.Query, server.Config{
-		Workers:    *c,
-		QueueCap:   *queueCap,
-		DeadlineMs: *deadline,
-		AdmitRate:  *admitRate,
-		AdmitBurst: *admitBurst,
-		Shed:       server.ShedConfig{TargetP99Ms: *shedTarget, Window: *shedWindow},
-		Seed:       *seed,
-	})
-	f.Tokenize = textproc.Tokenize
-	f.Resolve = eng.URLOf
-
-	fmt.Printf("dwrserve: serving on %s (c=%d workers)\n", *addr, *c)
-	if err := http.ListenAndServe(*addr, f.Handler()); err != nil {
-		fmt.Fprintf(os.Stderr, "dwrserve: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// liveOptions carries the -live configuration.
-type liveOptions struct {
+// options is the parsed command line: the front-end settings every mode
+// shares, then each mode's own.
+type options struct {
 	addr                  string
 	c, queueCap           int
 	deadline              float64
@@ -150,34 +63,119 @@ type liveOptions struct {
 	seed                  int64
 	hosts, partitions     int
 	workers, cacheCap     int
-	segDocs, mergeWorkers int
+	segDocs, mergeWorkers int // -live
+	sites, sampleEvery    int // -federate
 }
 
-// runLive brings the HTTP front-end up over empty segment stores and
-// lets a crawl fill them while queries are served: the continuous
-// crawl-index-serve pipeline on wall-clock time.
-func runLive(o liveOptions) error {
-	h, crawl, err := newLive(o)
-	if err != nil {
-		return err
+func main() {
+	var o options
+	flag.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	flag.IntVar(&o.c, "c", 150, "worker pool width (the G/G/c 'c'; the paper's 150-thread Apache configuration)")
+	flag.IntVar(&o.queueCap, "queuecap", 0, "wait queue bound across classes (0 = 2x workers, -1 = no queue)")
+	flag.Float64Var(&o.deadline, "deadline", 0, "per-request deadline in ms, propagated into the engine (0 = none)")
+	flag.Float64Var(&o.admitRate, "admitrate", 0, "token-bucket sustained admissions per second (0 = off)")
+	flag.Float64Var(&o.admitBurst, "admitburst", 0, "token-bucket burst (0 = worker count)")
+	flag.Float64Var(&o.shedTarget, "shedtarget", 0, "adaptive shedder p99 latency SLO in ms (0 = off)")
+	flag.IntVar(&o.shedWindow, "shedwindow", 0, "completions per shed control period (0 = 200)")
+	flag.Int64Var(&o.seed, "seed", 1, "build + admission seed")
+	flag.IntVar(&o.hosts, "hosts", 80, "hosts in the synthetic web")
+	flag.IntVar(&o.partitions, "partitions", 4, "query processors")
+	flag.IntVar(&o.workers, "workers", 0, "engine scatter-gather fan-out (0 = GOMAXPROCS); distinct from -c, the front-end pool")
+	flag.IntVar(&o.cacheCap, "cachecap", 0, "broker result-cache capacity in entries (0 = off)")
+	live := flag.Bool("live", false, "serve while crawling: stream crawled pages into per-partition segment writers and answer queries over atomically swapped segment manifests, with merges on a background pool")
+	flag.IntVar(&o.segDocs, "segdocs", 128, "documents per sealed segment for -live")
+	flag.IntVar(&o.mergeWorkers, "mergeworkers", 2, "background merge pool width for -live")
+	federate := flag.Bool("federate", false, "serve as a federation of sites with mediated collection selection: documents are split across -sites by Web host, and a query mediator decides per query which sites to contact (full fan-out on low confidence)")
+	flag.IntVar(&o.sites, "sites", 4, "federation sites for -federate")
+	flag.IntVar(&o.sampleEvery, "sampleevery", 16, "sample Recall@k of every Nth mediated answer against the exhaustive fan-out for -federate (0 = off)")
+	flag.Parse()
+
+	var h http.Handler
+	var err error
+	mode := "static"
+	switch {
+	case *federate:
+		mode = "federated"
+		h, _, err = newFederate(o)
+	case *live:
+		mode = "live"
+		var crawl func() (fetched, indexed int)
+		if h, crawl, err = newLive(o); err == nil {
+			go func() {
+				fetched, indexed := crawl()
+				fmt.Printf("dwrserve: crawl finished — %d pages fetched, %d docs searchable\n", fetched, indexed)
+			}()
+		}
+	default:
+		h, _, err = newStatic(o)
 	}
-	go func() {
-		fetched, indexed := crawl()
-		fmt.Printf("dwrserve: crawl finished — %d pages fetched, %d docs searchable\n", fetched, indexed)
-	}()
-	fmt.Printf("dwrserve: serving LIVE on %s (c=%d workers, %d partitions filling as the crawl runs)\n",
-		o.addr, o.c, o.partitions)
-	return http.ListenAndServe(o.addr, h)
+	if err == nil {
+		fmt.Printf("dwrserve: serving (%s) on %s (c=%d workers)\n", mode, o.addr, o.c)
+		err = http.ListenAndServe(o.addr, h)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dwrserve: %v\n", err)
+		os.Exit(1)
+	}
 }
 
-// newLive wires the -live system and returns its HTTP handler plus the
-// crawl that fills it. crawl runs to completion — streaming every page
-// into the segment writers, sealing the final partial segments, and
-// waiting out the background merges — and reports pages fetched and
-// documents indexed. It is the single writer (segment writers are
-// single-producer); queries read immutable manifest snapshots, so they
-// never block on ingest or on the background merges.
-func newLive(o liveOptions) (h http.Handler, crawl func() (fetched, indexed int), err error) {
+// frontend puts the serving pipeline the flags describe in front of eng.
+func frontend(eng qproc.Engine, resolve func(doc int) string, o options) http.Handler {
+	f := server.NewFrontend(eng, server.Config{
+		Workers:    o.c,
+		QueueCap:   o.queueCap,
+		DeadlineMs: o.deadline,
+		AdmitRate:  o.admitRate,
+		AdmitBurst: o.admitBurst,
+		Shed:       server.ShedConfig{TargetP99Ms: o.shedTarget, Window: o.shedWindow},
+		Seed:       o.seed,
+	})
+	f.Tokenize = textproc.Tokenize
+	f.Resolve = resolve
+	return f.Handler()
+}
+
+// buildCorpus crawls and indexes the synthetic Web the static and
+// -federate modes serve. Every engine they construct evaluates with
+// MaxScore pruning and threshold sharing — rank-identical to exhaustive
+// evaluation, and the configuration bench/ and docs/BENCH_pruning.json
+// measure. (-live stays at the engine defaults, which is what bench/'s
+// live_ingest measures.)
+func buildCorpus(o options, cacheCap int) (*core.Engine, error) {
+	qproc.SetDefaultOptions(qproc.WithWorkers(o.workers),
+		qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))
+	cfg := core.DefaultConfig()
+	cfg.Seed = o.seed
+	cfg.Web.Seed = o.seed
+	cfg.Web.Hosts = o.hosts
+	cfg.Partitions = o.partitions
+	cfg.Workers = o.workers
+	cfg.Cache = core.CacheConfig{Capacity: cacheCap}
+	fmt.Printf("dwrserve: building corpus (%d hosts, %d partitions)...\n", o.hosts, o.partitions)
+	return core.Build(cfg)
+}
+
+// newStatic builds the whole index up front and returns the HTTP
+// handler over its document-partitioned engine, plus the built system.
+func newStatic(o options) (http.Handler, *core.Engine, error) {
+	eng, err := buildCorpus(o, o.cacheCap)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("dwrserve: %d documents indexed across %d partitions\n", len(eng.Docs), eng.Query.K())
+	return frontend(eng.Query, eng.URLOf, o), eng, nil
+}
+
+// newLive brings the front-end up over empty segment stores and returns
+// its HTTP handler plus the crawl that fills them while queries are
+// served: the continuous crawl-index-serve pipeline. crawl runs to
+// completion — streaming every page into the segment writers, sealing
+// the final partial segments, and waiting out the background merges —
+// and reports pages fetched and documents indexed. It is the single
+// writer (segment writers are single-producer); queries read immutable
+// manifest snapshots, so they never block on ingest or on the
+// background merges.
+func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), err error) {
 	wcfg := simweb.DefaultConfig()
 	wcfg.Seed = o.seed
 	wcfg.Hosts = o.hosts
@@ -234,16 +232,5 @@ func newLive(o liveOptions) (h http.Handler, crawl func() (fetched, indexed int)
 		return st.DistinctPages, indexed
 	}
 
-	f := server.NewFrontend(eng, server.Config{
-		Workers:    o.c,
-		QueueCap:   o.queueCap,
-		DeadlineMs: o.deadline,
-		AdmitRate:  o.admitRate,
-		AdmitBurst: o.admitBurst,
-		Shed:       server.ShedConfig{TargetP99Ms: o.shedTarget, Window: o.shedWindow},
-		Seed:       o.seed,
-	})
-	f.Tokenize = textproc.Tokenize
-	f.Resolve = web.URL
-	return f.Handler(), crawl, nil
+	return frontend(eng, web.URL, o), crawl, nil
 }

@@ -2,15 +2,31 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 
+	"dwr/internal/index"
+	"dwr/internal/qproc"
+	"dwr/internal/rank"
 	"dwr/internal/simweb"
 	"dwr/internal/textproc"
 )
+
+// hit is one /search result as the tests read it.
+type hit struct {
+	Doc   int
+	Score float64
+	URL   string
+}
+
+// leadingWords is a two-term query text taken from a document's head.
+func leadingWords(d index.Doc) string {
+	return strings.Join(d.Terms[:min(2, len(d.Terms))], " ")
+}
 
 // getJSON fetches path from srv and decodes the JSON body into v.
 func getJSON(t *testing.T, srv *httptest.Server, path string, v any) int {
@@ -32,7 +48,7 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) int {
 // surface then finds those pages, reports every partition, and counts
 // the query.
 func TestLiveServesTheCrawl(t *testing.T) {
-	o := liveOptions{c: 4, seed: 1, hosts: 45, partitions: 3, workers: 2,
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, workers: 2,
 		cacheCap: 32, segDocs: 32, mergeWorkers: 2, deadline: 1000}
 	h, crawl, err := newLive(o)
 	if err != nil {
@@ -101,5 +117,111 @@ func TestLiveServesTheCrawl(t *testing.T) {
 	getJSON(t, srv, "/stats", &stats)
 	if stats.Served != 2 || stats.EngineQueries == 0 || stats.Units != o.partitions {
 		t.Fatalf("stats: %+v, want 2 served, engine queries counted, %d units", stats, o.partitions)
+	}
+}
+
+// TestStaticServesTheMeasuredConfiguration drives the default wiring:
+// the engine behind /search evaluates with MaxScore pruning and
+// threshold sharing (the configuration bench/ measures), and what it
+// serves is still bit for bit the exhaustive per-partition evaluation,
+// merged.
+func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
+	defer qproc.SetDefaultOptions()
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, workers: 2, deadline: 1000}
+	h, eng, err := newStatic(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	const k = 10
+	scorer := rank.NewScorer(rank.FromGlobal(eng.Query.GlobalStats()))
+	lists := make([][]rank.Result, eng.Query.K())
+	for i := 0; i < len(eng.Docs); i += len(eng.Docs) / 25 {
+		text := leadingWords(eng.Docs[i])
+		terms := textproc.Tokenize(text)
+		for p := range lists {
+			lists[p], _ = rank.EvaluateOR(eng.Query.PartIndex(p), scorer, terms, k)
+		}
+		want := rank.MergeResults(k, lists...)
+
+		var got struct {
+			Status  string
+			Results []hit
+		}
+		path := fmt.Sprintf("/search?k=%d&q=%s", k, url.QueryEscape(text))
+		if code := getJSON(t, srv, path, &got); code != http.StatusOK || got.Status != "ok" {
+			t.Fatalf("%q: HTTP %d, status %q", text, code, got.Status)
+		}
+		if len(got.Results) != len(want) || len(want) == 0 {
+			t.Fatalf("%q: %d results, the exhaustive oracle has %d", text, len(got.Results), len(want))
+		}
+		for j, w := range want {
+			if g := got.Results[j]; g.Doc != w.Doc || g.Score != w.Score || g.URL != eng.URLOf(w.Doc) {
+				t.Fatalf("%q rank %d: served %+v, oracle %+v at %q", text, j, g, w, eng.URLOf(w.Doc))
+			}
+		}
+	}
+
+	var health struct{ Units int }
+	if getJSON(t, srv, "/healthz", &health); health.Units != o.partitions {
+		t.Fatalf("healthz reports %d units, want %d partitions", health.Units, o.partitions)
+	}
+	if ts := eng.Query.Stats().Threshold; ts.Queries == 0 {
+		t.Fatalf("no served query ran the threshold-shared schedule: %+v", ts)
+	}
+}
+
+// TestFederateServesMediatedAnswers drives the -federate wiring: the
+// mediator is on the serving path, every site is a unit, and -deadline
+// reaches the federation — a budget below the virtual WAN round trip
+// times a remote site's answer out, a generous one serves it.
+func TestFederateServesMediatedAnswers(t *testing.T) {
+	defer qproc.SetDefaultOptions()
+	for _, tc := range []struct {
+		deadline float64
+		status   string
+		code     int
+	}{
+		{5, "timeout", http.StatusGatewayTimeout},
+		{100000, "ok", http.StatusOK},
+	} {
+		o := options{c: 4, seed: 1, hosts: 45, partitions: 2, workers: 2,
+			sites: 3, sampleEvery: 2, deadline: tc.deadline}
+		h, eng, err := newFederate(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(h)
+		for i := 0; i < len(eng.Docs); i += len(eng.Docs) / 12 {
+			// Queries from region 0 for a page some other site holds:
+			// the answer crosses the WAN, tens of virtual ms.
+			if hostSite(eng.URLOf(eng.Docs[i].Ext), o.sites) == 0 {
+				continue
+			}
+			var got struct {
+				Status  string
+				Results []hit
+			}
+			path := "/search?q=" + url.QueryEscape(leadingWords(eng.Docs[i]))
+			if code := getJSON(t, srv, path, &got); code != tc.code || got.Status != tc.status {
+				t.Fatalf("deadline %v, %s: HTTP %d, status %q; want %d %q", tc.deadline, path, code, got.Status, tc.code, tc.status)
+			}
+			if (len(got.Results) > 0) != (tc.status == "ok") {
+				t.Fatalf("deadline %v, %s: status %q with %d results", tc.deadline, path, got.Status, len(got.Results))
+			}
+		}
+		var stats struct {
+			Selection struct{ Queries int }
+		}
+		getJSON(t, srv, "/stats", &stats)
+		var health struct{ Units int }
+		getJSON(t, srv, "/healthz", &health)
+		srv.Close()
+		if stats.Selection.Queries == 0 || health.Units != o.sites {
+			t.Fatalf("deadline %v: selection.queries = %d, units = %d; want mediated queries over %d sites",
+				tc.deadline, stats.Selection.Queries, health.Units, o.sites)
+		}
 	}
 }

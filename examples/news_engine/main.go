@@ -121,7 +121,7 @@ func main() {
 // the unflushed buffer — with statistics aggregated over that view.
 func search(dyn *index.Dynamic, terms []string, k int) []rank.Result {
 	v := dyn.View()
-	rs, _ := rank.EvaluateView(v, nil, rank.NewScorer(rank.FromGlobal(v.LocalStats(terms))), terms, k, rank.PruneNone, 0)
+	rs, _ := rank.EvaluateView(v, rank.NewScorer(rank.FromGlobal(v.LocalStats(terms))), terms, k, rank.PruneNone, 0)
 	return rs
 }
 

@@ -80,8 +80,8 @@ type Config struct {
 	// the ambient qproc.SetDefaultOptions, which the CLIs set from the
 	// same flag.)
 	Workers int
-	// Cache configures the two-level cache hierarchy (both levels
-	// disabled at zero value).
+	// Cache configures the broker result cache (disabled at zero
+	// value).
 	Cache CacheConfig
 	// Faults, when non-nil, wires a deterministic fault-injection layer
 	// and robustness policy under the query engine.
@@ -122,8 +122,7 @@ func (f *FaultConfig) Injector() *faultsim.Injector {
 	return inj
 }
 
-// CacheConfig sizes the engine's cache hierarchy: a broker-level result
-// cache and per-partition posting-list caches.
+// CacheConfig sizes the engine's broker-level result cache.
 type CacheConfig struct {
 	// Capacity enables the broker result cache when > 0 (total entries).
 	Capacity int
@@ -138,9 +137,6 @@ type CacheConfig struct {
 	// WarmQueries is the query-log sample size used to pick the SDC
 	// static set (0 picks 2000).
 	WarmQueries int
-	// PostingBytes enables per-partition posting-list caches when > 0
-	// (bytes of decoded postings per partition server).
-	PostingBytes int64
 }
 
 // DefaultConfig returns a laptop-scale end-to-end configuration.
@@ -257,8 +253,8 @@ func (e *Engine) partitionAndIndex() error {
 }
 
 // engineOptions folds the Config into the qproc functional-options list
-// the query engine is constructed with: fan-out width, the two-level
-// cache hierarchy, and the fault environment. For SDC the static set is
+// the query engine is constructed with: fan-out width, the result
+// cache, and the fault environment. For SDC the static set is
 // warmed offline: a query-log sample is generated against the same
 // synthetic Web, and the most popular keys of its head become the
 // cache's permanent slots — the Fagni et al. recipe, using history to
@@ -278,9 +274,6 @@ func (e *Engine) engineOptions() []qproc.Option {
 			rcfg.StaticKeys = e.warmStaticKeys(cc.Capacity / 2)
 		}
 		opts = append(opts, qproc.WithResultCache(rcfg))
-	}
-	if cc.PostingBytes > 0 {
-		opts = append(opts, qproc.WithPostingsCache(cc.PostingBytes))
 	}
 	if f := cfg.Faults; f != nil {
 		opts = append(opts, qproc.WithInjector(f.Injector()))

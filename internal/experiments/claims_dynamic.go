@@ -56,7 +56,7 @@ func Claim15OnlineMaintenance() *Result {
 				i++
 				t0 := time.Now() //dwrlint:allow wallclock measures real search latency under concurrent updates; ranked results stay deterministic
 				v := d.View()
-				rank.EvaluateView(v, nil, rank.NewScorer(rank.FromGlobal(v.LocalStats(q))), q, 10, rank.PruneNone, 0)
+				rank.EvaluateView(v, rank.NewScorer(rank.FromGlobal(v.LocalStats(q))), q, 10, rank.PruneNone, 0)
 				ms := float64(time.Since(t0).Microseconds()) / 1000 //dwrlint:allow wallclock measures real search latency under concurrent updates; ranked results stay deterministic
 				latMu.Lock()
 				lat.Add(ms)

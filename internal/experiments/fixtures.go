@@ -7,7 +7,6 @@ import (
 	"dwr/internal/index"
 	"dwr/internal/querylog"
 	"dwr/internal/simweb"
-	"dwr/internal/textproc"
 )
 
 // fixture is the shared corpus most experiments replay: one synthetic
@@ -90,11 +89,4 @@ func queryTerms(lg *querylog.Log, n int) [][]string {
 		out[i] = lg.Queries[i].Terms
 	}
 	return out
-}
-
-// parseHTMLToDoc is used by crawl-path experiments to turn fetched HTML
-// into an index document.
-func parseHTMLToDoc(ext int, html string) index.Doc {
-	d := textproc.ParseHTML(html)
-	return index.Doc{Ext: ext, Terms: textproc.Tokenize(d.Text)}
 }

@@ -189,3 +189,41 @@ func TestDynamicEmptySearch(t *testing.T) {
 		t.Fatalf("empty dynamic index returned %v", exts)
 	}
 }
+
+func TestDynamicOnChangeHooks(t *testing.T) {
+	d := NewDynamic(DefaultOptions(), 4, 3)
+	var mu sync.Mutex
+	fired := 0
+	d.OnChange(func() { mu.Lock(); fired++; mu.Unlock() })
+	if err := d.Add(1, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d after Add, want 1", fired)
+	}
+	d.Delete(1)
+	if fired != 2 {
+		t.Fatalf("fired = %d after Delete, want 2", fired)
+	}
+	d.Delete(99) // no-op delete must not fire
+	if fired != 2 {
+		t.Fatalf("fired = %d after no-op Delete, want 2", fired)
+	}
+	d.Flush() // empty buffer: no-op
+	if fired != 2 {
+		t.Fatalf("fired = %d after empty Flush, want 2", fired)
+	}
+	if err := d.Add(2, []string{"c"}); err != nil {
+		t.Fatal(err)
+	}
+	d.Flush()
+	if fired != 4 {
+		t.Fatalf("fired = %d after Add+Flush, want 4", fired)
+	}
+	// A hook that queries the index back must not deadlock (hooks run
+	// outside the write lock).
+	d.OnChange(func() { _ = d.NumDocs() })
+	if err := d.Add(3, []string{"d"}); err != nil {
+		t.Fatal(err)
+	}
+}

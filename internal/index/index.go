@@ -119,16 +119,6 @@ func (ix *Index) PostingsInto(it *Iterator, term string) *Iterator {
 	return it
 }
 
-// postingList returns the internal encoded list for term, or nil if the
-// term is absent. The posting-list cache shares these pointers rather
-// than copying: postingList values are immutable once built.
-func (ix *Index) postingList(term string) *postingList {
-	if i, ok := ix.terms[term]; ok {
-		return &ix.termList[i].pl
-	}
-	return nil
-}
-
 // TermScoreMeta is the resident per-term score-bound summary a broker
 // prunes partitions with: the aggregates of the block-max metadata over
 // the whole list (max tf, min document length) plus the quantized
@@ -182,16 +172,6 @@ func (ix *Index) TermScoreMeta(term string) (TermScoreMeta, bool) {
 	}
 	pl := &ix.termList[i].pl
 	return TermScoreMeta{MaxTF: pl.maxTF, MinLen: pl.minLen, SatBound: pl.satScale, QuantAvg: pl.quantAvg}, true
-}
-
-// EncodedListBytes returns the resident size of term's posting list as
-// the posting-list cache budgets it: encoded data bytes plus per-block
-// metadata overhead. 0 if the term is absent.
-func (ix *Index) EncodedListBytes(term string) int64 {
-	if i, ok := ix.terms[term]; ok {
-		return ix.termList[i].pl.memBytes()
-	}
-	return 0
 }
 
 // PostingBytes returns the encoded size in bytes of term's posting list,

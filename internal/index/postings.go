@@ -67,11 +67,6 @@ type blockMeta struct {
 	offset  uint32 // byte offset of the block's first section in data
 }
 
-// BlockMetaBytes is the budgeted in-memory weight of one blockMeta entry
-// (fields plus struct padding). The posting-list cache charges this per
-// block on top of the encoded data bytes.
-const BlockMetaBytes = 24
-
 // postingList is one term's block-encoded postings plus block metadata.
 type postingList struct {
 	count    int
@@ -85,12 +80,6 @@ type postingList struct {
 	// whole partition's score for a term without opening the list.
 	maxTF  int32
 	minLen int32
-}
-
-// memBytes is the resident size the posting-list cache budgets against:
-// actual encoded bytes plus block-metadata overhead.
-func (pl *postingList) memBytes() int64 {
-	return int64(len(pl.data)) + int64(len(pl.blocks))*BlockMetaBytes
 }
 
 // encodeStats supplies the document statistics encodePostings bakes into

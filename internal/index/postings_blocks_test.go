@@ -141,7 +141,10 @@ func TestBlockMetadataInvariants(t *testing.T) {
 		if !it.QuantValidFor(DefaultBM25K1, DefaultBM25B, avg) {
 			t.Fatalf("term %q: quantized bounds invalid for the index's own stats", term)
 		}
-		ps := ix.DecodedPostings(term)
+		var ps []Posting
+		for pit := ix.Postings(term); pit.Next(); {
+			ps = append(ps, pit.Posting())
+		}
 		bs := ix.Options().blockSize()
 		for bi := 0; bi < it.NumBlocks(); bi++ {
 			lo, hi := bi*bs, min((bi+1)*bs, len(ps))

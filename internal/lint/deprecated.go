@@ -9,8 +9,8 @@ import (
 // The deprecated-api analyzer ([deprecated]) stops the removed qproc
 // setter shims from coming back. Engines are configured with functional
 // options at construction (WithWorkers, WithResultCache,
-// WithPostingsCache, WithFaultPolicy, WithInjector; ambient defaults
-// via SetDefaultOptions); the setter surface was deleted once all call
+// WithFaultPolicy, WithInjector; ambient defaults via
+// SetDefaultOptions); the setter surface was deleted once all call
 // sites migrated. Matching is by method/function name, which is exact
 // for this module: no other package declares these names.
 
@@ -18,12 +18,10 @@ import (
 // replaced it. SetDown is excluded: it is retained (not deprecated) for
 // static-topology experiments.
 var deprecatedSetters = map[string]string{
-	"SetWorkers":                   "WithWorkers(n) at construction",
-	"SetResultCache":               "WithResultCache / WithResultCacheInstance at construction",
-	"SetPostingsCache":             "WithPostingsCache(n) at construction",
-	"SetDefaultWorkers":            "SetDefaultOptions(WithWorkers(n))",
-	"SetDefaultResultCache":        "SetDefaultOptions(WithResultCache(cfg))",
-	"SetDefaultPostingsCacheBytes": "SetDefaultOptions(WithPostingsCache(n))",
+	"SetWorkers":            "WithWorkers(n) at construction",
+	"SetResultCache":        "WithResultCache / WithResultCacheInstance at construction",
+	"SetDefaultWorkers":     "SetDefaultOptions(WithWorkers(n))",
+	"SetDefaultResultCache": "SetDefaultOptions(WithResultCache(cfg))",
 }
 
 func analyzeDeprecatedAPI(fc *fileCtx, cfg Config, report func(pos token.Pos, rule, msg string)) {

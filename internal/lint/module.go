@@ -33,8 +33,7 @@ type module struct {
 	modRoot  string // directory holding go.mod ("" if none found)
 	modPath  string // module path from go.mod ("" if none found)
 
-	pkgs   map[string]*modPackage // abs dir -> package view
-	byFile map[string]*modFile    // abs file -> loaded view
+	pkgs map[string]*modPackage // abs dir -> package view
 
 	std     types.Importer // compiled stdlib export data
 	src     types.Importer // source fallback
@@ -97,7 +96,6 @@ func newModule(lintRoot string) *module {
 		fset:     token.NewFileSet(),
 		lintRoot: abs,
 		pkgs:     map[string]*modPackage{},
-		byFile:   map[string]*modFile{},
 		std:      importer.Default(),
 		stdMemo:  map[string]*types.Package{},
 	}
@@ -175,7 +173,6 @@ func (m *module) load(dir string) *modPackage {
 		mf.dirs = parseDirectives(m.fset, f)
 		asts = append(asts, f)
 		p.files = append(p.files, mf)
-		m.byFile[mf.abs] = mf
 	}
 	if len(asts) == 0 {
 		return p
@@ -377,9 +374,4 @@ func sinkCall(f *types.Func) (rule, name string, ok bool) {
 		}
 	}
 	return "", "", false
-}
-
-// fileOf finds the loaded modFile containing pos.
-func (m *module) fileOf(pos token.Pos) *modFile {
-	return m.byFile[m.fset.Position(pos).Filename]
 }

@@ -5,15 +5,13 @@ package qprocuse
 
 type engine struct{}
 
-func (engine) SetWorkers(int)         {}
-func (engine) SetResultCache(any)     {}
-func (engine) SetPostingsCache(int64) {}
-func (engine) Workers() int           { return 0 }
+func (engine) SetWorkers(int)     {}
+func (engine) SetResultCache(any) {}
+func (engine) Workers() int       { return 0 }
 
 func configure(e engine) {
-	e.SetWorkers(4)             // want deprecated
-	e.SetResultCache(nil)       // want deprecated
-	e.SetPostingsCache(1 << 16) // want deprecated
+	e.SetWorkers(4)       // want deprecated
+	e.SetResultCache(nil) // want deprecated
 	_ = e.Workers()
 	// SetDefaultWorkers resolves cross-file (same-package calls whose
 	// declaration the parser cannot see in this file), like the real

@@ -156,26 +156,3 @@ func benchCachePolicy(b *testing.B, policy CachePolicy) {
 
 func BenchmarkResultCacheLRUHitRatio(b *testing.B) { benchCachePolicy(b, CacheLRU) }
 func BenchmarkResultCacheSDCHitRatio(b *testing.B) { benchCachePolicy(b, CacheSDC) }
-
-// Posting-list cache: decode-vs-binary-search on the partition servers,
-// result cache off so every query pays the evaluation path.
-func benchPostingsCache(b *testing.B, bytes int64) {
-	e, queries := benchEngine(b, 8, WithPostingsCache(bytes))
-	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed}
-	for _, q := range queries { // warm the decoded-postings cache
-		e.Query(q, opt)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range queries {
-			e.Query(q, opt)
-		}
-	}
-	b.StopTimer()
-	if bytes > 0 {
-		b.ReportMetric(e.PostingsCacheStats().HitRatio(), "hit-ratio")
-	}
-}
-
-func BenchmarkPostingsCacheWarm(b *testing.B) { benchPostingsCache(b, 8<<20) }
-func BenchmarkPostingsCacheOff(b *testing.B)  { benchPostingsCache(b, 0) }

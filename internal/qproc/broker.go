@@ -5,13 +5,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dwr/internal/index"
 	"dwr/internal/rank"
 )
 
 // broker is the part of a query-processing cluster that does not depend
-// on what a unit is: the cost model, the busy-load ledger, both cache
-// levels, the fault runtime, and the one answer pipeline — result-cache
+// on what a unit is: the cost model, the busy-load ledger, the result
+// cache, the fault runtime, and the one answer pipeline — result-cache
 // probe → evaluate → deadline → cache put → outcome tally. DocEngine
 // (units are partition views) and TermEngine (units are pipelined term
 // servers) embed it and supply only how a cache miss is evaluated; what
@@ -29,11 +28,9 @@ type broker struct {
 	evaluated        int
 	hits             atomic.Int64
 	degraded, failed int
-	// rcache is the broker-level result cache (level 1); pcaches are the
-	// per-unit posting-list caches (level 2). Both nil by default;
-	// configure at construction (WithResultCache / WithPostingsCache).
-	rcache  *ResultCache
-	pcaches []*index.PostingsCache
+	// rcache is the broker-level result cache; nil by default, configured
+	// at construction (WithResultCache).
+	rcache *ResultCache
 	// rb is the robustness runtime (deadline/retry/hedge policy over the
 	// fault-injection layer); nil unless fault options were given.
 	rb *robustness
@@ -58,30 +55,6 @@ func (b *broker) Workers() int { return b.workers }
 
 // ResultCache returns the installed result cache (nil if none).
 func (b *broker) ResultCache() *ResultCache { return b.rcache }
-
-// installPostingsCache materializes the WithPostingsCache option.
-func (b *broker) installPostingsCache(bytesPerUnit int64) {
-	if bytesPerUnit <= 0 {
-		return
-	}
-	b.pcaches = make([]*index.PostingsCache, b.K())
-	for i := range b.pcaches {
-		b.pcaches[i] = index.NewPostingsCache(bytesPerUnit)
-	}
-}
-
-// PostingsCacheStats aggregates hit/miss/occupancy over the units'
-// posting-list caches (zero value if disabled).
-func (b *broker) PostingsCacheStats() PostingsCacheStats {
-	var out PostingsCacheStats
-	for _, pc := range b.pcaches {
-		h, m, used := pc.Stats()
-		out.Hits += h
-		out.Misses += m
-		out.UsedBytes += used
-	}
-	return out
-}
 
 // BusyMs returns accumulated per-unit busy time — the Figure 2
 // measurement.
@@ -113,7 +86,6 @@ func (b *broker) Stats() EngineStats {
 	if b.rcache != nil {
 		st.ResultCache = b.rcache.Stats()
 	}
-	st.Postings = b.PostingsCacheStats()
 	return st
 }
 

@@ -63,7 +63,7 @@ type ResultCacheConfig struct {
 	TTLQueries int
 }
 
-// ResultCache is the first level of the cache hierarchy in Section 5: a
+// ResultCache is the result-cache level of Section 5's hierarchy: a
 // concurrency-safe cache of complete query results at the broker, in
 // front of all partition fan-out. Entries expire by age (TTLQueries) and
 // are invalidated wholesale — one atomic generation bump, no walk — when
@@ -207,20 +207,4 @@ func DocCacheKey(terms []string, opt DocQueryOptions) string {
 // TermCacheKey is the full result-cache key of a TermEngine query.
 func TermCacheKey(terms []string, k int) string {
 	return fmt.Sprintf("%s|k=%d", NormalizeQueryKey(terms), k)
-}
-
-// PostingsCacheStats aggregates the second cache level — the partition
-// servers' posting-list caches — across an engine.
-type PostingsCacheStats struct {
-	Hits      int
-	Misses    int
-	UsedBytes int64
-}
-
-// HitRatio returns Hits / (Hits + Misses), 0 when idle.
-func (s PostingsCacheStats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }

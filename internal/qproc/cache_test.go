@@ -19,72 +19,6 @@ func binPack4(central *index.Index) partition.TermPartition {
 	}, 4)
 }
 
-// TestPostingsCacheDeterminism is the acceptance gate for the second
-// cache level: with the posting-list cache on, every query must return a
-// QueryResult byte-identical (full struct, reflect.DeepEqual) to the
-// uncached engine's, across worker counts, partition counts, statistics
-// modes, and OR/AND evaluation — on both the cold (miss+populate) and
-// warm (all-hit) passes. Run in CI under -race.
-func TestPostingsCacheDeterminism(t *testing.T) {
-	docs := corpus(41, 400, 250)
-	queries := zipfQueries(42, 30, 250)
-	for _, parts := range []int{1, 3, 8} {
-		plain := newDocEngine(t, docs, parts, WithWorkers(1))
-		for _, workers := range []int{1, 8} {
-			cached := newDocEngine(t, docs, parts, WithPostingsCache(1<<20), WithWorkers(workers))
-			for _, mode := range []StatsMode{GlobalTwoRound, GlobalPrecomputed, LocalOnly} {
-				for _, conj := range []bool{false, true} {
-					opt := DocQueryOptions{K: 10, Stats: mode, Conjunctive: conj}
-					for pass := 0; pass < 2; pass++ { // cold, then warm
-						for qi, q := range queries {
-							want := plain.Query(q, opt)
-							got := cached.Query(q, opt)
-							if !reflect.DeepEqual(want, got) {
-								t.Fatalf("parts=%d workers=%d mode=%d conj=%v pass=%d query %d %v:\nuncached %+v\ncached   %+v",
-									parts, workers, mode, conj, pass, qi, q, want, got)
-							}
-						}
-					}
-				}
-			}
-			if st := cached.PostingsCacheStats(); st.Hits == 0 || st.Misses == 0 {
-				t.Fatalf("parts=%d workers=%d: posting cache never exercised both paths: %+v", parts, workers, st)
-			}
-		}
-	}
-}
-
-// TestTermEnginePostingsCacheDeterminism: same contract for the
-// pipelined term-partitioned engine.
-func TestTermEnginePostingsCacheDeterminism(t *testing.T) {
-	docs := corpus(43, 300, 200)
-	central := centralIndex(docs)
-	tp := binPack4(central)
-	plain, err := NewTermEngine(index.DefaultOptions(), docs, tp, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		cached, err := NewTermEngine(index.DefaultOptions(), docs, tp,
-			WithPostingsCache(1<<20), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			for _, q := range zipfQueries(44, 30, 200) {
-				want := plain.Query(q, 10)
-				got := cached.Query(q, 10)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("workers=%d pass=%d query %v:\nuncached %+v\ncached   %+v", workers, pass, q, want, got)
-				}
-			}
-		}
-		if st := cached.PostingsCacheStats(); st.Hits == 0 {
-			t.Fatalf("workers=%d: term-server posting cache never hit", workers)
-		}
-	}
-}
-
 // TestResultCacheHitPath: a repeat query answers from the broker cache
 // with the identical ranking, the FromCache flag, the flat cache-hit
 // latency, and zero backend work.
@@ -244,14 +178,13 @@ func TestResultCacheSDCBeatsLRUOnEngine(t *testing.T) {
 	}
 }
 
-// TestConcurrentCachedQueries hammers a fully cache-enabled engine from
-// many goroutines under -race: sharded result cache, posting caches, and
-// interleaved invalidations.
+// TestConcurrentCachedQueries hammers a cache-enabled engine from many
+// goroutines under -race: sharded result cache and interleaved
+// invalidations.
 func TestConcurrentCachedQueries(t *testing.T) {
 	docs := corpus(50, 300, 200)
 	e := newDocEngine(t, docs, 4,
-		WithResultCache(ResultCacheConfig{Capacity: 256, Shards: 8, Policy: CacheLFU}),
-		WithPostingsCache(1<<18))
+		WithResultCache(ResultCacheConfig{Capacity: 256, Shards: 8, Policy: CacheLFU}))
 	queries := zipfQueries(51, 40, 200)
 	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed}
 	want := make([]QueryResult, len(queries))

@@ -98,7 +98,6 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 	if e.global.NumDocs == 0 {
 		return nil, fmt.Errorf("qproc: document partition covers no documents")
 	}
-	e.installPostingsCache(eo.plBytes)
 	e.topkStats = GlobalPrecomputed
 	return e, nil
 }
@@ -407,17 +406,10 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		conc.Do(len(ws), e.workers, func(j int) {
 			i := ws[j]
 			p := targets[i]
-			// Level 2: serve encoded posting lists from the partition
-			// server's cache when configured. The provider contract keeps
-			// results and accounting byte-identical either way.
-			var bind func(*index.Index) rank.PostingsProvider
-			if e.pcaches != nil {
-				bind = func(ix *index.Index) rank.PostingsProvider { return e.pcaches[p].Bind(ix) }
-			}
 			if opt.Conjunctive {
-				evals[i].rs, evals[i].es = rank.EvaluateViewAND(views[p], bind, scorers[i], terms, opt.K)
+				evals[i].rs, evals[i].es = rank.EvaluateViewAND(views[p], scorers[i], terms, opt.K)
 			} else {
-				evals[i].rs, evals[i].es = rank.EvaluateView(views[p], bind, scorers[i], terms, opt.K, opt.Pruning, waveSeed)
+				evals[i].rs, evals[i].es = rank.EvaluateView(views[p], scorers[i], terms, opt.K, opt.Pruning, waveSeed)
 			}
 		})
 		var waveSlowest float64

@@ -51,9 +51,6 @@ type EngineStats struct {
 	// ResultCache reflects the broker-level result cache (zero value
 	// when disabled).
 	ResultCache CacheStats
-	// Postings aggregates the per-server posting-list caches (zero value
-	// when disabled).
-	Postings PostingsCacheStats
 	// Latency holds the per-unit latency histograms of robust calls (nil
 	// when no fault options were configured).
 	Latency *metrics.LatencyByPart
@@ -144,9 +141,6 @@ func (m *MultiSite) Stats() EngineStats {
 		st.ResultCache.Misses += es.ResultCache.Misses
 		st.ResultCache.StaleGen += es.ResultCache.StaleGen
 		st.ResultCache.ExpiredTTL += es.ResultCache.ExpiredTTL
-		st.Postings.Hits += es.Postings.Hits
-		st.Postings.Misses += es.Postings.Misses
-		st.Postings.UsedBytes += es.Postings.UsedBytes
 	}
 	return st
 }

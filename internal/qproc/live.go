@@ -22,8 +22,7 @@ import (
 // outlive the index state they were computed from.
 //
 // The type exists to hide what makes no sense over mutable stores —
-// PartIndex, GlobalPrecomputed statistics, per-partition posting-list
-// caches (WithPostingsCache is ignored) — not to add behaviour.
+// PartIndex, GlobalPrecomputed statistics — not to add behaviour.
 type LiveEngine struct {
 	doc    *DocEngine
 	stores []*index.SegmentStore

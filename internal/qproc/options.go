@@ -19,12 +19,8 @@ type Option func(*engineOptions)
 // engineOptions is the resolved construction-time configuration.
 type engineOptions struct {
 	workers    int
-	haveWork   bool
 	rcCfg      *ResultCacheConfig
 	rcInstance *ResultCache
-	rcSet      bool // an option explicitly decided the result cache
-	plBytes    int64
-	plSet      bool
 	policy     *FaultPolicy
 	injector   *faultsim.Injector
 	pruning    rank.Pruning
@@ -42,7 +38,6 @@ func WithWorkers(n int) Option {
 			n = 0
 		}
 		o.workers = n
-		o.haveWork = true
 	}
 }
 
@@ -54,7 +49,6 @@ func WithResultCache(cfg ResultCacheConfig) Option {
 		c.StaticKeys = append([]string(nil), cfg.StaticKeys...)
 		o.rcCfg = &c
 		o.rcInstance = nil
-		o.rcSet = true
 	}
 }
 
@@ -65,21 +59,6 @@ func WithResultCacheInstance(rc *ResultCache) Option {
 	return func(o *engineOptions) {
 		o.rcInstance = rc
 		o.rcCfg = nil
-		o.rcSet = true
-	}
-}
-
-// WithPostingsCache gives every partition/term server a posting-list
-// cache of bytesPerServer bytes of decoded postings (<= 0 disables,
-// overriding any ambient default). Cached and uncached evaluation
-// return byte-identical results; only decode work is saved.
-func WithPostingsCache(bytesPerServer int64) Option {
-	return func(o *engineOptions) {
-		if bytesPerServer < 0 {
-			bytesPerServer = 0
-		}
-		o.plBytes = bytesPerServer
-		o.plSet = true
 	}
 }
 
@@ -103,7 +82,7 @@ func WithPruning(mode rank.Pruning) Option {
 // seeds every wave after the first with its running k-th merged score,
 // and skips partitions whose upper bound proves they hold no global
 // top-k document. Results are rank-identical to single-wave evaluation
-// (see rank.EvaluateTopKSeededFrom for the safety argument); only the
+// (see rank.EvaluateTopKSeeded for the safety argument); only the
 // work — partitions contacted, blocks decoded — shrinks. Per-query
 // DocQueryOptions.Threshold overrides the default; engines without a
 // bound-ordered scatter (TermEngine, and MultiSite's site level) ignore

@@ -10,8 +10,7 @@ import (
 // TestDocEnginePrunedEquivalence pins the tentpole guarantee end to end:
 // a DocEngine with dynamic pruning enabled returns rank-identical top-k
 // (bitwise-equal scores) to an exhaustive engine, at every broker width,
-// with and without the per-partition posting-list caches, across stats
-// modes and k. Run under -race in CI.
+// across stats modes and k. Run under -race in CI.
 func TestDocEnginePrunedEquivalence(t *testing.T) {
 	docs := corpus(31, 800, 1500)
 	queries := zipfQueries(32, 60, 1500)
@@ -30,19 +29,16 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		for _, cacheBytes := range []int64{0, 1 << 21} {
-			for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
-				e := newDocEngine(t, docs, parts,
-					WithWorkers(workers),
-					WithPostingsCache(cacheBytes),
-					WithPruning(mode))
-				for ci, opt := range cases {
-					for qi, q := range queries {
-						got := e.Query(q, opt)
-						if !reflect.DeepEqual(want[ci][qi], got.Results) {
-							t.Fatalf("workers=%d cache=%d mode=%d stats=%d k=%d query %d %v:\nexhaustive %v\npruned     %v",
-								workers, cacheBytes, mode, opt.Stats, opt.K, qi, q, want[ci][qi], got.Results)
-						}
+		for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
+			e := newDocEngine(t, docs, parts,
+				WithWorkers(workers),
+				WithPruning(mode))
+			for ci, opt := range cases {
+				for qi, q := range queries {
+					got := e.Query(q, opt)
+					if !reflect.DeepEqual(want[ci][qi], got.Results) {
+						t.Fatalf("workers=%d mode=%d stats=%d k=%d query %d %v:\nexhaustive %v\npruned     %v",
+							workers, mode, opt.Stats, opt.K, qi, q, want[ci][qi], got.Results)
 					}
 				}
 			}

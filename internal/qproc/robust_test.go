@@ -304,12 +304,12 @@ func TestAmbientDefaultsMatchPerCallOptions(t *testing.T) {
 	cfg := ResultCacheConfig{Capacity: 64}
 
 	viaOpts := buildDocEngine(t, docs, 4,
-		WithWorkers(2), WithResultCache(cfg), WithPostingsCache(1<<16))
+		WithWorkers(2), WithResultCache(cfg))
 	a, _ := replay(viaOpts, queries)
 	plain := buildDocEngine(t, docs, 4, WithWorkers(1))
 	p, _ := replay(plain, queries)
 
-	SetDefaultOptions(WithWorkers(2), WithResultCache(cfg), WithPostingsCache(1<<16))
+	SetDefaultOptions(WithWorkers(2), WithResultCache(cfg))
 	defer SetDefaultOptions()
 	viaAmbient := buildDocEngine(t, docs, 4)
 	c, _ := replay(viaAmbient, queries)
@@ -322,7 +322,7 @@ func TestAmbientDefaultsMatchPerCallOptions(t *testing.T) {
 
 	// Per-call options override ambient defaults.
 	viaOverride := buildDocEngine(t, docs, 4,
-		WithWorkers(1), WithResultCacheInstance(nil), WithPostingsCache(0))
+		WithWorkers(1), WithResultCacheInstance(nil))
 	if viaOverride.Workers() != 1 || viaOverride.ResultCache() != nil {
 		t.Fatal("per-call options did not override ambient defaults")
 	}

@@ -37,9 +37,9 @@ type TermEngine struct {
 // concurrently. Every server's index carries the full document table
 // (with true document lengths) but only its own terms' postings,
 // matching the vertical slicing of Figure 1. Configuration is by
-// functional options (WithWorkers, WithResultCache, WithPostingsCache,
-// WithFaultPolicy, WithInjector), applied on top of the ambient
-// defaults (SetDefaultOptions).
+// functional options (WithWorkers, WithResultCache, WithFaultPolicy,
+// WithInjector), applied on top of the ambient defaults
+// (SetDefaultOptions).
 func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartition, options ...Option) (*TermEngine, error) {
 	if tp.K <= 0 {
 		return nil, fmt.Errorf("qproc: term partition with no servers")
@@ -69,7 +69,6 @@ func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartit
 	merged.NumDocs = e.servers[0].NumDocs()
 	merged.TotalLen = e.servers[0].TotalLen()
 	e.scorer = rank.NewScorer(rank.FromGlobal(merged))
-	e.installPostingsCache(eo.plBytes)
 	return e, nil
 }
 
@@ -129,22 +128,13 @@ func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs floa
 	conc.Do(len(route), e.workers, func(i int) {
 		s := route[i]
 		ix := e.servers[s]
-		var cp *index.CachedPostings
-		if e.pcaches != nil {
-			cp = e.pcaches[s].Bind(ix)
-		}
 		h := &hops[i]
 		var its index.Iterator
 		for _, t := range dedupTerms(terms) {
 			if e.tp.Assign[t] != s {
 				continue
 			}
-			var it *index.Iterator
-			if cp != nil {
-				it = cp.PostingsInto(&its, t)
-			} else {
-				it = ix.PostingsInto(&its, t)
-			}
+			it := ix.PostingsInto(&its, t)
 			if it == nil {
 				continue
 			}

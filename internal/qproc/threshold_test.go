@@ -11,8 +11,8 @@ import (
 // TestDocEngineThresholdSharingEquivalence pins the tentpole guarantee
 // end to end: a DocEngine running the bound-ordered wave schedule is
 // bitwise rank-identical to single-wave exhaustive evaluation, at every
-// broker width, with and without both cache levels, across pruning
-// modes, stats modes, and k. Run under -race in CI.
+// broker width, cold and from the result cache, across pruning modes,
+// stats modes, and k. Run under -race in CI.
 func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 	docs := corpus(51, 800, 1500)
 	queries := zipfQueries(52, 60, 1500)
@@ -31,22 +31,19 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		for _, cacheBytes := range []int64{0, 1 << 21} {
-			for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
-				e := newDocEngine(t, docs, parts,
-					WithWorkers(workers),
-					WithResultCache(ResultCacheConfig{Capacity: 256}),
-					WithPostingsCache(cacheBytes),
-					WithPruning(mode),
-					WithThresholdSharing(true))
-				for pass := 0; pass < 2; pass++ { // second pass exercises the result cache
-					for ci, opt := range cases {
-						for qi, q := range queries {
-							got := e.Query(q, opt)
-							if !reflect.DeepEqual(want[ci][qi], got.Results) {
-								t.Fatalf("workers=%d cache=%d mode=%d stats=%d k=%d pass=%d query %d %v:\nexhaustive %v\nshared     %v",
-									workers, cacheBytes, mode, opt.Stats, opt.K, pass, qi, q, want[ci][qi], got.Results)
-							}
+		for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
+			e := newDocEngine(t, docs, parts,
+				WithWorkers(workers),
+				WithResultCache(ResultCacheConfig{Capacity: 256}),
+				WithPruning(mode),
+				WithThresholdSharing(true))
+			for pass := 0; pass < 2; pass++ { // second pass exercises the result cache
+				for ci, opt := range cases {
+					for qi, q := range queries {
+						got := e.Query(q, opt)
+						if !reflect.DeepEqual(want[ci][qi], got.Results) {
+							t.Fatalf("workers=%d mode=%d stats=%d k=%d pass=%d query %d %v:\nexhaustive %v\nshared     %v",
+								workers, mode, opt.Stats, opt.K, pass, qi, q, want[ci][qi], got.Results)
 						}
 					}
 				}

@@ -80,22 +80,10 @@ func Competitive(bound, threshold float64) bool {
 // strategy. Results are rank-identical to EvaluateOR (see pruneSlack for
 // the tolerance argument); only the work done differs.
 func EvaluateTopK(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning) ([]Result, EvalStats) {
-	return EvaluateTopKSeededFrom(ix, ix, s, terms, k, mode, 0)
+	return evaluateTopK(ix, nil, s, terms, k, mode, 0)
 }
 
-// EvaluateTopKFrom is EvaluateTopK over a PostingsProvider; see
-// EvaluateORFrom for the provider contract.
-func EvaluateTopKFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int, mode Pruning) ([]Result, EvalStats) {
-	return EvaluateTopKSeededFrom(pp, ix, s, terms, k, mode, 0)
-}
-
-// EvaluateTopKSeeded is EvaluateTopK started from a seed threshold; see
-// EvaluateTopKSeededFrom.
-func EvaluateTopKSeeded(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
-	return EvaluateTopKSeededFrom(ix, ix, s, terms, k, mode, seed)
-}
-
-// EvaluateTopKSeededFrom is EvaluateTopKFrom with the pruning threshold
+// EvaluateTopKSeeded is EvaluateTopK with the pruning threshold
 // seeded at seed instead of -Inf (seed <= 0 means unseeded; BM25 scores
 // are strictly positive). The caller must guarantee seed is a true lower
 // bound on the global k-th best score — a distributed broker's running
@@ -108,16 +96,16 @@ func EvaluateTopKSeeded(ix *index.Index, s *Scorer, terms []string, k int, mode 
 // evaluation; the list may hold fewer than k entries when the partition
 // has fewer than k seed-beating documents, which a merging broker by
 // construction never misses.
-func EvaluateTopKSeededFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
-	return evaluateTopK(pp, ix, nil, s, terms, k, mode, seed)
+func EvaluateTopKSeeded(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
+	return evaluateTopK(ix, nil, s, terms, k, mode, seed)
 }
 
-// evaluateTopK is EvaluateTopKSeededFrom with a tombstone filter; see
+// evaluateTopK is EvaluateTopKSeeded with a tombstone filter; see
 // evaluateOR. The score bounds cover tombstoned postings too, so they
 // stay valid upper bounds for the live ones.
-func evaluateTopK(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
+func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
 	if mode == PruneNone || k <= 0 {
-		rs, es := evaluateOR(pp, ix, dead, s, terms, k)
+		rs, es := evaluateOR(ix, dead, s, terms, k)
 		if len(rs) >= k && k > 0 {
 			es.FinalThreshold = rs[k-1].Score
 		}
@@ -134,7 +122,7 @@ func evaluateTopK(pp PostingsProvider, ix *index.Index, dead func(ext int) bool,
 	its := sc.iters(len(uniq))
 	sc.pcs = sc.pcs[:0]
 	for _, t := range uniq {
-		it := pp.PostingsInto(&its[len(sc.pcs)], t)
+		it := ix.PostingsInto(&its[len(sc.pcs)], t)
 		if it == nil {
 			continue
 		}

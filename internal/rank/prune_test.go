@@ -95,32 +95,6 @@ func TestPrunedEquivalenceNonDefaultScorer(t *testing.T) {
 	}
 }
 
-// TestPrunedEquivalenceWithCache runs the same equivalence through a
-// posting-list cache provider: cached encoded blocks must not change the
-// ranking, and repeated evaluation must hit the cache.
-func TestPrunedEquivalenceWithCache(t *testing.T) {
-	ix := pruneCorpus(15, index.DefaultOptions())
-	s := NewScorer(FromIndex(ix))
-	rng := rand.New(rand.NewSource(16))
-	queries := pruneQueries(rng, ix, 80)
-	pc := index.NewPostingsCache(1 << 22)
-	hits := 0
-	for round := 0; round < 2; round++ {
-		for _, q := range queries {
-			cp := pc.Bind(ix)
-			want, _ := EvaluateORFrom(ix, ix, s, q, 10)
-			got, _ := EvaluateTopKFrom(cp, ix, s, q, 10, PruneMaxScore)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("query %v: cached pruned differs:\n%v\n%v", q, want, got)
-			}
-			hits += cp.Hits
-		}
-	}
-	if hits == 0 {
-		t.Fatal("pruned evaluation never hit the posting cache")
-	}
-}
-
 // TestPrunedEquivalenceFallbacks: PruneNone and k<=0 route to the
 // exhaustive evaluator; empty, missing-term, and single-term queries
 // behave identically across modes.

@@ -155,37 +155,18 @@ func (sc *evalScratch) iters(n int) []index.Iterator {
 	return sc.its[:n]
 }
 
-// PostingsProvider supplies posting iterators for evaluation. Index
-// satisfies it directly; index.CachedPostings satisfies it backed by a
-// partition-level posting-list cache. Implementations must match
-// Index.PostingsInto semantics exactly — same postings in the same
-// order, nil (with *it untouched) for absent terms — so that cached and
-// uncached evaluation produce byte-identical results.
-type PostingsProvider interface {
-	PostingsInto(it *index.Iterator, term string) *index.Iterator
-}
-
 // EvaluateOR scores the disjunction of the query terms over ix
 // (document-at-a-time) and returns the top k results by score. Ties
 // break by ascending external ID so rankings are deterministic.
 func EvaluateOR(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return EvaluateORFrom(ix, ix, s, terms, k)
+	return evaluateOR(ix, nil, s, terms, k)
 }
 
-// EvaluateORFrom is EvaluateOR with the posting lists served by pp —
-// which may be the index itself or a posting-list cache over it — while
-// statistics (DocLen, ExtID, PostingBytes) always come from ix. The
-// EvalStats accounting charges the same costs either way: a cache hit
-// changes where bytes come from, not what the query logically touched.
-func EvaluateORFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return evaluateOR(pp, ix, nil, s, terms, k)
-}
-
-// evaluateOR is EvaluateORFrom over one segment of a partition view:
+// evaluateOR is EvaluateOR over one segment of a partition view:
 // documents dead reports tombstoned (nil = none) are scored like any
 // other — their postings are physically there — but never offered to
 // the heap.
-func evaluateOR(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+func evaluateOR(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -193,7 +174,7 @@ func evaluateOR(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s
 	its := sc.iters(len(uniq))
 	sc.cursors = sc.cursors[:0]
 	for _, t := range uniq {
-		it := pp.PostingsInto(&its[len(sc.cursors)], t)
+		it := ix.PostingsInto(&its[len(sc.cursors)], t)
 		if it == nil {
 			continue
 		}
@@ -256,17 +237,11 @@ func evaluateOR(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s
 // the rarest list to drive the others — the access pattern whose cost
 // skip pointers exist to reduce.
 func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return EvaluateANDFrom(ix, ix, s, terms, k)
+	return evaluateAND(ix, nil, s, terms, k)
 }
 
-// EvaluateANDFrom is EvaluateAND over a PostingsProvider; see
-// EvaluateORFrom for the contract.
-func EvaluateANDFrom(pp PostingsProvider, ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return evaluateAND(pp, ix, nil, s, terms, k)
-}
-
-// evaluateAND is EvaluateANDFrom with a tombstone filter; see evaluateOR.
-func evaluateAND(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+// evaluateAND is EvaluateAND with a tombstone filter; see evaluateOR.
+func evaluateAND(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -274,7 +249,7 @@ func evaluateAND(pp PostingsProvider, ix *index.Index, dead func(ext int) bool, 
 	its := sc.iters(len(uniq))
 	sc.cursors = sc.cursors[:0]
 	for _, t := range uniq {
-		it := pp.PostingsInto(&its[len(sc.cursors)], t)
+		it := ix.PostingsInto(&its[len(sc.cursors)], t)
 		if it == nil {
 			return nil, es // one missing term empties a conjunction
 		}

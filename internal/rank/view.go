@@ -2,7 +2,7 @@ package rank
 
 import "dwr/internal/index"
 
-// EvaluateView is EvaluateTopKSeededFrom over a partition view: every
+// EvaluateView is EvaluateTopKSeeded over a partition view: every
 // segment of v is evaluated in turn with the same scorer — built from
 // view-wide or collection-wide statistics, never a segment's own — and
 // the per-segment lists are merged. Tombstoned documents are refused at
@@ -13,22 +13,19 @@ import "dwr/internal/index"
 // view-wide average document length; the analytic bound the evaluator
 // falls back to is valid for any statistics.
 //
-// bind, when non-nil, supplies each segment's posting lists (a
-// posting-list cache bound to it); nil reads the segments directly. A
-// single-segment view returns that segment's list as-is, so a static
-// index wrapped by index.ViewOf costs exactly one
-// EvaluateTopKSeededFrom.
-func EvaluateView(v *index.Manifest, bind func(*index.Index) PostingsProvider, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
-	return evaluateView(v, bind, s, terms, k, false, mode, seed)
+// A single-segment view returns that segment's list as-is, so a static
+// index wrapped by index.ViewOf costs exactly one EvaluateTopKSeeded.
+func EvaluateView(v *index.Manifest, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
+	return evaluateView(v, s, terms, k, false, mode, seed)
 }
 
-// EvaluateViewAND is EvaluateANDFrom over a partition view; see
+// EvaluateViewAND is EvaluateAND over a partition view; see
 // EvaluateView.
-func EvaluateViewAND(v *index.Manifest, bind func(*index.Index) PostingsProvider, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return evaluateView(v, bind, s, terms, k, true, PruneNone, 0)
+func EvaluateViewAND(v *index.Manifest, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+	return evaluateView(v, s, terms, k, true, PruneNone, 0)
 }
 
-func evaluateView(v *index.Manifest, bind func(*index.Index) PostingsProvider, s *Scorer, terms []string, k int, conj bool, mode Pruning, seed float64) ([]Result, EvalStats) {
+func evaluateView(v *index.Manifest, s *Scorer, terms []string, k int, conj bool, mode Pruning, seed float64) ([]Result, EvalStats) {
 	var dead func(int) bool
 	if v.Tombstones() > 0 {
 		dead = v.Deleted
@@ -40,16 +37,12 @@ func evaluateView(v *index.Manifest, bind func(*index.Index) PostingsProvider, s
 		total.FinalThreshold = seed
 	}
 	for _, seg := range segs {
-		var pp PostingsProvider = seg
-		if bind != nil {
-			pp = bind(seg)
-		}
 		var rs []Result
 		var es EvalStats
 		if conj {
-			rs, es = evaluateAND(pp, seg, dead, s, terms, k)
+			rs, es = evaluateAND(seg, dead, s, terms, k)
 		} else {
-			rs, es = evaluateTopK(pp, seg, dead, s, terms, k, mode, total.FinalThreshold)
+			rs, es = evaluateTopK(seg, dead, s, terms, k, mode, total.FinalThreshold)
 		}
 		if len(segs) == 1 {
 			return rs, es

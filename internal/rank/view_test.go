@@ -75,7 +75,7 @@ func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 		for _, k := range []int{1, 10, 100} {
 			want, _ := EvaluateOR(ix, s, q, k)
 			for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
-				got, es := EvaluateView(view, nil, s, q, k, mode, 0)
+				got, es := EvaluateView(view, s, q, k, mode, 0)
 				if len(want) == 0 && len(got) == 0 {
 					continue
 				}
@@ -88,14 +88,14 @@ func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 				// Seeded at the true k-th score, everything scoring at or
 				// above the seed must still come back.
 				if mode != PruneNone && len(want) == k {
-					seeded, _ := EvaluateView(view, nil, s, q, k, mode, want[k-1].Score)
+					seeded, _ := EvaluateView(view, s, q, k, mode, want[k-1].Score)
 					if !reflect.DeepEqual(want, seeded) {
 						t.Fatalf("mode=%d k=%d query %v seeded at the k-th score:\nstatic %v\nseeded %v", mode, k, q, want, seeded)
 					}
 				}
 			}
 			wantAND, _ := EvaluateAND(ix, s, q, k)
-			gotAND, _ := EvaluateViewAND(view, nil, s, q, k)
+			gotAND, _ := EvaluateViewAND(view, s, q, k)
 			if (len(wantAND) > 0 || len(gotAND) > 0) && !reflect.DeepEqual(wantAND, gotAND) {
 				t.Fatalf("AND k=%d query %v:\nstatic    %v\nsegmented %v", k, q, wantAND, gotAND)
 			}
@@ -104,7 +104,7 @@ func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 }
 
 // TestViewEquivalenceSingleSegmentIsTheEvaluator: over a one-segment,
-// tombstone-free view EvaluateView is EvaluateTopKSeededFrom — same
+// tombstone-free view EvaluateView is EvaluateTopKSeeded — same
 // list, same accounting — so wrapping a static index costs nothing.
 func TestViewEquivalenceSingleSegmentIsTheEvaluator(t *testing.T) {
 	ix := pruneCorpus(63, index.DefaultOptions())
@@ -115,7 +115,7 @@ func TestViewEquivalenceSingleSegmentIsTheEvaluator(t *testing.T) {
 		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			for _, seed := range []float64{0, 2.5} {
 				want, wes := EvaluateTopKSeeded(ix, s, q, 10, mode, seed)
-				got, ges := EvaluateView(view, nil, s, q, 10, mode, seed)
+				got, ges := EvaluateView(view, s, q, 10, mode, seed)
 				if !reflect.DeepEqual(want, got) || wes != ges {
 					t.Fatalf("mode=%d seed=%v query %v:\nevaluator %v %+v\nview      %v %+v", mode, seed, q, want, wes, got, ges)
 				}
@@ -154,7 +154,7 @@ func TestViewEquivalenceTombstones(t *testing.T) {
 		for _, k := range []int{1, 10, 100} {
 			want, _ := EvaluateOR(survivors, s, q, k)
 			for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
-				got, _ := EvaluateView(view, nil, s, q, k, mode, 0)
+				got, _ := EvaluateView(view, s, q, k, mode, 0)
 				for _, r := range got {
 					if dead[r.Doc] {
 						t.Fatalf("mode=%d k=%d query %v returned tombstoned doc %d", mode, k, q, r.Doc)
@@ -177,7 +177,7 @@ func TestViewDynamicConcurrentReadersAndWriter(t *testing.T) {
 	q := []string{"shared"}
 	search := func(k int) []Result {
 		v := d.View()
-		rs, _ := EvaluateView(v, nil, NewScorer(FromGlobal(v.LocalStats(q))), q, k, PruneMaxScore, 0)
+		rs, _ := EvaluateView(v, NewScorer(FromGlobal(v.LocalStats(q))), q, k, PruneMaxScore, 0)
 		return rs
 	}
 	var wg sync.WaitGroup

@@ -29,9 +29,6 @@ func Availability(a float64, r int) float64 {
 	return 1 - p
 }
 
-// StorageOverhead returns the storage multiplier of r-way replication.
-func StorageOverhead(r int) float64 { return float64(r) }
-
 // ErrUnavailable is returned when too few replicas are reachable for the
 // requested operation.
 var ErrUnavailable = errors.New("replication: not enough replicas available")

@@ -64,15 +64,6 @@ func sortScoredParts(s []scored) []ScoredPart {
 	return out
 }
 
-func sortScored(s []scored) []int {
-	sp := sortScoredParts(s)
-	out := make([]int, len(sp))
-	for i, e := range sp {
-		out[i] = e.Part
-	}
-	return out
-}
-
 // CORI ranks collections with the CORI inference-network formula,
 // using only per-partition statistics (df, collection word counts).
 type CORI struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -306,12 +307,17 @@ type searchResponse struct {
 	FromCache bool        `json:"from_cache,omitempty"`
 }
 
+// maxK bounds the k a /search request may ask for. An unbounded k never
+// fills the top-k heap (so nothing is pruned), mints a result-cache key
+// per distinct value, and lets one response carry the whole collection.
+const maxK = 1000
+
 // handleSearch answers GET /search?q=terms[&k=10][&class=batch].
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	terms := f.Tokenize(q.Get("q"))
 	if len(terms) == 0 {
-		http.Error(w, `{"error":"missing or empty q parameter"}`, http.StatusBadRequest)
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or empty q parameter"})
 		return
 	}
 	req := Request{Terms: terms, Key: strings.Join(terms, " ")}
@@ -320,8 +326,8 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if ks := q.Get("k"); ks != "" {
 		k, err := strconv.Atoi(ks)
-		if err != nil || k <= 0 {
-			http.Error(w, `{"error":"k must be a positive integer"}`, http.StatusBadRequest)
+		if err != nil || k <= 0 || k > maxK {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("k must be an integer in 1..%d", maxK)})
 			return
 		}
 		req.K = k

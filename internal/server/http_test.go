@@ -52,8 +52,8 @@ func TestFrontendQueueFull(t *testing.T) {
 	req := server.Request{Terms: []string{"a"}}
 
 	var wg sync.WaitGroup
-	wg.Add(2)
-	for i := 0; i < 2; i++ {
+	park := func() {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, st := f.Serve(context.Background(), req)
@@ -62,8 +62,11 @@ func TestFrontendQueueFull(t *testing.T) {
 			}
 		}()
 	}
-	// One on the worker, one in the queue.
+	// One on the worker, then one in the queue: arriving together, both
+	// would count as waiting and the second would overflow.
+	park()
 	waitFor(t, "worker occupancy", func() bool { return eng.calls.Load() == 1 })
+	park()
 	waitFor(t, "queue occupancy", func() bool { return f.Stats().Queued == 1 })
 
 	_, st := f.Serve(context.Background(), req)
@@ -147,18 +150,6 @@ func TestFrontendHTTP(t *testing.T) {
 		t.Fatal("Resolve not applied to hits")
 	}
 
-	// Bad requests are 400, not engine calls.
-	for _, path := range []string{"/search", "/search?q=foo&k=-1"} {
-		r2, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2.Body.Close()
-		if r2.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s returned %d; want 400", path, r2.StatusCode)
-		}
-	}
-
 	r3, err := http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +170,53 @@ func TestFrontendHTTP(t *testing.T) {
 	r4.Body.Close()
 	if r4.StatusCode != http.StatusOK {
 		t.Fatalf("healthz returned %d", r4.StatusCode)
+	}
+}
+
+// TestSearchBoundsItsInput: /search validates q and k before anything
+// reaches the engine, and every answer — the 400s included — is JSON.
+func TestSearchBoundsItsInput(t *testing.T) {
+	eng := &blockingEngine{release: make(chan struct{})}
+	close(eng.release)
+	srv := httptest.NewServer(server.NewFrontend(eng, server.Config{Workers: 1}).Handler())
+	defer srv.Close()
+
+	cases := []struct {
+		query string
+		code  int
+	}{
+		{"q=foo", http.StatusOK},
+		{"q=foo&k=1", http.StatusOK},
+		{"q=foo&k=1000", http.StatusOK},
+		{"", http.StatusBadRequest},
+		{"q=+", http.StatusBadRequest},
+		{"q=foo&k=0", http.StatusBadRequest},
+		{"q=foo&k=-1", http.StatusBadRequest},
+		{"q=foo&k=ten", http.StatusBadRequest},
+		{"q=foo&k=1001", http.StatusBadRequest},
+		{"q=foo&k=2000000000", http.StatusBadRequest},
+	}
+	served := int64(0)
+	for _, tc := range cases {
+		resp, err := http.Get(srv.URL + "/search?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || err != nil || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("/search?%s: HTTP %d %q (decode: %v), want %d application/json",
+				tc.query, resp.StatusCode, resp.Header.Get("Content-Type"), err, tc.code)
+		}
+		if tc.code == http.StatusOK {
+			served++
+		} else if msg, _ := body["error"].(string); msg == "" {
+			t.Errorf("/search?%s: 400 body %v names no error", tc.query, body)
+		}
+	}
+	if got := eng.calls.Load(); got != served {
+		t.Fatalf("engine saw %d queries, want %d: a rejected request reached it", got, served)
 	}
 }
 

@@ -79,12 +79,6 @@ func (w *Web) LastModified(pageID, day int) int {
 	return 0
 }
 
-// Changed reports whether the page changed strictly after day `since`
-// and up to day `day`.
-func (w *Web) Changed(pageID, since, day int) bool {
-	return w.LastModified(pageID, day) > since
-}
-
 // pageChangedOn hashes (pageID, day) into [0,1) and compares with rate.
 func pageChangedOn(pageID, day int, rate float64) bool {
 	x := uint64(pageID)*0x9e3779b97f4a7c15 ^ uint64(day)*0xc2b2ae3d27d4eb4f

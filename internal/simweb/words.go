@@ -124,15 +124,3 @@ func (tm *TopicModel) Draw(rng *rand.Rand, topic int, global, band *randx.Zipf, 
 	}
 	return global.Draw(rng)
 }
-
-// TopicOf reports which topic band a term ID falls in.
-func (tm *TopicModel) TopicOf(termID int) int {
-	if tm.bandWidth == 0 {
-		return 0
-	}
-	t := termID / tm.bandWidth
-	if t >= tm.topics {
-		t = tm.topics - 1
-	}
-	return t
-}
