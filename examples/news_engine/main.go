@@ -44,9 +44,9 @@ func main() {
 		topicOf[p.ID] = p.Topic
 		published++
 		if published%200 == 0 {
-			m := dyn.Maintenance()
+			m := dyn.Store().Stats()
 			fmt.Printf("published %d articles: %d segments, %d merges, %d manifest swaps (readers never blocked)\n",
-				published, m.Segments, m.Merges, m.Swaps)
+				published, m.Segments, m.Merges, m.Gen)
 		}
 	}
 

@@ -63,8 +63,8 @@ func Claim15OnlineMaintenance() *Result {
 				latMu.Unlock()
 			}
 		})
-		st := d.Maintenance()
-		return lat.Quantile(0.5), lat.Quantile(0.99), st.Swaps, st.Segments
+		st := d.Store().Stats()
+		return lat.Quantile(0.5), lat.Quantile(0.99), st.Gen, st.Segments
 	}
 	t := metrics.NewTable("query latency under a concurrent update stream (1,200 docs)",
 		"buffer", "query p50 (ms)", "query p99 (ms)", "manifest swaps", "segments")

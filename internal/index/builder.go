@@ -46,51 +46,95 @@ func MustBuild(b Builder) *Index {
 	return ix
 }
 
+// docTable is the document half of an index under construction: one
+// entry per document in ordinal order, the external-ID lookup, and the
+// running token total. Every construction strategy and the merge fill
+// one through add and freeze it with index.
+type docTable struct {
+	docs  []docEntry
+	byExt map[int]int
+	total int64
+}
+
+// add appends a document of the given token length and returns its
+// ordinal, rejecting an external ID the table already holds.
+func (t *docTable) add(ext, length int) (int32, error) {
+	if _, dup := t.byExt[ext]; dup {
+		return 0, fmt.Errorf("index: duplicate document %d", ext)
+	}
+	if t.byExt == nil {
+		t.byExt = make(map[int]int)
+	}
+	doc := len(t.docs)
+	t.byExt[ext] = doc
+	t.docs = append(t.docs, docEntry{ext: ext, length: length})
+	t.total += int64(length)
+	return int32(doc), nil
+}
+
+// NumDocs returns how many documents have been added.
+func (t *docTable) NumDocs() int { return len(t.docs) }
+
+// index freezes the table into an Index with an empty lexicon, plus the
+// document statistics its posting lists are encoded against. The table
+// must not be added to afterwards.
+func (t *docTable) index(opts Options) (*Index, encodeStats) {
+	ix := &Index{
+		opts:     opts,
+		terms:    make(map[string]int),
+		docs:     t.docs,
+		docByExt: t.byExt,
+		totalLen: t.total,
+	}
+	return ix, lengthsOf(t.docs, t.total)
+}
+
+// addTerm appends the next term of the lexicon (callers add terms in
+// sorted order).
+func (ix *Index) addTerm(term string, pl postingList) {
+	ix.terms[term] = len(ix.termList)
+	ix.termList = append(ix.termList, termEntry{term: term, pl: pl})
+}
+
+// invert groups the token positions of document doc per term and emits
+// one posting per distinct term for which keep returns true (nil keeps
+// every term), in no particular term order. Positions index the full
+// token sequence, filtered or not.
+func invert(doc int32, terms []string, positions bool, keep func(string) bool, emit func(term string, p Posting)) {
+	occ := make(map[string][]int32)
+	for i, t := range terms {
+		if keep == nil || keep(t) {
+			occ[t] = append(occ[t], int32(i))
+		}
+	}
+	for t, poss := range occ {
+		p := Posting{Doc: doc, TF: int32(len(poss))}
+		if positions {
+			p.Pos = poss
+		}
+		emit(t, p)
+	}
+}
+
 // MemBuilder constructs an Index incrementally in memory: the vanilla
 // inverter that keeps a growing posting buffer per term. It is the
 // reference implementation the other construction strategies are checked
 // against.
 type MemBuilder struct {
+	docTable
 	opts    Options
 	posting map[string][]Posting
-	docs    []docEntry
-	byExt   map[int]int
-	total   int64
 }
 
 // NewBuilder creates an in-memory builder with the given layout options.
 func NewBuilder(opts Options) *MemBuilder {
-	return &MemBuilder{
-		opts:    opts,
-		posting: make(map[string][]Posting),
-		byExt:   make(map[int]int),
-	}
+	return &MemBuilder{opts: opts, posting: make(map[string][]Posting)}
 }
 
 // AddDocument indexes one tokenized document under external ID ext,
 // rejecting duplicate IDs.
 func (b *MemBuilder) AddDocument(ext int, terms []string) error {
-	if _, dup := b.byExt[ext]; dup {
-		return fmt.Errorf("index: duplicate document %d", ext)
-	}
-	doc := int32(len(b.docs))
-	b.byExt[ext] = int(doc)
-	b.docs = append(b.docs, docEntry{ext: ext, length: len(terms)})
-	b.total += int64(len(terms))
-
-	// Group positions per term for this document.
-	occ := make(map[string][]int32)
-	for i, t := range terms {
-		occ[t] = append(occ[t], int32(i))
-	}
-	for t, poss := range occ {
-		p := Posting{Doc: doc, TF: int32(len(poss))}
-		if b.opts.StorePositions {
-			p.Pos = poss
-		}
-		b.posting[t] = append(b.posting[t], p)
-	}
-	return nil
+	return b.AddDocumentFiltered(ext, terms, nil)
 }
 
 // AddDocumentFiltered indexes only the terms of the document for which
@@ -99,32 +143,15 @@ func (b *MemBuilder) AddDocument(ext int, terms []string) error {
 // complete postings for their term range with correct BM25 length
 // normalization.
 func (b *MemBuilder) AddDocumentFiltered(ext int, terms []string, keep func(string) bool) error {
-	if _, dup := b.byExt[ext]; dup {
-		return fmt.Errorf("index: duplicate document %d", ext)
+	doc, err := b.add(ext, len(terms))
+	if err != nil {
+		return err
 	}
-	doc := int32(len(b.docs))
-	b.byExt[ext] = int(doc)
-	b.docs = append(b.docs, docEntry{ext: ext, length: len(terms)})
-	b.total += int64(len(terms))
-
-	occ := make(map[string][]int32)
-	for i, t := range terms {
-		if keep(t) {
-			occ[t] = append(occ[t], int32(i))
-		}
-	}
-	for t, poss := range occ {
-		p := Posting{Doc: doc, TF: int32(len(poss))}
-		if b.opts.StorePositions {
-			p.Pos = poss
-		}
+	invert(doc, terms, b.opts.StorePositions, keep, func(t string, p Posting) {
 		b.posting[t] = append(b.posting[t], p)
-	}
+	})
 	return nil
 }
-
-// NumDocs returns how many documents have been added.
-func (b *MemBuilder) NumDocs() int { return len(b.docs) }
 
 // Build freezes the builder into an immutable Index. The builder must
 // not be used afterwards. The error is always nil (pure in-memory
@@ -138,23 +165,17 @@ func (b *MemBuilder) Build() (*Index, error) {
 // a disjoint set of lexicon slots, so the resulting index is identical
 // to Build's at any worker count.
 func (b *MemBuilder) BuildParallel(workers int) *Index {
-	ix := &Index{
-		opts:     b.opts,
-		terms:    make(map[string]int, len(b.posting)),
-		docs:     b.docs,
-		docByExt: b.byExt,
-		totalLen: b.total,
-	}
+	ix, st := b.index(b.opts)
 	terms := make([]string, 0, len(b.posting))
 	for t := range b.posting {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
+	ix.terms = make(map[string]int, len(terms))
 	ix.termList = make([]termEntry, len(terms))
 	for i, t := range terms {
 		ix.terms[t] = i
 	}
-	st := lengthsOf(b.docs, b.total)
 	conc.Do(len(terms), workers, func(i int) {
 		t := terms[i]
 		ix.termList[i] = termEntry{term: t, pl: encodePostings(b.posting[t], b.opts, st)}
@@ -181,11 +202,9 @@ func BuildAll(builders []*MemBuilder, workers int) []*Index {
 // one (term, doc, position) triple per occurrence, sorts the triples at
 // the end, and emits postings from the sorted run.
 type SortBuilder struct {
-	opts  Options
-	recs  []occRecord
-	docs  []docEntry
-	byExt map[int]int
-	total int64
+	docTable
+	opts Options
+	recs []occRecord
 }
 
 type occRecord struct {
@@ -196,27 +215,21 @@ type occRecord struct {
 
 // NewSortBuilder creates a sort-based builder.
 func NewSortBuilder(opts Options) *SortBuilder {
-	return &SortBuilder{opts: opts, byExt: make(map[int]int)}
+	return &SortBuilder{opts: opts}
 }
 
 // AddDocument records the occurrence triples of one document, rejecting
 // duplicate IDs.
 func (b *SortBuilder) AddDocument(ext int, terms []string) error {
-	if _, dup := b.byExt[ext]; dup {
-		return fmt.Errorf("index: duplicate document %d", ext)
+	doc, err := b.add(ext, len(terms))
+	if err != nil {
+		return err
 	}
-	doc := int32(len(b.docs))
-	b.byExt[ext] = int(doc)
-	b.docs = append(b.docs, docEntry{ext: ext, length: len(terms)})
-	b.total += int64(len(terms))
 	for i, t := range terms {
 		b.recs = append(b.recs, occRecord{term: t, doc: doc, pos: int32(i)})
 	}
 	return nil
 }
-
-// NumDocs returns how many documents have been added.
-func (b *SortBuilder) NumDocs() int { return len(b.docs) }
 
 // Build sorts the occurrence records and assembles the index. The error
 // is always nil; it exists to satisfy Builder.
@@ -231,14 +244,7 @@ func (b *SortBuilder) Build() (*Index, error) {
 		}
 		return a.pos < c.pos
 	})
-	ix := &Index{
-		opts:     b.opts,
-		terms:    make(map[string]int),
-		docs:     b.docs,
-		docByExt: b.byExt,
-		totalLen: b.total,
-	}
-	st := lengthsOf(b.docs, b.total)
+	ix, st := b.index(b.opts)
 	i := 0
 	for i < len(b.recs) {
 		term := b.recs[i].term
@@ -256,8 +262,7 @@ func (b *SortBuilder) Build() (*Index, error) {
 			}
 			ps = append(ps, p)
 		}
-		ix.terms[term] = len(ix.termList)
-		ix.termList = append(ix.termList, termEntry{term: term, pl: encodePostings(ps, b.opts, st)})
+		ix.addTerm(term, encodePostings(ps, b.opts, st))
 	}
 	return ix, nil
 }

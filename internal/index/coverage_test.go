@@ -113,24 +113,6 @@ func TestDynamicDeleteUnknownNoop(t *testing.T) {
 	}
 }
 
-func TestReconstructTermsWithoutPositions(t *testing.T) {
-	opts := Options{Compress: true, StorePositions: false, BlockSize: 0}
-	b := NewBuilder(opts)
-	b.AddDocument(3, []string{"x", "y", "x"})
-	ix := MustBuild(b)
-	got := reconstructTerms(ix, 0)
-	if len(got) != 3 {
-		t.Fatalf("reconstructed %d terms, want 3 (bag form)", len(got))
-	}
-	counts := map[string]int{}
-	for _, g := range got {
-		counts[g]++
-	}
-	if counts["x"] != 2 || counts["y"] != 1 {
-		t.Fatalf("bag = %v", counts)
-	}
-}
-
 func TestWriteFileToUnwritablePath(t *testing.T) {
 	ix := buildTiny(DefaultOptions())
 	err := ix.WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.idx"))

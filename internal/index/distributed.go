@@ -1,7 +1,7 @@
 package index
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 
 	"dwr/internal/conc"
@@ -25,93 +25,31 @@ func BuildMapReduce(opts Options, docs []Doc, mappers, reducers int) (*Index, er
 	if reducers <= 0 {
 		reducers = 1
 	}
-	if err := checkDuplicates(docs); err != nil {
-		return nil, err
-	}
 
 	// Map phase: chunk documents contiguously, invert each chunk in
 	// parallel with the reference builder.
-	chunks := make([][]Doc, mappers)
 	per := (len(docs) + mappers - 1) / mappers
-	for i := 0; i < mappers; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(docs) {
-			lo = len(docs)
-		}
-		if hi > len(docs) {
-			hi = len(docs)
-		}
-		chunks[i] = docs[lo:hi]
-	}
 	partials := make([]*Index, mappers)
+	errs := make([]error, mappers)
 	conc.Do(mappers, mappers, func(i int) {
 		b := NewBuilder(opts)
-		for _, d := range chunks[i] {
-			b.AddDocument(d.Ext, d.Terms)
+		for _, d := range docs[min(i*per, len(docs)):min((i+1)*per, len(docs))] {
+			if errs[i] = b.AddDocument(d.Ext, d.Terms); errs[i] != nil {
+				return
+			}
 		}
 		partials[i] = b.BuildParallel(1)
 	})
-
-	// Global document table, sorted by external ID, shared by reducers.
-	ix, remap := mergeDocTables(opts, partials)
-	st := lengthsOf(ix.docs, ix.totalLen)
-
-	// Shuffle: assign terms to reducers by hash; each reducer merges its
-	// terms' postings from every partial.
-	termSet := make(map[string]bool)
-	for _, p := range partials {
-		for i := range p.termList {
-			termSet[p.termList[i].term] = true
-		}
-	}
-	allTerms := make([]string, 0, len(termSet))
-	for t := range termSet {
-		allTerms = append(allTerms, t)
-	}
-	sort.Strings(allTerms)
-
-	byReducer := make([][]string, reducers)
-	for _, t := range allTerms {
-		r := int(stringHash(t) % uint64(reducers))
-		byReducer[r] = append(byReducer[r], t)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
-	type reducedTerm struct {
-		term string
-		pl   postingList
-	}
-	results := make([][]reducedTerm, reducers)
-	conc.Do(reducers, reducers, func(r int) {
-		out := make([]reducedTerm, 0, len(byReducer[r]))
-		for _, t := range byReducer[r] {
-			var merged []Posting
-			for pi, p := range partials {
-				i, ok := p.terms[t]
-				if !ok {
-					continue
-				}
-				for _, post := range p.termList[i].pl.decodeAll(p.opts) {
-					post.Doc = remap[pi][post.Doc]
-					merged = append(merged, post)
-				}
-			}
-			sort.Slice(merged, func(i, j int) bool { return merged[i].Doc < merged[j].Doc })
-			out = append(out, reducedTerm{term: t, pl: encodePostings(merged, opts, st)})
-		}
-		results[r] = out
-	})
-
-	var flat []reducedTerm
-	for _, rs := range results {
-		flat = append(flat, rs...)
-	}
-	sort.Slice(flat, func(i, j int) bool { return flat[i].term < flat[j].term })
-	for _, rt := range flat {
-		ix.terms[rt.term] = len(ix.termList)
-		ix.termList = append(ix.termList, termEntry{term: rt.term, pl: rt.pl})
-	}
-	return ix, nil
+	// Shuffle + reduce: every term's partial lists are merged against one
+	// document table in external-ID order (which is also where a document
+	// two mappers both saw is caught), the union lexicon split over the
+	// reducers.
+	ix, _, err := mergeParts(opts, partials, byExtID, nil, reducers)
+	return ix, err
 }
 
 // BuildPipeline constructs an index with the pipelined organization of
@@ -122,9 +60,6 @@ func BuildMapReduce(opts Options, docs []Doc, mappers, reducers int) (*Index, er
 func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 	if stages <= 0 {
 		stages = 1
-	}
-	if err := checkDuplicates(docs); err != nil {
-		return nil, err
 	}
 
 	// Determine term-range boundaries from a sample of the vocabulary so
@@ -156,12 +91,13 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 	// then stream the same ordered documents through the stage chain.
 	sorted := append([]Doc(nil), docs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Ext < sorted[j].Ext })
-	ix := &Index{opts: opts, terms: make(map[string]int), docByExt: make(map[int]int)}
-	for li, d := range sorted {
-		ix.docs = append(ix.docs, docEntry{ext: d.Ext, length: len(d.Terms)})
-		ix.docByExt[d.Ext] = li
-		ix.totalLen += int64(len(d.Terms))
+	var dt docTable
+	for _, d := range sorted {
+		if _, err := dt.add(d.Ext, len(d.Terms)); err != nil {
+			return nil, err
+		}
 	}
+	ix, st := dt.index(opts)
 
 	// The pipeline: each stage owns its partial posting map and inverts
 	// only occurrences in its term range, seeing documents in ordinal
@@ -172,84 +108,17 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 		partialPost[s] = make(map[string][]Posting)
 	}
 	conc.Pipeline(len(sorted), stages, func(s, li int) {
-		d := sorted[li]
-		occ := make(map[string][]int32)
-		for i, t := range d.Terms {
-			if stageOf(t) == s {
-				occ[t] = append(occ[t], int32(i))
-			}
-		}
-		for t, poss := range occ {
-			p := Posting{Doc: int32(li), TF: int32(len(poss))}
-			if opts.StorePositions {
-				p.Pos = poss
-			}
-			partialPost[s][t] = append(partialPost[s][t], p)
-		}
+		invert(int32(li), sorted[li].Terms, opts.StorePositions,
+			func(t string) bool { return stageOf(t) == s },
+			func(t string, p Posting) { partialPost[s][t] = append(partialPost[s][t], p) })
 	})
 
-	// Collect stage outputs: term ranges are disjoint, so simple union.
-	st := lengthsOf(ix.docs, ix.totalLen)
-	var all []string
-	for s := 0; s < stages; s++ {
-		for t := range partialPost[s] {
-			all = append(all, t)
-		}
-	}
-	sort.Strings(all)
-	for _, t := range all {
+	// Collect stage outputs: term ranges are disjoint and cover the
+	// vocabulary, so the sorted vocabulary is the lexicon.
+	for _, t := range terms {
 		ps := partialPost[stageOf(t)][t]
 		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
-		ix.terms[t] = len(ix.termList)
-		ix.termList = append(ix.termList, termEntry{term: t, pl: encodePostings(ps, opts, st)})
+		ix.addTerm(t, encodePostings(ps, opts, st))
 	}
 	return ix, nil
-}
-
-// mergeDocTables builds the shell of a merged index (documents only,
-// sorted by external ID) plus per-part document remap tables.
-func mergeDocTables(opts Options, parts []*Index) (*Index, [][]int32) {
-	type srcDoc struct {
-		ext, length, part int
-		local             int32
-	}
-	var all []srcDoc
-	for pi, p := range parts {
-		for li, d := range p.docs {
-			all = append(all, srcDoc{ext: d.ext, length: d.length, part: pi, local: int32(li)})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ext < all[j].ext })
-	ix := &Index{opts: opts, terms: make(map[string]int), docByExt: make(map[int]int, len(all))}
-	remap := make([][]int32, len(parts))
-	for pi, p := range parts {
-		remap[pi] = make([]int32, len(p.docs))
-	}
-	for gi, d := range all {
-		ix.docs = append(ix.docs, docEntry{ext: d.ext, length: d.length})
-		ix.docByExt[d.ext] = gi
-		ix.totalLen += int64(d.length)
-		remap[d.part][d.local] = int32(gi)
-	}
-	return ix, remap
-}
-
-func checkDuplicates(docs []Doc) error {
-	seen := make(map[int]bool, len(docs))
-	for _, d := range docs {
-		if seen[d.Ext] {
-			return fmt.Errorf("index: duplicate document %d", d.Ext)
-		}
-		seen[d.Ext] = true
-	}
-	return nil
-}
-
-func stringHash(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

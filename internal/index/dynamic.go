@@ -42,12 +42,8 @@ type Dynamic struct {
 	mu   sync.RWMutex
 	snap *dynSnapshot
 
-	// onChange hooks run after every completed mutation (Add, Delete,
-	// Flush), outside all locks. Result caches register here so an index
-	// update invalidates their entries (generation bump) without the
-	// index knowing about caching.
-	hookMu   sync.Mutex
-	onChange []func()
+	// hooks run after every completed mutation, outside all locks.
+	hooks
 }
 
 // dynSnapshot is one immutable published view: the unflushed buffer
@@ -83,28 +79,6 @@ func NewDynamic(opts Options, bufferCap, radix int) *Dynamic {
 // statistics). Structural mutation must keep going through the Dynamic.
 func (d *Dynamic) Store() *SegmentStore { return d.store }
 
-// OnChange registers fn to run after every completed mutation (Add,
-// Delete, Flush). Hooks fire outside the index's locks and must be fast
-// and non-blocking; the intended use is bumping a result cache's
-// generation counter.
-func (d *Dynamic) OnChange(fn func()) {
-	d.hookMu.Lock()
-	d.onChange = append(d.onChange, fn)
-	d.hookMu.Unlock()
-}
-
-// notifyChange runs the registered hooks. Callers must NOT hold d.mu or
-// d.maint — a hook that queries the index back would deadlock
-// otherwise.
-func (d *Dynamic) notifyChange() {
-	d.hookMu.Lock()
-	hooks := d.onChange
-	d.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
 // snapshot returns the current published view.
 func (d *Dynamic) snapshot() *dynSnapshot {
 	d.mu.RLock()
@@ -131,13 +105,9 @@ func (d *Dynamic) Add(ext int, terms []string) error {
 		d.maint.Unlock()
 		return fmt.Errorf("index: document %d already present", ext)
 	}
-	if snap.man.Contains(ext) {
-		tombstoned := snap.man.Deleted(ext)
+	if err := snap.man.admit(ext); err != nil {
 		d.maint.Unlock()
-		if tombstoned {
-			return fmt.Errorf("index: document %d is tombstoned but still resident in a segment; re-add under a new ID", ext)
-		}
-		return fmt.Errorf("index: document %d already present", ext)
+		return err
 	}
 	buf := make([]Doc, 0, len(snap.buffer)+1)
 	buf = append(buf, snap.buffer...)
@@ -149,7 +119,7 @@ func (d *Dynamic) Add(ext int, terms []string) error {
 		d.publish(&dynSnapshot{buffer: buf, man: snap.man})
 	}
 	d.maint.Unlock()
-	d.notifyChange()
+	d.notify()
 	return nil
 }
 
@@ -175,7 +145,7 @@ func (d *Dynamic) Delete(ext int) {
 	}
 	d.maint.Unlock()
 	if removed {
-		d.notifyChange()
+		d.notify()
 	}
 }
 
@@ -190,7 +160,7 @@ func (d *Dynamic) Flush() {
 	}
 	d.maint.Unlock()
 	if flushed {
-		d.notifyChange()
+		d.notify()
 	}
 }
 
@@ -254,32 +224,8 @@ func (d *Dynamic) Build() (*Index, error) {
 		d.publish(&dynSnapshot{man: d.store.Manifest()})
 	}
 	d.maint.Unlock()
-	d.notifyChange()
+	d.notify()
 	return ix, err
-}
-
-// MaintenanceStats reports flush/merge/tombstone activity and manifest
-// churn.
-type MaintenanceStats struct {
-	Flushes           int    // buffer seals
-	Merges            int    // segment merges
-	MergedDocs        int    // documents written by merges
-	TombstonesDropped int    // tombstoned documents physically removed
-	Swaps             uint64 // manifest generations published by the store
-	Segments          int    // sealed segments currently resident
-}
-
-// Maintenance returns the accumulated maintenance statistics.
-func (d *Dynamic) Maintenance() MaintenanceStats {
-	st := d.store.Stats()
-	return MaintenanceStats{
-		Flushes:           st.Applied,
-		Merges:            st.Merges,
-		MergedDocs:        st.MergedDocs,
-		TombstonesDropped: st.TombstonesDropped,
-		Swaps:             st.Gen,
-		Segments:          st.Segments,
-	}
 }
 
 // View returns the current snapshot as a partition view for
@@ -299,92 +245,4 @@ func (d *Dynamic) View() *Manifest {
 		s.view = &Manifest{gen: s.man.gen, segments: segs, deleted: s.man.deleted}
 	})
 	return s.view
-}
-
-// reconstructTerms rebuilds a document's token sequence from positional
-// postings (or an order-insensitive bag when positions are off). Merging
-// via re-indexing keeps the implementation simple and exactly correct.
-func reconstructTerms(ix *Index, doc int32) []string {
-	length := ix.DocLen(doc)
-	terms := make([]string, length)
-	filled := 0
-	for _, t := range ix.termList {
-		it := newIterator(&t.pl, ix.opts, true)
-		if !it.SkipTo(doc) || it.Posting().Doc != doc {
-			continue
-		}
-		p := it.Posting()
-		if ix.opts.StorePositions {
-			for _, pos := range p.Pos {
-				if int(pos) < length && terms[pos] == "" {
-					terms[pos] = t.term
-					filled++
-				}
-			}
-		} else {
-			for k := int32(0); k < p.TF && filled < length; k++ {
-				terms[filled] = t.term
-				filled++
-			}
-		}
-	}
-	// Positions may have holes if the doc was built without positions;
-	// compact empties.
-	if filled < length {
-		out := terms[:0]
-		for _, s := range terms {
-			if s != "" {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	return terms
-}
-
-// reconstructAllDocs rebuilds every document's token sequence in one
-// pass over the lexicon, walking each posting list exactly once —
-// O(total postings), where calling reconstructTerms per document is
-// O(docs × lexicon). Produces identical sequences: both fill positional
-// slots (or append TF repeats) in the same lexicon order.
-func reconstructAllDocs(ix *Index) [][]string {
-	n := ix.NumDocs()
-	terms := make([][]string, n)
-	filled := make([]int, n)
-	for doc := 0; doc < n; doc++ {
-		terms[doc] = make([]string, ix.DocLen(int32(doc)))
-	}
-	for ti := range ix.termList {
-		t := &ix.termList[ti]
-		it := newIterator(&t.pl, ix.opts, true)
-		for it.Next() {
-			p := it.Posting()
-			buf := terms[p.Doc]
-			if ix.opts.StorePositions {
-				for _, pos := range p.Pos {
-					if int(pos) < len(buf) && buf[pos] == "" {
-						buf[pos] = t.term
-						filled[p.Doc]++
-					}
-				}
-			} else {
-				for k := int32(0); k < p.TF && filled[p.Doc] < len(buf); k++ {
-					buf[filled[p.Doc]] = t.term
-					filled[p.Doc]++
-				}
-			}
-		}
-	}
-	for d := range terms {
-		if filled[d] < len(terms[d]) {
-			out := terms[d][:0]
-			for _, s := range terms[d] {
-				if s != "" {
-					out = append(out, s)
-				}
-			}
-			terms[d] = out
-		}
-	}
-	return terms
 }

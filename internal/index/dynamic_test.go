@@ -49,8 +49,8 @@ func TestDynamicFlushAndMergeKeepSegmentsLogarithmic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.Maintenance()
-	if st.Flushes == 0 || st.Merges == 0 {
+	st := d.Store().Stats()
+	if st.Applied == 0 || st.Merges == 0 {
 		t.Fatalf("no maintenance activity: %+v", st)
 	}
 	// Geometric invariant: segment count stays logarithmic (here: small).
@@ -164,22 +164,6 @@ func TestDynamicConcurrentReadersAndWriter(t *testing.T) {
 	}
 	if got := len(liveMatches(d.View(), []string{"shared"})); got != 400 {
 		t.Fatalf("search finds %d docs, want 400", got)
-	}
-}
-
-func TestReconstructTermsExact(t *testing.T) {
-	b := NewBuilder(DefaultOptions())
-	orig := []string{"the", "quick", "fox", "the", "end"}
-	b.AddDocument(7, orig)
-	ix := MustBuild(b)
-	got := reconstructTerms(ix, 0)
-	if len(got) != len(orig) {
-		t.Fatalf("reconstructed %d terms, want %d", len(got), len(orig))
-	}
-	for i := range orig {
-		if got[i] != orig[i] {
-			t.Fatalf("position %d: %q, want %q", i, got[i], orig[i])
-		}
 	}
 }
 

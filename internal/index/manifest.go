@@ -1,5 +1,7 @@
 package index
 
+import "fmt"
+
 // Manifest is an immutable snapshot of an LSM-style segment set: the
 // ordered immutable segments (oldest first), the tombstone set, and a
 // generation number that increments with every published change. A
@@ -79,6 +81,21 @@ func (m *Manifest) Contains(ext int) bool {
 
 // Deleted reports whether ext is tombstoned.
 func (m *Manifest) Deleted(ext int) bool { return m.deleted[ext] }
+
+// admit is the writers' residency check: nil when ext may be added, an
+// error when it is resident in some segment. A tombstoned resident is
+// refused too — clearing the tombstone would resurrect the stale copy,
+// so updates are modelled as delete + add under a fresh ID, the common
+// practice for immutable-segment indexes.
+func (m *Manifest) admit(ext int) error {
+	if !m.Contains(ext) {
+		return nil
+	}
+	if m.Deleted(ext) {
+		return fmt.Errorf("index: document %d is tombstoned but still resident in a segment; re-add under a new ID", ext)
+	}
+	return fmt.Errorf("index: document %d already present", ext)
+}
 
 // LocalStats aggregates the segments' statistics restricted to the
 // given terms (nil = all terms) — Index.LocalStats for a view. NumDocs

@@ -1,8 +1,10 @@
 package index
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+
+	"dwr/internal/conc"
 )
 
 // Merge combines partial indexes over disjoint document sets into one
@@ -11,74 +13,116 @@ import (
 // were split across the parts, and postings are remapped accordingly.
 // Merge returns an error if two parts contain the same external ID.
 func Merge(opts Options, parts ...*Index) (*Index, error) {
-	type srcDoc struct {
-		ext    int
-		length int
-		part   int
-		local  int32
-	}
-	var all []srcDoc
-	for pi, p := range parts {
-		for li, d := range p.docs {
-			all = append(all, srcDoc{ext: d.ext, length: d.length, part: pi, local: int32(li)})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ext < all[j].ext })
-	for i := 1; i < len(all); i++ {
-		if all[i].ext == all[i-1].ext {
-			return nil, fmt.Errorf("index: document %d present in multiple partitions", all[i].ext)
-		}
-	}
+	ix, _, err := mergeParts(opts, parts, byExtID, nil, 1)
+	return ix, err
+}
 
-	ix := &Index{
-		opts:     opts,
-		terms:    make(map[string]int),
-		docByExt: make(map[int]int, len(all)),
+// mergeOrder is the order mergeParts assigns fresh ordinals in: byArrival
+// keeps part order and each part's own ordinal order (the order a
+// segment store's documents arrived in); byExtID sorts by external ID, so
+// the result does not depend on how documents were split across parts.
+type mergeOrder int
+
+const (
+	byArrival mergeOrder = iota
+	byExtID
+)
+
+// mergeParts is the package's one merge, and it never goes back to
+// documents: the documents drop does not name get fresh ordinals in the
+// given order, then each term of the union lexicon has its lists decoded,
+// remapped, filtered of dropped documents and re-encoded against the
+// merged document table, over up to workers goroutines (each owns its
+// lexicon slot, so the result is identical at any width). A term left
+// with no posting leaves the lexicon. Document order, encodePostings and
+// encodeStats are those of a MemBuilder fed the surviving documents in
+// that order, so the result is byte-equal to that build's. Returned with
+// it are the external IDs dropped; two surviving documents sharing an
+// external ID are an error.
+func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]bool, workers int) (*Index, []int, error) {
+	type srcDoc struct {
+		docEntry
+		part  int
+		local int32
 	}
-	// remap[part][local] = global internal ID
-	remap := make([][]int32, len(parts))
+	var live []srcDoc
+	var dropped []int
+	remap := make([][]int32, len(parts)) // remap[part][local] = merged ordinal, -1 = dropped
+	nTerms := 0
 	for pi, p := range parts {
 		remap[pi] = make([]int32, len(p.docs))
-	}
-	for gi, d := range all {
-		ix.docs = append(ix.docs, docEntry{ext: d.ext, length: d.length})
-		ix.docByExt[d.ext] = gi
-		ix.totalLen += int64(d.length)
-		remap[d.part][d.local] = int32(gi)
-	}
-
-	// Union lexicon.
-	termSet := make(map[string]bool)
-	for _, p := range parts {
-		for i := range p.termList {
-			termSet[p.termList[i].term] = true
+		nTerms += len(p.termList)
+		for li, d := range p.docs {
+			if drop[d.ext] {
+				dropped = append(dropped, d.ext)
+				remap[pi][li] = -1
+				continue
+			}
+			live = append(live, srcDoc{docEntry: d, part: pi, local: int32(li)})
 		}
 	}
-	terms := make([]string, 0, len(termSet))
-	for t := range termSet {
-		terms = append(terms, t)
+	if order == byExtID {
+		sort.Slice(live, func(i, j int) bool { return live[i].ext < live[j].ext })
 	}
-	sort.Strings(terms)
+	dt := docTable{docs: make([]docEntry, 0, len(live)), byExt: make(map[int]int, len(live))}
+	for _, d := range live {
+		doc, err := dt.add(d.ext, d.length)
+		if err != nil {
+			return nil, nil, err
+		}
+		remap[d.part][d.local] = doc
+	}
+	ix, st := dt.index(opts)
 
-	st := lengthsOf(ix.docs, ix.totalLen)
-	for _, t := range terms {
-		var merged []Posting
+	terms := make([]string, 0, nTerms)
+	for _, p := range parts {
+		for i := range p.termList {
+			terms = append(terms, p.termList[i].term)
+		}
+	}
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
+
+	lists := make([]postingList, len(terms))
+	conc.Do(len(terms), workers, func(i int) {
+		n := 0
+		for _, p := range parts {
+			n += p.DF(terms[i])
+		}
+		merged := make([]Posting, 0, n)
+		var it Iterator
 		for pi, p := range parts {
-			i, ok := p.terms[t]
+			j, ok := p.terms[terms[i]]
 			if !ok {
 				continue
 			}
-			for _, post := range p.termList[i].pl.decodeAll(p.opts) {
-				post.Doc = remap[pi][post.Doc]
-				if !opts.StorePositions {
-					post.Pos = nil
+			it.reset(&p.termList[j].pl, p.opts, opts.StorePositions)
+			for it.Next() {
+				post := it.Posting()
+				if post.Doc = remap[pi][post.Doc]; post.Doc >= 0 {
+					merged = append(merged, post)
 				}
-				merged = append(merged, post)
 			}
 		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i].Doc < merged[j].Doc })
-		ix.terms[t] = len(ix.termList)
-		ix.termList = append(ix.termList, termEntry{term: t, pl: encodePostings(merged, opts, st)})
+		if order == byExtID {
+			sort.Slice(merged, func(a, b int) bool { return merged[a].Doc < merged[b].Doc })
+		}
+		lists[i] = encodePostings(merged, opts, st)
+	})
+
+	// Size the lexicon exactly: it stays resident for the segment's life.
+	n := 0
+	for i := range lists {
+		if lists[i].count > 0 {
+			n++
+		}
 	}
-	return ix, nil
+	ix.terms = make(map[string]int, n)
+	ix.termList = make([]termEntry, 0, n)
+	for i, t := range terms {
+		if lists[i].count > 0 {
+			ix.addTerm(t, lists[i])
+		}
+	}
+	return ix, dropped, nil
 }

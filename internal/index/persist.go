@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -213,6 +214,28 @@ func (cr *crcReader) ReadByte() (byte, error) {
 	return b[0], nil
 }
 
+// Every count in the file is read before the trailing checksum can vouch
+// for it, so Read reserves memory for what the stream has delivered, not
+// for what it announces: slices start at no more than prealloc entries
+// (trustedBytes for byte runs) and grow by append from there. A corrupt
+// or hostile header then costs an error, not the process.
+const (
+	prealloc     = 1 << 12
+	trustedBytes = 1 << 16
+)
+
+// readBytes reads exactly n bytes from r.
+func readBytes(r io.Reader, n uint64) ([]byte, error) {
+	if n <= trustedBytes {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var buf bytes.Buffer
+	_, err := io.CopyN(&buf, r, int64(n))
+	return buf.Bytes(), err
+}
+
 // Read deserializes an index written by Write, verifying the checksum.
 func Read(r io.Reader) (*Index, error) {
 	var magic [8]byte
@@ -232,19 +255,19 @@ func Read(r io.Reader) (*Index, error) {
 		return b != 0, err
 	}
 
-	ix := &Index{terms: make(map[string]int), docByExt: make(map[int]int)}
+	var opts Options
 	var err error
-	if ix.opts.Compress, err = readBool(); err != nil {
+	if opts.Compress, err = readBool(); err != nil {
 		return nil, fmt.Errorf("index: reading options: %w", err)
 	}
-	if ix.opts.StorePositions, err = readBool(); err != nil {
+	if opts.StorePositions, err = readBool(); err != nil {
 		return nil, fmt.Errorf("index: reading options: %w", err)
 	}
 	bs, err := readUvarint()
 	if err != nil {
 		return nil, fmt.Errorf("index: reading options: %w", err)
 	}
-	ix.opts.BlockSize = int(bs)
+	opts.BlockSize = int(bs)
 
 	nDocs, err := readUvarint()
 	if err != nil {
@@ -254,8 +277,8 @@ func Read(r io.Reader) (*Index, error) {
 	if nDocs > maxEntities {
 		return nil, fmt.Errorf("index: implausible doc count %d", nDocs)
 	}
-	ix.docs = make([]docEntry, nDocs)
-	for i := range ix.docs {
+	dt := docTable{docs: make([]docEntry, 0, min(nDocs, prealloc))}
+	for i := range nDocs {
 		ext, err := readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("index: reading doc %d: %w", i, err)
@@ -264,10 +287,11 @@ func Read(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading doc %d: %w", i, err)
 		}
-		ix.docs[i] = docEntry{ext: int(ext), length: int(length)}
-		ix.docByExt[int(ext)] = i
-		ix.totalLen += int64(length)
+		if _, err := dt.add(int(ext), int(length)); err != nil {
+			return nil, err
+		}
 	}
+	ix, _ := dt.index(opts)
 
 	nTerms, err := readUvarint()
 	if err != nil {
@@ -276,8 +300,8 @@ func Read(r io.Reader) (*Index, error) {
 	if nTerms > maxEntities {
 		return nil, fmt.Errorf("index: implausible term count %d", nTerms)
 	}
-	ix.termList = make([]termEntry, nTerms)
-	for i := range ix.termList {
+	ix.termList = make([]termEntry, 0, min(nTerms, prealloc))
+	for i := range nTerms {
 		tl, err := readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
@@ -285,8 +309,8 @@ func Read(r io.Reader) (*Index, error) {
 		if tl > 1<<20 {
 			return nil, fmt.Errorf("index: implausible term length %d", tl)
 		}
-		tb := make([]byte, tl)
-		if _, err := io.ReadFull(cr, tb); err != nil {
+		tb, err := readBytes(cr, tl)
+		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
 		}
 		count, err := readUvarint()
@@ -320,8 +344,8 @@ func Read(r io.Reader) (*Index, error) {
 		if dl > 1<<33 {
 			return nil, fmt.Errorf("index: implausible posting data length %d", dl)
 		}
-		data := make([]byte, dl)
-		if _, err := io.ReadFull(cr, data); err != nil {
+		data, err := readBytes(cr, dl)
+		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d data: %w", i, err)
 		}
 		nBlocks, err := readUvarint()
@@ -331,8 +355,8 @@ func Read(r io.Reader) (*Index, error) {
 		if nBlocks > maxEntities {
 			return nil, fmt.Errorf("index: implausible block count %d", nBlocks)
 		}
-		blocks := make([]blockMeta, nBlocks)
-		for b := range blocks {
+		blocks := make([]blockMeta, 0, min(nBlocks, prealloc))
+		for range nBlocks {
 			lastDoc, err := readUvarint()
 			if err != nil {
 				return nil, fmt.Errorf("index: reading block: %w", err)
@@ -353,19 +377,17 @@ func Read(r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("index: reading block: %w", err)
 			}
-			blocks[b] = blockMeta{
+			blocks = append(blocks, blockMeta{
 				lastDoc: int32(lastDoc), maxTF: int32(maxTF),
 				minLen: int32(minLen), maxQ: maxQ, offset: uint32(off),
-			}
+			})
 		}
-		term := string(tb)
-		ix.terms[term] = i
-		ix.termList[i] = termEntry{term: term, pl: postingList{
+		ix.addTerm(string(tb), postingList{
 			count: int(count), cf: int64(cf), data: data, blocks: blocks,
 			maxTF: int32(maxTF), minLen: int32(minLen),
 			satScale: math.Float64frombits(satBits),
 			quantAvg: math.Float64frombits(avgBits),
-		}}
+		})
 	}
 
 	wantCRC := cr.crc

@@ -2,9 +2,12 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -165,4 +168,89 @@ func TestReadFileMissing(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.idx")); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// hostileCounts are well-formed DWRIX3 prefixes that each announce one
+// enormous count and then end: 2^31 documents (seventeen bytes in all),
+// 2^31 terms, 2^33 bytes of posting data, 2^31 blocks.
+func hostileCounts() map[string][]byte {
+	uv := func(prefix []byte, vs ...uint64) []byte {
+		b := slices.Clone(prefix)
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// Compressed, positional, 128 postings per block.
+	header := uv(append(persistMagic[:8:8], 1, 1), 128)
+	// No documents; one term "a" with its count, cf, maxTF, minLen,
+	// satScale and quantAvg.
+	oneTerm := uv(append(uv(header, 0, 1, 1), 'a'), 1, 1, 1, 1, 0, 0)
+	return map[string][]byte{
+		"docs":   uv(header, 1<<31),
+		"terms":  uv(header, 0, 1<<31),
+		"data":   uv(oneTerm, 1<<33),
+		"blocks": uv(oneTerm, 0, 1<<31),
+	}
+}
+
+// TestReadAllocatesWhatTheStreamDelivers: a count is read long before the
+// checksum can vouch for it, so Read must not reserve memory on its say-so.
+// Each input used to reserve 8 to 200 GiB and die with "fatal error:
+// runtime: out of memory"; the TotalAlloc bound keeps the test failing on
+// a machine where such a reservation happens to succeed.
+func TestReadAllocatesWhatTheStreamDelivers(t *testing.T) {
+	for name, raw := range hostileCounts() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte file announcing an enormous count was accepted", name, len(raw))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: Read allocated %d bytes for a %d-byte input", name, grew, len(raw))
+		}
+	}
+}
+
+// FuzzRead: whatever the bytes, Read returns an error or an index that
+// survives a Write/Read round trip — never a panic, never an allocation
+// the input did not pay for.
+func FuzzRead(f *testing.F) {
+	docs := randomDocs(rand.New(rand.NewSource(23)), 40, 20)
+	for _, opts := range []Options{
+		DefaultOptions(),
+		{Compress: false, StorePositions: true, BlockSize: 16},
+		{Compress: true, StorePositions: false},
+	} {
+		var buf bytes.Buffer
+		if err := indexDocs(opts, docs).Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		raw := buf.Bytes()
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+		f.Add(raw[:len(raw)-3])
+	}
+	for _, raw := range hostileCounts() {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ix, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := ix.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted index: %v", err)
+		}
+		if !Equal(ix, again) {
+			t.Fatal("an accepted index changed across a Write/Read round trip")
+		}
+	})
 }

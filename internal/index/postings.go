@@ -547,7 +547,7 @@ func (it *Iterator) QuantValidFor(k1, b, avg float64) bool {
 		avg == it.pl.quantAvg && it.pl.satScale > 0
 }
 
-// decodeAll materializes a posting list; used by merging.
+// decodeAll materializes a posting list; used by Equal.
 func (pl *postingList) decodeAll(opts Options) []Posting {
 	out := make([]Posting, 0, pl.count)
 	it := newIterator(pl, opts, true)

@@ -18,15 +18,13 @@ import (
 // memory until a budget is exceeded, are flushed to a sorted on-disk
 // run, and the runs are k-way merged into the final index.
 type SPIMIBuilder struct {
+	docTable
 	opts      Options
 	memBudget int
 	dir       string
 	cur       map[string][]Posting
 	curBytes  int
 	runs      []string
-	docs      []docEntry
-	byExt     map[int]int
-	total     int64
 	spills    int
 }
 
@@ -52,35 +50,20 @@ func NewSPIMIBuilder(opts Options, memBudget int, dir string) (*SPIMIBuilder, er
 		memBudget: memBudget,
 		dir:       tmp,
 		cur:       make(map[string][]Posting),
-		byExt:     make(map[int]int),
 	}, nil
 }
 
 // AddDocument indexes one tokenized document, spilling to disk if the
 // memory budget is exceeded.
 func (b *SPIMIBuilder) AddDocument(ext int, terms []string) error {
-	if _, dup := b.byExt[ext]; dup {
-		return fmt.Errorf("index: duplicate document %d", ext)
+	doc, err := b.add(ext, len(terms))
+	if err != nil {
+		return err
 	}
-	doc := int32(len(b.docs))
-	b.byExt[ext] = int(doc)
-	b.docs = append(b.docs, docEntry{ext: ext, length: len(terms)})
-	b.total += int64(len(terms))
-
-	occ := make(map[string][]int32)
-	for i, t := range terms {
-		occ[t] = append(occ[t], int32(i))
-	}
-	for t, poss := range occ {
-		p := Posting{Doc: doc, TF: int32(len(poss))}
-		cost := 12 + len(t)
-		if b.opts.StorePositions {
-			p.Pos = poss
-			cost += 4 * len(poss)
-		}
+	invert(doc, terms, b.opts.StorePositions, nil, func(t string, p Posting) {
 		b.cur[t] = append(b.cur[t], p)
-		b.curBytes += cost
-	}
+		b.curBytes += 12 + len(t) + 4*len(p.Pos)
+	})
 	if b.curBytes >= b.memBudget {
 		return b.spill()
 	}
@@ -89,9 +72,6 @@ func (b *SPIMIBuilder) AddDocument(ext int, terms []string) error {
 
 // Spills returns how many runs were written to disk so far.
 func (b *SPIMIBuilder) Spills() int { return b.spills }
-
-// NumDocs returns how many documents have been added.
-func (b *SPIMIBuilder) NumDocs() int { return len(b.docs) }
 
 // spill writes the in-memory buffer as one sorted run file.
 func (b *SPIMIBuilder) spill() error {
@@ -183,13 +163,7 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 	}
 	defer os.RemoveAll(b.dir)
 
-	ix := &Index{
-		opts:     b.opts,
-		terms:    make(map[string]int),
-		docs:     b.docs,
-		docByExt: b.byExt,
-		totalLen: b.total,
-	}
+	ix, st := b.index(b.opts)
 
 	var h readerHeap
 	for seq, path := range b.runs {
@@ -208,26 +182,19 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 	}
 	heap.Init(&h)
 
-	st := lengthsOf(b.docs, b.total)
 	var curTerm string
 	var curPostings []Posting
-	flushTerm := func() {
-		if curTerm == "" && len(curPostings) == 0 {
-			return
+	flushTerm := func() { // every run entry holds at least one posting
+		if len(curPostings) > 0 {
+			ix.addTerm(curTerm, encodePostings(curPostings, b.opts, st))
+			curPostings = nil
 		}
-		ix.terms[curTerm] = len(ix.termList)
-		ix.termList = append(ix.termList, termEntry{term: curTerm, pl: encodePostings(curPostings, b.opts, st)})
-		curPostings = nil
 	}
-	first := true
 	for h.Len() > 0 {
 		r := h[0]
-		if first || r.cur.Term != curTerm {
-			if !first {
-				flushTerm()
-			}
+		if r.cur.Term != curTerm {
+			flushTerm()
 			curTerm = r.cur.Term
-			first = false
 		}
 		curPostings = append(curPostings, r.cur.Postings...)
 		if err := r.next(); err != nil {
@@ -239,8 +206,6 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 			heap.Fix(&h, 0)
 		}
 	}
-	if !first {
-		flushTerm()
-	}
+	flushTerm()
 	return ix, nil
 }

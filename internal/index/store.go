@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"dwr/internal/conc"
@@ -64,8 +65,7 @@ type SegmentStore struct {
 	pool    *conc.Pool
 	pending sync.WaitGroup
 
-	hookMu   sync.Mutex
-	onChange []func()
+	hooks
 }
 
 // NewSegmentStore creates an empty store with inline (deterministic)
@@ -102,21 +102,33 @@ func (s *SegmentStore) Stats() SegmentStats {
 	return st
 }
 
-// OnChange registers fn to run after every published manifest swap
-// (apply, merge, delete, compaction). Hooks fire outside all store
-// locks and must be fast and non-blocking; the intended use is bumping
-// a result cache's generation counter.
-func (s *SegmentStore) OnChange(fn func()) {
-	s.hookMu.Lock()
-	s.onChange = append(s.onChange, fn)
-	s.hookMu.Unlock()
+// hooks is the change-callback list SegmentStore and Dynamic each embed:
+// result caches register here, so an index update invalidates their
+// entries (generation bump) without the index knowing about caching.
+type hooks struct {
+	hookMu   sync.Mutex
+	onChange []func()
 }
 
-func (s *SegmentStore) notify() {
-	s.hookMu.Lock()
-	hooks := s.onChange
-	s.hookMu.Unlock()
-	for _, fn := range hooks {
+// OnChange registers fn to run after every completed change: a store's
+// published manifest swap (apply, merge, delete, compaction), a
+// Dynamic's mutation (Add, Delete, Flush, Build). Hooks must be fast and
+// non-blocking; the intended use is bumping a result cache's generation
+// counter.
+func (h *hooks) OnChange(fn func()) {
+	h.hookMu.Lock()
+	h.onChange = append(h.onChange, fn)
+	h.hookMu.Unlock()
+}
+
+// notify runs the registered hooks. Callers must hold none of the
+// owner's locks — a hook that queries the index back would deadlock
+// otherwise.
+func (h *hooks) notify() {
+	h.hookMu.Lock()
+	fns := h.onChange
+	h.hookMu.Unlock()
+	for _, fn := range fns {
 		fn()
 	}
 }
@@ -170,10 +182,7 @@ func (s *SegmentStore) Delete(ext int) bool {
 	}
 	s.mu.Lock()
 	cur := s.man
-	del := make(map[int]bool, len(cur.deleted)+1)
-	for k, v := range cur.deleted {
-		del[k] = v
-	}
+	del := maps.Clone(cur.deleted)
 	del[ext] = true
 	s.man = &Manifest{gen: cur.gen + 1, segments: cur.segments, deleted: del}
 	s.mu.Unlock()
@@ -214,10 +223,7 @@ func (s *SegmentStore) maintain() bool {
 		segs = append(segs, cur.segments[i+2:]...)
 		del := cur.deleted
 		if len(dropped) > 0 {
-			del = make(map[int]bool, len(cur.deleted))
-			for k, v := range cur.deleted {
-				del[k] = v
-			}
+			del = maps.Clone(cur.deleted)
 			for _, ext := range dropped {
 				delete(del, ext)
 			}
@@ -274,28 +280,15 @@ func (s *SegmentStore) Compact() (*Index, error) {
 	return merged, nil
 }
 
-// mergeSegments re-indexes the live documents of parts (in segment
-// order) into one fresh segment, returning it plus the tombstoned
-// external IDs that were physically dropped. Merging via re-indexing
-// keeps the implementation simple and exactly correct (positions
-// included); see reconstructTerms.
+// mergeSegments merges parts (in segment order) into one fresh segment
+// without the tombstoned documents, returning it plus the external IDs
+// physically dropped.
 func mergeSegments(opts Options, parts []*Index, deleted map[int]bool) (*Index, []int) {
-	nb := NewBuilder(opts)
-	var dropped []int
-	for _, src := range parts {
-		terms := reconstructAllDocs(src)
-		for doc := int32(0); doc < int32(src.NumDocs()); doc++ {
-			ext := src.ExtID(doc)
-			if deleted[ext] {
-				dropped = append(dropped, ext)
-				continue
-			}
-			if err := nb.AddDocument(ext, terms[doc]); err != nil {
-				// Apply rejects cross-segment duplicates, so this is
-				// unreachable without a corrupted manifest.
-				panic(err)
-			}
-		}
+	merged, dropped, err := mergeParts(opts, parts, byArrival, deleted, 1)
+	if err != nil {
+		// Apply rejects cross-segment duplicates, so this is unreachable
+		// without a corrupted manifest.
+		panic(err)
 	}
-	return nb.BuildParallel(1), dropped
+	return merged, dropped
 }

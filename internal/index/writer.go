@@ -1,7 +1,5 @@
 package index
 
-import "fmt"
-
 // SegmentWriter turns a bounded stream of documents into immutable
 // segments applied to a SegmentStore — the ingestion half of the
 // streaming crawl→index→serve pipeline. Documents accumulate in an
@@ -37,11 +35,8 @@ func NewSegmentWriter(store *SegmentStore, segDocs int) *SegmentWriter {
 // modelled as delete + add under a fresh ID, as everywhere in the
 // immutable-segment design.
 func (w *SegmentWriter) AddDocument(ext int, terms []string) error {
-	if man := w.store.Manifest(); man.Contains(ext) {
-		if man.Deleted(ext) {
-			return fmt.Errorf("index: document %d is tombstoned but still resident in a segment; re-add under a new ID", ext)
-		}
-		return fmt.Errorf("index: document %d already present", ext)
+	if err := w.store.Manifest().admit(ext); err != nil {
+		return err
 	}
 	if err := w.buf.AddDocument(ext, terms); err != nil {
 		return err
