@@ -12,6 +12,7 @@ import (
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
 	"dwr/internal/randx"
+	"dwr/internal/rank"
 )
 
 // federateConfig sizes the federated-mediation scenario.
@@ -153,7 +154,7 @@ func federatePass(o federateConfig, mode string) (row, uint64, error) {
 		skipped += r.SitesSkipped
 		bytes += r.BytesTransferred
 		lat = append(lat, r.LatencyMs)
-		rec := mediator.Recall(r.Results, ms.QueryExhaustiveResults(q, at, 10))
+		rec := rank.Recall(r.Results, ms.QueryExhaustiveResults(q, at, 10))
 		recallSum += rec
 		if r.FullFanout {
 			fullFan++

@@ -59,6 +59,7 @@ func newFederate(o options) (http.Handler, *core.Engine, error) {
 	med := mediator.New(mediator.DefaultConfig(), srcs...)
 	ms := qproc.NewMultiSite(cluster.NewNetwork(o.seed, o.sites), qproc.RouteGeo,
 		qproc.WithMediator(med))
+	ms.SampleEvery = o.sampleEvery
 	if o.cacheCap > 0 {
 		ms.CacheTTL = 24
 	}
@@ -67,12 +68,13 @@ func newFederate(o options) (http.Handler, *core.Engine, error) {
 		if cap <= 0 {
 			cap = 1
 		}
-		ms.Sites = append(ms.Sites, qproc.NewSite(s, s, e, cap, 1_000_000))
+		// No hourly capacity: the server's virtual clock (ms.Now) never
+		// advances, so an hour's load would only ever accumulate into
+		// queue delay.
+		ms.Sites = append(ms.Sites, qproc.NewSite(s, s, e, cap, 0))
 		fmt.Printf("dwrserve: site %d holds %d documents\n", s, len(siteDocs[s]))
 	}
-	fed := mediator.NewFederation(ms)
-	fed.SampleEvery = o.sampleEvery
-	return frontend(fed, eng.URLOf, o), eng, nil
+	return frontend(ms, eng.URLOf, o), eng, nil
 }
 
 // hostSite assigns a document's host to a site deterministically.

@@ -281,6 +281,29 @@ func TestRecrawlUpdatesChangedPages(t *testing.T) {
 	}
 }
 
+// TestRecrawlReplayIdentical: every fetch of a pass draws from one rng,
+// so the visiting order is part of the result. Two crawlers built from
+// the same seed must report the same counts for both passes, every time
+// — map iteration order must not reach them.
+func TestRecrawlReplayIdentical(t *testing.T) {
+	passes := func() [2]RecrawlStats {
+		w := testWeb()
+		c := New(w, DefaultConfig())
+		seedAll(w, c)
+		c.Run()
+		return [2]RecrawlStats{c.Recrawl(15, false), c.Recrawl(30, true)}
+	}
+	want := passes()
+	if want[0].ConditionalRequests == 0 || want[1].SkippedViaSitemap == 0 {
+		t.Fatalf("passes made no requests or met no sitemap: %+v", want)
+	}
+	for replay := 1; replay <= 5; replay++ {
+		if got := passes(); got != want {
+			t.Fatalf("replay %d diverged from the first run:\n%+v\n%+v", replay, got, want)
+		}
+	}
+}
+
 func TestConsistentVsModChurn(t *testing.T) {
 	// The crawler-level variant of experiment C2: count hosts that change
 	// owner when one agent leaves a pool of 8.

@@ -1,6 +1,8 @@
 package crawler
 
 import (
+	"slices"
+
 	"dwr/internal/randx"
 	"dwr/internal/simweb"
 )
@@ -29,17 +31,31 @@ func (c *Crawler) Recrawl(day int, useSitemaps bool) RecrawlStats {
 	var st RecrawlStats
 	rng := randx.New(c.cfg.Seed + int64(day)*7919)
 
-	// Group collected pages by host so sitemaps are fetched once.
+	// Group collected pages by host so sitemaps are fetched once. Every
+	// fetch draws from the one rng, so pages are visited in page-ID order
+	// and hosts in name order: map order must not reach the counts.
+	ids := make([]int, 0, len(c.collected))
+	for id := range c.collected {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	byHost := make(map[string][]*Page)
-	for _, p := range c.collected {
+	var hosts []string
+	for _, id := range ids {
+		p := c.collected[id]
 		host, _, ok := simweb.SplitURL(p.URL)
 		if !ok {
 			continue
 		}
+		if byHost[host] == nil {
+			hosts = append(hosts, host)
+		}
 		byHost[host] = append(byHost[host], p)
 	}
+	slices.Sort(hosts)
 
-	for host, pages := range byHost {
+	for _, host := range hosts {
+		pages := byHost[host]
 		var sitemapMod map[string]int
 		if useSitemaps {
 			if entries := c.web.Sitemap(host, day); entries != nil {

@@ -11,7 +11,6 @@ import (
 	"dwr/internal/index"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
-	"dwr/internal/rank"
 	"dwr/internal/selection"
 )
 
@@ -249,9 +248,8 @@ func TestMediatorDecisionsDeterministic(t *testing.T) {
 }
 
 // topicalFederation wires the whole stack — engines → mediator →
-// mediated MultiSite → Federation — sampling recall on every mediated
-// answer.
-func topicalFederation(t *testing.T, nSites int) *Federation {
+// mediated MultiSite — sampling recall on every mediated answer.
+func topicalFederation(t *testing.T, nSites int) *qproc.MultiSite {
 	t.Helper()
 	engines := topicalEngines(t, 7, nSites, 120)
 	med := New(Config{SelectN: 2, MinConfidence: 0.3}, engineSources(engines)...)
@@ -259,21 +257,19 @@ func topicalFederation(t *testing.T, nSites int) *Federation {
 	for s, e := range engines {
 		ms.Sites = append(ms.Sites, qproc.NewSite(s, s, e, 64, 1000))
 	}
-	f := NewFederation(ms)
-	f.SampleEvery = 1
-	return f
+	ms.SampleEvery = 1
+	return ms
 }
 
 // TestFederationServesAndSamplesRecall wires the whole stack: engines →
-// mediator → mediated MultiSite → Federation, then checks queries
-// succeed, pruning happens, and sampled Recall@k against the exhaustive
-// fan-out stays high.
+// mediator → mediated MultiSite, then checks queries succeed, pruning
+// happens, and sampled Recall@k against the exhaustive fan-out stays
+// high.
 func TestFederationServesAndSamplesRecall(t *testing.T) {
 	const nSites = 4
 	f := topicalFederation(t, nSites)
-	ms := f.MultiSite()
-	if f.K() != nSites || f.MultiSite() != ms {
-		t.Fatal("federation does not delegate to the wrapped broker")
+	if f.K() != nSites {
+		t.Fatalf("K() = %d, want %d sites", f.K(), nSites)
 	}
 	if h := f.Health(); h.Units != nSites {
 		t.Fatalf("health: %+v", h)
@@ -286,7 +282,7 @@ func TestFederationServesAndSamplesRecall(t *testing.T) {
 		} else {
 			q = []string{fmt.Sprintf("s%dw%02d", rng.Intn(nSites), rng.Intn(40))}
 		}
-		ms.Now = float64(i % 24)
+		f.Now = float64(i % 24)
 		r := f.QueryTopK(q, 10)
 		if r.Err != nil {
 			t.Fatalf("query %v failed: %v", q, r.Err)
@@ -304,8 +300,8 @@ func TestFederationServesAndSamplesRecall(t *testing.T) {
 	}
 }
 
-// TestFederationHonoursDeadline: a front-end finds Federation through
-// the DeadlineQuerier assertion, so `dwrserve -federate -deadline N`
+// TestFederationHonoursDeadline: a front-end finds the mediated
+// MultiSite through the DeadlineQuerier assertion, so `dwrserve -federate -deadline N`
 // propagates its budget. A budget no routed answer can meet is refused
 // with no results; a generous one changes nothing — answers, site
 // fan-out and recall sampling replay QueryTopK's exactly.
@@ -315,7 +311,7 @@ func TestFederationHonoursDeadline(t *testing.T) {
 	var eng qproc.Engine = within
 	dq, ok := eng.(qproc.DeadlineQuerier)
 	if !ok {
-		t.Fatal("Federation is not a DeadlineQuerier: a serving deadline would be dropped")
+		t.Fatal("MultiSite is not a DeadlineQuerier: a serving deadline would be dropped")
 	}
 	for _, q := range queries {
 		want, got := plain.QueryTopK(q, 10), dq.QueryTopKWithin(q, 10, 1e9)
@@ -328,22 +324,6 @@ func TestFederationHonoursDeadline(t *testing.T) {
 	}
 	if qr := dq.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, qproc.ErrDeadlineExceeded) || qr.Results != nil {
 		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
-	}
-}
-
-// TestRecallEdgeCases pins the Recall helper: empty reference is
-// perfect, disjoint answers are zero, overlap is fractional.
-func TestRecallEdgeCases(t *testing.T) {
-	if r := Recall(nil, nil); r != 1 {
-		t.Fatalf("empty reference: %v", r)
-	}
-	ref := []rank.Result{{Doc: 1}, {Doc: 2}, {Doc: 3}, {Doc: 4}}
-	if r := Recall(nil, ref); r != 0 {
-		t.Fatalf("empty answer: %v", r)
-	}
-	got := []rank.Result{{Doc: 2}, {Doc: 4}, {Doc: 9}}
-	if r := Recall(got, ref); r != 0.5 {
-		t.Fatalf("partial overlap: %v", r)
 	}
 }
 

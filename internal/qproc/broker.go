@@ -124,7 +124,7 @@ func (b *broker) answer(key string, deadlineMs float64, eval func(tick int64) Qu
 		b.mu.Unlock()
 		qr = eval(tick)
 	}
-	EnforceDeadline(&qr, deadlineMs)
+	enforceDeadline(&qr, deadlineMs)
 	if qr.Err == nil && !qr.Degraded {
 		if key != "" && !qr.FromCache {
 			b.rcache.Put(key, qr)

@@ -40,33 +40,28 @@ func (e *DocEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) Q
 	return e.Query(terms, DocQueryOptions{K: k, Stats: e.topkStats, DeadlineMs: deadlineMs})
 }
 
-// QueryTopKWithin implements DeadlineQuerier: the query is submitted
-// from HomeRegion at virtual hour Now, with the canonical cache key of
-// the term list. With a mediator configured (WithMediator) it takes the
-// federated path — collection selection decides the site subset;
-// without one the single-executor Submit path is byte-identical to the
-// pre-mediator broker. Site selection happens before the budget is known
-// to be busted, so the check is on the final routed answer: an
-// over-budget reply is dropped, not delivered late. Like Submit, it is
-// meant for a single driving goroutine.
+// QueryTopKWithin implements DeadlineQuerier: the query is routed from
+// HomeRegion at virtual hour Now under the canonical cache key of the
+// term list — on the mediated path when a mediator is configured
+// (WithMediator), on Submit's replica path otherwise, so a deadline never
+// changes which path a query takes. Site selection happens before the
+// budget is known to be busted, so the check is on the routed answer: an
+// over-budget reply is dropped — and not cached — rather than delivered
+// late.
 func (m *MultiSite) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
-	var r SiteQueryResult
+	key := NormalizeQueryKey(terms)
+	p := m.replicaPath(key, m.Now)
 	if m.mediator != nil {
-		r = m.QueryFederated(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
-	} else {
-		r = m.Submit(terms, NormalizeQueryKey(terms), m.HomeRegion, m.Now, k)
+		p = m.mediatedPath(terms, key, k)
 	}
-	qr := r.QueryResult
-	EnforceDeadline(&qr, deadlineMs)
-	return qr
+	return m.route(terms, m.HomeRegion, m.Now, k, deadlineMs, p).QueryResult
 }
 
-// EnforceDeadline converts an answer that arrived after its budget into
+// enforceDeadline converts an answer that arrived after its budget into
 // a deadline failure: no results, latency capped at the budget (the
 // moment the caller stopped waiting). Engines apply it to every answer
-// they return; it is exported for engines defined outside this package
-// (mediator.Federation).
-func EnforceDeadline(qr *QueryResult, deadlineMs float64) {
+// they return.
+func enforceDeadline(qr *QueryResult, deadlineMs float64) {
 	if deadlineMs <= 0 || qr.LatencyMs <= deadlineMs || qr.Err != nil {
 		return
 	}

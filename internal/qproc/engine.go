@@ -115,25 +115,21 @@ func (m *MultiSite) QueryTopK(terms []string, k int) QueryResult {
 // K implements Engine: the number of sites.
 func (m *MultiSite) K() int { return len(m.Sites) }
 
-// Stats implements Engine: outcome counters aggregate over the site
-// engines' answers plus the site-level fault path; cache stats cover the
-// site engines' broker caches (the per-site WAN caches are
-// cache.Cache instances without hit counters).
+// Stats implements Engine: the coordinator's own query and outcome
+// tally (a routed query counts once, however many site engines it
+// touched) and selection counters, the site-level fault path, and the
+// site engines' fault, threshold and broker-cache counters (the per-site
+// WAN caches are cache.Cache instances without hit counters).
 func (m *MultiSite) Stats() EngineStats {
-	var st EngineStats
-	st.Queries = int(m.ticks)
-	st.Selection = m.sel
+	m.mu.Lock()
+	st := EngineStats{Queries: m.evaluated + m.hits, Degraded: m.degraded, Failed: m.failed, Selection: m.sel}
 	if m.rb != nil {
 		st.Faults = m.rb.snapshot()
 		st.Latency = m.rb.hist
 	}
+	m.mu.Unlock()
 	for _, s := range m.Sites {
 		es := s.Engine.Stats()
-		// Queries stays m.ticks: one multi-site query fans out to several
-		// site engines, so summing per-site Queries would double-count.
-		//dwrlint:allow statsmerge:Queries m.ticks is the authoritative query count; per-site Queries counts fan-out, not accepted queries
-		st.Degraded += es.Degraded
-		st.Failed += es.Failed
 		st.Faults.Merge(es.Faults)
 		st.Threshold.Merge(es.Threshold)
 		st.Selection.Merge(es.Selection)
@@ -146,11 +142,14 @@ func (m *MultiSite) Stats() EngineStats {
 }
 
 // Health implements Engine: sites inside an outage window at virtual
-// hour Now, plus sites the injector currently fails entirely.
+// hour Now, plus sites the injector fails entirely at the next evaluated
+// query's tick.
 func (m *MultiSite) Health() Health {
 	down := make([]bool, len(m.Sites))
 	for _, s := range m.Sites {
 		down[s.ID] = !s.UpAt(m.Now)
 	}
-	return m.siteRB().health(down, m.ticks+1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.siteRB().health(down, int64(m.evaluated)+1)
 }

@@ -334,6 +334,48 @@ func TestFederatedInjectedFaultRetriesFullFanout(t *testing.T) {
 	}
 }
 
+// TestFederatedChargesStraggler: a site that answers slowly delays the
+// whole fan-out — the gather waits for its slowest site.
+func TestFederatedChargesStraggler(t *testing.T) {
+	run := func(inj *faultsim.Injector) SiteQueryResult {
+		m, _ := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
+		return m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
+	}
+	clean := run(faultsim.New(4))
+	slow := run(faultsim.New(4).Unit(2, faultsim.Spec{SlowP: 1, SlowMeanMs: 5000}))
+	if !slow.FullFanout || slow.Err != nil || slow.LatencyMs < clean.LatencyMs+1000 {
+		t.Fatalf("a 5 s straggler site cost %.1f ms (%.1f ms with it, %.1f ms without; err %v)",
+			slow.LatencyMs-clean.LatencyMs, slow.LatencyMs, clean.LatencyMs, slow.Err)
+	}
+}
+
+// TestFederatedLostSiteDoesNoWork: a site the fault schedule has
+// crashed cannot evaluate anything, so its engine must not be asked to.
+func TestFederatedLostSiteDoesNoWork(t *testing.T) {
+	inj := faultsim.New(4).Unit(2, faultsim.Spec{Crash: true})
+	m, _ := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
+	r := m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
+	if !r.Degraded || r.Err != nil || r.SitesContacted != 4 {
+		t.Fatalf("fan-out over a crashed site: %+v", r)
+	}
+	if n := m.Sites[2].Engine.Stats().Queries; n != 0 {
+		t.Fatalf("the crashed site's engine evaluated %d queries", n)
+	}
+}
+
+// TestFederatedFoldsRefusingSitesWork: a fail-fast site with a partition
+// down refuses its share of the answer, which is therefore degraded —
+// but the server it did contact was contacted, and the ledger says so.
+func TestFederatedFoldsRefusingSitesWork(t *testing.T) {
+	m, _ := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
+	m.Sites[2].Engine.SetDown(0, true)
+	r := m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
+	if r.ServersContacted != 7 || !r.Degraded || r.Err != nil || len(r.Results) == 0 {
+		t.Fatalf("4 sites x 2 partitions, one down at a fail-fast site: serversContacted=%d degraded=%v err=%v results=%d",
+			r.ServersContacted, r.Degraded, r.Err, len(r.Results))
+	}
+}
+
 // TestFederatedCacheKeyEncodesSelection: answers computed from
 // different site subsets must not collide in the coordinator cache.
 func TestFederatedCacheKeyEncodesSelection(t *testing.T) {

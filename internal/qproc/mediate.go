@@ -2,6 +2,7 @@ package qproc
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -62,174 +63,75 @@ func FederatedCacheKey(key string, k int, sites []int, full bool) string {
 	return fmt.Sprintf("fed|k=%d|sel=%s|%s", k, sel, key)
 }
 
-// QueryFederated answers one query by scattering it from the nearest
-// coordinator to a mediator-selected subset of the up sites, instead of
-// Submit's single executor or QueryIncremental's full fan-out. With no
-// mediator configured (or when the mediator declines) every up site is
-// contacted, and the merged results are byte-identical to
-// QueryIncremental's final batch.
+// QueryFederated answers one query over sites that are collections, not
+// replicas: the mediator picks the subset of the up sites to scatter to,
+// instead of Submit's single executor. With no mediator configured (or
+// when the mediator declines) every up site is contacted, and the merged
+// results are byte-identical to QueryIncremental's final batch.
 //
 // The fallback chain mirrors the robustness policy: sites inside outage
-// windows never enter the selection; if every *selected* site is lost to
-// injected faults, the query retries once as a full fan-out over the
-// remaining up sites (attempt 1 of the fault schedule); the
+// windows never enter the selection; if every *selected* site is lost,
+// the query widens once to every up site (attempt 1 of the fault
+// schedule) — a site still lost then degrades the answer; the
 // coordinator's stale cache entry rescues a query nothing could answer.
-//
-// Like Submit, QueryFederated is meant for a single driving goroutine
-// (mediator.Federation wraps it for concurrent front-ends). The per-site
-// evaluations fan out over Workers goroutines; the WAN latency draws and
-// fault outcomes are consumed serially in site order at the gather, so
-// the answer is deterministic at any width.
-func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHours float64, k int) (out SiteQueryResult) {
-	c, tick := m.coordinate(&out, region, atHours)
-	if c == nil {
-		return out
-	}
-	coord := c.ID
-	out.BytesTransferred += 64
+func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHours float64, k int) SiteQueryResult {
+	return m.route(terms, region, atHours, k, 0, m.mediatedPath(terms, key, k))
+}
 
-	ups := m.upSites(atHours)
-	upIDs := make([]int, len(ups))
-	for i, s := range ups {
-		upIDs[i] = s.ID
-	}
-
-	// Collection selection. The decision is made before the cache lookup
-	// because the cache key names the selected subset.
-	targets := ups
-	full := true
-	if m.mediator != nil {
-		d := m.mediator.Decide(terms, upIDs)
-		out.Confidence = d.Confidence
-		if !d.FullFanout {
-			byID := make(map[int]*Site, len(ups))
-			for _, s := range ups {
-				byID[s.ID] = s
+// mediatedPath is the path over collections: every selected site holds
+// part of the answer.
+func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
+	return func(out *SiteQueryResult, _ *Site, ups []*Site) (string, func(int) []*Site) {
+		// Collection selection comes before the cache probe because the
+		// cache key names the selected subset.
+		targets, full := ups, true
+		var ids []int // the selected subset, for the cache key
+		if m.mediator != nil {
+			upIDs := make([]int, len(ups))
+			for i, s := range ups {
+				upIDs[i] = s.ID
 			}
+			d := m.mediator.Decide(terms, upIDs)
+			out.Confidence = d.Confidence
 			var sel []*Site
-			for _, id := range d.Sites {
-				if s, ok := byID[id]; ok {
-					sel = append(sel, s)
+			for _, s := range ups {
+				if !d.FullFanout && slices.Contains(d.Sites, s.ID) {
+					sel, ids = append(sel, s), append(ids, s.ID)
 				}
 			}
 			if len(sel) > 0 {
 				targets, full = sel, false
 			}
 		}
-	}
-	out.FullFanout = full
-	out.SitesContacted = len(targets)
-	out.SitesSkipped = len(ups) - len(targets)
-	m.sel.Queries++
-	m.sel.SitesContacted += len(targets)
-	m.sel.SitesSkipped += len(ups) - len(targets)
-	if full {
-		m.sel.FullFanout++
-	} else {
-		m.sel.Mediated++
-	}
-
-	targetIDs := make([]int, len(targets))
-	for i, s := range targets {
-		targetIDs[i] = s.ID
-	}
-	ckey := FederatedCacheKey(key, k, targetIDs, full)
-	stale, hit := m.probe(&out, c, ckey, atHours)
-	if hit {
-		return out
-	}
-	defer m.settle(&out, c, ckey, atHours, stale)
-
-	rb := m.siteRB()
-	lists, answered := m.scatterSites(&out, targets, terms, tick, 0, coord, k, rb)
-	if answered == 0 && !full && len(ups) > len(targets) {
-		// Every selected site was lost to faults: widen to a full
-		// fan-out over all up sites (fault-schedule attempt 1).
-		if rb != nil {
-			rb.counters.Retries++
+		skipped := len(ups) - len(targets)
+		out.FullFanout = full
+		out.SitesContacted = len(targets)
+		out.SitesSkipped = skipped
+		m.sel.Queries++
+		m.sel.SitesContacted += len(targets)
+		m.sel.SitesSkipped += skipped
+		if full {
+			m.sel.FullFanout++
+		} else {
+			m.sel.Mediated++
 		}
-		out.Retries++
-		out.SitesContacted = len(ups)
-		out.SitesSkipped = 0
-		m.sel.SitesContacted += len(ups) - len(targets)
-		m.sel.SitesSkipped -= len(ups) - len(targets)
-		m.sel.FullFanout++
-		m.sel.Mediated--
-		out.FullFanout = true
-		lists, answered = m.scatterSites(&out, ups, terms, tick, 1, coord, k, rb)
-	}
-	if answered == 0 {
-		if rb != nil {
-			rb.counters.Lost++
-		}
-		out.Failed = true
-		out.Err = fmt.Errorf("no federated site answered: %w", ErrAllSitesDown)
-		return out
-	}
-	if answered < out.SitesContacted {
-		out.Degraded = true
-	}
-	out.Results = rank.MergeResultsDedup(k, lists...)
-	if len(out.Results) == 0 && out.ServersContacted == 0 {
-		// Every contacted replica had all partitions down.
-		out.Err = fmt.Errorf("no live query processors at any federated site: %w", ErrAllSitesDown)
-	}
-	return out
-}
-
-// scatterSites evaluates terms on every target site's engine in parallel
-// and gathers serially in site order: fault outcomes and WAN latency
-// draws (both stateful or schedule-keyed) are consumed in a fixed order,
-// so results and accounting are identical at any Workers. It returns the
-// per-site result lists of the sites that answered.
-func (m *MultiSite) scatterSites(out *SiteQueryResult, targets []*Site, terms []string, tick int64, attempt, coord, k int, rb *robustness) (lists [][]rank.Result, answered int) {
-	answers := m.evalSites(targets, terms, k)
-	cRegion := m.Sites[coord].Region
-	var maxMs float64
-	for i, s := range targets {
-		if rb != nil {
-			fo := rb.outcome(tick, s.ID, 0, attempt)
-			if fo.Err != nil {
-				rb.counters.FaultsSeen++
-				ms := fo.ExtraMs
-				if fo.Silent {
-					ms = rb.policy.AttemptTimeoutMs
-				} else if s.ID != coord {
-					ms += m.Net.Latency(cRegion, s.Region, 64)
-					out.BytesTransferred += 64
-				}
-				if ms > maxMs {
-					maxMs = ms
-				}
-				continue
+		return FederatedCacheKey(key, k, ids, full), func(attempt int) []*Site {
+			switch {
+			case attempt == 0:
+				return targets
+			case attempt == 1 && skipped > 0:
+				out.FullFanout = true
+				out.SitesContacted = len(ups)
+				out.SitesSkipped = 0
+				m.sel.SitesContacted += skipped
+				m.sel.SitesSkipped -= skipped
+				m.sel.FullFanout++
+				m.sel.Mediated--
+				return ups
 			}
+			return nil
 		}
-		qr := answers[i]
-		ms := qr.LatencyMs
-		if s.ID != coord {
-			// The WAN request and response messages are what mediation
-			// saves; charge them to the byte ledger, not just latency.
-			ms += m.Net.Latency(cRegion, s.Region, 128) +
-				m.Net.Latency(s.Region, cRegion, int(resultBytes(len(qr.Results))))
-			out.BytesTransferred += 128 + resultBytes(len(qr.Results))
-		}
-		if ms > maxMs {
-			maxMs = ms
-		}
-		if qr.Err != nil || qr.unanswered() {
-			// The site's engine refused or had nothing live; it consumed
-			// latency but contributes no results.
-			if qr.Err != nil {
-				out.Degraded = true
-			}
-			continue
-		}
-		lists = append(lists, qr.Results)
-		answered++
-		out.addSite(&qr)
 	}
-	out.LatencyMs += maxMs
-	return lists, answered
 }
 
 // QueryExhaustiveResults evaluates terms on every up site's engine and
@@ -247,14 +149,4 @@ func (m *MultiSite) QueryExhaustiveResults(terms []string, atHours float64, k in
 		}
 	}
 	return rank.MergeResultsDedup(k, lists...)
-}
-
-// ObserveSelectionRecall feeds one Recall@k measurement of a mediated
-// answer against the exhaustive fan-out into the selection counters.
-// Callers that sample quality (mediator.Federation, dwrbench -run federate)
-// use it so EngineStats.Selection reports measured — not asserted —
-// result quality.
-func (m *MultiSite) ObserveSelectionRecall(r float64) {
-	m.sel.RecallSum += r
-	m.sel.RecallSamples++
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"dwr/internal/cache"
 	"dwr/internal/cluster"
@@ -98,19 +100,28 @@ const (
 )
 
 // MultiSite is the Figure 3 system: multiple sites, each a full replica,
-// a WAN between them, per-site caches, and a routing policy.
+// a WAN between them, per-site caches, and a routing policy. It is safe
+// for concurrent callers: every routed query runs under one mutex,
+// because the WAN model's RNG, the round-robin cursor, the hour loads
+// and the per-site LRU caches are all stateful.
 type MultiSite struct {
 	Net      *cluster.Network
 	Sites    []*Site
 	Policy   RoutingPolicy
 	CacheTTL float64 // hours a cached result stays fresh; 0 = no caching
+	// SampleEvery takes a recall sample on every Nth evaluated, still
+	// pruned, error-free mediated answer: the same terms are evaluated
+	// exhaustively and the answer's Recall@k against that is fed into the
+	// selection counters, so EngineStats.Selection reports measured — not
+	// asserted — quality. 0 disables sampling. Set before serving begins.
+	SampleEvery int
 	// OffloadThreshold is the utilization of the nearest site above
 	// which load-aware routing diverts the query (e.g. 0.7).
 	OffloadThreshold float64
-	// Workers bounds the fan-out of QueryIncremental's per-site
-	// evaluations (0 = GOMAXPROCS, 1 = serial). Results are identical
-	// at any width: site engines are independent, and the stateful WAN
-	// latency model is only consulted serially at the gather point.
+	// Workers bounds the fan-out of the per-site evaluations (0 =
+	// GOMAXPROCS, 1 = serial). Results are identical at any width: site
+	// engines are independent, and the stateful WAN latency model is only
+	// consulted serially at the gather point.
 	Workers int
 	// Now and HomeRegion are the virtual hour and origin region
 	// QueryTopK (the uniform Engine surface) submits from; drivers that
@@ -118,34 +129,39 @@ type MultiSite struct {
 	Now        float64
 	HomeRegion int
 
+	mu     sync.Mutex
 	rrNext int
 
 	// Site-level fault handling (set via NewMultiSite options): the
-	// injector's units are site IDs, and failed attempts walk the other
-	// up sites nearest the coordinator. rb is built lazily at the first
-	// Submit so sites may be appended after construction; ticks is the
-	// fault-schedule clock (Submit is single-caller, like rrNext).
+	// injector's units are site IDs. rb is built lazily at the first
+	// query so sites may be appended after construction.
 	faultPolicy *FaultPolicy
 	injector    *faultsim.Injector
 	rb          *robustness
-	ticks       int64
+
+	// The frame's counters, as on broker: evaluated counts the queries
+	// that missed the coordinator's cache and is the fault-schedule
+	// clock; hits counts the rest; degraded and failed tally the answers
+	// as the caller saw them.
+	evaluated, hits, degraded, failed int
 
 	// mediator, when configured (WithMediator), makes QueryTopK take the
-	// federated path: collection selection decides the site subset each
-	// query touches. sel accumulates the fan-out/quality counters at the
-	// serial gather (single-caller, like ticks).
+	// mediated path: collection selection decides the site subset each
+	// query touches. sel accumulates the fan-out/quality counters, pruned
+	// the answers eligible for a recall sample.
 	mediator Mediator
 	sel      metrics.SelectionCounters
+	pruned   int
 }
 
 // NewMultiSite builds an empty multi-site system over net with the given
 // routing policy; append Sites afterwards. Options configure the
-// site-level fault path (WithFaultPolicy, WithInjector) and the
-// QueryIncremental fan-out (WithWorkers); engine/cache options are
-// per-site and ignored here.
+// site-level fault path (WithFaultPolicy, WithInjector), the mediator
+// (WithMediator) and the per-site fan-out (WithWorkers); engine/cache
+// options are per-site and ignored here.
 func NewMultiSite(net *cluster.Network, routing RoutingPolicy, options ...Option) *MultiSite {
 	eo := resolveOptions(options)
-	m := &MultiSite{
+	return &MultiSite{
 		Net:         net,
 		Policy:      routing,
 		Workers:     eo.workers,
@@ -153,7 +169,6 @@ func NewMultiSite(net *cluster.Network, routing RoutingPolicy, options ...Option
 		injector:    eo.injector,
 		mediator:    eo.mediator,
 	}
-	return m
 }
 
 // siteRB lazily materializes the site-level robustness runtime once the
@@ -175,9 +190,9 @@ func (m *MultiSite) siteRB() *robustness {
 type SiteQueryResult struct {
 	QueryResult
 	Coordinator int     // site that received the query
-	Executor    int     // site that evaluated it (-1 for cache hits/failures)
-	QueueMs     float64 // congestion delay at the executor
-	Failed      bool    // no site reachable and no cached answer
+	Executor    int     // the one site that evaluated it (-1 for cache hits, failures and fan-outs)
+	QueueMs     float64 // congestion delay at the executor (the largest, over a fan-out)
+	Failed      bool    // no site answered and no cached answer
 
 	// Federated fan-out accounting (QueryFederated; zero on Submit's
 	// single-executor path): how many sites the query was dispatched to
@@ -190,28 +205,211 @@ type SiteQueryResult struct {
 	Confidence     float64
 }
 
-// coordinate is the front half of every routed query: it draws the next
-// fault-schedule tick, finds the nearest up site to coordinate, and
-// charges the client ↔ coordinator hop. With no site up anywhere the
-// query has failed and c is nil.
-func (m *MultiSite) coordinate(out *SiteQueryResult, region int, atHours float64) (c *Site, tick int64) {
+// path is what distinguishes one kind of routed query from another.
+// Given the coordinator and the up sites it returns the coordinator
+// cache key the answer lives under, and next: the sites to call at
+// fault-schedule attempt 0, 1, ... while nobody has answered, nil when
+// nobody is left to ask. next runs only on a cache miss, so a hit moves
+// no routing state.
+type path func(out *SiteQueryResult, c *Site, ups []*Site) (key string, next func(attempt int) []*Site)
+
+// route is the one pipeline every routed query runs, in the broker
+// frame's order with a coordinator in front: the nearest up site
+// coordinates and is charged the client hop; the path plans; the
+// coordinator's cache is probed; a miss draws the next fault-schedule
+// tick (a hit consults no site, so it must not move the injector's
+// timeline) and calls sites until someone answers; the merged answer is
+// stored only when complete and on time — a degraded, refused or late
+// one would keep serving after the sites recover, and would clobber the
+// fresher complete entry kept for stale fallback; an execution that
+// failed, or found every query processor gone (empty answer), is rescued
+// by a stale entry — the paper's "upon query processor failures, the
+// system returns cached results"; the deadline is enforced; and the
+// outcome is tallied as the caller sees it.
+func (m *MultiSite) route(terms []string, region int, atHours float64, k int, deadlineMs float64, p path) (out SiteQueryResult) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out.Executor = -1
-	m.ticks++
-	coord := m.nearestUp(region, atHours)
-	if coord < 0 {
-		out.Failed = true
-		out.Err = ErrAllSitesDown
-		return nil, m.ticks
+	ups := m.upSites(atHours)
+	c := nearest(ups, region, nil)
+	if c == nil {
+		m.evaluated++
+		m.failed++
+		out.Failed, out.Err = true, ErrAllSitesDown
+		return out
 	}
-	out.Coordinator = coord
-	c = m.Sites[coord]
-	out.LatencyMs += m.Net.Latency(region, c.Region, 64)
-	return c, m.ticks
+	out.Coordinator = c.ID
+	out.LatencyMs += m.hop(&out, region, c.Region, 64)
+	key, next := p(&out, c, ups)
+	stale, hit := m.probe(&out, c, key, atHours)
+	if hit {
+		m.hits++
+	} else {
+		m.evaluated++
+		m.callUntilAnswered(&out, c, next, terms, k, atHours)
+		onTime := deadlineMs <= 0 || out.LatencyMs <= deadlineMs
+		if m.CacheTTL > 0 && out.Err == nil && !out.Degraded && onTime {
+			c.Cache.Put(key, out.Results, atHours)
+		}
+		if (out.Failed || len(out.Results) == 0) && len(stale) > 0 {
+			out.Results = stale
+			out.FromCache = true
+			out.Stale = true
+			out.Failed = false
+			out.Err = nil
+		}
+		if m.SampleEvery > 0 && out.SitesSkipped > 0 && !out.FromCache && out.Err == nil {
+			if m.pruned++; m.pruned%m.SampleEvery == 0 {
+				m.sel.RecallSum += rank.Recall(out.Results, m.QueryExhaustiveResults(terms, atHours, k))
+				m.sel.RecallSamples++
+			}
+		}
+	}
+	enforceDeadline(&out.QueryResult, deadlineMs)
+	switch {
+	case out.Err != nil:
+		m.failed++
+	case out.Degraded:
+		m.degraded++
+	}
+	return out
+}
+
+// callUntilAnswered is the one retry loop: it calls the sites next names
+// for attempt 0, then — after the fault policy's backoff — for attempt
+// 1, 2, ... while no site has contributed a result list, and merges what
+// the last call gathered. An answer missing one of the sites it asked is
+// degraded; with none, the query fails with the last silent site's own
+// error. Retries, backoff, Failovers and Lost are booked here only.
+func (m *MultiSite) callUntilAnswered(out *SiteQueryResult, c *Site, next func(int) []*Site, terms []string, k int, atHours float64) {
+	rb := m.siteRB()
+	var targets []*Site
+	var lists [][]rank.Result
+	var err error
+	tries := 0
+	for ; len(lists) == 0; tries++ {
+		t := next(tries)
+		if t == nil {
+			break
+		}
+		if tries > 0 {
+			out.Retries++
+			if rb != nil {
+				rb.counters.Retries++
+				out.LatencyMs += rb.policy.BackoffMs * float64(int(1)<<uint(tries-1))
+			}
+		}
+		targets = t
+		lists, err = m.callSites(out, c, targets, terms, k, atHours, tries)
+	}
+	if len(lists) == 0 {
+		if rb != nil {
+			rb.counters.Lost++
+		}
+		out.Failed, out.Err = true, err
+		return
+	}
+	if tries > 1 && rb != nil {
+		rb.counters.Failovers++
+	}
+	if len(targets) == 1 {
+		out.Executor = targets[0].ID
+	}
+	if len(lists) < len(targets) {
+		out.Degraded = true
+	}
+	// Sites may be replicas: the same document can arrive from several
+	// of them, so merge with deduplication.
+	out.Results = rank.MergeResultsDedup(k, lists...)
+}
+
+// callSites is the one site call. It decides every target's fate on the
+// fault schedule first and evaluates only the sites that will answer — a
+// crashed site does no work — over the worker pool, then gathers
+// serially in site order, where the stateful WAN model is consulted, so
+// the answer is identical at any Workers. Sites answer in parallel: the
+// call costs the slowest one. A lost site costs its detection
+// (AttemptTimeoutMs when it died silently, the WAN error reply
+// otherwise). A site that evaluated is charged its straggler delay, its
+// queue delay and hour load, and the WAN request and response; its work
+// is folded into the answer even when its engine refused or had nothing
+// live, but only an answering site contributes a list (and, if its own
+// answer was partial, the Degraded flag). err is the last
+// non-contributing site's own.
+func (m *MultiSite) callSites(out *SiteQueryResult, c *Site, targets []*Site, terms []string, k int, atHours float64, attempt int) (lists [][]rank.Result, err error) {
+	rb, tick, h := m.siteRB(), int64(m.evaluated), int(atHours)
+	fates := make([]faultsim.Outcome, len(targets))
+	var live []*Site
+	for i, s := range targets {
+		if rb != nil {
+			fates[i] = rb.outcome(tick, s.ID, 0, attempt)
+		}
+		if fates[i].Err == nil {
+			live = append(live, s)
+		}
+	}
+	answers := m.evalSites(live, terms, k)
+	var slowest float64
+	for i, s := range targets {
+		var ms float64
+		if fo := fates[i]; fo.Err != nil {
+			rb.counters.FaultsSeen++
+			err = fmt.Errorf("site %d did not answer (%v): %w", s.ID, fo.Err, ErrAllSitesDown)
+			if fo.Silent {
+				ms = rb.policy.AttemptTimeoutMs
+			} else if s != c {
+				ms = m.hop(out, c.Region, s.Region, 64)
+			}
+		} else {
+			qr := &answers[0]
+			answers = answers[1:]
+			queueMs := s.queueDelayMs(h)
+			if s != c && s.Selfish {
+				// Open system: the remote site re-prioritizes its own
+				// traffic ahead of the forwarded query.
+				queueMs += s.ForeignPenaltyMs
+			}
+			s.hourLoad++
+			if queueMs > out.QueueMs {
+				out.QueueMs = queueMs
+			}
+			ms = out.addSite(qr) + fo.ExtraMs + queueMs
+			if s != c {
+				// The WAN request and response messages are what
+				// mediation saves.
+				ms += m.hop(out, c.Region, s.Region, 128) +
+					m.hop(out, s.Region, c.Region, resultBytes(len(qr.Results)))
+			}
+			switch {
+			case qr.Err != nil:
+				// The engine's fault policy refused the answer (fail-fast).
+				err = qr.Err
+			case qr.unanswered():
+				err = fmt.Errorf("site %d has no live query processors: %w", s.ID, ErrAllSitesDown)
+			default:
+				lists = append(lists, qr.Results)
+				out.Degraded = out.Degraded || qr.Degraded
+			}
+		}
+		if ms > slowest {
+			slowest = ms
+		}
+	}
+	out.LatencyMs += slowest
+	return lists, err
+}
+
+// hop sends one WAN message and books its bytes on the answer's ledger
+// exactly where its latency is drawn; the caller places the latency. A
+// site does not hop to itself: callers skip the coordinator.
+func (m *MultiSite) hop(out *SiteQueryResult, fromRegion, toRegion int, bytes int64) float64 {
+	out.BytesTransferred += bytes
+	return m.Net.Latency(fromRegion, toRegion, int(bytes))
 }
 
 // probe looks key up in the coordinator's cache. A fresh entry answers
-// the query (hit). An entry past its TTL is returned as stale, for
-// settle to fall back on.
+// the query (hit). An entry past its TTL is returned as stale, for the
+// rescue to fall back on.
 func (m *MultiSite) probe(out *SiteQueryResult, c *Site, key string, atHours float64) (stale []rank.Result, hit bool) {
 	if m.CacheTTL <= 0 {
 		return nil, false
@@ -225,29 +423,8 @@ func (m *MultiSite) probe(out *SiteQueryResult, c *Site, key string, atHours flo
 	}
 	out.Results = e.Value
 	out.FromCache = true
-	out.LatencyMs += 0.2
+	out.LatencyMs += DefaultCostModel().CacheHitMs
 	return nil, true
-}
-
-// settle closes a routed query that missed the cache; callers defer it
-// so it sees the answer however the evaluation returned. A complete
-// answer is stored at the coordinator — degraded or refused ones never
-// are: a partial result would keep serving after the processors recover,
-// and would clobber a fresher complete entry kept for stale fallback.
-// An execution that failed, or found every query processor gone (empty
-// answer), is rescued by the stale entry probe found — the paper's "upon
-// query processor failures, the system returns cached results".
-func (m *MultiSite) settle(out *SiteQueryResult, c *Site, key string, atHours float64, stale []rank.Result) {
-	if m.CacheTTL > 0 && out.Err == nil && !out.Degraded {
-		c.Cache.Put(key, out.Results, atHours)
-	}
-	if (out.Failed || len(out.Results) == 0) && len(stale) > 0 {
-		out.Results = stale
-		out.FromCache = true
-		out.Stale = true
-		out.Failed = false
-		out.Err = nil
-	}
 }
 
 // query evaluates terms on the site's replica the way every multi-site
@@ -268,10 +445,27 @@ func (m *MultiSite) upSites(t float64) []*Site {
 	return ups
 }
 
+// nearest returns the site of ups not in tried with the smallest region
+// distance to region (the lowest ID among equals), or nil.
+func nearest(ups []*Site, region int, tried []*Site) *Site {
+	var best *Site
+	bestDist := math.MaxInt32
+	for _, s := range ups {
+		d := s.Region - region
+		if d < 0 {
+			d = -d
+		}
+		if d < bestDist && !slices.Contains(tried, s) {
+			best, bestDist = s, d
+		}
+	}
+	return best
+}
+
 // evalSites evaluates terms on every target site's engine over the
-// worker pool (sites are full replicas with independent engines).
-// Callers consume the answers serially in site order, where the
-// stateful WAN model and the fault schedule are consulted.
+// worker pool (sites have independent engines). Callers consume the
+// answers serially in site order, where the stateful WAN model is
+// consulted.
 func (m *MultiSite) evalSites(targets []*Site, terms []string, k int) []QueryResult {
 	answers := make([]QueryResult, len(targets))
 	conc.Do(len(targets), m.Workers, func(i int) {
@@ -286,11 +480,9 @@ func (qr *QueryResult) unanswered() bool {
 	return qr.ServersContacted == 0 && len(qr.Results) == 0 && !qr.FromCache
 }
 
-// addSite folds one site engine's work into the multi-site answer.
-// Sites evaluate in parallel, so Rounds is the slowest site's, not the
-// sum. Where the site's latency lands depends on the route, so it is
-// returned for the caller to place: a single executor adds it, a
-// scatter keeps only the slowest site's.
+// addSite folds one site engine's work into the multi-site answer and
+// returns the site's engine latency for the site call to place. Sites
+// evaluate in parallel, so Rounds is the slowest site's, not the sum.
 func (out *SiteQueryResult) addSite(qr *QueryResult) (engineMs float64) {
 	if qr.Rounds > out.Rounds {
 		out.Rounds = qr.Rounds
@@ -305,189 +497,63 @@ func (out *SiteQueryResult) addSite(qr *QueryResult) (engineMs float64) {
 	out.Waves += qr.Waves
 	out.Retries += qr.Retries
 	out.Hedges += qr.Hedges
-	if qr.Degraded {
-		out.Degraded = true
-	}
 	return qr.LatencyMs
 }
 
-// Submit routes one query: terms, origin region, arrival in virtual
-// hours. The nearest up site coordinates; the answer may come from its
-// cache (fresh, or stale if every replica is down), or from the single
-// executing site the routing policy chooses.
-// The result is a named return so the deferred settle can rewrite it
-// after the main path has decided to fail.
-func (m *MultiSite) Submit(terms []string, key string, region int, atHours float64, k int) (out SiteQueryResult) {
-	c, tick := m.coordinate(&out, region, atHours)
-	if c == nil {
-		return out
-	}
-	stale, hit := m.probe(&out, c, key, atHours)
-	if hit {
-		return out
-	}
-	defer m.settle(&out, c, key, atHours, stale)
-	coord := c.ID
-
-	exec := m.chooseExecutor(coord, atHours)
-	if exec < 0 {
-		out.Failed = true
-		out.Err = ErrAllSitesDown
-		return out
-	}
-	if rb := m.siteRB(); rb != nil {
-		// Site-level robustness: the chosen executor may be crashed,
-		// flaky, or inside an outage window per the injector; failed
-		// attempts retry against the next-nearest up site. Failure
-		// detection costs AttemptTimeoutMs when the site died silently,
-		// or a WAN round trip when it answered with an error.
-		tried := make(map[int]bool)
-		first, cur, ok := exec, exec, false
-		for a := 0; a <= rb.policy.MaxRetries; a++ {
-			if a > 0 {
-				rb.counters.Retries++
-				out.Retries++
-				out.LatencyMs += rb.policy.BackoffMs * float64(int(1)<<uint(a-1))
-			}
-			fo := rb.outcome(tick, cur, 0, a)
-			if fo.Err == nil {
-				out.LatencyMs += fo.ExtraMs
-				ok = true
-				break
-			}
-			rb.counters.FaultsSeen++
-			tried[cur] = true
-			if fo.Silent {
-				out.LatencyMs += rb.policy.AttemptTimeoutMs
-			} else {
-				out.LatencyMs += m.Net.Latency(m.Sites[coord].Region, m.Sites[cur].Region, 64) + fo.ExtraMs
-			}
-			next, bestDist := -1, math.MaxInt32
-			for _, s := range m.Sites {
-				if tried[s.ID] || !s.UpAt(atHours) {
-					continue
-				}
-				d := s.Region - m.Sites[coord].Region
-				if d < 0 {
-					d = -d
-				}
-				if d < bestDist || (d == bestDist && (next < 0 || s.ID < next)) {
-					next, bestDist = s.ID, d
-				}
-			}
-			if next < 0 {
-				break
-			}
-			cur = next
-		}
-		if !ok {
-			rb.counters.Lost++
-			out.Failed = true
-			out.Err = fmt.Errorf("no site answered within the fault budget: %w", ErrAllSitesDown)
-			return out
-		}
-		if cur != first {
-			rb.counters.Failovers++
-		}
-		exec = cur
-	}
-	out.Executor = exec
-	x := m.Sites[exec]
-	h := int(atHours)
-	out.QueueMs = x.queueDelayMs(h)
-	if exec != coord && x.Selfish {
-		// Open system: the remote site re-prioritizes its own traffic
-		// ahead of the forwarded query.
-		out.QueueMs += x.ForeignPenaltyMs
-	}
-	x.hourLoad++
-
-	if exec != coord {
-		out.LatencyMs += m.Net.Latency(c.Region, x.Region, 128)
-	}
-	qr := x.query(terms, k)
-	out.Results = qr.Results
-	out.LatencyMs += out.addSite(&qr) + out.QueueMs
-	if exec != coord {
-		out.LatencyMs += m.Net.Latency(x.Region, c.Region, int(resultBytes(len(qr.Results))))
-	}
-	switch {
-	case qr.Err != nil:
-		// The engine's fault policy refused the answer (fail-fast).
-		out.Err = qr.Err
-	case qr.unanswered():
-		// Every partition of the executing replica is down: nothing
-		// anywhere could answer. The stale fallback may still rescue this.
-		out.Err = fmt.Errorf("site %d has no live query processors: %w", exec, ErrAllSitesDown)
-	}
-	return out
+// Submit routes one query — terms, origin region, arrival in virtual
+// hours — over sites that are replicas: the routing policy picks one
+// executor, and while the fault schedule loses it the query walks to the
+// next-nearest untried up site, at most MaxRetries times.
+func (m *MultiSite) Submit(terms []string, key string, region int, atHours float64, k int) SiteQueryResult {
+	return m.route(terms, region, atHours, k, 0, m.replicaPath(key, atHours))
 }
 
-// nearestUp returns the up site with the smallest region distance to
-// region, or -1.
-func (m *MultiSite) nearestUp(region int, at float64) int {
-	best, bestDist := -1, math.MaxInt32
-	for _, s := range m.Sites {
-		if !s.UpAt(at) {
-			continue
-		}
-		d := s.Region - region
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDist || (d == bestDist && best >= 0 && s.ID < best) {
-			best, bestDist = s.ID, d
+// replicaPath is the path over replicas: any one site can answer.
+func (m *MultiSite) replicaPath(key string, atHours float64) path {
+	return func(_ *SiteQueryResult, c *Site, ups []*Site) (string, func(int) []*Site) {
+		var tried []*Site
+		return key, func(attempt int) []*Site {
+			var x *Site
+			if attempt == 0 {
+				x = m.chooseExecutor(c, ups, atHours)
+			} else if rb := m.siteRB(); rb != nil && attempt <= rb.policy.MaxRetries {
+				x = nearest(ups, c.Region, tried)
+			}
+			if x == nil {
+				return nil
+			}
+			tried = append(tried, x)
+			return []*Site{x}
 		}
 	}
-	return best
 }
 
 // chooseExecutor applies the routing policy starting from the
-// coordinator site.
-func (m *MultiSite) chooseExecutor(coord int, at float64) int {
+// coordinator, which is one of ups.
+func (m *MultiSite) chooseExecutor(c *Site, ups []*Site, at float64) *Site {
 	h := int(at)
 	switch m.Policy {
 	case RouteLoadAware:
-		c := m.Sites[coord]
 		if c.capacity > 0 && float64(c.load(h)) >= m.OffloadThreshold*float64(c.capacity) {
 			// Divert to the least-loaded up site.
-			best, bestLoad := -1, math.MaxInt32
-			for _, s := range m.Sites {
-				if !s.UpAt(at) {
-					continue
-				}
-				if l := s.load(h); l < bestLoad {
-					best, bestLoad = s.ID, l
+			var best *Site
+			for _, s := range ups {
+				if best == nil || s.load(h) < best.load(h) {
+					best = s
 				}
 			}
-			if best >= 0 {
-				return best
-			}
-		}
-		if c.UpAt(at) {
-			return coord
+			return best
 		}
 	case RouteRoundRobin:
-		for try := 0; try < len(m.Sites); try++ {
+		for range m.Sites {
 			s := m.Sites[m.rrNext%len(m.Sites)]
 			m.rrNext++
 			if s.UpAt(at) {
-				return s.ID
+				return s
 			}
 		}
-		return -1
-	default: // RouteGeo
-		if m.Sites[coord].UpAt(at) {
-			return coord
-		}
 	}
-	// Coordinator down mid-decision: any up site.
-	for _, s := range m.Sites {
-		if s.UpAt(at) {
-			return s.ID
-		}
-	}
-	return -1
+	return c
 }
 
 // IncrementalBatch is one instalment of an incremental answer: the
@@ -513,6 +579,8 @@ func (m *MultiSite) QueryIncremental(terms []string, region int, atHours float64
 		ms   float64
 		res  []rank.Result
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	ups := m.upSites(atHours)
 	answers := m.evalSites(ups, terms, k)
 	arrivals := make([]arrival, 0, len(ups))

@@ -1,13 +1,18 @@
 package qproc
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dwr/internal/cluster"
+	"dwr/internal/faultsim"
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
+	"dwr/internal/selection"
 )
 
 // newMultiSite builds 3 sites in regions 0..2, each a full replica over
@@ -266,11 +271,13 @@ func TestIncrementalSkipsDownSites(t *testing.T) {
 
 // TestMultiSiteStatsAggregatesSiteCounters pins the Stats() gather: the
 // per-site engines' counter bundles (threshold-sharing waves, result
-// cache hits/misses, degraded/failed outcomes) must sum into the
-// multi-site EngineStats, and the broker-level selection counters must
-// surface through it. The SelectionCounters fold was once dropped here
-// entirely — any counter bundle a site engine reports and the gather
-// ignores under-reports forever.
+// cache hits/misses) must sum into the multi-site EngineStats, and the
+// coordinator's own selection counters and outcome tally must surface
+// through it. The SelectionCounters fold was once dropped here entirely
+// — any counter bundle a site engine reports and the gather ignores
+// under-reports forever. Outcomes are the coordinator's own: a query sent
+// directly to a site engine that degrades there is not a routed query,
+// and a routed one counts once however many site engines degraded it.
 func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	docs := corpus(21, 300, 200)
 	ids := make([]int, len(docs))
@@ -297,17 +304,26 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 			s.Engine.Query([]string{"w0001", "w0002"}, DocQueryOptions{K: 5})
 		}
 	}
-	// Federated queries move the broker-level selection counters.
+	// Sites 1 and 2 lose a partition: one direct query degrades at site 1
+	// alone, then every federated query degrades at both.
+	m.Sites[1].Engine.SetDown(0, true)
+	m.Sites[2].Engine.SetDown(0, true)
+	if qr := m.Sites[1].Engine.Query([]string{"w0004"}, DocQueryOptions{K: 5}); !qr.Degraded {
+		t.Fatalf("direct query with a partition down not degraded: %+v", qr)
+	}
+	// Federated queries move the coordinator's selection counters.
 	const fed = 4
 	for q := 0; q < fed; q++ {
-		m.QueryFederated([]string{"w0003"}, "w0003", 0, 1, 5)
+		if r := m.QueryFederated([]string{"w0003"}, "w0003", 0, 1, 5); !r.Degraded {
+			t.Fatalf("federated query %d over two degraded sites not degraded: %+v", q, r)
+		}
 	}
 
 	var want EngineStats
+	siteDegraded := 0
 	for _, s := range m.Sites {
 		es := s.Engine.Stats()
-		want.Degraded += es.Degraded
-		want.Failed += es.Failed
+		siteDegraded += es.Degraded
 		want.Threshold.Merge(es.Threshold)
 		want.Selection.Merge(es.Selection)
 		want.ResultCache.Hits += es.ResultCache.Hits
@@ -327,11 +343,11 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	if st.Threshold != want.Threshold {
 		t.Errorf("threshold counters not summed: got %+v, want %+v", st.Threshold, want.Threshold)
 	}
-	if st.Degraded != want.Degraded || st.Failed != want.Failed {
-		t.Errorf("outcome counters not summed: got (%d,%d), want (%d,%d)",
-			st.Degraded, st.Failed, want.Degraded, want.Failed)
+	if siteDegraded != 2*fed+1 || st.Degraded != fed || st.Failed != 0 {
+		t.Errorf("outcomes (%d degraded, %d failed) with %d degraded at the site engines; want the %d routed queries once each",
+			st.Degraded, st.Failed, siteDegraded, fed)
 	}
-	// Broker-level selection counters pass through, merged with the
+	// The coordinator's selection counters pass through, merged with the
 	// (currently zero-valued) per-site bundles.
 	wantSel := m.sel
 	wantSel.Merge(want.Selection)
@@ -342,6 +358,101 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 		t.Errorf("federated queries not counted: %+v, want %d full-fanout queries", st.Selection, fed)
 	}
 	if st.Queries != fed {
-		t.Errorf("Queries = %d, want the broker's own tick count %d (site fan-out must not double-count)", st.Queries, fed)
+		t.Errorf("Queries = %d, want the %d routed queries (site fan-out must not double-count)", st.Queries, fed)
+	}
+}
+
+// TestMultiSiteCacheHitDrawsNoTick: the fault schedule is keyed by
+// evaluated queries. Site 0 is out for tick 2 only, so the second
+// evaluated query fails over — with or without a coordinator-cache hit
+// served in between.
+func TestMultiSiteCacheHitDrawsNoTick(t *testing.T) {
+	secondEvaluated := func(ttl float64) SiteQueryResult {
+		m := newMultiSite(t, RouteGeo, ttl)
+		m.injector = faultsim.New(4).Window(faultsim.Window{Unit: 0, From: 2, To: 3})
+		m.Submit([]string{"w0001"}, "w0001", 0, 1, 10)
+		if ttl > 0 {
+			if hit := m.Submit([]string{"w0001"}, "w0001", 0, 1, 10); !hit.FromCache {
+				t.Fatalf("repeat not served from the coordinator cache: %+v", hit)
+			}
+		}
+		return m.Submit([]string{"w0002"}, "w0002", 0, 1, 10)
+	}
+	plain, cached := secondEvaluated(0), secondEvaluated(1)
+	if plain.Retries == 0 || cached.Retries != plain.Retries {
+		t.Fatalf("second evaluated query spent %d retries behind a cache hit, %d without a cache; want equal and > 0",
+			cached.Retries, plain.Retries)
+	}
+}
+
+// TestSubmitBooksWANBytes: a remote execution moves the client message,
+// the forwarded request and the response over the network, and the
+// answer's byte ledger says so — the same ledger the federated path
+// keeps.
+func TestSubmitBooksWANBytes(t *testing.T) {
+	m := newMultiSite(t, RouteRoundRobin, 0)
+	q := []string{"w0001", "w0002"}
+	m.Submit(q, "q", 0, 1, 10)
+	r := m.Submit(q, "q", 0, 1, 10)
+	if r.Coordinator != 0 || r.Executor != 1 || r.Err != nil {
+		t.Fatalf("second round-robin query: coordinator %d, executor %d, err %v", r.Coordinator, r.Executor, r.Err)
+	}
+	engine := m.Sites[1].Engine.Query(q, DocQueryOptions{K: 10, Stats: GlobalPrecomputed}).BytesTransferred
+	if want := engine + 64 + 128 + resultBytes(len(r.Results)); r.BytesTransferred != want {
+		t.Fatalf("remote execution booked %d bytes, want %d (engine %d + client 64 + request 128 + response %d)",
+			r.BytesTransferred, want, engine, resultBytes(len(r.Results)))
+	}
+}
+
+// TestSubmitRefusingExecutorKeepsItsError pins what the one site call
+// must not change: when the single executor's fail-fast engine refuses,
+// the caller still sees that engine's ErrUnavailable and its work.
+func TestSubmitRefusingExecutorKeepsItsError(t *testing.T) {
+	m, _ := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
+	m.Sites[0].Engine.SetDown(0, true)
+	r := m.Submit([]string{"shared01"}, "shared01", 0, 1, 10)
+	if !errors.Is(r.Err, ErrUnavailable) || r.ServersContacted != 1 || len(r.Results) != 0 {
+		t.Fatalf("refusing executor: err=%v serversContacted=%d results=%d", r.Err, r.ServersContacted, len(r.Results))
+	}
+}
+
+// TestMultiSiteConcurrentCallers drives one mediated MultiSite — result
+// caching on, a recall sample on every pruned answer — from several
+// goroutines at once (run under -race). Latencies may differ from a
+// serial replay, the WAN model's RNG being order-dependent; results may
+// not.
+func TestMultiSiteConcurrentCallers(t *testing.T) {
+	build := func() *MultiSite {
+		m, stats := newFederatedMultiSite(t, 7, 4, 24, nil, []Option{WithResultCache(ResultCacheConfig{Capacity: 64})})
+		m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
+		m.SampleEvery = 1
+		m.Now = 1
+		return m
+	}
+	const callers, each = 8, 50
+	queries := topicalTestQueries(9, each, 4)
+	serial := build()
+	want := make([]QueryResult, len(queries))
+	for i, q := range queries {
+		want[i] = serial.QueryTopKWithin(q, 10, 1e9)
+	}
+	m := build()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < each; n++ {
+				i := (g*7 + n) % len(queries)
+				if got := m.QueryTopKWithin(queries[i], 10, 1e9); got.Err != nil || !reflect.DeepEqual(got.Results, want[i].Results) {
+					t.Errorf("caller %d query %v: err=%v, results differ from the serial replay's", g, queries[i], got.Err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := m.Stats()
+	if st.Queries != callers*each || st.Selection.RecallSamples == 0 {
+		t.Fatalf("stats count %d queries and %d recall samples after %d calls", st.Queries, st.Selection.RecallSamples, callers*each)
 	}
 }

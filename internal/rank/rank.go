@@ -481,6 +481,27 @@ func Overlap(a, b []Result, k int) float64 {
 	return float64(inter) / float64(k)
 }
 
+// Recall measures result quality the way the collection-selection
+// literature does: the fraction of the reference answer's documents
+// (the exhaustive fan-out's top-k) present in the observed answer. An
+// empty reference counts as perfect — there was nothing to miss.
+func Recall(got, reference []Result) float64 {
+	if len(reference) == 0 {
+		return 1
+	}
+	in := make(map[int]bool, len(got))
+	for _, r := range got {
+		in[r.Doc] = true
+	}
+	hit := 0
+	for _, r := range reference {
+		if in[r.Doc] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(reference))
+}
+
 // KendallTau computes Kendall's tau-a between two rankings restricted to
 // their common documents. 1 = identical order, -1 = reversed. It returns
 // 1 when fewer than two documents are shared.

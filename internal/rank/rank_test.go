@@ -184,6 +184,22 @@ func TestOverlap(t *testing.T) {
 	}
 }
 
+// TestRecallEdgeCases pins the Recall helper: empty reference is
+// perfect, disjoint answers are zero, overlap is fractional.
+func TestRecallEdgeCases(t *testing.T) {
+	if r := Recall(nil, nil); r != 1 {
+		t.Fatalf("empty reference: %v", r)
+	}
+	ref := []Result{{Doc: 1}, {Doc: 2}, {Doc: 3}, {Doc: 4}}
+	if r := Recall(nil, ref); r != 0 {
+		t.Fatalf("empty answer: %v", r)
+	}
+	got := []Result{{Doc: 2}, {Doc: 4}, {Doc: 9}}
+	if r := Recall(got, ref); r != 0.5 {
+		t.Fatalf("partial overlap: %v", r)
+	}
+}
+
 func TestKendallTau(t *testing.T) {
 	a := []Result{{1, 4}, {2, 3}, {3, 2}, {4, 1}}
 	rev := []Result{{4, 4}, {3, 3}, {2, 2}, {1, 1}}

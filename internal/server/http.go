@@ -72,8 +72,7 @@ func (s Status) HTTPCode() int {
 // but over real goroutines — the worker pool is a semaphore of
 // Config.Workers slots and queued requests are goroutines blocked on
 // it. It is safe for concurrent use; the wrapped engine must be safe
-// for concurrent queries (DocEngine and TermEngine are; MultiSite is
-// not).
+// for concurrent queries (every qproc engine is).
 type Frontend struct {
 	// Tokenize turns free text into query terms (set before serving;
 	// defaults to lower-cased whitespace splitting).
