@@ -310,11 +310,7 @@ func benchQueries(n int) [][]string {
 
 func benchDocEngine(b *testing.B, docs []index.Doc, k int, options ...qproc.Option) *qproc.DocEngine {
 	b.Helper()
-	ids := make([]int, len(docs))
-	for i, d := range docs {
-		ids[i] = d.Ext
-	}
-	e, err := qproc.NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, k), options...)
+	e, err := qproc.NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(index.DocIDs(docs), k), options...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -106,11 +106,8 @@ func federatePass(o federateConfig, mode string) (row, uint64, error) {
 	siteDocs, queries := federateWorkload(o)
 	engines := make([]*qproc.DocEngine, o.Sites)
 	for s := 0; s < o.Sites; s++ {
-		ids := make([]int, len(siteDocs[s]))
-		for i, d := range siteDocs[s] {
-			ids[i] = d.Ext
-		}
-		e, err := qproc.NewDocEngine(index.DefaultOptions(), siteDocs[s], partition.RoundRobinDocs(ids, 2))
+		e, err := qproc.NewDocEngine(index.DefaultOptions(), siteDocs[s],
+			partition.RoundRobinDocs(index.DocIDs(siteDocs[s]), 2))
 		if err != nil {
 			return row{}, 0, err
 		}

@@ -8,14 +8,13 @@ import (
 	"reflect"
 	"time"
 
+	"dwr/internal/core"
 	"dwr/internal/crawler"
-	"dwr/internal/index"
 	"dwr/internal/loadgen"
 	"dwr/internal/metrics"
 	"dwr/internal/qproc"
 	"dwr/internal/querylog"
 	"dwr/internal/simweb"
-	"dwr/internal/textproc"
 )
 
 // freshConfig sizes the continuous-indexing scenario.
@@ -66,22 +65,16 @@ func freshReplay(o freshConfig) (map[string]float64, uint64) {
 		Seed: o.Seed, Rate: o.RateQPS, N: 20000, K: 10,
 	}).Init()
 
-	// One segment store per partition; a writer streams crawled pages
-	// into each. Merges run inline: deterministic scheduling is what
-	// makes the two-replay identity check meaningful (dwrserve -live is
-	// the wall-clock mode with background merges).
-	stores := make([]*index.SegmentStore, o.Parts)
-	writers := make([]*index.SegmentWriter, o.Parts)
-	for i := range stores {
-		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-		writers[i] = index.NewSegmentWriter(stores[i], o.SegDocs)
-	}
-	eng, err := qproc.NewLiveEngine(stores, qproc.WithResultCache(qproc.ResultCacheConfig{
+	// Merges run inline: deterministic scheduling is what makes the
+	// two-replay identity check meaningful (dwrserve -live is the
+	// wall-clock mode with background merges).
+	live, err := core.NewLive(o.Parts, o.SegDocs, nil, qproc.WithResultCache(qproc.ResultCacheConfig{
 		Capacity: 512, Shards: 8,
 	}))
 	if err != nil {
-		panic(err) // len(stores) > 0 by construction
+		panic(err) // o.Parts > 0, checked by measureFresh
 	}
+	eng, stores := live.Query, live.Stores()
 
 	type pendingDoc struct {
 		ext, part int
@@ -123,26 +116,15 @@ func freshReplay(o freshConfig) (map[string]float64, uint64) {
 	ccfg := crawler.DefaultConfig()
 	ccfg.Seed = o.Seed
 	c := crawler.New(web, ccfg)
-	var seeds []string
-	for _, h := range web.Hosts {
-		if len(h.Pages) > 0 {
-			seeds = append(seeds, web.URL(h.Pages[0]))
-		}
-	}
-	c.Seed(seeds)
+	c.SeedFrontPages()
 	c.OnPage(func(p *crawler.Page) {
 		if p.FetchedAt > clock {
 			clock = p.FetchedAt
 		}
 		serveDue()
-		doc := textproc.ParseHTML(p.HTML)
-		terms := textproc.Tokenize(doc.Text)
-		if len(terms) == 0 {
-			return
-		}
-		part := p.PageID % o.Parts
-		if err := writers[part].AddDocument(p.PageID, terms); err != nil {
-			return // refetch of an already-indexed page
+		part, ok := live.Ingest(p)
+		if !ok {
+			return // no text, or a refetch of an already-indexed page
 		}
 		pending = append(pending, pendingDoc{ext: p.PageID, part: part, fetchedAt: clock})
 		drainSearchable()
@@ -156,10 +138,8 @@ func freshReplay(o freshConfig) (map[string]float64, uint64) {
 	// End of crawl: seal every partial buffer so the tail of the crawl
 	// becomes searchable, then serve a settle-phase against the complete
 	// index (the next 200 scheduled arrivals, clock following them).
-	for _, w := range writers {
-		if err := w.Cut(); err != nil {
-			panic(err)
-		}
+	if err := live.Seal(); err != nil {
+		panic(err)
 	}
 	drainSearchable()
 	for tail := 0; tail < 200 && ai < len(arrivals); tail++ {

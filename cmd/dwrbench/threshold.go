@@ -35,11 +35,7 @@ func measureThreshold(w io.Writer, c thresholdConfig) ([]row, error) {
 		return nil, errors.New("docs, queries and partitions must be positive")
 	}
 	docs, queries := zipfWorkload(c.Seed, c.Docs, c.Queries)
-	ids := make([]int, len(docs))
-	for i, d := range docs {
-		ids[i] = d.Ext
-	}
-	dp := partition.RoundRobinDocs(ids, c.Partitions)
+	dp := partition.RoundRobinDocs(index.DocIDs(docs), c.Partitions)
 	modes := []struct {
 		name    string
 		options []qproc.Option

@@ -50,13 +50,7 @@ func main() {
 	}
 
 	c := crawler.New(web, ccfg)
-	var seeds []string
-	for _, h := range web.Hosts {
-		if len(h.Pages) > 0 {
-			seeds = append(seeds, web.URL(h.Pages[0]))
-		}
-	}
-	c.Seed(seeds)
+	c.SeedFrontPages()
 
 	if *failAgent >= 0 {
 		// Run one round, fail the agent, continue — exercising URL

@@ -1,8 +1,8 @@
 // Command dwrlint runs the repository's static-analysis suite
 // (internal/lint): a syntactic pass plus a type-aware, interprocedural
 // module pass that together enforce the determinism, accounting,
-// caching, API-hygiene, and deadline-discipline invariants the
-// reproduction's experiments depend on.
+// caching, and deadline-discipline invariants the reproduction's
+// experiments depend on.
 //
 // Usage:
 //

@@ -22,9 +22,10 @@ import (
 // full fan-out as the low-confidence fallback. The /stats endpoint's
 // Selection counters report how many sites queries touched and the
 // sampled Recall@k of mediated answers against the exhaustive fan-out.
-// It returns the HTTP handler plus the built corpus.
-func newFederate(o options) (http.Handler, *core.Engine, error) {
-	eng, err := buildCorpus(o, 0)
+// It returns the HTTP handler plus the crawled corpus.
+func newFederate(o options) (http.Handler, *core.Corpus, error) {
+	cfg := prunedConfig(o)
+	corpus, err := core.Crawl(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -33,8 +34,8 @@ func newFederate(o options) (http.Handler, *core.Engine, error) {
 	// at one site, so each site's collection has real topical identity
 	// for the selector to exploit.
 	siteDocs := make([][]index.Doc, o.sites)
-	for _, d := range eng.Docs {
-		s := hostSite(eng.URLOf(d.Ext), o.sites)
+	for _, d := range corpus.Docs {
+		s := hostSite(corpus.URLOf(d.Ext), o.sites)
 		siteDocs[s] = append(siteDocs[s], d)
 	}
 
@@ -44,11 +45,8 @@ func newFederate(o options) (http.Handler, *core.Engine, error) {
 		if len(siteDocs[s]) == 0 {
 			return nil, nil, fmt.Errorf("site %d received no documents; use fewer sites or more hosts", s)
 		}
-		ids := make([]int, len(siteDocs[s]))
-		for i, d := range siteDocs[s] {
-			ids[i] = d.Ext
-		}
-		e, err := qproc.NewDocEngine(eng.Config.Index, siteDocs[s], partition.RoundRobinDocs(ids, o.partitions))
+		e, err := qproc.NewDocEngine(cfg.Index, siteDocs[s],
+			partition.RoundRobinDocs(index.DocIDs(siteDocs[s]), o.partitions))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -74,7 +72,7 @@ func newFederate(o options) (http.Handler, *core.Engine, error) {
 		ms.Sites = append(ms.Sites, qproc.NewSite(s, s, e, cap, 0))
 		fmt.Printf("dwrserve: site %d holds %d documents\n", s, len(siteDocs[s]))
 	}
-	return frontend(ms, eng.URLOf, o), eng, nil
+	return frontend(ms, corpus.URLOf, o), corpus, nil
 }
 
 // hostSite assigns a document's host to a site deterministically.

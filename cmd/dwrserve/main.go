@@ -2,8 +2,9 @@
 // synthetic Web, distributed crawl, partitioned index — and serves it
 // over HTTP behind the full serving front-end: a bounded worker pool
 // (the paper's G/G/c model), token-bucket admission control, a bounded
-// wait queue with interactive/batch priorities, adaptive latency-SLO
-// load shedding, and per-request deadlines propagated into the engine.
+// deadline-evicting wait queue, adaptive latency-SLO load shedding
+// (batch before interactive), and per-request deadlines propagated into
+// the engine.
 //
 // Usage:
 //
@@ -43,7 +44,6 @@ import (
 	"dwr/internal/conc"
 	"dwr/internal/core"
 	"dwr/internal/crawler"
-	"dwr/internal/index"
 	"dwr/internal/qproc"
 	"dwr/internal/rank"
 	"dwr/internal/server"
@@ -135,30 +135,37 @@ func frontend(eng qproc.Engine, resolve func(doc int) string, o options) http.Ha
 	return f.Handler()
 }
 
-// buildCorpus crawls and indexes the synthetic Web the static and
-// -federate modes serve. Every engine they construct evaluates with
-// MaxScore pruning and threshold sharing — rank-identical to exhaustive
-// evaluation, and the configuration bench/ and docs/BENCH_pruning.json
-// measure. (-live stays at the engine defaults, which is what bench/'s
-// live_ingest measures.)
-func buildCorpus(o options, cacheCap int) (*core.Engine, error) {
-	qproc.SetDefaultOptions(qproc.WithWorkers(o.workers),
-		qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))
+// corpusConfig is the corpus the flags name: one synthetic Web and one
+// crawl of it, whichever mode serves it.
+func corpusConfig(o options) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.seed
 	cfg.Web.Seed = o.seed
 	cfg.Web.Hosts = o.hosts
 	cfg.Partitions = o.partitions
 	cfg.Workers = o.workers
-	cfg.Cache = core.CacheConfig{Capacity: cacheCap}
+	return cfg
+}
+
+// prunedConfig is corpusConfig for the modes that index up front, and
+// makes MaxScore pruning with threshold sharing the default of every
+// engine static and -federate construct from here on — rank-identical
+// to exhaustive evaluation, and the configuration bench/ and
+// docs/BENCH_pruning.json measure. (-live stays at the engine defaults,
+// which is what bench/'s live_ingest measures.)
+func prunedConfig(o options) core.Config {
+	qproc.SetDefaultOptions(qproc.WithWorkers(o.workers),
+		qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))
 	fmt.Printf("dwrserve: building corpus (%d hosts, %d partitions)...\n", o.hosts, o.partitions)
-	return core.Build(cfg)
+	return corpusConfig(o)
 }
 
 // newStatic builds the whole index up front and returns the HTTP
 // handler over its document-partitioned engine, plus the built system.
 func newStatic(o options) (http.Handler, *core.Engine, error) {
-	eng, err := buildCorpus(o, o.cacheCap)
+	cfg := prunedConfig(o)
+	cfg.Cache = core.CacheConfig{Capacity: o.cacheCap}
+	eng, err := core.Build(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,71 +173,40 @@ func newStatic(o options) (http.Handler, *core.Engine, error) {
 	return frontend(eng.Query, eng.URLOf, o), eng, nil
 }
 
-// newLive brings the front-end up over empty segment stores and returns
-// its HTTP handler plus the crawl that fills them while queries are
+// newLive brings the front-end up over an empty core.Live and returns
+// its HTTP handler plus the crawl that fills it while queries are
 // served: the continuous crawl-index-serve pipeline. crawl runs to
 // completion — streaming every page into the segment writers, sealing
 // the final partial segments, and waiting out the background merges —
 // and reports pages fetched and documents indexed. It is the single
-// writer (segment writers are single-producer); queries read immutable
-// manifest snapshots, so they never block on ingest or on the
-// background merges.
+// writer; queries read immutable manifest snapshots, so they never
+// block on ingest or on the background merges.
 func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), err error) {
-	wcfg := simweb.DefaultConfig()
-	wcfg.Seed = o.seed
-	wcfg.Hosts = o.hosts
-	web := simweb.New(wcfg)
-
-	pool := conc.NewPool(o.mergeWorkers)
-	stores := make([]*index.SegmentStore, o.partitions)
-	writers := make([]*index.SegmentWriter, o.partitions)
-	for i := range stores {
-		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-		stores[i].Background(pool)
-		writers[i] = index.NewSegmentWriter(stores[i], o.segDocs)
-	}
 	opts := []qproc.Option{qproc.WithWorkers(o.workers)}
 	if o.cacheCap > 0 {
 		opts = append(opts, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
 	}
-	eng, err := qproc.NewLiveEngine(stores, opts...)
+	live, err := core.NewLive(o.partitions, o.segDocs, conc.NewPool(o.mergeWorkers), opts...)
 	if err != nil {
 		return nil, nil, err
 	}
+	cfg := corpusConfig(o)
+	web := simweb.New(cfg.Web)
 
 	crawl = func() (fetched, indexed int) {
-		ccfg := crawler.DefaultConfig()
-		ccfg.Seed = o.seed
-		cr := crawler.New(web, ccfg)
-		var seeds []string
-		for _, h := range web.Hosts {
-			if len(h.Pages) > 0 {
-				seeds = append(seeds, web.URL(h.Pages[0]))
-			}
-		}
-		cr.Seed(seeds)
+		cr := crawler.New(web, cfg.Crawl)
+		cr.SeedFrontPages()
 		cr.OnPage(func(p *crawler.Page) {
-			doc := textproc.ParseHTML(p.HTML)
-			terms := textproc.Tokenize(doc.Text)
-			if len(terms) == 0 {
-				return
+			if _, ok := live.Ingest(p); ok {
+				indexed++
 			}
-			if err := writers[p.PageID%o.partitions].AddDocument(p.PageID, terms); err != nil {
-				return // refetch of an already-indexed page
-			}
-			indexed++
 		})
 		st := cr.Run()
-		for _, w := range writers {
-			if err := w.Cut(); err != nil {
-				fmt.Fprintf(os.Stderr, "dwrserve: sealing final segment: %v\n", err)
-			}
-		}
-		for _, s := range stores {
-			s.Quiesce()
+		if err := live.Seal(); err != nil {
+			fmt.Fprintf(os.Stderr, "dwrserve: sealing final segment: %v\n", err)
 		}
 		return st.DistinctPages, indexed
 	}
 
-	return frontend(eng, web.URL, o), crawl, nil
+	return frontend(live.Query, web.URL, o), crawl, nil
 }

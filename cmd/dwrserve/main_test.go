@@ -59,9 +59,7 @@ func TestLiveServesTheCrawl(t *testing.T) {
 
 	// The query: the leading words of a seed page, as the crawl will
 	// tokenize them.
-	wcfg := simweb.DefaultConfig()
-	wcfg.Seed, wcfg.Hosts = o.seed, o.hosts
-	web := simweb.New(wcfg)
+	web := simweb.New(corpusConfig(o).Web)
 	seedPage := web.Hosts[0].Pages[0]
 	words := textproc.Tokenize(textproc.ParseHTML(web.RenderHTML(seedPage, 0)).Text)
 	if len(words) < 2 {
@@ -117,6 +115,50 @@ func TestLiveServesTheCrawl(t *testing.T) {
 	getJSON(t, srv, "/stats", &stats)
 	if stats.Served != 2 || stats.EngineQueries == 0 || stats.Units != o.partitions {
 		t.Fatalf("stats: %+v, want 2 served, engine queries counted, %d units", stats, o.partitions)
+	}
+}
+
+// TestModesServeTheSameCorpus: the same -seed and -hosts name one web and
+// one crawl of it whichever mode serves them — -live fetches and indexes
+// exactly the pages the static build does, with the same text under the
+// same URLs. (-live used to start from simweb's defaults and static
+// from core's: other page caps, another vocabulary.)
+func TestModesServeTheSameCorpus(t *testing.T) {
+	defer qproc.SetDefaultOptions()
+	o := options{c: 4, seed: 3, hosts: 30, partitions: 3, workers: 2,
+		segDocs: 32, mergeWorkers: 2, deadline: 1000}
+	_, eng, err := newStatic(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, crawl, err := newLive(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	fetched, indexed := crawl()
+	if fetched != eng.CrawlInfo.DistinctPages || indexed != len(eng.Docs) {
+		t.Fatalf("live fetched %d pages and indexed %d, static %d and %d",
+			fetched, indexed, eng.CrawlInfo.DistinctPages, len(eng.Docs))
+	}
+	for _, d := range eng.Docs {
+		// The closing words are body text, drawn from the web's
+		// vocabulary; the leading ones only spell the URL.
+		body := strings.Join(d.Terms[len(d.Terms)-2:], " ")
+		var got struct{ Results []hit }
+		getJSON(t, srv, "/search?k=1000&q="+url.QueryEscape(body), &got)
+		found := false
+		for _, r := range got.Results {
+			if r.Doc == d.Ext {
+				found = r.URL == eng.URLOf(d.Ext)
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("static document %d (%s) is not what -live serves for its words %q", d.Ext, eng.URLOf(d.Ext), body)
+		}
 	}
 }
 

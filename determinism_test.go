@@ -12,7 +12,6 @@ import (
 	"dwr/internal/qproc"
 	"dwr/internal/querylog"
 	"dwr/internal/simweb"
-	"dwr/internal/textproc"
 )
 
 // TestEndToEndDeterminism is the regression test behind dwrlint's
@@ -72,9 +71,10 @@ func TestEndToEndDeterminism(t *testing.T) {
 
 // TestStreamingPipelineDeterminism is the continuous-indexing analogue
 // of TestEndToEndDeterminism: a crawl streams pages through OnPage into
-// per-partition segment writers while a LiveEngine answers queries
-// interleaved with the ingest (one query per 20 pages, mid-stream, so
-// answers depend on exactly which manifests had been swapped in when).
+// a core.Live (per-partition segment writers, merges inline) whose
+// engine answers queries interleaved with the ingest (one query per 20
+// pages, mid-stream, so answers depend on exactly which manifests had
+// been swapped in when).
 // Two identically seeded replays must serve byte-identical answers and
 // identical segment-maintenance counters.
 func TestStreamingPipelineDeterminism(t *testing.T) {
@@ -89,35 +89,20 @@ func TestStreamingPipelineDeterminism(t *testing.T) {
 		lcfg.Distinct = 60
 		lg := querylog.Generate(web, lcfg)
 
-		stores := make([]*index.SegmentStore, parts)
-		writers := make([]*index.SegmentWriter, parts)
-		for i := range stores {
-			stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-			writers[i] = index.NewSegmentWriter(stores[i], 24)
-		}
-		eng, err := qproc.NewLiveEngine(stores,
+		live, err := core.NewLive(parts, 24, nil,
 			qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: 64}))
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng := live.Query
 
 		var answers []string
 		pages, qi := 0, 0
 		c := crawler.New(web, crawler.DefaultConfig())
-		var seeds []string
-		for _, h := range web.Hosts {
-			if len(h.Pages) > 0 {
-				seeds = append(seeds, web.URL(h.Pages[0]))
-			}
-		}
-		c.Seed(seeds)
+		c.SeedFrontPages()
 		c.OnPage(func(p *crawler.Page) {
-			terms := textproc.Tokenize(textproc.ParseHTML(p.HTML).Text)
-			if len(terms) == 0 {
-				return
-			}
-			if err := writers[p.PageID%parts].AddDocument(p.PageID, terms); err != nil {
-				return // refetch
+			if _, ok := live.Ingest(p); !ok {
+				return // no text, or a refetch
 			}
 			pages++
 			if pages%20 == 0 {
@@ -127,16 +112,14 @@ func TestStreamingPipelineDeterminism(t *testing.T) {
 			}
 		})
 		c.Run()
-		for _, w := range writers {
-			if err := w.Cut(); err != nil {
-				t.Fatal(err)
-			}
+		if err := live.Seal(); err != nil {
+			t.Fatal(err)
 		}
 		for _, q := range lg.Queries[:50] {
 			answers = append(answers, fmt.Sprintf("%+v", eng.Query(q.Terms, 10)))
 		}
 		stats := make([]index.SegmentStats, parts)
-		for i, s := range stores {
+		for i, s := range live.Stores() {
 			stats[i] = s.Stats()
 		}
 		return answers, stats

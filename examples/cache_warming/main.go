@@ -14,6 +14,7 @@ import (
 	"log"
 	"strings"
 
+	"dwr/internal/core"
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
@@ -29,18 +30,7 @@ func main() {
 	wcfg := simweb.DefaultConfig()
 	wcfg.Hosts = 100
 	web := simweb.New(wcfg)
-	var docs []index.Doc
-	for _, p := range web.Pages {
-		if p.Private {
-			continue
-		}
-		vocab := web.Vocabs[web.Hosts[p.Host].Lang]
-		terms := make([]string, len(p.Terms))
-		for i, tid := range p.Terms {
-			terms[i] = vocab.Word(int(tid))
-		}
-		docs = append(docs, index.Doc{Ext: p.ID, Terms: terms})
-	}
+	docs := core.WebDocs(web)
 
 	lcfg := querylog.DefaultConfig()
 	lcfg.Total = 12000
@@ -51,10 +41,7 @@ func main() {
 	fmt.Printf("corpus: %d documents; warming sample: %d queries; live stream: %d queries\n\n",
 		len(docs), len(warm), len(stream))
 
-	ids := make([]int, len(docs))
-	for i, d := range docs {
-		ids[i] = d.Ext
-	}
+	ids := index.DocIDs(docs)
 	const parts = 4
 	// warmEng is a cache-less engine used only to compute the answers
 	// SDC pins into its static half; the measured engines are built

@@ -1,9 +1,10 @@
 // crawl_and_search walks through the paper's offline pipeline a layer at
-// a time, using the substrate packages directly rather than the core
-// facade: generate a Web, crawl it with distributed agents, parse the
-// crawled HTML, build the inverted index with the single-pass (SPIMI)
-// builder, and evaluate BM25 queries — then run an incremental re-crawl
-// and show the freshness economics of If-Modified-Since and sitemaps.
+// a time: generate a Web, crawl it with distributed agents and parse the
+// crawled HTML (core.Crawl, the pipeline's first half), then — with the
+// substrate packages directly — build the inverted index with the
+// single-pass (SPIMI) builder and evaluate BM25 queries, run an
+// incremental re-crawl and show the freshness economics of
+// If-Modified-Since and sitemaps.
 //
 //	go run ./examples/crawl_and_search
 package main
@@ -11,59 +12,41 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
+	"dwr/internal/core"
 	"dwr/internal/crawler"
 	"dwr/internal/index"
 	"dwr/internal/rank"
 	"dwr/internal/simweb"
-	"dwr/internal/textproc"
 )
 
 func main() {
 	// 1. A synthetic Web: 150 servers with power-law sizes, flaky hosts,
 	// broken HTML, robots.txt — everything Section 3 warns about.
-	wcfg := simweb.DefaultConfig()
-	wcfg.Hosts = 150
-	web := simweb.New(wcfg)
+	// 2. Distributed crawl: 6 agents under consistent-hash assignment,
+	// batched URL exchange, politeness, DNS caching; every crawled page
+	// parsed into a tokenized document.
+	cfg := core.Config{Web: simweb.DefaultConfig(), Crawl: crawler.DefaultConfig()}
+	cfg.Web.Hosts = 150
+	cfg.Crawl.Agents = 6
+	corpus, err := core.Crawl(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	web, c, st := corpus.Web, corpus.Crawler, corpus.CrawlInfo
 	fmt.Printf("generated %d hosts, %d pages (%d crawlable)\n",
 		len(web.Hosts), len(web.Pages), web.CrawlablePages())
-
-	// 2. Distributed crawl: 6 agents under consistent-hash assignment,
-	// batched URL exchange, politeness, DNS caching.
-	ccfg := crawler.DefaultConfig()
-	ccfg.Agents = 6
-	c := crawler.New(web, ccfg)
-	var seeds []string
-	for _, h := range web.Hosts {
-		if len(h.Pages) > 0 {
-			seeds = append(seeds, web.URL(h.Pages[0]))
-		}
-	}
-	c.Seed(seeds)
-	st := c.Run()
 	fmt.Printf("crawl: %d pages, coverage %.1f%%, %d URL exchanges in %d messages, %.0f virtual seconds\n",
 		st.DistinctPages, st.Coverage*100, st.URLsExchanged, st.ExchangeMessages, st.VirtualSeconds)
 
-	// 3. Parse and index with the single-pass builder (1 MiB memory
-	// budget, spill runs merged on disk).
+	// 3. Index with the single-pass builder (1 MiB memory budget, spill
+	// runs merged on disk).
 	b, err := index.NewSPIMIBuilder(index.DefaultOptions(), 1<<20, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids := make([]int, 0, len(c.Pages()))
-	for pid := range c.Pages() {
-		ids = append(ids, pid)
-	}
-	sort.Ints(ids)
-	for _, pid := range ids {
-		page := c.Pages()[pid]
-		doc := textproc.ParseHTML(page.HTML)
-		terms := textproc.Tokenize(doc.Text)
-		if len(terms) == 0 {
-			continue
-		}
-		if err := b.AddDocument(pid, terms); err != nil {
+	for _, d := range corpus.Docs {
+		if err := b.AddDocument(d.Ext, d.Terms); err != nil {
 			log.Fatal(err)
 		}
 	}

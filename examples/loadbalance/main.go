@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"time"
 
+	"dwr/internal/core"
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
@@ -27,25 +28,11 @@ func main() {
 	wcfg := simweb.DefaultConfig()
 	wcfg.Hosts = 150
 	web := simweb.New(wcfg)
-	var docs []index.Doc
-	for _, p := range web.Pages {
-		if p.Private {
-			continue
-		}
-		vocab := web.Vocabs[web.Hosts[p.Host].Lang]
-		terms := make([]string, len(p.Terms))
-		for i, tid := range p.Terms {
-			terms[i] = vocab.Word(int(tid))
-		}
-		docs = append(docs, index.Doc{Ext: p.ID, Terms: terms})
-	}
+	docs := core.WebDocs(web)
 	lg := querylog.Generate(web, querylog.DefaultConfig())
 	fmt.Printf("corpus: %d documents; workload: %d queries\n\n", len(docs), len(lg.Queries))
 
-	ids := make([]int, len(docs))
-	for i, d := range docs {
-		ids[i] = d.Ext
-	}
+	ids := index.DocIDs(docs)
 	central := index.NewBuilder(index.DefaultOptions())
 	for _, d := range docs {
 		central.AddDocument(d.Ext, d.Terms)

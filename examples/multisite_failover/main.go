@@ -29,10 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids := make([]int, len(engine.Docs))
-	for i, d := range engine.Docs {
-		ids[i] = d.Ext
-	}
+	ids := index.DocIDs(engine.Docs)
 
 	m := qproc.NewMultiSite(cluster.NewNetwork(1, 3), qproc.RouteGeo)
 	m.CacheTTL = 1 // results stay fresh for one virtual hour

@@ -33,12 +33,7 @@ func main() {
 		if p.Private || published >= 600 {
 			continue
 		}
-		vocab := web.Vocabs[web.Hosts[p.Host].Lang]
-		terms := make([]string, len(p.Terms))
-		for i, tid := range p.Terms {
-			terms[i] = vocab.Word(int(tid))
-		}
-		if err := dyn.Add(p.ID, terms); err != nil {
+		if err := dyn.Add(p.ID, web.Words(p.ID)); err != nil {
 			log.Fatal(err)
 		}
 		topicOf[p.ID] = p.Topic

@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"dwr/internal/crawler"
@@ -156,59 +155,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// Engine is a built distributed Web retrieval system.
+// Engine is a built distributed Web retrieval system: the crawled
+// corpus, partitioned and indexed.
 type Engine struct {
+	*Corpus
 	Config    Config
-	Web       *simweb.Web
-	Crawler   *crawler.Crawler
-	CrawlInfo crawler.Stats
-	Docs      []index.Doc
 	Partition partition.DocPartition
 	Query     *qproc.DocEngine
 	Selector  selection.Selector // non-nil when Strategy supports selection
-	urls      map[int]string     // doc ext ID -> URL
 }
 
-// Build runs the offline half of the paper's pipeline — crawl, parse,
-// partition, index — and returns an engine ready to answer queries.
+// Build runs the offline half of the paper's pipeline — Crawl (crawl,
+// parse), then partition and index — and returns an engine ready to
+// answer queries.
 func Build(cfg Config) (*Engine, error) {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
 	}
-	e := &Engine{Config: cfg, urls: make(map[int]string)}
-	e.Web = simweb.New(cfg.Web)
-
-	// Crawl: seed with every host's front page for full reachability.
-	e.Crawler = crawler.New(e.Web, cfg.Crawl)
-	var seeds []string
-	for _, h := range e.Web.Hosts {
-		if len(h.Pages) > 0 {
-			seeds = append(seeds, e.Web.URL(h.Pages[0]))
-		}
+	c, err := Crawl(cfg)
+	if err != nil {
+		return nil, err
 	}
-	e.Crawler.Seed(seeds)
-	e.CrawlInfo = e.Crawler.Run()
-
-	// Parse crawled pages into tokenized documents.
-	ids := make([]int, 0, len(e.Crawler.Pages()))
-	for pid := range e.Crawler.Pages() {
-		ids = append(ids, pid)
-	}
-	sort.Ints(ids)
-	for _, pid := range ids {
-		p := e.Crawler.Pages()[pid]
-		doc := textproc.ParseHTML(p.HTML)
-		terms := textproc.Tokenize(doc.Text)
-		if len(terms) == 0 {
-			continue
-		}
-		e.Docs = append(e.Docs, index.Doc{Ext: pid, Terms: terms})
-		e.urls[pid] = p.URL
-	}
-	if len(e.Docs) == 0 {
-		return nil, fmt.Errorf("core: crawl produced no indexable documents")
-	}
-
+	e := &Engine{Corpus: c, Config: cfg}
 	if err := e.partitionAndIndex(); err != nil {
 		return nil, err
 	}
@@ -218,10 +186,7 @@ func Build(cfg Config) (*Engine, error) {
 func (e *Engine) partitionAndIndex() error {
 	cfg := e.Config
 	rng := randx.New(cfg.Seed + 77)
-	ids := make([]int, len(e.Docs))
-	for i, d := range e.Docs {
-		ids[i] = d.Ext
-	}
+	ids := index.DocIDs(e.Docs)
 	switch cfg.Strategy {
 	case PartitionRandom:
 		e.Partition = partition.RandomDocs(rng, ids, cfg.Partitions)
@@ -370,11 +335,7 @@ func (e *Engine) trainQueryDriven(rng *rand.Rand) (partition.CoClusterResult, []
 		}
 		train = append(train, partition.QueryDocs{Key: q.Key, Terms: q.Terms, Docs: docs})
 	}
-	ids := make([]int, len(e.Docs))
-	for i, d := range e.Docs {
-		ids[i] = d.Ext
-	}
-	res := partition.CoClusterDocs(rng, train, ids, e.Config.Partitions, 15)
+	res := partition.CoClusterDocs(rng, train, index.DocIDs(e.Docs), e.Config.Partitions, 15)
 	return res, train, nil
 }
 
@@ -414,9 +375,6 @@ func (e *Engine) Search(query string, opt SearchOptions) []SearchResult {
 	return out
 }
 
-// URLOf resolves a document ID to its URL ("" if unknown).
-func (e *Engine) URLOf(doc int) string { return e.urls[doc] }
-
 // Refresh brings the engine's collection up to virtual day `day`: an
 // incremental re-crawl (If-Modified-Since, optionally sitemaps) updates
 // the stored pages, and the partition indexes are rebuilt — the paper's
@@ -425,33 +383,11 @@ func (e *Engine) URLOf(doc int) string { return e.urls[doc] }
 // The document partition is recomputed with the configured strategy.
 func (e *Engine) Refresh(day int, useSitemaps bool) (crawler.RecrawlStats, error) {
 	st := e.Crawler.Recrawl(day, useSitemaps)
-
-	// Re-parse the (possibly updated) pages.
-	e.Docs = e.Docs[:0]
-	e.urls = make(map[int]string)
-	ids := make([]int, 0, len(e.Crawler.Pages()))
-	for pid := range e.Crawler.Pages() {
-		ids = append(ids, pid)
-	}
-	sort.Ints(ids)
-	for _, pid := range ids {
-		p := e.Crawler.Pages()[pid]
-		doc := textproc.ParseHTML(p.HTML)
-		terms := textproc.Tokenize(doc.Text)
-		if len(terms) == 0 {
-			continue
-		}
-		e.Docs = append(e.Docs, index.Doc{Ext: pid, Terms: terms})
-		e.urls[pid] = p.URL
-	}
-	if len(e.Docs) == 0 {
-		return st, fmt.Errorf("core: refresh left no indexable documents")
-	}
-	e.Selector = nil // rebuilt by partitionAndIndex
-	if err := e.partitionAndIndex(); err != nil {
+	if err := e.parse(); err != nil {
 		return st, err
 	}
-	return st, nil
+	e.Selector = nil // rebuilt by partitionAndIndex
+	return st, e.partitionAndIndex()
 }
 
 // SearchPhrase answers an exact-phrase query: documents containing the

@@ -377,6 +377,18 @@ func (c *Crawler) Seed(urls []string) {
 	}
 }
 
+// SeedFrontPages seeds the crawl with the front page of every host, so
+// every crawlable page of the simulated Web is reachable.
+func (c *Crawler) SeedFrontPages() {
+	var urls []string
+	for _, h := range c.web.Hosts {
+		if len(h.Pages) > 0 {
+			urls = append(urls, c.web.URL(h.Pages[0]))
+		}
+	}
+	c.Seed(urls)
+}
+
 // deliverNew routes a URL to its owning agent's frontier; it returns
 // true if the receiving agent had not seen the URL before.
 func (c *Crawler) deliverNew(url string, readyAt float64) bool {

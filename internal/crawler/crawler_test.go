@@ -14,22 +14,10 @@ func testWeb() *simweb.Web {
 	return simweb.New(cfg)
 }
 
-// seedAll seeds the crawl with every host's front page, giving full
-// reachability regardless of link-graph connectivity.
-func seedAll(w *simweb.Web, c *Crawler) {
-	var urls []string
-	for _, h := range w.Hosts {
-		if len(h.Pages) > 0 {
-			urls = append(urls, w.URL(h.Pages[0]))
-		}
-	}
-	c.Seed(urls)
-}
-
 func TestCrawlCoverage(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	st := c.Run()
 	if st.Coverage < 0.85 {
 		t.Fatalf("coverage = %.2f, want ≥ 0.85 (crawl should reach almost all crawlable pages)", st.Coverage)
@@ -42,7 +30,7 @@ func TestCrawlCoverage(t *testing.T) {
 func TestCrawlRespectsRobots(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	c.Run()
 	for pid := range c.Pages() {
 		if w.Pages[pid].Private {
@@ -79,7 +67,7 @@ func TestCrawlDeterministic(t *testing.T) {
 	w := testWeb()
 	run := func() Stats {
 		c := New(w, DefaultConfig())
-		seedAll(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	a, b := run(), run()
@@ -92,7 +80,7 @@ func TestCrawlDeterministic(t *testing.T) {
 func TestCrawlNoDuplicateFetchesWithoutFailures(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	st := c.Run()
 	if st.DuplicateFetches != 0 {
 		t.Fatalf("stable crawl produced %d duplicate fetches, want 0", st.DuplicateFetches)
@@ -105,7 +93,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.BatchSize = batch
 		c := New(w, cfg)
-		seedAll(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	small := run(1)
@@ -125,7 +113,7 @@ func TestMostCitedSeedingSuppressesExchanges(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SeedMostCited = seeded
 		c := New(w, cfg)
-		seedAll(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	plain := run(0)
@@ -145,7 +133,7 @@ func TestDNSCacheReducesQueries(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.UseDNSCache = cache
 		c := New(w, cfg)
-		seedAll(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	cached := run(true)
@@ -163,7 +151,7 @@ func TestAgentFailureRecovers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Agents = 4
 	c := New(w, cfg)
-	seedAll(w, c)
+	c.SeedFrontPages()
 	// Let agent 0 do its first drain, then fail it and finish the crawl.
 	c.agents[0].drain()
 	c.FailAgent(0)
@@ -182,7 +170,7 @@ func TestAddAgentTakesWork(t *testing.T) {
 	cfg.Agents = 2
 	c := New(w, cfg)
 	c.AddAgent(2)
-	seedAll(w, c)
+	c.SeedFrontPages()
 	st := c.Run()
 	if st.PerAgentFetches[2] == 0 {
 		t.Fatal("newly added agent fetched nothing")
@@ -231,7 +219,7 @@ func TestPolitenessNeverViolated(t *testing.T) {
 func TestRecrawlConditionalRequests(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	c.Run()
 	st := c.Recrawl(5, false)
 	if st.Pages == 0 {
@@ -248,7 +236,7 @@ func TestRecrawlConditionalRequests(t *testing.T) {
 func TestRecrawlSitemapsSkipRequests(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	c.Run()
 	plain := c.Recrawl(5, false)
 	withMaps := c.Recrawl(5, true)
@@ -264,7 +252,7 @@ func TestRecrawlSitemapsSkipRequests(t *testing.T) {
 func TestRecrawlUpdatesChangedPages(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	c.Run()
 	st := c.Recrawl(90, false) // long gap: most pages changed
 	if st.Refetched == 0 {
@@ -289,7 +277,7 @@ func TestRecrawlReplayIdentical(t *testing.T) {
 	passes := func() [2]RecrawlStats {
 		w := testWeb()
 		c := New(w, DefaultConfig())
-		seedAll(w, c)
+		c.SeedFrontPages()
 		c.Run()
 		return [2]RecrawlStats{c.Recrawl(15, false), c.Recrawl(30, true)}
 	}
@@ -355,7 +343,7 @@ func TestEmptySeedRunsCleanly(t *testing.T) {
 func TestFlakyHostsRetried(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	seedAll(w, c)
+	c.SeedFrontPages()
 	st := c.Run()
 	if st.TransientRetries == 0 {
 		t.Skip("no flaky hosts hit in this configuration")
@@ -375,7 +363,7 @@ func TestRegionAffinityKeepsTrafficLocal(t *testing.T) {
 		cfg.Regions = 3
 		cfg.Assignment = policy
 		c := New(w, cfg)
-		seedAll(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	affinity := run(AssignRegionAffinity)

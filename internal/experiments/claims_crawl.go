@@ -97,16 +97,6 @@ func crawlWeb() *simweb.Web {
 	return simweb.New(cfg)
 }
 
-func seedAllHosts(w *simweb.Web, c *crawler.Crawler) {
-	var urls []string
-	for _, h := range w.Hosts {
-		if len(h.Pages) > 0 {
-			urls = append(urls, w.URL(h.Pages[0]))
-		}
-	}
-	c.Seed(urls)
-}
-
 // Claim3URLExchange (C3) quantifies the three URL-exchange optimizations
 // of Section 3: host-affinity assignment exploits link locality, batching
 // cuts message count, and pre-seeding the most-cited URLs suppresses the
@@ -119,7 +109,7 @@ func Claim3URLExchange() *Result {
 		cfg.BatchSize = batch
 		cfg.SeedMostCited = seedTop
 		c := crawler.New(w, cfg)
-		seedAllHosts(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	base := run(1, 0)
@@ -163,7 +153,7 @@ func Claim4DNSCache() *Result {
 		cfg := crawler.DefaultConfig()
 		cfg.UseDNSCache = useCache
 		c := crawler.New(w, cfg)
-		seedAllHosts(w, c)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	cached := run(true)
@@ -190,7 +180,7 @@ func Claim5Coverage() *Result {
 	r := newResult("C5")
 	w := crawlWeb()
 	c := crawler.New(w, crawler.DefaultConfig())
-	seedAllHosts(w, c)
+	c.SeedFrontPages()
 	st := c.Run()
 
 	t := metrics.NewTable("full crawl", "metric", "value")

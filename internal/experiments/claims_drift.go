@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
 	"dwr/internal/querylog"
@@ -52,7 +53,7 @@ func Claim16DriftReconfiguration() *Result {
 			seen[q.Key] = true
 			td = append(td, partition.QueryDocs{Key: q.Key, Terms: q.Terms, Docs: topDocs(q.Terms, 10)})
 		}
-		cc := partition.CoClusterDocs(randx.New(seed), td, f.docIDs(), k, 12)
+		cc := partition.CoClusterDocs(randx.New(seed), td, index.DocIDs(f.docs), k, 12)
 		return cc, selection.NewQueryDriven(cc, td)
 	}
 

@@ -22,13 +22,7 @@ func Claim18GeoCrawling() *Result {
 		cfg.Regions = 3
 		cfg.Assignment = policy
 		c := crawler.New(web, cfg)
-		var seeds []string
-		for _, h := range web.Hosts {
-			if len(h.Pages) > 0 {
-				seeds = append(seeds, web.URL(h.Pages[0]))
-			}
-		}
-		c.Seed(seeds)
+		c.SeedFrontPages()
 		return c.Run()
 	}
 	blind := run(crawler.AssignMod)

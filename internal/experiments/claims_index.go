@@ -23,7 +23,7 @@ func Claim6TermVsDoc() *Result {
 	r := newResult("C6")
 	const k = 8
 	opts := index.DefaultOptions()
-	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(f.docIDs(), k))
+	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k))
 	if err != nil {
 		panic(err)
 	}
@@ -170,7 +170,7 @@ func Claim8CollectionSelection() *Result {
 		}
 		train = append(train, partition.QueryDocs{Key: q.Key, Terms: q.Terms, Docs: docs})
 	}
-	cc := partition.CoClusterDocs(rng, train, f.docIDs(), k, 15)
+	cc := partition.CoClusterDocs(rng, train, index.DocIDs(f.docs), k, 15)
 	qd := selection.NewQueryDriven(cc, train)
 
 	// CORI and random operate over the same query-driven partition so
@@ -266,7 +266,7 @@ func Claim9GlobalStats() *Result {
 	for _, k := range []int{4, 16} {
 		// Contiguous chunks: maximal statistics skew.
 		dp := partition.DocPartition{K: k, Parts: make([][]int, k), Assign: make(map[int]int)}
-		ids := f.docIDs()
+		ids := index.DocIDs(f.docs)
 		for i, id := range ids {
 			p := i * k / len(ids)
 			dp.Parts[p] = append(dp.Parts[p], id)

@@ -21,7 +21,7 @@ func Claim20PhraseShipping() *Result {
 	r := newResult("C20")
 	const k = 8
 
-	de, err := qproc.NewDocEngine(index.DefaultOptions(), f.docs, partition.RoundRobinDocs(f.docIDs(), k))
+	de, err := qproc.NewDocEngine(index.DefaultOptions(), f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k))
 	if err != nil {
 		panic(err)
 	}

@@ -23,7 +23,7 @@ func newFixtureMultiSite(n int, policy qproc.RoutingPolicy, ttl float64, hourlyC
 		OffloadThreshold: 0.7,
 	}
 	for s := 0; s < n; s++ {
-		dp := partition.RoundRobinDocs(f.docIDs(), 4)
+		dp := partition.RoundRobinDocs(index.DocIDs(f.docs), 4)
 		e, err := qproc.NewDocEngine(index.DefaultOptions(), f.docs, dp)
 		if err != nil {
 			panic(err)

@@ -48,7 +48,7 @@ func Figure1Partitioning() *Result {
 	opts := index.DefaultOptions()
 
 	// Horizontal: split documents.
-	dp := partition.RoundRobinDocs(f.docIDs(), k)
+	dp := partition.RoundRobinDocs(index.DocIDs(f.docs), k)
 	de, err := qproc.NewDocEngine(opts, f.docs, dp)
 	if err != nil {
 		panic(err)
@@ -119,7 +119,7 @@ func Figure2BusyLoad() *Result {
 	const k = 8
 	opts := index.DefaultOptions()
 
-	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(f.docIDs(), k))
+	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k))
 	if err != nil {
 		panic(err)
 	}

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"sort"
 	"sync"
 
+	"dwr/internal/core"
 	"dwr/internal/index"
 	"dwr/internal/querylog"
 	"dwr/internal/simweb"
@@ -38,20 +38,7 @@ func sharedFixture() *fixture {
 
 		// Documents come straight from page terms (the crawler's parse
 		// path is exercised by C5; here we want the exact collection).
-		var docs []index.Doc
-		for _, p := range web.Pages {
-			if p.Private {
-				continue
-			}
-			h := web.Hosts[p.Host]
-			vocab := web.Vocabs[h.Lang]
-			terms := make([]string, len(p.Terms))
-			for i, tid := range p.Terms {
-				terms[i] = vocab.Word(int(tid))
-			}
-			docs = append(docs, index.Doc{Ext: p.ID, Terms: terms})
-		}
-		sort.Slice(docs, func(i, j int) bool { return docs[i].Ext < docs[j].Ext })
+		docs := core.WebDocs(web)
 
 		b := index.NewBuilder(index.DefaultOptions())
 		for _, d := range docs {
@@ -68,15 +55,6 @@ func sharedFixture() *fixture {
 		fix = &fixture{web: web, docs: docs, central: central, log: lg, train: train, test: test}
 	})
 	return fix
-}
-
-// docIDs returns the external IDs of the fixture documents.
-func (f *fixture) docIDs() []int {
-	ids := make([]int, len(f.docs))
-	for i, d := range f.docs {
-		ids[i] = d.Ext
-	}
-	return ids
 }
 
 // queryTerms extracts the term slices of a log's instances, capped at n.

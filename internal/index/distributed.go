@@ -13,6 +13,16 @@ type Doc struct {
 	Terms []string
 }
 
+// DocIDs returns the documents' external IDs in order — the ID slice
+// the document partitioners take.
+func DocIDs(docs []Doc) []int {
+	ids := make([]int, 0, len(docs))
+	for _, d := range docs {
+		ids = append(ids, d.Ext)
+	}
+	return ids
+}
+
 // BuildMapReduce constructs an index with the map-reduce strategy of
 // Dean & Ghemawat that the paper cites for distributed index
 // construction (§4): mappers invert disjoint document chunks in

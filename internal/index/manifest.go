@@ -127,17 +127,3 @@ func (m *Manifest) TermScoreMeta(term string) (tm TermScoreMeta, ok bool) {
 	}
 	return tm, ok
 }
-
-// CollectionStats returns the manifest's whole-lexicon statistics
-// (LocalStats(nil)) plus the merged score-bound summary of every term —
-// the inputs a federated mediator keeps fresh per site. Tombstoned
-// documents still count toward DF/CF/TotalLen, making the numbers safe
-// upper bounds for selection.
-func (m *Manifest) CollectionStats() (Stats, map[string]TermScoreMeta) {
-	st := m.LocalStats(nil)
-	bounds := make(map[string]TermScoreMeta, len(st.DF))
-	for t := range st.DF {
-		bounds[t], _ = m.TermScoreMeta(t)
-	}
-	return st, bounds
-}

@@ -1,6 +1,6 @@
 // Package lint is the dwrlint static-analysis suite: a stdlib-only
 // analysis layer over the module that mechanically enforces the
-// repository's determinism, accounting, caching, API-hygiene, and
+// repository's determinism, accounting, caching, and
 // deadline-discipline invariants.
 //
 // The headline guarantees of this reproduction — byte-identical query
@@ -20,11 +20,10 @@
 // export data, so no build step is needed — and builds a static call
 // graph over everything loaded.
 //
-// The syntactic analyzers emit five rule ids:
+// The syntactic analyzers emit four rule ids:
 //
 //   - determinism: [wallclock] time.Now/Since/Sleep/... and
 //     [globalrand] top-level math/rand calls in deterministic packages
-//   - deprecated-api: [deprecated] calls to the qproc setter shims
 //   - deadline-discipline: [deadline] QueryTopK where QueryTopKWithin
 //     must be used so deadlines propagate
 //   - seed-plumbing: [seed] *rand.Rand values not derived from
@@ -269,7 +268,6 @@ type analyzer func(fc *fileCtx, cfg Config, report func(pos token.Pos, rule, msg
 // analyzers is the per-file suite, in reporting order.
 var analyzers = []analyzer{
 	analyzeDeterminism,
-	analyzeDeprecatedAPI,
 	analyzeDeadline,
 	analyzeSeedPlumbing,
 }

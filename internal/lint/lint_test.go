@@ -83,7 +83,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"determinism-waves", "testdata/qproc"},
 		{"determinism-mediator", "testdata/mediator"},
 		{"determinism-file-allow", "testdata/experiments"},
-		{"deprecated-api", "testdata/qprocuse"},
 		{"deadline-server", "testdata/server"},
 		{"deadline-dwrserve", "testdata/dwrserve"},
 		{"seed-plumbing", "testdata/index"},
@@ -115,7 +114,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 // fixture tree as a whole trips every rule id at least once.
 func TestFindingsAreNonEmptyOnFixtures(t *testing.T) {
 	findings, err := LintPatterns(".", []string{
-		"testdata/simweb", "testdata/experiments", "testdata/qprocuse",
+		"testdata/simweb", "testdata/experiments",
 		"testdata/server", "testdata/dwrserve", "testdata/index",
 		"testdata/rank", "testdata/qproc", "testdata/mediator",
 		"testdata/taint/crawler", "testdata/cachekey",
@@ -129,7 +128,7 @@ func TestFindingsAreNonEmptyOnFixtures(t *testing.T) {
 		rules[f.Rule]++
 	}
 	for _, rule := range []string{
-		"wallclock", "globalrand", "deprecated", "deadline", "seed",
+		"wallclock", "globalrand", "deadline", "seed",
 		"taint", "cachekey", "statsmerge", "conc",
 	} {
 		if rules[rule] == 0 {
@@ -143,7 +142,7 @@ func TestFindingsAreNonEmptyOnFixtures(t *testing.T) {
 // allowed leaks into the violation list.
 func TestFixlist(t *testing.T) {
 	findings, err := LintPatterns(".", []string{
-		"testdata/simweb", "testdata/experiments", "testdata/qprocuse", "testdata/server",
+		"testdata/simweb", "testdata/experiments", "testdata/server",
 	}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +158,6 @@ func TestFixlist(t *testing.T) {
 	want := map[string]int{
 		"testdata/simweb/allowed.go":        2, // trailing + preceding-line allow
 		"testdata/experiments/fileallow.go": 3, // file-allow covers Now, Since, Now
-		"testdata/qprocuse/deprecated.go":   1,
 		"testdata/server/frontend.go":       1,
 	}
 	for file, n := range want {

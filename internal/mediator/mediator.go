@@ -6,17 +6,8 @@ import (
 
 	"dwr/internal/index"
 	"dwr/internal/qproc"
-	"dwr/internal/rank"
 	"dwr/internal/selection"
 )
-
-// Updatable is implemented by selectors that can refresh one
-// partition's statistics in place (selection.CORI); the mediator uses
-// it to avoid rebuilding the whole selector when a single site's
-// segment store publishes a new manifest.
-type Updatable interface {
-	Update(part int, st index.Stats)
-}
 
 // Config parameterizes a Mediator.
 type Config struct {
@@ -24,30 +15,15 @@ type Config struct {
 	// contacted when selection is confident. <= 0 picks max(1, N/4) for
 	// N sites — a quarter of the federation.
 	SelectN int
-	// BoundRatio, when > 0, adds a bound-based cutoff in the spirit of
-	// the PR 7 wave scheduler: a candidate site is dropped when its
-	// resident query score upper bound (per-term TermScoreMeta folded
-	// over the site) is below BoundRatio times the best site's bound —
-	// its best possible document cannot compete with the head of the
-	// ranking. Unlike the intra-site wave scheduler this is a heuristic
-	// at federation level, which is why mediated quality is measured
-	// (Recall@k) rather than asserted.
-	BoundRatio float64
 	// MinConfidence is the pruning-confidence floor: when the selection
 	// score mass concentrated on the chosen subset, normalized against
 	// the uniform baseline, falls below it, the query falls back to
 	// full fan-out. 0 never falls back on confidence.
 	MinConfidence float64
-	// NewSelector builds the selector from fresh per-site statistics
-	// (position i = site i). nil defaults to selection.NewCORI. The
-	// returned selector must be deterministic; if it implements
-	// Updatable, per-site refreshes are incremental.
-	NewSelector func(stats []index.Stats) selection.Selector
 }
 
 // DefaultConfig returns the standard mediation configuration: a
-// quarter-of-the-federation budget, no bound cutoff, and a modest
-// confidence floor.
+// quarter-of-the-federation budget and a modest confidence floor.
 func DefaultConfig() Config {
 	return Config{MinConfidence: 0.15}
 }
@@ -61,12 +37,9 @@ type Mediator struct {
 
 	mu       sync.Mutex
 	sources  []StatsSource
-	stats    []index.Stats
-	bounds   []map[string]index.TermScoreMeta
 	dirty    []bool
 	anyDirty bool
-	sel      selection.Selector
-	scorer   *rank.Scorer
+	sel      *selection.CORI // nil until the first refresh
 
 	rebuilds  int
 	refreshes int
@@ -80,22 +53,7 @@ var _ qproc.Mediator = (*Mediator)(nil)
 // sources that report changes (StoreSource) keep them fresh from then
 // on.
 func New(cfg Config, sources ...StatsSource) *Mediator {
-	m := &Mediator{
-		cfg:     cfg,
-		sources: sources,
-		stats:   make([]index.Stats, len(sources)),
-		bounds:  make([]map[string]index.TermScoreMeta, len(sources)),
-		dirty:   make([]bool, len(sources)),
-	}
-	if m.cfg.NewSelector == nil {
-		m.cfg.NewSelector = func(stats []index.Stats) selection.Selector {
-			return selection.NewCORI(stats)
-		}
-	}
-	for i := range m.dirty {
-		m.dirty[i] = true
-	}
-	m.anyDirty = true
+	m := &Mediator{cfg: cfg, sources: sources, dirty: make([]bool, len(sources))}
 	for i, src := range sources {
 		i := i
 		src.OnChange(func() {
@@ -109,71 +67,39 @@ func New(cfg Config, sources ...StatsSource) *Mediator {
 }
 
 // refresh re-collects stale site statistics and brings the selector up
-// to date — incrementally when the selector supports it, by rebuild
-// otherwise. Called under mu.
+// to date: built from every site's statistics the first time, updated
+// in place per stale site afterwards. Called under mu.
 func (m *Mediator) refresh() {
-	if !m.anyDirty && m.sel != nil {
-		return
-	}
-	upd, incremental := m.sel.(Updatable)
-	for i := range m.sources {
-		if !m.dirty[i] {
-			continue
+	switch {
+	case m.sel == nil:
+		stats := make([]index.Stats, len(m.sources))
+		for i, src := range m.sources {
+			stats[i] = src.Collect()
+			m.dirty[i] = false
 		}
-		st, b := m.sources[i].Collect()
-		m.stats[i] = st
-		m.bounds[i] = b
-		m.dirty[i] = false
-		if incremental {
-			upd.Update(i, st)
-			m.refreshes++
-		}
-	}
-	if m.sel == nil || !incremental {
-		m.sel = m.cfg.NewSelector(m.stats)
+		m.sel = selection.NewCORI(stats)
 		m.rebuilds++
+	case m.anyDirty:
+		for i, src := range m.sources {
+			if m.dirty[i] {
+				m.sel.Update(i, src.Collect())
+				m.dirty[i] = false
+				m.refreshes++
+			}
+		}
 	}
 	m.anyDirty = false
-	m.scorer = rank.NewScorer(rank.FromGlobal(index.MergeStats(m.stats...)))
-}
-
-// queryBound bounds the score of any single document at site i for the
-// query terms, from the site's resident per-term metadata alone.
-func (m *Mediator) queryBound(i int, terms []string) float64 {
-	b := m.bounds[i]
-	if b == nil {
-		return 0
-	}
-	sum := 0.0
-	seen := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		if seen[t] {
-			continue
-		}
-		seen[t] = true
-		tm, ok := b[t]
-		if !ok {
-			continue
-		}
-		sum += m.scorer.TermUpperBound(m.scorer.IDF(t), tm)
-	}
-	return sum
 }
 
 // Decide implements qproc.Mediator: rank the up sites with the
-// selector, keep the score-bearing ones under the budget (and bound
-// cutoff), and prune only when the selection score mass concentrated on
-// the chosen subset clears the confidence floor.
+// selector, keep the score-bearing ones under the budget, and prune
+// only when the selection score mass concentrated on the chosen subset
+// clears the confidence floor.
 func (m *Mediator) Decide(terms []string, up []int) qproc.MediatorDecision {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.refresh()
 	if len(up) <= 1 {
-		return qproc.MediatorDecision{FullFanout: true}
-	}
-	sr, ok := m.sel.(selection.ScoredRanker)
-	if !ok {
-		// No score evidence: a bare permutation cannot justify pruning.
 		return qproc.MediatorDecision{FullFanout: true}
 	}
 	upSet := make(map[int]bool, len(up))
@@ -183,7 +109,7 @@ func (m *Mediator) Decide(terms []string, up []int) qproc.MediatorDecision {
 	// Candidates: up sites carrying any selection score, best first.
 	var cand []selection.ScoredPart
 	total := 0.0
-	for _, sp := range sr.RankScored(terms) {
+	for _, sp := range m.sel.RankScored(terms) {
 		if !upSet[sp.Part] || sp.Score <= 0 {
 			continue
 		}
@@ -193,27 +119,6 @@ func (m *Mediator) Decide(terms []string, up []int) qproc.MediatorDecision {
 	if len(cand) == 0 || total <= 0 {
 		// The query's terms occur nowhere we know of — no basis to prune.
 		return qproc.MediatorDecision{FullFanout: true}
-	}
-	if m.cfg.BoundRatio > 0 {
-		var maxB float64
-		qb := make([]float64, len(cand))
-		for i, sp := range cand {
-			qb[i] = m.queryBound(sp.Part, terms)
-			if qb[i] > maxB {
-				maxB = qb[i]
-			}
-		}
-		if maxB > 0 {
-			kept := cand[:0]
-			for i, sp := range cand {
-				if qb[i] >= m.cfg.BoundRatio*maxB {
-					kept = append(kept, sp)
-				} else {
-					total -= sp.Score
-				}
-			}
-			cand = kept
-		}
 	}
 	budget := m.cfg.SelectN
 	if budget <= 0 {
@@ -262,7 +167,7 @@ func (m *Mediator) Decide(terms []string, up []int) qproc.MediatorDecision {
 // Info is the mediator's operational snapshot.
 type Info struct {
 	Sites     int // statistics sources registered
-	Rebuilds  int // full selector rebuilds
+	Rebuilds  int // selector builds from every site's statistics (the first refresh)
 	Refreshes int // incremental per-site statistic refreshes
 }
 

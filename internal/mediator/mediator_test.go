@@ -11,7 +11,6 @@ import (
 	"dwr/internal/index"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
-	"dwr/internal/selection"
 )
 
 // topicalSiteDocs builds nSites disjoint sub-collections where site s
@@ -45,11 +44,8 @@ func topicalEngines(t *testing.T, seed int64, nSites, perSite int) []*qproc.DocE
 	siteDocs := topicalSiteDocs(seed, nSites, perSite)
 	engines := make([]*qproc.DocEngine, nSites)
 	for s := range engines {
-		ids := make([]int, len(siteDocs[s]))
-		for i, d := range siteDocs[s] {
-			ids[i] = d.Ext
-		}
-		e, err := qproc.NewDocEngine(index.DefaultOptions(), siteDocs[s], partition.RoundRobinDocs(ids, 2))
+		e, err := qproc.NewDocEngine(index.DefaultOptions(), siteDocs[s],
+			partition.RoundRobinDocs(index.DocIDs(siteDocs[s]), 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,42 +126,6 @@ func TestMediatorUnknownTermsFullFanout(t *testing.T) {
 	m := New(DefaultConfig(), engineSources(topicalEngines(t, 3, 4, 60))...)
 	if d := m.Decide([]string{"zzz-never-indexed"}, upTo(4)); !d.FullFanout {
 		t.Fatalf("unknown term pruned: %+v", d)
-	}
-}
-
-// TestMediatorBoundRatioCutoff: a site whose resident score bounds say
-// its best document cannot compete is dropped even when the selector
-// gives it df-based mass. Site statistics are real engine statistics;
-// only the bounds are overridden so the cutoff is exercised in
-// isolation.
-func TestMediatorBoundRatioCutoff(t *testing.T) {
-	engines := topicalEngines(t, 5, 3, 120)
-	var srcs []StatsSource
-	for i, e := range engines {
-		src := EngineSource{Eng: e}
-		st, bounds := src.Collect()
-		if i == 1 {
-			// Site 1 keeps its df signal but loses its score bounds for
-			// the probe term: its documents cannot reach the head.
-			delete(bounds, "shared05")
-		}
-		srcs = append(srcs, StaticStats{Stats: st, Bounds: bounds})
-	}
-	q := []string{"shared05"}
-	loose := New(Config{SelectN: 3, MinConfidence: 0}, srcs...)
-	dl := loose.Decide(q, upTo(3))
-	tight := New(Config{SelectN: 3, BoundRatio: 0.01, MinConfidence: 0}, srcs...)
-	dt := tight.Decide(q, upTo(3))
-	if dt.FullFanout {
-		t.Fatalf("bound cutoff widened instead of pruning: %+v", dt)
-	}
-	for _, s := range dt.Sites {
-		if s == 1 {
-			t.Fatalf("bound cutoff kept the boundless site: %v", dt.Sites)
-		}
-	}
-	if !dl.FullFanout && len(dl.Sites) <= len(dt.Sites) {
-		t.Fatalf("cutoff did not narrow the subset: loose %v, tight %v", dl.Sites, dt.Sites)
 	}
 }
 
@@ -324,18 +284,5 @@ func TestFederationHonoursDeadline(t *testing.T) {
 	}
 	if qr := dq.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, qproc.ErrDeadlineExceeded) || qr.Results != nil {
 		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
-	}
-}
-
-// TestMediatorNonScoredSelectorFullFanout: a selector that only ranks
-// (no scores) cannot justify pruning, so every decision widens.
-func TestMediatorNonScoredSelectorFullFanout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NewSelector = func(stats []index.Stats) selection.Selector {
-		return selection.NewRandom(1, len(stats))
-	}
-	m := New(cfg, engineSources(topicalEngines(t, 3, 3, 60))...)
-	if d := m.Decide([]string{"s0w01"}, upTo(3)); !d.FullFanout {
-		t.Fatalf("unscored selector pruned: %+v", d)
 	}
 }

@@ -14,8 +14,7 @@ import (
 )
 
 // StatsSource yields one site's current collection statistics: document
-// counts, lengths, and document frequencies (the selector's food) plus
-// the merged per-term score-bound summaries (the bound cutoff's food).
+// counts, lengths, and document frequencies — the selector's food.
 // Sources whose underlying collection mutates report staleness through
 // OnChange so the mediator re-collects lazily, before the next decision
 // that needs them.
@@ -23,54 +22,22 @@ type StatsSource interface {
 	// Collect returns a snapshot of the site's statistics. It must be
 	// safe to call concurrently with writes to the underlying
 	// collection (all provided sources snapshot immutable state).
-	Collect() (index.Stats, map[string]index.TermScoreMeta)
+	Collect() index.Stats
 	// OnChange registers fn to be called after any mutation that makes
 	// a previous Collect stale. Sources over immutable collections
 	// never call fn.
 	OnChange(fn func())
 }
 
-// StaticStats is a fixed-snapshot source for sites built offline.
-type StaticStats struct {
-	Stats  index.Stats
-	Bounds map[string]index.TermScoreMeta
-}
-
-// Collect implements StatsSource.
-func (s StaticStats) Collect() (index.Stats, map[string]index.TermScoreMeta) {
-	return s.Stats, s.Bounds
-}
-
-// OnChange implements StatsSource: static snapshots never go stale.
-func (StaticStats) OnChange(func()) {}
-
-// EngineSource sources a DocEngine-backed site: the engine's
-// precomputed global statistics plus per-term score bounds merged
-// across its partitions. DocEngine indexes are immutable, so the source
-// never reports staleness.
+// EngineSource sources a DocEngine-backed site from the engine's
+// precomputed global statistics. DocEngine indexes are immutable, so
+// the source never reports staleness.
 type EngineSource struct {
 	Eng *qproc.DocEngine
 }
 
 // Collect implements StatsSource.
-func (s EngineSource) Collect() (index.Stats, map[string]index.TermScoreMeta) {
-	st := s.Eng.GlobalStats()
-	bounds := make(map[string]index.TermScoreMeta, len(st.DF))
-	for p := 0; p < s.Eng.K(); p++ {
-		ix := s.Eng.PartIndex(p)
-		for t := range st.DF {
-			tm, ok := ix.TermScoreMeta(t)
-			if !ok {
-				continue
-			}
-			if old, seen := bounds[t]; seen {
-				tm = index.MergeTermScoreMeta(old, tm)
-			}
-			bounds[t] = tm
-		}
-	}
-	return st, bounds
-}
+func (s EngineSource) Collect() index.Stats { return s.Eng.GlobalStats() }
 
 // OnChange implements StatsSource: the engine's indexes are immutable.
 func (EngineSource) OnChange(func()) {}
@@ -79,15 +46,15 @@ func (EngineSource) OnChange(func()) {}
 // statistics are aggregated from the store's current manifest, and the
 // store's change hook marks them stale after every flush, merge, or
 // delete — the dynamic index keeps the mediator's view of the site
-// current, the way it already keeps the result cache honest.
+// current, the way it already keeps the result cache honest. Tombstoned
+// documents still count toward DF/CF/TotalLen until a merge reclaims
+// them, making the numbers safe upper bounds for selection.
 type StoreSource struct {
 	Store *index.SegmentStore
 }
 
 // Collect implements StatsSource.
-func (s StoreSource) Collect() (index.Stats, map[string]index.TermScoreMeta) {
-	return s.Store.Manifest().CollectionStats()
-}
+func (s StoreSource) Collect() index.Stats { return s.Store.Manifest().LocalStats(nil) }
 
 // OnChange implements StatsSource.
 func (s StoreSource) OnChange(fn func()) { s.Store.OnChange(fn) }

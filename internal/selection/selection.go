@@ -29,19 +29,14 @@ type Selector interface {
 }
 
 // ScoredPart is a partition with its selection score, as exposed by
-// selectors that can justify their ranking (RankScored). Callers that
-// budget the cutoff by score mass — mediators deciding how many sites a
-// query really needs — consume these instead of the bare permutation.
+// selectors that can justify their ranking (RankScored: best first,
+// with Rank's deterministic tie-break, ascending partition ID). Callers
+// that budget the cutoff by score mass — mediators deciding how many
+// sites a query really needs — consume these instead of the bare
+// permutation.
 type ScoredPart struct {
 	Part  int
 	Score float64
-}
-
-// ScoredRanker is implemented by selectors that expose their scores
-// alongside the ranking. The returned slice is ordered best-first with
-// the same deterministic tie-break as Rank (ascending partition ID).
-type ScoredRanker interface {
-	RankScored(terms []string) []ScoredPart
 }
 
 // scored is a partition with a selection score.
@@ -134,7 +129,7 @@ func (c *CORI) Rank(terms []string) []int {
 	return out
 }
 
-// RankScored is Rank with the CORI beliefs attached (ScoredRanker).
+// RankScored is Rank with the CORI beliefs attached.
 func (c *CORI) RankScored(terms []string) []ScoredPart {
 	const (
 		b  = 0.4
@@ -255,8 +250,7 @@ func (qd *QueryDriven) Rank(terms []string) []int {
 	return out
 }
 
-// RankScored is Rank with the routing distribution attached
-// (ScoredRanker).
+// RankScored is Rank with the routing distribution attached.
 func (qd *QueryDriven) RankScored(terms []string) []ScoredPart {
 	key := canonicalKey(terms)
 	s := make([]scored, qd.k)

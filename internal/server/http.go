@@ -68,11 +68,15 @@ func (s Status) HTTPCode() int {
 }
 
 // Frontend is the wall-clock realization of the serving pipeline: the
-// same admission bucket, bounded queue, and adaptive shedder as Run,
-// but over real goroutines — the worker pool is a semaphore of
-// Config.Workers slots and queued requests are goroutines blocked on
-// it. It is safe for concurrent use; the wrapped engine must be safe
-// for concurrent queries (every qproc engine is).
+// same admission bucket and adaptive shedder as Run, but over real
+// goroutines — the worker pool is a semaphore of Config.Workers slots
+// and queued requests are goroutines blocked on it. That queue is
+// bounded (QueueCap) and deadline-evicting like Run's, but it has no
+// order of its own: a freed slot goes to whichever waiter the runtime
+// wakes, so it is neither FIFO nor interactive-before-batch, and a
+// request's class acts only through the shedder. It is safe for
+// concurrent use; the wrapped engine must be safe for concurrent
+// queries (every qproc engine is).
 type Frontend struct {
 	// Tokenize turns free text into query terms (set before serving;
 	// defaults to lower-cased whitespace splitting).

@@ -7,25 +7,31 @@
 // qproc.Engine behind a bounded worker pool with
 //
 //   - a token-bucket admission controller (sustained rate + burst),
-//   - a bounded FIFO wait queue with two priority classes (interactive
-//     before batch) and deadline-aware eviction, and
+//   - a bounded wait queue with deadline-aware eviction (in Run, FIFO
+//     per priority class, interactive before batch), and
 //   - an adaptive load shedder driven by observed latency quantiles
 //     (metrics.Histogram.Quantile), so that beyond saturation the
 //     front-end degrades gracefully — bounded latency for admitted
 //     queries, rising shed rate — instead of collapsing under an
 //     unbounded queue.
 //
-// The pipeline exists in two harnesses over the same policy components:
-// Run (sim.go) is a deterministic virtual-time discrete-event loop used
-// by dwrbench to validate the G/G/c bound against real engines, and
-// Frontend (http.go) is a wall-clock concurrent front-end served over
-// HTTP by cmd/dwrserve.
+// The pipeline exists in two harnesses over the same admission bucket
+// and shedder: Run (sim.go) is a deterministic virtual-time
+// discrete-event loop used by dwrbench to validate the G/G/c bound
+// against real engines, and Frontend (http.go) is a wall-clock
+// concurrent front-end served over HTTP by cmd/dwrserve. Their wait
+// queues differ: Run keeps one FIFO queue per class and dispatches
+// interactive first; Frontend's queue is goroutines blocked on the
+// worker semaphore — as bounded and as deadline-evicting, but woken in
+// whatever order the runtime picks, neither FIFO nor interactive
+// before batch.
 package server
 
-// Class is a request priority class. Interactive traffic (a user
-// waiting at a search box) is queued and served before Batch traffic
-// (prefetchers, analytics replays), and the adaptive
-// shedder drops batch load first.
+// Class is a request priority class. The adaptive shedder drops Batch
+// traffic (prefetchers, analytics replays) before Interactive traffic
+// (a user waiting at a search box) in both harnesses; Run also queues
+// and dispatches interactive first, which Frontend's semaphore queue
+// does not — there the class acts through the shedder alone.
 type Class int
 
 // Priority classes, highest priority first.

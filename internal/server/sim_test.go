@@ -4,9 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
+	"dwr/internal/core"
 	"dwr/internal/index"
 	"dwr/internal/loadgen"
 	"dwr/internal/partition"
@@ -29,26 +29,9 @@ func benchEngine(t *testing.T) (*qproc.DocEngine, *querylog.Log) {
 	wcfg.VocabSize = 1500
 	web := simweb.New(wcfg)
 
-	var docs []index.Doc
-	for _, p := range web.Pages {
-		if p.Private {
-			continue
-		}
-		h := web.Hosts[p.Host]
-		vocab := web.Vocabs[h.Lang]
-		terms := make([]string, len(p.Terms))
-		for i, tid := range p.Terms {
-			terms[i] = vocab.Word(int(tid))
-		}
-		docs = append(docs, index.Doc{Ext: p.ID, Terms: terms})
-	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Ext < docs[j].Ext })
-	ids := make([]int, len(docs))
-	for i, d := range docs {
-		ids[i] = d.Ext
-	}
+	docs := core.WebDocs(web)
 	eng, err := qproc.NewDocEngine(index.DefaultOptions(), docs,
-		partition.RoundRobinDocs(ids, 4))
+		partition.RoundRobinDocs(index.DocIDs(docs), 4))
 	if err != nil {
 		t.Fatal(err)
 	}

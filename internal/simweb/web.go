@@ -254,6 +254,18 @@ func (w *Web) URL(pageID int) string {
 	return "http://" + w.Hosts[p.Host].Name + p.Path
 }
 
+// Words returns a page's terms as words of its host's language, in
+// document order — the page's exact text, without rendering or parsing.
+func (w *Web) Words(pageID int) []string {
+	p := w.Pages[pageID]
+	vocab := w.Vocabs[w.Hosts[p.Host].Lang]
+	words := make([]string, len(p.Terms))
+	for i, tid := range p.Terms {
+		words[i] = vocab.Word(int(tid))
+	}
+	return words
+}
+
 // PageByURL resolves an absolute URL to a page ID, or -1 if the URL does
 // not exist on this Web (a dangling or malformed link).
 func (w *Web) PageByURL(url string) int {
