@@ -2,9 +2,10 @@
 // synthetic Web, distributed crawl, partitioned index — and serves it
 // over HTTP behind the full serving front-end: a bounded worker pool
 // (the paper's G/G/c model), token-bucket admission control, a bounded
-// deadline-evicting wait queue, adaptive latency-SLO load shedding
-// (batch before interactive), and per-request deadlines propagated into
-// the engine.
+// deadline-evicting wait queue (FIFO per class, interactive dispatched
+// before batch), adaptive latency-SLO load shedding (batch before
+// interactive), and per-request deadlines propagated into the engine —
+// the same queue server.Run steps in virtual time for BENCH_serve.
 //
 // Usage:
 //

@@ -5,17 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dwr/internal/metrics"
 	"dwr/internal/qproc"
-	"dwr/internal/randx"
 )
 
 // Status is the front-end's verdict on one request.
@@ -67,16 +64,14 @@ func (s Status) HTTPCode() int {
 	}
 }
 
-// Frontend is the wall-clock realization of the serving pipeline: the
-// same admission bucket and adaptive shedder as Run, but over real
-// goroutines — the worker pool is a semaphore of Config.Workers slots
-// and queued requests are goroutines blocked on it. That queue is
-// bounded (QueueCap) and deadline-evicting like Run's, but it has no
-// order of its own: a freed slot goes to whichever waiter the runtime
-// wakes, so it is neither FIFO nor interactive-before-batch, and a
-// request's class acts only through the shedder. It is safe for
-// concurrent use; the wrapped engine must be safe for concurrent
-// queries (every qproc engine is).
+// Frontend is the wall-clock driver of the serving queue: the state
+// machine Run steps in virtual time, stepped here under one mutex by
+// the goroutines net/http runs requests on. A request that finds a free
+// worker evaluates on its own goroutine; one that must wait parks on
+// its ticket's wake channel until a completing request dispatches it,
+// or until its deadline or its client's context ends the wait. It is
+// safe for concurrent use; the wrapped engine must be safe for
+// concurrent queries (every qproc engine is).
 type Frontend struct {
 	// Tokenize turns free text into query terms (set before serving;
 	// defaults to lower-cased whitespace splitting).
@@ -85,127 +80,92 @@ type Frontend struct {
 	// (optional).
 	Resolve func(doc int) string
 
-	eng qproc.Engine
-	dq  qproc.DeadlineQuerier
-	cfg Config
-
-	start   time.Time
-	slots   chan struct{}
-	waiting atomic.Int64
-
-	mu     sync.Mutex // guards bucket, shed, rng, lat
-	bucket *TokenBucket
-	shed   *Shedder
-	rng    *rand.Rand
-	lat    *metrics.Histogram
-
-	offered  atomic.Int64
-	served   atomic.Int64
-	statuses [6]atomic.Int64
+	// mu guards q and lat. The clock (seconds since start) is read under
+	// it, so the queue sees time that never runs backwards.
+	mu    sync.Mutex
+	start time.Time
+	q     *queue
+	lat   *metrics.Histogram // latency of served requests, ms
 }
 
-// NewFrontend wraps engine behind the serving pipeline described by
-// cfg.
+// NewFrontend wraps eng behind the serving pipeline cfg describes.
 func NewFrontend(eng qproc.Engine, cfg Config) *Frontend {
-	cfg = cfg.withDefaults()
-	f := &Frontend{
-		eng:    eng,
-		cfg:    cfg,
-		start:  time.Now(),
-		slots:  make(chan struct{}, cfg.Workers),
-		bucket: NewTokenBucket(cfg.AdmitRate, cfg.AdmitBurst),
-		shed:   NewShedder(cfg.Shed),
-		rng:    randx.New(cfg.Seed),
-		lat:    metrics.NewHistogram(metrics.DefaultLatencyBounds()),
+	return &Frontend{
+		start: time.Now(),
+		q:     newQueue(eng, cfg),
+		lat:   metrics.NewHistogram(metrics.DefaultLatencyBounds()),
 		Tokenize: func(s string) []string {
 			return strings.Fields(strings.ToLower(s))
 		},
 	}
-	if dq, ok := eng.(qproc.DeadlineQuerier); ok {
-		f.dq = dq
-	}
-	return f
 }
 
 // Serve runs one request through admission, the queue, and a worker.
-// On StatusOK the QueryResult carries the answer; on any other status
-// the result is zero.
-func (f *Frontend) Serve(ctx context.Context, req Request) (qproc.QueryResult, Status) {
-	arrived := time.Now()
-	f.offered.Add(1)
-
+// The QueryResult is the engine's — the answer on StatusOK — and zero
+// for a request that never reached a worker.
+func (f *Frontend) Serve(ctx context.Context, req Request) (qr qproc.QueryResult, st Status) {
 	f.mu.Lock()
-	dropped := !f.shed.Admit(req.Class, f.rng.Float64())
-	admitted := dropped || f.bucket.Allow(time.Since(f.start).Seconds())
+	a := Arrival{At: time.Since(f.start).Seconds(), Req: req}
+	t, st := f.q.arrive(a, a.At)
+	if t != nil {
+		t.wake = make(chan Status, 1) // holds the one verdict the ticket gets
+	}
 	f.mu.Unlock()
-	if dropped {
-		return f.done(qproc.QueryResult{}, StatusShedOverload, arrived)
+	start := a.At
+	if t != nil {
+		st = f.wait(ctx, t)
+		start = t.start
 	}
-	if !admitted {
-		return f.done(qproc.QueryResult{}, StatusShedAdmission, arrived)
+	if st != StatusOK {
+		return qr, st
 	}
+	qr.Err = errAborted
+	defer func() { st = f.complete(a, &qr) }()
+	qr = f.q.query(a, start)
+	return qr, st
+}
 
-	// The wait queue: goroutines blocked on the worker semaphore,
-	// bounded by QueueCap.
-	if f.waiting.Add(1) > int64(f.cfg.QueueCap) {
-		f.waiting.Add(-1)
-		return f.done(qproc.QueryResult{}, StatusShedQueueFull, arrived)
-	}
-	if f.cfg.DeadlineMs > 0 {
+// errAborted is what a panicking engine leaves in qr: Serve defers the
+// completion so the worker comes back even then (net/http recovers).
+var errAborted = errors.New("server: engine call aborted")
+
+// wait parks the caller until t's verdict arrives: from dispatch, or
+// from the caller itself when ctx or the deadline ends the wait first.
+func (f *Frontend) wait(ctx context.Context, t *ticket) Status {
+	if d := f.q.cfg.DeadlineMs; d > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, arrived.Add(time.Duration(f.cfg.DeadlineMs*float64(time.Millisecond))))
+		ctx, cancel = context.WithDeadline(ctx, f.start.Add(time.Duration((t.a.At+d/1000)*float64(time.Second))))
 		defer cancel()
 	}
 	select {
-	case f.slots <- struct{}{}:
-		f.waiting.Add(-1)
+	case st := <-t.wake:
+		return st
 	case <-ctx.Done():
-		f.waiting.Add(-1)
-		return f.done(qproc.QueryResult{}, StatusTimeout, arrived)
-	}
-	defer func() { <-f.slots }()
-
-	k := req.K
-	if k <= 0 {
-		k = f.cfg.DefaultK
-	}
-	var qr qproc.QueryResult
-	remaining := 0.0
-	if f.cfg.DeadlineMs > 0 {
-		remaining = f.cfg.DeadlineMs - float64(time.Since(arrived))/float64(time.Millisecond)
-		if remaining <= 0 {
-			return f.done(qproc.QueryResult{}, StatusTimeout, arrived)
-		}
-	}
-	if remaining > 0 && f.dq != nil {
-		qr = f.dq.QueryTopKWithin(req.Terms, k, remaining)
-	} else {
-		//dwrlint:allow deadline engine is not a DeadlineQuerier or no deadline is configured; there is no budget to propagate
-		qr = f.eng.QueryTopK(req.Terms, k)
-	}
-	switch {
-	case qr.Err == nil:
-		return f.done(qr, StatusOK, arrived)
-	case errors.Is(qr.Err, qproc.ErrDeadlineExceeded):
-		return f.done(qr, StatusTimeout, arrived)
-	default:
-		return f.done(qr, StatusFailed, arrived)
-	}
-}
-
-// done accounts the outcome: every terminal latency feeds the shedding
-// controller, so queue delay and engine slowness both push the level.
-func (f *Frontend) done(qr qproc.QueryResult, st Status, arrived time.Time) (qproc.QueryResult, Status) {
-	latMs := float64(time.Since(arrived)) / float64(time.Millisecond)
-	f.statuses[st].Add(1)
-	if st == StatusOK {
-		f.served.Add(1)
 	}
 	f.mu.Lock()
-	f.shed.Observe(latMs)
-	f.lat.Add(latMs)
+	if f.q.abandon(t) {
+		t.wake <- StatusTimeout
+	}
 	f.mu.Unlock()
-	return qr, st
+	// Else dispatch got there first and sent the verdict: on StatusOK this
+	// request holds a worker and must use it.
+	return <-t.wake
+}
+
+// complete books a's outcome and wakes the waiters dispatch hands the
+// freed worker to (or evicts).
+func (f *Frontend) complete(a Arrival, qr *qproc.QueryResult) Status {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	now := time.Since(f.start).Seconds()
+	st, latMs := f.q.complete(a, qr, now)
+	if st == StatusOK {
+		f.lat.Add(latMs)
+	}
+	for t, v := f.q.dispatch(now); t != nil; t, v = f.q.dispatch(now) {
+		t.wake <- v // never blocks: buffered for the ticket's one verdict
+	}
+	return st
 }
 
 // FrontStats is the /stats snapshot.
@@ -248,25 +208,27 @@ type SelectionStats struct {
 	MeanRecall     float64 `json:"mean_recall"`
 }
 
-// Stats snapshots the front-end and engine counters.
+// Stats snapshots the front-end and engine counters. The latency
+// quantiles are of served requests, as Report's are.
 func (f *Frontend) Stats() FrontStats {
-	st := FrontStats{
-		Offered:       f.offered.Load(),
-		Served:        f.served.Load(),
-		ShedOverload:  f.statuses[StatusShedOverload].Load(),
-		ShedAdmission: f.statuses[StatusShedAdmission].Load(),
-		ShedQueueFull: f.statuses[StatusShedQueueFull].Load(),
-		Timeout:       f.statuses[StatusTimeout].Load(),
-		Failed:        f.statuses[StatusFailed].Load(),
-		Queued:        f.waiting.Load(),
-	}
 	f.mu.Lock()
-	st.ShedLevel = f.shed.Level()
-	st.P50Ms = f.lat.Quantile(0.50)
-	st.P95Ms = f.lat.Quantile(0.95)
-	st.P99Ms = f.lat.Quantile(0.99)
+	r := &f.q.rep
+	st := FrontStats{
+		Offered:       int64(r.Offered),
+		Served:        int64(r.Served),
+		ShedOverload:  int64(r.ShedOverload),
+		ShedAdmission: int64(r.ShedAdmission),
+		ShedQueueFull: int64(r.ShedQueueFull),
+		Timeout:       int64(r.EvictedDeadline + r.EngineDeadline),
+		Failed:        int64(r.EngineFailed),
+		Queued:        int64(f.q.queued()),
+		ShedLevel:     f.q.shed.Level(),
+		P50Ms:         f.lat.Quantile(0.50),
+		P95Ms:         f.lat.Quantile(0.95),
+		P99Ms:         f.lat.Quantile(0.99),
+	}
 	f.mu.Unlock()
-	es := f.eng.Stats()
+	es := f.q.eng.Stats()
 	st.EngineQueries = es.Queries
 	st.EngineDegraded = es.Degraded
 	st.EngineFailed = es.Failed
@@ -281,7 +243,7 @@ func (f *Frontend) Stats() FrontStats {
 			MeanRecall:     es.Selection.MeanRecall(),
 		}
 	}
-	h := f.eng.Health()
+	h := f.q.eng.Health()
 	st.UnitsLive = h.Live()
 	st.Units = h.Units
 	return st
@@ -353,7 +315,7 @@ func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := f.eng.Health()
+	h := f.q.eng.Health()
 	code := http.StatusOK
 	if !h.Healthy() {
 		code = http.StatusServiceUnavailable

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,13 +19,20 @@ import (
 )
 
 // blockingEngine parks every query until released, so tests can fill
-// the worker pool and the wait queue deterministically.
+// the worker pool and the wait queue deterministically; it records the
+// order the queries reached it in.
 type blockingEngine struct {
 	release chan struct{}
 	calls   atomic.Int64
+
+	mu    sync.Mutex
+	order []string // terms[0] of each query, in call order
 }
 
 func (e *blockingEngine) QueryTopK(terms []string, k int) qproc.QueryResult {
+	e.mu.Lock()
+	e.order = append(e.order, terms[0])
+	e.mu.Unlock()
 	e.calls.Add(1)
 	<-e.release
 	return qproc.QueryResult{LatencyMs: 1, Results: []rank.Result{{Doc: 7, Score: 1}}}
@@ -62,8 +70,7 @@ func TestFrontendQueueFull(t *testing.T) {
 			}
 		}()
 	}
-	// One on the worker, then one in the queue: arriving together, both
-	// would count as waiting and the second would overflow.
+	// One on the worker, then one in the queue.
 	park()
 	waitFor(t, "worker occupancy", func() bool { return eng.calls.Load() == 1 })
 	park()
@@ -259,5 +266,115 @@ func TestFrontendConcurrentLoad(t *testing.T) {
 	}
 	if st.Served == 0 {
 		t.Fatal("nothing served under plain load")
+	}
+}
+
+// sleepEngine holds a worker for a wall-clock interval per query.
+type sleepEngine struct{ d time.Duration }
+
+func (e sleepEngine) QueryTopK([]string, int) qproc.QueryResult {
+	time.Sleep(e.d)
+	return qproc.QueryResult{LatencyMs: 1}
+}
+func (sleepEngine) K() int                   { return 1 }
+func (sleepEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
+func (sleepEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }
+
+// TestFrontendShedsDoNotFeedShedder: only requests that held a worker
+// feed the shedding controller and the /stats quantiles. Two slow
+// completions close a control window and raise the level; the ~0 ms
+// sheds that follow must neither lower it nor drag the quantiles down.
+func TestFrontendShedsDoNotFeedShedder(t *testing.T) {
+	f := server.NewFrontend(sleepEngine{20 * time.Millisecond}, server.Config{
+		Workers:    1,
+		AdmitRate:  1e-9, // the burst, then nothing
+		AdmitBurst: 2,
+		Shed:       server.ShedConfig{TargetP99Ms: 5, Window: 2, Step: 0.05},
+	})
+	req := server.Request{Terms: []string{"a"}}
+	for i := 0; i < 2; i++ {
+		if _, st := f.Serve(context.Background(), req); st != server.StatusOK {
+			t.Fatalf("slow request %d: %v", i, st)
+		}
+	}
+	raised := f.Stats().ShedLevel
+	if raised <= 0 {
+		t.Fatalf("two 20 ms completions against a 5 ms target left the level at %v", raised)
+	}
+	for i := 0; i < 20; i++ {
+		if _, st := f.Serve(context.Background(), req); st == server.StatusOK {
+			t.Fatalf("request %d past the burst was served", i)
+		}
+	}
+	s := f.Stats()
+	if s.ShedLevel != raised {
+		t.Errorf("20 sheds moved the level from %v to %v", raised, s.ShedLevel)
+	}
+	if s.P50Ms < 20 {
+		t.Errorf("p50 %v ms: sheds are in the served-latency quantiles", s.P50Ms)
+	}
+}
+
+// TestFrontendSoak is the -race exercise for the wait queue: overload,
+// deadline expiry in the queue and clients that hang up, against a slow
+// engine. Afterwards nothing may be queued, no worker held, no outcome
+// unaccounted for and no goroutine left behind — a waiter that abandons
+// its ticket just as dispatch picks it would leak a worker.
+func TestFrontendSoak(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	f := server.NewFrontend(sleepEngine{2 * time.Millisecond}, server.Config{
+		Workers:    4,
+		QueueCap:   8,
+		DeadlineMs: 5,
+		Shed:       server.ShedConfig{TargetP99Ms: 4, Window: 20},
+	})
+	const clients, each = 16, 30
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for g := 0; g < clients; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				switch (g + i) % 3 {
+				case 1: // hangs up while queued
+					ctx, cancel = context.WithTimeout(ctx, time.Duration(i%4)*time.Millisecond)
+				case 2: // gone before it arrives
+					ctx, cancel = context.WithCancel(ctx)
+					cancel()
+				}
+				cl := server.Interactive
+				if i%2 == 0 {
+					cl = server.Batch
+				}
+				f.Serve(ctx, server.Request{Terms: []string{"a"}, Class: cl})
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+
+	s := f.Stats()
+	if s.Queued != 0 || f.Busy() != 0 {
+		t.Errorf("idle front-end has %d queued, %d workers busy", s.Queued, f.Busy())
+	}
+	if total := s.Served + s.ShedOverload + s.ShedAdmission + s.ShedQueueFull + s.Timeout + s.Failed; s.Offered != clients*each || total != s.Offered {
+		t.Errorf("offered %d (want %d), outcomes %d: %+v", s.Offered, clients*each, total, s)
+	}
+	if s.Served == 0 || s.Timeout == 0 || s.ShedQueueFull == 0 {
+		t.Errorf("the soak did not reach every path: %+v", s)
+	}
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// TestFrontendFreeWorkerPathAllocatesNothing pins the per-request
+// overhead of the path bench/ measures: a request that finds a free
+// worker takes no ticket, no channel and no timer.
+func TestFrontendFreeWorkerPathAllocatesNothing(t *testing.T) {
+	f := server.NewFrontend(sleepEngine{}, server.Config{Workers: 2})
+	req := server.Request{Terms: []string{"a"}}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() { f.Serve(ctx, req) }); n != 0 {
+		t.Errorf("Serve on a free worker allocates %v times; want 0", n)
 	}
 }

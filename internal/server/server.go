@@ -7,31 +7,25 @@
 // qproc.Engine behind a bounded worker pool with
 //
 //   - a token-bucket admission controller (sustained rate + burst),
-//   - a bounded wait queue with deadline-aware eviction (in Run, FIFO
-//     per priority class, interactive before batch), and
+//   - a bounded wait queue with deadline-aware eviction, FIFO per
+//     priority class, interactive dispatched before batch, and
 //   - an adaptive load shedder driven by observed latency quantiles
 //     (metrics.Histogram.Quantile), so that beyond saturation the
 //     front-end degrades gracefully — bounded latency for admitted
 //     queries, rising shed rate — instead of collapsing under an
 //     unbounded queue.
 //
-// The pipeline exists in two harnesses over the same admission bucket
-// and shedder: Run (sim.go) is a deterministic virtual-time
-// discrete-event loop used by dwrbench to validate the G/G/c bound
-// against real engines, and Frontend (http.go) is a wall-clock
-// concurrent front-end served over HTTP by cmd/dwrserve. Their wait
-// queues differ: Run keeps one FIFO queue per class and dispatches
-// interactive first; Frontend's queue is goroutines blocked on the
-// worker semaphore — as bounded and as deadline-evicting, but woken in
-// whatever order the runtime picks, neither FIFO nor interactive
-// before batch.
+// That pipeline is one clock-free state machine (queue.go) under two
+// drivers: Run (sim.go) steps it from a deterministic virtual-time
+// event loop, which dwrbench uses to validate the G/G/c bound against
+// real engines, and Frontend (http.go) steps it on the wall clock for
+// the HTTP surface cmd/dwrserve serves — so the measured discipline is
+// the served one.
 package server
 
-// Class is a request priority class. The adaptive shedder drops Batch
-// traffic (prefetchers, analytics replays) before Interactive traffic
-// (a user waiting at a search box) in both harnesses; Run also queues
-// and dispatches interactive first, which Frontend's semaphore queue
-// does not — there the class acts through the shedder alone.
+// Class is a request priority class: Batch traffic (prefetchers,
+// analytics replays) is shed before, and dispatched after, Interactive
+// traffic (a user waiting at a search box).
 type Class int
 
 // Priority classes, highest priority first.
@@ -59,7 +53,7 @@ type Request struct {
 
 // Arrival is one request arriving at a point in time, as produced by an
 // internal/loadgen source. At is in seconds since the run start —
-// virtual seconds under Run, wall-clock seconds under Frontend replay.
+// virtual seconds under Run, wall-clock seconds under Frontend.
 type Arrival struct {
 	At   float64
 	User int

@@ -2,12 +2,9 @@ package server
 
 import (
 	"container/heap"
-	"errors"
-	"math/rand"
 
 	"dwr/internal/metrics"
 	"dwr/internal/qproc"
-	"dwr/internal/randx"
 )
 
 // Run drives engine through the admission → queue → workers pipeline in
@@ -22,32 +19,18 @@ import (
 // (Config.Seed plus whatever the source was built with), so a run is
 // exactly reproducible.
 func Run(eng qproc.Engine, cfg Config, src Source) Report {
-	cfg = cfg.withDefaults()
-	s := &simState{
-		eng:      eng,
-		cfg:      cfg,
-		src:      src,
-		bucket:   NewTokenBucket(cfg.AdmitRate, cfg.AdmitBurst),
-		shed:     NewShedder(cfg.Shed),
-		rng:      randx.New(cfg.Seed),
-		firstArr: -1,
-	}
-	if dq, ok := eng.(qproc.DeadlineQuerier); ok {
-		s.dq = dq
-	}
+	s := &simState{q: newQueue(eng, cfg), src: src, firstArr: -1}
 	for _, a := range src.Init() {
 		s.push(event{t: a.At, kind: evArrival, a: a})
 	}
 	for len(s.events) > 0 {
-		ev := s.pop()
-		if ev.t > s.lastT {
-			s.lastT = ev.t
-		}
+		ev := heap.Pop(&s.events).(event)
+		s.lastT = max(s.lastT, ev.t)
 		switch ev.kind {
 		case evArrival:
 			s.arrive(ev.a, ev.t)
 		case evDone:
-			s.complete(ev.job, ev.t)
+			s.complete(ev.a, ev.qr, ev.t)
 		}
 	}
 	return s.report()
@@ -66,14 +49,7 @@ type event struct {
 	kind int
 	seq  int64 // insertion order, the final tie-break
 	a    Arrival
-	job  *job
-}
-
-// job is one admitted request occupying a worker.
-type job struct {
-	a       Arrival
-	service float64 // seconds on the worker
-	qr      qproc.QueryResult
+	qr   *qproc.QueryResult // evDone: what a's worker computed
 }
 
 type eventHeap []event
@@ -99,30 +75,17 @@ func (h *eventHeap) Pop() interface{} {
 }
 
 type simState struct {
-	eng qproc.Engine
-	dq  qproc.DeadlineQuerier // eng, when it accepts deadlines
-	cfg Config
+	q   *queue
 	src Source
 
 	events eventHeap
 	seq    int64
 
-	bucket *TokenBucket
-	shed   *Shedder
-	rng    *rand.Rand
-
-	queues [numClasses][]Arrival
-	qhead  [numClasses]int
-	qlen   int
-	busy   int // workers occupied
-
 	firstArr float64
 	lastT    float64
 	busySec  float64
 	started  int
-
-	rep     Report
-	latency [numClasses]metrics.Sample
+	latency  [numClasses]metrics.Sample
 }
 
 func (s *simState) push(ev event) {
@@ -131,147 +94,63 @@ func (s *simState) push(ev event) {
 	heap.Push(&s.events, ev)
 }
 
-func (s *simState) pop() event { return heap.Pop(&s.events).(event) }
-
 // finish hands a terminal outcome back to the source, scheduling the
 // follow-up arrival a closed-loop user issues after thinking.
 func (s *simState) finish(a Arrival, at float64) {
-	next, ok := s.src.OnDone(a, at)
-	if !ok {
-		return
+	if next, ok := s.src.OnDone(a, at); ok {
+		next.At = max(next.At, at)
+		s.push(event{t: next.At, kind: evArrival, a: next})
 	}
-	if next.At < at {
-		next.At = at
-	}
-	s.push(event{t: next.At, kind: evArrival, a: next})
 }
 
-// arrive classifies one arrival: shed, start service, or queue.
+// arrive presents one arrival to the queue; a waiter stays there until
+// a completion dispatches it.
 func (s *simState) arrive(a Arrival, t float64) {
 	if s.firstArr < 0 {
 		s.firstArr = t
 	}
-	s.rep.Offered++
-	s.rep.Class[a.Req.Class].Offered++
-	switch {
-	case !s.shed.Admit(a.Req.Class, s.rng.Float64()):
-		s.rep.ShedOverload++
-		s.rep.Class[a.Req.Class].Shed++
+	if tk, st := s.q.arrive(a, t); st != StatusOK {
 		s.finish(a, t)
-	case !s.bucket.Allow(t):
-		s.rep.ShedAdmission++
-		s.rep.Class[a.Req.Class].Shed++
-		s.finish(a, t)
-	case s.busy < s.cfg.Workers:
-		s.rep.Admitted++
+	} else if tk == nil {
 		s.start(a, t)
-	case s.qlen >= s.cfg.QueueCap:
-		s.rep.ShedQueueFull++
-		s.rep.Class[a.Req.Class].Shed++
-		s.finish(a, t)
-	default:
-		s.rep.Admitted++
-		s.queues[a.Req.Class] = append(s.queues[a.Req.Class], a)
-		s.qlen++
-		if s.qlen > s.rep.MaxQueueLen {
-			s.rep.MaxQueueLen = s.qlen
-		}
 	}
 }
 
-// start runs the engine evaluation and occupies a worker for its
-// virtual duration, propagating the request's remaining deadline budget
-// into the engine when it accepts one.
+// start runs the engine evaluation and occupies the worker a took at t
+// for its virtual duration.
 func (s *simState) start(a Arrival, t float64) {
-	k := a.Req.K
-	if k <= 0 {
-		k = s.cfg.DefaultK
-	}
-	var qr qproc.QueryResult
-	remaining := 0.0
-	if s.cfg.DeadlineMs > 0 {
-		remaining = s.cfg.DeadlineMs - (t-a.At)*1000
-	}
-	if remaining > 0 && s.dq != nil {
-		qr = s.dq.QueryTopKWithin(a.Req.Terms, k, remaining)
-	} else {
-		//dwrlint:allow deadline engine is not a DeadlineQuerier or no deadline is configured; there is no budget to propagate
-		qr = s.eng.QueryTopK(a.Req.Terms, k)
-	}
-	j := &job{a: a, service: qr.LatencyMs / 1000, qr: qr}
-	s.busy++
+	qr := s.q.query(a, t)
+	service := qr.LatencyMs / 1000
 	s.started++
-	s.busySec += j.service
-	s.push(event{t: t + j.service, kind: evDone, job: j})
+	s.busySec += service
+	s.push(event{t: t + service, kind: evDone, a: a, qr: &qr})
 }
 
-// complete releases the worker, accounts the outcome, and dispatches
-// queued work.
-func (s *simState) complete(j *job, t float64) {
-	s.busy--
-	latMs := (t - j.a.At) * 1000
-	s.shed.Observe(latMs)
-	switch {
-	case j.qr.Err == nil:
-		s.rep.Served++
-		s.rep.Class[j.a.Req.Class].Served++
-		if j.qr.Degraded {
-			s.rep.Degraded++
-		}
-		s.latency[j.a.Req.Class].Add(latMs)
-	case errors.Is(j.qr.Err, qproc.ErrDeadlineExceeded):
-		s.rep.EngineDeadline++
-		s.rep.Class[j.a.Req.Class].Shed++
-	default:
-		s.rep.EngineFailed++
-		s.rep.Class[j.a.Req.Class].Shed++
+// complete releases a's worker and starts the waiters dispatch hands
+// over.
+func (s *simState) complete(a Arrival, qr *qproc.QueryResult, t float64) {
+	if st, latMs := s.q.complete(a, qr, t); st == StatusOK {
+		s.latency[a.Req.Class].Add(latMs)
 	}
-	s.finish(j.a, t)
-	s.dispatch(t)
-}
-
-// dispatch starts queued requests on free workers, interactive first,
-// evicting entries whose deadline already passed while they waited.
-func (s *simState) dispatch(t float64) {
-	for s.busy < s.cfg.Workers && s.qlen > 0 {
-		var a Arrival
-		found := false
-		for c := 0; c < int(numClasses); c++ {
-			if s.qhead[c] < len(s.queues[c]) {
-				a = s.queues[c][s.qhead[c]]
-				s.queues[c][s.qhead[c]] = Arrival{} // release for GC
-				s.qhead[c]++
-				if s.qhead[c] == len(s.queues[c]) {
-					s.queues[c] = s.queues[c][:0]
-					s.qhead[c] = 0
-				}
-				found = true
-				break
-			}
+	s.finish(a, t)
+	for tk, st := s.q.dispatch(t); tk != nil; tk, st = s.q.dispatch(t) {
+		if st == StatusOK {
+			s.start(tk.a, t)
+		} else {
+			s.finish(tk.a, t)
 		}
-		if !found {
-			return
-		}
-		s.qlen--
-		if s.cfg.DeadlineMs > 0 && (t-a.At)*1000 >= s.cfg.DeadlineMs {
-			s.rep.EvictedDeadline++
-			s.rep.Class[a.Req.Class].Shed++
-			s.finish(a, t)
-			continue
-		}
-		s.start(a, t)
 	}
 }
 
 func (s *simState) report() Report {
-	r := s.rep
-	r.Workers = s.cfg.Workers
-	r.FinalShedLevel = s.shed.Level()
+	r := s.q.rep
+	r.Workers = s.q.cfg.Workers
+	r.FinalShedLevel = s.q.shed.Level()
 	if s.firstArr >= 0 && s.lastT > s.firstArr {
 		r.MakespanSec = s.lastT - s.firstArr
 		r.OfferedQPS = float64(r.Offered) / r.MakespanSec
 		r.GoodputQPS = float64(r.Served) / r.MakespanSec
-		r.Utilization = s.busySec / (float64(s.cfg.Workers) * r.MakespanSec)
+		r.Utilization = s.busySec / (float64(r.Workers) * r.MakespanSec)
 	}
 	if s.started > 0 {
 		r.MeanServiceMs = s.busySec * 1000 / float64(s.started)
