@@ -24,6 +24,9 @@ import (
 // sampled Recall@k of mediated answers against the exhaustive fan-out.
 // It returns the HTTP handler plus the crawled corpus.
 func newFederate(o options) (http.Handler, *core.Corpus, error) {
+	if o.sites < 1 {
+		return nil, nil, fmt.Errorf("a federation needs at least one site, got %d", o.sites)
+	}
 	cfg := prunedConfig(o)
 	corpus, err := core.Crawl(cfg)
 	if err != nil {

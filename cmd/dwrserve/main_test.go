@@ -221,6 +221,12 @@ func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
 // times a remote site's answer out, a generous one serves it.
 func TestFederateServesMediatedAnswers(t *testing.T) {
 	defer qproc.SetDefaultOptions()
+	// -sites 0 used to crawl the whole corpus and then divide by zero.
+	for _, sites := range []int{0, -1} {
+		if _, _, err := newFederate(options{seed: 1, hosts: 45, partitions: 2, sites: sites}); err == nil {
+			t.Fatalf("-sites %d accepted", sites)
+		}
+	}
 	for _, tc := range []struct {
 		deadline float64
 		status   string

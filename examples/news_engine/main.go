@@ -26,27 +26,28 @@ func main() {
 	wcfg.Hosts = 60
 	web := simweb.New(wcfg)
 
-	dyn := index.NewDynamic(index.DefaultOptions(), 32, 3)
+	segs := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
+	dyn := index.NewSegmentWriter(segs, 32)
 	published := 0
 	topicOf := map[int]int{}
 	for _, p := range web.Pages {
 		if p.Private || published >= 600 {
 			continue
 		}
-		if err := dyn.Add(p.ID, web.Words(p.ID)); err != nil {
+		if err := dyn.AddDocument(p.ID, web.Words(p.ID)); err != nil {
 			log.Fatal(err)
 		}
 		topicOf[p.ID] = p.Topic
 		published++
 		if published%200 == 0 {
-			m := dyn.Store().Stats()
+			m := segs.Stats()
 			fmt.Printf("published %d articles: %d segments, %d merges, %d manifest swaps (readers never blocked)\n",
 				published, m.Segments, m.Merges, m.Gen)
 		}
 	}
 
 	// A breaking story arrives and is searchable immediately.
-	dyn.Add(1_000_000, []string{"breaking", "story", "about", "everything"})
+	dyn.AddDocument(1_000_000, []string{"breaking", "story", "about", "everything"})
 	if rs := search(dyn, []string{"breaking", "story"}, 3); len(rs) > 0 {
 		fmt.Printf("\nbreaking story indexed and found instantly: doc %d (score %.3f)\n",
 			rs[0].Doc, rs[0].Score)
@@ -112,9 +113,9 @@ func main() {
 	}
 }
 
-// search ranks the dynamic index's current view — sealed segments plus
-// the unflushed buffer — with statistics aggregated over that view.
-func search(dyn *index.Dynamic, terms []string, k int) []rank.Result {
+// search ranks the writer's current view — sealed segments plus the
+// unsealed tail — with statistics aggregated over that view.
+func search(dyn *index.SegmentWriter, terms []string, k int) []rank.Result {
 	v := dyn.View()
 	rs, _ := rank.EvaluateView(v, rank.NewScorer(rank.FromGlobal(v.LocalStats(terms))), terms, k, rank.PruneNone, 0)
 	return rs

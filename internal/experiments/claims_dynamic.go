@@ -32,7 +32,8 @@ func Claim15OnlineMaintenance() *Result {
 	// for two buffer sizes. Small buffers seal segments often (many
 	// small swaps); large buffers seal rarely (few large swaps).
 	run := func(bufferCap int) (p50, p99 float64, swaps uint64, segments int) {
-		d := index.NewDynamic(index.DefaultOptions(), bufferCap, 3)
+		store := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
+		w := index.NewSegmentWriter(store, bufferCap)
 		var stop atomic.Bool
 		var lat metrics.Sample
 		var latMu sync.Mutex
@@ -43,7 +44,7 @@ func Claim15OnlineMaintenance() *Result {
 		conc.Do(2, 2, func(task int) {
 			if task == 0 {
 				for _, doc := range f.docs[:1200] {
-					if err := d.Add(doc.Ext, doc.Terms); err != nil {
+					if err := w.AddDocument(doc.Ext, doc.Terms); err != nil {
 						break
 					}
 				}
@@ -55,7 +56,7 @@ func Claim15OnlineMaintenance() *Result {
 				q := queries[i%len(queries)]
 				i++
 				t0 := time.Now() //dwrlint:allow wallclock measures real search latency under concurrent updates; ranked results stay deterministic
-				v := d.View()
+				v := w.View()
 				rank.EvaluateView(v, rank.NewScorer(rank.FromGlobal(v.LocalStats(q))), q, 10, rank.PruneNone, 0)
 				ms := float64(time.Since(t0).Microseconds()) / 1000 //dwrlint:allow wallclock measures real search latency under concurrent updates; ranked results stay deterministic
 				latMu.Lock()
@@ -63,7 +64,7 @@ func Claim15OnlineMaintenance() *Result {
 				latMu.Unlock()
 			}
 		})
-		st := d.Store().Stats()
+		st := store.Stats()
 		return lat.Quantile(0.5), lat.Quantile(0.99), st.Gen, st.Segments
 	}
 	t := metrics.NewTable("query latency under a concurrent update stream (1,200 docs)",

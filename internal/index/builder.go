@@ -10,11 +10,11 @@ import (
 // Builder is the uniform index-construction surface: every strategy in
 // the package — the in-memory reference inverter (MemBuilder), the
 // sort-based builder (SortBuilder), single-pass spill-run indexing
-// (SPIMIBuilder), the streaming segment pipeline (SegmentWriter), and
-// the online-maintained index's flush path (Dynamic) — feeds tokenized
-// documents in and hands one immutable Index back. Callers that only
-// construct (cmd/*, examples, fixtures) program against this interface
-// and swap strategies without touching the call sites.
+// (SPIMIBuilder), and the online-maintained segment pipeline
+// (SegmentWriter) — feeds tokenized documents in and hands one
+// immutable Index back. Callers that only construct (cmd/*, examples,
+// fixtures) program against this interface and swap strategies without
+// touching the call sites.
 type Builder interface {
 	// AddDocument indexes one tokenized document under external ID ext.
 	// Duplicate IDs are rejected with an error: the indexing pipeline
@@ -32,7 +32,6 @@ var (
 	_ Builder = (*SortBuilder)(nil)
 	_ Builder = (*SPIMIBuilder)(nil)
 	_ Builder = (*SegmentWriter)(nil)
-	_ Builder = (*Dynamic)(nil)
 )
 
 // MustBuild drives b to completion and panics on error — the

@@ -91,25 +91,32 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	}
 }
 
-func TestNewDynamicClampsArguments(t *testing.T) {
-	d := NewDynamic(DefaultOptions(), 0, 0)
-	// Defaults applied: must still work end to end.
-	for i := 0; i < 70; i++ {
-		if err := d.Add(i, []string{"w"}); err != nil {
+func TestNewSegmentWriterClampsArguments(t *testing.T) {
+	s := NewSegmentStore(DefaultOptions(), MergePolicy{})
+	w := NewSegmentWriter(s, 0)
+	// Defaults applied (512-document segments, radix 3): must still work
+	// end to end.
+	for i := 0; i < 1100; i++ {
+		if err := w.AddDocument(i, []string{"w"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.NumDocs() != 70 {
-		t.Fatalf("NumDocs = %d", d.NumDocs())
+	if w.NumDocs() != 1100 || w.Buffered() != 1100-2*512 || w.SegmentsSealed() != 2 {
+		t.Fatalf("NumDocs = %d, Buffered = %d, SegmentsSealed = %d", w.NumDocs(), w.Buffered(), w.SegmentsSealed())
+	}
+	if st := s.Stats(); st.Merges != 1 || w.View().NumDocs() != 1100 {
+		t.Fatalf("stats %+v, view holds %d docs", st, w.View().NumDocs())
 	}
 }
 
 func TestDynamicDeleteUnknownNoop(t *testing.T) {
-	d := NewDynamic(DefaultOptions(), 4, 2)
-	d.Add(1, []string{"a"})
-	d.Delete(999) // unknown: no effect, no panic
-	if d.NumDocs() != 1 {
-		t.Fatalf("NumDocs = %d after deleting unknown doc", d.NumDocs())
+	w, _ := newWriter(4, 2)
+	w.AddDocument(1, []string{"a"})
+	if w.Delete(999) { // unknown: no effect, no panic
+		t.Fatal("Delete of an unknown doc reported success")
+	}
+	if got := w.View().NumDocs(); got != 1 {
+		t.Fatalf("NumDocs = %d after deleting unknown doc", got)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // parallel goroutines. (Per-iteration state lives in the Iterator
 // values handed out by Postings; each call returns a fresh one.)
 // Anything that would break this invariant must go through a new type
-// (see Dynamic for the mutable, lock-guarded variant).
+// (see SegmentWriter: a mutable collection is a sequence of immutable
+// indexes behind a swapped Manifest).
 type Index struct {
 	opts     Options
 	terms    map[string]int

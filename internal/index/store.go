@@ -48,8 +48,9 @@ type SegmentStats struct {
 // Concurrency contract: any number of goroutines may call Manifest,
 // Stats, and the Manifest's read methods at any time. Structural
 // mutation (Apply, Delete, Compact) must come from one writer at a
-// time; background merges scheduled by the store itself are internally
-// serialized and safe against a concurrent writer.
+// time (a SegmentWriter's lock sees to that); background merges
+// scheduled by the store itself are internally serialized and safe
+// against a concurrent writer.
 type SegmentStore struct {
 	opts Options
 	pol  MergePolicy
@@ -102,19 +103,18 @@ func (s *SegmentStore) Stats() SegmentStats {
 	return st
 }
 
-// hooks is the change-callback list SegmentStore and Dynamic each embed:
-// result caches register here, so an index update invalidates their
-// entries (generation bump) without the index knowing about caching.
+// hooks is the change-callback list SegmentStore embeds: result caches
+// register here, so an index update invalidates their entries
+// (generation bump) without the index knowing about caching.
 type hooks struct {
 	hookMu   sync.Mutex
 	onChange []func()
 }
 
-// OnChange registers fn to run after every completed change: a store's
-// published manifest swap (apply, merge, delete, compaction), a
-// Dynamic's mutation (Add, Delete, Flush, Build). Hooks must be fast and
-// non-blocking; the intended use is bumping a result cache's generation
-// counter.
+// OnChange registers fn to run after every published manifest swap
+// (apply, merge, delete, compaction). Hooks must be fast and
+// non-blocking; the intended use is bumping a result cache's
+// generation counter.
 func (h *hooks) OnChange(fn func()) {
 	h.hookMu.Lock()
 	h.onChange = append(h.onChange, fn)
@@ -136,8 +136,8 @@ func (h *hooks) notify() {
 // Apply publishes seg as the newest segment and runs (or schedules) the
 // merge cascade. It rejects segments holding a document already
 // resident in the store — cross-segment duplicates would corrupt
-// scoring, and the upstream writers (SegmentWriter, Dynamic) dedupe
-// before sealing, so a duplicate here is a pipeline bug.
+// scoring, and SegmentWriter dedupes before sealing, so a duplicate
+// here is a pipeline bug.
 func (s *SegmentStore) Apply(seg *Index) error {
 	if seg == nil || seg.NumDocs() == 0 {
 		return nil

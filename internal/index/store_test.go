@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dwr/internal/conc"
@@ -148,6 +149,43 @@ func TestSegmentStoreRejectsCrossSegmentDuplicate(t *testing.T) {
 	}
 }
 
+// TestDynamicOnChangeHooks pins when a store's change hooks fire: once
+// per published manifest swap — apply, delete, merge, compaction — and
+// not for a delete that changes nothing. Merges run in the background
+// here so that a merge's swap is told apart from its apply's.
+func TestDynamicOnChangeHooks(t *testing.T) {
+	s := NewSegmentStore(DefaultOptions(), MergePolicy{Radix: 2})
+	s.Background(conc.NewPool(1))
+	var fired atomic.Int32
+	s.OnChange(func() { fired.Add(1) })
+	step := func(what string, want int32, op func()) {
+		t.Helper()
+		before := fired.Load()
+		op()
+		s.Quiesce()
+		if got := fired.Load() - before; got != want {
+			t.Fatalf("%s fired the hooks %d times, want %d", what, got, want)
+		}
+	}
+	apply := func(ext int) {
+		if err := s.Apply(buildSegment(t, []Doc{{Ext: ext, Terms: []string{"a"}}})); err != nil {
+			t.Error(err)
+		}
+	}
+	step("apply", 1, func() { apply(1) })
+	step("apply + merge", 2, func() { apply(2) })
+	step("delete", 1, func() { s.Delete(1) })
+	step("delete of a tombstoned doc", 0, func() { s.Delete(1) })
+	step("delete of an unknown doc", 0, func() { s.Delete(99) })
+	// A hook that reads the store back must not deadlock (hooks run
+	// outside the store's locks).
+	s.OnChange(func() { _ = s.Manifest().NumDocs() + s.Stats().Merges })
+	step("compact", 1, func() { s.Compact() })
+	if st := s.Stats(); st.Merges != 1 || st.TombstonesDropped != 1 {
+		t.Fatalf("unexpected maintenance activity: %+v", st)
+	}
+}
+
 func TestSegmentWriterStreamsToReferenceIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	docs := randomDocs(rng, 333, 40)
@@ -184,31 +222,33 @@ func TestSegmentWriterStreamsToReferenceIndex(t *testing.T) {
 func TestManifestSnapshotSurvivesSwaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	docs := randomDocs(rng, 300, 40)
-	d := NewDynamic(DefaultOptions(), 16, 3)
+	w, s := newWriter(16, 3)
 	for _, doc := range docs[:150] {
-		if err := d.Add(doc.Ext, doc.Terms); err != nil {
+		if err := w.AddDocument(doc.Ext, doc.Terms); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.Flush()
-	man := d.Store().Manifest()
+	if err := w.Cut(); err != nil {
+		t.Fatal(err)
+	}
+	man := s.Manifest()
 	q := docs[0].Terms[:2]
 	before := fmt.Sprint(liveMatches(man, q))
 
 	// Swap storm: more adds (seals + merge cascades) and deletes.
 	for _, doc := range docs[150:] {
-		if err := d.Add(doc.Ext, doc.Terms); err != nil {
+		if err := w.AddDocument(doc.Ext, doc.Terms); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 150; i += 5 {
-		d.Delete(docs[i].Ext)
+		w.Delete(docs[i].Ext)
 	}
 	after := fmt.Sprint(liveMatches(man, q))
 	if before != after {
 		t.Fatalf("snapshot answer changed across manifest swaps:\nbefore: %s\nafter:  %s", before, after)
 	}
-	if man.Gen() == d.Store().Manifest().Gen() {
+	if man.Gen() == s.Manifest().Gen() {
 		t.Fatal("no swaps happened; the test exercised nothing")
 	}
 }
@@ -220,7 +260,7 @@ func TestManifestSnapshotSurvivesSwaps(t *testing.T) {
 func TestDynamicConcurrentSearchUpdateDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	docs := randomDocs(rng, 600, 40)
-	d := NewDynamic(DefaultOptions(), 16, 3)
+	w, _ := newWriter(16, 3)
 
 	known := map[int]bool{}
 	for _, doc := range docs {
@@ -239,7 +279,7 @@ func TestDynamicConcurrentSearchUpdateDelete(t *testing.T) {
 					return
 				default:
 				}
-				exts := liveMatches(d.View(), queries[i%len(queries)])
+				exts := liveMatches(w.View(), queries[i%len(queries)])
 				for _, ext := range exts {
 					if !known[ext] {
 						t.Errorf("view holds unknown doc %d", ext)
@@ -256,7 +296,7 @@ func TestDynamicConcurrentSearchUpdateDelete(t *testing.T) {
 
 	liveCount := 0
 	for i, doc := range docs {
-		if err := d.Add(doc.Ext, doc.Terms); err != nil {
+		if err := w.AddDocument(doc.Ext, doc.Terms); err != nil {
 			t.Error(err)
 			break
 		}
@@ -264,14 +304,16 @@ func TestDynamicConcurrentSearchUpdateDelete(t *testing.T) {
 		// Delete every 6th doc 12 adds after it arrived: the targets are
 		// distinct, always resident, some still buffered and some sealed.
 		if i%6 == 3 && i >= 12 {
-			d.Delete(docs[i-12].Ext)
+			if !w.Delete(docs[i-12].Ext) {
+				t.Errorf("Delete(%d) found nothing", docs[i-12].Ext)
+			}
 			liveCount--
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if d.NumDocs() != liveCount {
-		t.Fatalf("final live docs %d, want %d", d.NumDocs(), liveCount)
+	if got := w.View().NumDocs(); got != liveCount {
+		t.Fatalf("final live docs %d, want %d", got, liveCount)
 	}
 }
 

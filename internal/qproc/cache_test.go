@@ -110,29 +110,6 @@ func TestResultCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestDynamicOnChangeInvalidatesResultCache wires the two new hooks
-// together: a dynamic-index mutation bumps the result cache's
-// generation, so the next lookup recomputes instead of serving a result
-// from before the update.
-func TestDynamicOnChangeInvalidatesResultCache(t *testing.T) {
-	rc := NewResultCache(ResultCacheConfig{Capacity: 16, Shards: 2})
-	d := index.NewDynamic(index.DefaultOptions(), 8, 3)
-	d.OnChange(rc.Invalidate)
-	rc.Put("q|k=10", QueryResult{LatencyMs: 1})
-	if _, ok := rc.Get("q|k=10"); !ok {
-		t.Fatal("warm entry missing")
-	}
-	if err := d.Add(1, []string{"fresh", "doc"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rc.Get("q|k=10"); ok {
-		t.Fatal("result cached before the index update survived it")
-	}
-	if rc.Stats().StaleGen != 1 {
-		t.Fatalf("stats %+v, want 1 generation-stale miss", rc.Stats())
-	}
-}
-
 // TestResultCacheSDCBeatsLRUOnEngine replays one Zipfian stream through
 // two identically sized broker caches; the SDC cache, with its static
 // section warmed from the head of a log sample, must out-hit pure LRU —

@@ -135,7 +135,7 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 			if starts == nil {
 				starts = cur
 			} else {
-				starts = intersectStartMaps(starts, cur)
+				starts = rank.IntersectStarts(starts, cur)
 			}
 			if len(starts) == 0 {
 				break
@@ -193,36 +193,6 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 	qr.LatencyMs = latency
 	e.degrade(&qr, lost, len(route), "pipeline hops")
 	return qr
-}
-
-// intersectStartMaps mirrors rank's sorted-list intersection for the
-// pipelined accumulator.
-func intersectStartMaps(a, b map[int][]int32) map[int][]int32 {
-	out := make(map[int][]int32)
-	for doc, as := range a {
-		bs, ok := b[doc]
-		if !ok {
-			continue
-		}
-		var merged []int32
-		i, j := 0, 0
-		for i < len(as) && j < len(bs) {
-			switch {
-			case as[i] == bs[j]:
-				merged = append(merged, as[i])
-				i++
-				j++
-			case as[i] < bs[j]:
-				i++
-			default:
-				j++
-			}
-		}
-		if len(merged) > 0 {
-			out[doc] = merged
-		}
-	}
-	return out
 }
 
 func uniqueParts(assign map[string]int, terms []string) map[int]bool {

@@ -54,7 +54,7 @@ func PhraseMatches(ix *index.Index, terms []string) (map[int][]int32, EvalStats)
 			starts = cur
 			continue
 		}
-		starts = intersectStarts(starts, cur)
+		starts = IntersectStarts(starts, cur)
 		if len(starts) == 0 {
 			return map[int][]int32{}, es
 		}
@@ -62,9 +62,9 @@ func PhraseMatches(ix *index.Index, terms []string) (map[int][]int32, EvalStats)
 	return starts, es
 }
 
-// intersectStarts keeps, per document, the start positions present in
+// IntersectStarts keeps, per document, the start positions present in
 // both maps (both sides sorted ascending, as positions are).
-func intersectStarts(a, b map[int][]int32) map[int][]int32 {
+func IntersectStarts(a, b map[int][]int32) map[int][]int32 {
 	out := make(map[int][]int32)
 	for doc, as := range a {
 		bs, ok := b[doc]

@@ -168,12 +168,12 @@ func TestViewEquivalenceTombstones(t *testing.T) {
 	}
 }
 
-// TestViewDynamicConcurrentReadersAndWriter ranks index.Dynamic views
-// (sealed segments plus the lazily indexed buffer) while a writer
+// TestViewDynamicConcurrentReadersAndWriter ranks SegmentWriter views
+// (sealed segments plus the lazily indexed tail) while a writer
 // streams documents in: every answer must be ordered and duplicate-free
 // (exercised under -race by CI).
 func TestViewDynamicConcurrentReadersAndWriter(t *testing.T) {
-	d := index.NewDynamic(index.DefaultOptions(), 8, 3)
+	d := index.NewSegmentWriter(index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3}), 8)
 	q := []string{"shared"}
 	search := func(k int) []Result {
 		v := d.View()
@@ -187,7 +187,7 @@ func TestViewDynamicConcurrentReadersAndWriter(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < 400; i++ {
-			if err := d.Add(i, []string{"shared", fmt.Sprintf("t%d", i%50)}); err != nil {
+			if err := d.AddDocument(i, []string{"shared", fmt.Sprintf("t%d", i%50)}); err != nil {
 				t.Error(err)
 				return
 			}
