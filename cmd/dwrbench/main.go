@@ -49,10 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkTol := fs.Float64("checktol", 0.35, "allowed relative drift of wall-clock ratios for -check (counters are always held to 1%)")
 	benchDir := fs.String("benchdir", "docs", "directory of the BENCH_<scenario>.json artifacts (empty = -run doesn't write)")
 	workers := fs.Int("workers", 0, "engine fan-out width (0 = GOMAXPROCS, 1 = serial); every experiment reports identical numbers at any value")
-	cacheCap := fs.Int("cachecap", 0, "give every constructed engine a broker result cache of this many entries (0 = off, the default: cached answers change the latency numbers)")
-	cacheTTL := fs.Int("cachettl", 0, "result-cache entry TTL in queries (0 = never expires)")
-	cacheShards := fs.Int("cacheshards", 0, "result-cache lock shards (0 = 8)")
-	cachePolicy := fs.String("cachepolicy", "lru", "result-cache replacement for -cachecap: lru | lfu")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -60,20 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dwrbench: %v\n", err)
 		return code
 	}
-	defaults := []qproc.Option{qproc.WithWorkers(*workers)}
-	if *cacheCap > 0 {
-		policy, err := qproc.ParseCachePolicy(*cachePolicy)
-		if err != nil {
-			return fail(2, err)
-		}
-		defaults = append(defaults, qproc.WithResultCache(qproc.ResultCacheConfig{
-			Capacity:   *cacheCap,
-			Shards:     *cacheShards,
-			TTLQueries: *cacheTTL,
-			Policy:     policy,
-		}))
-	}
-	qproc.SetDefaultOptions(defaults...)
+	qproc.SetDefaultOptions(qproc.WithWorkers(*workers))
 
 	switch {
 	case *config != "" && *scen == "":

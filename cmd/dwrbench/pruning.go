@@ -22,7 +22,8 @@ var pruningScenario = define("pruning",
 
 // measurePruning runs the dynamic-pruning evaluator against the
 // exhaustive OR baseline on a seeded Zipf corpus, counting the decode
-// work the block metadata lets the pruned path skip.
+// work the per-term score bounds and the skip table let the pruned path
+// skip.
 func measurePruning(w io.Writer, c pruningConfig) ([]row, error) {
 	if c.Docs < 1 || c.Queries < 1 {
 		return nil, errors.New("docs and queries must be positive")

@@ -120,11 +120,12 @@ func (ix *Index) PostingsInto(it *Iterator, term string) *Iterator {
 	return it
 }
 
-// TermScoreMeta is the resident per-term score-bound summary a broker
-// prunes partitions with: the aggregates of the block-max metadata over
-// the whole list (max tf, min document length) plus the quantized
-// saturation bound and the average document length it assumes. All four
-// live in the dictionary — reading them touches no posting bytes.
+// TermScoreMeta is the resident per-term score-bound summary the
+// evaluator orders its lists by and a broker prunes partitions with: the
+// list's max tf and min document length, plus its BM25 saturation bound
+// at the default constants and the average document length that bound
+// assumes. All four live in the dictionary — reading them touches no
+// posting bytes.
 type TermScoreMeta struct {
 	MaxTF    int32   // largest tf in the list
 	MinLen   int32   // shortest document in the list (0 = unknown; bound stays safe)
@@ -136,7 +137,7 @@ type TermScoreMeta struct {
 // (from different segments or partitions) into one summary that remains
 // a safe upper bound for the union of the two posting lists: MaxTF takes
 // the max and MinLen the min (0 = unknown stays 0, the loosest and
-// therefore safest length). The quantized saturation bound survives only
+// therefore safest length). The saturation bound survives only
 // when both sides carry one: SatBound takes the max and QuantAvg the min,
 // so the merged validity condition (scorer average ≤ QuantAvg) implies
 // each side's condition and the max dominates both.
@@ -171,8 +172,7 @@ func (ix *Index) TermScoreMeta(term string) (TermScoreMeta, bool) {
 	if !ok {
 		return TermScoreMeta{}, false
 	}
-	pl := &ix.termList[i].pl
-	return TermScoreMeta{MaxTF: pl.maxTF, MinLen: pl.minLen, SatBound: pl.satScale, QuantAvg: pl.quantAvg}, true
+	return ix.termList[i].pl.meta, true
 }
 
 // PostingBytes returns the encoded size in bytes of term's posting list,

@@ -11,8 +11,8 @@ import (
 )
 
 // sameIndex fails unless got is want byte for byte: document table,
-// lexicon order, and per term the encoded postings, block metadata and
-// every resident statistic (count, cf, maxTF, minLen, satScale, quantAvg).
+// lexicon order, and per term the encoded postings, skip table and
+// every resident statistic (count, cf, maxTF, minLen, satBound, quantAvg).
 func sameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	if !slices.Equal(got.docs, want.docs) || got.totalLen != want.totalLen || !maps.Equal(got.docByExt, want.docByExt) {

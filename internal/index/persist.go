@@ -9,34 +9,36 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // On-disk index format (little-endian):
 //
-//	magic "DWRIX3\n\x00"                     8 bytes
+//	magic "DWRIX4\n\x00"                     8 bytes
 //	options: compress, positions (2 bytes) + blockSize (uvarint)
 //	numDocs (uvarint), then per doc: ext (uvarint), length (uvarint)
 //	numTerms (uvarint), then per term:
 //	    len(term) (uvarint), term bytes,
 //	    count (uvarint), cf (uvarint),
 //	    maxTF (uvarint), minLen (uvarint),
-//	    satScale (float64 bits, uvarint), quantAvg (float64 bits, uvarint),
+//	    satBound (float64 bits, uvarint), quantAvg (float64 bits, uvarint),
 //	    len(data) (uvarint), data bytes,
-//	    numBlocks (uvarint), per block: lastDoc (uvarint), maxTF (uvarint),
-//	        minLen (uvarint), maxQ (1 byte), offset (uvarint)
+//	    numBlocks (uvarint), per block: lastDoc (uvarint), offset (uvarint)
 //	crc32 (IEEE) of everything after the magic   4 bytes
 //
 // The format exists so a deployment can build an index offline, ship the
 // file to query processors, and swap it in — the paper's "halt a part of
 // the index, substitute it and re-initiate". Version 2 replaced the flat
-// skip table with skip-aligned blocks plus block-max metadata; version 3
-// added the resident per-term score-bound aggregates (maxTF, minLen)
-// the threshold-sharing broker prunes partitions with. Older DWRIX
-// versions are rejected (rebuild the index).
+// skip table with skip-aligned blocks; version 3 added the resident
+// per-term score-bound summary (TermScoreMeta) evaluator and broker prune
+// with; version 4 dropped the per-block score bounds nothing reads any
+// more. Older DWRIX versions are rejected (rebuild the index).
 
-var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '3', '\n', 0}
+var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '4', '\n', 0}
 
-// WriteFile writes the index to path atomically (write temp + rename).
+// WriteFile writes the index to path atomically: a crash leaves either
+// the old file or the whole new one (write temp, sync, rename, sync the
+// directory).
 func (ix *Index) WriteFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -54,6 +56,11 @@ func (ix *Index) WriteFile(path string) error {
 		os.Remove(tmp)
 		return fmt.Errorf("index: flushing %s: %w", tmp, err)
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("index: syncing %s: %w", tmp, err)
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("index: closing %s: %w", tmp, err)
@@ -61,6 +68,14 @@ func (ix *Index) WriteFile(path string) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("index: renaming %s: %w", tmp, err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("index: opening directory of %s: %w", path, err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("index: syncing directory of %s: %w", path, err)
 	}
 	return nil
 }
@@ -146,16 +161,16 @@ func (ix *Index) Write(w io.Writer) error {
 		if err := putUvarint(uint64(e.pl.cf)); err != nil {
 			return err
 		}
-		if err := putUvarint(uint64(e.pl.maxTF)); err != nil {
+		if err := putUvarint(uint64(e.pl.meta.MaxTF)); err != nil {
 			return err
 		}
-		if err := putUvarint(uint64(e.pl.minLen)); err != nil {
+		if err := putUvarint(uint64(e.pl.meta.MinLen)); err != nil {
 			return err
 		}
-		if err := putUvarint(math.Float64bits(e.pl.satScale)); err != nil {
+		if err := putUvarint(math.Float64bits(e.pl.meta.SatBound)); err != nil {
 			return err
 		}
-		if err := putUvarint(math.Float64bits(e.pl.quantAvg)); err != nil {
+		if err := putUvarint(math.Float64bits(e.pl.meta.QuantAvg)); err != nil {
 			return err
 		}
 		if err := putUvarint(uint64(len(e.pl.data))); err != nil {
@@ -169,15 +184,6 @@ func (ix *Index) Write(w io.Writer) error {
 		}
 		for _, b := range e.pl.blocks {
 			if err := putUvarint(uint64(b.lastDoc)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(b.maxTF)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(b.minLen)); err != nil {
-				return err
-			}
-			if _, err := cw.Write([]byte{b.maxQ}); err != nil {
 				return err
 			}
 			if err := putUvarint(uint64(b.offset)); err != nil {
@@ -331,17 +337,17 @@ func Read(r io.Reader) (*Index, error) {
 		}
 		satBits, err := readUvarint()
 		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d quantization: %w", i, err)
+			return nil, fmt.Errorf("index: reading term %d score bounds: %w", i, err)
 		}
 		avgBits, err := readUvarint()
 		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d quantization: %w", i, err)
+			return nil, fmt.Errorf("index: reading term %d score bounds: %w", i, err)
 		}
 		dl, err := readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d data: %w", i, err)
 		}
-		if dl > 1<<33 {
+		if dl > 1<<32 { // block offsets are 32-bit
 			return nil, fmt.Errorf("index: implausible posting data length %d", dl)
 		}
 		data, err := readBytes(cr, dl)
@@ -352,24 +358,16 @@ func Read(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d blocks: %w", i, err)
 		}
-		if nBlocks > maxEntities {
-			return nil, fmt.Errorf("index: implausible block count %d", nBlocks)
+		// The iterator indexes data and sizes its decode by this table
+		// without checking it, so a table it cannot walk is refused here:
+		// one block per blockSize postings, last documents ascending inside
+		// the document table, offsets ascending inside data.
+		if per := uint64(opts.blockSize()); count > nDocs || nBlocks != (count+per-1)/per {
+			return nil, fmt.Errorf("index: term %d: %d blocks for %d postings over %d documents", i, nBlocks, count, nDocs)
 		}
 		blocks := make([]blockMeta, 0, min(nBlocks, prealloc))
-		for range nBlocks {
+		for b := range nBlocks {
 			lastDoc, err := readUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("index: reading block: %w", err)
-			}
-			maxTF, err := readUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("index: reading block: %w", err)
-			}
-			minLen, err := readUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("index: reading block: %w", err)
-			}
-			maxQ, err := cr.ReadByte()
 			if err != nil {
 				return nil, fmt.Errorf("index: reading block: %w", err)
 			}
@@ -377,16 +375,19 @@ func Read(r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("index: reading block: %w", err)
 			}
-			blocks = append(blocks, blockMeta{
-				lastDoc: int32(lastDoc), maxTF: int32(maxTF),
-				minLen: int32(minLen), maxQ: maxQ, offset: uint32(off),
-			})
+			if lastDoc >= nDocs || off >= dl ||
+				b > 0 && (int32(lastDoc) <= blocks[b-1].lastDoc || uint32(off) <= blocks[b-1].offset) {
+				return nil, fmt.Errorf("index: term %d block %d (last doc %d, offset %d) out of range or out of order", i, b, lastDoc, off)
+			}
+			blocks = append(blocks, blockMeta{lastDoc: int32(lastDoc), offset: uint32(off)})
 		}
 		ix.addTerm(string(tb), postingList{
 			count: int(count), cf: int64(cf), data: data, blocks: blocks,
-			maxTF: int32(maxTF), minLen: int32(minLen),
-			satScale: math.Float64frombits(satBits),
-			quantAvg: math.Float64frombits(avgBits),
+			meta: TermScoreMeta{
+				MaxTF: int32(maxTF), MinLen: int32(minLen),
+				SatBound: math.Float64frombits(satBits),
+				QuantAvg: math.Float64frombits(avgBits),
+			},
 		})
 	}
 

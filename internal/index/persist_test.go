@@ -40,26 +40,16 @@ func TestPersistRoundTrip(t *testing.T) {
 		if got.Options() != opts {
 			t.Fatalf("options %+v round-tripped as %+v", opts, got.Options())
 		}
-		// Block metadata must survive: SkipTo still works and the block
-		// bounds match the rebuilt index.
-		term := got.Terms()[0]
-		it := got.Postings(term)
-		if it.Count() > 2 {
-			if !it.SkipTo(0) {
-				t.Fatal("SkipTo failed on loaded index")
+		// The skip table must survive, for every term: SkipTo still works
+		// and the block records match the index that was written.
+		for i := range ix.termList {
+			want, have := &ix.termList[i].pl, &got.termList[i].pl
+			if !slices.Equal(want.blocks, have.blocks) {
+				t.Fatalf("opts %+v term %q: block table %v round-tripped as %v", opts, ix.termList[i].term, want.blocks, have.blocks)
 			}
 		}
-		ref := ix.Postings(term)
-		if it.NumBlocks() != ref.NumBlocks() {
-			t.Fatalf("block count %d round-tripped as %d", ref.NumBlocks(), it.NumBlocks())
-		}
-		for bi := 0; bi < ref.NumBlocks(); bi++ {
-			if it.pl.blocks[bi].lastDoc != ref.pl.blocks[bi].lastDoc ||
-				it.BlockMaxTF(bi) != ref.BlockMaxTF(bi) ||
-				it.BlockMinDocLen(bi) != ref.BlockMinDocLen(bi) ||
-				it.BlockMaxSat(bi) != ref.BlockMaxSat(bi) {
-				t.Fatalf("block %d metadata differs after round trip", bi)
-			}
+		if it := got.Postings(got.Terms()[0]); !it.SkipTo(0) {
+			t.Fatal("SkipTo failed on loaded index")
 		}
 		// The resident score-bound aggregates must survive for every term
 		// (the broker's partition pruning reads them without postings).
@@ -74,8 +64,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistRejectsOldVersion: a DWRIX2 (pre score-bound aggregates)
-// file is refused with a rebuild hint rather than misparsed.
+// TestPersistRejectsOldVersion: a DWRIX2 (pre score-bound summary) or
+// DWRIX3 (per-block score bounds) file is refused with a rebuild hint
+// rather than misparsed.
 func TestPersistRejectsOldVersion(t *testing.T) {
 	b := NewBuilder(DefaultOptions())
 	b.AddDocument(1, []string{"alpha", "beta"})
@@ -84,13 +75,15 @@ func TestPersistRejectsOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	raw[5] = '2' // rewrite the version byte of the magic
-	_, err := Read(bytes.NewReader(raw))
-	if err == nil {
-		t.Fatal("old format version accepted")
-	}
-	if !strings.Contains(err.Error(), "rebuild") {
-		t.Fatalf("version error %q carries no rebuild hint", err)
+	for _, version := range []byte{'2', '3'} {
+		raw[5] = version // rewrite the version byte of the magic
+		_, err := Read(bytes.NewReader(raw))
+		if err == nil {
+			t.Fatalf("format version %c accepted", version)
+		}
+		if !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("version %c error %q carries no rebuild hint", version, err)
+		}
 	}
 }
 
@@ -137,6 +130,48 @@ func TestPersistRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReadRejectsUnwalkableBlockTable: the checksum vouches for the bytes,
+// not for what they say, and the iterator indexes data by the block table
+// unchecked — a block offset of 1<<20 over nine bytes of data used to load
+// and panic in the first Next ("slice bounds out of range"). Each row
+// tampers one list of a valid index in memory, writes it (so the file is
+// CRC-valid) and re-reads it.
+func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
+	tampers := []struct {
+		name   string
+		tamper func(pl *postingList, numDocs int)
+	}{
+		{"", func(*postingList, int) {}},
+		{"offset past the data", func(pl *postingList, _ int) { pl.blocks[1].offset = 1 << 20 }},
+		{"offsets out of order", func(pl *postingList, _ int) { pl.blocks[2].offset = pl.blocks[1].offset }},
+		{"a block missing", func(pl *postingList, _ int) { pl.blocks = pl.blocks[:len(pl.blocks)-1] }},
+		{"a block too many", func(pl *postingList, _ int) { pl.count -= 2 }},
+		{"last documents out of order", func(pl *postingList, _ int) { pl.blocks[1].lastDoc = pl.blocks[0].lastDoc }},
+		{"last document outside the table", func(pl *postingList, n int) { pl.blocks[len(pl.blocks)-1].lastDoc = int32(n) }},
+		{"more postings than documents", func(pl *postingList, n int) { pl.count = n + 1 }},
+	}
+	for _, tc := range tampers {
+		b := NewBuilder(Options{Compress: true, BlockSize: 4})
+		for d := range 10 {
+			b.AddDocument(d, []string{"a"})
+		}
+		ix := MustBuild(b) // one list, three blocks: 4 + 4 + 2 postings
+		tc.tamper(&ix.termList[0].pl, ix.NumDocs())
+		var buf bytes.Buffer
+		if err := ix.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		if tc.name == "" {
+			if err != nil || !Equal(ix, got) {
+				t.Fatalf("the untampered index did not round-trip: %v", err)
+			}
+		} else if err == nil {
+			t.Fatalf("%s: block table accepted", tc.name)
+		}
+	}
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	b := NewBuilder(DefaultOptions())
 	b.AddDocument(1, []string{"x"})
@@ -170,9 +205,9 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-// hostileCounts are well-formed DWRIX3 prefixes that each announce one
+// hostileCounts are well-formed DWRIX4 prefixes that each announce one
 // enormous count and then end: 2^31 documents (seventeen bytes in all),
-// 2^31 terms, 2^33 bytes of posting data, 2^31 blocks.
+// 2^31 terms, 2^32 bytes of posting data, 2^31 blocks.
 func hostileCounts() map[string][]byte {
 	uv := func(prefix []byte, vs ...uint64) []byte {
 		b := slices.Clone(prefix)
@@ -184,12 +219,12 @@ func hostileCounts() map[string][]byte {
 	// Compressed, positional, 128 postings per block.
 	header := uv(append(persistMagic[:8:8], 1, 1), 128)
 	// No documents; one term "a" with its count, cf, maxTF, minLen,
-	// satScale and quantAvg.
+	// satBound and quantAvg.
 	oneTerm := uv(append(uv(header, 0, 1, 1), 'a'), 1, 1, 1, 1, 0, 0)
 	return map[string][]byte{
 		"docs":   uv(header, 1<<31),
 		"terms":  uv(header, 0, 1<<31),
-		"data":   uv(oneTerm, 1<<33),
+		"data":   uv(oneTerm, 1<<32),
 		"blocks": uv(oneTerm, 0, 1<<31),
 	}
 }

@@ -1,7 +1,8 @@
 // Package index implements the distributed indexing module of Section 4:
 // an inverted index (lexicon + posting lists) with positional postings,
-// block-compressed posting lists with block-max metadata for dynamic
-// pruning, plus the index construction strategies the paper surveys —
+// block-compressed posting lists with a skip table and a resident
+// per-term score bound for dynamic pruning, plus the index construction
+// strategies the paper surveys —
 // sort-based (Witten et al.), single-pass with spill runs (Lester et
 // al.), map-reduce (Dean & Ghemawat), and pipelined (Melink et al.) —
 // and index merging with document-ID remapping.
@@ -22,9 +23,10 @@ type Posting struct {
 	Pos []int32 // nil unless positions are stored
 }
 
-// Default BM25 parameters. The per-block quantized max-score metadata is
-// computed against these at encode time; rank.NewScorer uses the same
-// constants so the quantized fast path engages for default scorers.
+// Default BM25 parameters. A list's saturation bound
+// (TermScoreMeta.SatBound) is computed against these at encode time;
+// rank.NewScorer uses the same constants so the bound applies to default
+// scorers.
 const (
 	DefaultBM25K1 = 1.2
 	DefaultBM25B  = 0.75
@@ -54,37 +56,29 @@ func (o Options) blockSize() int {
 	return defaultBlockSize
 }
 
-// blockMeta is the per-block skip-and-prune record: enough to jump over
-// the block without decoding it (lastDoc, offset) and to bound every
-// score inside it (maxTF, minLen, maxQ). A block's first gap is encoded
-// relative to the previous block's lastDoc, so any block can be decoded
-// independently given the metadata of its predecessor.
+// blockMeta is the per-block skip record: enough to jump over the block
+// without decoding it. A block's first gap is encoded relative to the
+// previous block's lastDoc, so any block can be decoded independently
+// given the record of its predecessor.
 type blockMeta struct {
 	lastDoc int32  // last document ordinal in the block
-	maxTF   int32  // maximum term frequency in the block
-	minLen  int32  // minimum document length among the block's docs (0 = unknown)
-	maxQ    uint8  // round-up quantized default-ranker saturation bound
 	offset  uint32 // byte offset of the block's first section in data
 }
 
-// postingList is one term's block-encoded postings plus block metadata.
+// postingList is one term's block-encoded postings, its skip table and
+// its score-bound summary, kept resident and persisted so evaluator and
+// broker can bound the list's score without touching a posting byte.
 type postingList struct {
-	count    int
-	cf       int64 // collection frequency: total TF over all docs
-	data     []byte
-	blocks   []blockMeta
-	satScale float64 // dequantization scale: sat = maxQ * satScale / 255
-	quantAvg float64 // average document length the quantized bounds assume
-	// List-wide aggregates of the block metadata (max over maxTF, min
-	// over minLen), kept resident and persisted so a broker can bound a
-	// whole partition's score for a term without opening the list.
-	maxTF  int32
-	minLen int32
+	count  int
+	cf     int64 // collection frequency: total TF over all docs
+	data   []byte
+	blocks []blockMeta
+	meta   TermScoreMeta
 }
 
 // encodeStats supplies the document statistics encodePostings bakes into
-// block metadata. The zero value means "lengths unknown": minLen is
-// recorded as 0, which makes every bound fall back to the BM25 norm
+// the score-bound summary. The zero value means "lengths unknown": minLen
+// is recorded as 0, which makes every bound fall back to the BM25 norm
 // floor (1-b) — looser pruning, never unsafe.
 type encodeStats struct {
 	docLen func(doc int32) int32
@@ -106,8 +100,8 @@ func lengthsOf(docs []docEntry, total int64) encodeStats {
 // bm25Sat is the document-length-aware saturation bound of the default
 // ranker: an upper bound on tf*(k1+1)/(tf+k1*norm(dl)) over every
 // posting in a block with term frequency <= maxTF and document length
-// >= minLen. It mirrors rank.Scorer.Term exactly (including the
-// max(avg,1) guard) so the quantized and analytic paths agree.
+// >= minLen. It mirrors rank.Scorer.Term (including the max(avg,1)
+// guard).
 func bm25Sat(maxTF, minLen int32, avg float64) float64 {
 	norm := 1 - DefaultBM25B + DefaultBM25B*float64(minLen)/math.Max(avg, 1)
 	tf := float64(maxTF)
@@ -119,14 +113,15 @@ func bm25Sat(maxTF, minLen int32, avg float64) float64 {
 // Within a block (compressed layout) doc-gaps are group-varint encoded,
 // term frequencies are varint encoded, and positions (when stored) are
 // delta-varint encoded in a trailing section the iterator can skip
-// wholesale. st supplies document lengths for the block-max metadata.
+// wholesale. st supplies document lengths for the score-bound summary.
 func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 	var pl postingList
 	pl.count = len(ps)
-	pl.quantAvg = st.avgLen
+	pl.meta.QuantAvg = st.avgLen
 	if len(ps) == 0 {
 		return pl
 	}
+	pl.meta.MinLen = math.MaxInt32
 	bs := opts.blockSize()
 	var prevDoc int32
 	gaps := make([]uint32, 0, bs)
@@ -136,7 +131,8 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 			end = len(ps)
 		}
 		block := ps[start:end]
-		meta := blockMeta{offset: uint32(len(pl.data)), minLen: math.MaxInt32}
+		meta := blockMeta{offset: uint32(len(pl.data))}
+		maxTF, minLen := int32(0), int32(math.MaxInt32)
 		// Doc section.
 		gaps = gaps[:0]
 		for i, p := range block {
@@ -145,19 +141,20 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 			}
 			gaps = append(gaps, uint32(p.Doc-prevDoc))
 			prevDoc = p.Doc
-			if p.TF > meta.maxTF {
-				meta.maxTF = p.TF
-			}
+			maxTF = max(maxTF, p.TF)
 			if st.docLen != nil {
-				if l := st.docLen(p.Doc); l < meta.minLen {
-					meta.minLen = l
-				}
+				minLen = min(minLen, st.docLen(p.Doc))
 			}
 			pl.cf += int64(p.TF)
 		}
 		if st.docLen == nil {
-			meta.minLen = 0
+			minLen = 0
 		}
+		// SatBound is taken block by block: a block's largest tf at its
+		// shortest document is tighter than the list's at the list's.
+		pl.meta.MaxTF = max(pl.meta.MaxTF, maxTF)
+		pl.meta.MinLen = min(pl.meta.MinLen, minLen)
+		pl.meta.SatBound = max(pl.meta.SatBound, bm25Sat(maxTF, minLen, st.avgLen))
 		meta.lastDoc = prevDoc
 		if opts.Compress {
 			pl.data = appendGroupVarint(pl.data, gaps)
@@ -193,31 +190,6 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 			}
 		}
 		pl.blocks = append(pl.blocks, meta)
-	}
-	// Quantize per-block max scores (round-up, so dequantized values stay
-	// upper bounds) against the list's largest saturation value, and fold
-	// the block metadata into the list-wide score-bound aggregates.
-	pl.minLen = math.MaxInt32
-	for i := range pl.blocks {
-		if s := bm25Sat(pl.blocks[i].maxTF, pl.blocks[i].minLen, pl.quantAvg); s > pl.satScale {
-			pl.satScale = s
-		}
-		if pl.blocks[i].maxTF > pl.maxTF {
-			pl.maxTF = pl.blocks[i].maxTF
-		}
-		if pl.blocks[i].minLen < pl.minLen {
-			pl.minLen = pl.blocks[i].minLen
-		}
-	}
-	if pl.satScale > 0 {
-		for i := range pl.blocks {
-			m := &pl.blocks[i]
-			q := math.Ceil(bm25Sat(m.maxTF, m.minLen, pl.quantAvg) / pl.satScale * 255)
-			if q > 255 {
-				q = 255
-			}
-			m.maxQ = uint8(q)
-		}
 	}
 	return pl
 }
@@ -301,9 +273,7 @@ func decodeGroupVarint(data []byte, pos, n int, out []uint32) int {
 
 // Iterator walks a posting list in document order, decoding one block at
 // a time. Use Next to advance one posting and SkipTo to jump forward via
-// the block metadata; blocks the cursor jumps over are never decoded.
-// The block accessors (NumBlocks, BlockMaxTF, BlockMaxSat, ...) expose
-// the metadata dynamic-pruning evaluators build their list bounds from.
+// the skip table; blocks the cursor jumps over are never decoded.
 type Iterator struct {
 	pl      *postingList
 	opts    Options
@@ -477,7 +447,7 @@ func (it *Iterator) Posting() Posting { return it.cur }
 func (it *Iterator) Count() int { return it.pl.count }
 
 // SkipTo advances to the first posting with Doc >= target, using the
-// block metadata to jump over (and never decode) non-containing blocks.
+// skip table to jump over (and never decode) non-containing blocks.
 // It returns false if no such posting exists.
 func (it *Iterator) SkipTo(target int32) bool {
 	if it.valid && it.cur.Doc >= target {
@@ -518,34 +488,9 @@ func (it *Iterator) SkipTo(target int32) bool {
 // far — the per-query cost unit dynamic pruning exists to reduce.
 func (it *Iterator) BytesDecoded() int64 { return it.bytes }
 
-// NumBlocks returns the number of skip-aligned blocks in the list.
-func (it *Iterator) NumBlocks() int { return len(it.pl.blocks) }
-
-// BlockMaxTF returns the maximum term frequency within block b.
-func (it *Iterator) BlockMaxTF(b int) int32 { return it.pl.blocks[b].maxTF }
-
-// BlockMinDocLen returns the minimum document length among block b's
-// documents (0 when lengths were unknown at encode time).
-func (it *Iterator) BlockMinDocLen(b int) int32 { return it.pl.blocks[b].minLen }
-
-// BlockMaxSat returns the dequantized per-block max-score saturation
-// bound for the default ranker: an upper bound (quantization rounds up)
-// on tf*(k1+1)/(tf+k1*norm) over the block's postings, valid when
-// QuantValidFor holds for the evaluating scorer. Multiply by the term's
-// IDF to bound any score in the block.
-func (it *Iterator) BlockMaxSat(b int) float64 {
-	return float64(it.pl.blocks[b].maxQ) * it.pl.satScale / 255
-}
-
-// QuantValidFor reports whether the quantized block bounds are upper
-// bounds under a scorer with the given BM25 parameters and average
-// document length. When false (non-default parameters, or statistics
-// differing from the ones baked in at encode time), evaluators must
-// bound blocks analytically from BlockMaxTF/BlockMinDocLen instead.
-func (it *Iterator) QuantValidFor(k1, b, avg float64) bool {
-	return k1 == DefaultBM25K1 && b == DefaultBM25B &&
-		avg == it.pl.quantAvg && it.pl.satScale > 0
-}
+// ScoreMeta returns the score-bound summary of the underlying list, the
+// same one Index.TermScoreMeta reads from the dictionary.
+func (it *Iterator) ScoreMeta() TermScoreMeta { return it.pl.meta }
 
 // decodeAll materializes a posting list; used by Equal.
 func (pl *postingList) decodeAll(opts Options) []Posting {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -119,11 +120,12 @@ func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 	}
 }
 
-// TestBlockMetadataInvariants checks the per-block prune metadata: every
-// posting is bounded by its block's maxTF / minLen, lastDoc is exact,
-// and the dequantized max score is a true upper bound of the default
-// ranker's saturation for every posting in the block (quantization must
-// round up, never down).
+// TestBlockMetadataInvariants checks what a list keeps about itself: each
+// block's lastDoc is exact, and the list's score-bound summary dominates
+// every posting — tf <= MaxTF, document length >= MinLen, default-ranker
+// saturation <= SatBound — with SatBound exactly the largest block-level
+// bound (a block's largest tf at its shortest document) under the index's
+// own average length.
 func TestBlockMetadataInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	b := NewBuilder(DefaultOptions())
@@ -138,31 +140,45 @@ func TestBlockMetadataInvariants(t *testing.T) {
 	avg := ix.AvgDocLen()
 	for _, term := range ix.Terms() {
 		it := ix.Postings(term)
-		if !it.QuantValidFor(DefaultBM25K1, DefaultBM25B, avg) {
-			t.Fatalf("term %q: quantized bounds invalid for the index's own stats", term)
+		m := it.ScoreMeta()
+		if dict, _ := ix.TermScoreMeta(term); dict != m {
+			t.Fatalf("term %q: iterator summary %+v, dictionary summary %+v", term, m, dict)
+		}
+		if m.QuantAvg != avg {
+			t.Fatalf("term %q: SatBound assumes average length %g, the index has %g", term, m.QuantAvg, avg)
 		}
 		var ps []Posting
 		for pit := ix.Postings(term); pit.Next(); {
 			ps = append(ps, pit.Posting())
 		}
 		bs := ix.Options().blockSize()
-		for bi := 0; bi < it.NumBlocks(); bi++ {
+		if want := (len(ps) + bs - 1) / bs; len(it.pl.blocks) != want {
+			t.Fatalf("term %q: %d blocks for %d postings, want %d", term, len(it.pl.blocks), len(ps), want)
+		}
+		var wantSat float64
+		for bi, blk := range it.pl.blocks {
 			lo, hi := bi*bs, min((bi+1)*bs, len(ps))
-			if it.pl.blocks[bi].lastDoc != ps[hi-1].Doc {
-				t.Fatalf("term %q block %d: lastDoc %d, want %d", term, bi, it.pl.blocks[bi].lastDoc, ps[hi-1].Doc)
+			if blk.lastDoc != ps[hi-1].Doc {
+				t.Fatalf("term %q block %d: lastDoc %d, want %d", term, bi, blk.lastDoc, ps[hi-1].Doc)
 			}
+			maxTF, minLen := int32(0), int32(math.MaxInt32)
 			for _, p := range ps[lo:hi] {
-				if p.TF > it.BlockMaxTF(bi) {
-					t.Fatalf("term %q block %d: tf %d exceeds maxTF %d", term, bi, p.TF, it.BlockMaxTF(bi))
+				l := int32(ix.DocLen(p.Doc))
+				maxTF, minLen = max(maxTF, p.TF), min(minLen, l)
+				if p.TF > m.MaxTF {
+					t.Fatalf("term %q: tf %d exceeds MaxTF %d", term, p.TF, m.MaxTF)
 				}
-				if l := int32(ix.DocLen(p.Doc)); l < it.BlockMinDocLen(bi) {
-					t.Fatalf("term %q block %d: docLen %d below minLen %d", term, bi, l, it.BlockMinDocLen(bi))
+				if l < m.MinLen {
+					t.Fatalf("term %q: docLen %d below MinLen %d", term, l, m.MinLen)
 				}
-				sat := bm25Sat(p.TF, int32(ix.DocLen(p.Doc)), avg)
-				if sat > it.BlockMaxSat(bi)+1e-12 {
-					t.Fatalf("term %q block %d: saturation %g exceeds quantized bound %g", term, bi, sat, it.BlockMaxSat(bi))
+				if sat := bm25Sat(p.TF, l, avg); sat > m.SatBound {
+					t.Fatalf("term %q: saturation %g exceeds SatBound %g", term, sat, m.SatBound)
 				}
 			}
+			wantSat = max(wantSat, bm25Sat(maxTF, minLen, avg))
+		}
+		if m.SatBound != wantSat {
+			t.Fatalf("term %q: SatBound %g, want the largest block bound %g", term, m.SatBound, wantSat)
 		}
 	}
 }

@@ -64,8 +64,8 @@ func WithResultCacheInstance(rc *ResultCache) Option {
 
 // WithPruning selects the engine's default top-k evaluation strategy
 // for disjunctive queries: rank.PruneMaxScore enables dynamic pruning
-// over the per-block score-bound posting metadata, rank.PruneNone (the
-// default) evaluates exhaustively. Pruned and
+// over the resident per-term score bounds, rank.PruneNone (the default)
+// evaluates exhaustively. Pruned and
 // exhaustive evaluation are rank-identical (see rank.EvaluateTopK); only
 // the decode work differs, so brokers, caches, fault policy, and
 // deadline propagation compose unchanged. Per-query DocQueryOptions.

@@ -86,9 +86,8 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 	route := e.tp.PartsOf(terms)
 	qr.ServersContacted = len(route)
 	qr.Rounds = len(route)
-	if len(route) != len(uniqueParts(e.tp.Assign, terms)) {
-		// Defensive: PartsOf already dedupes; keep the invariant obvious.
-		panic("qproc: inconsistent phrase route")
+	if len(route) == 0 {
+		return qr // no server owns any of the terms
 	}
 
 	// Candidate phrase-start positions travel server to server. The
@@ -193,14 +192,4 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 	qr.LatencyMs = latency
 	e.degrade(&qr, lost, len(route), "pipeline hops")
 	return qr
-}
-
-func uniqueParts(assign map[string]int, terms []string) map[int]bool {
-	out := make(map[int]bool)
-	for _, t := range terms {
-		if p, ok := assign[t]; ok {
-			out[p] = true
-		}
-	}
-	return out
 }

@@ -434,4 +434,13 @@ func TestPhraseNoMatchAcrossEngines(t *testing.T) {
 	if res := te.QueryPhrase(query, 10, true); len(res.Results) != 0 {
 		t.Fatalf("term engine matched reversed phrase: %v", res.Results)
 	}
+	// A phrase none of whose terms any server owns has no route to travel;
+	// it used to index the route's last hop and panic.
+	unknown := []string{"zzzunknown", "yyyunknown"}
+	if res := de.QueryPhrase(unknown, 10); len(res.Results) != 0 {
+		t.Fatalf("doc engine matched unknown terms: %v", res.Results)
+	}
+	if res := te.QueryPhrase(unknown, 10, true); len(res.Results) != 0 || res.ServersContacted != 0 || res.Err != nil {
+		t.Fatalf("term engine on unknown terms: %+v, want the empty answer of an empty route", res)
+	}
 }

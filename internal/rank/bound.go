@@ -3,16 +3,19 @@ package rank
 import "dwr/internal/index"
 
 // TermUpperBound bounds the score contribution of one term for every
-// document in the partition summarized by m, from resident metadata
-// alone (no posting bytes are touched). Two bounds are available:
+// document in the list (or merged lists) summarized by m, from resident
+// metadata alone (no posting bytes are touched). It is the only place a
+// summary becomes a score bound: evaluateTopK orders a segment's lists by
+// it and QueryBound sums it over a partition, so evaluator and broker
+// obey one validity rule. Two bounds are available:
 //
 //   - The analytic bound Term(maxTF, minLen, idf): Scorer.Term is
 //     monotone increasing in tf and decreasing in docLen, so the list's
 //     largest tf scored at its shortest document dominates every real
 //     posting under any BM25 parameterization.
-//   - The quantized bound idf·SatBound, valid when the scorer uses the
+//   - The saturation bound idf·SatBound, valid when the scorer uses the
 //     default constants and its average document length is at most the
-//     one the bounds were quantized against: BM25 saturation is monotone
+//     one SatBound was computed against: BM25 saturation is monotone
 //     increasing in the average (a larger avg shrinks the length norm),
 //     so a bound computed at QuantAvg stays an upper bound for any
 //     smaller scorer average.

@@ -32,39 +32,15 @@ const (
 // guarantee.
 const pruneSlack = 1e-9
 
-// pruneCursor is one term's posting cursor plus the precomputed bounds
+// pruneCursor is one term's posting cursor plus the precomputed bound
 // dynamic pruning decides with.
 type pruneCursor struct {
-	it    *index.Iterator
-	idf   float64
-	ub    float64 // list-wide score upper bound
-	doc   int32   // current document, valid while !done
-	tf    int32
-	quant bool // quantized block bounds valid for this scorer
-	done  bool
-}
-
-// blockUB bounds every score in the cursor's current block: the
-// quantized bound when the scorer matches the constants the index was
-// encoded with, otherwise the analytic bound from the block's maxTF and
-// minimum document length (Scorer.Term is monotone increasing in tf and
-// decreasing in docLen, so this is exact for any parameterization).
-func (c *pruneCursor) blockUB(s *Scorer, b int) float64 {
-	if c.quant {
-		return c.idf * c.it.BlockMaxSat(b)
-	}
-	return s.Term(c.it.BlockMaxTF(b), int(c.it.BlockMinDocLen(b)), c.idf)
-}
-
-// listUB bounds every score in the list: the maximum block bound.
-func (c *pruneCursor) listUB(s *Scorer) float64 {
-	var ub float64
-	for b := 0; b < c.it.NumBlocks(); b++ {
-		if u := c.blockUB(s, b); u > ub {
-			ub = u
-		}
-	}
-	return ub
+	it   *index.Iterator
+	idf  float64
+	ub   float64 // list-wide score upper bound: TermUpperBound of the list's summary
+	doc  int32   // current document, valid while !done
+	tf   int32
+	done bool
 }
 
 // Competitive reports whether a score upper bound can still beat a
@@ -100,6 +76,25 @@ func EvaluateTopKSeeded(ix *index.Index, s *Scorer, terms []string, k int, mode 
 	return evaluateTopK(ix, nil, s, terms, k, mode, seed)
 }
 
+// open opens a cursor on every distinct query term ix holds, in query
+// order, each bounded by TermUpperBound of its list's resident summary.
+func (sc *evalScratch) open(ix *index.Index, s *Scorer, terms []string, es *EvalStats) []pruneCursor {
+	uniq := sc.dedup(terms)
+	its := sc.iters(len(uniq))
+	sc.pcs = sc.pcs[:0]
+	for _, t := range uniq {
+		it := ix.PostingsInto(&its[len(sc.pcs)], t)
+		if it == nil {
+			continue
+		}
+		es.BytesRead += int64(ix.PostingBytes(t))
+		es.ListsAccessed++
+		idf := s.IDF(t)
+		sc.pcs = append(sc.pcs, pruneCursor{it: it, idf: idf, ub: s.TermUpperBound(idf, it.ScoreMeta())})
+	}
+	return sc.pcs
+}
+
 // evaluateTopK is EvaluateTopKSeeded with a tombstone filter; see
 // evaluateOR. The score bounds cover tombstoned postings too, so they
 // stay valid upper bounds for the live ones.
@@ -118,22 +113,7 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
-	uniq := sc.dedup(terms)
-	its := sc.iters(len(uniq))
-	sc.pcs = sc.pcs[:0]
-	for _, t := range uniq {
-		it := ix.PostingsInto(&its[len(sc.pcs)], t)
-		if it == nil {
-			continue
-		}
-		es.BytesRead += int64(ix.PostingBytes(t))
-		es.ListsAccessed++
-		c := pruneCursor{it: it, idf: s.IDF(t)}
-		c.quant = it.QuantValidFor(s.K1, s.B, s.Stats.AvgDocLen)
-		c.ub = c.listUB(s)
-		sc.pcs = append(sc.pcs, c)
-	}
-	cursors := sc.pcs
+	cursors := sc.open(ix, s, terms, &es)
 	finish := func(tk *topK) ([]Result, EvalStats) {
 		for i := range cursors {
 			es.BytesDecoded += cursors[i].it.BytesDecoded()

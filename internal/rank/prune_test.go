@@ -67,10 +67,11 @@ func TestPrunedEquivalenceExhaustive(t *testing.T) {
 }
 
 // TestPrunedEquivalenceNonDefaultScorer exercises the analytic-bound
-// fallback: a scorer with non-default BM25 parameters (and with global
-// statistics whose average document length differs from the build-time
-// one) invalidates the quantized block bounds, so pruning must bound
-// blocks from maxTF/minLen and still match the exhaustive ranking.
+// fallback: a scorer with non-default BM25 parameters, or with global
+// statistics whose average document length exceeds the build-time one,
+// invalidates a list's saturation bound, so pruning must bound the list
+// from its max tf and min document length and still match the exhaustive
+// ranking.
 func TestPrunedEquivalenceNonDefaultScorer(t *testing.T) {
 	ix := pruneCorpus(13, index.DefaultOptions())
 	rng := rand.New(rand.NewSource(14))
@@ -138,4 +139,48 @@ func TestPrunedDecodesFewerBytes(t *testing.T) {
 	}
 	t.Logf("decoded bytes: exhaustive %d, maxscore %d (%.1f%%)",
 		exhaustive, pruned, 100*float64(pruned)/float64(exhaustive))
+}
+
+// TestListBoundIsTermUpperBound pins the one rule: every list the pruned
+// evaluator opens is ordered by TermUpperBound of that list's resident
+// summary, so over one index its bounds add up to exactly the QueryBound
+// a broker holds for the partition — under scorers on both sides of the
+// summary's validity condition.
+func TestListBoundIsTermUpperBound(t *testing.T) {
+	ix := pruneCorpus(23, index.DefaultOptions())
+	local := FromIndex(ix)
+	larger := local
+	larger.AvgDocLen *= 1.5
+	scorers := []*Scorer{NewScorer(local), NewScorer(larger), {K1: 0.9, B: 0.4, Stats: local}}
+	sc := evalPool.Get().(*evalScratch)
+	defer evalPool.Put(sc)
+	rng := rand.New(rand.NewSource(24))
+	for _, q := range append(pruneQueries(rng, ix, 100), []string{"absent", ix.Terms()[0], "absent"}) {
+		for si, s := range scorers {
+			var es EvalStats
+			cursors := sc.open(ix, s, q, &es)
+			opened, sum := 0, 0.0
+			for _, term := range dedup(q) {
+				m, ok := ix.TermScoreMeta(term)
+				if !ok {
+					continue
+				}
+				if opened == len(cursors) {
+					t.Fatalf("scorer %d query %v: %d lists opened, term %q has none", si, q, len(cursors), term)
+				}
+				want := s.TermUpperBound(s.IDF(term), m)
+				if got := cursors[opened].ub; got != want {
+					t.Fatalf("scorer %d query %v term %q: list bound %g, TermUpperBound of its summary %g", si, q, term, got, want)
+				}
+				sum += want
+				opened++
+			}
+			if opened != len(cursors) || opened != es.ListsAccessed {
+				t.Fatalf("scorer %d query %v: %d cursors, %d lists accessed, %d terms present", si, q, len(cursors), es.ListsAccessed, opened)
+			}
+			if qb := QueryBound(index.ViewOf(ix), s, q); qb != sum {
+				t.Fatalf("scorer %d query %v: evaluator bounds sum to %g, QueryBound %g", si, q, sum, qb)
+			}
+		}
+	}
 }

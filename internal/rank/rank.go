@@ -54,8 +54,8 @@ type Scorer struct {
 
 // NewScorer returns a BM25 scorer with the standard parameters
 // (k1 = 1.2, b = 0.75) over the given statistics. These are the same
-// constants the index bakes its quantized block-max metadata against, so
-// a default scorer gets the fast quantized bounds in pruned evaluation.
+// constants the index computes each list's saturation bound against, so
+// a default scorer gets that bound in TermUpperBound.
 func NewScorer(stats StatsSource) *Scorer {
 	return &Scorer{K1: index.DefaultBM25K1, B: index.DefaultBM25B, Stats: stats}
 }

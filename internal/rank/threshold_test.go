@@ -121,56 +121,67 @@ func TestTopKMerger(t *testing.T) {
 
 // TestTermUpperBoundDominates: the resident per-term bound must dominate
 // every real posting's score contribution, for the default scorer
-// (quantized bound valid), a scorer with a smaller global average
-// (quantized bound still valid by monotonicity), and scorers where only
-// the analytic bound applies (larger average, non-default constants).
+// (saturation bound valid), a scorer with a smaller global average
+// (saturation bound still valid by monotonicity), and scorers where only
+// the analytic bound applies (larger average, non-default constants) —
+// over one index, and over a multi-segment view whose summary is
+// MergeTermScoreMeta's fold of its segments'.
 func TestTermUpperBoundDominates(t *testing.T) {
-	ix := pruneCorpus(47, index.DefaultOptions())
-	local := FromIndex(ix)
-	smaller, larger := local, local
-	smaller.AvgDocLen *= 0.7
-	larger.AvgDocLen *= 1.5
-	scorers := []*Scorer{
-		NewScorer(local),
-		NewScorer(smaller),
-		NewScorer(larger),
-		{K1: 0.9, B: 0.4, Stats: local},
+	docs := viewCorpus(47, 2000)
+	segmented := segmentedStore(t, docs, 31).Manifest()
+	if segmented.NumSegments() < 3 {
+		t.Fatalf("view holds %d segments; the fixture merges no summaries", segmented.NumSegments())
 	}
-	for _, term := range ix.Terms() {
-		m, ok := ix.TermScoreMeta(term)
-		if !ok {
-			t.Fatalf("term %q has no score metadata", term)
+	ix := staticIndex(t, docs)
+	queries := pruneQueries(rand.New(rand.NewSource(48)), ix, 60)
+	for vi, view := range []*index.Manifest{index.ViewOf(ix), segmented} {
+		local := FromGlobal(view.LocalStats(nil))
+		smaller, larger := local, local
+		smaller.AvgDocLen *= 0.7
+		larger.AvgDocLen *= 1.5
+		scorers := []*Scorer{
+			NewScorer(local),
+			NewScorer(smaller),
+			NewScorer(larger),
+			{K1: 0.9, B: 0.4, Stats: local},
 		}
-		for si, s := range scorers {
-			idf := s.IDF(term)
-			ub := s.TermUpperBound(idf, m)
-			// The quantized bound may differ from a real score by one ulp
-			// of rounding (different operation association), which is
-			// exactly what the evaluators' pruneSlack tolerance absorbs:
-			// the safety property is that no real score makes the bound
-			// non-competitive, i.e. a partition holding that document is
-			// never skipped.
-			for it := ix.Postings(term); it.Next(); {
-				p := it.Posting()
-				if got := s.Term(p.TF, ix.DocLen(p.Doc), idf); !Competitive(ub, got) {
-					t.Fatalf("scorer %d term %q doc %d: score %g beats bound %g beyond slack", si, term, p.Doc, got, ub)
+		for term := range local.DF {
+			m, ok := view.TermScoreMeta(term)
+			if !ok {
+				t.Fatalf("view %d: term %q has no score metadata", vi, term)
+			}
+			for si, s := range scorers {
+				idf := s.IDF(term)
+				ub := s.TermUpperBound(idf, m)
+				// The saturation bound may differ from a real score by one ulp
+				// of rounding (different operation association), which is
+				// exactly what the evaluators' pruneSlack tolerance absorbs:
+				// the safety property is that no real score makes the bound
+				// non-competitive, i.e. a partition holding that document is
+				// never skipped.
+				for _, seg := range view.Segments() {
+					for it := seg.Postings(term); it != nil && it.Next(); {
+						p := it.Posting()
+						if got := s.Term(p.TF, seg.DocLen(p.Doc), idf); !Competitive(ub, got) {
+							t.Fatalf("view %d scorer %d term %q doc %d: score %g beats bound %g beyond slack", vi, si, term, p.Doc, got, ub)
+						}
+					}
 				}
 			}
 		}
-	}
-	// QueryBound dominates every document's disjunctive score.
-	rng := rand.New(rand.NewSource(48))
-	for _, q := range pruneQueries(rng, ix, 60) {
-		for si, s := range scorers {
-			qb := QueryBound(index.ViewOf(ix), s, q)
-			rs, _ := EvaluateOR(ix, s, q, 1)
-			if len(rs) > 0 && !Competitive(qb, rs[0].Score) {
-				t.Fatalf("scorer %d query %v: best score %g beats query bound %g beyond slack", si, q, rs[0].Score, qb)
+		// QueryBound dominates every document's disjunctive score.
+		for _, q := range queries {
+			for si, s := range scorers {
+				qb := QueryBound(view, s, q)
+				rs, _ := EvaluateView(view, s, q, 1, PruneNone, 0)
+				if len(rs) > 0 && !Competitive(qb, rs[0].Score) {
+					t.Fatalf("view %d scorer %d query %v: best score %g beats query bound %g beyond slack", vi, si, q, rs[0].Score, qb)
+				}
 			}
 		}
-	}
-	if qb := QueryBound(index.ViewOf(ix), NewScorer(local), []string{"absent", "alsoabsent"}); qb != 0 {
-		t.Fatalf("query bound %g for absent terms, want 0", qb)
+		if qb := QueryBound(view, NewScorer(local), []string{"absent", "alsoabsent"}); qb != 0 {
+			t.Fatalf("view %d: query bound %g for absent terms, want 0", vi, qb)
+		}
 	}
 }
 

@@ -9,9 +9,8 @@ import "dwr/internal/index"
 // the heap, and each segment starts from the tighter of the caller's
 // seed and the running k-th score of the segments before it, so later
 // (usually newer, smaller) segments are pruned against what the earlier
-// ones already found. A segment's quantized block bounds rarely match a
-// view-wide average document length; the analytic bound the evaluator
-// falls back to is valid for any statistics.
+// ones already found. Each segment's lists are bounded by TermUpperBound
+// of the segment's own summaries, which is safe under any statistics.
 //
 // A single-segment view returns that segment's list as-is, so a static
 // index wrapped by index.ViewOf costs exactly one EvaluateTopKSeeded.
