@@ -1,6 +1,7 @@
 // Package dwr's repository-root benchmarks regenerate every table and
-// figure of the paper (one benchmark per artifact, delegating to
-// internal/experiments) and time the ablations DESIGN.md calls out.
+// figure of the paper (BenchmarkExperiments, one sub-benchmark per
+// internal/experiments registry entry) and time the ablations DESIGN.md
+// calls out.
 // Run them all with:
 //
 //	go test -bench=. -benchmem
@@ -20,53 +21,23 @@ import (
 	"dwr/internal/rank"
 )
 
-// runExperiment is the shared driver: regenerate the artifact b.N times
-// and record its headline values as benchmark metrics.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	var r *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Run(id)
-	}
-	if r == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for k, v := range r.Values {
-		b.ReportMetric(v, k)
+// BenchmarkExperiments regenerates every registered paper artifact, one
+// sub-benchmark per ID (-bench 'BenchmarkExperiments/C6$'), and records
+// its headline values as benchmark metrics. It ranges over the registry,
+// so an experiment cannot be registered and left untimed.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			var r *experiments.Result
+			for i := 0; i < b.N; i++ {
+				r = e.Run()
+			}
+			for k, v := range r.Values {
+				b.ReportMetric(v, k)
+			}
+		})
 	}
 }
-
-// One benchmark per paper artifact.
-
-func BenchmarkTable1Inventory(b *testing.B)     { runExperiment(b, "T1") }
-func BenchmarkFigure1Partitioning(b *testing.B) { runExperiment(b, "F1") }
-func BenchmarkFigure2BusyLoad(b *testing.B)     { runExperiment(b, "F2") }
-func BenchmarkFigure5Availability(b *testing.B) { runExperiment(b, "F5") }
-func BenchmarkFigure6Capacity(b *testing.B)     { runExperiment(b, "F6") }
-
-func BenchmarkClaim1CapacityPlan(b *testing.B)        { runExperiment(b, "C1") }
-func BenchmarkClaim2ConsistentHashing(b *testing.B)   { runExperiment(b, "C2") }
-func BenchmarkClaim3URLExchange(b *testing.B)         { runExperiment(b, "C3") }
-func BenchmarkClaim4DNSCache(b *testing.B)            { runExperiment(b, "C4") }
-func BenchmarkClaim5Coverage(b *testing.B)            { runExperiment(b, "C5") }
-func BenchmarkClaim6TermVsDoc(b *testing.B)           { runExperiment(b, "C6") }
-func BenchmarkClaim7BinPacking(b *testing.B)          { runExperiment(b, "C7") }
-func BenchmarkClaim8CollectionSelection(b *testing.B) { runExperiment(b, "C8") }
-func BenchmarkClaim9GlobalStats(b *testing.B)         { runExperiment(b, "C9") }
-func BenchmarkClaim10Caching(b *testing.B)            { runExperiment(b, "C10") }
-func BenchmarkClaim11Replication(b *testing.B)        { runExperiment(b, "C11") }
-func BenchmarkClaim12MultiSiteRouting(b *testing.B)   { runExperiment(b, "C12") }
-func BenchmarkClaim13Incremental(b *testing.B)        { runExperiment(b, "C13") }
-func BenchmarkClaim14IndexBuild(b *testing.B)         { runExperiment(b, "C14") }
-func BenchmarkClaim15OnlineMaintenance(b *testing.B)  { runExperiment(b, "C15") }
-func BenchmarkClaim16Drift(b *testing.B)              { runExperiment(b, "C16") }
-func BenchmarkClaim17LanguageRouting(b *testing.B)    { runExperiment(b, "C17") }
-func BenchmarkClaim18GeoCrawling(b *testing.B)        { runExperiment(b, "C18") }
-func BenchmarkClaim19P2P(b *testing.B)                { runExperiment(b, "C19") }
-func BenchmarkClaim20PhraseShipping(b *testing.B)     { runExperiment(b, "C20") }
-func BenchmarkClaim21Personalization(b *testing.B)    { runExperiment(b, "C21") }
-func BenchmarkClaim22FederatedVsOpen(b *testing.B)    { runExperiment(b, "C22") }
-func BenchmarkClaim23Frontier(b *testing.B)           { runExperiment(b, "C23") }
 
 // ---- Ablation benchmarks (design choices called out in DESIGN.md) ----
 

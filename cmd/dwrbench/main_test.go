@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dwr/internal/experiments"
 )
 
 // tinyConfigs sizes every registered scenario small enough to run twice
@@ -21,6 +23,20 @@ var tinyConfigs = map[string]string{
 	"federate":  `{"sites":6,"per_site_docs":80,"queries":80}`,
 	"serve":     `{"workers":20,"arrivals":300,"rates":[0.8,1.5]}`,
 	"faults":    `{"seed":7}`,
+	"paper":     `{"only":["T1","C1","C11"]}`,
+}
+
+// configTypes names every registered scenario's config struct, so a
+// recorded config can be decoded the way define decodes it without
+// running the scenario at its committed size.
+var configTypes = map[string]any{
+	"pruning":   new(pruningConfig),
+	"threshold": new(thresholdConfig),
+	"fresh":     new(freshConfig),
+	"federate":  new(federateConfig),
+	"serve":     new(serveConfig),
+	"faults":    new(faultsConfig),
+	"paper":     new(paperConfig),
 }
 
 func TestDiff(t *testing.T) {
@@ -203,7 +219,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-run", "pruning", "-config", `{"docs":300,"querys":20}`, "-benchdir", ""}, 1, `unknown field "querys"`},
 		{[]string{"-run", "pruning", "-config", `{"docs":0}`, "-benchdir", ""}, 1, "must be positive"},
 		{[]string{"-run", "nope"}, 2, `unknown scenario "nope"`},
-		{[]string{"-exp", "nope"}, 2, `unknown experiment "nope"`},
+		{[]string{"-run", "paper", "-config", `{"only":["T1","nope"]}`, "-benchdir", ""}, 1, `unknown experiment "nope"`},
 		{[]string{"-config", `{"docs":300}`}, 2, "-config needs -run"},
 		{[]string{"-pruning"}, 2, "flag provided but not defined"},
 	} {
@@ -218,9 +234,9 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestList: the package comment promises IDs with titles and scenario
-// names with descriptions.
+// names with descriptions, from -list and from a bare dwrbench alike.
 func TestList(t *testing.T) {
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr, bare bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, stderr.String())
 	}
@@ -228,9 +244,85 @@ func TestList(t *testing.T) {
 		"F6         Maximum capacity of a front-end server, G/G/150 model",
 		"C23        Frontier prioritization",
 		"serve      " + serveScenario.desc,
+		"paper      " + paperScenario.desc,
 	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list output lacks %q:\n%s", want, stdout.String())
 		}
+	}
+	if code := run(nil, &bare, &stderr); code != 0 || bare.String() != stdout.String() {
+		t.Errorf("bare dwrbench exited %d and printed %q, want the -list output", code, bare.String())
+	}
+}
+
+// TestEveryScenarioHasItsArtifact: -check skips a scenario whose
+// artifact is missing, so deleting a docs/BENCH_*.json would un-gate it
+// silently. Every registered scenario must have a committed artifact
+// whose config the current scenario still decodes, and the paper
+// artifact must cover the whole experiment registry.
+func TestEveryScenarioHasItsArtifact(t *testing.T) {
+	const dir = "../../docs"
+	for _, s := range scenarios {
+		rep, err := loadReport(dir, s.name)
+		if err != nil {
+			t.Errorf("scenario %s is not gated: %v", s.name, err)
+			continue
+		}
+		if rep.Scenario != s.name || len(rep.Rows) == 0 {
+			t.Errorf("%s: artifact names scenario %q and holds %d rows", s.name, rep.Scenario, len(rep.Rows))
+		}
+		cfg, ok := configTypes[s.name]
+		if !ok {
+			t.Errorf("%s: no entry in configTypes", s.name)
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(rep.Config))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(cfg); err != nil {
+			t.Errorf("%s: recorded config %s no longer decodes: %v", s.name, rep.Config, err)
+		}
+	}
+
+	rep, err := loadReport(dir, "paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg paperConfig
+	if err := json.Unmarshal(rep.Config, &cfg); err != nil || len(cfg.Only) != 0 {
+		t.Errorf("paper artifact recorded with config %s (%v), want only empty", rep.Config, err)
+	}
+	reg := experiments.Registry()
+	if len(rep.Rows) != len(reg) {
+		t.Fatalf("paper artifact holds %d rows for %d registered experiments", len(rep.Rows), len(reg))
+	}
+	for i, e := range reg {
+		if rep.Rows[i].Name != e.ID {
+			t.Errorf("paper artifact row %d is %q, registry has %q", i, rep.Rows[i].Name, e.ID)
+		}
+	}
+}
+
+// TestPaperCountersIgnoreWorkers: an experiment's counters are the same
+// at every fan-out width; only timings may differ.
+func TestPaperCountersIgnoreWorkers(t *testing.T) {
+	counters := func(workers string) map[string]float64 {
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		args := []string{"-workers", workers, "-run", "paper", "-config", `{"only":["F2"]}`, "-benchdir", dir}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%q exited %d: %s", args, code, stderr.String())
+		}
+		rep, err := loadReport(dir, "paper")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Rows) != 1 || rep.Rows[0].Name != "F2" || rep.Rows[0].Timings["wall_ms"] <= 0 {
+			t.Fatalf("want one F2 row with a wall_ms timing, got %+v", rep.Rows)
+		}
+		return rep.Rows[0].Counters
+	}
+	serial, wide := counters("1"), counters("0")
+	if len(serial) == 0 || !reflect.DeepEqual(serial, wide) {
+		t.Errorf("F2 counters differ between -workers 1 and -workers 0:\n%v\n%v", serial, wide)
 	}
 }

@@ -51,7 +51,7 @@ type scenario struct {
 // scenarios is the registry, in the order -list and -check walk it.
 var scenarios = []scenario{
 	pruningScenario, thresholdScenario, freshScenario,
-	federateScenario, serveScenario, faultsScenario,
+	federateScenario, serveScenario, faultsScenario, paperScenario,
 }
 
 // define binds a scenario's default config (a struct with JSON tags) to

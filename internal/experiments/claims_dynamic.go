@@ -99,9 +99,8 @@ func Claim15OnlineMaintenance() *Result {
 	amp.AddRow("term", w.Mean(), w.Max())
 	r.Tables = append(r.Tables, amp)
 
+	r.Timings = map[string]float64{"small_p99": small99, "large_p99": large99}
 	r.Values = map[string]float64{
-		"small_p99":         small99,
-		"large_p99":         large99,
 		"small_swaps":       float64(smallSwaps),
 		"large_swaps":       float64(largeSwaps),
 		"doc_lock_servers":  1,

@@ -274,10 +274,10 @@ func Claim12MultiSiteRouting() *Result {
 		lists = append(lists, l)
 	}
 	flatRes := rank.MergeResults(k, lists...)
-	treeRes, maxMerged := qproc.MergeTree(k, 4, lists)
+	treeRes, maxMerged := mergeTree(k, 4, lists)
 	hb := metrics.NewTable("broker merge bottleneck (64 partitions, k=10)",
 		"organization", "items merged at the bottleneck coordinator", "result identical")
-	hb.AddRow("flat coordinator", qproc.FlatMergeCost(lists), "-")
+	hb.AddRow("flat coordinator", flatMergeCost(lists), "-")
 	hb.AddRow("fanout-4 hierarchy", maxMerged, rank.Overlap(flatRes, treeRes, k) == 1)
 	r.Tables = append(r.Tables, hb)
 	r.Values = map[string]float64{
@@ -289,6 +289,42 @@ func Claim12MultiSiteRouting() *Result {
 	}
 	r.Notes = append(r.Notes, "paper: 'it is also possible to offload a server from a busy area by re-routing some queries to query processors in less busy areas'")
 	return r
+}
+
+// mergeTree merges per-partition top-k lists through a hierarchy of
+// coordinators with the given fanout (≥ 2) — Section 5's remedy when "the
+// coordinator may become a bottleneck while merging the results from a
+// great number of query processors". The result equals a flat merge
+// (top-k merging is associative); the second return value is the
+// largest number of result items any single coordinator had to merge,
+// the bottleneck measure a hierarchy reduces from Σ|lists| to ≈fanout·k.
+func mergeTree(k, fanout int, lists [][]rank.Result) ([]rank.Result, int) {
+	if len(lists) == 0 {
+		return nil, 0
+	}
+	maxMerged := 0
+	for {
+		var next [][]rank.Result
+		for i := 0; i < len(lists); i += fanout {
+			group := lists[i:min(i+fanout, len(lists))]
+			maxMerged = max(maxMerged, flatMergeCost(group))
+			next = append(next, rank.MergeResults(k, group...))
+		}
+		if len(next) == 1 {
+			return next[0], maxMerged
+		}
+		lists = next
+	}
+}
+
+// flatMergeCost returns the number of items a single flat coordinator
+// merges for the given lists.
+func flatMergeCost(lists [][]rank.Result) int {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	return n
 }
 
 // Claim13Incremental (C13) measures incremental query processing: first

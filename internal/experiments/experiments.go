@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the paper,
 // plus the quantitative claims embedded in its prose, as printable
-// reports with machine-checkable headline values. cmd/dwrbench renders
-// them; the repository-root benchmarks time them; EXPERIMENTS.md records
-// paper-reported versus measured values.
+// reports with machine-checkable headline values. cmd/dwrbench runs them
+// as its paper scenario and gates the values against
+// docs/BENCH_paper.json; the repository-root BenchmarkExperiments times
+// them; EXPERIMENTS.md records paper-reported versus measured values.
 package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"io"
 
 	"dwr/internal/metrics"
 )
@@ -19,38 +19,27 @@ type Result struct {
 	Title  string
 	Tables []*metrics.Table
 	Notes  []string
-	// Values holds the headline measurements, keyed by short names, so
-	// tests and EXPERIMENTS.md can assert the reproduced shape.
+	// Values holds the headline measurements, keyed by short names: a
+	// pure function of the seeds, so tests assert the reproduced shape
+	// and dwrbench -check holds each to docs/BENCH_paper.json.
 	Values map[string]float64
+	// Timings holds headline measurements read off the wall clock;
+	// reported beside Values, never gated.
+	Timings map[string]float64
 }
 
-// String renders the experiment report.
-func (r *Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "===== %s — %s =====\n", r.ID, r.Title)
+// Render prints the report: title, tables, then notes. The numbers are
+// not printed here — cmd/dwrbench files Values and Timings as the
+// experiment's row of the paper scenario.
+func (r *Result) Render(w io.Writer) {
+	fmt.Fprintf(w, "===== %s — %s =====\n", r.ID, r.Title)
 	for _, t := range r.Tables {
-		sb.WriteString(t.String())
-		sb.WriteByte('\n')
+		t.Render(w)
+		fmt.Fprintln(w)
 	}
 	for _, n := range r.Notes {
-		fmt.Fprintf(&sb, "note: %s\n", n)
+		fmt.Fprintf(w, "note: %s\n", n)
 	}
-	if len(r.Values) > 0 {
-		keys := make([]string, 0, len(r.Values))
-		for k := range r.Values {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sb.WriteString("headline: ")
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "%s=%s", k, metrics.FormatFloat(r.Values[k]))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // Experiment is one registered reproduction of a paper table, figure,
@@ -104,14 +93,4 @@ func newResult(id string) *Result {
 		}
 	}
 	panic("experiments: " + id + " is not in Registry")
-}
-
-// Run executes one experiment by ID, or returns nil for unknown IDs.
-func Run(id string) *Result {
-	for _, e := range Registry() {
-		if strings.EqualFold(e.ID, id) {
-			return e.Run()
-		}
-	}
-	return nil
 }

@@ -83,12 +83,17 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 	if len(terms) == 0 {
 		return qr
 	}
+	// A term no server owns occurs in no document, so the phrase matches
+	// nothing whichever servers the other terms route through; the broker
+	// holds the assignment and answers without contacting anyone.
+	for _, t := range terms {
+		if _, owned := e.tp.Assign[t]; !owned {
+			return qr
+		}
+	}
 	route := e.tp.PartsOf(terms)
 	qr.ServersContacted = len(route)
 	qr.Rounds = len(route)
-	if len(route) == 0 {
-		return qr // no server owns any of the terms
-	}
 
 	// Candidate phrase-start positions travel server to server. The
 	// intersection ∩ᵢ(positions(termᵢ)−i) is commutative, so slots are

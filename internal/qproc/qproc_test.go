@@ -323,36 +323,6 @@ func TestDocEngineFailedProcessorDegrades(t *testing.T) {
 	sameRanking(t, full.Results, restored.Results, "after recovery")
 }
 
-func TestMergeTreeEqualsFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	var lists [][]rank.Result
-	for p := 0; p < 16; p++ {
-		var l []rank.Result
-		for i := 0; i < 10; i++ {
-			l = append(l, rank.Result{Doc: p*100 + i, Score: rng.Float64()})
-		}
-		rank.SortResults(l)
-		lists = append(lists, l)
-	}
-	flat := rank.MergeResults(10, lists...)
-	tree, maxMerged := MergeTree(10, 4, lists)
-	sameRanking(t, flat, tree, "tree vs flat")
-	if flatCost := FlatMergeCost(lists); maxMerged >= flatCost {
-		t.Fatalf("hierarchy bottleneck %d not below flat %d", maxMerged, flatCost)
-	}
-}
-
-func TestMergeTreeEdgeCases(t *testing.T) {
-	if r, m := MergeTree(10, 4, nil); r != nil || m != 0 {
-		t.Fatalf("empty merge = %v, %d", r, m)
-	}
-	single := [][]rank.Result{{{Doc: 1, Score: 2}}}
-	r, _ := MergeTree(10, 4, single)
-	if len(r) != 1 || r[0].Doc != 1 {
-		t.Fatalf("single-list merge = %v", r)
-	}
-}
-
 // phraseCorpus builds docs with a controlled phrase.
 func phraseCorpus() []index.Doc {
 	docs := corpus(23, 250, 150)
@@ -442,5 +412,39 @@ func TestPhraseNoMatchAcrossEngines(t *testing.T) {
 	}
 	if res := te.QueryPhrase(unknown, 10, true); len(res.Results) != 0 || res.ServersContacted != 0 || res.Err != nil {
 		t.Fatalf("term engine on unknown terms: %+v, want the empty answer of an empty route", res)
+	}
+}
+
+// TestTermPhraseUnownedTerm: a term no server owns empties the phrase
+// whichever servers the other terms route through. A missing key of the
+// assignment map reads as server 0, so the rows put server 0 on and off
+// the route.
+func TestTermPhraseUnownedTerm(t *testing.T) {
+	docs := phraseCorpus()
+	tp := partition.TermPartition{K: 4, Assign: map[string]int{}}
+	for i, term := range centralIndex(docs).Terms() {
+		tp.Assign[term] = i % 4
+	}
+	tp.Assign["exact"], tp.Assign["phrase"], tp.Assign["here"] = 1, 2, 0
+	te, err := NewTermEngine(index.DefaultOptions(), docs, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		phrase    []string
+		match     bool
+		contacted int
+	}{
+		{"all known", []string{"exact", "phrase"}, true, 2},
+		{"one unknown, server 0 on the route", []string{"phrase", "here", "zzzunknown"}, false, 0},
+		{"one unknown, server 0 off the route", []string{"exact", "phrase", "zzzunknown"}, false, 0},
+		{"all unknown", []string{"zzzunknown", "yyyunknown"}, false, 0},
+	} {
+		res := te.QueryPhrase(tc.phrase, 10, true)
+		if (len(res.Results) > 0) != tc.match || res.ServersContacted != tc.contacted || res.Err != nil {
+			t.Errorf("%s: %d results from %d servers (err %v), want match=%v from %d",
+				tc.name, len(res.Results), res.ServersContacted, res.Err, tc.match, tc.contacted)
+		}
 	}
 }
