@@ -99,12 +99,7 @@ func main() {
 }
 
 func printResults(e *core.Engine, query string, k, selectN int, phrase bool) {
-	var rs []core.SearchResult
-	if phrase {
-		rs = e.SearchPhrase(query, k)
-	} else {
-		rs = e.Search(query, core.SearchOptions{K: k, SelectN: selectN})
-	}
+	rs := e.Search(query, core.SearchOptions{K: k, SelectN: selectN, Phrase: phrase})
 	if len(rs) == 0 {
 		fmt.Println("no results")
 		return
@@ -112,11 +107,4 @@ func printResults(e *core.Engine, query string, k, selectN int, phrase bool) {
 	for i, r := range rs {
 		fmt.Printf("%2d. %-40s doc=%d score=%.4f\n", i+1, r.URL, r.Doc, r.Score)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

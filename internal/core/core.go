@@ -350,6 +350,10 @@ type SearchResult struct {
 type SearchOptions struct {
 	K       int
 	SelectN int // contact only the best-N partitions (0 = all)
+	// Phrase matches the query's tokens consecutively, ranked by phrase
+	// frequency. Positions never leave a partition (§5's argument for
+	// document partitioning under proximity search).
+	Phrase bool
 }
 
 // Search answers a free-text query against the distributed engine using
@@ -362,7 +366,7 @@ func (e *Engine) Search(query string, opt SearchOptions) []SearchResult {
 	if len(terms) == 0 {
 		return nil
 	}
-	qopt := qproc.DocQueryOptions{K: opt.K, Stats: qproc.GlobalTwoRound}
+	qopt := qproc.DocQueryOptions{K: opt.K, Stats: qproc.GlobalTwoRound, Phrase: opt.Phrase}
 	if opt.SelectN > 0 {
 		qopt.Selector = e.Selector
 		qopt.SelectN = opt.SelectN
@@ -388,24 +392,4 @@ func (e *Engine) Refresh(day int, useSitemaps bool) (crawler.RecrawlStats, error
 	}
 	e.Selector = nil // rebuilt by partitionAndIndex
 	return st, e.partitionAndIndex()
-}
-
-// SearchPhrase answers an exact-phrase query: documents containing the
-// query's tokens consecutively, ranked by phrase frequency. Positions
-// never leave a partition (§5's argument for document partitioning under
-// proximity search).
-func (e *Engine) SearchPhrase(query string, k int) []SearchResult {
-	if k <= 0 {
-		k = 10
-	}
-	terms := textproc.Tokenize(strings.ToLower(query))
-	if len(terms) == 0 {
-		return nil
-	}
-	qr := e.Query.QueryPhrase(terms, k)
-	out := make([]SearchResult, len(qr.Results))
-	for i, r := range qr.Results {
-		out[i] = SearchResult{URL: e.urls[r.Doc], Doc: r.Doc, Score: r.Score}
-	}
-	return out
 }

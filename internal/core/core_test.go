@@ -195,7 +195,7 @@ func TestRefreshPicksUpChanges(t *testing.T) {
 	}
 }
 
-func TestSearchPhrase(t *testing.T) {
+func TestPhraseSearch(t *testing.T) {
 	e := buildEngine(t, smallConfig())
 	// Every rendered page's visible text begins with its title words, so
 	// a two-word prefix of some document is a guaranteed phrase.
@@ -204,7 +204,7 @@ func TestSearchPhrase(t *testing.T) {
 		t.Skip("short document")
 	}
 	phrase := d.Terms[0] + " " + d.Terms[1]
-	rs := e.SearchPhrase(phrase, 50)
+	rs := e.Search(phrase, SearchOptions{K: 50, Phrase: true})
 	found := false
 	for _, r := range rs {
 		if r.Doc == d.Ext {
@@ -215,8 +215,19 @@ func TestSearchPhrase(t *testing.T) {
 	if !found {
 		t.Fatalf("document %d not found for its own phrase %q", d.Ext, phrase)
 	}
-	// Reversed phrase should generally not match this document.
-	if rs := e.SearchPhrase("zzzz yyyy", 10); len(rs) != 0 {
+	if rs := e.Search("zzzz yyyy", SearchOptions{K: 10, Phrase: true}); len(rs) != 0 {
 		t.Fatalf("nonsense phrase matched %d docs", len(rs))
+	}
+	// Selection applies to phrases too: with SelectN 1 every result comes
+	// from the partition the engine's selector ranks first.
+	first := e.Selector.Rank(textproc.Tokenize(phrase))[0]
+	sel := e.Search(phrase, SearchOptions{K: 50, SelectN: 1, Phrase: true})
+	if len(sel) == 0 || len(sel) >= len(rs) {
+		t.Fatalf("phrase with SelectN 1: %d results of the full %d", len(sel), len(rs))
+	}
+	for _, r := range sel {
+		if p := e.Partition.Assign[r.Doc]; p != first {
+			t.Fatalf("phrase with SelectN 1 returned doc %d of partition %d; the selector ranks %d first", r.Doc, p, first)
+		}
 	}
 }

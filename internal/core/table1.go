@@ -105,7 +105,7 @@ func Table1() []Table1Cell {
 			Module: "Querying", Issue: "Dependability",
 			PaperTopic: "Rank aggregation, personalization",
 			Components: []string{
-				"rank.MergeResults / qproc.MergeTree (broker hierarchies)",
+				"rank.MergeResults, flat and as a fan-out-4 coordinator tree (C12)",
 				"replication.PrimaryBackup (consistent user state)",
 			},
 		},

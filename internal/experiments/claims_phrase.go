@@ -50,7 +50,7 @@ func Claim20PhraseShipping() *Result {
 	identical := 0
 	for _, ph := range phrases {
 		want, _ := rank.EvaluatePhrase(f.central, gs, ph, 10)
-		dres := de.QueryPhrase(ph, 10)
+		dres := de.Query(ph, qproc.DocQueryOptions{K: 10, Stats: qproc.GlobalPrecomputed, Phrase: true})
 		raw := te.QueryPhrase(ph, 10, false)
 		comp := te.QueryPhrase(ph, 10, true)
 		if len(want) > 0 {

@@ -101,10 +101,10 @@ func (b *broker) health(down []bool) Health {
 
 // answer is the one query pipeline. key is the engine's result-cache key
 // for the query, or "" when nothing may be cached: no cache is installed
-// (engines format the key only when one is), or no key function names
-// the query's options — phrase queries stay outside the result cache for
-// that reason. A hit answers at the broker with the stored results, zero
-// work counters and one local lookup of latency. A miss draws the next
+// (engines format the key only when one is), or the query is a
+// TermEngine.QueryPhrase, whose position encoding no key function names.
+// A hit answers at the broker with the stored results, zero work
+// counters and one local lookup of latency. A miss draws the next
 // fault-schedule tick and is evaluated; a complete answer is then
 // stored. Degraded, refused and over-budget answers are never cached:
 // they would keep being served after the units recover.

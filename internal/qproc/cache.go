@@ -185,23 +185,25 @@ func NormalizeQueryKey(terms []string) string {
 }
 
 // DocCacheKey is the full result-cache key of a DocEngine query: the
-// normalized terms plus every option that changes the answer. Engines
-// with a Selector assume it is deterministic and fixed for the cache's
-// lifetime (true of all selectors in this repo).
+// normalized terms plus every option that changes the answer. A phrase
+// keys its full ordered term list instead — repeating a term changes
+// which documents match, so "a b a" must not share "a b"'s entry.
+// Engines with a Selector assume it is deterministic and fixed for the
+// cache's lifetime (true of all selectors in this repo).
 func DocCacheKey(terms []string, opt DocQueryOptions) string {
 	sel := 0
 	if opt.Selector != nil && opt.SelectN > 0 {
 		sel = opt.SelectN
 	}
-	conj := 0
-	if opt.Conjunctive {
-		conj = 1
+	q, ph := NormalizeQueryKey(terms), 0
+	if opt.Phrase {
+		q, ph = strings.Join(terms, " "), 1
 	}
 	// Threshold sharing is rank-identical, but it changes which
 	// partitions a degraded answer can be missing, so differently
 	// scheduled evaluations must not collide in the cache.
-	return fmt.Sprintf("%s|k=%d|st=%d|c=%d|sel=%d|pr=%d|ts=%d",
-		NormalizeQueryKey(terms), opt.K, int(opt.Stats), conj, sel, int(opt.Pruning), int(opt.Threshold))
+	return fmt.Sprintf("%s|k=%d|st=%d|ph=%d|sel=%d|pr=%d|ts=%d",
+		q, opt.K, int(opt.Stats), ph, sel, int(opt.Pruning), int(opt.Threshold))
 }
 
 // TermCacheKey is the full result-cache key of a TermEngine query.

@@ -225,8 +225,16 @@ func TestCacheKeyNormalization(t *testing.T) {
 	if DocCacheKey([]string{"a"}, DocQueryOptions{K: 10}) == DocCacheKey([]string{"a"}, DocQueryOptions{K: 20}) {
 		t.Fatal("k must be part of the key")
 	}
-	if DocCacheKey([]string{"a"}, DocQueryOptions{K: 10}) == DocCacheKey([]string{"a"}, DocQueryOptions{K: 10, Conjunctive: true}) {
-		t.Fatal("conjunctive flag must be part of the key")
+	// Phrases key their full ordered term list: "a b a" is not "a b".
+	ph := DocQueryOptions{K: 10, Phrase: true}
+	keys := map[string]bool{
+		DocCacheKey([]string{"a", "b"}, ph):      true,
+		DocCacheKey([]string{"b", "a"}, ph):      true,
+		DocCacheKey([]string{"a", "b", "a"}, ph): true,
+		DocCacheKey([]string{"a", "b"}, opt):     true,
+	}
+	if len(keys) != 4 {
+		t.Fatalf("phrases a b, b a, a b a and OR a b share keys: %v", keys)
 	}
 	if TermCacheKey([]string{"a"}, 10) == TermCacheKey([]string{"a"}, 20) {
 		t.Fatal("k must be part of the term-engine key")

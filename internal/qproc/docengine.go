@@ -36,7 +36,7 @@ type DocEngine struct {
 	sources []func() *index.Manifest
 	// parts and global exist only on engines built from documents: the
 	// partition indexes, and the statistics of the whole collection
-	// precomputed from them (GlobalPrecomputed, phrase queries).
+	// precomputed from them (GlobalPrecomputed).
 	parts     []*index.Index
 	global    index.Stats
 	downs     []bool // SetDown marks, guarded by mu
@@ -188,11 +188,14 @@ const thresholdFirstWave = 2
 
 // DocQueryOptions configures one query evaluation.
 type DocQueryOptions struct {
-	K           int
-	Stats       StatsMode
-	Selector    selection.Selector // nil = contact every partition
-	SelectN     int                // partitions to contact when Selector is set
-	Conjunctive bool
+	K        int
+	Stats    StatsMode
+	Selector selection.Selector // nil = contact every partition
+	SelectN  int                // partitions to contact when Selector is set
+	// Phrase asks for the documents holding the terms consecutively, in
+	// order, ranked by phrase frequency (§5): each partition intersects
+	// positions locally and ships only its top k.
+	Phrase bool
 	// Pruning selects the disjunctive top-k strategy for this query;
 	// rank.PruneNone (the zero value) defers to the engine's WithPruning
 	// default. Rankings are identical across strategies — only the decode
@@ -200,8 +203,9 @@ type DocQueryOptions struct {
 	Pruning rank.Pruning
 	// Threshold selects the scatter schedule for this query;
 	// ThresholdDefault defers to the engine's WithThresholdSharing
-	// default. Conjunctive queries always run a single wave (the AND
-	// evaluator drives by intersection, not by threshold).
+	// default. Phrase queries always run a single wave (the phrase
+	// evaluator takes no seed, and rank.QueryBound bounds disjunctive
+	// scores only).
 	Threshold ThresholdMode
 	// DeadlineMs, when > 0, is the query's latency budget: it tightens
 	// the fault policy's per-call deadline on every partition call, and
@@ -343,7 +347,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	// after the first is seeded with the broker's running k-th merged
 	// score and partitions whose bound cannot beat it (rank.Competitive)
 	// are skipped without being contacted.
-	shared := opt.Threshold == ThresholdShared && !opt.Conjunctive && len(targets) > 1
+	shared := opt.Threshold == ThresholdShared && !opt.Phrase && len(targets) > 1
 	order := make([]int, len(targets))
 	for i := range order {
 		order[i] = i
@@ -406,8 +410,8 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		conc.Do(len(ws), e.workers, func(j int) {
 			i := ws[j]
 			p := targets[i]
-			if opt.Conjunctive {
-				evals[i].rs, evals[i].es = rank.EvaluateViewAND(views[p], scorers[i], terms, opt.K)
+			if opt.Phrase {
+				evals[i].rs, evals[i].es = rank.EvaluateViewPhrase(views[p], scorers[i], terms, opt.K)
 			} else {
 				evals[i].rs, evals[i].es = rank.EvaluateView(views[p], scorers[i], terms, opt.K, opt.Pruning, waveSeed)
 			}

@@ -64,6 +64,14 @@ func TestFrameContract(t *testing.T) {
 		repeat: qs[0], late: qs[1], partial: qs[2],
 		lose: loser(docInj, 0), crash: crasher(docInj)})
 
+	// The same broker asked for phrases; a document's opening words are a
+	// phrase that occurs, and one-word phrases match like terms.
+	phraseInj := faultsim.New(5)
+	rows = append(rows, row{name: "doc-phrase", inCluster: true,
+		eng:    docPhrase{buildDocEngine(t, docs, 4, cache, WithFaultPolicy(lossy), WithInjector(phraseInj))},
+		repeat: docs[0].Terms[:2], late: qs[1], partial: qs[2],
+		lose: loser(phraseInj, 0), crash: crasher(phraseInj)})
+
 	liveInj := faultsim.New(2)
 	live, _, _ := liveFixture(t, docs, 3, 32, cache, WithFaultPolicy(lossy), WithInjector(liveInj))
 	rows = append(rows, row{name: "live", inCluster: true, eng: live,
@@ -156,4 +164,20 @@ func TestFrameContract(t *testing.T) {
 			}
 		})
 	}
+
+	// A phrase repeating a term is a different query: "x y x" asked after
+	// "x y" is evaluated, not served from "x y"'s entry.
+	ph := docPhrase{buildDocEngine(t, docs, 4, cache)}
+	x, y := docs[0].Terms[0], docs[0].Terms[1]
+	ph.QueryTopKWithin([]string{x, y}, 10, 0)
+	if qr := ph.QueryTopKWithin([]string{x, y, x}, 10, 0); qr.FromCache {
+		t.Fatalf("phrase %q %q %q served from the cache entry of %q %q", x, y, x, x, y)
+	}
+}
+
+// docPhrase asks its DocEngine every deadline-bounded query as a phrase.
+type docPhrase struct{ *DocEngine }
+
+func (e docPhrase) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
+	return e.Query(terms, DocQueryOptions{K: k, Stats: GlobalPrecomputed, Phrase: true, DeadlineMs: deadlineMs})
 }

@@ -82,7 +82,7 @@ func WithPruning(mode rank.Pruning) Option {
 // seeds every wave after the first with its running k-th merged score,
 // and skips partitions whose upper bound proves they hold no global
 // top-k document. Results are rank-identical to single-wave evaluation
-// (see rank.EvaluateTopKSeeded for the safety argument); only the
+// (see rank.EvaluateView's seed for the safety contract); only the
 // work — partitions contacted, blocks decoded — shrinks. Per-query
 // DocQueryOptions.Threshold overrides the default; engines without a
 // bound-ordered scatter (TermEngine, and MultiSite's site level) ignore

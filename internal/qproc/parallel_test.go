@@ -49,20 +49,20 @@ func TestParallelBrokerMatchesSerial(t *testing.T) {
 					par.SetDown(p, true)
 				}
 				for _, mode := range []StatsMode{GlobalTwoRound, GlobalPrecomputed, LocalOnly} {
-					for _, conj := range []bool{false, true} {
+					for _, phrase := range []bool{false, true} {
 						serial.ResetBusy()
 						par.ResetBusy()
 						for qi, q := range queries {
-							opt := DocQueryOptions{K: 10, Stats: mode, Conjunctive: conj}
+							opt := DocQueryOptions{K: 10, Stats: mode, Phrase: phrase}
 							want := serial.Query(q, opt)
 							got := par.Query(q, opt)
 							if !reflect.DeepEqual(want, got) {
-								t.Fatalf("seed=%d k=%d downs=%d mode=%d conj=%v query %d %v:\nserial:   %+v\nparallel: %+v",
-									seed, k, di, mode, conj, qi, q, want, got)
+								t.Fatalf("seed=%d k=%d downs=%d mode=%d phrase=%v query %d %v:\nserial:   %+v\nparallel: %+v",
+									seed, k, di, mode, phrase, qi, q, want, got)
 							}
 						}
 						sameBusy(t, serial.BusyMs(), par.BusyMs(),
-							fmt.Sprintf("seed=%d k=%d downs=%d mode=%d conj=%v", seed, k, di, mode, conj))
+							fmt.Sprintf("seed=%d k=%d downs=%d mode=%d phrase=%v", seed, k, di, mode, phrase))
 					}
 				}
 				for p := 0; p < k; p++ {
@@ -74,17 +74,20 @@ func TestParallelBrokerMatchesSerial(t *testing.T) {
 	}
 }
 
+// The short-phrase case of the Phrase loop above: padded one-term
+// queries, under the statistics the deleted QueryPhrase used.
 func TestParallelPhraseBrokerMatchesSerial(t *testing.T) {
 	docs := corpus(5, 300, 120)
 	serial, par := enginePair(t, docs, 4)
 	serial.SetDown(2, true)
 	par.SetDown(2, true)
+	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Phrase: true}
 	for _, q := range zipfQueries(6, 40, 120) {
 		if len(q) < 2 {
 			q = append(q, q[0])
 		}
-		want := serial.QueryPhrase(q, 10)
-		got := par.QueryPhrase(q, 10)
+		want := serial.Query(q, opt)
+		got := par.Query(q, opt)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("phrase %v:\nserial:   %+v\nparallel: %+v", q, want, got)
 		}

@@ -1,63 +1,14 @@
 package qproc
 
-import (
-	"dwr/internal/conc"
-	"dwr/internal/rank"
-)
+import "dwr/internal/rank"
 
 // Phrase evaluation across the two architectures (§5, Communication).
-// Document-partitioned: each partition intersects positions locally and
-// ships only its top-k — positions never cross the network. Pipelined
-// term-partitioned: the candidate phrase-start positions travel with the
-// accumulator between term servers, and their encoding (raw vs
-// delta+varint compressed) decides the communication bill.
-
-// QueryPhrase evaluates an exact-phrase query on the document-partitioned
-// engine. Positions stay inside each partition; evaluation fans out over
-// the broker's worker pool like Query, and every partition call passes
-// through the same fault policy and outcome tally.
-func (e *DocEngine) QueryPhrase(terms []string, k int) QueryResult {
-	if k <= 0 {
-		k = 10
-	}
-	return e.answer("", 0, func(tick int64) QueryResult {
-		qr := QueryResult{Rounds: 1}
-		scorer := rank.NewScorer(rank.FromGlobal(e.global))
-		targets := make([]int, len(e.parts))
-		for p := range targets {
-			targets[p] = p
-		}
-		targets = e.live(targets)
-		down := len(e.parts) - len(targets)
-		qr.ServersContacted = len(targets)
-
-		evals := make([]partEval, len(targets))
-		conc.Do(len(targets), e.workers, func(i int) {
-			evals[i].rs, evals[i].es = rank.EvaluatePhrase(e.parts[targets[i]], scorer, terms, k)
-		})
-		merger := rank.NewTopKMerger(k)
-		var slowest float64
-		lost := 0
-		e.mu.Lock()
-		for i, p := range targets {
-			ms, ok := e.call(tick, p, e.cost.ServiceMs(evals[i].es.PostingsDecoded), 0, &qr)
-			if ms > slowest {
-				slowest = ms
-			}
-			if !ok {
-				lost++
-				continue
-			}
-			qr.addEval(evals[i].es, len(evals[i].rs))
-			merger.Add(evals[i].rs)
-		}
-		e.mu.Unlock()
-		qr.Results = merger.Results()
-		qr.LatencyMs = slowest + e.lanMs
-		e.degrade(&qr, lost+down, len(e.parts), "partitions")
-		return qr
-	})
-}
+// Document-partitioned (DocQueryOptions.Phrase): each partition
+// intersects positions locally and ships only its top-k — positions
+// never cross the network. Pipelined term-partitioned: the candidate
+// phrase-start positions travel with the accumulator between term
+// servers, and their encoding (raw vs delta+varint compressed) decides
+// the communication bill.
 
 // QueryPhrase evaluates an exact-phrase query through the term-
 // partitioned pipeline. compressPositions selects the wire encoding of
@@ -109,39 +60,7 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 			if e.tp.Assign[t] != s {
 				continue
 			}
-			it := ix.PostingsWithPositions(t)
-			if it == nil {
-				starts = map[int][]int32{}
-				break
-			}
-			es.ListsAccessed++
-			es.BytesRead += int64(ix.PostingBytes(t))
-			cur := make(map[int][]int32)
-			for it.Next() {
-				es.PostingsDecoded++
-				p := it.Posting()
-				ext := ix.ExtID(p.Doc)
-				if starts != nil {
-					if _, ok := starts[ext]; !ok {
-						continue
-					}
-				}
-				adj := make([]int32, 0, len(p.Pos))
-				for _, pos := range p.Pos {
-					if sp := pos - int32(slot); sp >= 0 {
-						adj = append(adj, sp)
-					}
-				}
-				if len(adj) > 0 {
-					cur[ext] = adj
-				}
-			}
-			if starts == nil {
-				starts = cur
-			} else {
-				starts = rank.IntersectStarts(starts, cur)
-			}
-			if len(starts) == 0 {
+			if starts = rank.PhraseStep(ix, t, slot, starts, &es); len(starts) == 0 {
 				break
 			}
 		}

@@ -309,7 +309,7 @@ func TestDocEngineFailedProcessorDegrades(t *testing.T) {
 	}
 	// A phrase answer missing the same partition is a degraded outcome
 	// too, and is tallied like the term query's.
-	if ph := e.QueryPhrase(q, 50); !ph.Degraded || ph.ServersContacted != 3 {
+	if ph := e.Query(q, DocQueryOptions{K: 50, Stats: GlobalPrecomputed, Phrase: true}); !ph.Degraded || ph.ServersContacted != 3 {
 		t.Fatalf("phrase query with a down processor: degraded=%v contacted=%d", ph.Degraded, ph.ServersContacted)
 	}
 	if st := e.Stats(); st.Degraded != 2 {
@@ -345,7 +345,7 @@ func TestPhraseEnginesMatchCentral(t *testing.T) {
 		t.Fatal("central phrase evaluation found nothing; corpus broken")
 	}
 
-	dres := de.QueryPhrase(query, 10)
+	dres := de.Query(query, DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Phrase: true})
 	sameRanking(t, want, dres.Results, "doc-partitioned phrase")
 
 	tp := partition.BinPackTerms(central.Terms(), func(s string) float64 {
@@ -375,7 +375,7 @@ func TestPhrasePositionShippingCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres := de.QueryPhrase(query, 10)
+	dres := de.Query(query, DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Phrase: true})
 	raw := te.QueryPhrase(query, 10, false)
 	compressed := te.QueryPhrase(query, 10, true)
 	sameRanking(t, raw.Results, compressed.Results, "compression must not change results")
@@ -398,7 +398,7 @@ func TestPhraseNoMatchAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := []string{"here", "phrase", "exact"} // reversed order: no doc has it
-	if res := de.QueryPhrase(query, 10); len(res.Results) != 0 {
+	if res := de.Query(query, DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Phrase: true}); len(res.Results) != 0 {
 		t.Fatalf("doc engine matched reversed phrase: %v", res.Results)
 	}
 	if res := te.QueryPhrase(query, 10, true); len(res.Results) != 0 {
@@ -407,7 +407,7 @@ func TestPhraseNoMatchAcrossEngines(t *testing.T) {
 	// A phrase none of whose terms any server owns has no route to travel;
 	// it used to index the route's last hop and panic.
 	unknown := []string{"zzzunknown", "yyyunknown"}
-	if res := de.QueryPhrase(unknown, 10); len(res.Results) != 0 {
+	if res := de.Query(unknown, DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Phrase: true}); len(res.Results) != 0 {
 		t.Fatalf("doc engine matched unknown terms: %v", res.Results)
 	}
 	if res := te.QueryPhrase(unknown, 10, true); len(res.Results) != 0 || res.ServersContacted != 0 || res.Err != nil {

@@ -11,60 +11,63 @@ import (
 // the accumulator, which is the communication blow-up the paper warns
 // about ("the position information needs to be compressed").
 
-// PhraseMatches returns, for every document containing the terms as a
-// consecutive phrase, the phrase-start positions. The intersection is
-// commutative: candidate starts = ∩ᵢ (positions(termᵢ) − i), which is
-// what lets a pipelined engine process terms in server order rather than
-// phrase order.
-func PhraseMatches(ix *index.Index, terms []string) (map[int][]int32, EvalStats) {
-	var es EvalStats
-	if len(terms) == 0 {
-		return nil, es
+// PhraseStep advances a phrase match by the term at phrase position
+// slot: it decodes term's positional list, shifts every position back by
+// slot, and returns the candidate phrase starts (ext doc -> sorted
+// starts) that survive — all of them when starts is nil (the first term
+// processed), else their intersection with starts. A term ix does not
+// hold leaves no candidates. The intersection ∩ᵢ (positions(termᵢ) − i)
+// is commutative, which is what lets a pipelined engine process terms in
+// server order rather than phrase order. es accounts the list.
+func PhraseStep(ix *index.Index, term string, slot int, starts map[int][]int32, es *EvalStats) map[int][]int32 {
+	it := ix.PostingsWithPositions(term)
+	if it == nil {
+		return map[int][]int32{}
 	}
-	var starts map[int][]int32 // ext doc -> candidate phrase starts
+	es.ListsAccessed++
+	es.BytesRead += int64(ix.PostingBytes(term))
+	cur := make(map[int][]int32)
+	for it.Next() {
+		es.PostingsDecoded++
+		p := it.Posting()
+		ext := ix.ExtID(p.Doc)
+		if starts != nil {
+			if _, ok := starts[ext]; !ok {
+				continue // doc already eliminated
+			}
+		}
+		adj := make([]int32, 0, len(p.Pos))
+		for _, pos := range p.Pos {
+			if s := pos - int32(slot); s >= 0 {
+				adj = append(adj, s)
+			}
+		}
+		if len(adj) > 0 {
+			cur[ext] = adj
+		}
+	}
+	if starts == nil {
+		return cur
+	}
+	return intersectStarts(starts, cur)
+}
+
+// phraseMatches returns, for every document containing the terms as a
+// consecutive phrase, the phrase-start positions.
+func phraseMatches(ix *index.Index, terms []string) (map[int][]int32, EvalStats) {
+	var es EvalStats
+	var starts map[int][]int32
 	for i, t := range terms {
-		it := ix.PostingsWithPositions(t)
-		if it == nil {
-			return nil, es
-		}
-		es.ListsAccessed++
-		es.BytesRead += int64(ix.PostingBytes(t))
-		cur := make(map[int][]int32)
-		for it.Next() {
-			es.PostingsDecoded++
-			p := it.Posting()
-			ext := ix.ExtID(p.Doc)
-			if starts != nil {
-				if _, ok := starts[ext]; !ok {
-					continue // doc already eliminated
-				}
-			}
-			adj := make([]int32, 0, len(p.Pos))
-			for _, pos := range p.Pos {
-				s := pos - int32(i)
-				if s >= 0 {
-					adj = append(adj, s)
-				}
-			}
-			if len(adj) > 0 {
-				cur[ext] = adj
-			}
-		}
-		if starts == nil {
-			starts = cur
-			continue
-		}
-		starts = IntersectStarts(starts, cur)
-		if len(starts) == 0 {
-			return map[int][]int32{}, es
+		if starts = PhraseStep(ix, t, i, starts, &es); len(starts) == 0 {
+			break
 		}
 	}
 	return starts, es
 }
 
-// IntersectStarts keeps, per document, the start positions present in
+// intersectStarts keeps, per document, the start positions present in
 // both maps (both sides sorted ascending, as positions are).
-func IntersectStarts(a, b map[int][]int32) map[int][]int32 {
+func intersectStarts(a, b map[int][]int32) map[int][]int32 {
 	out := make(map[int][]int32)
 	for doc, as := range a {
 		bs, ok := b[doc]
@@ -97,12 +100,18 @@ func IntersectStarts(a, b map[int][]int32) map[int][]int32 {
 // the rarest constituent term's idf (a standard surrogate, exact enough
 // for cross-engine comparison because every engine uses the same rule).
 func EvaluatePhrase(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	starts, es := PhraseMatches(ix, terms)
+	return evaluatePhrase(ix, nil, s, terms, k)
+}
+
+// evaluatePhrase is EvaluatePhrase with a tombstone filter; see
+// evaluateOR.
+func evaluatePhrase(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
+	starts, es := phraseMatches(ix, terms)
 	if len(starts) == 0 {
 		return nil, es
 	}
 	idf := phraseIDF(s, terms)
-	tk := newTopK(k)
+	tk := &topK{k: k, dead: dead}
 	for ext, ss := range starts {
 		doc := ix.InternalID(ext)
 		if doc < 0 {

@@ -59,23 +59,6 @@ func EvaluateTopK(ix *index.Index, s *Scorer, terms []string, k int, mode Prunin
 	return evaluateTopK(ix, nil, s, terms, k, mode, 0)
 }
 
-// EvaluateTopKSeeded is EvaluateTopK with the pruning threshold
-// seeded at seed instead of -Inf (seed <= 0 means unseeded; BM25 scores
-// are strictly positive). The caller must guarantee seed is a true lower
-// bound on the global k-th best score — a distributed broker's running
-// k-th merged score qualifies. Safety: the evaluator only abandons
-// documents whose score upper bound is below threshold×(1−pruneSlack),
-// so a document scoring exactly seed still survives (its bound is ≥ seed
-// > seed−slack) and every pruned document scores strictly below the
-// global k-th — it could never enter the global top k. Documents this
-// partition does return keep scores bitwise-identical to exhaustive
-// evaluation; the list may hold fewer than k entries when the partition
-// has fewer than k seed-beating documents, which a merging broker by
-// construction never misses.
-func EvaluateTopKSeeded(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
-	return evaluateTopK(ix, nil, s, terms, k, mode, seed)
-}
-
 // open opens a cursor on every distinct query term ix holds, in query
 // order, each bounded by TermUpperBound of its list's resident summary.
 func (sc *evalScratch) open(ix *index.Index, s *Scorer, terms []string, es *EvalStats) []pruneCursor {
@@ -95,9 +78,23 @@ func (sc *evalScratch) open(ix *index.Index, s *Scorer, terms []string, es *Eval
 	return sc.pcs
 }
 
-// evaluateTopK is EvaluateTopKSeeded with a tombstone filter; see
-// evaluateOR. The score bounds cover tombstoned postings too, so they
-// stay valid upper bounds for the live ones.
+// evaluateTopK is EvaluateTopK with a tombstone filter (see evaluateOR)
+// and the pruning threshold seeded at seed instead of -Inf (seed <= 0
+// means unseeded; BM25 scores are strictly positive). The score bounds
+// cover tombstoned postings too, so they stay valid upper bounds for the
+// live ones.
+//
+// The caller must guarantee seed is a true lower bound on the global
+// k-th best score — a distributed broker's running k-th merged score
+// qualifies. Safety: the evaluator only abandons documents whose score
+// upper bound is below threshold×(1−pruneSlack), so a document scoring
+// exactly seed still survives (its bound is ≥ seed > seed−slack) and
+// every pruned document scores strictly below the global k-th — it could
+// never enter the global top k. Documents this partition does return
+// keep scores bitwise-identical to exhaustive evaluation; the list may
+// hold fewer than k entries when the partition has fewer than k
+// seed-beating documents, which a merging broker by construction never
+// misses.
 func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
 	if mode == PruneNone || k <= 0 {
 		rs, es := evaluateOR(ix, dead, s, terms, k)

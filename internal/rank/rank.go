@@ -91,7 +91,7 @@ type EvalStats struct {
 	// k-th best score found, or the seed threshold it was started from if
 	// nothing beat that. 0 when the evaluation held fewer than k results
 	// and was unseeded. A broker can feed it forward as the seed of later
-	// partition evaluations (see EvaluateTopKSeeded).
+	// partition evaluations (EvaluateView's seed).
 	FinalThreshold float64
 }
 
@@ -237,11 +237,6 @@ func evaluateOR(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []str
 // the rarest list to drive the others — the access pattern whose cost
 // skip pointers exist to reduce.
 func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return evaluateAND(ix, nil, s, terms, k)
-}
-
-// evaluateAND is EvaluateAND with a tombstone filter; see evaluateOR.
-func evaluateAND(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -264,7 +259,7 @@ func evaluateAND(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []st
 	// Rarest list first minimizes skips.
 	sort.Slice(cursors, func(i, j int) bool { return cursors[i].it.Count() < cursors[j].it.Count() })
 	driver := cursors[0]
-	tk := &topK{k: k, rs: sc.heap[:0], dead: dead}
+	tk := &topK{k: k, rs: sc.heap[:0]}
 	finish := func() []Result {
 		for i := range cursors {
 			es.BytesDecoded += cursors[i].it.BytesDecoded()

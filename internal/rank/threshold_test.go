@@ -37,7 +37,7 @@ func TestSeededEquivalence(t *testing.T) {
 					seeds = append(seeds, kth/2, kth, exh[0].Score)
 				}
 				for _, seed := range seeds {
-					got, es := EvaluateTopKSeeded(ix, s, q, k, mode, seed)
+					got, es := evaluateTopK(ix, nil, s, q, k, mode, seed)
 					want := filter(exh, seed)
 					if !reflect.DeepEqual(want, filter(got, seed)) {
 						t.Fatalf("mode=%d k=%d query %d %v seed=%g:\nexhaustive(≥seed) %v\nseeded(≥seed)     %v",
@@ -66,7 +66,7 @@ func TestSeedZeroMatchesUnseeded(t *testing.T) {
 		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			want, wes := EvaluateTopK(ix, s, q, 10, mode)
 			for _, seed := range []float64{0, -1} {
-				got, ges := EvaluateTopKSeeded(ix, s, q, 10, mode, seed)
+				got, ges := evaluateTopK(ix, nil, s, q, 10, mode, seed)
 				if !reflect.DeepEqual(want, got) || wes != ges {
 					t.Fatalf("mode=%d query %v seed=%g: unseeded %v %+v, seeded %v %+v",
 						mode, q, seed, want, wes, got, ges)
