@@ -22,7 +22,7 @@ const (
 
 // pruneSlack is the relative score tolerance of the pruned evaluators: a
 // document is abandoned only when its upper bound is below threshold ×
-// (1 − pruneSlack). Survivor scores are recomputed in original term
+// (1 − pruneSlack). Survivor scores are re-summed in original term
 // order, so every returned score is bitwise-identical to the exhaustive
 // evaluator's; the slack only guards the skip decisions against
 // accumulation-order rounding (~1e-16 relative) in the partial sums the
@@ -149,9 +149,9 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 	if cap(sc.order) < len(cursors) {
 		sc.order = make([]int, len(cursors))
 		sc.prefix = make([]float64, len(cursors))
-		sc.tfs = make([]int32, len(cursors))
+		sc.contrib = make([]float64, len(cursors))
 	}
-	order, prefix, tfs := sc.order[:len(cursors)], sc.prefix[:len(cursors)], sc.tfs[:len(cursors)]
+	order, prefix, contrib := sc.order[:len(cursors)], sc.prefix[:len(cursors)], sc.contrib[:len(cursors)]
 	for i := range order {
 		order[i] = i
 	}
@@ -208,16 +208,15 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 		// Score the candidate: essential contributions first, then probe
 		// non-essential lists in descending bound order, abandoning as soon
 		// as the remaining bound cannot lift the partial sum past the
-		// threshold.
+		// threshold. Each posting is scored once; contrib keeps its value
+		// by cursor for the survivor's sum.
 		docLen := ix.DocLen(d)
-		for i := range tfs {
-			tfs[i] = 0
-		}
+		clear(contrib)
 		partial := 0.0
 		for _, i := range order[m:] {
 			if c := &cursors[i]; !c.done && c.doc == d {
-				tfs[i] = c.tf
-				partial += s.Term(c.tf, docLen, c.idf)
+				contrib[i] = s.Term(c.tf, docLen, c.idf)
+				partial += contrib[i]
 			}
 		}
 		abandoned := false
@@ -240,18 +239,18 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 				c.doc, c.tf = p.Doc, p.TF
 			}
 			if c.doc == d {
-				tfs[order[j]] = c.tf
-				partial += s.Term(c.tf, docLen, c.idf)
+				contrib[order[j]] = s.Term(c.tf, docLen, c.idf)
+				partial += contrib[order[j]]
 			}
 		}
 		if !abandoned {
-			// Recompute the survivor's score in original term order so it is
-			// bitwise-identical to the exhaustive evaluator's sum.
+			// Sum the survivor's contributions in original term order so its
+			// score is bitwise-identical to the exhaustive evaluator's sum. A
+			// term the document lacks adds +0, which changes no sum that
+			// starts at +0.
 			score := 0.0
-			for i := range cursors {
-				if tfs[i] > 0 {
-					score += s.Term(tfs[i], docLen, cursors[i].idf)
-				}
+			for _, v := range contrib {
+				score += v
 			}
 			tk.offer(Result{Doc: ix.ExtID(d), Score: score})
 		}

@@ -8,9 +8,9 @@
 package rank
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dwr/internal/index"
@@ -73,10 +73,15 @@ func (s *Scorer) IDF(term string) float64 {
 }
 
 // Term scores one term occurrence: tf within a document of length
-// docLen, with precomputed idf.
+// docLen, with precomputed idf. The average length is floored at 1 by
+// hand rather than with math.Max (the same value for every input) so
+// the call inlines into the evaluators' per-posting loops.
 func (s *Scorer) Term(tf int32, docLen int, idf float64) float64 {
-	k1, b := s.K1, s.B
-	norm := 1 - b + b*float64(docLen)/math.Max(s.Stats.AvgDocLen, 1)
+	k1, b, avg := s.K1, s.B, s.Stats.AvgDocLen
+	if avg < 1 {
+		avg = 1
+	}
+	norm := 1 - b + b*float64(docLen)/avg
 	return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*norm)
 }
 
@@ -119,12 +124,12 @@ type evalScratch struct {
 	heads   []orHead
 	seen    map[string]bool
 	uniq    []string
-	heap    resultHeap
+	heap    []Result
 	// Pruned-evaluation working set (see prune.go).
-	pcs    []pruneCursor
-	tfs    []int32
-	order  []int
-	prefix []float64
+	pcs     []pruneCursor
+	contrib []float64
+	order   []int
+	prefix  []float64
 }
 
 var evalPool = sync.Pool{New: func() interface{} {
@@ -257,7 +262,7 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 		return nil, es
 	}
 	// Rarest list first minimizes skips.
-	sort.Slice(cursors, func(i, j int) bool { return cursors[i].it.Count() < cursors[j].it.Count() })
+	slices.SortFunc(cursors, func(a, b evalCursor) int { return cmp.Compare(a.it.Count(), b.it.Count()) })
 	driver := cursors[0]
 	tk := &topK{k: k, rs: sc.heap[:0]}
 	finish := func() []Result {
@@ -310,38 +315,26 @@ func dedup(terms []string) []string {
 	return out
 }
 
-// topK keeps the k best results (max score, tie: min doc). Documents
-// dead reports tombstoned (nil = none) are refused at offer: a deleted
-// document that entered the heap would raise the pruning threshold
-// against live ones.
+// topK keeps the k best results (max score, tie: min doc) in rs, a
+// binary min-heap under worse: rs[0] is the worst result kept, the one
+// an offer must beat. The order is total, so any correct heap keeps the
+// same k. Documents dead reports tombstoned (nil = none) are refused at
+// offer: a deleted document that entered the heap would raise the
+// pruning threshold against live ones.
 type topK struct {
 	k    int
-	rs   resultHeap
+	rs   []Result
 	dead func(ext int) bool
 }
 
-type resultHeap []Result
-
-// Less orders the heap as a min-heap on (score, then descending doc) so
-// the worst kept result is at the root.
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
+// worse reports whether a ranks below b: a lower score, or the same
+// score and a higher doc.
+func worse(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	return h[i].Doc > h[j].Doc
+	return a.Doc > b.Doc
 }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-func newTopK(k int) *topK { return &topK{k: k} }
 
 func (t *topK) offer(r Result) {
 	if t.k <= 0 {
@@ -349,15 +342,49 @@ func (t *topK) offer(r Result) {
 	}
 	if len(t.rs) < t.k {
 		if !t.isDead(r.Doc) {
-			heap.Push(&t.rs, r)
+			t.rs = append(t.rs, r)
+			t.up(len(t.rs) - 1)
 		}
 		return
 	}
-	worst := t.rs[0]
-	if (r.Score > worst.Score || (r.Score == worst.Score && r.Doc < worst.Doc)) && !t.isDead(r.Doc) {
+	if worse(t.rs[0], r) && !t.isDead(r.Doc) {
 		t.rs[0] = r
-		heap.Fix(&t.rs, 0)
+		t.down(0)
 	}
+}
+
+// up sifts rs[i] toward the root past every parent it is worse than.
+func (t *topK) up(i int) {
+	h, r := t.rs, t.rs[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(r, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = r
+}
+
+// down sifts rs[i] toward the leaves past every child worse than it.
+func (t *topK) down(i int) {
+	h, r := t.rs, t.rs[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && worse(h[c+1], h[c]) {
+			c++
+		}
+		if !worse(h[c], r) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = r
 }
 
 func (t *topK) isDead(ext int) bool { return t.dead != nil && t.dead(ext) }
@@ -371,11 +398,14 @@ func (t *topK) results() []Result {
 
 // SortResults orders results by descending score, ascending doc.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+	slices.SortFunc(rs, func(a, b Result) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
 		}
-		return rs[i].Doc < rs[j].Doc
+		return 0
 	})
 }
 
@@ -385,7 +415,7 @@ func SortResults(rs []Result) {
 // for the merge to equal a centralized ranking; comparing the two is
 // exactly experiment C9.
 func MergeResults(k int, lists ...[]Result) []Result {
-	tk := newTopK(k)
+	tk := &topK{k: k}
 	for _, l := range lists {
 		for _, r := range l {
 			tk.offer(r)
@@ -440,7 +470,7 @@ func MergeResultsDedup(k int, lists ...[]Result) []Result {
 			}
 		}
 	}
-	tk := newTopK(k)
+	tk := &topK{k: k}
 	for doc, score := range best {
 		tk.offer(Result{Doc: doc, Score: score})
 	}

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -179,9 +181,13 @@ type FrontStats struct {
 	Failed        int64   `json:"failed"`
 	Queued        int64   `json:"queued"`
 	ShedLevel     float64 `json:"shed_level"`
-	P50Ms         float64 `json:"p50_ms"`
-	P95Ms         float64 `json:"p95_ms"`
-	P99Ms         float64 `json:"p99_ms"`
+
+	// Served-latency quantiles, rounded up to a histogram bucket bound. A
+	// quantile past the last bound (5 000 ms) reports that bound: read it
+	// as "at least".
+	P50Ms float64 `json:"p50_ms"`
+	P95Ms float64 `json:"p95_ms"`
+	P99Ms float64 `json:"p99_ms"`
 
 	EngineQueries  int `json:"engine_queries"`
 	EngineDegraded int `json:"engine_degraded"`
@@ -223,9 +229,9 @@ func (f *Frontend) Stats() FrontStats {
 		Failed:        int64(r.EngineFailed),
 		Queued:        int64(f.q.queued()),
 		ShedLevel:     f.q.shed.Level(),
-		P50Ms:         f.lat.Quantile(0.50),
-		P95Ms:         f.lat.Quantile(0.95),
-		P99Ms:         f.lat.Quantile(0.99),
+		P50Ms:         f.servedQuantile(0.50),
+		P95Ms:         f.servedQuantile(0.95),
+		P99Ms:         f.servedQuantile(0.99),
 	}
 	f.mu.Unlock()
 	es := f.q.eng.Stats()
@@ -247,6 +253,17 @@ func (f *Frontend) Stats() FrontStats {
 	st.UnitsLive = h.Live()
 	st.Units = h.Units
 	return st
+}
+
+// servedQuantile is f.lat's q-quantile with the overflow bucket's +Inf,
+// which JSON cannot carry, reported as the last bound. Call under f.mu.
+func (f *Frontend) servedQuantile(q float64) float64 {
+	v := f.lat.Quantile(q)
+	if math.IsInf(v, 1) {
+		b := f.lat.Bounds()
+		v = b[len(b)-1]
+	}
+	return v
 }
 
 // Handler returns the HTTP surface: /search, /stats, /healthz.
@@ -328,10 +345,24 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// jsonBufs holds response bodies while they are encoded, so a body that
+// fails to encode never reaches the client behind a committed status.
+var jsonBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// writeJSON answers code with v as JSON, or 500 with a JSON error when v
+// does not encode.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	// The status is already committed; an encode failure here means the
-	// client went away, which the server loop handles.
-	_ = json.NewEncoder(w).Encode(v)
+	// A write error means the client went away, which the server loop
+	// handles.
+	_, _ = w.Write(buf.Bytes())
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -177,6 +178,37 @@ func TestFrontendHTTP(t *testing.T) {
 	r4.Body.Close()
 	if r4.StatusCode != http.StatusOK {
 		t.Fatalf("healthz returned %d", r4.StatusCode)
+	}
+}
+
+// TestStatsReportsOverflowQuantiles: once a served request outlasts the
+// last latency bucket (5 000 ms), the quantiles fall in the overflow
+// bucket. /stats must still answer a decodable 200, reporting them as
+// that bound; and a value that cannot encode is a 500 with a JSON error,
+// never a 200 with an empty body.
+func TestStatsReportsOverflowQuantiles(t *testing.T) {
+	f := server.NewFrontend(sleepEngine{}, server.Config{Workers: 1})
+	f.ObserveLatency(6000)
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st server.FrontStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/stats: HTTP %d, decode: %v", resp.StatusCode, err)
+	}
+	if st.P50Ms != 5000 || st.P95Ms != 5000 || st.P99Ms != 5000 {
+		t.Fatalf("quantiles p50/p95/p99 = %v/%v/%v ms; want the last bound 5000", st.P50Ms, st.P95Ms, st.P99Ms)
+	}
+
+	rec := httptest.NewRecorder()
+	server.WriteJSON(rec, http.StatusOK, map[string]float64{"p99_ms": math.Inf(1)})
+	var body map[string]string
+	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil || rec.Code != http.StatusInternalServerError || body["error"] == "" {
+		t.Fatalf("unencodable body: HTTP %d %v (decode: %v); want 500 with a JSON error", rec.Code, body, err)
 	}
 }
 
