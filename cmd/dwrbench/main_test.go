@@ -3,13 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dwr/internal/experiments"
+	"dwr/internal/qproc"
 )
 
 // tinyConfigs sizes every registered scenario small enough to run twice
@@ -23,7 +29,7 @@ var tinyConfigs = map[string]string{
 	"federate":  `{"sites":6,"per_site_docs":80,"queries":80}`,
 	"serve":     `{"workers":20,"arrivals":300,"rates":[0.8,1.5]}`,
 	"faults":    `{"seed":7}`,
-	"paper":     `{"only":["T1","C1","C11"]}`,
+	"paper":     `{"only":["T1","F2","C1","C11"]}`,
 }
 
 // configTypes names every registered scenario's config struct, so a
@@ -302,27 +308,99 @@ func TestEveryScenarioHasItsArtifact(t *testing.T) {
 	}
 }
 
-// TestPaperCountersIgnoreWorkers: an experiment's counters are the same
-// at every fan-out width; only timings may differ.
-func TestPaperCountersIgnoreWorkers(t *testing.T) {
-	counters := func(workers string) map[string]float64 {
-		dir := t.TempDir()
-		var stdout, stderr bytes.Buffer
-		args := []string{"-workers", workers, "-run", "paper", "-config", `{"only":["F2"]}`, "-benchdir", dir}
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%q exited %d: %s", args, code, stderr.String())
-		}
-		rep, err := loadReport(dir, "paper")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Rows) != 1 || rep.Rows[0].Name != "F2" || rep.Rows[0].Timings["wall_ms"] <= 0 {
-			t.Fatalf("want one F2 row with a wall_ms timing, got %+v", rep.Rows)
-		}
-		return rep.Rows[0].Counters
+// TestCountersIgnoreWorkers backs the -workers help text: every
+// registered scenario reports the same counters serial (-workers 1) and
+// at full fan-out (-workers 0); only timings and ratios may differ.
+func TestCountersIgnoreWorkers(t *testing.T) {
+	for _, s := range scenarios {
+		t.Run(s.name, func(t *testing.T) {
+			rows := func(workers string) []row {
+				defer qproc.SetDefaultOptions() // run sets the ambient fan-out
+				dir := t.TempDir()
+				var stdout, stderr bytes.Buffer
+				args := []string{"-workers", workers, "-run", s.name, "-config", tinyConfigs[s.name], "-benchdir", dir}
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("%q exited %d: %s", args, code, stderr.String())
+				}
+				rep, err := loadReport(dir, s.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.Rows
+			}
+			serial, wide := rows("1"), rows("0")
+			if len(serial) != len(wide) {
+				t.Fatalf("%d rows at -workers 1, %d at -workers 0", len(serial), len(wide))
+			}
+			for i, r := range serial {
+				if r.Name != wide[i].Name || !reflect.DeepEqual(r.Counters, wide[i].Counters) {
+					t.Errorf("row %q differs between -workers 1 and -workers 0:\n%v\n%s %v", r.Name, r.Counters, wide[i].Name, wide[i].Counters)
+				}
+			}
+		})
 	}
-	serial, wide := counters("1"), counters("0")
-	if len(serial) == 0 || !reflect.DeepEqual(serial, wide) {
-		t.Errorf("F2 counters differ between -workers 1 and -workers 0:\n%v\n%v", serial, wide)
+}
+
+// TestGoBenchmarksNameATracedMetric holds the rule for keeping a Go
+// benchmark outside bench/: it is the microbenchmark behind one of
+// BENCHMARK.json's per-layer metrics, and its doc comment names that
+// metric. A deterministic number belongs in a dwrbench counter instead.
+func TestGoBenchmarksNameATracedMetric(t *testing.T) {
+	const root = "../.."
+	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		PerLayer []struct {
+			Name string `json:"name"`
+		} `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil || len(spec.PerLayer) == 0 {
+		t.Fatalf("BENCHMARK.json per_layer: %d metrics, %v", len(spec.PerLayer), err)
+	}
+	names := func(doc string) bool {
+		for _, m := range spec.PerLayer {
+			if strings.Contains(doc, m.Name) {
+				return true
+			}
+		}
+		return false
+	}
+	found := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if rel, _ := filepath.Rel(root, path); rel == "bench" || rel == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				continue
+			}
+			found++
+			if !names(fn.Doc.Text()) {
+				t.Errorf("%s: %s's doc comment names no per_layer metric of BENCHMARK.json", path, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Error("found no Go benchmark: is the walk rooted at the repository?")
 	}
 }

@@ -80,7 +80,7 @@ func timedPass(w io.Writer, name string, queries [][]string, want [][]rank.Resul
 		lat[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
 		if r.Invariants["rank_identical"] && !reflect.DeepEqual(got, want[i]) {
 			r.Invariants["rank_identical"] = false
-			fmt.Fprintf(w, "%s: query %v diverged from the exhaustive ranking:\nexhaustive %v\ngot        %v\n",
+			fmt.Fprintf(w, "%s: query %v diverged from the reference ranking:\nreference %v\ngot       %v\n",
 				name, q, want[i], got)
 		}
 	}

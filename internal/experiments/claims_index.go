@@ -309,7 +309,8 @@ func Claim9GlobalStats() *Result {
 
 // Claim14IndexBuild (C14) verifies the four construction strategies
 // produce identical indexes and reports their build times and the
-// compression/skip ablation of the layout choices.
+// compression/positions ablation of the layout choices, whose byte
+// counts are headline values.
 func Claim14IndexBuild() *Result {
 	f := sharedFixture()
 	r := newResult("C14")
@@ -391,13 +392,18 @@ func Claim14IndexBuild() *Result {
 	for _, term := range ref.Terms() {
 		totalPostings += ref.DF(term)
 	}
+	r.Values = map[string]float64{
+		"all_equal": boolTo01(index.Equal(ref, sortIx) && index.Equal(ref, spimiIx) &&
+			index.Equal(ref, mrIx) && index.Equal(ref, plIx) && index.Equal(ref, segIx)),
+		"docs": float64(ref.NumDocs()),
+	}
 	for _, row := range []struct {
-		name string
-		o    index.Options
+		name, key string
+		o         index.Options
 	}{
-		{"compressed + positions", index.Options{Compress: true, StorePositions: true, BlockSize: 64}},
-		{"compressed, no positions", index.Options{Compress: true, StorePositions: false, BlockSize: 64}},
-		{"fixed-width + positions", index.Options{Compress: false, StorePositions: true, BlockSize: 64}},
+		{"compressed + positions", "bytes_compressed", index.Options{Compress: true, StorePositions: true, BlockSize: 64}},
+		{"compressed, no positions", "bytes_compressed_nopos", index.Options{Compress: true, StorePositions: false, BlockSize: 64}},
+		{"fixed-width + positions", "bytes_fixed", index.Options{Compress: false, StorePositions: true, BlockSize: 64}},
 	} {
 		b := index.NewBuilder(row.o)
 		for _, d := range f.docs {
@@ -405,13 +411,9 @@ func Claim14IndexBuild() *Result {
 		}
 		ix := index.MustBuild(b)
 		sizes.AddRow(row.name, ix.SizeBytes(), float64(ix.SizeBytes())/float64(totalPostings))
+		r.Values[row.key] = float64(ix.SizeBytes())
 	}
 	r.Tables = append(r.Tables, sizes)
-	r.Values = map[string]float64{
-		"all_equal": boolTo01(index.Equal(ref, sortIx) && index.Equal(ref, spimiIx) &&
-			index.Equal(ref, mrIx) && index.Equal(ref, plIx) && index.Equal(ref, segIx)),
-		"docs": float64(ref.NumDocs()),
-	}
 	return r
 }
 

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper,
 // plus the quantitative claims embedded in its prose, as printable
 // reports with machine-checkable headline values. cmd/dwrbench runs them
-// as its paper scenario and gates the values against
-// docs/BENCH_paper.json; the repository-root BenchmarkExperiments times
-// them; EXPERIMENTS.md records paper-reported versus measured values.
+// as its paper scenario, gates the values against docs/BENCH_paper.json
+// and times each run; EXPERIMENTS.md records paper-reported versus
+// measured values.
 package experiments
 
 import (
