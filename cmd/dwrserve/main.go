@@ -152,8 +152,9 @@ func corpusConfig(o options) core.Config {
 // makes MaxScore pruning with threshold sharing the default of every
 // engine static and -federate construct from here on — rank-identical
 // to exhaustive evaluation, and the configuration bench/ and
-// docs/BENCH_pruning.json measure. (-live stays at the engine defaults,
-// which is what bench/'s live_ingest measures.)
+// docs/BENCH_pruning.json measure. (-live stays at the LiveEngine
+// defaults — MaxScore pruning without threshold sharing — which is what
+// bench/'s live_ingest measures.)
 func prunedConfig(o options) core.Config {
 	qproc.SetDefaultOptions(qproc.WithWorkers(o.workers),
 		qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))

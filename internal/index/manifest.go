@@ -1,6 +1,9 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Manifest is an immutable snapshot of an LSM-style segment set: the
 // ordered immutable segments (oldest first), the tombstone set, and a
@@ -82,6 +85,11 @@ func (m *Manifest) Contains(ext int) bool {
 // Deleted reports whether ext is tombstoned.
 func (m *Manifest) Deleted(ext int) bool { return m.deleted[ext] }
 
+// Tombstoned returns the tombstoned documents as a set (nil or empty
+// when none are pending). The map is shared with the manifest and must
+// not be modified.
+func (m *Manifest) Tombstoned() map[int]bool { return m.deleted }
+
 // admit is the writers' residency check: nil when ext may be added, an
 // error when it is resident in some segment. A tombstoned resident is
 // refused too — clearing the tombstone would resurrect the stale copy,
@@ -98,17 +106,30 @@ func (m *Manifest) admit(ext int) error {
 }
 
 // LocalStats aggregates the segments' statistics restricted to the
-// given terms (nil = all terms) — Index.LocalStats for a view. NumDocs
-// matches NumDocs() (tombstones subtracted), while DF/CF/TotalLen still
-// count tombstoned documents until a merge reclaims them. The manifest
-// is immutable, so the call is a pure function of the snapshot.
+// given terms (nil = all terms) — Index.LocalStats for a view, summed
+// straight into one Stats. NumDocs matches NumDocs() (tombstones
+// subtracted), while DF/CF/TotalLen still count tombstoned documents
+// until a merge reclaims them. The manifest is immutable, so the call
+// is a pure function of the snapshot.
 func (m *Manifest) LocalStats(terms []string) Stats {
-	parts := make([]Stats, len(m.segments))
-	for i, s := range m.segments {
-		parts[i] = s.LocalStats(terms)
+	st := Stats{NumDocs: m.NumDocs(), TotalLen: m.TotalLen(), DF: make(map[string]int), CF: make(map[string]int64)}
+	add := func(e *termEntry) {
+		st.DF[e.term] += e.pl.count
+		st.CF[e.term] += e.pl.cf
 	}
-	st := MergeStats(parts...)
-	st.NumDocs -= len(m.deleted)
+	for _, s := range m.segments {
+		if terms == nil {
+			for i := range s.termList {
+				add(&s.termList[i])
+			}
+			continue
+		}
+		for i, t := range terms {
+			if j, ok := s.terms[t]; ok && !slices.Contains(terms[:i], t) {
+				add(&s.termList[j])
+			}
+		}
+	}
 	return st
 }
 

@@ -183,7 +183,6 @@ func (b *broker) degrade(qr *QueryResult, lost, of int, units string) {
 // addEval folds one unit's evaluation counters, and the results-many
 // entries it ships onward, into the answer.
 func (qr *QueryResult) addEval(es rank.EvalStats, results int) {
-	//dwrlint:allow statsmerge:FinalThreshold brokers seed later work from their own merged state, never from a unit's final threshold
 	qr.PostingsDecoded += es.PostingsDecoded
 	qr.ListsAccessed += es.ListsAccessed
 	qr.PostingBytesRead += es.BytesRead

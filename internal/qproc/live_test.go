@@ -149,7 +149,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 		t.Fatalf("fixture: %d segments, %d tombstones in partition 0", n, stores[0].Manifest().Tombstones())
 	}
 
-	exhaustive := liveOver(t, stores, WithWorkers(1))
+	exhaustive := liveOver(t, stores, WithWorkers(1), WithPruning(rank.PruneNone))
 	want := make([][]rank.Result, len(queries))
 	for i, q := range queries {
 		want[i] = exhaustive.Query(q, k).Results
@@ -218,7 +218,7 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		lives = append(lives,
 			liveOver(t, stores, WithWorkers(workers), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)),
-			liveOver(t, stores, WithWorkers(workers)))
+			liveOver(t, stores, WithWorkers(workers), WithPruning(rank.PruneNone)))
 	}
 
 	searchable := map[int]index.Doc{}       // sealed and not deleted
@@ -312,6 +312,40 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 	}
 	if exact < steps/3 {
 		t.Fatalf("only %d of %d steps were checked against the from-scratch engine", exact, steps)
+	}
+}
+
+// TestLiveEngineServesPruned: a LiveEngine built with no options serves
+// MaxScore — fewer postings decoded than the same stores served
+// exhaustively, over many-segment views with tombstones pending — and
+// answers every query exactly as the exhaustive engine does.
+func TestLiveEngineServesPruned(t *testing.T) {
+	const nparts = 4
+	docs := corpus(86, 1400, 1500)
+	stores, _ := liveStores(t, docs, nparts, 6, nil)
+	for _, d := range docs[:len(docs)/10] {
+		if !stores[d.Ext%nparts].Delete(d.Ext) {
+			t.Fatalf("Delete(%d) found nothing", d.Ext)
+		}
+	}
+	if n := stores[0].Manifest().NumSegments(); n < 3 {
+		t.Fatalf("fixture: %d segments per partition", n)
+	}
+	def := liveOver(t, stores)
+	exhaustive := liveOver(t, stores, WithPruning(rank.PruneNone))
+	var pruned, full int
+	for _, k := range []int{10, 100} {
+		for qi, q := range zipfQueries(87, 50, 1500) {
+			got, want := def.Query(q, k), exhaustive.Query(q, k)
+			if !reflect.DeepEqual(want.Results, got.Results) {
+				t.Fatalf("k=%d query %d %v:\nexhaustive %v\ndefault    %v", k, qi, q, want.Results, got.Results)
+			}
+			pruned += got.PostingsDecoded
+			full += want.PostingsDecoded
+		}
+	}
+	if pruned >= full {
+		t.Fatalf("default engine decoded %d postings, exhaustive %d: the live default is not pruned", pruned, full)
 	}
 }
 

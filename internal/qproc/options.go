@@ -63,9 +63,10 @@ func WithResultCacheInstance(rc *ResultCache) Option {
 }
 
 // WithPruning selects the engine's default top-k evaluation strategy
-// for disjunctive queries: rank.PruneMaxScore enables dynamic pruning
-// over the resident per-term score bounds, rank.PruneNone (the default)
-// evaluates exhaustively. Pruned and
+// for disjunctive queries: rank.PruneMaxScore (LiveEngine's default)
+// enables dynamic pruning over the resident per-term score bounds,
+// rank.PruneNone (every other engine's default) evaluates exhaustively.
+// Pruned and
 // exhaustive evaluation are rank-identical (see rank.EvaluateTopK); only
 // the decode work differs, so brokers, caches, fault policy, and
 // deadline propagation compose unchanged. Per-query DocQueryOptions.
@@ -144,13 +145,17 @@ func SetDefaultOptions(opts ...Option) {
 	defaultOptMu.Unlock()
 }
 
-// resolveOptions folds the ambient default options and the per-call
-// options (per-call wins) into one resolved configuration.
-func resolveOptions(opts []Option) engineOptions {
+// resolveOptions folds the engine kind's own defaults, the ambient
+// default options and the per-call options, in that order (later wins),
+// into one resolved configuration.
+func resolveOptions(opts []Option, kindDefaults ...Option) engineOptions {
 	var eo engineOptions
 	defaultOptMu.Lock()
 	ambient := defaultOpts
 	defaultOptMu.Unlock()
+	for _, o := range kindDefaults {
+		o(&eo)
+	}
 	for _, o := range ambient {
 		o(&eo)
 	}

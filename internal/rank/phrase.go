@@ -53,16 +53,15 @@ func PhraseStep(ix *index.Index, term string, slot int, starts map[int][]int32, 
 }
 
 // phraseMatches returns, for every document containing the terms as a
-// consecutive phrase, the phrase-start positions.
-func phraseMatches(ix *index.Index, terms []string) (map[int][]int32, EvalStats) {
-	var es EvalStats
+// consecutive phrase, the phrase-start positions; es accounts the lists.
+func phraseMatches(ix *index.Index, terms []string, es *EvalStats) map[int][]int32 {
 	var starts map[int][]int32
 	for i, t := range terms {
-		if starts = PhraseStep(ix, t, i, starts, &es); len(starts) == 0 {
+		if starts = PhraseStep(ix, t, i, starts, es); len(starts) == 0 {
 			break
 		}
 	}
-	return starts, es
+	return starts
 }
 
 // intersectStarts keeps, per document, the start positions present in
@@ -100,18 +99,17 @@ func intersectStarts(a, b map[int][]int32) map[int][]int32 {
 // the rarest constituent term's idf (a standard surrogate, exact enough
 // for cross-engine comparison because every engine uses the same rule).
 func EvaluatePhrase(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return evaluatePhrase(ix, nil, s, terms, k)
+	return evaluateView([]*index.Index{ix}, nil, s, terms, k, true, PruneNone, 0)
 }
 
-// evaluatePhrase is EvaluatePhrase with a tombstone filter; see
-// evaluateOR.
-func evaluatePhrase(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	starts, es := phraseMatches(ix, terms)
+// phrase is EvaluatePhrase's body over one segment of a view, offering
+// into tk. Positions never leave the segment.
+func (sc *evalScratch) phrase(ix *index.Index, s *Scorer, terms []string, tk *topK, es *EvalStats) {
+	starts := phraseMatches(ix, terms, es)
 	if len(starts) == 0 {
-		return nil, es
+		return
 	}
 	idf := phraseIDF(s, terms)
-	tk := &topK{k: k, dead: dead}
 	for ext, ss := range starts {
 		doc := ix.InternalID(ext)
 		if doc < 0 {
@@ -120,7 +118,6 @@ func evaluatePhrase(ix *index.Index, dead func(ext int) bool, s *Scorer, terms [
 		score := s.Term(int32(len(ss)), ix.DocLen(doc), idf)
 		tk.offer(Result{Doc: ext, Score: score})
 	}
-	return tk.results(), es
 }
 
 // phraseIDF returns the idf of the phrase's rarest constituent.

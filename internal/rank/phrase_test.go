@@ -17,7 +17,8 @@ func phraseIndex() *index.Index {
 
 func TestPhraseMatches(t *testing.T) {
 	ix := phraseIndex()
-	starts, es := phraseMatches(ix, []string{"quick", "brown"})
+	var es EvalStats
+	starts := phraseMatches(ix, []string{"quick", "brown"}, &es)
 	if len(starts) != 2 {
 		t.Fatalf("matched %d docs, want 2 (docs 1 and 2): %v", len(starts), starts)
 	}
@@ -37,7 +38,7 @@ func TestPhraseRepeatedTerm(t *testing.T) {
 	b.AddDocument(1, []string{"a", "b", "a"})
 	b.AddDocument(2, []string{"a", "b", "c"})
 	ix := index.MustBuild(b)
-	starts, _ := phraseMatches(ix, []string{"a", "b", "a"})
+	starts := phraseMatches(ix, []string{"a", "b", "a"}, &EvalStats{})
 	if len(starts) != 1 || len(starts[1]) != 1 || starts[1][0] != 0 {
 		t.Fatalf("phrase 'a b a' matches = %v, want doc 1 at 0", starts)
 	}
@@ -45,7 +46,7 @@ func TestPhraseRepeatedTerm(t *testing.T) {
 
 func TestPhraseMissingTerm(t *testing.T) {
 	ix := phraseIndex()
-	starts, _ := phraseMatches(ix, []string{"quick", "zzz"})
+	starts := phraseMatches(ix, []string{"quick", "zzz"}, &EvalStats{})
 	if len(starts) != 0 {
 		t.Fatalf("phrase with unknown term matched %v", starts)
 	}
@@ -71,7 +72,7 @@ func TestEvaluatePhraseRanking(t *testing.T) {
 
 func TestPhraseSingleTerm(t *testing.T) {
 	ix := phraseIndex()
-	starts, _ := phraseMatches(ix, []string{"quick"})
+	starts := phraseMatches(ix, []string{"quick"}, &EvalStats{})
 	if len(starts) != 4 {
 		t.Fatalf("single-term phrase matched %d docs, want 4", len(starts))
 	}

@@ -56,7 +56,7 @@ func Competitive(bound, threshold float64) bool {
 // strategy. Results are rank-identical to EvaluateOR (see pruneSlack for
 // the tolerance argument); only the work done differs.
 func EvaluateTopK(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning) ([]Result, EvalStats) {
-	return evaluateTopK(ix, nil, s, terms, k, mode, 0)
+	return evaluateTopK(ix, s, terms, k, mode, 0)
 }
 
 // open opens a cursor on every distinct query term ix holds, in query
@@ -78,11 +78,9 @@ func (sc *evalScratch) open(ix *index.Index, s *Scorer, terms []string, es *Eval
 	return sc.pcs
 }
 
-// evaluateTopK is EvaluateTopK with a tombstone filter (see evaluateOR)
-// and the pruning threshold seeded at seed instead of -Inf (seed <= 0
-// means unseeded; BM25 scores are strictly positive). The score bounds
-// cover tombstoned postings too, so they stay valid upper bounds for the
-// live ones.
+// evaluateTopK is EvaluateTopK with the pruning threshold seeded at seed
+// instead of -Inf (seed <= 0 means unseeded; BM25 scores are strictly
+// positive).
 //
 // The caller must guarantee seed is a true lower bound on the global
 // k-th best score — a distributed broker's running k-th merged score
@@ -95,42 +93,21 @@ func (sc *evalScratch) open(ix *index.Index, s *Scorer, terms []string, es *Eval
 // hold fewer than k entries when the partition has fewer than k
 // seed-beating documents, which a merging broker by construction never
 // misses.
-func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
-	if mode == PruneNone || k <= 0 {
-		rs, es := evaluateOR(ix, dead, s, terms, k)
-		if len(rs) >= k && k > 0 {
-			es.FinalThreshold = rs[k-1].Score
-		}
-		return rs, es
-	}
+func evaluateTopK(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
+	return evaluateView([]*index.Index{ix}, nil, s, terms, k, false, mode, seed)
+}
+
+// maxScore is evaluateTopK's pruned body over one segment of a view,
+// offering into tk. Its threshold is the tighter of seed and tk's floor
+// — for a view, the running k-th score of every segment evaluated so
+// far. The score bounds cover tombstoned postings too, so they stay
+// valid upper bounds for the live ones tk admits.
+func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed float64, tk *topK, es *EvalStats) {
 	seedThr := math.Inf(-1)
 	if seed > 0 {
 		seedThr = seed - pruneSlack*seed
 	}
-	var es EvalStats
-	sc := evalPool.Get().(*evalScratch)
-	defer evalPool.Put(sc)
-	cursors := sc.open(ix, s, terms, &es)
-	finish := func(tk *topK) ([]Result, EvalStats) {
-		for i := range cursors {
-			es.BytesDecoded += cursors[i].it.BytesDecoded()
-		}
-		if seed > 0 {
-			es.FinalThreshold = seed
-		}
-		if len(tk.rs) >= k && tk.rs[0].Score > es.FinalThreshold {
-			es.FinalThreshold = tk.rs[0].Score
-		}
-		sc.heap = tk.rs[:0]
-		return tk.results(), es
-	}
-	tk := &topK{k: k, rs: sc.heap[:0], dead: dead}
-	if len(cursors) == 0 {
-		if seed > 0 {
-			es.FinalThreshold = seed
-		}
-		return nil, es
-	}
+	cursors := sc.open(ix, s, terms, es)
 	for i := range cursors {
 		if cursors[i].it.Next() {
 			es.PostingsDecoded++
@@ -175,9 +152,9 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 	for {
 		// The threshold is the tighter of the heap floor and the caller's
 		// seed, both widened by pruneSlack (the heap floor overtakes the
-		// seed once k locally-found documents beat it).
+		// seed once k documents found in the view beat it).
 		thr := seedThr
-		if len(tk.rs) >= k {
+		if len(tk.rs) >= tk.k {
 			t := tk.rs[0].Score
 			if ht := t - pruneSlack*math.Abs(t); ht > thr {
 				thr = ht
@@ -187,8 +164,7 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 			m++
 		}
 		if m == len(order) {
-			// Even all lists together cannot reach the threshold.
-			return finish(tk)
+			break // even all lists together cannot reach the threshold
 		}
 		// Candidate: minimum current document over essential cursors.
 		d := int32(math.MaxInt32)
@@ -202,7 +178,7 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 			}
 		}
 		if !alive {
-			return finish(tk)
+			break
 		}
 
 		// Score the candidate: essential contributions first, then probe
@@ -267,5 +243,8 @@ func evaluateTopK(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []s
 				c.done = true
 			}
 		}
+	}
+	for i := range cursors {
+		es.BytesDecoded += cursors[i].it.BytesDecoded()
 	}
 }

@@ -92,12 +92,6 @@ type EvalStats struct {
 	ListsAccessed   int   // posting lists opened (disk seeks in the paper's terms)
 	BytesRead       int64 // encoded posting bytes of the lists accessed
 	BytesDecoded    int64 // encoded bytes actually decoded (blocks touched)
-	// FinalThreshold is the score floor the evaluation ended with: the
-	// k-th best score found, or the seed threshold it was started from if
-	// nothing beat that. 0 when the evaluation held fewer than k results
-	// and was unseeded. A broker can feed it forward as the seed of later
-	// partition evaluations (EvaluateView's seed).
-	FinalThreshold float64
 }
 
 // evalCursor pairs a posting iterator with its term's precomputed IDF.
@@ -116,7 +110,8 @@ type orHead struct {
 // storage, cursor and merge-head slices, the dedup set, and the top-k
 // heap buffer. The broker evaluates partitions on parallel goroutines
 // and every query allocates these afresh otherwise, so reuse here cuts
-// most of the per-query garbage on the hot path. Nothing handed back to
+// most of the per-query garbage on the hot path. One scratch serves a
+// whole view, its segments one after another. Nothing handed back to
 // callers may alias the scratch (topK.results copies).
 type evalScratch struct {
 	its     []index.Iterator
@@ -164,17 +159,14 @@ func (sc *evalScratch) iters(n int) []index.Iterator {
 // (document-at-a-time) and returns the top k results by score. Ties
 // break by ascending external ID so rankings are deterministic.
 func EvaluateOR(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	return evaluateOR(ix, nil, s, terms, k)
+	return evaluateTopK(ix, s, terms, k, PruneNone, 0)
 }
 
-// evaluateOR is EvaluateOR over one segment of a partition view:
-// documents dead reports tombstoned (nil = none) are scored like any
-// other — their postings are physically there — but never offered to
-// the heap.
-func evaluateOR(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
-	var es EvalStats
-	sc := evalPool.Get().(*evalScratch)
-	defer evalPool.Put(sc)
+// exhaustive is EvaluateOR's body over one segment of a view: every
+// document holding a query term is scored and offered to tk. A document
+// tk refuses as tombstoned is scored like any other — its postings are
+// physically there.
+func (sc *evalScratch) exhaustive(ix *index.Index, s *Scorer, terms []string, tk *topK, es *EvalStats) {
 	uniq := sc.dedup(terms)
 	its := sc.iters(len(uniq))
 	sc.cursors = sc.cursors[:0]
@@ -188,9 +180,6 @@ func evaluateOR(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []str
 		sc.cursors = append(sc.cursors, evalCursor{it: it, idf: s.IDF(t)})
 	}
 	cursors := sc.cursors
-	if len(cursors) == 0 {
-		return nil, es
-	}
 	// Advance all iterators merging by doc.
 	sc.heads = sc.heads[:0]
 	for i := range cursors {
@@ -199,7 +188,6 @@ func evaluateOR(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []str
 			sc.heads = append(sc.heads, orHead{doc: cursors[i].it.Posting().Doc, i: i})
 		}
 	}
-	tk := &topK{k: k, rs: sc.heap[:0], dead: dead}
 	heads := sc.heads
 	for len(heads) > 0 {
 		// Find minimum doc among heads.
@@ -234,8 +222,6 @@ func evaluateOR(ix *index.Index, dead func(ext int) bool, s *Scorer, terms []str
 	for i := range cursors {
 		es.BytesDecoded += cursors[i].it.BytesDecoded()
 	}
-	sc.heap = tk.rs[:0]
-	return tk.results(), es
 }
 
 // EvaluateAND scores the conjunction of the query terms, using SkipTo on
@@ -318,13 +304,13 @@ func dedup(terms []string) []string {
 // topK keeps the k best results (max score, tie: min doc) in rs, a
 // binary min-heap under worse: rs[0] is the worst result kept, the one
 // an offer must beat. The order is total, so any correct heap keeps the
-// same k. Documents dead reports tombstoned (nil = none) are refused at
-// offer: a deleted document that entered the heap would raise the
-// pruning threshold against live ones.
+// same k. Documents in dead, a view's tombstones (nil = none), are
+// refused at offer: a deleted document that entered the heap would raise
+// the pruning threshold against live ones.
 type topK struct {
 	k    int
 	rs   []Result
-	dead func(ext int) bool
+	dead map[int]bool
 }
 
 // worse reports whether a ranks below b: a lower score, or the same
@@ -387,7 +373,7 @@ func (t *topK) down(i int) {
 	h[i] = r
 }
 
-func (t *topK) isDead(ext int) bool { return t.dead != nil && t.dead(ext) }
+func (t *topK) isDead(ext int) bool { return len(t.dead) > 0 && t.dead[ext] }
 
 func (t *topK) results() []Result {
 	out := make([]Result, len(t.rs))

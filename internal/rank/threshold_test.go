@@ -37,18 +37,11 @@ func TestSeededEquivalence(t *testing.T) {
 					seeds = append(seeds, kth/2, kth, exh[0].Score)
 				}
 				for _, seed := range seeds {
-					got, es := evaluateTopK(ix, nil, s, q, k, mode, seed)
+					got, _ := evaluateTopK(ix, s, q, k, mode, seed)
 					want := filter(exh, seed)
 					if !reflect.DeepEqual(want, filter(got, seed)) {
 						t.Fatalf("mode=%d k=%d query %d %v seed=%g:\nexhaustive(≥seed) %v\nseeded(≥seed)     %v",
 							mode, k, qi, q, seed, want, filter(got, seed))
-					}
-					if len(exh) >= k && es.FinalThreshold < exh[len(exh)-1].Score {
-						t.Fatalf("mode=%d k=%d query %v seed=%g: FinalThreshold %g below k-th score %g",
-							mode, k, q, seed, es.FinalThreshold, exh[len(exh)-1].Score)
-					}
-					if seed > 0 && es.FinalThreshold < seed {
-						t.Fatalf("FinalThreshold %g below seed %g", es.FinalThreshold, seed)
 					}
 				}
 			}
@@ -66,7 +59,7 @@ func TestSeedZeroMatchesUnseeded(t *testing.T) {
 		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			want, wes := EvaluateTopK(ix, s, q, 10, mode)
 			for _, seed := range []float64{0, -1} {
-				got, ges := evaluateTopK(ix, nil, s, q, 10, mode, seed)
+				got, ges := evaluateTopK(ix, s, q, 10, mode, seed)
 				if !reflect.DeepEqual(want, got) || wes != ges {
 					t.Fatalf("mode=%d query %v seed=%g: unseeded %v %+v, seeded %v %+v",
 						mode, q, seed, want, wes, got, ges)

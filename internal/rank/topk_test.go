@@ -54,7 +54,10 @@ func sameRanking(a, b []Result) bool {
 // k-th best once the heap is full.
 func TestTopKMatchesSortAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	dead := func(ext int) bool { return ext%5 == 3 }
+	dead := map[int]bool{}
+	for ext := 3; ext < 250; ext += 5 {
+		dead[ext] = true
+	}
 	for trial := 0; trial < 200; trial++ {
 		stream := tieStream(rng, rng.Intn(250))
 		switch trial % 3 {
@@ -67,12 +70,12 @@ func TestTopKMatchesSortAll(t *testing.T) {
 			}
 		}
 		for _, k := range []int{0, 1, 2, 3, 10, 100, len(stream) + 7} {
-			for _, filter := range []func(int) bool{nil, dead} {
+			for _, filter := range []map[int]bool{nil, dead} {
 				tk := &topK{k: k, dead: filter}
 				var live []Result
 				for _, r := range stream {
 					tk.offer(r)
-					if filter == nil || !filter(r.Doc) {
+					if !filter[r.Doc] {
 						live = append(live, r)
 					}
 				}
@@ -174,9 +177,10 @@ func fullPageQuery(t testing.TB, ix *index.Index, s *Scorer, k int) []string {
 }
 
 // TestKernelAllocations pins the rank kernel's allocations at k=100: an
-// evaluation allocates only the slice it returns, on a static index and
-// on a one-segment view, and merging a partition's answer allocates
-// nothing once the merger holds k results.
+// evaluation allocates only the slice it returns — on a static index, on
+// a one-segment view, and on an eight-segment view with tombstones
+// pending, exhaustive or pruned — and merging a partition's answer
+// allocates nothing once the merger holds k results.
 func TestKernelAllocations(t *testing.T) {
 	const k = 100
 	ix := pruneCorpus(95, index.DefaultOptions())
@@ -184,9 +188,14 @@ func TestKernelAllocations(t *testing.T) {
 	q := fullPageQuery(t, ix, s, k)
 	if !raceEnabled { // under -race sync.Pool drops Puts at random
 		view := index.ViewOf(ix)
+		tiered, compacted := tieredView(t, viewCorpus(98, 2040), []int{7, 700, 1500, 2035})
+		ts := NewScorer(FromGlobal(tiered.LocalStats(nil)))
+		tq := fullPageQuery(t, compacted, ts, k)
 		evals := map[string]func(){
-			"EvaluateTopK": func() { EvaluateTopK(ix, s, q, k, PruneMaxScore) },
-			"EvaluateView": func() { EvaluateView(view, s, q, k, PruneMaxScore, 0) },
+			"EvaluateTopK":                    func() { EvaluateTopK(ix, s, q, k, PruneMaxScore) },
+			"EvaluateView":                    func() { EvaluateView(view, s, q, k, PruneMaxScore, 0) },
+			"EvaluateView tiered, exhaustive": func() { EvaluateView(tiered, ts, tq, k, PruneNone, 0) },
+			"EvaluateView tiered, MaxScore":   func() { EvaluateView(tiered, ts, tq, k, PruneMaxScore, 0) },
 		}
 		for name, f := range evals {
 			if n := testing.AllocsPerRun(100, f); n > 1 {
@@ -217,6 +226,32 @@ func BenchmarkEvaluateTopK(b *testing.B) {
 			postings := 0
 			for i := 0; i < b.N; i++ {
 				_, es := EvaluateTopK(ix, s, queries[i%len(queries)], k, PruneMaxScore)
+				postings += es.PostingsDecoded
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
+		})
+	}
+}
+
+// BenchmarkEvaluateView is the microbenchmark behind bench/'s traced
+// qproc.live_query_us: one partition of a LiveEngine, an eight-segment
+// view with tombstones pending, at k=10, exhaustive and MaxScore (the
+// live default). ns/posting is wall time per decoded posting; allocs/op
+// is allocations per evaluation.
+func BenchmarkEvaluateView(b *testing.B) {
+	view, compacted := tieredView(b, viewCorpus(99, 2040), []int{7, 700, 1500, 2035})
+	queries := pruneQueries(rand.New(rand.NewSource(100)), compacted, 200)
+	scorers := make([]*Scorer, len(queries))
+	for i, q := range queries {
+		scorers[i] = NewScorer(FromGlobal(view.LocalStats(q)))
+	}
+	for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
+		b.Run(fmt.Sprintf("pruning=%d", mode), func(b *testing.B) {
+			b.ReportAllocs()
+			postings := 0
+			for i := 0; i < b.N; i++ {
+				j := i % len(queries)
+				_, es := EvaluateView(view, scorers[j], queries[j], 10, mode, 0)
 				postings += es.PostingsDecoded
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")

@@ -54,6 +54,117 @@ func segmentedStore(t *testing.T, docs []index.Doc, segDocs int) *index.SegmentS
 	return st
 }
 
+// hotTail is viewCorpus with its last hot documents made short and
+// repetitive — three consecutive terms of an older document, four times
+// over — so they outscore the older documents for queries and phrases
+// over those terms.
+func hotTail(seed int64, n, hot int) []index.Doc {
+	docs := viewCorpus(seed, n)
+	rng := rand.New(rand.NewSource(seed + 1))
+	for d := n - hot; d < n; d++ {
+		src := docs[rng.Intn(n-hot)].Terms
+		i := rng.Intn(len(src) - 2)
+		docs[d].Terms = nil
+		for r := 0; r < 4; r++ {
+			docs[d].Terms = append(docs[d].Terms, src[i:i+3]...)
+		}
+	}
+	return docs
+}
+
+// tieredView seals 2040 docs as eight segments of halving size, 1024
+// down to 8 documents, which a radix-2 merge policy leaves resident;
+// tombstones dead; and returns that view with the index the store's
+// Compact makes of it.
+func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *index.Index) {
+	t.Helper()
+	st := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 2})
+	w := index.NewSegmentWriter(st, 1<<30)
+	n, size := 0, 1024
+	for _, d := range docs {
+		if err := w.AddDocument(d.Ext, d.Terms); err != nil {
+			t.Fatal(err)
+		}
+		if n++; n == size {
+			if err := w.Cut(); err != nil {
+				t.Fatal(err)
+			}
+			n, size = 0, size/2
+		}
+	}
+	for _, ext := range dead {
+		if !st.Delete(ext) {
+			t.Fatalf("Delete(%d) found nothing", ext)
+		}
+	}
+	view := st.Manifest()
+	if view.NumSegments() != 8 || view.Tombstones() != len(dead) {
+		t.Fatalf("fixture: %d segments, %d tombstones; want 8 and %d", view.NumSegments(), view.Tombstones(), len(dead))
+	}
+	compacted, err := st.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view, compacted
+}
+
+// TestViewEquivalenceSharedHeap: over eight segments whose newest hold
+// the best documents — so the view's one heap, and with it MaxScore's
+// threshold, rises mid-view — exhaustive, MaxScore, seeded MaxScore and
+// phrase evaluation of the view each equal, bit for bit, evaluating the
+// compacted index (which has dropped the view's pending tombstones) with
+// the same scorer.
+func TestViewEquivalenceSharedHeap(t *testing.T) {
+	const n, hot = 2040, 60
+	docs := hotTail(67, n, hot)
+	rng := rand.New(rand.NewSource(68))
+	var dead []int
+	for _, d := range docs {
+		if rng.Intn(6) == 0 {
+			dead = append(dead, d.Ext)
+		}
+	}
+	view, compacted := tieredView(t, docs, dead)
+	queries := pruneQueries(rng, compacted, 100)
+	for _, d := range docs[n-hot:] {
+		queries = append(queries, d.Terms[:1+rng.Intn(3)])
+	}
+	lateTop := 0
+	for qi, q := range queries {
+		s := NewScorer(FromGlobal(view.LocalStats(q)))
+		for _, k := range []int{1, 10, 100} {
+			want, _ := EvaluateOR(compacted, s, q, k)
+			if k == 1 && len(want) > 0 && want[0].Doc >= n-hot {
+				lateTop++
+			}
+			for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
+				if got, _ := EvaluateView(view, s, q, k, mode, 0); !sameRanking(want, got) {
+					t.Fatalf("mode=%d k=%d query %d %v:\ncompacted %v\nview      %v", mode, k, qi, q, want, got)
+				}
+			}
+			if len(want) == k {
+				if seeded, _ := EvaluateView(view, s, q, k, PruneMaxScore, want[k-1].Score); !sameRanking(want, seeded) {
+					t.Fatalf("k=%d query %v seeded at the k-th score:\ncompacted %v\nseeded    %v", k, q, want, seeded)
+				}
+			}
+		}
+	}
+	if lateTop < hot/2 {
+		t.Fatalf("only %d of %d queries rank a document of the newest segments first", lateTop, len(queries))
+	}
+	for _, d := range docs[n-2*hot:] {
+		i := rng.Intn(len(d.Terms) - 1)
+		ph := d.Terms[i : i+2]
+		s := NewScorer(FromGlobal(view.LocalStats(ph)))
+		for _, k := range []int{1, 10, 100} {
+			want, _ := EvaluatePhrase(compacted, s, ph, k)
+			if got, _ := EvaluateViewPhrase(view, s, ph, k); !sameRanking(want, got) {
+				t.Fatalf("phrase k=%d %v:\ncompacted %v\nview      %v", k, ph, want, got)
+			}
+		}
+	}
+}
+
 // TestViewEquivalenceSegmentedMatchesStatic: a collection cut into
 // several segments ranks exactly as the same collection in one index —
 // same documents, same order, bitwise-equal scores — for every pruning
@@ -75,15 +186,12 @@ func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 		for _, k := range []int{1, 10, 100} {
 			want, _ := EvaluateOR(ix, s, q, k)
 			for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
-				got, es := EvaluateView(view, s, q, k, mode, 0)
+				got, _ := EvaluateView(view, s, q, k, mode, 0)
 				if len(want) == 0 && len(got) == 0 {
 					continue
 				}
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("mode=%d k=%d query %d %v:\nstatic    %v\nsegmented %v", mode, k, qi, q, want, got)
-				}
-				if len(want) == k && es.FinalThreshold != want[k-1].Score {
-					t.Fatalf("mode=%d k=%d query %v: FinalThreshold %v, k-th score %v", mode, k, q, es.FinalThreshold, want[k-1].Score)
 				}
 				// Seeded at the true k-th score, everything scoring at or
 				// above the seed must still come back.
@@ -109,7 +217,7 @@ func TestViewEquivalenceSingleSegmentIsTheEvaluator(t *testing.T) {
 	for _, q := range pruneQueries(rng, ix, 60) {
 		for _, mode := range []Pruning{PruneNone, PruneMaxScore} {
 			for _, seed := range []float64{0, 2.5} {
-				want, wes := evaluateTopK(ix, nil, s, q, 10, mode, seed)
+				want, wes := evaluateTopK(ix, s, q, 10, mode, seed)
 				got, ges := EvaluateView(view, s, q, 10, mode, seed)
 				if !reflect.DeepEqual(want, got) || wes != ges {
 					t.Fatalf("mode=%d seed=%v query %v:\nevaluator %v %+v\nview      %v %+v", mode, seed, q, want, wes, got, ges)
