@@ -98,9 +98,8 @@ func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]boo
 			}
 			it.reset(&p.termList[j].pl, p.opts, opts.StorePositions)
 			for it.Next() {
-				post := it.Posting()
-				if post.Doc = remap[pi][post.Doc]; post.Doc >= 0 {
-					merged = append(merged, post)
+				if doc := remap[pi][it.Doc()]; doc >= 0 { // a dropped document's positions stay undecoded
+					merged = append(merged, Posting{Doc: doc, TF: it.TF(), Pos: it.Positions()})
 				}
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Posting is one term occurrence record: the internal document ordinal,
@@ -246,10 +245,26 @@ func byteLen32(v uint32) int {
 	}
 }
 
+// gvMask keeps the low 1–4 bytes of a little-endian word, by tag value.
+var gvMask = [4]uint32{0xff, 0xffff, 0xffffff, 0xffffffff}
+
 // decodeGroupVarint decodes n values written by appendGroupVarint from
 // data starting at pos into out[:n], returning the next byte position.
+// While a whole group fits in what is left of data (a tag byte plus at
+// most 16 value bytes), each value is one 4-byte word load masked to its
+// length; the last groups fall back to the byte loop.
 func decodeGroupVarint(data []byte, pos, n int, out []uint32) int {
 	i := 0
+	for ; i+4 <= n && pos+17 <= len(data); i += 4 {
+		tag := uint(data[pos])
+		pos++
+		for j := 0; j < 4; j++ {
+			l := tag & 3
+			out[i+j] = binary.LittleEndian.Uint32(data[pos:]) & gvMask[l]
+			pos += int(l) + 1
+			tag >>= 2
+		}
+	}
 	for ; i+4 <= n; i += 4 {
 		tag := data[pos]
 		pos++
@@ -273,23 +288,24 @@ func decodeGroupVarint(data []byte, pos, n int, out []uint32) int {
 
 // Iterator walks a posting list in document order, decoding one block at
 // a time. Use Next to advance one posting and SkipTo to jump forward via
-// the skip table; blocks the cursor jumps over are never decoded.
+// the skip table; blocks the cursor jumps over are never decoded. Doc and
+// TF read the current posting in place; Positions decodes its positions
+// only when asked.
 type Iterator struct {
 	pl      *postingList
 	opts    Options
 	withPos bool
 	bs      int // postings per block
-	bi      int // index of the decoded block; -1 before any decode
-	n       int // postings in the decoded block
-	j       int // next undelivered posting within the block
+	bi      int // index of the decoded block; -1 before any decode, len(blocks) once exhausted
+	n       int // postings in the decoded block; 0 before any decode and once exhausted
+	j       int // the current posting within the block, valid while j < n
 	docs    []int32
 	tfs     []int32
 	gaps    []uint32 // group-varint decode scratch
 	posOff  int      // byte cursor into the positions section
 	posIdx  int      // posting ordinal within the block whose positions begin at posOff
+	pos     []int32  // positions of posting posIdx-1, once Positions decoded them
 	bytes   int64    // encoded bytes decoded so far
-	cur     Posting
-	valid   bool
 }
 
 // reset re-initializes *it over pl, preserving its decode buffers so
@@ -341,6 +357,11 @@ func (it *Iterator) decodeBlock(b int) {
 			docs[i] = d
 		}
 		for i := range tfs {
+			if c := pl.data[pos]; c < 0x80 { // a one-byte uvarint: nearly every tf
+				tfs[i] = int32(c)
+				pos++
+				continue
+			}
 			v, w := binary.Uvarint(pl.data[pos:])
 			pos += w
 			tfs[i] = int32(v)
@@ -370,21 +391,19 @@ func (it *Iterator) decodeBlock(b int) {
 	}
 }
 
-// serve delivers posting j of the decoded block as the current posting.
-func (it *Iterator) serve() {
-	var poss []int32
-	if it.withPos {
-		poss = it.positions(it.j)
+// Positions returns the current posting's positions (nil when the
+// iterator does not materialize them), decoding them on the first call:
+// the positions section is walked forward from the last posting whose
+// positions were decoded, so a posting nobody asks about costs a varint
+// walk and no allocation. Valid only after Next or SkipTo returned true.
+func (it *Iterator) Positions() []int32 {
+	if !it.withPos {
+		return nil
 	}
-	it.cur = Posting{Doc: it.docs[it.j], TF: it.tfs[it.j], Pos: poss}
-	it.j++
-	it.valid = true
-}
-
-// positions decodes posting j's positions, walking the block's positions
-// section forward from the last decoded posting (j never decreases
-// within a block).
-func (it *Iterator) positions(j int) []int32 {
+	j := it.j
+	if it.posIdx > j { // j's positions are the ones decoded last
+		return it.pos
+	}
 	data := it.pl.data
 	if it.opts.Compress {
 		for it.posIdx < j {
@@ -406,7 +425,7 @@ func (it *Iterator) positions(j int) []int32 {
 			prev += int32(d)
 			out[k] = prev
 		}
-		it.posIdx = j + 1
+		it.posIdx, it.pos = j+1, out
 		return out
 	}
 	for it.posIdx < j {
@@ -421,67 +440,101 @@ func (it *Iterator) positions(j int) []int32 {
 		out[k] = int32(binary.LittleEndian.Uint32(data[it.posOff:]))
 		it.posOff += 4
 	}
-	it.posIdx = j + 1
+	it.posIdx, it.pos = j+1, out
 	return out
 }
 
-// Next advances to the next posting; it returns false at the end.
+// Next advances to the next posting; it returns false at the end. Inside
+// a decoded block it is a bounds check and an increment.
 func (it *Iterator) Next() bool {
-	if it.j >= it.n {
-		b := it.bi + 1
-		if b >= len(it.pl.blocks) {
-			it.valid = false
-			return false
-		}
-		it.decodeBlock(b)
+	if it.j+1 < it.n {
+		it.j++
+		return true
 	}
-	it.serve()
+	return it.nextBlock()
+}
+
+// nextBlock decodes the block after the current one, or exhausts the
+// iterator when there is none.
+func (it *Iterator) nextBlock() bool {
+	b := it.bi + 1
+	if b >= len(it.pl.blocks) {
+		it.exhaust()
+		return false
+	}
+	it.decodeBlock(b)
 	return true
 }
 
-// Posting returns the current posting. Valid only after Next or SkipTo
-// returned true.
-func (it *Iterator) Posting() Posting { return it.cur }
+// exhaust leaves the iterator past its last posting.
+func (it *Iterator) exhaust() { it.bi, it.n, it.j = len(it.pl.blocks), 0, 0 }
+
+// Doc returns the current posting's document ordinal. Valid only after
+// Next or SkipTo returned true.
+func (it *Iterator) Doc() int32 { return it.docs[it.j] }
+
+// TF returns the current posting's term frequency. Valid only after Next
+// or SkipTo returned true.
+func (it *Iterator) TF() int32 { return it.tfs[it.j] }
+
+// Posting returns the current posting, its positions included when the
+// iterator materializes them. Valid only after Next or SkipTo returned
+// true.
+func (it *Iterator) Posting() Posting {
+	return Posting{Doc: it.Doc(), TF: it.TF(), Pos: it.Positions()}
+}
 
 // Count returns the total number of postings in the underlying list.
 func (it *Iterator) Count() int { return it.pl.count }
 
 // SkipTo advances to the first posting with Doc >= target, using the
 // skip table to jump over (and never decode) non-containing blocks.
-// It returns false if no such posting exists.
+// It returns false if no such posting exists. A target inside the
+// decoded block is found there (its last document is the block's
+// lastDoc); otherwise the blocks not yet visited are searched for the
+// first whose lastDoc reaches target, and only that one is decoded.
 func (it *Iterator) SkipTo(target int32) bool {
-	if it.valid && it.cur.Doc >= target {
-		return true
-	}
-	blocks := it.pl.blocks
-	// Within the already-decoded block?
-	if it.bi >= 0 && it.bi < len(blocks) && target <= blocks[it.bi].lastDoc && it.j < it.n {
-		rest := it.docs[it.j:it.n]
-		k := sort.Search(len(rest), func(i int) bool { return rest[i] >= target })
-		if k < len(rest) {
-			it.j += k
-			it.serve()
+	if it.j < it.n {
+		if it.docs[it.j] >= target {
+			return true
+		}
+		if target <= it.docs[it.n-1] {
+			it.j = searchDocs(it.docs[:it.n], it.j+1, target)
 			return true
 		}
 	}
-	// Find the first not-yet-visited block whose lastDoc reaches target.
-	lo := it.bi + 1
-	if lo > len(blocks) {
-		lo = len(blocks)
+	blocks := it.pl.blocks
+	lo, hi := min(it.bi+1, len(blocks)), len(blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if blocks[m].lastDoc < target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	tail := blocks[lo:]
-	b := sort.Search(len(tail), func(i int) bool { return tail[i].lastDoc >= target })
-	if b == len(tail) {
-		it.bi, it.n, it.j = len(blocks), 0, 0
-		it.valid = false
+	if lo == len(blocks) {
+		it.exhaust()
 		return false
 	}
-	it.decodeBlock(lo + b)
-	docs := it.docs[:it.n]
-	k := sort.Search(len(docs), func(i int) bool { return docs[i] >= target })
-	it.j = k // k < n: the block's lastDoc >= target
-	it.serve()
+	it.decodeBlock(lo)
+	it.j = searchDocs(it.docs[:it.n], 0, target) // < n: the block's lastDoc >= target
 	return true
+}
+
+// searchDocs returns the first i >= lo with docs[i] >= target, or
+// len(docs) when there is none.
+func searchDocs(docs []int32, lo int, target int32) int {
+	hi := len(docs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if docs[m] < target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // BytesDecoded returns the encoded bytes this iterator has decoded so

@@ -1,9 +1,12 @@
 package index
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -216,4 +219,166 @@ func TestIteratorBytesDecodedCharges(t *testing.T) {
 	if it.BytesDecoded() >= full/2 {
 		t.Fatalf("SkipTo to the last block decoded %d bytes; full walk is %d — blocks were not skipped", it.BytesDecoded(), full)
 	}
+}
+
+// blockCharge is what decoding block b of pl costs in BytesDecoded: the
+// whole block when positions are materialized, else its doc and TF
+// sections, sized here from ps by the layout rules.
+func blockCharge(pl *postingList, ps []Posting, opts Options, withPos bool, b int) int64 {
+	if withPos && opts.StorePositions {
+		end := len(pl.data)
+		if b+1 < len(pl.blocks) {
+			end = int(pl.blocks[b+1].offset)
+		}
+		return int64(end - int(pl.blocks[b].offset))
+	}
+	bs := opts.blockSize()
+	block := ps[b*bs : min((b+1)*bs, len(ps))]
+	if !opts.Compress {
+		return int64(8 * len(block))
+	}
+	var prev int32
+	if b > 0 {
+		prev = ps[b*bs-1].Doc
+	}
+	gaps := make([]uint32, len(block))
+	var tfBytes int
+	for i, p := range block {
+		gaps[i] = uint32(p.Doc - prev)
+		prev = p.Doc
+		tfBytes += len(binary.AppendUvarint(nil, uint64(p.TF)))
+	}
+	return int64(len(appendGroupVarint(nil, gaps)) + tfBytes)
+}
+
+// TestIteratorInterleavings is the seeded property test of the cursor
+// step: random interleavings of Next and SkipTo — to a target inside the
+// current block, equal to a block's lastDoc, in a later block, or past
+// the end — land where a scan of decodeAll's postings lands, over both
+// layouts, with and without positions. Doc, TF, Posting and Positions
+// (asked for twice, or not at all) agree with that posting, and
+// BytesDecoded is the block-level charge of exactly the blocks landed in.
+func TestIteratorInterleavings(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for trial := 0; trial < 120; trial++ {
+		opts := Options{
+			Compress:       trial%2 == 0,
+			StorePositions: (trial/2)%2 == 0,
+			BlockSize:      []int{1, 3, 16, 128}[(trial/4)%4],
+		}
+		ps := randPostings(rng, 1+rng.Intn(600), []int{1, 4, 300, 1 << 20}[rng.Intn(4)], opts.StorePositions)
+		pl := encodePostings(ps, opts, encodeStats{})
+		all := pl.decodeAll(opts)
+		if !reflect.DeepEqual(all, ps) {
+			t.Fatalf("trial %d opts %+v: decodeAll diverges from the encoded postings", trial, opts)
+		}
+		bs, n := opts.blockSize(), len(all)
+		lastOf := func(b int) int32 { return all[min((b+1)*bs, n)-1].Doc }
+		for _, withPos := range []bool{false, true} {
+			it := newIterator(&pl, opts, withPos)
+			cur := -1 // index in all of the current posting
+			landed := map[int]bool{}
+			for step := 0; ; step++ {
+				var ok bool
+				var what string
+				want := cur + 1
+				if kind := rng.Intn(100); kind < 35 {
+					what = "Next"
+					ok = it.Next()
+				} else {
+					b := max(cur, 0) / bs
+					var target int32
+					switch {
+					case kind < 60: // inside the current block, present or not
+						target = all[b*bs+rng.Intn(min(bs, n-b*bs))].Doc - int32(rng.Intn(2))
+					case kind < 75: // a block's lastDoc, this one or a later one
+						target = lastOf(b + rng.Intn((n-1)/bs-b+1))
+					case kind < 99: // in a later block (the current one when there is none)
+						nb := min(b+1+rng.Intn(3), (n-1)/bs)
+						target = all[nb*bs+rng.Intn(min(bs, n-nb*bs))].Doc
+					default: // past the end
+						target = all[n-1].Doc + 1 + int32(rng.Intn(100))
+					}
+					what = fmt.Sprintf("SkipTo(%d)", target)
+					ok = it.SkipTo(target)
+					want = max(cur, 0)
+					for want < n && all[want].Doc < target {
+						want++
+					}
+				}
+				if ok != (want < n) {
+					t.Fatalf("trial %d opts %+v withPos %v step %d: %s = %v, want %v", trial, opts, withPos, step, what, ok, want < n)
+				}
+				if !ok {
+					break
+				}
+				cur = want
+				landed[cur/bs] = true
+				p := all[cur]
+				if !withPos || !opts.StorePositions {
+					p.Pos = nil
+				}
+				if it.Doc() != p.Doc || it.TF() != p.TF {
+					t.Fatalf("trial %d opts %+v withPos %v step %d: %s landed on doc %d tf %d, want %+v", trial, opts, withPos, step, what, it.Doc(), it.TF(), p)
+				}
+				for range rng.Intn(3) {
+					if got := it.Posting(); !reflect.DeepEqual(got, p) {
+						t.Fatalf("trial %d opts %+v withPos %v step %d: %s gave %+v, want %+v", trial, opts, withPos, step, what, got, p)
+					}
+				}
+			}
+			if it.Next() || it.SkipTo(0) {
+				t.Fatalf("trial %d opts %+v withPos %v: an exhausted iterator moved", trial, opts, withPos)
+			}
+			var charge int64
+			for b := range landed {
+				charge += blockCharge(&pl, all, opts, withPos, b)
+			}
+			if it.BytesDecoded() != charge {
+				t.Fatalf("trial %d opts %+v withPos %v: BytesDecoded %d, the %d blocks landed in charge %d", trial, opts, withPos, it.BytesDecoded(), len(landed), charge)
+			}
+		}
+	}
+}
+
+// FuzzGroupVarint: any gap list survives appendGroupVarint and
+// decodeGroupVarint, wherever in data it starts and however few bytes
+// follow it — in particular when its last groups end within the 17
+// bytes of the end of data where word loads give way to the byte loop.
+// Values are drawn from raw four bytes at a time, shifted right by their
+// own low five bits so every encoded length occurs.
+func FuzzGroupVarint(f *testing.F) {
+	seed := make([]byte, 0, 96)
+	for v := uint32(1); len(seed) < cap(seed); v = v*2654435761 + 1 {
+		seed = binary.LittleEndian.AppendUint32(seed, v)
+	}
+	// Three 4-byte values and a 1-byte one: the group whose last word
+	// load reaches furthest past its own bytes.
+	widest := []byte{0xe0, 0xff, 0xff, 0xff, 0xe0, 0xff, 0xff, 0xff, 0xe0, 0xff, 0xff, 0xff, 1, 0, 0, 0}
+	for trail := uint8(0); trail <= 18; trail++ {
+		f.Add(seed, trail%4, trail)
+		f.Add(seed[:4*int(trail%6)], uint8(1), trail)
+		f.Add(widest, uint8(0), trail)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, lead, trail uint8) {
+		vals := make([]uint32, len(raw)/4)
+		for i := range vals {
+			v := binary.LittleEndian.Uint32(raw[4*i:])
+			vals[i] = v >> (v & 31)
+		}
+		data := make([]byte, lead%8, 64)
+		start := len(data)
+		data = appendGroupVarint(data, vals)
+		end := len(data)
+		for range trail % 32 {
+			data = append(data, 0xff)
+		}
+		out := make([]uint32, len(vals))
+		if got := decodeGroupVarint(data, start, len(vals), out); got != end {
+			t.Fatalf("%d values, %d trailing bytes: decode ended at %d, encoding at %d", len(vals), trail%32, got, end)
+		}
+		if !slices.Equal(out, vals) {
+			t.Fatalf("%d trailing bytes: decoded %v, encoded %v", trail%32, out, vals)
+		}
+	})
 }

@@ -143,10 +143,10 @@ func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs floa
 			idf := e.scorer.IDF(t)
 			for it.Next() {
 				h.es.PostingsDecoded++
-				p := it.Posting()
+				doc := it.Doc()
 				h.entries = append(h.entries, accEntry{
-					doc:   ix.ExtID(p.Doc),
-					delta: e.scorer.Term(p.TF, ix.DocLen(p.Doc), idf),
+					doc:   ix.ExtID(doc),
+					delta: e.scorer.Term(it.TF(), ix.DocLen(doc), idf),
 				})
 			}
 			h.es.BytesDecoded += it.BytesDecoded()

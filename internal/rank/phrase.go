@@ -18,7 +18,8 @@ import (
 // processed), else their intersection with starts. A term ix does not
 // hold leaves no candidates. The intersection ∩ᵢ (positions(termᵢ) − i)
 // is commutative, which is what lets a pipelined engine process terms in
-// server order rather than phrase order. es accounts the list.
+// server order rather than phrase order. es accounts the list; only the
+// positions of postings that survive are decoded.
 func PhraseStep(ix *index.Index, term string, slot int, starts map[int][]int32, es *EvalStats) map[int][]int32 {
 	it := ix.PostingsWithPositions(term)
 	if it == nil {
@@ -29,15 +30,15 @@ func PhraseStep(ix *index.Index, term string, slot int, starts map[int][]int32, 
 	cur := make(map[int][]int32)
 	for it.Next() {
 		es.PostingsDecoded++
-		p := it.Posting()
-		ext := ix.ExtID(p.Doc)
+		ext := ix.ExtID(it.Doc())
 		if starts != nil {
 			if _, ok := starts[ext]; !ok {
 				continue // doc already eliminated
 			}
 		}
-		adj := make([]int32, 0, len(p.Pos))
-		for _, pos := range p.Pos {
+		poss := it.Positions()
+		adj := make([]int32, 0, len(poss))
+		for _, pos := range poss {
 			if s := pos - int32(slot); s >= 0 {
 				adj = append(adj, s)
 			}

@@ -91,3 +91,22 @@ func TestEncodedPositionsSize(t *testing.T) {
 		t.Fatalf("empty size = %d", got)
 	}
 }
+
+// TestPhraseStepDecodesKeptPositionsOnly: a posting whose document
+// starts has already eliminated costs no positions, so against a
+// one-document starts PhraseStep allocates as much for a list of 1 000
+// postings as for one of 4.
+func TestPhraseStepDecodesKeptPositionsOnly(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := index.NewBuilder(index.DefaultOptions())
+		for d := 0; d < n; d++ {
+			b.AddDocument(d, []string{"w", "x", "w"})
+		}
+		ix := index.MustBuild(b)
+		starts := map[int][]int32{0: {0}}
+		return testing.AllocsPerRun(20, func() { PhraseStep(ix, "w", 0, starts, &EvalStats{}) })
+	}
+	if short, long := allocs(4), allocs(1000); long > short {
+		t.Fatalf("PhraseStep allocates %v times over 1 000 postings, %v over 4", long, short)
+	}
+}

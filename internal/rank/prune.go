@@ -2,6 +2,7 @@ package rank
 
 import (
 	"math"
+	"slices"
 
 	"dwr/internal/index"
 )
@@ -35,13 +36,15 @@ const pruneSlack = 1e-9
 // pruneCursor is one term's posting cursor plus the precomputed bound
 // dynamic pruning decides with.
 type pruneCursor struct {
-	it   *index.Iterator
-	idf  float64
-	ub   float64 // list-wide score upper bound: TermUpperBound of the list's summary
-	doc  int32   // current document, valid while !done
-	tf   int32
-	done bool
+	it  *index.Iterator
+	idf float64
+	ub  float64 // list-wide score upper bound: TermUpperBound of the list's summary
+	doc int32   // current document; exhausted once the list is
 }
+
+// exhausted is an exhausted cursor's doc: past every document ordinal,
+// so it is never a candidate and never equals one.
+const exhausted = math.MaxInt32
 
 // Competitive reports whether a score upper bound can still beat a
 // running top-k threshold under the evaluators' documented pruneSlack
@@ -109,12 +112,11 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 	}
 	cursors := sc.open(ix, s, terms, es)
 	for i := range cursors {
-		if cursors[i].it.Next() {
+		if c := &cursors[i]; c.it.Next() {
 			es.PostingsDecoded++
-			p := cursors[i].it.Posting()
-			cursors[i].doc, cursors[i].tf = p.Doc, p.TF
+			c.doc = c.it.Doc()
 		} else {
-			cursors[i].done = true
+			c.doc = exhausted
 		}
 	}
 
@@ -123,12 +125,11 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 	// contribution of the j+1 lowest-impact lists. Both are fixed for the
 	// whole evaluation — only the essential/non-essential boundary m moves
 	// as the threshold rises.
-	if cap(sc.order) < len(cursors) {
-		sc.order = make([]int, len(cursors))
-		sc.prefix = make([]float64, len(cursors))
-		sc.contrib = make([]float64, len(cursors))
-	}
-	order, prefix, contrib := sc.order[:len(cursors)], sc.prefix[:len(cursors)], sc.contrib[:len(cursors)]
+	n := len(cursors)
+	sc.order = slices.Grow(sc.order[:0], n)[:n]
+	sc.prefix = slices.Grow(sc.prefix[:0], n)[:n]
+	sc.contrib = slices.Grow(sc.contrib[:0], n)[:n]
+	order, prefix, contrib := sc.order, sc.prefix, sc.contrib
 	for i := range order {
 		order[i] = i
 	}
@@ -148,7 +149,9 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 		prefix[j] = sum
 	}
 
-	m := 0 // cursors order[:m] are non-essential
+	m := 0      // cursors order[:m] are non-essential
+	dm := -1    // the m that candidate d was taken over
+	var d int32 // candidate: minimum current document over essential cursors
 	for {
 		// The threshold is the tighter of the heap floor and the caller's
 		// seed, both widened by pruneSlack (the heap floor overtakes the
@@ -166,34 +169,40 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 		if m == len(order) {
 			break // even all lists together cannot reach the threshold
 		}
-		// Candidate: minimum current document over essential cursors.
-		d := int32(math.MaxInt32)
-		alive := false
-		for _, i := range order[m:] {
-			if c := &cursors[i]; !c.done {
-				alive = true
-				if c.doc < d {
-					d = c.doc
-				}
+		if dm != m { // the essential set shrank: take the minimum afresh
+			d, dm = exhausted, m
+			for _, i := range order[m:] {
+				d = min(d, cursors[i].doc)
 			}
 		}
-		if !alive {
+		if d == exhausted {
 			break
 		}
 
-		// Score the candidate: essential contributions first, then probe
-		// non-essential lists in descending bound order, abandoning as soon
-		// as the remaining bound cannot lift the partial sum past the
-		// threshold. Each posting is scored once; contrib keeps its value
-		// by cursor for the survivor's sum.
-		docLen := ix.DocLen(d)
+		// Score the candidate in one pass over the essential cursors: each
+		// one on d is scored and advanced, and the minimum of where they
+		// stand is the next candidate. Then probe non-essential lists in
+		// descending bound order, abandoning as soon as the remaining bound
+		// cannot lift the partial sum past the threshold. Each posting is
+		// scored once; contrib keeps its value by cursor for the
+		// survivor's sum, and the length norm is computed once for d.
+		norm := s.lengthNorm(ix.DocLen(d))
 		clear(contrib)
 		partial := 0.0
+		next := int32(exhausted)
 		for _, i := range order[m:] {
-			if c := &cursors[i]; !c.done && c.doc == d {
-				contrib[i] = s.Term(c.tf, docLen, c.idf)
+			c := &cursors[i]
+			if c.doc == d {
+				contrib[i] = s.termNorm(c.it.TF(), norm, c.idf)
 				partial += contrib[i]
+				if c.it.Next() {
+					es.PostingsDecoded++
+					c.doc = c.it.Doc()
+				} else {
+					c.doc = exhausted
+				}
 			}
+			next = min(next, c.doc)
 		}
 		abandoned := false
 		for j := m - 1; j >= 0; j-- {
@@ -202,20 +211,16 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 				break
 			}
 			c := &cursors[order[j]]
-			if c.done {
-				continue
-			}
 			if c.doc < d {
-				if !c.it.SkipTo(d) {
-					c.done = true
-					continue
+				if c.it.SkipTo(d) {
+					es.PostingsDecoded++
+					c.doc = c.it.Doc()
+				} else {
+					c.doc = exhausted
 				}
-				es.PostingsDecoded++
-				p := c.it.Posting()
-				c.doc, c.tf = p.Doc, p.TF
 			}
 			if c.doc == d {
-				contrib[order[j]] = s.Term(c.tf, docLen, c.idf)
+				contrib[order[j]] = s.termNorm(c.it.TF(), norm, c.idf)
 				partial += contrib[order[j]]
 			}
 		}
@@ -230,19 +235,7 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 			}
 			tk.offer(Result{Doc: ix.ExtID(d), Score: score})
 		}
-		for _, i := range order[m:] {
-			c := &cursors[i]
-			if c.done || c.doc != d {
-				continue
-			}
-			if c.it.Next() {
-				es.PostingsDecoded++
-				p := c.it.Posting()
-				c.doc, c.tf = p.Doc, p.TF
-			} else {
-				c.done = true
-			}
-		}
+		d = next
 	}
 	for i := range cursors {
 		es.BytesDecoded += cursors[i].it.BytesDecoded()

@@ -73,16 +73,28 @@ func (s *Scorer) IDF(term string) float64 {
 }
 
 // Term scores one term occurrence: tf within a document of length
-// docLen, with precomputed idf. The average length is floored at 1 by
-// hand rather than with math.Max (the same value for every input) so
-// the call inlines into the evaluators' per-posting loops.
+// docLen, with precomputed idf. It is termNorm over lengthNorm, so an
+// evaluator that scores several terms of one document computes the
+// length half once and gets the same bits.
 func (s *Scorer) Term(tf int32, docLen int, idf float64) float64 {
+	return s.termNorm(tf, s.lengthNorm(docLen), idf)
+}
+
+// lengthNorm is the document half of Term, k1·(1−b+b·docLen/avg). The
+// average length is floored at 1 by hand rather than with math.Max (the
+// same value for every input) so the call inlines.
+func (s *Scorer) lengthNorm(docLen int) float64 {
 	k1, b, avg := s.K1, s.B, s.Stats.AvgDocLen
 	if avg < 1 {
 		avg = 1
 	}
-	norm := 1 - b + b*float64(docLen)/avg
-	return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*norm)
+	return k1 * (1 - b + b*float64(docLen)/avg)
+}
+
+// termNorm is the posting half of Term: tf against a document's
+// lengthNorm.
+func (s *Scorer) termNorm(tf int32, norm, idf float64) float64 {
+	return idf * float64(tf) * (s.K1 + 1) / (float64(tf) + norm)
 }
 
 // EvalStats records the resource usage of one evaluation — the units the
@@ -185,7 +197,7 @@ func (sc *evalScratch) exhaustive(ix *index.Index, s *Scorer, terms []string, tk
 	for i := range cursors {
 		if cursors[i].it.Next() {
 			es.PostingsDecoded++
-			sc.heads = append(sc.heads, orHead{doc: cursors[i].it.Posting().Doc, i: i})
+			sc.heads = append(sc.heads, orHead{doc: cursors[i].it.Doc(), i: i})
 		}
 	}
 	heads := sc.heads
@@ -200,15 +212,16 @@ func (sc *evalScratch) exhaustive(ix *index.Index, s *Scorer, terms []string, tk
 		// Score minDoc and compact the surviving heads in place; the
 		// write index trails the read index, so order is preserved and
 		// no per-round slice is allocated.
+		norm := s.lengthNorm(ix.DocLen(minDoc))
 		score := 0.0
 		w := 0
 		for _, h := range heads {
 			c := &cursors[h.i]
 			if h.doc == minDoc {
-				score += s.Term(c.it.Posting().TF, ix.DocLen(minDoc), c.idf)
+				score += s.termNorm(c.it.TF(), norm, c.idf)
 				if c.it.Next() {
 					es.PostingsDecoded++
-					heads[w] = orHead{doc: c.it.Posting().Doc, i: h.i}
+					heads[w] = orHead{doc: c.it.Doc(), i: h.i}
 					w++
 				}
 			} else {
@@ -226,7 +239,8 @@ func (sc *evalScratch) exhaustive(ix *index.Index, s *Scorer, terms []string, tk
 
 // EvaluateAND scores the conjunction of the query terms, using SkipTo on
 // the rarest list to drive the others — the access pattern whose cost
-// skip pointers exist to reduce.
+// skip pointers exist to reduce. A match's contributions are summed in
+// query-term order, so its score is EvaluateOR's bit for bit.
 func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, EvalStats) {
 	var es EvalStats
 	sc := evalPool.Get().(*evalScratch)
@@ -247,9 +261,15 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 	if len(cursors) == 0 {
 		return nil, es
 	}
-	// Rarest list first minimizes skips.
-	slices.SortFunc(cursors, func(a, b evalCursor) int { return cmp.Compare(a.it.Count(), b.it.Count()) })
-	driver := cursors[0]
+	// Rarest list first minimizes skips; the stable sort keeps ties in
+	// query order.
+	order := sc.order[:0]
+	for i := range cursors {
+		order = append(order, i)
+	}
+	sc.order = order
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cursors[a].it.Count(), cursors[b].it.Count()) })
+	driver := cursors[order[0]]
 	tk := &topK{k: k, rs: sc.heap[:0]}
 	finish := func() []Result {
 		for i := range cursors {
@@ -263,22 +283,23 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 	}
 	es.PostingsDecoded++
 	for {
-		doc := driver.it.Posting().Doc
+		doc := driver.it.Doc()
 		match := true
-		for i := 1; i < len(cursors); i++ {
+		for _, i := range order[1:] {
 			if !cursors[i].it.SkipTo(doc) {
 				return finish(), es
 			}
 			es.PostingsDecoded++
-			if cursors[i].it.Posting().Doc != doc {
+			if cursors[i].it.Doc() != doc {
 				match = false
 				break
 			}
 		}
 		if match {
+			norm := s.lengthNorm(ix.DocLen(doc))
 			score := 0.0
 			for i := range cursors {
-				score += s.Term(cursors[i].it.Posting().TF, ix.DocLen(doc), cursors[i].idf)
+				score += s.termNorm(cursors[i].it.TF(), norm, cursors[i].idf)
 			}
 			tk.offer(Result{Doc: ix.ExtID(doc), Score: score})
 		}

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,40 @@ func TestANDSubsetOfOR(t *testing.T) {
 		if diff := sc - r.Score; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("doc %d scored %v in AND but %v in OR", r.Doc, r.Score, sc)
 		}
+	}
+}
+
+// TestANDScoresEqualORBitwise: a document the conjunction returns has
+// the score the disjunction gives it, bit for bit. AND drives its
+// intersection from the rarest list, but sums a match's contributions in
+// query-term order, the order EvaluateOR sums them in.
+func TestANDScoresEqualORBitwise(t *testing.T) {
+	ix := pruneCorpus(96, index.DefaultOptions())
+	s := NewScorer(FromIndex(ix))
+	all := ix.NumDocs()
+	matched, differ := 0, 0
+	for _, q := range pruneQueries(rand.New(rand.NewSource(5)), ix, 300) {
+		orRes, _ := EvaluateOR(ix, s, q, all)
+		or := make(map[int]float64, len(orRes))
+		for _, r := range orRes {
+			or[r.Doc] = r.Score
+		}
+		andRes, _ := EvaluateAND(ix, s, q, all)
+		for _, r := range andRes {
+			matched++
+			if or[r.Doc] != r.Score {
+				differ++
+				if differ <= 3 {
+					t.Errorf("query %v doc %d: AND score %v, OR score %v", q, r.Doc, r.Score, or[r.Doc])
+				}
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d AND results score differently under OR", differ, matched)
+	}
+	if matched == 0 {
+		t.Fatal("no query matched any document conjunctively")
 	}
 }
 
@@ -243,5 +278,34 @@ func TestTopKZero(t *testing.T) {
 	rs, _ := EvaluateOR(ix, s, []string{"apple"}, 0)
 	if len(rs) != 0 {
 		t.Fatalf("k=0 returned %d results", len(rs))
+	}
+}
+
+// TestTermGolden pins Scorer.Term bit for bit to the literal BM25
+// expression, idf·tf·(k1+1) / (tf + k1·(1−b+b·docLen/max(avg,1))), over
+// tf 1–50, docLen 0–5 000, averages below 1 and real ones, several idfs
+// and both the default and a non-default k1/b. The evaluators score
+// through Term's two halves, and the oracle they are checked against
+// (EvaluateOR) does too, so only this test ties a score to the formula.
+func TestTermGolden(t *testing.T) {
+	literal := func(tf int32, docLen int, idf, k1, b, avg float64) float64 {
+		return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*(1-b+b*float64(docLen)/math.Max(avg, 1)))
+	}
+	params := [][2]float64{{index.DefaultBM25K1, index.DefaultBM25B}, {0.9, 0.4}}
+	for _, kb := range params {
+		for _, avg := range []float64{0, 0.5, 1, 7.3, 42.5, 137.25, 1000.0 / 3} {
+			s := &Scorer{K1: kb[0], B: kb[1], Stats: StatsSource{AvgDocLen: avg}}
+			for _, idf := range []float64{1e-6, 0.3, 1.7, 6.25} {
+				for tf := int32(1); tf <= 50; tf++ {
+					for docLen := 0; docLen <= 5000; docLen++ {
+						got, want := s.Term(tf, docLen, idf), literal(tf, docLen, idf, kb[0], kb[1], avg)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("k1=%g b=%g avg=%g idf=%g tf=%d docLen=%d: Term %v, BM25 %v",
+								kb[0], kb[1], avg, idf, tf, docLen, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
