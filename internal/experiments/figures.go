@@ -2,15 +2,19 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"dwr/internal/cluster"
 	"dwr/internal/core"
 	"dwr/internal/index"
+	"dwr/internal/loadgen"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
+	"dwr/internal/querylog"
 	"dwr/internal/queueing"
 	"dwr/internal/randx"
+	"dwr/internal/server"
 )
 
 // Table1Inventory (T1) prints the paper's Table 1 with the components of
@@ -184,8 +188,9 @@ func Figure5Availability() *Result {
 }
 
 // Figure6Capacity (F6) regenerates the G/G/150 front-end capacity curve:
-// the analytic bound c/E[S] across service times, validated by the
-// discrete-event simulator on both sides of the bound.
+// the analytic bound c/E[S] across service times, validated on both
+// sides of the bound by server.Run, the virtual-time driver of the queue
+// dwrserve serves.
 func Figure6Capacity() *Result {
 	r := newResult("F6")
 	const c = 150
@@ -199,23 +204,47 @@ func Figure6Capacity() *Result {
 	}
 	r.Tables = append(r.Tables, t)
 
-	// DES validation at the 50 ms midpoint.
-	rng := randx.New(11)
-	es := 0.05
-	bound := queueing.CapacityBound(c, es)
-	below := queueing.Simulate(rng, c, 60000, queueing.ExpArrivals(0.8*bound), queueing.LogNormalService(es, 1))
-	above := queueing.Simulate(rng, c, 60000, queueing.ExpArrivals(1.2*bound), queueing.LogNormalService(es, 1))
-	v := metrics.NewTable("DES validation at 50 ms service time",
+	// DES validation at the 50 ms midpoint, on the queue the front-end
+	// serves: one class, no admission, shedding or deadline, and a wait
+	// queue as deep as the arrival count, so nothing is shed and the
+	// latency above service is exactly the queueing delay.
+	const n = 60000
+	bound := queueing.CapacityBound(c, 0.05)
+	lg := &querylog.Log{Queries: []querylog.Query{{Key: "q", Terms: []string{"q"}}}}
+	des := func(seed int64, load float64) (waitMs float64, maxQueue int) {
+		src := loadgen.Open(lg, loadgen.OpenConfig{Seed: seed, Rate: load * bound, N: n})
+		eng := &serviceStub{rng: randx.New(seed + 1), draw: queueing.LogNormalService(50, 1)}
+		rep := server.Run(eng, server.Config{Workers: c, QueueCap: n}, src)
+		return rep.Class[server.Interactive].MeanMs - rep.MeanServiceMs, rep.MaxQueueLen
+	}
+	belowMs, belowQ := des(11, 0.8)
+	aboveMs, aboveQ := des(21, 1.2)
+	v := metrics.NewTable("DES validation at 50 ms service time (server.Run)",
 		"arrival rate", "mean wait (ms)", "max queue")
-	v.AddRow("0.8×bound", below.MeanWait*1000, below.MaxQueueLen)
-	v.AddRow("1.2×bound", above.MeanWait*1000, above.MaxQueueLen)
+	v.AddRow("0.8×bound", belowMs, belowQ)
+	v.AddRow("1.2×bound", aboveMs, aboveQ)
 	r.Tables = append(r.Tables, v)
 	r.Values = map[string]float64{
 		"bound_10ms_kqps":  queueing.CapacityBound(c, 0.01) / 1000,
 		"bound_100ms_kqps": queueing.CapacityBound(c, 0.1) / 1000,
-		"below_wait_ms":    below.MeanWait * 1000,
-		"above_wait_ms":    above.MeanWait * 1000,
+		"below_wait_ms":    belowMs,
+		"above_wait_ms":    aboveMs,
 	}
 	r.Notes = append(r.Notes, "paper: capacity 'drops from 15 to 2 as the average service time goes from 10ms to 100ms'")
 	return r
 }
+
+// serviceStub is a one-unit engine whose answers cost nothing but a
+// virtual latency drawn from draw (ms), so server.Run measures the
+// queue alone under a chosen service law.
+type serviceStub struct {
+	rng  *rand.Rand
+	draw func(*rand.Rand) float64
+}
+
+func (e *serviceStub) QueryTopK([]string, int) qproc.QueryResult {
+	return qproc.QueryResult{LatencyMs: e.draw(e.rng)}
+}
+func (e *serviceStub) K() int                   { return 1 }
+func (e *serviceStub) Stats() qproc.EngineStats { return qproc.EngineStats{} }
+func (e *serviceStub) Health() qproc.Health     { return qproc.Health{Units: 1} }

@@ -5,17 +5,15 @@
 // mean per-request service time, which collapses from 15,000 req/s at a
 // 10 ms service time to 1,500 req/s at 100 ms. The analytic bound is
 // accompanied by an Erlang-C/Kingman waiting-time approximation and a
-// discrete-event G/G/c simulator that verifies stability on either side
-// of the bound.
+// heavy-tailed service law. The discrete-event check on either side of
+// the bound is server.Run, the simulator of the queue the front-end
+// actually serves.
 package queueing
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
-	"sort"
 
-	"dwr/internal/metrics"
 	"dwr/internal/randx"
 )
 
@@ -62,110 +60,10 @@ func KingmanWait(lambda float64, c int, es, ca2, cs2 float64) float64 {
 	return wqMMc * (ca2 + cs2) / 2
 }
 
-// SimResult summarizes a G/G/c simulation run.
-type SimResult struct {
-	Completed   int
-	MeanWait    float64 // mean time in queue (s)
-	P99Wait     float64
-	MeanInSys   float64 // wait + service
-	Utilization float64 // busy server-time / total server-time
-	MaxQueueLen int
-}
-
-// Simulate runs a FIFO G/G/c discrete-event simulation over n arrivals.
-// interarrival and service draw successive random variates in seconds.
-func Simulate(rng *rand.Rand, c, n int, interarrival, service func(*rand.Rand) float64) SimResult {
-	if c < 1 {
-		c = 1
-	}
-	free := make(serverHeap, c) // all free at t=0
-	heap.Init(&free)
-
-	var res SimResult
-	var wait, inSys metrics.Sample
-	busy := 0.0
-	t := 0.0
-	var lastDepart float64
-
-	arrivals := make([]float64, n)
-	for i := range arrivals {
-		t += interarrival(rng)
-		arrivals[i] = t
-	}
-	maxQ := 0
-	// Jobs start in arrival order on the earliest-free server. With FIFO
-	// dispatch the start times are nondecreasing, which the queue-length
-	// binary search below relies on.
-	starts := make([]float64, n)
-	for i, at := range arrivals {
-		sf := free[0]
-		start := at
-		if sf > start {
-			start = sf
-		}
-		s := service(rng)
-		starts[i] = start
-		free[0] = start + s
-		heap.Fix(&free, 0)
-		w := start - at
-		wait.Add(w)
-		inSys.Add(w + s)
-		busy += s
-		if start+s > lastDepart {
-			lastDepart = start + s
-		}
-		// Queue length at this arrival: earlier jobs not yet started.
-		idx := sort.SearchFloat64s(starts[:i], at)
-		for idx < i && starts[idx] <= at {
-			idx++
-		}
-		if q := i - idx; q > maxQ {
-			maxQ = q
-		}
-	}
-	res.Completed = n
-	res.MeanWait = wait.Mean()
-	res.P99Wait = wait.Quantile(0.99)
-	res.MeanInSys = inSys.Mean()
-	if lastDepart > 0 {
-		res.Utilization = busy / (lastDepart * float64(c))
-	}
-	res.MaxQueueLen = maxQ
-	return res
-}
-
-// serverHeap is a min-heap of server free-at times.
-type serverHeap []float64
-
-func (h serverHeap) Len() int            { return len(h) }
-func (h serverHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h serverHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *serverHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *serverHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// ExpArrivals returns an exponential inter-arrival generator for rate
-// lambda (per second). Draws go through internal/randx so every
-// simulator input comes from the same seeded-sampler family the rest of
-// the system uses.
-func ExpArrivals(lambda float64) func(*rand.Rand) float64 {
-	return func(rng *rand.Rand) float64 { return randx.Exp(rng, 1/lambda) }
-}
-
-// ExpService returns an exponential service-time generator with the
-// given mean (seconds).
-func ExpService(mean float64) func(*rand.Rand) float64 {
-	return func(rng *rand.Rand) float64 { return randx.Exp(rng, mean) }
-}
-
 // LogNormalService returns a log-normal service generator with the given
-// mean and squared coefficient of variation — service times in search
-// front-ends are heavier-tailed than exponential.
+// mean (in any time unit; draws come out in the same unit) and squared
+// coefficient of variation — service times in search front-ends are
+// heavier-tailed than exponential.
 func LogNormalService(mean, cs2 float64) func(*rand.Rand) float64 {
 	sigma2 := math.Log(1 + cs2)
 	mu := math.Log(mean) - sigma2/2

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"dwr/internal/qproc"
 	"dwr/internal/randx"
+	"dwr/internal/server"
 )
 
 func TestCapacityBoundFigure6(t *testing.T) {
@@ -54,72 +56,9 @@ func TestErlangC(t *testing.T) {
 	}
 }
 
-func TestKingmanMatchesMMcSimulation(t *testing.T) {
-	// M/M/c: ca2 = cs2 = 1, so Kingman reduces to exact M/M/c waiting.
-	rng := randx.New(1)
-	const (
-		c      = 4
-		lambda = 30.0
-		es     = 0.1 // rho = 0.75
-	)
-	pred := KingmanWait(lambda, c, es, 1, 1)
-	sim := Simulate(rng, c, 200000, ExpArrivals(lambda), ExpService(es))
-	if sim.MeanWait < pred*0.85 || sim.MeanWait > pred*1.15 {
-		t.Fatalf("simulated wait %.4fs vs Kingman %.4fs (>15%% off)", sim.MeanWait, pred)
-	}
-}
-
 func TestKingmanSaturation(t *testing.T) {
 	if !math.IsInf(KingmanWait(100, 1, 0.02, 1, 1), 1) {
 		t.Fatal("Kingman at rho=2 should be infinite")
-	}
-}
-
-func TestSimulationStableBelowBound(t *testing.T) {
-	rng := randx.New(2)
-	c := 50
-	es := 0.02
-	bound := CapacityBound(c, es) // 2500/s
-	res := Simulate(rng, c, 50000, ExpArrivals(bound*0.7), LogNormalService(es, 2))
-	if res.MeanWait > es {
-		t.Fatalf("stable system mean wait %.4fs exceeds a service time", res.MeanWait)
-	}
-	if res.Utilization < 0.5 || res.Utilization > 0.85 {
-		t.Fatalf("utilization %.2f, want ≈0.7", res.Utilization)
-	}
-}
-
-func TestSimulationUnstableAboveBound(t *testing.T) {
-	rng := randx.New(3)
-	c := 50
-	es := 0.02
-	bound := CapacityBound(c, es)
-	stable := Simulate(rng, c, 30000, ExpArrivals(bound*0.7), ExpService(es))
-	unstable := Simulate(rng, c, 30000, ExpArrivals(bound*1.3), ExpService(es))
-	if unstable.MeanWait < 10*stable.MeanWait {
-		t.Fatalf("above-bound wait %.4fs not clearly worse than below-bound %.4fs",
-			unstable.MeanWait, stable.MeanWait)
-	}
-	if unstable.MaxQueueLen < 10*stable.MaxQueueLen {
-		t.Fatalf("above-bound queue %d not clearly deeper than below-bound %d",
-			unstable.MaxQueueLen, stable.MaxQueueLen)
-	}
-}
-
-func TestSimulateSingleServerFIFO(t *testing.T) {
-	// Deterministic check: arrivals every 1s, service 0.4s, c=1 → no
-	// waiting at all.
-	rng := randx.New(4)
-	res := Simulate(rng, 1, 1000,
-		func(*rand.Rand) float64 { return 1 }, func(*rand.Rand) float64 { return 0.4 })
-	if res.MeanWait != 0 {
-		t.Fatalf("D/D/1 under capacity waited %.4fs", res.MeanWait)
-	}
-	// Service 1.5s > interarrival: every job waits more than the last.
-	res = Simulate(rng, 1, 100,
-		func(*rand.Rand) float64 { return 1 }, func(*rand.Rand) float64 { return 1.5 })
-	if res.MeanWait <= 0 || res.MaxQueueLen == 0 {
-		t.Fatalf("over-capacity D/D/1 shows no queueing: %+v", res)
 	}
 }
 
@@ -133,5 +72,54 @@ func TestLogNormalServiceMean(t *testing.T) {
 	}
 	if mean := sum / n; mean < 0.045 || mean > 0.055 {
 		t.Fatalf("log-normal service mean %.4f, want 0.05", mean)
+	}
+}
+
+// serviceEngine answers every query after a virtual latency drawn from
+// a service law in ms, so server.Run simulates a G/G/c queue.
+type serviceEngine struct {
+	rng  *rand.Rand
+	draw func(*rand.Rand) float64
+}
+
+func (e serviceEngine) QueryTopK([]string, int) qproc.QueryResult {
+	return qproc.QueryResult{LatencyMs: e.draw(e.rng)}
+}
+func (serviceEngine) K() int                   { return 1 }
+func (serviceEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
+func (serviceEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }
+
+// openSource holds Poisson arrivals fixed up front.
+type openSource []server.Arrival
+
+func (s openSource) Init() []server.Arrival { return s }
+func (openSource) OnDone(server.Arrival, float64) (server.Arrival, bool) {
+	return server.Arrival{}, false
+}
+
+func TestSimulationStableBelowBound(t *testing.T) {
+	const (
+		c    = 50
+		esMs = 20.0
+		n    = 50000
+	)
+	bound := CapacityBound(c, esMs/1000) // 2500/s
+	rng := randx.New(2)
+	arr := make(openSource, n)
+	at := 0.0
+	for i := range arr {
+		at += randx.Exp(rng, 1/(0.7*bound))
+		arr[i] = server.Arrival{At: at, User: i, Req: server.Request{Terms: []string{"a"}}}
+	}
+	eng := serviceEngine{rng: rng, draw: LogNormalService(esMs, 2)}
+	rep := server.Run(eng, server.Config{Workers: c, QueueCap: n, Seed: 2}, arr)
+	if rep.Served != n {
+		t.Fatalf("unbounded queue served %d of %d", rep.Served, n)
+	}
+	if w := rep.Class[server.Interactive].MeanMs - rep.MeanServiceMs; w > esMs {
+		t.Fatalf("stable system mean wait %.2f ms exceeds a service time", w)
+	}
+	if rep.Utilization < 0.5 || rep.Utilization > 0.85 {
+		t.Fatalf("utilization %.2f, want ≈0.7", rep.Utilization)
 	}
 }

@@ -2,8 +2,8 @@
 // capacity model describes: queries from an open population of users
 // arrive at a front-end whose c worker threads form a G/G/c system, and
 // the sustainable arrival rate is bounded by λ < c/E[S]
-// (queueing.CapacityBound). Where internal/queueing reproduces that
-// claim analytically, this package actually serves load: it wraps any
+// (queueing.CapacityBound). Where internal/queueing computes that bound
+// analytically, this package actually serves load: it wraps any
 // qproc.Engine behind a bounded worker pool with
 //
 //   - a token-bucket admission controller (sustained rate + burst),
@@ -17,10 +17,11 @@
 //
 // That pipeline is one clock-free state machine (queue.go) under two
 // drivers: Run (sim.go) steps it from a deterministic virtual-time
-// event loop, which dwrbench uses to validate the G/G/c bound against
-// real engines, and Frontend (http.go) steps it on the wall clock for
-// the HTTP surface cmd/dwrserve serves — so the measured discipline is
-// the served one.
+// event loop — the repository's one G/G/c simulator, which validates the
+// bound for Figure 6 over a stub service law and for dwrbench's serve
+// scenario over real engines — and Frontend (http.go) steps it on the
+// wall clock for the HTTP surface cmd/dwrserve serves, so the measured
+// discipline is the served one.
 package server
 
 // Class is a request priority class: Batch traffic (prefetchers,

@@ -42,32 +42,32 @@ func benchEngine(t *testing.T) (*qproc.DocEngine, *querylog.Log) {
 	return eng, querylog.Generate(web, lcfg)
 }
 
-// stubEngine answers every query with a seeded lognormal virtual
-// latency, so sim tests control E[S] exactly without index cost. Calls
-// happen in deterministic event order, so the draw sequence — and the
-// whole run — replays for a fixed seed.
+// stubEngine answers every query with a seeded virtual latency drawn
+// from a service law (ms), so sim tests control E[S] exactly without
+// index cost. Calls happen in deterministic event order, so the draw
+// sequence — and the whole run — replays for a fixed seed.
 type stubEngine struct {
 	rng     *rand.Rand
-	mu      float64 // lognormal location of the service time in ms
-	sigma   float64
+	draw    func(*rand.Rand) float64
 	queries int
 }
 
-func newStubEngine(seed int64, meanMs, sigma float64) *stubEngine {
-	// E[lognormal] = exp(mu + sigma^2/2); solve mu for the wanted mean.
-	return &stubEngine{
-		rng:   randx.New(seed),
-		mu:    math.Log(meanMs) - sigma*sigma/2,
-		sigma: sigma,
-	}
+func newStubEngine(seed int64, draw func(*rand.Rand) float64) *stubEngine {
+	return &stubEngine{rng: randx.New(seed), draw: draw}
 }
 
-func (e *stubEngine) draw() float64 { return randx.LogNormal(e.rng, e.mu, e.sigma) }
+// Service laws in ms for stubEngine; the lognormal one is
+// queueing.LogNormalService itself.
+func expMs(meanMs float64) func(*rand.Rand) float64 {
+	return func(rng *rand.Rand) float64 { return randx.Exp(rng, meanMs) }
+}
+
+func constMs(ms float64) func(*rand.Rand) float64 { return func(*rand.Rand) float64 { return ms } }
 
 func (e *stubEngine) QueryTopK(terms []string, k int) qproc.QueryResult {
 	e.queries++
 	return qproc.QueryResult{
-		LatencyMs: e.draw(),
+		LatencyMs: e.draw(e.rng),
 		Results:   []rank.Result{{Doc: len(terms), Score: 1}},
 	}
 }
@@ -121,7 +121,7 @@ func stubBound() float64 { return queueing.CapacityBound(stubC, stubMeanMs/1000)
 // TestRunBelowBoundStable: at 70% of the G/G/c bound, everything is
 // served, nothing shed, latency stays near pure service time.
 func TestRunBelowBoundStable(t *testing.T) {
-	eng := newStubEngine(1, stubMeanMs, 0.5)
+	eng := newStubEngine(1, queueing.LogNormalService(stubMeanMs, 0.28))
 	rep := server.Run(eng, server.Config{Workers: stubC, Seed: 2},
 		openStub(3, 0.7*stubBound(), 6000, 0))
 	if rep.Served != rep.Offered {
@@ -140,6 +140,81 @@ func TestRunBelowBoundStable(t *testing.T) {
 	if d := rep.MeanServiceMs/stubMeanMs - 1; d > 0.1 || d < -0.1 {
 		t.Fatalf("measured E[S] %.3f ms; want ≈%v", rep.MeanServiceMs, stubMeanMs)
 	}
+	if w := meanWaitMs(rep); w > stubMeanMs {
+		t.Fatalf("below bound: mean wait %.3f ms exceeds a service time", w)
+	}
+}
+
+// meanWaitMs is the mean queueing delay of an all-interactive run that
+// shed nothing: served latency less service time.
+func meanWaitMs(rep server.Report) float64 {
+	return rep.Class[server.Interactive].MeanMs - rep.MeanServiceMs
+}
+
+// TestRunMatchesKingmanMMc: on M/M/c arrivals and service (ca² = cs² =
+// 1) Kingman's approximation is the exact M/M/c mean wait, so an
+// unbounded FIFO run must land on it.
+func TestRunMatchesKingmanMMc(t *testing.T) {
+	const (
+		c      = 4
+		lambda = 30.0
+		esMs   = 100.0 // rho = 0.75
+		n      = 200000
+	)
+	pred := queueing.KingmanWait(lambda, c, esMs/1000, 1, 1) * 1000
+	rep := server.Run(newStubEngine(1, expMs(esMs)),
+		server.Config{Workers: c, QueueCap: n, Seed: 2}, openStub(3, lambda, n, 0))
+	if rep.Served != n {
+		t.Fatalf("unbounded queue served %d of %d", rep.Served, n)
+	}
+	if w := meanWaitMs(rep); w < pred*0.9 || w > pred*1.1 {
+		t.Fatalf("simulated wait %.2f ms vs Kingman %.2f ms (>10%% off)", w, pred)
+	}
+}
+
+// TestRunSingleServerFIFO: D/D/1, one arrival a second. Under capacity
+// nobody waits; at 1.5 s service request i waits exactly i/2 s, and the
+// queue holds 33 when the last one arrives.
+func TestRunSingleServerFIFO(t *testing.T) {
+	arr := make(sliceSource, 100)
+	for i := range arr {
+		arr[i] = server.Arrival{At: float64(i), User: i, Req: server.Request{Terms: []string{"a"}}}
+	}
+	cfg := server.Config{Workers: 1, QueueCap: len(arr)}
+
+	rep := server.Run(newStubEngine(4, constMs(400)), cfg, arr)
+	if w := meanWaitMs(rep); math.Abs(w) > 1e-9 || rep.MaxQueueLen != 0 {
+		t.Fatalf("D/D/1 under capacity: mean wait %g ms, max queue %d", w, rep.MaxQueueLen)
+	}
+	rep = server.Run(newStubEngine(4, constMs(1500)), cfg, arr)
+	if w := meanWaitMs(rep); w != 24750 || rep.MaxQueueLen != 33 {
+		t.Fatalf("D/D/1 over capacity: mean wait %v ms (want 24750), max queue %d (want 33)",
+			w, rep.MaxQueueLen)
+	}
+}
+
+// TestRunUnstableAboveBound: with an unbounded FIFO, crossing the bound
+// turns a short queue into a backlog that grows for the whole run.
+func TestRunUnstableAboveBound(t *testing.T) {
+	const (
+		c    = 50
+		esMs = 20.0
+		n    = 30000
+	)
+	bound := queueing.CapacityBound(c, esMs/1000)
+	run := func(seed int64, load float64) server.Report {
+		return server.Run(newStubEngine(seed, expMs(esMs)),
+			server.Config{Workers: c, QueueCap: n, Seed: seed}, openStub(seed+1, load*bound, n, 0))
+	}
+	stable, unstable := run(5, 0.7), run(7, 1.3)
+	if meanWaitMs(unstable) < 10*meanWaitMs(stable) {
+		t.Fatalf("above-bound wait %.3f ms not clearly worse than below-bound %.3f ms",
+			meanWaitMs(unstable), meanWaitMs(stable))
+	}
+	if unstable.MaxQueueLen < 10*stable.MaxQueueLen {
+		t.Fatalf("above-bound queue %d not clearly deeper than below-bound %d",
+			unstable.MaxQueueLen, stable.MaxQueueLen)
+	}
 }
 
 // TestRunOverloadDegradesGracefully: at 2x the bound with admission
@@ -147,7 +222,7 @@ func TestRunBelowBoundStable(t *testing.T) {
 // shed, and admitted-query latency stays bounded — the paper's
 // graceful-degradation story instead of queue collapse.
 func TestRunOverloadDegradesGracefully(t *testing.T) {
-	eng := newStubEngine(4, stubMeanMs, 0.5)
+	eng := newStubEngine(4, queueing.LogNormalService(stubMeanMs, 0.28))
 	bound := stubBound()
 	cfg := server.Config{
 		Workers:    stubC,
@@ -178,7 +253,7 @@ func TestRunOverloadDegradesGracefully(t *testing.T) {
 // TestRunDeterministic: identical seeds replay to a deep-equal Report.
 func TestRunDeterministic(t *testing.T) {
 	run := func() server.Report {
-		eng := newStubEngine(7, stubMeanMs, 0.8)
+		eng := newStubEngine(7, queueing.LogNormalService(stubMeanMs, 0.9))
 		return server.Run(eng, server.Config{
 			Workers:   stubC,
 			AdmitRate: stubBound(),
@@ -196,7 +271,7 @@ func TestRunDeterministic(t *testing.T) {
 // batch class is shed at a higher rate and interactive keeps better
 // latency.
 func TestRunShedsBatchFirst(t *testing.T) {
-	eng := newStubEngine(10, stubMeanMs, 0.5)
+	eng := newStubEngine(10, queueing.LogNormalService(stubMeanMs, 0.28))
 	// The queue is deep enough that completion latency blows through the
 	// SLO — the adaptive shedder, not queue overflow, must do the work.
 	rep := server.Run(eng, server.Config{
@@ -224,7 +299,7 @@ func TestRunShedsBatchFirst(t *testing.T) {
 // pool saturates it but cannot build unbounded overload — every request
 // is eventually served without shedding when no limits are set.
 func TestRunClosedLoopSelfLimits(t *testing.T) {
-	eng := newStubEngine(13, stubMeanMs, 0.5)
+	eng := newStubEngine(13, queueing.LogNormalService(stubMeanMs, 0.28))
 	src := closedStub(14, 3*stubC, 4000)
 	rep := server.Run(eng, server.Config{Workers: stubC, QueueCap: 10 * stubC, Seed: 15}, src)
 	if rep.Offered != 4000 {
@@ -294,7 +369,7 @@ func TestRunDeadlineEnforcement(t *testing.T) {
 	cfg := server.Config{Workers: 1, QueueCap: 1000, DeadlineMs: 150, Seed: 17}
 
 	t.Run("engine-blind", func(t *testing.T) {
-		rep := server.Run(noDeadlineEngine{newStubEngine(16, 100, 0.2)}, cfg,
+		rep := server.Run(noDeadlineEngine{newStubEngine(16, queueing.LogNormalService(100, 0.04))}, cfg,
 			openStub(18, 100, 500, 0)) // 100 qps at ~10/s capacity
 		if rep.EvictedDeadline == 0 {
 			t.Fatalf("tight deadline evicted nothing: %+v", rep)
@@ -305,7 +380,7 @@ func TestRunDeadlineEnforcement(t *testing.T) {
 	})
 
 	t.Run("engine-aware", func(t *testing.T) {
-		rep := server.Run(newStubEngine(16, 100, 0.2), cfg, openStub(18, 100, 500, 0))
+		rep := server.Run(newStubEngine(16, queueing.LogNormalService(100, 0.04)), cfg, openStub(18, 100, 500, 0))
 		if rep.EngineDeadline == 0 {
 			t.Fatalf("deadline-aware engine busted no budget: %+v", rep)
 		}
