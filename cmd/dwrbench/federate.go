@@ -8,7 +8,6 @@ import (
 
 	"dwr/internal/cluster"
 	"dwr/internal/index"
-	"dwr/internal/mediator"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
 	"dwr/internal/randx"
@@ -115,12 +114,7 @@ func federatePass(o federateConfig, mode string) (row, uint64, error) {
 	}
 	var msOpts []qproc.Option
 	if mode == "mediated" {
-		var srcs []mediator.StatsSource
-		for _, e := range engines {
-			srcs = append(srcs, mediator.EngineSource{Eng: e})
-		}
-		msOpts = append(msOpts, qproc.WithMediator(
-			mediator.New(mediator.Config{SelectN: 2, MinConfidence: 0.3}, srcs...)))
+		msOpts = append(msOpts, qproc.WithMediator(2, 0.3))
 	}
 	ms := qproc.NewMultiSite(cluster.NewNetwork(o.Seed, o.Sites), qproc.RouteGeo, msOpts...)
 	for s, e := range engines {

@@ -404,3 +404,21 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 		t.Error("found no Go benchmark: is the walk rooted at the repository?")
 	}
 }
+
+// TestProseBudget caps the prose that describes the code: a change that
+// adds a paragraph to either file removes one, or raises its budget in
+// plain sight. Lower a budget when a change cuts its file.
+func TestProseBudget(t *testing.T) {
+	for path, budget := range map[string]int{
+		"DESIGN.md":                      1103,
+		".claude/skills/verify/SKILL.md": 241,
+	} {
+		raw, err := os.ReadFile(filepath.Join("../..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(raw, []byte("\n")); n > budget {
+			t.Errorf("%s has %d lines, over its budget of %d", path, n, budget)
+		}
+	}
+}

@@ -15,12 +15,12 @@ import (
 	"fmt"
 	"os"
 
-	"dwr/internal/capacity"
 	"dwr/internal/metrics"
+	"dwr/internal/queueing"
 )
 
 func main() {
-	p := capacity.DefaultParams()
+	p := queueing.DefaultParams()
 	pages := flag.Float64("pages", p.Pages, "indexed pages")
 	bytesPerPage := flag.Float64("bytes-per-page", p.TextBytesPerPage, "text bytes per page")
 	indexRatio := flag.Float64("index-ratio", p.IndexRatio, "index size / text size")
@@ -46,7 +46,7 @@ func main() {
 	p.FrontEndThreads = *threads
 	p.ServiceTimeSec = *service
 
-	plan := capacity.Derive(p)
+	plan := queueing.Derive(p)
 	t := metrics.NewTable("derived deployment", "quantity", "value")
 	t.AddRow("text volume (TB)", plan.TextBytes/1e12)
 	t.AddRow("index volume (TB)", plan.IndexBytes/1e12)
@@ -61,7 +61,7 @@ func main() {
 	t.Render(os.Stdout)
 
 	if *projPages != 1 || *projQueries != 1 {
-		proj := capacity.Project(p, *projPages, *projQueries)
+		proj := queueing.Project(p, *projPages, *projQueries)
 		fmt.Println()
 		pt := metrics.NewTable(
 			fmt.Sprintf("projection (pages ×%.3g, queries ×%.3g)", *projPages, *projQueries),

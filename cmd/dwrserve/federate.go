@@ -9,7 +9,6 @@ import (
 	"dwr/internal/cluster"
 	"dwr/internal/core"
 	"dwr/internal/index"
-	"dwr/internal/mediator"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
 )
@@ -17,9 +16,10 @@ import (
 // newFederate serves the crawled corpus as a federation of sites with
 // the query mediator on the serving path: documents are split across
 // sites by Web host (the natural federation boundary — one site per
-// group of hosts), a mediator maintains per-site collection statistics,
-// and every query is routed to the mediator-selected site subset with
-// full fan-out as the low-confidence fallback. The /stats endpoint's
+// group of hosts), the mediator ranks sites by their collection
+// statistics, and every query is routed to the mediator-selected site
+// subset — a quarter of the sites at most — with full fan-out below
+// confidence 0.15. The /stats endpoint's
 // Selection counters report how many sites queries touched and the
 // sampled Recall@k of mediated answers against the exhaustive fan-out.
 // It returns the HTTP handler plus the crawled corpus.
@@ -43,7 +43,6 @@ func newFederate(o options) (http.Handler, *core.Corpus, error) {
 	}
 
 	engines := make([]*qproc.DocEngine, o.sites)
-	var srcs []mediator.StatsSource
 	for s := range engines {
 		if len(siteDocs[s]) == 0 {
 			return nil, nil, fmt.Errorf("site %d received no documents; use fewer sites or more hosts", s)
@@ -54,12 +53,10 @@ func newFederate(o options) (http.Handler, *core.Corpus, error) {
 			return nil, nil, err
 		}
 		engines[s] = e
-		srcs = append(srcs, mediator.EngineSource{Eng: e})
 	}
 
-	med := mediator.New(mediator.DefaultConfig(), srcs...)
 	ms := qproc.NewMultiSite(cluster.NewNetwork(o.seed, o.sites), qproc.RouteGeo,
-		qproc.WithMediator(med))
+		qproc.WithMediator(0, 0.15))
 	ms.SampleEvery = o.sampleEvery
 	if o.cacheCap > 0 {
 		ms.CacheTTL = 24

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"dwr/internal/capacity"
 	"dwr/internal/chash"
 	"dwr/internal/crawler"
 	"dwr/internal/metrics"
+	"dwr/internal/queueing"
 	"dwr/internal/simweb"
 )
 
@@ -16,8 +16,8 @@ import (
 // ≈50,000-machine clusters and ≈1.5M machines overall.
 func Claim1CapacityPlan() *Result {
 	r := newResult("C1")
-	p2007 := capacity.Derive(capacity.DefaultParams())
-	p2010 := capacity.Project(capacity.DefaultParams(), 16.7, 3)
+	p2007 := queueing.Derive(queueing.DefaultParams())
+	p2010 := queueing.Project(queueing.DefaultParams(), 16.7, 3)
 	t := metrics.NewTable("derived deployment plans",
 		"scenario", "index (TB)", "nodes/cluster", "replicas", "total nodes", "cost (M$)")
 	t.AddRow("2007 (paper §1)", p2007.IndexBytes/1e12, p2007.NodesPerCluster, p2007.Replicas, p2007.TotalNodes, p2007.CostUSD/1e6)

@@ -114,7 +114,7 @@ func DefaultConfig() Config {
 	for _, p := range []string{
 		"simweb", "faultsim", "index", "qproc", "rank", "crawler",
 		"queueing", "loadgen", "cache", "chash", "partition",
-		"selection", "replication", "experiments", "mediator",
+		"selection", "replication", "experiments",
 	} {
 		det[p] = true
 	}

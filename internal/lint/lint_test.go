@@ -81,7 +81,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"determinism", "testdata/simweb"},
 		{"determinism-evaluator", "testdata/rank"},
 		{"determinism-waves", "testdata/qproc"},
-		{"determinism-mediator", "testdata/mediator"},
 		{"determinism-file-allow", "testdata/experiments"},
 		{"deadline-server", "testdata/server"},
 		{"deadline-dwrserve", "testdata/dwrserve"},
@@ -116,7 +115,7 @@ func TestFindingsAreNonEmptyOnFixtures(t *testing.T) {
 	findings, err := LintPatterns(".", []string{
 		"testdata/simweb", "testdata/experiments",
 		"testdata/server", "testdata/dwrserve", "testdata/index",
-		"testdata/rank", "testdata/qproc", "testdata/mediator",
+		"testdata/rank", "testdata/qproc",
 		"testdata/taint/crawler", "testdata/cachekey",
 		"testdata/statsmerge", "testdata/concfix/queueing",
 	}, DefaultConfig())

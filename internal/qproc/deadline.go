@@ -51,7 +51,7 @@ func (e *DocEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) Q
 func (m *MultiSite) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
 	key := NormalizeQueryKey(terms)
 	p := m.replicaPath(key, m.Now)
-	if m.mediator != nil {
+	if m.mediation != nil {
 		p = m.mediatedPath(terms, key, k)
 	}
 	return m.route(terms, m.HomeRegion, m.Now, k, deadlineMs, p).QueryResult

@@ -1,16 +1,18 @@
 package qproc
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dwr/internal/cluster"
 	"dwr/internal/faultsim"
 	"dwr/internal/index"
+	"dwr/internal/metrics"
 	"dwr/internal/partition"
-	"dwr/internal/selection"
 )
 
 // topicalDocs builds nSites disjoint sub-collections: site s owns docs
@@ -39,74 +41,43 @@ func topicalDocs(seed int64, nSites, perSite int) [][]index.Doc {
 }
 
 // newFederatedMultiSite builds nSites sites in distinct regions, each
-// holding its own topical sub-collection (NOT replicas), plus per-site
-// stats for building selectors. msOpts configure the multi-site broker,
+// holding its own topical sub-collection (NOT replicas). msOpts
+// configure the multi-site broker (WithMediator for the mediated path),
 // engOpts the per-site engines.
-func newFederatedMultiSite(t *testing.T, seed int64, nSites int, cacheTTL float64, msOpts, engOpts []Option) (*MultiSite, []index.Stats) {
+func newFederatedMultiSite(t *testing.T, seed int64, nSites int, cacheTTL float64, msOpts, engOpts []Option) *MultiSite {
 	t.Helper()
 	siteDocs := topicalDocs(seed, nSites, 120)
 	m := NewMultiSite(cluster.NewNetwork(1, nSites), RouteGeo, msOpts...)
 	m.CacheTTL = cacheTTL
-	var stats []index.Stats
 	for s := 0; s < nSites; s++ {
-		ids := make([]int, len(siteDocs[s]))
-		for i, d := range siteDocs[s] {
-			ids[i] = d.Ext
-		}
-		dp := partition.RoundRobinDocs(ids, 2)
+		dp := partition.RoundRobinDocs(index.DocIDs(siteDocs[s]), 2)
 		e, err := NewDocEngine(index.DefaultOptions(), siteDocs[s], dp, engOpts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Sites = append(m.Sites, NewSite(s, s, e, 64, 1000))
-		stats = append(stats, e.GlobalStats())
 	}
-	return m, stats
+	return m
 }
 
-// coriTestMediator is a minimal qproc.Mediator over selection.CORI used
-// by these tests (the full implementation lives in internal/mediator,
-// which tests integration separately — importing it here would cycle).
-// Like the real mediator, it only prunes when the selection score mass
-// concentrates on the chosen subset: shared-vocabulary queries whose
-// matches spread evenly over the sites fall back to full fan-out.
-type coriTestMediator struct {
-	c *selection.CORI
-	n int
-}
+// mediated is the mediator the federated tests share: two sites per
+// query at most, pruning only when half the selection score mass beyond
+// a uniform spread sits on them.
+var mediated = []Option{WithMediator(2, 0.5)}
 
-func (m coriTestMediator) Decide(terms []string, up []int) MediatorDecision {
-	upSet := make(map[int]bool, len(up))
-	for _, s := range up {
-		upSet[s] = true
+// decideIDs runs the mediator's decision over the sites named by up and
+// returns the chosen site IDs (nil: full fan-out) and the confidence.
+func decideIDs(m *MultiSite, terms []string, up ...int) ([]int, float64) {
+	ups := make([]*Site, len(up))
+	for i, id := range up {
+		ups[i] = m.Sites[id]
 	}
-	var sites []int
-	total, share := 0.0, 0.0
-	for _, sp := range m.c.RankScored(terms) {
-		if sp.Score <= 0 || !upSet[sp.Part] {
-			continue
-		}
-		total += sp.Score
-		if len(sites) < m.n {
-			sites = append(sites, sp.Part)
-			share += sp.Score
-		}
+	sel, conf := m.decide(terms, ups)
+	var ids []int
+	for _, s := range sel {
+		ids = append(ids, s.ID)
 	}
-	if len(sites) == 0 || len(sites) >= len(up) || total <= 0 {
-		return MediatorDecision{FullFanout: true}
-	}
-	base := float64(len(sites)) / float64(len(up))
-	conf := (share/total - base) / (1 - base)
-	if conf < 0.5 {
-		return MediatorDecision{FullFanout: true, Confidence: conf}
-	}
-	// Ascending, as the contract asks.
-	for i := 1; i < len(sites); i++ {
-		for j := i; j > 0 && sites[j] < sites[j-1]; j-- {
-			sites[j], sites[j-1] = sites[j-1], sites[j]
-		}
-	}
-	return MediatorDecision{Sites: sites, Confidence: conf}
+	return ids, conf
 }
 
 // topicalTestQueries mixes single-site topical queries with shared-term
@@ -133,8 +104,8 @@ func topicalTestQueries(seed int64, n, nSites int) [][]string {
 // federated query with no mediator merges exactly like
 // QueryIncremental's final batch.
 func TestFederatedFullFanoutMatchesIncremental(t *testing.T) {
-	a, _ := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
-	b, _ := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
+	a := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
+	b := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
 	for _, q := range topicalTestQueries(8, 40, 4) {
 		fr := a.QueryFederated(q, NormalizeQueryKey(q), 0, 1, 10)
 		batches := b.QueryIncremental(q, 0, 1, 10)
@@ -160,13 +131,12 @@ func TestFederatedFullFanoutMatchesIncremental(t *testing.T) {
 // multi-site system and fingerprints every result and counter.
 func fingerprintFederated(t *testing.T, workers, cacheCap int, cacheTTL float64) uint64 {
 	t.Helper()
-	msOpts := []Option{WithWorkers(workers)}
+	msOpts := append([]Option{WithWorkers(workers)}, mediated...)
 	engOpts := []Option{WithWorkers(workers)}
 	if cacheCap > 0 {
 		engOpts = append(engOpts, WithResultCache(ResultCacheConfig{Capacity: cacheCap}))
 	}
-	m, stats := newFederatedMultiSite(t, 7, 4, cacheTTL, msOpts, engOpts)
-	m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
+	m := newFederatedMultiSite(t, 7, 4, cacheTTL, msOpts, engOpts)
 	h := fnv.New64a()
 	for hour, q := range topicalTestQueries(9, 60, 4) {
 		r := m.QueryFederated(q, NormalizeQueryKey(q), 0, float64(hour%24), 10)
@@ -209,11 +179,9 @@ func TestFederatedDeterministicAcrossWorkersAndReplays(t *testing.T) {
 // queries answered by a 2-of-4 site subset must recall the exhaustive
 // top-10 perfectly (their terms live at one site), and shared-term
 // queries must fall back to full fan-out (CORI spreads their score mass
-// over every site — but the test mediator prunes at a fixed budget, so
-// here we only require the exhaustive merge to dominate).
+// over every site, so no two sites clear the confidence floor).
 func TestFederatedMediatedVsExhaustive(t *testing.T) {
-	m, stats := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
-	m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
+	m := newFederatedMultiSite(t, 7, 4, 0, mediated, nil)
 	mediatedUnderHalf := 0
 	n := 0
 	for hour, q := range topicalTestQueries(9, 60, 4) {
@@ -265,14 +233,11 @@ func TestFederatedMediatedVsExhaustive(t *testing.T) {
 // TestFederatedDeadlineKeepsMediation: a deadline must not change which
 // path a query takes. A mediated MultiSite driven through
 // QueryTopKWithin with a budget nothing busts contacts the same site
-// subsets and returns the same answers as QueryTopK.
+// subsets and returns the same answers as QueryTopK; a budget no routed
+// answer can meet is refused with no results.
 func TestFederatedDeadlineKeepsMediation(t *testing.T) {
-	build := func() *MultiSite {
-		m, stats := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
-		m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
-		return m
-	}
-	plain, budgeted := build(), build()
+	plain := newFederatedMultiSite(t, 7, 4, 0, mediated, nil)
+	budgeted := newFederatedMultiSite(t, 7, 4, 0, mediated, nil)
 	for _, q := range topicalTestQueries(9, 60, 4) {
 		want := qrFingerprint(plain.QueryTopK(q, 10))
 		got := qrFingerprint(budgeted.QueryTopKWithin(q, 10, 1e9))
@@ -284,14 +249,16 @@ func TestFederatedDeadlineKeepsMediation(t *testing.T) {
 	if got != want || got.Mediated == 0 {
 		t.Fatalf("selection under a deadline %s, without %s", got.String(), want.String())
 	}
+	if qr := budgeted.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, ErrDeadlineExceeded) || qr.Results != nil {
+		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
+	}
 }
 
 // TestFederatedOutageFallsBackToFullFanout: when the mediator's chosen
 // site is inside an outage window it never enters the up set, and the
 // query widens to the remaining sites instead of failing.
 func TestFederatedOutageFallsBackToFullFanout(t *testing.T) {
-	m, stats := newFederatedMultiSite(t, 7, 4, 0, nil, nil)
-	m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 1}
+	m := newFederatedMultiSite(t, 7, 4, 0, []Option{WithMediator(1, 0.5)}, nil)
 	m.Sites[2].Outages = []cluster.Outage{{Start: 0, End: 100}}
 	q := []string{"s2w01"} // lives only at the down site
 	r := m.QueryFederated(q, NormalizeQueryKey(q), 0, 5, 10)
@@ -315,8 +282,7 @@ func TestFederatedOutageFallsBackToFullFanout(t *testing.T) {
 // (fault-schedule attempt 1) and degrades instead of failing.
 func TestFederatedInjectedFaultRetriesFullFanout(t *testing.T) {
 	inj := faultsim.New(4).Unit(0, faultsim.Spec{Crash: true})
-	m, stats := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
-	m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 1}
+	m := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj), WithMediator(1, 0.5)}, nil)
 	q := []string{"s0w01"} // CORI selects site 0, which always crashes
 	r := m.QueryFederated(q, NormalizeQueryKey(q), 0, 1, 10)
 	if r.Failed {
@@ -338,7 +304,7 @@ func TestFederatedInjectedFaultRetriesFullFanout(t *testing.T) {
 // whole fan-out — the gather waits for its slowest site.
 func TestFederatedChargesStraggler(t *testing.T) {
 	run := func(inj *faultsim.Injector) SiteQueryResult {
-		m, _ := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
+		m := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
 		return m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
 	}
 	clean := run(faultsim.New(4))
@@ -353,7 +319,7 @@ func TestFederatedChargesStraggler(t *testing.T) {
 // crashed cannot evaluate anything, so its engine must not be asked to.
 func TestFederatedLostSiteDoesNoWork(t *testing.T) {
 	inj := faultsim.New(4).Unit(2, faultsim.Spec{Crash: true})
-	m, _ := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
+	m := newFederatedMultiSite(t, 7, 4, 0, []Option{WithInjector(inj)}, nil)
 	r := m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
 	if !r.Degraded || r.Err != nil || r.SitesContacted != 4 {
 		t.Fatalf("fan-out over a crashed site: %+v", r)
@@ -367,7 +333,7 @@ func TestFederatedLostSiteDoesNoWork(t *testing.T) {
 // down refuses its share of the answer, which is therefore degraded —
 // but the server it did contact was contacted, and the ledger says so.
 func TestFederatedFoldsRefusingSitesWork(t *testing.T) {
-	m, _ := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
+	m := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
 	m.Sites[2].Engine.SetDown(0, true)
 	r := m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
 	if r.ServersContacted != 7 || !r.Degraded || r.Err != nil || len(r.Results) == 0 {
@@ -389,10 +355,10 @@ func TestFederatedCacheKeyEncodesSelection(t *testing.T) {
 
 // TestFederatedCachedReplayIdentical: with the coordinator cache on,
 // repeat queries serve from cache and remain byte-identical to the
-// first answer.
+// first answer. A hit contacts no site, so it reports no fan-out and
+// leaves the selection counters where the first query put them.
 func TestFederatedCachedReplayIdentical(t *testing.T) {
-	m, stats := newFederatedMultiSite(t, 7, 4, 24, nil, nil)
-	m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
+	m := newFederatedMultiSite(t, 7, 4, 24, mediated, nil)
 	q := []string{"s1w03"}
 	first := m.QueryFederated(q, NormalizeQueryKey(q), 0, 1, 10)
 	second := m.QueryFederated(q, NormalizeQueryKey(q), 0, 2, 10)
@@ -406,5 +372,139 @@ func TestFederatedCachedReplayIdentical(t *testing.T) {
 		if first.Results[i] != second.Results[i] {
 			t.Fatalf("rank %d: %+v != %+v", i, first.Results[i], second.Results[i])
 		}
+	}
+	if second.SitesContacted != 0 || second.SitesSkipped != 0 || second.FullFanout {
+		t.Fatalf("cache hit reports a fan-out: contacted=%d skipped=%d full=%v",
+			second.SitesContacted, second.SitesSkipped, second.FullFanout)
+	}
+	want := metrics.SelectionCounters{Queries: 1, Mediated: 1,
+		SitesContacted: first.SitesContacted, SitesSkipped: first.SitesSkipped}
+	if first.FullFanout || m.Stats().Selection != want {
+		t.Fatalf("selection after a miss and a hit: %s, want %s", m.Stats().Selection.String(), want.String())
+	}
+}
+
+// quarterMediator is the mediator dwrserve -federate serves with: a
+// quarter of the up sites per query, pruning above confidence 0.15.
+var quarterMediator = []Option{WithMediator(0, 0.15)}
+
+// TestMediatorDecideTopicalVsShared: a topical query is pruned to the
+// owning site; a shared-vocabulary query falls back to full fan-out
+// because no small subset concentrates the selection score mass.
+func TestMediatorDecideTopicalVsShared(t *testing.T) {
+	m := newFederatedMultiSite(t, 3, 4, 0, quarterMediator, nil)
+	if sites, conf := decideIDs(m, []string{"s2w01"}, 0, 1, 2, 3); !reflect.DeepEqual(sites, []int{2}) || conf < 0.9 {
+		t.Fatalf("topical query routed to %v at confidence %v, want [2] above 0.9", sites, conf)
+	}
+	if sites, conf := decideIDs(m, []string{"shared03"}, 0, 1, 2, 3); sites != nil {
+		t.Fatalf("shared query pruned to %v at confidence %v", sites, conf)
+	}
+}
+
+// TestMediatorSmallUpSetFullFanout: zero or one live site leaves nothing
+// to select between.
+func TestMediatorSmallUpSetFullFanout(t *testing.T) {
+	m := newFederatedMultiSite(t, 3, 4, 0, quarterMediator, nil)
+	for _, up := range [][]int{nil, {3}} {
+		if sites, _ := decideIDs(m, []string{"s0w01"}, up...); sites != nil {
+			t.Fatalf("up set %v pruned to %v", up, sites)
+		}
+	}
+}
+
+// TestMediatorRespectsUpSet: a decision never names a site outside the
+// caller's up set, even when the selector's favourite is down.
+func TestMediatorRespectsUpSet(t *testing.T) {
+	m := newFederatedMultiSite(t, 3, 4, 0, []Option{WithMediator(1, 0)}, nil)
+	// Site 2 is down; of the up sites only site 1 holds either term.
+	if sites, _ := decideIDs(m, []string{"s2w01", "s1w01"}, 0, 1, 3); !reflect.DeepEqual(sites, []int{1}) {
+		t.Fatalf("decision with site 2 down: %v, want [1]", sites)
+	}
+}
+
+// TestMediatorUnknownTermsFullFanout: terms absent from every site's
+// statistics give the selector nothing to score, so pruning would be a
+// guess — the mediator must widen.
+func TestMediatorUnknownTermsFullFanout(t *testing.T) {
+	m := newFederatedMultiSite(t, 3, 4, 0, quarterMediator, nil)
+	if sites, _ := decideIDs(m, []string{"zzz-never-indexed"}, 0, 1, 2, 3); sites != nil {
+		t.Fatalf("unknown term pruned to %v", sites)
+	}
+}
+
+// TestMediatorDecidesDeterministically: the same statistics and query
+// stream yield identical decisions, confidences to the last bit, on a
+// fresh federation.
+func TestMediatorDecidesDeterministically(t *testing.T) {
+	queries := [][]string{{"s0w01"}, {"shared02"}, {"s1w05", "s1w06"}, {"s2w00"}, {"shared11", "s0w03"}}
+	run := func() []string {
+		m := newFederatedMultiSite(t, 3, 4, 0, quarterMediator, nil)
+		var out []string
+		for _, q := range queries {
+			sites, conf := decideIDs(m, q, 0, 1, 2, 3)
+			out = append(out, fmt.Sprintf("%v|%.17g", sites, conf))
+		}
+		return out
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("decisions differ across replays:\n%q\n%q", a, b)
+	}
+}
+
+// TestFederationServesAndSamplesRecall drives the whole stack — site
+// engines, the mediator, the mediated MultiSite — through QueryTopK:
+// queries succeed, pruning happens, and the sampled Recall@k against
+// the exhaustive fan-out stays high.
+func TestFederationServesAndSamplesRecall(t *testing.T) {
+	const nSites = 4
+	f := newFederatedMultiSite(t, 7, nSites, 0, []Option{WithMediator(2, 0.3)}, nil)
+	f.SampleEvery = 1
+	if f.K() != nSites || f.Health().Units != nSites {
+		t.Fatalf("K() = %d, health %+v; want %d sites", f.K(), f.Health(), nSites)
+	}
+	for i, q := range topicalTestQueries(13, 60, nSites) {
+		f.Now = float64(i % 24)
+		if r := f.QueryTopK(q, 10); r.Err != nil {
+			t.Fatalf("query %v failed: %v", q, r.Err)
+		}
+	}
+	st := f.Stats().Selection
+	if st.Mediated == 0 || st.SitesSkipped == 0 || st.RecallSamples == 0 {
+		t.Fatalf("federation never pruned or never sampled: %s", st.String())
+	}
+	if mr := st.MeanRecall(); mr < 0.95 {
+		t.Fatalf("mean sampled recall %.3f < 0.95", mr)
+	}
+}
+
+// TestFederationHonoursDeadline: a front-end finds the mediated
+// MultiSite through the DeadlineQuerier assertion, so `dwrserve -federate
+// -deadline N` propagates its budget. A budget no routed answer can meet
+// is refused with no results; a generous one changes nothing — answers,
+// site fan-out and recall sampling replay QueryTopK's exactly.
+func TestFederationHonoursDeadline(t *testing.T) {
+	queries := [][]string{{"s0w01"}, {"shared02"}, {"s1w05", "s1w06"}, {"s2w00"}, {"shared11", "s0w03"}, {"s0w01"}}
+	federation := func() *MultiSite {
+		m := newFederatedMultiSite(t, 7, 4, 0, []Option{WithMediator(2, 0.3)}, nil)
+		m.SampleEvery = 1
+		return m
+	}
+	plain, within := federation(), federation()
+	var eng Engine = within
+	dq, ok := eng.(DeadlineQuerier)
+	if !ok {
+		t.Fatal("MultiSite is not a DeadlineQuerier: a serving deadline would be dropped")
+	}
+	for _, q := range queries {
+		want, got := plain.QueryTopK(q, 10), dq.QueryTopKWithin(q, 10, 1e9)
+		if want.Err != nil || len(want.Results) == 0 || !reflect.DeepEqual(want, got) {
+			t.Fatalf("query %v: a generous budget changed the answer:\n%+v\n%+v", q, want, got)
+		}
+	}
+	if want, got := plain.Stats(), within.Stats(); want.Selection != got.Selection || want.Selection.SitesContacted == 0 {
+		t.Fatalf("a generous budget changed the fan-out or the sampling: %s vs %s", want.Selection.String(), got.Selection.String())
+	}
+	if qr := dq.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, ErrDeadlineExceeded) || qr.Results != nil {
+		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
 	}
 }

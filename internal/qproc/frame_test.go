@@ -8,7 +8,6 @@ import (
 	"dwr/internal/faultsim"
 	"dwr/internal/index"
 	"dwr/internal/partition"
-	"dwr/internal/selection"
 )
 
 // TestFrameContract holds every engine to what the shared answer
@@ -91,8 +90,7 @@ func TestFrameContract(t *testing.T) {
 	// Mediated MultiSite: shared-vocabulary queries fan out to every
 	// site, so a down partition inside site 1 degrades the routed answer.
 	siteInj := faultsim.New(4)
-	ms, siteStats := newFederatedMultiSite(t, 7, 4, 1, []Option{WithFaultPolicy(lossy), WithInjector(siteInj)}, nil)
-	ms.mediator = coriTestMediator{c: selection.NewCORI(siteStats), n: 2}
+	ms := newFederatedMultiSite(t, 7, 4, 1, append([]Option{WithFaultPolicy(lossy), WithInjector(siteInj)}, mediated...), nil)
 	ms.Now = 1
 	rows = append(rows, row{name: "multisite", eng: ms,
 		repeat: []string{"shared01"}, late: []string{"shared02"}, partial: []string{"shared03"},

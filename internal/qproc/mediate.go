@@ -2,43 +2,13 @@ package qproc
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
+	"dwr/internal/index"
 	"dwr/internal/rank"
+	"dwr/internal/selection"
 )
-
-// Mediator decides which sites (or live partitions) a federated query
-// touches — the collection-selection step of Section 5 put on the
-// serving path. Implementations rank the reachable units with a
-// selection.Selector over per-site collection statistics and cut the
-// ranking at a budget; internal/mediator provides the standard one.
-//
-// Decide must be deterministic for fixed statistics: engines call it on
-// the query path and cache answers under keys derived from the decision.
-type Mediator interface {
-	// Decide returns the subset of up (ascending unit IDs, all currently
-	// reachable) that the query should contact. Engines intersect the
-	// answer with up again defensively and fall back to full fan-out
-	// when the decision is empty.
-	Decide(terms []string, up []int) MediatorDecision
-}
-
-// MediatorDecision is the mediator's routing verdict for one query.
-type MediatorDecision struct {
-	// Sites is the unit subset to contact, ascending. Ignored when
-	// FullFanout is set.
-	Sites []int
-	// FullFanout requests contacting every up unit: the mediator had no
-	// statistics, the score mass was too flat to prune confidently, or
-	// selection is disabled.
-	FullFanout bool
-	// Confidence is the mediator's self-assessed pruning confidence in
-	// [0,1] (how concentrated the selection score mass was on the chosen
-	// subset). Informational; the fallback decision is FullFanout.
-	Confidence float64
-}
 
 // FederatedCacheKey is the per-region result-cache key of a federated
 // query: the canonical term key, k, and the `sel=` component naming the
@@ -83,41 +53,30 @@ func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHou
 func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
 	return func(out *SiteQueryResult, _ *Site, ups []*Site) (string, func(int) []*Site) {
 		// Collection selection comes before the cache probe because the
-		// cache key names the selected subset.
-		targets, full := ups, true
-		var ids []int // the selected subset, for the cache key
-		if m.mediator != nil {
-			upIDs := make([]int, len(ups))
-			for i, s := range ups {
-				upIDs[i] = s.ID
-			}
-			d := m.mediator.Decide(terms, upIDs)
-			out.Confidence = d.Confidence
-			var sel []*Site
-			for _, s := range ups {
-				if !d.FullFanout && slices.Contains(d.Sites, s.ID) {
-					sel, ids = append(sel, s), append(ids, s.ID)
-				}
-			}
-			if len(sel) > 0 {
-				targets, full = sel, false
-			}
+		// cache key names the selected subset; the fan-out is tallied at
+		// the first call, because a cache hit contacts no site.
+		sel, conf := m.decide(terms, ups)
+		targets, ids := ups, make([]int, len(sel))
+		for i, s := range sel {
+			ids[i] = s.ID
 		}
-		skipped := len(ups) - len(targets)
-		out.FullFanout = full
-		out.SitesContacted = len(targets)
-		out.SitesSkipped = skipped
-		m.sel.Queries++
-		m.sel.SitesContacted += len(targets)
-		m.sel.SitesSkipped += skipped
-		if full {
-			m.sel.FullFanout++
-		} else {
-			m.sel.Mediated++
+		if sel != nil {
+			targets = sel
 		}
+		full, skipped := sel == nil, len(ups)-len(targets)
 		return FederatedCacheKey(key, k, ids, full), func(attempt int) []*Site {
 			switch {
 			case attempt == 0:
+				out.FullFanout, out.Confidence = full, conf
+				out.SitesContacted, out.SitesSkipped = len(targets), skipped
+				m.sel.Queries++
+				m.sel.SitesContacted += len(targets)
+				m.sel.SitesSkipped += skipped
+				if full {
+					m.sel.FullFanout++
+				} else {
+					m.sel.Mediated++
+				}
 				return targets
 			case attempt == 1 && skipped > 0:
 				out.FullFanout = true
@@ -132,6 +91,75 @@ func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
 			return nil
 		}
 	}
+}
+
+// decide is the query mediator, after Dushay & French's mediators for
+// federated collections: it ranks the up sites by CORI over each site's
+// collection statistics, keeps the score-bearing ones under
+// WithMediator's selectN budget, and prunes to them only when the
+// selection score mass they hold clears its minConfidence floor. It
+// returns the sites to contact, ascending, or nil for a full fan-out,
+// and the pruning confidence. The selector is built at the first
+// mediated query, so sites may be appended after construction; site
+// engines are immutable, so it never goes stale.
+func (m *MultiSite) decide(terms []string, ups []*Site) (sel []*Site, conf float64) {
+	if m.mediation == nil || len(ups) <= 1 {
+		return nil, 0
+	}
+	if m.cori == nil {
+		stats := make([]index.Stats, len(m.Sites))
+		for i, s := range m.Sites {
+			stats[i] = s.Engine.GlobalStats()
+		}
+		m.cori = selection.NewCORI(stats)
+	}
+	up := make(map[int]bool, len(ups))
+	for _, s := range ups {
+		up[s.ID] = true
+	}
+	// Candidates: up sites carrying any selection score, best first.
+	var cand []selection.ScoredPart
+	total := 0.0
+	for _, sp := range m.cori.RankScored(terms) {
+		if up[sp.Part] && sp.Score > 0 {
+			cand = append(cand, sp)
+			total += sp.Score
+		}
+	}
+	if total <= 0 {
+		// The query's terms occur nowhere we know of — no basis to prune.
+		return nil, 0
+	}
+	budget := m.mediation.selectN
+	if budget <= 0 {
+		budget = max(1, len(ups)/4)
+	}
+	chosen := cand[:min(budget, len(cand))]
+	share := 0.0
+	for _, sp := range chosen {
+		share += sp.Score
+	}
+	// Confidence: how much of the selection score mass the subset holds,
+	// in excess of what a uniform spread would give it. 0 = no better
+	// than picking sites blindly, 1 = the subset holds everything.
+	base := float64(len(chosen)) / float64(len(ups))
+	conf = 1
+	if base < 1 {
+		conf = min(1, max(0, (share/total-base)/(1-base)))
+	}
+	if len(chosen) == len(ups) || conf < m.mediation.minConfidence {
+		return nil, conf
+	}
+	picked := make(map[int]bool, len(chosen))
+	for _, sp := range chosen {
+		picked[sp.Part] = true
+	}
+	for _, s := range ups {
+		if picked[s.ID] {
+			sel = append(sel, s)
+		}
+	}
+	return sel, conf
 }
 
 // QueryExhaustiveResults evaluates terms on every up site's engine and

@@ -13,6 +13,7 @@ import (
 	"dwr/internal/faultsim"
 	"dwr/internal/metrics"
 	"dwr/internal/rank"
+	"dwr/internal/selection"
 )
 
 // ErrAllSitesDown is returned (via SiteQueryResult.Err) when a
@@ -145,17 +146,20 @@ type MultiSite struct {
 	// as the caller saw them.
 	evaluated, hits, degraded, failed int
 
-	// mediator, when configured (WithMediator), makes QueryTopK take the
-	// mediated path: collection selection decides the site subset each
-	// query touches. sel accumulates the fan-out/quality counters, pruned
-	// the answers eligible for a recall sample.
-	mediator Mediator
-	sel      metrics.SelectionCounters
-	pruned   int
+	// mediation, when configured (WithMediator), makes QueryTopK take the
+	// mediated path: decide picks the site subset each query touches by
+	// cori, built like rb at the first query that needs it. sel
+	// accumulates the fan-out/quality counters, pruned the answers
+	// eligible for a recall sample.
+	mediation *mediation
+	cori      *selection.CORI
+	sel       metrics.SelectionCounters
+	pruned    int
 }
 
 // NewMultiSite builds an empty multi-site system over net with the given
-// routing policy; append Sites afterwards. Options configure the
+// routing policy; append Sites afterwards, site i at Sites[i] (the
+// mediator's statistics are numbered by site ID). Options configure the
 // site-level fault path (WithFaultPolicy, WithInjector), the mediator
 // (WithMediator) and the per-site fan-out (WithWorkers); engine/cache
 // options are per-site and ignored here.
@@ -167,7 +171,7 @@ func NewMultiSite(net *cluster.Network, routing RoutingPolicy, options ...Option
 		Workers:     eo.workers,
 		faultPolicy: eo.policy,
 		injector:    eo.injector,
-		mediator:    eo.mediator,
+		mediation:   eo.mediation,
 	}
 }
 
@@ -195,7 +199,8 @@ type SiteQueryResult struct {
 	Failed      bool    // no site answered and no cached answer
 
 	// Federated fan-out accounting (QueryFederated; zero on Submit's
-	// single-executor path): how many sites the query was dispatched to
+	// single-executor path and on a cache hit, which contacts no site):
+	// how many sites the query was dispatched to
 	// versus up sites the mediator pruned, whether the query ended up a
 	// full fan-out, and the mediator's pruning confidence — riding on
 	// the result the way Waves/PartitionsSkipped do on QueryResult.

@@ -12,7 +12,6 @@ import (
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
-	"dwr/internal/selection"
 )
 
 // newMultiSite builds 3 sites in regions 0..2, each a full replica over
@@ -408,7 +407,7 @@ func TestSubmitBooksWANBytes(t *testing.T) {
 // must not change: when the single executor's fail-fast engine refuses,
 // the caller still sees that engine's ErrUnavailable and its work.
 func TestSubmitRefusingExecutorKeepsItsError(t *testing.T) {
-	m, _ := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
+	m := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
 	m.Sites[0].Engine.SetDown(0, true)
 	r := m.Submit([]string{"shared01"}, "shared01", 0, 1, 10)
 	if !errors.Is(r.Err, ErrUnavailable) || r.ServersContacted != 1 || len(r.Results) != 0 {
@@ -423,8 +422,7 @@ func TestSubmitRefusingExecutorKeepsItsError(t *testing.T) {
 // not.
 func TestMultiSiteConcurrentCallers(t *testing.T) {
 	build := func() *MultiSite {
-		m, stats := newFederatedMultiSite(t, 7, 4, 24, nil, []Option{WithResultCache(ResultCacheConfig{Capacity: 64})})
-		m.mediator = coriTestMediator{c: selection.NewCORI(stats), n: 2}
+		m := newFederatedMultiSite(t, 7, 4, 24, mediated, []Option{WithResultCache(ResultCacheConfig{Capacity: 64})})
 		m.SampleEvery = 1
 		m.Now = 1
 		return m

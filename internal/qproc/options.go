@@ -25,7 +25,14 @@ type engineOptions struct {
 	injector   *faultsim.Injector
 	pruning    rank.Pruning
 	threshold  bool
-	mediator   Mediator
+	mediation  *mediation
+}
+
+// mediation is WithMediator's configuration: the per-query site budget
+// and the pruning-confidence floor.
+type mediation struct {
+	selectN       int
+	minConfidence float64
 }
 
 // WithWorkers sets the engine's fan-out width: partition evaluations
@@ -93,17 +100,19 @@ func WithThresholdSharing(on bool) Option {
 	return func(o *engineOptions) { o.threshold = on }
 }
 
-// WithMediator puts a federated query mediator on the engine's serving
+// WithMediator puts the federated query mediator on the engine's serving
 // path: MultiSite.QueryTopK and QueryTopKWithin take the QueryFederated
-// route (collection selection picks the site subset each query touches,
-// with full fan-out as the confidence/fault fallback). The mediator must
-// be deterministic for fixed statistics; cache keys gain a `sel=`
-// component naming the selected subset. Engines without a federated
-// scatter (DocEngine, LiveEngine, TermEngine) ignore the option — their
-// partitions are skipped rank-safely by threshold sharing instead.
-// Passing nil disables mediation, overriding any ambient default.
-func WithMediator(m Mediator) Option {
-	return func(o *engineOptions) { o.mediator = m }
+// route, where CORI over every site's collection statistics picks the
+// site subset each query touches, with full fan-out as the
+// confidence/fault fallback. selectN is the per-query site budget (<= 0
+// picks a quarter of the up sites, at least one); below minConfidence
+// (0 = never) a query falls back to full fan-out. Cache keys gain a
+// `sel=` component naming the selected subset. Engines without a
+// federated scatter (DocEngine, LiveEngine, TermEngine) ignore the
+// option — their partitions are skipped rank-safely by threshold
+// sharing instead.
+func WithMediator(selectN int, minConfidence float64) Option {
+	return func(o *engineOptions) { o.mediation = &mediation{selectN, minConfidence} }
 }
 
 // WithFaultPolicy activates the robustness policy on the engine's

@@ -90,35 +90,6 @@ func NewCORI(stats []index.Stats) *CORI {
 // K returns the number of partitions.
 func (c *CORI) K() int { return len(c.df) }
 
-// Update replaces (or, when part == K(), appends) one partition's
-// statistics and refolds the collection-wide averages — the incremental
-// refresh path a mediator drives from the dynamic index's change hooks,
-// instead of rebuilding the whole selector. It panics on a gap
-// (part > K()), which indicates a programming error.
-func (c *CORI) Update(part int, st index.Stats) {
-	if part > len(c.df) {
-		panic("selection: CORI.Update beyond K()")
-	}
-	df := make(map[string]int, len(st.DF))
-	for t, v := range st.DF {
-		df[t] = v
-	}
-	if part == len(c.df) {
-		c.df = append(c.df, df)
-		c.cw = append(c.cw, float64(st.TotalLen))
-	} else {
-		c.df[part] = df
-		c.cw[part] = float64(st.TotalLen)
-	}
-	c.avgCW = 0
-	for _, w := range c.cw {
-		c.avgCW += w
-	}
-	if len(c.cw) > 0 {
-		c.avgCW /= float64(len(c.cw))
-	}
-}
-
 // Rank orders partitions by CORI belief for the query terms.
 func (c *CORI) Rank(terms []string) []int {
 	sp := c.RankScored(terms)
@@ -302,36 +273,6 @@ func (r *Random) K() int { return r.k }
 
 // Rank returns a fresh random permutation.
 func (r *Random) Rank(terms []string) []int { return r.rng.Perm(r.k) }
-
-// BySize ranks partitions by document count, a static popularity
-// baseline.
-type BySize struct {
-	order []int
-}
-
-// NewBySize builds a selector that always proposes the largest
-// partitions first.
-func NewBySize(sizes []int) *BySize {
-	order := make([]int, len(sizes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if sizes[order[a]] != sizes[order[b]] {
-			return sizes[order[a]] > sizes[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return &BySize{order: order}
-}
-
-// K returns the number of partitions.
-func (s *BySize) K() int { return len(s.order) }
-
-// Rank returns the static size ordering.
-func (s *BySize) Rank(terms []string) []int {
-	return append([]int(nil), s.order...)
-}
 
 // RecallAtN measures selection quality the way the collection-selection
 // literature does: the fraction of the true top documents (trueTop,

@@ -165,14 +165,6 @@ func TestRandomSelectorPermutation(t *testing.T) {
 	}
 }
 
-func TestBySize(t *testing.T) {
-	s := NewBySize([]int{10, 50, 30})
-	got := s.Rank(nil)
-	if got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Fatalf("BySize rank = %v", got)
-	}
-}
-
 func TestRecallAtN(t *testing.T) {
 	res, train := trainData()
 	qd := NewQueryDriven(res, train)
@@ -284,37 +276,6 @@ func TestRandomSeededDeterminism(t *testing.T) {
 	if !diff {
 		t.Fatal("distinct seeds never diverged in 30 draws")
 	}
-}
-
-// TestCORIUpdateMatchesRebuild: the incremental refresh path must land
-// on exactly the state a from-scratch build produces.
-func TestCORIUpdateMatchesRebuild(t *testing.T) {
-	stats := buildPartitionedIndexes(t)
-	c := NewCORI(stats)
-	// Mutate partition 1's statistics: new vocabulary, different size.
-	b := index.NewBuilder(index.DefaultOptions())
-	for d := 0; d < 80; d++ {
-		b.AddDocument(5000+d, []string{"p1new0", "p1new1", "p1new2"})
-	}
-	stats[1] = index.MustBuild(b).LocalStats(nil)
-	c.Update(1, stats[1])
-	fresh := NewCORI(stats)
-	for _, q := range [][]string{{"p1new0"}, {"p0t0", "p1new1"}, {"p2t2"}} {
-		if got, want := fmt.Sprint(c.RankScored(q)), fmt.Sprint(fresh.RankScored(q)); got != want {
-			t.Fatalf("query %v: updated %s, rebuilt %s", q, got, want)
-		}
-	}
-	// Appending at part == K() grows the selector.
-	c.Update(3, stats[0])
-	if c.K() != 4 {
-		t.Fatalf("K after append = %d", c.K())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("gapped update did not panic")
-		}
-	}()
-	c.Update(9, stats[0])
 }
 
 // TestRecallAtNEdgeCases: empty training set, n larger than the number
