@@ -406,11 +406,12 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 }
 
 // TestProseBudget caps the prose that describes the code: a change that
-// adds a paragraph to either file removes one, or raises its budget in
-// plain sight. Lower a budget when a change cuts its file.
+// adds a paragraph to one of these files removes one, or raises its
+// budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1103,
+		"DESIGN.md":                      1100,
+		"README.md":                      360,
 		".claude/skills/verify/SKILL.md": 241,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))

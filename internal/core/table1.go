@@ -63,7 +63,7 @@ func Table1() []Table1Cell {
 			Module: "Indexing", Issue: "Communication",
 			PaperTopic: "Re-indexing",
 			Components: []string{
-				"index.Merge (distributed merges)",
+				"index.SegmentStore.Compact (distributed merges)",
 				"index.BuildMapReduce / index.BuildPipeline",
 			},
 		},

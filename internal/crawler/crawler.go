@@ -246,13 +246,6 @@ func removeInt(s []int, v int) []int {
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 type ringAssign struct {
 	ring *chash.Ring
 }

@@ -307,10 +307,10 @@ func Claim9GlobalStats() *Result {
 	return r
 }
 
-// Claim14IndexBuild (C14) verifies the four construction strategies
-// produce identical indexes and reports their build times and the
-// compression/positions ablation of the layout choices, whose byte
-// counts are headline values.
+// Claim14IndexBuild (C14) verifies the construction strategies produce
+// identical indexes and reports their build times and the
+// compression/positions ablation of the layout, whose byte counts are
+// headline values.
 func Claim14IndexBuild() *Result {
 	f := sharedFixture()
 	r := newResult("C14")
@@ -386,32 +386,43 @@ func Claim14IndexBuild() *Result {
 	t.AddRow("streaming LSM segments", segMs, index.Equal(ref, segIx))
 	r.Tables = append(r.Tables, t)
 
-	// Layout ablation: compression and positions.
-	sizes := metrics.NewTable("layout ablation", "layout", "posting bytes", "bytes/posting")
-	totalPostings := 0
-	for _, term := range ref.Terms() {
-		totalPostings += ref.DF(term)
+	// Layout ablation, measured on the one layout: its size, the doc+TF
+	// sections alone (what a position-less index would hold: a full walk
+	// that skips positions decodes exactly those), and the fixed 32-bit
+	// width of the same postings (doc, TF and position count per posting,
+	// one word per occurrence).
+	b := index.NewBuilder(index.Options{BlockSize: 64})
+	for _, d := range f.docs {
+		b.AddDocument(d.Ext, d.Terms)
+	}
+	ix := index.MustBuild(b)
+	var postings, noPos, fixed int64
+	for _, term := range ix.Terms() {
+		it := ix.Postings(term)
+		for it.Next() {
+		}
+		postings += int64(ix.DF(term))
+		noPos += it.BytesDecoded()
+		fixed += 12*int64(ix.DF(term)) + 4*ix.CF(term)
 	}
 	r.Values = map[string]float64{
 		"all_equal": boolTo01(index.Equal(ref, sortIx) && index.Equal(ref, spimiIx) &&
 			index.Equal(ref, mrIx) && index.Equal(ref, plIx) && index.Equal(ref, segIx)),
-		"docs": float64(ref.NumDocs()),
+		"docs":                   float64(ref.NumDocs()),
+		"bytes_compressed":       float64(ix.SizeBytes()),
+		"bytes_compressed_nopos": float64(noPos),
+		"bytes_fixed":            float64(fixed),
 	}
+	sizes := metrics.NewTable("layout ablation", "layout", "posting bytes", "bytes/posting")
 	for _, row := range []struct {
-		name, key string
-		o         index.Options
+		name  string
+		bytes int64
 	}{
-		{"compressed + positions", "bytes_compressed", index.Options{Compress: true, StorePositions: true, BlockSize: 64}},
-		{"compressed, no positions", "bytes_compressed_nopos", index.Options{Compress: true, StorePositions: false, BlockSize: 64}},
-		{"fixed-width + positions", "bytes_fixed", index.Options{Compress: false, StorePositions: true, BlockSize: 64}},
+		{"compressed + positions", ix.SizeBytes()},
+		{"compressed, no positions", noPos},
+		{"fixed-width + positions", fixed},
 	} {
-		b := index.NewBuilder(row.o)
-		for _, d := range f.docs {
-			b.AddDocument(d.Ext, d.Terms)
-		}
-		ix := index.MustBuild(b)
-		sizes.AddRow(row.name, ix.SizeBytes(), float64(ix.SizeBytes())/float64(totalPostings))
-		r.Values[row.key] = float64(ix.SizeBytes())
+		sizes.AddRow(row.name, row.bytes, float64(row.bytes)/float64(postings))
 	}
 	r.Tables = append(r.Tables, sizes)
 	return r

@@ -52,7 +52,7 @@ func Claim17LanguageRouting() *Result {
 		taken := 0
 		for _, ext := range dp.Parts[li] {
 			d := byExt[ext]
-			sample.WriteString(strings.Join(d.Terms[:minInt(80, len(d.Terms))], " "))
+			sample.WriteString(strings.Join(d.Terms[:min(80, len(d.Terms))], " "))
 			sample.WriteByte(' ')
 			taken++
 			if taken >= 8 {
@@ -156,11 +156,4 @@ func rankFrom(first, k int) []int {
 		}
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -61,8 +61,8 @@ func TestAllBuildersProduceIdenticalIndexes(t *testing.T) {
 	docs := randomDocs(rng, 300, 80)
 	for _, opts := range []Options{
 		DefaultOptions(),
-		{Compress: false, StorePositions: true, BlockSize: 32},
-		{Compress: true, StorePositions: false, BlockSize: 0},
+		{BlockSize: 32},
+		{BlockSize: 0},
 	} {
 		ixs := allBuilderIndexes(t, docs, opts)
 		ref := ixs["builder"]
@@ -96,7 +96,7 @@ func TestMergePartitions(t *testing.T) {
 	for i, b := range builders {
 		parts[i] = MustBuild(b)
 	}
-	merged, err := Merge(opts, parts...)
+	merged, _, err := mergeParts(opts, parts, byExtID, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestMergeRejectsDuplicateDocs(t *testing.T) {
 	a.AddDocument(1, []string{"x"})
 	b := NewBuilder(opts)
 	b.AddDocument(1, []string{"y"})
-	if _, err := Merge(opts, MustBuild(a), MustBuild(b)); err == nil {
-		t.Fatal("Merge accepted overlapping document sets")
+	if _, _, err := mergeParts(opts, []*Index{MustBuild(a), MustBuild(b)}, byExtID, nil, 1); err == nil {
+		t.Fatal("mergeParts accepted overlapping document sets")
 	}
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dwr/internal/conc"
@@ -99,7 +100,7 @@ func (ix *Index) addTerm(term string, pl postingList) {
 // one posting per distinct term for which keep returns true (nil keeps
 // every term), in no particular term order. Positions index the full
 // token sequence, filtered or not.
-func invert(doc int32, terms []string, positions bool, keep func(string) bool, emit func(term string, p Posting)) {
+func invert(doc int32, terms []string, keep func(string) bool, emit func(term string, p Posting)) {
 	occ := make(map[string][]int32)
 	for i, t := range terms {
 		if keep == nil || keep(t) {
@@ -107,11 +108,7 @@ func invert(doc int32, terms []string, positions bool, keep func(string) bool, e
 		}
 	}
 	for t, poss := range occ {
-		p := Posting{Doc: doc, TF: int32(len(poss))}
-		if positions {
-			p.Pos = poss
-		}
-		emit(t, p)
+		emit(t, Posting{Doc: doc, TF: int32(len(poss)), Pos: poss})
 	}
 }
 
@@ -146,7 +143,7 @@ func (b *MemBuilder) AddDocumentFiltered(ext int, terms []string, keep func(stri
 	if err != nil {
 		return err
 	}
-	invert(doc, terms, b.opts.StorePositions, keep, func(t string, p Posting) {
+	invert(doc, terms, keep, func(t string, p Posting) {
 		b.posting[t] = append(b.posting[t], p)
 	})
 	return nil
@@ -255,11 +252,7 @@ func (b *SortBuilder) Build() (*Index, error) {
 				poss = append(poss, b.recs[i].pos)
 				i++
 			}
-			p := Posting{Doc: doc, TF: int32(len(poss))}
-			if b.opts.StorePositions {
-				p.Pos = poss
-			}
-			ps = append(ps, p)
+			ps = append(ps, Posting{Doc: doc, TF: int32(len(poss)), Pos: poss})
 		}
 		ix.addTerm(term, encodePostings(ps, b.opts, st))
 	}
@@ -267,8 +260,8 @@ func (b *SortBuilder) Build() (*Index, error) {
 }
 
 // Equal reports whether two indexes contain the same documents, lexicon,
-// and postings (including positions when both store them). It is the
-// cross-checking oracle for the different construction strategies.
+// and postings, positions included. It is the cross-checking oracle for
+// the different construction strategies.
 func Equal(a, b *Index) bool {
 	if a.NumDocs() != b.NumDocs() || a.NumTerms() != b.NumTerms() || a.totalLen != b.totalLen {
 		return false
@@ -284,21 +277,14 @@ func Equal(a, b *Index) bool {
 		if !ok {
 			return false
 		}
-		pa := ta.pl.decodeAll(a.opts)
-		pb := b.termList[tb].pl.decodeAll(b.opts)
+		pa := ta.pl.decodeAll(a.opts.blockSize())
+		pb := b.termList[tb].pl.decodeAll(b.opts.blockSize())
 		if len(pa) != len(pb) {
 			return false
 		}
 		for j := range pa {
-			if pa[j].Doc != pb[j].Doc || pa[j].TF != pb[j].TF {
+			if pa[j].Doc != pb[j].Doc || pa[j].TF != pb[j].TF || !slices.Equal(pa[j].Pos, pb[j].Pos) {
 				return false
-			}
-			if a.opts.StorePositions && b.opts.StorePositions {
-				for k := range pa[j].Pos {
-					if pa[j].Pos[k] != pb[j].Pos[k] {
-						return false
-					}
-				}
 			}
 		}
 	}

@@ -118,7 +118,7 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 		partialPost[s] = make(map[string][]Posting)
 	}
 	conc.Pipeline(len(sorted), stages, func(s, li int) {
-		invert(int32(li), sorted[li].Terms, opts.StorePositions,
+		invert(int32(li), sorted[li].Terms,
 			func(t string) bool { return stageOf(t) == s },
 			func(t string, p Posting) { partialPost[s][t] = append(partialPost[s][t], p) })
 	})

@@ -103,7 +103,7 @@ func (ix *Index) postings(term string, withPos bool) *Iterator {
 	if !ok {
 		return nil
 	}
-	return newIterator(&ix.termList[i].pl, ix.opts, withPos)
+	return newIterator(&ix.termList[i].pl, ix.opts.blockSize(), withPos)
 }
 
 // PostingsInto is Postings with caller-owned iterator storage: it
@@ -116,7 +116,7 @@ func (ix *Index) PostingsInto(it *Iterator, term string) *Iterator {
 	if !ok {
 		return nil
 	}
-	it.reset(&ix.termList[i].pl, ix.opts, false)
+	it.reset(&ix.termList[i].pl, ix.opts.blockSize(), false)
 	return it
 }
 
@@ -202,9 +202,6 @@ func (ix *Index) Terms() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Options returns the layout options the index was built with.
-func (ix *Index) Options() Options { return ix.opts }
 
 // Stats are the per-partition statistics exchanged by the two-round
 // global-statistics protocol of Section 4 (External factors): enough to

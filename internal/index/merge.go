@@ -7,16 +7,6 @@ import (
 	"dwr/internal/conc"
 )
 
-// Merge combines partial indexes over disjoint document sets into one
-// index — the "distributed merge operations" of Section 4. Documents are
-// reordered by external ID so the result is independent of how documents
-// were split across the parts, and postings are remapped accordingly.
-// Merge returns an error if two parts contain the same external ID.
-func Merge(opts Options, parts ...*Index) (*Index, error) {
-	ix, _, err := mergeParts(opts, parts, byExtID, nil, 1)
-	return ix, err
-}
-
 // mergeOrder is the order mergeParts assigns fresh ordinals in: byArrival
 // keeps part order and each part's own ordinal order (the order a
 // segment store's documents arrived in); byExtID sorts by external ID, so
@@ -28,13 +18,14 @@ const (
 	byExtID
 )
 
-// mergeParts is the package's one merge, and it never goes back to
-// documents: the documents drop does not name get fresh ordinals in the
-// given order, then each term of the union lexicon has its lists decoded,
-// remapped, filtered of dropped documents and re-encoded against the
-// merged document table, over up to workers goroutines (each owns its
-// lexicon slot, so the result is identical at any width). A term left
-// with no posting leaves the lexicon. Document order, encodePostings and
+// mergeParts is the package's one merge — the "distributed merge
+// operations" of Section 4 — and it never goes back to documents: the
+// documents drop does not name get fresh ordinals in the given order,
+// then each term of the union lexicon has its lists decoded, remapped,
+// filtered of dropped documents and re-encoded against the merged
+// document table, over up to workers goroutines (each owns its lexicon
+// slot, so the result is identical at any width). A term left with no
+// posting leaves the lexicon. Document order, encodePostings and
 // encodeStats are those of a MemBuilder fed the surviving documents in
 // that order, so the result is byte-equal to that build's. Returned with
 // it are the external IDs dropped; two surviving documents sharing an
@@ -96,7 +87,7 @@ func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]boo
 			if !ok {
 				continue
 			}
-			it.reset(&p.termList[j].pl, p.opts, opts.StorePositions)
+			it.reset(&p.termList[j].pl, p.opts.blockSize(), true)
 			for it.Next() {
 				if doc := remap[pi][it.Doc()]; doc >= 0 { // a dropped document's positions stay undecoded
 					merged = append(merged, Posting{Doc: doc, TF: it.TF(), Pos: it.Positions()})

@@ -33,12 +33,12 @@ func sameIndex(t *testing.T, label string, got, want *Index) {
 // whatever the segment split, layout and tombstone set, the merged
 // index must be byte-identical to the reference builder fed the
 // surviving documents in the order the merge was asked for — segments,
-// Merge's parts and map-reduce's partials alike.
+// external-ID-ordered parts and map-reduce's partials alike.
 func TestMergeMatchesReindex(t *testing.T) {
 	layouts := []Options{
-		{Compress: true, StorePositions: true, BlockSize: 8},
-		{Compress: false, StorePositions: true, BlockSize: 32},
-		{Compress: true, StorePositions: false},
+		{BlockSize: 8},
+		{BlockSize: 32},
+		{},
 	}
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 150; trial++ {
@@ -110,11 +110,11 @@ func TestMergeMatchesReindex(t *testing.T) {
 	}
 
 	// Map-reduce's reduce phase is the same merge: any reducer count gives
-	// Merge's index over the same documents.
+	// the external-ID-ordered merge over the same documents.
 	docs := randomDocs(rng, 150, 40)
 	rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
 	opts := DefaultOptions()
-	want, err := Merge(opts, indexDocs(opts, docs[:40]), indexDocs(opts, docs[40:]))
+	want, _, err := mergeParts(opts, []*Index{indexDocs(opts, docs[:40]), indexDocs(opts, docs[40:])}, byExtID, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func twinBuilders(opts Options, docs []Doc) (*MemBuilder, *MemBuilder) {
 func TestBuildParallelEqualsSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	docs := randomDocs(rng, 500, 80)
-	for _, opts := range []Options{DefaultOptions(), {Compress: false, BlockSize: 8}} {
+	for _, opts := range []Options{DefaultOptions(), {BlockSize: 8}} {
 		a, b := twinBuilders(opts, docs)
 		serial := MustBuild(a)
 		par := b.BuildParallel(8)

@@ -14,8 +14,8 @@ import (
 
 // On-disk index format (little-endian):
 //
-//	magic "DWRIX4\n\x00"                     8 bytes
-//	options: compress, positions (2 bytes) + blockSize (uvarint)
+//	magic "DWRIX5\n\x00"                     8 bytes
+//	blockSize (uvarint)
 //	numDocs (uvarint), then per doc: ext (uvarint), length (uvarint)
 //	numTerms (uvarint), then per term:
 //	    len(term) (uvarint), term bytes,
@@ -32,9 +32,11 @@ import (
 // skip table with skip-aligned blocks; version 3 added the resident
 // per-term score-bound summary (TermScoreMeta) evaluator and broker prune
 // with; version 4 dropped the per-block score bounds nothing reads any
-// more. Older DWRIX versions are rejected (rebuild the index).
+// more; version 5 dropped the compress and positions flag bytes, since
+// every index is block-compressed and positional. Older DWRIX versions
+// are rejected (rebuild the index).
 
-var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '4', '\n', 0}
+var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '5', '\n', 0}
 
 // WriteFile writes the index to path atomically: a crash leaves either
 // the old file or the whole new one (write temp, sync, rename, sync the
@@ -113,21 +115,7 @@ func (ix *Index) Write(w io.Writer) error {
 		_, err := cw.Write(buf[:n])
 		return err
 	}
-	putBool := func(b bool) error {
-		v := byte(0)
-		if b {
-			v = 1
-		}
-		_, err := cw.Write([]byte{v})
-		return err
-	}
 
-	if err := putBool(ix.opts.Compress); err != nil {
-		return err
-	}
-	if err := putBool(ix.opts.StorePositions); err != nil {
-		return err
-	}
 	if err := putUvarint(uint64(ix.opts.BlockSize)); err != nil {
 		return err
 	}
@@ -256,24 +244,12 @@ func Read(r io.Reader) (*Index, error) {
 	}
 	cr := &crcReader{r: r}
 	readUvarint := func() (uint64, error) { return binary.ReadUvarint(cr) }
-	readBool := func() (bool, error) {
-		b, err := cr.ReadByte()
-		return b != 0, err
-	}
 
-	var opts Options
-	var err error
-	if opts.Compress, err = readBool(); err != nil {
-		return nil, fmt.Errorf("index: reading options: %w", err)
-	}
-	if opts.StorePositions, err = readBool(); err != nil {
-		return nil, fmt.Errorf("index: reading options: %w", err)
-	}
 	bs, err := readUvarint()
 	if err != nil {
 		return nil, fmt.Errorf("index: reading options: %w", err)
 	}
-	opts.BlockSize = int(bs)
+	opts := Options{BlockSize: int(bs)}
 
 	nDocs, err := readUvarint()
 	if err != nil {

@@ -17,8 +17,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	docs := randomDocs(rng, 300, 60)
 	for _, opts := range []Options{
 		DefaultOptions(),
-		{Compress: false, StorePositions: true, BlockSize: 16},
-		{Compress: true, StorePositions: false, BlockSize: 0},
+		{BlockSize: 16},
+		{BlockSize: 0},
 	} {
 		b := NewBuilder(opts)
 		for _, d := range docs {
@@ -37,8 +37,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		if !Equal(ix, got) {
 			t.Fatalf("opts %+v: round-tripped index differs", opts)
 		}
-		if got.Options() != opts {
-			t.Fatalf("options %+v round-tripped as %+v", opts, got.Options())
+		if got.opts != opts {
+			t.Fatalf("options %+v round-tripped as %+v", opts, got.opts)
 		}
 		// The skip table must survive, for every term: SkipTo still works
 		// and the block records match the index that was written.
@@ -64,9 +64,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistRejectsOldVersion: a DWRIX2 (pre score-bound summary) or
-// DWRIX3 (per-block score bounds) file is refused with a rebuild hint
-// rather than misparsed.
+// TestPersistRejectsOldVersion: a DWRIX2 (pre score-bound summary),
+// DWRIX3 (per-block score bounds) or DWRIX4 (layout flag bytes) file is
+// refused with a rebuild hint rather than misparsed.
 func TestPersistRejectsOldVersion(t *testing.T) {
 	b := NewBuilder(DefaultOptions())
 	b.AddDocument(1, []string{"alpha", "beta"})
@@ -75,7 +75,7 @@ func TestPersistRejectsOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, version := range []byte{'2', '3'} {
+	for _, version := range []byte{'2', '3', '4'} {
 		raw[5] = version // rewrite the version byte of the magic
 		_, err := Read(bytes.NewReader(raw))
 		if err == nil {
@@ -151,7 +151,7 @@ func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
 		{"more postings than documents", func(pl *postingList, n int) { pl.count = n + 1 }},
 	}
 	for _, tc := range tampers {
-		b := NewBuilder(Options{Compress: true, BlockSize: 4})
+		b := NewBuilder(Options{BlockSize: 4})
 		for d := range 10 {
 			b.AddDocument(d, []string{"a"})
 		}
@@ -205,8 +205,8 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-// hostileCounts are well-formed DWRIX4 prefixes that each announce one
-// enormous count and then end: 2^31 documents (seventeen bytes in all),
+// hostileCounts are well-formed DWRIX5 prefixes that each announce one
+// enormous count and then end: 2^31 documents (fifteen bytes in all),
 // 2^31 terms, 2^32 bytes of posting data, 2^31 blocks.
 func hostileCounts() map[string][]byte {
 	uv := func(prefix []byte, vs ...uint64) []byte {
@@ -216,8 +216,8 @@ func hostileCounts() map[string][]byte {
 		}
 		return b
 	}
-	// Compressed, positional, 128 postings per block.
-	header := uv(append(persistMagic[:8:8], 1, 1), 128)
+	// 128 postings per block.
+	header := uv(persistMagic[:8:8], 128)
 	// No documents; one term "a" with its count, cf, maxTF, minLen,
 	// satBound and quantAvg.
 	oneTerm := uv(append(uv(header, 0, 1, 1), 'a'), 1, 1, 1, 1, 0, 0)
@@ -256,8 +256,8 @@ func FuzzRead(f *testing.F) {
 	docs := randomDocs(rand.New(rand.NewSource(23)), 40, 20)
 	for _, opts := range []Options{
 		DefaultOptions(),
-		{Compress: false, StorePositions: true, BlockSize: 16},
-		{Compress: true, StorePositions: false},
+		{BlockSize: 16},
+		{},
 	} {
 		var buf bytes.Buffer
 		if err := indexDocs(opts, docs).Write(&buf); err != nil {

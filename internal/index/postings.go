@@ -15,11 +15,11 @@ import (
 )
 
 // Posting is one term occurrence record: the internal document ordinal,
-// the term frequency, and optionally the positions of the occurrences.
+// the term frequency, and the positions of the occurrences.
 type Posting struct {
 	Doc int32
 	TF  int32
-	Pos []int32 // nil unless positions are stored
+	Pos []int32 // nil when read by an iterator that skips positions
 }
 
 // Default BM25 parameters. A list's saturation bound
@@ -35,17 +35,15 @@ const (
 // Options.BlockSize is zero.
 const defaultBlockSize = 128
 
-// Options configures index layout.
+// Options configures index layout. Every index is block-compressed and
+// positional; only the block size varies.
 type Options struct {
-	StorePositions bool // keep within-document positions (phrase/proximity search)
-	Compress       bool // group-varint/varint encode postings (false = fixed 32-bit, for ablation)
-	BlockSize      int  // postings per skip-aligned block; 0 = 128
+	BlockSize int // postings per skip-aligned block; 0 = 128
 }
 
-// DefaultOptions returns the production layout: compressed, positional,
-// 128 postings per block.
+// DefaultOptions returns the production layout: 128 postings per block.
 func DefaultOptions() Options {
-	return Options{StorePositions: true, Compress: true, BlockSize: defaultBlockSize}
+	return Options{BlockSize: defaultBlockSize}
 }
 
 func (o Options) blockSize() int {
@@ -108,11 +106,11 @@ func bm25Sat(maxTF, minLen int32, avg float64) float64 {
 }
 
 // encodePostings serializes postings (which must be sorted by Doc,
-// strictly increasing) into skip-aligned blocks according to opts.
-// Within a block (compressed layout) doc-gaps are group-varint encoded,
-// term frequencies are varint encoded, and positions (when stored) are
-// delta-varint encoded in a trailing section the iterator can skip
-// wholesale. st supplies document lengths for the score-bound summary.
+// strictly increasing) into skip-aligned blocks of opts.BlockSize. Within
+// a block doc-gaps are group-varint encoded, term frequencies are varint
+// encoded, and positions are delta-varint encoded in a trailing section
+// the iterator can skip wholesale. st supplies document lengths for the
+// score-bound summary.
 func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 	var pl postingList
 	pl.count = len(ps)
@@ -155,37 +153,18 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 		pl.meta.MinLen = min(pl.meta.MinLen, minLen)
 		pl.meta.SatBound = max(pl.meta.SatBound, bm25Sat(maxTF, minLen, st.avgLen))
 		meta.lastDoc = prevDoc
-		if opts.Compress {
-			pl.data = appendGroupVarint(pl.data, gaps)
-		} else {
-			for _, p := range block {
-				pl.data = appendFixed32(pl.data, uint32(p.Doc))
-			}
-		}
+		pl.data = appendGroupVarint(pl.data, gaps)
 		// TF section.
 		for _, p := range block {
-			if opts.Compress {
-				pl.data = appendUvarint(pl.data, uint64(p.TF))
-			} else {
-				pl.data = appendFixed32(pl.data, uint32(p.TF))
-			}
+			pl.data = appendUvarint(pl.data, uint64(p.TF))
 		}
 		// Positions section.
-		if opts.StorePositions {
-			for _, p := range block {
-				if opts.Compress {
-					pl.data = appendUvarint(pl.data, uint64(len(p.Pos)))
-					var prevPos int32
-					for _, pos := range p.Pos {
-						pl.data = appendUvarint(pl.data, uint64(pos-prevPos))
-						prevPos = pos
-					}
-				} else {
-					pl.data = appendFixed32(pl.data, uint32(len(p.Pos)))
-					for _, pos := range p.Pos {
-						pl.data = appendFixed32(pl.data, uint32(pos))
-					}
-				}
+		for _, p := range block {
+			pl.data = appendUvarint(pl.data, uint64(len(p.Pos)))
+			var prevPos int32
+			for _, pos := range p.Pos {
+				pl.data = appendUvarint(pl.data, uint64(pos-prevPos))
+				prevPos = pos
 			}
 		}
 		pl.blocks = append(pl.blocks, meta)
@@ -197,12 +176,6 @@ func appendUvarint(b []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
 	return append(b, tmp[:n]...)
-}
-
-func appendFixed32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
 }
 
 // appendGroupVarint appends gap values in groups of four sharing one tag
@@ -293,7 +266,6 @@ func decodeGroupVarint(data []byte, pos, n int, out []uint32) int {
 // only when asked.
 type Iterator struct {
 	pl      *postingList
-	opts    Options
 	withPos bool
 	bs      int // postings per block
 	bi      int // index of the decoded block; -1 before any decode, len(blocks) once exhausted
@@ -308,21 +280,21 @@ type Iterator struct {
 	bytes   int64    // encoded bytes decoded so far
 }
 
-// reset re-initializes *it over pl, preserving its decode buffers so
-// pooled iterators stay allocation-free across queries.
-func (it *Iterator) reset(pl *postingList, opts Options, withPos bool) {
+// reset re-initializes *it over pl, a list of bs postings per block,
+// preserving its decode buffers so pooled iterators stay allocation-free
+// across queries.
+func (it *Iterator) reset(pl *postingList, bs int, withPos bool) {
 	docs, tfs, gaps := it.docs, it.tfs, it.gaps
 	*it = Iterator{
-		pl: pl, opts: opts, withPos: withPos && opts.StorePositions,
-		bs: opts.blockSize(), bi: -1,
+		pl: pl, withPos: withPos, bs: bs, bi: -1,
 		docs: docs, tfs: tfs, gaps: gaps,
 	}
 }
 
 // newIterator starts an iterator over pl.
-func newIterator(pl *postingList, opts Options, withPos bool) *Iterator {
+func newIterator(pl *postingList, bs int, withPos bool) *Iterator {
 	it := &Iterator{}
-	it.reset(pl, opts, withPos)
+	it.reset(pl, bs, withPos)
 	return it
 }
 
@@ -348,33 +320,22 @@ func (it *Iterator) decodeBlock(b int) {
 	if b > 0 {
 		base = pl.blocks[b-1].lastDoc
 	}
-	if it.opts.Compress {
-		gaps := it.gaps[:n]
-		pos = decodeGroupVarint(pl.data, pos, n, gaps)
-		d := base
-		for i, g := range gaps {
-			d += int32(g)
-			docs[i] = d
+	gaps := it.gaps[:n]
+	pos = decodeGroupVarint(pl.data, pos, n, gaps)
+	d := base
+	for i, g := range gaps {
+		d += int32(g)
+		docs[i] = d
+	}
+	for i := range tfs {
+		if c := pl.data[pos]; c < 0x80 { // a one-byte uvarint: nearly every tf
+			tfs[i] = int32(c)
+			pos++
+			continue
 		}
-		for i := range tfs {
-			if c := pl.data[pos]; c < 0x80 { // a one-byte uvarint: nearly every tf
-				tfs[i] = int32(c)
-				pos++
-				continue
-			}
-			v, w := binary.Uvarint(pl.data[pos:])
-			pos += w
-			tfs[i] = int32(v)
-		}
-	} else {
-		for i := range docs {
-			docs[i] = int32(binary.LittleEndian.Uint32(pl.data[pos:]))
-			pos += 4
-		}
-		for i := range tfs {
-			tfs[i] = int32(binary.LittleEndian.Uint32(pl.data[pos:]))
-			pos += 4
-		}
+		v, w := binary.Uvarint(pl.data[pos:])
+		pos += w
+		tfs[i] = int32(v)
 	}
 	it.bi, it.n, it.j = b, n, 0
 	it.posOff, it.posIdx = pos, 0
@@ -405,40 +366,24 @@ func (it *Iterator) Positions() []int32 {
 		return it.pos
 	}
 	data := it.pl.data
-	if it.opts.Compress {
-		for it.posIdx < j {
-			np, w := binary.Uvarint(data[it.posOff:])
-			it.posOff += w
-			for k := uint64(0); k < np; k++ {
-				_, w := binary.Uvarint(data[it.posOff:])
-				it.posOff += w
-			}
-			it.posIdx++
-		}
+	for it.posIdx < j {
 		np, w := binary.Uvarint(data[it.posOff:])
 		it.posOff += w
-		out := make([]int32, np)
-		var prev int32
-		for k := range out {
-			d, w := binary.Uvarint(data[it.posOff:])
+		for k := uint64(0); k < np; k++ {
+			_, w := binary.Uvarint(data[it.posOff:])
 			it.posOff += w
-			prev += int32(d)
-			out[k] = prev
 		}
-		it.posIdx, it.pos = j+1, out
-		return out
-	}
-	for it.posIdx < j {
-		np := int(binary.LittleEndian.Uint32(data[it.posOff:]))
-		it.posOff += 4 + 4*np
 		it.posIdx++
 	}
-	np := int(binary.LittleEndian.Uint32(data[it.posOff:]))
-	it.posOff += 4
+	np, w := binary.Uvarint(data[it.posOff:])
+	it.posOff += w
 	out := make([]int32, np)
+	var prev int32
 	for k := range out {
-		out[k] = int32(binary.LittleEndian.Uint32(data[it.posOff:]))
-		it.posOff += 4
+		d, w := binary.Uvarint(data[it.posOff:])
+		it.posOff += w
+		prev += int32(d)
+		out[k] = prev
 	}
 	it.posIdx, it.pos = j+1, out
 	return out
@@ -545,10 +490,11 @@ func (it *Iterator) BytesDecoded() int64 { return it.bytes }
 // same one Index.TermScoreMeta reads from the dictionary.
 func (it *Iterator) ScoreMeta() TermScoreMeta { return it.pl.meta }
 
-// decodeAll materializes a posting list; used by Equal.
-func (pl *postingList) decodeAll(opts Options) []Posting {
+// decodeAll materializes a posting list of bs postings per block; used
+// by Equal.
+func (pl *postingList) decodeAll(bs int) []Posting {
 	out := make([]Posting, 0, pl.count)
-	it := newIterator(pl, opts, true)
+	it := newIterator(pl, bs, true)
 	for it.Next() {
 		out = append(out, it.Posting())
 	}

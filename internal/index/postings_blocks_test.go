@@ -13,20 +13,17 @@ import (
 // randPostings draws a posting list with the given gap profile: small
 // gaps make dense multi-block lists, large gaps stress the group-varint
 // width selection, mixed gaps cross byte-length boundaries mid-group.
-func randPostings(rng *rand.Rand, n, maxGap int, withPos bool) []Posting {
+func randPostings(rng *rand.Rand, n, maxGap int) []Posting {
 	ps := make([]Posting, n)
 	doc := int32(0)
 	for i := range ps {
 		doc += int32(1 + rng.Intn(maxGap))
-		tf := int32(1 + rng.Intn(7))
-		p := Posting{Doc: doc, TF: tf}
-		if withPos {
-			pos := int32(0)
-			p.Pos = make([]int32, tf)
-			for j := range p.Pos {
-				pos += int32(1 + rng.Intn(50))
-				p.Pos[j] = pos
-			}
+		p := Posting{Doc: doc, TF: int32(1 + rng.Intn(7))}
+		pos := int32(0)
+		p.Pos = make([]int32, p.TF)
+		for j := range p.Pos {
+			pos += int32(1 + rng.Intn(50))
+			p.Pos[j] = pos
 		}
 		ps[i] = p
 	}
@@ -34,8 +31,8 @@ func randPostings(rng *rand.Rand, n, maxGap int, withPos bool) []Posting {
 }
 
 // TestBlockIteratorAgainstLinearScan is the seeded property test of the
-// block codec: for randomized lists across gap distributions, block
-// sizes, Compress on/off, and positions on/off, Iterator.Next must
+// block codec: for randomized lists across gap distributions and block
+// sizes, Iterator.Next must
 // reproduce the raw postings exactly and Iterator.SkipTo must agree with
 // a linear scan for adversarial targets — block boundaries, the exact
 // last document of each block, present and absent documents, and targets
@@ -43,18 +40,15 @@ func randPostings(rng *rand.Rand, n, maxGap int, withPos bool) []Posting {
 func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 60; trial++ {
-		opts := Options{
-			Compress:       trial%2 == 0,
-			StorePositions: (trial/2)%2 == 0,
-			BlockSize:      []int{0, 1, 4, 7, 128}[trial%5],
-		}
+		opts := Options{BlockSize: []int{0, 1, 4, 7, 128}[trial%5]}
+		bs := opts.blockSize()
 		n := rng.Intn(400) // includes empty and single-block lists
 		maxGap := []int{1, 3, 1000, 1 << 18}[rng.Intn(4)]
-		ps := randPostings(rng, n, maxGap, opts.StorePositions)
+		ps := randPostings(rng, n, maxGap)
 		pl := encodePostings(ps, opts, encodeStats{})
 
 		// Full forward decode == raw postings.
-		got := pl.decodeAll(opts)
+		got := pl.decodeAll(bs)
 		want := ps
 		if len(want) == 0 {
 			want = nil
@@ -65,7 +59,6 @@ func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 
 		// Adversarial SkipTo targets.
 		targets := []int32{0, 1}
-		bs := opts.blockSize()
 		for b := 0; b*bs < len(ps); b++ {
 			last := ps[min((b+1)*bs, len(ps))-1].Doc
 			targets = append(targets, last, last+1, ps[b*bs].Doc) // exact block last, just past, block first
@@ -78,7 +71,7 @@ func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 			}
 		}
 		for _, target := range targets {
-			it := newIterator(&pl, opts, opts.StorePositions)
+			it := newIterator(&pl, bs, true)
 			var want *Posting
 			for i := range ps {
 				if ps[i].Doc >= target {
@@ -96,7 +89,7 @@ func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 		}
 
 		// Forward-only interleaved SkipTo/Next walk against the raw list.
-		it := newIterator(&pl, opts, opts.StorePositions)
+		it := newIterator(&pl, bs, true)
 		i := 0
 		for i < len(ps) {
 			if rng.Intn(2) == 0 {
@@ -154,7 +147,7 @@ func TestBlockMetadataInvariants(t *testing.T) {
 		for pit := ix.Postings(term); pit.Next(); {
 			ps = append(ps, pit.Posting())
 		}
-		bs := ix.Options().blockSize()
+		bs := ix.opts.blockSize()
 		if want := (len(ps) + bs - 1) / bs; len(it.pl.blocks) != want {
 			t.Fatalf("term %q: %d blocks for %d postings, want %d", term, len(it.pl.blocks), len(ps), want)
 		}
@@ -192,19 +185,18 @@ func TestBlockMetadataInvariants(t *testing.T) {
 // the last block charges only the blocks actually decoded.
 func TestIteratorBytesDecodedCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	opts := DefaultOptions()
-	opts.BlockSize = 16
-	ps := randPostings(rng, 160, 5, true)
-	pl := encodePostings(ps, opts, encodeStats{})
+	const bs = 16
+	ps := randPostings(rng, 160, 5)
+	pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
 
-	it := newIterator(&pl, opts, true)
+	it := newIterator(&pl, bs, true)
 	for it.Next() {
 	}
 	if it.BytesDecoded() != int64(len(pl.data)) {
 		t.Fatalf("positional full walk decoded %d bytes, data is %d", it.BytesDecoded(), len(pl.data))
 	}
 
-	it = newIterator(&pl, opts, false)
+	it = newIterator(&pl, bs, false)
 	for it.Next() {
 	}
 	full := it.BytesDecoded()
@@ -212,7 +204,7 @@ func TestIteratorBytesDecodedCharges(t *testing.T) {
 		t.Fatalf("doc+TF walk decoded %d bytes, want within (0, %d)", full, len(pl.data))
 	}
 
-	it = newIterator(&pl, opts, false)
+	it = newIterator(&pl, bs, false)
 	if !it.SkipTo(ps[len(ps)-1].Doc) {
 		t.Fatal("SkipTo(last) failed")
 	}
@@ -221,22 +213,18 @@ func TestIteratorBytesDecodedCharges(t *testing.T) {
 	}
 }
 
-// blockCharge is what decoding block b of pl costs in BytesDecoded: the
-// whole block when positions are materialized, else its doc and TF
-// sections, sized here from ps by the layout rules.
-func blockCharge(pl *postingList, ps []Posting, opts Options, withPos bool, b int) int64 {
-	if withPos && opts.StorePositions {
+// blockCharge is what decoding block b of pl (bs postings per block)
+// costs in BytesDecoded: the whole block when positions are materialized,
+// else its doc and TF sections, sized here from ps by the layout rules.
+func blockCharge(pl *postingList, ps []Posting, bs int, withPos bool, b int) int64 {
+	if withPos {
 		end := len(pl.data)
 		if b+1 < len(pl.blocks) {
 			end = int(pl.blocks[b+1].offset)
 		}
 		return int64(end - int(pl.blocks[b].offset))
 	}
-	bs := opts.blockSize()
 	block := ps[b*bs : min((b+1)*bs, len(ps))]
-	if !opts.Compress {
-		return int64(8 * len(block))
-	}
 	var prev int32
 	if b > 0 {
 		prev = ps[b*bs-1].Doc
@@ -254,28 +242,24 @@ func blockCharge(pl *postingList, ps []Posting, opts Options, withPos bool, b in
 // TestIteratorInterleavings is the seeded property test of the cursor
 // step: random interleavings of Next and SkipTo — to a target inside the
 // current block, equal to a block's lastDoc, in a later block, or past
-// the end — land where a scan of decodeAll's postings lands, over both
-// layouts, with and without positions. Doc, TF, Posting and Positions
+// the end — land where a scan of decodeAll's postings lands, with and
+// without positions, over several block sizes. Doc, TF, Posting and Positions
 // (asked for twice, or not at all) agree with that posting, and
 // BytesDecoded is the block-level charge of exactly the blocks landed in.
 func TestIteratorInterleavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for trial := 0; trial < 120; trial++ {
-		opts := Options{
-			Compress:       trial%2 == 0,
-			StorePositions: (trial/2)%2 == 0,
-			BlockSize:      []int{1, 3, 16, 128}[(trial/4)%4],
-		}
-		ps := randPostings(rng, 1+rng.Intn(600), []int{1, 4, 300, 1 << 20}[rng.Intn(4)], opts.StorePositions)
-		pl := encodePostings(ps, opts, encodeStats{})
-		all := pl.decodeAll(opts)
+		bs := []int{1, 3, 16, 128}[trial%4]
+		ps := randPostings(rng, 1+rng.Intn(600), []int{1, 4, 300, 1 << 20}[rng.Intn(4)])
+		pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+		all := pl.decodeAll(bs)
 		if !reflect.DeepEqual(all, ps) {
-			t.Fatalf("trial %d opts %+v: decodeAll diverges from the encoded postings", trial, opts)
+			t.Fatalf("trial %d block size %d: decodeAll diverges from the encoded postings", trial, bs)
 		}
-		bs, n := opts.blockSize(), len(all)
+		n := len(all)
 		lastOf := func(b int) int32 { return all[min((b+1)*bs, n)-1].Doc }
 		for _, withPos := range []bool{false, true} {
-			it := newIterator(&pl, opts, withPos)
+			it := newIterator(&pl, bs, withPos)
 			cur := -1 // index in all of the current posting
 			landed := map[int]bool{}
 			for step := 0; ; step++ {
@@ -307,7 +291,7 @@ func TestIteratorInterleavings(t *testing.T) {
 					}
 				}
 				if ok != (want < n) {
-					t.Fatalf("trial %d opts %+v withPos %v step %d: %s = %v, want %v", trial, opts, withPos, step, what, ok, want < n)
+					t.Fatalf("trial %d block size %d withPos %v step %d: %s = %v, want %v", trial, bs, withPos, step, what, ok, want < n)
 				}
 				if !ok {
 					break
@@ -315,27 +299,27 @@ func TestIteratorInterleavings(t *testing.T) {
 				cur = want
 				landed[cur/bs] = true
 				p := all[cur]
-				if !withPos || !opts.StorePositions {
+				if !withPos {
 					p.Pos = nil
 				}
 				if it.Doc() != p.Doc || it.TF() != p.TF {
-					t.Fatalf("trial %d opts %+v withPos %v step %d: %s landed on doc %d tf %d, want %+v", trial, opts, withPos, step, what, it.Doc(), it.TF(), p)
+					t.Fatalf("trial %d block size %d withPos %v step %d: %s landed on doc %d tf %d, want %+v", trial, bs, withPos, step, what, it.Doc(), it.TF(), p)
 				}
 				for range rng.Intn(3) {
 					if got := it.Posting(); !reflect.DeepEqual(got, p) {
-						t.Fatalf("trial %d opts %+v withPos %v step %d: %s gave %+v, want %+v", trial, opts, withPos, step, what, got, p)
+						t.Fatalf("trial %d block size %d withPos %v step %d: %s gave %+v, want %+v", trial, bs, withPos, step, what, got, p)
 					}
 				}
 			}
 			if it.Next() || it.SkipTo(0) {
-				t.Fatalf("trial %d opts %+v withPos %v: an exhausted iterator moved", trial, opts, withPos)
+				t.Fatalf("trial %d block size %d withPos %v: an exhausted iterator moved", trial, bs, withPos)
 			}
 			var charge int64
 			for b := range landed {
-				charge += blockCharge(&pl, all, opts, withPos, b)
+				charge += blockCharge(&pl, all, bs, withPos, b)
 			}
 			if it.BytesDecoded() != charge {
-				t.Fatalf("trial %d opts %+v withPos %v: BytesDecoded %d, the %d blocks landed in charge %d", trial, opts, withPos, it.BytesDecoded(), len(landed), charge)
+				t.Fatalf("trial %d block size %d withPos %v: BytesDecoded %d, the %d blocks landed in charge %d", trial, bs, withPos, it.BytesDecoded(), len(landed), charge)
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func (b *SPIMIBuilder) AddDocument(ext int, terms []string) error {
 	if err != nil {
 		return err
 	}
-	invert(doc, terms, b.opts.StorePositions, nil, func(t string, p Posting) {
+	invert(doc, terms, nil, func(t string, p Posting) {
 		b.cur[t] = append(b.cur[t], p)
 		b.curBytes += 12 + len(t) + 4*len(p.Pos)
 	})

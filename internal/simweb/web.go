@@ -350,10 +350,3 @@ func (w *Web) CrawlablePages() int {
 	}
 	return n
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
