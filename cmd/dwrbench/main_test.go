@@ -410,9 +410,9 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1100,
-		"README.md":                      360,
-		".claude/skills/verify/SKILL.md": 241,
+		"DESIGN.md":                      1098,
+		"README.md":                      359,
+		".claude/skills/verify/SKILL.md": 240,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))
 		if err != nil {

@@ -30,9 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "broker fan-out and build concurrency (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 	cacheCap := flag.Int("cachecap", 0, "broker result-cache capacity in entries (0 = no result cache)")
-	cacheTTL := flag.Int("cachettl", 0, "result-cache entry TTL in queries (0 = never expires)")
-	cacheShards := flag.Int("cacheshards", 0, "result-cache lock shards (0 = 8)")
-	cachePolicy := flag.String("cachepolicy", "sdc", "result-cache replacement: lru | lfu | sdc (sdc warms its static set from a query-log sample)")
 	flag.Parse()
 
 	qproc.SetDefaultOptions(qproc.WithWorkers(*workers))
@@ -42,17 +39,7 @@ func main() {
 	cfg.Web.Hosts = *hosts
 	cfg.Partitions = *partitions
 	cfg.Workers = *workers
-	policy, err := qproc.ParseCachePolicy(*cachePolicy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dwrsearch: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Cache = core.CacheConfig{
-		Capacity:   *cacheCap,
-		Shards:     *cacheShards,
-		TTLQueries: *cacheTTL,
-		Policy:     policy,
-	}
+	cfg.Cache = core.CacheConfig{Capacity: *cacheCap}
 	switch *strategy {
 	case "random":
 		cfg.Strategy = core.PartitionRandom

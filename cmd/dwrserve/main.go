@@ -184,11 +184,8 @@ func newStatic(o options) (http.Handler, *core.Engine, error) {
 // writer; queries read immutable manifest snapshots, so they never
 // block on ingest or on the background merges.
 func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), err error) {
-	opts := []qproc.Option{qproc.WithWorkers(o.workers)}
-	if o.cacheCap > 0 {
-		opts = append(opts, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
-	}
-	live, err := core.NewLive(o.partitions, o.segDocs, conc.NewPool(o.mergeWorkers), opts...)
+	live, err := core.NewLive(o.partitions, o.segDocs, conc.NewPool(o.mergeWorkers),
+		qproc.WithWorkers(o.workers), qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
 	if err != nil {
 		return nil, nil, err
 	}

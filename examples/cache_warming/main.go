@@ -1,10 +1,10 @@
 // cache_warming replays a Zipfian query log through the broker result
-// cache under three replacement policies — LRU, LFU, and SDC (static +
-// dynamic cache, Fagni et al.) — and prints their hit ratios side by
-// side. SDC freezes the most popular queries of a historical log sample
-// into a static half that eviction can never touch, which is exactly
-// the property that wins on heavy-tailed streams: the head of the
-// distribution stops competing with the tail for cache slots.
+// cache — one eight-shard LRU in front of all partition fan-out — and
+// prints how its hit ratio climbs as the cache warms from cold, at three
+// capacities. Midway, a query processor fails for one window and then
+// recovers: each topology change invalidates every entry at once (one
+// generation bump, no walk), the outage's degraded answers are never
+// cached, and the cache warms again from the recovered index.
 //
 //	go run ./examples/cache_warming
 package main
@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"dwr/internal/core"
 	"dwr/internal/index"
@@ -24,9 +23,6 @@ import (
 )
 
 func main() {
-	// Corpus and query log: the first warmN instances are "yesterday's
-	// log" (the sample SDC mines for its static set), the rest are the
-	// live stream every policy is measured on.
 	wcfg := simweb.DefaultConfig()
 	wcfg.Hosts = 100
 	web := simweb.New(wcfg)
@@ -35,69 +31,53 @@ func main() {
 	lcfg := querylog.DefaultConfig()
 	lcfg.Total = 12000
 	lcfg.Distinct = 1500
-	lg := querylog.Generate(web, lcfg)
-	const warmN = 4000
-	warm, stream := lg.Queries[:warmN], lg.Queries[warmN:]
-	fmt.Printf("corpus: %d documents; warming sample: %d queries; live stream: %d queries\n\n",
-		len(docs), len(warm), len(stream))
+	stream := querylog.Generate(web, lcfg).Queries
+	const window, outage = 2000, 3 // partition 0 is down during window 3
+	fmt.Printf("corpus: %d documents; stream: %d queries in windows of %d\n\n",
+		len(docs), len(stream), window)
 
-	ids := index.DocIDs(docs)
-	const parts = 4
-	// warmEng is a cache-less engine used only to compute the answers
-	// SDC pins into its static half; the measured engines are built
-	// per policy below with their cache attached at construction.
-	warmEng, err := qproc.NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, parts))
-	if err != nil {
-		log.Fatal(err)
-	}
+	capacities := []int{64, 256, 1024}
+	ratios := make([][]string, len(stream)/window)
 	opts := qproc.DocQueryOptions{K: 10, Stats: qproc.GlobalPrecomputed}
-
-	// SDC's static set: the most popular keys of the warming sample,
-	// translated to the exact cache keys the engine will look up.
-	warmLog := &querylog.Log{Queries: warm}
-	const capacity = 192
-	var static []string
-	for _, key := range warmLog.TopKeys(capacity / 2) {
-		static = append(static, qproc.DocCacheKey(strings.Fields(key), opts))
-	}
-
-	configs := []struct {
-		name string
-		cfg  qproc.ResultCacheConfig
-	}{
-		{"LRU", qproc.ResultCacheConfig{Capacity: capacity, Policy: qproc.CacheLRU}},
-		{"LFU", qproc.ResultCacheConfig{Capacity: capacity, Policy: qproc.CacheLFU}},
-		{"SDC", qproc.ResultCacheConfig{Capacity: capacity, Policy: qproc.CacheSDC, StaticKeys: static}},
-	}
-
-	tbl := metrics.NewTable(fmt.Sprintf("result-cache hit ratio, %d entries, same %d-query stream", capacity, len(stream)),
-		"policy", "hits", "misses", "hit ratio")
-	for _, c := range configs {
-		rc := qproc.NewResultCache(c.cfg)
-		if c.cfg.Policy == qproc.CacheSDC {
-			// Warming: answer the static queries on the cache-less
-			// engine (so the measured stream starts with clean counters)
-			// and pin their results into the frozen half before the
-			// stream arrives.
-			for _, key := range warmLog.TopKeys(capacity / 2) {
-				terms := strings.Fields(key)
-				rc.Put(qproc.DocCacheKey(terms, opts), warmEng.Query(terms, opts))
-			}
-		}
-		// The measured engine gets the prebuilt (possibly pre-warmed)
-		// cache at construction.
+	for _, capacity := range capacities {
 		eng, err := qproc.NewDocEngine(index.DefaultOptions(), docs,
-			partition.RoundRobinDocs(ids, parts), qproc.WithResultCacheInstance(rc))
+			partition.RoundRobinDocs(index.DocIDs(docs), 4),
+			qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: capacity}))
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, q := range stream {
-			eng.Query(q.Terms, opts)
+		var prev qproc.CacheStats
+		for w := range ratios {
+			if w == outage || w == outage+1 {
+				eng.SetDown(0, w == outage)
+			}
+			for _, q := range stream[w*window : (w+1)*window] {
+				eng.Query(q.Terms, opts)
+			}
+			st := eng.ResultCache().Stats()
+			delta := qproc.CacheStats{Hits: st.Hits - prev.Hits, Misses: st.Misses - prev.Misses}
+			ratios[w] = append(ratios[w], metrics.FormatPercent(delta.HitRatio()))
+			prev = st
 		}
-		st := rc.Stats()
-		tbl.AddRow(c.name, st.Hits, st.Misses, metrics.FormatPercent(st.HitRatio()))
+	}
+
+	cols := []string{"queries"}
+	for _, c := range capacities {
+		cols = append(cols, fmt.Sprintf("%d entries", c))
+	}
+	tbl := metrics.NewTable("result-cache hit ratio per window of the same stream", cols...)
+	for w, row := range ratios {
+		label := fmt.Sprintf("%d-%d", w*window+1, (w+1)*window)
+		if w == outage {
+			label += " (partition 0 down)"
+		}
+		cells := []any{label}
+		for _, r := range row {
+			cells = append(cells, r)
+		}
+		tbl.AddRow(cells...)
 	}
 	fmt.Println(tbl.String())
-	fmt.Println("SDC's static half is immune to eviction, so burst-popular tail queries")
-	fmt.Println("cannot push the head of the Zipf distribution out of the cache.")
+	fmt.Println("Every topology change drops the whole cache in O(1); degraded answers")
+	fmt.Println("are never stored, so the outage window serves nothing from cache.")
 }

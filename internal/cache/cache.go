@@ -1,9 +1,10 @@
-// Package cache implements the result caches of Section 5: LRU and LFU
-// baselines, the static-dynamic cache (SDC) of Fagni et al. that the
-// paper's authors proposed for query results, and timestamped entries so
-// a coordinator can serve stale results while query processors are down
-// — the paper's "upon query processor failures, the system returns
-// cached results".
+// Package cache implements the result caches of Section 5: the LRU the
+// broker serves from (Sharded, eight locked LRU shards with generation
+// invalidation), the LFU and static-dynamic cache (SDC, Fagni et al.)
+// replacement policies experiment C10 replays a query log against, and
+// timestamped entries so a coordinator can serve stale results while
+// query processors are down — the paper's "upon query processor
+// failures, the system returns cached results".
 package cache
 
 // Entry is a cached value with the virtual time it was stored at, so

@@ -5,98 +5,51 @@ import (
 	"sync/atomic"
 )
 
-// Stamped pairs a cached value with the Sharded generation it was stored
-// under. Sharded wraps its shards' element type in Stamped so that
-// invalidation is a single atomic counter bump: entries written under an
-// older generation are treated as misses and lazily overwritten, with no
-// walk over the shards.
-type Stamped[V any] struct {
-	Value V
-	Gen   uint64
+// numShards is Sharded's fixed lock-domain count.
+const numShards = 8
+
+// stamped pairs a cached value with the generation it was stored under,
+// so that invalidation is a single atomic counter bump: entries written
+// under an older generation are treated as misses and lazily
+// overwritten, with no walk over the shards.
+type stamped[V any] struct {
+	value V
+	gen   uint64
 }
 
 // shard is one lock domain of a Sharded cache. Hit/miss/stale counters
-// live per shard, under the same mutex as the underlying cache, so the
-// hot path takes exactly one lock and Stats aggregates lazily.
+// live per shard, under the same mutex as its LRU, so the hot path takes
+// exactly one lock and Stats aggregates lazily.
 type shard[V any] struct {
-	mu           sync.Mutex
-	c            Cache[Stamped[V]]
-	hits, misses int
-	stale        int
+	mu                  sync.Mutex
+	lru                 *LRU[stamped[V]]
+	hits, misses, stale int
 }
 
-// Sharded is a concurrency-safe wrapper over any Cache[V]: keys are
-// hash-routed to one of N independently locked shards, so concurrent
-// brokers contend only when their queries land on the same shard. It
-// implements Cache[V] itself and adds generation-based invalidation
-// (Invalidate), the hook the dynamic index uses to drop every cached
-// result after an update without stopping the world.
+// Sharded is the concurrency-safe cache: keys are hash-routed to one of
+// eight independently locked LRU shards, so concurrent brokers contend
+// only when their queries land on the same shard. It implements Cache[V]
+// itself and adds generation-based invalidation (Invalidate), the hook
+// index updates and topology changes use to drop every cached result
+// without stopping the world.
 type Sharded[V any] struct {
-	shards []shard[V]
+	shards [numShards]shard[V]
 	gen    atomic.Uint64
 }
 
-// NewSharded creates a sharded cache with n shards (≥1); factory builds
-// shard i's underlying cache (typically with 1/n of the total capacity).
-// The factory's caches must not be shared between shards or touched by
-// the caller afterwards.
-func NewSharded[V any](n int, factory func(shard int) Cache[Stamped[V]]) *Sharded[V] {
-	if n < 1 {
-		n = 1
-	}
-	s := &Sharded[V]{shards: make([]shard[V], n)}
+// NewSharded creates a sharded LRU whose total capacity is split evenly
+// across the shards, rounding up so the aggregate never falls below the
+// requested total (and every shard holds at least one entry).
+func NewSharded[V any](capacity int) *Sharded[V] {
+	s := &Sharded[V]{}
 	for i := range s.shards {
-		s.shards[i].c = factory(i)
+		s.shards[i].lru = NewLRU[stamped[V]]((capacity + numShards - 1) / numShards)
 	}
 	return s
 }
 
-// NewShardedLRU returns a Sharded over LRU shards with a total capacity
-// split evenly across n shards.
-func NewShardedLRU[V any](n, capacity int) *Sharded[V] {
-	return NewSharded[V](n, func(int) Cache[Stamped[V]] {
-		return NewLRU[Stamped[V]](shardCap(capacity, n))
-	})
-}
-
-// NewShardedLFU returns a Sharded over LFU shards with a total capacity
-// split evenly across n shards.
-func NewShardedLFU[V any](n, capacity int) *Sharded[V] {
-	return NewSharded[V](n, func(int) Cache[Stamped[V]] {
-		return NewLFU[Stamped[V]](shardCap(capacity, n))
-	})
-}
-
-// NewShardedSDC returns a Sharded over SDC shards: each static key gets
-// its permanent slot on the shard its hash routes to, and the dynamic
-// LRU capacity is split evenly. Total capacity = len(staticKeys) +
-// dynamicCapacity, as with NewSDC.
-func NewShardedSDC[V any](n int, staticKeys []string, dynamicCapacity int) *Sharded[V] {
-	if n < 1 {
-		n = 1
-	}
-	perShard := make([][]string, n)
-	for _, k := range staticKeys {
-		i := shardOf(k, n)
-		perShard[i] = append(perShard[i], k)
-	}
-	return NewSharded[V](n, func(i int) Cache[Stamped[V]] {
-		return NewSDC[Stamped[V]](perShard[i], shardCap(dynamicCapacity, n))
-	})
-}
-
-// shardCap splits a total capacity across n shards, rounding up so the
-// aggregate never falls below the requested total.
-func shardCap(total, n int) int {
-	c := (total + n - 1) / n
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 // shardOf routes a key to a shard with FNV-1a.
-func shardOf(key string, n int) int {
+func shardOf(key string) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -106,18 +59,18 @@ func shardOf(key string, n int) int {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return int(h % uint64(n))
+	return int(h % numShards)
 }
 
 // Get implements Cache. An entry stored under an older generation is
 // reported as a miss (and counted as stale); it stays in the shard until
 // replacement evicts it or a Put overwrites it — invalidation is lazy.
 func (s *Sharded[V]) Get(key string) (Entry[V], bool) {
-	sh := &s.shards[shardOf(key, len(s.shards))]
+	sh := &s.shards[shardOf(key)]
 	gen := s.gen.Load()
 	sh.mu.Lock()
-	e, ok := sh.c.Get(key)
-	if ok && e.Value.Gen != gen {
+	e, ok := sh.lru.Get(key)
+	if ok && e.Value.gen != gen {
 		sh.stale++
 		ok = false
 	}
@@ -131,15 +84,15 @@ func (s *Sharded[V]) Get(key string) (Entry[V], bool) {
 		var zero Entry[V]
 		return zero, false
 	}
-	return Entry[V]{Value: e.Value.Value, StoredAt: e.StoredAt}, true
+	return Entry[V]{Value: e.Value.value, StoredAt: e.StoredAt}, true
 }
 
 // Put implements Cache, stamping the entry with the current generation.
 func (s *Sharded[V]) Put(key string, value V, now float64) {
-	sh := &s.shards[shardOf(key, len(s.shards))]
+	sh := &s.shards[shardOf(key)]
 	gen := s.gen.Load()
 	sh.mu.Lock()
-	sh.c.Put(key, Stamped[V]{Value: value, Gen: gen}, now)
+	sh.lru.Put(key, stamped[V]{value: value, gen: gen}, now)
 	sh.mu.Unlock()
 }
 
@@ -150,7 +103,7 @@ func (s *Sharded[V]) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += sh.c.Len()
+		n += sh.lru.Len()
 		sh.mu.Unlock()
 	}
 	return n
@@ -186,9 +139,3 @@ func (s *Sharded[V]) StaleMisses() int {
 // call is lazily treated as a miss from now on. O(1), safe to call from
 // index-update hooks while readers are in flight.
 func (s *Sharded[V]) Invalidate() { s.gen.Add(1) }
-
-// Generation returns the current generation counter.
-func (s *Sharded[V]) Generation() uint64 { return s.gen.Load() }
-
-// Shards returns the number of shards.
-func (s *Sharded[V]) Shards() int { return len(s.shards) }

@@ -7,10 +7,7 @@ import (
 )
 
 func TestShardedBasics(t *testing.T) {
-	s := NewShardedLRU[int](4, 64)
-	if s.Shards() != 4 {
-		t.Fatalf("shards = %d", s.Shards())
-	}
+	s := NewSharded[int](64)
 	s.Put("a", 1, 10)
 	s.Put("b", 2, 11)
 	if e, ok := s.Get("a"); !ok || e.Value != 1 || e.StoredAt != 10 {
@@ -31,18 +28,18 @@ func TestShardedBasics(t *testing.T) {
 func TestShardedRoutingIsStable(t *testing.T) {
 	// The same key must always land on the same shard: with per-shard
 	// capacity 1, distinct keys on distinct shards must all survive.
-	s := NewShardedLRU[int](8, 8)
+	s := NewSharded[int](numShards)
 	byShard := make(map[int]string)
-	for i := 0; i < 200 && len(byShard) < 8; i++ {
+	for i := 0; i < 200 && len(byShard) < numShards; i++ {
 		k := fmt.Sprintf("key%d", i)
-		sh := shardOf(k, 8)
+		sh := shardOf(k)
 		if _, taken := byShard[sh]; !taken {
 			byShard[sh] = k
 			s.Put(k, i, 0)
 		}
 	}
 	if len(byShard) < 4 {
-		t.Fatalf("FNV routed 200 keys onto only %d of 8 shards", len(byShard))
+		t.Fatalf("FNV routed 200 keys onto only %d of %d shards", len(byShard), numShards)
 	}
 	for _, k := range byShard {
 		if _, ok := s.Get(k); !ok {
@@ -52,7 +49,7 @@ func TestShardedRoutingIsStable(t *testing.T) {
 }
 
 func TestShardedGenerationInvalidation(t *testing.T) {
-	s := NewShardedLRU[int](2, 16)
+	s := NewSharded[int](16)
 	s.Put("q", 7, 0)
 	if _, ok := s.Get("q"); !ok {
 		t.Fatal("fresh entry missing")
@@ -69,31 +66,10 @@ func TestShardedGenerationInvalidation(t *testing.T) {
 	if e, ok := s.Get("q"); !ok || e.Value != 8 {
 		t.Fatalf("re-put after invalidation = %+v, %v", e, ok)
 	}
-	if g := s.Generation(); g != 1 {
-		t.Fatalf("generation = %d, want 1", g)
-	}
-}
-
-func TestShardedSDCStaticRouting(t *testing.T) {
-	statics := []string{"s0", "s1", "s2", "s3", "s4", "s5"}
-	s := NewShardedSDC[int](4, statics, 8)
-	for i, k := range statics {
-		s.Put(k, i, 0)
-	}
-	// Churn the dynamic sections hard; static slots must survive on
-	// whichever shard their hash routed them to.
-	for i := 0; i < 500; i++ {
-		s.Put(fmt.Sprintf("dyn%d", i), i, 0)
-	}
-	for i, k := range statics {
-		if e, ok := s.Get(k); !ok || e.Value != i {
-			t.Fatalf("static key %s lost under dynamic churn", k)
-		}
-	}
 }
 
 func TestShardedAggregatedStats(t *testing.T) {
-	s := NewShardedLFU[int](4, 32)
+	s := NewSharded[int](32)
 	for i := 0; i < 20; i++ {
 		s.Put(fmt.Sprintf("k%d", i), i, 0)
 	}
@@ -118,7 +94,7 @@ func TestShardedAggregatedStats(t *testing.T) {
 // many goroutines hammering overlapping key ranges with interleaved
 // invalidations must neither race nor lose the cache invariants.
 func TestShardedConcurrent(t *testing.T) {
-	s := NewShardedLRU[string](8, 256)
+	s := NewSharded[string](256)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -151,10 +127,6 @@ func TestShardedConcurrent(t *testing.T) {
 }
 
 func TestShardedImplementsCache(t *testing.T) {
-	var _ Cache[int] = NewShardedLRU[int](4, 16)
-	var _ Cache[int] = NewShardedLFU[int](4, 16)
-	var _ Cache[int] = NewShardedSDC[int](4, []string{"a"}, 16)
-	var _ Cache[[]byte] = NewSharded[[]byte](3, func(int) Cache[Stamped[[]byte]] {
-		return NewLRU[Stamped[[]byte]](4)
-	})
+	var _ Cache[int] = NewSharded[int](16)
+	var _ Cache[[]byte] = NewSharded[[]byte](4)
 }

@@ -125,17 +125,6 @@ func (f *FaultConfig) Injector() *faultsim.Injector {
 type CacheConfig struct {
 	// Capacity enables the broker result cache when > 0 (total entries).
 	Capacity int
-	// Shards is the result cache's lock-domain count (0 = 8).
-	Shards int
-	// TTLQueries expires result entries after this many cache lookups
-	// (0 = never).
-	TTLQueries int
-	// Policy selects replacement. With qproc.CacheSDC the static set is
-	// warmed from the popularity head of a generated query-log sample.
-	Policy qproc.CachePolicy
-	// WarmQueries is the query-log sample size used to pick the SDC
-	// static set (0 picks 2000).
-	WarmQueries int
 }
 
 // DefaultConfig returns a laptop-scale end-to-end configuration.
@@ -219,26 +208,12 @@ func (e *Engine) partitionAndIndex() error {
 
 // engineOptions folds the Config into the qproc functional-options list
 // the query engine is constructed with: fan-out width, the result
-// cache, and the fault environment. For SDC the static set is
-// warmed offline: a query-log sample is generated against the same
-// synthetic Web, and the most popular keys of its head become the
-// cache's permanent slots — the Fagni et al. recipe, using history to
-// pin what churn would otherwise evict.
+// cache, and the fault environment.
 func (e *Engine) engineOptions() []qproc.Option {
 	cfg := e.Config
 	opts := []qproc.Option{qproc.WithWorkers(cfg.Workers)}
-	cc := cfg.Cache
-	if cc.Capacity > 0 {
-		rcfg := qproc.ResultCacheConfig{
-			Capacity:   cc.Capacity,
-			Shards:     cc.Shards,
-			Policy:     cc.Policy,
-			TTLQueries: cc.TTLQueries,
-		}
-		if cc.Policy == qproc.CacheSDC {
-			rcfg.StaticKeys = e.warmStaticKeys(cc.Capacity / 2)
-		}
-		opts = append(opts, qproc.WithResultCache(rcfg))
+	if cfg.Cache.Capacity > 0 {
+		opts = append(opts, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: cfg.Cache.Capacity}))
 	}
 	if f := cfg.Faults; f != nil {
 		opts = append(opts, qproc.WithInjector(f.Injector()))
@@ -249,33 +224,6 @@ func (e *Engine) engineOptions() []qproc.Option {
 		opts = append(opts, qproc.WithFaultPolicy(pol))
 	}
 	return opts
-}
-
-// warmStaticKeys picks up to n SDC static keys from the head of a
-// query-log sample, rendered as the full cache keys Search produces
-// (two-round stats, default k).
-func (e *Engine) warmStaticKeys(n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	lcfg := querylog.DefaultConfig()
-	lcfg.Seed = e.Config.Seed + 29
-	lcfg.Total = e.Config.Cache.WarmQueries
-	if lcfg.Total <= 0 {
-		lcfg.Total = 2000
-	}
-	lcfg.Distinct = lcfg.Total / 8
-	if lcfg.Distinct < 50 {
-		lcfg.Distinct = 50
-	}
-	lg := querylog.Generate(e.Web, lcfg)
-	opt := qproc.DocQueryOptions{K: 10, Stats: qproc.GlobalTwoRound}
-	keys := lg.TopKeys(n)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = qproc.DocCacheKey(strings.Fields(k), opt)
-	}
-	return out
 }
 
 // docVectors builds sparse term-ID vectors for k-means.

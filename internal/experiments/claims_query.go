@@ -42,28 +42,8 @@ func Claim10Caching() *Result {
 
 	// Hit ratios on the full log replayed in arrival order; static keys
 	// for SDC come from the training days' most popular queries.
-	counts := make(map[string]int)
-	for _, q := range f.train.Queries {
-		counts[q.Key]++
-	}
-	type kc struct {
-		k string
-		c int
-	}
-	var pop []kc
-	for k, c := range counts {
-		pop = append(pop, kc{k, c})
-	}
-	for i := 1; i < len(pop); i++ { // insertion sort by count desc (small n)
-		for j := i; j > 0 && (pop[j].c > pop[j-1].c || (pop[j].c == pop[j-1].c && pop[j].k < pop[j-1].k)); j-- {
-			pop[j], pop[j-1] = pop[j-1], pop[j]
-		}
-	}
 	const capTotal = 400
-	staticKeys := make([]string, 0, capTotal/2)
-	for i := 0; i < len(pop) && i < capTotal/2; i++ {
-		staticKeys = append(staticKeys, pop[i].k)
-	}
+	staticKeys := f.train.TopKeys(capTotal / 2)
 
 	replay := func(c cache.Cache[int]) float64 {
 		for i, q := range f.test.Queries {

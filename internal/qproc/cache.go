@@ -3,141 +3,52 @@ package qproc
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"dwr/internal/cache"
 )
 
-// CachePolicy selects the replacement policy of a ResultCache.
-type CachePolicy int
-
-// Result-cache replacement policies (Section 5; Fagni et al. for SDC).
-const (
-	CacheLRU CachePolicy = iota
-	CacheLFU
-	CacheSDC
-)
-
-// String implements fmt.Stringer.
-func (p CachePolicy) String() string {
-	switch p {
-	case CacheLFU:
-		return "lfu"
-	case CacheSDC:
-		return "sdc"
-	default:
-		return "lru"
-	}
-}
-
-// ParseCachePolicy parses a policy name as exposed on CLI flags.
-func ParseCachePolicy(s string) (CachePolicy, error) {
-	switch strings.ToLower(s) {
-	case "lru":
-		return CacheLRU, nil
-	case "lfu":
-		return CacheLFU, nil
-	case "sdc":
-		return CacheSDC, nil
-	default:
-		return CacheLRU, fmt.Errorf("qproc: unknown cache policy %q (want lru | lfu | sdc)", s)
-	}
-}
-
 // ResultCacheConfig sizes the broker-level result cache.
 type ResultCacheConfig struct {
-	// Capacity is the total entry budget across all shards.
+	// Capacity is the total entry budget across the cache's eight
+	// shards; <= 0 means no result cache.
 	Capacity int
-	// Shards is the number of lock domains (<= 0 picks 8). More shards
-	// means less contention between concurrent broker goroutines.
-	Shards int
-	// Policy selects replacement; CacheSDC additionally pins StaticKeys.
-	Policy CachePolicy
-	// StaticKeys is the SDC static set: full cache keys (see the
-	// engines' CacheKey methods) warmed from the head of a query-log
-	// sample. Ignored by LRU/LFU.
-	StaticKeys []string
-	// TTLQueries bounds entry age, measured in cache lookups (the
-	// engines' virtual clock advances one tick per Query). <= 0 means
-	// entries never expire by age.
-	TTLQueries int
 }
 
 // ResultCache is the result-cache level of Section 5's hierarchy: a
 // concurrency-safe cache of complete query results at the broker, in
-// front of all partition fan-out. Entries expire by age (TTLQueries) and
-// are invalidated wholesale — one atomic generation bump, no walk — when
-// an index update or a topology change (SetDown) makes them suspect.
+// front of all partition fan-out. It is one eight-shard LRU
+// (cache.Sharded); an entry lives until replacement evicts it or an
+// index update or a topology change (SetDown) invalidates every entry at
+// once — one atomic generation bump, no walk.
 type ResultCache struct {
-	c       *cache.Sharded[QueryResult]
-	ttl     int64
-	tick    atomic.Int64
-	expired atomic.Int64
+	c *cache.Sharded[QueryResult]
 }
 
-// NewResultCache builds a result cache from cfg (zero values defaulted:
-// capacity 1024, 8 shards, LRU).
+// NewResultCache builds a result cache of cfg.Capacity entries (at
+// least one per shard).
 func NewResultCache(cfg ResultCacheConfig) *ResultCache {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1024
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	var sc *cache.Sharded[QueryResult]
-	switch cfg.Policy {
-	case CacheLFU:
-		sc = cache.NewShardedLFU[QueryResult](cfg.Shards, cfg.Capacity)
-	case CacheSDC:
-		dyn := cfg.Capacity - len(cfg.StaticKeys)
-		if dyn < 1 {
-			dyn = 1
-		}
-		sc = cache.NewShardedSDC[QueryResult](cfg.Shards, cfg.StaticKeys, dyn)
-	default:
-		sc = cache.NewShardedLRU[QueryResult](cfg.Shards, cfg.Capacity)
-	}
-	return &ResultCache{c: sc, ttl: int64(cfg.TTLQueries)}
+	return &ResultCache{c: cache.NewSharded[QueryResult](cfg.Capacity)}
 }
 
-// Get returns the cached result for key if present, generation-fresh,
-// and within the TTL. Every call advances the cache's virtual clock one
-// tick.
+// Get returns the cached result for key if present and generation-fresh.
 func (rc *ResultCache) Get(key string) (QueryResult, bool) {
-	now := rc.tick.Add(1)
 	e, ok := rc.c.Get(key)
-	if !ok {
-		return QueryResult{}, false
-	}
-	if rc.ttl > 0 && float64(now)-e.StoredAt > float64(rc.ttl) {
-		rc.expired.Add(1)
-		return QueryResult{}, false
-	}
-	return e.Value, true
+	return e.Value, ok
 }
 
-// Put stores a result under the current generation and clock tick.
-func (rc *ResultCache) Put(key string, qr QueryResult) {
-	rc.c.Put(key, qr, float64(rc.tick.Load()))
-}
+// Put stores a result under the current generation. The broker cache
+// keeps no clock, so every entry is stored at time 0.
+func (rc *ResultCache) Put(key string, qr QueryResult) { rc.c.Put(key, qr, 0) }
 
 // Invalidate lazily drops every cached entry (generation bump). Engines
-// call this from dynamic-index OnChange hooks and on SetDown.
+// call this from segment-store change hooks and on SetDown.
 func (rc *ResultCache) Invalidate() { rc.c.Invalidate() }
-
-// Generation exposes the current invalidation generation.
-func (rc *ResultCache) Generation() uint64 { return rc.c.Generation() }
-
-// Len returns the number of resident entries (including lazily
-// invalidated ones not yet replaced).
-func (rc *ResultCache) Len() int { return rc.c.Len() }
 
 // CacheStats breaks down result-cache lookups.
 type CacheStats struct {
-	Hits       int // fresh entries served
-	Misses     int // not present, stale, or expired
-	StaleGen   int // subset of Misses: present but generation-invalidated
-	ExpiredTTL int // subset of Misses: present and fresh-generation but past TTL
+	Hits     int // fresh entries served
+	Misses   int // not present, or stale
+	StaleGen int // subset of Misses: present but generation-invalidated
 }
 
 // HitRatio returns Hits / (Hits + Misses), 0 when idle.
@@ -151,13 +62,7 @@ func (s CacheStats) HitRatio() float64 {
 // Stats returns the accumulated lookup breakdown.
 func (rc *ResultCache) Stats() CacheStats {
 	h, m := rc.c.Stats()
-	ex := int(rc.expired.Load())
-	return CacheStats{
-		Hits:       h - ex,
-		Misses:     m + ex,
-		StaleGen:   rc.c.StaleMisses(),
-		ExpiredTTL: ex,
-	}
+	return CacheStats{Hits: h, Misses: m, StaleGen: rc.c.StaleMisses()}
 }
 
 // NormalizeQueryKey canonicalizes a term list for cache keying: terms

@@ -1,9 +1,7 @@
 package qproc
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -24,7 +22,7 @@ func binPack4(central *index.Index) partition.TermPartition {
 // latency, and zero backend work.
 func TestResultCacheHitPath(t *testing.T) {
 	docs := corpus(45, 300, 200)
-	e := newDocEngine(t, docs, 4, WithResultCache(ResultCacheConfig{Capacity: 64, Shards: 4}))
+	e := newDocEngine(t, docs, 4, WithResultCache(ResultCacheConfig{Capacity: 64}))
 	q := []string{"w0001", "w0003"}
 	opt := DocQueryOptions{K: 10, Stats: GlobalTwoRound}
 	first := e.Query(q, opt)
@@ -62,7 +60,7 @@ func TestResultCacheHitPath(t *testing.T) {
 // enter the cache, and SetDown invalidates what is already there.
 func TestResultCacheDegradedNotCached(t *testing.T) {
 	docs := corpus(46, 300, 200)
-	e := newDocEngine(t, docs, 4, WithResultCache(ResultCacheConfig{Capacity: 64, Shards: 4}))
+	e := newDocEngine(t, docs, 4, WithResultCache(ResultCacheConfig{Capacity: 64}))
 	q := []string{"w0002"}
 	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed}
 	e.Query(q, opt) // cached, full answer
@@ -88,80 +86,13 @@ func TestResultCacheDegradedNotCached(t *testing.T) {
 	}
 }
 
-// TestResultCacheTTLExpiry: entries older than TTLQueries ticks of the
-// cache's virtual clock are re-evaluated.
-func TestResultCacheTTLExpiry(t *testing.T) {
-	docs := corpus(47, 200, 150)
-	e := newDocEngine(t, docs, 2, WithResultCache(ResultCacheConfig{Capacity: 64, Shards: 2, TTLQueries: 5}))
-	q := []string{"w0001"}
-	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed}
-	e.Query(q, opt)
-	if !e.Query(q, opt).FromCache {
-		t.Fatal("immediate repeat missed")
-	}
-	for i := 0; i < 10; i++ { // advance the clock past the TTL
-		e.Query([]string{fmt.Sprintf("w%04d", 10+i)}, opt)
-	}
-	if e.Query(q, opt).FromCache {
-		t.Fatal("entry served past its TTL")
-	}
-	if st := e.ResultCache().Stats(); st.ExpiredTTL == 0 {
-		t.Fatalf("no TTL expiry recorded: %+v", st)
-	}
-}
-
-// TestResultCacheSDCBeatsLRUOnEngine replays one Zipfian stream through
-// two identically sized broker caches; the SDC cache, with its static
-// section warmed from the head of a log sample, must out-hit pure LRU —
-// the Fagni et al. result at the engine level.
-func TestResultCacheSDCBeatsLRUOnEngine(t *testing.T) {
-	docs := corpus(48, 300, 300)
-	queries := zipfQueries(49, 6000, 300)
-	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed}
-
-	// Warm the static set from the head (first third) of the stream.
-	sample := queries[:2000]
-	counts := make(map[string]int, len(sample))
-	for _, q := range sample {
-		counts[DocCacheKey(q, opt)]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	const capTotal = 128
-	static := keys
-	if len(static) > capTotal/2 {
-		static = static[:capTotal/2]
-	}
-
-	run := func(cfg ResultCacheConfig) CacheStats {
-		e := newDocEngine(t, docs, 4, WithResultCache(cfg))
-		for _, q := range queries {
-			e.Query(q, opt)
-		}
-		return e.ResultCache().Stats()
-	}
-	lru := run(ResultCacheConfig{Capacity: capTotal, Shards: 4, Policy: CacheLRU})
-	sdc := run(ResultCacheConfig{Capacity: capTotal, Shards: 4, Policy: CacheSDC, StaticKeys: static})
-	if sdc.HitRatio() <= lru.HitRatio() {
-		t.Fatalf("SDC hit ratio %.3f not above LRU %.3f", sdc.HitRatio(), lru.HitRatio())
-	}
-}
-
 // TestConcurrentCachedQueries hammers a cache-enabled engine from many
 // goroutines under -race: sharded result cache and interleaved
 // invalidations.
 func TestConcurrentCachedQueries(t *testing.T) {
 	docs := corpus(50, 300, 200)
 	e := newDocEngine(t, docs, 4,
-		WithResultCache(ResultCacheConfig{Capacity: 256, Shards: 8, Policy: CacheLFU}))
+		WithResultCache(ResultCacheConfig{Capacity: 256}))
 	queries := zipfQueries(51, 40, 200)
 	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed}
 	want := make([]QueryResult, len(queries))
@@ -198,7 +129,7 @@ func TestTermEngineResultCache(t *testing.T) {
 	docs := corpus(52, 200, 150)
 	central := centralIndex(docs)
 	e, err := NewTermEngine(index.DefaultOptions(), docs, binPack4(central),
-		WithResultCache(ResultCacheConfig{Capacity: 32, Shards: 2}))
+		WithResultCache(ResultCacheConfig{Capacity: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,20 +169,5 @@ func TestCacheKeyNormalization(t *testing.T) {
 	}
 	if TermCacheKey([]string{"a"}, 10) == TermCacheKey([]string{"a"}, 20) {
 		t.Fatal("k must be part of the term-engine key")
-	}
-}
-
-func TestParseCachePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want CachePolicy
-	}{{"lru", CacheLRU}, {"LFU", CacheLFU}, {"sdc", CacheSDC}} {
-		got, err := ParseCachePolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseCachePolicy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseCachePolicy("arc"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }

@@ -136,7 +136,6 @@ func (m *MultiSite) Stats() EngineStats {
 		st.ResultCache.Hits += es.ResultCache.Hits
 		st.ResultCache.Misses += es.ResultCache.Misses
 		st.ResultCache.StaleGen += es.ResultCache.StaleGen
-		st.ResultCache.ExpiredTTL += es.ResultCache.ExpiredTTL
 	}
 	return st
 }

@@ -32,10 +32,9 @@ type LiveEngine struct {
 // NewLiveEngine builds a broker over the given per-partition segment
 // stores. The stores may already be receiving writes; they keep
 // receiving writes while the engine serves. Supported options:
-// WithWorkers, WithResultCache / WithResultCacheInstance (the cache is
-// wired to every store's OnChange hook), WithPruning,
-// WithThresholdSharing, WithFaultPolicy / WithInjector, and the ambient
-// defaults.
+// WithWorkers, WithResultCache (the cache is wired to every store's
+// OnChange hook), WithPruning, WithThresholdSharing, WithFaultPolicy /
+// WithInjector, and the ambient defaults.
 //
 // Pruning defaults to rank.PruneMaxScore: a view's segments share one
 // top-k heap, so each segment is pruned against the k-th score of the

@@ -18,14 +18,13 @@ type Option func(*engineOptions)
 
 // engineOptions is the resolved construction-time configuration.
 type engineOptions struct {
-	workers    int
-	rcCfg      *ResultCacheConfig
-	rcInstance *ResultCache
-	policy     *FaultPolicy
-	injector   *faultsim.Injector
-	pruning    rank.Pruning
-	threshold  bool
-	mediation  *mediation
+	workers   int
+	rcCap     int
+	policy    *FaultPolicy
+	injector  *faultsim.Injector
+	pruning   rank.Pruning
+	threshold bool
+	mediation *mediation
 }
 
 // mediation is WithMediator's configuration: the per-query site budget
@@ -48,25 +47,11 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithResultCache gives the engine a broker-level result cache built
-// from cfg. Degraded or failed answers are never cached.
+// WithResultCache gives the engine a broker-level result cache of
+// cfg.Capacity entries; a capacity <= 0 gives it none, overriding any
+// ambient default. Degraded or failed answers are never cached.
 func WithResultCache(cfg ResultCacheConfig) Option {
-	return func(o *engineOptions) {
-		c := cfg
-		c.StaticKeys = append([]string(nil), cfg.StaticKeys...)
-		o.rcCfg = &c
-		o.rcInstance = nil
-	}
-}
-
-// WithResultCacheInstance installs a prebuilt (possibly pre-warmed)
-// result cache; nil explicitly disables the result cache, overriding
-// any ambient default.
-func WithResultCacheInstance(rc *ResultCache) Option {
-	return func(o *engineOptions) {
-		o.rcInstance = rc
-		o.rcCfg = nil
-	}
+	return func(o *engineOptions) { o.rcCap = cfg.Capacity }
 }
 
 // WithPruning selects the engine's default top-k evaluation strategy
@@ -176,13 +161,10 @@ func resolveOptions(opts []Option, kindDefaults ...Option) engineOptions {
 
 // resultCache materializes the configured result cache (nil = none).
 func (o *engineOptions) resultCache() *ResultCache {
-	if o.rcInstance != nil {
-		return o.rcInstance
+	if o.rcCap <= 0 {
+		return nil
 	}
-	if o.rcCfg != nil {
-		return NewResultCache(*o.rcCfg)
-	}
-	return nil
+	return NewResultCache(ResultCacheConfig{Capacity: o.rcCap})
 }
 
 // robust materializes the robustness runtime for an engine with k units

@@ -322,7 +322,7 @@ func TestAmbientDefaultsMatchPerCallOptions(t *testing.T) {
 
 	// Per-call options override ambient defaults.
 	viaOverride := buildDocEngine(t, docs, 4,
-		WithWorkers(1), WithResultCacheInstance(nil))
+		WithWorkers(1), WithResultCache(ResultCacheConfig{}))
 	if viaOverride.Workers() != 1 || viaOverride.ResultCache() != nil {
 		t.Fatal("per-call options did not override ambient defaults")
 	}

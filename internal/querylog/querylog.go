@@ -252,7 +252,7 @@ func (lg *Log) CoOccurrence() map[[2]string]int {
 
 // TopKeys returns the n most frequent distinct query keys, most popular
 // first (ties break lexicographically for determinism) — the popularity
-// head an SDC result cache pins as its static set. n <= 0 returns all
+// head C10's SDC cache pins as its static set. n <= 0 returns all
 // distinct keys.
 func (lg *Log) TopKeys(n int) []string {
 	counts := make(map[string]int)
