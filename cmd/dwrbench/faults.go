@@ -91,7 +91,7 @@ func measureFaults(w io.Writer, c faultsConfig) ([]row, error) {
 	var rows []row
 	for _, env := range envs {
 		fmt.Fprintf(w, "%s: %s\n", env.name, env.note)
-		opts := []qproc.Option{qproc.WithWorkers(0)}
+		var opts []qproc.Option
 		pol := qproc.DefaultFaultPolicy()
 		if env.faults != nil {
 			if env.faults.Policy != nil {

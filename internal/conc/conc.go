@@ -42,22 +42,38 @@ func Do(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	// Work-stealing by atomic counter: cheap, and long items do not
-	// stall the queue behind them.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	// The caller is one of the workers: workers-1 goroutines start, and
+	// the calling goroutine works beside them instead of idling in Wait.
+	d := &doState{n: n, fn: fn}
+	d.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go d.run()
 	}
-	wg.Wait()
+	d.work()
+	d.wg.Wait()
+}
+
+// doState is one Do call's shared state, a single allocation.
+type doState struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+}
+
+func (d *doState) run() {
+	defer d.wg.Done()
+	d.work()
+}
+
+// work claims items by atomic counter until none is left: cheap, and long
+// items do not stall the queue behind them.
+func (d *doState) work() {
+	for {
+		i := int(d.next.Add(1)) - 1
+		if i >= d.n {
+			return
+		}
+		d.fn(i)
+	}
 }

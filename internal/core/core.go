@@ -73,11 +73,12 @@ type Config struct {
 	// TrainQueries is the size of the training log used by
 	// PartitionQueryDriven (ignored otherwise).
 	TrainQueries int
-	// Workers bounds the broker's scatter-gather fan-out: 1 = serial,
-	// 0 = GOMAXPROCS. Any value produces identical results; only
-	// wall-clock time changes. (Partition-build concurrency follows
-	// the ambient qproc.SetDefaultOptions, which the CLIs set from the
-	// same flag.)
+	// Workers bounds the broker's scatter-gather fan-out and the
+	// concurrency of the partition builds: 1 = serial, 0 = whatever the
+	// ambient qproc.SetDefaultOptions says (GOMAXPROCS when it says
+	// nothing) — a nonzero value is passed to the engine and wins over
+	// the ambient option. Any value produces identical results; only
+	// wall-clock time changes.
 	Workers int
 	// Cache configures the broker result cache (disabled at zero
 	// value).
@@ -207,11 +208,15 @@ func (e *Engine) partitionAndIndex() error {
 }
 
 // engineOptions folds the Config into the qproc functional-options list
-// the query engine is constructed with: fan-out width, the result
-// cache, and the fault environment.
+// the query engine is constructed with: fan-out width (only when set, so
+// an unset one leaves the ambient option in force), the result cache,
+// and the fault environment.
 func (e *Engine) engineOptions() []qproc.Option {
 	cfg := e.Config
-	opts := []qproc.Option{qproc.WithWorkers(cfg.Workers)}
+	var opts []qproc.Option
+	if cfg.Workers != 0 {
+		opts = append(opts, qproc.WithWorkers(cfg.Workers))
+	}
 	if cfg.Cache.Capacity > 0 {
 		opts = append(opts, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: cfg.Cache.Capacity}))
 	}

@@ -2,9 +2,11 @@ package qproc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"dwr/internal/conc"
 	"dwr/internal/rank"
 )
 
@@ -19,8 +21,11 @@ type broker struct {
 	cost    CostModel
 	lanMs   float64
 	workers int // fan-out width; <=0 = GOMAXPROCS, 1 = serial
-	mu      sync.Mutex
-	busyMs  []float64 // per unit
+	// inflight counts the queries inside an engine's evaluation; it
+	// caps the fan-out to the processors they leave idle (idleWidth).
+	inflight atomic.Int64
+	mu       sync.Mutex
+	busyMs   []float64 // per unit
 	// evaluated counts the queries that missed the result cache and is
 	// the fault-schedule clock: a hit consults no unit, so it must not
 	// move the injector's timeline. hits counts the rest, off the lock —
@@ -55,6 +60,15 @@ func (b *broker) Workers() int { return b.workers }
 
 // ResultCache returns the installed result cache (nil if none).
 func (b *broker) ResultCache() *ResultCache { return b.rcache }
+
+// idleWidth is the fan-out of one scatter wave: the configured width,
+// capped by the processors the other queries in flight leave idle — the
+// rule of Orlando et al. (PAPERS.md), who run a query in parallel only on
+// processors the node has idle. 1 (or less) runs the wave inline. The
+// width never changes what a wave computes, only where.
+func (b *broker) idleWidth() int {
+	return min(conc.Workers(b.workers), runtime.GOMAXPROCS(0)-int(b.inflight.Load()-1))
+}
 
 // BusyMs returns accumulated per-unit busy time — the Figure 2
 // measurement.

@@ -1,8 +1,10 @@
 package qproc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"dwr/internal/conc"
 	"dwr/internal/index"
@@ -23,24 +25,28 @@ import (
 // of the per-query snapshot — statistics, bounds, waves, fault policy,
 // caching — is the same code for both.
 //
-// The scatter-gather is real: partition evaluations fan out over a
-// bounded worker pool (WithWorkers; default GOMAXPROCS) and the broker
-// aggregates per-partition results serially at the gather point, so
-// results and all accounting are byte-identical to the serial broker
-// (workers=1). The engine is safe for concurrent Query calls: the
+// The scatter-gather is real: a wave's partition evaluations fan out
+// onto the processors the other in-flight queries leave idle, at most
+// WithWorkers of them (default GOMAXPROCS), and run inline when none is
+// idle; the broker aggregates per-partition results serially at the
+// gather point, so results and all accounting are byte-identical to the
+// serial broker (workers=1). The engine is safe for concurrent Query calls: the
 // partition indexes are immutable concurrent-reader structures and the
 // busy-load accounting is guarded by a mutex taken only at the gather.
 type DocEngine struct {
 	broker
 	// sources yield each partition's current view.
 	sources []func() *index.Manifest
-	// parts and global exist only on engines built from documents: the
-	// partition indexes, and the statistics of the whole collection
-	// precomputed from them (GlobalPrecomputed).
-	parts     []*index.Index
-	global    index.Stats
-	downs     []bool // SetDown marks, guarded by mu
-	partition partition.DocPartition
+	// parts, global and precomputed exist only on engines built from
+	// documents: the partition indexes, the statistics of the whole
+	// collection precomputed from them (GlobalPrecomputed), and each
+	// partition's scorer over those statistics, built once with the
+	// partition's length-norm table (rank.WithNorms).
+	parts       []*index.Index
+	global      index.Stats
+	precomputed []*rank.Scorer
+	downs       []bool // SetDown marks, guarded by mu
+	partition   partition.DocPartition
 	// pruning is the default top-k strategy for disjunctive queries
 	// (WithPruning); DocQueryOptions.Pruning overrides per query.
 	pruning rank.Pruning
@@ -97,6 +103,11 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 	e.global = index.MergeStats(stats...)
 	if e.global.NumDocs == 0 {
 		return nil, fmt.Errorf("qproc: document partition covers no documents")
+	}
+	global := rank.NewScorer(rank.FromGlobal(e.global))
+	e.precomputed = make([]*rank.Scorer, len(parts))
+	for p, ix := range parts {
+		e.precomputed[p] = global.WithNorms(ix)
 	}
 	e.topkStats = GlobalPrecomputed
 	return e, nil
@@ -223,6 +234,59 @@ type partEval struct {
 	es rank.EvalStats
 }
 
+// queryScratch is evaluate's pooled per-query working set: the views,
+// and per target slot its partition, scorer, bound, schedule position
+// and answer, the wave being dispatched, and the merger's heap. Nothing
+// in it outlives the query — the merger's Results copy out — and release
+// clears the pointer slots, so a pooled scratch pins no manifest, scorer
+// or partition answer.
+type queryScratch struct {
+	views   []*index.Manifest
+	targets []int
+	scorers []*rank.Scorer
+	order   []int
+	bounds  []float64
+	evals   []partEval
+	ws      []int
+	merger  rank.TopKMerger
+}
+
+var queryPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// resize returns s at length n, reusing its storage. Reused slots keep
+// old values until written.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+func (sc *queryScratch) release() {
+	clear(sc.views)
+	clear(sc.scorers)
+	clear(sc.evals)
+	queryPool.Put(sc)
+}
+
+// wave evaluates the target slots in sc.ws, each into its own evals
+// slot, on up to width goroutines; a width of 1 runs the wave inline on
+// the query's own goroutine and allocates nothing for it.
+func (sc *queryScratch) wave(width int, terms []string, phrase bool, k int, mode rank.Pruning, seed float64) {
+	if width <= 1 {
+		for _, i := range sc.ws {
+			sc.eval(i, terms, phrase, k, mode, seed)
+		}
+		return
+	}
+	conc.Do(len(sc.ws), width, func(j int) { sc.eval(sc.ws[j], terms, phrase, k, mode, seed) })
+}
+
+// eval evaluates target slot i's partition view with its scorer.
+func (sc *queryScratch) eval(i int, terms []string, phrase bool, k int, mode rank.Pruning, seed float64) {
+	v, s, ev := sc.views[sc.targets[i]], sc.scorers[i], &sc.evals[i]
+	if phrase {
+		ev.rs, ev.es = rank.EvaluateViewPhrase(v, s, terms, k)
+	} else {
+		ev.rs, ev.es = rank.EvaluateView(v, s, terms, k, mode, seed)
+	}
+}
+
 // Query evaluates terms and returns the merged top-k with full resource
 // accounting.
 func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
@@ -234,8 +298,8 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 	}
 	// Resolve the engine default before the cache key is computed (same
 	// pattern as Pruning): an engine whose default is single-wave leaves
-	// the zero value in place, so externally computed DocCacheKeys (SDC
-	// warming, log analysis) agree with the engine's own.
+	// the zero value in place, so externally computed DocCacheKeys (log
+	// analysis, benchmark probes) agree with the engine's own.
 	if opt.Threshold == ThresholdDefault && e.threshold {
 		opt.Threshold = ThresholdShared
 	}
@@ -265,17 +329,22 @@ func (e *DocEngine) live(targets []int) []int {
 // evaluate is a result-cache miss: opt resolved, tick drawn by the frame.
 func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) QueryResult {
 	var qr QueryResult
+	e.inflight.Add(1)
+	defer e.inflight.Add(-1)
+	sc := queryPool.Get().(*queryScratch)
+	defer sc.release()
 
 	// Snapshot every partition before statistics or evaluation: the
 	// answer is a pure function of the views captured here, however many
 	// manifests their stores swap in while it is being computed.
-	views := make([]*index.Manifest, len(e.sources))
+	sc.views = resize(sc.views, len(e.sources))
+	views := sc.views
 	for p, src := range e.sources {
 		views[p] = src()
 	}
 
 	// Choose target partitions.
-	targets := make([]int, 0, len(views))
+	targets := sc.targets[:0]
 	if opt.Selector != nil && opt.SelectN > 0 {
 		ranked := opt.Selector.Rank(terms)
 		n := opt.SelectN
@@ -292,6 +361,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	// is degraded (or refused, fail-fast) exactly as if their calls failed.
 	down := len(targets)
 	targets = e.live(targets)
+	sc.targets = targets
 	down -= len(targets)
 	qr.ServersContacted = len(targets)
 	if len(targets) == 0 {
@@ -299,17 +369,19 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		return qr
 	}
 
-	// Round 1 (two-round protocol only): gather local stats per term,
-	// one scatter over the worker pool.
-	scorers := make([]*rank.Scorer, len(targets))
+	// Scorers. Statistics loops read resident metadata and run inline;
+	// only round 1 of the two-round protocol is charged as a message
+	// round.
+	sc.scorers = resize(sc.scorers, len(targets))
+	scorers := sc.scorers
 	var round1Max float64
 	switch opt.Stats {
 	case GlobalTwoRound:
 		qr.Rounds = 2
 		parts := make([]index.Stats, len(targets))
-		conc.Do(len(targets), e.workers, func(i int) {
-			parts[i] = views[targets[i]].LocalStats(terms)
-		})
+		for i, p := range targets {
+			parts[i] = views[p].LocalStats(terms)
+		}
 		// Stats messages are tiny; the round still costs a LAN RTT.
 		qr.BytesTransferred += int64(16 * len(terms) * len(targets))
 		merged := index.MergeStats(parts...)
@@ -328,15 +400,14 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		round1Max = e.lanMs
 	case GlobalPrecomputed:
 		qr.Rounds = 1
-		s := rank.NewScorer(rank.FromGlobal(e.global))
-		for i := range scorers {
-			scorers[i] = s
+		for i, p := range targets {
+			scorers[i] = e.precomputed[p]
 		}
 	default: // LocalOnly
 		qr.Rounds = 1
-		conc.Do(len(targets), e.workers, func(i int) {
-			scorers[i] = rank.NewScorer(rank.FromGlobal(views[targets[i]].LocalStats(terms)))
-		})
+		for i, p := range targets {
+			scorers[i] = rank.NewScorer(rank.FromGlobal(views[p].LocalStats(terms)))
+		}
 	}
 
 	// Round 2: scatter the evaluation in waves. The classic single-wave
@@ -348,39 +419,41 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	// score and partitions whose bound cannot beat it (rank.Competitive)
 	// are skipped without being contacted.
 	shared := opt.Threshold == ThresholdShared && !opt.Phrase && len(targets) > 1
-	order := make([]int, len(targets))
+	sc.order = resize(sc.order, len(targets))
+	order := sc.order
 	for i := range order {
 		order[i] = i
 	}
 	var bounds []float64
 	if shared {
-		bounds = make([]float64, len(targets))
-		conc.Do(len(targets), e.workers, func(i int) {
-			bounds[i] = rank.QueryBound(views[targets[i]], scorers[i], terms)
-		})
+		sc.bounds = resize(sc.bounds, len(targets))
+		bounds = sc.bounds
+		for i, p := range targets {
+			bounds[i] = rank.QueryBound(views[p], scorers[i], terms)
+		}
 		// Descending bound; ties by ascending partition index keep the
 		// schedule deterministic at any worker width.
-		sort.Slice(order, func(a, b int) bool {
-			i, j := order[a], order[b]
-			if bounds[i] != bounds[j] {
-				return bounds[i] > bounds[j]
+		slices.SortFunc(order, func(i, j int) int {
+			if c := cmp.Compare(bounds[j], bounds[i]); c != 0 {
+				return c
 			}
-			return targets[i] < targets[j]
+			return cmp.Compare(targets[i], targets[j])
 		})
 	}
 
 	// Each worker writes only its own evals slot; every wave's gather
 	// aggregates serially in schedule order under the engine lock, so
 	// results and accounting are identical to the serial broker.
-	evals := make([]partEval, len(targets))
-	merger := rank.NewTopKMerger(opt.K)
+	sc.evals = resize(sc.evals, len(targets))
+	evals := sc.evals
+	merger := &sc.merger
+	merger.Reset(opt.K)
 	var slowest float64 // summed per-wave slowest-call latencies
 	lost, dispatched := 0, 0
 	waveSize := len(targets)
 	if shared {
 		waveSize = thresholdFirstWave
 	}
-	ws := make([]int, 0, waveSize)
 	for next := 0; next < len(order); {
 		seed := 0.0
 		if shared {
@@ -388,7 +461,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 				seed = t
 			}
 		}
-		ws = ws[:0]
+		ws := sc.ws[:0]
 		for next < len(order) && len(ws) < waveSize {
 			i := order[next]
 			next++
@@ -401,21 +474,13 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 			}
 			ws = append(ws, i)
 		}
+		sc.ws = ws
 		if len(ws) == 0 {
 			continue
 		}
 		qr.Waves++
 		dispatched += len(ws)
-		waveSeed := seed
-		conc.Do(len(ws), e.workers, func(j int) {
-			i := ws[j]
-			p := targets[i]
-			if opt.Phrase {
-				evals[i].rs, evals[i].es = rank.EvaluateViewPhrase(views[p], scorers[i], terms, opt.K)
-			} else {
-				evals[i].rs, evals[i].es = rank.EvaluateView(views[p], scorers[i], terms, opt.K, opt.Pruning, waveSeed)
-			}
-		})
+		sc.wave(e.idleWidth(), terms, opt.Phrase, opt.K, opt.Pruning, seed)
 		var waveSlowest float64
 		e.mu.Lock()
 		for _, i := range ws {

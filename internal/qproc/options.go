@@ -35,9 +35,10 @@ type mediation struct {
 }
 
 // WithWorkers sets the engine's fan-out width: partition evaluations
-// (and index construction) run on up to n goroutines. n = 1 is the
-// serial broker, n <= 0 means GOMAXPROCS. Results and accounting are
-// identical at any width.
+// (and index construction) run on up to n goroutines — a query's wave on
+// no more than the processors the other queries in flight leave idle.
+// n = 1 is the serial broker, n <= 0 means GOMAXPROCS. Results and
+// accounting are identical at any width.
 func WithWorkers(n int) Option {
 	return func(o *engineOptions) {
 		if n < 0 {

@@ -8,6 +8,7 @@ import (
 
 	"dwr/internal/index"
 	"dwr/internal/partition"
+	"dwr/internal/rank"
 )
 
 // The parallel broker's contract: at any worker count the results AND
@@ -181,6 +182,67 @@ func TestConcurrentQueriesSafe(t *testing.T) {
 		if d := gotBusy[p] - wantBusy[p]; d > 1e-6 || d < -1e-6 {
 			t.Fatalf("partition %d busy %v vs %v", p, gotBusy[p], wantBusy[p])
 		}
+	}
+
+	// The configuration the servers run: QueryTopK (GlobalPrecomputed
+	// scorers with their norm tables), MaxScore, threshold sharing. Alone,
+	// a query fans its waves out onto the idle processors; among sixteen
+	// callers it mostly finds none idle and runs them inline, so both
+	// paths serve the concurrent pass.
+	se := newDocEngine(t, docs, 6, WithWorkers(4), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
+	for _, k := range []int{10, 100} {
+		quiet := make([]QueryResult, len(queries))
+		for i, q := range queries {
+			quiet[i] = se.QueryTopK(q, k)
+		}
+		errs := make([]string, 16)
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for j := range queries {
+					i := (g + j) % len(queries)
+					if got := se.QueryTopK(queries[i], k); !reflect.DeepEqual(quiet[i], got) {
+						errs[g] = fmt.Sprintf("k=%d query %d %v diverged under concurrency:\nquiet: %+v\ngot:   %+v", k, i, queries[i], quiet[i], got)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != "" {
+				t.Fatal(e)
+			}
+		}
+	}
+}
+
+// TestBrokerAllocations pins what an uncached DocEngine query allocates
+// on the serving configuration — QueryTopK on 4 partitions at k=10 with
+// MaxScore and threshold sharing, run serially: each evaluated
+// partition's answer, the merged answer, and nothing that grows with the
+// schedule. The broker's per-query working set is pooled, the scorers
+// are built once, and a wave with no idle processor to fan out onto runs
+// inline.
+func TestBrokerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops Puts at random")
+	}
+	const brokerAllocs = 5 // four partition answers and the merged one
+	docs := corpus(91, 2000, 400)
+	queries := zipfQueries(92, 64, 400)
+	e := newDocEngine(t, docs, 4, WithWorkers(1), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
+	for _, q := range queries {
+		e.QueryTopK(q, 10)
+	}
+	i := 0
+	n := testing.AllocsPerRun(4*len(queries), func() {
+		e.QueryTopK(queries[i%len(queries)], 10)
+		i++
+	})
+	if n > brokerAllocs {
+		t.Errorf("an uncached QueryTopK allocates %v times; want at most %d", n, brokerAllocs)
 	}
 }
 

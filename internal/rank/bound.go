@@ -1,6 +1,10 @@
 package rank
 
-import "dwr/internal/index"
+import (
+	"slices"
+
+	"dwr/internal/index"
+)
 
 // TermUpperBound bounds the score contribution of one term for every
 // document in the list (or merged lists) summarized by m, from resident
@@ -37,10 +41,14 @@ func (s *Scorer) TermUpperBound(idf float64, m index.TermScoreMeta) float64 {
 // metadata (merged over the view's segments) — the broker-side estimate
 // a threshold-sharing scheduler orders and skips partitions by. Terms
 // absent from the partition contribute nothing; a bound of 0 therefore
-// means no query term occurs in the partition.
+// means no query term occurs in the partition. A repeated term counts
+// once; the dedup scans the query's own prefix, so nothing is allocated.
 func QueryBound(v *index.Manifest, s *Scorer, terms []string) float64 {
 	sum := 0.0
-	for _, t := range dedup(terms) {
+	for i, t := range terms {
+		if slices.Contains(terms[:i], t) {
+			continue
+		}
 		m, ok := v.TermScoreMeta(t)
 		if !ok {
 			continue

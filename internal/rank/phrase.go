@@ -111,12 +111,13 @@ func (sc *evalScratch) phrase(ix *index.Index, s *Scorer, terms []string, tk *to
 		return
 	}
 	idf := phraseIDF(s, terms)
+	norms := s.normsFor(ix)
 	for ext, ss := range starts {
 		doc := ix.InternalID(ext)
 		if doc < 0 {
 			continue
 		}
-		score := s.Term(int32(len(ss)), ix.DocLen(doc), idf)
+		score := s.termNorm(int32(len(ss)), s.docNorm(norms, ix, doc), idf)
 		tk.offer(Result{Doc: ext, Score: score})
 	}
 }

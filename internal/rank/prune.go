@@ -111,6 +111,7 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 		seedThr = seed - pruneSlack*seed
 	}
 	cursors := sc.open(ix, s, terms, es)
+	norms := s.normsFor(ix)
 	for i := range cursors {
 		if c := &cursors[i]; c.it.Next() {
 			es.PostingsDecoded++
@@ -186,7 +187,7 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 		// cannot lift the partial sum past the threshold. Each posting is
 		// scored once; contrib keeps its value by cursor for the
 		// survivor's sum, and the length norm is computed once for d.
-		norm := s.lengthNorm(ix.DocLen(d))
+		norm := s.docNorm(norms, ix, d)
 		clear(contrib)
 		partial := 0.0
 		next := int32(exhausted)

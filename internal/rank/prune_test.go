@@ -160,7 +160,7 @@ func TestListBoundIsTermUpperBound(t *testing.T) {
 			var es EvalStats
 			cursors := sc.open(ix, s, q, &es)
 			opened, sum := 0, 0.0
-			for _, term := range dedup(q) {
+			for _, term := range sc.dedup(q) {
 				m, ok := ix.TermScoreMeta(term)
 				if !ok {
 					continue

@@ -50,6 +50,10 @@ func FromGlobal(st index.Stats) StatsSource {
 type Scorer struct {
 	K1, B float64
 	Stats StatsSource
+	// norms is lengthNorm of every document of normsOf, by internal
+	// ordinal (WithNorms); both are nil on a plain scorer.
+	norms   []float64
+	normsOf *index.Index
 }
 
 // NewScorer returns a BM25 scorer with the standard parameters
@@ -58,6 +62,42 @@ type Scorer struct {
 // a default scorer gets that bound in TermUpperBound.
 func NewScorer(stats StatsSource) *Scorer {
 	return &Scorer{K1: index.DefaultBM25K1, B: index.DefaultBM25B, Stats: stats}
+}
+
+// WithNorms returns a copy of s carrying ix's length-norm table: the
+// document half of Term for every document of ix, computed once by
+// lengthNorm itself, so the copy scores ix with the same bits while
+// reading norms[doc] where s divides per candidate. Any other index —
+// another partition, a segment — is scored by division as before. The
+// table holds for the copy's K1, B and Stats as they are now; they must
+// not change afterwards.
+func (s *Scorer) WithNorms(ix *index.Index) *Scorer {
+	c := *s
+	c.norms = make([]float64, ix.NumDocs())
+	for d := range c.norms {
+		c.norms[d] = c.lengthNorm(ix.DocLen(int32(d)))
+	}
+	c.normsOf = ix
+	return &c
+}
+
+// normsFor returns s's length-norm table if it was built over ix, else
+// nil: an evaluator calls it once per segment and hands the result to
+// docNorm.
+func (s *Scorer) normsFor(ix *index.Index) []float64 {
+	if s.normsOf != ix {
+		return nil
+	}
+	return s.norms
+}
+
+// docNorm is lengthNorm of document doc of ix, read from norms when it is
+// ix's table (normsFor) and divided out when it is nil.
+func (s *Scorer) docNorm(norms []float64, ix *index.Index, doc int32) float64 {
+	if norms != nil {
+		return norms[doc]
+	}
+	return s.lengthNorm(ix.DocLen(doc))
 }
 
 // IDF returns the BM25 inverse document frequency of term, floored at a
@@ -179,6 +219,7 @@ func EvaluateOR(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, Ev
 // tk refuses as tombstoned is scored like any other — its postings are
 // physically there.
 func (sc *evalScratch) exhaustive(ix *index.Index, s *Scorer, terms []string, tk *topK, es *EvalStats) {
+	norms := s.normsFor(ix)
 	uniq := sc.dedup(terms)
 	its := sc.iters(len(uniq))
 	sc.cursors = sc.cursors[:0]
@@ -212,7 +253,7 @@ func (sc *evalScratch) exhaustive(ix *index.Index, s *Scorer, terms []string, tk
 		// Score minDoc and compact the surviving heads in place; the
 		// write index trails the read index, so order is preserved and
 		// no per-round slice is allocated.
-		norm := s.lengthNorm(ix.DocLen(minDoc))
+		norm := s.docNorm(norms, ix, minDoc)
 		score := 0.0
 		w := 0
 		for _, h := range heads {
@@ -270,6 +311,7 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 	sc.order = order
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cursors[a].it.Count(), cursors[b].it.Count()) })
 	driver := cursors[order[0]]
+	norms := s.normsFor(ix)
 	tk := &topK{k: k, rs: sc.heap[:0]}
 	finish := func() []Result {
 		for i := range cursors {
@@ -296,7 +338,7 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 			}
 		}
 		if match {
-			norm := s.lengthNorm(ix.DocLen(doc))
+			norm := s.docNorm(norms, ix, doc)
 			score := 0.0
 			for i := range cursors {
 				score += s.termNorm(cursors[i].it.TF(), norm, cursors[i].idf)
@@ -308,18 +350,6 @@ func EvaluateAND(ix *index.Index, s *Scorer, terms []string, k int) ([]Result, E
 		}
 		es.PostingsDecoded++
 	}
-}
-
-func dedup(terms []string) []string {
-	seen := make(map[string]bool, len(terms))
-	out := terms[:0:0]
-	for _, t := range terms {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // topK keeps the k best results (max score, tie: min doc) in rs, a
@@ -436,13 +466,16 @@ func MergeResults(k int, lists ...[]Result) []Result {
 // running k-th best score is readable between waves as a threshold seed.
 // Because topK.offer implements a total order (score desc, doc asc) and
 // document partitions are disjoint, the final Results are identical to a
-// single MergeResults over all lists regardless of Add order.
+// single MergeResults over all lists regardless of Add order. The zero
+// value keeps nothing until Reset gives it a k.
 type TopKMerger struct {
 	tk topK
 }
 
-// NewTopKMerger returns a merger keeping the k best results.
-func NewTopKMerger(k int) *TopKMerger { return &TopKMerger{tk: topK{k: k}} }
+// Reset empties the merger and makes it keep the k best results, reusing
+// its heap's storage: a broker pooling its per-query state merges every
+// query into one merger.
+func (m *TopKMerger) Reset(k int) { m.tk = topK{k: k, rs: m.tk.rs[:0]} }
 
 // Add offers one partition's result list to the merge.
 func (m *TopKMerger) Add(rs []Result) {

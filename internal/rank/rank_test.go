@@ -284,17 +284,27 @@ func TestTopKZero(t *testing.T) {
 // TestTermGolden pins Scorer.Term bit for bit to the literal BM25
 // expression, idf·tf·(k1+1) / (tf + k1·(1−b+b·docLen/max(avg,1))), over
 // tf 1–50, docLen 0–5 000, averages below 1 and real ones, several idfs
-// and both the default and a non-default k1/b. The evaluators score
-// through Term's two halves, and the oracle they are checked against
-// (EvaluateOR) does too, so only this test ties a score to the formula.
+// and both the default and a non-default k1/b — and so is the term score
+// the evaluators form from a norm table (WithNorms), over an index whose
+// documents run from 1 to 300 tokens and then 1 000 and 5 000. The
+// evaluators score through Term's two halves, and the oracle they are
+// checked against (EvaluateOR) does too, so only this test ties a score
+// to the formula.
 func TestTermGolden(t *testing.T) {
 	literal := func(tf int32, docLen int, idf, k1, b, avg float64) float64 {
 		return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*(1-b+b*float64(docLen)/math.Max(avg, 1)))
 	}
+	bl := index.NewBuilder(index.DefaultOptions())
+	for ext, n := range append(seq(1, 300), 1000, 5000) {
+		bl.AddDocument(ext, make([]string, n))
+	}
+	lens := index.MustBuild(bl)
 	params := [][2]float64{{index.DefaultBM25K1, index.DefaultBM25B}, {0.9, 0.4}}
 	for _, kb := range params {
 		for _, avg := range []float64{0, 0.5, 1, 7.3, 42.5, 137.25, 1000.0 / 3} {
 			s := &Scorer{K1: kb[0], B: kb[1], Stats: StatsSource{AvgDocLen: avg}}
+			ts := s.WithNorms(lens)
+			norms := ts.normsFor(lens)
 			for _, idf := range []float64{1e-6, 0.3, 1.7, 6.25} {
 				for tf := int32(1); tf <= 50; tf++ {
 					for docLen := 0; docLen <= 5000; docLen++ {
@@ -304,7 +314,96 @@ func TestTermGolden(t *testing.T) {
 								kb[0], kb[1], avg, idf, tf, docLen, got, want)
 						}
 					}
+					for d := int32(0); d < int32(lens.NumDocs()); d++ {
+						got, want := ts.termNorm(tf, ts.docNorm(norms, lens, d), idf), literal(tf, lens.DocLen(d), idf, kb[0], kb[1], avg)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("k1=%g b=%g avg=%g idf=%g tf=%d docLen=%d: table lookup %v, BM25 %v",
+								kb[0], kb[1], avg, idf, tf, lens.DocLen(d), got, want)
+						}
+					}
 				}
+			}
+		}
+	}
+}
+
+func seq(lo, hi int) []int {
+	out := make([]int, 0, hi-lo+1)
+	for i := lo; i <= hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestNormTableKeepsTheBits: a scorer carrying an index's norm table
+// (WithNorms) ranks that index exactly as the dividing scorer does —
+// exhaustive, MaxScore unseeded and seeded at the k-th score, AND and
+// phrase, bit for bit — and handed any other index it divides instead of
+// reading the table: another partition, and the segments of a view over
+// the very documents the table was built on, whose ordinals it would
+// misread.
+func TestNormTableKeepsTheBits(t *testing.T) {
+	const k = 10
+	evals := map[string]func(*index.Manifest, *Scorer, []string) []Result{
+		"exhaustive": func(v *index.Manifest, s *Scorer, q []string) []Result {
+			rs, _ := EvaluateView(v, s, q, k, PruneNone, 0)
+			return rs
+		},
+		"MaxScore": func(v *index.Manifest, s *Scorer, q []string) []Result {
+			rs, _ := EvaluateView(v, s, q, k, PruneMaxScore, 0)
+			return rs
+		},
+		"MaxScore seeded": func(v *index.Manifest, s *Scorer, q []string) []Result {
+			all, _ := EvaluateView(v, NewScorer(s.Stats), q, k, PruneNone, 0)
+			if len(all) < k {
+				return nil
+			}
+			rs, _ := EvaluateView(v, s, q, k, PruneMaxScore, all[k-1].Score)
+			return rs
+		},
+		"AND": func(v *index.Manifest, s *Scorer, q []string) []Result {
+			var out []Result
+			for _, seg := range v.Segments() {
+				rs, _ := EvaluateAND(seg, s, q, k)
+				out = append(out, rs...)
+			}
+			return out
+		},
+		"phrase": func(v *index.Manifest, s *Scorer, q []string) []Result {
+			rs, _ := EvaluateViewPhrase(v, s, q, k)
+			return rs
+		},
+	}
+	docs := viewCorpus(41, 2040)
+	ix := staticIndex(t, docs)
+	tiered, _ := tieredView(t, docs, nil)
+	other := pruneCorpus(42, index.DefaultOptions())
+	plain := NewScorer(FromIndex(ix))
+	table := plain.WithNorms(ix)
+	if table.normsFor(ix) == nil || table.normsFor(other) != nil || table.normsFor(tiered.Segments()[0]) != nil || plain.normsFor(ix) != nil {
+		t.Fatal("normsFor hands out a table for an index it was not built on, or withholds its own")
+	}
+	rng := rand.New(rand.NewSource(43))
+	queries := pruneQueries(rng, ix, 60)
+	for _, d := range docs[:60] {
+		i := rng.Intn(len(d.Terms) - 2)
+		queries = append(queries, d.Terms[i:i+1+rng.Intn(2)]) // phrases that occur
+	}
+	for _, target := range []struct {
+		name string
+		v    *index.Manifest
+	}{{"own index", index.ViewOf(ix)}, {"another partition", index.ViewOf(other)}, {"segments", tiered}} {
+		for name, eval := range evals {
+			hits := 0
+			for _, q := range queries {
+				want, got := eval(target.v, plain, q), eval(target.v, table, q)
+				if !sameRanking(want, got) {
+					t.Fatalf("%s, %s, query %v:\ndividing %v\ntable    %v", target.name, name, q, want, got)
+				}
+				hits += len(want)
+			}
+			if hits == 0 {
+				t.Fatalf("%s, %s: no query returned anything", target.name, name)
 			}
 		}
 	}

@@ -90,7 +90,8 @@ func TestTopKMerger(t *testing.T) {
 		}
 		rng.Shuffle(len(lists), func(i, j int) { lists[i], lists[j] = lists[j], lists[i] })
 		k := 10
-		m := NewTopKMerger(k)
+		var m TopKMerger
+		m.Reset(k)
 		for _, l := range lists {
 			m.Add(l)
 		}
@@ -107,7 +108,8 @@ func TestTopKMerger(t *testing.T) {
 			t.Fatalf("query %v: threshold reported with only %d results", q, len(full))
 		}
 	}
-	if _, ok := NewTopKMerger(0).Threshold(); ok {
+	var empty TopKMerger
+	if _, ok := empty.Threshold(); ok {
 		t.Fatal("k=0 merger reported a threshold")
 	}
 }

@@ -93,7 +93,8 @@ func TestTopKMatchesSortAll(t *testing.T) {
 
 // TestTopKMergerMatchesSortAll: disjoint lists added in shuffled order
 // merge to the sort-all answer, and after every Add, Threshold reports
-// the k-th best score of everything added so far (not ok before k).
+// the k-th best score of everything added so far (not ok before k). One
+// merger serves every k through Reset, as the broker's pooled one does.
 func TestTopKMergerMatchesSortAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 100; trial++ {
@@ -109,9 +110,10 @@ func TestTopKMergerMatchesSortAll(t *testing.T) {
 			lists = append(lists, sortAllTakeK(all[i:i+m], m))
 			i += m
 		}
+		var m TopKMerger
 		for _, k := range []int{0, 1, 2, 3, 10, 100, n + 7} {
 			rng.Shuffle(len(lists), func(i, j int) { lists[i], lists[j] = lists[j], lists[i] })
-			m := NewTopKMerger(k)
+			m.Reset(k)
 			var added []Result
 			for _, l := range lists {
 				m.Add(l)
@@ -204,7 +206,8 @@ func TestKernelAllocations(t *testing.T) {
 		}
 	}
 	rs, _ := EvaluateOR(ix, s, q, 3*k)
-	m := NewTopKMerger(k)
+	var m TopKMerger
+	m.Reset(k)
 	m.Add(rs)
 	if n := testing.AllocsPerRun(100, func() { m.Add(rs) }); n != 0 {
 		t.Errorf("TopKMerger.Add allocates %v times; want 0", n)
