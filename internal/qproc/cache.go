@@ -1,8 +1,8 @@
 package qproc
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"dwr/internal/cache"
 )
@@ -74,19 +74,35 @@ func (rc *ResultCache) Stats() CacheStats {
 // keys are already sorted upstream, so in practice permutations rarely
 // reach the engines.)
 func NormalizeQueryKey(terms []string) string {
-	var b strings.Builder
-	seen := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		if seen[t] {
+	var buf [keyBuf]byte
+	return string(appendQueryKey(buf[:0], terms))
+}
+
+// keyBuf is the stack buffer a key is written into; a key that outgrows
+// it costs one more allocation.
+const keyBuf = 128
+
+// appendQueryKey appends NormalizeQueryKey's form of terms to b. The
+// dedup scans the query's own prefix, as rank.QueryBound does, so
+// nothing is allocated.
+func appendQueryKey(b []byte, terms []string) []byte {
+	start := len(b)
+	for i, t := range terms {
+		if slices.Contains(terms[:i], t) {
 			continue
 		}
-		seen[t] = true
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+		if len(b) > start {
+			b = append(b, ' ')
 		}
-		b.WriteString(t)
+		b = append(b, t...)
 	}
-	return b.String()
+	return b
+}
+
+// appendField appends "|name=v" to b.
+func appendField(b []byte, name string, v int) []byte {
+	b = append(append(append(b, '|'), name...), '=')
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // DocCacheKey is the full result-cache key of a DocEngine query: the
@@ -94,24 +110,40 @@ func NormalizeQueryKey(terms []string) string {
 // keys its full ordered term list instead — repeating a term changes
 // which documents match, so "a b a" must not share "a b"'s entry.
 // Engines with a Selector assume it is deterministic and fixed for the
-// cache's lifetime (true of all selectors in this repo).
+// cache's lifetime (true of all selectors in this repo). The key is
+// written into one stack buffer and costs one allocation, the string.
 func DocCacheKey(terms []string, opt DocQueryOptions) string {
 	sel := 0
 	if opt.Selector != nil && opt.SelectN > 0 {
 		sel = opt.SelectN
 	}
-	q, ph := NormalizeQueryKey(terms), 0
+	var buf [keyBuf]byte
+	b, ph := buf[:0], 0
 	if opt.Phrase {
-		q, ph = strings.Join(terms, " "), 1
+		for i, t := range terms {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, t...)
+		}
+		ph = 1
+	} else {
+		b = appendQueryKey(b, terms)
 	}
+	b = appendField(b, "k", opt.K)
+	b = appendField(b, "st", int(opt.Stats))
+	b = appendField(b, "ph", ph)
+	b = appendField(b, "sel", sel)
 	// Threshold sharing is rank-identical, but it changes which
 	// partitions a degraded answer can be missing, so differently
 	// scheduled evaluations must not collide in the cache.
-	return fmt.Sprintf("%s|k=%d|st=%d|ph=%d|sel=%d|pr=%d|ts=%d",
-		q, opt.K, int(opt.Stats), ph, sel, int(opt.Pruning), int(opt.Threshold))
+	b = appendField(b, "pr", int(opt.Pruning))
+	b = appendField(b, "ts", int(opt.Threshold))
+	return string(b)
 }
 
 // TermCacheKey is the full result-cache key of a TermEngine query.
 func TermCacheKey(terms []string, k int) string {
-	return fmt.Sprintf("%s|k=%d", NormalizeQueryKey(terms), k)
+	var buf [keyBuf]byte
+	return string(appendField(appendQueryKey(buf[:0], terms), "k", k))
 }

@@ -1,12 +1,16 @@
 package qproc
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"dwr/internal/index"
 	"dwr/internal/partition"
+	"dwr/internal/rank"
+	"dwr/internal/selection"
 )
 
 // binPack4 builds a 4-server DF-balanced term partition over central's
@@ -169,5 +173,91 @@ func TestCacheKeyNormalization(t *testing.T) {
 	}
 	if TermCacheKey([]string{"a"}, 10) == TermCacheKey([]string{"a"}, 20) {
 		t.Fatal("k must be part of the term-engine key")
+	}
+}
+
+// fmtDocCacheKey and fmtQueryKey are the keys as fmt.Sprintf and a dedup
+// map wrote them; the golden test holds the byte-appending keys to them.
+func fmtQueryKey(terms []string) string {
+	var b strings.Builder
+	seen := make(map[string]bool, len(terms))
+	for _, t := range terms {
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t)
+	}
+	return b.String()
+}
+
+func fmtDocCacheKey(terms []string, opt DocQueryOptions) string {
+	sel := 0
+	if opt.Selector != nil && opt.SelectN > 0 {
+		sel = opt.SelectN
+	}
+	q, ph := fmtQueryKey(terms), 0
+	if opt.Phrase {
+		q, ph = strings.Join(terms, " "), 1
+	}
+	return fmt.Sprintf("%s|k=%d|st=%d|ph=%d|sel=%d|pr=%d|ts=%d",
+		q, opt.K, int(opt.Stats), ph, sel, int(opt.Pruning), int(opt.Threshold))
+}
+
+// TestCacheKeyGolden: the keys are byte-identical to their fmt forms over
+// repeated terms, phrases, a selector, and every Stats, Pruning and
+// Threshold value — a cache warmed under one form answers the other.
+func TestCacheKeyGolden(t *testing.T) {
+	sel := selection.NewCORI([]index.Stats{{NumDocs: 1, DF: map[string]int{"a": 1}}})
+	queries := [][]string{nil, {"a"}, {"b", "a", "b", "a"}, {"", "x", ""}, {"w0001", "w0003", "w0001"},
+		{strings.Repeat("long", 40), "tail"}}
+	n := 0
+	for _, q := range queries {
+		if got, want := NormalizeQueryKey(q), fmtQueryKey(q); got != want {
+			t.Fatalf("NormalizeQueryKey(%q) = %q, want %q", q, got, want)
+		}
+		for _, k := range []int{-1, 0, 10, 1000} {
+			if got, want := TermCacheKey(q, k), fmt.Sprintf("%s|k=%d", fmtQueryKey(q), k); got != want {
+				t.Fatalf("TermCacheKey(%q, %d) = %q, want %q", q, k, got, want)
+			}
+		}
+		for _, st := range []StatsMode{GlobalTwoRound, GlobalPrecomputed, LocalOnly} {
+			for _, pr := range []rank.Pruning{rank.PruneNone, rank.PruneMaxScore} {
+				for _, ts := range []ThresholdMode{ThresholdDefault, ThresholdShared, ThresholdSingleWave} {
+					for _, s := range []struct {
+						sel selection.Selector
+						n   int
+					}{{nil, 0}, {nil, 3}, {sel, 0}, {sel, 3}} {
+						for _, ph := range []bool{false, true} {
+							opt := DocQueryOptions{K: 10 + n%3, Stats: st, Selector: s.sel, SelectN: s.n,
+								Phrase: ph, Pruning: pr, Threshold: ts, DeadlineMs: float64(n % 2)}
+							if got, want := DocCacheKey(q, opt), fmtDocCacheKey(q, opt); got != want {
+								t.Fatalf("DocCacheKey(%q, %+v) = %q, want %q", q, opt, got, want)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCacheKeyAllocations: a key costs one allocation, the string itself.
+func TestCacheKeyAllocations(t *testing.T) {
+	q := []string{"w0001", "w0003", "w0001", "w0042"}
+	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Pruning: rank.PruneMaxScore, Threshold: ThresholdShared}
+	for name, f := range map[string]func(){
+		"DocCacheKey":        func() { DocCacheKey(q, opt) },
+		"DocCacheKey phrase": func() { DocCacheKey(q, DocQueryOptions{K: 10, Phrase: true}) },
+		"NormalizeQueryKey":  func() { NormalizeQueryKey(q) },
+		"TermCacheKey":       func() { TermCacheKey(q, 10) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n > 1 {
+			t.Errorf("%s allocates %v times; want at most 1", name, n)
+		}
 	}
 }

@@ -150,52 +150,27 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 		prefix[j] = sum
 	}
 
-	m := 0      // cursors order[:m] are non-essential
-	dm := -1    // the m that candidate d was taken over
-	var d int32 // candidate: minimum current document over essential cursors
-	for {
-		// The threshold is the tighter of the heap floor and the caller's
-		// seed, both widened by pruneSlack (the heap floor overtakes the
-		// seed once k documents found in the view beat it).
-		thr := seedThr
-		if len(tk.rs) >= tk.k {
-			t := tk.rs[0].Score
-			if ht := t - pruneSlack*math.Abs(t); ht > thr {
-				thr = ht
-			}
-		}
-		for m < len(order) && prefix[m] < thr {
-			m++
-		}
-		if m == len(order) {
-			break // even all lists together cannot reach the threshold
-		}
-		if dm != m { // the essential set shrank: take the minimum afresh
-			d, dm = exhausted, m
-			for _, i := range order[m:] {
-				d = min(d, cursors[i].doc)
-			}
-		}
-		if d == exhausted {
-			break
-		}
+	// The threshold is the tighter of the heap floor and the caller's seed,
+	// both widened by pruneSlack (the heap floor overtakes the seed once k
+	// documents found in the view beat it). It moves only when an offer
+	// moves the heap, and only then can the boundary m move.
+	thr, floor := tk.bounds(seedThr)
+	m, d := sc.essential(0, thr) // cursors order[:m] are non-essential; d is the candidate
 
-		// Score the candidate in one pass over the essential cursors: each
-		// one on d is scored and advanced, and the minimum of where they
-		// stand is the next candidate. Then probe non-essential lists in
-		// descending bound order, abandoning as soon as the remaining bound
-		// cannot lift the partial sum past the threshold. Each posting is
-		// scored once; contrib keeps its value by cursor for the
-		// survivor's sum, and the length norm is computed once for d.
+	// While two or more lists are essential, a candidate is the minimum
+	// document over them. One pass scores the essential cursors on d,
+	// advances them, and finds the next candidate; every cursor's slot of
+	// contrib is written, with its contribution or 0.
+	for m < n-1 && d != exhausted {
 		norm := s.docNorm(norms, ix, d)
-		clear(contrib)
 		partial := 0.0
 		next := int32(exhausted)
 		for _, i := range order[m:] {
 			c := &cursors[i]
+			v := 0.0
 			if c.doc == d {
-				contrib[i] = s.termNorm(c.it.TF(), norm, c.idf)
-				partial += contrib[i]
+				v = s.termNorm(c.it.TF(), norm, c.idf)
+				partial += v
 				if c.it.Next() {
 					es.PostingsDecoded++
 					c.doc = c.it.Doc()
@@ -203,42 +178,127 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 					c.doc = exhausted
 				}
 			}
+			contrib[i] = v
 			next = min(next, c.doc)
 		}
-		abandoned := false
-		for j := m - 1; j >= 0; j-- {
-			if partial+prefix[j] < thr {
-				abandoned = true
-				break
-			}
-			c := &cursors[order[j]]
-			if c.doc < d {
-				if c.it.SkipTo(d) {
-					es.PostingsDecoded++
-					c.doc = c.it.Doc()
-				} else {
-					c.doc = exhausted
-				}
-			}
-			if c.doc == d {
-				contrib[order[j]] = s.termNorm(c.it.TF(), norm, c.idf)
-				partial += contrib[order[j]]
-			}
-		}
-		if !abandoned {
-			// Sum the survivor's contributions in original term order so its
-			// score is bitwise-identical to the exhaustive evaluator's sum. A
-			// term the document lacks adds +0, which changes no sum that
-			// starts at +0.
-			score := 0.0
-			for _, v := range contrib {
-				score += v
-			}
-			tk.offer(Result{Doc: ix.ExtID(d), Score: score})
+		if sc.settle(ix, s, d, norm, m, partial, thr, tk, es) {
+			thr, floor = tk.bounds(seedThr)
+			m, next = sc.essential(m, thr)
 		}
 		d = next
+	}
+
+	// With one list essential its postings are the candidates, in order:
+	// each is scored and its cursor advanced, and only a candidate whose
+	// score bound v+rest reaches cut goes on to settle. Below the
+	// threshold settle would abandon it at the first probe; with no list
+	// left to probe (m = 0) its score is v, and below the floor the heap
+	// would refuse it. The loop ends when the threshold passes prefix[m]:
+	// then even the essential list cannot lift a document past it.
+	if m == n-1 {
+		i := order[m]
+		e := &cursors[i]
+		rest, cut := 0.0, floor
+		if m > 0 {
+			rest, cut = prefix[m-1], thr
+		}
+		for e.doc != exhausted {
+			d := e.doc
+			norm := s.docNorm(norms, ix, d)
+			v := s.termNorm(e.it.TF(), norm, e.idf)
+			if e.it.Next() {
+				es.PostingsDecoded++
+				e.doc = e.it.Doc()
+			} else {
+				e.doc = exhausted
+			}
+			if v+rest < cut {
+				continue
+			}
+			contrib[i] = v
+			if sc.settle(ix, s, d, norm, m, v, thr, tk, es) {
+				if thr, floor = tk.bounds(seedThr); prefix[m] < thr {
+					break
+				}
+				if cut = floor; m > 0 {
+					cut = thr
+				}
+			}
+		}
 	}
 	for i := range cursors {
 		es.BytesDecoded += cursors[i].it.BytesDecoded()
 	}
+}
+
+// bounds returns maxScore's pruning threshold — the tighter of seedThr
+// and the heap floor widened by pruneSlack — and the admission floor, the
+// score an offer must reach: -Inf until the heap holds k results.
+func (t *topK) bounds(seedThr float64) (thr, floor float64) {
+	thr, floor = seedThr, math.Inf(-1)
+	if len(t.rs) >= t.k {
+		floor = t.rs[0].Score
+		if ht := floor - pruneSlack*math.Abs(floor); ht > thr {
+			thr = ht
+		}
+	}
+	return thr, floor
+}
+
+// essential moves the boundary m past every list whose prefix bound is
+// below thr and returns it with the next candidate: the minimum current
+// document over the essential cursors order[m:].
+func (sc *evalScratch) essential(m int, thr float64) (int, int32) {
+	for m < len(sc.order) && sc.prefix[m] < thr {
+		m++
+	}
+	d := int32(exhausted)
+	for _, i := range sc.order[m:] {
+		d = min(d, sc.pcs[i].doc)
+	}
+	return m, d
+}
+
+// settle finishes candidate d, whose essential contributions are in
+// contrib and sum to partial. It probes the non-essential lists order[:m]
+// in descending bound order, abandoning d as soon as the remaining bound
+// cannot lift partial past thr; a probed cursor's slot gets its
+// contribution or 0. A survivor's score is the sum of contrib in query-
+// term order, bitwise the exhaustive evaluator's sum (a term the document
+// lacks adds +0, which changes no sum that starts at +0). It goes to the
+// heap only if it can enter: the heap is short, or the score reaches the
+// floor — a tie too, which offer settles by doc. settle reports whether
+// it offered d; only then can the heap, and the threshold, have moved.
+func (sc *evalScratch) settle(ix *index.Index, s *Scorer, d int32, norm float64, m int, partial, thr float64, tk *topK, es *EvalStats) bool {
+	cursors, order, prefix, contrib := sc.pcs, sc.order, sc.prefix, sc.contrib
+	for j := m - 1; j >= 0; j-- {
+		if partial+prefix[j] < thr {
+			return false
+		}
+		i := order[j]
+		c := &cursors[i]
+		if c.doc < d {
+			if c.it.SkipTo(d) {
+				es.PostingsDecoded++
+				c.doc = c.it.Doc()
+			} else {
+				c.doc = exhausted
+			}
+		}
+		v := 0.0
+		if c.doc == d {
+			v = s.termNorm(c.it.TF(), norm, c.idf)
+			partial += v
+		}
+		contrib[i] = v
+	}
+	score := 0.0
+	for _, v := range contrib {
+		score += v
+	}
+	if len(tk.rs) < tk.k || score >= tk.rs[0].Score {
+		tk.offer(Result{Doc: ix.ExtID(d), Score: score})
+		return true
+	}
+	return false
 }

@@ -72,15 +72,16 @@ func hotTail(seed int64, n, hot int) []index.Doc {
 	return docs
 }
 
-// tieredView seals 2040 docs as eight segments of halving size, 1024
-// down to 8 documents, which a radix-2 merge policy leaves resident;
-// tombstones dead; and returns that view with the index the store's
-// Compact makes of it.
+// tieredView seals docs as segments of halving size, 1024 documents
+// first — 2040 docs make eight segments, down to 8 documents, and 1792
+// make three — which a radix-2 merge policy leaves resident; tombstones
+// dead; and returns that view with the index the store's Compact makes
+// of it.
 func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *index.Index) {
 	t.Helper()
 	st := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 2})
 	w := index.NewSegmentWriter(st, 1<<30)
-	n, size := 0, 1024
+	n, size, cuts := 0, 1024, 0
 	for _, d := range docs {
 		if err := w.AddDocument(d.Ext, d.Terms); err != nil {
 			t.Fatal(err)
@@ -89,7 +90,7 @@ func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *i
 			if err := w.Cut(); err != nil {
 				t.Fatal(err)
 			}
-			n, size = 0, size/2
+			n, size, cuts = 0, size/2, cuts+1
 		}
 	}
 	for _, ext := range dead {
@@ -98,8 +99,8 @@ func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *i
 		}
 	}
 	view := st.Manifest()
-	if view.NumSegments() != 8 || view.Tombstones() != len(dead) {
-		t.Fatalf("fixture: %d segments, %d tombstones; want 8 and %d", view.NumSegments(), view.Tombstones(), len(dead))
+	if view.NumSegments() != cuts || view.Tombstones() != len(dead) {
+		t.Fatalf("fixture: %d segments, %d tombstones; want %d and %d", view.NumSegments(), view.Tombstones(), cuts, len(dead))
 	}
 	compacted, err := st.Compact()
 	if err != nil {
