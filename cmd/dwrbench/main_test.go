@@ -411,7 +411,7 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
 		"DESIGN.md":                      1098,
-		"README.md":                      359,
+		"README.md":                      358,
 		".claude/skills/verify/SKILL.md": 240,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))

@@ -106,25 +106,6 @@ func (r *Ring) Remove(member string) {
 	r.points = kept
 }
 
-// Members returns the current members in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the number of members.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
 // Assign returns the member responsible for key, or "" if the ring is
 // empty.
 func (r *Ring) Assign(key string) string {
@@ -139,33 +120,6 @@ func (r *Ring) Assign(key string) string {
 		i = 0
 	}
 	return r.owner[r.points[i]]
-}
-
-// AssignN returns the first n distinct members clockwise from key, used
-// for replicated assignment (the paper's "consistent hashing, which
-// replicates the hashing buckets"). Fewer members are returned if the
-// ring has fewer than n.
-func (r *Ring) AssignN(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i] >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		m := r.owner[r.points[(start+i)%len(r.points)]]
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // ModAssigner is the baseline "trivial, but reasonable assignment policy"
@@ -188,11 +142,6 @@ func (m *ModAssigner) Assign(key string) string {
 		return ""
 	}
 	return m.members[hash64(key)%uint64(len(m.members))]
-}
-
-// Members returns a copy of the member list.
-func (m *ModAssigner) Members() []string {
-	return append([]string(nil), m.members...)
 }
 
 // Assigner is the interface shared by Ring and ModAssigner, letting the

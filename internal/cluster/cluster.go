@@ -23,13 +23,11 @@ import (
 // sites they take WAN-scale delays (tens to hundreds of milliseconds)
 // that grow with region distance.
 type Network struct {
-	LANMeanMs  float64 // mean intra-site latency
-	WANBaseMs  float64 // base inter-site latency (same region)
-	WANPerHop  float64 // added per unit of region distance
-	Regions    int
-	rng        *rand.Rand
-	msgs       int
-	bytesMoved int64
+	LANMeanMs float64 // mean intra-site latency
+	WANBaseMs float64 // base inter-site latency (same region)
+	WANPerHop float64 // added per unit of region distance
+	Regions   int
+	rng       *rand.Rand
 }
 
 // NewNetwork creates a network model with typical values: 0.3 ms LAN,
@@ -45,10 +43,8 @@ func NewNetwork(seed int64, regions int) *Network {
 }
 
 // Latency draws the latency in milliseconds of one message between two
-// sites' regions, recording the message and its payload size.
-func (n *Network) Latency(fromRegion, toRegion int, bytes int) float64 {
-	n.msgs++
-	n.bytesMoved += int64(bytes)
+// sites' regions.
+func (n *Network) Latency(fromRegion, toRegion int) float64 {
 	if fromRegion == toRegion {
 		return n.LANMeanMs * randx.LogNormal(n.rng, 0, 0.3)
 	}
@@ -59,12 +55,6 @@ func (n *Network) Latency(fromRegion, toRegion int, bytes int) float64 {
 	base := n.WANBaseMs + n.WANPerHop*float64(d)
 	return base * randx.LogNormal(n.rng, 0, 0.2)
 }
-
-// Messages returns the number of messages sent so far.
-func (n *Network) Messages() int { return n.msgs }
-
-// BytesMoved returns the total payload bytes transferred.
-func (n *Network) BytesMoved() int64 { return n.bytesMoved }
 
 // Outage is one interval during which a site is unreachable, in hours
 // from the start of the observation.

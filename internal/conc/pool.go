@@ -1,7 +1,5 @@
 package conc
 
-import "sync"
-
 // Pool is a bounded background worker pool for maintenance work the
 // caller must not block on — segment merges behind a live index being
 // the motivating case. Unlike Do, submitted tasks are asynchronous:
@@ -15,7 +13,6 @@ import "sync"
 // modes); deterministic replays run the same work synchronously.
 type Pool struct {
 	sem chan struct{}
-	wg  sync.WaitGroup
 }
 
 // NewPool creates a pool running at most workers tasks concurrently
@@ -28,15 +25,9 @@ func NewPool(workers int) *Pool {
 // caller: the goroutine itself waits for a free slot, so bursts of
 // submissions queue in the runtime rather than in the mutator's path.
 func (p *Pool) Submit(fn func()) {
-	p.wg.Add(1)
 	go func() {
-		defer p.wg.Done()
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
 		fn()
 	}()
 }
-
-// Wait blocks until every task submitted so far has finished. Tests and
-// shutdown paths use it to quiesce maintenance before inspecting state.
-func (p *Pool) Wait() { p.wg.Wait() }

@@ -331,18 +331,3 @@ func (e *Engine) Search(query string, opt SearchOptions) []SearchResult {
 	}
 	return out
 }
-
-// Refresh brings the engine's collection up to virtual day `day`: an
-// incremental re-crawl (If-Modified-Since, optionally sitemaps) updates
-// the stored pages, and the partition indexes are rebuilt — the paper's
-// observation that "indexes are usually rebuilt from scratch after each
-// update of the underlying document collection" (§4, Communication).
-// The document partition is recomputed with the configured strategy.
-func (e *Engine) Refresh(day int, useSitemaps bool) (crawler.RecrawlStats, error) {
-	st := e.Crawler.Recrawl(day, useSitemaps)
-	if err := e.parse(); err != nil {
-		return st, err
-	}
-	e.Selector = nil // rebuilt by partitionAndIndex
-	return st, e.partitionAndIndex()
-}

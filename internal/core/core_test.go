@@ -2,6 +2,12 @@ package core
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -150,6 +156,11 @@ func TestTable1FullyImplemented(t *testing.T) {
 			t.Errorf("cell %s/%s missing paper topic", c.Module, c.Issue)
 		}
 		seen[c.Module+"/"+c.Issue] = true
+		for _, comp := range c.Components {
+			if err := resolveComponent(comp); err != nil {
+				t.Errorf("cell %s/%s component %q: %v", c.Module, c.Issue, comp, err)
+			}
+		}
 	}
 	for _, m := range []string{"Crawling", "Indexing", "Querying"} {
 		for _, i := range []string{"Partitioning", "Communication", "Dependability", "External factors"} {
@@ -158,6 +169,59 @@ func TestTable1FullyImplemented(t *testing.T) {
 			}
 		}
 	}
+}
+
+// componentRef is a Table 1 component's leading reference: a package
+// name, optionally followed by an identifier and a method.
+var componentRef = regexp.MustCompile(`^([a-z]+)(?:\.([A-Z]\w*)(?:\.([A-Z]\w*))?)?`)
+
+// resolveComponent checks that a component's leading reference names
+// code that exists: the package under internal/, and in it the
+// identifier (a top-level declaration) and method, when given.
+func resolveComponent(comp string) error {
+	m := componentRef.FindStringSubmatch(comp)
+	if m == nil {
+		return fmt.Errorf("does not start with a package name")
+	}
+	pkg, ident, method := m[1], m[2], m[3]
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", pkg), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return fmt.Errorf("no package internal/%s: %v", pkg, err)
+	}
+	if len(pkgs) == 0 {
+		return fmt.Errorf("no package internal/%s", pkg)
+	}
+	if ident == "" {
+		return nil
+	}
+	declared := map[string]bool{} // "Ident" and "Type.Method"
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for name := range f.Scope.Objects {
+				declared[name] = true
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						declared[id.Name+"."+fd.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	if !declared[ident] {
+		return fmt.Errorf("internal/%s declares no %s", pkg, ident)
+	}
+	if method != "" && !declared[ident+"."+method] {
+		return fmt.Errorf("internal/%s declares no method %s.%s", pkg, ident, method)
+	}
+	return nil
 }
 
 func TestTokenizerAgreesWithQueryPath(t *testing.T) {
@@ -173,42 +237,6 @@ func TestTokenizerAgreesWithQueryPath(t *testing.T) {
 		if docTerms[i] != queryTerms[i] {
 			t.Fatal("tokenizer asymmetry between document and query path")
 		}
-	}
-}
-
-func TestRefreshPicksUpChanges(t *testing.T) {
-	e := buildEngine(t, smallConfig())
-	st, err := e.Refresh(60, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Refetched == 0 {
-		t.Fatal("no pages changed over 59 virtual days; change model broken")
-	}
-	// A refetched page's revision token must now be searchable: rendered
-	// titles carry "rev<lastmod>".
-	found := false
-	for _, p := range e.Crawler.Pages() {
-		if p.Day != 60 || p.LastMod == 0 {
-			continue
-		}
-		token := fmt.Sprintf("rev%d", p.LastMod)
-		for _, r := range e.Search(token, SearchOptions{K: 100}) {
-			if r.Doc == p.PageID {
-				found = true
-				break
-			}
-		}
-		if found {
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no refreshed page is findable by its new revision token")
-	}
-	// Engine still answers ordinary queries.
-	if rs := e.Search(e.Docs[0].Terms[0], SearchOptions{K: 5}); len(rs) == 0 {
-		t.Fatal("search broken after refresh")
 	}
 }
 

@@ -35,7 +35,7 @@ func Crawl(cfg Config) (*Corpus, error) {
 	return c, nil
 }
 
-// parse rebuilds Docs and the URL table from the crawler's pages.
+// parse builds Docs and the URL table from the crawler's pages.
 func (c *Corpus) parse() error {
 	pages := c.Crawler.Pages()
 	ids := make([]int, 0, len(pages))
@@ -43,7 +43,6 @@ func (c *Corpus) parse() error {
 		ids = append(ids, pid)
 	}
 	sort.Ints(ids)
-	c.Docs = c.Docs[:0]
 	c.urls = make(map[int]string)
 	for _, pid := range ids {
 		p := pages[pid]

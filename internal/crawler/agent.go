@@ -139,7 +139,7 @@ func (a *agent) enqueue(url string, readyAt float64) bool {
 	a.seen[url] = true
 	it := &frontierItem{
 		url: url, readyAt: readyAt,
-		priority: float64(a.cites[url]) + a.c.seedPriority(url),
+		priority: float64(a.cites[url]),
 	}
 	heap.Push(&a.front, it)
 	if a.front.byPriority {

@@ -143,9 +143,6 @@ type Crawler struct {
 	// fetchOrder records page IDs in the order they were first fetched —
 	// the crawl prefix whose quality frontier prioritization improves.
 	fetchOrder []int
-	// priorityHints boosts seed URLs known to be important (e.g. from a
-	// previous crawl's citation counts).
-	priorityHints map[string]float64
 	// onPage, when set, streams every successful download (including
 	// refetches) to the indexing pipeline the moment it happens, in
 	// deterministic crawl order.
@@ -338,20 +335,6 @@ func (c *Crawler) FetchOrder() []int {
 	return append([]int(nil), c.fetchOrder...)
 }
 
-// SetPriorityHint boosts a URL's frontier priority (priority mode only),
-// e.g. from a previous crawl's citation counts.
-func (c *Crawler) SetPriorityHint(url string, boost float64) {
-	if c.priorityHints == nil {
-		c.priorityHints = make(map[string]float64)
-	}
-	c.priorityHints[url] = boost
-}
-
-// seedPriority returns the hint boost for a URL (0 if none).
-func (c *Crawler) seedPriority(url string) float64 {
-	return c.priorityHints[url]
-}
-
 // Seed injects starting URLs into their owning agents' frontiers.
 func (c *Crawler) Seed(urls []string) {
 	for _, u := range urls {
@@ -447,18 +430,4 @@ func (c *Crawler) FailAgent(id int) {
 	for u := range failed.done {
 		c.deliverNew(u, 0)
 	}
-}
-
-// AddAgent adds a new agent with the given id (which must not be in use)
-// to the pool; subsequently discovered URLs for hosts it now owns flow to
-// it.
-func (c *Crawler) AddAgent(id int) {
-	for id >= len(c.agents) {
-		c.agents = append(c.agents, nil)
-	}
-	if c.agents[id] != nil {
-		return
-	}
-	c.agents[id] = newAgent(id, c)
-	c.assign.addAgent(id)
 }

@@ -164,19 +164,6 @@ func TestAgentFailureRecovers(t *testing.T) {
 	}
 }
 
-func TestAddAgentTakesWork(t *testing.T) {
-	w := testWeb()
-	cfg := DefaultConfig()
-	cfg.Agents = 2
-	c := New(w, cfg)
-	c.AddAgent(2)
-	c.SeedFrontPages()
-	st := c.Run()
-	if st.PerAgentFetches[2] == 0 {
-		t.Fatal("newly added agent fetched nothing")
-	}
-}
-
 func TestPolitenessNeverViolated(t *testing.T) {
 	// With one agent and one thread per agent, successive fetches against
 	// the same host must be spaced by at least the politeness delay. We
@@ -449,40 +436,4 @@ func TestPriorityFrontierFrontLoadsQuality(t *testing.T) {
 	if len(prio) < len(fifo)*9/10 {
 		t.Fatalf("priority crawl fetched %d pages, FIFO %d", len(prio), len(fifo))
 	}
-}
-
-func TestPriorityHintsBoostSeeds(t *testing.T) {
-	w := testWeb()
-	cfg := DefaultConfig()
-	cfg.Agents = 1
-	cfg.PriorityFrontier = true
-	c := New(w, cfg)
-	// Hint a low-in-degree page to the front.
-	var target int = -1
-	for _, p := range w.Pages {
-		if p.InDegree == 0 && !p.Private {
-			target = p.ID
-			break
-		}
-	}
-	if target < 0 {
-		t.Skip("no zero-indegree page")
-	}
-	c.SetPriorityHint(w.URL(target), 1e6)
-	var urls []string
-	for pid := range w.Pages {
-		urls = append(urls, w.URL(pid))
-	}
-	c.Seed(urls)
-	c.Run()
-	order := c.FetchOrder()
-	for i, pid := range order {
-		if pid == target {
-			if i > len(order)/10 {
-				t.Fatalf("hinted page fetched at position %d of %d", i, len(order))
-			}
-			return
-		}
-	}
-	t.Fatal("hinted page never fetched")
 }

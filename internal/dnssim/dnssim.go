@@ -111,12 +111,3 @@ func (c *Cache) Stats() (hits, misses int) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// HitRatio returns hits / (hits+misses), or 0 before any lookups.
-func (c *Cache) HitRatio() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}

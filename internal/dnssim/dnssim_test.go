@@ -71,15 +71,15 @@ func TestCacheExpiry(t *testing.T) {
 func TestHitRatio(t *testing.T) {
 	r := NewResolver(1, 50)
 	c := NewCache(r)
-	if c.HitRatio() != 0 {
-		t.Fatal("empty cache hit ratio not 0")
+	if h, m := c.Stats(); h != 0 || m != 0 {
+		t.Fatalf("empty cache stats = %d/%d, want 0/0", h, m)
 	}
 	c.Lookup("a.example", 0)
 	for i := 0; i < 9; i++ {
 		c.Lookup("a.example", 1)
 	}
-	if got := c.HitRatio(); got != 0.9 {
-		t.Fatalf("hit ratio = %v, want 0.9", got)
+	if h, m := c.Stats(); h != 9 || m != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 9/1 (hit ratio 0.9)", h, m)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dwr/internal/randx"
 )
@@ -30,8 +29,8 @@ import (
 var ErrInjected = errors.New("faultsim: injected fault")
 
 // Spec configures the fault behavior of one unit (a partition server, a
-// pipeline term server, or a site), or of one specific replica of it.
-// The zero Spec is a perfectly healthy server.
+// pipeline term server, or a site) — all its replicas alike; a Window
+// takes out a single replica. The zero Spec is a perfectly healthy server.
 type Spec struct {
 	// Crash makes every call fail silently: no error reply, no answer.
 	// The caller only learns via its attempt timeout.
@@ -91,15 +90,6 @@ type Outcome struct {
 	ExtraMs float64
 }
 
-// Stats counts injected behaviors since construction.
-type Stats struct {
-	Calls   int64 // outcomes decided
-	Crashes int64 // silent failures from Crash specs
-	Flaky   int64 // immediate error replies
-	Slow    int64 // straggler delays injected
-	Outages int64 // silent failures from windows
-}
-
 // Injector decides call outcomes for a set of units. Spec changes are
 // guarded and may be made between queries (e.g. an example failing a
 // site mid-run); Outcome itself is lock-light and safe for concurrent
@@ -110,14 +100,7 @@ type Injector struct {
 	mu      sync.RWMutex
 	def     Spec
 	units   map[int]Spec
-	reps    map[[2]int]Spec
 	windows []Window
-
-	calls   atomic.Int64
-	crashes atomic.Int64
-	flaky   atomic.Int64
-	slow    atomic.Int64
-	outages atomic.Int64
 }
 
 // New creates an injector whose whole fault schedule is a deterministic
@@ -126,7 +109,6 @@ func New(seed int64) *Injector {
 	return &Injector{
 		seed:  seed,
 		units: make(map[int]Spec),
-		reps:  make(map[[2]int]Spec),
 	}
 }
 
@@ -147,16 +129,6 @@ func (in *Injector) Unit(u int, s Spec) *Injector {
 	return in
 }
 
-// UnitReplica overrides the spec of one specific replica of a unit —
-// the shape replica-failover tests want: crash replica 0 of partition 2
-// and watch retries land on replica 1.
-func (in *Injector) UnitReplica(u, r int, s Spec) *Injector {
-	in.mu.Lock()
-	in.reps[[2]int{u, r}] = s
-	in.mu.Unlock()
-	return in
-}
-
 // Window schedules an outage. Returns the injector for chaining.
 func (in *Injector) Window(w Window) *Injector {
 	in.mu.Lock()
@@ -165,29 +137,33 @@ func (in *Injector) Window(w Window) *Injector {
 	return in
 }
 
-// ClearUnit removes unit- and replica-level overrides for u (the unit
-// falls back to the default spec) — "the server was replaced".
+// ClearUnit removes the override for u (the unit falls back to the
+// default spec) — "the server was replaced".
 func (in *Injector) ClearUnit(u int) {
 	in.mu.Lock()
 	delete(in.units, u)
-	for k := range in.reps {
-		if k[0] == u {
-			delete(in.reps, k)
-		}
-	}
 	in.mu.Unlock()
 }
 
-// spec resolves the effective spec for (unit, replica): replica override
-// first, then unit override, then default.
-func (in *Injector) spec(unit, replica int) Spec {
-	if s, ok := in.reps[[2]int{unit, replica}]; ok {
-		return s
-	}
+// spec resolves the effective spec for a unit: its override, else the
+// default. Every replica of a unit shares it; a Window narrows an outage
+// to one replica.
+func (in *Injector) spec(unit int) Spec {
 	if s, ok := in.units[unit]; ok {
 		return s
 	}
 	return in.def
+}
+
+// windowed reports whether an outage window covers the replica at tick.
+// The caller holds in.mu.
+func (in *Injector) windowed(tick int64, unit, replica int) bool {
+	for _, w := range in.windows {
+		if w.covers(tick, unit, replica) {
+			return true
+		}
+	}
+	return false
 }
 
 // Outcome decides the fate of attempt `attempt` of a call to the given
@@ -195,27 +171,18 @@ func (in *Injector) spec(unit, replica int) Spec {
 // only on the injector's configuration and (seed, tick, unit, replica,
 // attempt) — never on call order or interleaving.
 func (in *Injector) Outcome(tick int64, unit, replica, attempt int) Outcome {
-	in.calls.Add(1)
 	in.mu.RLock()
-	s := in.spec(unit, replica)
-	var windowed bool
-	for _, w := range in.windows {
-		if w.covers(tick, unit, replica) {
-			windowed = true
-			break
-		}
-	}
+	s := in.spec(unit)
+	windowed := in.windowed(tick, unit, replica)
 	in.mu.RUnlock()
 
 	if windowed {
-		in.outages.Add(1)
 		return Outcome{
 			Err:    fmt.Errorf("faultsim: unit %d replica %d in outage window at tick %d: %w", unit, replica, tick, ErrInjected),
 			Silent: true,
 		}
 	}
 	if s.Crash {
-		in.crashes.Add(1)
 		return Outcome{
 			Err:    fmt.Errorf("faultsim: unit %d replica %d crashed: %w", unit, replica, ErrInjected),
 			Silent: true,
@@ -226,7 +193,6 @@ func (in *Injector) Outcome(tick int64, unit, replica, attempt int) Outcome {
 	}
 	rng := randx.New(mix(in.seed, tick, unit, replica, attempt))
 	if s.FlakyP > 0 && randx.Bernoulli(rng, s.FlakyP) {
-		in.flaky.Add(1)
 		return Outcome{
 			Err: fmt.Errorf("faultsim: unit %d replica %d flaky error: %w", unit, replica, ErrInjected),
 		}
@@ -240,7 +206,6 @@ func (in *Injector) Outcome(tick int64, unit, replica, attempt int) Outcome {
 		if mean <= 0 {
 			mean = 10
 		}
-		in.slow.Add(1)
 		return Outcome{ExtraMs: randx.LogNormal(rng, math.Log(mean), sigma)}
 	}
 	return Outcome{}
@@ -259,20 +224,9 @@ func (in *Injector) DownUnits(tick int64, units, replicas int) []int {
 	var down []int
 	for u := 0; u < units; u++ {
 		dead := true
-		for r := 0; r < replicas && dead; r++ {
-			s := in.spec(u, r)
-			if s.Crash {
-				continue
-			}
-			covered := false
-			for _, w := range in.windows {
-				if w.covers(tick, u, r) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				dead = false
+		if !in.spec(u).Crash {
+			for r := 0; r < replicas && dead; r++ {
+				dead = in.windowed(tick, u, r)
 			}
 		}
 		if dead {
@@ -281,17 +235,6 @@ func (in *Injector) DownUnits(tick int64, units, replicas int) []int {
 	}
 	sort.Ints(down)
 	return down
-}
-
-// Stats returns cumulative injection counts.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Calls:   in.calls.Load(),
-		Crashes: in.crashes.Load(),
-		Flaky:   in.flaky.Load(),
-		Slow:    in.slow.Load(),
-		Outages: in.outages.Load(),
-	}
 }
 
 // mix collapses the call coordinates into one RNG seed with two rounds

@@ -99,12 +99,12 @@ func TestCrashAndFlakyAreErrInjected(t *testing.T) {
 }
 
 func TestReplicaOverrideNarrowerThanUnit(t *testing.T) {
-	in := New(1).Unit(3, Spec{Crash: true}).UnitReplica(3, 1, Spec{})
-	if out := in.Outcome(0, 3, 0, 0); out.Err == nil {
-		t.Fatal("replica 0 of crashed unit answered")
+	in := New(1).Window(Window{Unit: 3, Replica: 0, From: 0, To: 10})
+	if out := in.Outcome(0, 3, 0, 0); !errors.Is(out.Err, ErrInjected) || !out.Silent {
+		t.Fatalf("replica 0 of unit 3 answered inside its window: %v", out)
 	}
 	if out := in.Outcome(0, 3, 1, 0); out.Err != nil {
-		t.Fatalf("healthy replica override did not win: %v", out)
+		t.Fatalf("a replica-0 window silenced replica 1: %v", out)
 	}
 }
 
@@ -158,14 +158,13 @@ func TestSlowAddsLatencyOnly(t *testing.T) {
 func TestDownUnits(t *testing.T) {
 	in := New(1).
 		Unit(0, Spec{Crash: true}).
-		UnitReplica(2, 0, Spec{Crash: true}). // replica 1 still alive
+		Window(Window{Unit: 2, Replica: 0, From: 0, To: 1000}). // replica 1 still alive
 		Window(Window{Unit: 3, Replica: -1, From: 0, To: 100})
 	down := in.DownUnits(50, 5, 2)
 	if fmt.Sprint(down) != "[0 3]" {
 		t.Fatalf("DownUnits = %v, want [0 3]", down)
 	}
-	// With a single replica, the replica-level crash takes unit 2 down
-	// too.
+	// With a single replica, the replica-0 window takes unit 2 down too.
 	down = in.DownUnits(50, 5, 1)
 	if fmt.Sprint(down) != "[0 2 3]" {
 		t.Fatalf("DownUnits(replicas=1) = %v, want [0 2 3]", down)
@@ -177,31 +176,15 @@ func TestDownUnits(t *testing.T) {
 	}
 }
 
-func TestStatsCount(t *testing.T) {
-	in := New(1).
-		Unit(0, Spec{Crash: true}).
-		Unit(1, Spec{FlakyP: 1}).
-		Window(Window{Unit: 2, Replica: -1, From: 0, To: 10})
-	in.Outcome(0, 0, 0, 0)
-	in.Outcome(0, 1, 0, 0)
-	in.Outcome(0, 2, 0, 0)
-	in.Outcome(0, 3, 0, 0)
-	st := in.Stats()
-	if st.Calls != 4 || st.Crashes != 1 || st.Flaky != 1 || st.Outages != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestClearUnitRestoresDefault(t *testing.T) {
-	in := New(1).Unit(0, Spec{Crash: true}).UnitReplica(0, 1, Spec{Crash: true})
+	in := New(1).Unit(0, Spec{Crash: true})
 	if out := in.Outcome(0, 0, 0, 0); out.Err == nil {
 		t.Fatal("crash override inactive")
 	}
 	in.ClearUnit(0)
-	if out := in.Outcome(0, 0, 0, 0); out.Err != nil {
-		t.Fatalf("ClearUnit left unit broken: %v", out)
-	}
-	if out := in.Outcome(0, 0, 1, 0); out.Err != nil {
-		t.Fatalf("ClearUnit left replica override: %v", out)
+	for r := 0; r < 2; r++ {
+		if out := in.Outcome(0, 0, r, 0); out.Err != nil {
+			t.Fatalf("ClearUnit left replica %d broken: %v", r, out)
+		}
 	}
 }

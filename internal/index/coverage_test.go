@@ -101,8 +101,8 @@ func TestNewSegmentWriterClampsArguments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.NumDocs() != 1100 || w.Buffered() != 1100-2*512 || w.SegmentsSealed() != 2 {
-		t.Fatalf("NumDocs = %d, Buffered = %d, SegmentsSealed = %d", w.NumDocs(), w.Buffered(), w.SegmentsSealed())
+	if w.NumDocs() != 1100 || len(w.tail) != 1100-2*512 || s.Stats().Applied != 2 {
+		t.Fatalf("NumDocs = %d, tail = %d, segments applied = %d", w.NumDocs(), len(w.tail), s.Stats().Applied)
 	}
 	if st := s.Stats(); st.Merges != 1 || w.View().NumDocs() != 1100 {
 		t.Fatalf("stats %+v, view holds %d docs", st, w.View().NumDocs())

@@ -35,16 +35,9 @@ func ViewOf(ix *Index) *Manifest {
 	return &Manifest{segments: []*Index{ix}}
 }
 
-// Gen returns the manifest's generation: 0 for the empty store, +1 for
-// every published segment apply, merge, delete, or compaction.
-func (m *Manifest) Gen() uint64 { return m.gen }
-
 // Segments returns the resident segments, oldest first. The slice is
 // shared with the manifest and must not be modified.
 func (m *Manifest) Segments() []*Index { return m.segments }
-
-// NumSegments returns the number of resident segments.
-func (m *Manifest) NumSegments() int { return len(m.segments) }
 
 // NumDocs returns the number of live documents: resident minus
 // tombstoned.
@@ -65,11 +58,6 @@ func (m *Manifest) TotalLen() int64 {
 	}
 	return n
 }
-
-// Tombstones returns the number of tombstoned documents still
-// physically resident in some segment (they vanish at the next merge
-// that touches their segment).
-func (m *Manifest) Tombstones() int { return len(m.deleted) }
 
 // Contains reports whether ext is physically resident in some segment,
 // tombstoned or not.

@@ -80,8 +80,8 @@ func TestSegmentStoreLifecycle(t *testing.T) {
 		t.Fatalf("unexpected maintenance activity: %+v", st)
 	}
 	// Geometric invariant: the cascade keeps the segment count small.
-	if man.NumSegments() > 6 {
-		t.Fatalf("%d segments for 8 applies at radix 3; cascade not merging", man.NumSegments())
+	if len(man.segments) > 6 {
+		t.Fatalf("%d segments for 8 applies at radix 3; cascade not merging", len(man.segments))
 	}
 	// Compact produces the same index as a single-shot build.
 	got, err := s.Compact()
@@ -130,7 +130,7 @@ func TestSegmentStoreDeleteAndTombstoneGC(t *testing.T) {
 	if st.TombstonesDropped != len(deleted) {
 		t.Fatalf("compaction dropped %d tombstones, want %d", st.TombstonesDropped, len(deleted))
 	}
-	if s.Manifest().Tombstones() != 0 {
+	if len(s.Manifest().deleted) != 0 {
 		t.Fatal("tombstones survived compaction")
 	}
 	// A compacted-away ID can be indexed again.
@@ -196,16 +196,16 @@ func TestSegmentWriterStreamsToReferenceIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.SegmentsSealed() != len(docs)/32 {
-		t.Fatalf("sealed %d segments, want %d", w.SegmentsSealed(), len(docs)/32)
+	if s.Stats().Applied != len(docs)/32 {
+		t.Fatalf("sealed %d segments, want %d", s.Stats().Applied, len(docs)/32)
 	}
-	if w.Buffered() != len(docs)%32 {
-		t.Fatalf("buffered %d docs, want %d", w.Buffered(), len(docs)%32)
+	if len(w.tail) != len(docs)%32 {
+		t.Fatalf("buffered %d docs, want %d", len(w.tail), len(docs)%32)
 	}
 	// Buffered docs are not yet searchable — that gap is the freshness
 	// lag the fresh scenario measures.
-	if s.Manifest().NumDocs() != len(docs)-w.Buffered() {
-		t.Fatalf("manifest has %d docs before Cut, want %d", s.Manifest().NumDocs(), len(docs)-w.Buffered())
+	if s.Manifest().NumDocs() != len(docs)-len(w.tail) {
+		t.Fatalf("manifest has %d docs before Cut, want %d", s.Manifest().NumDocs(), len(docs)-len(w.tail))
 	}
 	got, err := w.Build()
 	if err != nil {
@@ -248,7 +248,7 @@ func TestManifestSnapshotSurvivesSwaps(t *testing.T) {
 	if before != after {
 		t.Fatalf("snapshot answer changed across manifest swaps:\nbefore: %s\nafter:  %s", before, after)
 	}
-	if man.Gen() == s.Manifest().Gen() {
+	if man.gen == s.Manifest().gen {
 		t.Fatal("no swaps happened; the test exercised nothing")
 	}
 }

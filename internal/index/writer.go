@@ -38,7 +38,6 @@ type SegmentWriter struct {
 	tail   []Doc        // the unsealed documents, in arrival order
 	inTail map[int]bool // their IDs
 	added  int
-	sealed int
 
 	snap atomic.Pointer[writerSnap]
 }
@@ -137,21 +136,6 @@ func (w *SegmentWriter) NumDocs() int {
 	return w.added
 }
 
-// Buffered returns how many documents are in the unsealed tail.
-func (w *SegmentWriter) Buffered() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.tail)
-}
-
-// SegmentsSealed returns how many segments this writer has sealed into
-// the store.
-func (w *SegmentWriter) SegmentsSealed() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sealed
-}
-
 // Cut seals the tail into the store as one segment, making its
 // documents visible to store.Manifest() readers. A no-op on an empty
 // tail.
@@ -172,9 +156,6 @@ func (w *SegmentWriter) cut() error {
 	w.tail = nil
 	clear(w.inTail)
 	err := w.store.Apply(seg)
-	if err == nil {
-		w.sealed++
-	}
 	w.publish()
 	return err
 }

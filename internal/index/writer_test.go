@@ -153,7 +153,7 @@ func TestDynamicTombstonesCompactedOnMerge(t *testing.T) {
 	if got := len(liveMatches(w.View(), []string{"w"})); got != 39 {
 		t.Fatalf("found %d docs, want 39", got)
 	}
-	if st := s.Stats(); st.TombstonesDropped != 1 || s.Manifest().Tombstones() != 0 {
+	if st := s.Stats(); st.TombstonesDropped != 1 || len(s.Manifest().deleted) != 0 {
 		t.Fatalf("tombstone not compacted away: %+v", st)
 	}
 }

@@ -39,9 +39,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations recorded.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the sample mean, or 0 if no observations were recorded.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -141,7 +138,6 @@ func (s *Sample) Max() float64 {
 type Histogram struct {
 	bounds []float64
 	counts []int
-	over   int
 	total  int
 }
 
@@ -165,21 +161,13 @@ func NewHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Add(x float64) {
 	h.total++
 	i := sort.SearchFloat64s(h.bounds, x)
-	if i == len(h.bounds) {
-		h.over++
-		return
+	if i < len(h.bounds) {
+		h.counts[i]++
 	}
-	h.counts[i]++
 }
 
 // Total returns the number of observations recorded.
 func (h *Histogram) Total() int { return h.total }
-
-// Count returns the count in bucket i (bound h.Bounds()[i]).
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Overflow returns the count of observations above the last bound.
-func (h *Histogram) Overflow() int { return h.over }
 
 // Bounds returns a copy of the bucket upper bounds.
 func (h *Histogram) Bounds() []float64 {
@@ -209,19 +197,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// CumulativeBelow returns how many observations were ≤ bound, where bound
-// must be one of the configured bounds; it returns 0 for unknown bounds.
-func (h *Histogram) CumulativeBelow(bound float64) int {
-	sum := 0
-	for i, b := range h.bounds {
-		if b > bound {
-			break
-		}
-		sum += h.counts[i]
-	}
-	return sum
 }
 
 // Imbalance summarizes a per-server load vector the way Figure 2 of the

@@ -36,7 +36,7 @@ func TestWelfordAgainstDirect(t *testing.T) {
 
 func TestWelfordMinMaxAndEmpty(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
+	if w.Mean() != 0 || w.Var() != 0 || w.n != 0 {
 		t.Fatal("empty Welford not zero-valued")
 	}
 	w.Add(5)
@@ -106,23 +106,20 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{1, 10, 11, 20, 25, 31, 1000} {
 		h.Add(v)
 	}
-	if got := h.Count(0); got != 2 { // 1, 10
+	if got := h.counts[0]; got != 2 { // 1, 10
 		t.Errorf("bucket ≤10 = %d, want 2", got)
 	}
-	if got := h.Count(1); got != 2 { // 11, 20
+	if got := h.counts[1]; got != 2 { // 11, 20
 		t.Errorf("bucket ≤20 = %d, want 2", got)
 	}
-	if got := h.Count(2); got != 1 { // 25
+	if got := h.counts[2]; got != 1 { // 25
 		t.Errorf("bucket ≤30 = %d, want 1", got)
 	}
-	if got := h.Overflow(); got != 2 { // 31, 1000
+	if got := h.Total() - h.counts[0] - h.counts[1] - h.counts[2]; got != 2 { // 31, 1000
 		t.Errorf("overflow = %d, want 2", got)
 	}
 	if h.Total() != 7 {
 		t.Errorf("total = %d, want 7", h.Total())
-	}
-	if got := h.CumulativeBelow(20); got != 4 {
-		t.Errorf("CumulativeBelow(20) = %d, want 4", got)
 	}
 }
 

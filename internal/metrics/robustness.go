@@ -60,8 +60,7 @@ func DefaultLatencyBounds() []float64 {
 // synchronize externally (engines touch it only at their serial gather
 // point).
 type LatencyByPart struct {
-	hists  []*Histogram
-	bounds []float64
+	hists []*Histogram
 }
 
 // NewLatencyByPart creates histograms for `parts` partitions with the
@@ -70,16 +69,12 @@ func NewLatencyByPart(parts int, bounds []float64) *LatencyByPart {
 	if bounds == nil {
 		bounds = DefaultLatencyBounds()
 	}
-	l := &LatencyByPart{bounds: append([]float64(nil), bounds...)}
-	l.hists = make([]*Histogram, parts)
+	l := &LatencyByPart{hists: make([]*Histogram, parts)}
 	for i := range l.hists {
-		l.hists[i] = NewHistogram(l.bounds)
+		l.hists[i] = NewHistogram(bounds)
 	}
 	return l
 }
-
-// Parts returns the number of partitions tracked.
-func (l *LatencyByPart) Parts() int { return len(l.hists) }
 
 // Add records one observed call latency for partition p.
 func (l *LatencyByPart) Add(p int, ms float64) {
@@ -106,13 +101,4 @@ func (l *LatencyByPart) Quantile(p int, q float64) float64 {
 		return 0
 	}
 	return h.Quantile(q)
-}
-
-// Totals returns the per-partition observation counts.
-func (l *LatencyByPart) Totals() []int {
-	out := make([]int, len(l.hists))
-	for i, h := range l.hists {
-		out[i] = h.Total()
-	}
-	return out
 }

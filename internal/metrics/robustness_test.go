@@ -42,15 +42,15 @@ func TestLatencyByPartQuantile(t *testing.T) {
 	if q := l.Quantile(1, 0.99); !math.IsInf(q, 1) {
 		t.Fatalf("overflow quantile = %v, want +Inf", q)
 	}
-	if tot := l.Totals(); tot[0] != 100 || tot[1] != 1 {
-		t.Fatalf("totals = %v", tot)
+	if a, b := l.Hist(0).Total(), l.Hist(1).Total(); a != 100 || b != 1 {
+		t.Fatalf("totals = %d, %d", a, b)
 	}
 }
 
 func TestLatencyByPartDefaults(t *testing.T) {
 	l := NewLatencyByPart(3, nil)
-	if l.Parts() != 3 {
-		t.Fatalf("parts = %d", l.Parts())
+	if len(l.hists) != 3 {
+		t.Fatalf("parts = %d", len(l.hists))
 	}
 	l.Add(2, 3.0)
 	if l.Hist(2).Total() != 1 {

@@ -3,8 +3,7 @@
 // Chord style underlying the pSearch system the paper cites) in which
 // every participant is both client and server. Keys (terms) map to the
 // peer owning their arc of the identifier ring; lookups route greedily
-// through finger tables in O(log n) hops; peers joining and leaving move
-// only neighbouring arcs.
+// through finger tables in O(log n) hops.
 //
 // The paper's quantitative point — "the total amount of resources
 // available for processing queries increases with the number of
@@ -38,8 +37,7 @@ const fingerBits = 64
 
 // Peer is one overlay participant.
 type Peer struct {
-	Name string
-	ID   uint64
+	ID uint64
 	// fingers[i] is the index (into the overlay's sorted peer slice) of
 	// successor(ID + 2^i).
 	fingers [fingerBits]int
@@ -54,23 +52,11 @@ type Overlay struct {
 func New(names []string) *Overlay {
 	o := &Overlay{}
 	for _, n := range names {
-		o.peers = append(o.peers, &Peer{Name: n, ID: hashID(n)})
+		o.peers = append(o.peers, &Peer{ID: hashID(n)})
 	}
 	sort.Slice(o.peers, func(i, j int) bool { return o.peers[i].ID < o.peers[j].ID })
 	o.rebuildFingers()
 	return o
-}
-
-// Size returns the number of peers.
-func (o *Overlay) Size() int { return len(o.peers) }
-
-// Peers returns the peer names in ring order.
-func (o *Overlay) Peers() []string {
-	out := make([]string, len(o.peers))
-	for i, p := range o.peers {
-		out[i] = p.Name
-	}
-	return out
 }
 
 // successorIdx returns the index of the first peer with ID ≥ id
@@ -83,9 +69,7 @@ func (o *Overlay) successorIdx(id uint64) int {
 	return i
 }
 
-// rebuildFingers recomputes every peer's finger table; called after
-// membership changes (a real deployment stabilizes incrementally, but
-// the routing behaviour is identical).
+// rebuildFingers computes every peer's finger table.
 func (o *Overlay) rebuildFingers() {
 	for _, p := range o.peers {
 		for b := 0; b < fingerBits; b++ {
@@ -93,14 +77,6 @@ func (o *Overlay) rebuildFingers() {
 			p.fingers[b] = o.successorIdx(target)
 		}
 	}
-}
-
-// OwnerOf returns the index of the peer owning key's arc.
-func (o *Overlay) OwnerOf(key string) int {
-	if len(o.peers) == 0 {
-		return -1
-	}
-	return o.successorIdx(hashID(key))
 }
 
 // inArc reports whether x lies in the half-open ring arc (from, to].
@@ -155,27 +131,6 @@ func (o *Overlay) Route(start int, key string) (owner, hops int) {
 		}
 	}
 	return cur, hops
-}
-
-// Join adds a peer; only the new peer's arc changes ownership.
-func (o *Overlay) Join(name string) {
-	p := &Peer{Name: name, ID: hashID(name)}
-	i := sort.Search(len(o.peers), func(i int) bool { return o.peers[i].ID >= p.ID })
-	o.peers = append(o.peers, nil)
-	copy(o.peers[i+1:], o.peers[i:])
-	o.peers[i] = p
-	o.rebuildFingers()
-}
-
-// Leave removes a peer; its arc is absorbed by its successor.
-func (o *Overlay) Leave(name string) {
-	for i, p := range o.peers {
-		if p.Name == name {
-			o.peers = append(o.peers[:i], o.peers[i+1:]...)
-			o.rebuildFingers()
-			return
-		}
-	}
 }
 
 // CapacityModel captures the paper's client/server vs peer-to-peer

@@ -101,10 +101,9 @@ func (s *Store) RecordClick(user string, topic int) error {
 	})
 }
 
-// FailReplica and RecoverReplica expose the failure injection of the
-// underlying replication group.
-func (s *Store) FailReplica(i int)    { s.pb.Fail(i) }
-func (s *Store) RecoverReplica(i int) { s.pb.Recover(i) }
+// FailReplica exposes the failure injection of the underlying
+// replication group.
+func (s *Store) FailReplica(i int) { s.pb.Fail(i) }
 
 // Rerank personalizes a ranking: each result's score is boosted by the
 // user's preference for its topic (multiplicative 1 + boost·weight).

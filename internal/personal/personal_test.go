@@ -71,10 +71,6 @@ func TestUpdatesFailWithAllReplicasDown(t *testing.T) {
 	if err := s.RecordClick("c", 0); err == nil {
 		t.Fatal("update succeeded with no replicas")
 	}
-	s.RecoverReplica(1)
-	if err := s.RecordClick("c", 0); err != nil {
-		t.Fatalf("update after recovery failed: %v", err)
-	}
 }
 
 func TestRerankPersonalizes(t *testing.T) {

@@ -41,7 +41,7 @@ func (e *DocEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) Q
 }
 
 // QueryTopKWithin implements DeadlineQuerier: the query is routed from
-// HomeRegion at virtual hour Now under the canonical cache key of the
+// region 0 at virtual hour Now under the canonical cache key of the
 // term list — on the mediated path when a mediator is configured
 // (WithMediator), on Submit's replica path otherwise, so a deadline never
 // changes which path a query takes. Site selection happens before the
@@ -54,7 +54,7 @@ func (m *MultiSite) QueryTopKWithin(terms []string, k int, deadlineMs float64) Q
 	if m.mediation != nil {
 		p = m.mediatedPath(terms, key, k)
 	}
-	return m.route(terms, m.HomeRegion, m.Now, k, deadlineMs, p).QueryResult
+	return m.route(terms, 0, m.Now, k, deadlineMs, p).QueryResult
 }
 
 // enforceDeadline converts an answer that arrived after its budget into

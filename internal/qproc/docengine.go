@@ -46,7 +46,6 @@ type DocEngine struct {
 	global      index.Stats
 	precomputed []*rank.Scorer
 	downs       []bool // SetDown marks, guarded by mu
-	partition   partition.DocPartition
 	// pruning is the default top-k strategy for disjunctive queries
 	// (WithPruning); DocQueryOptions.Pruning overrides per query.
 	pruning rank.Pruning
@@ -99,7 +98,6 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 	})
 	e := newDocBroker(eo, sources)
 	e.parts = parts
-	e.partition = dp
 	e.global = index.MergeStats(stats...)
 	if e.global.NumDocs == 0 {
 		return nil, fmt.Errorf("qproc: document partition covers no documents")
@@ -124,9 +122,6 @@ func newDocBroker(eo engineOptions, sources []func() *index.Manifest) *DocEngine
 		threshold: eo.threshold,
 	}
 }
-
-// Partition returns the underlying document partition.
-func (e *DocEngine) Partition() partition.DocPartition { return e.partition }
 
 // PartIndex exposes partition p's index (for stats and selection setup).
 func (e *DocEngine) PartIndex(p int) *index.Index { return e.parts[p] }

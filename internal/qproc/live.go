@@ -82,9 +82,6 @@ func (e *LiveEngine) Stats() EngineStats { return e.doc.Stats() }
 // up; it answers from an empty manifest.
 func (e *LiveEngine) Health() Health { return e.doc.Health() }
 
-// SetDown marks a partition as failed or recovered; see DocEngine.SetDown.
-func (e *LiveEngine) SetDown(p int, down bool) { e.doc.SetDown(p, down) }
-
 // NumDocs returns the total live documents across the current
 // partition manifests (tombstoned documents excluded).
 func (e *LiveEngine) NumDocs() int {

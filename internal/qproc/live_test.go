@@ -102,7 +102,7 @@ func TestLiveEngineStaticEquivalence(t *testing.T) {
 	small, _ := liveStores(t, docs, nparts, 6, nil)  // 350 docs/partition: tiers of 282, 60, 6 and 2
 	large, _ := liveStores(t, docs, nparts, 25, nil) // tiers of 250, 75 and 25
 	merged, _ := liveStores(t, docs, nparts, 6, pool)
-	if n := small[0].Manifest().NumSegments(); n < 3 {
+	if n := len(small[0].Manifest().Segments()); n < 3 {
 		t.Fatalf("fixture: %d segments per partition; the views exercise no cross-segment seeding", n)
 	}
 	for _, k := range []int{10, 100} {
@@ -145,8 +145,8 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 		}
 		dead[d.Ext] = true
 	}
-	if n := stores[0].Manifest().NumSegments(); n < 3 || stores[0].Manifest().Tombstones() == 0 {
-		t.Fatalf("fixture: %d segments, %d tombstones in partition 0", n, stores[0].Manifest().Tombstones())
+	if n := len(stores[0].Manifest().Segments()); n < 3 || len(stores[0].Manifest().Tombstoned()) == 0 {
+		t.Fatalf("fixture: %d segments, %d tombstones in partition 0", n, len(stores[0].Manifest().Tombstoned()))
 	}
 
 	exhaustive := liveOver(t, stores, WithWorkers(1), WithPruning(rank.PruneNone))
@@ -213,7 +213,11 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 		stores[i].Background(pool)
 		writers[i] = index.NewSegmentWriter(stores[i], 1<<30) // seals on Cut only
 	}
-	defer pool.Wait()
+	defer func() {
+		for _, st := range stores {
+			st.Quiesce()
+		}
+	}()
 	var lives []*LiveEngine
 	for _, workers := range []int{1, 4} {
 		lives = append(lives,
@@ -279,13 +283,13 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 		}
 		sort.Slice(survivors, func(i, j int) bool { return survivors[i].Ext < survivors[j].Ext })
 		for _, st := range stores {
-			if st.Manifest().Tombstones() > 0 {
+			if len(st.Manifest().Tombstoned()) > 0 {
 				// A background merge reclaiming tombstones moves DF under
 				// the queries below; without tombstones a merge in flight
 				// changes no statistic and is left running.
 				st.Quiesce()
 			}
-			pending += st.Manifest().Tombstones()
+			pending += len(st.Manifest().Tombstoned())
 		}
 		var want [][]rank.Result
 		if pending == 0 && len(survivors) > 0 {
@@ -328,7 +332,7 @@ func TestLiveEngineServesPruned(t *testing.T) {
 			t.Fatalf("Delete(%d) found nothing", d.Ext)
 		}
 	}
-	if n := stores[0].Manifest().NumSegments(); n < 3 {
+	if n := len(stores[0].Manifest().Segments()); n < 3 {
 		t.Fatalf("fixture: %d segments per partition", n)
 	}
 	def := liveOver(t, stores)
@@ -414,14 +418,14 @@ func TestLiveEngineCacheInvalidatedBySwap(t *testing.T) {
 	}
 }
 
-// TestLiveEngineSetDown: the live broker has the static broker's
-// topology surface — a partition marked down is skipped, the answer is
-// flagged Degraded and never cached, and Health names the partition.
+// TestLiveEngineSetDown: the live engine's broker is the static one — a
+// partition marked down on it is skipped, the answer is flagged Degraded
+// and never cached, and Health names the partition.
 func TestLiveEngineSetDown(t *testing.T) {
 	eng, _, _ := liveFixture(t, corpus(75, 300, 150), 3, 32,
 		WithResultCache(ResultCacheConfig{Capacity: 64}))
 	q := []string{"w0001", "w0002"}
-	eng.SetDown(1, true)
+	eng.doc.SetDown(1, true)
 	if h := eng.Health(); !reflect.DeepEqual(h.Down, []int{1}) || h.Units != 3 {
 		t.Fatalf("health %+v, want partition 1 of 3 down", h)
 	}
@@ -437,7 +441,7 @@ func TestLiveEngineSetDown(t *testing.T) {
 			}
 		}
 	}
-	eng.SetDown(1, false)
+	eng.doc.SetDown(1, false)
 	if qr := eng.Query(q, 20); qr.Degraded || qr.ServersContacted != 3 {
 		t.Fatalf("after recovery: degraded=%v contacted=%d", qr.Degraded, qr.ServersContacted)
 	}

@@ -124,11 +124,10 @@ type MultiSite struct {
 	// engines are independent, and the stateful WAN latency model is only
 	// consulted serially at the gather point.
 	Workers int
-	// Now and HomeRegion are the virtual hour and origin region
-	// QueryTopK (the uniform Engine surface) submits from; drivers that
-	// model time and geography explicitly use Submit directly.
-	Now        float64
-	HomeRegion int
+	// Now is the virtual hour QueryTopK (the uniform Engine surface)
+	// submits at, from region 0; drivers that model time and geography
+	// explicitly use Submit directly.
+	Now float64
 
 	mu     sync.Mutex
 	rrNext int
@@ -409,7 +408,7 @@ func (m *MultiSite) callSites(out *SiteQueryResult, c *Site, targets []*Site, te
 // site does not hop to itself: callers skip the coordinator.
 func (m *MultiSite) hop(out *SiteQueryResult, fromRegion, toRegion int, bytes int64) float64 {
 	out.BytesTransferred += bytes
-	return m.Net.Latency(fromRegion, toRegion, int(bytes))
+	return m.Net.Latency(fromRegion, toRegion)
 }
 
 // probe looks key up in the coordinator's cache. A fresh entry answers
@@ -591,8 +590,8 @@ func (m *MultiSite) QueryIncremental(terms []string, region int, atHours float64
 	arrivals := make([]arrival, 0, len(ups))
 	for i, s := range ups {
 		qr := answers[i]
-		ms := m.Net.Latency(region, s.Region, 64) + qr.LatencyMs +
-			m.Net.Latency(s.Region, region, int(resultBytes(len(qr.Results))))
+		ms := m.Net.Latency(region, s.Region) + qr.LatencyMs +
+			m.Net.Latency(s.Region, region)
 		arrivals = append(arrivals, arrival{site: s.ID, ms: ms, res: qr.Results})
 	}
 	// Sort by arrival time.

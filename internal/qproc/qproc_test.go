@@ -302,7 +302,7 @@ func TestDocEngineFailedProcessorDegrades(t *testing.T) {
 		// Partition 2's docs are missing, so the degraded answer should
 		// not contain any doc assigned to partition 2.
 		for _, r := range deg.Results {
-			if e.Partition().Assign[r.Doc] == 2 {
+			if e.parts[2].InternalID(r.Doc) >= 0 {
 				t.Fatalf("degraded answer contains doc %d from the failed partition", r.Doc)
 			}
 		}

@@ -3,6 +3,7 @@ package qproc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"dwr/internal/cluster"
@@ -246,13 +247,14 @@ func TestDeadlineBudget(t *testing.T) {
 	}
 }
 
-// TestHedgingFiresOnStragglers: a partition that is slow (not failed)
-// on its primary replica gets hedged requests once the latency histogram
-// warms up, and hedges win when the backup replica is fast.
+// TestHedgingFiresOnStragglers: a partition whose primary replica never
+// answers (a silent outage window on replica 0 alone) gets hedged
+// requests once the latency histogram warms up, and hedges win because
+// the backup replica is fast.
 func TestHedgingFiresOnStragglers(t *testing.T) {
 	docs := corpus(3, 300, 200)
-	// Primary replica of partition 0 is always slow; replica 1 is clean.
-	inj := faultsim.New(9).UnitReplica(0, 0, faultsim.Spec{SlowP: 1, SlowMeanMs: 40, SlowSigma: 0.1})
+	// Primary replica of partition 0 never answers; replica 1 is clean.
+	inj := faultsim.New(9).Window(faultsim.Window{Unit: 0, Replica: 0, From: 0, To: math.MaxInt64})
 	e := buildDocEngine(t, docs, 4,
 		WithFaultPolicy(FaultPolicy{MaxRetries: 1, Replicas: 2, HedgeQuantile: 0.9, HedgeMinMs: 2}),
 		WithInjector(inj))

@@ -274,44 +274,3 @@ func (lg *Log) TopKeys(n int) []string {
 	}
 	return keys
 }
-
-// PopularityCounts returns instance counts per distinct query key,
-// sorted descending — the cache-design input.
-func (lg *Log) PopularityCounts() []int {
-	counts := make(map[string]int)
-	for _, q := range lg.Queries {
-		counts[q.Key]++
-	}
-	out := make([]int, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
-// HourlyVolume returns query counts per (region, hour-of-day) bucket.
-func (lg *Log) HourlyVolume() [][]int {
-	out := make([][]int, lg.Regions)
-	for r := range out {
-		out[r] = make([]int, 24)
-	}
-	for _, q := range lg.Queries {
-		out[q.Region][int(q.Hour)%24]++
-	}
-	return out
-}
-
-// TopicVolumeByDay returns query counts per (day, topic).
-func (lg *Log) TopicVolumeByDay(days int) [][]int {
-	out := make([][]int, days)
-	for d := range out {
-		out[d] = make([]int, lg.Topics)
-	}
-	for _, q := range lg.Queries {
-		if q.Day < days {
-			out[q.Day][q.Topic]++
-		}
-	}
-	return out
-}

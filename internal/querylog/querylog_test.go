@@ -2,6 +2,7 @@ package querylog
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"dwr/internal/simweb"
@@ -66,10 +67,15 @@ func TestQueriesMatchDocuments(t *testing.T) {
 	// sampled from page content, so a search engine over the same web
 	// must be able to match it.
 	w, lg := testLog(t)
+	known := map[string]bool{} // "lang/word"
+	for lang, v := range w.Vocabs {
+		for id := 0; id < w.Config.VocabSize; id++ {
+			known[lang+"/"+v.Word(id)] = true
+		}
+	}
 	for _, q := range lg.Pool[:100] {
-		v := w.Vocabs[q.Lang]
 		for _, term := range q.Terms {
-			if v.ID(term) < 0 {
+			if !known[q.Lang+"/"+term] {
 				t.Fatalf("query term %q not in %s vocabulary", term, q.Lang)
 			}
 		}
@@ -78,7 +84,15 @@ func TestQueriesMatchDocuments(t *testing.T) {
 
 func TestZipfPopularity(t *testing.T) {
 	_, lg := testLog(t)
-	counts := lg.PopularityCounts()
+	byKey := map[string]int{}
+	for _, q := range lg.Queries {
+		byKey[q.Key]++
+	}
+	var counts []int
+	for _, c := range byKey {
+		counts = append(counts, c)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	if len(counts) < 10 {
 		t.Fatal("too few distinct queries observed")
 	}
@@ -90,7 +104,10 @@ func TestZipfPopularity(t *testing.T) {
 
 func TestDiurnalPattern(t *testing.T) {
 	_, lg := testLog(t)
-	vol := lg.HourlyVolume()
+	vol := make([][24]int, lg.Regions) // queries per (region, hour of day)
+	for _, q := range lg.Queries {
+		vol[q.Region][int(q.Hour)%24]++
+	}
 	for r := range vol {
 		min, max := math.MaxInt32, 0
 		for _, c := range vol[r] {
@@ -127,7 +144,15 @@ func TestTopicDrift(t *testing.T) {
 	cfg.Total = 20000
 	cfg.DriftAmp = 0.9
 	lg := Generate(w, cfg)
-	byDay := lg.TopicVolumeByDay(cfg.Days)
+	byDay := make([][]int, cfg.Days) // queries per (day, topic)
+	for d := range byDay {
+		byDay[d] = make([]int, lg.Topics)
+	}
+	for _, q := range lg.Queries {
+		if q.Day < cfg.Days {
+			byDay[q.Day][q.Topic]++
+		}
+	}
 	// Some topic's share must vary substantially between its best and
 	// worst day.
 	drifted := false

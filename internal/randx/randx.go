@@ -49,21 +49,10 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Draw returns a rank in [0, N()).
+// Draw returns a rank in [0, n).
 func (z *Zipf) Draw(rng *rand.Rand) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// Prob returns the probability of drawing rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }
 
 // Pareto draws a value from a Pareto (power-law) distribution with the
@@ -119,33 +108,6 @@ func Weighted(rng *rand.Rand, weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Perm fills a permutation of [0, n) using rng. It is rand.Perm exposed
-// for symmetry with the other helpers.
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
-
-// Sample returns k distinct values drawn uniformly from [0, n) using
-// reservoir sampling. If k >= n it returns all of [0, n) in order.
-func Sample(rng *rand.Rand, n, k int) []int {
-	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = i
-	}
-	for i := k; i < n; i++ {
-		j := rng.Intn(i + 1)
-		if j < k {
-			out[j] = i
-		}
-	}
-	return out
 }
 
 // Bernoulli returns true with probability p.

@@ -2,7 +2,6 @@ package randx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -36,13 +35,21 @@ func TestZipfRankZeroMostLikely(t *testing.T) {
 
 func TestZipfProbSumsToOne(t *testing.T) {
 	for _, s := range []float64{0.5, 1.0, 1.5, 2.0} {
+		// The rank probabilities are the cdf's increments: each positive,
+		// summing to the last entry, which is 1.
 		z := NewZipf(500, s)
-		sum := 0.0
-		for i := 0; i < z.N(); i++ {
-			sum += z.Prob(i)
+		prev := 0.0
+		for i, c := range z.cdf {
+			if c <= prev {
+				t.Fatalf("s=%v: probability of rank %d is %v, want > 0", s, i, c-prev)
+			}
+			prev = c
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("s=%v: probabilities sum to %v, want 1", s, sum)
+		if prev != 1 {
+			t.Errorf("s=%v: probabilities sum to %v, want 1", s, prev)
+		}
+		if ratio := z.cdf[0] / (z.cdf[1] - z.cdf[0]); math.Abs(ratio-math.Pow(2, s)) > 1e-9 {
+			t.Errorf("s=%v: p(0)/p(1) = %v, want 2^s", s, ratio)
 		}
 	}
 }
@@ -145,40 +152,6 @@ func TestWeightedPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Weighted(New(1), nil)
-}
-
-func TestSampleDistinctAndInRange(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, k := 50, 12
-		s := Sample(rng, n, k)
-		if len(s) != k {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, v := range s {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleKGreaterThanN(t *testing.T) {
-	s := Sample(New(1), 5, 10)
-	if len(s) != 5 {
-		t.Fatalf("Sample(n=5, k=10) returned %d values, want 5", len(s))
-	}
-	for i, v := range s {
-		if v != i {
-			t.Fatalf("Sample(n=5, k=10)[%d] = %d, want %d", i, v, i)
-		}
-	}
 }
 
 func TestBernoulliExtremes(t *testing.T) {

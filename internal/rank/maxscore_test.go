@@ -68,8 +68,8 @@ func TestMaxScoreWorkPinned(t *testing.T) {
 		}
 	}
 	view, compacted := tieredView(t, docs, dead)
-	if view.NumSegments() != 3 {
-		t.Fatalf("fixture: %d segments, want 3", view.NumSegments())
+	if len(view.Segments()) != 3 {
+		t.Fatalf("fixture: %d segments, want 3", len(view.Segments()))
 	}
 	var w workTotals
 	for _, q := range pruneQueries(rng, compacted, 150) {

@@ -124,8 +124,8 @@ func TestTopKMerger(t *testing.T) {
 func TestTermUpperBoundDominates(t *testing.T) {
 	docs := viewCorpus(47, 2000)
 	segmented := segmentedStore(t, docs, 31).Manifest()
-	if segmented.NumSegments() < 3 {
-		t.Fatalf("view holds %d segments; the fixture merges no summaries", segmented.NumSegments())
+	if len(segmented.Segments()) < 3 {
+		t.Fatalf("view holds %d segments; the fixture merges no summaries", len(segmented.Segments()))
 	}
 	ix := staticIndex(t, docs)
 	queries := pruneQueries(rand.New(rand.NewSource(48)), ix, 60)

@@ -99,8 +99,8 @@ func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *i
 		}
 	}
 	view := st.Manifest()
-	if view.NumSegments() != cuts || view.Tombstones() != len(dead) {
-		t.Fatalf("fixture: %d segments, %d tombstones; want %d and %d", view.NumSegments(), view.Tombstones(), cuts, len(dead))
+	if len(view.Segments()) != cuts || len(view.Tombstoned()) != len(dead) {
+		t.Fatalf("fixture: %d segments, %d tombstones; want %d and %d", len(view.Segments()), len(view.Tombstoned()), cuts, len(dead))
 	}
 	compacted, err := st.Compact()
 	if err != nil {
@@ -175,8 +175,8 @@ func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 	docs := viewCorpus(61, 1400)
 	ix := staticIndex(t, docs)
 	view := segmentedStore(t, docs, 31).Manifest() // tiers of 992, 310, 93 and 5 documents
-	if view.NumSegments() < 3 {
-		t.Fatalf("view holds %d segments; the fixture exercises no cross-segment seeding", view.NumSegments())
+	if len(view.Segments()) < 3 {
+		t.Fatalf("view holds %d segments; the fixture exercises no cross-segment seeding", len(view.Segments()))
 	}
 	rng := rand.New(rand.NewSource(62))
 	for qi, q := range pruneQueries(rng, ix, 120) {
@@ -249,8 +249,8 @@ func TestViewEquivalenceTombstones(t *testing.T) {
 		}
 	}
 	view := st.Manifest()
-	if view.Tombstones() != len(dead) || view.NumSegments() < 3 {
-		t.Fatalf("fixture: %d tombstones pending (want %d) over %d segments", view.Tombstones(), len(dead), view.NumSegments())
+	if len(view.Tombstoned()) != len(dead) || len(view.Segments()) < 3 {
+		t.Fatalf("fixture: %d tombstones pending (want %d) over %d segments", len(view.Tombstoned()), len(dead), len(view.Segments()))
 	}
 	survivors := staticIndex(t, live)
 	for qi, q := range pruneQueries(rng, survivors, 120) {

@@ -40,12 +40,6 @@ func NewSelector(parts, replicas, threshold int) *Selector {
 	return s
 }
 
-// Replicas returns the replication degree.
-func (s *Selector) Replicas() int { return s.replicas }
-
-// Primary returns partition p's current primary replica.
-func (s *Selector) Primary(p int) int { return s.primary[p] }
-
 // Order appends partition p's current try order to buf and returns it:
 // the primary first, then the remaining replicas by ascending index.
 // Retries and hedged requests walk this order.

@@ -16,12 +16,12 @@ func TestSelectorDemotesAfterConsecutiveFailures(t *testing.T) {
 	s := NewSelector(1, 2, 3)
 	s.Report(0, 0, false)
 	s.Report(0, 0, false)
-	if s.Primary(0) != 0 {
+	if s.primary[0] != 0 {
 		t.Fatal("demoted before threshold")
 	}
 	s.Report(0, 0, false)
-	if s.Primary(0) != 1 {
-		t.Fatalf("primary = %d after 3 consecutive failures, want 1", s.Primary(0))
+	if s.primary[0] != 1 {
+		t.Fatalf("primary = %d after 3 consecutive failures, want 1", s.primary[0])
 	}
 	if got := fmt.Sprint(s.Order(0, nil)); got != "[1 0]" {
 		t.Fatalf("order after demotion = %s", got)
@@ -35,7 +35,7 @@ func TestSelectorSuccessResetsRun(t *testing.T) {
 	s.Report(0, 0, true)
 	s.Report(0, 0, false)
 	s.Report(0, 0, false)
-	if s.Primary(0) != 0 {
+	if s.primary[0] != 0 {
 		t.Fatal("interleaved success did not reset the failure run")
 	}
 }
@@ -47,8 +47,8 @@ func TestSelectorPromotionPrefersHealthiestLowestIndex(t *testing.T) {
 	s.Report(0, 1, false)
 	s.Report(0, 0, false)
 	s.Report(0, 0, false)
-	if s.Primary(0) != 2 {
-		t.Fatalf("primary = %d, want healthiest replica 2", s.Primary(0))
+	if s.primary[0] != 2 {
+		t.Fatalf("primary = %d, want healthiest replica 2", s.primary[0])
 	}
 }
 
@@ -57,7 +57,7 @@ func TestSelectorSingleReplicaStable(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Report(0, 0, false)
 	}
-	if s.Primary(0) != 0 {
+	if s.primary[0] != 0 {
 		t.Fatal("single replica moved")
 	}
 	if got := fmt.Sprint(s.Order(0, nil)); got != "[0]" {
@@ -68,7 +68,7 @@ func TestSelectorSingleReplicaStable(t *testing.T) {
 func TestSelectorIndependentPartitions(t *testing.T) {
 	s := NewSelector(2, 2, 1)
 	s.Report(0, 0, false)
-	if s.Primary(0) != 1 || s.Primary(1) != 0 {
-		t.Fatalf("partition isolation broken: primaries %d,%d", s.Primary(0), s.Primary(1))
+	if s.primary[0] != 1 || s.primary[1] != 0 {
+		t.Fatalf("partition isolation broken: primaries %d,%d", s.primary[0], s.primary[1])
 	}
 }

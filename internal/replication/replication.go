@@ -1,16 +1,14 @@
 // Package replication implements the fault-tolerance techniques
 // Section 5 (Dependability) draws on: primary-backup replication,
 // quorum-based replication with version numbers, majority-vote replicated
-// logs (state-machine replication in the Paxos family), a lease-based
-// lock service in the spirit of Chubby, and the availability arithmetic
-// that relates replication degree to the probability some replica is
-// reachable.
+// logs (state-machine replication in the Paxos family), and the
+// availability arithmetic that relates replication degree to the
+// probability some replica is reachable.
 package replication
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -54,7 +52,6 @@ type PrimaryBackup struct {
 	mu       sync.Mutex
 	replicas []*replica
 	primary  int
-	msgs     int
 }
 
 // NewPrimaryBackup creates an n-replica group (n ≥ 1), all up, replica 0
@@ -70,14 +67,8 @@ func NewPrimaryBackup(n int) *PrimaryBackup {
 	return pb
 }
 
-// Primary returns the current primary's index, or -1 if every replica is
-// down.
-func (pb *PrimaryBackup) Primary() int {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.primaryLocked()
-}
-
+// primaryLocked returns the current primary's index, promoting the first
+// live backup when the primary is down, or -1 if every replica is down.
 func (pb *PrimaryBackup) primaryLocked() int {
 	if pb.primary < len(pb.replicas) && pb.replicas[pb.primary].up {
 		return pb.primary
@@ -102,13 +93,9 @@ func (pb *PrimaryBackup) Write(key, value string) error {
 	}
 	prim := pb.replicas[p]
 	v := prim.data[key].version + 1
-	for i, r := range pb.replicas {
-		if !r.up {
-			continue
-		}
-		r.data[key] = versioned{value: value, version: v}
-		if i != p {
-			pb.msgs++
+	for _, r := range pb.replicas {
+		if r.up {
+			r.data[key] = versioned{value: value, version: v}
 		}
 	}
 	return nil
@@ -125,39 +112,13 @@ func (pb *PrimaryBackup) Read(key string) (string, error) {
 	return pb.replicas[p].data[key].value, nil
 }
 
-// Fail marks replica i down; Recover brings it back, copying state from
-// the current primary (catch-up).
+// Fail marks replica i down.
 func (pb *PrimaryBackup) Fail(i int) {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
 	if i >= 0 && i < len(pb.replicas) {
 		pb.replicas[i].up = false
 	}
-}
-
-// Recover brings replica i back up and synchronizes it from the primary.
-func (pb *PrimaryBackup) Recover(i int) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	if i < 0 || i >= len(pb.replicas) {
-		return
-	}
-	pb.replicas[i].up = true
-	if p := pb.primaryLocked(); p >= 0 && p != i {
-		fresh := make(map[string]versioned, len(pb.replicas[p].data))
-		for k, v := range pb.replicas[p].data {
-			fresh[k] = v
-		}
-		pb.replicas[i].data = fresh
-		pb.msgs++
-	}
-}
-
-// Messages returns replication messages sent (backup copies, catch-ups).
-func (pb *PrimaryBackup) Messages() int {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.msgs
 }
 
 // Quorum is quorum replication over n replicas with write quorum w and
@@ -170,7 +131,6 @@ type Quorum struct {
 	replicas []*replica
 	w, r     int
 	version  int64
-	msgs     int
 }
 
 // NewQuorum creates an n-replica quorum store. It panics if w or r are
@@ -186,10 +146,6 @@ func NewQuorum(n, w, r int) *Quorum {
 	return q
 }
 
-// Strict reports whether the configuration guarantees read-your-writes
-// (r + w > n).
-func (q *Quorum) Strict() bool { return q.r+q.w > len(q.replicas) }
-
 // Write stores key=value on the first w live replicas.
 func (q *Quorum) Write(key, value string) error {
 	q.mu.Lock()
@@ -201,7 +157,6 @@ func (q *Quorum) Write(key, value string) error {
 			continue
 		}
 		rep.data[key] = versioned{value: value, version: q.version}
-		q.msgs++
 		stored++
 		if stored == q.w {
 			return nil
@@ -221,7 +176,6 @@ func (q *Quorum) Read(key string) (value string, ok bool, err error) {
 		if !rep.up {
 			continue
 		}
-		q.msgs++
 		if v, has := rep.data[key]; has && v.version > best.version {
 			best = v
 		}
@@ -239,8 +193,7 @@ func (q *Quorum) Read(key string) (value string, ok bool, err error) {
 	return best.value, true, nil
 }
 
-// Fail marks replica i down. Recover brings it back (without catch-up:
-// quorum reads repair staleness by version).
+// Fail marks replica i down.
 func (q *Quorum) Fail(i int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -249,33 +202,15 @@ func (q *Quorum) Fail(i int) {
 	}
 }
 
-// Recover brings replica i back up.
-func (q *Quorum) Recover(i int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if i >= 0 && i < len(q.replicas) {
-		q.replicas[i].up = true
-	}
-}
-
-// Messages returns replica messages exchanged.
-func (q *Quorum) Messages() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.msgs
-}
-
 // Log is a majority-vote replicated log: the core of state-machine
 // replication (Schneider; Lamport's Paxos). An entry commits when a
 // majority of replicas accept it; committed entries are totally ordered
 // and survive any minority of failures.
 type Log struct {
-	mu       sync.Mutex
-	n        int
-	up       []bool
-	accepted [][]string // per-replica accepted entries
-	commit   []string   // committed prefix
-	msgs     int
+	mu     sync.Mutex
+	n      int
+	up     []bool
+	commit []string // committed prefix
 }
 
 // NewLog creates an n-replica log (n ≥ 1, odd values tolerate the most
@@ -284,7 +219,7 @@ func NewLog(n int) *Log {
 	if n < 1 {
 		n = 1
 	}
-	l := &Log{n: n, up: make([]bool, n), accepted: make([][]string, n)}
+	l := &Log{n: n, up: make([]bool, n)}
 	for i := range l.up {
 		l.up[i] = true
 	}
@@ -306,12 +241,6 @@ func (l *Log) Propose(value string) (int, error) {
 		return -1, ErrUnavailable
 	}
 	idx := len(l.commit)
-	for i := range l.up {
-		if l.up[i] {
-			l.accepted[i] = append(l.accepted[i], value)
-			l.msgs++
-		}
-	}
 	l.commit = append(l.commit, value)
 	return idx, nil
 }
@@ -323,112 +252,11 @@ func (l *Log) Committed() []string {
 	return append([]string(nil), l.commit...)
 }
 
-// Fail marks replica i down; Recover brings it back and catches it up
-// from the committed prefix.
+// Fail marks replica i down.
 func (l *Log) Fail(i int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if i >= 0 && i < l.n {
 		l.up[i] = false
 	}
-}
-
-// Recover brings replica i back and replays the committed prefix to it.
-func (l *Log) Recover(i int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 || i >= l.n {
-		return
-	}
-	l.up[i] = true
-	l.accepted[i] = append([]string(nil), l.commit...)
-	l.msgs++
-}
-
-// MajorityUp reports whether a majority of replicas is currently up.
-func (l *Log) MajorityUp() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	acks := 0
-	for i := range l.up {
-		if l.up[i] {
-			acks++
-		}
-	}
-	return acks > l.n/2
-}
-
-// Messages returns replica messages exchanged.
-func (l *Log) Messages() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.msgs
-}
-
-// LockService is a lease-based lock manager in the spirit of Chubby:
-// locks are held under leases that expire at a virtual deadline, so a
-// crashed holder cannot block the system forever.
-type LockService struct {
-	mu    sync.Mutex
-	locks map[string]lease
-}
-
-type lease struct {
-	owner   string
-	expires float64
-}
-
-// NewLockService creates an empty lock service.
-func NewLockService() *LockService {
-	return &LockService{locks: make(map[string]lease)}
-}
-
-// Acquire attempts to take the named lock for owner until now+ttl. It
-// succeeds if the lock is free, expired, or already held by owner (in
-// which case the lease is extended).
-func (ls *LockService) Acquire(name, owner string, now, ttl float64) bool {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	l, held := ls.locks[name]
-	if held && l.expires > now && l.owner != owner {
-		return false
-	}
-	ls.locks[name] = lease{owner: owner, expires: now + ttl}
-	return true
-}
-
-// Release frees the lock if owner holds it.
-func (ls *LockService) Release(name, owner string, now float64) bool {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	l, held := ls.locks[name]
-	if !held || l.owner != owner || l.expires <= now {
-		return false
-	}
-	delete(ls.locks, name)
-	return true
-}
-
-// Holder returns the current live holder of the lock, or "".
-func (ls *LockService) Holder(name string, now float64) string {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if l, held := ls.locks[name]; held && l.expires > now {
-		return l.owner
-	}
-	return ""
-}
-
-// Holders lists the names of currently held locks at virtual time now.
-func (ls *LockService) Holders(now float64) []string {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	var names []string
-	for n, l := range ls.locks {
-		if l.expires > now {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

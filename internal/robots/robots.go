@@ -101,17 +101,6 @@ func NewPoliteness(minDelay float64) *Politeness {
 	}
 }
 
-// EarliestStart returns the earliest virtual time ≥ now at which a
-// request to host may start. It does not reserve the slot.
-func (p *Politeness) EarliestStart(host string, now float64) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t, ok := p.next[host]; ok && t > now {
-		return t
-	}
-	return now
-}
-
 // TryAcquire attempts to begin a request to host at virtual time now
 // honouring crawlDelay (0 = use the default). It returns (true, now) on
 // success, or (false, earliest) telling the caller when to retry.

@@ -117,15 +117,11 @@ func TestPolitenessHonoursCrawlDelay(t *testing.T) {
 
 func TestEarliestStart(t *testing.T) {
 	p := NewPoliteness(2)
-	if got := p.EarliestStart("h", 7); got != 7 {
-		t.Fatalf("EarliestStart fresh host = %v, want 7", got)
-	}
-	ok, _ := p.TryAcquire("h", 7, 0)
-	if !ok {
-		t.Fatal("acquire failed")
+	if ok, at := p.TryAcquire("h", 7, 0); !ok || at != 7 {
+		t.Fatalf("fresh host: TryAcquire = %v, %v, want true, 7", ok, at)
 	}
 	p.Release("h", 8, 0)
-	if got := p.EarliestStart("h", 8); got != 10 {
-		t.Fatalf("EarliestStart after release = %v, want 10", got)
+	if ok, at := p.TryAcquire("h", 8, 0); ok || at != 10 {
+		t.Fatalf("after release: TryAcquire = %v, %v, want false, 10", ok, at)
 	}
 }

@@ -29,10 +29,6 @@ var languageSyllables = map[string][]string{
 	"de": {"sch", "ung", "der", "ein", "ich", "ber", "gen", "zu", "ver", "auf", "tz", "pf", "cht", "ack", "oll"},
 }
 
-// Languages returns the language codes the generator supports, in a
-// stable order.
-func Languages() []string { return []string{"en", "es", "it", "de"} }
-
 // makeWord deterministically builds a pseudo-word for (lang, termID).
 // Words for the same ID differ across languages, and the per-language
 // syllable inventory gives each language a recognizable character
@@ -54,43 +50,32 @@ func makeWord(lang string, termID int) string {
 }
 
 // Vocabulary is a per-language term table mapping dense term IDs to
-// word strings and back.
+// distinct word strings.
 type Vocabulary struct {
 	Lang  string
 	words []string
-	ids   map[string]int
 }
 
 // NewVocabulary builds a vocabulary of size n for lang. Term IDs are
 // ordered by global popularity: id 0 is the most frequent term.
 func NewVocabulary(lang string, n int) *Vocabulary {
-	v := &Vocabulary{Lang: lang, words: make([]string, n), ids: make(map[string]int, n)}
+	v := &Vocabulary{Lang: lang, words: make([]string, n)}
+	seen := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
 		w := makeWord(lang, i)
 		// Deterministically disambiguate collisions by appending the ID;
 		// collisions are rare but must not merge two term IDs.
-		if _, dup := v.ids[w]; dup {
+		if seen[w] {
 			w = fmt.Sprintf("%s%d", w, i)
 		}
 		v.words[i] = w
-		v.ids[w] = i
+		seen[w] = true
 	}
 	return v
 }
 
-// Size returns the number of terms.
-func (v *Vocabulary) Size() int { return len(v.words) }
-
 // Word returns the word for a term ID; it panics on out-of-range IDs.
 func (v *Vocabulary) Word(id int) string { return v.words[id] }
-
-// ID returns the term ID for a word, or -1 if unknown.
-func (v *Vocabulary) ID(word string) int {
-	if id, ok := v.ids[word]; ok {
-		return id
-	}
-	return -1
-}
 
 // TopicModel biases term draws by topic: each topic prefers a distinct
 // band of the vocabulary (on top of the global Zipf popularity), giving

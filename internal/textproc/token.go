@@ -31,36 +31,3 @@ func Tokenize(text string) []string {
 	flush()
 	return out
 }
-
-// stopwords is a small English stopword list. The synthetic vocabulary in
-// simweb embeds these words at the head of its Zipf distribution so that
-// stopping has the same effect it has on real text.
-var stopwords = map[string]bool{
-	"the": true, "of": true, "and": true, "a": true, "to": true, "in": true,
-	"is": true, "it": true, "that": true, "for": true, "on": true, "was": true,
-	"with": true, "as": true, "at": true, "by": true, "be": true, "this": true,
-	"are": true, "or": true, "an": true, "from": true, "not": true, "but": true,
-}
-
-// IsStopword reports whether token is on the built-in stopword list.
-func IsStopword(token string) bool { return stopwords[token] }
-
-// RemoveStopwords filters stopwords out of tokens, returning a new slice.
-func RemoveStopwords(tokens []string) []string {
-	out := make([]string, 0, len(tokens))
-	for _, t := range tokens {
-		if !stopwords[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// TermFreq counts token occurrences.
-func TermFreq(tokens []string) map[string]int {
-	tf := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-	}
-	return tf
-}

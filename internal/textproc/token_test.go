@@ -53,26 +53,3 @@ func TestTokenizeAllLowercase(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStopwords(t *testing.T) {
-	if !IsStopword("the") || IsStopword("zebra") {
-		t.Fatal("stopword membership wrong")
-	}
-	got := RemoveStopwords([]string{"the", "quick", "fox", "of", "doom"})
-	want := []string{"quick", "fox", "doom"}
-	if len(got) != len(want) {
-		t.Fatalf("RemoveStopwords = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RemoveStopwords[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTermFreq(t *testing.T) {
-	tf := TermFreq([]string{"a", "b", "a", "a"})
-	if tf["a"] != 3 || tf["b"] != 1 || len(tf) != 2 {
-		t.Fatalf("TermFreq = %v", tf)
-	}
-}
