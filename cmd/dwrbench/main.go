@@ -34,7 +34,6 @@ import (
 	"os"
 
 	"dwr/internal/experiments"
-	"dwr/internal/qproc"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -50,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	check := fs.Bool("check", false, "re-run every scenario with a committed BENCH_<scenario>.json in -benchdir from the config recorded there: counters must match within 1%, ratios within -checktol, rows and keys exactly, and every invariant must hold (nonzero exit on violation)")
 	checkTol := fs.Float64("checktol", 0.35, "allowed relative drift of wall-clock ratios for -check (counters are always held to 1%)")
 	benchDir := fs.String("benchdir", "docs", "directory of the BENCH_<scenario>.json artifacts (empty = -run doesn't write)")
-	workers := fs.Int("workers", 0, "engine fan-out width (0 = GOMAXPROCS, 1 = serial); every scenario reports identical counters at any value")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -58,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dwrbench: %v\n", err)
 		return code
 	}
-	qproc.SetDefaultOptions(qproc.WithWorkers(*workers))
 
 	switch {
 	case *config != "" && *scen == "":

@@ -11,11 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dwr/internal/experiments"
-	"dwr/internal/qproc"
 )
 
 // tinyConfigs sizes every registered scenario small enough to run twice
@@ -308,17 +308,17 @@ func TestEveryScenarioHasItsArtifact(t *testing.T) {
 	}
 }
 
-// TestCountersIgnoreWorkers backs the -workers help text: every
-// registered scenario reports the same counters serial (-workers 1) and
-// at full fan-out (-workers 0); only timings and ratios may differ.
+// TestCountersIgnoreWorkers: every registered scenario reports the same
+// counters at GOMAXPROCS 1 and GOMAXPROCS 8, the engines' only fan-out
+// width; only timings and ratios may differ.
 func TestCountersIgnoreWorkers(t *testing.T) {
 	for _, s := range scenarios {
 		t.Run(s.name, func(t *testing.T) {
-			rows := func(workers string) []row {
-				defer qproc.SetDefaultOptions() // run sets the ambient fan-out
+			rows := func(procs int) []row {
+				setProcs(t, procs)
 				dir := t.TempDir()
 				var stdout, stderr bytes.Buffer
-				args := []string{"-workers", workers, "-run", s.name, "-config", tinyConfigs[s.name], "-benchdir", dir}
+				args := []string{"-run", s.name, "-config", tinyConfigs[s.name], "-benchdir", dir}
 				if code := run(args, &stdout, &stderr); code != 0 {
 					t.Fatalf("%q exited %d: %s", args, code, stderr.String())
 				}
@@ -328,17 +328,25 @@ func TestCountersIgnoreWorkers(t *testing.T) {
 				}
 				return rep.Rows
 			}
-			serial, wide := rows("1"), rows("0")
+			serial, wide := rows(1), rows(8)
 			if len(serial) != len(wide) {
-				t.Fatalf("%d rows at -workers 1, %d at -workers 0", len(serial), len(wide))
+				t.Fatalf("%d rows at GOMAXPROCS 1, %d at GOMAXPROCS 8", len(serial), len(wide))
 			}
 			for i, r := range serial {
 				if r.Name != wide[i].Name || !reflect.DeepEqual(r.Counters, wide[i].Counters) {
-					t.Errorf("row %q differs between -workers 1 and -workers 0:\n%v\n%s %v", r.Name, r.Counters, wide[i].Name, wide[i].Counters)
+					t.Errorf("row %q differs between GOMAXPROCS 1 and 8:\n%v\n%s %v", r.Name, r.Counters, wide[i].Name, wide[i].Counters)
 				}
 			}
 		})
 	}
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS n, the engines' one
+// fan-out width; t.Cleanup restores the old value. No test here runs in
+// parallel with another, so the process-wide setting is its own.
+func setProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // TestGoBenchmarksNameATracedMetric holds the rule for keeping a Go
@@ -410,9 +418,9 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1098,
-		"README.md":                      358,
-		".claude/skills/verify/SKILL.md": 240,
+		"DESIGN.md":                      1097,
+		"README.md":                      357,
+		".claude/skills/verify/SKILL.md": 239,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))
 		if err != nil {

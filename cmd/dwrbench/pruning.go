@@ -35,11 +35,11 @@ func measurePruning(w io.Writer, c pruningConfig) ([]row, error) {
 	for _, bs := range blockSizes {
 		o := index.DefaultOptions()
 		o.BlockSize = bs
-		b := index.NewBuilder(o)
-		for _, d := range docs {
-			b.AddDocument(d.Ext, d.Terms)
+		ix, err := index.Build(o, docs)
+		if err != nil {
+			return nil, err
 		}
-		byBlock[bs] = index.MustBuild(b)
+		byBlock[bs] = ix
 	}
 	// The OR rows run on the default layout (index.DefaultOptions' block
 	// size is 128); block size changes no statistic, so one scorer

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"dwr/internal/core"
-	"dwr/internal/qproc"
 )
 
 func main() {
@@ -28,17 +27,14 @@ func main() {
 	phrase := flag.Bool("phrase", false, "treat the query as an exact phrase")
 	hosts := flag.Int("hosts", 80, "hosts in the synthetic web")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "broker fan-out and build concurrency (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 	cacheCap := flag.Int("cachecap", 0, "broker result-cache capacity in entries (0 = no result cache)")
 	flag.Parse()
 
-	qproc.SetDefaultOptions(qproc.WithWorkers(*workers))
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Web.Seed = *seed
 	cfg.Web.Hosts = *hosts
 	cfg.Partitions = *partitions
-	cfg.Workers = *workers
 	cfg.Cache = core.CacheConfig{Capacity: *cacheCap}
 	switch *strategy {
 	case "random":

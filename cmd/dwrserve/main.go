@@ -63,7 +63,7 @@ type options struct {
 	shedWindow            int
 	seed                  int64
 	hosts, partitions     int
-	workers, cacheCap     int
+	cacheCap              int
 	segDocs, mergeWorkers int // -live
 	sites, sampleEvery    int // -federate
 }
@@ -81,7 +81,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "build + admission seed")
 	flag.IntVar(&o.hosts, "hosts", 80, "hosts in the synthetic web")
 	flag.IntVar(&o.partitions, "partitions", 4, "query processors")
-	flag.IntVar(&o.workers, "workers", 0, "engine scatter-gather fan-out (0 = GOMAXPROCS); distinct from -c, the front-end pool")
 	flag.IntVar(&o.cacheCap, "cachecap", 0, "broker result-cache capacity in entries (0 = off)")
 	live := flag.Bool("live", false, "serve while crawling: stream crawled pages into per-partition segment writers and answer queries over atomically swapped segment manifests, with merges on a background pool")
 	flag.IntVar(&o.segDocs, "segdocs", 128, "documents per sealed segment for -live")
@@ -144,7 +143,6 @@ func corpusConfig(o options) core.Config {
 	cfg.Web.Seed = o.seed
 	cfg.Web.Hosts = o.hosts
 	cfg.Partitions = o.partitions
-	cfg.Workers = o.workers
 	return cfg
 }
 
@@ -156,8 +154,7 @@ func corpusConfig(o options) core.Config {
 // defaults — MaxScore pruning without threshold sharing — which is what
 // bench/'s live_ingest measures.)
 func prunedConfig(o options) core.Config {
-	qproc.SetDefaultOptions(qproc.WithWorkers(o.workers),
-		qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))
+	qproc.SetDefaultOptions(qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))
 	fmt.Printf("dwrserve: building corpus (%d hosts, %d partitions)...\n", o.hosts, o.partitions)
 	return corpusConfig(o)
 }
@@ -185,7 +182,7 @@ func newStatic(o options) (http.Handler, *core.Engine, error) {
 // block on ingest or on the background merges.
 func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), err error) {
 	live, err := core.NewLive(o.partitions, o.segDocs, conc.NewPool(o.mergeWorkers),
-		qproc.WithWorkers(o.workers), qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
+		qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
 	if err != nil {
 		return nil, nil, err
 	}

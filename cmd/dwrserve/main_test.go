@@ -48,7 +48,7 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) int {
 // surface then finds those pages, reports every partition, and counts
 // the query.
 func TestLiveServesTheCrawl(t *testing.T) {
-	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, workers: 2,
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 3,
 		cacheCap: 32, segDocs: 32, mergeWorkers: 2, deadline: 1000}
 	h, crawl, err := newLive(o)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestLiveServesTheCrawl(t *testing.T) {
 // from core's: other page caps, another vocabulary.)
 func TestModesServeTheSameCorpus(t *testing.T) {
 	defer qproc.SetDefaultOptions()
-	o := options{c: 4, seed: 3, hosts: 30, partitions: 3, workers: 2,
+	o := options{c: 4, seed: 3, hosts: 30, partitions: 3,
 		segDocs: 32, mergeWorkers: 2, deadline: 1000}
 	_, eng, err := newStatic(o)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestModesServeTheSameCorpus(t *testing.T) {
 // merged.
 func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
 	defer qproc.SetDefaultOptions()
-	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, workers: 2, deadline: 1000}
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, deadline: 1000}
 	h, eng, err := newStatic(o)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestFederateServesMediatedAnswers(t *testing.T) {
 		{5, "timeout", http.StatusGatewayTimeout},
 		{100000, "ok", http.StatusOK},
 	} {
-		o := options{c: 4, seed: 1, hosts: 45, partitions: 2, workers: 2,
+		o := options{c: 4, seed: 1, hosts: 45, partitions: 2,
 			sites: 3, sampleEvery: 2, deadline: tc.deadline}
 		h, eng, err := newFederate(o)
 		if err != nil {

@@ -37,7 +37,6 @@ func TestEndToEndDeterminism(t *testing.T) {
 
 		faults := core.FaultConfig{Seed: cfg.Seed + 9, FlakyP: 0.10, SlowP: 0.20, SlowMeanMs: 15}
 		eng, err := qproc.NewDocEngine(cfg.Index, base.Docs, base.Partition,
-			qproc.WithWorkers(0),
 			qproc.WithInjector(faults.Injector()),
 			qproc.WithFaultPolicy(qproc.DefaultFaultPolicy()))
 		if err != nil {

@@ -33,11 +33,10 @@ func main() {
 	fmt.Printf("corpus: %d documents; workload: %d queries\n\n", len(docs), len(lg.Queries))
 
 	ids := index.DocIDs(docs)
-	central := index.NewBuilder(index.DefaultOptions())
-	for _, d := range docs {
-		central.AddDocument(d.Ext, d.Terms)
+	cIx, err := index.Build(index.DefaultOptions(), docs)
+	if err != nil {
+		log.Fatal(err)
 	}
-	cIx := index.MustBuild(central)
 
 	const k = 8
 	replay := func(name string, busy []float64) {
@@ -61,24 +60,21 @@ func main() {
 
 	// The same replay through the serial broker and the parallel
 	// scatter-gather: answers and busy-load accounting are identical at
-	// any width; only wall-clock time changes with the core count. Each
-	// width is a fresh engine configured via WithWorkers.
-	timeReplay := func(workers int) time.Duration {
-		e, err := qproc.NewDocEngine(index.DefaultOptions(), docs,
-			partition.RoundRobinDocs(ids, k), qproc.WithWorkers(workers))
-		if err != nil {
-			log.Fatal(err)
-		}
+	// any width; only wall-clock time changes with the core count. The
+	// serial run is the same engine at GOMAXPROCS 1.
+	timeReplay := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		t0 := time.Now()
 		for _, q := range lg.Queries[:3000] {
-			e.Query(q.Terms, qproc.DocQueryOptions{K: 10, Stats: qproc.GlobalPrecomputed})
+			de.Query(q.Terms, qproc.DocQueryOptions{K: 10, Stats: qproc.GlobalPrecomputed})
 		}
 		return time.Since(t0)
 	}
+	cores := runtime.GOMAXPROCS(0)
 	serialT := timeReplay(1)
-	parallelT := timeReplay(0)
+	parallelT := timeReplay(cores)
 	fmt.Printf("broker wall-clock (%d cores): serial %v, parallel %v (%.2fx)\n\n",
-		runtime.GOMAXPROCS(0), serialT.Round(time.Millisecond),
+		cores, serialT.Round(time.Millisecond),
 		parallelT.Round(time.Millisecond), float64(serialT)/float64(parallelT))
 
 	// Term-partitioned, random assignment: the Figure 2 imbalance.

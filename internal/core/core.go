@@ -73,13 +73,6 @@ type Config struct {
 	// TrainQueries is the size of the training log used by
 	// PartitionQueryDriven (ignored otherwise).
 	TrainQueries int
-	// Workers bounds the broker's scatter-gather fan-out and the
-	// concurrency of the partition builds: 1 = serial, 0 = whatever the
-	// ambient qproc.SetDefaultOptions says (GOMAXPROCS when it says
-	// nothing) — a nonzero value is passed to the engine and wins over
-	// the ambient option. Any value produces identical results; only
-	// wall-clock time changes.
-	Workers int
 	// Cache configures the broker result cache (disabled at zero
 	// value).
 	Cache CacheConfig
@@ -208,15 +201,11 @@ func (e *Engine) partitionAndIndex() error {
 }
 
 // engineOptions folds the Config into the qproc functional-options list
-// the query engine is constructed with: fan-out width (only when set, so
-// an unset one leaves the ambient option in force), the result cache,
-// and the fault environment.
+// the query engine is constructed with: the result cache and the fault
+// environment.
 func (e *Engine) engineOptions() []qproc.Option {
 	cfg := e.Config
 	var opts []qproc.Option
-	if cfg.Workers != 0 {
-		opts = append(opts, qproc.WithWorkers(cfg.Workers))
-	}
 	if cfg.Cache.Capacity > 0 {
 		opts = append(opts, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: cfg.Cache.Capacity}))
 	}
@@ -262,13 +251,7 @@ func (e *Engine) trainQueryDriven(rng *rand.Rand) (partition.CoClusterResult, []
 	}
 	lg := querylog.Generate(e.Web, lcfg)
 
-	b := index.NewBuilder(e.Config.Index)
-	for _, d := range e.Docs {
-		if err := b.AddDocument(d.Ext, d.Terms); err != nil {
-			return partition.CoClusterResult{}, nil, err
-		}
-	}
-	central, err := b.Build()
+	central, err := index.Build(e.Config.Index, e.Docs)
 	if err != nil {
 		return partition.CoClusterResult{}, nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"dwr/internal/qproc"
 	"dwr/internal/textproc"
 )
 
@@ -32,22 +31,6 @@ func buildEngine(t *testing.T, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	return e
-}
-
-// TestBuildKeepsAmbientWorkers: a Config that leaves Workers unset
-// leaves the fan-out to the ambient option, so a CLI's -workers flag
-// reaches the engines core builds.
-func TestBuildKeepsAmbientWorkers(t *testing.T) {
-	qproc.SetDefaultOptions(qproc.WithWorkers(1))
-	defer qproc.SetDefaultOptions()
-	if w := buildEngine(t, smallConfig()).Query.Workers(); w != 1 {
-		t.Fatalf("Build under ambient WithWorkers(1) built an engine of width %d", w)
-	}
-	cfg := smallConfig()
-	cfg.Workers = 3
-	if w := buildEngine(t, cfg).Query.Workers(); w != 3 {
-		t.Fatalf("Config.Workers 3 built an engine of width %d", w)
-	}
 }
 
 func TestEndToEndBuildAndSearch(t *testing.T) {

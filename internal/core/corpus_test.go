@@ -68,7 +68,7 @@ func TestBuildIsCrawlThenIndex(t *testing.T) {
 	if !reflect.DeepEqual(e.Partition, dp) {
 		t.Fatal("Build's partition is not round-robin over Crawl's documents")
 	}
-	direct, err := qproc.NewDocEngine(cfg.Index, c.Docs, dp, qproc.WithWorkers(cfg.Workers))
+	direct, err := qproc.NewDocEngine(cfg.Index, c.Docs, dp)
 	if err != nil {
 		t.Fatal(err)
 	}

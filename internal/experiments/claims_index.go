@@ -322,11 +322,11 @@ func Claim14IndexBuild() *Result {
 		return ix, float64(time.Since(start).Milliseconds()) //dwrlint:allow wallclock build-time measurement for the C14 table; the built indexes are compared byte-identically
 	}
 	ref, refMs := timeIt(func() *index.Index {
-		b := index.NewBuilder(opts)
-		for _, d := range f.docs {
-			b.AddDocument(d.Ext, d.Terms)
+		ix, err := index.Build(opts, f.docs)
+		if err != nil {
+			panic(err)
 		}
-		return index.MustBuild(b)
+		return ix
 	})
 	sortIx, sortMs := timeIt(func() *index.Index {
 		b := index.NewSortBuilder(opts)
@@ -391,11 +391,10 @@ func Claim14IndexBuild() *Result {
 	// that skips positions decodes exactly those), and the fixed 32-bit
 	// width of the same postings (doc, TF and position count per posting,
 	// one word per occurrence).
-	b := index.NewBuilder(index.Options{BlockSize: 64})
-	for _, d := range f.docs {
-		b.AddDocument(d.Ext, d.Terms)
+	ix, err := index.Build(index.Options{BlockSize: 64}, f.docs)
+	if err != nil {
+		panic(err)
 	}
-	ix := index.MustBuild(b)
 	var postings, noPos, fixed int64
 	for _, term := range ix.Terms() {
 		it := ix.Postings(term)

@@ -40,11 +40,10 @@ func sharedFixture() *fixture {
 		// path is exercised by C5; here we want the exact collection).
 		docs := core.WebDocs(web)
 
-		b := index.NewBuilder(index.DefaultOptions())
-		for _, d := range docs {
-			b.AddDocument(d.Ext, d.Terms)
+		central, err := index.Build(index.DefaultOptions(), docs)
+		if err != nil {
+			panic(err)
 		}
-		central := index.MustBuild(b)
 
 		lcfg := querylog.DefaultConfig()
 		lcfg.Distinct = 1500

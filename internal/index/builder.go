@@ -179,16 +179,27 @@ func (b *MemBuilder) BuildParallel(workers int) *Index {
 	return ix
 }
 
+// Build indexes docs as one index, rejecting a repeated ID.
+func Build(opts Options, docs []Doc) (*Index, error) {
+	b := NewBuilder(opts)
+	for _, d := range docs {
+		if err := b.AddDocument(d.Ext, d.Terms); err != nil {
+			return nil, err
+		}
+	}
+	return b.BuildParallel(1), nil
+}
+
 // BuildAll freezes a set of builders concurrently — the construction
 // path of the partitioned query engines, where K partition indexes are
 // independent and a serial loop would leave all but one core idle.
-// workers bounds the builder-level fan-out (0 = GOMAXPROCS); each
-// builder additionally parallelizes its own posting encoding, which
-// matters when K is smaller than the machine.
-func BuildAll(builders []*MemBuilder, workers int) []*Index {
+// Each builder additionally parallelizes its own posting encoding,
+// which matters when K is smaller than the machine; both fan-outs are
+// GOMAXPROCS wide.
+func BuildAll(builders []*MemBuilder) []*Index {
 	out := make([]*Index, len(builders))
-	conc.Do(len(builders), workers, func(i int) {
-		out[i] = builders[i].BuildParallel(workers)
+	conc.Do(len(builders), 0, func(i int) {
+		out[i] = builders[i].BuildParallel(0)
 	})
 	return out
 }

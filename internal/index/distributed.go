@@ -42,13 +42,7 @@ func BuildMapReduce(opts Options, docs []Doc, mappers, reducers int) (*Index, er
 	partials := make([]*Index, mappers)
 	errs := make([]error, mappers)
 	conc.Do(mappers, mappers, func(i int) {
-		b := NewBuilder(opts)
-		for _, d := range docs[min(i*per, len(docs)):min((i+1)*per, len(docs))] {
-			if errs[i] = b.AddDocument(d.Ext, d.Terms); errs[i] != nil {
-				return
-			}
-		}
-		partials[i] = b.BuildParallel(1)
+		partials[i], errs[i] = Build(opts, docs[min(i*per, len(docs)):min((i+1)*per, len(docs))])
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err

@@ -16,6 +16,25 @@ func buildTiny(opts Options) *Index {
 	return MustBuild(b)
 }
 
+// buildDocs is Build over fixture documents, whose IDs are distinct.
+func buildDocs(tb testing.TB, opts Options, docs []Doc) *Index {
+	tb.Helper()
+	ix, err := Build(opts, docs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// TestBuildRejectsRepeatedID: a repeated external ID is an error, not a
+// silently dropped document.
+func TestBuildRejectsRepeatedID(t *testing.T) {
+	docs := []Doc{{Ext: 1, Terms: []string{"a"}}, {Ext: 2, Terms: []string{"b"}}, {Ext: 1, Terms: []string{"c"}}}
+	if ix, err := Build(DefaultOptions(), docs); err == nil {
+		t.Fatalf("Build accepted ID 1 twice: %d documents", ix.NumDocs())
+	}
+}
+
 func TestIndexBasics(t *testing.T) {
 	ix := buildTiny(DefaultOptions())
 	if ix.NumDocs() != 3 || ix.NumTerms() != 4 {
@@ -83,7 +102,7 @@ func TestPositions(t *testing.T) {
 // position.
 func TestCompressionShrinksIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	ix := indexDocs(DefaultOptions(), randomDocs(rng, 200, 500))
+	ix := buildDocs(t, DefaultOptions(), randomDocs(rng, 200, 500))
 	var fixed int64
 	for _, term := range ix.Terms() {
 		fixed += 12*int64(ix.DF(term)) + 4*ix.CF(term)

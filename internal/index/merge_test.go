@@ -78,11 +78,11 @@ func TestMergeMatchesReindex(t *testing.T) {
 		var segs []*Index
 		for lo := 0; lo < len(docs); {
 			hi := min(lo+1+rng.Intn(len(docs)), len(docs))
-			segs = append(segs, indexDocs(opts, docs[lo:hi]))
+			segs = append(segs, buildDocs(t, opts, docs[lo:hi]))
 			lo = hi
 		}
 		got, dropped := mergeSegments(opts, segs, drop)
-		sameIndex(t, label+" arrival order", got, indexDocs(opts, arrival))
+		sameIndex(t, label+" arrival order", got, buildDocs(t, opts, arrival))
 		if len(dropped) != len(drop) {
 			t.Fatalf("%s: merge dropped %d documents, want %d", label, len(dropped), len(drop))
 		}
@@ -101,12 +101,12 @@ func TestMergeMatchesReindex(t *testing.T) {
 		for _, d := range docs {
 			builders[rng.Intn(len(builders))].AddDocument(d.Ext, d.Terms)
 		}
-		parts := BuildAll(builders, 1)
+		parts := BuildAll(builders)
 		got, _, err := mergeParts(opts, parts, byExtID, drop, 1+trial%4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameIndex(t, label+" external-ID order", got, indexDocs(opts, sorted))
+		sameIndex(t, label+" external-ID order", got, buildDocs(t, opts, sorted))
 	}
 
 	// Map-reduce's reduce phase is the same merge: any reducer count gives
@@ -114,7 +114,7 @@ func TestMergeMatchesReindex(t *testing.T) {
 	docs := randomDocs(rng, 150, 40)
 	rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
 	opts := DefaultOptions()
-	want, _, err := mergeParts(opts, []*Index{indexDocs(opts, docs[:40]), indexDocs(opts, docs[40:])}, byExtID, nil, 1)
+	want, _, err := mergeParts(opts, []*Index{buildDocs(t, opts, docs[:40]), buildDocs(t, opts, docs[40:])}, byExtID, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestBuildAllEqualsIndividualBuilds(t *testing.T) {
 	for i, b := range serialBuilders {
 		serial[i] = MustBuild(b)
 	}
-	par := BuildAll(parBuilders, 8)
+	par := BuildAll(parBuilders)
 	for i := range serial {
 		if !Equal(serial[i], par[i]) {
 			t.Fatalf("partition %d: BuildAll result differs from serial build", i)

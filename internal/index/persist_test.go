@@ -260,7 +260,7 @@ func FuzzRead(f *testing.F) {
 		{},
 	} {
 		var buf bytes.Buffer
-		if err := indexDocs(opts, docs).Write(&buf); err != nil {
+		if err := buildDocs(f, opts, docs).Write(&buf); err != nil {
 			f.Fatal(err)
 		}
 		raw := buf.Bytes()

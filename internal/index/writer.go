@@ -117,17 +117,6 @@ func (w *SegmentWriter) Delete(ext int) bool {
 	return true
 }
 
-// indexDocs indexes docs, whose IDs are distinct, as one segment.
-func indexDocs(opts Options, docs []Doc) *Index {
-	b := NewBuilder(opts)
-	for _, d := range docs {
-		if err := b.AddDocument(d.Ext, d.Terms); err != nil {
-			panic(err) // AddDocument admitted each ID once
-		}
-	}
-	return b.BuildParallel(1)
-}
-
 // NumDocs returns how many documents have been added (sealed or not,
 // deleted since or not).
 func (w *SegmentWriter) NumDocs() int {
@@ -152,10 +141,13 @@ func (w *SegmentWriter) cut() error {
 	if len(w.tail) == 0 {
 		return nil
 	}
-	seg := indexDocs(w.store.opts, w.tail)
+	seg, err := Build(w.store.opts, w.tail)
+	if err != nil {
+		return err
+	}
 	w.tail = nil
 	clear(w.inTail)
-	err := w.store.Apply(seg)
+	err = w.store.Apply(seg)
 	w.publish()
 	return err
 }
@@ -190,7 +182,11 @@ func (w *SegmentWriter) View() *Manifest {
 		if len(s.tail) == 0 {
 			return
 		}
-		segs := append(slices.Clip(s.man.segments), indexDocs(w.store.opts, s.tail))
+		tail, err := Build(w.store.opts, s.tail)
+		if err != nil {
+			panic(err) // AddDocument admitted each tail ID once
+		}
+		segs := append(slices.Clip(s.man.segments), tail)
 		s.view = &Manifest{gen: s.man.gen, segments: segs, deleted: s.man.deleted}
 	})
 	return s.view

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dwr/internal/conc"
 	"dwr/internal/rank"
 )
 
@@ -18,9 +17,8 @@ import (
 // servers) embed it and supply only how a cache miss is evaluated; what
 // their gathers do per unit goes through call and addEval.
 type broker struct {
-	cost    CostModel
-	lanMs   float64
-	workers int // fan-out width; <=0 = GOMAXPROCS, 1 = serial
+	cost  CostModel
+	lanMs float64
 	// inflight counts the queries inside an engine's evaluation; it
 	// caps the fan-out to the processors they leave idle (idleWidth).
 	inflight atomic.Int64
@@ -43,31 +41,27 @@ type broker struct {
 
 func newBroker(eo engineOptions, units int) broker {
 	return broker{
-		cost:    DefaultCostModel(),
-		lanMs:   0.3,
-		workers: eo.workers,
-		busyMs:  make([]float64, units),
-		rcache:  eo.resultCache(),
-		rb:      eo.robust(units),
+		cost:   DefaultCostModel(),
+		lanMs:  0.3,
+		busyMs: make([]float64, units),
+		rcache: eo.resultCache(),
+		rb:     eo.robust(units),
 	}
 }
 
 // K returns the engine's unit count: partitions or term servers.
 func (b *broker) K() int { return len(b.busyMs) }
 
-// Workers reports the configured fan-out width (0 = GOMAXPROCS).
-func (b *broker) Workers() int { return b.workers }
-
 // ResultCache returns the installed result cache (nil if none).
 func (b *broker) ResultCache() *ResultCache { return b.rcache }
 
-// idleWidth is the fan-out of one scatter wave: the configured width,
-// capped by the processors the other queries in flight leave idle — the
-// rule of Orlando et al. (PAPERS.md), who run a query in parallel only on
-// processors the node has idle. 1 (or less) runs the wave inline. The
-// width never changes what a wave computes, only where.
+// idleWidth is the fan-out of one scatter wave: the processors the
+// other queries in flight leave idle — the rule of Orlando et al.
+// (PAPERS.md), who run a query in parallel only on processors the node
+// has idle. 1 (or less) runs the wave inline. The width never changes
+// what a wave computes, only where.
 func (b *broker) idleWidth() int {
-	return min(conc.Workers(b.workers), runtime.GOMAXPROCS(0)-int(b.inflight.Load()-1))
+	return runtime.GOMAXPROCS(0) - int(b.inflight.Load()-1)
 }
 
 // BusyMs returns accumulated per-unit busy time — the Figure 2

@@ -26,13 +26,13 @@ import (
 // caching — is the same code for both.
 //
 // The scatter-gather is real: a wave's partition evaluations fan out
-// onto the processors the other in-flight queries leave idle, at most
-// WithWorkers of them (default GOMAXPROCS), and run inline when none is
-// idle; the broker aggregates per-partition results serially at the
-// gather point, so results and all accounting are byte-identical to the
-// serial broker (workers=1). The engine is safe for concurrent Query calls: the
-// partition indexes are immutable concurrent-reader structures and the
-// busy-load accounting is guarded by a mutex taken only at the gather.
+// onto the processors the other in-flight queries leave idle (at most
+// GOMAXPROCS), and run inline when none is idle; the broker aggregates
+// per-partition results serially at the gather point, so results and
+// all accounting are byte-identical to the serial broker (GOMAXPROCS=1).
+// The engine is safe for concurrent Query calls: the partition indexes
+// are immutable concurrent-reader structures and the busy-load
+// accounting is guarded by a mutex taken only at the gather.
 type DocEngine struct {
 	broker
 	// sources yield each partition's current view.
@@ -67,7 +67,6 @@ type DocEngine struct {
 // dropped. Configuration is by functional options — e.g.
 //
 //	NewDocEngine(opts, docs, dp,
-//	    WithWorkers(8),
 //	    WithResultCache(ResultCacheConfig{Capacity: 4096}),
 //	    WithFaultPolicy(DefaultFaultPolicy()),
 //	    WithInjector(inj))
@@ -84,16 +83,18 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 		if !ok {
 			continue
 		}
-		builders[p].AddDocument(d.Ext, d.Terms)
+		if err := builders[p].AddDocument(d.Ext, d.Terms); err != nil {
+			return nil, err
+		}
 	}
-	parts := index.BuildAll(builders, eo.workers)
+	parts := index.BuildAll(builders)
 	sources := make([]func() *index.Manifest, len(parts))
 	for i, ix := range parts {
 		v := index.ViewOf(ix)
 		sources[i] = func() *index.Manifest { return v }
 	}
 	stats := make([]index.Stats, len(parts))
-	conc.Do(len(parts), eo.workers, func(i int) {
+	conc.Do(len(parts), 0, func(i int) {
 		stats[i] = parts[i].LocalStats(nil)
 	})
 	e := newDocBroker(eo, sources)

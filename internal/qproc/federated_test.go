@@ -128,15 +128,16 @@ func TestFederatedFullFanoutMatchesIncremental(t *testing.T) {
 }
 
 // fingerprintFederated replays a fixed query stream on a fresh mediated
-// multi-site system and fingerprints every result and counter.
-func fingerprintFederated(t *testing.T, workers, cacheCap int, cacheTTL float64) uint64 {
+// multi-site system at GOMAXPROCS procs and fingerprints every result
+// and counter.
+func fingerprintFederated(t *testing.T, procs, cacheCap int, cacheTTL float64) uint64 {
 	t.Helper()
-	msOpts := append([]Option{WithWorkers(workers)}, mediated...)
-	engOpts := []Option{WithWorkers(workers)}
+	setProcs(t, procs)
+	var engOpts []Option
 	if cacheCap > 0 {
 		engOpts = append(engOpts, WithResultCache(ResultCacheConfig{Capacity: cacheCap}))
 	}
-	m := newFederatedMultiSite(t, 7, 4, cacheTTL, msOpts, engOpts)
+	m := newFederatedMultiSite(t, 7, 4, cacheTTL, mediated, engOpts)
 	h := fnv.New64a()
 	for hour, q := range topicalTestQueries(9, 60, 4) {
 		r := m.QueryFederated(q, NormalizeQueryKey(q), 0, float64(hour%24), 10)
@@ -153,7 +154,7 @@ func fingerprintFederated(t *testing.T, workers, cacheCap int, cacheTTL float64)
 }
 
 // TestFederatedDeterministicAcrossWorkersAndReplays is the mediated
-// equivalence test at workers {1,4,16} with both cache levels: every
+// equivalence test at GOMAXPROCS {1,4,16} with both cache levels: every
 // configuration, replayed twice, must produce byte-identical results
 // and counters.
 func TestFederatedDeterministicAcrossWorkersAndReplays(t *testing.T) {
@@ -162,14 +163,14 @@ func TestFederatedDeterministicAcrossWorkersAndReplays(t *testing.T) {
 		ttl float64
 	}{{0, 0}, {256, 24}} {
 		var want uint64
-		for i, workers := range []int{1, 4, 16, 1} { // trailing 1 = replay
-			got := fingerprintFederated(t, workers, cache.cap, cache.ttl)
+		for i, procs := range []int{1, 4, 16, 1} { // trailing 1 = replay
+			got := fingerprintFederated(t, procs, cache.cap, cache.ttl)
 			if i == 0 {
 				want = got
 				continue
 			}
 			if got != want {
-				t.Fatalf("cache=%+v workers=%d: fingerprint %x != %x", cache, workers, got, want)
+				t.Fatalf("cache=%+v GOMAXPROCS=%d: fingerprint %x != %x", cache, procs, got, want)
 			}
 		}
 	}

@@ -32,7 +32,7 @@ type LiveEngine struct {
 // NewLiveEngine builds a broker over the given per-partition segment
 // stores. The stores may already be receiving writes; they keep
 // receiving writes while the engine serves. Supported options:
-// WithWorkers, WithResultCache (the cache is wired to every store's
+// WithResultCache (the cache is wired to every store's
 // OnChange hook), WithPruning, WithThresholdSharing, WithFaultPolicy /
 // WithInjector, and the ambient defaults.
 //

@@ -58,24 +58,26 @@ func liveOver(t *testing.T, stores []*index.SegmentStore, options ...Option) *Li
 }
 
 // brokerGrid runs fn over the grid every static-vs-live equivalence
-// check covers: widths {1,4,16} × pruning {none, MaxScore} ×
+// check covers: GOMAXPROCS {1,4,16} × pruning {none, MaxScore} ×
 // {single-wave, shared thresholds}.
-func brokerGrid(fn func(label string, options ...Option)) {
-	for _, workers := range []int{1, 4, 16} {
+func brokerGrid(t *testing.T, fn func(label string, options ...Option)) {
+	for _, procs := range []int{1, 4, 16} {
+		setProcs(t, procs)
 		for _, mode := range []rank.Pruning{rank.PruneNone, rank.PruneMaxScore} {
 			for _, shared := range []bool{false, true} {
-				fn(fmt.Sprintf("workers=%d pruning=%d shared=%v", workers, mode, shared),
-					WithWorkers(workers), WithPruning(mode), WithThresholdSharing(shared))
+				fn(fmt.Sprintf("GOMAXPROCS=%d pruning=%d shared=%v", procs, mode, shared),
+					WithPruning(mode), WithThresholdSharing(shared))
 			}
 		}
 	}
 }
 
-// staticAnswers is the oracle of the equivalence suite: the serial,
-// exhaustive, single-wave static DocEngine over docs.
+// staticAnswers is the oracle of the equivalence suite: the serial
+// (GOMAXPROCS 1), exhaustive, single-wave static DocEngine over docs.
 func staticAnswers(t *testing.T, docs []index.Doc, nparts int, queries [][]string, k int) [][]rank.Result {
 	t.Helper()
-	static := newDocEngine(t, docs, nparts, WithWorkers(1))
+	setProcs(t, 1)
+	static := newDocEngine(t, docs, nparts)
 	want := make([][]rank.Result, len(queries))
 	for i, q := range queries {
 		want[i] = static.QueryTopK(q, k).Results
@@ -110,7 +112,7 @@ func TestLiveEngineStaticEquivalence(t *testing.T) {
 		for name, stores := range map[string][]*index.SegmentStore{
 			"segDocs=6": small, "segDocs=25": large, "background merges": merged, "compacted": compacted,
 		} {
-			brokerGrid(func(label string, options ...Option) {
+			brokerGrid(t, func(label string, options ...Option) {
 				live := liveOver(t, stores, options...)
 				for qi, q := range queries {
 					if got := live.Query(q, k).Results; !reflect.DeepEqual(want[qi], got) {
@@ -149,7 +151,8 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 		t.Fatalf("fixture: %d segments, %d tombstones in partition 0", n, len(stores[0].Manifest().Tombstoned()))
 	}
 
-	exhaustive := liveOver(t, stores, WithWorkers(1), WithPruning(rank.PruneNone))
+	setProcs(t, 1)
+	exhaustive := liveOver(t, stores, WithPruning(rank.PruneNone))
 	want := make([][]rank.Result, len(queries))
 	for i, q := range queries {
 		want[i] = exhaustive.Query(q, k).Results
@@ -159,7 +162,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 			}
 		}
 	}
-	brokerGrid(func(label string, options ...Option) {
+	brokerGrid(t, func(label string, options ...Option) {
 		live := liveOver(t, stores, options...)
 		for qi, q := range queries {
 			if got := live.Query(q, k).Results; !reflect.DeepEqual(want[qi], got) {
@@ -177,7 +180,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 	// by ID; with collection-wide statistics the merged ranking does not
 	// depend on the assignment.
 	static := staticAnswers(t, survivors, nparts, queries, k)
-	brokerGrid(func(label string, options ...Option) {
+	brokerGrid(t, func(label string, options ...Option) {
 		live := liveOver(t, stores, options...)
 		for qi, q := range queries {
 			if got := live.Query(q, k).Results; !reflect.DeepEqual(static[qi], got) {
@@ -192,7 +195,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 // adds, cuts, deletes, background merges and compactions runs over three
 // stores while a plain map tracks which documents are searchable. After
 // every step (stores with pending tombstones quiesced, so no merge moves
-// the statistics mid-check) all four broker configurations — workers {1,4} ×
+// the statistics mid-check) all four broker configurations — GOMAXPROCS {1,4} ×
 // {MaxScore with shared thresholds, exhaustive single-wave} — must agree
 // bit for bit and return only documents the model holds. Whenever no
 // tombstone is pending the answer must also equal, bit for bit, a static
@@ -219,10 +222,11 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 		}
 	}()
 	var lives []*LiveEngine
-	for _, workers := range []int{1, 4} {
+	procs := []int{1, 1, 4, 4} // the GOMAXPROCS each of lives answers at
+	for range 2 {
 		lives = append(lives,
-			liveOver(t, stores, WithWorkers(workers), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)),
-			liveOver(t, stores, WithWorkers(workers), WithPruning(rank.PruneNone)))
+			liveOver(t, stores, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)),
+			liveOver(t, stores, WithPruning(rank.PruneNone)))
 	}
 
 	searchable := map[int]index.Doc{}       // sealed and not deleted
@@ -295,16 +299,18 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 		if pending == 0 && len(survivors) > 0 {
 			want = staticAnswers(t, survivors, nparts, queries, k)
 			exact++
-		}
-		for qi, q := range queries {
-			ref := lives[0].Query(q, k).Results
-			if want != nil {
-				ref = want[qi]
+		} else {
+			setProcs(t, procs[0])
+			for _, q := range queries {
+				want = append(want, lives[0].Query(q, k).Results)
 			}
-			for li, live := range lives {
+		}
+		for li, live := range lives {
+			setProcs(t, procs[li])
+			for qi, q := range queries {
 				got := live.Query(q, k).Results
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("step %d (%s), config %d, query %v, %d tombstones pending:\nwant %v\ngot  %v", step, op, li, q, pending, ref, got)
+				if !reflect.DeepEqual(want[qi], got) {
+					t.Fatalf("step %d (%s), config %d, query %v, %d tombstones pending:\nwant %v\ngot  %v", step, op, li, q, pending, want[qi], got)
 				}
 				for _, r := range got {
 					if _, ok := searchable[r.Doc]; !ok {
@@ -354,19 +360,17 @@ func TestLiveEngineServesPruned(t *testing.T) {
 }
 
 // TestLiveEngineAnswerIndependentOfFanOut: the scatter schedule (serial
-// vs parallel workers) must be invisible in the merged answer and in
-// the work accounting.
+// at GOMAXPROCS 1 vs fanned out at 4) must be invisible in the merged
+// answer and in the work accounting.
 func TestLiveEngineAnswerIndependentOfFanOut(t *testing.T) {
 	docs := corpus(74, 800, 200)
-	serial, _, _ := liveFixture(t, docs, 4, 64, WithWorkers(1))
-	fanned, _, _ := liveFixture(t, docs, 4, 64, WithWorkers(4))
-	for _, q := range [][]string{{"w0001"}, {"w0002", "w0005"}, {"w0000", "w0001", "w0003"}} {
-		a, b := serial.Query(q, 10), fanned.Query(q, 10)
-		if qrFingerprint(a) != qrFingerprint(b) {
-			t.Fatalf("query %v: serial and fanned-out answers differ:\n%s\n%s",
-				q, qrFingerprint(a), qrFingerprint(b))
-		}
+	serial, _, _ := liveFixture(t, docs, 4, 64)
+	fanned, _, _ := liveFixture(t, docs, 4, 64)
+	fingerprint := func(e *LiveEngine) func(int, []string) string {
+		return func(_ int, q []string) string { return qrFingerprint(e.Query(q, 10)) }
 	}
+	sameAtProcs(t, "live", 4, [][]string{{"w0001"}, {"w0002", "w0005"}, {"w0000", "w0001", "w0003"}},
+		fingerprint(serial), fingerprint(fanned))
 }
 
 // TestLiveEngineCacheInvalidatedBySwap verifies the OnChange wiring: a

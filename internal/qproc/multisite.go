@@ -119,11 +119,6 @@ type MultiSite struct {
 	// OffloadThreshold is the utilization of the nearest site above
 	// which load-aware routing diverts the query (e.g. 0.7).
 	OffloadThreshold float64
-	// Workers bounds the fan-out of the per-site evaluations (0 =
-	// GOMAXPROCS, 1 = serial). Results are identical at any width: site
-	// engines are independent, and the stateful WAN latency model is only
-	// consulted serially at the gather point.
-	Workers int
 	// Now is the virtual hour QueryTopK (the uniform Engine surface)
 	// submits at, from region 0; drivers that model time and geography
 	// explicitly use Submit directly.
@@ -160,14 +155,12 @@ type MultiSite struct {
 // routing policy; append Sites afterwards, site i at Sites[i] (the
 // mediator's statistics are numbered by site ID). Options configure the
 // site-level fault path (WithFaultPolicy, WithInjector), the mediator
-// (WithMediator) and the per-site fan-out (WithWorkers); engine/cache
-// options are per-site and ignored here.
+// (WithMediator); engine/cache options are per-site and ignored here.
 func NewMultiSite(net *cluster.Network, routing RoutingPolicy, options ...Option) *MultiSite {
 	eo := resolveOptions(options)
 	return &MultiSite{
 		Net:         net,
 		Policy:      routing,
-		Workers:     eo.workers,
 		faultPolicy: eo.policy,
 		injector:    eo.injector,
 		mediation:   eo.mediation,
@@ -331,7 +324,7 @@ func (m *MultiSite) callUntilAnswered(out *SiteQueryResult, c *Site, next func(i
 // fault schedule first and evaluates only the sites that will answer — a
 // crashed site does no work — over the worker pool, then gathers
 // serially in site order, where the stateful WAN model is consulted, so
-// the answer is identical at any Workers. Sites answer in parallel: the
+// the answer is identical at any GOMAXPROCS. Sites answer in parallel: the
 // call costs the slowest one. A lost site costs its detection
 // (AttemptTimeoutMs when it died silently, the WAN error reply
 // otherwise). A site that evaluated is charged its straggler delay, its
@@ -472,7 +465,7 @@ func nearest(ups []*Site, region int, tried []*Site) *Site {
 // consulted.
 func (m *MultiSite) evalSites(targets []*Site, terms []string, k int) []QueryResult {
 	answers := make([]QueryResult, len(targets))
-	conc.Do(len(targets), m.Workers, func(i int) {
+	conc.Do(len(targets), 0, func(i int) {
 		answers[i] = targets[i].query(terms, k)
 	})
 	return answers
@@ -576,7 +569,7 @@ type IncrementalBatch struct {
 // The per-site evaluations fan out over a worker pool (sites are full
 // replicas with independent engines); the WAN latency draws — which
 // consume the network model's RNG — happen serially in site order at
-// the gather, so the batch timeline is deterministic at any Workers.
+// the gather, so the batch timeline is deterministic at any GOMAXPROCS.
 func (m *MultiSite) QueryIncremental(terms []string, region int, atHours float64, k int) []IncrementalBatch {
 	type arrival struct {
 		site int

@@ -18,7 +18,6 @@ type Option func(*engineOptions)
 
 // engineOptions is the resolved construction-time configuration.
 type engineOptions struct {
-	workers   int
 	rcCap     int
 	policy    *FaultPolicy
 	injector  *faultsim.Injector
@@ -32,20 +31,6 @@ type engineOptions struct {
 type mediation struct {
 	selectN       int
 	minConfidence float64
-}
-
-// WithWorkers sets the engine's fan-out width: partition evaluations
-// (and index construction) run on up to n goroutines — a query's wave on
-// no more than the processors the other queries in flight leave idle.
-// n = 1 is the serial broker, n <= 0 means GOMAXPROCS. Results and
-// accounting are identical at any width.
-func WithWorkers(n int) Option {
-	return func(o *engineOptions) {
-		if n < 0 {
-			n = 0
-		}
-		o.workers = n
-	}
 }
 
 // WithResultCache gives the engine a broker-level result cache of

@@ -11,20 +11,39 @@ import (
 	"dwr/internal/rank"
 )
 
-// The parallel broker's contract: at any worker count the results AND
+// The parallel broker's contract: at any GOMAXPROCS the results AND
 // the full accounting (QueryResult counters, per-server busy load) are
-// byte-identical to the serial broker. These tests pin that contract
-// across seeds, partition counts, down-server patterns, statistics
-// modes, and evaluation modes; run them under -race to also exercise
-// the memory-safety half of the claim.
+// byte-identical to the serial broker's at GOMAXPROCS 1. These tests pin
+// that contract across seeds, partition counts, down-server patterns,
+// statistics modes, and evaluation modes: two identical engines answer
+// one query stream, one at GOMAXPROCS 1 and one at 8. Run them under
+// -race to also exercise the memory-safety half of the claim.
 
-// enginePair builds two engines over the same corpus and partition, one
-// forced serial and one with a wide worker pool.
+// enginePair builds two identical engines over the same corpus and
+// partition: the one sameAtProcs runs serially and the one it fans out.
 func enginePair(t *testing.T, docs []index.Doc, k int) (serial, par *DocEngine) {
 	t.Helper()
-	serial = newDocEngine(t, docs, k, WithWorkers(1))
-	par = newDocEngine(t, docs, k, WithWorkers(8))
-	return serial, par
+	return newDocEngine(t, docs, k), newDocEngine(t, docs, k)
+}
+
+// sameAtProcs answers queries through one at GOMAXPROCS 1 and through
+// other at GOMAXPROCS n, and fails on the first answer that differs.
+func sameAtProcs[R any](t *testing.T, label string, n int, queries [][]string, one, other func(i int, q []string) R) {
+	t.Helper()
+	stream := func(procs int, query func(int, []string) R) []R {
+		setProcs(t, procs)
+		out := make([]R, len(queries))
+		for i, q := range queries {
+			out[i] = query(i, q)
+		}
+		return out
+	}
+	want, got := stream(1, one), stream(n, other)
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("%s: query %d %v:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=%d: %+v", label, i, queries[i], want[i], n, got[i])
+		}
+	}
 }
 
 func sameBusy(t *testing.T, serial, par []float64, label string) {
@@ -53,17 +72,12 @@ func TestParallelBrokerMatchesSerial(t *testing.T) {
 					for _, phrase := range []bool{false, true} {
 						serial.ResetBusy()
 						par.ResetBusy()
-						for qi, q := range queries {
-							opt := DocQueryOptions{K: 10, Stats: mode, Phrase: phrase}
-							want := serial.Query(q, opt)
-							got := par.Query(q, opt)
-							if !reflect.DeepEqual(want, got) {
-								t.Fatalf("seed=%d k=%d downs=%d mode=%d phrase=%v query %d %v:\nserial:   %+v\nparallel: %+v",
-									seed, k, di, mode, phrase, qi, q, want, got)
-							}
-						}
-						sameBusy(t, serial.BusyMs(), par.BusyMs(),
-							fmt.Sprintf("seed=%d k=%d downs=%d mode=%d phrase=%v", seed, k, di, mode, phrase))
+						opt := DocQueryOptions{K: 10, Stats: mode, Phrase: phrase}
+						label := fmt.Sprintf("seed=%d k=%d downs=%d mode=%d phrase=%v", seed, k, di, mode, phrase)
+						sameAtProcs(t, label, 8, queries,
+							func(_ int, q []string) QueryResult { return serial.Query(q, opt) },
+							func(_ int, q []string) QueryResult { return par.Query(q, opt) })
+						sameBusy(t, serial.BusyMs(), par.BusyMs(), label)
 					}
 				}
 				for p := 0; p < k; p++ {
@@ -83,16 +97,15 @@ func TestParallelPhraseBrokerMatchesSerial(t *testing.T) {
 	serial.SetDown(2, true)
 	par.SetDown(2, true)
 	opt := DocQueryOptions{K: 10, Stats: GlobalPrecomputed, Phrase: true}
-	for _, q := range zipfQueries(6, 40, 120) {
+	queries := zipfQueries(6, 40, 120)
+	for i, q := range queries {
 		if len(q) < 2 {
-			q = append(q, q[0])
-		}
-		want := serial.Query(q, opt)
-		got := par.Query(q, opt)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("phrase %v:\nserial:   %+v\nparallel: %+v", q, want, got)
+			queries[i] = append(q, q[0])
 		}
 	}
+	sameAtProcs(t, "phrase", 8, queries,
+		func(_ int, q []string) QueryResult { return serial.Query(q, opt) },
+		func(_ int, q []string) QueryResult { return par.Query(q, opt) })
 	sameBusy(t, serial.BusyMs(), par.BusyMs(), "phrase")
 }
 
@@ -104,23 +117,19 @@ func TestParallelTermEngineMatchesSerial(t *testing.T) {
 			tp := partition.BinPackTerms(central.Terms(), func(t string) float64 {
 				return float64(central.DF(t))
 			}, k)
-			serial, err := NewTermEngine(index.DefaultOptions(), docs, tp, WithWorkers(1))
+			serial, err := NewTermEngine(index.DefaultOptions(), docs, tp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := NewTermEngine(index.DefaultOptions(), docs, tp, WithWorkers(8))
+			par, err := NewTermEngine(index.DefaultOptions(), docs, tp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qi, q := range zipfQueries(seed+9, 50, 200) {
-				want := serial.Query(q, 10)
-				got := par.Query(q, 10)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("seed=%d k=%d query %d %v:\nserial:   %+v\nparallel: %+v",
-						seed, k, qi, q, want, got)
-				}
-			}
-			sameBusy(t, serial.BusyMs(), par.BusyMs(), fmt.Sprintf("seed=%d k=%d", seed, k))
+			label := fmt.Sprintf("seed=%d k=%d", seed, k)
+			sameAtProcs(t, label, 8, zipfQueries(seed+9, 50, 200),
+				func(_ int, q []string) QueryResult { return serial.Query(q, 10) },
+				func(_ int, q []string) QueryResult { return par.Query(q, 10) })
+			sameBusy(t, serial.BusyMs(), par.BusyMs(), label)
 		}
 	}
 }
@@ -130,16 +139,13 @@ func TestParallelIncrementalMatchesSerial(t *testing.T) {
 	// seeded RNG, so identical construction means identical draws as long
 	// as the parallel gather preserves the serial draw order.
 	serial := newMultiSite(t, RouteGeo, 0)
-	serial.Workers = 1
 	par := newMultiSite(t, RouteGeo, 0)
-	par.Workers = 4
-	for qi, q := range zipfQueries(33, 30, 200) {
-		want := serial.QueryIncremental(q, qi%3, float64(qi), 10)
-		got := par.QueryIncremental(q, qi%3, float64(qi), 10)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("query %d %v: incremental batches diverged", qi, q)
+	incremental := func(m *MultiSite) func(int, []string) []IncrementalBatch {
+		return func(qi int, q []string) []IncrementalBatch {
+			return m.QueryIncremental(q, qi%3, float64(qi), 10)
 		}
 	}
+	sameAtProcs(t, "incremental batches", 4, zipfQueries(33, 30, 200), incremental(serial), incremental(par))
 }
 
 func TestConcurrentQueriesSafe(t *testing.T) {
@@ -150,7 +156,8 @@ func TestConcurrentQueriesSafe(t *testing.T) {
 	// queries is not associative).
 	docs := corpus(77, 400, 250)
 	queries := zipfQueries(78, 80, 250)
-	e := newDocEngine(t, docs, 6, WithWorkers(4))
+	setProcs(t, 4)
+	e := newDocEngine(t, docs, 6)
 
 	want := make([]QueryResult, len(queries))
 	for i, q := range queries {
@@ -189,7 +196,7 @@ func TestConcurrentQueriesSafe(t *testing.T) {
 	// a query fans its waves out onto the idle processors; among sixteen
 	// callers it mostly finds none idle and runs them inline, so both
 	// paths serve the concurrent pass.
-	se := newDocEngine(t, docs, 6, WithWorkers(4), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
+	se := newDocEngine(t, docs, 6, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
 	for _, k := range []int{10, 100} {
 		quiet := make([]QueryResult, len(queries))
 		for i, q := range queries {
@@ -232,7 +239,8 @@ func TestBrokerAllocations(t *testing.T) {
 	const brokerAllocs = 5 // four partition answers and the merged one
 	docs := corpus(91, 2000, 400)
 	queries := zipfQueries(92, 64, 400)
-	e := newDocEngine(t, docs, 4, WithWorkers(1), WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
+	setProcs(t, 1)
+	e := newDocEngine(t, docs, 4, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
 	for _, q := range queries {
 		e.QueryTopK(q, 10)
 	}
@@ -250,8 +258,10 @@ func TestBrokerAllocations(t *testing.T) {
 // builds produce the same indexes as serial construction.
 func TestParallelConstructionMatchesSerial(t *testing.T) {
 	docs := corpus(55, 300, 150)
-	serial := newDocEngine(t, docs, 5, WithWorkers(1))
-	par := newDocEngine(t, docs, 5, WithWorkers(0))
+	setProcs(t, 1)
+	serial := newDocEngine(t, docs, 5)
+	setProcs(t, 8)
+	par := newDocEngine(t, docs, 5)
 	for p := 0; p < 5; p++ {
 		if !index.Equal(serial.PartIndex(p), par.PartIndex(p)) {
 			t.Fatalf("partition %d index diverged between serial and parallel build", p)

@@ -20,7 +20,8 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 		{K: 3, Stats: GlobalTwoRound},
 		{K: 10, Stats: LocalOnly},
 	}
-	base := newDocEngine(t, docs, parts, WithWorkers(1))
+	setProcs(t, 1)
+	base := newDocEngine(t, docs, parts)
 	want := make([][][]rank.Result, len(cases))
 	for ci, opt := range cases {
 		want[ci] = make([][]rank.Result, len(queries))
@@ -28,17 +29,17 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 			want[ci][qi] = base.Query(q, opt).Results
 		}
 	}
-	for _, workers := range []int{1, 4, 16} {
+	for _, procs := range []int{1, 4, 16} {
+		setProcs(t, procs)
 		for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
 			e := newDocEngine(t, docs, parts,
-				WithWorkers(workers),
 				WithPruning(mode))
 			for ci, opt := range cases {
 				for qi, q := range queries {
 					got := e.Query(q, opt)
 					if !reflect.DeepEqual(want[ci][qi], got.Results) {
-						t.Fatalf("workers=%d mode=%d stats=%d k=%d query %d %v:\nexhaustive %v\npruned     %v",
-							workers, mode, opt.Stats, opt.K, qi, q, want[ci][qi], got.Results)
+						t.Fatalf("GOMAXPROCS=%d mode=%d stats=%d k=%d query %d %v:\nexhaustive %v\npruned     %v",
+							procs, mode, opt.Stats, opt.K, qi, q, want[ci][qi], got.Results)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package qproc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dwr/internal/index"
@@ -65,6 +66,15 @@ func newDocEngine(t *testing.T, docs []index.Doc, k int, options ...Option) *Doc
 		t.Fatal(err)
 	}
 	return e
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS n, the engines' one
+// fan-out width; t.Cleanup restores the old value. The width-pair tests
+// run one query stream at 1 and at n and compare; none runs in parallel
+// with another test, so the process-wide setting is theirs.
+func setProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func sameRanking(t *testing.T, a, b []rank.Result, label string) {
@@ -445,6 +455,31 @@ func TestTermPhraseUnownedTerm(t *testing.T) {
 		if (len(res.Results) > 0) != tc.match || res.ServersContacted != tc.contacted || res.Err != nil {
 			t.Errorf("%s: %d results from %d servers (err %v), want match=%v from %d",
 				tc.name, len(res.Results), res.ServersContacted, res.Err, tc.match, tc.contacted)
+		}
+	}
+}
+
+// TestConstructorsRejectRepeatedIDs: a document list that repeats an
+// external ID is an error from either constructor, not a silently
+// dropped document.
+func TestConstructorsRejectRepeatedIDs(t *testing.T) {
+	docs := append(corpus(5, 20, 50), index.Doc{Ext: 3, Terms: []string{"w0001"}})
+	weight := func(string) float64 { return 1 }
+	for _, c := range []struct {
+		name  string
+		build func() error
+	}{
+		{"NewDocEngine", func() error {
+			_, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(index.DocIDs(docs), 2))
+			return err
+		}},
+		{"NewTermEngine", func() error {
+			_, err := NewTermEngine(index.DefaultOptions(), docs, partition.BinPackTerms(termVocab(docs), weight, 2))
+			return err
+		}},
+	} {
+		if c.build() == nil {
+			t.Errorf("%s accepted document 3 twice", c.name)
 		}
 	}
 }

@@ -56,36 +56,38 @@ func replay(e Engine, queries [][]string) (string, int) {
 
 // TestZeroFaultByteIdentity pins the regression contract: an engine
 // carrying a fault policy and an injector that injects nothing answers
-// byte-identically to a plain engine, at any worker count.
+// byte-identically to a plain engine, at any GOMAXPROCS.
 func TestZeroFaultByteIdentity(t *testing.T) {
 	docs := corpus(3, 400, 300)
 	queries := zipfQueries(7, 120, 300)
 
-	plain := buildDocEngine(t, docs, 4, WithWorkers(1))
+	setProcs(t, 1)
+	plain := buildDocEngine(t, docs, 4)
 	want, _ := replay(plain, queries)
 
-	for _, workers := range []int{1, 3, 8} {
+	for _, procs := range []int{1, 3, 8} {
+		setProcs(t, procs)
 		inj := faultsim.New(99) // installed but injecting nothing
 		e := buildDocEngine(t, docs, 4,
-			WithWorkers(workers),
 			WithFaultPolicy(DefaultFaultPolicy()),
 			WithInjector(inj))
 		got, _ := replay(e, queries)
 		if got != want {
-			t.Fatalf("workers=%d: fault-capable engine diverged from plain engine with zero faults", workers)
+			t.Fatalf("GOMAXPROCS=%d: fault-capable engine diverged from plain engine with zero faults", procs)
 		}
 	}
 
 	// Same contract for the term-partitioned pipeline.
 	tp := partition.BinPackTerms(termVocab(docs), func(string) float64 { return 1 }, 4)
-	tplain, err := NewTermEngine(index.DefaultOptions(), docs, tp, WithWorkers(1))
+	setProcs(t, 1)
+	tplain, err := NewTermEngine(index.DefaultOptions(), docs, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	twant, _ := replay(tplain, queries)
-	for _, workers := range []int{1, 8} {
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
 		te, err := NewTermEngine(index.DefaultOptions(), docs, tp,
-			WithWorkers(workers),
 			WithFaultPolicy(DefaultFaultPolicy()),
 			WithInjector(faultsim.New(99)))
 		if err != nil {
@@ -93,7 +95,7 @@ func TestZeroFaultByteIdentity(t *testing.T) {
 		}
 		tgot, _ := replay(te, queries)
 		if tgot != twant {
-			t.Fatalf("term engine workers=%d diverged with zero faults", workers)
+			t.Fatalf("term engine GOMAXPROCS=%d diverged with zero faults", procs)
 		}
 	}
 }
@@ -114,31 +116,31 @@ func termVocab(docs []index.Doc) []string {
 
 // TestFaultDeterminism pins the tentpole's reproducibility contract: a
 // fixed injector seed produces identical results, latencies, and fault
-// accounting across runs AND across worker counts.
+// accounting across runs AND across GOMAXPROCS.
 func TestFaultDeterminism(t *testing.T) {
 	docs := corpus(3, 400, 300)
 	queries := zipfQueries(7, 150, 300)
-	build := func(workers int) *DocEngine {
+	build := func() *DocEngine {
 		inj := faultsim.New(42).
 			Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12}).
 			Unit(1, faultsim.Spec{FlakyP: 0.4}).
 			Window(faultsim.Window{Unit: 2, Replica: -1, From: 40, To: 60})
 		return buildDocEngine(t, docs, 4,
-			WithWorkers(workers),
 			WithFaultPolicy(DefaultFaultPolicy()),
 			WithInjector(inj))
 	}
-	ref, _ := replay(build(1), queries)
-	for _, workers := range []int{1, 2, 8} {
-		got, _ := replay(build(workers), queries)
+	setProcs(t, 1)
+	ref, _ := replay(build(), queries)
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		got, _ := replay(build(), queries)
 		if got != ref {
-			t.Fatalf("workers=%d: fault replay diverged from serial reference", workers)
+			t.Fatalf("GOMAXPROCS=%d: fault replay diverged from serial reference", procs)
 		}
 	}
 	// Different seed must actually change something (the schedule is
 	// live, not vacuously deterministic).
 	other := buildDocEngine(t, docs, 4,
-		WithWorkers(1),
 		WithFaultPolicy(DefaultFaultPolicy()),
 		WithInjector(faultsim.New(43).Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12})))
 	got, _ := replay(other, queries)
@@ -305,27 +307,25 @@ func TestAmbientDefaultsMatchPerCallOptions(t *testing.T) {
 	queries := zipfQueries(17, 80, 200)
 	cfg := ResultCacheConfig{Capacity: 64}
 
-	viaOpts := buildDocEngine(t, docs, 4,
-		WithWorkers(2), WithResultCache(cfg))
+	viaOpts := buildDocEngine(t, docs, 4, WithResultCache(cfg))
 	a, _ := replay(viaOpts, queries)
-	plain := buildDocEngine(t, docs, 4, WithWorkers(1))
+	plain := buildDocEngine(t, docs, 4)
 	p, _ := replay(plain, queries)
 
-	SetDefaultOptions(WithWorkers(2), WithResultCache(cfg))
+	SetDefaultOptions(WithResultCache(cfg))
 	defer SetDefaultOptions()
 	viaAmbient := buildDocEngine(t, docs, 4)
 	c, _ := replay(viaAmbient, queries)
 	if c != a {
 		t.Fatal("ambient-default engine diverged from per-call options engine")
 	}
-	if viaAmbient.Workers() != 2 || viaAmbient.ResultCache() == nil {
+	if viaAmbient.ResultCache() == nil {
 		t.Fatal("ambient defaults not applied at construction")
 	}
 
 	// Per-call options override ambient defaults.
-	viaOverride := buildDocEngine(t, docs, 4,
-		WithWorkers(1), WithResultCache(ResultCacheConfig{}))
-	if viaOverride.Workers() != 1 || viaOverride.ResultCache() != nil {
+	viaOverride := buildDocEngine(t, docs, 4, WithResultCache(ResultCacheConfig{}))
+	if viaOverride.ResultCache() != nil {
 		t.Fatal("per-call options did not override ambient defaults")
 	}
 	d, _ := replay(viaOverride, queries)

@@ -37,9 +37,8 @@ type TermEngine struct {
 // concurrently. Every server's index carries the full document table
 // (with true document lengths) but only its own terms' postings,
 // matching the vertical slicing of Figure 1. Configuration is by
-// functional options (WithWorkers, WithResultCache, WithFaultPolicy,
-// WithInjector), applied on top of the ambient defaults
-// (SetDefaultOptions).
+// functional options (WithResultCache, WithFaultPolicy, WithInjector),
+// applied on top of the ambient defaults (SetDefaultOptions).
 func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartition, options ...Option) (*TermEngine, error) {
 	if tp.K <= 0 {
 		return nil, fmt.Errorf("qproc: term partition with no servers")
@@ -51,16 +50,17 @@ func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartit
 	}
 	for _, d := range docs {
 		for s := 0; s < tp.K; s++ {
-			s := s
-			builders[s].AddDocumentFiltered(d.Ext, d.Terms, func(t string) bool {
+			if err := builders[s].AddDocumentFiltered(d.Ext, d.Terms, func(t string) bool {
 				return tp.Assign[t] == s
-			})
+			}); err != nil {
+				return nil, err
+			}
 		}
 	}
 	e := &TermEngine{broker: newBroker(eo, tp.K), tp: tp}
-	e.servers = index.BuildAll(builders, e.workers)
+	e.servers = index.BuildAll(builders)
 	stats := make([]index.Stats, len(e.servers))
-	conc.Do(len(e.servers), e.workers, func(i int) {
+	conc.Do(len(e.servers), 0, func(i int) {
 		stats[i] = e.servers[i].LocalStats(nil)
 	})
 	merged := index.MergeStats(stats...)
@@ -125,7 +125,7 @@ func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs floa
 	// Scatter: every visited server scans its own terms' postings into a
 	// private contribution list, preserving term-then-posting order.
 	hops := make([]hopEval, len(route))
-	conc.Do(len(route), e.workers, func(i int) {
+	conc.Do(len(route), 0, func(i int) {
 		s := route[i]
 		ix := e.servers[s]
 		h := &hops[i]

@@ -22,7 +22,8 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 		{K: 3, Stats: GlobalTwoRound},
 		{K: 10, Stats: LocalOnly},
 	}
-	base := newDocEngine(t, docs, parts, WithWorkers(1))
+	setProcs(t, 1)
+	base := newDocEngine(t, docs, parts)
 	want := make([][][]rank.Result, len(cases))
 	for ci, opt := range cases {
 		want[ci] = make([][]rank.Result, len(queries))
@@ -30,10 +31,10 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 			want[ci][qi] = base.Query(q, opt).Results
 		}
 	}
-	for _, workers := range []int{1, 4, 16} {
+	for _, procs := range []int{1, 4, 16} {
+		setProcs(t, procs)
 		for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
 			e := newDocEngine(t, docs, parts,
-				WithWorkers(workers),
 				WithResultCache(ResultCacheConfig{Capacity: 256}),
 				WithPruning(mode),
 				WithThresholdSharing(true))
@@ -42,8 +43,8 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 					for qi, q := range queries {
 						got := e.Query(q, opt)
 						if !reflect.DeepEqual(want[ci][qi], got.Results) {
-							t.Fatalf("workers=%d mode=%d stats=%d k=%d pass=%d query %d %v:\nexhaustive %v\nshared     %v",
-								workers, mode, opt.Stats, opt.K, pass, qi, q, want[ci][qi], got.Results)
+							t.Fatalf("GOMAXPROCS=%d mode=%d stats=%d k=%d pass=%d query %d %v:\nexhaustive %v\nshared     %v",
+								procs, mode, opt.Stats, opt.K, pass, qi, q, want[ci][qi], got.Results)
 						}
 					}
 				}
@@ -132,9 +133,9 @@ func TestThresholdSharingUnderFaultsEquivalence(t *testing.T) {
 	docs := corpus(57, 800, 1200)
 	queries := zipfQueries(58, 120, 1200)
 	parts := 8
+	setProcs(t, 4)
 	mk := func(shared bool) *DocEngine {
 		return newDocEngine(t, docs, parts,
-			WithWorkers(4),
 			WithPruning(rank.PruneMaxScore),
 			WithThresholdSharing(shared),
 			WithFaultPolicy(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort}),
