@@ -418,7 +418,7 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1097,
+		"DESIGN.md":                      1096,
 		"README.md":                      357,
 		".claude/skills/verify/SKILL.md": 239,
 	} {

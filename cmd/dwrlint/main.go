@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(stderr, err)
 	}
-	findings, err := lint.LintPatterns(root, patterns, lint.DefaultConfig())
+	findings, err := lint.LintPatterns(root, patterns)
 	if err != nil {
 		return fatal(stderr, err)
 	}

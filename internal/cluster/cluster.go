@@ -62,35 +62,29 @@ type Outage struct {
 	Start, End float64
 }
 
-// FailureModel is a renewal process for site outages: exponential time
-// between failures, log-normal repair durations (short blips are common,
-// long outages rare — the heavy tail that makes Figure 5's sub-99% bars
-// non-empty).
-type FailureModel struct {
-	MTBFHours   float64 // mean time between failures
-	RepairMu    float64 // log-normal location of repair hours
-	RepairSigma float64 // log-normal scale of repair hours
-}
-
-// DefaultFailureModel matches the BIRN-like behaviour of Figure 5: a
-// failure roughly every 2–3 weeks and repairs averaging a few hours with
-// a heavy tail.
-func DefaultFailureModel() FailureModel {
-	return FailureModel{MTBFHours: 400, RepairMu: 0.7, RepairSigma: 1.2}
-}
+// Site outages are a renewal process: exponential time between failures,
+// log-normal repair durations (short blips are common, long outages rare
+// — the heavy tail that makes Figure 5's sub-99% bars non-empty). The
+// values match the BIRN-like behaviour of Figure 5: a failure roughly
+// every 2–3 weeks and repairs averaging a few hours with a heavy tail.
+const (
+	mtbfHours   = 400 // mean time between failures
+	repairMu    = 0.7 // log-normal location of repair hours
+	repairSigma = 1.2 // log-normal scale of repair hours
+)
 
 // GenOutages draws the outage intervals of one site over horizonHours.
-func GenOutages(rng *rand.Rand, m FailureModel, horizonHours float64) []Outage {
+func GenOutages(rng *rand.Rand, horizonHours float64) []Outage {
 	var out []Outage
-	t := randx.Exp(rng, m.MTBFHours)
+	t := randx.Exp(rng, mtbfHours)
 	for t < horizonHours {
-		repair := randx.LogNormal(rng, m.RepairMu, m.RepairSigma)
+		repair := randx.LogNormal(rng, repairMu, repairSigma)
 		end := t + repair
 		if end > horizonHours {
 			end = horizonHours
 		}
 		out = append(out, Outage{Start: t, End: end})
-		t = end + randx.Exp(rng, m.MTBFHours)
+		t = end + randx.Exp(rng, mtbfHours)
 	}
 	return out
 }
@@ -133,14 +127,14 @@ type Site struct {
 
 // NewSites creates n sites spread round-robin over the network's regions,
 // each with independently drawn outages over horizonHours.
-func NewSites(seed int64, n, regions int, m FailureModel, horizonHours float64) []*Site {
+func NewSites(seed int64, n, regions int, horizonHours float64) []*Site {
 	sites := make([]*Site, n)
 	for i := range sites {
 		rng := randx.New(seed + int64(i)*101)
 		sites[i] = &Site{
 			ID:      i,
 			Region:  i % regions,
-			Outages: GenOutages(rng, m, horizonHours),
+			Outages: GenOutages(rng, horizonHours),
 		}
 	}
 	return sites

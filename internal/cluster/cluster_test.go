@@ -31,7 +31,7 @@ func TestNetworkLatencyScales(t *testing.T) {
 func TestGenOutagesWithinHorizon(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := randx.New(seed)
-		outages := GenOutages(rng, DefaultFailureModel(), 1000)
+		outages := GenOutages(rng, 1000)
 		prevEnd := 0.0
 		for _, o := range outages {
 			if o.Start < prevEnd || o.End <= o.Start || o.End > 1000 {
@@ -82,7 +82,7 @@ func TestFigure5Shape(t *testing.T) {
 	// 16 sites, 8 months, BIRN-like failure model: the first bar
 	// (availability < 100%) should cover most of the 16 sites, and the
 	// bars must be monotonically decreasing in the threshold.
-	sites := NewSites(42, 16, 4, DefaultFailureModel(), 8*30*24)
+	sites := NewSites(42, 16, 4, 8*30*24)
 	monthly := MonthlyAvailability(sites, 8)
 	thresholds := []float64{1.0, 0.999, 0.995, 0.99, 0.98, 0.95}
 	bars := UnavailabilityHistogram(monthly, thresholds)
@@ -100,7 +100,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestMonthlyAvailabilityDimensions(t *testing.T) {
-	sites := NewSites(1, 5, 2, DefaultFailureModel(), 3*30*24)
+	sites := NewSites(1, 5, 2, 3*30*24)
 	monthly := MonthlyAvailability(sites, 3)
 	if len(monthly) != 3 || len(monthly[0]) != 5 {
 		t.Fatalf("dimensions %dx%d, want 3x5", len(monthly), len(monthly[0]))
@@ -122,7 +122,7 @@ func TestUnavailabilityHistogramEmpty(t *testing.T) {
 }
 
 func TestSitesRegionsRoundRobin(t *testing.T) {
-	sites := NewSites(1, 6, 3, DefaultFailureModel(), 100)
+	sites := NewSites(1, 6, 3, 100)
 	for i, s := range sites {
 		if s.Region != i%3 {
 			t.Fatalf("site %d region %d", i, s.Region)

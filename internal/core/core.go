@@ -70,9 +70,6 @@ type Config struct {
 	Index      index.Options
 	Partitions int
 	Strategy   PartitionStrategy
-	// TrainQueries is the size of the training log used by
-	// PartitionQueryDriven (ignored otherwise).
-	TrainQueries int
 	// Cache configures the broker result cache (disabled at zero
 	// value).
 	Cache CacheConfig
@@ -128,13 +125,12 @@ func DefaultConfig() Config {
 	web.MaxPages = 60
 	web.VocabSize = 3000
 	return Config{
-		Seed:         1,
-		Web:          web,
-		Crawl:        crawler.DefaultConfig(),
-		Index:        index.DefaultOptions(),
-		Partitions:   4,
-		Strategy:     PartitionRoundRobin,
-		TrainQueries: 4000,
+		Seed:       1,
+		Web:        web,
+		Crawl:      crawler.DefaultConfig(),
+		Index:      index.DefaultOptions(),
+		Partitions: 4,
+		Strategy:   PartitionRoundRobin,
 	}
 }
 
@@ -239,16 +235,17 @@ func (e *Engine) docVectors() []partition.DocVector {
 	return vecs
 }
 
+// trainQueries is the size of the training log PartitionQueryDriven
+// co-clusters documents by.
+const trainQueries = 4000
+
 // trainQueryDriven generates a training log, evaluates it on a central
 // index, and co-clusters documents by the queries that retrieve them.
 func (e *Engine) trainQueryDriven(rng *rand.Rand) (partition.CoClusterResult, []partition.QueryDocs, error) {
 	lcfg := querylog.DefaultConfig()
 	lcfg.Seed = e.Config.Seed + 13
-	lcfg.Total = e.Config.TrainQueries
-	lcfg.Distinct = e.Config.TrainQueries / 8
-	if lcfg.Distinct < 50 {
-		lcfg.Distinct = 50
-	}
+	lcfg.Total = trainQueries
+	lcfg.Distinct = trainQueries / 8
 	lg := querylog.Generate(e.Web, lcfg)
 
 	central, err := index.Build(e.Config.Index, e.Docs)

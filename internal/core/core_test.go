@@ -20,7 +20,6 @@ func smallConfig() Config {
 	cfg.Web.Hosts = 40
 	cfg.Web.MaxPages = 40
 	cfg.Web.VocabSize = 1500
-	cfg.TrainQueries = 800
 	return cfg
 }
 

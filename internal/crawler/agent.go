@@ -76,7 +76,7 @@ func (h *floatHeap) Pop() interface{} {
 }
 
 // agent is one crawling process. It runs a private discrete-event loop:
-// ThreadsPerAgent simulated connections drain the frontier under
+// threadsPerAgent simulated connections drain the frontier under
 // per-host politeness, advancing the agent's virtual clock.
 type agent struct {
 	id      int
@@ -110,11 +110,11 @@ func newAgent(id int, c *Crawler) *agent {
 		known:   make(map[string]bool),
 		sent:    make(map[string]bool),
 		outbox:  make(map[int][]string),
-		polite:  robots.NewPoliteness(c.cfg.PolitenessDelay),
+		polite:  robots.NewPoliteness(politenessDelay),
 		rules:   make(map[string]*robots.Rules),
 		dns:     dnssim.NewCache(c.resolver),
 	}
-	a.threads = make(floatHeap, c.cfg.ThreadsPerAgent)
+	a.threads = make(floatHeap, threadsPerAgent)
 	a.front.byPriority = c.cfg.PriorityFrontier
 	heap.Init(&a.threads)
 	heap.Init(&a.front)
@@ -179,12 +179,9 @@ func (a *agent) process(item *frontierItem) {
 	}
 
 	// Robots filtering happens before any fetch work.
-	if cfg.RespectRobots {
-		r := a.robotsFor(host)
-		if !r.Allowed(path) {
-			a.c.stats.RobotsSkipped++
-			return
-		}
+	if !a.robotsFor(host).Allowed(path) {
+		a.c.stats.RobotsSkipped++
+		return
 	}
 
 	threadFree := heap.Pop(&a.threads).(float64)
@@ -215,7 +212,7 @@ func (a *agent) process(item *frontierItem) {
 		_, dnsLat = a.c.resolver.Lookup(host)
 	}
 
-	res := a.c.web.Fetch(a.rng, item.url, cfg.Day, -1)
+	res := a.c.web.Fetch(a.rng, item.url, crawlDay, -1)
 	end := start + dnsLat/1000 + res.LatencyMs/1000
 	a.polite.Release(host, end, crawlDelay)
 	heap.Push(&a.threads, end)
@@ -225,9 +222,9 @@ func (a *agent) process(item *frontierItem) {
 
 	switch res.Status {
 	case simweb.StatusUnavailable:
-		if item.retries < cfg.MaxRetries {
+		if item.retries < maxRetries {
 			item.retries++
-			item.readyAt = end + cfg.RetryBackoff*float64(item.retries)
+			item.readyAt = end + retryBackoff*float64(item.retries)
 			a.c.stats.TransientRetries++
 			heap.Push(&a.front, item)
 			if a.front.byPriority {
@@ -271,7 +268,7 @@ func (a *agent) handleFetched(url string, res simweb.FetchResult, at float64) {
 		}
 		c.collected[pid] = &Page{
 			URL: url, PageID: pid, Agent: a.id,
-			HTML: res.HTML, Day: c.cfg.Day, LastMod: res.LastModified,
+			HTML: res.HTML, Day: crawlDay, LastMod: res.LastModified,
 			FetchedAt: at,
 		}
 		if c.onPage != nil {

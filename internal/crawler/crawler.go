@@ -54,44 +54,40 @@ func (p AssignmentPolicy) String() string {
 
 // Config controls a distributed crawl.
 type Config struct {
-	Agents          int
-	ThreadsPerAgent int // parallel connections per agent
-	Assignment      AssignmentPolicy
-	BatchSize       int     // URLs per exchange message
-	SeedMostCited   int     // most-cited URLs pre-loaded into every agent
-	PolitenessDelay float64 // default seconds between accesses to one host
-	MaxRetries      int     // retries for transient (503) failures
-	RetryBackoff    float64 // seconds added per retry
-	UseDNSCache     bool
-	DNSLatencyMs    float64
-	RespectRobots   bool
+	Agents        int
+	Assignment    AssignmentPolicy
+	BatchSize     int // URLs per exchange message
+	SeedMostCited int // most-cited URLs pre-loaded into every agent
+	UseDNSCache   bool
 	// PriorityFrontier orders each agent's frontier by the number of
 	// citations a URL has accumulated so far (most-cited first) instead
 	// of discovery order — the paper's "prioritize high-quality objects"
 	// and its concluding open problem of frontier prioritization.
 	PriorityFrontier bool
 	Regions          int // agent regions for AssignRegionAffinity (0 = single region)
-	Day              int // virtual day the crawl happens on
 	Seed             int64
 }
+
+// Per-agent pacing and fault handling. Every crawl obeys robots.txt.
+const (
+	threadsPerAgent = 64 // parallel connections per agent
+	politenessDelay = 2  // default seconds between accesses to one host
+	maxRetries      = 3  // retries for transient (503) failures
+	retryBackoff    = 30 // seconds added per retry
+	dnsLatencyMs    = 60 // authoritative DNS lookup latency
+	crawlDay        = 1  // virtual day the crawl happens on
+)
 
 // DefaultConfig returns a reasonable crawl configuration for the
 // experiments.
 func DefaultConfig() Config {
 	return Config{
-		Agents:          4,
-		ThreadsPerAgent: 64,
-		Assignment:      AssignConsistent,
-		BatchSize:       64,
-		SeedMostCited:   0,
-		PolitenessDelay: 2,
-		MaxRetries:      3,
-		RetryBackoff:    30,
-		UseDNSCache:     true,
-		DNSLatencyMs:    60,
-		RespectRobots:   true,
-		Day:             1,
-		Seed:            1,
+		Agents:        4,
+		Assignment:    AssignConsistent,
+		BatchSize:     64,
+		SeedMostCited: 0,
+		UseDNSCache:   true,
+		Seed:          1,
 	}
 }
 
@@ -264,16 +260,13 @@ func New(web *simweb.Web, cfg Config) *Crawler {
 	if cfg.Agents <= 0 {
 		cfg.Agents = 1
 	}
-	if cfg.ThreadsPerAgent <= 0 {
-		cfg.ThreadsPerAgent = 1
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
 	c := &Crawler{
 		cfg:       cfg,
 		web:       web,
-		resolver:  dnssim.NewResolver(cfg.Seed+1000, cfg.DNSLatencyMs),
+		resolver:  dnssim.NewResolver(cfg.Seed+1000, dnsLatencyMs),
 		collected: make(map[int]*Page),
 	}
 	switch cfg.Assignment {

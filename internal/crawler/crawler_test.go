@@ -30,36 +30,25 @@ func TestCrawlCoverage(t *testing.T) {
 func TestCrawlRespectsRobots(t *testing.T) {
 	w := testWeb()
 	c := New(w, DefaultConfig())
-	c.SeedFrontPages()
+	// Seed every page directly so private ones are reachable even if no
+	// public page links to them.
+	var urls []string
+	seeded := 0
+	for pid, p := range w.Pages {
+		urls = append(urls, w.URL(pid))
+		if p.Private {
+			seeded++
+		}
+	}
+	if seeded == 0 {
+		t.Fatal("the test web has no robots-disallowed page to seed")
+	}
+	c.Seed(urls)
 	c.Run()
 	for pid := range c.Pages() {
 		if w.Pages[pid].Private {
 			t.Fatalf("crawler fetched robots-disallowed page %s", w.URL(pid))
 		}
-	}
-}
-
-func TestCrawlIgnoringRobotsFetchesPrivate(t *testing.T) {
-	w := testWeb()
-	cfg := DefaultConfig()
-	cfg.RespectRobots = false
-	c := New(w, cfg)
-	// Seed every page directly so private ones are reachable even if no
-	// public page links to them.
-	var urls []string
-	for pid := range w.Pages {
-		urls = append(urls, w.URL(pid))
-	}
-	c.Seed(urls)
-	c.Run()
-	private := 0
-	for pid := range c.Pages() {
-		if w.Pages[pid].Private {
-			private++
-		}
-	}
-	if private == 0 {
-		t.Fatal("robots-ignoring crawl fetched no private pages")
 	}
 }
 
@@ -181,8 +170,6 @@ func TestPolitenessNeverViolated(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Agents = 1
-	cfg.PolitenessDelay = 2
-	cfg.RespectRobots = false
 	c := New(w, cfg)
 	var urls []string
 	for _, pid := range big.Pages {
@@ -196,7 +183,7 @@ func TestPolitenessNeverViolated(t *testing.T) {
 			fetchedFromBig++
 		}
 	}
-	minDuration := float64(fetchedFromBig-1) * cfg.PolitenessDelay
+	minDuration := float64(fetchedFromBig-1) * politenessDelay
 	if st.VirtualSeconds < minDuration {
 		t.Fatalf("crawl of %d same-host pages took %.1fs virtual, politeness requires ≥ %.1fs",
 			fetchedFromBig, st.VirtualSeconds, minDuration)

@@ -33,7 +33,7 @@ import (
 
 const optionsSuffix = "QueryOptions"
 
-func analyzeCacheKeyModule(m *module, cfg Config, report moduleReport) {
+func analyzeCacheKeyModule(m *module, report moduleReport) {
 	for _, dir := range m.sortedDirs() {
 		p := m.pkgs[dir]
 		if p.info == nil {

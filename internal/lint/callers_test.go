@@ -24,26 +24,7 @@ var exportedKeep = map[string]string{
 // references. A method whose receiver implements an interface carrying
 // that method is skipped: it is called through the interface.
 func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
-	m := newModule("../..")
-	if m.modRoot == "" {
-		t.Fatal("no go.mod above internal/lint")
-	}
-	err := filepath.WalkDir(m.modRoot, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != m.modRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() {
-			m.load(path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	m := loadRepo(t)
 	used := map[*types.Func]bool{}
 	var ifaces []*types.Named
 	for _, dir := range m.sortedDirs() {
@@ -117,6 +98,33 @@ func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 			t.Errorf("exportedKeep names %s, which no longer exists", name)
 		}
 	}
+}
+
+// loadRepo type-checks the non-test files of every package of the
+// repository: the root module plus the nested bench/ module, testdata and
+// dot-directories skipped.
+func loadRepo(t *testing.T) *module {
+	t.Helper()
+	m := newModule("../..")
+	if m.modRoot == "" {
+		t.Fatal("no go.mod above internal/lint")
+	}
+	err := filepath.WalkDir(m.modRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != m.modRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() {
+			m.load(path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // exportedRecv reports whether a method's receiver base type is exported.

@@ -25,10 +25,10 @@ import (
 // primitives' own implementation is exempt by construction. Suppression:
 // //dwrlint:allow conc <why> (or conc:go / conc:chan / conc:select).
 
-func analyzeConcModule(m *module, cfg Config, report moduleReport) {
+func analyzeConcModule(m *module, report moduleReport) {
 	for _, dir := range m.sortedDirs() {
 		p := m.pkgs[dir]
-		if p.info == nil || !cfg.Deterministic[p.unit] {
+		if p.info == nil || !deterministic[p.unit] {
 			continue
 		}
 		for _, mf := range p.files {

@@ -17,8 +17,8 @@ import (
 // guarded production fallbacks (an engine that does not implement
 // qproc.DeadlineQuerier has no budget to propagate) carry
 // //dwrlint:allow deadline annotations.
-func analyzeDeadline(fc *fileCtx, cfg Config, report func(pos token.Pos, rule, msg string)) {
-	if !cfg.DeadlineUnits[fc.unit] || fc.isTest {
+func analyzeDeadline(fc *fileCtx, report func(pos token.Pos, rule, msg string)) {
+	if !deadlineUnits[fc.unit] || fc.isTest {
 		return
 	}
 	ast.Inspect(fc.file, func(n ast.Node) bool {

@@ -41,8 +41,8 @@ var globalRandFuncs = map[string]bool{
 	"Seed": true,
 }
 
-func analyzeDeterminism(fc *fileCtx, cfg Config, report func(pos token.Pos, rule, msg string)) {
-	if !cfg.Deterministic[fc.unit] {
+func analyzeDeterminism(fc *fileCtx, report func(pos token.Pos, rule, msg string)) {
+	if !deterministic[fc.unit] {
 		return
 	}
 	timeName := fc.importName("time")

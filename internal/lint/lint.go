@@ -96,33 +96,18 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Rule, f.Msg)
 }
 
-// Config selects which packages each analyzer applies to.
-type Config struct {
-	// Deterministic is the set of package units (directory base names)
-	// whose results must be a pure function of their seeds. The
-	// determinism and seed-plumbing analyzers only fire inside these.
-	Deterministic map[string]bool
-
-	// DeadlineUnits is the set of units whose query call sites must
-	// propagate deadlines (the serving paths).
-	DeadlineUnits map[string]bool
+// deterministic is the set of package units (directory base names)
+// whose results must be a pure function of their seeds. The determinism
+// and seed-plumbing analyzers only fire inside these.
+var deterministic = map[string]bool{
+	"simweb": true, "faultsim": true, "index": true, "qproc": true, "rank": true, "crawler": true,
+	"queueing": true, "loadgen": true, "cache": true, "chash": true, "partition": true,
+	"selection": true, "replication": true, "experiments": true,
 }
 
-// DefaultConfig returns the repository's invariant configuration.
-func DefaultConfig() Config {
-	det := map[string]bool{}
-	for _, p := range []string{
-		"simweb", "faultsim", "index", "qproc", "rank", "crawler",
-		"queueing", "loadgen", "cache", "chash", "partition",
-		"selection", "replication", "experiments",
-	} {
-		det[p] = true
-	}
-	return Config{
-		Deterministic: det,
-		DeadlineUnits: map[string]bool{"server": true, "dwrserve": true},
-	}
-}
+// deadlineUnits is the set of units whose query call sites must
+// propagate deadlines (the serving paths).
+var deadlineUnits = map[string]bool{"server": true, "dwrserve": true}
 
 // fileCtx is one parsed file plus the lookups analyzers need.
 type fileCtx struct {
@@ -263,7 +248,7 @@ func (d directives) allowed(rule string, line int) (string, bool) {
 }
 
 // analyzer inspects one file and reports findings.
-type analyzer func(fc *fileCtx, cfg Config, report func(pos token.Pos, rule, msg string))
+type analyzer func(fc *fileCtx, report func(pos token.Pos, rule, msg string))
 
 // analyzers is the per-file suite, in reporting order.
 var analyzers = []analyzer{
@@ -279,7 +264,7 @@ type moduleReport func(mf *modFile, pos token.Pos, rule, detail, msg string)
 
 // moduleAnalyzer inspects the type-checked module view built over the
 // selected directories (plus everything they transitively import).
-type moduleAnalyzer func(m *module, cfg Config, report moduleReport)
+type moduleAnalyzer func(m *module, report moduleReport)
 
 // moduleAnalyzers is the type-aware suite, in reporting order.
 var moduleAnalyzers = []moduleAnalyzer{
@@ -291,12 +276,12 @@ var moduleAnalyzers = []moduleAnalyzer{
 
 // LintFile runs every analyzer over one parsed file and returns all
 // findings, with directive-exempted ones marked Allowed.
-func lintFile(fc *fileCtx, cfg Config) []Finding {
+func lintFile(fc *fileCtx) []Finding {
 	dirs := parseDirectives(fc.fset, fc.file)
 	seen := map[string]bool{}
 	var out []Finding
 	for _, an := range analyzers {
-		an(fc, cfg, func(pos token.Pos, rule, msg string) {
+		an(fc, func(pos token.Pos, rule, msg string) {
 			p := fc.fset.Position(pos)
 			key := fmt.Sprintf("%d:%d:%s", p.Line, p.Column, rule)
 			if seen[key] {
@@ -324,7 +309,7 @@ func lintFile(fc *fileCtx, cfg Config) []Finding {
 //	file.go   a single file
 //
 // File paths in findings are reported relative to root where possible.
-func LintPatterns(root string, patterns []string, cfg Config) ([]Finding, error) {
+func LintPatterns(root string, patterns []string) ([]Finding, error) {
 	var files []string
 	for _, pat := range patterns {
 		fs, err := expandPattern(root, pat)
@@ -355,9 +340,9 @@ func LintPatterns(root string, patterns []string, cfg Config) ([]Finding, error)
 			unit:   filepath.Base(filepath.Dir(path)),
 			isTest: strings.HasSuffix(path, "_test.go"),
 		}
-		out = append(out, lintFile(fc, cfg)...)
+		out = append(out, lintFile(fc)...)
 	}
-	out = append(out, lintModule(root, files, cfg)...)
+	out = append(out, lintModule(root, files)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.File != b.File {
@@ -383,7 +368,7 @@ func LintPatterns(root string, patterns []string, cfg Config) ([]Finding, error)
 // findings are filtered back down to the selected non-test files.
 // Everything is best-effort — files that fail to type-check contribute
 // partial facts, never an error.
-func lintModule(root string, files []string, cfg Config) []Finding {
+func lintModule(root string, files []string) []Finding {
 	mod := newModule(root)
 	selected := map[string]bool{}
 	dirSet := map[string]bool{}
@@ -431,7 +416,7 @@ func lintModule(root string, files []string, cfg Config) []Finding {
 		out = append(out, f)
 	}
 	for _, an := range moduleAnalyzers {
-		an(mod, cfg, report)
+		an(mod, report)
 	}
 	return out
 }

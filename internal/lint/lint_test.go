@@ -92,7 +92,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			findings, err := LintPatterns(".", []string{tc.dir}, DefaultConfig())
+			findings, err := LintPatterns(".", []string{tc.dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestFindingsAreNonEmptyOnFixtures(t *testing.T) {
 		"testdata/rank", "testdata/qproc",
 		"testdata/taint/crawler", "testdata/cachekey",
 		"testdata/statsmerge", "testdata/concfix/queueing",
-	}, DefaultConfig())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFindingsAreNonEmptyOnFixtures(t *testing.T) {
 func TestFixlist(t *testing.T) {
 	findings, err := LintPatterns(".", []string{
 		"testdata/simweb", "testdata/experiments", "testdata/server",
-	}, DefaultConfig())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func contains(ss []string, s string) bool {
 // twin of the CI `go run ./cmd/dwrlint ./...` gate, and it is what the
 // satellite "fix every true positive" work is pinned by.
 func TestRepoIsClean(t *testing.T) {
-	findings, err := LintPatterns("../..", []string{"./..."}, DefaultConfig())
+	findings, err := LintPatterns("../..", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func lintTempModule(t *testing.T, files map[string]string) []Finding {
 			t.Fatal(err)
 		}
 	}
-	findings, err := LintPatterns(root, []string{"./..."}, DefaultConfig())
+	findings, err := LintPatterns(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestFindingJSON(t *testing.T) {
 // fixture tree.
 func TestPatternForms(t *testing.T) {
 	// Recursive pattern from the package root skips testdata entirely.
-	findings, err := LintPatterns(".", []string{"./..."}, DefaultConfig())
+	findings, err := LintPatterns(".", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestPatternForms(t *testing.T) {
 		}
 	}
 	// A single explicit file lints just that file.
-	single, err := LintPatterns(".", []string{"testdata/dwrserve/main.go"}, DefaultConfig())
+	single, err := LintPatterns(".", []string{"testdata/dwrserve/main.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestPatternForms(t *testing.T) {
 		t.Fatalf("single-file pattern found %d violations, want 1: %v", n, single)
 	}
 	// Recursive pattern under testdata works when asked for explicitly.
-	rec, err := LintPatterns(".", []string{"testdata/server/..."}, DefaultConfig())
+	rec, err := LintPatterns(".", []string{"testdata/server/..."})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 //
 // internal/randx itself is the one blessed wrapper; it is not in the
 // deterministic package set, so its own rand.New is out of scope.
-func analyzeSeedPlumbing(fc *fileCtx, cfg Config, report func(pos token.Pos, rule, msg string)) {
-	if !cfg.Deterministic[fc.unit] {
+func analyzeSeedPlumbing(fc *fileCtx, report func(pos token.Pos, rule, msg string)) {
+	if !deterministic[fc.unit] {
 		return
 	}
 	randName := fc.importName("math/rand")

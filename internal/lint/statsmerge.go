@@ -48,7 +48,7 @@ type foldGroup struct {
 	folded map[string]bool
 }
 
-func analyzeStatsMergeModule(m *module, cfg Config, report moduleReport) {
+func analyzeStatsMergeModule(m *module, report moduleReport) {
 	for _, dir := range m.sortedDirs() {
 		p := m.pkgs[dir]
 		if p.info == nil {

@@ -42,7 +42,7 @@ type taintInfo struct {
 	rule string      // "wallclock" or "globalrand"
 }
 
-func analyzeTaintModule(m *module, cfg Config, report moduleReport) {
+func analyzeTaintModule(m *module, report moduleReport) {
 	if m.funcs == nil {
 		return
 	}
@@ -64,7 +64,7 @@ func analyzeTaintModule(m *module, cfg Config, report moduleReport) {
 	var frontier []*types.Func
 	for _, obj := range order {
 		ff := m.funcs[obj]
-		if cfg.Deterministic[ff.pkg.unit] {
+		if deterministic[ff.pkg.unit] {
 			continue
 		}
 		for _, s := range ff.sinks {
@@ -98,12 +98,12 @@ func analyzeTaintModule(m *module, cfg Config, report moduleReport) {
 	// function living in a non-deterministic package.
 	for _, obj := range order {
 		ff := m.funcs[obj]
-		if !cfg.Deterministic[ff.pkg.unit] {
+		if !deterministic[ff.pkg.unit] {
 			continue
 		}
 		for _, c := range ff.calls {
 			callee, ok := m.funcs[c.callee]
-			if !ok || cfg.Deterministic[callee.pkg.unit] {
+			if !ok || deterministic[callee.pkg.unit] {
 				continue
 			}
 			ti, bad := tainted[c.callee]

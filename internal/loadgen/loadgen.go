@@ -29,18 +29,6 @@ import (
 	"dwr/internal/server"
 )
 
-// Process selects the open-loop arrival process.
-type Process int
-
-// Arrival processes.
-const (
-	// Poisson draws exponential inter-arrival times (the M in M/G/c);
-	// the memoryless default for a large independent user population.
-	Poisson Process = iota
-	// Constant spaces arrivals exactly 1/rate apart (the D in D/G/c).
-	Constant
-)
-
 // OpenConfig sizes an open-loop generator.
 type OpenConfig struct {
 	Seed int64
@@ -48,8 +36,6 @@ type OpenConfig struct {
 	Rate float64
 	// N is the total number of arrivals to generate.
 	N int
-	// Process is the inter-arrival law.
-	Process Process
 	// BatchFrac is the fraction of arrivals carrying the Batch priority
 	// class (0 = all interactive).
 	BatchFrac float64
@@ -75,12 +61,7 @@ func Open(lg *querylog.Log, cfg OpenConfig) server.Source {
 	s := &openSource{arrivals: make([]server.Arrival, 0, cfg.N)}
 	t := 0.0
 	for i := 0; i < cfg.N && len(lg.Queries) > 0; i++ {
-		switch cfg.Process {
-		case Constant:
-			t += 1 / cfg.Rate
-		default:
-			t += randx.Exp(rng, 1/cfg.Rate)
-		}
+		t += randx.Exp(rng, 1/cfg.Rate)
 		s.arrivals = append(s.arrivals, server.Arrival{
 			At:   t,
 			User: i,
@@ -100,14 +81,11 @@ type ClosedConfig struct {
 	ThinkMeanSec float64
 	// N caps the total requests issued across all users.
 	N int
-	// BatchFrac is the fraction of requests carrying the Batch class.
-	BatchFrac float64
-	// K is the per-request top-k (0 defers to the server's default).
-	K int
 }
 
 // closedSource issues each user's next request only after the previous
-// one terminated.
+// one terminated. Its users are interactive and take the server's
+// default top-k.
 type closedSource struct {
 	cfg    ClosedConfig
 	lg     *querylog.Log
@@ -125,7 +103,7 @@ func (s *closedSource) Init() []server.Arrival {
 		out = append(out, server.Arrival{
 			At:   randx.Exp(s.rng, s.cfg.ThinkMeanSec),
 			User: u,
-			Req:  makeRequest(s.rng, s.lg, s.issued, s.cfg.BatchFrac, s.cfg.K),
+			Req:  makeRequest(s.rng, s.lg, s.issued, 0, 0),
 		})
 		s.issued++
 	}
@@ -139,7 +117,7 @@ func (s *closedSource) OnDone(a server.Arrival, at float64) (server.Arrival, boo
 	next := server.Arrival{
 		At:   at + randx.Exp(s.rng, s.cfg.ThinkMeanSec),
 		User: a.User,
-		Req:  makeRequest(s.rng, s.lg, s.issued, s.cfg.BatchFrac, s.cfg.K),
+		Req:  makeRequest(s.rng, s.lg, s.issued, 0, 0),
 	}
 	s.issued++
 	return next, true

@@ -59,17 +59,6 @@ func TestOpenPoisson(t *testing.T) {
 	}
 }
 
-func TestOpenConstantSpacing(t *testing.T) {
-	lg := testLog(t)
-	arr := Open(lg, OpenConfig{Seed: 2, Rate: 100, N: 50, Process: Constant}).Init()
-	for i, a := range arr {
-		want := float64(i+1) / 100
-		if math.Abs(a.At-want) > 1e-9 {
-			t.Fatalf("constant arrival %d at %v; want %v", i, a.At, want)
-		}
-	}
-}
-
 func TestOpenDeterminism(t *testing.T) {
 	lg := testLog(t)
 	cfg := OpenConfig{Seed: 3, Rate: 200, N: 500, BatchFrac: 0.5}

@@ -10,14 +10,13 @@ import (
 )
 
 // broker is the part of a query-processing cluster that does not depend
-// on what a unit is: the cost model, the busy-load ledger, the result
+// on what a unit is: the LAN latency, the busy-load ledger, the result
 // cache, the fault runtime, and the one answer pipeline — result-cache
 // probe → evaluate → deadline → cache put → outcome tally. DocEngine
 // (units are partition views) and TermEngine (units are pipelined term
 // servers) embed it and supply only how a cache miss is evaluated; what
 // their gathers do per unit goes through call and addEval.
 type broker struct {
-	cost  CostModel
 	lanMs float64
 	// inflight counts the queries inside an engine's evaluation; it
 	// caps the fan-out to the processors they leave idle (idleWidth).
@@ -41,7 +40,6 @@ type broker struct {
 
 func newBroker(eo engineOptions, units int) broker {
 	return broker{
-		cost:   DefaultCostModel(),
 		lanMs:  0.3,
 		busyMs: make([]float64, units),
 		rcache: eo.resultCache(),
@@ -124,7 +122,7 @@ func (b *broker) answer(key string, deadlineMs float64, eval func(tick int64) Qu
 	}
 	if ok {
 		b.hits.Add(1)
-		qr = QueryResult{Results: hit.Results, FromCache: true, LatencyMs: b.cost.CacheHitMs}
+		qr = QueryResult{Results: hit.Results, FromCache: true, LatencyMs: cacheHitMs}
 	} else {
 		b.mu.Lock()
 		b.evaluated++

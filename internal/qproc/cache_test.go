@@ -40,8 +40,8 @@ func TestResultCacheHitPath(t *testing.T) {
 	if !reflect.DeepEqual(first.Results, second.Results) {
 		t.Fatal("cached ranking differs from computed ranking")
 	}
-	if second.LatencyMs != DefaultCostModel().CacheHitMs {
-		t.Fatalf("hit latency %v, want CacheHitMs %v", second.LatencyMs, DefaultCostModel().CacheHitMs)
+	if second.LatencyMs != cacheHitMs {
+		t.Fatalf("hit latency %v, want cacheHitMs %v", second.LatencyMs, cacheHitMs)
 	}
 	if second.PostingsDecoded != 0 || second.ServersContacted != 0 || second.Rounds != 0 || second.BytesTransferred != 0 {
 		t.Fatalf("hit did backend work: %+v", second)

@@ -12,35 +12,29 @@ package qproc
 
 import "dwr/internal/rank"
 
-// CostModel converts index work into virtual service milliseconds.
+// The cost model converts index work into virtual service milliseconds.
 // It is deliberately simple — a fixed per-query overhead plus a
 // per-posting decode cost — because the load-balance phenomena of
 // Figure 2 come from which server does the decoding, not from the
 // absolute constants.
-type CostModel struct {
-	FixedMs          float64 // per query-fragment overhead on a server
-	PerPostingMs     float64
-	PerAccumulatorMs float64 // per travelling-accumulator entry a pipeline server touches
-	CacheHitMs       float64 // broker-local result-cache hit: a hash lookup, no fan-out
+const (
+	fixedMs          = 0.1   // per query-fragment overhead on a server
+	perPostingMs     = 0.002 // per posting decoded
+	perAccumulatorMs = 0.001 // per travelling-accumulator entry a pipeline server touches
+	cacheHitMs       = 0.2   // broker-local result-cache hit: a hash lookup, no fan-out
+)
+
+// serviceMs returns the service time for decoding n postings.
+func serviceMs(postings int) float64 {
+	return fixedMs + float64(postings)*perPostingMs
 }
 
-// DefaultCostModel returns 0.1 ms fixed + 2 µs per posting + 1 µs per
-// accumulator entry; a result-cache hit answers in 0.2 ms flat.
-func DefaultCostModel() CostModel {
-	return CostModel{FixedMs: 0.1, PerPostingMs: 0.002, PerAccumulatorMs: 0.001, CacheHitMs: 0.2}
-}
-
-// ServiceMs returns the service time for decoding n postings.
-func (c CostModel) ServiceMs(postings int) float64 {
-	return c.FixedMs + float64(postings)*c.PerPostingMs
-}
-
-// AccumulatorMs returns the cost of receiving, merging, and forwarding a
+// accumulatorMs returns the cost of receiving, merging, and forwarding a
 // travelling accumulator of n entries — the per-hop CPU overhead that
 // makes pipelined term-partitioned systems lose the throughput race even
 // when their load is balanced (Webber et al.).
-func (c CostModel) AccumulatorMs(n int) float64 {
-	return float64(n) * c.PerAccumulatorMs
+func accumulatorMs(n int) float64 {
+	return float64(n) * perAccumulatorMs
 }
 
 // QueryResult is the outcome of one distributed query evaluation.

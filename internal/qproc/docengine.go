@@ -480,7 +480,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		var waveSlowest float64
 		e.mu.Lock()
 		for _, i := range ws {
-			ms, ok := e.call(tick, targets[i], e.cost.ServiceMs(evals[i].es.PostingsDecoded), opt.DeadlineMs, &qr)
+			ms, ok := e.call(tick, targets[i], serviceMs(evals[i].es.PostingsDecoded), opt.DeadlineMs, &qr)
 			if ms > waveSlowest {
 				waveSlowest = ms
 			}

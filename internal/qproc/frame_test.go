@@ -29,7 +29,7 @@ func TestFrameContract(t *testing.T) {
 		lose  func(lost bool)
 		crash func(units ...int)
 		// inCluster engines answer through the broker frame itself: a hit
-		// costs exactly CacheHitMs and the result cache counts lookups.
+		// costs exactly cacheHitMs and the result cache counts lookups.
 		// MultiSite runs the same order with a coordinator in front: a
 		// routed hit still pays the client hop, and its per-site caches
 		// keep no CacheStats.
@@ -125,7 +125,7 @@ func TestFrameContract(t *testing.T) {
 			if hit.PostingsDecoded != 0 || hit.ListsAccessed != 0 || hit.ServersContacted != 0 || hit.Rounds != 0 || hit.Waves != 0 {
 				t.Fatalf("hit did backend work: %+v", hit)
 			}
-			if hit.LatencyMs >= miss.LatencyMs || (r.inCluster && hit.LatencyMs != DefaultCostModel().CacheHitMs) {
+			if hit.LatencyMs >= miss.LatencyMs || (r.inCluster && hit.LatencyMs != cacheHitMs) {
 				t.Fatalf("hit latency %v after a %v ms miss", hit.LatencyMs, miss.LatencyMs)
 			}
 

@@ -326,7 +326,7 @@ func (m *MultiSite) callUntilAnswered(out *SiteQueryResult, c *Site, next func(i
 // serially in site order, where the stateful WAN model is consulted, so
 // the answer is identical at any GOMAXPROCS. Sites answer in parallel: the
 // call costs the slowest one. A lost site costs its detection
-// (AttemptTimeoutMs when it died silently, the WAN error reply
+// (attemptTimeoutMs when it died silently, the WAN error reply
 // otherwise). A site that evaluated is charged its straggler delay, its
 // queue delay and hour load, and the WAN request and response; its work
 // is folded into the answer even when its engine refused or had nothing
@@ -353,7 +353,7 @@ func (m *MultiSite) callSites(out *SiteQueryResult, c *Site, targets []*Site, te
 			rb.counters.FaultsSeen++
 			err = fmt.Errorf("site %d did not answer (%v): %w", s.ID, fo.Err, ErrAllSitesDown)
 			if fo.Silent {
-				ms = rb.policy.AttemptTimeoutMs
+				ms = attemptTimeoutMs
 			} else if s != c {
 				ms = m.hop(out, c.Region, s.Region, 64)
 			}
@@ -420,7 +420,7 @@ func (m *MultiSite) probe(out *SiteQueryResult, c *Site, key string, atHours flo
 	}
 	out.Results = e.Value
 	out.FromCache = true
-	out.LatencyMs += DefaultCostModel().CacheHitMs
+	out.LatencyMs += cacheHitMs
 	return nil, true
 }
 

@@ -64,7 +64,7 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 				break
 			}
 		}
-		service := e.cost.ServiceMs(es.PostingsDecoded) + e.cost.AccumulatorMs(len(starts))
+		service := serviceMs(es.PostingsDecoded) + accumulatorMs(len(starts))
 		e.mu.Lock()
 		ms, ok := e.call(tick, s, service, 0, &qr)
 		e.mu.Unlock()

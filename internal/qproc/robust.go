@@ -39,9 +39,9 @@ func (m DegradeMode) String() string {
 
 // FaultPolicy is the query path's robustness policy: how partition and
 // site calls behave under failures and stragglers. The zero value
-// (normalized) means: no deadline, no retries beyond sane detection
-// timeouts, one replica, no hedging, best-effort degradation — i.e.
-// today's behavior plus explicit accounting.
+// (normalized) means: no deadline, no retries, one replica, no hedging,
+// best-effort degradation. Every policy declares a silent server dead
+// after 50 ms and floors its hedge threshold at 5 ms.
 type FaultPolicy struct {
 	// DeadlineMs is the per-query latency budget. A partition call whose
 	// cumulative attempts would exceed it is abandoned (counted as a
@@ -53,10 +53,6 @@ type FaultPolicy struct {
 	// BackoffMs is the base retry backoff: retry i waits
 	// BackoffMs * 2^(i-1) before dispatching. 0 = immediate retries.
 	BackoffMs float64
-	// AttemptTimeoutMs is how long the broker waits for a reply before
-	// declaring a silent (crashed / partitioned-away) server dead.
-	// <= 0 picks 50 ms.
-	AttemptTimeoutMs float64
 	// Replicas is the replication degree of every partition (>= 1).
 	// Retries and hedges are sent to the other replicas; replicas hold
 	// identical indexes, so any of them returns the same answer.
@@ -66,12 +62,18 @@ type FaultPolicy struct {
 	// than this quantile of the partition's observed call latencies; the
 	// earlier answer wins. Needs Replicas >= 2.
 	HedgeQuantile float64
-	// HedgeMinMs floors the hedge threshold, so cold histograms and
-	// ultra-fast partitions do not hedge every call (<= 0 picks 5 ms).
-	HedgeMinMs float64
 	// Mode selects fail-fast or best-effort degradation.
 	Mode DegradeMode
 }
+
+const (
+	// attemptTimeoutMs is how long the broker waits for a reply before
+	// declaring a silent (crashed / partitioned-away) server dead.
+	attemptTimeoutMs = 50
+	// hedgeMinMs floors the hedge threshold, so cold histograms and
+	// ultra-fast partitions do not hedge every call.
+	hedgeMinMs = 5
+)
 
 // DefaultFaultPolicy returns the policy engines start from when an
 // injector is installed without an explicit policy: two retries with
@@ -80,13 +82,11 @@ type FaultPolicy struct {
 // deadline, best-effort degradation.
 func DefaultFaultPolicy() FaultPolicy {
 	return FaultPolicy{
-		MaxRetries:       2,
-		BackoffMs:        1,
-		AttemptTimeoutMs: 50,
-		Replicas:         2,
-		HedgeQuantile:    0.95,
-		HedgeMinMs:       5,
-		Mode:             BestEffort,
+		MaxRetries:    2,
+		BackoffMs:     1,
+		Replicas:      2,
+		HedgeQuantile: 0.95,
+		Mode:          BestEffort,
 	}
 }
 
@@ -97,12 +97,6 @@ func (p FaultPolicy) normalized() FaultPolicy {
 	}
 	if p.MaxRetries < 0 {
 		p.MaxRetries = 0
-	}
-	if p.AttemptTimeoutMs <= 0 {
-		p.AttemptTimeoutMs = 50
-	}
-	if p.HedgeMinMs <= 0 {
-		p.HedgeMinMs = 5
 	}
 	if p.HedgeQuantile < 0 || p.HedgeQuantile >= 1 {
 		p.HedgeQuantile = 0
@@ -188,8 +182,8 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 	var threshold float64
 	if p.HedgeQuantile > 0 && p.Replicas > 1 {
 		threshold = rb.hist.Quantile(part, p.HedgeQuantile)
-		if threshold < p.HedgeMinMs {
-			threshold = p.HedgeMinMs
+		if threshold < hedgeMinMs {
+			threshold = hedgeMinMs
 		}
 		if math.IsInf(threshold, 1) {
 			threshold = 0
@@ -221,7 +215,7 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		} else {
 			rb.counters.FaultsSeen++
 			if out.Silent {
-				failAt = p.AttemptTimeoutMs
+				failAt = attemptTimeoutMs
 			} else {
 				failAt = lanMs + out.ExtraMs
 			}
@@ -248,7 +242,7 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 			} else {
 				rb.counters.FaultsSeen++
 				if hout.Silent {
-					hfailAt = threshold + p.AttemptTimeoutMs
+					hfailAt = threshold + attemptTimeoutMs
 				} else {
 					hfailAt = threshold + lanMs + hout.ExtraMs
 				}

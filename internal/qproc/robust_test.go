@@ -235,7 +235,7 @@ func TestFailFastReturnsErrUnavailable(t *testing.T) {
 func TestDeadlineBudget(t *testing.T) {
 	docs := corpus(3, 300, 200)
 	e := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{DeadlineMs: 4, MaxRetries: 3, Replicas: 2, AttemptTimeoutMs: 50}),
+		WithFaultPolicy(FaultPolicy{DeadlineMs: 4, MaxRetries: 3, Replicas: 2}),
 		WithInjector(faultsim.New(5).Unit(0, faultsim.Spec{Crash: true})))
 	qr := e.QueryTopK([]string{"w0001"}, 10)
 	if !qr.Degraded {
@@ -258,7 +258,7 @@ func TestHedgingFiresOnStragglers(t *testing.T) {
 	// Primary replica of partition 0 never answers; replica 1 is clean.
 	inj := faultsim.New(9).Window(faultsim.Window{Unit: 0, Replica: 0, From: 0, To: math.MaxInt64})
 	e := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 1, Replicas: 2, HedgeQuantile: 0.9, HedgeMinMs: 2}),
+		WithFaultPolicy(FaultPolicy{MaxRetries: 1, Replicas: 2, HedgeQuantile: 0.9}),
 		WithInjector(inj))
 	queries := zipfQueries(13, 200, 200)
 	for _, q := range queries {
@@ -387,7 +387,7 @@ func TestMultiSiteFaultFailover(t *testing.T) {
 	}
 	inj := faultsim.New(4).Unit(0, faultsim.Spec{Crash: true}) // site 0 dead
 	m := NewMultiSite(cluster.NewNetwork(1, 3), RouteGeo,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 2, AttemptTimeoutMs: 30}),
+		WithFaultPolicy(FaultPolicy{MaxRetries: 2}),
 		WithInjector(inj))
 	for s := 0; s < 3; s++ {
 		e, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, 2))
@@ -406,7 +406,7 @@ func TestMultiSiteFaultFailover(t *testing.T) {
 	if r.Retries == 0 || m.Stats().Faults.Failovers == 0 {
 		t.Fatalf("failover not accounted: retries=%d stats=%+v", r.Retries, m.Stats().Faults)
 	}
-	if r.LatencyMs < 30 {
+	if r.LatencyMs < attemptTimeoutMs {
 		t.Fatalf("silent-crash detection cost missing from latency: %.2f", r.LatencyMs)
 	}
 }

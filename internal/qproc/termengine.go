@@ -186,7 +186,7 @@ func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs floa
 				added = append(added, en.doc)
 			}
 		}
-		service := e.cost.ServiceMs(h.es.PostingsDecoded) + e.cost.AccumulatorMs(len(acc))
+		service := serviceMs(h.es.PostingsDecoded) + accumulatorMs(len(acc))
 		remaining := 0.0
 		if deadlineMs > 0 {
 			remaining = deadlineMs - latency

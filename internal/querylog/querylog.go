@@ -21,13 +21,16 @@ type Config struct {
 	Seed     int64
 	Distinct int     // size of the distinct-query pool
 	Total    int     // query instances in the log
-	ZipfS    float64 // popularity skew across distinct queries
 	MinTerms int     // terms per query, lower bound
 	MaxTerms int     // terms per query, upper bound
 	Days     int     // days the log spans
-	PeakHour float64 // local hour of peak traffic
 	DriftAmp float64 // amplitude of topic-popularity drift over the log (0..1)
 }
+
+const (
+	zipfS    = 0.9 // popularity skew across distinct queries
+	peakHour = 14  // local hour of peak traffic
+)
 
 // DefaultConfig returns a log configuration sized for the experiments.
 func DefaultConfig() Config {
@@ -35,11 +38,9 @@ func DefaultConfig() Config {
 		Seed:     1,
 		Distinct: 2000,
 		Total:    20000,
-		ZipfS:    0.9,
 		MinTerms: 1,
 		MaxTerms: 3,
 		Days:     14,
-		PeakHour: 14,
 		DriftAmp: 0.5,
 	}
 }
@@ -83,10 +84,7 @@ func Generate(web *simweb.Web, cfg Config) *Log {
 		cfg.Days = 1
 	}
 	topics := web.Topics.Topics()
-	regions := web.Config.Regions
-	if regions <= 0 {
-		regions = 1
-	}
+	regions := web.Regions()
 	lg := &Log{Regions: regions, Topics: topics}
 
 	// Distinct pool: sample a page, take 1-3 terms from its content.
@@ -147,7 +145,7 @@ func Generate(web *simweb.Web, cfg Config) *Log {
 	baseWeight := make([]float64, topics)
 	for t := 0; t < topics; t++ {
 		if len(byTopic[t]) > 0 {
-			zipfByTopic[t] = randx.NewZipf(len(byTopic[t]), cfg.ZipfS)
+			zipfByTopic[t] = randx.NewZipf(len(byTopic[t]), zipfS)
 		}
 		baseWeight[t] = float64(len(byTopic[t]))
 	}
@@ -174,7 +172,7 @@ func Generate(web *simweb.Web, cfg Config) *Log {
 		q.ID = len(lg.Queries)
 		q.Day = day
 		q.Region = rng.Intn(regions)
-		q.Hour = diurnalHour(rng, cfg.PeakHour, q.Region, regions)
+		q.Hour = diurnalHour(rng, q.Region, regions)
 		lg.Queries = append(lg.Queries, q)
 	}
 	// Sort by arrival time so the log plays back in order.
@@ -187,15 +185,15 @@ func Generate(web *simweb.Web, cfg Config) *Log {
 	return lg
 }
 
-// diurnalHour draws a local arrival hour peaked at peak (UTC) shifted by
+// diurnalHour draws a local arrival hour peaked at peakHour (UTC) shifted by
 // the region's timezone offset; regions are spread around the globe so
 // their peaks interleave — the basis for the offloading experiment.
-func diurnalHour(rng *rand.Rand, peak float64, region, regions int) float64 {
+func diurnalHour(rng *rand.Rand, region, regions int) float64 {
 	offset := 24 * float64(region) / float64(regions)
 	// Rejection-sample from 1 + cos shape centred on the regional peak.
 	for {
 		h := rng.Float64() * 24
-		rel := 2 * math.Pi * (h - peak - offset) / 24
+		rel := 2 * math.Pi * (h - peakHour - offset) / 24
 		accept := (1 + math.Cos(rel)) / 2
 		if rng.Float64() < accept {
 			return h

@@ -91,8 +91,11 @@ type Params struct {
 	// Front-end response-time model (Figure 6 parameters).
 	FrontEndThreads int
 	ServiceTimeSec  float64
-	ServiceCV2      float64
 }
+
+// serviceCV2 is the squared coefficient of variation of the front-end's
+// service time in the response-time model.
+const serviceCV2 = 1
 
 // DefaultParams returns the paper's Section 1 scenario: 20 billion
 // pages, 100 TB of text, a 25 TB index, ~8.5 GB of index RAM per
@@ -110,7 +113,6 @@ func DefaultParams() Params {
 		CostPerNodeUSD:   3500,
 		FrontEndThreads:  150,
 		ServiceTimeSec:   0.05,
-		ServiceCV2:       1,
 	}
 }
 
@@ -144,7 +146,7 @@ func Derive(p Params) Plan {
 	pl.TotalNodes = pl.NodesPerCluster * pl.Replicas
 	pl.CostUSD = float64(pl.TotalNodes) * p.CostPerNodeUSD
 	pl.FrontEndCapacity = CapacityBound(p.FrontEndThreads, p.ServiceTimeSec)
-	wait := KingmanWait(0.7*pl.FrontEndCapacity, p.FrontEndThreads, p.ServiceTimeSec, 1, p.ServiceCV2)
+	wait := KingmanWait(0.7*pl.FrontEndCapacity, p.FrontEndThreads, p.ServiceTimeSec, 1, serviceCV2)
 	pl.MeanResponseSec = wait + p.ServiceTimeSec
 	return pl
 }

@@ -59,9 +59,10 @@ type ShedConfig struct {
 	// Window is the number of completions per control period
 	// (<= 0 picks 200).
 	Window int
-	// Step is the proportional controller gain (<= 0 picks 0.15).
-	Step float64
 }
+
+// shedStep is the shedder's proportional controller gain.
+const shedStep = 0.15
 
 // maxShedLevel caps the shed level so some interactive traffic is
 // always admitted: with no admitted requests there would be no
@@ -98,9 +99,6 @@ func NewShedder(cfg ShedConfig) *Shedder {
 	if cfg.Window <= 0 {
 		cfg.Window = 200
 	}
-	if cfg.Step <= 0 {
-		cfg.Step = 0.15
-	}
 	// Geometric buckets centred on the target so the p99 estimate is
 	// sharp where the control decision happens.
 	t := cfg.TargetP99Ms
@@ -124,7 +122,7 @@ func (s *Shedder) Observe(latencyMs float64) {
 		// that bound — a strong but finite push upward.
 		p99 = s.bounds[len(s.bounds)-1]
 	}
-	s.level += s.cfg.Step * (p99/s.cfg.TargetP99Ms - 1)
+	s.level += shedStep * (p99/s.cfg.TargetP99Ms - 1)
 	if s.level < 0 {
 		s.level = 0
 	}

@@ -140,8 +140,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.QueueCap != 300 {
 		t.Fatalf("default queue cap %d; want 2x workers", c.QueueCap)
 	}
-	if c.DefaultK != 10 || c.AdmitBurst != 150 {
-		t.Fatalf("defaults k=%d burst=%v", c.DefaultK, c.AdmitBurst)
+	if c.AdmitBurst != 150 {
+		t.Fatalf("default burst %v; want Workers", c.AdmitBurst)
 	}
 	if c = (Config{QueueCap: -1}).withDefaults(); c.QueueCap != 0 {
 		t.Fatalf("QueueCap -1 resolved to %d; want 0 (no queue)", c.QueueCap)

@@ -321,7 +321,7 @@ func TestFrontendShedsDoNotFeedShedder(t *testing.T) {
 		Workers:    1,
 		AdmitRate:  1e-9, // the burst, then nothing
 		AdmitBurst: 2,
-		Shed:       server.ShedConfig{TargetP99Ms: 5, Window: 2, Step: 0.05},
+		Shed:       server.ShedConfig{TargetP99Ms: 5, Window: 2},
 	})
 	req := server.Request{Terms: []string{"a"}}
 	for i := 0; i < 2; i++ {

@@ -94,7 +94,7 @@ func (q *queue) arrive(a Arrival, now float64) (*ticket, Status) {
 func (q *queue) query(a Arrival, start float64) qproc.QueryResult {
 	k := a.Req.K
 	if k <= 0 {
-		k = q.cfg.DefaultK
+		k = defaultK
 	}
 	if dq, ok := q.eng.(qproc.DeadlineQuerier); ok && q.cfg.DeadlineMs > 0 {
 		return dq.QueryTopKWithin(a.Req.Terms, k, q.cfg.DeadlineMs-(start-a.At)*1000)

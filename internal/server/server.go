@@ -49,8 +49,11 @@ type Request struct {
 	Terms []string
 	Key   string // canonical query text, for stats and logs
 	Class Class
-	K     int // top-k to return (<= 0 picks Config.DefaultK)
+	K     int // top-k to return (<= 0 picks defaultK = 10)
 }
+
+// defaultK is the top-k a request that names none gets.
+const defaultK = 10
 
 // Arrival is one request arriving at a point in time, as produced by an
 // internal/loadgen source. At is in seconds since the run start —
@@ -96,9 +99,6 @@ type Config struct {
 	AdmitBurst float64
 	// Shed configures the adaptive latency-quantile shedder.
 	Shed ShedConfig
-	// DefaultK is the top-k used when a request does not name one
-	// (<= 0 picks 10).
-	DefaultK int
 	// Seed drives the shedder's admission coin flips.
 	Seed int64
 }
@@ -116,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmitBurst <= 0 {
 		c.AdmitBurst = float64(c.Workers)
-	}
-	if c.DefaultK <= 0 {
-		c.DefaultK = 10
 	}
 	return c
 }

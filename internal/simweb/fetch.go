@@ -40,7 +40,7 @@ func (w *Web) Fetch(rng *rand.Rand, url string, day, ifModifiedSince int) FetchR
 		return FetchResult{Status: StatusNotFound}
 	}
 	latency := h.LatencyMs * randx.LogNormal(rng, 0, 0.3)
-	if h.Flaky && randx.Bernoulli(rng, w.Config.FlakyFailProb) {
+	if h.Flaky && randx.Bernoulli(rng, flakyFailProb) {
 		return FetchResult{Status: StatusUnavailable, LatencyMs: latency * 3}
 	}
 	var page *Page

@@ -13,69 +13,56 @@ import (
 type Config struct {
 	Seed int64
 
-	Hosts          int     // number of Web servers
-	MeanPagesPower float64 // Pareto shape for pages-per-host (smaller = heavier tail)
-	MinPages       int     // minimum pages per host
-	MaxPages       int     // cap on pages per host
+	Hosts    int // number of Web servers
+	MinPages int // minimum pages per host
+	MaxPages int // cap on pages per host
 
-	VocabSize int     // terms per language
-	Topics    int     // topical bands in the vocabulary
-	TopicBias float64 // probability a term draw is topical rather than global
-	ZipfS     float64 // exponent of the global term distribution
-
-	MinWords int // words per page, lower bound
-	MaxWords int // words per page, upper bound
-
-	OutDegreeMean float64 // mean links per page
-	LinkLocality  float64 // probability a link targets the same host (paper §3: "most of the links ... point to other pages in the same server")
-
-	Regions   int      // geographic regions hosts are spread over
+	VocabSize int      // terms per language
 	Languages []string // language codes; hosts are monolingual
-
-	// Server behaviour (paper §3, external factors).
-	FlakyHostFrac     float64 // fraction of hosts that fail requests transiently
-	FlakyFailProb     float64 // per-request failure probability on flaky hosts
-	SlowHostFrac      float64 // fraction of hosts with 10× latency
-	BaseLatencyMs     float64 // median server response latency
-	MalformedFrac     float64 // fraction of hosts emitting broken HTML
-	NonConformingFrac float64 // fraction of hosts ignoring If-Modified-Since
-	RobotsFrac        float64 // fraction of hosts with a /private disallow rule
-	PrivateFrac       float64 // fraction of a host's pages under /private when robots apply
-	SitemapFrac       float64 // fraction of hosts exposing a sitemap
-
-	MeanChangeRate float64 // mean per-day page change probability
 }
 
-// DefaultConfig returns a laptop-scale configuration that preserves the
-// Web's distributional shape: heavy-tailed host sizes, power-law
-// in-degree, Zipf terms, and a minority of misbehaving servers.
+// The Web's distributional shape: heavy-tailed host sizes, Zipf terms
+// with topical bands, and a local, preferentially attached link graph.
+const (
+	meanPagesPower = 1.4 // Pareto shape for pages-per-host (smaller = heavier tail)
+	topics         = 16  // topical bands in the vocabulary
+	topicBias      = 0.5 // probability a term draw is topical rather than global
+	zipfS          = 1.0 // exponent of the global term distribution
+
+	minWords = 60  // words per page, lower bound
+	maxWords = 400 // words per page, upper bound
+
+	outDegreeMean = 8    // mean links per page
+	linkLocality  = 0.75 // probability a link targets the same host (paper §3: "most of the links ... point to other pages in the same server")
+
+	regions = 3 // geographic regions hosts are spread over
+
+	meanChangeRate = 0.02 // mean per-day page change probability
+)
+
+// Server behaviour (paper §3, external factors): a minority of
+// misbehaving servers.
+const (
+	flakyHostFrac     = 0.08 // fraction of hosts that fail requests transiently
+	flakyFailProb     = 0.3  // per-request failure probability on flaky hosts
+	slowHostFrac      = 0.05 // fraction of hosts with 10× latency
+	baseLatencyMs     = 40   // median server response latency
+	malformedFrac     = 0.15 // fraction of hosts emitting broken HTML
+	nonConformingFrac = 0.10 // fraction of hosts ignoring If-Modified-Since
+	robotsFrac        = 0.3  // fraction of hosts with a /private disallow rule
+	privateFrac       = 0.1  // fraction of a host's pages under /private when robots apply
+	sitemapFrac       = 0.25 // fraction of hosts exposing a sitemap
+)
+
+// DefaultConfig returns a laptop-scale configuration.
 func DefaultConfig() Config {
 	return Config{
-		Seed:              1,
-		Hosts:             200,
-		MeanPagesPower:    1.4,
-		MinPages:          2,
-		MaxPages:          400,
-		VocabSize:         8000,
-		Topics:            16,
-		TopicBias:         0.5,
-		ZipfS:             1.0,
-		MinWords:          60,
-		MaxWords:          400,
-		OutDegreeMean:     8,
-		LinkLocality:      0.75,
-		Regions:           3,
-		Languages:         []string{"en", "es", "it"},
-		FlakyHostFrac:     0.08,
-		FlakyFailProb:     0.3,
-		SlowHostFrac:      0.05,
-		BaseLatencyMs:     40,
-		MalformedFrac:     0.15,
-		NonConformingFrac: 0.10,
-		RobotsFrac:        0.3,
-		PrivateFrac:       0.1,
-		SitemapFrac:       0.25,
-		MeanChangeRate:    0.02,
+		Seed:      1,
+		Hosts:     200,
+		MinPages:  2,
+		MaxPages:  400,
+		VocabSize: 8000,
+		Languages: []string{"en", "es", "it"},
 	}
 }
 
@@ -129,7 +116,7 @@ func New(cfg Config) *Web {
 	for _, lang := range cfg.Languages {
 		w.Vocabs[lang] = NewVocabulary(lang, cfg.VocabSize)
 	}
-	w.Topics = NewTopicModel(cfg.Topics, cfg.VocabSize)
+	w.Topics = NewTopicModel(topics, cfg.VocabSize)
 
 	w.generateHosts(rng)
 	w.generatePages(rng)
@@ -141,18 +128,18 @@ func (w *Web) generateHosts(rng *rand.Rand) {
 	cfg := w.Config
 	w.Hosts = make([]*Host, cfg.Hosts)
 	for i := range w.Hosts {
-		lat := cfg.BaseLatencyMs * randx.LogNormal(rng, 0, 0.4)
+		lat := baseLatencyMs * randx.LogNormal(rng, 0, 0.4)
 		h := &Host{
 			ID:            i,
 			Name:          fmt.Sprintf("h%04d.example", i),
-			Region:        rng.Intn(max(1, cfg.Regions)),
+			Region:        rng.Intn(regions),
 			Lang:          cfg.Languages[rng.Intn(len(cfg.Languages))],
-			Flaky:         randx.Bernoulli(rng, cfg.FlakyHostFrac),
-			Slow:          randx.Bernoulli(rng, cfg.SlowHostFrac),
-			Malformed:     randx.Bernoulli(rng, cfg.MalformedFrac),
-			NonConforming: randx.Bernoulli(rng, cfg.NonConformingFrac),
-			HasRobots:     randx.Bernoulli(rng, cfg.RobotsFrac),
-			HasSitemap:    randx.Bernoulli(rng, cfg.SitemapFrac),
+			Flaky:         randx.Bernoulli(rng, flakyHostFrac),
+			Slow:          randx.Bernoulli(rng, slowHostFrac),
+			Malformed:     randx.Bernoulli(rng, malformedFrac),
+			NonConforming: randx.Bernoulli(rng, nonConformingFrac),
+			HasRobots:     randx.Bernoulli(rng, robotsFrac),
+			HasSitemap:    randx.Bernoulli(rng, sitemapFrac),
 			LatencyMs:     lat,
 		}
 		if h.Slow {
@@ -164,28 +151,28 @@ func (w *Web) generateHosts(rng *rand.Rand) {
 
 func (w *Web) generatePages(rng *rand.Rand) {
 	cfg := w.Config
-	global := randx.NewZipf(cfg.VocabSize, cfg.ZipfS)
-	bandWidth := cfg.VocabSize / max(1, cfg.Topics)
-	band := randx.NewZipf(max(1, bandWidth), cfg.ZipfS)
+	global := randx.NewZipf(cfg.VocabSize, zipfS)
+	bandWidth := cfg.VocabSize / topics
+	band := randx.NewZipf(max(1, bandWidth), zipfS)
 
 	for _, h := range w.Hosts {
-		n := int(randx.BoundedPareto(rng, float64(cfg.MinPages), cfg.MeanPagesPower, float64(cfg.MaxPages)))
+		n := int(randx.BoundedPareto(rng, float64(cfg.MinPages), meanPagesPower, float64(cfg.MaxPages)))
 		// A host leans toward one topic; pages mostly share it.
-		homeTopic := rng.Intn(max(1, cfg.Topics))
+		homeTopic := rng.Intn(topics)
 		for j := 0; j < n; j++ {
 			topic := homeTopic
 			if rng.Float64() < 0.2 {
-				topic = rng.Intn(max(1, cfg.Topics))
+				topic = rng.Intn(topics)
 			}
-			private := h.HasRobots && randx.Bernoulli(rng, cfg.PrivateFrac)
+			private := h.HasRobots && randx.Bernoulli(rng, privateFrac)
 			path := fmt.Sprintf("/p%d.html", j)
 			if private {
 				path = fmt.Sprintf("/private/p%d.html", j)
 			}
-			nWords := cfg.MinWords + rng.Intn(cfg.MaxWords-cfg.MinWords+1)
+			nWords := minWords + rng.Intn(maxWords-minWords+1)
 			terms := make([]int32, nWords)
 			for k := range terms {
-				terms[k] = int32(w.Topics.Draw(rng, topic, global, band, cfg.TopicBias))
+				terms[k] = int32(w.Topics.Draw(rng, topic, global, band, topicBias))
 			}
 			p := &Page{
 				ID:         len(w.Pages),
@@ -194,7 +181,7 @@ func (w *Web) generatePages(rng *rand.Rand) {
 				Topic:      topic,
 				Private:    private,
 				Terms:      terms,
-				ChangeRate: randx.Exp(rng, cfg.MeanChangeRate),
+				ChangeRate: randx.Exp(rng, meanChangeRate),
 			}
 			if p.ChangeRate > 1 {
 				p.ChangeRate = 1
@@ -206,26 +193,25 @@ func (w *Web) generatePages(rng *rand.Rand) {
 }
 
 // generateLinks wires the link graph with a copy model: each link target
-// is, with probability LinkLocality, a uniform page on the same host;
+// is, with probability linkLocality, a uniform page on the same host;
 // otherwise, half the time a uniform random page and half the time the
 // target of an existing link (preferential attachment), which yields the
 // power-law in-degree distribution the paper's URL-exchange optimization
 // relies on.
 func (w *Web) generateLinks(rng *rand.Rand) {
-	cfg := w.Config
 	if len(w.Pages) == 0 {
 		return
 	}
 	var endpoints []int // multiset of link targets seen so far
 	for _, p := range w.Pages {
-		out := int(randx.Exp(rng, cfg.OutDegreeMean))
+		out := int(randx.Exp(rng, outDegreeMean))
 		if out < 1 {
 			out = 1
 		}
 		host := w.Hosts[p.Host]
 		for l := 0; l < out; l++ {
 			var target int
-			if rng.Float64() < cfg.LinkLocality && len(host.Pages) > 1 {
+			if rng.Float64() < linkLocality && len(host.Pages) > 1 {
 				// Intra-host: sites link their front page heavily
 				// (navigation bars), so skew local targets toward it.
 				if rng.Float64() < 0.4 {
@@ -247,6 +233,9 @@ func (w *Web) generateLinks(rng *rand.Rand) {
 		}
 	}
 }
+
+// Regions returns the number of geographic regions hosts are spread over.
+func (w *Web) Regions() int { return regions }
 
 // URL returns the absolute URL of a page.
 func (w *Web) URL(pageID int) string {

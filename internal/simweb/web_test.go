@@ -76,9 +76,7 @@ func TestInDegreePowerLaw(t *testing.T) {
 }
 
 func TestLinkLocality(t *testing.T) {
-	cfg := smallConfig()
-	cfg.LinkLocality = 0.75
-	w := New(cfg)
+	w := New(smallConfig())
 	local, total := 0, 0
 	for _, p := range w.Pages {
 		for _, l := range p.Links {
@@ -91,7 +89,7 @@ func TestLinkLocality(t *testing.T) {
 	frac := float64(local) / float64(total)
 	// Locality parameter plus incidental same-host preferential links.
 	if frac < 0.5 || frac > 0.95 {
-		t.Fatalf("intra-host link fraction = %.2f, want around 0.75", frac)
+		t.Fatalf("intra-host link fraction = %.2f, want around linkLocality = %.2f", frac, linkLocality)
 	}
 }
 

@@ -90,9 +90,6 @@ type TopicModel struct {
 // NewTopicModel creates a model with the given number of topics over a
 // vocabulary of vocabSize terms.
 func NewTopicModel(topics, vocabSize int) *TopicModel {
-	if topics <= 0 {
-		topics = 1
-	}
 	return &TopicModel{topics: topics, vocabSize: vocabSize, bandWidth: vocabSize / topics}
 }
 
