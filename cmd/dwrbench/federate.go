@@ -116,7 +116,7 @@ func federatePass(o federateConfig, mode string) (row, uint64, error) {
 	if mode == "mediated" {
 		msOpts = append(msOpts, qproc.WithMediator(2, 0.3))
 	}
-	ms := qproc.NewMultiSite(cluster.NewNetwork(o.Seed, o.Sites), qproc.RouteGeo, msOpts...)
+	ms := qproc.NewMultiSite(cluster.NewNetwork(o.Seed), qproc.RouteGeo, msOpts...)
 	for s, e := range engines {
 		site := qproc.NewSite(s, s, e, 64, 1_000_000)
 		if s%3 == 1 {

@@ -7,28 +7,55 @@
 //
 //	dwrsearch -partitions 8 -strategy query-driven "some query terms"
 //	dwrsearch            # interactive: one query per line
+//
+// -partitions, -hosts and -k must be positive and -select and -cachecap
+// not negative; anything else exits 2.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"dwr/internal/core"
 )
 
-func main() {
-	partitions := flag.Int("partitions", 4, "query processors")
-	strategy := flag.String("strategy", "round-robin", "partitioning: random | round-robin | k-means | query-driven")
-	selectN := flag.Int("select", 0, "contact only the best-N partitions per query (0 = all)")
-	k := flag.Int("k", 10, "results per query")
-	phrase := flag.Bool("phrase", false, "treat the query as an exact phrase")
-	hosts := flag.Int("hosts", 80, "hosts in the synthetic web")
-	seed := flag.Int64("seed", 1, "random seed")
-	cacheCap := flag.Int("cachecap", 0, "broker result-cache capacity in entries (0 = no result cache)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made explicit:
+// 0 on success, 1 when the engine cannot be built, 2 on a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dwrsearch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	partitions := fs.Int("partitions", 4, "query processors")
+	strategy := fs.String("strategy", "round-robin", "partitioning: random | round-robin | k-means | query-driven")
+	selectN := fs.Int("select", 0, "contact only the best-N partitions per query (0 = all)")
+	k := fs.Int("k", 10, "results per query")
+	phrase := fs.Bool("phrase", false, "treat the query as an exact phrase")
+	hosts := fs.Int("hosts", 80, "hosts in the synthetic web")
+	seed := fs.Int64("seed", 1, "random seed")
+	cacheCap := fs.Int("cachecap", 0, "broker result-cache capacity in entries (0 = no result cache)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// The engine would quietly substitute a default for any of these.
+	for _, c := range []struct {
+		name string
+		v    int
+		min  int
+	}{{"partitions", *partitions, 1}, {"hosts", *hosts, 1}, {"k", *k, 1}, {"select", *selectN, 0}, {"cachecap", *cacheCap, 0}} {
+		if c.v < c.min {
+			fmt.Fprintf(stderr, "dwrsearch: -%s must be at least %d, got %d\n", c.name, c.min, c.v)
+			return 2
+		}
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
@@ -46,48 +73,50 @@ func main() {
 	case "query-driven":
 		cfg.Strategy = core.PartitionQueryDriven
 	default:
-		fmt.Fprintf(os.Stderr, "dwrsearch: unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dwrsearch: unknown strategy %q\n", *strategy)
+		return 2
 	}
 
-	fmt.Fprintf(os.Stderr, "building engine (%d hosts, %d partitions, %s partitioning)...\n",
+	fmt.Fprintf(stderr, "building engine (%d hosts, %d partitions, %s partitioning)...\n",
 		*hosts, *partitions, cfg.Strategy)
 	engine, err := core.Build(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dwrsearch: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dwrsearch: %v\n", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "crawled %d pages (coverage %.1f%%), indexed %d documents\n",
+	fmt.Fprintf(stderr, "crawled %d pages (coverage %.1f%%), indexed %d documents\n",
 		engine.CrawlInfo.DistinctPages, engine.CrawlInfo.Coverage*100, len(engine.Docs))
 
-	query := strings.Join(flag.Args(), " ")
+	opts := core.SearchOptions{K: *k, SelectN: *selectN, Phrase: *phrase}
+	query := strings.Join(fs.Args(), " ")
 	if query != "" {
-		printResults(engine, query, *k, *selectN, *phrase)
-		return
+		printResults(stdout, engine, query, opts)
+		return 0
 	}
 
 	// Interactive loop. Suggest a few real terms so the user can see hits.
-	fmt.Fprintf(os.Stderr, "example terms from the collection: %s\n",
+	fmt.Fprintf(stderr, "example terms from the collection: %s\n",
 		strings.Join(engine.Docs[0].Terms[:min(5, len(engine.Docs[0].Terms))], " "))
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("query> ")
+	sc := bufio.NewScanner(stdin)
+	fmt.Fprint(stdout, "query> ")
 	for sc.Scan() {
 		q := strings.TrimSpace(sc.Text())
 		if q == "" || q == "exit" || q == "quit" {
 			break
 		}
-		printResults(engine, q, *k, *selectN, *phrase)
-		fmt.Print("query> ")
+		printResults(stdout, engine, q, opts)
+		fmt.Fprint(stdout, "query> ")
 	}
+	return 0
 }
 
-func printResults(e *core.Engine, query string, k, selectN int, phrase bool) {
-	rs := e.Search(query, core.SearchOptions{K: k, SelectN: selectN, Phrase: phrase})
+func printResults(w io.Writer, e *core.Engine, query string, opts core.SearchOptions) {
+	rs := e.Search(query, opts)
 	if len(rs) == 0 {
-		fmt.Println("no results")
+		fmt.Fprintln(w, "no results")
 		return
 	}
 	for i, r := range rs {
-		fmt.Printf("%2d. %-40s doc=%d score=%.4f\n", i+1, r.URL, r.Doc, r.Score)
+		fmt.Fprintf(w, "%2d. %-40s doc=%d score=%.4f\n", i+1, r.URL, r.Doc, r.Score)
 	}
 }

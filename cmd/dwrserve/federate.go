@@ -55,7 +55,7 @@ func newFederate(o options) (http.Handler, *core.Corpus, error) {
 		engines[s] = e
 	}
 
-	ms := qproc.NewMultiSite(cluster.NewNetwork(o.seed, o.sites), qproc.RouteGeo,
+	ms := qproc.NewMultiSite(cluster.NewNetwork(o.seed), qproc.RouteGeo,
 		qproc.WithMediator(0, 0.15))
 	ms.SampleEvery = o.sampleEvery
 	if o.cacheCap > 0 {

@@ -31,7 +31,7 @@ func main() {
 	}
 	ids := index.DocIDs(engine.Docs)
 
-	m := qproc.NewMultiSite(cluster.NewNetwork(1, 3), qproc.RouteGeo)
+	m := qproc.NewMultiSite(cluster.NewNetwork(1), qproc.RouteGeo)
 	m.CacheTTL = 1 // results stay fresh for one virtual hour
 	m.OffloadThreshold = 0.7
 	// Each site's engine carries a deterministic fault injector so

@@ -26,18 +26,16 @@ type Network struct {
 	LANMeanMs float64 // mean intra-site latency
 	WANBaseMs float64 // base inter-site latency (same region)
 	WANPerHop float64 // added per unit of region distance
-	Regions   int
 	rng       *rand.Rand
 }
 
 // NewNetwork creates a network model with typical values: 0.3 ms LAN,
 // 40 ms WAN base, +35 ms per region distance.
-func NewNetwork(seed int64, regions int) *Network {
+func NewNetwork(seed int64) *Network {
 	return &Network{
 		LANMeanMs: 0.3,
 		WANBaseMs: 40,
 		WANPerHop: 35,
-		Regions:   regions,
 		rng:       randx.New(seed),
 	}
 }
@@ -120,22 +118,16 @@ func UpAt(outages []Outage, t float64) bool {
 
 // Site is one group of collocated servers.
 type Site struct {
-	ID      int
-	Region  int
 	Outages []Outage
 }
 
-// NewSites creates n sites spread round-robin over the network's regions,
-// each with independently drawn outages over horizonHours.
-func NewSites(seed int64, n, regions int, horizonHours float64) []*Site {
+// NewSites creates n sites, each with independently drawn outages over
+// horizonHours.
+func NewSites(seed int64, n int, horizonHours float64) []*Site {
 	sites := make([]*Site, n)
 	for i := range sites {
 		rng := randx.New(seed + int64(i)*101)
-		sites[i] = &Site{
-			ID:      i,
-			Region:  i % regions,
-			Outages: GenOutages(rng, horizonHours),
-		}
+		sites[i] = &Site{Outages: GenOutages(rng, horizonHours)}
 	}
 	return sites
 }

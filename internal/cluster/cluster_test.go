@@ -8,7 +8,7 @@ import (
 )
 
 func TestNetworkLatencyScales(t *testing.T) {
-	n := NewNetwork(1, 3)
+	n := NewNetwork(1)
 	var lan, wan1, wan2 float64
 	const reps = 500
 	for i := 0; i < reps; i++ {
@@ -82,7 +82,7 @@ func TestFigure5Shape(t *testing.T) {
 	// 16 sites, 8 months, BIRN-like failure model: the first bar
 	// (availability < 100%) should cover most of the 16 sites, and the
 	// bars must be monotonically decreasing in the threshold.
-	sites := NewSites(42, 16, 4, 8*30*24)
+	sites := NewSites(42, 16, 8*30*24)
 	monthly := MonthlyAvailability(sites, 8)
 	thresholds := []float64{1.0, 0.999, 0.995, 0.99, 0.98, 0.95}
 	bars := UnavailabilityHistogram(monthly, thresholds)
@@ -100,7 +100,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestMonthlyAvailabilityDimensions(t *testing.T) {
-	sites := NewSites(1, 5, 2, 3*30*24)
+	sites := NewSites(1, 5, 3*30*24)
 	monthly := MonthlyAvailability(sites, 3)
 	if len(monthly) != 3 || len(monthly[0]) != 5 {
 		t.Fatalf("dimensions %dx%d, want 3x5", len(monthly), len(monthly[0]))
@@ -118,14 +118,5 @@ func TestUnavailabilityHistogramEmpty(t *testing.T) {
 	out := UnavailabilityHistogram(nil, []float64{1.0})
 	if out[0] != 0 {
 		t.Fatal("empty input should give zeros")
-	}
-}
-
-func TestSitesRegionsRoundRobin(t *testing.T) {
-	sites := NewSites(1, 6, 3, 100)
-	for i, s := range sites {
-		if s.Region != i%3 {
-			t.Fatalf("site %d region %d", i, s.Region)
-		}
 	}
 }

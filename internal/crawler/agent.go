@@ -209,7 +209,7 @@ func (a *agent) process(item *frontierItem) {
 	if cfg.UseDNSCache {
 		_, dnsLat = a.dns.Lookup(host, start)
 	} else {
-		_, dnsLat = a.c.resolver.Lookup(host)
+		_, dnsLat = a.c.resolver.Lookup()
 	}
 
 	res := a.c.web.Fetch(a.rng, item.url, crawlDay, -1)

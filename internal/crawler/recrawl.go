@@ -13,13 +13,12 @@ import (
 // eliminate) the polling cost, and server-provided sitemaps eliminate
 // even the conditional requests for unchanged pages.
 type RecrawlStats struct {
-	Pages               int   // pages considered for refresh
-	ConditionalRequests int   // HTTP requests issued with If-Modified-Since
-	NotModified         int   // 304 answers (request made, body saved)
-	Refetched           int   // 200 answers (page actually changed, or server non-conforming)
-	SkippedViaSitemap   int   // pages not even requested thanks to sitemap lastmod
-	Failures            int   // transient failures during the pass
-	BytesDownloaded     int64 // body bytes transferred
+	Pages               int // pages considered for refresh
+	ConditionalRequests int // HTTP requests issued with If-Modified-Since
+	NotModified         int // 304 answers (request made, body saved)
+	Refetched           int // 200 answers (page actually changed, or server non-conforming)
+	SkippedViaSitemap   int // pages not even requested thanks to sitemap lastmod
+	Failures            int // transient failures during the pass
 }
 
 // Recrawl refreshes every collected page as of virtual day `day`. With
@@ -80,7 +79,6 @@ func (c *Crawler) Recrawl(day int, useSitemaps bool) RecrawlStats {
 				st.NotModified++
 			case simweb.StatusOK:
 				st.Refetched++
-				st.BytesDownloaded += int64(len(res.HTML))
 				p.HTML = res.HTML
 				p.Day = day
 				p.LastMod = res.LastModified

@@ -7,8 +7,6 @@
 package dnssim
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 
@@ -32,27 +30,18 @@ func NewResolver(seed int64, baseLatencyMs float64) *Resolver {
 
 // Record is a resolved DNS record.
 type Record struct {
-	Host string
-	Addr string
-	TTL  float64 // seconds the record may be cached
+	TTL float64 // seconds the record may be cached
 }
 
-// Lookup resolves host, returning the record and the simulated latency
-// in milliseconds of the authoritative query.
-func (r *Resolver) Lookup(host string) (Record, float64) {
+// Lookup answers one authoritative query, returning the record and the
+// simulated latency in milliseconds. Every host resolves, and its
+// latency does not depend on the name.
+func (r *Resolver) Lookup() (Record, float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.queries++
 	lat := r.baseLatencyMs * randx.LogNormal(r.rng, 0, 0.8)
-	h := fnv.New32a()
-	h.Write([]byte(host))
-	v := h.Sum32()
-	rec := Record{
-		Host: host,
-		Addr: fmt.Sprintf("10.%d.%d.%d", (v>>16)&0xff, (v>>8)&0xff, v&0xff),
-		TTL:  300,
-	}
-	return rec, lat
+	return Record{TTL: 300}, lat
 }
 
 // Queries returns how many authoritative lookups the resolver served —
@@ -97,7 +86,7 @@ func (c *Cache) Lookup(host string, now float64) (Record, float64) {
 	c.misses++
 	c.mu.Unlock()
 
-	rec, lat := c.resolver.Lookup(host)
+	rec, lat := c.resolver.Lookup()
 
 	c.mu.Lock()
 	c.entries[host] = cacheEntry{rec: rec, expires: now + rec.TTL}

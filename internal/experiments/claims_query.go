@@ -17,7 +17,7 @@ import (
 func newFixtureMultiSite(n int, policy qproc.RoutingPolicy, ttl float64, hourlyCap int) *qproc.MultiSite {
 	f := sharedFixture()
 	m := &qproc.MultiSite{
-		Net:              cluster.NewNetwork(1, n),
+		Net:              cluster.NewNetwork(1),
 		Policy:           policy,
 		CacheTTL:         ttl,
 		OffloadThreshold: 0.7,

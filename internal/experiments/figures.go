@@ -167,7 +167,7 @@ func Figure2BusyLoad() *Result {
 // number of sites whose monthly availability fell below the threshold.
 func Figure5Availability() *Result {
 	r := newResult("F5")
-	sites := cluster.NewSites(42, 16, 4, 8*30*24)
+	sites := cluster.NewSites(42, 16, 8*30*24)
 	monthly := cluster.MonthlyAvailability(sites, 8)
 	thresholds := []float64{1.0, 0.999, 0.995, 0.99, 0.98, 0.95}
 	labels := []string{"<100%", "<99.9%", "<99.5%", "<99%", "<98%", "<95%"}

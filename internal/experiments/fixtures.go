@@ -16,7 +16,6 @@ type fixture struct {
 	web     *simweb.Web
 	docs    []index.Doc
 	central *index.Index
-	log     *querylog.Log
 	train   *querylog.Log
 	test    *querylog.Log
 }
@@ -51,7 +50,7 @@ func sharedFixture() *fixture {
 		lg := querylog.Generate(web, lcfg)
 		train, test := lg.SplitByDay(10)
 
-		fix = &fixture{web: web, docs: docs, central: central, log: lg, train: train, test: test}
+		fix = &fixture{web: web, docs: docs, central: central, train: train, test: test}
 	})
 	return fix
 }

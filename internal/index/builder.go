@@ -21,8 +21,6 @@ type Builder interface {
 	// Duplicate IDs are rejected with an error: the indexing pipeline
 	// deduplicates upstream, so a duplicate here is a bug.
 	AddDocument(ext int, terms []string) error
-	// NumDocs returns how many documents have been added so far.
-	NumDocs() int
 	// Build finalizes construction and returns the immutable index.
 	Build() (*Index, error)
 }
@@ -71,9 +69,6 @@ func (t *docTable) add(ext, length int) (int32, error) {
 	t.total += int64(length)
 	return int32(doc), nil
 }
-
-// NumDocs returns how many documents have been added.
-func (t *docTable) NumDocs() int { return len(t.docs) }
 
 // index freezes the table into an Index with an empty lexicon, plus the
 // document statistics its posting lists are encoded against. The table

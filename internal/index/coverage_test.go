@@ -40,18 +40,6 @@ func TestAddDocumentFilteredDuplicateErrors(t *testing.T) {
 	}
 }
 
-func TestBuilderNumDocs(t *testing.T) {
-	b := NewBuilder(DefaultOptions())
-	if b.NumDocs() != 0 {
-		t.Fatal("fresh builder not empty")
-	}
-	b.AddDocument(1, []string{"x"})
-	b.AddDocument(2, []string{"y"})
-	if b.NumDocs() != 2 {
-		t.Fatalf("NumDocs = %d", b.NumDocs())
-	}
-}
-
 func TestPostingBytes(t *testing.T) {
 	ix := buildTiny(DefaultOptions())
 	if ix.PostingBytes("apple") <= 0 {
@@ -101,8 +89,8 @@ func TestNewSegmentWriterClampsArguments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.NumDocs() != 1100 || len(w.tail) != 1100-2*512 || s.Stats().Applied != 2 {
-		t.Fatalf("NumDocs = %d, tail = %d, segments applied = %d", w.NumDocs(), len(w.tail), s.Stats().Applied)
+	if len(w.tail) != 1100-2*512 || s.Stats().Applied != 2 {
+		t.Fatalf("tail = %d, segments applied = %d", len(w.tail), s.Stats().Applied)
 	}
 	if st := s.Stats(); st.Merges != 1 || w.View().NumDocs() != 1100 {
 		t.Fatalf("stats %+v, view holds %d docs", st, w.View().NumDocs())

@@ -113,7 +113,6 @@ func (b *SPIMIBuilder) spill() error {
 
 // runReader streams runEntries from one spill file.
 type runReader struct {
-	f    *os.File
 	dec  *gob.Decoder
 	cur  runEntry
 	done bool
@@ -172,7 +171,7 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 			return nil, fmt.Errorf("index: opening run: %w", err)
 		}
 		defer f.Close()
-		r := &runReader{f: f, dec: gob.NewDecoder(bufio.NewReader(f)), seq: seq}
+		r := &runReader{dec: gob.NewDecoder(bufio.NewReader(f)), seq: seq}
 		if err := r.next(); err != nil {
 			return nil, fmt.Errorf("index: reading run: %w", err)
 		}

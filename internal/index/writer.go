@@ -37,7 +37,6 @@ type SegmentWriter struct {
 	mu     sync.Mutex
 	tail   []Doc        // the unsealed documents, in arrival order
 	inTail map[int]bool // their IDs
-	added  int
 
 	snap atomic.Pointer[writerSnap]
 }
@@ -91,7 +90,6 @@ func (w *SegmentWriter) AddDocument(ext int, terms []string) error {
 	}
 	w.tail = append(w.tail, Doc{Ext: ext, Terms: terms})
 	w.inTail[ext] = true
-	w.added++
 	if len(w.tail) >= w.segDocs {
 		return w.cut()
 	}
@@ -115,14 +113,6 @@ func (w *SegmentWriter) Delete(ext int) bool {
 	}
 	w.publish()
 	return true
-}
-
-// NumDocs returns how many documents have been added (sealed or not,
-// deleted since or not).
-func (w *SegmentWriter) NumDocs() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.added
 }
 
 // Cut seals the tail into the store as one segment, making its

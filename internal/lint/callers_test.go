@@ -19,13 +19,15 @@ var exportedKeep = map[string]string{
 
 // TestExportedFuncsHaveAProductionCaller type-checks every package of the
 // repository — the root module plus bench/, cmd/ and examples/, test
-// files excluded — and fails on an exported function, or an exported
-// method of an exported type, under internal/ that no non-test file
-// references. A method whose receiver implements an interface carrying
-// that method is skipped: it is called through the interface.
+// files excluded — and fails on an exported name under internal/ that no
+// non-test file references: a function, a package-level const, var or
+// type, a method of an exported type, or a method of an unexported type
+// that embedding promotes into an exported one. A method whose receiver
+// implements an interface carrying that method is skipped: it is called
+// through the interface.
 func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 	m := loadRepo(t)
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	var ifaces []*types.Named
 	for _, dir := range m.sortedDirs() {
 		p := m.pkgs[dir]
@@ -33,14 +35,10 @@ func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 			continue
 		}
 		for _, obj := range p.info.Uses {
-			if f, ok := obj.(*types.Func); ok {
-				used[f.Origin()] = true
-			}
+			used[origin(obj)] = true
 		}
 		for _, sel := range p.info.Selections {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				used[f.Origin()] = true
-			}
+			used[origin(sel.Obj())] = true
 		}
 		scope := p.pkg.Scope()
 		for _, name := range scope.Names() {
@@ -67,6 +65,25 @@ func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 		if p.info == nil || !strings.HasPrefix(dir+string(filepath.Separator), internal) {
 			continue
 		}
+		check := func(obj types.Object, name string) {
+			if _, keep := exportedKeep[name]; keep {
+				kept[name] = true
+				if used[obj] {
+					t.Errorf("%s has a caller now; drop it from exportedKeep", name)
+				}
+			} else if !used[obj] {
+				unused = append(unused, name)
+			}
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Const, *types.Var, *types.TypeName:
+				if obj.Exported() {
+					check(obj, obj.Pkg().Name()+"."+name)
+				}
+			}
+		}
 		for _, mf := range p.files {
 			for _, decl := range mf.ast.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -74,24 +91,16 @@ func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 					continue
 				}
 				f, _ := p.info.Defs[fd.Name].(*types.Func)
-				if f == nil || (fd.Recv != nil && !exportedRecv(f)) || implementsWith(f, ifaces) {
+				if f == nil || (fd.Recv != nil && !exportedRecv(f) && !promotedToExported(f, scope)) || implementsWith(f, ifaces) {
 					continue
 				}
-				name := funcName(f)
-				if _, keep := exportedKeep[name]; keep {
-					kept[name] = true
-					if used[f] {
-						t.Errorf("%s has a caller now; drop it from exportedKeep", name)
-					}
-				} else if !used[f] {
-					unused = append(unused, name)
-				}
+				check(f, funcName(f))
 			}
 		}
 	}
 	sort.Strings(unused)
 	for _, name := range unused {
-		t.Errorf("%s: exported, but no program, experiment or benchmark calls it; delete it", name)
+		t.Errorf("%s: exported, but no program, experiment or benchmark uses it; delete it", name)
 	}
 	for name := range exportedKeep {
 		if !kept[name] {
@@ -125,6 +134,34 @@ func loadRepo(t *testing.T) *module {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// origin maps an instantiated function or field to its generic
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// promotedToExported reports whether an exported type of scope reaches
+// method f through an embedded field.
+func promotedToExported(f *types.Func, scope *types.Scope) bool {
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		obj, index, _ := types.LookupFieldOrMethod(tn.Type(), true, f.Pkg(), f.Name())
+		if obj == f && len(index) > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // exportedRecv reports whether a method's receiver base type is exported.

@@ -44,13 +44,11 @@ type module struct {
 
 // modPackage is one directory's non-test files, parsed and type-checked.
 type modPackage struct {
-	dir     string // absolute
 	unit    string // directory base name, e.g. "qproc"
 	files   []*modFile
 	pkg     *types.Package
 	info    *types.Info
 	loading bool // cycle guard while type-checking imports
-	err     error
 }
 
 // modFile is one parsed non-test file plus its allow directives.
@@ -68,7 +66,6 @@ type callSite struct {
 
 // sinkSite is one direct wall-clock / global-rand call inside a body.
 type sinkSite struct {
-	pos     token.Pos
 	rule    string // "wallclock" or "globalrand"
 	name    string // e.g. "time.Now"
 	allowed bool   // suppressed by a //dwrlint:allow at the site
@@ -128,7 +125,7 @@ func modulePath(gomod string) string {
 }
 
 // load parses and type-checks the non-test files of one directory,
-// memoized. Failures are recorded, not returned: a package that cannot
+// memoized. Failures are dropped, not returned: a package that cannot
 // be loaded simply contributes no facts.
 func (m *module) load(dir string) *modPackage {
 	if abs, err := filepath.Abs(dir); err == nil {
@@ -137,12 +134,11 @@ func (m *module) load(dir string) *modPackage {
 	if p, ok := m.pkgs[dir]; ok {
 		return p
 	}
-	p := &modPackage{dir: dir, unit: filepath.Base(dir)}
+	p := &modPackage{unit: filepath.Base(dir)}
 	m.pkgs[dir] = p
 
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		p.err = err
 		return p
 	}
 	var names []string
@@ -159,7 +155,6 @@ func (m *module) load(dir string) *modPackage {
 	for _, n := range names {
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
-			p.err = err
 			continue
 		}
 		// A directory can legitimately mix package names (fixtures, main
@@ -294,9 +289,7 @@ func (m *module) buildFacts() {
 					if rule, name, ok := sinkCall(callee); ok {
 						line := m.fset.Position(call.Pos()).Line
 						_, allowed := mf.dirs.allowed(rule, line)
-						ff.sinks = append(ff.sinks, sinkSite{
-							pos: call.Pos(), rule: rule, name: name, allowed: allowed,
-						})
+						ff.sinks = append(ff.sinks, sinkSite{rule: rule, name: name, allowed: allowed})
 					}
 					return true
 				})

@@ -141,5 +141,5 @@ func makeRequest(rng *rand.Rand, lg *querylog.Log, i int, batchFrac float64, k i
 	if randx.Bernoulli(rng, batchFrac) {
 		cl = server.Batch
 	}
-	return server.Request{Terms: q.Terms, Key: q.Key, Class: cl, K: k}
+	return server.Request{Terms: q.Terms, Class: cl, K: k}
 }

@@ -42,8 +42,8 @@ func TestOpenPoisson(t *testing.T) {
 			batch++
 		}
 		// Requests replay the log's query stream in order.
-		if want := lg.Queries[i%len(lg.Queries)].Key; a.Req.Key != want {
-			t.Fatalf("arrival %d carries %q; want log query %q", i, a.Req.Key, want)
+		if want := lg.Queries[i%len(lg.Queries)].Terms; !reflect.DeepEqual(a.Req.Terms, want) {
+			t.Fatalf("arrival %d carries %q; want log query %q", i, a.Req.Terms, want)
 		}
 	}
 	// Mean arrival rate within 10% of λ.

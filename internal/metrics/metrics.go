@@ -17,22 +17,14 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x > w.max {
+		w.max = x
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
@@ -52,9 +44,6 @@ func (w *Welford) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation, or 0 if none were recorded.
-func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation, or 0 if none were recorded.
 func (w *Welford) Max() float64 { return w.max }
@@ -208,7 +197,6 @@ type Imbalance struct {
 	Loads   []float64
 	Mean    float64
 	Max     float64
-	Min     float64
 	MaxOver float64 // Max / Mean; 1.0 is perfectly balanced
 	CV      float64
 }
@@ -223,7 +211,6 @@ func NewImbalance(loads []float64) Imbalance {
 		Loads: append([]float64(nil), loads...),
 		Mean:  w.Mean(),
 		Max:   w.Max(),
-		Min:   w.Min(),
 		CV:    w.CV(),
 	}
 	if im.Mean > 0 {

@@ -70,23 +70,12 @@ func (b *broker) BusyMs() []float64 {
 	return append([]float64(nil), b.busyMs...)
 }
 
-// ResetBusy clears the busy-load accounting and restarts the query
-// counters, the fault-schedule clock with them.
-func (b *broker) ResetBusy() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	clear(b.busyMs)
-	b.evaluated = 0
-	b.hits.Store(0)
-}
-
 // Stats implements Engine.
 func (b *broker) Stats() EngineStats {
 	b.mu.Lock()
 	st := EngineStats{Queries: b.evaluated + int(b.hits.Load()), Degraded: b.degraded, Failed: b.failed}
 	if b.rb != nil {
 		st.Faults = b.rb.snapshot()
-		st.Latency = b.rb.hist
 	}
 	b.mu.Unlock()
 	if b.rcache != nil {

@@ -226,7 +226,7 @@ func TestCacheKeyGolden(t *testing.T) {
 		}
 		for _, st := range []StatsMode{GlobalTwoRound, GlobalPrecomputed, LocalOnly} {
 			for _, pr := range []rank.Pruning{rank.PruneNone, rank.PruneMaxScore} {
-				for _, ts := range []ThresholdMode{ThresholdDefault, ThresholdShared, ThresholdSingleWave} {
+				for _, ts := range []ThresholdMode{ThresholdDefault, ThresholdShared} {
 					for _, s := range []struct {
 						sel selection.Selector
 						n   int

@@ -179,11 +179,9 @@ const (
 	// resident query score upper bound: the first wave runs unseeded,
 	// every later wave is seeded with the broker's running k-th merged
 	// score, and partitions whose bound cannot beat it are skipped
-	// without being contacted. Rank-identical to ThresholdSingleWave.
+	// without being contacted. Rank-identical to the single wave, the
+	// classic scatter-gather over all target partitions at threshold 0.
 	ThresholdShared
-	// ThresholdSingleWave scatters one wave over all target partitions
-	// at threshold 0 — the classic scatter-gather.
-	ThresholdSingleWave
 )
 
 // thresholdFirstWave is the size of the first (unseeded) wave of a

@@ -51,9 +51,6 @@ type EngineStats struct {
 	// ResultCache reflects the broker-level result cache (zero value
 	// when disabled).
 	ResultCache CacheStats
-	// Latency holds the per-unit latency histograms of robust calls (nil
-	// when no fault options were configured).
-	Latency *metrics.LatencyByPart
 }
 
 // Health reports unit liveness at the time of the call.
@@ -125,7 +122,6 @@ func (m *MultiSite) Stats() EngineStats {
 	st := EngineStats{Queries: m.evaluated + m.hits, Degraded: m.degraded, Failed: m.failed, Selection: m.sel}
 	if m.rb != nil {
 		st.Faults = m.rb.snapshot()
-		st.Latency = m.rb.hist
 	}
 	m.mu.Unlock()
 	for _, s := range m.Sites {

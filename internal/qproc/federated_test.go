@@ -47,7 +47,7 @@ func topicalDocs(seed int64, nSites, perSite int) [][]index.Doc {
 func newFederatedMultiSite(t *testing.T, seed int64, nSites int, cacheTTL float64, msOpts, engOpts []Option) *MultiSite {
 	t.Helper()
 	siteDocs := topicalDocs(seed, nSites, 120)
-	m := NewMultiSite(cluster.NewNetwork(1, nSites), RouteGeo, msOpts...)
+	m := NewMultiSite(cluster.NewNetwork(1), RouteGeo, msOpts...)
 	m.CacheTTL = cacheTTL
 	for s := 0; s < nSites; s++ {
 		dp := partition.RoundRobinDocs(index.DocIDs(siteDocs[s]), 2)

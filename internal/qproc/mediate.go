@@ -55,7 +55,7 @@ func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
 		// Collection selection comes before the cache probe because the
 		// cache key names the selected subset; the fan-out is tallied at
 		// the first call, because a cache hit contacts no site.
-		sel, conf := m.decide(terms, ups)
+		sel, _ := m.decide(terms, ups)
 		targets, ids := ups, make([]int, len(sel))
 		for i, s := range sel {
 			ids[i] = s.ID
@@ -67,7 +67,7 @@ func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
 		return FederatedCacheKey(key, k, ids, full), func(attempt int) []*Site {
 			switch {
 			case attempt == 0:
-				out.FullFanout, out.Confidence = full, conf
+				out.FullFanout = full
 				out.SitesContacted, out.SitesSkipped = len(targets), skipped
 				m.sel.Queries++
 				m.sel.SitesContacted += len(targets)

@@ -192,14 +192,13 @@ type SiteQueryResult struct {
 
 	// Federated fan-out accounting (QueryFederated; zero on Submit's
 	// single-executor path and on a cache hit, which contacts no site):
-	// how many sites the query was dispatched to
-	// versus up sites the mediator pruned, whether the query ended up a
-	// full fan-out, and the mediator's pruning confidence — riding on
-	// the result the way Waves/PartitionsSkipped do on QueryResult.
+	// how many sites the query was dispatched to versus up sites the
+	// mediator pruned, and whether the query ended up a full fan-out —
+	// riding on the result the way Waves/PartitionsSkipped do on
+	// QueryResult.
 	SitesContacted int
 	SitesSkipped   int
 	FullFanout     bool
-	Confidence     float64
 }
 
 // path is what distinguishes one kind of routed query from another.

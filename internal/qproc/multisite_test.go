@@ -24,7 +24,7 @@ func newMultiSite(t *testing.T, policy RoutingPolicy, cacheTTL float64) *MultiSi
 		ids[i] = d.Ext
 	}
 	m := &MultiSite{
-		Net:              cluster.NewNetwork(1, 3),
+		Net:              cluster.NewNetwork(1),
 		Policy:           policy,
 		CacheTTL:         cacheTTL,
 		OffloadThreshold: 0.7,
@@ -283,7 +283,7 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	for i, d := range docs {
 		ids[i] = d.Ext
 	}
-	m := &MultiSite{Net: cluster.NewNetwork(1, 3), Policy: RouteGeo}
+	m := &MultiSite{Net: cluster.NewNetwork(1), Policy: RouteGeo}
 	for s := 0; s < 3; s++ {
 		dp := partition.RoundRobinDocs(ids, 4)
 		e, err := NewDocEngine(index.DefaultOptions(), docs, dp,

@@ -59,19 +59,17 @@ func TestParallelBrokerMatchesSerial(t *testing.T) {
 		docs := corpus(seed, 400, 250)
 		queries := zipfQueries(seed+100, 60, 250)
 		for _, k := range []int{1, 3, 8} {
-			serial, par := enginePair(t, docs, k)
 			for di, downs := range downPatterns {
-				for _, p := range downs {
-					if p == -1 {
-						p = k - 1
-					}
-					serial.SetDown(p, true)
-					par.SetDown(p, true)
-				}
 				for _, mode := range []StatsMode{GlobalTwoRound, GlobalPrecomputed, LocalOnly} {
 					for _, phrase := range []bool{false, true} {
-						serial.ResetBusy()
-						par.ResetBusy()
+						serial, par := enginePair(t, docs, k)
+						for _, p := range downs {
+							if p == -1 {
+								p = k - 1
+							}
+							serial.SetDown(p, true)
+							par.SetDown(p, true)
+						}
 						opt := DocQueryOptions{K: 10, Stats: mode, Phrase: phrase}
 						label := fmt.Sprintf("seed=%d k=%d downs=%d mode=%d phrase=%v", seed, k, di, mode, phrase)
 						sameAtProcs(t, label, 8, queries,
@@ -79,10 +77,6 @@ func TestParallelBrokerMatchesSerial(t *testing.T) {
 							func(_ int, q []string) QueryResult { return par.Query(q, opt) })
 						sameBusy(t, serial.BusyMs(), par.BusyMs(), label)
 					}
-				}
-				for p := 0; p < k; p++ {
-					serial.SetDown(p, false)
-					par.SetDown(p, false)
 				}
 			}
 		}
@@ -164,7 +158,7 @@ func TestConcurrentQueriesSafe(t *testing.T) {
 		want[i] = e.Query(q, DocQueryOptions{K: 10, Stats: GlobalTwoRound})
 	}
 	wantBusy := e.BusyMs()
-	e.ResetBusy()
+	e = newDocEngine(t, docs, 6)
 
 	var wg sync.WaitGroup
 	errs := make([]string, len(queries))

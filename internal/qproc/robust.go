@@ -155,7 +155,6 @@ type callResult struct {
 	latencyMs float64 // dispatch-to-answer time, incl. retries/backoff/hedges
 	retries   int
 	hedges    int
-	timedOut  bool
 }
 
 // call simulates one robust partition call: the real evaluation work
@@ -200,7 +199,6 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		}
 		if p.DeadlineMs > 0 && elapsed >= p.DeadlineMs {
 			rb.counters.Timeouts++
-			res.timedOut = true
 			res.latencyMs = p.DeadlineMs
 			return res
 		}
@@ -261,7 +259,6 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 			total := elapsed + win
 			if p.DeadlineMs > 0 && total > p.DeadlineMs {
 				rb.counters.Timeouts++
-				res.timedOut = true
 				res.latencyMs = p.DeadlineMs
 				return res
 			}
@@ -294,7 +291,6 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		}
 		if p.DeadlineMs > 0 && elapsed >= p.DeadlineMs {
 			rb.counters.Timeouts++
-			res.timedOut = true
 			res.latencyMs = p.DeadlineMs
 			return res
 		}

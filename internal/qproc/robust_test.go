@@ -342,7 +342,7 @@ func TestErrAllSitesDownTyped(t *testing.T) {
 	for i, d := range docs {
 		ids[i] = d.Ext
 	}
-	m := NewMultiSite(cluster.NewNetwork(1, 3), RouteGeo)
+	m := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
 	for s := 0; s < 3; s++ {
 		e, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, 2))
 		if err != nil {
@@ -362,7 +362,7 @@ func TestErrAllSitesDownTyped(t *testing.T) {
 	}
 
 	// Engine-level total outage surfaces the same typed error.
-	m2 := NewMultiSite(cluster.NewNetwork(1, 1), RouteGeo)
+	m2 := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
 	e, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestMultiSiteFaultFailover(t *testing.T) {
 		ids[i] = d.Ext
 	}
 	inj := faultsim.New(4).Unit(0, faultsim.Spec{Crash: true}) // site 0 dead
-	m := NewMultiSite(cluster.NewNetwork(1, 3), RouteGeo,
+	m := NewMultiSite(cluster.NewNetwork(1), RouteGeo,
 		WithFaultPolicy(FaultPolicy{MaxRetries: 2}),
 		WithInjector(inj))
 	for s := 0; s < 3; s++ {
@@ -433,7 +433,7 @@ func TestEngineInterfaceHealth(t *testing.T) {
 	for i, d := range docs {
 		ids[i] = d.Ext
 	}
-	m := NewMultiSite(cluster.NewNetwork(1, 2), RouteGeo)
+	m := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
 	for s := 0; s < 2; s++ {
 		e, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, 2))
 		if err != nil {

@@ -103,20 +103,20 @@ func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 		baseBytes, tsBytes, 100*float64(tsBytes)/float64(baseBytes), skipped, len(queries)*parts)
 }
 
-// TestThresholdSharingOptionPlumbing: the per-query knob overrides the
-// engine default in both directions, and the schedule is part of the
-// result-cache key.
+// TestThresholdSharingOptionPlumbing: a sharing engine ranks like a
+// single-wave one, the per-query knob turns sharing on over the
+// single-wave default, and the schedule is part of the result-cache key.
 func TestThresholdSharingOptionPlumbing(t *testing.T) {
 	docs := corpus(55, 400, 800)
 	e := newDocEngine(t, docs, 4, WithThresholdSharing(true))
+	plain := newDocEngine(t, docs, 4)
 	q := []string{"w0003", "w0011"}
 	def := e.Query(q, DocQueryOptions{K: 5})
-	off := e.Query(q, DocQueryOptions{K: 5, Threshold: ThresholdSingleWave})
-	sameRanking(t, def.Results, off.Results, "per-query single-wave override")
+	off := plain.Query(q, DocQueryOptions{K: 5})
+	sameRanking(t, def.Results, off.Results, "single-wave engine")
 	if off.PartitionsSkipped != 0 || off.Waves != 1 {
-		t.Fatalf("single-wave override still waved: %+v", off)
+		t.Fatalf("single-wave engine still waved: %+v", off)
 	}
-	plain := newDocEngine(t, docs, 4)
 	on := plain.Query(q, DocQueryOptions{K: 5, Threshold: ThresholdShared})
 	sameRanking(t, def.Results, on.Results, "per-query shared override")
 	if a, b := DocCacheKey(q, DocQueryOptions{K: 5}), DocCacheKey(q, DocQueryOptions{K: 5, Threshold: ThresholdShared}); a == b {

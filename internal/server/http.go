@@ -302,7 +302,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or empty q parameter"})
 		return
 	}
-	req := Request{Terms: terms, Key: strings.Join(terms, " ")}
+	req := Request{Terms: terms}
 	if q.Get("class") == "batch" {
 		req.Class = Batch
 	}

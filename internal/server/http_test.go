@@ -283,7 +283,7 @@ func TestFrontendConcurrentLoad(t *testing.T) {
 				if i%3 == 0 {
 					cl = server.Batch
 				}
-				f.Serve(context.Background(), server.Request{Terms: q.Terms, Key: q.Key, Class: cl})
+				f.Serve(context.Background(), server.Request{Terms: q.Terms, Class: cl})
 			}
 		}(g)
 	}

@@ -47,7 +47,6 @@ func (c Class) String() string {
 // Request is one query presented to the front-end.
 type Request struct {
 	Terms []string
-	Key   string // canonical query text, for stats and logs
 	Class Class
 	K     int // top-k to return (<= 0 picks defaultK = 10)
 }

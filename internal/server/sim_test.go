@@ -99,7 +99,7 @@ func openStub(seed int64, qps float64, n int, batchFrac float64) server.Source {
 			cl = server.Batch
 		}
 		arr[i] = server.Arrival{At: t, User: i, Req: server.Request{
-			Terms: []string{"a"}, Key: "a", Class: cl}}
+			Terms: []string{"a"}, Class: cl}}
 	}
 	return sliceSource(arr)
 }
@@ -326,7 +326,7 @@ func closedStub(seed int64, users, n int) server.Source {
 }
 
 func (s *closedStubSrc) req() server.Request {
-	return server.Request{Terms: []string{"a"}, Key: "a"}
+	return server.Request{Terms: []string{"a"}}
 }
 
 func (s *closedStubSrc) Init() []server.Arrival {

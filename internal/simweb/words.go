@@ -52,14 +52,13 @@ func makeWord(lang string, termID int) string {
 // Vocabulary is a per-language term table mapping dense term IDs to
 // distinct word strings.
 type Vocabulary struct {
-	Lang  string
 	words []string
 }
 
 // NewVocabulary builds a vocabulary of size n for lang. Term IDs are
 // ordered by global popularity: id 0 is the most frequent term.
 func NewVocabulary(lang string, n int) *Vocabulary {
-	v := &Vocabulary{Lang: lang, words: make([]string, n)}
+	v := &Vocabulary{words: make([]string, n)}
 	seen := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
 		w := makeWord(lang, i)

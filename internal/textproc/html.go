@@ -9,27 +9,24 @@ import (
 	"strings"
 )
 
-// Document is the result of parsing an HTML page: the visible text, the
-// title, and the outgoing links. Parsing never fails — malformed markup
-// degrades gracefully into text.
+// Document is the result of parsing an HTML page: the visible text and
+// the outgoing links. Parsing never fails — malformed markup degrades
+// gracefully into text.
 type Document struct {
-	Title string
 	Text  string
 	Links []string
 }
 
-// ParseHTML extracts text, title, and links from raw HTML. The parser is
+// ParseHTML extracts text and links from raw HTML. The parser is
 // deliberately forgiving: unclosed tags, bare ampersands, attribute soup,
 // truncated entities, stray '<' characters, and script/style content are
 // all handled without error, because a Web-scale crawler sees all of them.
 func ParseHTML(raw string) Document {
 	var doc Document
 	var text strings.Builder
-	var title strings.Builder
 
 	i := 0
 	n := len(raw)
-	inTitle := false
 	skipUntil := "" // closing tag name that ends a skipped element (script/style)
 
 	for i < n {
@@ -46,11 +43,7 @@ func ParseHTML(raw string) Document {
 				i += j
 			}
 			if skipUntil == "" {
-				decoded := DecodeEntities(chunk)
-				if inTitle {
-					title.WriteString(decoded)
-				}
-				text.WriteString(decoded)
+				text.WriteString(DecodeEntities(chunk))
 			}
 			continue
 		}
@@ -89,8 +82,6 @@ func ParseHTML(raw string) Document {
 			if !closing {
 				skipUntil = name
 			}
-		case "title":
-			inTitle = !closing
 		case "a":
 			if !closing {
 				if href, ok := attrValue(attrs, "href"); ok && href != "" {
@@ -103,7 +94,6 @@ func ParseHTML(raw string) Document {
 		}
 	}
 
-	doc.Title = strings.TrimSpace(collapseSpace(title.String()))
 	doc.Text = strings.TrimSpace(collapseSpace(text.String()))
 	return doc
 }
