@@ -418,8 +418,8 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1096,
-		"README.md":                      357,
+		"DESIGN.md":                      1092,
+		"README.md":                      354,
 		".claude/skills/verify/SKILL.md": 239,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))

@@ -1,8 +1,8 @@
 // Command dwrlint runs the repository's static-analysis suite
-// (internal/lint): a syntactic pass plus a type-aware, interprocedural
-// module pass that together enforce the determinism, accounting,
-// caching, and deadline-discipline invariants the reproduction's
-// experiments depend on.
+// (internal/lint): one type-aware, interprocedural pass over the module
+// that enforces the determinism, accounting, caching, and
+// deadline-discipline invariants the reproduction's experiments depend
+// on.
 //
 // Usage:
 //
@@ -12,14 +12,15 @@
 //	go run ./cmd/dwrlint -fixgate 5 ./...      # CI: fail if the surface grows
 //	go run ./cmd/dwrlint internal/lint/testdata/simweb  # lint one directory
 //
-// Findings print as "file:line: [rule] message" and the process exits
-// nonzero if any non-exempted finding remains. -fixlist instead prints
-// every //dwrlint:allow / //dwrlint:file-allow exempted site with its
-// justification and always exits zero: it is the reviewers' one-command
-// audit of everything the suite has been told to ignore. -fixgate N is
-// the CI form of that audit: it fails when the exemption surface
-// exceeds N sites or any exemption lacks a written justification, so
-// new allows must both be justified and consciously raise the gate.
+// Findings print as "file:line: [rule] message" and the process exits 1
+// if any non-exempted finding remains, 2 if a pattern does not resolve
+// or a selected file does not parse. -fixlist instead prints every
+// //dwrlint:allow / //dwrlint:file-allow exempted site with its
+// justification and exits zero: it is the reviewers' one-command audit
+// of everything the suite has been told to ignore. -fixgate N is the CI
+// form of that audit: it fails when the exemption surface exceeds N
+// sites or any exemption lacks a written justification, so new allows
+// must both be justified and consciously raise the gate.
 package main
 
 import (

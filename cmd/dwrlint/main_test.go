@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -138,5 +139,21 @@ func TestCLIBadPatternExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "dwrlint:") {
 		t.Errorf("error not reported: %q", stderr)
+	}
+}
+
+// TestCLIUnparseableFileExitsTwo: a file the parser rejects is an input
+// error, not a clean run, and the message names the file.
+func TestCLIUnparseableFileExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte("package broken\n\nfunc broken( {\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCLI(t, dir)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stdout=%q stderr=%q", code, stdout, stderr)
+	}
+	if !strings.Contains(stderr, "broken.go") {
+		t.Errorf("error does not name the file: %q", stderr)
 	}
 }

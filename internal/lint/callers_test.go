@@ -29,8 +29,7 @@ func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 	m := loadRepo(t)
 	used := map[types.Object]bool{}
 	var ifaces []*types.Named
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
+	for _, p := range m.packages() {
 		if p.info == nil {
 			continue
 		}
@@ -57,12 +56,11 @@ func TestExportedFuncsHaveAProductionCaller(t *testing.T) {
 		ifaces = append(ifaces, pkg.Scope().Lookup(name).Type().(*types.Named))
 	}
 
-	internal := filepath.Join(m.modRoot, "internal") + string(filepath.Separator)
+	internal := m.modPath + "/internal/"
 	var unused []string
 	kept := map[string]bool{}
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
-		if p.info == nil || !strings.HasPrefix(dir+string(filepath.Separator), internal) {
+	for _, p := range m.packages() {
+		if p.info == nil || !strings.HasPrefix(p.pkg.Path()+"/", internal) {
 			continue
 		}
 		check := func(obj types.Object, name string) {

@@ -26,9 +26,8 @@ import (
 // //dwrlint:allow conc <why> (or conc:go / conc:chan / conc:select).
 
 func analyzeConcModule(m *module, report moduleReport) {
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
-		if p.info == nil || !deterministic[p.unit] {
+	for _, p := range m.packages() {
+		if !deterministic[p.unit] {
 			continue
 		}
 		for _, mf := range p.files {

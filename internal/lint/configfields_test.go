@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -24,13 +23,12 @@ var configSuffixes = []string{"Config", "Policy", "Model", "Params"}
 // value in use, and that value belongs in a constant.
 func TestConfigFieldsAreSetOutsideTheirPackage(t *testing.T) {
 	m := loadRepo(t)
-	internal := filepath.Join(m.modRoot, "internal") + string(filepath.Separator)
+	internal := m.modPath + "/internal/"
 
 	// owner maps each in-scope field to the struct that declares it.
 	owner := map[*types.Var]*types.TypeName{}
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
-		if p.pkg == nil || !strings.HasPrefix(dir+string(filepath.Separator), internal) {
+	for _, p := range m.packages() {
+		if p.pkg == nil || !strings.HasPrefix(p.pkg.Path()+"/", internal) {
 			continue
 		}
 		scope := p.pkg.Scope()
@@ -52,8 +50,7 @@ func TestConfigFieldsAreSetOutsideTheirPackage(t *testing.T) {
 	}
 
 	set := map[*types.Var]bool{}
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
+	for _, p := range m.packages() {
 		if p.info == nil {
 			continue
 		}

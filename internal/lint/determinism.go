@@ -3,20 +3,22 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
+	"go/types"
 )
 
 // The determinism analyzer guards the packages whose outputs must be a
 // pure function of their seeds. Two rule ids:
 //
 //   - [wallclock]: any reference to a wall-clock or real-sleep function
-//     of package time. Deterministic packages express time as virtual
-//     ticks (query ticks, simulated milliseconds); a single time.Now()
-//     makes a replay diverge between runs and machines.
-//   - [globalrand]: any call of a top-level math/rand function (or
-//     rand.Seed). The global source is process-wide shared state: it
-//     makes results depend on everything else that has drawn from it,
-//     including test ordering and parallelism.
+//     of package time, called or not, qualified or dot-imported.
+//     Deterministic packages express time as virtual ticks (query
+//     ticks, simulated milliseconds); a single time.Now() makes a replay
+//     diverge between runs and machines.
+//   - [globalrand]: any reference to a top-level math/rand function
+//     that draws from (or reseeds) the global source. The global source
+//     is process-wide shared state: it makes results depend on
+//     everything else that has drawn from it, including test ordering
+//     and parallelism.
 //
 // Legitimately wall-clock sites (e.g. reporting how long a build took,
 // which is measurement, not behavior) carry //dwrlint:allow wallclock
@@ -41,30 +43,21 @@ var globalRandFuncs = map[string]bool{
 	"Seed": true,
 }
 
-func analyzeDeterminism(fc *fileCtx, report func(pos token.Pos, rule, msg string)) {
-	if !deterministic[fc.unit] {
-		return
+func analyzeDeterminism(m *module, report moduleReport) {
+	for _, p := range m.packages() {
+		if !deterministic[p.unit] {
+			continue
+		}
+		for _, mf := range p.all {
+			eachSink(mf.info, mf.ast, func(ref ast.Expr, f *types.Func, rule string) {
+				msg := fmt.Sprintf("global math/rand %s in deterministic package %s: thread a seeded *rand.Rand (internal/randx.New) instead",
+					f.Name(), p.unit)
+				if rule == "wallclock" {
+					msg = fmt.Sprintf("time.%s in deterministic package %s: derive timing from virtual ticks, or annotate the site with //dwrlint:allow wallclock <why>",
+						f.Name(), p.unit)
+				}
+				report(mf, ref.Pos(), rule, "", msg)
+			})
+		}
 	}
-	timeName := fc.importName("time")
-	randName := fc.importName("math/rand")
-	if timeName == "" && randName == "" {
-		return
-	}
-	ast.Inspect(fc.file, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if timeName != "" && wallclockFuncs[sel.Sel.Name] && isPkgSel(sel, timeName, sel.Sel.Name) {
-			report(sel.Pos(), "wallclock", fmt.Sprintf(
-				"%s.%s in deterministic package %s: derive timing from virtual ticks, or annotate the site with //dwrlint:allow wallclock <why>",
-				timeName, sel.Sel.Name, fc.unit))
-		}
-		if randName != "" && globalRandFuncs[sel.Sel.Name] && isPkgSel(sel, randName, sel.Sel.Name) {
-			report(sel.Pos(), "globalrand", fmt.Sprintf(
-				"global math/rand %s in deterministic package %s: thread a seeded *rand.Rand (internal/randx.New) instead",
-				sel.Sel.Name, fc.unit))
-		}
-		return true
-	})
 }

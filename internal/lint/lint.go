@@ -13,24 +13,25 @@
 // counter silently breaks the paper-shape experiments, so the
 // conventions are machine-checked here rather than reviewed-for.
 //
-// Analysis runs in two passes. The syntactic pass (go/parser, go/ast)
-// inspects each selected file alone. The module pass (go/types)
-// type-checks every selected directory — resolving module-internal
-// imports straight from parsed source and stdlib imports from compiled
-// export data, so no build step is needed — and builds a static call
-// graph over everything loaded.
+// Analysis is one pass over a typed view of the module. Every selected
+// directory is parsed once and type-checked — module-internal imports
+// resolved straight from parsed source, stdlib imports from compiled
+// export data, so no build step is needed — as its production package,
+// its in-package test variant and its external _test package. A static
+// call graph is built over the production files of everything loaded,
+// and every rule reads the same view. A sink is any identifier that
+// resolves to a wall-clock function of time or a global math/rand
+// function, called or passed as a value, however the file imports it.
 //
-// The syntactic analyzers emit four rule ids:
+// Eight rule ids:
 //
 //   - determinism: [wallclock] time.Now/Since/Sleep/... and
-//     [globalrand] top-level math/rand calls in deterministic packages
+//     [globalrand] top-level math/rand references in deterministic
+//     packages, test files included
 //   - deadline-discipline: [deadline] QueryTopK where QueryTopKWithin
-//     must be used so deadlines propagate
+//     must be used so deadlines propagate (non-test files)
 //   - seed-plumbing: [seed] *rand.Rand values not derived from
 //     internal/randx (or an explicit seed in tests)
-//
-// The module analyzers emit four more:
-//
 //   - determinism-taint: [taint] a call, inside a deterministic
 //     package, of a helper that transitively reaches a wall-clock or
 //     global-rand sink through any chain of module functions
@@ -41,6 +42,8 @@
 //     some counters of a source struct but silently drops another
 //   - conc-discipline: [conc] bare go statements, raw make(chan), or
 //     select in deterministic packages instead of internal/conc
+//
+// The last four read only the production files.
 //
 // Intentional exceptions are annotated in the source:
 //
@@ -53,15 +56,14 @@
 // with its justification, and CI gates on the fixlist not growing
 // (cmd/dwrlint -fixgate).
 //
-// To add an analyzer: implement moduleAnalyzer (or analyzer for purely
-// syntactic checks), append it to moduleAnalyzers, pick a new rule id,
-// and add a fixture directory under testdata/ with // want markers.
+// To add an analyzer: implement moduleAnalyzer, append it to
+// moduleAnalyzers, pick a new rule id, and add a fixture directory
+// under testdata/ with // want markers.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -78,10 +80,10 @@ type Finding struct {
 	Rule string `json:"rule"`
 	Msg  string `json:"msg"`
 
-	// Detail qualifies findings of the module analyzers down to a single
-	// field or construct (e.g. the dropped counter's name), so one line
-	// can carry several findings and directives can suppress exactly one
-	// of them: //dwrlint:allow <rule>:<detail> <why>.
+	// Detail qualifies a finding down to a single field or construct
+	// (e.g. the dropped counter's name), so one line can carry several
+	// findings and directives can suppress exactly one of them:
+	// //dwrlint:allow <rule>:<detail> <why>.
 	Detail string `json:"detail,omitempty"`
 
 	// Allowed marks a finding suppressed by a //dwrlint:allow or
@@ -97,8 +99,8 @@ func (f Finding) String() string {
 }
 
 // deterministic is the set of package units (directory base names)
-// whose results must be a pure function of their seeds. The determinism
-// and seed-plumbing analyzers only fire inside these.
+// whose results must be a pure function of their seeds. The determinism,
+// seed-plumbing, taint and conc analyzers only fire inside these.
 var deterministic = map[string]bool{
 	"simweb": true, "faultsim": true, "index": true, "qproc": true, "rank": true, "crawler": true,
 	"queueing": true, "loadgen": true, "cache": true, "chash": true, "partition": true,
@@ -108,52 +110,6 @@ var deterministic = map[string]bool{
 // deadlineUnits is the set of units whose query call sites must
 // propagate deadlines (the serving paths).
 var deadlineUnits = map[string]bool{"server": true, "dwrserve": true}
-
-// fileCtx is one parsed file plus the lookups analyzers need.
-type fileCtx struct {
-	fset   *token.FileSet
-	file   *ast.File
-	path   string // as reported in findings
-	unit   string // directory base name, e.g. "qproc"
-	isTest bool
-}
-
-// importName returns the local identifier under which the file imports
-// importPath ("" if not imported, or imported as _ or .).
-func (fc *fileCtx) importName(importPath string) string {
-	for _, imp := range fc.file.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != importPath {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		base := p
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			base = p[i+1:]
-		}
-		return base
-	}
-	return ""
-}
-
-// isPkgSel reports whether expr is a selector pkg.name where pkg is the
-// file's local name for an imported package (not a shadowing variable).
-func isPkgSel(expr ast.Expr, pkgName, name string) bool {
-	if pkgName == "" {
-		return false
-	}
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == pkgName && id.Obj == nil
-}
 
 // directives holds a file's dwrlint allow annotations.
 type directives struct {
@@ -247,56 +203,25 @@ func (d directives) allowed(rule string, line int) (string, bool) {
 	return "", false
 }
 
-// analyzer inspects one file and reports findings.
-type analyzer func(fc *fileCtx, report func(pos token.Pos, rule, msg string))
-
-// analyzers is the per-file suite, in reporting order.
-var analyzers = []analyzer{
-	analyzeDeterminism,
-	analyzeDeadline,
-	analyzeSeedPlumbing,
-}
-
 // moduleReport is how a module analyzer emits one finding: the file it
 // lives in, its position, and an optional detail (the exact field or
 // construct) for per-field directive suppression.
 type moduleReport func(mf *modFile, pos token.Pos, rule, detail, msg string)
 
 // moduleAnalyzer inspects the type-checked module view built over the
-// selected directories (plus everything they transitively import).
+// selected directories (plus everything they transitively import);
+// findings outside the selected files are dropped.
 type moduleAnalyzer func(m *module, report moduleReport)
 
-// moduleAnalyzers is the type-aware suite, in reporting order.
+// moduleAnalyzers is the suite, in reporting order.
 var moduleAnalyzers = []moduleAnalyzer{
+	analyzeDeterminism,
+	analyzeDeadline,
+	analyzeSeedPlumbing,
 	analyzeTaintModule,
 	analyzeCacheKeyModule,
 	analyzeStatsMergeModule,
 	analyzeConcModule,
-}
-
-// LintFile runs every analyzer over one parsed file and returns all
-// findings, with directive-exempted ones marked Allowed.
-func lintFile(fc *fileCtx) []Finding {
-	dirs := parseDirectives(fc.fset, fc.file)
-	seen := map[string]bool{}
-	var out []Finding
-	for _, an := range analyzers {
-		an(fc, func(pos token.Pos, rule, msg string) {
-			p := fc.fset.Position(pos)
-			key := fmt.Sprintf("%d:%d:%s", p.Line, p.Column, rule)
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			f := Finding{File: fc.path, Line: p.Line, Col: p.Column, Rule: rule, Msg: msg}
-			if why, ok := dirs.allowed(rule, p.Line); ok {
-				f.Allowed = true
-				f.Justification = why
-			}
-			out = append(out, f)
-		})
-	}
-	return out
 }
 
 // LintPatterns lints the files selected by patterns, resolved relative
@@ -308,41 +233,64 @@ func lintFile(fc *fileCtx) []Finding {
 //	          named explicitly this way)
 //	file.go   a single file
 //
-// File paths in findings are reported relative to root where possible.
+// Each selected directory is parsed and type-checked once; a selected
+// file that does not parse is an error. File paths in findings are
+// reported relative to root where possible.
 func LintPatterns(root string, patterns []string) ([]Finding, error) {
+	selected := map[string]bool{}
 	var files []string
 	for _, pat := range patterns {
 		fs, err := expandPattern(root, pat)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, fs...)
+		for _, path := range fs {
+			abs, err := filepath.Abs(path)
+			if err != nil {
+				return nil, err
+			}
+			if !selected[abs] { // pattern overlap
+				selected[abs] = true
+				files = append(files, abs)
+			}
+		}
 	}
 	sort.Strings(files)
-	var out []Finding
-	fset := token.NewFileSet()
-	for i, path := range files {
-		if i > 0 && files[i-1] == path {
-			continue // pattern overlap
-		}
-		src, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
+	m := newModule(root)
+	for _, abs := range files {
+		m.load(filepath.Dir(abs))
+	}
+	for _, abs := range files {
+		if err, ok := m.parsed[abs]; !ok {
+			return nil, fmt.Errorf("%s: not a .go file", abs)
+		} else if err != nil {
 			return nil, err
 		}
-		rel := path
-		if r, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(r, "..") {
-			rel = r
-		}
-		fc := &fileCtx{
-			fset:   fset,
-			file:   src,
-			path:   filepath.ToSlash(rel),
-			unit:   filepath.Base(filepath.Dir(path)),
-			isTest: strings.HasSuffix(path, "_test.go"),
-		}
-		out = append(out, lintFile(fc)...)
 	}
-	out = append(out, lintModule(root, files)...)
+	m.buildFacts()
+
+	var out []Finding
+	seen := map[string]bool{}
+	report := func(mf *modFile, pos token.Pos, rule, detail, msg string) {
+		if mf == nil || !selected[mf.abs] {
+			return
+		}
+		p := m.fset.Position(pos)
+		key := fmt.Sprintf("%s:%d:%d:%s:%s", mf.abs, p.Line, p.Column, rule, detail)
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		f := Finding{File: m.relOf(mf.abs), Line: p.Line, Col: p.Column, Rule: rule, Detail: detail, Msg: msg}
+		if why, ok := mf.dirs.allowedDetail(rule, detail, p.Line); ok {
+			f.Allowed = true
+			f.Justification = why
+		}
+		out = append(out, f)
+	}
+	for _, an := range moduleAnalyzers {
+		an(m, report)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.File != b.File {
@@ -360,65 +308,6 @@ func LintPatterns(root string, patterns []string) ([]Finding, error) {
 		return a.Detail < b.Detail
 	})
 	return out, nil
-}
-
-// lintModule runs the type-aware module analyzers over the selected
-// files: their directories are parsed and type-checked (transitive
-// module-internal imports load on demand), a call graph is built, and
-// findings are filtered back down to the selected non-test files.
-// Everything is best-effort — files that fail to type-check contribute
-// partial facts, never an error.
-func lintModule(root string, files []string) []Finding {
-	mod := newModule(root)
-	selected := map[string]bool{}
-	dirSet := map[string]bool{}
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		abs, err := filepath.Abs(path)
-		if err != nil {
-			continue
-		}
-		selected[abs] = true
-		dirSet[filepath.Dir(abs)] = true
-	}
-	if len(dirSet) == 0 {
-		return nil
-	}
-	var dirs []string
-	for d := range dirSet {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	for _, d := range dirs {
-		mod.load(d)
-	}
-	mod.buildFacts()
-
-	var out []Finding
-	seen := map[string]bool{}
-	report := func(mf *modFile, pos token.Pos, rule, detail, msg string) {
-		if mf == nil || !selected[mf.abs] {
-			return
-		}
-		p := mod.fset.Position(pos)
-		key := fmt.Sprintf("%s:%d:%d:%s:%s", mf.abs, p.Line, p.Column, rule, detail)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		f := Finding{File: mod.relOf(mf.abs), Line: p.Line, Col: p.Column, Rule: rule, Detail: detail, Msg: msg}
-		if why, ok := mf.dirs.allowedDetail(rule, detail, p.Line); ok {
-			f.Allowed = true
-			f.Justification = why
-		}
-		out = append(out, f)
-	}
-	for _, an := range moduleAnalyzers {
-		an(mod, report)
-	}
-	return out
 }
 
 // expandPattern resolves one CLI pattern to .go file paths.

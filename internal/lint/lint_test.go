@@ -3,6 +3,7 @@ package lint
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,9 +184,11 @@ func contains(ss []string, s string) bool {
 }
 
 // TestRepoIsClean lints the whole module with the real configuration:
-// the tree must have zero non-exempted findings. This is the in-process
-// twin of the CI `go run ./cmd/dwrlint ./...` gate, and it is what the
-// satellite "fix every true positive" work is pinned by.
+// the tree must have zero non-exempted findings, and the audited
+// exemptions must be exactly the five below. This is the in-process
+// twin of the CI `dwrlint ./...` and `-fixgate 5` gates, and it is
+// stricter than the gate: an analyzer that stops firing on an exempted
+// site shrinks the list and fails here.
 func TestRepoIsClean(t *testing.T) {
 	findings, err := LintPatterns("../..", []string{"./..."})
 	if err != nil {
@@ -194,16 +197,24 @@ func TestRepoIsClean(t *testing.T) {
 	for _, f := range Violations(findings) {
 		t.Errorf("%s", f)
 	}
-	// The exemption surface must stay small and justified: every entry
-	// carries text, and wallclock exemptions exist (build timing).
-	fix := Fixlist(findings)
-	if len(fix) == 0 {
-		t.Error("expected a nonzero audited exemption surface (wall-clock timing sites)")
+	const (
+		dynamic = "measures real search latency under concurrent updates; ranked results stay deterministic"
+		build   = "build-time measurement for the C14 table; the built indexes are compared byte-identically"
+		queue   = "engine is not a DeadlineQuerier or no deadline is configured; there is no budget to propagate"
+	)
+	want := []string{
+		"internal/experiments/claims_dynamic.go [wallclock] " + dynamic,
+		"internal/experiments/claims_dynamic.go [wallclock] " + dynamic,
+		"internal/experiments/claims_index.go [wallclock] " + build,
+		"internal/experiments/claims_index.go [wallclock] " + build,
+		"internal/server/queue.go [deadline] " + queue,
 	}
-	for _, f := range fix {
-		if f.Justification == "" || strings.HasPrefix(f.Justification, "(") {
-			t.Errorf("%s:%d: [%s] exemption without a written justification", f.File, f.Line, f.Rule)
-		}
+	var got []string
+	for _, f := range Fixlist(findings) {
+		got = append(got, fmt.Sprintf("%s [%s] %s", f.File, f.Rule, f.Justification))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("exemptions drifted\ngot:  %q\nwant: %q", got, want)
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// This file is the v2 analysis substrate: a lazily type-checked view of
+// This file is the analysis substrate: a lazily type-checked view of
 // the module the linted files belong to, plus a static call graph over
 // every function the view has loaded. It is stdlib-only — module-internal
 // import paths are resolved straight from the already-parsed ASTs, and
@@ -24,7 +25,8 @@ import (
 // mid-refactor code rarely type-check cleanly, and a lint run must
 // degrade to "fewer facts, fewer findings" rather than erroring out. The
 // type checker runs with an error collector, and analyzers treat missing
-// type info as "unknown, stay silent".
+// type info as "unknown, stay silent". Parse errors are recorded, not
+// returned: LintPatterns fails on a selected file that does not parse.
 
 // module is a typed, call-graph-annotated view of one Go module.
 type module struct {
@@ -33,7 +35,8 @@ type module struct {
 	modRoot  string // directory holding go.mod ("" if none found)
 	modPath  string // module path from go.mod ("" if none found)
 
-	pkgs map[string]*modPackage // abs dir -> package view
+	pkgs   map[string]*modPackage // abs dir -> package view
+	parsed map[string]error       // every .go file load read -> its parse error (nil if it parsed)
 
 	std     types.Importer // compiled stdlib export data
 	src     types.Importer // source fallback
@@ -42,20 +45,28 @@ type module struct {
 	funcs map[*types.Func]*funcFacts // call graph, built by buildFacts
 }
 
-// modPackage is one directory's non-test files, parsed and type-checked.
+// modPackage is one directory's files, parsed once and type-checked.
+// files, pkg and info are the production view: the call graph, the
+// module-wide analyzers and the repository guards read only that. all
+// is files followed by the _test.go files, each of which carries the
+// info of its test variant.
 type modPackage struct {
 	unit    string // directory base name, e.g. "qproc"
 	files   []*modFile
+	all     []*modFile
 	pkg     *types.Package
 	info    *types.Info
 	loading bool // cycle guard while type-checking imports
 }
 
-// modFile is one parsed non-test file plus its allow directives.
+// modFile is one parsed file, its allow directives, and the type info
+// of the package variant that covers it.
 type modFile struct {
 	abs  string
 	ast  *ast.File
 	dirs directives
+	info *types.Info
+	test bool
 }
 
 // callSite is one statically resolved call inside a function body.
@@ -64,9 +75,8 @@ type callSite struct {
 	callee *types.Func
 }
 
-// sinkSite is one direct wall-clock / global-rand call inside a body.
+// sinkSite is one direct wall-clock / global-rand reference inside a body.
 type sinkSite struct {
-	rule    string // "wallclock" or "globalrand"
 	name    string // e.g. "time.Now"
 	allowed bool   // suppressed by a //dwrlint:allow at the site
 }
@@ -74,7 +84,6 @@ type sinkSite struct {
 // funcFacts is the per-function call-graph node.
 type funcFacts struct {
 	obj   *types.Func
-	decl  *ast.FuncDecl
 	pkg   *modPackage
 	file  *modFile
 	calls []callSite
@@ -93,6 +102,7 @@ func newModule(lintRoot string) *module {
 		fset:     token.NewFileSet(),
 		lintRoot: abs,
 		pkgs:     map[string]*modPackage{},
+		parsed:   map[string]error{},
 		std:      importer.Default(),
 		stdMemo:  map[string]*types.Package{},
 	}
@@ -124,9 +134,11 @@ func modulePath(gomod string) string {
 	return ""
 }
 
-// load parses and type-checks the non-test files of one directory,
-// memoized. Failures are dropped, not returned: a package that cannot
-// be loaded simply contributes no facts.
+// load parses every .go file of one directory once and type-checks
+// three variants, memoized: the production files, the production files
+// with the in-package tests, and the external _test package on its own.
+// Failures are dropped, not returned: a package that cannot be loaded
+// simply contributes no facts.
 func (m *module) load(dir string) *modPackage {
 	if abs, err := filepath.Abs(dir); err == nil {
 		dir = abs
@@ -141,45 +153,78 @@ func (m *module) load(dir string) *modPackage {
 	if err != nil {
 		return p
 	}
-	var names []string
+	var files, tests []*modFile
 	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		path := filepath.Join(dir, e.Name())
+		if e.IsDir() || !strings.HasSuffix(path, ".go") {
 			continue
 		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var asts []*ast.File
-	pkgName := ""
-	for _, n := range names {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if err != nil {
+		f, err := parser.ParseFile(m.fset, path, nil, parser.ParseComments)
+		if m.parsed[path] = err; err != nil {
 			continue
 		}
-		// A directory can legitimately mix package names (fixtures, main
-		// vs. tool files); keep the first-seen package, skip the rest.
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			continue
+		mf := &modFile{abs: path, ast: f, dirs: parseDirectives(m.fset, f), test: strings.HasSuffix(path, "_test.go")}
+		if mf.test {
+			tests = append(tests, mf)
+		} else {
+			files = append(files, mf)
 		}
-		mf := &modFile{abs: filepath.Join(dir, n), ast: f}
-		mf.dirs = parseDirectives(m.fset, f)
-		asts = append(asts, f)
-		p.files = append(p.files, mf)
 	}
-	if len(asts) == 0 {
-		return p
+	// A directory can legitimately mix package names (fixtures, main
+	// vs. tool files); keep the first-seen package, skip the rest.
+	var name string
+	if len(files) > 0 {
+		name = files[0].ast.Name.Name
+	} else if len(tests) > 0 {
+		name = strings.TrimSuffix(tests[0].ast.Name.Name, "_test")
 	}
+	for _, mf := range files {
+		if mf.ast.Name.Name == name {
+			p.files = append(p.files, mf)
+		}
+	}
+	var inPkg, xTest []*modFile
+	for _, mf := range tests {
+		switch mf.ast.Name.Name {
+		case name:
+			inPkg = append(inPkg, mf)
+		case name + "_test":
+			xTest = append(xTest, mf)
+		}
+	}
+	p.all = slices.Concat(p.files, inPkg, xTest)
 
-	p.loading = true
-	defer func() { p.loading = false }()
+	path := m.importPathOf(dir)
+	if len(p.files) > 0 {
+		p.loading = true
+		p.pkg, p.info = m.check(path, p.files)
+		p.loading = false
+	}
+	if len(inPkg) > 0 {
+		m.check(path, p.all[:len(p.files)+len(inPkg)])
+	}
+	if len(xTest) > 0 {
+		m.check(path+"_test", xTest)
+	}
+	return p
+}
+
+// check type-checks files as one package and hands the info to every
+// file that has none yet, so a production file keeps the production
+// view's info when it is checked again with its package's tests.
+func (m *module) check(path string, files []*modFile) (*types.Package, *types.Info) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	asts := make([]*ast.File, len(files))
+	for i, mf := range files {
+		asts[i] = mf.ast
+		if mf.info == nil {
+			mf.info = info
+		}
 	}
 	conf := types.Config{
 		Importer:                 m,
@@ -187,9 +232,8 @@ func (m *module) load(dir string) *modPackage {
 		FakeImportC:              true,
 		DisableUnusedImportCheck: true,
 	}
-	p.pkg, _ = conf.Check(m.importPathOf(dir), m.fset, asts, info)
-	p.info = info
-	return p
+	pkg, _ := conf.Check(path, m.fset, asts, info)
+	return pkg, info
 }
 
 // importPathOf maps an absolute directory to its import path within the
@@ -244,8 +288,7 @@ type importError struct{ path, reason string }
 
 func (e *importError) Error() string { return e.reason + ": " + e.path }
 
-// relOf reports path relative to the lint root, matching the per-file
-// pass's finding paths.
+// relOf reports path relative to the lint root, as findings name it.
 func (m *module) relOf(abs string) string {
 	if rel, err := filepath.Rel(m.lintRoot, abs); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
@@ -253,18 +296,15 @@ func (m *module) relOf(abs string) string {
 	return filepath.ToSlash(abs)
 }
 
-// buildFacts walks every loaded package and records, per declared
-// function, its statically resolvable calls and its direct
-// wall-clock/global-rand sinks. Function literals are attributed to the
-// enclosing declaration — a sink inside a closure taints the function
-// that builds the closure, which is the conservative direction.
+// buildFacts walks every loaded package's production files and
+// records, per declared function, its statically resolvable calls and
+// its direct wall-clock/global-rand sink references, called or not.
+// Function literals are attributed to the enclosing declaration — a
+// sink inside a closure taints the function that builds the closure,
+// which is the conservative direction.
 func (m *module) buildFacts() {
 	m.funcs = map[*types.Func]*funcFacts{}
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
-		if p.info == nil {
-			continue
-		}
+	for _, p := range m.packages() {
 		for _, mf := range p.files {
 			for _, decl := range mf.ast.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -275,23 +315,18 @@ func (m *module) buildFacts() {
 				if obj == nil {
 					continue
 				}
-				ff := &funcFacts{obj: obj, decl: fd, pkg: p, file: mf}
+				ff := &funcFacts{obj: obj, pkg: p, file: mf}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeOf(p.info, call)
-					if callee == nil {
-						return true
-					}
-					ff.calls = append(ff.calls, callSite{pos: call.Pos(), callee: callee})
-					if rule, name, ok := sinkCall(callee); ok {
-						line := m.fset.Position(call.Pos()).Line
-						_, allowed := mf.dirs.allowed(rule, line)
-						ff.sinks = append(ff.sinks, sinkSite{rule: rule, name: name, allowed: allowed})
+					if call, ok := n.(*ast.CallExpr); ok {
+						if callee := calleeOf(p.info, call); callee != nil {
+							ff.calls = append(ff.calls, callSite{pos: call.Pos(), callee: callee})
+						}
 					}
 					return true
+				})
+				eachSink(p.info, fd.Body, func(ref ast.Expr, f *types.Func, rule string) {
+					_, allowed := mf.dirs.allowed(rule, m.fset.Position(ref.Pos()).Line)
+					ff.sinks = append(ff.sinks, sinkSite{name: f.Pkg().Name() + "." + f.Name(), allowed: allowed})
 				})
 				m.funcs[obj] = ff
 			}
@@ -299,15 +334,19 @@ func (m *module) buildFacts() {
 	}
 }
 
-// sortedDirs returns the loaded package directories in a fixed order so
-// every walk over the module is deterministic.
-func (m *module) sortedDirs() []string {
+// packages returns the loaded packages in directory order, so every
+// walk over the module is deterministic.
+func (m *module) packages() []*modPackage {
 	dirs := make([]string, 0, len(m.pkgs))
 	for d := range m.pkgs {
 		dirs = append(dirs, d)
 	}
 	sort.Strings(dirs)
-	return dirs
+	ps := make([]*modPackage, len(dirs))
+	for i, d := range dirs {
+		ps[i] = m.pkgs[d]
+	}
+	return ps
 }
 
 // calleeOf statically resolves a call expression's target function:
@@ -344,27 +383,56 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// sinkCall classifies a resolved callee as a determinism sink: a
-// package-level function of time that reads or blocks on the real clock,
-// or a package-level math/rand function drawing from the shared global
-// source. Methods (e.g. a seeded *rand.Rand's Intn) are not sinks.
-func sinkCall(f *types.Func) (rule, name string, ok bool) {
-	pkg := f.Pkg()
-	if pkg == nil {
-		return "", "", false
+// pkgFunc returns the package-level function an identifier or a
+// qualified identifier (pkg.Func) refers to, or nil. Methods are not
+// package-level, so a seeded *rand.Rand's Intn resolves to nil.
+func pkgFunc(info *types.Info, e ast.Expr) *types.Func {
+	var id *ast.Ident
+	switch x := e.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
 	}
-	if sig, _ := f.Type().(*types.Signature); sig == nil || sig.Recv() != nil {
-		return "", "", false
+	f, _ := info.Uses[id].(*types.Func)
+	if f == nil || f.Pkg() == nil || f.Type().(*types.Signature).Recv() != nil {
+		return nil
 	}
-	switch pkg.Path() {
-	case "time":
-		if wallclockFuncs[f.Name()] {
-			return "wallclock", "time." + f.Name(), true
+	return f
+}
+
+// sinkRule classifies a package-level function as a determinism sink:
+// "wallclock" for a time function that reads or blocks on the real
+// clock, "globalrand" for a math/rand function drawing from the shared
+// global source, "" otherwise.
+func sinkRule(f *types.Func) string {
+	switch {
+	case f == nil:
+	case f.Pkg().Path() == "time" && wallclockFuncs[f.Name()]:
+		return "wallclock"
+	case f.Pkg().Path() == "math/rand" && globalRandFuncs[f.Name()]:
+		return "globalrand"
+	}
+	return ""
+}
+
+// eachSink calls fn for every reference under n to a sink — called or
+// passed as a value, qualified (time.Now) or dot-imported (Now) — with
+// the referring expression, so a qualified sink is reported at its
+// package name as the reader sees it.
+func eachSink(info *types.Info, n ast.Node, fn func(ref ast.Expr, f *types.Func, rule string)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		e, ok := n.(ast.Expr)
+		if !ok {
+			return true
 		}
-	case "math/rand":
-		if globalRandFuncs[f.Name()] {
-			return "globalrand", "rand." + f.Name(), true
+		f := pkgFunc(info, e)
+		if rule := sinkRule(f); rule != "" {
+			fn(e, f, rule)
+			return false
 		}
-	}
-	return "", "", false
+		return true
+	})
 }

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 )
 
 // The seed-plumbing analyzer ([seed]) polices how *rand.Rand values are
@@ -22,59 +22,47 @@ import (
 //
 // internal/randx itself is the one blessed wrapper; it is not in the
 // deterministic package set, so its own rand.New is out of scope.
-func analyzeSeedPlumbing(fc *fileCtx, report func(pos token.Pos, rule, msg string)) {
-	if !deterministic[fc.unit] {
-		return
-	}
-	randName := fc.importName("math/rand")
-	if randName == "" {
-		return
-	}
-	timeName := fc.importName("time")
-	ast.Inspect(fc.file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+func analyzeSeedPlumbing(m *module, report moduleReport) {
+	for _, p := range m.packages() {
+		if !deterministic[p.unit] {
+			continue
 		}
-		switch {
-		case isPkgSel(call.Fun, randName, "New"):
-			if len(call.Args) != 1 {
+		for _, mf := range p.all {
+			ast.Inspect(mf.ast, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				switch randFunc(mf.info, call.Fun) {
+				case "New":
+					if src, ok := call.Args[0].(*ast.CallExpr); !ok || randFunc(mf.info, src.Fun) != "NewSource" {
+						report(mf, call.Pos(), "seed", "",
+							"rand.New with a source of invisible provenance: construct generators with randx.New(seed)")
+					} else if !mf.test {
+						report(mf, call.Pos(), "seed", "",
+							"rand.New(rand.NewSource(...)) outside a test: use randx.New(seed) so seed plumbing stays auditable")
+					}
+				case "NewSource":
+					clock := false
+					eachSink(mf.info, call.Args[0], func(_ ast.Expr, _ *types.Func, rule string) {
+						clock = clock || rule == "wallclock"
+					})
+					if clock {
+						report(mf, call.Pos(), "seed", "",
+							"rand.NewSource seeded from the wall clock: every run draws a different stream; use an explicit seed")
+					}
+				}
 				return true
-			}
-			src, ok := call.Args[0].(*ast.CallExpr)
-			if !ok || !isPkgSel(src.Fun, randName, "NewSource") {
-				report(call.Pos(), "seed",
-					"rand.New with a source of invisible provenance: construct generators with randx.New(seed)")
-				return true
-			}
-			if !fc.isTest {
-				report(call.Pos(), "seed",
-					"rand.New(rand.NewSource(...)) outside a test: use randx.New(seed) so seed plumbing stays auditable")
-			}
-		case isPkgSel(call.Fun, randName, "NewSource"):
-			if len(call.Args) == 1 && timeName != "" && readsWallClock(call.Args[0], timeName) {
-				report(call.Pos(), "seed",
-					"rand.NewSource seeded from the wall clock: every run draws a different stream; use an explicit seed")
-			}
+			})
 		}
-		return true
-	})
+	}
 }
 
-// readsWallClock reports whether expr contains a call of a wall-clock
-// function of package time.
-func readsWallClock(expr ast.Expr, timeName string) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if sel, ok := n.(*ast.SelectorExpr); ok &&
-			wallclockFuncs[sel.Sel.Name] && isPkgSel(sel, timeName, sel.Sel.Name) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+// randFunc names the package-level math/rand function e refers to, or
+// returns "".
+func randFunc(info *types.Info, e ast.Expr) string {
+	if f := pkgFunc(info, e); f != nil && f.Pkg().Path() == "math/rand" {
+		return f.Name()
+	}
+	return ""
 }

@@ -49,11 +49,7 @@ type foldGroup struct {
 }
 
 func analyzeStatsMergeModule(m *module, report moduleReport) {
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
-		if p.info == nil {
-			continue
-		}
+	for _, p := range m.packages() {
 		for _, mf := range p.files {
 			for _, decl := range mf.ast.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

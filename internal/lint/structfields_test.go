@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -34,13 +33,12 @@ var fieldReaderKeep = map[string]string{
 // program pays to fill and never uses.
 func TestStructFieldsHaveAReader(t *testing.T) {
 	m := loadRepo(t)
-	internal := filepath.Join(m.modRoot, "internal") + string(filepath.Separator)
+	internal := m.modPath + "/internal/"
 
 	// owner maps each in-scope field to the name of its struct.
 	owner := map[*types.Var]string{}
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
-		if p.info == nil || !strings.HasPrefix(dir+string(filepath.Separator), internal) {
+	for _, p := range m.packages() {
+		if p.info == nil || !strings.HasPrefix(p.pkg.Path()+"/", internal) {
 			continue
 		}
 		for _, mf := range p.files {
@@ -92,8 +90,7 @@ func TestStructFieldsHaveAReader(t *testing.T) {
 			}
 		}
 	}
-	for _, dir := range m.sortedDirs() {
-		p := m.pkgs[dir]
+	for _, p := range m.packages() {
 		if p.info == nil {
 			continue
 		}

@@ -8,22 +8,23 @@ import (
 )
 
 // The determinism-taint analyzer ([taint]) closes the wrapper-function
-// escape hatch of the syntactic determinism pass: a helper defined in a
+// escape hatch of the determinism rule: a helper defined in a
 // NON-deterministic package that transitively reaches time.Now (or any
 // wall-clock function) or a global math/rand draw is flagged at every
-// call site inside a deterministic package. The syntactic pass cannot
-// see this — the deterministic file contains neither a time nor a
-// math/rand import, just an innocent-looking helper call.
+// call site inside a deterministic package. The deterministic file
+// itself names no sink, just an innocent-looking helper call.
 //
 // Taint semantics, chosen so each root cause is reported exactly once:
 //
 //   - Roots are functions in non-deterministic module packages whose
-//     bodies contain an unsuppressed sink call. Sinks under a
-//     //dwrlint:allow wallclock/globalrand directive never seed taint —
-//     the directive asserts the site is behaviorally harmless, and
-//     propagating from it would force every caller to re-annotate.
+//     bodies reference an unsuppressed sink, called or not: a helper
+//     that returns time.Now as a value leaks the clock as surely as one
+//     that calls it. Sinks under a //dwrlint:allow wallclock/globalrand
+//     directive never seed taint — the directive asserts the site is
+//     behaviorally harmless, and propagating from it would force every
+//     caller to re-annotate.
 //   - Sinks inside deterministic packages don't seed taint either: the
-//     syntactic determinism analyzer already flags them in place.
+//     determinism analyzer already flags them in place.
 //   - Taint flows backward over static call edges through any module
 //     function. A finding is emitted where a deterministic package calls
 //     a tainted function that lives in a non-deterministic package;
@@ -39,7 +40,6 @@ import (
 type taintInfo struct {
 	next *types.Func // next hop toward the sink (nil at the root)
 	sink string      // e.g. "time.Now" (set at the root)
-	rule string      // "wallclock" or "globalrand"
 }
 
 func analyzeTaintModule(m *module, report moduleReport) {
@@ -71,7 +71,7 @@ func analyzeTaintModule(m *module, report moduleReport) {
 			if s.allowed {
 				continue
 			}
-			tainted[obj] = taintInfo{sink: s.name, rule: s.rule}
+			tainted[obj] = taintInfo{sink: s.name}
 			frontier = append(frontier, obj)
 			break
 		}
@@ -86,8 +86,7 @@ func analyzeTaintModule(m *module, report moduleReport) {
 				if _, seen := tainted[caller.obj]; seen {
 					continue
 				}
-				ti := tainted[f]
-				tainted[caller.obj] = taintInfo{next: f, sink: ti.sink, rule: ti.rule}
+				tainted[caller.obj] = taintInfo{next: f, sink: tainted[f].sink}
 				next = append(next, caller.obj)
 			}
 		}

@@ -1,6 +1,6 @@
 // Fixture: a deterministic package (unit "crawler") calling helpers
-// from a non-deterministic one. The file imports neither time nor
-// math/rand, so the syntactic determinism pass sees nothing — only the
+// from a non-deterministic one. The file names no wall-clock or
+// global-rand function, so the determinism rule sees nothing — only the
 // interprocedural taint analysis can flag the leaking helpers.
 package crawler
 
@@ -18,6 +18,11 @@ func directLeak() time.Time {
 // transitiveLeak reaches the sink through two hops.
 func transitiveLeak(t time.Time) float64 {
 	return clockutil.Elapsed(t) // want taint
+}
+
+// valueLeak calls the clock a helper hands out as a value.
+func valueLeak() time.Time {
+	return clockutil.Clock()() // want taint
 }
 
 // pureUse calls a helper with no sink below it: no finding.
