@@ -1,6 +1,6 @@
 // Package faultsim is the deterministic fault-injection and latency-
 // simulation layer under the query path's robustness policy: it wraps
-// partition/site processor calls with injectable behaviors — crash
+// partition processor calls with injectable behaviors — crash
 // (silent, detected only by timeout), flaky (probabilistic immediate
 // error), slow (straggler latency drawn from a log-normal), and
 // partition-wide outage windows keyed by the engine's query tick.
@@ -28,8 +28,8 @@ import (
 // errors.Is. The concrete error says which unit failed and how.
 var ErrInjected = errors.New("faultsim: injected fault")
 
-// Spec configures the fault behavior of one unit (a partition server, a
-// pipeline term server, or a site) — all its replicas alike; a Window
+// Spec configures the fault behavior of one unit (a partition server) —
+// all its replicas alike; a Window
 // takes out a single replica. The zero Spec is a perfectly healthy server.
 type Spec struct {
 	// Crash makes every call fail silently: no error reply, no answer.
@@ -92,7 +92,7 @@ type Outcome struct {
 
 // Injector decides call outcomes for a set of units. Spec changes are
 // guarded and may be made between queries (e.g. an example failing a
-// site mid-run); Outcome itself is lock-light and safe for concurrent
+// partition mid-run); Outcome itself is lock-light and safe for concurrent
 // brokers.
 type Injector struct {
 	seed int64

@@ -13,8 +13,8 @@ import (
 // options that leave within-budget answers identical.
 //
 // A cache-key function is any function whose name ends in "CacheKey"
-// (DocCacheKey, TermCacheKey, FederatedCacheKey). Two
-// obligations are checked from its type information:
+// (DocCacheKey, FederatedCacheKey). Two obligations are checked from its
+// type information:
 //
 //   - For a parameter whose named type ends in "QueryOptions": every
 //     field must be read somewhere in the body — an option the key never

@@ -25,10 +25,13 @@ var fieldReaderKeep = map[string]string{
 // (tests excluded) and fails on a field of a struct declared under
 // internal/ that no non-test file reads. A read is any use of the field
 // but the target of =, :=, op=, ++ or --, or a key in a composite
-// literal. A struct compared with == or !=, or passed where an empty
-// interface is expected (fmt, encoding/json, reflect) — as a value,
-// through a pointer, or as the element of a slice, array or map — counts
-// as reading every one of its fields. Blank fields, embedded fields and
+// literal, or a use that only feeds the field itself: on the right of
+// an assignment to the same field, in the condition of an if whose body
+// is one assignment to it, or in x.F.Merge(y.F). A struct compared with
+// == or !=, or passed where an empty interface is expected (fmt,
+// encoding/json, reflect) — as a value, through a pointer, or as the
+// element of a slice, array or map — counts as reading every one of its
+// fields. Blank fields, embedded fields and
 // fields with a json: tag are exempt. A field nothing reads is state the
 // program pays to fill and never uses.
 func TestStructFieldsHaveAReader(t *testing.T) {
@@ -94,33 +97,69 @@ func TestStructFieldsHaveAReader(t *testing.T) {
 		if p.info == nil {
 			continue
 		}
-		// stored holds the selectors that are the target of a store. An
-		// assignment is visited before its operands, so a selector is
-		// marked before the walk reaches it.
+		// stored holds the selectors that are the target of a store, and
+		// selfFed those whose read only feeds the same field. A statement
+		// is visited before its operands, so a selector is marked before
+		// the walk reaches it.
 		stored := map[*ast.SelectorExpr]bool{}
+		selfFed := map[*ast.SelectorExpr]bool{}
 		store := func(e ast.Expr) {
 			if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
 				stored[sel] = true
 			}
 		}
+		field := func(e ast.Expr) *types.Var {
+			if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return s.Obj().(*types.Var).Origin()
+				}
+			}
+			return nil
+		}
+		feeds := func(f *types.Var, e ast.Expr) {
+			if f == nil {
+				return
+			}
+			ast.Inspect(e, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && field(sel) == f {
+					selfFed[sel] = true
+				}
+				return true
+			})
+		}
 		for _, mf := range p.files {
 			ast.Inspect(mf.ast, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
+					for i, lhs := range n.Lhs {
 						store(lhs)
+						if len(n.Lhs) == len(n.Rhs) {
+							feeds(field(lhs), n.Rhs[i])
+						}
+					}
+				case *ast.IfStmt:
+					if len(n.Body.List) == 1 {
+						if as, ok := n.Body.List[0].(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+							feeds(field(as.Lhs[0]), n.Cond)
+						}
 					}
 				case *ast.IncDecStmt:
 					store(n.X)
 				case *ast.SelectorExpr:
-					if s := p.info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !stored[n] {
-						read[s.Obj().(*types.Var).Origin()] = true
+					if f := field(n); f != nil && !stored[n] && !selfFed[n] {
+						read[f] = true
 					}
 				case *ast.BinaryExpr:
 					if n.Op == token.EQL || n.Op == token.NEQ {
 						readFields(p.info.TypeOf(n.X))
 					}
 				case *ast.CallExpr:
+					if m, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && m.Sel.Name == "Merge" && len(n.Args) == 1 {
+						if f := field(m.X); f != nil && field(n.Args[0]) == f {
+							feeds(f, m.X)
+							feeds(f, n.Args[0])
+						}
+					}
 					sig, ok := p.info.TypeOf(n.Fun).(*types.Signature)
 					if !ok {
 						break

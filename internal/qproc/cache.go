@@ -141,9 +141,3 @@ func DocCacheKey(terms []string, opt DocQueryOptions) string {
 	b = appendField(b, "ts", int(opt.Threshold))
 	return string(b)
 }
-
-// TermCacheKey is the full result-cache key of a TermEngine query.
-func TermCacheKey(terms []string, k int) string {
-	var buf [keyBuf]byte
-	return string(appendField(appendQueryKey(buf[:0], terms), "k", k))
-}

@@ -22,6 +22,7 @@ const (
 	perPostingMs     = 0.002 // per posting decoded
 	perAccumulatorMs = 0.001 // per travelling-accumulator entry a pipeline server touches
 	cacheHitMs       = 0.2   // broker-local result-cache hit: a hash lookup, no fan-out
+	lanMs            = 0.3   // one LAN message between a broker and a server, or server to server
 )
 
 // serviceMs returns the service time for decoding n postings.
@@ -42,7 +43,6 @@ type QueryResult struct {
 	Results          []rank.Result
 	LatencyMs        float64
 	ServersContacted int
-	Rounds           int   // network round trips the broker needed
 	PostingsDecoded  int   // postings touched across all servers
 	ListsAccessed    int   // posting-list fetches (disk accesses) across all servers
 	PostingBytesRead int64 // encoded posting bytes accessed (disk cost)
@@ -65,7 +65,6 @@ type QueryResult struct {
 	// threshold sharing, 0 for cache hits and all-down answers.
 	Waves   int
 	Retries int // partition-call retries the fault policy spent
-	Hedges  int // hedged backup requests the fault policy fired
 	// Err is set when the engine could not produce an acceptable answer:
 	// ErrUnavailable under a fail-fast fault policy, ErrAllSitesDown when
 	// a multi-site query found no reachable processor. Inspect with

@@ -18,16 +18,14 @@ var ErrDeadlineExceeded = errors.New("qproc: query deadline exceeded")
 // like QueryTopK, but the evaluation is abandoned once deadlineMs of
 // virtual time is spent (deadlineMs <= 0 means no budget). How deep the
 // budget reaches depends on the engine: DocEngine threads it into every
-// partition call's retry/hedge loop, TermEngine cuts the pipeline short
-// at the hop that busts the budget, MultiSite checks the final answer.
+// partition call's retry/hedge loop, MultiSite checks the final answer.
 type DeadlineQuerier interface {
 	QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult
 }
 
-// Every engine propagates deadlines, checked at compile time.
+// Every serving engine propagates deadlines, checked at compile time.
 var (
 	_ DeadlineQuerier = (*DocEngine)(nil)
-	_ DeadlineQuerier = (*TermEngine)(nil)
 	_ DeadlineQuerier = (*MultiSite)(nil)
 	_ DeadlineQuerier = (*LiveEngine)(nil)
 )

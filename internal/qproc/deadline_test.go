@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"dwr/internal/faultsim"
-	"dwr/internal/index"
-	"dwr/internal/partition"
 )
 
 // TestDeadlineGenerousBudgetByteIdentity pins the serving contract: a
@@ -27,28 +25,6 @@ func TestDeadlineGenerousBudgetByteIdentity(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("term", func(t *testing.T) {
-		central := centralIndex(docs)
-		tp := partition.BinPackTerms(central.Terms(), func(t string) float64 {
-			return float64(central.DF(t))
-		}, 4)
-		plain, err := NewTermEngine(index.DefaultOptions(), docs, tp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		budgeted, err := NewTermEngine(index.DefaultOptions(), docs, tp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range queries {
-			want := qrFingerprint(plain.QueryTopK(q, 10))
-			got := qrFingerprint(budgeted.QueryTopKWithin(q, 10, 1e9))
-			if want != got {
-				t.Fatalf("query %v diverged under generous budget:\n%s\nvs\n%s", q, want, got)
-			}
-		}
-	})
 }
 
 // TestDeadlineTinyBudgetExceeded: a budget no query can meet yields a
@@ -56,31 +32,18 @@ func TestDeadlineGenerousBudgetByteIdentity(t *testing.T) {
 func TestDeadlineTinyBudgetExceeded(t *testing.T) {
 	docs := corpus(23, 300, 200)
 	queries := zipfQueries(24, 40, 200)
-	central := centralIndex(docs)
-	tp := partition.BinPackTerms(central.Terms(), func(t string) float64 {
-		return float64(central.DF(t))
-	}, 4)
-	te, err := NewTermEngine(index.DefaultOptions(), docs, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := map[string]DeadlineQuerier{
-		"doc":  buildDocEngine(t, docs, 4),
-		"term": te,
-	}
+	e := buildDocEngine(t, docs, 4)
 	const budget = 1e-9
-	for name, e := range engines {
-		for _, q := range queries {
-			qr := e.QueryTopKWithin(q, 10, budget)
-			if !errors.Is(qr.Err, ErrDeadlineExceeded) {
-				t.Fatalf("%s %v: err = %v, want ErrDeadlineExceeded", name, q, qr.Err)
-			}
-			if qr.Results != nil {
-				t.Fatalf("%s %v: deadline failure carried %d results", name, q, len(qr.Results))
-			}
-			if qr.LatencyMs > budget {
-				t.Fatalf("%s %v: latency %v exceeds the %v budget", name, q, qr.LatencyMs, budget)
-			}
+	for _, q := range queries {
+		qr := e.QueryTopKWithin(q, 10, budget)
+		if !errors.Is(qr.Err, ErrDeadlineExceeded) {
+			t.Fatalf("%v: err = %v, want ErrDeadlineExceeded", q, qr.Err)
+		}
+		if qr.Results != nil {
+			t.Fatalf("%v: deadline failure carried %d results", q, len(qr.Results))
+		}
+		if qr.LatencyMs > budget {
+			t.Fatalf("%v: latency %v exceeds the %v budget", q, qr.LatencyMs, budget)
 		}
 	}
 }
@@ -175,44 +138,5 @@ func TestLiveEngineDeadline(t *testing.T) {
 	}
 	if qr = dq.QueryTopKWithin(q, 10, 1e9); qr.Err != nil || !qr.FromCache {
 		t.Fatalf("generous budget on hit: err=%v fromCache=%v", qr.Err, qr.FromCache)
-	}
-}
-
-// TestTermEngineDeadlineTruncatesPipeline: when the budget dies mid-
-// route, later hops are never contacted — the abandoned query reports
-// fewer servers than the full evaluation.
-func TestTermEngineDeadlineTruncatesPipeline(t *testing.T) {
-	docs := corpus(29, 400, 300)
-	central := centralIndex(docs)
-	tp := partition.BinPackTerms(central.Terms(), func(t string) float64 {
-		return float64(central.DF(t))
-	}, 8)
-	e, err := NewTermEngine(index.DefaultOptions(), docs, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A multi-term query routed across distinct partitions.
-	var q []string
-	for _, cand := range zipfQueries(30, 200, 300) {
-		if len(cand) >= 3 {
-			full := e.Query(cand, 10)
-			if full.ServersContacted >= 2 {
-				q = cand
-				break
-			}
-		}
-	}
-	if q == nil {
-		t.Skip("no multi-partition query found")
-	}
-	full := e.Query(q, 10)
-	// Abandon after roughly the first hop.
-	cut := e.QueryTopKWithin(q, 10, full.LatencyMs/float64(full.ServersContacted)/2)
-	if !errors.Is(cut.Err, ErrDeadlineExceeded) {
-		t.Fatalf("mid-route budget: err = %v", cut.Err)
-	}
-	if cut.ServersContacted >= full.ServersContacted {
-		t.Fatalf("abandoned query still contacted %d of %d servers",
-			cut.ServersContacted, full.ServersContacted)
 	}
 }

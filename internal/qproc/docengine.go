@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dwr/internal/conc"
 	"dwr/internal/index"
-	"dwr/internal/metrics"
 	"dwr/internal/partition"
 	"dwr/internal/rank"
 	"dwr/internal/selection"
@@ -34,7 +34,24 @@ import (
 // are immutable concurrent-reader structures and the busy-load
 // accounting is guarded by a mutex taken only at the gather.
 type DocEngine struct {
-	broker
+	// inflight counts the queries inside evaluate; it caps the fan-out
+	// to the processors they leave idle (idleWidth).
+	inflight atomic.Int64
+	mu       sync.Mutex
+	busyMs   []float64 // per partition
+	// evaluated counts the queries that missed the result cache and is
+	// the fault-schedule clock: a hit consults no partition, so it must
+	// not move the injector's timeline. hits counts the rest, off the
+	// lock — a hit never takes mu. Accepted queries are the two together.
+	evaluated        int
+	hits             atomic.Int64
+	degraded, failed int
+	// rcache is the broker-level result cache (WithResultCache); nil
+	// when none was configured.
+	rcache *ResultCache
+	// rb is the robustness runtime (deadline/retry/hedge policy over the
+	// fault-injection layer); nil unless fault options were given.
+	rb *robustness
 	// sources yield each partition's current view.
 	sources []func() *index.Manifest
 	// parts, global and precomputed exist only on engines built from
@@ -51,9 +68,8 @@ type DocEngine struct {
 	pruning rank.Pruning
 	// threshold enables the bound-ordered wave schedule by default
 	// (WithThresholdSharing); DocQueryOptions.Threshold overrides per
-	// query. tsc accumulates what the scheduler did (guarded by mu).
+	// query.
 	threshold bool
-	tsc       metrics.ThresholdCounters
 	// topkStats is the statistics mode of QueryTopK (the uniform Engine
 	// surface): GlobalPrecomputed on engines built from documents, the
 	// two-round protocol over segment stores, where nothing is
@@ -116,7 +132,9 @@ func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartitio
 // everything that does not depend on where the partitions' postings live.
 func newDocBroker(eo engineOptions, sources []func() *index.Manifest) *DocEngine {
 	return &DocEngine{
-		broker:    newBroker(eo, len(sources)),
+		busyMs:    make([]float64, len(sources)),
+		rcache:    eo.resultCache(),
+		rb:        eo.robust(len(sources)),
 		sources:   sources,
 		downs:     make([]bool, len(sources)),
 		pruning:   eo.pruning,
@@ -359,7 +377,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	down -= len(targets)
 	qr.ServersContacted = len(targets)
 	if len(targets) == 0 {
-		e.degrade(&qr, down, down, "partitions")
+		e.degrade(&qr, down, down)
 		return qr
 	}
 
@@ -371,7 +389,6 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	var round1Max float64
 	switch opt.Stats {
 	case GlobalTwoRound:
-		qr.Rounds = 2
 		parts := make([]index.Stats, len(targets))
 		for i, p := range targets {
 			parts[i] = views[p].LocalStats(terms)
@@ -391,14 +408,12 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		for i := range scorers {
 			scorers[i] = s
 		}
-		round1Max = e.lanMs
+		round1Max = lanMs
 	case GlobalPrecomputed:
-		qr.Rounds = 1
 		for i, p := range targets {
 			scorers[i] = e.precomputed[p]
 		}
 	default: // LocalOnly
-		qr.Rounds = 1
 		for i, p := range targets {
 			scorers[i] = rank.NewScorer(rank.FromGlobal(views[p].LocalStats(terms)))
 		}
@@ -497,19 +512,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	}
 	qr.ServersContacted = dispatched
 	qr.Results = merger.Results()
-	qr.LatencyMs = round1Max + slowest + e.lanMs // stats round + eval waves + reply
-	if shared {
-		e.mu.Lock()
-		e.tsc.Merge(metrics.ThresholdCounters{
-			Queries:             1,
-			Waves:               qr.Waves,
-			PartitionsEvaluated: dispatched,
-			PartitionsSkipped:   qr.PartitionsSkipped,
-			PostingsDecoded:     qr.PostingsDecoded,
-			PostingBytesDecoded: qr.PostingBytesDecoded,
-		})
-		e.mu.Unlock()
-	}
-	e.degrade(&qr, lost+down, len(targets)+down, "partitions")
+	qr.LatencyMs = round1Max + slowest + lanMs // stats round + eval waves + reply
+	e.degrade(&qr, lost+down, len(targets)+down)
 	return qr
 }

@@ -5,17 +5,16 @@ import (
 	"reflect"
 	"testing"
 
+	"dwr/internal/cluster"
 	"dwr/internal/faultsim"
-	"dwr/internal/index"
-	"dwr/internal/partition"
 )
 
-// TestFrameContract holds every engine to what the shared answer
+// TestFrameContract holds every serving engine to what the answer
 // pipeline promises, whatever a unit is: a repeat is answered from the
 // cache with the stored results and no work; degraded, refused and
 // over-budget answers are never stored; Stats counts every accepted
 // query — cache hits included — and exactly the degraded and failed
-// answers the caller saw; Health names the units the injector fails,
+// answers the caller saw; Health names the units that cannot answer,
 // ascending.
 func TestFrameContract(t *testing.T) {
 	type row struct {
@@ -25,10 +24,11 @@ func TestFrameContract(t *testing.T) {
 		// a budget on, one to degrade.
 		repeat, late, partial []string
 		// lose makes one unit's contribution to partial go missing (true)
-		// or heals it (false); crash fails whole units at the injector.
+		// or heals it (false); crash takes whole units down: partitions
+		// at the injector, sites by an outage window.
 		lose  func(lost bool)
 		crash func(units ...int)
-		// inCluster engines answer through the broker frame itself: a hit
+		// inCluster engines answer through DocEngine's frame itself: a hit
 		// costs exactly cacheHitMs and the result cache counts lookups.
 		// MultiSite runs the same order with a coordinator in front: a
 		// routed hit still pays the client hop, and its per-site caches
@@ -77,25 +77,18 @@ func TestFrameContract(t *testing.T) {
 		repeat: qs[0], late: qs[1], partial: qs[2],
 		lose: loser(liveInj, 0), crash: crasher(liveInj)})
 
-	termInj := faultsim.New(3)
-	tp := partition.BinPackTerms(termVocab(docs), func(string) float64 { return 1 }, 3)
-	term, err := NewTermEngine(index.DefaultOptions(), docs, tp, cache, WithFaultPolicy(lossy), WithInjector(termInj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows = append(rows, row{name: "term", inCluster: true, eng: term,
-		repeat: qs[0], late: qs[1], partial: qs[2],
-		lose: loser(termInj, tp.Assign[qs[2][0]]), crash: crasher(termInj)})
-
 	// Mediated MultiSite: shared-vocabulary queries fan out to every
 	// site, so a down partition inside site 1 degrades the routed answer.
-	siteInj := faultsim.New(4)
-	ms := newFederatedMultiSite(t, 7, 4, 1, append([]Option{WithFaultPolicy(lossy), WithInjector(siteInj)}, mediated...), nil)
+	ms := newFederatedMultiSite(t, 7, 4, 1, mediated, nil)
 	ms.Now = 1
 	rows = append(rows, row{name: "multisite", eng: ms,
 		repeat: []string{"shared01"}, late: []string{"shared02"}, partial: []string{"shared03"},
-		lose:  func(lost bool) { ms.Sites[1].Engine.SetDown(0, lost) },
-		crash: crasher(siteInj)})
+		lose: func(lost bool) { ms.Sites[1].Engine.SetDown(0, lost) },
+		crash: func(sites ...int) {
+			for _, s := range sites {
+				ms.Sites[s].Outages = []cluster.Outage{{Start: 0, End: 100}}
+			}
+		}})
 
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -122,7 +115,7 @@ func TestFrameContract(t *testing.T) {
 			if !hit.FromCache || !reflect.DeepEqual(hit.Results, miss.Results) {
 				t.Fatalf("repeat: fromCache=%v, results equal=%v", hit.FromCache, reflect.DeepEqual(hit.Results, miss.Results))
 			}
-			if hit.PostingsDecoded != 0 || hit.ListsAccessed != 0 || hit.ServersContacted != 0 || hit.Rounds != 0 || hit.Waves != 0 {
+			if hit.PostingsDecoded != 0 || hit.ListsAccessed != 0 || hit.ServersContacted != 0 || hit.Waves != 0 {
 				t.Fatalf("hit did backend work: %+v", hit)
 			}
 			if hit.LatencyMs >= miss.LatencyMs || (r.inCluster && hit.LatencyMs != cacheHitMs) {

@@ -39,11 +39,11 @@ func FederatedCacheKey(key string, k int, sites []int, full bool) string {
 // when the mediator declines) every up site is contacted, and the merged
 // results are byte-identical to QueryIncremental's final batch.
 //
-// The fallback chain mirrors the robustness policy: sites inside outage
-// windows never enter the selection; if every *selected* site is lost,
-// the query widens once to every up site (attempt 1 of the fault
-// schedule) — a site still lost then degrades the answer; the
-// coordinator's stale cache entry rescues a query nothing could answer.
+// The fallback chain: sites inside outage windows never enter the
+// selection; if no *selected* site answers, the query widens once to
+// every up site (attempt 1) — a site still silent then degrades the
+// answer; the coordinator's stale cache entry rescues a query nothing
+// could answer.
 func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHours float64, k int) SiteQueryResult {
 	return m.route(terms, region, atHours, k, 0, m.mediatedPath(terms, key, k))
 }
@@ -53,8 +53,8 @@ func (m *MultiSite) QueryFederated(terms []string, key string, region int, atHou
 func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
 	return func(out *SiteQueryResult, _ *Site, ups []*Site) (string, func(int) []*Site) {
 		// Collection selection comes before the cache probe because the
-		// cache key names the selected subset; the fan-out is tallied at
-		// the first call, because a cache hit contacts no site.
+		// cache key names the selected subset; the fan-out is set on the
+		// answer at the first call, because a cache hit contacts no site.
 		sel, _ := m.decide(terms, ups)
 		targets, ids := ups, make([]int, len(sel))
 		for i, s := range sel {
@@ -69,23 +69,10 @@ func (m *MultiSite) mediatedPath(terms []string, key string, k int) path {
 			case attempt == 0:
 				out.FullFanout = full
 				out.SitesContacted, out.SitesSkipped = len(targets), skipped
-				m.sel.Queries++
-				m.sel.SitesContacted += len(targets)
-				m.sel.SitesSkipped += skipped
-				if full {
-					m.sel.FullFanout++
-				} else {
-					m.sel.Mediated++
-				}
 				return targets
 			case attempt == 1 && skipped > 0:
 				out.FullFanout = true
-				out.SitesContacted = len(ups)
-				out.SitesSkipped = 0
-				m.sel.SitesContacted += skipped
-				m.sel.SitesSkipped -= skipped
-				m.sel.FullFanout++
-				m.sel.Mediated--
+				out.SitesContacted, out.SitesSkipped = len(ups), 0
 				return ups
 			}
 			return nil

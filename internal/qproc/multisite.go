@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"dwr/internal/cache"
 	"dwr/internal/cluster"
 	"dwr/internal/conc"
-	"dwr/internal/faultsim"
 	"dwr/internal/metrics"
 	"dwr/internal/rank"
 	"dwr/internal/selection"
@@ -127,22 +125,14 @@ type MultiSite struct {
 	mu     sync.Mutex
 	rrNext int
 
-	// Site-level fault handling (set via NewMultiSite options): the
-	// injector's units are site IDs. rb is built lazily at the first
-	// query so sites may be appended after construction.
-	faultPolicy *FaultPolicy
-	injector    *faultsim.Injector
-	rb          *robustness
-
-	// The frame's counters, as on broker: evaluated counts the queries
-	// that missed the coordinator's cache and is the fault-schedule
-	// clock; hits counts the rest; degraded and failed tally the answers
-	// as the caller saw them.
+	// The frame's counters, as on DocEngine: evaluated counts the
+	// queries that missed the coordinator's cache; hits counts the rest;
+	// degraded and failed tally the answers as the caller saw them.
 	evaluated, hits, degraded, failed int
 
 	// mediation, when configured (WithMediator), makes QueryTopK take the
 	// mediated path: decide picks the site subset each query touches by
-	// cori, built like rb at the first query that needs it. sel
+	// cori, built at the first query that needs it. sel
 	// accumulates the fan-out/quality counters, pruned the answers
 	// eligible for a recall sample.
 	mediation *mediation
@@ -153,33 +143,15 @@ type MultiSite struct {
 
 // NewMultiSite builds an empty multi-site system over net with the given
 // routing policy; append Sites afterwards, site i at Sites[i] (the
-// mediator's statistics are numbered by site ID). Options configure the
-// site-level fault path (WithFaultPolicy, WithInjector), the mediator
-// (WithMediator); engine/cache options are per-site and ignored here.
+// mediator's statistics are numbered by site ID). Of the options, only
+// WithMediator applies here: engine and cache options are per-site, and
+// a site fails only inside its Outages windows.
 func NewMultiSite(net *cluster.Network, routing RoutingPolicy, options ...Option) *MultiSite {
-	eo := resolveOptions(options)
 	return &MultiSite{
-		Net:         net,
-		Policy:      routing,
-		faultPolicy: eo.policy,
-		injector:    eo.injector,
-		mediation:   eo.mediation,
+		Net:       net,
+		Policy:    routing,
+		mediation: resolveOptions(options).mediation,
 	}
-}
-
-// siteRB lazily materializes the site-level robustness runtime once the
-// site count is known (nil when no fault options were given).
-func (m *MultiSite) siteRB() *robustness {
-	if m.rb == nil && (m.faultPolicy != nil || m.injector != nil) && len(m.Sites) > 0 {
-		p := DefaultFaultPolicy()
-		if m.faultPolicy != nil {
-			p = *m.faultPolicy
-		}
-		// A site has no replica behind it: failover is to another site.
-		p.Replicas = 1
-		m.rb = newRobustness(p, m.injector, len(m.Sites))
-	}
-	return m.rb
 }
 
 // SiteQueryResult is a query outcome at the multi-site level.
@@ -204,30 +176,30 @@ type SiteQueryResult struct {
 // path is what distinguishes one kind of routed query from another.
 // Given the coordinator and the up sites it returns the coordinator
 // cache key the answer lives under, and next: the sites to call at
-// fault-schedule attempt 0, 1, ... while nobody has answered, nil when
-// nobody is left to ask. next runs only on a cache miss, so a hit moves
-// no routing state.
+// attempt 0, 1, ... while nobody has answered, nil when nobody is left
+// to ask. next runs only on a cache miss, so a hit moves no routing
+// state.
 type path func(out *SiteQueryResult, c *Site, ups []*Site) (key string, next func(attempt int) []*Site)
 
-// route is the one pipeline every routed query runs, in the broker
-// frame's order with a coordinator in front: the nearest up site
+// route is the one pipeline every routed query runs, in DocEngine's
+// answer order with a coordinator in front: the nearest up site
 // coordinates and is charged the client hop; the path plans; the
-// coordinator's cache is probed; a miss draws the next fault-schedule
-// tick (a hit consults no site, so it must not move the injector's
-// timeline) and calls sites until someone answers; the merged answer is
-// stored only when complete and on time — a degraded, refused or late
-// one would keep serving after the sites recover, and would clobber the
-// fresher complete entry kept for stale fallback; an execution that
-// failed, or found every query processor gone (empty answer), is rescued
-// by a stale entry — the paper's "upon query processor failures, the
-// system returns cached results"; the deadline is enforced; and the
-// outcome is tallied as the caller sees it.
+// coordinator's cache is probed; a miss calls sites until someone
+// answers, and a mediated answer's fan-out is folded into the selection
+// counters; the merged answer is stored only when complete and on time —
+// a degraded, refused or late one would keep serving after the sites
+// recover, and would clobber the fresher complete entry kept for stale
+// fallback; an execution that failed, or found every query processor
+// gone (empty answer), is rescued by a stale entry — the paper's "upon
+// query processor failures, the system returns cached results"; the
+// deadline is enforced; and the outcome is tallied as the caller sees
+// it.
 func (m *MultiSite) route(terms []string, region int, atHours float64, k int, deadlineMs float64, p path) (out SiteQueryResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out.Executor = -1
 	ups := m.upSites(atHours)
-	c := nearest(ups, region, nil)
+	c := nearest(ups, region)
 	if c == nil {
 		m.evaluated++
 		m.failed++
@@ -243,6 +215,15 @@ func (m *MultiSite) route(terms []string, region int, atHours float64, k int, de
 	} else {
 		m.evaluated++
 		m.callUntilAnswered(&out, c, next, terms, k, atHours)
+		if out.SitesContacted > 0 { // only the mediated path sets the fan-out
+			q := metrics.SelectionCounters{Queries: 1, SitesContacted: out.SitesContacted, SitesSkipped: out.SitesSkipped}
+			if out.FullFanout {
+				q.FullFanout = 1
+			} else {
+				q.Mediated = 1
+			}
+			m.sel.Merge(q)
+		}
 		onTime := deadlineMs <= 0 || out.LatencyMs <= deadlineMs
 		if m.CacheTTL > 0 && out.Err == nil && !out.Degraded && onTime {
 			c.Cache.Put(key, out.Results, atHours)
@@ -272,41 +253,28 @@ func (m *MultiSite) route(terms []string, region int, atHours float64, k int, de
 }
 
 // callUntilAnswered is the one retry loop: it calls the sites next names
-// for attempt 0, then — after the fault policy's backoff — for attempt
-// 1, 2, ... while no site has contributed a result list, and merges what
-// the last call gathered. An answer missing one of the sites it asked is
-// degraded; with none, the query fails with the last silent site's own
-// error. Retries, backoff, Failovers and Lost are booked here only.
+// for attempt 0, then for attempt 1, 2, ... while no site has
+// contributed a result list, and merges what the last call gathered. An
+// answer missing one of the sites it asked is degraded; with none, the
+// query fails with the last site's own error.
 func (m *MultiSite) callUntilAnswered(out *SiteQueryResult, c *Site, next func(int) []*Site, terms []string, k int, atHours float64) {
-	rb := m.siteRB()
 	var targets []*Site
 	var lists [][]rank.Result
 	var err error
-	tries := 0
-	for ; len(lists) == 0; tries++ {
+	for tries := 0; len(lists) == 0; tries++ {
 		t := next(tries)
 		if t == nil {
 			break
 		}
 		if tries > 0 {
 			out.Retries++
-			if rb != nil {
-				rb.counters.Retries++
-				out.LatencyMs += rb.policy.BackoffMs * float64(int(1)<<uint(tries-1))
-			}
 		}
 		targets = t
-		lists, err = m.callSites(out, c, targets, terms, k, atHours, tries)
+		lists, err = m.callSites(out, c, targets, terms, k, atHours)
 	}
 	if len(lists) == 0 {
-		if rb != nil {
-			rb.counters.Lost++
-		}
 		out.Failed, out.Err = true, err
 		return
-	}
-	if tries > 1 && rb != nil {
-		rb.counters.Failovers++
 	}
 	if len(targets) == 1 {
 		out.Executor = targets[0].ID
@@ -319,73 +287,47 @@ func (m *MultiSite) callUntilAnswered(out *SiteQueryResult, c *Site, next func(i
 	out.Results = rank.MergeResultsDedup(k, lists...)
 }
 
-// callSites is the one site call. It decides every target's fate on the
-// fault schedule first and evaluates only the sites that will answer — a
-// crashed site does no work — over the worker pool, then gathers
-// serially in site order, where the stateful WAN model is consulted, so
-// the answer is identical at any GOMAXPROCS. Sites answer in parallel: the
-// call costs the slowest one. A lost site costs its detection
-// (attemptTimeoutMs when it died silently, the WAN error reply
-// otherwise). A site that evaluated is charged its straggler delay, its
-// queue delay and hour load, and the WAN request and response; its work
-// is folded into the answer even when its engine refused or had nothing
-// live, but only an answering site contributes a list (and, if its own
-// answer was partial, the Degraded flag). err is the last
-// non-contributing site's own.
-func (m *MultiSite) callSites(out *SiteQueryResult, c *Site, targets []*Site, terms []string, k int, atHours float64, attempt int) (lists [][]rank.Result, err error) {
-	rb, tick, h := m.siteRB(), int64(m.evaluated), int(atHours)
-	fates := make([]faultsim.Outcome, len(targets))
-	var live []*Site
-	for i, s := range targets {
-		if rb != nil {
-			fates[i] = rb.outcome(tick, s.ID, 0, attempt)
-		}
-		if fates[i].Err == nil {
-			live = append(live, s)
-		}
-	}
-	answers := m.evalSites(live, terms, k)
+// callSites is the one site call. It evaluates every target over the
+// worker pool, then gathers serially in site order, where the stateful
+// WAN model is consulted, so the answer is identical at any GOMAXPROCS.
+// Sites answer in parallel: the call costs the slowest one. Each site is
+// charged its queue delay and hour load, and the WAN request and
+// response; its work is folded into the answer even when its engine
+// refused or had nothing live, but only an answering site contributes a
+// list (and, if its own answer was partial, the Degraded flag). err is
+// the last non-contributing site's own.
+func (m *MultiSite) callSites(out *SiteQueryResult, c *Site, targets []*Site, terms []string, k int, atHours float64) (lists [][]rank.Result, err error) {
+	h := int(atHours)
+	answers := m.evalSites(targets, terms, k)
 	var slowest float64
 	for i, s := range targets {
-		var ms float64
-		if fo := fates[i]; fo.Err != nil {
-			rb.counters.FaultsSeen++
-			err = fmt.Errorf("site %d did not answer (%v): %w", s.ID, fo.Err, ErrAllSitesDown)
-			if fo.Silent {
-				ms = attemptTimeoutMs
-			} else if s != c {
-				ms = m.hop(out, c.Region, s.Region, 64)
-			}
-		} else {
-			qr := &answers[0]
-			answers = answers[1:]
-			queueMs := s.queueDelayMs(h)
-			if s != c && s.Selfish {
-				// Open system: the remote site re-prioritizes its own
-				// traffic ahead of the forwarded query.
-				queueMs += s.ForeignPenaltyMs
-			}
-			s.hourLoad++
-			if queueMs > out.QueueMs {
-				out.QueueMs = queueMs
-			}
-			ms = out.addSite(qr) + fo.ExtraMs + queueMs
-			if s != c {
-				// The WAN request and response messages are what
-				// mediation saves.
-				ms += m.hop(out, c.Region, s.Region, 128) +
-					m.hop(out, s.Region, c.Region, resultBytes(len(qr.Results)))
-			}
-			switch {
-			case qr.Err != nil:
-				// The engine's fault policy refused the answer (fail-fast).
-				err = qr.Err
-			case qr.unanswered():
-				err = fmt.Errorf("site %d has no live query processors: %w", s.ID, ErrAllSitesDown)
-			default:
-				lists = append(lists, qr.Results)
-				out.Degraded = out.Degraded || qr.Degraded
-			}
+		qr := &answers[i]
+		queueMs := s.queueDelayMs(h)
+		if s != c && s.Selfish {
+			// Open system: the remote site re-prioritizes its own
+			// traffic ahead of the forwarded query.
+			queueMs += s.ForeignPenaltyMs
+		}
+		s.hourLoad++
+		if queueMs > out.QueueMs {
+			out.QueueMs = queueMs
+		}
+		ms := out.addSite(qr) + queueMs
+		if s != c {
+			// The WAN request and response messages are what mediation
+			// saves.
+			ms += m.hop(out, c.Region, s.Region, 128) +
+				m.hop(out, s.Region, c.Region, resultBytes(len(qr.Results)))
+		}
+		switch {
+		case qr.Err != nil:
+			// The engine's fault policy refused the answer (fail-fast).
+			err = qr.Err
+		case qr.unanswered():
+			err = fmt.Errorf("site %d has no live query processors: %w", s.ID, ErrAllSitesDown)
+		default:
+			lists = append(lists, qr.Results)
+			out.Degraded = out.Degraded || qr.Degraded
 		}
 		if ms > slowest {
 			slowest = ms
@@ -441,9 +383,9 @@ func (m *MultiSite) upSites(t float64) []*Site {
 	return ups
 }
 
-// nearest returns the site of ups not in tried with the smallest region
-// distance to region (the lowest ID among equals), or nil.
-func nearest(ups []*Site, region int, tried []*Site) *Site {
+// nearest returns the site of ups with the smallest region distance to
+// region (the lowest ID among equals), or nil.
+func nearest(ups []*Site, region int) *Site {
 	var best *Site
 	bestDist := math.MaxInt32
 	for _, s := range ups {
@@ -451,7 +393,7 @@ func nearest(ups []*Site, region int, tried []*Site) *Site {
 		if d < 0 {
 			d = -d
 		}
-		if d < bestDist && !slices.Contains(tried, s) {
+		if d < bestDist {
 			best, bestDist = s, d
 		}
 	}
@@ -477,12 +419,8 @@ func (qr *QueryResult) unanswered() bool {
 }
 
 // addSite folds one site engine's work into the multi-site answer and
-// returns the site's engine latency for the site call to place. Sites
-// evaluate in parallel, so Rounds is the slowest site's, not the sum.
+// returns the site's engine latency for the site call to place.
 func (out *SiteQueryResult) addSite(qr *QueryResult) (engineMs float64) {
-	if qr.Rounds > out.Rounds {
-		out.Rounds = qr.Rounds
-	}
 	out.ServersContacted += qr.ServersContacted
 	out.PostingsDecoded += qr.PostingsDecoded
 	out.ListsAccessed += qr.ListsAccessed
@@ -492,34 +430,25 @@ func (out *SiteQueryResult) addSite(qr *QueryResult) (engineMs float64) {
 	out.PartitionsSkipped += qr.PartitionsSkipped
 	out.Waves += qr.Waves
 	out.Retries += qr.Retries
-	out.Hedges += qr.Hedges
 	return qr.LatencyMs
 }
 
 // Submit routes one query — terms, origin region, arrival in virtual
-// hours — over sites that are replicas: the routing policy picks one
-// executor, and while the fault schedule loses it the query walks to the
-// next-nearest untried up site, at most MaxRetries times.
+// hours — over sites that are replicas: the routing policy picks the one
+// up site that executes it.
 func (m *MultiSite) Submit(terms []string, key string, region int, atHours float64, k int) SiteQueryResult {
 	return m.route(terms, region, atHours, k, 0, m.replicaPath(key, atHours))
 }
 
-// replicaPath is the path over replicas: any one site can answer.
+// replicaPath is the path over replicas: any one site can answer, so
+// there is one attempt.
 func (m *MultiSite) replicaPath(key string, atHours float64) path {
 	return func(_ *SiteQueryResult, c *Site, ups []*Site) (string, func(int) []*Site) {
-		var tried []*Site
 		return key, func(attempt int) []*Site {
-			var x *Site
-			if attempt == 0 {
-				x = m.chooseExecutor(c, ups, atHours)
-			} else if rb := m.siteRB(); rb != nil && attempt <= rb.policy.MaxRetries {
-				x = nearest(ups, c.Region, tried)
-			}
-			if x == nil {
+			if attempt > 0 {
 				return nil
 			}
-			tried = append(tried, x)
-			return []*Site{x}
+			return []*Site{m.chooseExecutor(c, ups, atHours)}
 		}
 	}
 }

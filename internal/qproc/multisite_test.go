@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dwr/internal/cluster"
-	"dwr/internal/faultsim"
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
@@ -269,8 +268,8 @@ func TestIncrementalSkipsDownSites(t *testing.T) {
 }
 
 // TestMultiSiteStatsAggregatesSiteCounters pins the Stats() gather: the
-// per-site engines' counter bundles (threshold-sharing waves, result
-// cache hits/misses) must sum into the multi-site EngineStats, and the
+// per-site engines' counter bundles (result cache hits/misses) must sum
+// into the multi-site EngineStats, and the
 // coordinator's own selection counters and outcome tally must surface
 // through it. The SelectionCounters fold was once dropped here entirely
 // — any counter bundle a site engine reports and the gather ignores
@@ -287,8 +286,7 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		dp := partition.RoundRobinDocs(ids, 4)
 		e, err := NewDocEngine(index.DefaultOptions(), docs, dp,
-			WithResultCache(ResultCacheConfig{Capacity: 64}),
-			WithThresholdSharing(true))
+			WithResultCache(ResultCacheConfig{Capacity: 64}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +321,6 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	for _, s := range m.Sites {
 		es := s.Engine.Stats()
 		siteDegraded += es.Degraded
-		want.Threshold.Merge(es.Threshold)
 		want.Selection.Merge(es.Selection)
 		want.ResultCache.Hits += es.ResultCache.Hits
 		want.ResultCache.Misses += es.ResultCache.Misses
@@ -331,16 +328,10 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	if want.ResultCache.Hits == 0 || want.ResultCache.Misses == 0 {
 		t.Fatalf("per-site load produced no cache traffic to aggregate: %+v", want.ResultCache)
 	}
-	if want.Threshold.Queries == 0 || want.Threshold.Waves == 0 {
-		t.Fatalf("per-site load produced no threshold counters to aggregate: %+v", want.Threshold)
-	}
 
 	st := m.Stats()
 	if st.ResultCache.Hits != want.ResultCache.Hits || st.ResultCache.Misses != want.ResultCache.Misses {
 		t.Errorf("result-cache counters not summed: got %+v, want %+v", st.ResultCache, want.ResultCache)
-	}
-	if st.Threshold != want.Threshold {
-		t.Errorf("threshold counters not summed: got %+v, want %+v", st.Threshold, want.Threshold)
 	}
 	if siteDegraded != 2*fed+1 || st.Degraded != fed || st.Failed != 0 {
 		t.Errorf("outcomes (%d degraded, %d failed) with %d degraded at the site engines; want the %d routed queries once each",
@@ -361,14 +352,13 @@ func TestMultiSiteStatsAggregatesSiteCounters(t *testing.T) {
 	}
 }
 
-// TestMultiSiteCacheHitDrawsNoTick: the fault schedule is keyed by
-// evaluated queries. Site 0 is out for tick 2 only, so the second
-// evaluated query fails over — with or without a coordinator-cache hit
-// served in between.
-func TestMultiSiteCacheHitDrawsNoTick(t *testing.T) {
+// TestMultiSiteCacheHitMovesNoRoutingState: a path plans only on a
+// cache miss, so a coordinator-cache hit does not advance the
+// round-robin cursor — the second evaluated query goes to the second
+// site with or without a hit served in between.
+func TestMultiSiteCacheHitMovesNoRoutingState(t *testing.T) {
 	secondEvaluated := func(ttl float64) SiteQueryResult {
-		m := newMultiSite(t, RouteGeo, ttl)
-		m.injector = faultsim.New(4).Window(faultsim.Window{Unit: 0, From: 2, To: 3})
+		m := newMultiSite(t, RouteRoundRobin, ttl)
 		m.Submit([]string{"w0001"}, "w0001", 0, 1, 10)
 		if ttl > 0 {
 			if hit := m.Submit([]string{"w0001"}, "w0001", 0, 1, 10); !hit.FromCache {
@@ -378,9 +368,9 @@ func TestMultiSiteCacheHitDrawsNoTick(t *testing.T) {
 		return m.Submit([]string{"w0002"}, "w0002", 0, 1, 10)
 	}
 	plain, cached := secondEvaluated(0), secondEvaluated(1)
-	if plain.Retries == 0 || cached.Retries != plain.Retries {
-		t.Fatalf("second evaluated query spent %d retries behind a cache hit, %d without a cache; want equal and > 0",
-			cached.Retries, plain.Retries)
+	if plain.Executor != 1 || cached.Executor != plain.Executor {
+		t.Fatalf("second evaluated query ran at site %d behind a cache hit, site %d without a cache; want site 1 both times",
+			cached.Executor, plain.Executor)
 	}
 }
 

@@ -7,13 +7,14 @@ import (
 	"dwr/internal/rank"
 )
 
-// Option configures an engine at construction. The same options apply
-// to DocEngine, LiveEngine, TermEngine, and MultiSite (options that do
-// not apply to an engine kind are ignored): pass them to NewDocEngine /
-// NewLiveEngine / NewTermEngine / NewMultiSite after the positional
-// arguments. This is
-// the one configuration surface — engines are immutable once built,
-// apart from topology changes (SetDown) and cache invalidation.
+// Option configures an engine at construction: pass options to
+// NewDocEngine / NewLiveEngine / NewMultiSite after the positional
+// arguments. DocEngine and LiveEngine take the engine options
+// (WithResultCache, WithPruning, WithThresholdSharing, WithFaultPolicy,
+// WithInjector) and ignore WithMediator; MultiSite reads only
+// WithMediator. This is the one configuration surface — engines are
+// immutable once built, apart from topology changes (SetDown) and cache
+// invalidation.
 type Option func(*engineOptions)
 
 // engineOptions is the resolved construction-time configuration.
@@ -48,8 +49,7 @@ func WithResultCache(cfg ResultCacheConfig) Option {
 // exhaustive evaluation are rank-identical (see rank.EvaluateTopK); only
 // the decode work differs, so brokers, caches, fault policy, and
 // deadline propagation compose unchanged. Per-query DocQueryOptions.
-// Pruning overrides this default. Engines without a disjunctive
-// document-at-a-time path (TermEngine) ignore it.
+// Pruning overrides this default.
 func WithPruning(mode rank.Pruning) Option {
 	return func(o *engineOptions) { o.pruning = mode }
 }
@@ -63,10 +63,9 @@ func WithPruning(mode rank.Pruning) Option {
 // top-k document. Results are rank-identical to single-wave evaluation
 // (see rank.EvaluateView's seed for the safety contract); only the
 // work — partitions contacted, blocks decoded — shrinks. Per-query
-// DocQueryOptions.Threshold overrides the default; engines without a
-// bound-ordered scatter (TermEngine, and MultiSite's site level) ignore
-// the option, though MultiSite site engines configured with it use it
-// for the per-site fan-out.
+// DocQueryOptions.Threshold overrides the default. MultiSite's site
+// level ignores the option, though site engines configured with it use
+// it for the per-site fan-out.
 func WithThresholdSharing(on bool) Option {
 	return func(o *engineOptions) { o.threshold = on }
 }
@@ -78,16 +77,15 @@ func WithThresholdSharing(on bool) Option {
 // confidence/fault fallback. selectN is the per-query site budget (<= 0
 // picks a quarter of the up sites, at least one); below minConfidence
 // (0 = never) a query falls back to full fan-out. Cache keys gain a
-// `sel=` component naming the selected subset. Engines without a
-// federated scatter (DocEngine, LiveEngine, TermEngine) ignore the
-// option — their partitions are skipped rank-safely by threshold
-// sharing instead.
+// `sel=` component naming the selected subset. DocEngine and LiveEngine
+// ignore the option — their partitions are skipped rank-safely by
+// threshold sharing instead.
 func WithMediator(selectN int, minConfidence float64) Option {
 	return func(o *engineOptions) { o.mediation = &mediation{selectN, minConfidence} }
 }
 
 // WithFaultPolicy activates the robustness policy on the engine's
-// partition/site calls: per-query deadline budgets, bounded retries
+// partition calls: per-query deadline budgets, bounded retries
 // with backoff across replicas, hedged backup requests, and the
 // explicit fail-fast / best-effort degradation mode. Combine with
 // WithInjector to exercise the policy under injected faults; without an
@@ -101,7 +99,7 @@ func WithFaultPolicy(p FaultPolicy) Option {
 }
 
 // WithInjector wires a deterministic fault-injection layer (see
-// internal/faultsim) under the engine's partition/site calls. If no
+// internal/faultsim) under the engine's partition calls. If no
 // FaultPolicy was configured, DefaultFaultPolicy() applies.
 func WithInjector(in *faultsim.Injector) Option {
 	return func(o *engineOptions) { o.injector = in }

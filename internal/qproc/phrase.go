@@ -18,18 +18,13 @@ import "dwr/internal/rank"
 // Unlike Query, the phrase pipeline stays serial per query: each hop
 // prunes its posting scan by the candidate set the previous hop shipped
 // and aborts the route once the intersection empties, so hop h's work
-// genuinely depends on hop h-1's output. Only the accounting is
-// lock-guarded for concurrent callers.
+// genuinely depends on hop h-1's output; ServersContacted counts the hops
+// taken. Only the busy-load accounting is lock-guarded for concurrent
+// callers.
 func (e *TermEngine) QueryPhrase(terms []string, k int, compressPositions bool) QueryResult {
 	if k <= 0 {
 		k = 10
 	}
-	return e.answer("", 0, func(tick int64) QueryResult {
-		return e.evaluatePhrase(tick, terms, k, compressPositions)
-	})
-}
-
-func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressPositions bool) QueryResult {
 	var qr QueryResult
 	if len(terms) == 0 {
 		return qr
@@ -43,18 +38,14 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 		}
 	}
 	route := e.tp.PartsOf(terms)
-	qr.ServersContacted = len(route)
-	qr.Rounds = len(route)
 
 	// Candidate phrase-start positions travel server to server. The
 	// intersection ∩ᵢ(positions(termᵢ)−i) is commutative, so slots are
 	// processed grouped by owning server, in route order.
 	var starts map[int][]int32
 	latency := 0.0
-	lost := 0
 	for _, s := range route {
 		ix := e.servers[s]
-		prev := starts
 		var es rank.EvalStats
 		for slot, t := range terms {
 			if e.tp.Assign[t] != s {
@@ -64,18 +55,10 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 				break
 			}
 		}
-		service := serviceMs(es.PostingsDecoded) + accumulatorMs(len(starts))
+		qr.ServersContacted++
 		e.mu.Lock()
-		ms, ok := e.call(tick, s, service, 0, &qr)
+		latency += e.hop(s, serviceMs(es.PostingsDecoded)+accumulatorMs(len(starts)))
 		e.mu.Unlock()
-		latency += ms
-		if !ok {
-			// Lost hop: the pipeline routes around the server, so the
-			// candidates travel on without its terms' constraint.
-			starts = prev
-			lost++
-			continue
-		}
 		// Ship the accumulator: per doc an 8-byte header plus positions.
 		qr.addEval(es, 0)
 		for _, ss := range starts {
@@ -90,7 +73,7 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 			break
 		}
 	}
-	latency += e.lanMs
+	latency += lanMs
 
 	// Final scoring at the last pipeline server.
 	idf := 0.0
@@ -114,6 +97,5 @@ func (e *TermEngine) evaluatePhrase(tick int64, terms []string, k int, compressP
 	}
 	qr.Results = rs
 	qr.LatencyMs = latency
-	e.degrade(&qr, lost, len(route), "pipeline hops")
 	return qr
 }

@@ -37,8 +37,8 @@ func (m DegradeMode) String() string {
 	return "best-effort"
 }
 
-// FaultPolicy is the query path's robustness policy: how partition and
-// site calls behave under failures and stragglers. The zero value
+// FaultPolicy is the query path's robustness policy: how partition
+// calls behave under failures and stragglers. The zero value
 // (normalized) means: no deadline, no retries, one replica, no hedging,
 // best-effort degradation. Every policy declares a silent server dead
 // after 50 ms and floors its hedge threshold at 5 ms.
@@ -154,7 +154,6 @@ type callResult struct {
 	ok        bool
 	latencyMs float64 // dispatch-to-answer time, incl. retries/backoff/hedges
 	retries   int
-	hedges    int
 }
 
 // call simulates one robust partition call: the real evaluation work
@@ -231,7 +230,6 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		}
 		if threshold > 0 && respAt > threshold {
 			hedged = true
-			res.hedges++
 			rb.counters.Hedges++
 			hrep = order[(a+1)%len(order)]
 			hout := rb.outcome(tick, part, hrep, hedgeAttemptBase+a)

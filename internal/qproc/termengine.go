@@ -3,6 +3,7 @@ package qproc
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"dwr/internal/conc"
 	"dwr/internal/index"
@@ -19,31 +20,31 @@ import (
 //
 // Wall-clock execution fans the per-server posting scans out over a
 // bounded worker pool: score contributions are additive, so each server
-// computes its local delta map in parallel and the broker folds the
-// deltas into the travelling accumulator in route order at the gather
-// point. The simulated cost model still charges the pipeline shape —
-// per-hop accumulator sizes, latency as the SUM of hop times — so the
-// paper's comparison against scatter-gather is unchanged at any worker
-// count.
+// computes its local delta map in parallel and the gather folds the
+// deltas into the travelling accumulator in route order. The simulated
+// cost model still charges the pipeline shape — per-hop accumulator
+// sizes, latency as the SUM of hop times — so the paper's comparison
+// against scatter-gather is unchanged at any worker count.
+//
+// TermEngine is the paper's measured comparator (Figure 2, C6, C20), not
+// a serving engine: it has no result cache, fault policy or deadline.
 type TermEngine struct {
-	broker
 	tp      partition.TermPartition
 	servers []*index.Index
 	scorer  *rank.Scorer // term-partitioned servers know exact global stats
+	mu      sync.Mutex
+	busyMs  []float64 // per server, guarded by mu
 }
 
 // NewTermEngine builds per-server term-sliced indexes from docs under
 // the given term partition; the K server indexes are constructed
 // concurrently. Every server's index carries the full document table
 // (with true document lengths) but only its own terms' postings,
-// matching the vertical slicing of Figure 1. Configuration is by
-// functional options (WithResultCache, WithFaultPolicy, WithInjector),
-// applied on top of the ambient defaults (SetDefaultOptions).
-func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartition, options ...Option) (*TermEngine, error) {
+// matching the vertical slicing of Figure 1.
+func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartition) (*TermEngine, error) {
 	if tp.K <= 0 {
 		return nil, fmt.Errorf("qproc: term partition with no servers")
 	}
-	eo := resolveOptions(options)
 	builders := make([]*index.MemBuilder, tp.K)
 	for i := range builders {
 		builders[i] = index.NewBuilder(opts)
@@ -57,7 +58,7 @@ func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartit
 			}
 		}
 	}
-	e := &TermEngine{broker: newBroker(eo, tp.K), tp: tp}
+	e := &TermEngine{tp: tp, busyMs: make([]float64, tp.K)}
 	e.servers = index.BuildAll(builders)
 	stats := make([]index.Stats, len(e.servers))
 	conc.Do(len(e.servers), 0, func(i int) {
@@ -91,33 +92,12 @@ type hopEval struct {
 
 // Query evaluates terms through the pipeline and returns the top-k.
 func (e *TermEngine) Query(terms []string, k int) QueryResult {
-	return e.QueryTopKWithin(terms, k, 0)
-}
-
-// QueryTopKWithin implements DeadlineQuerier: Query with a latency
-// budget (deadlineMs > 0). The pipeline is abandoned at the first hop
-// that would start after the budget is spent, the remaining hops are
-// never contacted, and the answer is a deadline failure rather than a
-// late delivery.
-func (e *TermEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
 	if k <= 0 {
 		k = 10
 	}
-	var key string
-	if e.rcache != nil {
-		key = TermCacheKey(terms, k)
-	}
-	return e.answer(key, deadlineMs, func(tick int64) QueryResult {
-		return e.evaluate(tick, terms, k, deadlineMs)
-	})
-}
-
-// evaluate is a result-cache miss: one trip down the pipeline.
-func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs float64) QueryResult {
 	var qr QueryResult
 	route := e.tp.PartsOf(terms)
 	qr.ServersContacted = len(route)
-	qr.Rounds = len(route) // pipeline hops
 	if len(route) == 0 {
 		return qr
 	}
@@ -154,64 +134,24 @@ func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs floa
 	})
 
 	// Gather: rebuild the travelling accumulator hop by hop, in route
-	// order, charging each hop the accumulator size it would have seen —
-	// the communication overhead Section 5 highlights. Doc ordinals are
+	// order, charging each hop the accumulator size it forwards — the
+	// communication overhead Section 5 highlights. Doc ordinals are
 	// shared because every server indexed the same document list.
 	acc := make(map[int]float64)
 	latency := 0.0
-	lost := 0
-	timedOut := false
-	var added []int
 	e.mu.Lock()
 	for i, s := range route {
 		h := &hops[i]
-		if deadlineMs > 0 && latency >= deadlineMs {
-			// Budget spent before this hop could start: the pipeline is
-			// abandoned and the remaining servers are never contacted
-			// (their scatter work above is wasted, as it would be on a
-			// real cluster that cancels in-flight fragments late).
-			timedOut = true
-			qr.ServersContacted = i
-			qr.Rounds = i
-			break
-		}
-		// The hop's service cost depends on the accumulator size the
-		// server would forward, so size it first: new documents enter as
-		// zero placeholders, which the fold below then adds to exactly as
-		// it would to a missing entry.
-		added = added[:0]
-		for _, en := range h.entries {
-			if _, ok := acc[en.doc]; !ok {
-				acc[en.doc] = 0
-				added = append(added, en.doc)
-			}
-		}
-		service := serviceMs(h.es.PostingsDecoded) + accumulatorMs(len(acc))
-		remaining := 0.0
-		if deadlineMs > 0 {
-			remaining = deadlineMs - latency
-		}
-		ms, ok := e.call(tick, s, service, remaining, &qr)
-		latency += ms
-		if !ok {
-			// Lost hop: the pipeline routes around the server, so its
-			// terms' contributions are missing downstream and its
-			// placeholders must not inflate the accumulator.
-			for _, d := range added {
-				delete(acc, d)
-			}
-			lost++
-			continue
-		}
 		for _, en := range h.entries {
 			acc[en.doc] += en.delta
 		}
+		latency += e.hop(s, serviceMs(h.es.PostingsDecoded)+accumulatorMs(len(acc)))
 		// The partially-resolved query (accumulator) moves to the next
 		// server.
 		qr.addEval(h.es, len(acc))
 	}
 	e.mu.Unlock()
-	latency += e.lanMs // final answer back to the broker
+	latency += lanMs // final answer back to the broker
 
 	rs := make([]rank.Result, 0, len(acc))
 	for doc, score := range acc {
@@ -223,13 +163,22 @@ func (e *TermEngine) evaluate(tick int64, terms []string, k int, deadlineMs floa
 	}
 	qr.Results = rs
 	qr.LatencyMs = latency
-	e.degrade(&qr, lost, len(route), "pipeline hops")
-	if timedOut && qr.Err == nil {
-		qr.Err = fmt.Errorf("pipeline abandoned mid-route: %w", ErrDeadlineExceeded)
-		qr.Results = nil
-		qr.LatencyMs = deadlineMs
-	}
 	return qr
+}
+
+// hop books one pipeline hop on server s (e.mu held): the server is busy
+// for serviceMs, and the hop costs the LAN message plus that service.
+func (e *TermEngine) hop(s int, serviceMs float64) (latencyMs float64) {
+	e.busyMs[s] += serviceMs
+	return lanMs + serviceMs
+}
+
+// BusyMs returns accumulated per-server busy time — the Figure 2
+// measurement.
+func (e *TermEngine) BusyMs() []float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]float64(nil), e.busyMs...)
 }
 
 func dedupTerms(terms []string) []string {

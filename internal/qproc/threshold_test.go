@@ -56,7 +56,7 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 // TestThresholdSharingSkipsAndSaves checks the point of the schedule:
 // over a query batch the wave path skips partitions, decodes fewer
 // posting bytes than the single-wave MaxScore baseline, and reports it
-// all through QueryResult and EngineStats.Threshold.
+// all through QueryResult.
 func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 	docs := corpus(53, 1600, 1500)
 	queries := zipfQueries(54, 150, 1500)
@@ -64,7 +64,7 @@ func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 	base := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore))
 	ts := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
 	var baseBytes, tsBytes int64
-	var skipped, waves int
+	var skipped int
 	for _, q := range queries {
 		a := base.Query(q, DocQueryOptions{K: 10})
 		b := ts.Query(q, DocQueryOptions{K: 10})
@@ -82,22 +82,12 @@ func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 		baseBytes += a.PostingBytesDecoded
 		tsBytes += b.PostingBytesDecoded
 		skipped += b.PartitionsSkipped
-		waves += b.Waves
 	}
 	if tsBytes >= baseBytes {
 		t.Fatalf("threshold sharing decoded %d bytes, single wave %d — no savings", tsBytes, baseBytes)
 	}
 	if skipped == 0 {
 		t.Fatal("no partition was ever skipped")
-	}
-	st := ts.Stats().Threshold
-	if st.Queries != len(queries) || st.Waves != waves ||
-		st.PartitionsSkipped != skipped || st.PostingBytesDecoded != tsBytes {
-		t.Fatalf("EngineStats.Threshold %+v inconsistent with per-query accounting (waves=%d skipped=%d bytes=%d)",
-			st, waves, skipped, tsBytes)
-	}
-	if bs := base.Stats().Threshold; bs.Queries != 0 || bs.Waves != 0 {
-		t.Fatalf("single-wave engine accumulated threshold counters: %+v", bs)
 	}
 	t.Logf("decoded bytes: single-wave %d, shared %d (%.1f%%); skipped %d/%d partition calls",
 		baseBytes, tsBytes, 100*float64(tsBytes)/float64(baseBytes), skipped, len(queries)*parts)
@@ -162,9 +152,8 @@ func TestThresholdSharingUnderFaultsEquivalence(t *testing.T) {
 		}
 	}
 	fa, fb := tsA.Stats(), tsB.Stats()
-	if fa.Faults != fb.Faults || !reflect.DeepEqual(fa.Threshold, fb.Threshold) {
-		t.Fatalf("replayed fault/threshold counters diverged:\n%+v %+v\n%+v %+v",
-			fa.Faults, fa.Threshold, fb.Faults, fb.Threshold)
+	if fa.Faults != fb.Faults {
+		t.Fatalf("replayed fault counters diverged:\n%+v\n%+v", fa.Faults, fb.Faults)
 	}
 	if fs := single.Stats().Faults; fa.Faults.Retries > fs.Retries {
 		t.Fatalf("wave path retried more than single wave: %+v vs %+v", fa.Faults, fs)
