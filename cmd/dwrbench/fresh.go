@@ -65,10 +65,7 @@ func freshReplay(o freshConfig) (map[string]float64, uint64) {
 		Seed: o.Seed, Rate: o.RateQPS, N: 20000, K: 10,
 	}).Init()
 
-	// Merges run inline: deterministic scheduling is what makes the
-	// two-replay identity check meaningful (dwrserve -live is the
-	// wall-clock mode with background merges).
-	live, err := core.NewLive(o.Parts, o.SegDocs, nil, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: 512}))
+	live, err := core.NewLive(o.Parts, o.SegDocs, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: 512}))
 	if err != nil {
 		panic(err) // o.Parts > 0, checked by measureFresh
 	}

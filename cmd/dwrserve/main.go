@@ -24,10 +24,13 @@
 // With -live the index is not built up front: the server comes up over
 // empty per-partition segment stores and a crawl streams pages into
 // segment writers while queries are being answered. Sealed segments
-// become searchable through atomic manifest swaps, segment merges run
-// on a bounded background pool, and the broker result cache is
-// invalidated by the stores' change hooks — crawling, merging, and
-// serving proceed simultaneously.
+// become searchable through atomic manifest swaps, each seal runs the
+// merge cascade it sets off, and the broker result cache is invalidated
+// by the stores' change hooks — crawling, merging, and serving proceed
+// simultaneously, and queries never wait on the writer.
+//
+// -c, -hosts, -partitions, -segdocs and -sites must be positive and
+// -cachecap and -sampleevery not negative; anything else exits 2.
 //
 // Endpoints:
 //
@@ -37,12 +40,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 
-	"dwr/internal/conc"
 	"dwr/internal/core"
 	"dwr/internal/crawler"
 	"dwr/internal/qproc"
@@ -64,41 +68,24 @@ type options struct {
 	seed                  int64
 	hosts, partitions     int
 	cacheCap              int
-	segDocs, mergeWorkers int // -live
+	segDocs               int // -live
 	sites, sampleEvery    int // -federate
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
-	flag.IntVar(&o.c, "c", 150, "worker pool width (the G/G/c 'c'; the paper's 150-thread Apache configuration)")
-	flag.IntVar(&o.queueCap, "queuecap", 0, "wait queue bound across classes (0 = 2x workers, -1 = no queue)")
-	flag.Float64Var(&o.deadline, "deadline", 0, "per-request deadline in ms, propagated into the engine (0 = none)")
-	flag.Float64Var(&o.admitRate, "admitrate", 0, "token-bucket sustained admissions per second (0 = off)")
-	flag.Float64Var(&o.admitBurst, "admitburst", 0, "token-bucket burst (0 = worker count)")
-	flag.Float64Var(&o.shedTarget, "shedtarget", 0, "adaptive shedder p99 latency SLO in ms (0 = off)")
-	flag.IntVar(&o.shedWindow, "shedwindow", 0, "completions per shed control period (0 = 200)")
-	flag.Int64Var(&o.seed, "seed", 1, "build + admission seed")
-	flag.IntVar(&o.hosts, "hosts", 80, "hosts in the synthetic web")
-	flag.IntVar(&o.partitions, "partitions", 4, "query processors")
-	flag.IntVar(&o.cacheCap, "cachecap", 0, "broker result-cache capacity in entries (0 = off)")
-	live := flag.Bool("live", false, "serve while crawling: stream crawled pages into per-partition segment writers and answer queries over atomically swapped segment manifests, with merges on a background pool")
-	flag.IntVar(&o.segDocs, "segdocs", 128, "documents per sealed segment for -live")
-	flag.IntVar(&o.mergeWorkers, "mergeworkers", 2, "background merge pool width for -live")
-	federate := flag.Bool("federate", false, "serve as a federation of sites with mediated collection selection: documents are split across -sites by Web host, and a query mediator decides per query which sites to contact (full fan-out on low confidence)")
-	flag.IntVar(&o.sites, "sites", 4, "federation sites for -federate")
-	flag.IntVar(&o.sampleEvery, "sampleevery", 16, "sample Recall@k of every Nth mediated answer against the exhaustive fan-out for -federate (0 = off)")
-	flag.Parse()
+	o, mode, err := parseOptions(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
 	var h http.Handler
-	var err error
-	mode := "static"
-	switch {
-	case *federate:
-		mode = "federated"
+	switch mode {
+	case "federated":
 		h, _, err = newFederate(o)
-	case *live:
-		mode = "live"
+	case "live":
 		var crawl func() (fetched, indexed int)
 		if h, crawl, err = newLive(o); err == nil {
 			go func() {
@@ -117,6 +104,57 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dwrserve: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// parseOptions parses the command line into the options and the mode
+// ("static", "live" or "federated") they serve. A usage error — an
+// unknown flag, or a size below its floor — is reported on stderr and
+// returned; main then exits 2.
+func parseOptions(args []string, stderr io.Writer) (o options, mode string, err error) {
+	fs := flag.NewFlagSet("dwrserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&o.c, "c", 150, "worker pool width (the G/G/c 'c'; the paper's 150-thread Apache configuration)")
+	fs.IntVar(&o.queueCap, "queuecap", 0, "wait queue bound across classes (0 = 2x workers, -1 = no queue)")
+	fs.Float64Var(&o.deadline, "deadline", 0, "per-request deadline in ms, propagated into the engine (0 = none)")
+	fs.Float64Var(&o.admitRate, "admitrate", 0, "token-bucket sustained admissions per second (0 = off)")
+	fs.Float64Var(&o.admitBurst, "admitburst", 0, "token-bucket burst (0 = worker count)")
+	fs.Float64Var(&o.shedTarget, "shedtarget", 0, "adaptive shedder p99 latency SLO in ms (0 = off)")
+	fs.IntVar(&o.shedWindow, "shedwindow", 0, "completions per shed control period (0 = 200)")
+	fs.Int64Var(&o.seed, "seed", 1, "build + admission seed")
+	fs.IntVar(&o.hosts, "hosts", 80, "hosts in the synthetic web")
+	fs.IntVar(&o.partitions, "partitions", 4, "query processors")
+	fs.IntVar(&o.cacheCap, "cachecap", 0, "broker result-cache capacity in entries (0 = off)")
+	live := fs.Bool("live", false, "serve while crawling: stream crawled pages into per-partition segment writers and answer queries over atomically swapped segment manifests, merging segments as they seal")
+	fs.IntVar(&o.segDocs, "segdocs", 128, "documents per sealed segment for -live")
+	federate := fs.Bool("federate", false, "serve as a federation of sites with mediated collection selection: documents are split across -sites by Web host, and a query mediator decides per query which sites to contact (full fan-out on low confidence)")
+	fs.IntVar(&o.sites, "sites", 4, "federation sites for -federate")
+	fs.IntVar(&o.sampleEvery, "sampleevery", 16, "sample Recall@k of every Nth mediated answer against the exhaustive fan-out for -federate (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return o, "", err
+	}
+	// The engines would quietly substitute a default for some of these,
+	// and divide by others.
+	for _, c := range []struct {
+		name   string
+		v, min int
+	}{
+		{"c", o.c, 1}, {"hosts", o.hosts, 1}, {"partitions", o.partitions, 1}, {"cachecap", o.cacheCap, 0},
+		{"segdocs", o.segDocs, 1}, {"sites", o.sites, 1}, {"sampleevery", o.sampleEvery, 0},
+	} {
+		if c.v < c.min {
+			err := fmt.Errorf("-%s must be at least %d, got %d", c.name, c.min, c.v)
+			fmt.Fprintf(stderr, "dwrserve: %v\n", err)
+			return o, "", err
+		}
+	}
+	switch {
+	case *federate:
+		return o, "federated", nil
+	case *live:
+		return o, "live", nil
+	}
+	return o, "static", nil
 }
 
 // frontend puts the serving pipeline the flags describe in front of eng.
@@ -175,13 +213,12 @@ func newStatic(o options) (http.Handler, *core.Engine, error) {
 // newLive brings the front-end up over an empty core.Live and returns
 // its HTTP handler plus the crawl that fills it while queries are
 // served: the continuous crawl-index-serve pipeline. crawl runs to
-// completion — streaming every page into the segment writers, sealing
-// the final partial segments, and waiting out the background merges —
-// and reports pages fetched and documents indexed. It is the single
-// writer; queries read immutable manifest snapshots, so they never
-// block on ingest or on the background merges.
+// completion — streaming every page into the segment writers and
+// sealing the final partial segments — and reports pages fetched and
+// documents indexed. It is the single writer, merges included; queries
+// read immutable manifest snapshots, so they never block on it.
 func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), err error) {
-	live, err := core.NewLive(o.partitions, o.segDocs, conc.NewPool(o.mergeWorkers),
+	live, err := core.NewLive(o.partitions, o.segDocs,
 		qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,43 @@ import (
 	"dwr/internal/simweb"
 	"dwr/internal/textproc"
 )
+
+// TestParseOptions: the defaults name the static mode, -live and
+// -federate pick theirs, and a size below its floor is a usage error
+// naming the flag. -federate -partitions 0 used to divide by zero in
+// partition.RoundRobinDocs, -sites 0 after crawling the whole corpus;
+// static -partitions 0 served one partition and -segdocs 0 sealed every
+// 512 documents.
+func TestParseOptions(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		mode   string // "" for a usage error
+		stderr string // a substring stderr must hold
+	}{
+		{args: nil, mode: "static"},
+		{args: []string{"-live", "-segdocs", "1"}, mode: "live"},
+		{args: []string{"-federate", "-sites", "1", "-sampleevery", "0", "-cachecap", "0"}, mode: "federated"},
+		{args: []string{"-federate", "-partitions", "0"}, stderr: "-partitions must be at least 1, got 0"},
+		{args: []string{"-partitions", "-2"}, stderr: "-partitions must be at least 1, got -2"},
+		{args: []string{"-hosts", "0"}, stderr: "-hosts must be at least 1, got 0"},
+		{args: []string{"-c", "0"}, stderr: "-c must be at least 1, got 0"},
+		{args: []string{"-live", "-segdocs", "0"}, stderr: "-segdocs must be at least 1, got 0"},
+		{args: []string{"-federate", "-sites", "0"}, stderr: "-sites must be at least 1, got 0"},
+		{args: []string{"-federate", "-sites", "-1"}, stderr: "-sites must be at least 1, got -1"},
+		{args: []string{"-cachecap", "-1"}, stderr: "-cachecap must be at least 0, got -1"},
+		{args: []string{"-sampleevery", "-1"}, stderr: "-sampleevery must be at least 0, got -1"},
+		{args: []string{"-nosuchflag"}, stderr: "flag provided but not defined: -nosuchflag"},
+	} {
+		var stderr bytes.Buffer
+		_, mode, err := parseOptions(tc.args, &stderr)
+		if mode != tc.mode || (err == nil) != (tc.mode != "") {
+			t.Errorf("%v: mode %q, err %v; want mode %q", tc.args, mode, err, tc.mode)
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) || (tc.stderr == "") != (stderr.Len() == 0) {
+			t.Errorf("%v: stderr %q, want %q", tc.args, stderr.String(), tc.stderr)
+		}
+	}
+}
 
 // hit is one /search result as the tests read it.
 type hit struct {
@@ -49,7 +87,7 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) int {
 // the query.
 func TestLiveServesTheCrawl(t *testing.T) {
 	o := options{c: 4, seed: 1, hosts: 45, partitions: 3,
-		cacheCap: 32, segDocs: 32, mergeWorkers: 2, deadline: 1000}
+		cacheCap: 32, segDocs: 32, deadline: 1000}
 	h, crawl, err := newLive(o)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +164,7 @@ func TestLiveServesTheCrawl(t *testing.T) {
 func TestModesServeTheSameCorpus(t *testing.T) {
 	defer qproc.SetDefaultOptions()
 	o := options{c: 4, seed: 3, hosts: 30, partitions: 3,
-		segDocs: 32, mergeWorkers: 2, deadline: 1000}
+		segDocs: 32, deadline: 1000}
 	_, eng, err := newStatic(o)
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +262,6 @@ func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
 // times a remote site's answer out, a generous one serves it.
 func TestFederateServesMediatedAnswers(t *testing.T) {
 	defer qproc.SetDefaultOptions()
-	// -sites 0 used to crawl the whole corpus and then divide by zero.
-	for _, sites := range []int{0, -1} {
-		if _, _, err := newFederate(options{seed: 1, hosts: 45, partitions: 2, sites: sites}); err == nil {
-			t.Fatalf("-sites %d accepted", sites)
-		}
-	}
 	for _, tc := range []struct {
 		deadline float64
 		status   string

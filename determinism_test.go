@@ -88,7 +88,7 @@ func TestStreamingPipelineDeterminism(t *testing.T) {
 		lcfg.Distinct = 60
 		lg := querylog.Generate(web, lcfg)
 
-		live, err := core.NewLive(parts, 24, nil,
+		live, err := core.NewLive(parts, 24,
 			qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: 64}))
 		if err != nil {
 			t.Fatal(err)

@@ -96,7 +96,7 @@ func TestLiveSealedAnswersLikeStatic(t *testing.T) {
 	cfg.Partitions = 3
 	static := buildEngine(t, cfg)
 
-	live, err := NewLive(cfg.Partitions, 16, nil)
+	live, err := NewLive(cfg.Partitions, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dwr/internal/conc"
 	"dwr/internal/crawler"
 	"dwr/internal/index"
 	"dwr/internal/qproc"
@@ -24,11 +23,10 @@ type Live struct {
 
 // NewLive assembles partitions empty segment stores (merge radix 3), a
 // writer over each that seals a segment every segDocs documents, and
-// the live engine over the stores, built with opts. Merges run on
-// mergePool; nil runs them inline in the ingesting goroutine, which
-// makes every manifest swap a function of the ingest order alone — the
-// mode replay-identity checks need.
-func NewLive(partitions, segDocs int, mergePool *conc.Pool, opts ...qproc.Option) (*Live, error) {
+// the live engine over the stores, built with opts. Merges run inline
+// in the seal that sets them off, on the ingesting goroutine, so every
+// manifest swap is a function of the ingest order alone.
+func NewLive(partitions, segDocs int, opts ...qproc.Option) (*Live, error) {
 	if partitions < 1 {
 		return nil, fmt.Errorf("core: a live engine needs at least one partition, got %d", partitions)
 	}
@@ -38,9 +36,6 @@ func NewLive(partitions, segDocs int, mergePool *conc.Pool, opts ...qproc.Option
 	}
 	for i := range l.stores {
 		l.stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-		if mergePool != nil {
-			l.stores[i].Background(mergePool)
-		}
 		l.writers[i] = index.NewSegmentWriter(l.stores[i], segDocs)
 	}
 	eng, err := qproc.NewLiveEngine(l.stores, opts...)
@@ -65,15 +60,11 @@ func (l *Live) Ingest(p *crawler.Page) (part int, ok bool) {
 }
 
 // Seal ends a burst of ingest: every writer's partial buffer becomes a
-// searchable segment, and the call returns once the background merges
-// those segments set off have finished.
+// searchable segment, merged as the policy asks.
 func (l *Live) Seal() error {
 	var err error
 	for _, w := range l.writers {
 		err = errors.Join(err, w.Cut())
-	}
-	for _, s := range l.stores {
-		s.Quiesce()
 	}
 	return err
 }

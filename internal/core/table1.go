@@ -64,7 +64,7 @@ func Table1() []Table1Cell {
 			Module: "Indexing", Issue: "Communication",
 			PaperTopic: "Re-indexing",
 			Components: []string{
-				"index.SegmentStore.Compact (distributed merges)",
+				"index.SegmentWriter.Build (distributed merges)",
 				"index.BuildMapReduce / index.BuildPipeline",
 			},
 		},

@@ -3,9 +3,8 @@ package index
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
-
-	"dwr/internal/conc"
 )
 
 // MergePolicy is the tiered size-ratio policy of a SegmentStore:
@@ -38,19 +37,15 @@ type SegmentStats struct {
 }
 
 // SegmentStore owns an LSM-style set of immutable segments behind an
-// atomically swapped Manifest. Writers apply sealed segments and
-// tombstone deletes; the merge policy compacts segments either inline
-// (the deterministic default — merge timing is then a pure function of
-// the apply/delete sequence, which virtual-time replays require) or on
-// a bounded background pool (wall-clock serving, where ingest must not
-// stall behind a large merge).
+// atomically swapped Manifest. Its one mutator is the SegmentWriter
+// over it: the writer applies sealed segments and tombstone deletes,
+// and the merge policy compacts segments inline, in the seal that sets
+// the cascade off, so merge timing is a pure function of the ingest
+// order, which virtual-time replays require.
 //
 // Concurrency contract: any number of goroutines may call Manifest,
-// Stats, and the Manifest's read methods at any time. Structural
-// mutation (Apply, Delete, Compact) must come from one writer at a
-// time (a SegmentWriter's lock sees to that); background merges
-// scheduled by the store itself are internally serialized and safe
-// against a concurrent writer.
+// Stats, and the Manifest's read methods at any time. The mutators
+// (apply, delete, compact) run under the writer's lock, one at a time.
 type SegmentStore struct {
 	opts Options
 	pol  MergePolicy
@@ -61,28 +56,17 @@ type SegmentStore struct {
 	man   *Manifest
 	stats SegmentStats
 
-	// maint serializes merge cascades (inline or background).
-	maint   sync.Mutex
-	pool    *conc.Pool
-	pending sync.WaitGroup
-
-	hooks
+	// onChange holds the hooks result caches register, so an index
+	// update invalidates their entries (generation bump) without the
+	// index knowing about caching.
+	hookMu   sync.Mutex
+	onChange []func()
 }
 
-// NewSegmentStore creates an empty store with inline (deterministic)
-// merge scheduling.
+// NewSegmentStore creates an empty store.
 func NewSegmentStore(opts Options, pol MergePolicy) *SegmentStore {
 	return &SegmentStore{opts: opts, pol: pol.normalized(), man: emptyManifest()}
 }
-
-// Background switches the store to background merge scheduling on pool:
-// Apply publishes the new segment immediately and the merge cascade
-// runs on a pool goroutine. Call before the first Apply. Background
-// merges surrender replay determinism — merge timing (and therefore the
-// exact moment tombstoned documents stop counting toward collection
-// statistics) depends on the scheduler — so this mode is for wall-clock
-// serving only.
-func (s *SegmentStore) Background(pool *conc.Pool) { s.pool = pool }
 
 // Manifest returns the current manifest snapshot. The snapshot is
 // immutable; queries evaluated against it are unaffected by concurrent
@@ -103,45 +87,36 @@ func (s *SegmentStore) Stats() SegmentStats {
 	return st
 }
 
-// hooks is the change-callback list SegmentStore embeds: result caches
-// register here, so an index update invalidates their entries
-// (generation bump) without the index knowing about caching.
-type hooks struct {
-	hookMu   sync.Mutex
-	onChange []func()
-}
-
-// OnChange registers fn to run after every published manifest swap
-// (apply, merge, delete, compaction). Hooks must be fast and
-// non-blocking; the intended use is bumping a result cache's
+// OnChange registers fn to run once per writer call that changed the
+// store's manifest (a seal with its merge cascade, a tombstone delete,
+// a compaction), after the writer has published the new state. Hooks
+// run on the writer's goroutine with its lock held, so they must be
+// fast and non-blocking; the intended use is bumping a result cache's
 // generation counter.
-func (h *hooks) OnChange(fn func()) {
-	h.hookMu.Lock()
-	h.onChange = append(h.onChange, fn)
-	h.hookMu.Unlock()
+func (s *SegmentStore) OnChange(fn func()) {
+	s.hookMu.Lock()
+	s.onChange = append(s.onChange, fn)
+	s.hookMu.Unlock()
 }
 
 // notify runs the registered hooks. Callers must hold none of the
-// owner's locks — a hook that queries the index back would deadlock
+// store's locks — a hook that queries the index back would deadlock
 // otherwise.
-func (h *hooks) notify() {
-	h.hookMu.Lock()
-	fns := h.onChange
-	h.hookMu.Unlock()
+func (s *SegmentStore) notify() {
+	s.hookMu.Lock()
+	fns := s.onChange
+	s.hookMu.Unlock()
 	for _, fn := range fns {
 		fn()
 	}
 }
 
-// Apply publishes seg as the newest segment and runs (or schedules) the
-// merge cascade. It rejects segments holding a document already
-// resident in the store — cross-segment duplicates would corrupt
-// scoring, and SegmentWriter dedupes before sealing, so a duplicate
-// here is a pipeline bug.
-func (s *SegmentStore) Apply(seg *Index) error {
-	if seg == nil || seg.NumDocs() == 0 {
-		return nil
-	}
+// apply publishes seg as the newest segment and runs the merge
+// cascade. It rejects segments holding a document already resident in
+// the store — cross-segment duplicates would corrupt scoring, and
+// SegmentWriter dedupes before sealing, so a duplicate here is a
+// pipeline bug.
+func (s *SegmentStore) apply(seg *Index) error {
 	man := s.Manifest()
 	for doc := int32(0); doc < int32(seg.NumDocs()); doc++ {
 		if ext := seg.ExtID(doc); man.Contains(ext) {
@@ -149,135 +124,80 @@ func (s *SegmentStore) Apply(seg *Index) error {
 		}
 	}
 	s.mu.Lock()
-	cur := s.man
-	segs := make([]*Index, 0, len(cur.segments)+1)
-	segs = append(segs, cur.segments...)
-	segs = append(segs, seg)
-	s.man = &Manifest{gen: cur.gen + 1, segments: segs, deleted: cur.deleted}
+	s.man = &Manifest{gen: man.gen + 1, segments: append(slices.Clip(man.segments), seg), deleted: man.deleted}
 	s.stats.Applied++
 	s.mu.Unlock()
-	if s.pool != nil {
-		s.pending.Add(1)
-		s.pool.Submit(func() {
-			defer s.pending.Done()
-			if s.maintain() {
-				s.notify()
-			}
-		})
-	} else {
-		s.maintain()
-	}
-	s.notify()
+	s.maintain()
 	return nil
 }
 
-// Delete tombstones ext. It reports whether the document was resident
+// delete tombstones ext. It reports whether the document was resident
 // and not already tombstoned; the document disappears from searches at
 // the very next Manifest call and is physically dropped by the next
 // merge touching its segment.
-func (s *SegmentStore) Delete(ext int) bool {
+func (s *SegmentStore) delete(ext int) bool {
 	man := s.Manifest()
 	if !man.Contains(ext) || man.Deleted(ext) {
 		return false
 	}
-	s.mu.Lock()
-	cur := s.man
-	del := maps.Clone(cur.deleted)
+	del := maps.Clone(man.deleted)
 	del[ext] = true
-	s.man = &Manifest{gen: cur.gen + 1, segments: cur.segments, deleted: del}
+	s.mu.Lock()
+	s.man = &Manifest{gen: man.gen + 1, segments: man.segments, deleted: del}
 	s.mu.Unlock()
-	s.notify()
 	return true
 }
 
 // maintain runs the geometric merge cascade until the policy is
-// satisfied, building each merged segment off-lock and swapping it in
-// under a short write lock. It reports whether any merge happened.
-// Safe against concurrent Apply/Delete: merges identify their inputs by
-// segment identity at swap time, and appends only ever extend the tail
-// behind them.
-func (s *SegmentStore) maintain() bool {
-	s.maint.Lock()
-	defer s.maint.Unlock()
-	did := false
+// satisfied, building each merged segment off-lock — readers keep
+// searching the pre-merge manifest — and swapping it in under a short
+// write lock. The inputs are always the last two segments of the
+// manifest it read, which is still the current one: no other mutator
+// runs meanwhile.
+func (s *SegmentStore) maintain() {
 	for {
 		man := s.Manifest()
 		n := len(man.segments)
-		if n < 2 {
-			return did
+		if n < 2 || man.segments[n-2].NumDocs() >= s.pol.Radix*man.segments[n-1].NumDocs() {
+			return
 		}
-		a, c := man.segments[n-2], man.segments[n-1]
-		if a.NumDocs() >= s.pol.Radix*c.NumDocs() {
-			return did
-		}
-		// Build the merged segment with no store lock held: readers keep
-		// searching the pre-merge manifest, writers keep applying.
-		merged, dropped := mergeSegments(s.opts, []*Index{a, c}, man.deleted)
-
-		s.mu.Lock()
-		cur := s.man
-		i := segmentIndex(cur.segments, a)
-		segs := make([]*Index, 0, len(cur.segments)-1)
-		segs = append(segs, cur.segments[:i]...)
-		segs = append(segs, merged)
-		segs = append(segs, cur.segments[i+2:]...)
-		del := cur.deleted
+		merged, dropped := mergeSegments(s.opts, man.segments[n-2:], man.deleted)
+		segs := append(slices.Clip(man.segments[:n-2]), merged)
+		del := man.deleted
 		if len(dropped) > 0 {
-			del = maps.Clone(cur.deleted)
+			del = maps.Clone(man.deleted)
 			for _, ext := range dropped {
 				delete(del, ext)
 			}
 		}
-		s.man = &Manifest{gen: cur.gen + 1, segments: segs, deleted: del}
+		s.mu.Lock()
+		s.man = &Manifest{gen: man.gen + 1, segments: segs, deleted: del}
 		s.stats.Merges++
 		s.stats.MergedDocs += merged.NumDocs()
 		s.stats.TombstonesDropped += len(dropped)
 		s.mu.Unlock()
-		did = true
 	}
 }
 
-// segmentIndex locates seg by identity. Only the maintenance path
-// removes segments and it is serialized, so a merge input is always
-// still present (though possibly no longer at the tail, if a writer
-// applied new segments while the merge was building).
-func segmentIndex(segs []*Index, seg *Index) int {
-	for i, s := range segs {
-		if s == seg {
-			return i
-		}
-	}
-	panic("index: merge input segment vanished from the manifest")
-}
-
-// Quiesce blocks until every scheduled background merge has finished.
-// Inline-mode stores return immediately.
-func (s *SegmentStore) Quiesce() { s.pending.Wait() }
-
-// Compact merges every segment into one (dropping all tombstones),
+// compact merges every segment into one (dropping all tombstones),
 // publishes the single-segment manifest, and returns the merged index —
 // the end-of-stream step that turns a streaming store into the
 // immutable artifact the offline pipeline produces.
-func (s *SegmentStore) Compact() (*Index, error) {
-	s.Quiesce()
-	s.maint.Lock()
-	defer s.maint.Unlock()
+func (s *SegmentStore) compact() *Index {
 	man := s.Manifest()
 	if len(man.segments) == 0 {
-		return NewBuilder(s.opts).BuildParallel(1), nil
+		return NewBuilder(s.opts).BuildParallel(1)
 	}
 	merged, dropped := mergeSegments(s.opts, man.segments, man.deleted)
 	s.mu.Lock()
-	cur := s.man
-	s.man = &Manifest{gen: cur.gen + 1, segments: []*Index{merged}, deleted: make(map[int]bool)}
+	s.man = &Manifest{gen: man.gen + 1, segments: []*Index{merged}, deleted: make(map[int]bool)}
 	if len(man.segments) > 1 {
 		s.stats.Merges++
 		s.stats.MergedDocs += merged.NumDocs()
 	}
 	s.stats.TombstonesDropped += len(dropped)
 	s.mu.Unlock()
-	s.notify()
-	return merged, nil
+	return merged
 }
 
 // mergeSegments merges parts (in segment order) into one fresh segment
@@ -286,7 +206,7 @@ func (s *SegmentStore) Compact() (*Index, error) {
 func mergeSegments(opts Options, parts []*Index, deleted map[int]bool) (*Index, []int) {
 	merged, dropped, err := mergeParts(opts, parts, byArrival, deleted, 1)
 	if err != nil {
-		// Apply rejects cross-segment duplicates, so this is unreachable
+		// apply rejects cross-segment duplicates, so this is unreachable
 		// without a corrupted manifest.
 		panic(err)
 	}

@@ -5,10 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
-
-	"dwr/internal/conc"
 )
 
 // buildSegment turns a document slice into one immutable segment.
@@ -67,7 +64,7 @@ func TestSegmentStoreLifecycle(t *testing.T) {
 		if end > len(docs) {
 			end = len(docs)
 		}
-		if err := s.Apply(buildSegment(t, docs[i:end])); err != nil {
+		if err := s.apply(buildSegment(t, docs[i:end])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,12 +80,8 @@ func TestSegmentStoreLifecycle(t *testing.T) {
 	if len(man.segments) > 6 {
 		t.Fatalf("%d segments for 8 applies at radix 3; cascade not merging", len(man.segments))
 	}
-	// Compact produces the same index as a single-shot build.
-	got, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(buildSegment(t, docs), got) {
+	// compact produces the same index as a single-shot build.
+	if !Equal(buildSegment(t, docs), s.compact()) {
 		t.Fatal("compacted store differs from single-shot build of the same documents")
 	}
 }
@@ -98,18 +91,18 @@ func TestSegmentStoreDeleteAndTombstoneGC(t *testing.T) {
 	docs := randomDocs(rng, 200, 40)
 	s := NewSegmentStore(DefaultOptions(), MergePolicy{Radix: 3})
 	for i := 0; i < len(docs); i += 40 {
-		if err := s.Apply(buildSegment(t, docs[i:i+40])); err != nil {
+		if err := s.apply(buildSegment(t, docs[i:i+40])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deleted := map[int]bool{}
 	for i := 0; i < len(docs); i += 7 {
-		if !s.Delete(docs[i].Ext) {
+		if !s.delete(docs[i].Ext) {
 			t.Fatalf("Delete(%d) found nothing", docs[i].Ext)
 		}
 		deleted[docs[i].Ext] = true
 	}
-	if s.Delete(docs[0].Ext) {
+	if s.delete(docs[0].Ext) {
 		t.Fatal("second Delete of the same doc reported success")
 	}
 	man := s.Manifest()
@@ -123,9 +116,7 @@ func TestSegmentStoreDeleteAndTombstoneGC(t *testing.T) {
 		}
 	}
 	// Compaction physically removes tombstones and clears the map.
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	s.compact()
 	st := s.Stats()
 	if st.TombstonesDropped != len(deleted) {
 		t.Fatalf("compaction dropped %d tombstones, want %d", st.TombstonesDropped, len(deleted))
@@ -134,53 +125,57 @@ func TestSegmentStoreDeleteAndTombstoneGC(t *testing.T) {
 		t.Fatal("tombstones survived compaction")
 	}
 	// A compacted-away ID can be indexed again.
-	if err := s.Apply(buildSegment(t, []Doc{{Ext: docs[0].Ext, Terms: docs[0].Terms}})); err != nil {
+	if err := s.apply(buildSegment(t, []Doc{{Ext: docs[0].Ext, Terms: docs[0].Terms}})); err != nil {
 		t.Fatalf("re-adding a compacted-away doc: %v", err)
 	}
 }
 
 func TestSegmentStoreRejectsCrossSegmentDuplicate(t *testing.T) {
 	s := NewSegmentStore(DefaultOptions(), MergePolicy{})
-	if err := s.Apply(buildSegment(t, []Doc{{Ext: 1, Terms: []string{"a"}}})); err != nil {
+	if err := s.apply(buildSegment(t, []Doc{{Ext: 1, Terms: []string{"a"}}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(buildSegment(t, []Doc{{Ext: 1, Terms: []string{"b"}}})); err == nil {
+	if err := s.apply(buildSegment(t, []Doc{{Ext: 1, Terms: []string{"b"}}})); err == nil {
 		t.Fatal("duplicate external ID accepted across segments")
 	}
 }
 
 // TestDynamicOnChangeHooks pins when a store's change hooks fire: once
-// per published manifest swap — apply, delete, merge, compaction — and
-// not for a delete that changes nothing. Merges run in the background
-// here so that a merge's swap is told apart from its apply's.
+// per writer call that changed the store — a seal, a seal with its
+// merge, a tombstone delete, a compaction — and not for a call that
+// only touched the tail or changed nothing.
 func TestDynamicOnChangeHooks(t *testing.T) {
-	s := NewSegmentStore(DefaultOptions(), MergePolicy{Radix: 2})
-	s.Background(conc.NewPool(1))
-	var fired atomic.Int32
-	s.OnChange(func() { fired.Add(1) })
-	step := func(what string, want int32, op func()) {
+	w, s := newWriter(2, 2)
+	fired := 0
+	s.OnChange(func() { fired++ })
+	step := func(what string, want int, op func()) {
 		t.Helper()
-		before := fired.Load()
+		before := fired
 		op()
-		s.Quiesce()
-		if got := fired.Load() - before; got != want {
+		if got := fired - before; got != want {
 			t.Fatalf("%s fired the hooks %d times, want %d", what, got, want)
 		}
 	}
-	apply := func(ext int) {
-		if err := s.Apply(buildSegment(t, []Doc{{Ext: ext, Terms: []string{"a"}}})); err != nil {
-			t.Error(err)
+	add := func(ext int) func() {
+		return func() {
+			if err := w.AddDocument(ext, []string{"a"}); err != nil {
+				t.Error(err)
+			}
 		}
 	}
-	step("apply", 1, func() { apply(1) })
-	step("apply + merge", 2, func() { apply(2) })
-	step("delete", 1, func() { s.Delete(1) })
-	step("delete of a tombstoned doc", 0, func() { s.Delete(1) })
-	step("delete of an unknown doc", 0, func() { s.Delete(99) })
-	// A hook that reads the store back must not deadlock (hooks run
-	// outside the store's locks).
-	s.OnChange(func() { _ = s.Manifest().NumDocs() + s.Stats().Merges })
-	step("compact", 1, func() { s.Compact() })
+	step("buffered add", 0, add(1))
+	step("seal", 1, add(2))
+	step("buffered add", 0, add(3))
+	step("seal + merge", 1, add(4))
+	step("delete", 1, func() { w.Delete(1) })
+	step("delete of a tombstoned doc", 0, func() { w.Delete(1) })
+	step("delete of an unknown doc", 0, func() { w.Delete(99) })
+	step("delete of a buffered doc", 0, func() { add(5)(); w.Delete(5) })
+	step("cut of an empty tail", 0, func() { w.Cut() })
+	// A hook that reads the store and the writer's view back must not
+	// deadlock (hooks run outside the store's locks).
+	s.OnChange(func() { _ = s.Manifest().NumDocs() + s.Stats().Merges + w.View().NumDocs() })
+	step("compact", 1, func() { w.Build() })
 	if st := s.Stats(); st.Merges != 1 || st.TombstonesDropped != 1 {
 		t.Fatalf("unexpected maintenance activity: %+v", st)
 	}
@@ -317,14 +312,14 @@ func TestDynamicConcurrentSearchUpdateDelete(t *testing.T) {
 	}
 }
 
-// TestSegmentStoreBackgroundMerges exercises the bounded background
-// merge pool under -race: one writer applies segments and tombstones
-// deletes while readers take manifest snapshots and search them.
-func TestSegmentStoreBackgroundMerges(t *testing.T) {
+// TestSegmentStoreMergesUnderReaders runs the merge cascade under
+// -race: one writer seals segments, each setting off its inline merges,
+// and tombstones deletes while readers take manifest snapshots and
+// search them.
+func TestSegmentStoreMergesUnderReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	docs := randomDocs(rng, 480, 40)
-	s := NewSegmentStore(DefaultOptions(), MergePolicy{Radix: 3})
-	s.Background(conc.NewPool(2))
+	w, s := newWriter(24, 3)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -350,24 +345,21 @@ func TestSegmentStoreBackgroundMerges(t *testing.T) {
 	}
 
 	deleted := 0
-	for i := 0; i < len(docs); i += 24 {
-		if err := s.Apply(buildSegment(t, docs[i:i+24])); err != nil {
+	for i, d := range docs {
+		if err := w.AddDocument(d.Ext, d.Terms); err != nil {
 			t.Error(err)
 			break
 		}
-		if i >= 48 {
-			if s.Delete(docs[i-48].Ext) {
-				deleted++
-			}
+		if i >= 48 && i%24 == 0 && w.Delete(docs[i-48].Ext) {
+			deleted++
 		}
 	}
 	close(stop)
-	s.Quiesce()
 	wg.Wait()
 	if got, want := s.Manifest().NumDocs(), len(docs)-deleted; got != want {
 		t.Fatalf("final live docs %d, want %d", got, want)
 	}
 	if s.Stats().Merges == 0 {
-		t.Fatal("background pool performed no merges")
+		t.Fatal("the cascade performed no merges")
 	}
 }

@@ -7,14 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// SegmentWriter is the one ingest front door of a SegmentStore — the
-// paper's online index maintenance (§4), where "the update operation
-// usually requires locking the index", without the lockout. Documents
+// SegmentWriter is the one mutator of a SegmentStore — the paper's
+// online index maintenance (§4), where "the update operation usually
+// requires locking the index", without the lockout. Documents
 // accumulate in an in-memory tail and are inverted and sealed into an
 // immutable segment every segDocs documents (or on Cut/Build); the
-// store's merge policy then compacts segments geometrically (Lester,
-// Moffat & Zobel — reference [15] of the paper), inline or in the
-// background.
+// seal then runs the store's merge cascade, which compacts segments
+// geometrically (Lester, Moffat & Zobel — reference [15] of the paper).
 //
 // A reader picks its view by the method it calls. store.Manifest() is
 // the sealed segments only: the gap between fetch and seal is exactly
@@ -22,14 +21,14 @@ import (
 // unsealed tail, so an added document is searchable (and a deleted one
 // gone) at once.
 //
-// Mutators (AddDocument, Delete, Cut, Build) and the counters take the
-// writer's lock, which is held from a seal through the merge cascade or
-// compaction it sets off, so they may come from any goroutine. View
-// never takes it: every mutation ends by publishing an immutable
-// {tail, manifest} snapshot behind one pointer, and a query evaluates
-// entirely against the snapshot it loaded. The store's OnChange hooks
-// fire with the writer's lock held: a hook may read the store or call
-// View, nothing else of the writer.
+// Mutators (AddDocument, Delete, Cut, Build) take the writer's lock,
+// which is held from a seal through the merge cascade or compaction it
+// sets off, so they may come from any goroutine. View never takes it:
+// every mutation ends by publishing an immutable {tail, manifest}
+// snapshot behind one pointer, and a query evaluates entirely against
+// the snapshot it loaded. A call that changed the store's manifest then
+// fires the store's OnChange hooks once, with the writer's lock held: a
+// hook may read the store or call View, nothing else of the writer.
 type SegmentWriter struct {
 	store   *SegmentStore
 	segDocs int
@@ -62,15 +61,19 @@ func NewSegmentWriter(store *SegmentStore, segDocs int) *SegmentWriter {
 		segDocs = 512
 	}
 	w := &SegmentWriter{store: store, segDocs: segDocs, inTail: make(map[int]bool)}
-	w.publish()
+	w.snap.Store(&writerSnap{man: store.Manifest()})
 	return w
 }
 
 // publish makes the writer's current tail and the store's current
-// manifest the state View serves. Caller holds w.mu, so the manifest
-// holds every sealed document and none of the tail's.
+// manifest the state View serves, then fires the store's hooks if the
+// manifest moved since the last publish. Caller holds w.mu, so the
+// manifest holds every sealed document and none of the tail's.
 func (w *SegmentWriter) publish() {
-	w.snap.Store(&writerSnap{tail: w.tail, man: w.store.Manifest()})
+	man := w.store.Manifest()
+	if w.snap.Swap(&writerSnap{tail: w.tail, man: man}).man != man {
+		w.store.notify()
+	}
 }
 
 // AddDocument buffers one tokenized document, sealing a segment when
@@ -90,17 +93,18 @@ func (w *SegmentWriter) AddDocument(ext int, terms []string) error {
 	}
 	w.tail = append(w.tail, Doc{Ext: ext, Terms: terms})
 	w.inTail[ext] = true
+	var err error
 	if len(w.tail) >= w.segDocs {
-		return w.cut()
+		err = w.cut()
 	}
 	w.publish()
-	return nil
+	return err
 }
 
 // Delete removes ext and reports whether it was there to remove: a
 // document still in the tail leaves it (and its ID may be added again),
-// a sealed one is tombstoned (SegmentStore.Delete). Either way it is
-// gone from the next View.
+// a sealed one is tombstoned. Either way it is gone from the next
+// View.
 func (w *SegmentWriter) Delete(ext int) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -108,7 +112,7 @@ func (w *SegmentWriter) Delete(ext int) bool {
 		// Published snapshots share w.tail: shorten a copy.
 		w.tail = slices.DeleteFunc(slices.Clone(w.tail), func(d Doc) bool { return d.Ext == ext })
 		delete(w.inTail, ext)
-	} else if !w.store.Delete(ext) {
+	} else if !w.store.delete(ext) {
 		return false
 	}
 	w.publish()
@@ -121,12 +125,14 @@ func (w *SegmentWriter) Delete(ext int) bool {
 func (w *SegmentWriter) Cut() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	return w.cut()
 }
 
-// cut is Cut with w.mu held. View keeps serving the previous snapshot
-// through the segment build and the store's merge cascade, until the
-// one pointer store at the end.
+// cut seals the tail into the store, merge cascade included; the caller
+// holds w.mu and publishes. View keeps serving the previous snapshot
+// through the segment build and the cascade, until that one pointer
+// store.
 func (w *SegmentWriter) cut() error {
 	if len(w.tail) == 0 {
 		return nil
@@ -137,9 +143,7 @@ func (w *SegmentWriter) cut() error {
 	}
 	w.tail = nil
 	clear(w.inTail)
-	err = w.store.Apply(seg)
-	w.publish()
-	return err
+	return w.store.apply(seg)
 }
 
 // Build implements Builder: it seals the tail and compacts the store
@@ -149,12 +153,11 @@ func (w *SegmentWriter) cut() error {
 func (w *SegmentWriter) Build() (*Index, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	if err := w.cut(); err != nil {
 		return nil, err
 	}
-	ix, err := w.store.Compact()
-	w.publish()
-	return ix, err
+	return w.store.compact(), nil
 }
 
 // View returns the partition view internal/rank evaluates when the tail
@@ -162,9 +165,7 @@ func (w *SegmentWriter) Build() (*Index, error) {
 // the tail indexed as one throwaway segment. That segment is built at
 // most once per snapshot, by the first reader that asks, with no lock
 // held; later mutations publish new snapshots and never touch a view
-// already handed out. Under Background merges the manifest may be the
-// one from before a merge the store has since published — the same
-// documents in more segments.
+// already handed out.
 func (w *SegmentWriter) View() *Manifest {
 	s := w.snap.Load()
 	s.once.Do(func() {

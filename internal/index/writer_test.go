@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -45,6 +47,83 @@ func TestDynamicSearchMatchesStatic(t *testing.T) {
 		if len(dres) != want {
 			t.Fatalf("term %q: dynamic found %d docs, static has %d postings", term, len(dres), want)
 		}
+	}
+}
+
+// TestWriterViewTracksTheStore runs a seeded add/cut/delete/build
+// schedule at radix 2, so seals set off merges often, and after every
+// writer call checks that the sealed part of View is exactly the
+// store's current manifest — same generation, segment pointers and
+// tombstones, never one from before a merge — and that the store's
+// hooks have already fired once if the call changed the store and not
+// at all if it did not. The hook itself checks the same of View, so a
+// hook sees the state its call published.
+func TestWriterViewTracksTheStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	docs := randomDocs(rng, 300, 40)
+	w, s := newWriter(3, 2)
+	check := func(when string) {
+		t.Helper()
+		v, m := w.View(), s.Manifest()
+		tail := len(w.snap.Load().tail)
+		sealed := v.segments[:len(v.segments)-min(tail, 1)]
+		if v.gen != m.gen || len(sealed) != len(m.segments) || !maps.Equal(v.deleted, m.deleted) {
+			t.Fatalf("%s: view gen %d with %d sealed segments, %d tombstones; store gen %d with %d, %d",
+				when, v.gen, len(sealed), len(v.deleted), m.gen, len(m.segments), len(m.deleted))
+		}
+		for i, seg := range sealed {
+			if seg != m.segments[i] {
+				t.Fatalf("%s: view segment %d is not the store's", when, i)
+			}
+		}
+	}
+	fired := 0
+	s.OnChange(func() {
+		fired++
+		check("in the hook")
+	})
+
+	var resident []int // added, not deleted
+	for call := 0; call < 400; call++ {
+		before, firedBefore := s.Manifest(), fired
+		var op string
+		switch r := rng.Intn(100); {
+		case r < 60 && len(docs) > 0:
+			op = "add"
+			if err := w.AddDocument(docs[0].Ext, docs[0].Terms); err != nil {
+				t.Fatal(err)
+			}
+			resident = append(resident, docs[0].Ext)
+			docs = docs[1:]
+		case r < 75:
+			op = "cut"
+			if err := w.Cut(); err != nil {
+				t.Fatal(err)
+			}
+		case r < 95 && len(resident) > 0:
+			op = "delete"
+			i := rng.Intn(len(resident))
+			if !w.Delete(resident[i]) {
+				t.Fatalf("call %d: Delete(%d) found nothing", call, resident[i])
+			}
+			resident = slices.Delete(resident, i, i+1)
+		default:
+			op = "build"
+			if _, err := w.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("call %d (%s)", call, op))
+		want := 0
+		if s.Manifest() != before {
+			want = 1
+		}
+		if got := fired - firedBefore; got != want {
+			t.Fatalf("call %d (%s) fired the hooks %d times, want %d", call, op, got, want)
+		}
+	}
+	if st := s.Stats(); w.View().NumDocs() != len(resident) || st.Applied < 30 || st.Merges < 30 {
+		t.Fatalf("%d live docs (want %d) after %d seals and %d merges", w.View().NumDocs(), len(resident), st.Applied, st.Merges)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // The conc-discipline analyzer ([conc]) keeps hand-rolled concurrency
 // out of the deterministic packages. Byte-identical answers at any
 // worker count depend on every fan-out gathering its results in a fixed
-// order; internal/conc (Do, Pipeline, Pool) packages exactly that
+// order; internal/conc (Do, Pipeline) packages exactly that
 // contract, while a bare `go` statement with ad-hoc channel plumbing
 // reintroduces scheduler-ordered gathers one refactor at a time.
 //

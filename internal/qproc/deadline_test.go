@@ -121,7 +121,7 @@ func TestDeadlineCacheInteraction(t *testing.T) {
 // DeadlineQuerier assertion, so `dwrserve -live -deadline N` propagates
 // its budget; a budget no query can meet fails without being cached.
 func TestLiveEngineDeadline(t *testing.T) {
-	live, _, _ := liveFixture(t, corpus(28, 300, 200), 2, 32,
+	live, _ := liveFixture(t, corpus(28, 300, 200), 2, 32,
 		WithResultCache(ResultCacheConfig{Capacity: 64}))
 	var eng Engine = live
 	dq, ok := eng.(DeadlineQuerier)

@@ -72,7 +72,7 @@ func TestFrameContract(t *testing.T) {
 		lose: loser(phraseInj, 0), crash: crasher(phraseInj)})
 
 	liveInj := faultsim.New(2)
-	live, _, _ := liveFixture(t, docs, 3, 32, cache, WithFaultPolicy(lossy), WithInjector(liveInj))
+	live, _ := liveFixture(t, docs, 3, 32, cache, WithFaultPolicy(lossy), WithInjector(liveInj))
 	rows = append(rows, row{name: "live", inCluster: true, eng: live,
 		repeat: qs[0], late: qs[1], partial: qs[2],
 		lose: loser(liveInj, 0), crash: crasher(liveInj)})

@@ -9,8 +9,8 @@ import (
 
 // LiveEngine is the document-partitioned broker for collections that
 // are still being written: every partition is an index.SegmentStore
-// whose segment manifest is atomically swapped by segment writers and
-// background merges while queries are in flight. It is a DocEngine whose
+// whose segment manifest its segment writer atomically swaps (seals,
+// merges, deletes) while queries are in flight. It is a DocEngine whose
 // partition sources are the stores: a query takes one immutable manifest
 // snapshot per partition before anything else, so no request ever
 // observes a half-swapped view, aggregates statistics over exactly those

@@ -8,23 +8,18 @@ import (
 	"sync"
 	"testing"
 
-	"dwr/internal/conc"
 	"dwr/internal/index"
 	"dwr/internal/rank"
 )
 
 // liveStores fills nparts segment stores with docs round-robin through
-// segment writers sealing every segDocs documents. A non-nil pool runs
-// the merge cascades in the background (quiesced before returning).
-func liveStores(t *testing.T, docs []index.Doc, nparts, segDocs int, pool *conc.Pool) ([]*index.SegmentStore, []*index.SegmentWriter) {
+// segment writers sealing every segDocs documents.
+func liveStores(t *testing.T, docs []index.Doc, nparts, segDocs int) ([]*index.SegmentStore, []*index.SegmentWriter) {
 	t.Helper()
 	stores := make([]*index.SegmentStore, nparts)
 	writers := make([]*index.SegmentWriter, nparts)
 	for i := range stores {
 		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-		if pool != nil {
-			stores[i].Background(pool)
-		}
 		writers[i] = index.NewSegmentWriter(stores[i], segDocs)
 	}
 	for _, d := range docs {
@@ -32,20 +27,29 @@ func liveStores(t *testing.T, docs []index.Doc, nparts, segDocs int, pool *conc.
 			t.Fatal(err)
 		}
 	}
-	for i, w := range writers {
+	for _, w := range writers {
 		if err := w.Cut(); err != nil {
 			t.Fatal(err)
 		}
-		stores[i].Quiesce()
 	}
 	return stores, writers
 }
 
-// liveFixture builds a LiveEngine over liveStores.
-func liveFixture(t *testing.T, docs []index.Doc, nparts, segDocs int, options ...Option) (*LiveEngine, []*index.SegmentStore, []*index.SegmentWriter) {
+// compactAll compacts every writer's store into one segment.
+func compactAll(t *testing.T, writers []*index.SegmentWriter) {
 	t.Helper()
-	stores, writers := liveStores(t, docs, nparts, segDocs, nil)
-	return liveOver(t, stores, options...), stores, writers
+	for _, w := range writers {
+		if _, err := w.Build(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// liveFixture builds a LiveEngine over liveStores.
+func liveFixture(t *testing.T, docs []index.Doc, nparts, segDocs int, options ...Option) (*LiveEngine, []*index.SegmentWriter) {
+	t.Helper()
+	stores, writers := liveStores(t, docs, nparts, segDocs)
+	return liveOver(t, stores, options...), writers
 }
 
 func liveOver(t *testing.T, stores []*index.SegmentStore, options ...Option) *LiveEngine {
@@ -87,30 +91,24 @@ func staticAnswers(t *testing.T, docs []index.Doc, nparts int, queries [][]strin
 
 // TestLiveEngineStaticEquivalence: the same seeded corpus served from
 // built partition indexes and from segment stores — however the stores
-// have cut it up: small segments mid-cascade, larger ones, merges on a
-// background pool, fully compacted — ranks identically, bit for bit, at
-// every broker configuration. Run under -race in CI.
+// have cut it up: small segments mid-cascade, larger ones, fully
+// compacted — ranks identically, bit for bit, at every broker
+// configuration. Run under -race in CI.
 func TestLiveEngineStaticEquivalence(t *testing.T) {
 	const nparts = 4
 	docs := corpus(81, 1400, 1500)
 	queries := zipfQueries(82, 50, 1500)
-	pool := conc.NewPool(2)
-	compacted, _ := liveStores(t, docs, nparts, 32, nil)
-	for _, st := range compacted {
-		if _, err := st.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	small, _ := liveStores(t, docs, nparts, 6, nil)  // 350 docs/partition: tiers of 282, 60, 6 and 2
-	large, _ := liveStores(t, docs, nparts, 25, nil) // tiers of 250, 75 and 25
-	merged, _ := liveStores(t, docs, nparts, 6, pool)
+	compacted, compactors := liveStores(t, docs, nparts, 32)
+	compactAll(t, compactors)
+	small, _ := liveStores(t, docs, nparts, 6)  // 350 docs/partition: tiers of 282, 60, 6 and 2
+	large, _ := liveStores(t, docs, nparts, 25) // tiers of 250, 75 and 25
 	if n := len(small[0].Manifest().Segments()); n < 3 {
 		t.Fatalf("fixture: %d segments per partition; the views exercise no cross-segment seeding", n)
 	}
 	for _, k := range []int{10, 100} {
 		want := staticAnswers(t, docs, nparts, queries, k)
 		for name, stores := range map[string][]*index.SegmentStore{
-			"segDocs=6": small, "segDocs=25": large, "background merges": merged, "compacted": compacted,
+			"segDocs=6": small, "segDocs=25": large, "compacted": compacted,
 		} {
 			brokerGrid(t, func(label string, options ...Option) {
 				live := liveOver(t, stores, options...)
@@ -127,13 +125,13 @@ func TestLiveEngineStaticEquivalence(t *testing.T) {
 // TestLiveEngineTombstoneEquivalence: with seeded tombstones pending,
 // every broker configuration answers exactly as the exhaustive
 // single-wave one over the same views and never returns a tombstoned
-// document; once Compact has reclaimed them the answer is the static
+// document; once Build has compacted them away the answer is the static
 // engine's over the surviving documents.
 func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 	const nparts, k = 4, 10
 	docs := corpus(83, 1400, 1500)
 	queries := zipfQueries(84, 50, 1500)
-	stores, _ := liveStores(t, docs, nparts, 6, nil)
+	stores, writers := liveStores(t, docs, nparts, 6)
 	rng := rand.New(rand.NewSource(85))
 	dead := map[int]bool{}
 	var survivors []index.Doc
@@ -142,7 +140,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 			survivors = append(survivors, d)
 			continue
 		}
-		if !stores[d.Ext%nparts].Delete(d.Ext) {
+		if !writers[d.Ext%nparts].Delete(d.Ext) {
 			t.Fatalf("Delete(%d) found nothing", d.Ext)
 		}
 		dead[d.Ext] = true
@@ -171,11 +169,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 		}
 	})
 
-	for _, st := range stores {
-		if _, err := st.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	compactAll(t, writers)
 	// The static oracle partitions the survivors by position, the stores
 	// by ID; with collection-wide statistics the merged ranking does not
 	// depend on the assignment.
@@ -184,7 +178,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 		live := liveOver(t, stores, options...)
 		for qi, q := range queries {
 			if got := live.Query(q, k).Results; !reflect.DeepEqual(static[qi], got) {
-				t.Fatalf("after Compact, %s query %d %v:\nstatic %v\nlive   %v", label, qi, q, static[qi], got)
+				t.Fatalf("after Build, %s query %d %v:\nstatic %v\nlive   %v", label, qi, q, static[qi], got)
 			}
 		}
 	})
@@ -192,12 +186,12 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 
 // TestLiveEngineOracleEquivalence is the model-based check of the
 // segment stores behind the one read path: a seeded random schedule of
-// adds, cuts, deletes, background merges and compactions runs over three
-// stores while a plain map tracks which documents are searchable. After
-// every step (stores with pending tombstones quiesced, so no merge moves
-// the statistics mid-check) all four broker configurations — GOMAXPROCS {1,4} ×
-// {MaxScore with shared thresholds, exhaustive single-wave} — must agree
-// bit for bit and return only documents the model holds. Whenever no
+// adds, cuts (each running its merge cascade), deletes and compactions
+// runs over three stores while a plain map tracks which documents are
+// searchable. After every step all four broker configurations —
+// GOMAXPROCS {1,4} × {MaxScore with shared thresholds, exhaustive
+// single-wave} — must agree bit for bit and return only documents the
+// model holds. Whenever no
 // tombstone is pending the answer must also equal, bit for bit, a static
 // engine built from scratch over the model's documents; pending
 // tombstones still count toward DF and collection length (see
@@ -208,19 +202,12 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	feed := corpus(98, 700, 150)
 	queries := zipfQueries(99, 6, 150)
-	pool := conc.NewPool(2)
 	stores := make([]*index.SegmentStore, nparts)
 	writers := make([]*index.SegmentWriter, nparts)
 	for i := range stores {
 		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
-		stores[i].Background(pool)
 		writers[i] = index.NewSegmentWriter(stores[i], 1<<30) // seals on Cut only
 	}
-	defer func() {
-		for _, st := range stores {
-			st.Quiesce()
-		}
-	}()
 	var lives []*LiveEngine
 	procs := []int{1, 1, 4, 4} // the GOMAXPROCS each of lives answers at
 	for range 2 {
@@ -230,7 +217,7 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 	}
 
 	searchable := map[int]index.Doc{}       // sealed and not deleted
-	buffered := make([][]index.Doc, nparts) // added, not yet cut
+	buffered := make([][]index.Doc, nparts) // added, not yet sealed
 	home := map[int]int{}                   // document → store
 	var survivors []index.Doc               // searchable, ascending by ID
 	exact := 0
@@ -264,19 +251,19 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 		case r < 80 && len(survivors) > 0:
 			op = "delete"
 			d := survivors[rng.Intn(len(survivors))]
-			if !stores[home[d.Ext]].Delete(d.Ext) {
+			if !writers[home[d.Ext]].Delete(d.Ext) {
 				t.Fatalf("step %d: Delete(%d) found nothing", step, d.Ext)
 			}
 			delete(searchable, d.Ext)
-		case r < 90:
-			op = "quiesce"
-			stores[p].Quiesce()
 		default:
+			// Build seals each tail before compacting.
 			op = "compact"
-			for _, st := range stores {
-				if _, err := st.Compact(); err != nil {
-					t.Fatal(err)
+			compactAll(t, writers)
+			for i, docs := range buffered {
+				for _, d := range docs {
+					searchable[d.Ext] = d
 				}
+				buffered[i] = nil
 			}
 		}
 
@@ -287,12 +274,6 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 		}
 		sort.Slice(survivors, func(i, j int) bool { return survivors[i].Ext < survivors[j].Ext })
 		for _, st := range stores {
-			if len(st.Manifest().Tombstoned()) > 0 {
-				// A background merge reclaiming tombstones moves DF under
-				// the queries below; without tombstones a merge in flight
-				// changes no statistic and is left running.
-				st.Quiesce()
-			}
 			pending += len(st.Manifest().Tombstoned())
 		}
 		var want [][]rank.Result
@@ -332,9 +313,9 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 func TestLiveEngineServesPruned(t *testing.T) {
 	const nparts = 4
 	docs := corpus(86, 1400, 1500)
-	stores, _ := liveStores(t, docs, nparts, 6, nil)
+	stores, writers := liveStores(t, docs, nparts, 6)
 	for _, d := range docs[:len(docs)/10] {
-		if !stores[d.Ext%nparts].Delete(d.Ext) {
+		if !writers[d.Ext%nparts].Delete(d.Ext) {
 			t.Fatalf("Delete(%d) found nothing", d.Ext)
 		}
 	}
@@ -364,8 +345,8 @@ func TestLiveEngineServesPruned(t *testing.T) {
 // answer and in the work accounting.
 func TestLiveEngineAnswerIndependentOfFanOut(t *testing.T) {
 	docs := corpus(74, 800, 200)
-	serial, _, _ := liveFixture(t, docs, 4, 64)
-	fanned, _, _ := liveFixture(t, docs, 4, 64)
+	serial, _ := liveFixture(t, docs, 4, 64)
+	fanned, _ := liveFixture(t, docs, 4, 64)
 	fingerprint := func(e *LiveEngine) func(int, []string) string {
 		return func(_ int, q []string) string { return qrFingerprint(e.Query(q, 10)) }
 	}
@@ -379,7 +360,7 @@ func TestLiveEngineAnswerIndependentOfFanOut(t *testing.T) {
 // the next query recomputes against the fresh snapshot.
 func TestLiveEngineCacheInvalidatedBySwap(t *testing.T) {
 	docs := corpus(72, 300, 150)
-	eng, stores, writers := liveFixture(t, docs, 2, 32,
+	eng, writers := liveFixture(t, docs, 2, 32,
 		WithResultCache(ResultCacheConfig{Capacity: 64}))
 	q := []string{"w0001", "w0002"}
 
@@ -393,7 +374,7 @@ func TestLiveEngineCacheInvalidatedBySwap(t *testing.T) {
 
 	// A tombstone delete swaps a manifest → cached answers are stale.
 	victim := first.Results[0].Doc
-	if !stores[victim%2].Delete(victim) {
+	if !writers[victim%2].Delete(victim) {
 		t.Fatalf("Delete(%d) found nothing", victim)
 	}
 	after := eng.Query(q, 10)
@@ -426,7 +407,7 @@ func TestLiveEngineCacheInvalidatedBySwap(t *testing.T) {
 // partition marked down on it is skipped, the answer is flagged Degraded
 // and never cached, and Health names the partition.
 func TestLiveEngineSetDown(t *testing.T) {
-	eng, _, _ := liveFixture(t, corpus(75, 300, 150), 3, 32,
+	eng, _ := liveFixture(t, corpus(75, 300, 150), 3, 32,
 		WithResultCache(ResultCacheConfig{Capacity: 64}))
 	q := []string{"w0001", "w0002"}
 	eng.doc.SetDown(1, true)

@@ -123,7 +123,7 @@ func TestTopKMerger(t *testing.T) {
 // MergeTermScoreMeta's fold of its segments'.
 func TestTermUpperBoundDominates(t *testing.T) {
 	docs := viewCorpus(47, 2000)
-	segmented := segmentedStore(t, docs, 31).Manifest()
+	segmented := segmented(t, docs, 31).View()
 	if len(segmented.Segments()) < 3 {
 		t.Fatalf("view holds %d segments; the fixture merges no summaries", len(segmented.Segments()))
 	}

@@ -37,9 +37,10 @@ func staticIndex(t *testing.T, docs []index.Doc) *index.Index {
 	return index.MustBuild(b)
 }
 
-// segmentedStore streams docs through a writer sealing every segDocs
-// documents, leaving the store mid-cascade with several tiers resident.
-func segmentedStore(t *testing.T, docs []index.Doc, segDocs int) *index.SegmentStore {
+// segmented streams docs through a writer sealing every segDocs
+// documents and cuts the rest, leaving its store mid-cascade with
+// several tiers resident and its View equal to the store's manifest.
+func segmented(t *testing.T, docs []index.Doc, segDocs int) *index.SegmentWriter {
 	t.Helper()
 	st := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
 	w := index.NewSegmentWriter(st, segDocs)
@@ -51,7 +52,7 @@ func segmentedStore(t *testing.T, docs []index.Doc, segDocs int) *index.SegmentS
 	if err := w.Cut(); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return w
 }
 
 // hotTail is viewCorpus with its last hot documents made short and
@@ -75,8 +76,8 @@ func hotTail(seed int64, n, hot int) []index.Doc {
 // tieredView seals docs as segments of halving size, 1024 documents
 // first — 2040 docs make eight segments, down to 8 documents, and 1792
 // make three — which a radix-2 merge policy leaves resident; tombstones
-// dead; and returns that view with the index the store's Compact makes
-// of it.
+// dead; and returns that view with the index the writer's Build
+// compacts it into.
 func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *index.Index) {
 	t.Helper()
 	st := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 2})
@@ -94,7 +95,7 @@ func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *i
 		}
 	}
 	for _, ext := range dead {
-		if !st.Delete(ext) {
+		if !w.Delete(ext) {
 			t.Fatalf("Delete(%d) found nothing", ext)
 		}
 	}
@@ -102,7 +103,7 @@ func tieredView(t testing.TB, docs []index.Doc, dead []int) (*index.Manifest, *i
 	if len(view.Segments()) != cuts || len(view.Tombstoned()) != len(dead) {
 		t.Fatalf("fixture: %d segments, %d tombstones; want %d and %d", len(view.Segments()), len(view.Tombstoned()), cuts, len(dead))
 	}
-	compacted, err := st.Compact()
+	compacted, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestViewEquivalenceSharedHeap(t *testing.T) {
 func TestViewEquivalenceSegmentedMatchesStatic(t *testing.T) {
 	docs := viewCorpus(61, 1400)
 	ix := staticIndex(t, docs)
-	view := segmentedStore(t, docs, 31).Manifest() // tiers of 992, 310, 93 and 5 documents
+	view := segmented(t, docs, 31).View() // tiers of 992, 310, 93 and 5 documents
 	if len(view.Segments()) < 3 {
 		t.Fatalf("view holds %d segments; the fixture exercises no cross-segment seeding", len(view.Segments()))
 	}
@@ -234,13 +235,13 @@ func TestViewEquivalenceSingleSegmentIsTheEvaluator(t *testing.T) {
 // built without those documents gives under the view's statistics.
 func TestViewEquivalenceTombstones(t *testing.T) {
 	docs := viewCorpus(65, 1600)
-	st := segmentedStore(t, docs, 83) // tiers of 1245, 249, 83 and 23 documents
+	w := segmented(t, docs, 83) // tiers of 1245, 249, 83 and 23 documents
 	rng := rand.New(rand.NewSource(66))
 	dead := map[int]bool{}
 	var live []index.Doc
 	for _, d := range docs {
 		if rng.Intn(5) == 0 {
-			if !st.Delete(d.Ext) {
+			if !w.Delete(d.Ext) {
 				t.Fatalf("Delete(%d) found nothing", d.Ext)
 			}
 			dead[d.Ext] = true
@@ -248,7 +249,7 @@ func TestViewEquivalenceTombstones(t *testing.T) {
 			live = append(live, d)
 		}
 	}
-	view := st.Manifest()
+	view := w.View()
 	if len(view.Tombstoned()) != len(dead) || len(view.Segments()) < 3 {
 		t.Fatalf("fixture: %d tombstones pending (want %d) over %d segments", len(view.Tombstoned()), len(dead), len(view.Segments()))
 	}
