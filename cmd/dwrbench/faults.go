@@ -9,6 +9,7 @@ import (
 	"dwr/internal/metrics"
 	"dwr/internal/qproc"
 	"dwr/internal/querylog"
+	"dwr/internal/replication"
 )
 
 // faultsConfig seeds the fault schedules.
@@ -24,10 +25,14 @@ var faultsScenario = define("faults",
 // partition, and query log.
 type faultEnv struct {
 	name   string
-	faults *core.FaultConfig // nil = no faults (baseline)
-	note   string
-	// predictFail, when > 0, reports the policy's replication-arithmetic
-	// availability prediction for this per-attempt failure probability.
+	policy qproc.FaultPolicy
+	inj    *faultsim.Injector // nil = nothing injected (baseline)
+	// deadlineMs, when > 0, is every query's latency budget.
+	deadlineMs float64
+	note       string
+	// predictFail, when > 0, reports the replication-arithmetic
+	// availability of the policy's attempt budget for this per-attempt
+	// failure probability.
 	predictFail float64
 }
 
@@ -47,43 +52,49 @@ func measureFaults(w io.Writer, c faultsConfig) ([]row, error) {
 	lcfg.Distinct = 400
 	lg := querylog.Generate(base.Web, lcfg)
 
-	failFast := qproc.DefaultFaultPolicy()
+	def := qproc.DefaultFaultPolicy()
+	failFast := def
 	failFast.Mode = qproc.FailFast
-	failFast.DeadlineMs = 80
+	flaky := faultsim.Spec{FlakyP: 0.10}
 	envs := []faultEnv{
 		{
-			name: "baseline",
-			note: "no faults injected; the robust path must match the plain engine exactly",
+			name:   "baseline",
+			policy: def,
+			note:   "no faults injected; the robust path must match the plain engine exactly",
 		},
 		{
 			name:        "flaky-10",
-			faults:      &core.FaultConfig{Seed: c.Seed, FlakyP: 0.10},
+			policy:      def,
+			inj:         faultsim.New(c.Seed).Default(flaky),
 			note:        "every partition replica fails 10% of calls; default policy (2 replicas, 2 retries)",
 			predictFail: 0.10,
 		},
 		{
 			name:   "flaky-10-no-retry",
-			faults: &core.FaultConfig{Seed: c.Seed, FlakyP: 0.10, Policy: &qproc.FaultPolicy{MaxRetries: 0, Replicas: 1}},
+			policy: qproc.FaultPolicy{MaxRetries: 0, Replicas: 1},
+			inj:    faultsim.New(c.Seed).Default(flaky),
 			note:   "same fault schedule with retries disabled — the control",
 		},
 		{
-			name: "crash-and-outage",
-			faults: &core.FaultConfig{
-				Seed:       c.Seed,
-				CrashParts: []int{0},
-				Windows:    []faultsim.Window{{Unit: 1, Replica: 0, From: 500, To: 1000}},
-			},
+			name:   "crash-and-outage",
+			policy: def,
+			inj: faultsim.New(c.Seed).
+				Unit(0, faultsim.Spec{Crash: true}).
+				Window(faultsim.Window{Unit: 1, Replica: 0, From: 500, To: 1000}),
 			note: "partition 0 dead on every replica; partition 1 primary out for ticks 500-1000",
 		},
 		{
 			name:   "slow-30-hedged",
-			faults: &core.FaultConfig{Seed: c.Seed, SlowP: 0.30, SlowMeanMs: 25},
+			policy: def,
+			inj:    faultsim.New(c.Seed).Default(faultsim.Spec{SlowP: 0.30, SlowMeanMs: 25}),
 			note:   "30% of calls straggle (log-normal, mean 25ms); hedging at the partition p95",
 		},
 		{
-			name:   "flaky-10-fail-fast",
-			faults: &core.FaultConfig{Seed: c.Seed, FlakyP: 0.10, Policy: &failFast},
-			note:   "fail-fast mode with an 80ms deadline: partial answers are refused, not degraded",
+			name:       "flaky-10-fail-fast",
+			policy:     failFast,
+			inj:        faultsim.New(c.Seed).Default(flaky),
+			deadlineMs: 80,
+			note:       "fail-fast mode with an 80ms deadline: partial answers are refused, not degraded",
 		},
 	}
 
@@ -91,17 +102,7 @@ func measureFaults(w io.Writer, c faultsConfig) ([]row, error) {
 	var rows []row
 	for _, env := range envs {
 		fmt.Fprintf(w, "%s: %s\n", env.name, env.note)
-		var opts []qproc.Option
-		pol := qproc.DefaultFaultPolicy()
-		if env.faults != nil {
-			if env.faults.Policy != nil {
-				pol = *env.faults.Policy
-			}
-			opts = append(opts,
-				qproc.WithInjector(env.faults.Injector()),
-				qproc.WithFaultPolicy(pol))
-		}
-		eng, err := qproc.NewDocEngine(cfg.Index, base.Docs, base.Partition, opts...)
+		eng, err := qproc.NewDocEngine(cfg.Index, base.Docs, base.Partition, qproc.WithFaults(env.policy, env.inj))
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +110,7 @@ func measureFaults(w io.Writer, c faultsConfig) ([]row, error) {
 		var lat metrics.Sample
 		clean, degraded, failed := 0, 0, 0
 		for _, q := range lg.Queries {
-			qr := eng.QueryTopK(q.Terms, 10)
+			qr := eng.QueryTopKWithin(q.Terms, 10, env.deadlineMs)
 			lat.Add(qr.LatencyMs)
 			switch {
 			case qr.Err != nil:
@@ -140,7 +141,7 @@ func measureFaults(w io.Writer, c faultsConfig) ([]row, error) {
 			"partitions_up": float64(eng.Health().Live()),
 		}}
 		if env.predictFail > 0 {
-			r.Counters["predicted_partition_availability"] = pol.PredictedAvailability(env.predictFail)
+			r.Counters["predicted_partition_availability"] = replication.Availability(1-env.predictFail, env.policy.MaxRetries+1)
 		}
 		rows = append(rows, r)
 	}

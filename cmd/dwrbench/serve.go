@@ -6,8 +6,10 @@ import (
 	"io"
 
 	"dwr/internal/core"
+	"dwr/internal/faultsim"
 	"dwr/internal/loadgen"
 	"dwr/internal/metrics"
+	"dwr/internal/qproc"
 	"dwr/internal/querylog"
 	"dwr/internal/queueing"
 	"dwr/internal/server"
@@ -107,16 +109,15 @@ func measureServe(w io.Writer, o serveConfig) ([]row, error) {
 
 	// Serving under faults: same sweep point (0.9x bound) against an
 	// engine whose partitions flake and straggle, best-effort policy.
-	fcfg := cfg
-	fcfg.Faults = &core.FaultConfig{Seed: o.Seed + 13, FlakyP: 0.05, SlowP: 0.10, SlowMeanMs: 3 * meanMs}
-	faulty, err := core.Build(fcfg)
+	inj := faultsim.New(o.Seed + 13).Default(faultsim.Spec{FlakyP: 0.05, SlowP: 0.10, SlowMeanMs: 3 * meanMs})
+	faulty, err := qproc.NewDocEngine(cfg.Index, base.Docs, base.Partition, qproc.WithFaults(qproc.DefaultFaultPolicy(), inj))
 	if err != nil {
 		return nil, err
 	}
 	fsrc := loadgen.Open(lg, loadgen.OpenConfig{
 		Seed: o.Seed + 17, Rate: 0.9 * bound, N: o.Arrivals, BatchFrac: 0.2,
 	})
-	frep := server.Run(faulty.Query, scfg, fsrc)
+	frep := server.Run(faulty, scfg, fsrc)
 	fmt.Fprintf(w, "faulty: 5%% flaky, 10%% straggling partition calls at 0.90x bound; retries and hedges inflate E[S],\n")
 	fmt.Fprintf(w, "        shrinking the effective bound, and the front-end sheds the difference instead of letting latency run away\n")
 	fr := serveRow("faulty", frep)

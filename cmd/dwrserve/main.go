@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 
@@ -108,7 +109,8 @@ func main() {
 
 // parseOptions parses the command line into the options and the mode
 // ("static", "live" or "federated") they serve. A usage error — an
-// unknown flag, or a size below its floor — is reported on stderr and
+// unknown flag, a size below its floor, or a NaN, infinite or negative
+// deadline, rate, burst or latency target — is reported on stderr and
 // returned; main then exits 2.
 func parseOptions(args []string, stderr io.Writer) (o options, mode string, err error) {
 	fs := flag.NewFlagSet("dwrserve", flag.ContinueOnError)
@@ -143,9 +145,19 @@ func parseOptions(args []string, stderr io.Writer) (o options, mode string, err 
 		{"segdocs", o.segDocs, 1}, {"sites", o.sites, 1}, {"sampleevery", o.sampleEvery, 0},
 	} {
 		if c.v < c.min {
-			err := fmt.Errorf("-%s must be at least %d, got %d", c.name, c.min, c.v)
-			fmt.Fprintf(stderr, "dwrserve: %v\n", err)
-			return o, "", err
+			return o, "", usage(stderr, fmt.Errorf("-%s must be at least %d, got %d", c.name, c.min, c.v))
+		}
+	}
+	// The front-end reads a negative value as "off", and a NaN token
+	// bucket or shed level sheds every request from then on.
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"deadline", o.deadline}, {"admitrate", o.admitRate}, {"admitburst", o.admitBurst}, {"shedtarget", o.shedTarget},
+	} {
+		if math.IsNaN(c.v) || math.IsInf(c.v, 0) || c.v < 0 {
+			return o, "", usage(stderr, fmt.Errorf("-%s must be a finite number at least 0, got %v", c.name, c.v))
 		}
 	}
 	switch {
@@ -155,6 +167,12 @@ func parseOptions(args []string, stderr io.Writer) (o options, mode string, err 
 		return o, "live", nil
 	}
 	return o, "static", nil
+}
+
+// usage reports a flag value parseOptions refuses and returns it.
+func usage(stderr io.Writer, err error) error {
+	fmt.Fprintf(stderr, "dwrserve: %v\n", err)
+	return err
 }
 
 // frontend puts the serving pipeline the flags describe in front of eng.

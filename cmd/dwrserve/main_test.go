@@ -41,6 +41,15 @@ func TestParseOptions(t *testing.T) {
 		{args: []string{"-federate", "-sites", "-1"}, stderr: "-sites must be at least 1, got -1"},
 		{args: []string{"-cachecap", "-1"}, stderr: "-cachecap must be at least 0, got -1"},
 		{args: []string{"-sampleevery", "-1"}, stderr: "-sampleevery must be at least 0, got -1"},
+		{args: []string{"-deadline", "5", "-admitrate", "100", "-admitburst", "0", "-shedtarget", "50"}, mode: "static"},
+		{args: []string{"-admitrate", "NaN"}, stderr: "-admitrate must be a finite number at least 0, got NaN"},
+		{args: []string{"-shedtarget", "NaN"}, stderr: "-shedtarget must be a finite number at least 0, got NaN"},
+		{args: []string{"-deadline", "-1"}, stderr: "-deadline must be a finite number at least 0, got -1"},
+		{args: []string{"-admitrate", "-0.5"}, stderr: "-admitrate must be a finite number at least 0, got -0.5"},
+		{args: []string{"-admitburst", "-3"}, stderr: "-admitburst must be a finite number at least 0, got -3"},
+		{args: []string{"-shedtarget", "-10"}, stderr: "-shedtarget must be a finite number at least 0, got -10"},
+		{args: []string{"-deadline", "Inf"}, stderr: "-deadline must be a finite number at least 0, got +Inf"},
+		{args: []string{"-admitburst", "-Inf"}, stderr: "-admitburst must be a finite number at least 0, got -Inf"},
 		{args: []string{"-nosuchflag"}, stderr: "flag provided but not defined: -nosuchflag"},
 	} {
 		var stderr bytes.Buffer

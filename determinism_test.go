@@ -7,6 +7,7 @@ import (
 
 	"dwr/internal/core"
 	"dwr/internal/crawler"
+	"dwr/internal/faultsim"
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/qproc"
@@ -35,10 +36,9 @@ func TestEndToEndDeterminism(t *testing.T) {
 		lcfg.Distinct = 120
 		lg := querylog.Generate(base.Web, lcfg)
 
-		faults := core.FaultConfig{Seed: cfg.Seed + 9, FlakyP: 0.10, SlowP: 0.20, SlowMeanMs: 15}
+		inj := faultsim.New(cfg.Seed + 9).Default(faultsim.Spec{FlakyP: 0.10, SlowP: 0.20, SlowMeanMs: 15})
 		eng, err := qproc.NewDocEngine(cfg.Index, base.Docs, base.Partition,
-			qproc.WithInjector(faults.Injector()),
-			qproc.WithFaultPolicy(qproc.DefaultFaultPolicy()))
+			qproc.WithFaults(qproc.DefaultFaultPolicy(), inj))
 		if err != nil {
 			t.Fatal(err)
 		}

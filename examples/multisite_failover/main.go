@@ -42,8 +42,7 @@ func main() {
 		injs = append(injs, inj)
 		dp := partition.RoundRobinDocs(ids, 4)
 		e, err := qproc.NewDocEngine(index.DefaultOptions(), engine.Docs, dp,
-			qproc.WithFaultPolicy(qproc.DefaultFaultPolicy()),
-			qproc.WithInjector(inj))
+			qproc.WithFaults(qproc.DefaultFaultPolicy(), inj))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"dwr/internal/crawler"
-	"dwr/internal/faultsim"
 	"dwr/internal/index"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
@@ -73,43 +72,6 @@ type Config struct {
 	// Cache configures the broker result cache (disabled at zero
 	// value).
 	Cache CacheConfig
-	// Faults, when non-nil, wires a deterministic fault-injection layer
-	// and robustness policy under the query engine.
-	Faults *FaultConfig
-}
-
-// FaultConfig describes the injected fault environment and the policy
-// that answers it. All randomness derives from Seed, so a run is exactly
-// reproducible.
-type FaultConfig struct {
-	Seed int64
-	// FlakyP / SlowP / SlowMeanMs apply to every partition replica:
-	// probabilistic error replies and log-normal latency spikes.
-	FlakyP     float64
-	SlowP      float64
-	SlowMeanMs float64
-	// CrashParts lists partitions whose every replica is permanently
-	// dead.
-	CrashParts []int
-	// Windows adds partition-wide outage intervals keyed by query tick.
-	Windows []faultsim.Window
-	// Policy overrides qproc.DefaultFaultPolicy when non-nil.
-	Policy *qproc.FaultPolicy
-}
-
-// Injector materializes the configured fault schedule.
-func (f *FaultConfig) Injector() *faultsim.Injector {
-	inj := faultsim.New(f.Seed)
-	if f.FlakyP > 0 || f.SlowP > 0 {
-		inj.Default(faultsim.Spec{FlakyP: f.FlakyP, SlowP: f.SlowP, SlowMeanMs: f.SlowMeanMs})
-	}
-	for _, p := range f.CrashParts {
-		inj.Unit(p, faultsim.Spec{Crash: true})
-	}
-	for _, w := range f.Windows {
-		inj.Window(w)
-	}
-	return inj
 }
 
 // CacheConfig sizes the engine's broker-level result cache.
@@ -197,23 +159,12 @@ func (e *Engine) partitionAndIndex() error {
 }
 
 // engineOptions folds the Config into the qproc functional-options list
-// the query engine is constructed with: the result cache and the fault
-// environment.
+// the query engine is constructed with: the result cache.
 func (e *Engine) engineOptions() []qproc.Option {
-	cfg := e.Config
-	var opts []qproc.Option
-	if cfg.Cache.Capacity > 0 {
-		opts = append(opts, qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: cfg.Cache.Capacity}))
+	if c := e.Config.Cache.Capacity; c > 0 {
+		return []qproc.Option{qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: c})}
 	}
-	if f := cfg.Faults; f != nil {
-		opts = append(opts, qproc.WithInjector(f.Injector()))
-		pol := qproc.DefaultFaultPolicy()
-		if f.Policy != nil {
-			pol = *f.Policy
-		}
-		opts = append(opts, qproc.WithFaultPolicy(pol))
-	}
-	return opts
+	return nil
 }
 
 // docVectors builds sparse term-ID vectors for k-means.

@@ -245,6 +245,11 @@ type serviceStub struct {
 func (e *serviceStub) QueryTopK([]string, int) qproc.QueryResult {
 	return qproc.QueryResult{LatencyMs: e.draw(e.rng)}
 }
+
+// QueryTopKWithin ignores the budget: F6's runs configure no deadline.
+func (e *serviceStub) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
+	return e.QueryTopK(terms, k)
+}
 func (e *serviceStub) K() int                   { return 1 }
 func (e *serviceStub) Stats() qproc.EngineStats { return qproc.EngineStats{} }
 func (e *serviceStub) Health() qproc.Health     { return qproc.Health{Units: 1} }

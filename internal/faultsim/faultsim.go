@@ -43,11 +43,12 @@ type Spec struct {
 	// only after an extra log-normal delay.
 	SlowP float64
 	// SlowMeanMs locates the straggler delay distribution: the extra
-	// latency is LogNormal(ln(SlowMeanMs), SlowSigma) milliseconds.
+	// latency is LogNormal(ln(SlowMeanMs), slowSigma) milliseconds.
 	SlowMeanMs float64
-	// SlowSigma is the log-normal scale (0 picks 0.5).
-	SlowSigma float64
 }
+
+// slowSigma is the log-normal scale of the straggler delay.
+const slowSigma = 0.5
 
 // healthy reports whether the spec never injects anything.
 func (s Spec) healthy() bool {
@@ -198,15 +199,11 @@ func (in *Injector) Outcome(tick int64, unit, replica, attempt int) Outcome {
 		}
 	}
 	if s.SlowP > 0 && randx.Bernoulli(rng, s.SlowP) {
-		sigma := s.SlowSigma
-		if sigma <= 0 {
-			sigma = 0.5
-		}
 		mean := s.SlowMeanMs
 		if mean <= 0 {
 			mean = 10
 		}
-		return Outcome{ExtraMs: randx.LogNormal(rng, math.Log(mean), sigma)}
+		return Outcome{ExtraMs: randx.LogNormal(rng, math.Log(mean), slowSigma)}
 	}
 	return Outcome{}
 }

@@ -12,10 +12,9 @@ import "go/ast"
 // interface.
 //
 // Test files are skipped: stub engines there implement and delegate
-// QueryTopK as part of exercising the non-deadline interface. The
-// guarded production fallbacks (an engine that does not implement
-// qproc.DeadlineQuerier has no budget to propagate) carry
-// //dwrlint:allow deadline annotations.
+// QueryTopK as part of exercising the non-deadline path. The one
+// production fallback (a front-end configured without a deadline has no
+// budget to propagate) carries a //dwrlint:allow deadline annotation.
 func analyzeDeadline(m *module, report moduleReport) {
 	for _, p := range m.packages() {
 		if !deadlineUnits[p.unit] {

@@ -200,7 +200,7 @@ func TestRepoIsClean(t *testing.T) {
 	const (
 		dynamic = "measures real search latency under concurrent updates; ranked results stay deterministic"
 		build   = "build-time measurement for the C14 table; the built indexes are compared byte-identically"
-		queue   = "engine is not a DeadlineQuerier or no deadline is configured; there is no budget to propagate"
+		queue   = "no deadline is configured; there is no budget to propagate"
 	)
 	want := []string{
 		"internal/experiments/claims_dynamic.go [wallclock] " + dynamic,

@@ -88,29 +88,3 @@ func TestHistogramQuantileClampsLowQ(t *testing.T) {
 		t.Fatalf("Quantile(-1) = %v; want first occupied bound 2", got)
 	}
 }
-
-func TestLatencyByPartQuantileEdges(t *testing.T) {
-	l := NewLatencyByPart(2, []float64{1, 2, 4})
-
-	// Empty part: 0, matching the empty histogram.
-	if got := l.Quantile(0, 0.95); got != 0 {
-		t.Fatalf("empty part Quantile = %v; want 0", got)
-	}
-	// Out-of-range part: 0, not a panic.
-	if got := l.Quantile(5, 0.95); got != 0 {
-		t.Fatalf("out-of-range part Quantile = %v; want 0", got)
-	}
-	l.Add(1, 3)
-	if got := l.Quantile(1, 0.95); got != 4 {
-		t.Fatalf("single-sample part Quantile = %v; want 4", got)
-	}
-	l.Add(1, 1000)
-	if got := l.Quantile(1, 0.99); !math.IsInf(got, 1) {
-		t.Fatalf("overflow part Quantile = %v; want +Inf", got)
-	}
-	// Delegation: LatencyByPart.Quantile must agree with the underlying
-	// histogram's own estimate.
-	if a, b := l.Quantile(1, 0.5), l.Hist(1).Quantile(0.5); a != b {
-		t.Fatalf("LatencyByPart %v != Histogram %v", a, b)
-	}
-}

@@ -53,52 +53,3 @@ func (c FaultCounters) String() string {
 func DefaultLatencyBounds() []float64 {
 	return []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 }
-
-// LatencyByPart is a per-partition latency histogram: one Histogram per
-// partition/server/site, plus quantile lookups the hedging policy uses
-// to decide when a partition call counts as a straggler. Callers
-// synchronize externally (engines touch it only at their serial gather
-// point).
-type LatencyByPart struct {
-	hists []*Histogram
-}
-
-// NewLatencyByPart creates histograms for `parts` partitions with the
-// given bucket upper bounds (nil picks DefaultLatencyBounds).
-func NewLatencyByPart(parts int, bounds []float64) *LatencyByPart {
-	if bounds == nil {
-		bounds = DefaultLatencyBounds()
-	}
-	l := &LatencyByPart{hists: make([]*Histogram, parts)}
-	for i := range l.hists {
-		l.hists[i] = NewHistogram(bounds)
-	}
-	return l
-}
-
-// Add records one observed call latency for partition p.
-func (l *LatencyByPart) Add(p int, ms float64) {
-	if p >= 0 && p < len(l.hists) {
-		l.hists[p].Add(ms)
-	}
-}
-
-// Hist exposes partition p's histogram (nil when out of range).
-func (l *LatencyByPart) Hist(p int) *Histogram {
-	if p < 0 || p >= len(l.hists) {
-		return nil
-	}
-	return l.hists[p]
-}
-
-// Quantile returns the upper bound of the bucket containing partition
-// p's q-quantile — a conservative (rounded-up) quantile estimate. It
-// returns 0 when the partition has no observations yet, and +Inf when
-// the quantile falls in the overflow bucket.
-func (l *LatencyByPart) Quantile(p int, q float64) float64 {
-	h := l.Hist(p)
-	if h == nil {
-		return 0
-	}
-	return h.Quantile(q)
-}

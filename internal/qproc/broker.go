@@ -107,11 +107,11 @@ func (e *DocEngine) answer(key string, deadlineMs float64, eval func(tick int64)
 // partition never answered within the fault policy's budget — its
 // contribution is then missing and its server did no accountable work
 // for the query. A clean call costs the LAN hop plus the service time,
-// which is also the whole story when no fault options were given.
-// deadlineMs > 0 tightens the policy's per-call deadline.
-func (e *DocEngine) call(tick int64, part int, serviceMs, deadlineMs float64, qr *QueryResult) (latencyMs float64, ok bool) {
+// which is also the whole story without WithFaults. budgetMs is what is
+// left of the query's deadline (+Inf without one).
+func (e *DocEngine) call(tick int64, part int, serviceMs, budgetMs float64, qr *QueryResult) (latencyMs float64, ok bool) {
 	if e.rb != nil {
-		cr := e.rb.call(tick, part, lanMs, serviceMs, deadlineMs)
+		cr := e.rb.call(tick, part, lanMs, serviceMs, budgetMs)
 		qr.Retries += cr.retries
 		if !cr.ok {
 			e.rb.lost()

@@ -13,32 +13,14 @@ import (
 // that is when it would have stopped waiting. Inspect with errors.Is.
 var ErrDeadlineExceeded = errors.New("qproc: query deadline exceeded")
 
-// DeadlineQuerier is the optional engine capability a serving front-end
-// uses to propagate its per-request latency budget into the engine:
-// like QueryTopK, but the evaluation is abandoned once deadlineMs of
-// virtual time is spent (deadlineMs <= 0 means no budget). How deep the
-// budget reaches depends on the engine: DocEngine threads it into every
-// partition call's retry/hedge loop, MultiSite checks the final answer.
-type DeadlineQuerier interface {
-	QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult
-}
-
-// Every serving engine propagates deadlines, checked at compile time.
-var (
-	_ DeadlineQuerier = (*DocEngine)(nil)
-	_ DeadlineQuerier = (*MultiSite)(nil)
-	_ DeadlineQuerier = (*LiveEngine)(nil)
-)
-
-// QueryTopKWithin implements DeadlineQuerier: QueryTopK with a per-call
-// latency budget threaded into each partition call's retry/hedge loop
-// (tightening any FaultPolicy.DeadlineMs) and enforced on the merged
-// answer.
+// QueryTopKWithin implements Engine: QueryTopK with a latency budget
+// whose remainder bounds each partition call's retry/hedge loop and
+// which is enforced on the merged answer.
 func (e *DocEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
 	return e.Query(terms, DocQueryOptions{K: k, Stats: e.topkStats, DeadlineMs: deadlineMs})
 }
 
-// QueryTopKWithin implements DeadlineQuerier: the query is routed from
+// QueryTopKWithin implements Engine: the query is routed from
 // region 0 at virtual hour Now under the canonical cache key of the
 // term list — on the mediated path when a mediator is configured
 // (WithMediator), on Submit's replica path otherwise, so a deadline never

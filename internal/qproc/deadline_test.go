@@ -1,10 +1,14 @@
 package qproc
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 
 	"dwr/internal/faultsim"
+	"dwr/internal/index"
+	"dwr/internal/rank"
 )
 
 // TestDeadlineGenerousBudgetByteIdentity pins the serving contract: a
@@ -48,45 +52,36 @@ func TestDeadlineTinyBudgetExceeded(t *testing.T) {
 	}
 }
 
-// TestDeadlineTightensFaultPolicy: an explicit per-call budget tighter
-// than the engine's FaultPolicy.DeadlineMs wins; a looser one never
-// relaxes the policy.
-func TestDeadlineTightensFaultPolicy(t *testing.T) {
+// TestDeadlineBudgetShrinksAcrossWaves: under threshold sharing, a later
+// wave's partition calls get what the earlier waves left of the query's
+// deadline, not all of it. The budget exceeds one silent attempt by less
+// than the first wave's LAN hop, so the crashed second-wave partition
+// has no time left for a retry: its call times out after one attempt.
+func TestDeadlineBudgetShrinksAcrossWaves(t *testing.T) {
+	const parts = 4
 	docs := corpus(25, 400, 300)
-	queries := zipfQueries(26, 60, 300)
-	policy := FaultPolicy{Mode: BestEffort, DeadlineMs: 5, MaxRetries: 1, Replicas: 2}
-
-	build := func() *DocEngine {
-		return buildDocEngine(t, docs, 4,
-			WithFaultPolicy(policy), WithInjector(faultsim.New(41)))
-	}
-
-	// Looser call budget: policy's 5 ms still governs, byte-identically.
-	strict := build()
-	loose := build()
-	for _, q := range queries {
-		want := qrFingerprint(strict.QueryTopK(q, 10))
-		got := qrFingerprint(loose.QueryTopKWithin(q, 10, 1e9))
-		if want != got {
-			t.Fatalf("query %v: loose budget changed the answer:\n%s\nvs\n%s", q, want, got)
+	plain := newDocEngine(t, docs, parts, WithThresholdSharing(true))
+	for _, q := range zipfQueries(26, 60, 300) {
+		if qr := plain.QueryTopK(q, 10); qr.Waves != 2 || qr.PartitionsSkipped != 0 {
+			continue
 		}
-	}
-
-	// Tighter call budget: no answer may report more latency than it.
-	tight := build()
-	busted := 0
-	for _, q := range queries {
-		qr := tight.QueryTopKWithin(q, 10, 0.5)
-		if qr.LatencyMs > 0.5 {
-			t.Fatalf("query %v: latency %v exceeds the 0.5 ms call budget", q, qr.LatencyMs)
+		// The schedule's order: descending bound, ties by partition.
+		order := []int{0, 1, 2, 3}
+		bound := func(p int) float64 {
+			return rank.QueryBound(index.ViewOf(plain.parts[p]), plain.precomputed[p], q)
 		}
-		if errors.Is(qr.Err, ErrDeadlineExceeded) {
-			busted++
+		slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(bound(j), bound(i)) })
+		late := order[parts-1] // in the second wave
+		e := newDocEngine(t, docs, parts, WithThresholdSharing(true),
+			WithFaults(FaultPolicy{MaxRetries: 1, Replicas: 1}, faultsim.New(1).Unit(late, faultsim.Spec{Crash: true})))
+		qr := e.QueryTopKWithin(q, 10, attemptTimeoutMs+lanMs/2)
+		if f := e.Stats().Faults; qr.Waves != 2 || qr.Retries != 0 || f.Timeouts != 1 {
+			t.Fatalf("query %v: %d waves, %d retries, %d timeouts; want the second wave's crashed call timed out unretried",
+				q, qr.Waves, qr.Retries, f.Timeouts)
 		}
+		return
 	}
-	if busted == 0 {
-		t.Fatal("0.5 ms budget busted no query; deadline not propagated")
-	}
+	t.Fatal("no query ran two waves over every partition")
 }
 
 // TestDeadlineCacheInteraction: deadline failures are not cached, and a
@@ -117,26 +112,22 @@ func TestDeadlineCacheInteraction(t *testing.T) {
 	}
 }
 
-// TestLiveEngineDeadline: a front-end finds LiveEngine through the
-// DeadlineQuerier assertion, so `dwrserve -live -deadline N` propagates
-// its budget; a budget no query can meet fails without being cached.
+// TestLiveEngineDeadline: LiveEngine takes a front-end's budget through
+// QueryTopKWithin, as `dwrserve -live -deadline N` hands it; a budget no
+// query can meet fails without being cached.
 func TestLiveEngineDeadline(t *testing.T) {
 	live, _ := liveFixture(t, corpus(28, 300, 200), 2, 32,
 		WithResultCache(ResultCacheConfig{Capacity: 64}))
 	var eng Engine = live
-	dq, ok := eng.(DeadlineQuerier)
-	if !ok {
-		t.Fatal("LiveEngine is not a DeadlineQuerier: a serving deadline would be dropped")
-	}
 	q := []string{"w0001", "w0002"}
-	qr := dq.QueryTopKWithin(q, 10, 1e-9)
+	qr := eng.QueryTopKWithin(q, 10, 1e-9)
 	if !errors.Is(qr.Err, ErrDeadlineExceeded) || qr.Results != nil {
 		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
 	}
 	if qr = eng.QueryTopK(q, 10); qr.Err != nil || qr.FromCache || len(qr.Results) == 0 {
 		t.Fatalf("after busted query: err=%v fromCache=%v results=%d, want a clean miss", qr.Err, qr.FromCache, len(qr.Results))
 	}
-	if qr = dq.QueryTopKWithin(q, 10, 1e9); qr.Err != nil || !qr.FromCache {
+	if qr = eng.QueryTopKWithin(q, 10, 1e9); qr.Err != nil || !qr.FromCache {
 		t.Fatalf("generous budget on hit: err=%v fromCache=%v", qr.Err, qr.FromCache)
 	}
 }

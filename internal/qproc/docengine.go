@@ -3,6 +3,7 @@ package qproc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,10 @@ import (
 // index wrapped once (NewDocEngine) or a segment store whose manifest of
 // the moment is taken per query (NewLiveEngine). Everything downstream
 // of the per-query snapshot — statistics, bounds, waves, fault policy,
-// caching — is the same code for both.
+// caching — is the same code for both. Faults reach it one way,
+// WithFaults; a deadline one way, the query's own (QueryTopKWithin,
+// DocQueryOptions.DeadlineMs), whose remainder bounds each wave's
+// partition calls.
 //
 // The scatter-gather is real: a wave's partition evaluations fan out
 // onto the processors the other in-flight queries leave idle (at most
@@ -49,8 +53,8 @@ type DocEngine struct {
 	// rcache is the broker-level result cache (WithResultCache); nil
 	// when none was configured.
 	rcache *ResultCache
-	// rb is the robustness runtime (deadline/retry/hedge policy over the
-	// fault-injection layer); nil unless fault options were given.
+	// rb is the robustness runtime (retry/hedge policy over the
+	// fault-injection layer); nil without WithFaults.
 	rb *robustness
 	// sources yield each partition's current view.
 	sources []func() *index.Manifest
@@ -84,8 +88,7 @@ type DocEngine struct {
 //
 //	NewDocEngine(opts, docs, dp,
 //	    WithResultCache(ResultCacheConfig{Capacity: 4096}),
-//	    WithFaultPolicy(DefaultFaultPolicy()),
-//	    WithInjector(inj))
+//	    WithFaults(DefaultFaultPolicy(), inj))
 //
 // — applied on top of the ambient defaults (SetDefaultOptions).
 func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartition, options ...Option) (*DocEngine, error) {
@@ -154,7 +157,7 @@ func (e *DocEngine) GlobalStats() index.Stats { return e.global }
 // using all the sub-collections". Topology changes invalidate the result
 // cache: entries computed against the old liveness would otherwise mask
 // the change (recovered servers' documents missing, etc.). For dynamic
-// failure scenarios prefer WithInjector and faultsim outage windows
+// failure scenarios prefer WithFaults and faultsim outage windows
 // (faultsim.Window); SetDown remains for static topology experiments.
 func (e *DocEngine) SetDown(p int, down bool) {
 	e.mu.Lock()
@@ -230,9 +233,10 @@ type DocQueryOptions struct {
 	// evaluator takes no seed, and rank.QueryBound bounds disjunctive
 	// scores only).
 	Threshold ThresholdMode
-	// DeadlineMs, when > 0, is the query's latency budget: it tightens
-	// the fault policy's per-call deadline on every partition call, and
-	// an answer that would still arrive later than the budget is dropped
+	// DeadlineMs, when > 0, is the query's latency budget: under
+	// WithFaults, what is left of it when a wave is dispatched bounds
+	// every partition call of that wave, and an answer that would still
+	// arrive later than the budget is dropped
 	// (Err = ErrDeadlineExceeded) rather than delivered late. It does
 	// not change which results a within-budget answer contains, so it is
 	// deliberately not part of the result-cache key.
@@ -458,6 +462,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	merger := &sc.merger
 	merger.Reset(opt.K)
 	var slowest float64 // summed per-wave slowest-call latencies
+	budget := math.Inf(1)
 	lost, dispatched := 0, 0
 	waveSize := len(targets)
 	if shared {
@@ -490,10 +495,15 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		qr.Waves++
 		dispatched += len(ws)
 		sc.wave(e.idleWidth(), terms, opt.Phrase, opt.K, opt.Pruning, seed)
+		// A wave's calls get what the stats round and the earlier waves
+		// left of the deadline; a spent budget times them out.
+		if opt.DeadlineMs > 0 {
+			budget = opt.DeadlineMs - round1Max - slowest
+		}
 		var waveSlowest float64
 		e.mu.Lock()
 		for _, i := range ws {
-			ms, ok := e.call(tick, targets[i], serviceMs(evals[i].es.PostingsDecoded), opt.DeadlineMs, &qr)
+			ms, ok := e.call(tick, targets[i], serviceMs(evals[i].es.PostingsDecoded), budget, &qr)
 			if ms > waveSlowest {
 				waveSlowest = ms
 			}

@@ -14,6 +14,13 @@ type Engine interface {
 	// resource accounting. Engine-specific per-query knobs take their
 	// engine's defaults (WithPruning, WithThresholdSharing).
 	QueryTopK(terms []string, k int) QueryResult
+	// QueryTopKWithin is QueryTopK under a latency budget of deadlineMs
+	// virtual milliseconds (<= 0 means none): an answer that would
+	// arrive later is dropped (Err = ErrDeadlineExceeded). How deep the
+	// budget reaches depends on the engine: DocEngine bounds every
+	// partition call's retry/hedge loop by what is left of it,
+	// MultiSite checks the routed answer.
+	QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult
 	// K returns the engine's unit count: partitions or sites.
 	K() int
 	// Stats returns cumulative operational counters.
@@ -35,8 +42,8 @@ type EngineStats struct {
 	Queries  int // queries accepted (including cache hits)
 	Degraded int // answered partially (some units lost)
 	Failed   int // refused entirely (fail-fast or total outage)
-	// Faults are the robustness counters (zero value when no fault
-	// options were configured).
+	// Faults are the robustness counters (zero value without
+	// WithFaults).
 	Faults metrics.FaultCounters
 	// Selection are the federated-mediation counters: site fan-out and
 	// sampled selection quality (zero value when no mediator was

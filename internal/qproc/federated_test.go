@@ -286,7 +286,7 @@ func TestFederatedInjectedFaultRetriesFullFanout(t *testing.T) {
 	// Site 0's engine is fail-fast with a partition that always crashes.
 	docs := topicalDocs(7, 4, 120)[0]
 	e, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(index.DocIDs(docs), 2),
-		WithFaultPolicy(FaultPolicy{Mode: FailFast}), WithInjector(faultsim.New(4).Unit(0, faultsim.Spec{Crash: true})))
+		WithFaults(FaultPolicy{Mode: FailFast}, faultsim.New(4).Unit(0, faultsim.Spec{Crash: true})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestFederatedLostSiteDoesNoWork(t *testing.T) {
 // down refuses its share of the answer, which is therefore degraded —
 // but the server it did contact was contacted, and the ledger says so.
 func TestFederatedFoldsRefusingSitesWork(t *testing.T) {
-	m := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
+	m := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaults(FaultPolicy{Mode: FailFast}, nil)})
 	m.Sites[2].Engine.SetDown(0, true)
 	r := m.QueryFederated([]string{"shared01"}, "shared01", 0, 1, 10)
 	if r.ServersContacted != 7 || !r.Degraded || r.Err != nil || len(r.Results) == 0 {
@@ -487,9 +487,9 @@ func TestFederationServesAndSamplesRecall(t *testing.T) {
 	}
 }
 
-// TestFederationHonoursDeadline: a front-end finds the mediated
-// MultiSite through the DeadlineQuerier assertion, so `dwrserve -federate
-// -deadline N` propagates its budget. A budget no routed answer can meet
+// TestFederationHonoursDeadline: the mediated MultiSite takes a
+// front-end's budget through QueryTopKWithin, as `dwrserve -federate
+// -deadline N` hands it. A budget no routed answer can meet
 // is refused with no results; a generous one changes nothing — answers,
 // site fan-out and recall sampling replay QueryTopK's exactly.
 func TestFederationHonoursDeadline(t *testing.T) {
@@ -501,12 +501,8 @@ func TestFederationHonoursDeadline(t *testing.T) {
 	}
 	plain, within := federation(), federation()
 	var eng Engine = within
-	dq, ok := eng.(DeadlineQuerier)
-	if !ok {
-		t.Fatal("MultiSite is not a DeadlineQuerier: a serving deadline would be dropped")
-	}
 	for _, q := range queries {
-		want, got := plain.QueryTopK(q, 10), dq.QueryTopKWithin(q, 10, 1e9)
+		want, got := plain.QueryTopK(q, 10), eng.QueryTopKWithin(q, 10, 1e9)
 		if want.Err != nil || len(want.Results) == 0 || !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %v: a generous budget changed the answer:\n%+v\n%+v", q, want, got)
 		}
@@ -514,7 +510,7 @@ func TestFederationHonoursDeadline(t *testing.T) {
 	if want, got := plain.Stats(), within.Stats(); want.Selection != got.Selection || want.Selection.SitesContacted == 0 {
 		t.Fatalf("a generous budget changed the fan-out or the sampling: %s vs %s", want.Selection.String(), got.Selection.String())
 	}
-	if qr := dq.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, ErrDeadlineExceeded) || qr.Results != nil {
+	if qr := eng.QueryTopKWithin([]string{"s3w07"}, 10, 1e-9); !errors.Is(qr.Err, ErrDeadlineExceeded) || qr.Results != nil {
 		t.Fatalf("tiny budget: err = %v with %d results, want ErrDeadlineExceeded and none", qr.Err, len(qr.Results))
 	}
 }

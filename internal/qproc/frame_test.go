@@ -59,7 +59,7 @@ func TestFrameContract(t *testing.T) {
 
 	docInj := faultsim.New(1)
 	rows = append(rows, row{name: "doc", inCluster: true,
-		eng:    buildDocEngine(t, docs, 4, cache, WithFaultPolicy(lossy), WithInjector(docInj)),
+		eng:    buildDocEngine(t, docs, 4, cache, WithFaults(lossy, docInj)),
 		repeat: qs[0], late: qs[1], partial: qs[2],
 		lose: loser(docInj, 0), crash: crasher(docInj)})
 
@@ -67,12 +67,12 @@ func TestFrameContract(t *testing.T) {
 	// phrase that occurs, and one-word phrases match like terms.
 	phraseInj := faultsim.New(5)
 	rows = append(rows, row{name: "doc-phrase", inCluster: true,
-		eng:    docPhrase{buildDocEngine(t, docs, 4, cache, WithFaultPolicy(lossy), WithInjector(phraseInj))},
+		eng:    docPhrase{buildDocEngine(t, docs, 4, cache, WithFaults(lossy, phraseInj))},
 		repeat: docs[0].Terms[:2], late: qs[1], partial: qs[2],
 		lose: loser(phraseInj, 0), crash: crasher(phraseInj)})
 
 	liveInj := faultsim.New(2)
-	live, _ := liveFixture(t, docs, 3, 32, cache, WithFaultPolicy(lossy), WithInjector(liveInj))
+	live, _ := liveFixture(t, docs, 3, 32, cache, WithFaults(lossy, liveInj))
 	rows = append(rows, row{name: "live", inCluster: true, eng: live,
 		repeat: qs[0], late: qs[1], partial: qs[2],
 		lose: loser(liveInj, 0), crash: crasher(liveInj)})
@@ -94,7 +94,7 @@ func TestFrameContract(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			asked, evaluated, degraded, failed := 0, 0, 0, 0
 			ask := func(q []string, deadlineMs float64) QueryResult {
-				qr := r.eng.(DeadlineQuerier).QueryTopKWithin(q, 10, deadlineMs)
+				qr := r.eng.QueryTopKWithin(q, 10, deadlineMs)
 				asked++
 				if !qr.FromCache {
 					evaluated++

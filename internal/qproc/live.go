@@ -15,10 +15,11 @@ import (
 // snapshot per partition before anything else, so no request ever
 // observes a half-swapped view, aggregates statistics over exactly those
 // snapshots (the two-round protocol), and evaluates them through the
-// same rank evaluators, wave scheduler, fault policy and result cache as
-// a static engine. With no tombstones pending, its ranking is therefore
-// bit for bit the static engine's over the same documents, however the
-// stores happen to have cut them into segments. Each store's OnChange
+// same rank evaluators, wave scheduler, fault policy (WithFaults),
+// deadline (QueryTopKWithin) and result cache as a static engine. With
+// no tombstones pending, its ranking is therefore bit for bit the static
+// engine's over the same documents, however the stores happen to have
+// cut them into segments. Each store's OnChange
 // hook bumps the result cache's generation, so cached answers never
 // outlive the index state they were computed from.
 //
@@ -33,8 +34,8 @@ type LiveEngine struct {
 // stores. The stores may already be receiving writes; they keep
 // receiving writes while the engine serves. Supported options:
 // WithResultCache (the cache is wired to every store's
-// OnChange hook), WithPruning, WithThresholdSharing, WithFaultPolicy /
-// WithInjector, and the ambient defaults.
+// OnChange hook), WithPruning, WithThresholdSharing, WithFaults, and the
+// ambient defaults.
 //
 // Pruning defaults to rank.PruneMaxScore: a view's segments share one
 // top-k heap, so each segment is pruned against the k-th score of the
@@ -66,7 +67,7 @@ func (e *LiveEngine) Query(terms []string, k int) QueryResult { return e.doc.Que
 // QueryTopK implements Engine.
 func (e *LiveEngine) QueryTopK(terms []string, k int) QueryResult { return e.Query(terms, k) }
 
-// QueryTopKWithin implements DeadlineQuerier; see DocEngine.QueryTopKWithin.
+// QueryTopKWithin implements Engine; see DocEngine.QueryTopKWithin.
 func (e *LiveEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult {
 	return e.doc.QueryTopKWithin(terms, k, deadlineMs)
 }

@@ -397,7 +397,7 @@ func TestSubmitBooksWANBytes(t *testing.T) {
 // must not change: when the single executor's fail-fast engine refuses,
 // the caller still sees that engine's ErrUnavailable and its work.
 func TestSubmitRefusingExecutorKeepsItsError(t *testing.T) {
-	m := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaultPolicy(FaultPolicy{Mode: FailFast})})
+	m := newFederatedMultiSite(t, 7, 4, 0, nil, []Option{WithFaults(FaultPolicy{Mode: FailFast}, nil)})
 	m.Sites[0].Engine.SetDown(0, true)
 	r := m.Submit([]string{"shared01"}, "shared01", 0, 1, 10)
 	if !errors.Is(r.Err, ErrUnavailable) || r.ServersContacted != 1 || len(r.Results) != 0 {

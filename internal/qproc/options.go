@@ -10,8 +10,8 @@ import (
 // Option configures an engine at construction: pass options to
 // NewDocEngine / NewLiveEngine / NewMultiSite after the positional
 // arguments. DocEngine and LiveEngine take the engine options
-// (WithResultCache, WithPruning, WithThresholdSharing, WithFaultPolicy,
-// WithInjector) and ignore WithMediator; MultiSite reads only
+// (WithResultCache, WithPruning, WithThresholdSharing, WithFaults) and
+// ignore WithMediator; MultiSite reads only
 // WithMediator. This is the one configuration surface — engines are
 // immutable once built, apart from topology changes (SetDown) and cache
 // invalidation.
@@ -20,7 +20,7 @@ type Option func(*engineOptions)
 // engineOptions is the resolved construction-time configuration.
 type engineOptions struct {
 	rcCap     int
-	policy    *FaultPolicy
+	policy    *FaultPolicy // WithFaults; nil = no fault runtime
 	injector  *faultsim.Injector
 	pruning   rank.Pruning
 	threshold bool
@@ -84,25 +84,15 @@ func WithMediator(selectN int, minConfidence float64) Option {
 	return func(o *engineOptions) { o.mediation = &mediation{selectN, minConfidence} }
 }
 
-// WithFaultPolicy activates the robustness policy on the engine's
-// partition calls: per-query deadline budgets, bounded retries
-// with backoff across replicas, hedged backup requests, and the
-// explicit fail-fast / best-effort degradation mode. Combine with
-// WithInjector to exercise the policy under injected faults; without an
-// injector the policy only engages on genuinely slow partitions (and an
-// all-zero policy leaves results byte-identical to a plain engine).
-func WithFaultPolicy(p FaultPolicy) Option {
-	return func(o *engineOptions) {
-		pp := p.normalized()
-		o.policy = &pp
-	}
-}
-
-// WithInjector wires a deterministic fault-injection layer (see
-// internal/faultsim) under the engine's partition calls. If no
-// FaultPolicy was configured, DefaultFaultPolicy() applies.
-func WithInjector(in *faultsim.Injector) Option {
-	return func(o *engineOptions) { o.injector = in }
+// WithFaults puts the robustness policy p on the engine's partition
+// calls — bounded retries with backoff across replicas, hedged backup
+// requests, and the explicit fail-fast / best-effort degradation mode —
+// with inj's deterministic fault schedule (see internal/faultsim) under
+// them. A nil inj injects nothing: the policy then engages only on
+// genuinely slow partitions, and the answers are byte-identical to a
+// plain engine's.
+func WithFaults(p FaultPolicy, inj *faultsim.Injector) Option {
+	return func(o *engineOptions) { o.policy, o.injector = &p, inj }
 }
 
 // Ambient construction defaults: a single option list CLIs set once so
@@ -152,14 +142,10 @@ func (o *engineOptions) resultCache() *ResultCache {
 }
 
 // robust materializes the robustness runtime for an engine with k units
-// (nil when no fault options were given).
+// (nil without WithFaults).
 func (o *engineOptions) robust(k int) *robustness {
-	if o.policy == nil && o.injector == nil {
+	if o.policy == nil {
 		return nil
 	}
-	p := DefaultFaultPolicy()
-	if o.policy != nil {
-		p = *o.policy
-	}
-	return newRobustness(p, o.injector, k)
+	return newRobustness(*o.policy, o.injector, k)
 }

@@ -39,34 +39,31 @@ func (m DegradeMode) String() string {
 
 // FaultPolicy is the query path's robustness policy: how partition
 // calls behave under failures and stragglers. The zero value
-// (normalized) means: no deadline, no retries, one replica, no hedging,
-// best-effort degradation. Every policy declares a silent server dead
-// after 50 ms and floors its hedge threshold at 5 ms.
+// (normalized) means: no retries, one replica, best-effort degradation.
+// Every policy backs retry i off by 1 ms * 2^(i-1), declares a silent
+// server dead after 50 ms and, with two or more replicas, hedges a call
+// outstanding past its partition's p95 (floored at 5 ms). The deadline
+// is the query's own (QueryTopKWithin, DocQueryOptions.DeadlineMs).
 type FaultPolicy struct {
-	// DeadlineMs is the per-query latency budget. A partition call whose
-	// cumulative attempts would exceed it is abandoned (counted as a
-	// timeout). 0 = no deadline.
-	DeadlineMs float64
 	// MaxRetries bounds re-dispatches after a failed attempt. Retries
 	// walk the replica failover order from internal/replication.
 	MaxRetries int
-	// BackoffMs is the base retry backoff: retry i waits
-	// BackoffMs * 2^(i-1) before dispatching. 0 = immediate retries.
-	BackoffMs float64
 	// Replicas is the replication degree of every partition (>= 1).
 	// Retries and hedges are sent to the other replicas; replicas hold
 	// identical indexes, so any of them returns the same answer.
 	Replicas int
-	// HedgeQuantile, when in (0, 1), fires a hedged (backup) request to
-	// the next replica as soon as an attempt has been outstanding longer
-	// than this quantile of the partition's observed call latencies; the
-	// earlier answer wins. Needs Replicas >= 2.
-	HedgeQuantile float64
 	// Mode selects fail-fast or best-effort degradation.
 	Mode DegradeMode
 }
 
 const (
+	// backoffMs is the base retry backoff: retry i waits
+	// backoffMs * 2^(i-1) before dispatching.
+	backoffMs = 1
+	// hedgeQuantile is the quantile of a partition's observed call
+	// latencies past which an outstanding attempt fires a hedged
+	// (backup) request to the next replica; the earlier answer wins.
+	hedgeQuantile = 0.95
 	// attemptTimeoutMs is how long the broker waits for a reply before
 	// declaring a silent (crashed / partitioned-away) server dead.
 	attemptTimeoutMs = 50
@@ -75,19 +72,11 @@ const (
 	hedgeMinMs = 5
 )
 
-// DefaultFaultPolicy returns the policy engines start from when an
-// injector is installed without an explicit policy: two retries with
-// 1 ms exponential backoff across two replicas, 50 ms failure
-// detection, hedging at the partition p95 (floored at 5 ms), no global
-// deadline, best-effort degradation.
+// DefaultFaultPolicy returns the policy the fault experiments start
+// from: two retries across two replicas (so hedging is on), best-effort
+// degradation.
 func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{
-		MaxRetries:    2,
-		BackoffMs:     1,
-		Replicas:      2,
-		HedgeQuantile: 0.95,
-		Mode:          BestEffort,
-	}
+	return FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort}
 }
 
 // normalized fills the defaulted fields.
@@ -98,18 +87,7 @@ func (p FaultPolicy) normalized() FaultPolicy {
 	if p.MaxRetries < 0 {
 		p.MaxRetries = 0
 	}
-	if p.HedgeQuantile < 0 || p.HedgeQuantile >= 1 {
-		p.HedgeQuantile = 0
-	}
 	return p
-}
-
-// PredictedAvailability returns the probability a partition call
-// succeeds within the retry budget when each attempt independently
-// fails with probability perAttemptFail — the replication-arithmetic
-// view (replication.Availability) of the policy's attempt budget.
-func (p FaultPolicy) PredictedAvailability(perAttemptFail float64) float64 {
-	return replication.Availability(1-perAttemptFail, p.normalized().MaxRetries+1)
 }
 
 // robustness is the per-engine runtime of the fault policy: the
@@ -122,19 +100,24 @@ type robustness struct {
 	policy   FaultPolicy
 	inj      *faultsim.Injector
 	sel      *replication.Selector
-	hist     *metrics.LatencyByPart
+	hist     []*metrics.Histogram // per-partition call latencies
 	counters metrics.FaultCounters
 	orderBuf []int
 }
 
 func newRobustness(p FaultPolicy, inj *faultsim.Injector, parts int) *robustness {
 	p = p.normalized()
-	return &robustness{
+	rb := &robustness{
 		policy: p,
 		inj:    inj,
-		sel:    replication.NewSelector(parts, p.Replicas, 0),
-		hist:   metrics.NewLatencyByPart(parts, nil),
+		sel:    replication.NewSelector(parts, p.Replicas),
+		hist:   make([]*metrics.Histogram, parts),
 	}
+	bounds := metrics.DefaultLatencyBounds()
+	for i := range rb.hist {
+		rb.hist[i] = metrics.NewHistogram(bounds)
+	}
+	return rb
 }
 
 // outcome consults the injector (success when none is installed).
@@ -163,14 +146,12 @@ type callResult struct {
 // answer back — or that it never came. Pure given the engine tick and
 // the injector seed, so results are identical at any worker count.
 //
-// deadlineMs, when > 0, is a per-call budget from the query's own
-// deadline (DocQueryOptions.DeadlineMs / QueryTopKWithin); it tightens
-// the policy's DeadlineMs but never loosens it.
-func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs float64) callResult {
+// budgetMs is what is left of the query's deadline when the call is
+// dispatched (+Inf without one). A call whose cumulative attempts would
+// exceed it is abandoned and counted as a timeout; a spent budget (<= 0)
+// abandons the call before its first attempt.
+func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, budgetMs float64) callResult {
 	p := rb.policy
-	if deadlineMs > 0 && (p.DeadlineMs <= 0 || deadlineMs < p.DeadlineMs) {
-		p.DeadlineMs = deadlineMs
-	}
 	order := rb.sel.Order(part, rb.orderBuf)
 	rb.orderBuf = order
 
@@ -178,8 +159,8 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 	// floored; 0 disables. Computed before any attempt, from history
 	// only, so concurrent-looking attempts cannot perturb it.
 	var threshold float64
-	if p.HedgeQuantile > 0 && p.Replicas > 1 {
-		threshold = rb.hist.Quantile(part, p.HedgeQuantile)
+	if p.Replicas > 1 {
+		threshold = rb.hist[part].Quantile(hedgeQuantile)
 		if threshold < hedgeMinMs {
 			threshold = hedgeMinMs
 		}
@@ -194,12 +175,10 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		if a > 0 {
 			res.retries++
 			rb.counters.Retries++
-			elapsed += p.BackoffMs * float64(int(1)<<uint(a-1))
+			elapsed += backoffMs * float64(int(1)<<uint(a-1))
 		}
-		if p.DeadlineMs > 0 && elapsed >= p.DeadlineMs {
-			rb.counters.Timeouts++
-			res.latencyMs = p.DeadlineMs
-			return res
+		if elapsed >= budgetMs {
+			return rb.timeout(res, budgetMs)
 		}
 		rep := order[a%len(order)]
 		out := rb.outcome(tick, part, rep, a)
@@ -255,10 +234,8 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		}
 		if win >= 0 {
 			total := elapsed + win
-			if p.DeadlineMs > 0 && total > p.DeadlineMs {
-				rb.counters.Timeouts++
-				res.latencyMs = p.DeadlineMs
-				return res
+			if total > budgetMs {
+				return rb.timeout(res, budgetMs)
 			}
 			if viaHedge {
 				rb.counters.HedgeWins++
@@ -270,7 +247,7 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 			if hedged {
 				rb.sel.Report(part, hrep, hokAt >= 0)
 			}
-			rb.hist.Add(part, win)
+			rb.hist[part].Add(win)
 			res.ok = true
 			res.latencyMs = total
 			return res
@@ -287,10 +264,8 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 		if hedged {
 			rb.sel.Report(part, hrep, false)
 		}
-		if p.DeadlineMs > 0 && elapsed >= p.DeadlineMs {
-			rb.counters.Timeouts++
-			res.latencyMs = p.DeadlineMs
-			return res
+		if elapsed >= budgetMs {
+			return rb.timeout(res, budgetMs)
 		}
 	}
 	// Retry budget exhausted.
@@ -298,9 +273,17 @@ func (rb *robustness) call(tick int64, part int, lanMs, serviceMs, deadlineMs fl
 	return res
 }
 
+// timeout abandons a call at its budget: the broker stops waiting for it
+// then (at once, when the budget was spent before dispatch).
+func (rb *robustness) timeout(res callResult, budgetMs float64) callResult {
+	rb.counters.Timeouts++
+	res.latencyMs = max(budgetMs, 0)
+	return res
+}
+
 // health lists, ascending, the units marked in down plus those whose
 // every replica the injector fails at tick (marking them in down too).
-// Safe on a nil receiver: without fault options only down counts.
+// Safe on a nil receiver: without WithFaults only down counts.
 func (rb *robustness) health(down []bool, tick int64) Health {
 	if rb != nil && rb.inj != nil {
 		for _, u := range rb.inj.DownUnits(tick, len(down), rb.policy.Replicas) {

@@ -10,6 +10,7 @@ import (
 	"dwr/internal/faultsim"
 	"dwr/internal/index"
 	"dwr/internal/partition"
+	"dwr/internal/replication"
 )
 
 // qrFingerprint serializes everything observable about a QueryResult so
@@ -55,8 +56,8 @@ func replay(e Engine, queries [][]string) (string, int) {
 }
 
 // TestZeroFaultByteIdentity pins the regression contract: an engine
-// carrying a fault policy and an injector that injects nothing answers
-// byte-identically to a plain engine, at any GOMAXPROCS.
+// carrying a fault policy with nothing injected answers byte-identically
+// to a plain engine, at any GOMAXPROCS.
 func TestZeroFaultByteIdentity(t *testing.T) {
 	docs := corpus(3, 400, 300)
 	queries := zipfQueries(7, 120, 300)
@@ -67,10 +68,7 @@ func TestZeroFaultByteIdentity(t *testing.T) {
 
 	for _, procs := range []int{1, 3, 8} {
 		setProcs(t, procs)
-		inj := faultsim.New(99) // installed but injecting nothing
-		e := buildDocEngine(t, docs, 4,
-			WithFaultPolicy(DefaultFaultPolicy()),
-			WithInjector(inj))
+		e := buildDocEngine(t, docs, 4, WithFaults(DefaultFaultPolicy(), nil))
 		got, _ := replay(e, queries)
 		if got != want {
 			t.Fatalf("GOMAXPROCS=%d: fault-capable engine diverged from plain engine with zero faults", procs)
@@ -104,8 +102,7 @@ func TestFaultDeterminism(t *testing.T) {
 			Unit(1, faultsim.Spec{FlakyP: 0.4}).
 			Window(faultsim.Window{Unit: 2, Replica: -1, From: 40, To: 60})
 		return buildDocEngine(t, docs, 4,
-			WithFaultPolicy(DefaultFaultPolicy()),
-			WithInjector(inj))
+			WithFaults(DefaultFaultPolicy(), inj))
 	}
 	setProcs(t, 1)
 	ref, _ := replay(build(), queries)
@@ -119,8 +116,7 @@ func TestFaultDeterminism(t *testing.T) {
 	// Different seed must actually change something (the schedule is
 	// live, not vacuously deterministic).
 	other := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(DefaultFaultPolicy()),
-		WithInjector(faultsim.New(43).Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12})))
+		WithFaults(DefaultFaultPolicy(), faultsim.New(43).Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12})))
 	got, _ := replay(other, queries)
 	if got == ref {
 		t.Fatal("different fault seed produced an identical replay")
@@ -135,8 +131,7 @@ func TestRetriesMaskFlakyPartitions(t *testing.T) {
 	queries := zipfQueries(11, 400, 300)
 	build := func() *DocEngine {
 		return buildDocEngine(t, docs, 4,
-			WithFaultPolicy(DefaultFaultPolicy()), // 2 replicas, 2 retries
-			WithInjector(faultsim.New(7).Default(faultsim.Spec{FlakyP: 0.10})))
+			WithFaults(DefaultFaultPolicy(), faultsim.New(7).Default(faultsim.Spec{FlakyP: 0.10}))) // 2 replicas, 2 retries
 	}
 	e := build()
 	_, clean := replay(e, queries)
@@ -153,8 +148,8 @@ func TestRetriesMaskFlakyPartitions(t *testing.T) {
 	if e2.Stats().Faults != st.Faults {
 		t.Fatalf("fault counters not reproducible: %+v vs %+v", e2.Stats().Faults, st.Faults)
 	}
-	// Sanity-check the replication arithmetic the policy advertises.
-	if p := DefaultFaultPolicy().PredictedAvailability(0.10); p < 0.99 {
+	// Sanity-check the replication arithmetic of the policy's attempts.
+	if p := replication.Availability(0.90, DefaultFaultPolicy().MaxRetries+1); p < 0.99 {
 		t.Fatalf("predicted availability %.4f below 0.99", p)
 	}
 }
@@ -165,8 +160,7 @@ func TestNoRetriesDegrade(t *testing.T) {
 	docs := corpus(3, 400, 300)
 	queries := zipfQueries(11, 400, 300)
 	e := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 0, Replicas: 1}),
-		WithInjector(faultsim.New(7).Default(faultsim.Spec{FlakyP: 0.10})))
+		WithFaults(FaultPolicy{MaxRetries: 0, Replicas: 1}, faultsim.New(7).Default(faultsim.Spec{FlakyP: 0.10})))
 	_, clean := replay(e, queries)
 	if frac := float64(clean) / float64(len(queries)); frac > 0.90 {
 		t.Fatalf("%.1f%% clean without retries — schedule too gentle to test against", 100*frac)
@@ -182,8 +176,7 @@ func TestFailFastReturnsErrUnavailable(t *testing.T) {
 		return faultsim.New(1).Unit(2, faultsim.Spec{Crash: true})
 	}
 	best := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort}),
-		WithInjector(inj()))
+		WithFaults(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort}, inj()))
 	qr := best.QueryTopK([]string{"w0001"}, 10)
 	if !qr.Degraded || qr.Err != nil {
 		t.Fatalf("best-effort: Degraded=%v Err=%v", qr.Degraded, qr.Err)
@@ -193,8 +186,7 @@ func TestFailFastReturnsErrUnavailable(t *testing.T) {
 	}
 
 	ff := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: FailFast}),
-		WithInjector(inj()))
+		WithFaults(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: FailFast}, inj()))
 	qr = ff.QueryTopK([]string{"w0001"}, 10)
 	if !errors.Is(qr.Err, ErrUnavailable) {
 		t.Fatalf("fail-fast Err = %v, want ErrUnavailable", qr.Err)
@@ -213,9 +205,8 @@ func TestFailFastReturnsErrUnavailable(t *testing.T) {
 func TestDeadlineBudget(t *testing.T) {
 	docs := corpus(3, 300, 200)
 	e := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{DeadlineMs: 4, MaxRetries: 3, Replicas: 2}),
-		WithInjector(faultsim.New(5).Unit(0, faultsim.Spec{Crash: true})))
-	qr := e.QueryTopK([]string{"w0001"}, 10)
+		WithFaults(FaultPolicy{MaxRetries: 3, Replicas: 2}, faultsim.New(5).Unit(0, faultsim.Spec{Crash: true})))
+	qr := e.QueryTopKWithin([]string{"w0001"}, 10, 4)
 	if !qr.Degraded {
 		t.Fatalf("crashed partition under a 4ms deadline not degraded: %+v", qr)
 	}
@@ -236,8 +227,7 @@ func TestHedgingFiresOnStragglers(t *testing.T) {
 	// Primary replica of partition 0 never answers; replica 1 is clean.
 	inj := faultsim.New(9).Window(faultsim.Window{Unit: 0, Replica: 0, From: 0, To: math.MaxInt64})
 	e := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 1, Replicas: 2, HedgeQuantile: 0.9}),
-		WithInjector(inj))
+		WithFaults(FaultPolicy{MaxRetries: 1, Replicas: 2}, inj))
 	queries := zipfQueries(13, 200, 200)
 	for _, q := range queries {
 		e.QueryTopK(q, 10)
@@ -256,8 +246,7 @@ func TestHedgingFiresOnStragglers(t *testing.T) {
 func TestOutageWindowRecovers(t *testing.T) {
 	docs := corpus(3, 300, 200)
 	e := buildDocEngine(t, docs, 4,
-		WithFaultPolicy(FaultPolicy{MaxRetries: 1, Replicas: 2}),
-		WithInjector(faultsim.New(3).Window(faultsim.Window{Unit: 1, Replica: -1, From: 5, To: 10})))
+		WithFaults(FaultPolicy{MaxRetries: 1, Replicas: 2}, faultsim.New(3).Window(faultsim.Window{Unit: 1, Replica: -1, From: 5, To: 10})))
 	degradedIn, degradedOut := 0, 0
 	for i := 1; i <= 20; i++ { // ticks 1..20
 		qr := e.QueryTopK([]string{"w0001", "w0002"}, 10)
@@ -362,8 +351,7 @@ func TestEngineInterfaceHealth(t *testing.T) {
 	var engines []Engine
 
 	de := buildDocEngine(t, docs, 4,
-		WithInjector(faultsim.New(2).Unit(1, faultsim.Spec{Crash: true})),
-		WithFaultPolicy(FaultPolicy{Replicas: 1}))
+		WithFaults(FaultPolicy{Replicas: 1}, faultsim.New(2).Unit(1, faultsim.Spec{Crash: true})))
 	engines = append(engines, de)
 
 	ids := make([]int, len(docs))

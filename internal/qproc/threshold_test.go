@@ -128,8 +128,8 @@ func TestThresholdSharingUnderFaultsEquivalence(t *testing.T) {
 		return newDocEngine(t, docs, parts,
 			WithPruning(rank.PruneMaxScore),
 			WithThresholdSharing(shared),
-			WithFaultPolicy(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort}),
-			WithInjector(faultsim.New(42).Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12})))
+			WithFaults(FaultPolicy{MaxRetries: 2, Replicas: 2, Mode: BestEffort},
+				faultsim.New(42).Default(faultsim.Spec{FlakyP: 0.15, SlowP: 0.1, SlowMeanMs: 12})))
 	}
 	single, tsA, tsB := mk(false), mk(true), mk(true)
 	for qi, q := range queries {

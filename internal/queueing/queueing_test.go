@@ -85,6 +85,9 @@ type serviceEngine struct {
 func (e serviceEngine) QueryTopK([]string, int) qproc.QueryResult {
 	return qproc.QueryResult{LatencyMs: e.draw(e.rng)}
 }
+func (e serviceEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
+	return e.QueryTopK(terms, k)
+}
 func (serviceEngine) K() int                   { return 1 }
 func (serviceEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
 func (serviceEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }

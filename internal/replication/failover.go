@@ -10,29 +10,28 @@ package replication
 //
 // The engine reports outcomes from its serial gather point, so the
 // selector's evolution is deterministic for a deterministic fault
-// schedule. All methods are cheap; the zero threshold defaults to 3.
+// schedule. All methods are cheap.
 type Selector struct {
-	replicas  int
-	threshold int
-	primary   []int
-	fails     [][]int // consecutive failures per [partition][replica]
+	replicas int
+	primary  []int
+	fails    [][]int // consecutive failures per [partition][replica]
 }
 
+// demoteAfter is the run of consecutive failures that demotes a
+// primary.
+const demoteAfter = 3
+
 // NewSelector creates a selector for `parts` partitions of `replicas`
-// copies each (minimum 1), demoting a primary after `threshold`
-// consecutive failures (<= 0 picks 3).
-func NewSelector(parts, replicas, threshold int) *Selector {
+// copies each (minimum 1), demoting a primary after demoteAfter
+// consecutive failures.
+func NewSelector(parts, replicas int) *Selector {
 	if replicas < 1 {
 		replicas = 1
 	}
-	if threshold <= 0 {
-		threshold = 3
-	}
 	s := &Selector{
-		replicas:  replicas,
-		threshold: threshold,
-		primary:   make([]int, parts),
-		fails:     make([][]int, parts),
+		replicas: replicas,
+		primary:  make([]int, parts),
+		fails:    make([][]int, parts),
 	}
 	for p := range s.fails {
 		s.fails[p] = make([]int, replicas)
@@ -67,7 +66,7 @@ func (s *Selector) Report(p, r int, ok bool) {
 		return
 	}
 	s.fails[p][r]++
-	if r != s.primary[p] || s.fails[p][r] < s.threshold {
+	if r != s.primary[p] || s.fails[p][r] < demoteAfter {
 		return
 	}
 	best, bestRun := s.primary[p], s.fails[p][s.primary[p]]

@@ -6,14 +6,14 @@ import (
 )
 
 func TestSelectorOrderPrimaryFirst(t *testing.T) {
-	s := NewSelector(2, 3, 3)
+	s := NewSelector(2, 3)
 	if got := fmt.Sprint(s.Order(0, nil)); got != "[0 1 2]" {
 		t.Fatalf("initial order = %s", got)
 	}
 }
 
 func TestSelectorDemotesAfterConsecutiveFailures(t *testing.T) {
-	s := NewSelector(1, 2, 3)
+	s := NewSelector(1, 2)
 	s.Report(0, 0, false)
 	s.Report(0, 0, false)
 	if s.primary[0] != 0 {
@@ -29,7 +29,7 @@ func TestSelectorDemotesAfterConsecutiveFailures(t *testing.T) {
 }
 
 func TestSelectorSuccessResetsRun(t *testing.T) {
-	s := NewSelector(1, 2, 3)
+	s := NewSelector(1, 2)
 	s.Report(0, 0, false)
 	s.Report(0, 0, false)
 	s.Report(0, 0, true)
@@ -41,19 +41,20 @@ func TestSelectorSuccessResetsRun(t *testing.T) {
 }
 
 func TestSelectorPromotionPrefersHealthiestLowestIndex(t *testing.T) {
-	s := NewSelector(1, 3, 2)
+	s := NewSelector(1, 3)
 	// Replica 1 has one failure, replica 2 is clean: demoting replica 0
 	// must promote replica 2.
 	s.Report(0, 1, false)
-	s.Report(0, 0, false)
-	s.Report(0, 0, false)
+	for i := 0; i < demoteAfter; i++ {
+		s.Report(0, 0, false)
+	}
 	if s.primary[0] != 2 {
 		t.Fatalf("primary = %d, want healthiest replica 2", s.primary[0])
 	}
 }
 
 func TestSelectorSingleReplicaStable(t *testing.T) {
-	s := NewSelector(1, 1, 2)
+	s := NewSelector(1, 1)
 	for i := 0; i < 10; i++ {
 		s.Report(0, 0, false)
 	}
@@ -66,8 +67,10 @@ func TestSelectorSingleReplicaStable(t *testing.T) {
 }
 
 func TestSelectorIndependentPartitions(t *testing.T) {
-	s := NewSelector(2, 2, 1)
-	s.Report(0, 0, false)
+	s := NewSelector(2, 2)
+	for i := 0; i < demoteAfter; i++ {
+		s.Report(0, 0, false)
+	}
 	if s.primary[0] != 1 || s.primary[1] != 0 {
 		t.Fatalf("partition isolation broken: primaries %d,%d", s.primary[0], s.primary[1])
 	}

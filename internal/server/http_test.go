@@ -38,6 +38,9 @@ func (e *blockingEngine) QueryTopK(terms []string, k int) qproc.QueryResult {
 	<-e.release
 	return qproc.QueryResult{LatencyMs: 1, Results: []rank.Result{{Doc: 7, Score: 1}}}
 }
+func (e *blockingEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
+	return e.QueryTopK(terms, k)
+}
 func (e *blockingEngine) K() int                   { return 1 }
 func (e *blockingEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
 func (e *blockingEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }
@@ -307,6 +310,9 @@ type sleepEngine struct{ d time.Duration }
 func (e sleepEngine) QueryTopK([]string, int) qproc.QueryResult {
 	time.Sleep(e.d)
 	return qproc.QueryResult{LatencyMs: 1}
+}
+func (e sleepEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
+	return e.QueryTopK(terms, k)
 }
 func (sleepEngine) K() int                   { return 1 }
 func (sleepEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }

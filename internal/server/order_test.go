@@ -87,6 +87,9 @@ func (e *scriptEngine) QueryTopK(terms []string, k int) qproc.QueryResult {
 	e.order = append(e.order, terms[0])
 	return qproc.QueryResult{LatencyMs: 50}
 }
+func (e *scriptEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
+	return e.QueryTopK(terms, k)
+}
 func (e *scriptEngine) K() int                   { return 1 }
 func (e *scriptEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
 func (e *scriptEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }

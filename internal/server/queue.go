@@ -96,10 +96,10 @@ func (q *queue) query(a Arrival, start float64) qproc.QueryResult {
 	if k <= 0 {
 		k = defaultK
 	}
-	if dq, ok := q.eng.(qproc.DeadlineQuerier); ok && q.cfg.DeadlineMs > 0 {
-		return dq.QueryTopKWithin(a.Req.Terms, k, q.cfg.DeadlineMs-(start-a.At)*1000)
+	if q.cfg.DeadlineMs > 0 {
+		return q.eng.QueryTopKWithin(a.Req.Terms, k, q.cfg.DeadlineMs-(start-a.At)*1000)
 	}
-	//dwrlint:allow deadline engine is not a DeadlineQuerier or no deadline is configured; there is no budget to propagate
+	//dwrlint:allow deadline no deadline is configured; there is no budget to propagate
 	return q.eng.QueryTopK(a.Req.Terms, k)
 }
 

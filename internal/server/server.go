@@ -89,7 +89,7 @@ type Config struct {
 	QueueCap int
 	// DeadlineMs is the per-request latency budget: requests still
 	// queued past it are evicted, and the remaining budget is propagated
-	// into the engine call (qproc.DeadlineQuerier). <= 0 disables.
+	// into the engine call (QueryTopKWithin). <= 0 disables.
 	DeadlineMs float64
 	// AdmitRate is the token bucket's sustained admission rate per
 	// second (<= 0 disables admission control).

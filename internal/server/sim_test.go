@@ -350,11 +350,14 @@ func (s *closedStubSrc) OnDone(a server.Arrival, at float64) (server.Arrival, bo
 	return server.Arrival{At: at + randx.Exp(s.rng, 1e-4), User: a.User, Req: s.req()}, true
 }
 
-// noDeadlineEngine hides the stub's DeadlineQuerier so the front-end
+// noDeadlineEngine ignores the budget it is handed, so the front-end
 // must enforce budgets alone (queue eviction).
 type noDeadlineEngine struct{ e *stubEngine }
 
 func (n noDeadlineEngine) QueryTopK(terms []string, k int) qproc.QueryResult {
+	return n.e.QueryTopK(terms, k)
+}
+func (n noDeadlineEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
 	return n.e.QueryTopK(terms, k)
 }
 func (n noDeadlineEngine) K() int                   { return n.e.K() }
