@@ -2,15 +2,15 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/http"
-	"strings"
 
+	"dwr/internal/chash"
 	"dwr/internal/cluster"
 	"dwr/internal/core"
 	"dwr/internal/index"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
+	"dwr/internal/simweb"
 )
 
 // newFederate serves the crawled corpus as a federation of sites with
@@ -74,12 +74,6 @@ func newFederate(o options) (http.Handler, *core.Corpus, error) {
 
 // hostSite assigns a document's host to a site deterministically.
 func hostSite(url string, sites int) int {
-	host := strings.TrimPrefix(url, "http://")
-	host = strings.TrimPrefix(host, "https://")
-	if i := strings.IndexByte(host, '/'); i >= 0 {
-		host = host[:i]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(host))
-	return int(h.Sum32() % uint32(sites))
+	host, _, _ := simweb.SplitURL(url)
+	return int(chash.Hash64(host) % uint64(sites))
 }

@@ -2,6 +2,7 @@ package chash
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -13,8 +14,8 @@ func keys(n int) []string {
 	return out
 }
 
-func ringWith(members ...string) *Ring {
-	r := NewRing(64)
+func ringWith(members ...int) *Ring {
+	r := NewRing()
 	for _, m := range members {
 		r.Add(m)
 	}
@@ -22,43 +23,43 @@ func ringWith(members ...string) *Ring {
 }
 
 func TestRingAssignsAllKeysToMembers(t *testing.T) {
-	r := ringWith("a", "b", "c")
-	members := map[string]bool{"a": true, "b": true, "c": true}
+	r := ringWith(0, 1, 2)
 	for _, k := range keys(1000) {
-		m := r.Assign(k)
-		if !members[m] {
-			t.Fatalf("key %q assigned to unknown member %q", k, m)
+		m := r.Owner(k)
+		if m < 0 || m > 2 {
+			t.Fatalf("key %q assigned to unknown member %d", k, m)
 		}
 	}
 }
 
-func TestRingEmptyReturnsEmptyString(t *testing.T) {
-	r := NewRing(8)
-	if got := r.Assign("x"); got != "" {
-		t.Fatalf("empty ring assigned %q", got)
+func TestRingEmptyReturnsMinusOne(t *testing.T) {
+	r := ringWith(0)
+	r.Remove(0)
+	if got := r.Owner("x"); got != -1 {
+		t.Fatalf("empty ring assigned %d", got)
 	}
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a := ringWith("a", "b", "c")
-	b := ringWith("c", "a", "b") // insertion order must not matter
+	a := ringWith(0, 1, 2)
+	b := ringWith(2, 0, 1) // insertion order must not matter
 	for _, k := range keys(500) {
-		if a.Assign(k) != b.Assign(k) {
+		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("assignment depends on insertion order for key %q", k)
 		}
 	}
 }
 
 func TestRingAddIdempotent(t *testing.T) {
-	r := ringWith("a", "b")
-	before := make(map[string]string)
+	r := ringWith(0, 1)
+	before := make(map[string]int)
 	for _, k := range keys(200) {
-		before[k] = r.Assign(k)
+		before[k] = r.Owner(k)
 	}
-	r.Add("a")
+	r.Add(0)
 	for k, v := range before {
-		if got := r.Assign(k); got != v {
-			t.Fatalf("re-adding member changed assignment of %q: %q -> %q", k, v, got)
+		if got := r.Owner(k); got != v {
+			t.Fatalf("re-adding member changed assignment of %q: %d -> %d", k, v, got)
 		}
 	}
 	if len(r.members) != 2 {
@@ -67,8 +68,8 @@ func TestRingAddIdempotent(t *testing.T) {
 }
 
 func TestRingRemoveUnknownNoop(t *testing.T) {
-	r := ringWith("a", "b")
-	r.Remove("zzz")
+	r := ringWith(0, 1)
+	r.Remove(99)
 	if len(r.members) != 2 {
 		t.Fatalf("size = %d after removing unknown member, want 2", len(r.members))
 	}
@@ -78,9 +79,9 @@ func TestRingChurnIsBounded(t *testing.T) {
 	// Core consistent-hashing property (paper §3, UbiCrawler): adding one
 	// member to n should move about 1/(n+1) of keys, not most of them.
 	ks := keys(20000)
-	before := ringWith("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9")
-	after := ringWith("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9")
-	after.Add("a10")
+	before := ringWith(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	after := ringWith(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	after.Add(10)
 	frac := float64(Moved(before, after, ks)) / float64(len(ks))
 	if frac > 0.20 {
 		t.Fatalf("consistent hashing moved %.1f%% of keys on join, want ≈9%%", frac*100)
@@ -92,9 +93,12 @@ func TestRingChurnIsBounded(t *testing.T) {
 
 func TestModChurnIsLarge(t *testing.T) {
 	ks := keys(20000)
-	ms := []string{"a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9"}
-	before := NewModAssigner(ms)
-	after := NewModAssigner(append(ms, "a10"))
+	before, after := &Mod{}, &Mod{}
+	for id := 0; id < 10; id++ {
+		before.Add(id)
+		after.Add(id)
+	}
+	after.Add(10)
 	frac := float64(Moved(before, after, ks)) / float64(len(ks))
 	if frac < 0.5 {
 		t.Fatalf("mod hashing moved only %.1f%% of keys, expected most", frac*100)
@@ -104,17 +108,17 @@ func TestModChurnIsLarge(t *testing.T) {
 func TestRingOnlyDepartedKeysMove(t *testing.T) {
 	// Removing a member must relocate exactly the keys it owned.
 	ks := keys(5000)
-	before := ringWith("a", "b", "c", "d")
+	before := ringWith(0, 1, 2, 3)
 	ownedByD := map[string]bool{}
 	for _, k := range ks {
-		if before.Assign(k) == "d" {
+		if before.Owner(k) == 3 {
 			ownedByD[k] = true
 		}
 	}
-	after := ringWith("a", "b", "c", "d")
-	after.Remove("d")
+	after := ringWith(0, 1, 2, 3)
+	after.Remove(3)
 	for _, k := range ks {
-		moved := before.Assign(k) != after.Assign(k)
+		moved := before.Owner(k) != after.Owner(k)
 		if moved != ownedByD[k] {
 			t.Fatalf("key %q: moved=%v but ownedByD=%v", k, moved, ownedByD[k])
 		}
@@ -122,27 +126,62 @@ func TestRingOnlyDepartedKeysMove(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(512)
+	r := ringWith(0, 1, 2, 3, 4, 5, 6, 7)
 	n := 8
-	for i := 0; i < n; i++ {
-		r.Add(fmt.Sprintf("agent%d", i))
-	}
-	counts := map[string]int{}
+	counts := map[int]int{}
 	ks := keys(40000)
 	for _, k := range ks {
-		counts[r.Assign(k)]++
+		counts[r.Owner(k)]++
 	}
 	want := float64(len(ks)) / float64(n)
 	for m, c := range counts {
 		if float64(c) < 0.6*want || float64(c) > 1.5*want {
-			t.Fatalf("member %s owns %d keys, want within [0.6, 1.5]× of %v", m, c, want)
+			t.Fatalf("member %d owns %d keys, want within [0.6, 1.5]× of %v", m, c, want)
 		}
 	}
 }
 
-func TestModAssignerEmpty(t *testing.T) {
-	m := NewModAssigner(nil)
-	if got := m.Assign("x"); got != "" {
-		t.Fatalf("empty ModAssigner assigned %q", got)
+func TestModEmptyReturnsMinusOne(t *testing.T) {
+	m := &Mod{}
+	if got := m.Owner("x"); got != -1 {
+		t.Fatalf("empty Mod assigned %d", got)
+	}
+	m.Add(4)
+	m.Remove(4)
+	if got := m.Owner("x"); got != -1 {
+		t.Fatalf("emptied Mod assigned %d", got)
+	}
+}
+
+func TestModBucketsFollowJoinOrder(t *testing.T) {
+	// Removing a member shifts the later members down one bucket, so a
+	// pool that lost its last member owns keys as a pool that never had it.
+	shrunk, small := &Mod{}, &Mod{}
+	for id := 0; id < 5; id++ {
+		shrunk.Add(id)
+		if id < 4 {
+			small.Add(id)
+		}
+	}
+	shrunk.Add(2) // already present: no-op
+	shrunk.Remove(4)
+	if n := Moved(shrunk, small, keys(2000)); n != 0 {
+		t.Fatalf("%d keys differ between a shrunk pool and its equal", n)
+	}
+}
+
+func TestHash64IsFNV1aThenSplitmix(t *testing.T) {
+	for _, s := range []string{"", "a", "agent3#17", "h0042.example", "peer-0001"} {
+		f := fnv.New64a()
+		f.Write([]byte(s))
+		x := f.Sum64()
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		if got := Hash64(s); got != x {
+			t.Fatalf("Hash64(%q) = %#x, want %#x", s, got, x)
+		}
 	}
 }

@@ -295,7 +295,7 @@ func (a *agent) route(url string, at float64) {
 	if !ok {
 		return
 	}
-	owner := a.c.assign.owner(host)
+	owner := a.c.assign.Owner(host)
 	if owner == a.id {
 		a.enqueue(url, at)
 		return

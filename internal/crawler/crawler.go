@@ -12,6 +12,7 @@ package crawler
 
 import (
 	"fmt"
+	"slices"
 
 	"dwr/internal/chash"
 	"dwr/internal/dnssim"
@@ -23,12 +24,12 @@ type AssignmentPolicy int
 
 // Supported assignment policies (paper §3, Partitioning/Dependability).
 const (
-	// AssignMod hashes the host name modulo the agent count — the
-	// "trivial, but reasonable" baseline. Cheap, balanced, but nearly all
-	// hosts move when an agent joins or leaves.
+	// AssignMod hashes the host name modulo the agent count (chash.Mod)
+	// — the "trivial, but reasonable" baseline. Cheap, balanced, but
+	// nearly all hosts move when an agent joins or leaves.
 	AssignMod AssignmentPolicy = iota
-	// AssignConsistent uses a consistent-hashing ring (UbiCrawler),
-	// moving only ~1/n of hosts on churn.
+	// AssignConsistent uses a consistent-hashing ring (chash.Ring, as in
+	// UbiCrawler), moving only ~1/n of hosts on churn.
 	AssignConsistent
 	// AssignRegionAffinity assigns each host to an agent in the host's
 	// own geographic region (hashing among that region's agents) — the
@@ -132,7 +133,7 @@ type Crawler struct {
 	web      *simweb.Web
 	resolver *dnssim.Resolver
 	agents   []*agent
-	assign   assigner
+	assign   chash.Assigner
 	stats    Stats
 	// collected holds fetch results keyed by page ID; refetches overwrite.
 	collected map[int]*Page
@@ -152,108 +153,33 @@ type Crawler struct {
 // call if it wants to keep memory bounded. Set before Run.
 func (c *Crawler) OnPage(fn func(p *Page)) { c.onPage = fn }
 
-// assigner abstracts the two assignment policies plus membership change.
-type assigner interface {
-	owner(host string) int
-	addAgent(id int)
-	removeAgent(id int)
-}
-
-type modAssign struct {
-	ids []int
-}
-
-func (m *modAssign) owner(host string) int {
-	if len(m.ids) == 0 {
-		return -1
-	}
-	return m.ids[int(hashHost(host)%uint64(len(m.ids)))]
-}
-func (m *modAssign) addAgent(id int) { m.ids = append(m.ids, id) }
-func (m *modAssign) removeAgent(id int) {
-	for i, v := range m.ids {
-		if v == id {
-			m.ids = append(m.ids[:i], m.ids[i+1:]...)
-			return
-		}
-	}
-}
-
-func hashHost(host string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(host); i++ {
-		h ^= uint64(host[i])
-		h *= 1099511628211
-	}
-	// splitmix-style finalize for spread
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	return h
-}
-
 // regionAssign keeps each host's crawl traffic inside its region: the
-// owner is drawn (by hash) from the agents of the host's region, falling
-// back to the whole pool when that region has no agents.
+// owner is drawn by modulo hash from the agents of the host's region,
+// falling back to the whole pool when that region has no agents.
 type regionAssign struct {
-	web     *simweb.Web
-	regions int
-	agents  map[int][]int // region -> agent IDs
-	all     []int
+	web      *simweb.Web
+	all      chash.Mod
+	inRegion []chash.Mod // region -> its agents
 }
 
-func (r *regionAssign) owner(host string) int {
-	if len(r.all) == 0 {
-		return -1
-	}
-	candidates := r.all
+func (r *regionAssign) Owner(host string) int {
 	if h := r.web.HostByName(host); h != nil {
-		if regional := r.agents[h.Region%r.regions]; len(regional) > 0 {
-			candidates = regional
+		if o := r.inRegion[h.Region%len(r.inRegion)].Owner(host); o >= 0 {
+			return o
 		}
 	}
-	return candidates[int(hashHost(host)%uint64(len(candidates)))]
+	return r.all.Owner(host)
 }
 
-func (r *regionAssign) addAgent(id int) {
-	if r.agents == nil {
-		r.agents = make(map[int][]int)
-	}
-	region := id % r.regions
-	r.agents[region] = append(r.agents[region], id)
-	r.all = append(r.all, id)
+func (r *regionAssign) Add(id int) {
+	r.inRegion[id%len(r.inRegion)].Add(id)
+	r.all.Add(id)
 }
 
-func (r *regionAssign) removeAgent(id int) {
-	region := id % r.regions
-	r.agents[region] = removeInt(r.agents[region], id)
-	r.all = removeInt(r.all, id)
+func (r *regionAssign) Remove(id int) {
+	r.inRegion[id%len(r.inRegion)].Remove(id)
+	r.all.Remove(id)
 }
-
-func removeInt(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-type ringAssign struct {
-	ring *chash.Ring
-}
-
-func (r *ringAssign) owner(host string) int {
-	m := r.ring.Assign(host)
-	if m == "" {
-		return -1
-	}
-	var id int
-	fmt.Sscanf(m, "agent%d", &id)
-	return id
-}
-func (r *ringAssign) addAgent(id int)    { r.ring.Add(fmt.Sprintf("agent%d", id)) }
-func (r *ringAssign) removeAgent(id int) { r.ring.Remove(fmt.Sprintf("agent%d", id)) }
 
 // New creates a crawler over web with the given configuration.
 func New(web *simweb.Web, cfg Config) *Crawler {
@@ -271,14 +197,14 @@ func New(web *simweb.Web, cfg Config) *Crawler {
 	}
 	switch cfg.Assignment {
 	case AssignConsistent:
-		c.assign = &ringAssign{ring: chash.NewRing(128)}
+		c.assign = chash.NewRing()
 	case AssignRegionAffinity:
-		c.assign = &regionAssign{web: web, regions: max(1, cfg.Regions)}
+		c.assign = &regionAssign{web: web, inRegion: make([]chash.Mod, max(1, cfg.Regions))}
 	default:
-		c.assign = &modAssign{}
+		c.assign = &chash.Mod{}
 	}
 	for i := 0; i < cfg.Agents; i++ {
-		c.assign.addAgent(i)
+		c.assign.Add(i)
 		c.agents = append(c.agents, newAgent(i, c))
 	}
 	return c
@@ -365,7 +291,7 @@ func (c *Crawler) deliverNew(url string, readyAt float64) bool {
 	if !ok {
 		return false
 	}
-	owner := c.assign.owner(host)
+	owner := c.assign.Owner(host)
 	if owner < 0 || owner >= len(c.agents) || c.agents[owner] == nil {
 		return false
 	}
@@ -414,13 +340,19 @@ func (c *Crawler) FailAgent(id int) {
 	}
 	failed := c.agents[id]
 	c.agents[id] = nil
-	c.assign.removeAgent(id)
+	c.assign.Remove(id)
 	// Re-deliver the failed agent's pending URLs and re-announce the URLs
-	// it had crawled, so new owners can verify/refetch their hosts.
+	// it had crawled, in sorted order, so new owners can verify/refetch
+	// their hosts.
 	for _, item := range failed.pending() {
 		c.deliverNew(item.url, 0)
 	}
+	done := make([]string, 0, len(failed.done))
 	for u := range failed.done {
+		done = append(done, u)
+	}
+	slices.Sort(done)
+	for _, u := range done {
 		c.deliverNew(u, 0)
 	}
 }

@@ -1,8 +1,11 @@
 package crawler
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
+	"dwr/internal/chash"
 	"dwr/internal/simweb"
 )
 
@@ -153,6 +156,31 @@ func TestAgentFailureRecovers(t *testing.T) {
 	}
 }
 
+func TestAgentFailureReplaysIdentically(t *testing.T) {
+	// The failed agent's fetched URLs are re-announced in a fixed order,
+	// so a crawl with a failure is a function of its seed.
+	wcfg := simweb.DefaultConfig()
+	wcfg.Hosts = 100
+	w := simweb.New(wcfg)
+	run := func() (Stats, []int) {
+		cfg := DefaultConfig()
+		cfg.Agents = 4
+		cfg.SeedMostCited = 100
+		c := New(w, cfg)
+		c.SeedFrontPages()
+		c.Run()
+		c.FailAgent(2)
+		return c.Run(), c.FetchOrder()
+	}
+	st1, order1 := run()
+	for i := 0; i < 5; i++ {
+		st2, order2 := run()
+		if !reflect.DeepEqual(st1, st2) || !slices.Equal(order1, order2) {
+			t.Fatalf("replay %d differs:\n%+v\n%+v", i, st1, st2)
+		}
+	}
+}
+
 func TestPolitenessNeverViolated(t *testing.T) {
 	// With one agent and one thread per agent, successive fetches against
 	// the same host must be spaced by at least the politeness delay. We
@@ -281,12 +309,12 @@ func TestConsistentVsModChurn(t *testing.T) {
 		c := New(w, cfg)
 		before := make(map[string]int, len(hosts))
 		for _, h := range hosts {
-			before[h] = c.assign.owner(h)
+			before[h] = c.assign.Owner(h)
 		}
-		c.assign.removeAgent(7)
+		c.assign.Remove(7)
 		moved := 0
 		for _, h := range hosts {
-			if before[h] != c.assign.owner(h) && before[h] != 7 {
+			if before[h] != c.assign.Owner(h) && before[h] != 7 {
 				moved++
 			}
 		}
@@ -302,6 +330,38 @@ func TestConsistentVsModChurn(t *testing.T) {
 	mod := countMoved(AssignMod)
 	if consistent >= mod {
 		t.Fatalf("consistent hashing moved %d hosts, mod moved %d; expected far fewer", consistent, mod)
+	}
+}
+
+func TestCrawlerRunsTheChashAssigners(t *testing.T) {
+	// Experiment C2 measures chash.Mod and chash.Ring over agent IDs
+	// 0..n-1; every host a crawl routes must land where they put it.
+	w := testWeb()
+	const n = 7
+	for _, tc := range []struct {
+		policy AssignmentPolicy
+		c2     chash.Assigner
+	}{{AssignMod, &chash.Mod{}}, {AssignConsistent, chash.NewRing()}} {
+		for id := 0; id < n; id++ {
+			tc.c2.Add(id)
+		}
+		cfg := DefaultConfig()
+		cfg.Agents = n
+		cfg.Assignment = tc.policy
+		c := New(w, cfg)
+		for _, h := range w.Hosts {
+			if got, want := c.assign.Owner(h.Name), tc.c2.Owner(h.Name); got != want {
+				t.Fatalf("%s: host %s owned by agent %d, C2's assigner says %d", tc.policy, h.Name, got, want)
+			}
+		}
+		c.SeedFrontPages()
+		c.Run()
+		for _, p := range c.Pages() {
+			host, _, _ := simweb.SplitURL(p.URL)
+			if want := tc.c2.Owner(host); p.Agent != want {
+				t.Fatalf("%s: %s fetched by agent %d, C2's assigner says %d", tc.policy, p.URL, p.Agent, want)
+			}
+		}
 	}
 }
 
@@ -362,14 +422,14 @@ func TestRegionAffinityChurn(t *testing.T) {
 	cfg.Assignment = AssignRegionAffinity
 	c := New(w, cfg)
 	for _, h := range w.Hosts {
-		owner := c.assign.owner(h.Name)
+		owner := c.assign.Owner(h.Name)
 		if owner%3 != h.Region%3 {
 			t.Fatalf("host %s (region %d) owned by agent %d (region %d)", h.Name, h.Region, owner, owner%3)
 		}
 	}
-	c.assign.removeAgent(0) // region 0 still has agent 3
+	c.assign.Remove(0) // region 0 still has agent 3
 	for _, h := range w.Hosts {
-		owner := c.assign.owner(h.Name)
+		owner := c.assign.Owner(h.Name)
 		if owner == 0 {
 			t.Fatal("removed agent still owns hosts")
 		}

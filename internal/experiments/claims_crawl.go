@@ -44,25 +44,15 @@ func Claim2ConsistentHashing() *Result {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("h%05d.example", i)
 	}
-	members := make([]string, agents)
-	for i := range members {
-		members[i] = fmt.Sprintf("agent%d", i)
-	}
-
-	modBefore := chash.NewModAssigner(members)
-	modJoin := chash.NewModAssigner(append(append([]string(nil), members...), "agent20"))
-	modLeave := chash.NewModAssigner(members[:agents-1])
-
-	ring := func(ms []string) *chash.Ring {
-		rg := chash.NewRing(128)
-		for _, m := range ms {
-			rg.Add(m)
+	// The assigners crawler.New installs, over agent IDs 0..n-1.
+	over := func(a chash.Assigner, n int) chash.Assigner {
+		for id := 0; id < n; id++ {
+			a.Add(id)
 		}
-		return rg
+		return a
 	}
-	ringBefore := ring(members)
-	ringJoin := ring(append(append([]string(nil), members...), "agent20"))
-	ringLeave := ring(members[:agents-1])
+	modBefore, modJoin, modLeave := over(&chash.Mod{}, agents), over(&chash.Mod{}, agents+1), over(&chash.Mod{}, agents-1)
+	ringBefore, ringJoin, ringLeave := over(chash.NewRing(), agents), over(chash.NewRing(), agents+1), over(chash.NewRing(), agents-1)
 
 	t := metrics.NewTable("fraction of hosts reassigned on membership change",
 		"event", "mod-hash", "consistent-hash", "ideal")

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
+	"dwr/internal/chash"
 	"dwr/internal/metrics"
 )
 
@@ -95,20 +95,6 @@ func log2(n int) float64 {
 // peer owning their arc of the identifier ring; lookups route greedily
 // through finger tables in O(log n) hops.
 
-// hashID maps a name or key to a ring position.
-func hashID(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	v := h.Sum64()
-	// splitmix-style finalizer for spread (FNV clusters on similar names).
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
-}
-
 // fingerBits is the number of finger-table entries per peer (the ring is
 // 64-bit).
 const fingerBits = 64
@@ -130,7 +116,7 @@ type overlay struct {
 func newOverlay(names []string) *overlay {
 	o := &overlay{}
 	for _, n := range names {
-		o.peers = append(o.peers, &peer{id: hashID(n)})
+		o.peers = append(o.peers, &peer{id: chash.Hash64(n)})
 	}
 	sort.Slice(o.peers, func(i, j int) bool { return o.peers[i].id < o.peers[j].id })
 	o.rebuildFingers()
@@ -173,7 +159,7 @@ func (o *overlay) route(start int, key string) (owner, hops int) {
 	if len(o.peers) == 0 {
 		return -1, 0
 	}
-	target := hashID(key)
+	target := chash.Hash64(key)
 	ownerIdx := o.successorIdx(target)
 	cur := start
 	for cur != ownerIdx {

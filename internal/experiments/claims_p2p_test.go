@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"dwr/internal/chash"
 )
 
 func peerNames(n int) []string {
@@ -15,7 +17,7 @@ func peerNames(n int) []string {
 }
 
 // ownerOf returns the index of the peer owning key's arc.
-func ownerOf(o *overlay, key string) int { return o.successorIdx(hashID(key)) }
+func ownerOf(o *overlay, key string) int { return o.successorIdx(chash.Hash64(key)) }
 
 func TestRouteReachesOwner(t *testing.T) {
 	o := newOverlay(peerNames(100))

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 
 	"dwr/internal/randx"
 )
@@ -277,11 +279,9 @@ func (w *Web) PageByURL(url string) int {
 // HostByName resolves a host name, or nil if unknown.
 func (w *Web) HostByName(name string) *Host {
 	// Host names encode their ID; parse rather than scan.
-	var id int
-	if _, err := fmt.Sscanf(name, "h%d.example", &id); err != nil || id < 0 || id >= len(w.Hosts) {
-		return nil
-	}
-	if w.Hosts[id].Name != name {
+	digits, _ := strings.CutSuffix(strings.TrimPrefix(name, "h"), ".example")
+	id, err := strconv.Atoi(digits)
+	if err != nil || id < 0 || id >= len(w.Hosts) || w.Hosts[id].Name != name {
 		return nil
 	}
 	return w.Hosts[id]

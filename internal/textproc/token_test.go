@@ -40,6 +40,16 @@ func TestTokenizeTruncatesMonsters(t *testing.T) {
 	}
 }
 
+func TestTokenizeTruncatesAtARuneBoundary(t *testing.T) {
+	// A two-byte rune at byte 63 does not fit, and nothing after it is
+	// appended: the token is a 63-byte prefix of the word.
+	a63 := strings.Repeat("a", 63)
+	got := Tokenize(a63 + "éaa bb")
+	if len(got) != 2 || got[0] != a63 || got[1] != "bb" {
+		t.Fatalf("Tokenize = %q, want [%d a's, bb]", got, len(a63))
+	}
+}
+
 func TestTokenizeAllLowercase(t *testing.T) {
 	f := func(s string) bool {
 		for _, tok := range Tokenize(s) {
