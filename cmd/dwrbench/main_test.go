@@ -420,7 +420,7 @@ func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
 		"DESIGN.md":                      1058,
 		"README.md":                      353,
-		".claude/skills/verify/SKILL.md": 239,
+		".claude/skills/verify/SKILL.md": 237,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))
 		if err != nil {

@@ -54,26 +54,20 @@ func measurePruning(w io.Writer, c pruningConfig) ([]row, error) {
 		for i, q := range queries {
 			want[i], _ = rank.EvaluateTopK(ix, s, q, k, rank.PruneNone)
 		}
-		var exhaustiveQPS float64
-		for _, m := range []struct {
-			name string
-			mode rank.Pruning
-		}{
-			{"exhaustive", rank.PruneNone},
-			{"maxscore", rank.PruneMaxScore},
-		} {
-			r := timedPass(w, fmt.Sprintf("%s k=%d", m.name, k), queries, want, func(q []string, work map[string]float64) []rank.Result {
-				got, es := rank.EvaluateTopK(ix, s, q, k, m.mode)
+		eval := func(mode rank.Pruning) evalFunc {
+			return func(q []string, work map[string]float64) []rank.Result {
+				got, es := rank.EvaluateTopK(ix, s, q, k, mode)
 				work["bytes_decoded_per_query"] += float64(es.BytesDecoded)
 				work["postings_per_query"] += float64(es.PostingsDecoded)
 				return got
-			})
-			if m.mode == rank.PruneNone {
-				exhaustiveQPS = r.Timings["qps"]
 			}
-			r.Ratios = map[string]float64{"speedup_vs_exhaustive": r.Timings["qps"] / exhaustiveQPS}
-			rows = append(rows, r)
 		}
+		exhaustive, pruned := eval(rank.PruneNone), eval(rank.PruneMaxScore)
+		er := timedPass(w, fmt.Sprintf("exhaustive k=%d", k), queries, want, exhaustive)
+		er.Ratios = map[string]float64{"speedup_vs_exhaustive": 1}
+		mr := timedPass(w, fmt.Sprintf("maxscore k=%d", k), queries, want, pruned)
+		mr.Ratios = map[string]float64{"speedup_vs_exhaustive": medianSpeedup(queries, exhaustive, pruned)}
+		rows = append(rows, er, mr)
 	}
 
 	// Block size changes what a skip decodes, never the ranking: the

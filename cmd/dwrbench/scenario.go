@@ -21,7 +21,8 @@ type row struct {
 	// virtual-time measurements. Held to workTol.
 	Counters map[string]float64 `json:"counters,omitempty"`
 	// Ratios divide one wall-clock measurement by another taken in the
-	// same run, so they survive a change of machine. Held to -checktol.
+	// same run (the median of interleaved rounds: medianSpeedup), so they
+	// survive a change of machine. Held to -checktol.
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 	// Timings depend on the machine and the run (wall clock, allocator
 	// activity). Reported, never gated.

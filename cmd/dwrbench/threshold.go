@@ -61,8 +61,9 @@ func measureThreshold(w io.Writer, c thresholdConfig) ([]row, error) {
 			want[i] = engines[0].Query(q, opt).Results
 		}
 		first := len(rows)
+		evals := make([]evalFunc, len(modes))
 		for mi, m := range modes {
-			rows = append(rows, timedPass(w, fmt.Sprintf("%s k=%d", m.name, k), queries, want, func(q []string, work map[string]float64) []rank.Result {
+			evals[mi] = func(q []string, work map[string]float64) []rank.Result {
 				qr := engines[mi].Query(q, opt)
 				work["bytes_decoded_per_query"] += float64(qr.PostingBytesDecoded)
 				work["postings_per_query"] += float64(qr.PostingsDecoded)
@@ -70,13 +71,18 @@ func measureThreshold(w io.Writer, c thresholdConfig) ([]row, error) {
 				work["skipped_per_query"] += float64(qr.PartitionsSkipped)
 				work["waves_per_query"] += float64(qr.Waves)
 				return qr.Results
-			}))
+			}
+			rows = append(rows, timedPass(w, fmt.Sprintf("%s k=%d", m.name, k), queries, want, evals[mi]))
 		}
 		base := rows[first+1] // modes[1], single-wave maxscore
-		for i := first; i < len(rows); i++ {
-			r := &rows[i]
+		for mi := range modes {
+			r := &rows[first+mi]
 			r.Counters["bytes_vs_maxscore"] = r.Counters["bytes_decoded_per_query"] / base.Counters["bytes_decoded_per_query"]
-			r.Ratios = map[string]float64{"speedup_vs_maxscore": r.Timings["qps"] / base.Timings["qps"]}
+			speedup := 1.0
+			if mi != 1 {
+				speedup = medianSpeedup(queries, evals[1], evals[mi])
+			}
+			r.Ratios = map[string]float64{"speedup_vs_maxscore": speedup}
 		}
 	}
 	return rows, nil

@@ -59,13 +59,46 @@ func wallClock(latUs []float64) map[string]float64 {
 	}
 }
 
+// evalFunc evaluates one query, adds its work into the totals, and
+// returns its ranking.
+type evalFunc func(q []string, work map[string]float64) []rank.Result
+
+// speedupRounds is how many interleaved base/run pairs a speedup ratio is
+// the median of. One pass's wall clock is at the mercy of whatever else
+// the host runs at that moment; the median of pairs timed back to back is
+// not. At five rounds, twenty consecutive `dwrbench -check -checktol 0.6
+// -benchdir docs` runs on one commit passed.
+const speedupRounds = 5
+
+// medianSpeedup times base and run over the queries in speedupRounds
+// interleaved rounds — base, then run — and returns the median over the
+// rounds of run's qps over base's in the same round. The work both add
+// goes to a throwaway map: timedPass counts it once.
+func medianSpeedup(queries [][]string, base, run evalFunc) float64 {
+	scratch := map[string]float64{}
+	pass := func(eval evalFunc) float64 {
+		t0 := time.Now()
+		for _, q := range queries {
+			eval(q, scratch)
+		}
+		return float64(time.Since(t0))
+	}
+	ratios := make([]float64, speedupRounds)
+	for i := range ratios {
+		tb := pass(base)
+		ratios[i] = tb / pass(run)
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2]
+}
+
 // timedPass runs eval over the queries twice — a warmup that faults in
 // caches and steady-states the allocator, then the timed pass — and
 // returns the measured row: the work eval adds into its totals averaged
 // per query (counters), wall-clock timings, allocations per query (a
 // timing: the runtime's own allocations leak into the count), and
 // whether every ranking equalled want bitwise.
-func timedPass(w io.Writer, name string, queries [][]string, want [][]rank.Result, eval func(q []string, work map[string]float64) []rank.Result) row {
+func timedPass(w io.Writer, name string, queries [][]string, want [][]rank.Result, eval evalFunc) row {
 	r := row{Name: name, Counters: map[string]float64{}, Invariants: map[string]bool{"rank_identical": true}}
 	warmup := map[string]float64{}
 	for _, q := range queries {

@@ -14,7 +14,7 @@ import (
 
 // On-disk index format (little-endian):
 //
-//	magic "DWRIX5\n\x00"                     8 bytes
+//	magic "DWRIX6\n\x00"                     8 bytes
 //	blockSize (uvarint)
 //	numDocs (uvarint), then per doc: ext (uvarint), length (uvarint)
 //	numTerms (uvarint), then per term:
@@ -33,10 +33,14 @@ import (
 // per-term score-bound summary (TermScoreMeta) evaluator and broker prune
 // with; version 4 dropped the per-block score bounds nothing reads any
 // more; version 5 dropped the compress and positions flag bytes, since
-// every index is block-compressed and positional. Older DWRIX versions
-// are rejected (rebuild the index).
+// every index is block-compressed and positional; version 6 replaced the
+// group-varint doc gaps and varint TFs with fixed-width packed sections,
+// so any posting of a block is one word load away, and ends each list's
+// data with eight zero bytes. Older DWRIX versions are rejected (rebuild
+// the index). Read walks every block before it accepts a list
+// (postingList.validate), so the checksum is not the only guard.
 
-var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '5', '\n', 0}
+var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '6', '\n', 0}
 
 // WriteFile writes the index to path atomically: a crash leaves either
 // the old file or the whole new one (write temp, sync, rename, sync the
@@ -357,14 +361,18 @@ func Read(r io.Reader) (*Index, error) {
 			}
 			blocks = append(blocks, blockMeta{lastDoc: int32(lastDoc), offset: uint32(off)})
 		}
-		ix.addTerm(string(tb), postingList{
+		pl := postingList{
 			count: int(count), cf: int64(cf), data: data, blocks: blocks,
 			meta: TermScoreMeta{
 				MaxTF: int32(maxTF), MinLen: int32(minLen),
 				SatBound: math.Float64frombits(satBits),
 				QuantAvg: math.Float64frombits(avgBits),
 			},
-		})
+		}
+		if err := pl.validate(opts.blockSize(), int(nDocs), nil); err != nil {
+			return nil, fmt.Errorf("index: term %d: %w", i, err)
+		}
+		ix.addTerm(string(tb), pl)
 	}
 
 	wantCRC := cr.crc

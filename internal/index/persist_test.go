@@ -65,8 +65,9 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 // TestPersistRejectsOldVersion: a DWRIX2 (pre score-bound summary),
-// DWRIX3 (per-block score bounds) or DWRIX4 (layout flag bytes) file is
-// refused with a rebuild hint rather than misparsed.
+// DWRIX3 (per-block score bounds), DWRIX4 (layout flag bytes) or DWRIX5
+// (group-varint blocks) file is refused with a rebuild hint rather than
+// misparsed.
 func TestPersistRejectsOldVersion(t *testing.T) {
 	b := NewBuilder(DefaultOptions())
 	b.AddDocument(1, []string{"alpha", "beta"})
@@ -75,7 +76,7 @@ func TestPersistRejectsOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, version := range []byte{'2', '3', '4'} {
+	for _, version := range []byte{'2', '3', '4', '5'} {
 		raw[5] = version // rewrite the version byte of the magic
 		_, err := Read(bytes.NewReader(raw))
 		if err == nil {
@@ -132,11 +133,15 @@ func TestPersistRejectsCorruption(t *testing.T) {
 
 // TestReadRejectsUnwalkableBlockTable: the checksum vouches for the bytes,
 // not for what they say, and the iterator indexes data by the block table
-// unchecked — a block offset of 1<<20 over nine bytes of data used to load
-// and panic in the first Next ("slice bounds out of range"). Each row
-// tampers one list of a valid index in memory, writes it (so the file is
-// CRC-valid) and re-reads it.
+// and reads the blocks' widths unchecked — a block offset of 1<<20 over
+// nine bytes of data used to load and panic in the first Next ("slice
+// bounds out of range"). Each row tampers one list of a valid index in
+// memory, writes it (so the file is CRC-valid) and re-reads it. The list
+// is three blocks of docs 0–3, 4–7 and 8–9, each packed at 2, 2 and 1
+// doc bits, with no TF bits (every tf is 1).
 func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
+	// blockByte returns the index in pl.data of byte i of block b.
+	blockByte := func(pl *postingList, b, i int) int { return int(pl.blocks[b].offset) + i }
 	tampers := []struct {
 		name   string
 		tamper func(pl *postingList, numDocs int)
@@ -149,6 +154,19 @@ func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
 		{"last documents out of order", func(pl *postingList, _ int) { pl.blocks[1].lastDoc = pl.blocks[0].lastDoc }},
 		{"last document outside the table", func(pl *postingList, n int) { pl.blocks[len(pl.blocks)-1].lastDoc = int32(n) }},
 		{"more postings than documents", func(pl *postingList, n int) { pl.count = n + 1 }},
+		{"doc width past 32 bits", func(pl *postingList, _ int) { pl.data[0] = 33 }},
+		{"TF width past 31 bits", func(pl *postingList, _ int) { pl.data[1] = 32 }},
+		{"packed docs past the block", func(pl *postingList, _ int) { pl.data[0] = 32 }},
+		{"packed TFs into the tail pad", func(pl *postingList, _ int) { pl.data[blockByte(pl, 2, 1)] = 31 }},
+		{"tail pad missing", func(pl *postingList, _ int) { pl.data = pl.data[:len(pl.data)-tailPad] }},
+		{"tail pad not zero", func(pl *postingList, _ int) { pl.data[len(pl.data)-1] = 1 }},
+		{"docs not increasing", func(pl *postingList, _ int) { pl.data[blockByte(pl, 1, 2)] = 0 }},
+		{"last doc is not the block's", func(pl *postingList, _ int) { pl.blocks[0].lastDoc = 2 }},
+		{"doc past the document table", func(pl *postingList, _ int) {
+			// Block 2 at 3 doc bits: values 2 and 7, docs 10 and 15.
+			pl.data[blockByte(pl, 2, 0)], pl.data[blockByte(pl, 2, 2)] = 3, 0b111_010
+		}},
+		{"positions past the block", func(pl *postingList, _ int) { pl.data[blockByte(pl, 0, 3)] = 9 }},
 	}
 	for _, tc := range tampers {
 		b := NewBuilder(Options{BlockSize: 4})
@@ -205,7 +223,7 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-// hostileCounts are well-formed DWRIX5 prefixes that each announce one
+// hostileCounts are well-formed DWRIX6 prefixes that each announce one
 // enormous count and then end: 2^31 documents (fifteen bytes in all),
 // 2^31 terms, 2^32 bytes of posting data, 2^31 blocks.
 func hostileCounts() map[string][]byte {
@@ -251,7 +269,9 @@ func TestReadAllocatesWhatTheStreamDelivers(t *testing.T) {
 
 // FuzzRead: whatever the bytes, Read returns an error or an index that
 // survives a Write/Read round trip — never a panic, never an allocation
-// the input did not pay for.
+// the input did not pay for. Besides valid files and their prefixes, the
+// seeds hold checksummed files whose first block claims a doc or TF width
+// past what the validator accepts, so mutations start behind the CRC.
 func FuzzRead(f *testing.F) {
 	docs := randomDocs(rand.New(rand.NewSource(23)), 40, 20)
 	for _, opts := range []Options{
@@ -259,14 +279,26 @@ func FuzzRead(f *testing.F) {
 		{BlockSize: 16},
 		{},
 	} {
+		ix := buildDocs(f, opts, docs)
 		var buf bytes.Buffer
-		if err := buildDocs(f, opts, docs).Write(&buf); err != nil {
+		if err := ix.Write(&buf); err != nil {
 			f.Fatal(err)
 		}
-		raw := buf.Bytes()
+		raw := bytes.Clone(buf.Bytes())
 		f.Add(raw)
 		f.Add(raw[:len(raw)/2])
 		f.Add(raw[:len(raw)-3])
+		for i, width := range []byte{33, 32} { // docW past 32, tfW past 31
+			data := ix.termList[0].pl.data
+			was := data[i]
+			data[i] = width
+			buf.Reset()
+			if err := ix.Write(&buf); err != nil {
+				f.Fatal(err)
+			}
+			data[i] = was
+			f.Add(bytes.Clone(buf.Bytes()))
+		}
 	}
 	for _, raw := range hostileCounts() {
 		f.Add(raw)

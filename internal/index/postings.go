@@ -10,8 +10,11 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Posting is one term occurrence record: the internal document ordinal,
@@ -105,11 +108,19 @@ func bm25Sat(maxTF, minLen int32, avg float64) float64 {
 	return tf * (DefaultBM25K1 + 1) / (tf + DefaultBM25K1*norm)
 }
 
+// tailPad is the run of zero bytes that ends every non-empty list's data:
+// packedAt loads 8 bytes from a packed value's first byte, and the pad
+// keeps that load inside data for the last value of the last block.
+const tailPad = 8
+
 // encodePostings serializes postings (which must be sorted by Doc,
-// strictly increasing) into skip-aligned blocks of opts.BlockSize. Within
-// a block doc-gaps are group-varint encoded, term frequencies are varint
-// encoded, and positions are delta-varint encoded in a trailing section
-// the iterator can skip wholesale. st supplies document lengths for the
+// strictly increasing, with TF >= 1) into skip-aligned blocks of
+// opts.BlockSize. A block is two width bytes docW and tfW, then each
+// posting's doc − base − 1 packed in docW bits (base is the previous
+// block's lastDoc, −1 for block 0), then each tf − 1 packed in tfW bits,
+// each packed section rounded up to a whole byte, then the positions,
+// delta-varint encoded, which the iterator can skip wholesale. Any posting
+// of a block is one word load away. st supplies document lengths for the
 // score-bound summary.
 func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 	var pl postingList
@@ -120,23 +131,23 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 	}
 	pl.meta.MinLen = math.MaxInt32
 	bs := opts.blockSize()
-	var prevDoc int32
-	gaps := make([]uint32, 0, bs)
+	prevDoc := int32(-1)
+	most := min(bs, len(ps))
+	vals := make([]uint32, 2*most) // one block's values to pack: docs, then TFs
 	for start := 0; start < len(ps); start += bs {
-		end := start + bs
-		if end > len(ps) {
-			end = len(ps)
-		}
-		block := ps[start:end]
+		block := ps[start:min(start+bs, len(ps))]
 		meta := blockMeta{offset: uint32(len(pl.data))}
+		base := prevDoc
 		maxTF, minLen := int32(0), int32(math.MaxInt32)
-		// Doc section.
-		gaps = gaps[:0]
+		docs, tfs := vals[:len(block)], vals[most:most+len(block)]
 		for i, p := range block {
-			if (start > 0 || i > 0) && p.Doc <= prevDoc {
+			if p.Doc <= prevDoc {
 				panic(fmt.Sprintf("index: postings not strictly increasing: %d after %d", p.Doc, prevDoc))
 			}
-			gaps = append(gaps, uint32(p.Doc-prevDoc))
+			if p.TF < 1 {
+				panic(fmt.Sprintf("index: doc %d has term frequency %d", p.Doc, p.TF))
+			}
+			docs[i], tfs[i] = uint32(p.Doc-base-1), uint32(p.TF-1)
 			prevDoc = p.Doc
 			maxTF = max(maxTF, p.TF)
 			if st.docLen != nil {
@@ -153,142 +164,81 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 		pl.meta.MinLen = min(pl.meta.MinLen, minLen)
 		pl.meta.SatBound = max(pl.meta.SatBound, bm25Sat(maxTF, minLen, st.avgLen))
 		meta.lastDoc = prevDoc
-		pl.data = appendGroupVarint(pl.data, gaps)
-		// TF section.
+		docW, tfW := uint(bits.Len32(uint32(prevDoc-base-1))), uint(bits.Len32(uint32(maxTF-1)))
+		pl.data = append(pl.data, byte(docW), byte(tfW))
+		pl.data = appendPacked(appendPacked(pl.data, docs, docW), tfs, tfW)
 		for _, p := range block {
-			pl.data = appendUvarint(pl.data, uint64(p.TF))
-		}
-		// Positions section.
-		for _, p := range block {
-			pl.data = appendUvarint(pl.data, uint64(len(p.Pos)))
+			pl.data = binary.AppendUvarint(pl.data, uint64(len(p.Pos)))
 			var prevPos int32
 			for _, pos := range p.Pos {
-				pl.data = appendUvarint(pl.data, uint64(pos-prevPos))
+				pl.data = binary.AppendUvarint(pl.data, uint64(pos-prevPos))
 				prevPos = pos
 			}
 		}
 		pl.blocks = append(pl.blocks, meta)
 	}
+	pl.data = append(pl.data, make([]byte, tailPad)...)
 	return pl
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-// appendGroupVarint appends gap values in groups of four sharing one tag
-// byte (two bits per value = encoded byte count minus one), followed by
-// the values' little-endian bytes; a tail of fewer than four gaps is
-// encoded as plain uvarints.
-func appendGroupVarint(dst []byte, vals []uint32) []byte {
-	i := 0
-	for ; i+4 <= len(vals); i += 4 {
-		tagPos := len(dst)
-		dst = append(dst, 0)
-		var tag byte
-		for j := 0; j < 4; j++ {
-			v := vals[i+j]
-			n := byteLen32(v)
-			tag |= byte(n-1) << (2 * j)
-			for k := 0; k < n; k++ {
-				dst = append(dst, byte(v))
-				v >>= 8
-			}
+// appendPacked appends vals at w bits each, little-endian bit order, the
+// section rounded up to a whole byte.
+func appendPacked(dst []byte, vals []uint32, w uint) []byte {
+	var acc uint64
+	var nb uint
+	for _, v := range vals {
+		acc |= uint64(v) << nb
+		for nb += w; nb >= 8; nb -= 8 {
+			dst = append(dst, byte(acc))
+			acc >>= 8
 		}
-		dst[tagPos] = tag
 	}
-	for ; i < len(vals); i++ {
-		dst = appendUvarint(dst, uint64(vals[i]))
+	if nb > 0 {
+		dst = append(dst, byte(acc))
 	}
 	return dst
 }
 
-func byteLen32(v uint32) int {
-	switch {
-	case v < 1<<8:
-		return 1
-	case v < 1<<16:
-		return 2
-	case v < 1<<24:
-		return 3
-	default:
-		return 4
-	}
+// packedLen is the byte length of n values packed at w bits each.
+func packedLen(n int, w uint) int { return (n*int(w) + 7) >> 3 }
+
+// packedAt returns value i of the w-bit packed section that sec begins
+// with: one little-endian 8-byte load from the value's first byte, a
+// shift and a mask (w <= 32, so the value never spans past the word; the
+// &63 only spares the compiler's guard for shifts of 64 bits and more).
+func packedAt(sec []byte, i int, w uint) uint32 {
+	b := uint(i) * w
+	x := b >> 3
+	return uint32(binary.LittleEndian.Uint64(sec[x:x+8:x+8]) >> (b & 7) & (1<<(w&63) - 1))
 }
 
-// gvMask keeps the low 1–4 bytes of a little-endian word, by tag value.
-var gvMask = [4]uint32{0xff, 0xffff, 0xffffff, 0xffffffff}
-
-// decodeGroupVarint decodes n values written by appendGroupVarint from
-// data starting at pos into out[:n], returning the next byte position.
-// While a whole group fits in what is left of data (a tag byte plus at
-// most 16 value bytes), each value is one 4-byte word load masked to its
-// length; the last groups fall back to the byte loop.
-func decodeGroupVarint(data []byte, pos, n int, out []uint32) int {
-	i := 0
-	for ; i+4 <= n && pos+17 <= len(data); i += 4 {
-		tag := uint(data[pos])
-		pos++
-		for j := 0; j < 4; j++ {
-			l := tag & 3
-			out[i+j] = binary.LittleEndian.Uint32(data[pos:]) & gvMask[l]
-			pos += int(l) + 1
-			tag >>= 2
-		}
-	}
-	for ; i+4 <= n; i += 4 {
-		tag := data[pos]
-		pos++
-		for j := 0; j < 4; j++ {
-			l := int(tag>>(2*j))&3 + 1
-			var v uint32
-			for k := 0; k < l; k++ {
-				v |= uint32(data[pos]) << (8 * k)
-				pos++
-			}
-			out[i+j] = v
-		}
-	}
-	for ; i < n; i++ {
-		v, w := binary.Uvarint(data[pos:])
-		pos += w
-		out[i] = uint32(v)
-	}
-	return pos
-}
-
-// Iterator walks a posting list in document order, decoding one block at
-// a time. Use Next to advance one posting and SkipTo to jump forward via
-// the skip table; blocks the cursor jumps over are never decoded. Doc and
-// TF read the current posting in place; Positions decodes its positions
-// only when asked.
+// Iterator walks a posting list in document order, one block at a time.
+// Use Next to advance one posting and SkipTo to jump forward via the skip
+// table. Opening a block reads its two width bytes and nothing else: Doc
+// and TF unpack the current posting in place, SkipTo searches the packed
+// docs, and Positions decodes the current posting's positions only when
+// asked, so nothing is decoded that the cursor does not read.
 type Iterator struct {
 	pl      *postingList
 	withPos bool
-	bs      int // postings per block
-	bi      int // index of the decoded block; -1 before any decode, len(blocks) once exhausted
-	n       int // postings in the decoded block; 0 before any decode and once exhausted
-	j       int // the current posting within the block, valid while j < n
-	docs    []int32
-	tfs     []int32
-	gaps    []uint32 // group-varint decode scratch
-	posOff  int      // byte cursor into the positions section
-	posIdx  int      // posting ordinal within the block whose positions begin at posOff
-	pos     []int32  // positions of posting posIdx-1, once Positions decoded them
-	bytes   int64    // encoded bytes decoded so far
+	bs      int     // postings per block
+	bi      int     // index of the open block; -1 before any, len(blocks) once exhausted
+	n       int     // postings in the open block; 0 before any and once exhausted
+	j       int     // the current posting within the block, valid while j < n
+	low     int32   // the previous block's lastDoc + 1 (0 for block 0): doc j is low + its packed value
+	docs    []byte  // data from the open block's packed docs on
+	tfs     []byte  // data from its packed TFs on
+	docW    uint    // bits per packed doc
+	tfW     uint    // bits per packed TF
+	posOff  int     // byte cursor into the positions section
+	posIdx  int     // posting ordinal within the block whose positions begin at posOff
+	pos     []int32 // positions of posting posIdx-1, once Positions decoded them
+	bytes   int64   // encoded bytes charged so far
 }
 
-// reset re-initializes *it over pl, a list of bs postings per block,
-// preserving its decode buffers so pooled iterators stay allocation-free
-// across queries.
+// reset re-initializes *it over pl, a list of bs postings per block.
 func (it *Iterator) reset(pl *postingList, bs int, withPos bool) {
-	docs, tfs, gaps := it.docs, it.tfs, it.gaps
-	*it = Iterator{
-		pl: pl, withPos: withPos, bs: bs, bi: -1,
-		docs: docs, tfs: tfs, gaps: gaps,
-	}
+	*it = Iterator{pl: pl, withPos: withPos, bs: bs, bi: -1}
 }
 
 // newIterator starts an iterator over pl.
@@ -298,58 +248,31 @@ func newIterator(pl *postingList, bs int, withPos bool) *Iterator {
 	return it
 }
 
-// decodeBlock materializes block b's doc and TF arrays into the
-// iterator's scratch buffers. The positions section is located but not
-// decoded; positions() walks it lazily per posting.
-func (it *Iterator) decodeBlock(b int) {
+// openBlock positions the cursor on block b's first posting: it reads the
+// block's width bytes and records where its sections begin.
+func (it *Iterator) openBlock(b int) {
 	pl := it.pl
-	m := &pl.blocks[b]
-	start := b * it.bs
-	n := it.bs
-	if start+n > pl.count {
-		n = pl.count - start
-	}
-	if cap(it.docs) < n {
-		it.docs = make([]int32, n)
-		it.tfs = make([]int32, n)
-		it.gaps = make([]uint32, n)
-	}
-	docs, tfs := it.docs[:n], it.tfs[:n]
-	pos := int(m.offset)
-	var base int32
+	off := int(pl.blocks[b].offset)
+	n := min(it.bs, pl.count-b*it.bs)
+	it.low = 0
 	if b > 0 {
-		base = pl.blocks[b-1].lastDoc
+		it.low = pl.blocks[b-1].lastDoc + 1
 	}
-	gaps := it.gaps[:n]
-	pos = decodeGroupVarint(pl.data, pos, n, gaps)
-	d := base
-	for i, g := range gaps {
-		d += int32(g)
-		docs[i] = d
-	}
-	for i := range tfs {
-		if c := pl.data[pos]; c < 0x80 { // a one-byte uvarint: nearly every tf
-			tfs[i] = int32(c)
-			pos++
-			continue
-		}
-		v, w := binary.Uvarint(pl.data[pos:])
-		pos += w
-		tfs[i] = int32(v)
-	}
+	it.docW, it.tfW = uint(pl.data[off]), uint(pl.data[off+1])
+	tfOff := off + 2 + packedLen(n, it.docW)
+	it.docs, it.tfs = pl.data[off+2:], pl.data[tfOff:]
 	it.bi, it.n, it.j = b, n, 0
-	it.posOff, it.posIdx = pos, 0
-	// Charge the bytes this decode actually touched: doc+TF sections, plus
-	// the positions section only when positions are materialized.
+	it.posOff, it.posIdx = tfOff+packedLen(n, it.tfW), 0
+	// Charge the block's header and doc and TF sections, plus its
+	// positions section only when positions are materialized.
+	end := it.posOff
 	if it.withPos {
-		end := len(pl.data)
+		end = len(pl.data) - tailPad
 		if b+1 < len(pl.blocks) {
 			end = int(pl.blocks[b+1].offset)
 		}
-		it.bytes += int64(end - int(m.offset))
-	} else {
-		it.bytes += int64(pos - int(m.offset))
 	}
+	it.bytes += int64(end - off)
 }
 
 // Positions returns the current posting's positions (nil when the
@@ -390,7 +313,7 @@ func (it *Iterator) Positions() []int32 {
 }
 
 // Next advances to the next posting; it returns false at the end. Inside
-// a decoded block it is a bounds check and an increment.
+// a block it is a bounds check and an increment.
 func (it *Iterator) Next() bool {
 	if it.j+1 < it.n {
 		it.j++
@@ -399,7 +322,7 @@ func (it *Iterator) Next() bool {
 	return it.nextBlock()
 }
 
-// nextBlock decodes the block after the current one, or exhausts the
+// nextBlock opens the block after the current one, or exhausts the
 // iterator when there is none.
 func (it *Iterator) nextBlock() bool {
 	b := it.bi + 1
@@ -407,7 +330,7 @@ func (it *Iterator) nextBlock() bool {
 		it.exhaust()
 		return false
 	}
-	it.decodeBlock(b)
+	it.openBlock(b)
 	return true
 }
 
@@ -416,11 +339,11 @@ func (it *Iterator) exhaust() { it.bi, it.n, it.j = len(it.pl.blocks), 0, 0 }
 
 // Doc returns the current posting's document ordinal. Valid only after
 // Next or SkipTo returned true.
-func (it *Iterator) Doc() int32 { return it.docs[it.j] }
+func (it *Iterator) Doc() int32 { return it.low + int32(packedAt(it.docs, it.j, it.docW)) }
 
 // TF returns the current posting's term frequency. Valid only after Next
 // or SkipTo returned true.
-func (it *Iterator) TF() int32 { return it.tfs[it.j] }
+func (it *Iterator) TF() int32 { return 1 + int32(packedAt(it.tfs, it.j, it.tfW)) }
 
 // Posting returns the current posting, its positions included when the
 // iterator materializes them. Valid only after Next or SkipTo returned
@@ -433,22 +356,18 @@ func (it *Iterator) Posting() Posting {
 func (it *Iterator) Count() int { return it.pl.count }
 
 // SkipTo advances to the first posting with Doc >= target, using the
-// skip table to jump over (and never decode) non-containing blocks.
-// It returns false if no such posting exists. A target inside the
-// decoded block is found there (its last document is the block's
-// lastDoc); otherwise the blocks not yet visited are searched for the
-// first whose lastDoc reaches target, and only that one is decoded.
+// skip table to jump over (and never open) non-containing blocks.
+// It returns false if no such posting exists. A target inside the open
+// block (its last document is the block's lastDoc) is searched for among
+// the block's packed docs; otherwise the blocks not yet visited are
+// binary-searched for the first whose lastDoc reaches target, and that
+// one is opened and searched the same way.
 func (it *Iterator) SkipTo(target int32) bool {
-	if it.j < it.n {
-		if it.docs[it.j] >= target {
-			return true
-		}
-		if target <= it.docs[it.n-1] {
-			it.j = searchDocs(it.docs[:it.n], it.j+1, target)
-			return true
-		}
-	}
 	blocks := it.pl.blocks
+	if it.j < it.n && target <= blocks[it.bi].lastDoc {
+		it.j = it.search(it.j, target)
+		return true
+	}
 	lo, hi := min(it.bi+1, len(blocks)), len(blocks)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -462,18 +381,31 @@ func (it *Iterator) SkipTo(target int32) bool {
 		it.exhaust()
 		return false
 	}
-	it.decodeBlock(lo)
-	it.j = searchDocs(it.docs[:it.n], 0, target) // < n: the block's lastDoc >= target
+	it.openBlock(lo)
+	it.j = it.search(0, target)
 	return true
 }
 
-// searchDocs returns the first i >= lo with docs[i] >= target, or
-// len(docs) when there is none.
-func searchDocs(docs []int32, lo int, target int32) int {
-	hi := len(docs)
+// search returns the first posting i >= lo of the open block whose doc
+// reaches target. The block's last doc is its lastDoc, which the caller
+// has checked reaches target, so the answer is below n. It gallops —
+// probing lo, lo+1, lo+3, lo+7, … — before it bisects, because most skips
+// land a posting or two ahead: a pruned cursor is probed at a candidate
+// from a rarer list, which its own denser list reaches soon.
+func (it *Iterator) search(lo int, target int32) int {
+	hi := it.n - 1
+	docs, w, low := it.docs, it.docW, it.low
+	for start, step := lo, 1; lo < hi; step *= 2 {
+		p := min(start+step-1, hi)
+		if low+int32(packedAt(docs, p, w)) >= target {
+			hi = p
+			break
+		}
+		lo = p + 1
+	}
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if docs[m] < target {
+		if low+int32(packedAt(docs, m, w)) < target {
 			lo = m + 1
 		} else {
 			hi = m
@@ -482,9 +414,100 @@ func searchDocs(docs []int32, lo int, target int32) int {
 	return lo
 }
 
-// BytesDecoded returns the encoded bytes this iterator has decoded so
-// far — the per-query cost unit dynamic pruning exists to reduce.
+// BytesDecoded returns the encoded bytes of the blocks this iterator has
+// opened so far — the per-query cost unit dynamic pruning exists to
+// reduce.
 func (it *Iterator) BytesDecoded() int64 { return it.bytes }
+
+// validate walks every block of pl, a list of bs postings per block over
+// numDocs documents, the way the iterator reads it, and returns an error
+// for anything the iterator would read out of bounds or read wrong: a
+// missing tail pad, a width over 32 doc bits or 31 TF bits, a section
+// that runs past its block, docs that are not strictly increasing inside
+// [0, numDocs) or whose last is not the block's lastDoc, a TF past
+// MaxInt32, positions that do not parse to the block's end. The block
+// table itself (counts, ascending offsets and last docs) is the caller's
+// to check. emit, when not nil, receives each posting with its positions.
+func (pl *postingList) validate(bs, numDocs int, emit func(Posting)) error {
+	data := pl.data
+	if pl.count == 0 {
+		if len(data) != 0 {
+			return fmt.Errorf("%d bytes of data for no postings", len(data))
+		}
+		return nil
+	}
+	end := len(data) - tailPad
+	if end < 0 || slices.ContainsFunc(data[end:], func(c byte) bool { return c != 0 }) {
+		return errors.New("data does not end with the zero tail pad")
+	}
+	if pl.blocks[0].offset != 0 {
+		return fmt.Errorf("block 0 starts at byte %d", pl.blocks[0].offset)
+	}
+	prev := int64(-1)
+	for b, m := range pl.blocks {
+		off, blockEnd := int(m.offset), end
+		if b+1 < len(pl.blocks) {
+			blockEnd = int(pl.blocks[b+1].offset)
+		}
+		if off+2 > blockEnd {
+			return fmt.Errorf("block %d: header runs past the block", b)
+		}
+		docW, tfW := uint(data[off]), uint(data[off+1])
+		if docW > 32 || tfW > 31 {
+			return fmt.Errorf("block %d: widths %d/%d bits", b, docW, tfW)
+		}
+		n := min(bs, pl.count-b*bs)
+		docOff := off + 2
+		tfOff := docOff + packedLen(n, docW)
+		p := tfOff + packedLen(n, tfW)
+		if p > blockEnd {
+			return fmt.Errorf("block %d: packed sections run past the block", b)
+		}
+		base := prev
+		for i := range n {
+			d := base + 1 + int64(packedAt(data[docOff:], i, docW))
+			if d <= prev || d >= int64(numDocs) {
+				return fmt.Errorf("block %d: doc %d after %d over %d documents", b, d, prev, numDocs)
+			}
+			prev = d
+			tf := 1 + int64(packedAt(data[tfOff:], i, tfW))
+			if tf > math.MaxInt32 {
+				return fmt.Errorf("block %d: term frequency %d", b, tf)
+			}
+			np, w := binary.Uvarint(data[p:blockEnd])
+			if w <= 0 || np > uint64(blockEnd-p-w) {
+				return fmt.Errorf("block %d: position count does not fit the block", b)
+			}
+			p += w
+			var pos []int32
+			if emit != nil {
+				pos = make([]int32, 0, np)
+			}
+			var at int64
+			for range np {
+				delta, w := binary.Uvarint(data[p:blockEnd])
+				if w <= 0 || delta > math.MaxInt32 || at+int64(delta) > math.MaxInt32 {
+					return fmt.Errorf("block %d: positions do not fit the block", b)
+				}
+				p += w
+				at += int64(delta)
+				if emit != nil {
+					pos = append(pos, int32(at))
+				}
+			}
+			if emit != nil {
+				emit(Posting{Doc: int32(d), TF: int32(tf), Pos: pos})
+			}
+		}
+		if prev != int64(m.lastDoc) {
+			return fmt.Errorf("block %d: last doc %d, the table says %d", b, prev, m.lastDoc)
+		}
+		if p != blockEnd {
+			return fmt.Errorf("block %d: positions end at byte %d, the block at %d", b, p, blockEnd)
+		}
+	}
+	return nil
+}
 
 // ScoreMeta returns the score-bound summary of the underlying list, the
 // same one Index.TermScoreMeta reads from the dictionary.

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,8 +13,8 @@ import (
 )
 
 // randPostings draws a posting list with the given gap profile: small
-// gaps make dense multi-block lists, large gaps stress the group-varint
-// width selection, mixed gaps cross byte-length boundaries mid-group.
+// gaps make dense multi-block lists, large gaps widen the packed doc
+// sections, mixed gaps vary the width from block to block.
 func randPostings(rng *rand.Rand, n, maxGap int) []Posting {
 	ps := make([]Posting, n)
 	doc := int32(0)
@@ -180,9 +182,10 @@ func TestBlockMetadataInvariants(t *testing.T) {
 }
 
 // TestIteratorBytesDecodedCharges pins the decode accounting SkipTo's
-// savings are measured in: a full walk charges every data byte (or just
-// the doc+TF sections when positions are skipped), while a SkipTo into
-// the last block charges only the blocks actually decoded.
+// savings are measured in: a full walk charges every block byte — all of
+// data but the tail pad — (or just the headers and doc+TF sections when
+// positions are skipped), while a SkipTo into the last block charges only
+// the blocks actually opened.
 func TestIteratorBytesDecodedCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	const bs = 16
@@ -192,16 +195,16 @@ func TestIteratorBytesDecodedCharges(t *testing.T) {
 	it := newIterator(&pl, bs, true)
 	for it.Next() {
 	}
-	if it.BytesDecoded() != int64(len(pl.data)) {
-		t.Fatalf("positional full walk decoded %d bytes, data is %d", it.BytesDecoded(), len(pl.data))
+	if it.BytesDecoded() != int64(len(pl.data)-tailPad) {
+		t.Fatalf("positional full walk decoded %d bytes, data is %d with a %d-byte pad", it.BytesDecoded(), len(pl.data), tailPad)
 	}
 
 	it = newIterator(&pl, bs, false)
 	for it.Next() {
 	}
 	full := it.BytesDecoded()
-	if full <= 0 || full >= int64(len(pl.data)) {
-		t.Fatalf("doc+TF walk decoded %d bytes, want within (0, %d)", full, len(pl.data))
+	if full <= 0 || full >= int64(len(pl.data)-tailPad) {
+		t.Fatalf("doc+TF walk decoded %d bytes, want within (0, %d)", full, len(pl.data)-tailPad)
 	}
 
 	it = newIterator(&pl, bs, false)
@@ -213,30 +216,35 @@ func TestIteratorBytesDecodedCharges(t *testing.T) {
 	}
 }
 
-// blockCharge is what decoding block b of pl (bs postings per block)
-// costs in BytesDecoded: the whole block when positions are materialized,
-// else its doc and TF sections, sized here from ps by the layout rules.
-func blockCharge(pl *postingList, ps []Posting, bs int, withPos bool, b int) int64 {
-	if withPos {
-		end := len(pl.data)
-		if b+1 < len(pl.blocks) {
-			end = int(pl.blocks[b+1].offset)
-		}
-		return int64(end - int(pl.blocks[b].offset))
-	}
+// blockCharge is what opening block b of ps (bs postings per block) costs
+// in BytesDecoded, sized here from the postings by the layout rules: two
+// width bytes and the doc and TF sections packed at the block's widths,
+// plus the positions section when positions are materialized.
+func blockCharge(ps []Posting, bs int, withPos bool, b int) int64 {
 	block := ps[b*bs : min((b+1)*bs, len(ps))]
-	var prev int32
+	base := int32(-1)
 	if b > 0 {
-		prev = ps[b*bs-1].Doc
+		base = ps[b*bs-1].Doc
 	}
-	gaps := make([]uint32, len(block))
-	var tfBytes int
-	for i, p := range block {
-		gaps[i] = uint32(p.Doc - prev)
-		prev = p.Doc
-		tfBytes += len(binary.AppendUvarint(nil, uint64(p.TF)))
+	var maxTF int32
+	var posBytes int
+	for _, p := range block {
+		maxTF = max(maxTF, p.TF)
+		posBytes += len(binary.AppendUvarint(nil, uint64(len(p.Pos))))
+		var prev int32
+		for _, pos := range p.Pos {
+			posBytes += len(binary.AppendUvarint(nil, uint64(pos-prev)))
+			prev = pos
+		}
 	}
-	return int64(len(appendGroupVarint(nil, gaps)) + tfBytes)
+	docW := bits.Len32(uint32(block[len(block)-1].Doc - base - 1))
+	tfW := bits.Len32(uint32(maxTF - 1))
+	n := len(block)
+	charge := 2 + (n*docW+7)/8 + (n*tfW+7)/8
+	if withPos {
+		charge += posBytes
+	}
+	return int64(charge)
 }
 
 // TestIteratorInterleavings is the seeded property test of the cursor
@@ -316,7 +324,7 @@ func TestIteratorInterleavings(t *testing.T) {
 			}
 			var charge int64
 			for b := range landed {
-				charge += blockCharge(&pl, all, bs, withPos, b)
+				charge += blockCharge(all, bs, withPos, b)
 			}
 			if it.BytesDecoded() != charge {
 				t.Fatalf("trial %d block size %d withPos %v: BytesDecoded %d, the %d blocks landed in charge %d", trial, bs, withPos, it.BytesDecoded(), len(landed), charge)
@@ -325,19 +333,58 @@ func TestIteratorInterleavings(t *testing.T) {
 	}
 }
 
-// FuzzGroupVarint: any gap list survives appendGroupVarint and
-// decodeGroupVarint, wherever in data it starts and however few bytes
-// follow it — in particular when its last groups end within the 17
-// bytes of the end of data where word loads give way to the byte loop.
-// Values are drawn from raw four bytes at a time, shifted right by their
-// own low five bits so every encoded length occurs.
+// FuzzPacked: values packed at any width 0–32 read back through packedAt,
+// wherever in data the section starts, with the section followed only by
+// a tail pad's worth of bytes — so the last value's 8-byte load ends at
+// the end of data — whatever those bytes hold. Values are drawn from raw
+// four bytes at a time and masked to the width.
+func FuzzPacked(f *testing.F) {
+	seed := make([]byte, 0, 96)
+	for v := uint32(1); len(seed) < cap(seed); v = v*2654435761 + 1 {
+		seed = binary.LittleEndian.AppendUint32(seed, v)
+	}
+	ones := bytes.Repeat([]byte{0xff}, 20)
+	for w := uint8(0); w <= 32; w++ {
+		f.Add(seed, w, w%8, uint8(0))
+		f.Add(seed[:4*int(w%6)], w, uint8(1), uint8(0xff))
+		f.Add(ones, w, uint8(7), uint8(0xa5))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, width, lead, fill uint8) {
+		w := uint(width % 33)
+		vals := make([]uint32, len(raw)/4)
+		for i := range vals {
+			vals[i] = uint32(uint64(binary.LittleEndian.Uint32(raw[4*i:])) & (1<<w - 1))
+		}
+		data := bytes.Repeat([]byte{^fill}, int(lead%8))
+		start := len(data)
+		data = appendPacked(data, vals, w)
+		if got := len(data) - start; got != packedLen(len(vals), w) {
+			t.Fatalf("%d values at %d bits packed into %d bytes, packedLen says %d", len(vals), w, got, packedLen(len(vals), w))
+		}
+		data = append(data, bytes.Repeat([]byte{fill}, tailPad)...)
+		for i, v := range vals {
+			if got := packedAt(data[start:], i, w); got != v {
+				t.Fatalf("value %d of %d at %d bits: read %#x, packed %#x", i, len(vals), w, got, v)
+			}
+		}
+	})
+}
+
+// FuzzGroupVarint: any gap list survives the block encoder, validate and
+// a Next and a SkipTo walk, whatever the gaps' bit lengths and however
+// the block size cuts them — in particular when the last block's packed
+// values end at the tail pad, the end of data. The target keeps the name
+// and the seeds of the group-varint codec the packed doc section
+// replaced: values are drawn from raw four bytes at a time, shifted right
+// by their own low five bits so every docW occurs, and a doc that would
+// pass math.MaxInt32 ends the list. lead picks the block size and trail
+// the TF width, 0–31 bits.
 func FuzzGroupVarint(f *testing.F) {
 	seed := make([]byte, 0, 96)
 	for v := uint32(1); len(seed) < cap(seed); v = v*2654435761 + 1 {
 		seed = binary.LittleEndian.AppendUint32(seed, v)
 	}
-	// Three 4-byte values and a 1-byte one: the group whose last word
-	// load reaches furthest past its own bytes.
+	// Three 31-bit gaps and a 1-bit one: the widest docs a block holds.
 	widest := []byte{0xe0, 0xff, 0xff, 0xff, 0xe0, 0xff, 0xff, 0xff, 0xe0, 0xff, 0xff, 0xff, 1, 0, 0, 0}
 	for trail := uint8(0); trail <= 18; trail++ {
 		f.Add(seed, trail%4, trail)
@@ -345,24 +392,96 @@ func FuzzGroupVarint(f *testing.F) {
 		f.Add(widest, uint8(0), trail)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, lead, trail uint8) {
-		vals := make([]uint32, len(raw)/4)
-		for i := range vals {
-			v := binary.LittleEndian.Uint32(raw[4*i:])
-			vals[i] = v >> (v & 31)
+		var ps []Posting
+		doc := int64(-1)
+		for i := 0; i+4 <= len(raw); i += 4 {
+			v := binary.LittleEndian.Uint32(raw[i:])
+			if doc += 1 + int64(v>>(v&31)); doc > math.MaxInt32 {
+				break
+			}
+			tf := max(1, int32(v>>1>>(31-trail%32)))
+			ps = append(ps, Posting{Doc: int32(doc), TF: tf})
 		}
-		data := make([]byte, lead%8, 64)
-		start := len(data)
-		data = appendGroupVarint(data, vals)
-		end := len(data)
-		for range trail % 32 {
-			data = append(data, 0xff)
+		if len(ps) == 0 {
+			return
 		}
-		out := make([]uint32, len(vals))
-		if got := decodeGroupVarint(data, start, len(vals), out); got != end {
-			t.Fatalf("%d values, %d trailing bytes: decode ended at %d, encoding at %d", len(vals), trail%32, got, end)
+		bs := 1 + int(lead%8)
+		pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+		var got []Posting
+		if err := pl.validate(bs, int(ps[len(ps)-1].Doc)+1, func(p Posting) { got = append(got, p) }); err != nil {
+			t.Fatalf("%d postings, block size %d: validate refused the encoder's own list: %v", len(ps), bs, err)
 		}
-		if !slices.Equal(out, vals) {
-			t.Fatalf("%d trailing bytes: decoded %v, encoded %v", trail%32, out, vals)
+		same := func(a, b Posting) bool { return a.Doc == b.Doc && a.TF == b.TF }
+		if !slices.EqualFunc(got, ps, same) {
+			t.Fatalf("block size %d: validate decoded %v, encoded %v", bs, got, ps)
+		}
+		it := newIterator(&pl, bs, false)
+		for i, p := range ps {
+			if !it.Next() || !same(it.Posting(), p) {
+				t.Fatalf("block size %d: Next walk diverges at posting %d of %d", bs, i, len(ps))
+			}
+		}
+		if it.Next() {
+			t.Fatalf("block size %d: Next walk runs past %d postings", bs, len(ps))
+		}
+		it = newIterator(&pl, bs, false)
+		for i, p := range ps {
+			if !it.SkipTo(p.Doc) || !same(it.Posting(), p) {
+				t.Fatalf("block size %d: SkipTo(%d) misses posting %d of %d", bs, p.Doc, i, len(ps))
+			}
+		}
+	})
+}
+
+// FuzzBlockDecode: a well-formed list whose block bytes are overwritten
+// behind its unchanged block table either fails validate, or reads back
+// through the iterator — a Next walk and a SkipTo walk, with and without
+// positions — exactly as validate's own walk decoded it. Never a panic,
+// never a posting validate did not vouch for.
+func FuzzBlockDecode(f *testing.F) {
+	for shape := range uint8(16) {
+		f.Add(shape, uint16(0), []byte{})
+		f.Add(shape, uint16(shape)*7, []byte{0x21})
+		f.Add(shape, uint16(2), []byte{0xff, 0xff, 0xff, 0xff})
+		f.Add(shape, uint16(1), []byte{0x1f})
+		f.Add(shape, uint16(0xffff), []byte{1})
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, at uint16, patch []byte) {
+		rng := rand.New(rand.NewSource(int64(shape)))
+		bs := []int{1, 3, 16, 128}[shape%4]
+		ps := randPostings(rng, 1+rng.Intn(300), []int{1, 4, 300, 1 << 20}[shape/4%4])
+		pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+		copy(pl.data[int(at)%len(pl.data):], patch)
+		var want []Posting
+		if err := pl.validate(bs, int(ps[len(ps)-1].Doc)+1, func(p Posting) { want = append(want, p) }); err != nil {
+			return
+		}
+		if len(want) != len(ps) {
+			t.Fatalf("validate accepted %d postings of %d", len(want), len(ps))
+		}
+		same := func(got, want Posting, withPos bool) bool {
+			return got.Doc == want.Doc && got.TF == want.TF && (!withPos || slices.Equal(got.Pos, want.Pos))
+		}
+		for _, withPos := range []bool{false, true} {
+			it := newIterator(&pl, bs, withPos)
+			for i := range want {
+				if !it.Next() || !same(it.Posting(), want[i], withPos) {
+					t.Fatalf("withPos %v: Next walk diverges from validate at posting %d of %d", withPos, i, len(want))
+				}
+			}
+			if it.Next() {
+				t.Fatalf("withPos %v: Next walk runs past validate's %d postings", withPos, len(want))
+			}
+			it, cur := newIterator(&pl, bs, withPos), 0
+			for i := rng.Intn(3); i < len(want); i += 1 + rng.Intn(2*bs) {
+				target := want[i].Doc - int32(rng.Intn(2))
+				for want[cur].Doc < target {
+					cur++
+				}
+				if !it.SkipTo(target) || !same(it.Posting(), want[cur], withPos) {
+					t.Fatalf("withPos %v: SkipTo(%d) diverges from validate's posting %d", withPos, target, cur)
+				}
+			}
 		}
 	})
 }
