@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"dwr/internal/experiments"
@@ -101,20 +102,82 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// TestScenariosReplay runs every registered scenario twice at a tiny
-// config: the report must be well formed, every invariant true, and the
-// counters of the two runs identical — they are what -check holds to 1%.
+// scenarioPair is one scenario run twice, the way -check runs it: first
+// from its tiny config at GOMAXPROCS 1, then at GOMAXPROCS 8 (the
+// engines' one fan-out width) from the config the first artifact
+// recorded. Each report is read back from the artifact it wrote.
+// TestScenariosReplay and TestCountersIgnoreWorkers both assert on the
+// one pair, made once per scenario.
+type scenarioPair struct {
+	once          sync.Once
+	first, second report
+	err           error
+}
+
+// pairs is filled as subtests ask; no test here runs in parallel with
+// another, so neither the map nor the process-wide GOMAXPROCS is shared.
+var pairs = map[string]*scenarioPair{}
+
+func runPair(t *testing.T, s scenario) (first, second report) {
+	t.Helper()
+	p := pairs[s.name]
+	if p == nil {
+		p = new(scenarioPair)
+		pairs[s.name] = p
+	}
+	p.once.Do(func() {
+		dir, err := os.MkdirTemp("", "dwrbench-pair")
+		if err != nil {
+			p.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		measure := func(procs int, config []byte) (report, error) {
+			runtime.GOMAXPROCS(procs)
+			rep, err := s.run(io.Discard, config)
+			if err == nil {
+				_, err = rep.write(dir)
+			}
+			if err != nil {
+				return report{}, err
+			}
+			return loadReport(dir, s.name)
+		}
+		if p.first, p.err = measure(1, []byte(tinyConfigs[s.name])); p.err == nil {
+			p.second, p.err = measure(8, p.first.Config)
+		}
+	})
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	return p.first, p.second
+}
+
+// sameCounters fails t unless the two reports hold the same rows with
+// identical counters — what -check holds to 1%.
+func sameCounters(t *testing.T, first, second report) {
+	t.Helper()
+	if len(second.Rows) != len(first.Rows) {
+		t.Fatalf("%d rows, then %d", len(first.Rows), len(second.Rows))
+	}
+	for i, r := range first.Rows {
+		if r.Name != second.Rows[i].Name || !reflect.DeepEqual(r.Counters, second.Rows[i].Counters) {
+			t.Errorf("row %q counters differ between two runs:\n%v\n%s %v", r.Name, r.Counters, second.Rows[i].Name, second.Rows[i].Counters)
+		}
+	}
+}
+
+// TestScenariosReplay: every registered scenario's pair is well formed,
+// every invariant of both runs is true, the recorded config reproduces
+// itself, and the two runs report identical counters.
 func TestScenariosReplay(t *testing.T) {
 	if len(tinyConfigs) != len(scenarios) {
 		t.Fatalf("%d tiny configs for %d registered scenarios", len(tinyConfigs), len(scenarios))
 	}
 	for _, s := range scenarios {
 		t.Run(s.name, func(t *testing.T) {
-			overlay := []byte(tinyConfigs[s.name])
-			first, err := s.run(io.Discard, overlay)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first, second := runPair(t, s)
 			if first.Scenario != s.name || len(first.Rows) == 0 {
 				t.Fatalf("malformed report: scenario %q, %d rows", first.Scenario, len(first.Rows))
 			}
@@ -132,25 +195,15 @@ func TestScenariosReplay(t *testing.T) {
 			if gated == 0 {
 				t.Error("no counters: nothing for -check to hold")
 			}
-			if bad := diff(first, first, 0); len(bad) != 0 {
-				t.Errorf("invariants violated: %q", bad)
-			}
-			// The effective config a report records must reproduce it.
-			second, err := s.run(io.Discard, first.Config)
-			if err != nil {
-				t.Fatal(err)
+			for _, rep := range []report{first, second} {
+				if bad := diff(rep, rep, 0); len(bad) != 0 {
+					t.Errorf("invariants violated: %q", bad)
+				}
 			}
 			if !bytes.Equal(first.Config, second.Config) {
 				t.Errorf("config did not round-trip: %s then %s", first.Config, second.Config)
 			}
-			if len(second.Rows) != len(first.Rows) {
-				t.Fatalf("%d rows, then %d", len(first.Rows), len(second.Rows))
-			}
-			for i, r := range first.Rows {
-				if !reflect.DeepEqual(r.Counters, second.Rows[i].Counters) {
-					t.Errorf("row %q counters differ between two runs:\n%v\n%v", r.Name, r.Counters, second.Rows[i].Counters)
-				}
-			}
+			sameCounters(t, first, second)
 		})
 	}
 }
@@ -314,39 +367,10 @@ func TestEveryScenarioHasItsArtifact(t *testing.T) {
 func TestCountersIgnoreWorkers(t *testing.T) {
 	for _, s := range scenarios {
 		t.Run(s.name, func(t *testing.T) {
-			rows := func(procs int) []row {
-				setProcs(t, procs)
-				dir := t.TempDir()
-				var stdout, stderr bytes.Buffer
-				args := []string{"-run", s.name, "-config", tinyConfigs[s.name], "-benchdir", dir}
-				if code := run(args, &stdout, &stderr); code != 0 {
-					t.Fatalf("%q exited %d: %s", args, code, stderr.String())
-				}
-				rep, err := loadReport(dir, s.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep.Rows
-			}
-			serial, wide := rows(1), rows(8)
-			if len(serial) != len(wide) {
-				t.Fatalf("%d rows at GOMAXPROCS 1, %d at GOMAXPROCS 8", len(serial), len(wide))
-			}
-			for i, r := range serial {
-				if r.Name != wide[i].Name || !reflect.DeepEqual(r.Counters, wide[i].Counters) {
-					t.Errorf("row %q differs between GOMAXPROCS 1 and 8:\n%v\n%s %v", r.Name, r.Counters, wide[i].Name, wide[i].Counters)
-				}
-			}
+			serial, wide := runPair(t, s)
+			sameCounters(t, serial, wide)
 		})
 	}
-}
-
-// setProcs runs the rest of the test at GOMAXPROCS n, the engines' one
-// fan-out width; t.Cleanup restores the old value. No test here runs in
-// parallel with another, so the process-wide setting is its own.
-func setProcs(t testing.TB, n int) {
-	old := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // TestGoBenchmarksNameATracedMetric holds the rule for keeping a Go

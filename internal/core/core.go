@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"dwr/internal/crawler"
@@ -20,7 +19,6 @@ import (
 	"dwr/internal/qproc"
 	"dwr/internal/querylog"
 	"dwr/internal/randx"
-	"dwr/internal/rank"
 	"dwr/internal/selection"
 	"dwr/internal/simweb"
 	"dwr/internal/textproc"
@@ -134,12 +132,18 @@ func (e *Engine) partitionAndIndex() error {
 	case PartitionKMeans:
 		e.Partition = partition.KMeansDocs(rng, e.docVectors(), cfg.Partitions, 15)
 	case PartitionQueryDriven:
-		res, train, err := e.trainQueryDriven(rng)
+		// Co-cluster documents by the queries of a generated training
+		// log that retrieve them on a central index.
+		lcfg := querylog.DefaultConfig()
+		lcfg.Seed = cfg.Seed + 13
+		lcfg.Total = trainQueries
+		lcfg.Distinct = trainQueries / 8
+		central, err := index.Build(cfg.Index, e.Docs)
 		if err != nil {
 			return err
 		}
-		e.Partition = res.Partition
-		e.Selector = selection.NewQueryDriven(res, train)
+		res, sel := selection.Train(rng, querylog.Generate(e.Web, lcfg).Queries, central, ids, cfg.Partitions)
+		e.Partition, e.Selector = res.Partition, sel
 	default:
 		e.Partition = partition.RoundRobinDocs(ids, cfg.Partitions)
 	}
@@ -189,39 +193,6 @@ func (e *Engine) docVectors() []partition.DocVector {
 // trainQueries is the size of the training log PartitionQueryDriven
 // co-clusters documents by.
 const trainQueries = 4000
-
-// trainQueryDriven generates a training log, evaluates it on a central
-// index, and co-clusters documents by the queries that retrieve them.
-func (e *Engine) trainQueryDriven(rng *rand.Rand) (partition.CoClusterResult, []partition.QueryDocs, error) {
-	lcfg := querylog.DefaultConfig()
-	lcfg.Seed = e.Config.Seed + 13
-	lcfg.Total = trainQueries
-	lcfg.Distinct = trainQueries / 8
-	lg := querylog.Generate(e.Web, lcfg)
-
-	central, err := index.Build(e.Config.Index, e.Docs)
-	if err != nil {
-		return partition.CoClusterResult{}, nil, err
-	}
-	scorer := rank.NewScorer(rank.FromIndex(central))
-
-	seen := make(map[string]bool)
-	var train []partition.QueryDocs
-	for _, q := range lg.Queries {
-		if seen[q.Key] {
-			continue
-		}
-		seen[q.Key] = true
-		rs, _ := rank.EvaluateOR(central, scorer, q.Terms, 20)
-		docs := make([]int, len(rs))
-		for i, r := range rs {
-			docs[i] = r.Doc
-		}
-		train = append(train, partition.QueryDocs{Key: q.Key, Terms: q.Terms, Docs: docs})
-	}
-	res := partition.CoClusterDocs(rng, train, index.DocIDs(e.Docs), e.Config.Partitions, 15)
-	return res, train, nil
-}
 
 // SearchResult is one answer to a user query.
 type SearchResult struct {

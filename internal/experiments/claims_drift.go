@@ -3,7 +3,6 @@ package experiments
 import (
 	"dwr/internal/index"
 	"dwr/internal/metrics"
-	"dwr/internal/partition"
 	"dwr/internal/querylog"
 	"dwr/internal/randx"
 	"dwr/internal/rank"
@@ -41,22 +40,6 @@ func Claim16DriftReconfiguration() *Result {
 		return docs
 	}
 
-	// train builds a query-driven partition + selector from a window of
-	// query instances.
-	train := func(queries []querylog.Query, seed int64) (partition.CoClusterResult, *selection.QueryDriven) {
-		seen := map[string]bool{}
-		var td []partition.QueryDocs
-		for _, q := range queries {
-			if seen[q.Key] || len(td) >= 500 {
-				continue
-			}
-			seen[q.Key] = true
-			td = append(td, partition.QueryDocs{Key: q.Key, Terms: q.Terms, Docs: topDocs(q.Terms, 10)})
-		}
-		cc := partition.CoClusterDocs(randx.New(seed), td, index.DocIDs(f.docs), k, 12)
-		return cc, selection.NewQueryDriven(cc, td)
-	}
-
 	// Initial model from week 1.
 	var week1 []querylog.Query
 	for _, q := range lg.Queries {
@@ -64,7 +47,8 @@ func Claim16DriftReconfiguration() *Result {
 			week1 = append(week1, q)
 		}
 	}
-	ccFixed, selFixed := train(week1, 5)
+	ids := index.DocIDs(f.docs)
+	ccFixed, selFixed := selection.Train(randx.New(5), week1, f.central, ids, k)
 	ccAdapt, selAdapt := ccFixed, selFixed
 
 	detector := querylog.NewDriftDetector(lg.Topics, 400, 0.25)
@@ -88,7 +72,7 @@ func Claim16DriftReconfiguration() *Result {
 			recent = recent[len(recent)-3000:]
 		}
 		if detector.Observe(q.Topic) {
-			ccAdapt, selAdapt = train(recent, int64(100+retrained))
+			ccAdapt, selAdapt = selection.Train(randx.New(int64(100+retrained)), recent, f.central, ids, k)
 			retrained++
 		}
 		w := q.Day / 7

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"sort"
 	"time"
 
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
 	"dwr/internal/qproc"
-	"dwr/internal/querylog"
 	"dwr/internal/randx"
 	"dwr/internal/rank"
 	"dwr/internal/selection"
@@ -132,46 +130,10 @@ func Claim8CollectionSelection() *Result {
 	f := sharedFixture()
 	r := newResult("C8")
 	const k = 16
-	rng := randx.New(9)
 	scorer := rank.NewScorer(rank.FromIndex(f.central))
 
-	// Training: the 600 most frequent distinct train queries → their true
-	// top-10. Real logs concentrate on a popularity head, so this cap
-	// keeps both the Web-scale property that much of the collection is
-	// never recalled and high instance coverage of future traffic.
-	freq := make(map[string]int)
-	firstSeen := make(map[string]querylog.Query)
-	for _, q := range f.train.Queries {
-		freq[q.Key]++
-		if _, ok := firstSeen[q.Key]; !ok {
-			firstSeen[q.Key] = q
-		}
-	}
-	keys := make([]string, 0, len(freq))
-	for k2 := range freq {
-		keys = append(keys, k2)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if freq[keys[a]] != freq[keys[b]] {
-			return freq[keys[a]] > freq[keys[b]]
-		}
-		return keys[a] < keys[b]
-	})
-	if len(keys) > 600 {
-		keys = keys[:600]
-	}
-	var train []partition.QueryDocs
-	for _, key := range keys {
-		q := firstSeen[key]
-		rs, _ := rank.EvaluateOR(f.central, scorer, q.Terms, 10)
-		docs := make([]int, len(rs))
-		for i, res := range rs {
-			docs[i] = res.Doc
-		}
-		train = append(train, partition.QueryDocs{Key: q.Key, Terms: q.Terms, Docs: docs})
-	}
-	cc := partition.CoClusterDocs(rng, train, index.DocIDs(f.docs), k, 15)
-	qd := selection.NewQueryDriven(cc, train)
+	// Training: the served rule on the fixture's training days.
+	cc, qd := selection.Train(randx.New(9), f.train.Queries, f.central, index.DocIDs(f.docs), k)
 
 	// CORI and random operate over the same query-driven partition so
 	// only the selector differs.

@@ -195,15 +195,13 @@ type CoClusterResult struct {
 // model. allDocs supplies the full collection so never-recalled
 // documents can be placed too.
 func CoClusterDocs(rng *rand.Rand, train []QueryDocs, allDocs []int, k, iters int) CoClusterResult {
-	// Build doc vectors in query space, weighting each query by its
-	// training frequency.
+	// Build doc vectors in query space: one dimension per distinct
+	// training query key, unweighted by how often the key was asked.
 	queryID := make(map[string]int)
-	queryFreq := make(map[string]float64)
 	for _, q := range train {
 		if _, ok := queryID[q.Key]; !ok {
 			queryID[q.Key] = len(queryID)
 		}
-		queryFreq[q.Key]++
 	}
 	docVec := make(map[int]map[int]float64)
 	for _, q := range train {

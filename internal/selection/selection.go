@@ -18,7 +18,9 @@ import (
 
 	"dwr/internal/index"
 	"dwr/internal/partition"
+	"dwr/internal/querylog"
 	"dwr/internal/randx"
+	"dwr/internal/rank"
 )
 
 // Selector ranks partitions for a query, best first. Every selector
@@ -153,9 +155,46 @@ type QueryDriven struct {
 	fallback []float64 // partition sizes, normalized
 }
 
-// NewQueryDriven builds the selector from a co-clustering result and the
-// training log it was derived from.
-func NewQueryDriven(res partition.CoClusterResult, train []partition.QueryDocs) *QueryDriven {
+// Train is the one query-driven training rule, the step Puppin et al.
+// (and AlShourbaji et al.'s two-tier selection) build on: the
+// trainHead most frequent distinct queries of the log, ties broken by
+// key, each represented by its top trainTopK documents on the central
+// index, co-clustered over docs into k partitions. Real logs
+// concentrate on a popularity head, so the cap keeps the Web-scale
+// property that much of the collection is never recalled.
+func Train(rng *rand.Rand, queries []querylog.Query, central *index.Index, docs []int, k int) (partition.CoClusterResult, *QueryDriven) {
+	first := make(map[string]querylog.Query)
+	for _, q := range queries {
+		if _, ok := first[q.Key]; !ok {
+			first[q.Key] = q
+		}
+	}
+	scorer := rank.NewScorer(rank.FromIndex(central))
+	var train []partition.QueryDocs
+	for _, key := range (&querylog.Log{Queries: queries}).TopKeys(trainHead) {
+		q := first[key]
+		rs, _ := rank.EvaluateOR(central, scorer, q.Terms, trainTopK)
+		top := make([]int, len(rs))
+		for i, r := range rs {
+			top[i] = r.Doc
+		}
+		train = append(train, partition.QueryDocs{Key: key, Terms: q.Terms, Docs: top})
+	}
+	res := partition.CoClusterDocs(rng, train, docs, k, trainIters)
+	return res, newQueryDriven(res, train)
+}
+
+// The training rule's sizes: how many distinct queries, how many
+// results each, how many co-clustering iterations.
+const (
+	trainHead  = 600
+	trainTopK  = 10
+	trainIters = 15
+)
+
+// newQueryDriven builds the selector from a co-clustering result and the
+// training queries (distinct keys) it was derived from.
+func newQueryDriven(res partition.CoClusterResult, train []partition.QueryDocs) *QueryDriven {
 	k := res.Partition.K
 	qd := &QueryDriven{
 		k:      k,
@@ -168,20 +207,12 @@ func NewQueryDriven(res partition.CoClusterResult, train []partition.QueryDocs) 
 	// query frequency (IDF-style).
 	termQueries := make(map[string]int)
 	for _, q := range train {
-		if _, ok := res.QueryPart[q.Key]; !ok {
-			continue
-		}
 		for _, t := range q.Terms {
 			termQueries[t]++
 		}
 	}
-	seenKey := make(map[string]bool)
 	for _, q := range train {
-		dist, ok := res.QueryPart[q.Key]
-		if !ok || seenKey[q.Key] {
-			continue
-		}
-		seenKey[q.Key] = true
+		dist := res.QueryPart[q.Key]
 		for _, t := range q.Terms {
 			acc := qd.byTerm[t]
 			if acc == nil {

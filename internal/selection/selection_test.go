@@ -3,10 +3,12 @@ package selection
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dwr/internal/index"
 	"dwr/internal/partition"
+	"dwr/internal/querylog"
 )
 
 // buildPartitionedIndexes creates 3 partitions with disjoint vocabularies
@@ -84,7 +86,7 @@ func trainData() (partition.CoClusterResult, []partition.QueryDocs) {
 
 func TestQueryDrivenExactHit(t *testing.T) {
 	res, train := trainData()
-	qd := NewQueryDriven(res, train)
+	qd := newQueryDriven(res, train)
 	q := train[0]
 	ranked := qd.Rank(q.Terms)
 	// The top-ranked partition must hold the plurality of q's docs.
@@ -105,7 +107,7 @@ func TestQueryDrivenExactHit(t *testing.T) {
 
 func TestQueryDrivenTermBackoff(t *testing.T) {
 	res, train := trainData()
-	qd := NewQueryDriven(res, train)
+	qd := newQueryDriven(res, train)
 	// Unseen query sharing the topic term should still route to the
 	// topic's partitions.
 	ranked := qd.Rank([]string{"topic1", "neverseenbefore"})
@@ -133,7 +135,7 @@ func TestQueryDrivenTermBackoff(t *testing.T) {
 
 func TestQueryDrivenFallback(t *testing.T) {
 	res, train := trainData()
-	qd := NewQueryDriven(res, train)
+	qd := newQueryDriven(res, train)
 	ranked := qd.Rank([]string{"utterly", "unknown"})
 	if len(ranked) != 3 {
 		t.Fatalf("fallback rank = %v", ranked)
@@ -167,7 +169,7 @@ func TestRandomSelectorPermutation(t *testing.T) {
 
 func TestRecallAtN(t *testing.T) {
 	res, train := trainData()
-	qd := NewQueryDriven(res, train)
+	qd := newQueryDriven(res, train)
 	q := train[3]
 	// Perfect recall when selecting all partitions.
 	r3 := RecallAtN(qd, q.Terms, q.Docs, res.Partition.Assign, 3)
@@ -216,7 +218,7 @@ func TestQueryDrivenRankDeterministicAcrossReplays(t *testing.T) {
 	}
 	run := func() []string {
 		res, train := trainData()
-		qd := NewQueryDriven(res, train)
+		qd := newQueryDriven(res, train)
 		var out []string
 		for _, q := range queries {
 			out = append(out, fmt.Sprintf("%v", qd.RankScored(q)))
@@ -283,7 +285,7 @@ func TestRandomSeededDeterminism(t *testing.T) {
 // and well-defined.
 func TestRecallAtNEdgeCases(t *testing.T) {
 	res, train := trainData()
-	qd := NewQueryDriven(res, train)
+	qd := newQueryDriven(res, train)
 	q := train[2]
 	// n far beyond K clamps to selecting everything: perfect recall.
 	if r := RecallAtN(qd, q.Terms, q.Docs, res.Partition.Assign, 99); r != 1 {
@@ -295,7 +297,7 @@ func TestRecallAtNEdgeCases(t *testing.T) {
 	}
 	// Empty training set: the selector degrades to the size fallback but
 	// stays usable.
-	empty := NewQueryDriven(partition.CoClusterResult{
+	empty := newQueryDriven(partition.CoClusterResult{
 		Partition: res.Partition,
 		QueryPart: map[string][]float64{},
 	}, nil)
@@ -320,7 +322,7 @@ func TestRecallAtNEdgeCases(t *testing.T) {
 
 func TestQueryDrivenBeatsRandomOnTraining(t *testing.T) {
 	res, train := trainData()
-	qd := NewQueryDriven(res, train)
+	qd := newQueryDriven(res, train)
 	rnd := NewRandom(3, 3)
 	var qdSum, rndSum float64
 	for _, q := range train {
@@ -329,5 +331,89 @@ func TestQueryDrivenBeatsRandomOnTraining(t *testing.T) {
 	}
 	if qdSum <= rndSum {
 		t.Fatalf("query-driven recall %v not above random %v", qdSum, rndSum)
+	}
+}
+
+// TestTrainKeepsTheHeadOfTheLog: Train co-clusters by the 600 most
+// frequent distinct queries, ties broken by key, each contributing its
+// top 10 documents. 700 distinct queries each match 11
+// documents of their own; 590 are asked three times, 30 twice (so the
+// cut falls inside that tie) and 80 once, and the log lists the rarest
+// first so arrival order cannot pass for popularity.
+func TestTrainKeepsTheHeadOfTheLog(t *testing.T) {
+	const distinct, perQuery, head, topK = 700, 11, 600, 10
+	name := func(i int) string { return fmt.Sprintf("q%04d", i*337%1000) }
+	freq := func(i int) int {
+		switch {
+		case i < 590:
+			return 3
+		case i < 620:
+			return 2
+		}
+		return 1
+	}
+	b := index.NewBuilder(index.DefaultOptions())
+	var all []int
+	for i := 0; i < distinct; i++ {
+		for j := 0; j < perQuery; j++ {
+			terms := make([]string, j+1)
+			for n := range terms {
+				terms[n] = name(i)
+			}
+			b.AddDocument(i*perQuery+j, terms)
+			all = append(all, i*perQuery+j)
+		}
+	}
+	var log []querylog.Query
+	for round := 0; round < 3; round++ {
+		for i := distinct - 1; i >= 0; i-- {
+			if freq(i) > round {
+				log = append(log, querylog.Query{Key: name(i), Terms: []string{name(i)}})
+			}
+		}
+	}
+
+	want := map[string]bool{}
+	var tied []string
+	for i := 0; i < distinct; i++ {
+		switch freq(i) {
+		case 3:
+			want[name(i)] = true
+		case 2:
+			tied = append(tied, name(i))
+		}
+	}
+	sort.Strings(tied)
+	for _, key := range tied[:head-len(want)] {
+		want[key] = true
+	}
+
+	res, _ := Train(rand.New(rand.NewSource(1)), log, index.MustBuild(b), all, 4)
+	if len(res.QueryPart) != head {
+		t.Fatalf("trained on %d queries, want %d", len(res.QueryPart), head)
+	}
+	for key := range want {
+		if _, ok := res.QueryPart[key]; !ok {
+			t.Errorf("head query %q not trained on", key)
+		}
+	}
+	never := map[int]bool{}
+	for _, d := range res.NeverRecalled {
+		never[d] = true
+	}
+	for i := 0; i < distinct; i++ {
+		recalled := 0
+		for j := 0; j < perQuery; j++ {
+			if !never[i*perQuery+j] {
+				recalled++
+			}
+		}
+		wantN := 0
+		if want[name(i)] {
+			wantN = topK
+		}
+		if recalled != wantN {
+			t.Errorf("query %q recalled %d documents, want %d", name(i), recalled, wantN)
+		}
 	}
 }
