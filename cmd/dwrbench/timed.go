@@ -66,8 +66,9 @@ type evalFunc func(q []string, work map[string]float64) []rank.Result
 // speedupRounds is how many interleaved base/run pairs a speedup ratio is
 // the median of. One pass's wall clock is at the mercy of whatever else
 // the host runs at that moment; the median of pairs timed back to back is
-// not. At five rounds, twenty consecutive `dwrbench -check -checktol 0.6
-// -benchdir docs` runs on one commit passed.
+// not. At five rounds, no ratio of thirty consecutive `dwrbench -check
+// -benchdir docs` runs on one commit (a 2-core host) drifted more than
+// 26 % from the committed one; CI holds them to 30 %.
 const speedupRounds = 5
 
 // medianSpeedup times base and run over the queries in speedupRounds

@@ -229,7 +229,7 @@ func (e *Engine) Search(query string, opt SearchOptions) []SearchResult {
 	qr := e.Query.Query(terms, qopt)
 	out := make([]SearchResult, len(qr.Results))
 	for i, r := range qr.Results {
-		out[i] = SearchResult{URL: e.urls[r.Doc], Doc: r.Doc, Score: r.Score}
+		out[i] = SearchResult{URL: e.URLOf(r.Doc), Doc: r.Doc, Score: r.Score}
 	}
 	return out
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sort"
+	"strings"
 
 	"dwr/internal/crawler"
 	"dwr/internal/index"
@@ -17,8 +19,13 @@ type Corpus struct {
 	Web       *simweb.Web
 	Crawler   *crawler.Crawler
 	CrawlInfo crawler.Stats
-	Docs      []index.Doc    // ascending by Ext, the simweb page ID
-	urls      map[int]string // doc ext ID -> URL
+	Docs      []index.Doc // ascending by Ext, the simweb page ID
+
+	// urls is every document's URL, back to back in ID order; urlEnd[id]
+	// is where page id's URL ends, and the previous entry where it starts
+	// (so a page that is no document spans nothing).
+	urls   string
+	urlEnd []uint32
 }
 
 // Crawl runs the first two modules of the paper's chain: generate the
@@ -39,26 +46,51 @@ func Crawl(cfg Config) (*Corpus, error) {
 func (c *Corpus) parse() error {
 	pages := c.Crawler.Pages()
 	ids := make([]int, 0, len(pages))
-	for pid := range pages {
+	var urls strings.Builder
+	n := 0
+	for pid, p := range pages {
 		ids = append(ids, pid)
+		n += len(p.URL)
+	}
+	if n > math.MaxUint32 {
+		return errors.New("core: the crawl's URLs exceed 4 GiB")
 	}
 	sort.Ints(ids)
-	c.urls = make(map[int]string)
+	urls.Grow(n)
+	if len(ids) > 0 {
+		c.urlEnd = make([]uint32, 0, ids[len(ids)-1]+1)
+	}
 	for _, pid := range ids {
 		p := pages[pid]
-		if d, ok := PageDoc(p); ok {
-			c.Docs = append(c.Docs, d)
-			c.urls[pid] = p.URL
+		d, ok := PageDoc(p)
+		if !ok {
+			continue
 		}
+		c.Docs = append(c.Docs, d)
+		for len(c.urlEnd) < pid {
+			c.urlEnd = append(c.urlEnd, uint32(urls.Len()))
+		}
+		urls.WriteString(p.URL)
+		c.urlEnd = append(c.urlEnd, uint32(urls.Len()))
 	}
 	if len(c.Docs) == 0 {
 		return errors.New("core: crawl produced no indexable documents")
 	}
+	c.urls = urls.String()
 	return nil
 }
 
 // URLOf resolves a document ID to its URL ("" if unknown).
-func (c *Corpus) URLOf(doc int) string { return c.urls[doc] }
+func (c *Corpus) URLOf(doc int) string {
+	if doc < 0 || doc >= len(c.urlEnd) {
+		return ""
+	}
+	start := uint32(0)
+	if doc > 0 {
+		start = c.urlEnd[doc-1]
+	}
+	return c.urls[start:c.urlEnd[doc]]
+}
 
 // PageDoc parses a crawled page into the document the indexers take:
 // the page ID and the tokens of its visible text. ok is false for a

@@ -143,3 +143,53 @@ func TestLiveSealedAnswersLikeStatic(t *testing.T) {
 		t.Fatalf("only %d of 50 log queries matched anything", answered)
 	}
 }
+
+// TestURLTableEdgeCases: the contiguous URL table answers what a map
+// from document ID to URL would. Every document resolves to the web's
+// URL for it; a crawled page with no indexable text, a page the crawl
+// never reached, a negative ID and an ID past the end resolve to "".
+func TestURLTableEdgeCases(t *testing.T) {
+	crawled := crawlCorpus(t, smallConfig())
+	// Every simulated page renders a title, so blank two crawled pages
+	// — the lowest ID and one mid-table — and parse the crawl again.
+	pages := crawled.Crawler.Pages()
+	textless := []int{crawled.Docs[0].Ext, crawled.Docs[len(crawled.Docs)/2].Ext}
+	for _, id := range textless {
+		pages[id].HTML = "<html><body> <p> - </p></body></html>"
+	}
+	c := &Corpus{Web: crawled.Web, Crawler: crawled.Crawler}
+	if err := c.parse(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Docs) != len(crawled.Docs)-len(textless) {
+		t.Fatalf("%d documents after blanking %d of %d", len(c.Docs), len(textless), len(crawled.Docs))
+	}
+	isDoc := make(map[int]bool, len(c.Docs))
+	for _, d := range c.Docs {
+		isDoc[d.Ext] = true
+		if u := c.URLOf(d.Ext); u == "" || u != c.Web.URL(d.Ext) {
+			t.Fatalf("document %d resolves to %q, the web says %q", d.Ext, u, c.Web.URL(d.Ext))
+		}
+	}
+	uncrawled := 0
+	for _, p := range c.Web.Pages {
+		if isDoc[p.ID] {
+			continue
+		}
+		if _, ok := pages[p.ID]; !ok {
+			uncrawled++
+		}
+		if u := c.URLOf(p.ID); u != "" {
+			t.Fatalf("page %d is no document but resolves to %q", p.ID, u)
+		}
+	}
+	if uncrawled == 0 {
+		t.Fatal("the crawl reached every page: no uncrawled ID to check")
+	}
+	last := c.Docs[len(c.Docs)-1].Ext
+	for _, id := range append(textless, -1, -1<<40, last+1, len(c.Web.Pages), 1<<40) {
+		if u := c.URLOf(id); u != "" {
+			t.Fatalf("ID %d resolves to %q", id, u)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package server
 
-import "net/http"
+import (
+	"net/http"
+
+	"dwr/internal/qproc"
+)
 
 // Busy is the number of workers the front-end's queue counts as
 // occupied, for tests that check none leaked.
@@ -20,3 +24,13 @@ func (f *Frontend) ObserveLatency(ms float64) {
 
 // WriteJSON is the handlers' response writer.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, code, v) }
+
+// WriteSearch is the /search success path's response writer.
+func WriteSearch(w http.ResponseWriter, st Status, qr *qproc.QueryResult, resolve func(doc int) string) {
+	writeSearch(w, st, qr, resolve)
+}
+
+// AppendSearch appends the /search body WriteSearch sends to b.
+func AppendSearch(b []byte, st Status, qr *qproc.QueryResult, resolve func(doc int) string) ([]byte, error) {
+	return appendSearch(b, st, qr, resolve)
+}

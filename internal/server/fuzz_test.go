@@ -1,10 +1,19 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/bits"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 
+	"dwr/internal/qproc"
+	"dwr/internal/rank"
 	"dwr/internal/server"
 )
 
@@ -105,6 +114,86 @@ func FuzzRun(f *testing.F) {
 		}
 		if again := run(); !reflect.DeepEqual(rep, again) {
 			t.Fatalf("replay differs:\n%+v\nvs\n%+v", rep, again)
+		}
+	})
+}
+
+// The /search body as it was before the hand-written appender: the
+// differential oracle, encoded by encoding/json through WriteJSON.
+type searchHit struct {
+	Doc   int     `json:"doc"`
+	Score float64 `json:"score"`
+	URL   string  `json:"url,omitempty"`
+}
+
+type searchResponse struct {
+	Status    string      `json:"status"`
+	Results   []searchHit `json:"results,omitempty"`
+	LatencyMs float64     `json:"latency_ms"`
+	Degraded  bool        `json:"degraded,omitempty"`
+	FromCache bool        `json:"from_cache,omitempty"`
+}
+
+// FuzzSearchBody: WriteSearch answers byte for byte what encoding/json
+// answers for the same response — status code, content type and body —
+// for any document ID, any score and latency bit pattern, any status
+// and flags, and URLs that need escaping; and a NaN or an infinity
+// answers the JSON 500. Result i is document doc+i with score bits
+// scoreBits rotated by i; odd documents resolve to no URL, and flag bit
+// 2 unsets the resolver.
+func FuzzSearchBody(f *testing.F) {
+	f.Add(int64(7), math.Float64bits(1.5), math.Float64bits(0.25), uint8(0), uint8(0), uint8(3), "http://h0001.example/p/3")
+	f.Add(int64(-1), math.Float64bits(1e-7), math.Float64bits(1e21), uint8(4), uint8(3), uint8(2), `<a href="x">&amp;</a>`)
+	f.Add(int64(math.MaxInt64-1), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(5e-324), uint8(9), uint8(1), uint8(1), "\x00\x1f\x7f\\\"\t\n")
+	f.Add(int64(2), math.Float64bits(math.NaN()), math.Float64bits(1), uint8(0), uint8(0), uint8(1), "\xff\xfe  é")
+	f.Add(int64(0), math.Float64bits(2), math.Float64bits(math.Inf(-1)), uint8(1), uint8(2), uint8(0), "")
+	f.Add(int64(3), math.Float64bits(123456789.125), math.Float64bits(math.Inf(1)), uint8(5), uint8(4), uint8(4), "u")
+	f.Fuzz(func(t *testing.T, doc int64, scoreBits, latencyBits uint64, status, flags, n uint8, url string) {
+		st := server.Status(status % 8)
+		qr := qproc.QueryResult{LatencyMs: math.Float64frombits(latencyBits),
+			Degraded: flags&1 != 0, FromCache: flags&2 != 0}
+		resolve := func(d int) string {
+			if d&1 != 0 {
+				return ""
+			}
+			return url
+		}
+		if flags&4 != 0 {
+			resolve = nil
+		}
+		want := searchResponse{Status: st.String(), LatencyMs: qr.LatencyMs,
+			Degraded: qr.Degraded, FromCache: qr.FromCache}
+		nonFinite := math.IsNaN(qr.LatencyMs) || math.IsInf(qr.LatencyMs, 0)
+		for i := 0; i < int(n%5); i++ {
+			res := rank.Result{Doc: int(doc) + i, Score: math.Float64frombits(bits.RotateLeft64(scoreBits, i))}
+			qr.Results = append(qr.Results, res)
+			hit := searchHit{Doc: res.Doc, Score: res.Score}
+			if resolve != nil {
+				hit.URL = resolve(res.Doc)
+			}
+			want.Results = append(want.Results, hit)
+			nonFinite = nonFinite || math.IsNaN(res.Score) || math.IsInf(res.Score, 0)
+		}
+
+		old, got := httptest.NewRecorder(), httptest.NewRecorder()
+		server.WriteJSON(old, st.HTTPCode(), want)
+		server.WriteSearch(got, st, &qr, resolve)
+		if got.Code != old.Code || !bytes.Equal(got.Body.Bytes(), old.Body.Bytes()) ||
+			got.Header().Get("Content-Type") != old.Header().Get("Content-Type") {
+			t.Fatalf("appended HTTP %d %q %q\nencoding/json HTTP %d %q %q",
+				got.Code, got.Header().Get("Content-Type"), got.Body.Bytes(),
+				old.Code, old.Header().Get("Content-Type"), old.Body.Bytes())
+		}
+		var body map[string]any
+		if err := json.Unmarshal(got.Body.Bytes(), &body); err != nil {
+			t.Fatalf("body %q is not JSON: %v", got.Body.Bytes(), err)
+		}
+		if nonFinite {
+			if msg, _ := body["error"].(string); got.Code != http.StatusInternalServerError || msg == "" {
+				t.Fatalf("a non-finite value answered HTTP %d %q; want 500 with a JSON error", got.Code, got.Body.Bytes())
+			}
+		} else if cl := got.Header().Get("Content-Length"); cl != strconv.Itoa(got.Body.Len()) {
+			t.Fatalf("Content-Length %q for a %d-byte body", cl, got.Body.Len())
 		}
 	})
 }

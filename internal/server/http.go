@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"dwr/internal/metrics"
 	"dwr/internal/qproc"
@@ -275,20 +276,6 @@ func (f *Frontend) Handler() http.Handler {
 	return mux
 }
 
-type searchHit struct {
-	Doc   int     `json:"doc"`
-	Score float64 `json:"score"`
-	URL   string  `json:"url,omitempty"`
-}
-
-type searchResponse struct {
-	Status    string      `json:"status"`
-	Results   []searchHit `json:"results,omitempty"`
-	LatencyMs float64     `json:"latency_ms"`
-	Degraded  bool        `json:"degraded,omitempty"`
-	FromCache bool        `json:"from_cache,omitempty"`
-}
-
 // maxK bounds the k a /search request may ask for. An unbounded k never
 // fills the top-k heap (so nothing is pruned), mints a result-cache key
 // per distinct value, and lets one response carry the whole collection.
@@ -315,16 +302,112 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		req.K = k
 	}
 	qr, st := f.Serve(r.Context(), req)
-	resp := searchResponse{Status: st.String(), LatencyMs: qr.LatencyMs,
-		Degraded: qr.Degraded, FromCache: qr.FromCache}
-	for _, res := range qr.Results {
-		hit := searchHit{Doc: res.Doc, Score: res.Score}
-		if f.Resolve != nil {
-			hit.URL = f.Resolve(res.Doc)
-		}
-		resp.Results = append(resp.Results, hit)
+	writeSearch(w, st, &qr, f.Resolve)
+}
+
+// searchBodies holds /search bodies while they are appended.
+var searchBodies = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// writeSearch answers a /search request with st and qr, each result's
+// URL from resolve when it is set. The body is appended without
+// reflection and sent with its length, and it is byte for byte what
+// encoding/json writes for
+//
+//	{"status", "results" (omitempty): [{"doc", "score", "url" (omitempty)}],
+//	 "latency_ms", "degraded" (omitempty), "from_cache" (omitempty)}
+//
+// — including the 500 a NaN or infinite score or latency answers.
+func writeSearch(w http.ResponseWriter, st Status, qr *qproc.QueryResult, resolve func(doc int) string) {
+	bp := searchBodies.Get().(*[]byte)
+	defer searchBodies.Put(bp)
+	body, err := appendSearch((*bp)[:0], st, qr, resolve)
+	*bp = body
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, encodingFailed(err))
+		return
 	}
-	writeJSON(w, st.HTTPCode(), resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(st.HTTPCode())
+	_, _ = w.Write(body)
+}
+
+// appendSearch appends writeSearch's body, newline included, to b.
+func appendSearch(b []byte, st Status, qr *qproc.QueryResult, resolve func(doc int) string) ([]byte, error) {
+	var err error
+	b = append(b, `{"status":`...)
+	b = appendJSONString(b, st.String())
+	if len(qr.Results) > 0 {
+		b = append(b, `,"results":[`...)
+		for i, res := range qr.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"doc":`...)
+			b = strconv.AppendInt(b, int64(res.Doc), 10)
+			b = append(b, `,"score":`...)
+			if b, err = appendJSONFloat(b, res.Score); err != nil {
+				return b, err
+			}
+			if resolve != nil {
+				if u := resolve(res.Doc); u != "" {
+					b = append(b, `,"url":`...)
+					b = appendJSONString(b, u)
+				}
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"latency_ms":`...)
+	if b, err = appendJSONFloat(b, qr.LatencyMs); err != nil {
+		return b, err
+	}
+	if qr.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	if qr.FromCache {
+		b = append(b, `,"from_cache":true`...)
+	}
+	return append(b, "}\n"...), nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 with the
+// exponent's leading zero dropped. A NaN or an infinity is
+// encoding/json's error for it.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return b, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// appendJSONString appends s as a JSON string: verbatim when every byte
+// is printable ASCII with no escape, else as json.Marshal writes it, so
+// HTML characters, control bytes, invalid UTF-8 and U+2028/U+2029
+// escape as encoding/json escapes them.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -358,11 +441,16 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		buf.Reset()
 		code = http.StatusInternalServerError
-		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+		_ = json.NewEncoder(buf).Encode(encodingFailed(err))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// A write error means the client went away, which the server loop
 	// handles.
 	_, _ = w.Write(buf.Bytes())
+}
+
+// encodingFailed is the JSON error a 500 for an unencodable body carries.
+func encodingFailed(err error) map[string]string {
+	return map[string]string{"error": "encoding the response: " + err.Error()}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dwr/internal/core"
 	"dwr/internal/qproc"
 	"dwr/internal/rank"
 	"dwr/internal/server"
@@ -414,5 +416,87 @@ func TestFrontendFreeWorkerPathAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() { f.Serve(ctx, req) }); n != 0 {
 		t.Errorf("Serve on a free worker allocates %v times; want 0", n)
+	}
+}
+
+// TestSearchBodyAllocatesNothing pins the /search success path's own
+// cost: a k=100 body appended into a warm buffer, its URLs resolved
+// through the corpus's URL table, allocates nothing, and neither does
+// one URL lookup.
+func TestSearchBodyAllocatesNothing(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Web.Hosts, cfg.Web.MaxPages, cfg.Web.VocabSize = 40, 40, 1500
+	c, err := core.Crawl(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Docs) < 100 {
+		t.Fatalf("%d documents; the test needs 100", len(c.Docs))
+	}
+	qr := qproc.QueryResult{LatencyMs: 0.731, FromCache: true}
+	for i, d := range c.Docs[:100] {
+		qr.Results = append(qr.Results, rank.Result{Doc: d.Ext, Score: 12.5 / float64(i*i*i+1)})
+	}
+	resolve := c.URLOf
+	b, err := server.AppendSearch(nil, server.StatusOK, &qr, resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		b, _ = server.AppendSearch(b[:0], server.StatusOK, &qr, resolve)
+	}); n != 0 {
+		t.Errorf("appending a k=100 body into a warm buffer allocates %v times; want 0", n)
+	}
+	var u string
+	doc := c.Docs[50].Ext
+	if n := testing.AllocsPerRun(1000, func() { u = c.URLOf(doc) }); n != 0 || u == "" {
+		t.Errorf("URLOf(%d) = %q allocates %v times; want a URL and 0", doc, u, n)
+	}
+}
+
+// hitsEngine answers every query with k results.
+type hitsEngine struct{}
+
+func (hitsEngine) QueryTopK(_ []string, k int) qproc.QueryResult {
+	qr := qproc.QueryResult{LatencyMs: 0.5}
+	for i := 0; i < k; i++ {
+		qr.Results = append(qr.Results, rank.Result{Doc: 1000 + i, Score: 9.75 - float64(i)/64})
+	}
+	return qr
+}
+func (e hitsEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
+	return e.QueryTopK(terms, k)
+}
+func (hitsEngine) K() int                   { return 1 }
+func (hitsEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
+func (hitsEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }
+
+// TestSearchSendsItsLength: a k=100 /search body, past net/http's 2 KiB
+// response buffer, still goes out with its Content-Length, not chunked.
+func TestSearchSendsItsLength(t *testing.T) {
+	f := server.NewFrontend(hitsEngine{}, server.Config{Workers: 1})
+	f.Resolve = func(doc int) string { return fmt.Sprintf("http://h%04d.example/page/%d", doc%97, doc) }
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/search?q=a&k=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+		t.Fatalf("HTTP %d, %d-byte body (read: %v); want a 200 past 2 KiB", resp.StatusCode, len(body), err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want its length, unchunked",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	var sr struct {
+		Results []struct {
+			URL string `json:"url"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &sr); err != nil || len(sr.Results) != 100 || sr.Results[99].URL == "" {
+		t.Fatalf("decoded %d results (%v); want 100 with URLs", len(sr.Results), err)
 	}
 }

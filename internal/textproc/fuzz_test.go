@@ -19,6 +19,7 @@ func FuzzParseHTML(f *testing.F) {
 		"\x00\xff<title>bin</title>",
 		"&amp;&nosuch;&",
 		"<><<>><tag attr==val>",
+		"<A 000000000\xff00 href>", // ToLower once grew the \xff and misplaced href
 	}
 	for _, s := range seeds {
 		f.Add(s)

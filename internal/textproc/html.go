@@ -127,26 +127,21 @@ func splitTag(tag string) (name, attrs string, closing bool) {
 // attrValue extracts the value of the named attribute from an attribute
 // string, tolerating single quotes, double quotes, and no quotes at all.
 func attrValue(attrs, name string) (string, bool) {
-	lower := strings.ToLower(attrs)
-	idx := 0
-	for idx < len(lower) {
-		pos := strings.Index(lower[idx:], name)
-		if pos < 0 {
-			return "", false
+	for pos := 0; pos+len(name) <= len(attrs); pos++ {
+		// Fold case in place: strings.ToLower rewrites invalid UTF-8, and
+		// some runes, at another length, so its offsets are not attrs'.
+		if !strings.EqualFold(attrs[pos:pos+len(name)], name) {
+			continue
 		}
-		pos += idx
 		// Must be a word boundary before, and an '=' (possibly spaced) after.
 		if pos > 0 {
-			prev := lower[pos-1]
+			prev := attrs[pos-1]
 			if prev != ' ' && prev != '\t' && prev != '\n' && prev != '\r' && prev != '\'' && prev != '"' {
-				idx = pos + len(name)
 				continue
 			}
 		}
-		rest := attrs[pos+len(name):]
-		rest = strings.TrimLeft(rest, " \t\r\n")
+		rest := strings.TrimLeft(attrs[pos+len(name):], " \t\r\n")
 		if !strings.HasPrefix(rest, "=") {
-			idx = pos + len(name)
 			continue
 		}
 		rest = strings.TrimLeft(rest[1:], " \t\r\n")
