@@ -442,7 +442,7 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1057,
+		"DESIGN.md":                      1041,
 		"README.md":                      353,
 		".claude/skills/verify/SKILL.md": 237,
 	} {

@@ -70,18 +70,17 @@ func (t *docTable) add(ext, length int) (int32, error) {
 	return int32(doc), nil
 }
 
-// index freezes the table into an Index with an empty lexicon, plus the
-// document statistics its posting lists are encoded against. The table
-// must not be added to afterwards.
-func (t *docTable) index(opts Options) (*Index, encodeStats) {
-	ix := &Index{
+// index freezes the table into an Index with an empty lexicon; its
+// posting lists are encoded against ix.docs. The table must not be added
+// to afterwards.
+func (t *docTable) index(opts Options) *Index {
+	return &Index{
 		opts:     opts,
 		terms:    make(map[string]int),
 		docs:     t.docs,
 		docByExt: t.byExt,
 		totalLen: t.total,
 	}
-	return ix, lengthsOf(t.docs, t.total)
 }
 
 // addTerm appends the next term of the lexicon (callers add terms in
@@ -156,7 +155,7 @@ func (b *MemBuilder) Build() (*Index, error) {
 // a disjoint set of lexicon slots, so the resulting index is identical
 // to Build's at any worker count.
 func (b *MemBuilder) BuildParallel(workers int) *Index {
-	ix, st := b.index(b.opts)
+	ix := b.index(b.opts)
 	terms := make([]string, 0, len(b.posting))
 	for t := range b.posting {
 		terms = append(terms, t)
@@ -169,7 +168,7 @@ func (b *MemBuilder) BuildParallel(workers int) *Index {
 	}
 	conc.Do(len(terms), workers, func(i int) {
 		t := terms[i]
-		ix.termList[i] = termEntry{term: t, pl: encodePostings(b.posting[t], b.opts, st)}
+		ix.termList[i] = termEntry{term: t, pl: encodePostings(b.posting[t], b.opts, ix.docs)}
 	})
 	return ix
 }
@@ -246,7 +245,7 @@ func (b *SortBuilder) Build() (*Index, error) {
 		}
 		return a.pos < c.pos
 	})
-	ix, st := b.index(b.opts)
+	ix := b.index(b.opts)
 	i := 0
 	for i < len(b.recs) {
 		term := b.recs[i].term
@@ -260,7 +259,7 @@ func (b *SortBuilder) Build() (*Index, error) {
 			}
 			ps = append(ps, Posting{Doc: doc, TF: int32(len(poss)), Pos: poss})
 		}
-		ix.addTerm(term, encodePostings(ps, b.opts, st))
+		ix.addTerm(term, encodePostings(ps, b.opts, ix.docs))
 	}
 	return ix, nil
 }

@@ -101,7 +101,7 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 			return nil, err
 		}
 	}
-	ix, st := dt.index(opts)
+	ix := dt.index(opts)
 
 	// The pipeline: each stage owns its partial posting map and inverts
 	// only occurrences in its term range, seeing documents in ordinal
@@ -122,7 +122,7 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 	for _, t := range terms {
 		ps := partialPost[stageOf(t)][t]
 		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
-		ix.addTerm(t, encodePostings(ps, opts, st))
+		ix.addTerm(t, encodePostings(ps, opts, ix.docs))
 	}
 	return ix, nil
 }

@@ -122,47 +122,13 @@ func (ix *Index) PostingsInto(it *Iterator, term string) *Iterator {
 
 // TermScoreMeta is the resident per-term score-bound summary the
 // evaluator orders its lists by and a broker prunes partitions with: the
-// list's max tf and min document length, plus its BM25 saturation bound
-// at the default constants and the average document length that bound
-// assumes. All four live in the dictionary — reading them touches no
-// posting bytes.
+// list's largest tf and shortest document, from which rank bounds the
+// list's BM25 contribution. Both live in the dictionary — reading them
+// touches no posting bytes — and both are derived from the postings,
+// never read from a file.
 type TermScoreMeta struct {
-	MaxTF    int32   // largest tf in the list
-	MinLen   int32   // shortest document in the list (0 = unknown; bound stays safe)
-	SatBound float64 // max BM25 saturation over the list at default constants (0 = none)
-	QuantAvg float64 // average document length SatBound was computed against
-}
-
-// MergeTermScoreMeta folds two score-bound summaries of the same term
-// (from different segments or partitions) into one summary that remains
-// a safe upper bound for the union of the two posting lists: MaxTF takes
-// the max and MinLen the min (0 = unknown stays 0, the loosest and
-// therefore safest length). The saturation bound survives only
-// when both sides carry one: SatBound takes the max and QuantAvg the min,
-// so the merged validity condition (scorer average ≤ QuantAvg) implies
-// each side's condition and the max dominates both.
-func MergeTermScoreMeta(a, b TermScoreMeta) TermScoreMeta {
-	m := TermScoreMeta{MaxTF: a.MaxTF, MinLen: a.MinLen}
-	if b.MaxTF > m.MaxTF {
-		m.MaxTF = b.MaxTF
-	}
-	if b.MinLen < m.MinLen || m.MinLen == 0 {
-		m.MinLen = b.MinLen
-	}
-	if a.MinLen == 0 || b.MinLen == 0 {
-		m.MinLen = 0
-	}
-	if a.SatBound > 0 && b.SatBound > 0 {
-		m.SatBound = a.SatBound
-		if b.SatBound > m.SatBound {
-			m.SatBound = b.SatBound
-		}
-		m.QuantAvg = a.QuantAvg
-		if b.QuantAvg < m.QuantAvg {
-			m.QuantAvg = b.QuantAvg
-		}
-	}
-	return m
+	MaxTF  int32 // largest tf in the list
+	MinLen int32 // shortest document in the list (0 = unknown; bound stays safe)
 }
 
 // TermScoreMeta returns term's score-bound summary; ok is false when the
@@ -205,12 +171,11 @@ func (ix *Index) Terms() []string {
 
 // Stats are the per-partition statistics exchanged by the two-round
 // global-statistics protocol of Section 4 (External factors): enough to
-// reconstruct global DF/CF and collection size at the broker.
+// reconstruct global DF and collection size at the broker.
 type Stats struct {
 	NumDocs  int
 	TotalLen int64
 	DF       map[string]int
-	CF       map[string]int64
 }
 
 // LocalStats extracts the statistics of this index restricted to the
@@ -220,20 +185,17 @@ func (ix *Index) LocalStats(terms []string) Stats {
 		NumDocs:  ix.NumDocs(),
 		TotalLen: ix.totalLen,
 		DF:       make(map[string]int),
-		CF:       make(map[string]int64),
 	}
 	if terms == nil {
 		for i := range ix.termList {
 			e := &ix.termList[i]
 			st.DF[e.term] = e.pl.count
-			st.CF[e.term] = e.pl.cf
 		}
 		return st
 	}
 	for _, t := range terms {
 		if df := ix.DF(t); df > 0 {
 			st.DF[t] = df
-			st.CF[t] = ix.CF(t)
 		}
 	}
 	return st
@@ -242,15 +204,12 @@ func (ix *Index) LocalStats(terms []string) Stats {
 // MergeStats aggregates per-partition statistics into global statistics,
 // the broker-side half of the two-round protocol.
 func MergeStats(parts ...Stats) Stats {
-	g := Stats{DF: make(map[string]int), CF: make(map[string]int64)}
+	g := Stats{DF: make(map[string]int)}
 	for _, p := range parts {
 		g.NumDocs += p.NumDocs
 		g.TotalLen += p.TotalLen
 		for t, df := range p.DF {
 			g.DF[t] += df
-		}
-		for t, cf := range p.CF {
-			g.CF[t] += cf
 		}
 	}
 	return g

@@ -199,7 +199,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 			}
 			ps[i] = Posting{Doc: doc, TF: int32(np), Pos: poss}
 		}
-		pl := encodePostings(ps, opts, encodeStats{})
+		pl := encodePostings(ps, opts, nil)
 		return reflect.DeepEqual(pl.decodeAll(opts.BlockSize), ps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -213,7 +213,7 @@ func TestEncodePanicsOnUnsortedPostings(t *testing.T) {
 			t.Fatal("encodePostings accepted unsorted input")
 		}
 	}()
-	encodePostings([]Posting{{Doc: 5, TF: 1}, {Doc: 3, TF: 1}}, DefaultOptions(), encodeStats{})
+	encodePostings([]Posting{{Doc: 5, TF: 1}, {Doc: 3, TF: 1}}, DefaultOptions(), nil)
 }
 
 func TestDuplicateDocumentErrors(t *testing.T) {
@@ -229,7 +229,7 @@ func TestDuplicateDocumentErrors(t *testing.T) {
 func TestLocalStatsAndMerge(t *testing.T) {
 	ix := buildTiny(DefaultOptions())
 	st := ix.LocalStats(nil)
-	if st.NumDocs != 3 || st.DF["apple"] != 2 || st.CF["cherry"] != 3 {
+	if st.NumDocs != 3 || st.DF["apple"] != 2 {
 		t.Fatalf("LocalStats = %+v", st)
 	}
 	st2 := ix.LocalStats([]string{"apple", "missing"})
@@ -237,7 +237,7 @@ func TestLocalStatsAndMerge(t *testing.T) {
 		t.Fatalf("restricted LocalStats = %+v", st2)
 	}
 	g := MergeStats(st, st)
-	if g.NumDocs != 6 || g.DF["apple"] != 4 || g.CF["cherry"] != 6 {
+	if g.NumDocs != 6 || g.DF["apple"] != 4 {
 		t.Fatalf("MergeStats = %+v", g)
 	}
 }

@@ -96,25 +96,21 @@ func (m *Manifest) admit(ext int) error {
 // LocalStats aggregates the segments' statistics restricted to the
 // given terms (nil = all terms) — Index.LocalStats for a view, summed
 // straight into one Stats. NumDocs matches NumDocs() (tombstones
-// subtracted), while DF/CF/TotalLen still count tombstoned documents
-// until a merge reclaims them. The manifest is immutable, so the call
-// is a pure function of the snapshot.
+// subtracted), while DF/TotalLen still count tombstoned documents until
+// a merge reclaims them. The manifest is immutable, so the call is a
+// pure function of the snapshot.
 func (m *Manifest) LocalStats(terms []string) Stats {
-	st := Stats{NumDocs: m.NumDocs(), TotalLen: m.TotalLen(), DF: make(map[string]int), CF: make(map[string]int64)}
-	add := func(e *termEntry) {
-		st.DF[e.term] += e.pl.count
-		st.CF[e.term] += e.pl.cf
-	}
+	st := Stats{NumDocs: m.NumDocs(), TotalLen: m.TotalLen(), DF: make(map[string]int)}
 	for _, s := range m.segments {
 		if terms == nil {
 			for i := range s.termList {
-				add(&s.termList[i])
+				st.DF[s.termList[i].term] += s.termList[i].pl.count
 			}
 			continue
 		}
 		for i, t := range terms {
 			if j, ok := s.terms[t]; ok && !slices.Contains(terms[:i], t) {
-				add(&s.termList[j])
+				st.DF[t] += s.termList[j].pl.count
 			}
 		}
 	}
@@ -122,14 +118,14 @@ func (m *Manifest) LocalStats(terms []string) Stats {
 }
 
 // TermScoreMeta returns term's score-bound summary merged over the
-// segments (MergeTermScoreMeta) — a safe bound for every resident
-// posting, tombstoned or not; ok is false when no segment holds the
-// term.
+// segments — the largest MaxTF and the smallest MinLen, a safe bound for
+// every resident posting, tombstoned or not; ok is false when no segment
+// holds the term.
 func (m *Manifest) TermScoreMeta(term string) (tm TermScoreMeta, ok bool) {
 	for _, s := range m.segments {
 		if sm, has := s.TermScoreMeta(term); has {
 			if ok {
-				sm = MergeTermScoreMeta(tm, sm)
+				sm = TermScoreMeta{MaxTF: max(tm.MaxTF, sm.MaxTF), MinLen: min(tm.MinLen, sm.MinLen)}
 			}
 			tm, ok = sm, true
 		}

@@ -25,11 +25,11 @@ const (
 // filtered of dropped documents and re-encoded against the merged
 // document table, over up to workers goroutines (each owns its lexicon
 // slot, so the result is identical at any width). A term left with no
-// posting leaves the lexicon. Document order, encodePostings and
-// encodeStats are those of a MemBuilder fed the surviving documents in
-// that order, so the result is byte-equal to that build's. Returned with
-// it are the external IDs dropped; two surviving documents sharing an
-// external ID are an error.
+// posting leaves the lexicon. Document order and encodePostings are
+// those of a MemBuilder fed the surviving documents in that order, so
+// the result is byte-equal to that build's. Returned with it are the
+// external IDs dropped; two surviving documents sharing an external ID
+// are an error.
 func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]bool, workers int) (*Index, []int, error) {
 	type srcDoc struct {
 		docEntry
@@ -63,7 +63,7 @@ func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]boo
 		}
 		remap[d.part][d.local] = doc
 	}
-	ix, st := dt.index(opts)
+	ix := dt.index(opts)
 
 	terms := make([]string, 0, nTerms)
 	for _, p := range parts {
@@ -97,7 +97,7 @@ func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]boo
 		if order == byExtID {
 			sort.Slice(merged, func(a, b int) bool { return merged[a].Doc < merged[b].Doc })
 		}
-		lists[i] = encodePostings(merged, opts, st)
+		lists[i] = encodePostings(merged, opts, ix.docs)
 	})
 
 	// Size the lexicon exactly: it stays resident for the segment's life.

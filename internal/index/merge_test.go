@@ -12,7 +12,7 @@ import (
 
 // sameIndex fails unless got is want byte for byte: document table,
 // lexicon order, and per term the encoded postings, skip table and
-// every resident statistic (count, cf, maxTF, minLen, satBound, quantAvg).
+// every resident statistic (count, cf, maxTF, minLen).
 func sameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	if !slices.Equal(got.docs, want.docs) || got.totalLen != want.totalLen || !maps.Equal(got.docByExt, want.docByExt) {

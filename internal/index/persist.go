@@ -14,14 +14,11 @@ import (
 
 // On-disk index format (little-endian):
 //
-//	magic "DWRIX6\n\x00"                     8 bytes
+//	magic "DWRIX7\n\x00"                     8 bytes
 //	blockSize (uvarint)
 //	numDocs (uvarint), then per doc: ext (uvarint), length (uvarint)
-//	numTerms (uvarint), then per term:
-//	    len(term) (uvarint), term bytes,
-//	    count (uvarint), cf (uvarint),
-//	    maxTF (uvarint), minLen (uvarint),
-//	    satBound (float64 bits, uvarint), quantAvg (float64 bits, uvarint),
+//	numTerms (uvarint), then per term, in strictly ascending order:
+//	    len(term) (uvarint), term bytes, count (uvarint),
 //	    len(data) (uvarint), data bytes,
 //	    numBlocks (uvarint), per block: lastDoc (uvarint), offset (uvarint)
 //	crc32 (IEEE) of everything after the magic   4 bytes
@@ -36,11 +33,14 @@ import (
 // every index is block-compressed and positional; version 6 replaced the
 // group-varint doc gaps and varint TFs with fixed-width packed sections,
 // so any posting of a block is one word load away, and ends each list's
-// data with eight zero bytes. Older DWRIX versions are rejected (rebuild
-// the index). Read walks every block before it accepts a list
-// (postingList.validate), so the checksum is not the only guard.
+// data with eight zero bytes; version 7 dropped every derived number —
+// cf and the score-bound summary — so a file holds postings and counts
+// only. Older DWRIX versions are rejected (rebuild the index). Read walks
+// every block before it accepts a list (postingList.validate), so the
+// checksum is not the only guard, and takes cf and the summary from that
+// walk: no number in the file can loosen or tighten a score bound.
 
-var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '6', '\n', 0}
+var persistMagic = [8]byte{'D', 'W', 'R', 'I', 'X', '7', '\n', 0}
 
 // WriteFile writes the index to path atomically: a crash leaves either
 // the old file or the whole new one (write temp, sync, rename, sync the
@@ -148,21 +148,6 @@ func (ix *Index) Write(w io.Writer) error {
 			return err
 		}
 		if err := putUvarint(uint64(e.pl.count)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.pl.cf)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.pl.meta.MaxTF)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.pl.meta.MinLen)); err != nil {
-			return err
-		}
-		if err := putUvarint(math.Float64bits(e.pl.meta.SatBound)); err != nil {
-			return err
-		}
-		if err := putUvarint(math.Float64bits(e.pl.meta.QuantAvg)); err != nil {
 			return err
 		}
 		if err := putUvarint(uint64(len(e.pl.data))); err != nil {
@@ -273,11 +258,14 @@ func Read(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading doc %d: %w", i, err)
 		}
+		if length > math.MaxInt32 { // positions and MinLen are 32-bit
+			return nil, fmt.Errorf("index: doc %d: implausible length %d", i, length)
+		}
 		if _, err := dt.add(int(ext), int(length)); err != nil {
 			return nil, err
 		}
 	}
-	ix, _ := dt.index(opts)
+	ix := dt.index(opts)
 
 	nTerms, err := readUvarint()
 	if err != nil {
@@ -299,29 +287,13 @@ func Read(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
 		}
+		term := string(tb)
+		if n := len(ix.termList); n > 0 && term <= ix.termList[n-1].term {
+			return nil, fmt.Errorf("index: term %d %q does not follow %q", i, term, ix.termList[n-1].term)
+		}
 		count, err := readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d postings: %w", i, err)
-		}
-		cf, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d cf: %w", i, err)
-		}
-		maxTF, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d score bounds: %w", i, err)
-		}
-		minLen, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d score bounds: %w", i, err)
-		}
-		satBits, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d score bounds: %w", i, err)
-		}
-		avgBits, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d score bounds: %w", i, err)
 		}
 		dl, err := readUvarint()
 		if err != nil {
@@ -361,18 +333,11 @@ func Read(r io.Reader) (*Index, error) {
 			}
 			blocks = append(blocks, blockMeta{lastDoc: int32(lastDoc), offset: uint32(off)})
 		}
-		pl := postingList{
-			count: int(count), cf: int64(cf), data: data, blocks: blocks,
-			meta: TermScoreMeta{
-				MaxTF: int32(maxTF), MinLen: int32(minLen),
-				SatBound: math.Float64frombits(satBits),
-				QuantAvg: math.Float64frombits(avgBits),
-			},
-		}
-		if err := pl.validate(opts.blockSize(), int(nDocs), nil); err != nil {
+		pl := postingList{count: int(count), data: data, blocks: blocks}
+		if err := pl.validate(opts.blockSize(), len(ix.docs), ix.docs, nil); err != nil {
 			return nil, fmt.Errorf("index: term %d: %w", i, err)
 		}
-		ix.addTerm(string(tb), pl)
+		ix.addTerm(term, pl)
 	}
 
 	wantCRC := cr.crc

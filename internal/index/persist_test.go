@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -65,9 +66,9 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 // TestPersistRejectsOldVersion: a DWRIX2 (pre score-bound summary),
-// DWRIX3 (per-block score bounds), DWRIX4 (layout flag bytes) or DWRIX5
-// (group-varint blocks) file is refused with a rebuild hint rather than
-// misparsed.
+// DWRIX3 (per-block score bounds), DWRIX4 (layout flag bytes), DWRIX5
+// (group-varint blocks) or DWRIX6 (persisted cf and score-bound summary)
+// file is refused with a rebuild hint rather than misparsed.
 func TestPersistRejectsOldVersion(t *testing.T) {
 	b := NewBuilder(DefaultOptions())
 	b.AddDocument(1, []string{"alpha", "beta"})
@@ -76,7 +77,7 @@ func TestPersistRejectsOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, version := range []byte{'2', '3', '4', '5'} {
+	for _, version := range []byte{'2', '3', '4', '5', '6'} {
 		raw[5] = version // rewrite the version byte of the magic
 		_, err := Read(bytes.NewReader(raw))
 		if err == nil {
@@ -190,6 +191,43 @@ func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
 	}
 }
 
+// TestReadRejectsWhatNoBuilderWrites: a builder writes terms in strictly
+// ascending order and documents no longer than MaxInt32 tokens, and Read
+// refuses a CRC-valid file that breaks either. A repeated term used to be
+// accepted with the dictionary pointing at its last list, so the first
+// list's postings were unreachable while Manifest.LocalStats summed both
+// lists' DF; a length past MaxInt32 wrapped MinLen negative.
+func TestReadRejectsWhatNoBuilderWrites(t *testing.T) {
+	tampers := []struct {
+		name   string
+		tamper func(ix *Index)
+	}{
+		{"", func(*Index) {}},
+		{"a repeated term", func(ix *Index) { ix.termList[1].term = ix.termList[0].term }},
+		{"terms out of order", func(ix *Index) { ix.termList[0], ix.termList[1] = ix.termList[1], ix.termList[0] }},
+		{"a document past MaxInt32 tokens", func(ix *Index) { ix.docs[0].length = math.MaxInt32 + 1 }},
+	}
+	for _, tc := range tampers {
+		b := NewBuilder(DefaultOptions())
+		b.AddDocument(1, []string{"alpha", "beta", "alpha"})
+		b.AddDocument(2, []string{"beta", "gamma"})
+		ix := MustBuild(b)
+		tc.tamper(ix)
+		var buf bytes.Buffer
+		if err := ix.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		if tc.name == "" {
+			if err != nil || !Equal(ix, got) {
+				t.Fatalf("the untampered index did not round-trip: %v", err)
+			}
+		} else if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	b := NewBuilder(DefaultOptions())
 	b.AddDocument(1, []string{"x"})
@@ -223,7 +261,7 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-// hostileCounts are well-formed DWRIX6 prefixes that each announce one
+// hostileCounts are well-formed DWRIX7 prefixes that each announce one
 // enormous count and then end: 2^31 documents (fifteen bytes in all),
 // 2^31 terms, 2^32 bytes of posting data, 2^31 blocks.
 func hostileCounts() map[string][]byte {
@@ -236,9 +274,8 @@ func hostileCounts() map[string][]byte {
 	}
 	// 128 postings per block.
 	header := uv(persistMagic[:8:8], 128)
-	// No documents; one term "a" with its count, cf, maxTF, minLen,
-	// satBound and quantAvg.
-	oneTerm := uv(append(uv(header, 0, 1, 1), 'a'), 1, 1, 1, 1, 0, 0)
+	// No documents; one term "a" with its posting count.
+	oneTerm := uv(append(uv(header, 0, 1, 1), 'a'), 1)
 	return map[string][]byte{
 		"docs":   uv(header, 1<<31),
 		"terms":  uv(header, 0, 1<<31),
@@ -267,11 +304,31 @@ func TestReadAllocatesWhatTheStreamDelivers(t *testing.T) {
 	}
 }
 
+// impliedSummary is what term's postings in ix say its score-bound
+// summary and collection frequency are: the largest tf, the shortest
+// document, the sum of the TFs.
+func impliedSummary(ix *Index, term string) (TermScoreMeta, int64) {
+	m, cf := TermScoreMeta{MinLen: math.MaxInt32}, int64(0)
+	for it := ix.Postings(term); it.Next(); {
+		m.MaxTF, m.MinLen = max(m.MaxTF, it.TF()), min(m.MinLen, int32(ix.DocLen(it.Doc())))
+		cf += int64(it.TF())
+	}
+	if cf == 0 {
+		m.MinLen = 0
+	}
+	return m, cf
+}
+
 // FuzzRead: whatever the bytes, Read returns an error or an index that
-// survives a Write/Read round trip — never a panic, never an allocation
-// the input did not pay for. Besides valid files and their prefixes, the
-// seeds hold checksummed files whose first block claims a doc or TF width
-// past what the validator accepts, so mutations start behind the CRC.
+// survives a Write/Read round trip and whose every score-bound summary
+// and collection frequency is the one its postings imply — never a
+// panic, never an allocation the input did not pay for, never a bound a
+// file can forge. Besides valid files and their prefixes, the seeds hold
+// checksummed files whose first block claims a doc or TF width past what
+// the validator accepts, so mutations start behind the CRC, and files
+// written from indexes whose in-memory summaries were lowered first (a
+// MaxTF of 1 and a MinLen of 2^20 let MaxScore skip lists that hold top
+// documents).
 func FuzzRead(f *testing.F) {
 	docs := randomDocs(rand.New(rand.NewSource(23)), 40, 20)
 	for _, opts := range []Options{
@@ -299,6 +356,15 @@ func FuzzRead(f *testing.F) {
 			data[i] = was
 			f.Add(bytes.Clone(buf.Bytes()))
 		}
+		for i := range ix.termList {
+			pl := &ix.termList[i].pl
+			pl.cf, pl.meta = 1, TermScoreMeta{MaxTF: 1, MinLen: 1 << 20}
+		}
+		buf.Reset()
+		if err := ix.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
 	}
 	for _, raw := range hostileCounts() {
 		f.Add(raw)
@@ -307,6 +373,12 @@ func FuzzRead(f *testing.F) {
 		ix, err := Read(bytes.NewReader(raw))
 		if err != nil {
 			return
+		}
+		for _, term := range ix.Terms() {
+			want, wantCF := impliedSummary(ix, term)
+			if got, _ := ix.TermScoreMeta(term); got != want || ix.CF(term) != wantCF {
+				t.Fatalf("term %q: summary %+v and cf %d, its postings imply %+v and %d", term, got, ix.CF(term), want, wantCF)
+			}
 		}
 		var buf bytes.Buffer
 		if err := ix.Write(&buf); err != nil {

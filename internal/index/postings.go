@@ -1,8 +1,8 @@
 // Package index implements the distributed indexing module of Section 4:
 // an inverted index (lexicon + posting lists) with positional postings,
 // block-compressed posting lists with a skip table and a resident
-// per-term score bound for dynamic pruning, plus the index construction
-// strategies the paper surveys —
+// per-term score-bound summary for dynamic pruning, plus the index
+// construction strategies the paper surveys —
 // sort-based (Witten et al.), single-pass with spill runs (Lester et
 // al.), map-reduce (Dean & Ghemawat), and pipelined (Melink et al.) —
 // and index merging with document-ID remapping.
@@ -24,15 +24,6 @@ type Posting struct {
 	TF  int32
 	Pos []int32 // nil when read by an iterator that skips positions
 }
-
-// Default BM25 parameters. A list's saturation bound
-// (TermScoreMeta.SatBound) is computed against these at encode time;
-// rank.NewScorer uses the same constants so the bound applies to default
-// scorers.
-const (
-	DefaultBM25K1 = 1.2
-	DefaultBM25B  = 0.75
-)
 
 // defaultBlockSize is the posting count per skip-aligned block when
 // Options.BlockSize is zero.
@@ -66,46 +57,16 @@ type blockMeta struct {
 }
 
 // postingList is one term's block-encoded postings, its skip table and
-// its score-bound summary, kept resident and persisted so evaluator and
-// broker can bound the list's score without touching a posting byte.
+// its score-bound summary, kept resident so evaluator and broker can
+// bound the list's score without touching a posting byte. Only count,
+// data and blocks are persisted: cf and meta are what the postings and
+// the document table imply, derived again when a file is read.
 type postingList struct {
 	count  int
 	cf     int64 // collection frequency: total TF over all docs
 	data   []byte
 	blocks []blockMeta
 	meta   TermScoreMeta
-}
-
-// encodeStats supplies the document statistics encodePostings bakes into
-// the score-bound summary. The zero value means "lengths unknown": minLen
-// is recorded as 0, which makes every bound fall back to the BM25 norm
-// floor (1-b) — looser pruning, never unsafe.
-type encodeStats struct {
-	docLen func(doc int32) int32
-	avgLen float64
-}
-
-// lengthsOf builds encodeStats from a completed document table.
-func lengthsOf(docs []docEntry, total int64) encodeStats {
-	avg := 0.0
-	if len(docs) > 0 {
-		avg = float64(total) / float64(len(docs))
-	}
-	return encodeStats{
-		docLen: func(d int32) int32 { return int32(docs[d].length) },
-		avgLen: avg,
-	}
-}
-
-// bm25Sat is the document-length-aware saturation bound of the default
-// ranker: an upper bound on tf*(k1+1)/(tf+k1*norm(dl)) over every
-// posting in a block with term frequency <= maxTF and document length
-// >= minLen. It mirrors rank.Scorer.Term (including the max(avg,1)
-// guard).
-func bm25Sat(maxTF, minLen int32, avg float64) float64 {
-	norm := 1 - DefaultBM25B + DefaultBM25B*float64(minLen)/math.Max(avg, 1)
-	tf := float64(maxTF)
-	return tf * (DefaultBM25K1 + 1) / (tf + DefaultBM25K1*norm)
 }
 
 // tailPad is the run of zero bytes that ends every non-empty list's data:
@@ -120,16 +81,19 @@ const tailPad = 8
 // block's lastDoc, −1 for block 0), then each tf − 1 packed in tfW bits,
 // each packed section rounded up to a whole byte, then the positions,
 // delta-varint encoded, which the iterator can skip wholesale. Any posting
-// of a block is one word load away. st supplies document lengths for the
-// score-bound summary.
-func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
+// of a block is one word load away. docs is the document table the
+// summary's MinLen is taken from; nil records MinLen 0, which makes every
+// bound fall back to the BM25 norm floor (1-b) — looser pruning, never
+// unsafe.
+func encodePostings(ps []Posting, opts Options, docs []docEntry) postingList {
 	var pl postingList
 	pl.count = len(ps)
-	pl.meta.QuantAvg = st.avgLen
 	if len(ps) == 0 {
 		return pl
 	}
-	pl.meta.MinLen = math.MaxInt32
+	if docs != nil {
+		pl.meta.MinLen = math.MaxInt32
+	}
 	bs := opts.blockSize()
 	prevDoc := int32(-1)
 	most := min(bs, len(ps))
@@ -138,8 +102,8 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 		block := ps[start:min(start+bs, len(ps))]
 		meta := blockMeta{offset: uint32(len(pl.data))}
 		base := prevDoc
-		maxTF, minLen := int32(0), int32(math.MaxInt32)
-		docs, tfs := vals[:len(block)], vals[most:most+len(block)]
+		maxTF := int32(0)
+		gaps, tfs := vals[:len(block)], vals[most:most+len(block)]
 		for i, p := range block {
 			if p.Doc <= prevDoc {
 				panic(fmt.Sprintf("index: postings not strictly increasing: %d after %d", p.Doc, prevDoc))
@@ -147,26 +111,19 @@ func encodePostings(ps []Posting, opts Options, st encodeStats) postingList {
 			if p.TF < 1 {
 				panic(fmt.Sprintf("index: doc %d has term frequency %d", p.Doc, p.TF))
 			}
-			docs[i], tfs[i] = uint32(p.Doc-base-1), uint32(p.TF-1)
+			gaps[i], tfs[i] = uint32(p.Doc-base-1), uint32(p.TF-1)
 			prevDoc = p.Doc
 			maxTF = max(maxTF, p.TF)
-			if st.docLen != nil {
-				minLen = min(minLen, st.docLen(p.Doc))
+			if docs != nil {
+				pl.meta.MinLen = min(pl.meta.MinLen, int32(docs[p.Doc].length))
 			}
 			pl.cf += int64(p.TF)
 		}
-		if st.docLen == nil {
-			minLen = 0
-		}
-		// SatBound is taken block by block: a block's largest tf at its
-		// shortest document is tighter than the list's at the list's.
 		pl.meta.MaxTF = max(pl.meta.MaxTF, maxTF)
-		pl.meta.MinLen = min(pl.meta.MinLen, minLen)
-		pl.meta.SatBound = max(pl.meta.SatBound, bm25Sat(maxTF, minLen, st.avgLen))
 		meta.lastDoc = prevDoc
 		docW, tfW := uint(bits.Len32(uint32(prevDoc-base-1))), uint(bits.Len32(uint32(maxTF-1)))
 		pl.data = append(pl.data, byte(docW), byte(tfW))
-		pl.data = appendPacked(appendPacked(pl.data, docs, docW), tfs, tfW)
+		pl.data = appendPacked(appendPacked(pl.data, gaps, docW), tfs, tfW)
 		for _, p := range block {
 			pl.data = binary.AppendUvarint(pl.data, uint64(len(p.Pos)))
 			var prevPos int32
@@ -427,8 +384,12 @@ func (it *Iterator) BytesDecoded() int64 { return it.bytes }
 // [0, numDocs) or whose last is not the block's lastDoc, a TF past
 // MaxInt32, positions that do not parse to the block's end. The block
 // table itself (counts, ascending offsets and last docs) is the caller's
-// to check. emit, when not nil, receives each posting with its positions.
-func (pl *postingList) validate(bs, numDocs int, emit func(Posting)) error {
+// to check. On success pl.cf and pl.meta are what the postings imply:
+// the sum and the largest of their TFs, and the shortest of their
+// documents in docs, the table of those numDocs documents (nil records
+// MinLen 0, as encodePostings does). emit, when not nil, receives each
+// posting with its positions.
+func (pl *postingList) validate(bs, numDocs int, docs []docEntry, emit func(Posting)) error {
 	data := pl.data
 	if pl.count == 0 {
 		if len(data) != 0 {
@@ -444,6 +405,10 @@ func (pl *postingList) validate(bs, numDocs int, emit func(Posting)) error {
 		return fmt.Errorf("block 0 starts at byte %d", pl.blocks[0].offset)
 	}
 	prev := int64(-1)
+	pl.cf, pl.meta = 0, TermScoreMeta{}
+	if docs != nil {
+		pl.meta.MinLen = math.MaxInt32
+	}
 	for b, m := range pl.blocks {
 		off, blockEnd := int(m.offset), end
 		if b+1 < len(pl.blocks) {
@@ -473,6 +438,11 @@ func (pl *postingList) validate(bs, numDocs int, emit func(Posting)) error {
 			tf := 1 + int64(packedAt(data[tfOff:], i, tfW))
 			if tf > math.MaxInt32 {
 				return fmt.Errorf("block %d: term frequency %d", b, tf)
+			}
+			pl.cf += tf
+			pl.meta.MaxTF = max(pl.meta.MaxTF, int32(tf))
+			if docs != nil {
+				pl.meta.MinLen = min(pl.meta.MinLen, int32(docs[d].length))
 			}
 			np, w := binary.Uvarint(data[p:blockEnd])
 			if w <= 0 || np > uint64(blockEnd-p-w) {

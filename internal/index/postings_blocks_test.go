@@ -47,7 +47,7 @@ func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 		n := rng.Intn(400) // includes empty and single-block lists
 		maxGap := []int{1, 3, 1000, 1 << 18}[rng.Intn(4)]
 		ps := randPostings(rng, n, maxGap)
-		pl := encodePostings(ps, opts, encodeStats{})
+		pl := encodePostings(ps, opts, nil)
 
 		// Full forward decode == raw postings.
 		got := pl.decodeAll(bs)
@@ -119,11 +119,8 @@ func TestBlockIteratorAgainstLinearScan(t *testing.T) {
 }
 
 // TestBlockMetadataInvariants checks what a list keeps about itself: each
-// block's lastDoc is exact, and the list's score-bound summary dominates
-// every posting — tf <= MaxTF, document length >= MinLen, default-ranker
-// saturation <= SatBound — with SatBound exactly the largest block-level
-// bound (a block's largest tf at its shortest document) under the index's
-// own average length.
+// block's lastDoc is exact, and the list's score-bound summary is exactly
+// its largest tf and its shortest document.
 func TestBlockMetadataInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	b := NewBuilder(DefaultOptions())
@@ -135,15 +132,11 @@ func TestBlockMetadataInvariants(t *testing.T) {
 		b.AddDocument(d, terms)
 	}
 	ix := MustBuild(b)
-	avg := ix.AvgDocLen()
 	for _, term := range ix.Terms() {
 		it := ix.Postings(term)
 		m := it.ScoreMeta()
 		if dict, _ := ix.TermScoreMeta(term); dict != m {
 			t.Fatalf("term %q: iterator summary %+v, dictionary summary %+v", term, m, dict)
-		}
-		if m.QuantAvg != avg {
-			t.Fatalf("term %q: SatBound assumes average length %g, the index has %g", term, m.QuantAvg, avg)
 		}
 		var ps []Posting
 		for pit := ix.Postings(term); pit.Next(); {
@@ -153,30 +146,17 @@ func TestBlockMetadataInvariants(t *testing.T) {
 		if want := (len(ps) + bs - 1) / bs; len(it.pl.blocks) != want {
 			t.Fatalf("term %q: %d blocks for %d postings, want %d", term, len(it.pl.blocks), len(ps), want)
 		}
-		var wantSat float64
 		for bi, blk := range it.pl.blocks {
-			lo, hi := bi*bs, min((bi+1)*bs, len(ps))
-			if blk.lastDoc != ps[hi-1].Doc {
+			if hi := min((bi+1)*bs, len(ps)); blk.lastDoc != ps[hi-1].Doc {
 				t.Fatalf("term %q block %d: lastDoc %d, want %d", term, bi, blk.lastDoc, ps[hi-1].Doc)
 			}
-			maxTF, minLen := int32(0), int32(math.MaxInt32)
-			for _, p := range ps[lo:hi] {
-				l := int32(ix.DocLen(p.Doc))
-				maxTF, minLen = max(maxTF, p.TF), min(minLen, l)
-				if p.TF > m.MaxTF {
-					t.Fatalf("term %q: tf %d exceeds MaxTF %d", term, p.TF, m.MaxTF)
-				}
-				if l < m.MinLen {
-					t.Fatalf("term %q: docLen %d below MinLen %d", term, l, m.MinLen)
-				}
-				if sat := bm25Sat(p.TF, l, avg); sat > m.SatBound {
-					t.Fatalf("term %q: saturation %g exceeds SatBound %g", term, sat, m.SatBound)
-				}
-			}
-			wantSat = max(wantSat, bm25Sat(maxTF, minLen, avg))
 		}
-		if m.SatBound != wantSat {
-			t.Fatalf("term %q: SatBound %g, want the largest block bound %g", term, m.SatBound, wantSat)
+		want := TermScoreMeta{MinLen: math.MaxInt32}
+		for _, p := range ps {
+			want.MaxTF, want.MinLen = max(want.MaxTF, p.TF), min(want.MinLen, int32(ix.DocLen(p.Doc)))
+		}
+		if m != want {
+			t.Fatalf("term %q: summary %+v, its postings imply %+v", term, m, want)
 		}
 	}
 }
@@ -190,7 +170,7 @@ func TestIteratorBytesDecodedCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	const bs = 16
 	ps := randPostings(rng, 160, 5)
-	pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+	pl := encodePostings(ps, Options{BlockSize: bs}, nil)
 
 	it := newIterator(&pl, bs, true)
 	for it.Next() {
@@ -259,7 +239,7 @@ func TestIteratorInterleavings(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		bs := []int{1, 3, 16, 128}[trial%4]
 		ps := randPostings(rng, 1+rng.Intn(600), []int{1, 4, 300, 1 << 20}[rng.Intn(4)])
-		pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+		pl := encodePostings(ps, Options{BlockSize: bs}, nil)
 		all := pl.decodeAll(bs)
 		if !reflect.DeepEqual(all, ps) {
 			t.Fatalf("trial %d block size %d: decodeAll diverges from the encoded postings", trial, bs)
@@ -406,9 +386,9 @@ func FuzzGroupVarint(f *testing.F) {
 			return
 		}
 		bs := 1 + int(lead%8)
-		pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+		pl := encodePostings(ps, Options{BlockSize: bs}, nil)
 		var got []Posting
-		if err := pl.validate(bs, int(ps[len(ps)-1].Doc)+1, func(p Posting) { got = append(got, p) }); err != nil {
+		if err := pl.validate(bs, int(ps[len(ps)-1].Doc)+1, nil, func(p Posting) { got = append(got, p) }); err != nil {
 			t.Fatalf("%d postings, block size %d: validate refused the encoder's own list: %v", len(ps), bs, err)
 		}
 		same := func(a, b Posting) bool { return a.Doc == b.Doc && a.TF == b.TF }
@@ -450,10 +430,10 @@ func FuzzBlockDecode(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(shape)))
 		bs := []int{1, 3, 16, 128}[shape%4]
 		ps := randPostings(rng, 1+rng.Intn(300), []int{1, 4, 300, 1 << 20}[shape/4%4])
-		pl := encodePostings(ps, Options{BlockSize: bs}, encodeStats{})
+		pl := encodePostings(ps, Options{BlockSize: bs}, nil)
 		copy(pl.data[int(at)%len(pl.data):], patch)
 		var want []Posting
-		if err := pl.validate(bs, int(ps[len(ps)-1].Doc)+1, func(p Posting) { want = append(want, p) }); err != nil {
+		if err := pl.validate(bs, int(ps[len(ps)-1].Doc)+1, nil, func(p Posting) { want = append(want, p) }); err != nil {
 			return
 		}
 		if len(want) != len(ps) {

@@ -162,7 +162,7 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 	}
 	defer os.RemoveAll(b.dir)
 
-	ix, st := b.index(b.opts)
+	ix := b.index(b.opts)
 
 	var h readerHeap
 	for seq, path := range b.runs {
@@ -185,7 +185,7 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 	var curPostings []Posting
 	flushTerm := func() { // every run entry holds at least one posting
 		if len(curPostings) > 0 {
-			ix.addTerm(curTerm, encodePostings(curPostings, b.opts, st))
+			ix.addTerm(curTerm, encodePostings(curPostings, b.opts, ix.docs))
 			curPostings = nil
 		}
 	}

@@ -8,32 +8,14 @@ import (
 
 // TermUpperBound bounds the score contribution of one term for every
 // document in the list (or merged lists) summarized by m, from resident
-// metadata alone (no posting bytes are touched). It is the only place a
-// summary becomes a score bound: evaluateTopK orders a segment's lists by
-// it and QueryBound sums it over a partition, so evaluator and broker
-// obey one validity rule. Two bounds are available:
-//
-//   - The analytic bound Term(maxTF, minLen, idf): Scorer.Term is
-//     monotone increasing in tf and decreasing in docLen, so the list's
-//     largest tf scored at its shortest document dominates every real
-//     posting under any BM25 parameterization.
-//   - The saturation bound idf·SatBound, valid when the scorer uses the
-//     default constants and its average document length is at most the
-//     one SatBound was computed against: BM25 saturation is monotone
-//     increasing in the average (a larger avg shrinks the length norm),
-//     so a bound computed at QuantAvg stays an upper bound for any
-//     smaller scorer average.
-//
-// The tighter (smaller) of the valid bounds is returned.
+// metadata alone (no posting bytes are touched): the list's largest tf
+// scored at its shortest document, which dominates every real posting
+// because Term is monotone increasing in tf and decreasing in docLen. It
+// is the only place a summary becomes a score bound: evaluateTopK orders
+// a segment's lists by it and QueryBound sums it over a partition, so
+// evaluator and broker obey one validity rule.
 func (s *Scorer) TermUpperBound(idf float64, m index.TermScoreMeta) float64 {
-	ub := s.Term(m.MaxTF, int(m.MinLen), idf)
-	if s.K1 == index.DefaultBM25K1 && s.B == index.DefaultBM25B &&
-		s.Stats.AvgDocLen <= m.QuantAvg && m.SatBound > 0 {
-		if q := idf * m.SatBound; q < ub {
-			ub = q
-		}
-	}
-	return ub
+	return s.Term(m.MaxTF, int(m.MinLen), idf)
 }
 
 // QueryBound bounds the disjunctive score of any single document in the

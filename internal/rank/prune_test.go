@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,32 +67,55 @@ func TestPrunedEquivalenceExhaustive(t *testing.T) {
 	}
 }
 
-// TestPrunedEquivalenceNonDefaultScorer exercises the analytic-bound
-// fallback: a scorer with non-default BM25 parameters, or with global
-// statistics whose average document length exceeds the build-time one,
-// invalidates a list's saturation bound, so pruning must bound the list
-// from its max tf and min document length and still match the exhaustive
-// ranking.
+// TestPrunedEquivalenceReadBack: an index shipped as a file ranks as the
+// index that was built. Read derives every list's score-bound summary
+// from the postings it walks, so MaxScore over the read-back index must
+// return the built index's exhaustive top-k, under local statistics and
+// under a larger global average, at every block size.
+func TestPrunedEquivalenceReadBack(t *testing.T) {
+	for _, bs := range []int{0, 8} {
+		built := pruneCorpus(15, index.Options{BlockSize: bs})
+		var buf bytes.Buffer
+		if err := built.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		read, err := index.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		larger := FromIndex(built)
+		larger.AvgDocLen *= 1.5
+		queries := pruneQueries(rand.New(rand.NewSource(16)), built, 100)
+		for si, s := range []*Scorer{NewScorer(FromIndex(built)), NewScorer(larger)} {
+			for _, k := range []int{1, 10, 100} {
+				for _, q := range queries {
+					want, _ := EvaluateOR(built, s, q, k)
+					got, _ := EvaluateTopK(read, s, q, k, PruneMaxScore)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("bs=%d scorer %d k=%d query %v:\nbuilt, exhaustive %v\nread, pruned      %v", bs, si, k, q, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrunedEquivalenceNonDefaultScorer: a scorer whose global
+// statistics put the average document length above the index's own
+// scores every list differently from a local one, and pruning bounded by
+// the lists' summaries must still match the exhaustive ranking.
 func TestPrunedEquivalenceNonDefaultScorer(t *testing.T) {
 	ix := pruneCorpus(13, index.DefaultOptions())
 	rng := rand.New(rand.NewSource(14))
 	queries := pruneQueries(rng, ix, 100)
 	st := FromIndex(ix)
 	st.AvgDocLen *= 1.5 // simulates global stats differing from local
-	scorers := []*Scorer{
-		{K1: 0.9, B: 0.4, Stats: FromIndex(ix)},
-		{K1: index.DefaultBM25K1, B: index.DefaultBM25B, Stats: st},
-	}
-	for si, s := range scorers {
-		for _, mode := range []Pruning{PruneMaxScore} {
-			for _, q := range queries {
-				want, _ := EvaluateOR(ix, s, q, 10)
-				got, _ := EvaluateTopK(ix, s, q, 10, mode)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("scorer %d mode=%d query %v:\nexhaustive %v\npruned     %v",
-						si, mode, q, want, got)
-				}
-			}
+	s := NewScorer(st)
+	for _, q := range queries {
+		want, _ := EvaluateOR(ix, s, q, 10)
+		got, _ := EvaluateTopK(ix, s, q, 10, PruneMaxScore)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("query %v:\nexhaustive %v\npruned     %v", q, want, got)
 		}
 	}
 }
@@ -144,14 +168,14 @@ func TestPrunedDecodesFewerBytes(t *testing.T) {
 // TestListBoundIsTermUpperBound pins the one rule: every list the pruned
 // evaluator opens is ordered by TermUpperBound of that list's resident
 // summary, so over one index its bounds add up to exactly the QueryBound
-// a broker holds for the partition — under scorers on both sides of the
-// summary's validity condition.
+// a broker holds for the partition — under local statistics and under
+// a larger global average.
 func TestListBoundIsTermUpperBound(t *testing.T) {
 	ix := pruneCorpus(23, index.DefaultOptions())
 	local := FromIndex(ix)
 	larger := local
 	larger.AvgDocLen *= 1.5
-	scorers := []*Scorer{NewScorer(local), NewScorer(larger), {K1: 0.9, B: 0.4, Stats: local}}
+	scorers := []*Scorer{NewScorer(local), NewScorer(larger)}
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
 	rng := rand.New(rand.NewSource(24))

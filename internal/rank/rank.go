@@ -46,9 +46,14 @@ func FromGlobal(st index.Stats) StatsSource {
 	return StatsSource{NumDocs: st.NumDocs, AvgDocLen: avg, DF: st.DF}
 }
 
+// The BM25 parameters every Scorer uses: the standard k1 and b.
+const (
+	bm25K1 = 1.2
+	bm25B  = 0.75
+)
+
 // Scorer computes BM25 scores.
 type Scorer struct {
-	K1, B float64
 	Stats StatsSource
 	// norms is lengthNorm of every document of normsOf, by internal
 	// ordinal (WithNorms); both are nil on a plain scorer.
@@ -56,12 +61,10 @@ type Scorer struct {
 	normsOf *index.Index
 }
 
-// NewScorer returns a BM25 scorer with the standard parameters
-// (k1 = 1.2, b = 0.75) over the given statistics. These are the same
-// constants the index computes each list's saturation bound against, so
-// a default scorer gets that bound in TermUpperBound.
+// NewScorer returns a BM25 scorer (k1 = 1.2, b = 0.75) over the given
+// statistics.
 func NewScorer(stats StatsSource) *Scorer {
-	return &Scorer{K1: index.DefaultBM25K1, B: index.DefaultBM25B, Stats: stats}
+	return &Scorer{Stats: stats}
 }
 
 // WithNorms returns a copy of s carrying ix's length-norm table: the
@@ -69,8 +72,8 @@ func NewScorer(stats StatsSource) *Scorer {
 // lengthNorm itself, so the copy scores ix with the same bits while
 // reading norms[doc] where s divides per candidate. Any other index —
 // another partition, a segment — is scored by division as before. The
-// table holds for the copy's K1, B and Stats as they are now; they must
-// not change afterwards.
+// table holds for the copy's Stats as they are now; they must not
+// change afterwards.
 func (s *Scorer) WithNorms(ix *index.Index) *Scorer {
 	c := *s
 	c.norms = make([]float64, ix.NumDocs())
@@ -124,17 +127,17 @@ func (s *Scorer) Term(tf int32, docLen int, idf float64) float64 {
 // average length is floored at 1 by hand rather than with math.Max (the
 // same value for every input) so the call inlines.
 func (s *Scorer) lengthNorm(docLen int) float64 {
-	k1, b, avg := s.K1, s.B, s.Stats.AvgDocLen
+	avg := s.Stats.AvgDocLen
 	if avg < 1 {
 		avg = 1
 	}
-	return k1 * (1 - b + b*float64(docLen)/avg)
+	return bm25K1 * (1 - bm25B + bm25B*float64(docLen)/avg)
 }
 
 // termNorm is the posting half of Term: tf against a document's
 // lengthNorm.
 func (s *Scorer) termNorm(tf int32, norm, idf float64) float64 {
-	return idf * float64(tf) * (s.K1 + 1) / (float64(tf) + norm)
+	return idf * float64(tf) * (bm25K1 + 1) / (float64(tf) + norm)
 }
 
 // EvalStats records the resource usage of one evaluation — the units the

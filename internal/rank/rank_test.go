@@ -282,16 +282,16 @@ func TestTopKZero(t *testing.T) {
 }
 
 // TestTermGolden pins Scorer.Term bit for bit to the literal BM25
-// expression, idf·tf·(k1+1) / (tf + k1·(1−b+b·docLen/max(avg,1))), over
-// tf 1–50, docLen 0–5 000, averages below 1 and real ones, several idfs
-// and both the default and a non-default k1/b — and so is the term score
-// the evaluators form from a norm table (WithNorms), over an index whose
-// documents run from 1 to 300 tokens and then 1 000 and 5 000. The
-// evaluators score through Term's two halves, and the oracle they are
-// checked against (EvaluateOR) does too, so only this test ties a score
-// to the formula.
+// expression, idf·tf·(k1+1) / (tf + k1·(1−b+b·docLen/max(avg,1))) at
+// k1 = 1.2, b = 0.75, over tf 1–50, docLen 0–5 000, averages below 1 and
+// real ones and several idfs — and so is the term score the evaluators
+// form from a norm table (WithNorms), over an index whose documents run
+// from 1 to 300 tokens and then 1 000 and 5 000. The evaluators score
+// through Term's two halves, and the oracle they are checked against
+// (EvaluateOR) does too, so only this test ties a score to the formula.
 func TestTermGolden(t *testing.T) {
-	literal := func(tf int32, docLen int, idf, k1, b, avg float64) float64 {
+	k1, b := 1.2, 0.75
+	literal := func(tf int32, docLen int, idf, avg float64) float64 {
 		return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*(1-b+b*float64(docLen)/math.Max(avg, 1)))
 	}
 	bl := index.NewBuilder(index.DefaultOptions())
@@ -299,27 +299,22 @@ func TestTermGolden(t *testing.T) {
 		bl.AddDocument(ext, make([]string, n))
 	}
 	lens := index.MustBuild(bl)
-	params := [][2]float64{{index.DefaultBM25K1, index.DefaultBM25B}, {0.9, 0.4}}
-	for _, kb := range params {
-		for _, avg := range []float64{0, 0.5, 1, 7.3, 42.5, 137.25, 1000.0 / 3} {
-			s := &Scorer{K1: kb[0], B: kb[1], Stats: StatsSource{AvgDocLen: avg}}
-			ts := s.WithNorms(lens)
-			norms := ts.normsFor(lens)
-			for _, idf := range []float64{1e-6, 0.3, 1.7, 6.25} {
-				for tf := int32(1); tf <= 50; tf++ {
-					for docLen := 0; docLen <= 5000; docLen++ {
-						got, want := s.Term(tf, docLen, idf), literal(tf, docLen, idf, kb[0], kb[1], avg)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("k1=%g b=%g avg=%g idf=%g tf=%d docLen=%d: Term %v, BM25 %v",
-								kb[0], kb[1], avg, idf, tf, docLen, got, want)
-						}
+	for _, avg := range []float64{0, 0.5, 1, 7.3, 42.5, 137.25, 1000.0 / 3} {
+		s := NewScorer(StatsSource{AvgDocLen: avg})
+		ts := s.WithNorms(lens)
+		norms := ts.normsFor(lens)
+		for _, idf := range []float64{1e-6, 0.3, 1.7, 6.25} {
+			for tf := int32(1); tf <= 50; tf++ {
+				for docLen := 0; docLen <= 5000; docLen++ {
+					got, want := s.Term(tf, docLen, idf), literal(tf, docLen, idf, avg)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("avg=%g idf=%g tf=%d docLen=%d: Term %v, BM25 %v", avg, idf, tf, docLen, got, want)
 					}
-					for d := int32(0); d < int32(lens.NumDocs()); d++ {
-						got, want := ts.termNorm(tf, ts.docNorm(norms, lens, d), idf), literal(tf, lens.DocLen(d), idf, kb[0], kb[1], avg)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("k1=%g b=%g avg=%g idf=%g tf=%d docLen=%d: table lookup %v, BM25 %v",
-								kb[0], kb[1], avg, idf, tf, lens.DocLen(d), got, want)
-						}
+				}
+				for d := int32(0); d < int32(lens.NumDocs()); d++ {
+					got, want := ts.termNorm(tf, ts.docNorm(norms, lens, d), idf), literal(tf, lens.DocLen(d), idf, avg)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("avg=%g idf=%g tf=%d docLen=%d: table lookup %v, BM25 %v", avg, idf, tf, lens.DocLen(d), got, want)
 					}
 				}
 			}

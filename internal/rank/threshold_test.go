@@ -115,12 +115,10 @@ func TestTopKMerger(t *testing.T) {
 }
 
 // TestTermUpperBoundDominates: the resident per-term bound must dominate
-// every real posting's score contribution, for the default scorer
-// (saturation bound valid), a scorer with a smaller global average
-// (saturation bound still valid by monotonicity), and scorers where only
-// the analytic bound applies (larger average, non-default constants) —
-// over one index, and over a multi-segment view whose summary is
-// MergeTermScoreMeta's fold of its segments'.
+// every real posting's score contribution, for scorers at the local
+// average document length, a smaller and a larger global one — over one
+// index, and over a multi-segment view whose summary folds its
+// segments'.
 func TestTermUpperBoundDominates(t *testing.T) {
 	docs := viewCorpus(47, 2000)
 	segmented := segmented(t, docs, 31).View()
@@ -134,12 +132,7 @@ func TestTermUpperBoundDominates(t *testing.T) {
 		smaller, larger := local, local
 		smaller.AvgDocLen *= 0.7
 		larger.AvgDocLen *= 1.5
-		scorers := []*Scorer{
-			NewScorer(local),
-			NewScorer(smaller),
-			NewScorer(larger),
-			{K1: 0.9, B: 0.4, Stats: local},
-		}
+		scorers := []*Scorer{NewScorer(local), NewScorer(smaller), NewScorer(larger)}
 		for term := range local.DF {
 			m, ok := view.TermScoreMeta(term)
 			if !ok {
@@ -148,9 +141,10 @@ func TestTermUpperBoundDominates(t *testing.T) {
 			for si, s := range scorers {
 				idf := s.IDF(term)
 				ub := s.TermUpperBound(idf, m)
-				// The saturation bound may differ from a real score by one ulp
-				// of rounding (different operation association), which is
-				// exactly what the evaluators' pruneSlack tolerance absorbs:
+				// The bound may differ from a real score by an ulp of
+				// rounding (a quotient of two rounded sums need not be
+				// monotone to the bit), which is what the evaluators'
+				// pruneSlack tolerance absorbs:
 				// the safety property is that no real score makes the bound
 				// non-competitive, i.e. a partition holding that document is
 				// never skipped.
