@@ -106,7 +106,8 @@ type Engine struct {
 
 // Build runs the offline half of the paper's pipeline — Crawl (crawl,
 // parse), then partition and index — and returns an engine ready to
-// answer queries.
+// answer queries. The engine keeps the crawl's report (CrawlInfo) but
+// not its Crawler; a caller that recrawls takes a Corpus from Crawl.
 func Build(cfg Config) (*Engine, error) {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
@@ -115,6 +116,7 @@ func Build(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.Crawler = nil
 	e := &Engine{Corpus: c, Config: cfg}
 	if err := e.partitionAndIndex(); err != nil {
 		return nil, err

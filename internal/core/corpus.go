@@ -16,10 +16,15 @@ import (
 // or indexing: what Build indexes, and all a caller that partitions the
 // documents its own way (a federation of sites, say) needs.
 type Corpus struct {
-	Web       *simweb.Web
+	Web *simweb.Web
+	// Crawler is the crawl, for a caller that recrawls or re-reads its
+	// pages. Build sets it to nil once the crawl is parsed: its pages'
+	// HTML is most of what it holds, and nothing serving reads it.
 	Crawler   *crawler.Crawler
 	CrawlInfo crawler.Stats
-	Docs      []index.Doc // ascending by Ext, the simweb page ID
+	// Docs is ascending by Ext, the simweb page ID. Equal terms across
+	// documents are one string, and each Terms slice is exactly sized.
+	Docs []index.Doc
 
 	// urls is every document's URL, back to back in ID order; urlEnd[id]
 	// is where page id's URL ends, and the previous entry where it starts
@@ -42,7 +47,8 @@ func Crawl(cfg Config) (*Corpus, error) {
 	return c, nil
 }
 
-// parse builds Docs and the URL table from the crawler's pages.
+// parse builds Docs and the URL table from the crawler's pages,
+// tokenizing the whole crawl against one table of distinct terms.
 func (c *Corpus) parse() error {
 	pages := c.Crawler.Pages()
 	ids := make([]int, 0, len(pages))
@@ -56,13 +62,14 @@ func (c *Corpus) parse() error {
 		return errors.New("core: the crawl's URLs exceed 4 GiB")
 	}
 	sort.Ints(ids)
+	var terms textproc.Terms
 	urls.Grow(n)
 	if len(ids) > 0 {
 		c.urlEnd = make([]uint32, 0, ids[len(ids)-1]+1)
 	}
 	for _, pid := range ids {
 		p := pages[pid]
-		d, ok := PageDoc(p)
+		d, ok := PageDoc(p, &terms)
 		if !ok {
 			continue
 		}
@@ -93,10 +100,10 @@ func (c *Corpus) URLOf(doc int) string {
 }
 
 // PageDoc parses a crawled page into the document the indexers take:
-// the page ID and the tokens of its visible text. ok is false for a
-// page with no indexable text.
-func PageDoc(p *crawler.Page) (doc index.Doc, ok bool) {
-	terms := textproc.Tokenize(textproc.ParseHTML(p.HTML).Text)
+// the page ID and the tokens of its visible text, tokenized against ts
+// (nil: without a table). ok is false for a page with no indexable text.
+func PageDoc(p *crawler.Page, ts *textproc.Terms) (doc index.Doc, ok bool) {
+	terms := ts.Tokenize(textproc.ParseHTML(p.HTML).Text)
 	return index.Doc{Ext: p.PageID, Terms: terms}, len(terms) > 0
 }
 

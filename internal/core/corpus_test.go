@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"dwr/internal/crawler"
 	"dwr/internal/index"
@@ -11,6 +14,7 @@ import (
 	"dwr/internal/qproc"
 	"dwr/internal/querylog"
 	"dwr/internal/simweb"
+	"dwr/internal/textproc"
 )
 
 func crawlCorpus(t *testing.T, cfg Config) *Corpus {
@@ -192,4 +196,75 @@ func TestURLTableEdgeCases(t *testing.T) {
 			t.Fatalf("ID %d resolves to %q", id, u)
 		}
 	}
+}
+
+// TestCrawlStoresEachTermOnce: Crawl tokenizes the whole crawl against
+// one table, so equal terms across documents are one string and each
+// document's Terms is exactly sized, and the table changes no document:
+// each one's terms are the table-less tokenizer's for its page (and
+// FuzzTokenize holds that tokenizer to the one before the table). Build
+// keeps the crawl's report but lets go of the Crawler; a Crawl corpus
+// keeps it, and can recrawl.
+func TestCrawlStoresEachTermOnce(t *testing.T) {
+	c := crawlCorpus(t, smallConfig())
+	pages := c.Crawler.Pages()
+	first := make(map[string]*byte)
+	tokens := 0
+	for _, d := range c.Docs {
+		if len(d.Terms) != cap(d.Terms) {
+			t.Fatalf("document %d: %d terms in a slice of %d", d.Ext, len(d.Terms), cap(d.Terms))
+		}
+		if want := textproc.Tokenize(textproc.ParseHTML(pages[d.Ext].HTML).Text); !slices.Equal(d.Terms, want) {
+			t.Fatalf("document %d: terms %q, its page tokenizes to %q", d.Ext, d.Terms, want)
+		}
+		for _, term := range d.Terms {
+			p, ok := first[term]
+			if !ok {
+				first[term] = unsafe.StringData(term)
+			} else if p != unsafe.StringData(term) {
+				t.Fatalf("document %d holds a second copy of %q", d.Ext, term)
+			}
+		}
+		tokens += len(d.Terms)
+	}
+	if len(first) == 0 || tokens < 2*len(first) {
+		t.Fatalf("%d tokens over %d distinct terms: too few repeats to test sharing", tokens, len(first))
+	}
+
+	e := buildEngine(t, smallConfig())
+	if e.Crawler != nil {
+		t.Fatal("Build kept the Crawler")
+	}
+	if e.CrawlInfo.DistinctPages == 0 || !reflect.DeepEqual(e.CrawlInfo, c.CrawlInfo) {
+		t.Fatalf("Build's crawl report %+v is not Crawl's %+v", e.CrawlInfo, c.CrawlInfo)
+	}
+	if st := c.Crawler.Recrawl(15, false); st.Pages != len(pages) || st.ConditionalRequests == 0 {
+		t.Fatalf("a Crawl corpus could not recrawl: %+v", st)
+	}
+}
+
+// BenchmarkBuild is Build at smallConfig: the set-up behind bench's
+// setup_s and heap_mb, whose traced parts are textproc.parse_us_per_doc
+// and index.build_s. Beside allocs/op it reports retained-B/token, the
+// live heap after a GC with the engine held, divided by the tokens of
+// its documents.
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	var e *Engine
+	for i := 0; i < b.N; i++ {
+		var err error
+		if e, err = Build(smallConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	tokens := 0
+	for _, d := range e.Docs {
+		tokens += len(d.Terms)
+	}
+	b.ReportMetric(float64(ms.HeapAlloc)/float64(tokens), "retained-B/token")
+	runtime.KeepAlive(e)
 }

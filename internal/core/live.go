@@ -51,7 +51,7 @@ func NewLive(partitions, segDocs int, opts ...qproc.Option) (*Live, error) {
 // the page has no indexable text, or it is a refetch of a page the
 // partition already holds.
 func (l *Live) Ingest(p *crawler.Page) (part int, ok bool) {
-	d, ok := PageDoc(p)
+	d, ok := PageDoc(p, nil)
 	if !ok {
 		return 0, false
 	}

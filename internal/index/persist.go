@@ -295,6 +295,9 @@ func Read(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d postings: %w", i, err)
 		}
+		if count == 0 { // no builder writes one, and mergeParts drops one
+			return nil, fmt.Errorf("index: term %d %q has no postings", i, term)
+		}
 		dl, err := readUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("index: reading term %d data: %w", i, err)

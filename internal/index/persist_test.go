@@ -192,11 +192,13 @@ func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
 }
 
 // TestReadRejectsWhatNoBuilderWrites: a builder writes terms in strictly
-// ascending order and documents no longer than MaxInt32 tokens, and Read
-// refuses a CRC-valid file that breaks either. A repeated term used to be
+// ascending order, each with a posting, and documents no longer than
+// MaxInt32 tokens, and Read refuses a CRC-valid file that breaks any of
+// these. A repeated term used to be
 // accepted with the dictionary pointing at its last list, so the first
 // list's postings were unreachable while Manifest.LocalStats summed both
-// lists' DF; a length past MaxInt32 wrapped MinLen negative.
+// lists' DF; a length past MaxInt32 wrapped MinLen negative; an empty
+// list entered the lexicon with DF 0.
 func TestReadRejectsWhatNoBuilderWrites(t *testing.T) {
 	tampers := []struct {
 		name   string
@@ -206,6 +208,7 @@ func TestReadRejectsWhatNoBuilderWrites(t *testing.T) {
 		{"a repeated term", func(ix *Index) { ix.termList[1].term = ix.termList[0].term }},
 		{"terms out of order", func(ix *Index) { ix.termList[0], ix.termList[1] = ix.termList[1], ix.termList[0] }},
 		{"a document past MaxInt32 tokens", func(ix *Index) { ix.docs[0].length = math.MaxInt32 + 1 }},
+		{"an empty posting list", func(ix *Index) { ix.termList[1].pl = postingList{} }},
 	}
 	for _, tc := range tampers {
 		b := NewBuilder(DefaultOptions())

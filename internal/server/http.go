@@ -317,6 +317,9 @@ var searchBodies = sync.Pool{New: func() interface{} { return new([]byte) }}
 //	 "latency_ms", "degraded" (omitempty), "from_cache" (omitempty)}
 //
 // — including the 500 a NaN or infinite score or latency answers.
+// "latency_ms" is the engine's modelled latency (qproc's cost model,
+// which grows with the postings a query decodes), not wall time: a
+// change that moves postings moves the body's length, not its answer.
 func writeSearch(w http.ResponseWriter, st Status, qr *qproc.QueryResult, resolve func(doc int) string) {
 	bp := searchBodies.Get().(*[]byte)
 	defer searchBodies.Put(bp)

@@ -1,6 +1,9 @@
 package textproc
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Fuzz targets: the crawler feeds these parsers whatever the Web throws
 // at it, so they must never panic and must keep their basic contracts on
@@ -34,17 +37,27 @@ func FuzzParseHTML(f *testing.F) {
 	})
 }
 
+// FuzzTokenize: Tokenize, and a Terms table shared across every input,
+// return exactly the tokens of the tokenizer before the table existed,
+// and no token is empty or longer than the cap.
 func FuzzTokenize(f *testing.F) {
-	for _, s := range []string{"", "hello world", "ÄÖÜ ß 日本語", "a1b2c3", "....", "\x00\xff"} {
+	for _, s := range []string{"", "hello world", "ÄÖÜ ß 日本語", "a1b2c3", "....", "\x00\xff", "İstanbul ǅ ΣΑΣ K", "hello again world"} {
 		f.Add(s)
 	}
+	var ts Terms
 	f.Fuzz(func(t *testing.T, raw string) {
-		for _, tok := range Tokenize(raw) {
-			if tok == "" {
-				t.Fatal("empty token")
+		want := oracleTokenize(raw)
+		for _, got := range [][]string{Tokenize(raw), ts.Tokenize(raw)} {
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("Tokenize(%q) = %q, want %q", raw, got, want)
 			}
-			if len(tok) > 64 {
-				t.Fatalf("token longer than cap: %d bytes", len(tok))
+			for _, tok := range got {
+				if tok == "" {
+					t.Fatal("empty token")
+				}
+				if len(tok) > 64 {
+					t.Fatalf("token longer than cap: %d bytes", len(tok))
+				}
 			}
 		}
 	})

@@ -1,38 +1,91 @@
 package textproc
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
+// maxToken is the longest token in bytes. Real crawls meet pathological
+// "words" (base64 blobs, minified code) that would bloat the lexicon
+// otherwise.
+const maxToken = 64
+
 // Tokenize splits text into lowercase word tokens. Letters and digits
 // form tokens; everything else separates them. Tokens longer than 64
-// bytes are truncated at a rune boundary — real crawls meet pathological "words" (base64
-// blobs, minified code) that would bloat the lexicon otherwise.
+// bytes are truncated at a rune boundary. Each token is its own string;
+// the result is exactly sized, and nil when text has no token.
 func Tokenize(text string) []string {
-	const maxToken = 64
-	var out []string
-	var b strings.Builder
-	full := false // a rune did not fit: the rest of this word is dropped
-	flush := func() {
-		if b.Len() > 0 {
-			out = append(out, b.String())
-			b.Reset()
-		}
-		full = false
+	var scratch [16]string // a query's tokens gather on the stack
+	return exact(appendTokens(scratch[:0], text, nil))
+}
+
+// Terms is a table of the distinct tokens seen so far. Its Tokenize
+// returns what the package Tokenize returns, but a token already in the
+// table comes back as the table's string: a collection of n tokens over
+// v distinct terms holds v strings, not n. The zero value is an empty
+// table; a nil *Terms tokenizes without one. A Terms is not safe for
+// concurrent use.
+type Terms struct {
+	seen map[string]string
+	toks []string // scratch: one text's tokens, reused across calls
+}
+
+// Tokenize tokenizes text against the table, adding its new tokens.
+func (ts *Terms) Tokenize(text string) []string {
+	if ts == nil {
+		return Tokenize(text)
 	}
-	for _, r := range text {
+	if ts.seen == nil {
+		ts.seen = make(map[string]string)
+	}
+	ts.toks = appendTokens(ts.toks[:0], text, ts.seen)
+	return exact(ts.toks)
+}
+
+// appendTokens appends text's tokens to dst. With a non-nil seen, a
+// token already in it is seen's string, and a new one is added to it.
+func appendTokens(dst []string, text string, seen map[string]string) []string {
+	var word [maxToken]byte
+	n := 0
+	full := false // a rune did not fit: the rest of this word is dropped
+	for i := 0; i < len(text); {
+		r, size := utf8.DecodeRuneInString(text[i:])
+		i += size
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			lr := unicode.ToLower(r)
-			full = full || b.Len()+utf8.RuneLen(lr) > maxToken
+			full = full || n+utf8.RuneLen(lr) > maxToken
 			if !full {
-				b.WriteRune(lr)
+				n += utf8.EncodeRune(word[n:], lr)
 			}
 			continue
 		}
-		flush()
+		dst, n, full = appendWord(dst, word[:n], seen), 0, false
 	}
-	flush()
+	return appendWord(dst, word[:n], seen)
+}
+
+// appendWord appends word, if any, as a string: seen's copy when it has
+// one, else a new string, which a non-nil seen then keeps.
+func appendWord(dst []string, word []byte, seen map[string]string) []string {
+	if len(word) == 0 {
+		return dst
+	}
+	s, ok := seen[string(word)]
+	if !ok {
+		s = string(word)
+		if seen != nil {
+			seen[s] = s
+		}
+	}
+	return append(dst, s)
+}
+
+// exact copies toks into a slice of exactly their length.
+func exact(toks []string) []string {
+	if len(toks) == 0 {
+		return nil
+	}
+	out := make([]string, len(toks))
+	copy(out, toks)
 	return out
 }
