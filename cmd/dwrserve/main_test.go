@@ -317,3 +317,25 @@ func TestFederateServesMediatedAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestFederateAnswersAnUnknownWord: a word no site holds is an empty
+// answer, served with 200. Every site engine shares thresholds, skips
+// each of its partitions and contacts none; the federation used to read
+// that as every site down and answer 502.
+func TestFederateAnswersAnUnknownWord(t *testing.T) {
+	defer qproc.SetDefaultOptions()
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 2, sites: 3, deadline: 100000}
+	h, _, err := newFederate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	var got struct {
+		Status  string
+		Results []hit
+	}
+	if code := getJSON(t, srv, "/search?q=zzqxnotaword", &got); code != http.StatusOK || got.Status != "ok" || len(got.Results) != 0 {
+		t.Fatalf("unknown word: HTTP %d, status %q, %d results; want 200 \"ok\" and none", code, got.Status, len(got.Results))
+	}
+}

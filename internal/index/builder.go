@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"dwr/internal/conc"
 )
@@ -90,35 +91,124 @@ func (ix *Index) addTerm(term string, pl postingList) {
 	ix.termList = append(ix.termList, termEntry{term: term, pl: pl})
 }
 
-// invert groups the token positions of document doc per term and emits
-// one posting per distinct term for which keep returns true (nil keeps
-// every term), in no particular term order. Positions index the full
-// token sequence, filtered or not.
-func invert(doc int32, terms []string, keep func(string) bool, emit func(term string, p Posting)) {
-	occ := make(map[string][]int32)
-	for i, t := range terms {
-		if keep == nil || keep(t) {
-			occ[t] = append(occ[t], int32(i))
+// postingBuffer is the one in-memory inverter: MemBuilder's postings,
+// each SPIMIBuilder run and each BuildPipeline stage live in one (and
+// so does every SegmentWriter seal, which goes through Build). A term is
+// looked up once per occurrence and named by a dense ID from then on;
+// its postings grow in one slice per ID, in document order; and each
+// posting's positions are carved from a chunked arena. Adding a document
+// whose terms the dictionary already holds allocates nothing but the
+// growth of posting slices.
+type postingBuffer struct {
+	ids     map[string]int32 // term → ID
+	terms   []string         // by ID
+	lists   [][]Posting      // by ID
+	tf      []int32          // by ID: the current document's count, zero between documents
+	touched []int32          // the current document's IDs, in first-occurrence order
+	tok     []int32          // the current document's token IDs, -1 where keep refused
+	arena   []int32          // the uncarved rest of the current position chunk
+}
+
+// arenaChunk is the position arena's chunk, in positions; a document
+// with more kept tokens gets a chunk of its own size.
+const arenaChunk = 64 << 10
+
+// add inverts document doc: one posting per distinct term of terms for
+// which keep returns true (nil keeps every term), appended to that
+// term's list. Positions index the full token sequence, filtered or not.
+// It returns what the postings weigh against SPIMIBuilder's budget: 12
+// bytes and the term's length per posting, 4 bytes per position.
+func (b *postingBuffer) add(doc int32, terms []string, keep func(string) bool) (charge int) {
+	if b.ids == nil {
+		b.ids = make(map[string]int32)
+	}
+	tok, touched := b.tok[:0], b.touched[:0]
+	kept := 0
+	for _, t := range terms {
+		if keep != nil && !keep(t) {
+			tok = append(tok, -1)
+			continue
+		}
+		id, ok := b.ids[t]
+		if !ok {
+			id = int32(len(b.terms))
+			b.ids[t] = id
+			b.terms = append(b.terms, t)
+			b.lists = append(b.lists, nil)
+			b.tf = append(b.tf, 0)
+		}
+		if b.tf[id] == 0 {
+			touched = append(touched, id)
+		}
+		b.tf[id]++
+		tok = append(tok, id)
+		kept++
+	}
+	if len(b.arena) < kept {
+		b.arena = make([]int32, max(arenaChunk, kept))
+	}
+	// Each posting's Pos is an empty slice capped at its TF, so the fill
+	// below appends in place and never into a neighbour.
+	for _, id := range touched {
+		n := b.tf[id]
+		b.lists[id] = append(b.lists[id], Posting{Doc: doc, TF: n, Pos: b.arena[:0:n]})
+		b.arena = b.arena[n:]
+		b.tf[id] = 0
+		charge += 12 + len(b.terms[id]) + 4*int(n)
+	}
+	for i, id := range tok {
+		if id >= 0 {
+			p := &b.lists[id][len(b.lists[id])-1]
+			p.Pos = append(p.Pos, int32(i))
 		}
 	}
-	for t, poss := range occ {
-		emit(t, Posting{Doc: doc, TF: int32(len(poss)), Pos: poss})
+	b.tok, b.touched = tok, touched
+	return charge
+}
+
+// sorted returns the buffer's term IDs in term order.
+func (b *postingBuffer) sorted() []int32 {
+	ids := make([]int32, len(b.terms))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
+	slices.SortFunc(ids, func(x, y int32) int { return strings.Compare(b.terms[x], b.terms[y]) })
+	return ids
+}
+
+// appendTo adds the buffer's terms to ix's lexicon in term order, after
+// the terms ix holds (which must sort before them), encoding the lists
+// against ix's document table over up to workers goroutines (0 =
+// GOMAXPROCS). Each worker owns disjoint lexicon slots, so the index is
+// the same at any worker count.
+func (b *postingBuffer) appendTo(ix *Index, workers int) {
+	ids := b.sorted()
+	if len(ix.terms) == 0 {
+		ix.terms = make(map[string]int, len(ids))
+	}
+	base := len(ix.termList)
+	ix.termList = slices.Grow(ix.termList, len(ids))[:base+len(ids)]
+	for i, id := range ids {
+		ix.terms[b.terms[id]] = base + i
+	}
+	conc.Do(len(ids), workers, func(i int) {
+		id := ids[i]
+		ix.termList[base+i] = termEntry{term: b.terms[id], pl: encodePostings(b.lists[id], ix.opts, ix.docs)}
+	})
 }
 
 // MemBuilder constructs an Index incrementally in memory: the vanilla
-// inverter that keeps a growing posting buffer per term. It is the
-// reference implementation the other construction strategies are checked
-// against.
+// inverter over one posting buffer. It is the reference implementation
+// the other construction strategies are checked against.
 type MemBuilder struct {
 	docTable
-	opts    Options
-	posting map[string][]Posting
+	opts Options
+	buf  postingBuffer
 }
 
 // NewBuilder creates an in-memory builder with the given layout options.
 func NewBuilder(opts Options) *MemBuilder {
-	return &MemBuilder{opts: opts, posting: make(map[string][]Posting)}
+	return &MemBuilder{opts: opts}
 }
 
 // AddDocument indexes one tokenized document under external ID ext,
@@ -137,9 +227,7 @@ func (b *MemBuilder) AddDocumentFiltered(ext int, terms []string, keep func(stri
 	if err != nil {
 		return err
 	}
-	invert(doc, terms, keep, func(t string, p Posting) {
-		b.posting[t] = append(b.posting[t], p)
-	})
+	b.buf.add(doc, terms, keep)
 	return nil
 }
 
@@ -151,25 +239,13 @@ func (b *MemBuilder) Build() (*Index, error) {
 }
 
 // BuildParallel is Build with the per-term posting-list encoding fanned
-// out over up to workers goroutines (0 = GOMAXPROCS). Each worker owns
-// a disjoint set of lexicon slots, so the resulting index is identical
-// to Build's at any worker count.
+// out over up to workers goroutines (0 = GOMAXPROCS); the index is
+// identical to Build's at any worker count. The builder lets go of its
+// posting buffer and must not be used afterwards.
 func (b *MemBuilder) BuildParallel(workers int) *Index {
 	ix := b.index(b.opts)
-	terms := make([]string, 0, len(b.posting))
-	for t := range b.posting {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	ix.terms = make(map[string]int, len(terms))
-	ix.termList = make([]termEntry, len(terms))
-	for i, t := range terms {
-		ix.terms[t] = i
-	}
-	conc.Do(len(terms), workers, func(i int) {
-		t := terms[i]
-		ix.termList[i] = termEntry{term: t, pl: encodePostings(b.posting[t], b.opts, ix.docs)}
-	})
+	b.buf.appendTo(ix, workers)
+	b.buf = postingBuffer{}
 	return ix
 }
 
@@ -184,18 +260,34 @@ func Build(opts Options, docs []Doc) (*Index, error) {
 	return b.BuildParallel(1), nil
 }
 
-// BuildAll freezes a set of builders concurrently — the construction
-// path of the partitioned query engines, where K partition indexes are
-// independent and a serial loop would leave all but one core idle.
-// Each builder additionally parallelizes its own posting encoding,
-// which matters when K is smaller than the machine; both fan-outs are
-// GOMAXPROCS wide.
-func BuildAll(builders []*MemBuilder) []*Index {
-	out := make([]*Index, len(builders))
-	conc.Do(len(builders), 0, func(i int) {
-		out[i] = builders[i].BuildParallel(0)
+// BuildAll builds k indexes side by side, as the partitioned query
+// engines do: the K partition indexes are independent, and a serial
+// loop would leave all but one core idle. fill(i, b) adds index i's
+// documents to b, in the caller's order, and on an error returns it
+// with the position (in that order) of the document that caused it;
+// BuildAll returns the error of the least position, which is the one a
+// serial loop over every fill would have met first. Each builder also
+// fans its posting encoding out; both fan-outs are GOMAXPROCS wide.
+func BuildAll(opts Options, k int, fill func(i int, b *MemBuilder) (int, error)) ([]*Index, error) {
+	out := make([]*Index, k)
+	errs := make([]error, k)
+	at := make([]int, k)
+	conc.Do(k, 0, func(i int) {
+		b := NewBuilder(opts)
+		if at[i], errs[i] = fill(i, b); errs[i] == nil {
+			out[i] = b.BuildParallel(0)
+		}
 	})
-	return out
+	first := -1
+	for i, err := range errs {
+		if err != nil && (first < 0 || at[i] < at[first]) {
+			first = i
+		}
+	}
+	if first >= 0 {
+		return nil, errs[first]
+	}
+	return out, nil
 }
 
 // SortBuilder implements classic sort-based index construction

@@ -103,26 +103,20 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 	}
 	ix := dt.index(opts)
 
-	// The pipeline: each stage owns its partial posting map and inverts
-	// only occurrences in its term range, seeing documents in ordinal
-	// order (conc.Pipeline's ordering contract), so posting lists come
-	// out already document-ordered like the serial builder's.
-	partialPost := make([]map[string][]Posting, stages)
-	for s := range partialPost {
-		partialPost[s] = make(map[string][]Posting)
-	}
+	// The pipeline: each stage owns a posting buffer and inverts only
+	// occurrences in its term range, seeing documents in ordinal order
+	// (conc.Pipeline's ordering contract), so posting lists come out
+	// document-ordered like the serial builder's.
+	bufs := make([]postingBuffer, stages)
 	conc.Pipeline(len(sorted), stages, func(s, li int) {
-		invert(int32(li), sorted[li].Terms,
-			func(t string) bool { return stageOf(t) == s },
-			func(t string, p Posting) { partialPost[s][t] = append(partialPost[s][t], p) })
+		bufs[s].add(int32(li), sorted[li].Terms, func(t string) bool { return stageOf(t) == s })
 	})
 
-	// Collect stage outputs: term ranges are disjoint and cover the
-	// vocabulary, so the sorted vocabulary is the lexicon.
-	for _, t := range terms {
-		ps := partialPost[stageOf(t)][t]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
-		ix.addTerm(t, encodePostings(ps, opts, ix.docs))
+	// Collect stage outputs: the term ranges are disjoint, ascending and
+	// cover the vocabulary, so the stages' lexicons in stage order are
+	// the sorted lexicon.
+	for s := range bufs {
+		bufs[s].appendTo(ix, 1)
 	}
 	return ix, nil
 }

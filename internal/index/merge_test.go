@@ -94,15 +94,21 @@ func TestMergeMatchesReindex(t *testing.T) {
 		}
 
 		// External-ID order: documents dealt to the parts at random.
-		builders := make([]*MemBuilder, 1+rng.Intn(5))
-		for i := range builders {
-			builders[i] = NewBuilder(opts)
-		}
+		dealt := make([][]Doc, 1+rng.Intn(5))
 		for _, d := range docs {
-			builders[rng.Intn(len(builders))].AddDocument(d.Ext, d.Terms)
+			p := rng.Intn(len(dealt))
+			dealt[p] = append(dealt[p], d)
 		}
-		parts := BuildAll(builders)
-		got, _, err := mergeParts(opts, parts, byExtID, drop, 1+trial%4)
+		parts, err := BuildAll(opts, len(dealt), func(p int, b *MemBuilder) (int, error) {
+			for _, d := range dealt[p] {
+				b.AddDocument(d.Ext, d.Terms)
+			}
+			return 0, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err = mergeParts(opts, parts, byExtID, drop, 1+trial%4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -33,25 +35,49 @@ func TestBuildAllEqualsIndividualBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	docs := randomDocs(rng, 400, 60)
 	const k = 5
-	mk := func() []*MemBuilder {
-		bs := make([]*MemBuilder, k)
-		for i := range bs {
-			bs[i] = NewBuilder(DefaultOptions())
-		}
-		for j, d := range docs {
-			bs[j%k].AddDocument(d.Ext, d.Terms)
-		}
-		return bs
-	}
-	serialBuilders, parBuilders := mk(), mk()
 	serial := make([]*Index, k)
-	for i, b := range serialBuilders {
+	for i := range serial {
+		b := NewBuilder(DefaultOptions())
+		for j := i; j < len(docs); j += k {
+			b.AddDocument(docs[j].Ext, docs[j].Terms)
+		}
 		serial[i] = MustBuild(b)
 	}
-	par := BuildAll(parBuilders)
+	par, err := BuildAll(DefaultOptions(), k, func(i int, b *MemBuilder) (int, error) {
+		for j := i; j < len(docs); j += k {
+			if err := b.AddDocument(docs[j].Ext, docs[j].Terms); err != nil {
+				return j, err
+			}
+		}
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range serial {
 		if !Equal(serial[i], par[i]) {
 			t.Fatalf("partition %d: BuildAll result differs from serial build", i)
+		}
+	}
+}
+
+// TestBuildAllReturnsTheFirstErrorInFillOrder: several builders fail,
+// and the error BuildAll returns is the one of the least position, not
+// the one that finished first, at any GOMAXPROCS.
+func TestBuildAllReturnsTheFirstErrorInFillOrder(t *testing.T) {
+	failAt := []int{-1, 7, 3, -1, 5}
+	for _, procs := range []int{1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := BuildAll(DefaultOptions(), len(failAt), func(i int, b *MemBuilder) (int, error) {
+			if failAt[i] < 0 {
+				b.AddDocument(i, []string{"x"})
+				return 0, nil
+			}
+			return failAt[i], fmt.Errorf("builder %d", i)
+		})
+		runtime.GOMAXPROCS(prev)
+		if err == nil || err.Error() != "builder 2" {
+			t.Fatalf("GOMAXPROCS %d: BuildAll returned %v, want builder 2's error", procs, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // SPIMIBuilder implements single-pass in-memory indexing with spill runs
@@ -22,7 +21,7 @@ type SPIMIBuilder struct {
 	opts      Options
 	memBudget int
 	dir       string
-	cur       map[string][]Posting
+	cur       postingBuffer // the postings since the last spill
 	curBytes  int
 	runs      []string
 	spills    int
@@ -49,7 +48,6 @@ func NewSPIMIBuilder(opts Options, memBudget int, dir string) (*SPIMIBuilder, er
 		opts:      opts,
 		memBudget: memBudget,
 		dir:       tmp,
-		cur:       make(map[string][]Posting),
 	}, nil
 }
 
@@ -60,10 +58,7 @@ func (b *SPIMIBuilder) AddDocument(ext int, terms []string) error {
 	if err != nil {
 		return err
 	}
-	invert(doc, terms, nil, func(t string, p Posting) {
-		b.cur[t] = append(b.cur[t], p)
-		b.curBytes += 12 + len(t) + 4*len(p.Pos)
-	})
+	b.curBytes += b.cur.add(doc, terms, nil)
 	if b.curBytes >= b.memBudget {
 		return b.spill()
 	}
@@ -75,15 +70,9 @@ func (b *SPIMIBuilder) Spills() int { return b.spills }
 
 // spill writes the in-memory buffer as one sorted run file.
 func (b *SPIMIBuilder) spill() error {
-	if len(b.cur) == 0 {
+	if len(b.cur.terms) == 0 {
 		return nil
 	}
-	terms := make([]string, 0, len(b.cur))
-	for t := range b.cur {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
 	path := filepath.Join(b.dir, fmt.Sprintf("run-%04d.gob", b.spills))
 	f, err := os.Create(path)
 	if err != nil {
@@ -91,8 +80,8 @@ func (b *SPIMIBuilder) spill() error {
 	}
 	w := bufio.NewWriter(f)
 	enc := gob.NewEncoder(w)
-	for _, t := range terms {
-		if err := enc.Encode(runEntry{Term: t, Postings: b.cur[t]}); err != nil {
+	for _, id := range b.cur.sorted() {
+		if err := enc.Encode(runEntry{Term: b.cur.terms[id], Postings: b.cur.lists[id]}); err != nil {
 			f.Close()
 			return fmt.Errorf("index: writing run: %w", err)
 		}
@@ -106,7 +95,7 @@ func (b *SPIMIBuilder) spill() error {
 	}
 	b.runs = append(b.runs, path)
 	b.spills++
-	b.cur = make(map[string][]Posting)
+	b.cur = postingBuffer{}
 	b.curBytes = 0
 	return nil
 }

@@ -93,20 +93,25 @@ type DocEngine struct {
 // — applied on top of the ambient defaults (SetDefaultOptions).
 func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartition, options ...Option) (*DocEngine, error) {
 	eo := resolveOptions(options)
-	builders := make([]*index.MemBuilder, dp.K)
-	for i := range builders {
-		builders[i] = index.NewBuilder(opts)
-	}
-	for _, d := range docs {
-		p, ok := dp.Assign[d.Ext]
-		if !ok {
-			continue
-		}
-		if err := builders[p].AddDocument(d.Ext, d.Terms); err != nil {
-			return nil, err
+	// Each partition's builder takes its documents in docs order; the K
+	// partitions are inverted side by side.
+	members := make([][]int, dp.K)
+	for i, d := range docs {
+		if p, ok := dp.Assign[d.Ext]; ok {
+			members[p] = append(members[p], i)
 		}
 	}
-	parts := index.BuildAll(builders)
+	parts, err := index.BuildAll(opts, dp.K, func(p int, b *index.MemBuilder) (int, error) {
+		for _, i := range members[p] {
+			if err := b.AddDocument(docs[i].Ext, docs[i].Terms); err != nil {
+				return i, err
+			}
+		}
+		return 0, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	sources := make([]func() *index.Manifest, len(parts))
 	for i, ix := range parts {
 		v := index.ViewOf(ix)

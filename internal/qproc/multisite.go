@@ -413,9 +413,11 @@ func (m *MultiSite) evalSites(targets []*Site, terms []string, k int) []QueryRes
 }
 
 // unanswered reports that a site's engine had no live query processor
-// to evaluate on: nothing contacted, nothing found, nothing cached.
+// to evaluate on: nothing contacted, nothing found, nothing cached, and
+// no live partition skipped. A threshold-sharing engine contacts none
+// when no partition's bound admits a match; that is an empty answer.
 func (qr *QueryResult) unanswered() bool {
-	return qr.ServersContacted == 0 && len(qr.Results) == 0 && !qr.FromCache
+	return qr.ServersContacted == 0 && qr.PartitionsSkipped == 0 && len(qr.Results) == 0 && !qr.FromCache
 }
 
 // addSite folds one site engine's work into the multi-site answer and

@@ -11,6 +11,7 @@ import (
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
+	"dwr/internal/rank"
 )
 
 // newMultiSite builds 3 sites in regions 0..2, each a full replica over
@@ -442,5 +443,30 @@ func TestMultiSiteConcurrentCallers(t *testing.T) {
 	st := m.Stats()
 	if st.Queries != callers*each || st.Selection.RecallSamples == 0 {
 		t.Fatalf("stats count %d queries and %d recall samples after %d calls", st.Queries, st.Selection.RecallSamples, callers*each)
+	}
+}
+
+// TestMultiSiteNoMatchIsAnEmptyAnswer: a site engine that shares
+// thresholds skips every partition of a query no document matches, and
+// contacts none. That is an empty answer, not a dead site: the
+// multi-site answer is empty and neither failed nor degraded, exactly
+// as one such DocEngine's is, on the replica path and the mediated one.
+func TestMultiSiteNoMatchIsAnEmptyAnswer(t *testing.T) {
+	shared := []Option{WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)}
+	terms := []string{"zzqxnotaword"}
+	one := newDocEngine(t, corpus(21, 300, 200), 4, shared...).QueryTopK(terms, 10)
+	if one.Err != nil || one.Degraded || len(one.Results) != 0 || one.PartitionsSkipped != 4 {
+		t.Fatalf("DocEngine: err=%v degraded=%v results=%d skipped=%d", one.Err, one.Degraded, len(one.Results), one.PartitionsSkipped)
+	}
+	for _, msOpts := range [][]Option{nil, mediated} {
+		m := newFederatedMultiSite(t, 7, 3, 0, msOpts, shared)
+		r := m.QueryTopK(terms, 10)
+		if r.Err != nil || r.Degraded || len(r.Results) != 0 {
+			t.Fatalf("mediated=%v QueryTopK: err=%v degraded=%v results=%d", msOpts != nil, r.Err, r.Degraded, len(r.Results))
+		}
+		s := m.Submit(terms, "zzqxnotaword", 1, 1, 10)
+		if s.Failed || s.Err != nil || s.Degraded || len(s.Results) != 0 {
+			t.Fatalf("mediated=%v Submit: failed=%v err=%v degraded=%v results=%d", msOpts != nil, s.Failed, s.Err, s.Degraded, len(s.Results))
+		}
 	}
 }

@@ -509,25 +509,75 @@ func TestTermPhraseUnownedTerm(t *testing.T) {
 
 // TestConstructorsRejectRepeatedIDs: a document list that repeats an
 // external ID is an error from either constructor, not a silently
-// dropped document.
+// dropped document. The partitions are inverted side by side, yet the
+// error names the repeat a serial pass over docs meets first — document
+// 17's, ahead of document 2's in docs order but in another partition —
+// at GOMAXPROCS 1 and 8.
 func TestConstructorsRejectRepeatedIDs(t *testing.T) {
-	docs := append(corpus(5, 20, 50), index.Doc{Ext: 3, Terms: []string{"w0001"}})
-	weight := func(string) float64 { return 1 }
-	for _, c := range []struct {
-		name  string
-		build func() error
-	}{
-		{"NewDocEngine", func() error {
-			_, err := NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(index.DocIDs(docs), 2))
-			return err
-		}},
-		{"NewTermEngine", func() error {
-			_, err := NewTermEngine(index.DefaultOptions(), docs, partition.BinPackTerms(termVocab(docs), weight, 2))
-			return err
-		}},
-	} {
-		if c.build() == nil {
-			t.Errorf("%s accepted document 3 twice", c.name)
+	base := corpus(5, 40, 50)
+	dp := partition.RoundRobinDocs(index.DocIDs(base), 4)
+	docs := append(base, index.Doc{Ext: 17, Terms: []string{"w0001"}}, index.Doc{Ext: 2, Terms: []string{"w0002"}})
+	tp := partition.BinPackTerms(termVocab(docs), func(string) float64 { return 1 }, 3)
+	const want = "index: duplicate document 17"
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
+		if _, err := NewDocEngine(index.DefaultOptions(), docs, dp); err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS %d: NewDocEngine returned %v, want %q", procs, err, want)
+		}
+		if _, err := NewTermEngine(index.DefaultOptions(), docs, tp); err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS %d: NewTermEngine returned %v, want %q", procs, err, want)
+		}
+	}
+}
+
+// TestConstructorsBuildTheSerialPartitions: each partition index the
+// engines invert side by side is Equal to the one a builder fed the
+// partition's documents in docs order, one after another, builds.
+func TestConstructorsBuildTheSerialPartitions(t *testing.T) {
+	docs := corpus(9, 300, 400)
+	dp := partition.RoundRobinDocs(index.DocIDs(docs), 4)
+	tp := partition.BinPackTerms(termVocab(docs), func(string) float64 { return 1 }, 3)
+	docParts := make([]*index.MemBuilder, dp.K)
+	termParts := make([]*index.MemBuilder, tp.K)
+	for i := range docParts {
+		docParts[i] = index.NewBuilder(index.DefaultOptions())
+	}
+	for i := range termParts {
+		termParts[i] = index.NewBuilder(index.DefaultOptions())
+	}
+	for _, d := range docs {
+		docParts[dp.Assign[d.Ext]].AddDocument(d.Ext, d.Terms)
+		for s, b := range termParts {
+			b.AddDocumentFiltered(d.Ext, d.Terms, func(t string) bool { return tp.Assign[t] == s })
+		}
+	}
+	serialDoc := make([]*index.Index, dp.K)
+	for i, b := range docParts {
+		serialDoc[i] = index.MustBuild(b)
+	}
+	serialTerm := make([]*index.Index, tp.K)
+	for i, b := range termParts {
+		serialTerm[i] = index.MustBuild(b)
+	}
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
+		de, err := NewDocEngine(index.DefaultOptions(), docs, dp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, want := range serialDoc {
+			if !index.Equal(de.PartIndex(p), want) {
+				t.Fatalf("GOMAXPROCS %d: DocEngine partition %d differs from the serial build", procs, p)
+			}
+		}
+		te, err := NewTermEngine(index.DefaultOptions(), docs, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, want := range serialTerm {
+			if !index.Equal(te.servers[s], want) {
+				t.Fatalf("GOMAXPROCS %d: TermEngine server %d differs from the serial build", procs, s)
+			}
 		}
 	}
 }

@@ -45,21 +45,19 @@ func NewTermEngine(opts index.Options, docs []index.Doc, tp partition.TermPartit
 	if tp.K <= 0 {
 		return nil, fmt.Errorf("qproc: term partition with no servers")
 	}
-	builders := make([]*index.MemBuilder, tp.K)
-	for i := range builders {
-		builders[i] = index.NewBuilder(opts)
-	}
-	for _, d := range docs {
-		for s := 0; s < tp.K; s++ {
-			if err := builders[s].AddDocumentFiltered(d.Ext, d.Terms, func(t string) bool {
-				return tp.Assign[t] == s
-			}); err != nil {
-				return nil, err
+	servers, err := index.BuildAll(opts, tp.K, func(s int, b *index.MemBuilder) (int, error) {
+		keep := func(t string) bool { return tp.Assign[t] == s }
+		for i, d := range docs {
+			if err := b.AddDocumentFiltered(d.Ext, d.Terms, keep); err != nil {
+				return i, err
 			}
 		}
+		return 0, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	e := &TermEngine{tp: tp, busyMs: make([]float64, tp.K)}
-	e.servers = index.BuildAll(builders)
+	e := &TermEngine{tp: tp, servers: servers, busyMs: make([]float64, tp.K)}
 	stats := make([]index.Stats, len(e.servers))
 	conc.Do(len(e.servers), 0, func(i int) {
 		stats[i] = e.servers[i].LocalStats(nil)
