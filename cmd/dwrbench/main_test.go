@@ -442,8 +442,8 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1041,
-		"README.md":                      353,
+		"DESIGN.md":                      1038,
+		"README.md":                      352,
 		".claude/skills/verify/SKILL.md": 237,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))

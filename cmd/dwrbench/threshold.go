@@ -28,8 +28,9 @@ var thresholdScenario = define("threshold",
 // broker seeds each later wave with its running k-th score, so low-bound
 // partitions start with a live threshold (deeper skipping) or are
 // skipped outright when their score bound cannot be competitive. The
-// maxscore row — single-wave MaxScore, the configuration bench/ serves —
-// is the baseline the maxscore+ts row is judged against.
+// maxscore row — single-wave MaxScore — is the baseline the maxscore+ts
+// row, every engine's default and the configuration bench/ serves, is
+// judged against; the comparator rows name their options.
 func measureThreshold(w io.Writer, c thresholdConfig) ([]row, error) {
 	if c.Docs < 1 || c.Queries < 1 || c.Partitions < 1 {
 		return nil, errors.New("docs, queries and partitions must be positive")
@@ -40,9 +41,9 @@ func measureThreshold(w io.Writer, c thresholdConfig) ([]row, error) {
 		name    string
 		options []qproc.Option
 	}{
-		{"exhaustive", nil},
-		{"maxscore", []qproc.Option{qproc.WithPruning(rank.PruneMaxScore)}},
-		{"maxscore+ts", []qproc.Option{qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true)}},
+		{"exhaustive", []qproc.Option{qproc.WithPruning(rank.PruneNone), qproc.WithThresholdSharing(false)}},
+		{"maxscore", []qproc.Option{qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(false)}},
+		{"maxscore+ts", nil},
 	}
 	engines := make([]*qproc.DocEngine, len(modes))
 	for i, m := range modes {

@@ -24,7 +24,8 @@ import (
 // sampled Recall@k of mediated answers against the exhaustive fan-out.
 // It returns the HTTP handler plus the crawled corpus.
 func newFederate(o options) (http.Handler, *core.Corpus, error) {
-	cfg := prunedConfig(o)
+	fmt.Printf("dwrserve: building corpus (%d hosts, %d partitions)...\n", o.hosts, o.partitions)
+	cfg := corpusConfig(o)
 	corpus, err := core.Crawl(cfg)
 	if err != nil {
 		return nil, nil, err

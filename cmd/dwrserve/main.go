@@ -51,7 +51,6 @@ import (
 	"dwr/internal/core"
 	"dwr/internal/crawler"
 	"dwr/internal/qproc"
-	"dwr/internal/rank"
 	"dwr/internal/server"
 	"dwr/internal/simweb"
 	"dwr/internal/textproc"
@@ -88,7 +87,7 @@ func main() {
 		h, _, err = newFederate(o)
 	case "live":
 		var crawl func() (fetched, indexed int)
-		if h, crawl, err = newLive(o); err == nil {
+		if h, _, crawl, err = newLive(o); err == nil {
 			go func() {
 				fetched, indexed := crawl()
 				fmt.Printf("dwrserve: crawl finished — %d pages fetched, %d docs searchable\n", fetched, indexed)
@@ -202,23 +201,11 @@ func corpusConfig(o options) core.Config {
 	return cfg
 }
 
-// prunedConfig is corpusConfig for the modes that index up front, and
-// makes MaxScore pruning with threshold sharing the default of every
-// engine static and -federate construct from here on — rank-identical
-// to exhaustive evaluation, and the configuration bench/ and
-// docs/BENCH_pruning.json measure. (-live stays at the LiveEngine
-// defaults — MaxScore pruning without threshold sharing — which is what
-// bench/'s live_ingest measures.)
-func prunedConfig(o options) core.Config {
-	qproc.SetDefaultOptions(qproc.WithPruning(rank.PruneMaxScore), qproc.WithThresholdSharing(true))
-	fmt.Printf("dwrserve: building corpus (%d hosts, %d partitions)...\n", o.hosts, o.partitions)
-	return corpusConfig(o)
-}
-
 // newStatic builds the whole index up front and returns the HTTP
 // handler over its document-partitioned engine, plus the built system.
 func newStatic(o options) (http.Handler, *core.Engine, error) {
-	cfg := prunedConfig(o)
+	fmt.Printf("dwrserve: building corpus (%d hosts, %d partitions)...\n", o.hosts, o.partitions)
+	cfg := corpusConfig(o)
 	cfg.Cache = core.CacheConfig{Capacity: o.cacheCap}
 	eng, err := core.Build(cfg)
 	if err != nil {
@@ -229,17 +216,17 @@ func newStatic(o options) (http.Handler, *core.Engine, error) {
 }
 
 // newLive brings the front-end up over an empty core.Live and returns
-// its HTTP handler plus the crawl that fills it while queries are
-// served: the continuous crawl-index-serve pipeline. crawl runs to
-// completion — streaming every page into the segment writers and
-// sealing the final partial segments — and reports pages fetched and
-// documents indexed. It is the single writer, merges included; queries
+// its HTTP handler and the Live, plus the crawl that fills it while
+// queries are served: the continuous crawl-index-serve pipeline. crawl
+// runs to completion — streaming every page into the segment writers
+// and sealing the final partial segments — and reports pages fetched
+// and documents indexed. It is the single writer, merges included; queries
 // read immutable manifest snapshots, so they never block on it.
-func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), err error) {
-	live, err := core.NewLive(o.partitions, o.segDocs,
+func newLive(o options) (h http.Handler, live *core.Live, crawl func() (fetched, indexed int), err error) {
+	live, err = core.NewLive(o.partitions, o.segDocs,
 		qproc.WithResultCache(qproc.ResultCacheConfig{Capacity: o.cacheCap}))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	cfg := corpusConfig(o)
 	web := simweb.New(cfg.Web)
@@ -259,5 +246,5 @@ func newLive(o options) (h http.Handler, crawl func() (fetched, indexed int), er
 		return st.DistinctPages, indexed
 	}
 
-	return frontend(live.Query, web.URL, o), crawl, nil
+	return frontend(live.Query, web.URL, o), live, crawl, nil
 }

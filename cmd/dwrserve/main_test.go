@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dwr/internal/index"
-	"dwr/internal/qproc"
 	"dwr/internal/rank"
 	"dwr/internal/simweb"
 	"dwr/internal/textproc"
@@ -93,11 +92,13 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) int {
 // comes up over empty segment stores, a crawl streams a few hundred
 // pages through the segment writers and seals them, and the HTTP
 // surface then finds those pages, reports every partition, and counts
-// the query.
+// the queries. The engine behind it evaluates with MaxScore pruning and
+// threshold sharing, and what it serves is still bit for bit the
+// exhaustive per-partition evaluation of the sealed manifests, merged.
 func TestLiveServesTheCrawl(t *testing.T) {
 	o := options{c: 4, seed: 1, hosts: 45, partitions: 3,
 		cacheCap: 32, segDocs: 32, deadline: 1000}
-	h, crawl, err := newLive(o)
+	h, live, crawl, err := newLive(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +135,54 @@ func TestLiveServesTheCrawl(t *testing.T) {
 	if code := getJSON(t, srv, search, &found); code != http.StatusOK || found.Status != "ok" {
 		t.Fatalf("search after the crawl: HTTP %d, status %q", code, found.Status)
 	}
-	hit := false
+	seedFound := false
 	for _, r := range found.Results {
 		if r.URL != web.URL(r.Doc) {
 			t.Fatalf("doc %d resolved to %q, want %q", r.Doc, r.URL, web.URL(r.Doc))
 		}
-		hit = hit || r.Doc == seedPage
+		seedFound = seedFound || r.Doc == seedPage
 	}
-	if !hit {
+	if !seedFound {
 		t.Fatalf("%d results for %v, the seed page %d not among them", len(found.Results), words[:2], seedPage)
+	}
+
+	// Each host's front page names a query. The engine answers it first,
+	// so /search serves that answer from the result cache.
+	const k = 10
+	var views []*index.Manifest
+	for _, st := range live.Stores() {
+		views = append(views, st.Manifest())
+	}
+	maxWaves := 0
+	for _, host := range web.Hosts {
+		front := textproc.Tokenize(textproc.ParseHTML(web.RenderHTML(host.Pages[0], 0)).Text)
+		terms := front[:min(2, len(front))]
+		maxWaves = max(maxWaves, live.Query.QueryTopK(terms, k).Waves)
+		stats := make([]index.Stats, len(views))
+		for p, v := range views {
+			stats[p] = v.LocalStats(terms)
+		}
+		scorer := rank.NewScorer(rank.FromGlobal(index.MergeStats(stats...)))
+		lists := make([][]rank.Result, len(views))
+		for p, v := range views {
+			lists[p], _ = rank.EvaluateView(v, scorer, terms, k, rank.PruneNone, 0)
+		}
+		want := rank.MergeResults(k, lists...)
+
+		var got struct{ Results []hit }
+		text := strings.Join(terms, " ")
+		getJSON(t, srv, fmt.Sprintf("/search?k=%d&q=%s", k, url.QueryEscape(text)), &got)
+		if len(got.Results) != len(want) || len(want) == 0 {
+			t.Fatalf("%q: %d results, the exhaustive oracle has %d", text, len(got.Results), len(want))
+		}
+		for j, w := range want {
+			if g := got.Results[j]; g.Doc != w.Doc || g.Score != w.Score || g.URL != web.URL(w.Doc) {
+				t.Fatalf("%q rank %d: served %+v, oracle %+v", text, j, g, w)
+			}
+		}
+	}
+	if maxWaves < 2 {
+		t.Fatalf("no query ran the threshold-shared schedule: at most %d wave", maxWaves)
 	}
 
 	var health struct {
@@ -160,8 +200,8 @@ func TestLiveServesTheCrawl(t *testing.T) {
 		Units         int
 	}
 	getJSON(t, srv, "/stats", &stats)
-	if stats.Served != 2 || stats.EngineQueries == 0 || stats.Units != o.partitions {
-		t.Fatalf("stats: %+v, want 2 served, engine queries counted, %d units", stats, o.partitions)
+	if served := int64(2 + len(web.Hosts)); stats.Served != served || stats.EngineQueries == 0 || stats.Units != o.partitions {
+		t.Fatalf("stats: %+v, want %d served, engine queries counted, %d units", stats, served, o.partitions)
 	}
 }
 
@@ -171,14 +211,13 @@ func TestLiveServesTheCrawl(t *testing.T) {
 // same URLs. (-live used to start from simweb's defaults and static
 // from core's: other page caps, another vocabulary.)
 func TestModesServeTheSameCorpus(t *testing.T) {
-	defer qproc.SetDefaultOptions()
 	o := options{c: 4, seed: 3, hosts: 30, partitions: 3,
 		segDocs: 32, deadline: 1000}
 	_, eng, err := newStatic(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, crawl, err := newLive(o)
+	h, _, crawl, err := newLive(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +254,6 @@ func TestModesServeTheSameCorpus(t *testing.T) {
 // serves is still bit for bit the exhaustive per-partition evaluation,
 // merged.
 func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
-	defer qproc.SetDefaultOptions()
 	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, deadline: 1000}
 	h, eng, err := newStatic(o)
 	if err != nil {
@@ -270,7 +308,6 @@ func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
 // reaches the federation — a budget below the virtual WAN round trip
 // times a remote site's answer out, a generous one serves it.
 func TestFederateServesMediatedAnswers(t *testing.T) {
-	defer qproc.SetDefaultOptions()
 	for _, tc := range []struct {
 		deadline float64
 		status   string
@@ -323,7 +360,6 @@ func TestFederateServesMediatedAnswers(t *testing.T) {
 // each of its partitions and contacts none; the federation used to read
 // that as every site down and answer 502.
 func TestFederateAnswersAnUnknownWord(t *testing.T) {
-	defer qproc.SetDefaultOptions()
 	o := options{c: 4, seed: 1, hosts: 45, partitions: 2, sites: 3, deadline: 100000}
 	h, _, err := newFederate(o)
 	if err != nil {

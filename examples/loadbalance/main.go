@@ -20,6 +20,7 @@ import (
 	"dwr/internal/qproc"
 	"dwr/internal/querylog"
 	"dwr/internal/randx"
+	"dwr/internal/rank"
 	"dwr/internal/simweb"
 )
 
@@ -48,8 +49,10 @@ func main() {
 		fmt.Println()
 	}
 
-	// Document-partitioned: flat busy load.
-	de, err := qproc.NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, k))
+	// Document-partitioned: flat busy load. Figure 2 compares unpruned
+	// engines, so the broker evaluates exhaustively in one wave.
+	de, err := qproc.NewDocEngine(index.DefaultOptions(), docs, partition.RoundRobinDocs(ids, k),
+		qproc.WithPruning(rank.PruneNone), qproc.WithThresholdSharing(false))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,9 @@ func Claim6TermVsDoc() *Result {
 	r := newResult("C6")
 	const k = 8
 	opts := index.DefaultOptions()
-	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k))
+	// Webber et al. compare unpruned engines: the exhaustive single wave.
+	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k),
+		qproc.WithPruning(rank.PruneNone), qproc.WithThresholdSharing(false))
 	if err != nil {
 		panic(err)
 	}

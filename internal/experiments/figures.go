@@ -14,6 +14,7 @@ import (
 	"dwr/internal/querylog"
 	"dwr/internal/queueing"
 	"dwr/internal/randx"
+	"dwr/internal/rank"
 	"dwr/internal/server"
 )
 
@@ -52,8 +53,11 @@ func Figure1Partitioning() *Result {
 	opts := index.DefaultOptions()
 
 	// Horizontal: split documents.
+	// Broadcast is the unpruned single wave; threshold sharing would skip
+	// partitions.
 	dp := partition.RoundRobinDocs(index.DocIDs(f.docs), k)
-	de, err := qproc.NewDocEngine(opts, f.docs, dp)
+	de, err := qproc.NewDocEngine(opts, f.docs, dp,
+		qproc.WithPruning(rank.PruneNone), qproc.WithThresholdSharing(false))
 	if err != nil {
 		panic(err)
 	}
@@ -123,7 +127,9 @@ func Figure2BusyLoad() *Result {
 	const k = 8
 	opts := index.DefaultOptions()
 
-	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k))
+	// Webber et al. compare unpruned engines: the exhaustive single wave.
+	de, err := qproc.NewDocEngine(opts, f.docs, partition.RoundRobinDocs(index.DocIDs(f.docs), k),
+		qproc.WithPruning(rank.PruneNone), qproc.WithThresholdSharing(false))
 	if err != nil {
 		panic(err)
 	}

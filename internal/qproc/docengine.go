@@ -90,7 +90,11 @@ type DocEngine struct {
 //	    WithResultCache(ResultCacheConfig{Capacity: 4096}),
 //	    WithFaults(DefaultFaultPolicy(), inj))
 //
-// — applied on top of the ambient defaults (SetDefaultOptions).
+// — applied on top of the ambient defaults (SetDefaultOptions) and the
+// served configuration every engine starts from: MaxScore pruning with
+// threshold sharing. An experiment that measures against exhaustive
+// single-wave evaluation names it: WithPruning(rank.PruneNone),
+// WithThresholdSharing(false).
 func NewDocEngine(opts index.Options, docs []index.Doc, dp partition.DocPartition, options ...Option) (*DocEngine, error) {
 	eo := resolveOptions(options)
 	// Each partition's builder takes its documents in docs order; the K
@@ -318,9 +322,8 @@ func (e *DocEngine) Query(terms []string, opt DocQueryOptions) QueryResult {
 		opt.Pruning = e.pruning
 	}
 	// Resolve the engine default before the cache key is computed (same
-	// pattern as Pruning): an engine whose default is single-wave leaves
-	// the zero value in place, so externally computed DocCacheKeys (log
-	// analysis, benchmark probes) agree with the engine's own.
+	// pattern as Pruning), so the key names the schedule that ran: a
+	// single-wave comparator leaves the zero value in place.
 	if opt.Threshold == ThresholdDefault && e.threshold {
 		opt.Threshold = ThresholdShared
 	}

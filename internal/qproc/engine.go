@@ -12,7 +12,8 @@ import "dwr/internal/metrics"
 type Engine interface {
 	// QueryTopK evaluates terms and returns the top-k answer with full
 	// resource accounting. Engine-specific per-query knobs take their
-	// engine's defaults (WithPruning, WithThresholdSharing).
+	// engine's configuration: MaxScore pruning with threshold sharing
+	// unless WithPruning or WithThresholdSharing named another.
 	QueryTopK(terms []string, k int) QueryResult
 	// QueryTopKWithin is QueryTopK under a latency budget of deadlineMs
 	// virtual milliseconds (<= 0 means none): an answer that would

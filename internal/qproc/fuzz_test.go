@@ -1,0 +1,87 @@
+package qproc
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dwr/internal/index"
+	"dwr/internal/rank"
+)
+
+// FuzzEnginesAgree: over a collection the fuzz bytes choose — up to 64
+// documents over a sixteen-term alphabet, external IDs shuffled, split
+// over one to four partitions — and a query of one to four terms that
+// may repeat a term or name one no document holds ("t16" to "t19"), at k
+// in 1..20, the default DocEngine, the exhaustive single-wave DocEngine
+// and the default LiveEngine over the same documents ingested into
+// segment stores and sealed return the same ranking bit for bit, and it
+// is the central rank.EvaluateOR ranking (within sameRanking's
+// tolerance). No answer carries an Err or is Degraded; a query no
+// document matches is answered with no results.
+func FuzzEnginesAgree(f *testing.F) {
+	docBytes := []byte{
+		3, 0, 1, 2, 3, 2, 0, 0, 4, 1, 5, 0, 4, 1, 1, 1, 6, 7, 0, 0, 5, 8, 9, 10, 11, 0, 2,
+		2, 12, 13, 0, 1, 14, 15, 3, 0, 3, 3, 3, 0, 1, 2, 2, 2, 0, 1, 4, 0,
+	}
+	// Two partitions, three documents, the query "t17": no match.
+	f.Add([]byte{1, 2, 5, 1, 1, 0, 1, 0, 2, 2, 3, 4, 5, 0, 17, 9})
+	// Four partitions, twelve documents, the one-term query "t0" at k=5.
+	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{0, 0, 4}))
+	// The same collection, "t0 t3 t3 t19" at k=3.
+	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{3, 0, 3, 3, 19, 2}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		nparts := 1 + next()%4
+		n := 1 + next()%64
+		exts := rand.New(rand.NewSource(int64(next()))).Perm(n)
+		segDocs := 1 + next()%8
+		docs := make([]index.Doc, n)
+		for i, ext := range exts {
+			terms := make([]string, 1+next()%8)
+			for j := range terms {
+				terms[j] = fmt.Sprintf("t%d", next()%16)
+			}
+			docs[i] = index.Doc{Ext: ext, Terms: terms}
+		}
+		q := make([]string, 1+next()%4)
+		for i := range q {
+			q[i] = fmt.Sprintf("t%d", next()%20)
+		}
+		k := 1 + next()%20
+
+		central := centralIndex(docs)
+		want, _ := rank.EvaluateOR(central, rank.NewScorer(rank.FromIndex(central)), q, k)
+		stores, _ := liveStores(t, docs, nparts, segDocs)
+		engines := []struct {
+			name string
+			e    Engine
+		}{
+			{"default DocEngine", newDocEngine(t, docs, nparts)},
+			{"exhaustive single-wave DocEngine", newDocEngine(t, docs, nparts, exhaustiveOpts...)},
+			{"default LiveEngine", liveOver(t, stores)},
+		}
+		var first []rank.Result
+		for i, en := range engines {
+			qr := en.e.QueryTopK(q, k)
+			label := fmt.Sprintf("%s, query %v, k=%d, %d docs over %d partitions", en.name, q, k, n, nparts)
+			if qr.Err != nil || qr.Degraded {
+				t.Fatalf("%s: err=%v degraded=%v", label, qr.Err, qr.Degraded)
+			}
+			if i == 0 {
+				first = qr.Results
+			} else if !slices.Equal(first, qr.Results) {
+				t.Fatalf("%s:\n%s %v\ngot %v", label, engines[0].name, first, qr.Results)
+			}
+			sameRanking(t, want, qr.Results, label)
+		}
+	})
+}

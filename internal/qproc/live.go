@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dwr/internal/index"
-	"dwr/internal/rank"
 )
 
 // LiveEngine is the document-partitioned broker for collections that
@@ -35,13 +34,7 @@ type LiveEngine struct {
 // receiving writes while the engine serves. Supported options:
 // WithResultCache (the cache is wired to every store's
 // OnChange hook), WithPruning, WithThresholdSharing, WithFaults, and the
-// ambient defaults.
-//
-// Pruning defaults to rank.PruneMaxScore: a view's segments share one
-// top-k heap, so each segment is pruned against the k-th score of the
-// segments before it. The ambient defaults and options may override it
-// (WithPruning(rank.PruneNone) serves exhaustively); rankings are
-// identical either way. Threshold sharing stays off unless asked for.
+// ambient defaults; it serves every engine's default configuration.
 func NewLiveEngine(stores []*index.SegmentStore, options ...Option) (*LiveEngine, error) {
 	if len(stores) == 0 {
 		return nil, fmt.Errorf("qproc: NewLiveEngine needs at least one segment store")
@@ -50,7 +43,7 @@ func NewLiveEngine(stores []*index.SegmentStore, options ...Option) (*LiveEngine
 	for i, s := range stores {
 		sources[i] = s.Manifest
 	}
-	doc := newDocBroker(resolveOptions(options, WithPruning(rank.PruneMaxScore)), sources)
+	doc := newDocBroker(resolveOptions(options), sources)
 	if doc.rcache != nil {
 		for _, s := range stores {
 			s.OnChange(doc.rcache.Invalidate)

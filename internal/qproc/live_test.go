@@ -81,7 +81,7 @@ func brokerGrid(t *testing.T, fn func(label string, options ...Option)) {
 func staticAnswers(t *testing.T, docs []index.Doc, nparts int, queries [][]string, k int) [][]rank.Result {
 	t.Helper()
 	setProcs(t, 1)
-	static := newDocEngine(t, docs, nparts)
+	static := newDocEngine(t, docs, nparts, exhaustiveOpts...)
 	want := make([][]rank.Result, len(queries))
 	for i, q := range queries {
 		want[i] = static.QueryTopK(q, k).Results
@@ -150,7 +150,7 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 	}
 
 	setProcs(t, 1)
-	exhaustive := liveOver(t, stores, WithPruning(rank.PruneNone))
+	exhaustive := liveOver(t, stores, exhaustiveOpts...)
 	want := make([][]rank.Result, len(queries))
 	for i, q := range queries {
 		want[i] = exhaustive.Query(q, k).Results
@@ -189,10 +189,10 @@ func TestLiveEngineTombstoneEquivalence(t *testing.T) {
 // adds, cuts (each running its merge cascade), deletes and compactions
 // runs over three stores while a plain map tracks which documents are
 // searchable. After every step all four broker configurations —
-// GOMAXPROCS {1,4} × {MaxScore with shared thresholds, exhaustive
-// single-wave} — must agree bit for bit and return only documents the
-// model holds. Whenever no
-// tombstone is pending the answer must also equal, bit for bit, a static
+// GOMAXPROCS {1,4} × {the default, MaxScore with shared thresholds;
+// the exhaustive single-wave comparator} — must agree bit for bit and
+// return only documents the model holds. Whenever no tombstone is
+// pending the answer must also equal, bit for bit, a static
 // engine built from scratch over the model's documents; pending
 // tombstones still count toward DF and collection length (see
 // Manifest.LocalStats), so until a merge reclaims them the from-scratch
@@ -212,8 +212,8 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 	procs := []int{1, 1, 4, 4} // the GOMAXPROCS each of lives answers at
 	for range 2 {
 		lives = append(lives,
-			liveOver(t, stores, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)),
-			liveOver(t, stores, WithPruning(rank.PruneNone)))
+			liveOver(t, stores),
+			liveOver(t, stores, exhaustiveOpts...))
 	}
 
 	searchable := map[int]index.Doc{}       // sealed and not deleted
@@ -306,10 +306,12 @@ func TestLiveEngineOracleEquivalence(t *testing.T) {
 	}
 }
 
-// TestLiveEngineServesPruned: a LiveEngine built with no options serves
-// MaxScore — fewer postings decoded than the same stores served
-// exhaustively, over many-segment views with tombstones pending — and
-// answers every query exactly as the exhaustive engine does.
+// TestLiveEngineServesPruned: a LiveEngine built with no options (over
+// many-segment views with tombstones pending) and a DocEngine built with
+// none both serve MaxScore with threshold sharing — some query runs a
+// second wave, and fewer postings are decoded than by the exhaustive
+// single-wave comparator over the same partitions — and answer every
+// query exactly as that comparator does.
 func TestLiveEngineServesPruned(t *testing.T) {
 	const nparts = 4
 	docs := corpus(86, 1400, 1500)
@@ -322,21 +324,29 @@ func TestLiveEngineServesPruned(t *testing.T) {
 	if n := len(stores[0].Manifest().Segments()); n < 3 {
 		t.Fatalf("fixture: %d segments per partition", n)
 	}
-	def := liveOver(t, stores)
-	exhaustive := liveOver(t, stores, WithPruning(rank.PruneNone))
-	var pruned, full int
-	for _, k := range []int{10, 100} {
-		for qi, q := range zipfQueries(87, 50, 1500) {
-			got, want := def.Query(q, k), exhaustive.Query(q, k)
-			if !reflect.DeepEqual(want.Results, got.Results) {
-				t.Fatalf("k=%d query %d %v:\nexhaustive %v\ndefault    %v", k, qi, q, want.Results, got.Results)
+	for _, tc := range []struct {
+		name            string
+		def, exhaustive Engine
+	}{
+		{"LiveEngine", liveOver(t, stores), liveOver(t, stores, exhaustiveOpts...)},
+		{"DocEngine", newDocEngine(t, docs, nparts), newDocEngine(t, docs, nparts, exhaustiveOpts...)},
+	} {
+		var pruned, full, waves int
+		for _, k := range []int{10, 100} {
+			for qi, q := range zipfQueries(87, 50, 1500) {
+				got, want := tc.def.QueryTopK(q, k), tc.exhaustive.QueryTopK(q, k)
+				if !reflect.DeepEqual(want.Results, got.Results) {
+					t.Fatalf("%s k=%d query %d %v:\nexhaustive %v\ndefault    %v", tc.name, k, qi, q, want.Results, got.Results)
+				}
+				pruned += got.PostingsDecoded
+				full += want.PostingsDecoded
+				waves = max(waves, got.Waves)
 			}
-			pruned += got.PostingsDecoded
-			full += want.PostingsDecoded
 		}
-	}
-	if pruned >= full {
-		t.Fatalf("default engine decoded %d postings, exhaustive %d: the live default is not pruned", pruned, full)
+		if pruned >= full || waves < 2 {
+			t.Fatalf("%s default decoded %d postings, exhaustive %d, and ran at most %d waves: not the served configuration",
+				tc.name, pruned, full, waves)
+		}
 	}
 }
 

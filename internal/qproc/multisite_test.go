@@ -11,7 +11,6 @@ import (
 	"dwr/internal/index"
 	"dwr/internal/metrics"
 	"dwr/internal/partition"
-	"dwr/internal/rank"
 )
 
 // newMultiSite builds 3 sites in regions 0..2, each a full replica over
@@ -446,20 +445,19 @@ func TestMultiSiteConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestMultiSiteNoMatchIsAnEmptyAnswer: a site engine that shares
-// thresholds skips every partition of a query no document matches, and
+// TestMultiSiteNoMatchIsAnEmptyAnswer: a site engine, sharing
+// thresholds as every engine does by default, skips every partition of a query no document matches, and
 // contacts none. That is an empty answer, not a dead site: the
 // multi-site answer is empty and neither failed nor degraded, exactly
 // as one such DocEngine's is, on the replica path and the mediated one.
 func TestMultiSiteNoMatchIsAnEmptyAnswer(t *testing.T) {
-	shared := []Option{WithPruning(rank.PruneMaxScore), WithThresholdSharing(true)}
 	terms := []string{"zzqxnotaword"}
-	one := newDocEngine(t, corpus(21, 300, 200), 4, shared...).QueryTopK(terms, 10)
+	one := newDocEngine(t, corpus(21, 300, 200), 4).QueryTopK(terms, 10)
 	if one.Err != nil || one.Degraded || len(one.Results) != 0 || one.PartitionsSkipped != 4 {
 		t.Fatalf("DocEngine: err=%v degraded=%v results=%d skipped=%d", one.Err, one.Degraded, len(one.Results), one.PartitionsSkipped)
 	}
 	for _, msOpts := range [][]Option{nil, mediated} {
-		m := newFederatedMultiSite(t, 7, 3, 0, msOpts, shared)
+		m := newFederatedMultiSite(t, 7, 3, 0, msOpts, nil)
 		r := m.QueryTopK(terms, 10)
 		if r.Err != nil || r.Degraded || len(r.Results) != 0 {
 			t.Fatalf("mediated=%v QueryTopK: err=%v degraded=%v results=%d", msOpts != nil, r.Err, r.Degraded, len(r.Results))

@@ -42,10 +42,10 @@ func WithResultCache(cfg ResultCacheConfig) Option {
 }
 
 // WithPruning selects the engine's default top-k evaluation strategy
-// for disjunctive queries: rank.PruneMaxScore (LiveEngine's default)
-// enables dynamic pruning over the resident per-term score bounds,
-// rank.PruneNone (every other engine's default) evaluates exhaustively.
-// Pruned and
+// for disjunctive queries: rank.PruneMaxScore (every engine's default)
+// prunes dynamically over the resident per-term score bounds,
+// rank.PruneNone evaluates exhaustively — the comparator an experiment
+// names when it measures against unpruned evaluation. Pruned and
 // exhaustive evaluation are rank-identical (see rank.EvaluateTopK); only
 // the decode work differs, so brokers, caches, fault policy, and
 // deadline propagation compose unchanged. Per-query DocQueryOptions.
@@ -54,18 +54,19 @@ func WithPruning(mode rank.Pruning) Option {
 	return func(o *engineOptions) { o.pruning = mode }
 }
 
-// WithThresholdSharing makes threshold sharing the DocEngine's default
-// for disjunctive queries: instead of one scatter wave over all
-// partitions at threshold 0, the broker orders partitions by their
-// resident query score upper bound, evaluates them in growing waves,
-// seeds every wave after the first with its running k-th merged score,
-// and skips partitions whose upper bound proves they hold no global
-// top-k document. Results are rank-identical to single-wave evaluation
-// (see rank.EvaluateView's seed for the safety contract); only the
-// work — partitions contacted, blocks decoded — shrinks. Per-query
-// DocQueryOptions.Threshold overrides the default. MultiSite's site
-// level ignores the option, though site engines configured with it use
-// it for the per-site fan-out.
+// WithThresholdSharing sets whether threshold sharing is the engine's
+// default for disjunctive queries (every engine's default is on):
+// instead of one scatter wave over all partitions at threshold 0, the
+// broker orders partitions by their resident query score upper bound,
+// evaluates them in growing waves, seeds every wave after the first with
+// its running k-th merged score, and skips partitions whose upper bound
+// proves they hold no global top-k document. Results are rank-identical
+// to single-wave evaluation (see rank.EvaluateView's seed for the safety
+// contract); only the work — partitions contacted, blocks decoded —
+// shrinks. WithThresholdSharing(false) names the single-wave comparator;
+// per-query DocQueryOptions.Threshold can still ask it for sharing.
+// MultiSite's site level ignores the option, though its site engines
+// use their own setting for the per-site fan-out.
 func WithThresholdSharing(on bool) Option {
 	return func(o *engineOptions) { o.threshold = on }
 }
@@ -95,35 +96,32 @@ func WithFaults(p FaultPolicy, inj *faultsim.Injector) Option {
 	return func(o *engineOptions) { o.policy, o.injector = &p, inj }
 }
 
-// Ambient construction defaults: a single option list CLIs set once so
-// every engine constructed afterwards (including deep inside
-// experiments or core) starts from the same configuration.
+// Ambient construction defaults: one option list applied to every
+// engine constructed afterwards (including deep inside experiments or
+// core). Only the benchmark harness (bench/) sets it; no command does.
 var (
 	defaultOptMu sync.Mutex
 	defaultOpts  []Option
 )
 
 // SetDefaultOptions replaces the ambient default option list applied at
-// the start of every engine construction (per-call options win).
-// Command-line tools call this once from their flags; pass nothing to
-// clear.
+// the start of every engine construction (per-call options win); pass
+// nothing to clear.
 func SetDefaultOptions(opts ...Option) {
 	defaultOptMu.Lock()
 	defaultOpts = append([]Option(nil), opts...)
 	defaultOptMu.Unlock()
 }
 
-// resolveOptions folds the engine kind's own defaults, the ambient
-// default options and the per-call options, in that order (later wins),
-// into one resolved configuration.
-func resolveOptions(opts []Option, kindDefaults ...Option) engineOptions {
-	var eo engineOptions
+// resolveOptions folds the ambient default options and the per-call
+// options, in that order (later wins), over the one served
+// configuration — MaxScore pruning with threshold sharing — into one
+// resolved configuration.
+func resolveOptions(opts []Option) engineOptions {
+	eo := engineOptions{pruning: rank.PruneMaxScore, threshold: true}
 	defaultOptMu.Lock()
 	ambient := defaultOpts
 	defaultOptMu.Unlock()
-	for _, o := range kindDefaults {
-		o(&eo)
-	}
 	for _, o := range ambient {
 		o(&eo)
 	}

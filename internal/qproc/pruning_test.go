@@ -21,7 +21,7 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 		{K: 10, Stats: LocalOnly},
 	}
 	setProcs(t, 1)
-	base := newDocEngine(t, docs, parts)
+	base := newDocEngine(t, docs, parts, exhaustiveOpts...)
 	want := make([][][]rank.Result, len(cases))
 	for ci, opt := range cases {
 		want[ci] = make([][]rank.Result, len(queries))
@@ -33,7 +33,7 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 		setProcs(t, procs)
 		for _, mode := range []rank.Pruning{rank.PruneMaxScore} {
 			e := newDocEngine(t, docs, parts,
-				WithPruning(mode))
+				WithPruning(mode), WithThresholdSharing(false))
 			for ci, opt := range cases {
 				for qi, q := range queries {
 					got := e.Query(q, opt)
@@ -49,12 +49,13 @@ func TestDocEnginePrunedEquivalence(t *testing.T) {
 
 // TestDocEnginePrunedDecodesFewerBytes checks the accounting plumbing:
 // PostingBytesDecoded is reported, and MaxScore pruning decodes fewer
-// posting bytes than exhaustive evaluation over a query batch.
+// posting bytes than exhaustive evaluation over a query batch, both in
+// one wave.
 func TestDocEnginePrunedDecodesFewerBytes(t *testing.T) {
 	docs := corpus(33, 1200, 1500)
 	queries := zipfQueries(34, 150, 1500)
-	exh := newDocEngine(t, docs, 4)
-	prn := newDocEngine(t, docs, 4, WithPruning(rank.PruneMaxScore))
+	exh := newDocEngine(t, docs, 4, exhaustiveOpts...)
+	prn := newDocEngine(t, docs, 4, WithPruning(rank.PruneMaxScore), WithThresholdSharing(false))
 	var exhBytes, prnBytes int64
 	for _, q := range queries {
 		a := exh.Query(q, DocQueryOptions{K: 10})

@@ -55,6 +55,10 @@ func centralIndex(docs []index.Doc) *index.Index {
 	return index.MustBuild(b)
 }
 
+// exhaustiveOpts names the comparator the served configuration is held
+// to: exhaustive evaluation in one scatter wave over every partition.
+var exhaustiveOpts = []Option{WithPruning(rank.PruneNone), WithThresholdSharing(false)}
+
 func newDocEngine(t *testing.T, docs []index.Doc, k int, options ...Option) *DocEngine {
 	t.Helper()
 	ids := make([]int, len(docs))

@@ -23,7 +23,7 @@ func TestDocEngineThresholdSharingEquivalence(t *testing.T) {
 		{K: 10, Stats: LocalOnly},
 	}
 	setProcs(t, 1)
-	base := newDocEngine(t, docs, parts)
+	base := newDocEngine(t, docs, parts, exhaustiveOpts...)
 	want := make([][][]rank.Result, len(cases))
 	for ci, opt := range cases {
 		want[ci] = make([][]rank.Result, len(queries))
@@ -61,7 +61,7 @@ func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 	docs := corpus(53, 1600, 1500)
 	queries := zipfQueries(54, 150, 1500)
 	parts := 8
-	base := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore))
+	base := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore), WithThresholdSharing(false))
 	ts := newDocEngine(t, docs, parts, WithPruning(rank.PruneMaxScore), WithThresholdSharing(true))
 	var baseBytes, tsBytes int64
 	var skipped int
@@ -93,13 +93,14 @@ func TestThresholdSharingSkipsAndSaves(t *testing.T) {
 		baseBytes, tsBytes, 100*float64(tsBytes)/float64(baseBytes), skipped, len(queries)*parts)
 }
 
-// TestThresholdSharingOptionPlumbing: a sharing engine ranks like a
-// single-wave one, the per-query knob turns sharing on over the
-// single-wave default, and the schedule is part of the result-cache key.
+// TestThresholdSharingOptionPlumbing: a default (sharing) engine ranks
+// like the single-wave comparator, the per-query knob turns sharing on
+// over WithThresholdSharing(false), and the schedule is part of the
+// result-cache key.
 func TestThresholdSharingOptionPlumbing(t *testing.T) {
 	docs := corpus(55, 400, 800)
-	e := newDocEngine(t, docs, 4, WithThresholdSharing(true))
-	plain := newDocEngine(t, docs, 4)
+	e := newDocEngine(t, docs, 4)
+	plain := newDocEngine(t, docs, 4, WithThresholdSharing(false))
 	q := []string{"w0003", "w0011"}
 	def := e.Query(q, DocQueryOptions{K: 5})
 	off := plain.Query(q, DocQueryOptions{K: 5})

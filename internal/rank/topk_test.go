@@ -238,8 +238,8 @@ func BenchmarkEvaluateTopK(b *testing.B) {
 
 // BenchmarkEvaluateView is the microbenchmark behind bench/'s traced
 // qproc.live_query_us: one partition of a LiveEngine, an eight-segment
-// view with tombstones pending, at k=10, exhaustive and MaxScore (the
-// live default). ns/posting is wall time per decoded posting; allocs/op
+// view with tombstones pending, at k=10, exhaustive and MaxScore (every
+// engine's default). ns/posting is wall time per decoded posting; allocs/op
 // is allocations per evaluation.
 func BenchmarkEvaluateView(b *testing.B) {
 	view, compacted := tieredView(b, viewCorpus(99, 2040), []int{7, 700, 1500, 2035})
