@@ -268,3 +268,31 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportMetric(float64(ms.HeapAlloc)/float64(tokens), "retained-B/token")
 	runtime.KeepAlive(e)
 }
+
+// BenchmarkPageDoc is PageDoc over every page of a smallConfig crawl,
+// ascending by page ID, against one Terms table: the parse behind
+// textproc.parse_us_per_doc. An op is one pass over the pages; ns/page
+// is its time per page.
+func BenchmarkPageDoc(b *testing.B) {
+	c, err := Crawl(smallConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pages []*crawler.Page
+	for _, p := range c.Crawler.Pages() {
+		pages = append(pages, p)
+	}
+	slices.SortFunc(pages, func(x, y *crawler.Page) int { return x.PageID - y.PageID })
+	var ts textproc.Terms
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pages {
+			pageDocSink, _ = PageDoc(p, &ts)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pages)), "ns/page")
+}
+
+// pageDocSink keeps BenchmarkPageDoc's calls from being optimized away.
+var pageDocSink index.Doc

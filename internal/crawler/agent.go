@@ -276,8 +276,7 @@ func (a *agent) handleFetched(url string, res simweb.FetchResult, at float64) {
 		}
 	}
 
-	doc := textproc.ParseHTML(res.HTML)
-	for _, href := range doc.Links {
+	for _, href := range textproc.Links(res.HTML) {
 		abs := simweb.ResolveLink(url, href)
 		if abs == "" {
 			continue

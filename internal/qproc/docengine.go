@@ -67,12 +67,13 @@ type DocEngine struct {
 	global      index.Stats
 	precomputed []*rank.Scorer
 	downs       []bool // SetDown marks, guarded by mu
-	// pruning is the default top-k strategy for disjunctive queries
-	// (WithPruning); DocQueryOptions.Pruning overrides per query.
+	// pruning is the top-k strategy for disjunctive queries
+	// (WithPruning); a query's DocQueryOptions.Pruning can only ask for
+	// MaxScore on an engine built exhaustive.
 	pruning rank.Pruning
-	// threshold enables the bound-ordered wave schedule by default
-	// (WithThresholdSharing); DocQueryOptions.Threshold overrides per
-	// query.
+	// threshold enables the bound-ordered wave schedule
+	// (WithThresholdSharing); a query's DocQueryOptions.Threshold can
+	// only ask for sharing on an engine built single-wave.
 	threshold bool
 	// topkStats is the statistics mode of QueryTopK (the uniform Engine
 	// surface): GlobalPrecomputed on engines built from documents, the
@@ -231,16 +232,19 @@ type DocQueryOptions struct {
 	// order, ranked by phrase frequency (§5): each partition intersects
 	// positions locally and ships only its top k.
 	Phrase bool
-	// Pruning selects the disjunctive top-k strategy for this query;
-	// rank.PruneNone (the zero value) defers to the engine's WithPruning
-	// default. Rankings are identical across strategies — only the decode
-	// work (and thus PostingBytesDecoded) changes.
+	// Pruning can ask for MaxScore on this query; rank.PruneNone (the
+	// zero value) means the engine's WithPruning setting, so a query
+	// cannot ask for exhaustive evaluation: that takes an engine built
+	// with WithPruning(rank.PruneNone). Rankings are identical across
+	// strategies — only the decode work (and thus PostingBytesDecoded)
+	// changes.
 	Pruning rank.Pruning
-	// Threshold selects the scatter schedule for this query;
-	// ThresholdDefault defers to the engine's WithThresholdSharing
-	// default. Phrase queries always run a single wave (the phrase
-	// evaluator takes no seed, and rank.QueryBound bounds disjunctive
-	// scores only).
+	// Threshold can ask for threshold sharing on this query;
+	// ThresholdDefault (the zero value) means the engine's
+	// WithThresholdSharing setting, so a query cannot ask for a single
+	// wave: that takes an engine built with WithThresholdSharing(false).
+	// Phrase queries always run a single wave (the phrase evaluator
+	// takes no seed, and rank.QueryBound bounds disjunctive scores only).
 	Threshold ThresholdMode
 	// DeadlineMs, when > 0, is the query's latency budget: under
 	// WithFaults, what is left of it when a wave is dispatched bounds

@@ -3,6 +3,7 @@ package qproc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -14,12 +15,14 @@ import (
 // documents over a sixteen-term alphabet, external IDs shuffled, split
 // over one to four partitions — and a query of one to four terms that
 // may repeat a term or name one no document holds ("t16" to "t19"), at k
-// in 1..20, the default DocEngine, the exhaustive single-wave DocEngine
-// and the default LiveEngine over the same documents ingested into
-// segment stores and sealed return the same ranking bit for bit, and it
-// is the central rank.EvaluateOR ranking (within sameRanking's
-// tolerance). No answer carries an Err or is Degraded; a query no
-// document matches is answered with no results.
+// in 1..20, the default DocEngine, the single-wave MaxScore DocEngine,
+// the exhaustive single-wave DocEngine and the default LiveEngine over
+// the same documents ingested into segment stores and sealed return the
+// same ranking bit for bit, and it is the central rank.EvaluateOR
+// ranking (within sameRanking's tolerance). Each engine answers the
+// query a second time exactly as the first, results and counters. No
+// answer carries an Err or is Degraded; a query no document matches is
+// answered with no results.
 func FuzzEnginesAgree(f *testing.F) {
 	docBytes := []byte{
 		3, 0, 1, 2, 3, 2, 0, 0, 4, 1, 5, 0, 4, 1, 1, 1, 6, 7, 0, 0, 5, 8, 9, 10, 11, 0, 2,
@@ -66,6 +69,7 @@ func FuzzEnginesAgree(f *testing.F) {
 			e    Engine
 		}{
 			{"default DocEngine", newDocEngine(t, docs, nparts)},
+			{"single-wave MaxScore DocEngine", newDocEngine(t, docs, nparts, WithThresholdSharing(false))},
 			{"exhaustive single-wave DocEngine", newDocEngine(t, docs, nparts, exhaustiveOpts...)},
 			{"default LiveEngine", liveOver(t, stores)},
 		}
@@ -75,6 +79,9 @@ func FuzzEnginesAgree(f *testing.F) {
 			label := fmt.Sprintf("%s, query %v, k=%d, %d docs over %d partitions", en.name, q, k, n, nparts)
 			if qr.Err != nil || qr.Degraded {
 				t.Fatalf("%s: err=%v degraded=%v", label, qr.Err, qr.Degraded)
+			}
+			if again := en.e.QueryTopK(q, k); !reflect.DeepEqual(again, qr) {
+				t.Fatalf("%s: a replay answered\n%+v\nafter\n%+v", label, again, qr)
 			}
 			if i == 0 {
 				first = qr.Results

@@ -48,8 +48,10 @@ func WithResultCache(cfg ResultCacheConfig) Option {
 // names when it measures against unpruned evaluation. Pruned and
 // exhaustive evaluation are rank-identical (see rank.EvaluateTopK); only
 // the decode work differs, so brokers, caches, fault policy, and
-// deadline propagation compose unchanged. Per-query DocQueryOptions.
-// Pruning overrides this default.
+// deadline propagation compose unchanged. A per-query
+// DocQueryOptions.Pruning can only ask for MaxScore: its zero value,
+// PruneNone, means the engine's setting, so exhaustive evaluation needs
+// an engine built with WithPruning(rank.PruneNone).
 func WithPruning(mode rank.Pruning) Option {
 	return func(o *engineOptions) { o.pruning = mode }
 }
@@ -63,8 +65,10 @@ func WithPruning(mode rank.Pruning) Option {
 // proves they hold no global top-k document. Results are rank-identical
 // to single-wave evaluation (see rank.EvaluateView's seed for the safety
 // contract); only the work — partitions contacted, blocks decoded —
-// shrinks. WithThresholdSharing(false) names the single-wave comparator;
-// per-query DocQueryOptions.Threshold can still ask it for sharing.
+// shrinks. WithThresholdSharing(false) names the single-wave comparator.
+// A per-query DocQueryOptions.Threshold can only ask for sharing (its
+// zero value means the engine's setting), so single-wave evaluation
+// needs an engine built with WithThresholdSharing(false).
 // MultiSite's site level ignores the option, though its site engines
 // use their own setting for the per-site fan-out.
 func WithThresholdSharing(on bool) Option {

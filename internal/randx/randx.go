@@ -9,7 +9,6 @@ package randx
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // New returns a rand.Rand seeded with seed. It is a convenience wrapper so
@@ -24,6 +23,10 @@ func New(seed int64) *rand.Rand {
 // and small n, at the cost of precomputing the distribution.
 type Zipf struct {
 	cdf []float64 // cumulative probabilities, cdf[n-1] == 1
+	// guide[j] is the first rank whose cdf reaches j/n, for j in [0, n]:
+	// n equal buckets over n ranks, so a draw that starts at its
+	// bucket's entry is a step or so from its rank on average.
+	guide []int
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent s.
@@ -46,13 +49,43 @@ func NewZipf(n int, s float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // guard against floating-point undershoot
-	return &Zipf{cdf: cdf}
+	return &Zipf{cdf: cdf, guide: guideTable(cdf)}
+}
+
+// guideTable returns the guide of a cdf whose last entry is 1.
+func guideTable(cdf []float64) []int {
+	n := len(cdf)
+	guide := make([]int, n+1)
+	i := 0
+	for j := range guide {
+		// j/n never exceeds cdf[n-1] == 1, so i stays a rank.
+		t := float64(j) / float64(n)
+		for cdf[i] < t {
+			i++
+		}
+		guide[j] = i
+	}
+	return guide
 }
 
 // Draw returns a rank in [0, n).
 func (z *Zipf) Draw(rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+	return z.search(rng.Float64())
+}
+
+// search returns sort.SearchFloat64s(z.cdf, u), the first rank whose
+// cdf reaches u, for u in [0, 1). It starts at u's guide bucket and
+// steps down, then up: int(u*n) may round across a bucket edge, so the
+// start can lie on either side of the answer.
+func (z *Zipf) search(u float64) int {
+	i := z.guide[int(u*float64(len(z.cdf)))]
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
+	}
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // Pareto draws a value from a Pareto (power-law) distribution with the

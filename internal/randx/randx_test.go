@@ -1,7 +1,9 @@
 package randx
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +71,50 @@ func TestZipfDrawInRange(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestZipfGuideIsExact: the guide-table search returns what a binary
+// search of the cdf returns — at 0, at every cdf entry and bucket edge
+// j/n, at the float64 on either side of each, and just below 1 — and
+// Draw, over 100 000 draws, repeats the binary-search draw of a twin
+// source. Bucket edges and cdf entries are where a rounded int(u*n)
+// could start the search on the wrong side; the last case is a cdf
+// whose entry just below 5/6 rounds into the bucket above it.
+func TestZipfGuideIsExact(t *testing.T) {
+	exact := func(z *Zipf, label string) {
+		n := len(z.cdf)
+		us := []float64{0, math.Nextafter(1, 0)}
+		us = append(us, z.cdf...)
+		for j := 0; j <= n; j++ {
+			us = append(us, float64(j)/float64(n))
+		}
+		for _, u := range us {
+			for _, v := range []float64{math.Nextafter(u, -1), u, math.Nextafter(u, 2)} {
+				if v < 0 || v >= 1 {
+					continue // outside rng.Float64's range
+				}
+				if got, want := z.search(v), sort.SearchFloat64s(z.cdf, v); got != want {
+					t.Fatalf("%s: search(%v) = %d, want %d", label, v, got, want)
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 187, 3000, 5000} {
+		for _, s := range []float64{0.8, 0.9, 1.0, 1.2} {
+			z := NewZipf(n, s)
+			label := fmt.Sprintf("n=%d s=%v", n, s)
+			exact(z, label)
+			rng, twin := New(int64(n)), New(int64(n))
+			for i := 0; i < 100000; i++ {
+				if got, want := z.Draw(rng), sort.SearchFloat64s(z.cdf, twin.Float64()); got != want {
+					t.Fatalf("%s: draw %d = %d, want %d", label, i, got, want)
+				}
+			}
+		}
+	}
+	below := math.Nextafter(5.0/6, 0) // int(below*6) == 5
+	cdf := []float64{1.0 / 6, 2.0 / 6, 3.0 / 6, 4.0 / 6, below, 1}
+	exact(&Zipf{cdf: cdf, guide: guideTable(cdf)}, "cdf[4] just below 5/6")
 }
 
 func TestZipfPanicsOnBadArgs(t *testing.T) {

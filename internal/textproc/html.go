@@ -22,8 +22,26 @@ type Document struct {
 // truncated entities, stray '<' characters, and script/style content are
 // all handled without error, because a Web-scale crawler sees all of them.
 func ParseHTML(raw string) Document {
+	return parse(raw, true)
+}
+
+// Links returns the links ParseHTML(raw) extracts, without building the
+// text: what a crawler needs to route a page's links.
+func Links(raw string) []string {
+	return parse(raw, false).Links
+}
+
+// parse is the one scanner behind ParseHTML and Links; with text false
+// it skips character data instead of decoding it. Text is written as it
+// is scanned, each run of ASCII whitespace (and each block tag) one
+// pending space that the next visible byte writes.
+func parse(raw string, text bool) Document {
 	var doc Document
-	var text strings.Builder
+	var b strings.Builder
+	if text {
+		b.Grow(len(raw))
+	}
+	space := false // whitespace seen since the last byte written
 
 	i := 0
 	n := len(raw)
@@ -42,8 +60,8 @@ func ParseHTML(raw string) Document {
 				chunk = raw[i : i+j]
 				i += j
 			}
-			if skipUntil == "" {
-				text.WriteString(DecodeEntities(chunk))
+			if text && skipUntil == "" {
+				space = appendCollapsed(&b, DecodeEntities(chunk), space)
 			}
 			continue
 		}
@@ -90,12 +108,45 @@ func ParseHTML(raw string) Document {
 			}
 		case "p", "br", "div", "td", "tr", "li", "h1", "h2", "h3", "h4", "h5", "h6":
 			// Block-level separators become whitespace so words do not fuse.
-			text.WriteByte(' ')
+			space = true
 		}
 	}
 
-	doc.Text = strings.TrimSpace(collapseSpace(text.String()))
+	if text {
+		// Unicode spaces (U+00A0, \v, ...) are text inside a page but
+		// trimmed at its edges.
+		doc.Text = strings.TrimSpace(b.String())
+	}
 	return doc
+}
+
+// appendCollapsed appends s to b, each run of ASCII whitespace as one
+// space, written only before a following byte and never first. space
+// says whether whitespace is pending from before s; the result, after.
+func appendCollapsed(b *strings.Builder, s string, space bool) bool {
+	for i := 0; i < len(s); {
+		if isSpace(s[i]) {
+			space = true
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(s) && !isSpace(s[j]) {
+			j++
+		}
+		if space && b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		space = false
+		b.WriteString(s[i:j])
+		i = j
+	}
+	return space
+}
+
+// isSpace reports whether c is whitespace the parser collapses.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // splitTag separates a raw tag body into its lowercase name, attribute
@@ -205,26 +256,6 @@ func DecodeEntities(s string) string {
 		}
 		b.WriteByte(c)
 		i++
-	}
-	return b.String()
-}
-
-// collapseSpace replaces runs of whitespace with single spaces.
-func collapseSpace(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	space := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			space = true
-			continue
-		}
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		space = false
-		b.WriteByte(c)
 	}
 	return b.String()
 }

@@ -49,6 +49,25 @@ func appendTokens(dst []string, text string, seen map[string]string) []string {
 	n := 0
 	full := false // a rune did not fit: the rest of this word is dropped
 	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			// ASCII: the letters and digits unicode's tables would find,
+			// lowered in place.
+			i++
+			switch {
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			case 'A' <= c && c <= 'Z':
+				c += 'a' - 'A'
+			default:
+				dst, n, full = appendWord(dst, word[:n], seen), 0, false
+				continue
+			}
+			full = full || n == maxToken
+			if !full {
+				word[n] = c
+				n++
+			}
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(text[i:])
 		i += size
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
