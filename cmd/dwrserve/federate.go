@@ -60,14 +60,10 @@ func newFederate(o options) (http.Handler, *core.Corpus, error) {
 		ms.CacheTTL = 24
 	}
 	for s, e := range engines {
-		cap := o.cacheCap
-		if cap <= 0 {
-			cap = 1
-		}
 		// No hourly capacity: the server's virtual clock (ms.Now) never
 		// advances, so an hour's load would only ever accumulate into
 		// queue delay.
-		ms.Sites = append(ms.Sites, qproc.NewSite(s, s, e, cap, 0))
+		ms.Sites = append(ms.Sites, qproc.NewSite(s, s, e, o.cacheCap, 0))
 		fmt.Printf("dwrserve: site %d holds %d documents\n", s, len(siteDocs[s]))
 	}
 	return frontend(ms, corpus.URLOf, o), corpus, nil

@@ -1,21 +1,15 @@
 package cache
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-
-	"dwr/internal/randx"
-)
+import "testing"
 
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU[int](2)
-	c.Put("a", 1, 0)
-	c.Put("b", 2, 1)
-	if e, ok := c.Get("a"); !ok || e.Value != 1 || e.StoredAt != 0 {
-		t.Fatalf("Get(a) = %+v, %v", e, ok)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
-	c.Put("c", 3, 2) // evicts b (a was just used)
+	c.Put("c", 3) // evicts b (a was just used)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -25,256 +19,31 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c should be present")
 	}
-	h, m := c.Stats()
-	if h != 3 || m != 1 {
-		t.Fatalf("stats = %d/%d, want 3 hits 1 miss", h, m)
-	}
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
 	c := NewLRU[int](2)
-	c.Put("a", 1, 0)
-	c.Put("a", 9, 5)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d after double put", c.Len())
+	c.Put("a", 1)
+	c.Put("a", 9)
+	c.Put("b", 2) // a second key fits: the double put took one slot
+	if v, ok := c.Get("a"); !ok || v != 9 {
+		t.Fatalf("updated entry = %v, %v", v, ok)
 	}
-	if e, _ := c.Get("a"); e.Value != 9 || e.StoredAt != 5 {
-		t.Fatalf("updated entry = %+v", e)
+	if _, ok := c.Get("b"); !ok {
+		t.Fatal("b evicted: the double put of a took two slots")
 	}
 }
 
 func TestLRUCapacityOne(t *testing.T) {
-	c := NewLRU[string](1)
-	c.Put("x", "1", 0)
-	c.Put("y", "2", 0)
-	if _, ok := c.Get("x"); ok {
-		t.Fatal("x survived in capacity-1 cache")
-	}
-	if e, ok := c.Get("y"); !ok || e.Value != "2" {
-		t.Fatal("y missing")
-	}
-}
-
-func TestLFUKeepsFrequent(t *testing.T) {
-	c := NewLFU[int](2)
-	c.Put("hot", 1, 0)
-	for i := 0; i < 5; i++ {
-		c.Get("hot")
-	}
-	c.Put("warm", 2, 0)
-	c.Put("cold", 3, 0) // must evict warm (freq 1), not hot (freq 6)
-	if _, ok := c.Get("hot"); !ok {
-		t.Fatal("hot evicted despite high frequency")
-	}
-	if _, ok := c.Get("warm"); ok {
-		t.Fatal("warm should have been evicted")
-	}
-}
-
-func TestLFUTiebreakLRU(t *testing.T) {
-	c := NewLFU[int](2)
-	c.Put("a", 1, 0)
-	c.Put("b", 2, 0)
-	// Both freq 1; a is older in usage: touch b... actually both freq 1,
-	// eviction should take the least recently used: a.
-	c.Get("b")       // b now freq 2
-	c.Put("c", 3, 0) // evicts a (minFreq 1)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a should have been evicted")
-	}
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("b should survive")
-	}
-}
-
-// TestLFUMinFreqWalk pins the eviction scan directly: after the hottest
-// key empties its frequency bucket via bump, and after evictions empty
-// the minimum bucket, the walk must still find the true minimum-
-// frequency victim, and the buckets map must not accumulate one dead
-// list per frequency ever reached.
-func TestLFUMinFreqWalk(t *testing.T) {
-	c := NewLFU[int](3)
-	c.Put("hot", 1, 0)
-	c.Put("mid", 2, 0)
-	c.Put("cold", 3, 0)
-	// Climb hot far up the frequency ladder; each bump empties and
-	// recreates a single-node bucket.
-	for i := 0; i < 1000; i++ {
-		c.Get("hot")
-	}
-	c.Get("mid") // mid freq 2; cold stays the unique freq-1 node
-	if got := len(c.buckets); got > 3 {
-		t.Fatalf("buckets map holds %d lists for 3 live frequencies; empty buckets leak", got)
-	}
-	c.Put("new1", 4, 0) // must evict cold (freq 1), not mid or hot
-	if _, ok := c.m["cold"]; ok {
-		t.Fatal("eviction skipped the minimum-frequency key")
-	}
-	if _, ok := c.m["mid"]; !ok {
-		t.Fatal("mid evicted despite higher frequency")
-	}
-	// new1 (freq 1) now alone in bucket 1; evicting it empties the
-	// minFreq bucket. The NEXT eviction must re-walk from the emptied
-	// bucket to mid's bucket without getting stuck or picking hot.
-	c.Put("new2", 5, 0) // evicts new1, bucket 1 empties
-	if _, ok := c.m["new1"]; ok {
-		t.Fatal("new1 should have been evicted")
-	}
-	c.Get("new2") // freq 2: bucket 1 empties again via bump
-	c.Put("new3", 6, 0)
-	// new3 needed a slot; the minimum frequency was 2 (mid and new2) and
-	// mid is its least recently used node.
-	if _, ok := c.m["mid"]; ok {
-		t.Fatal("mid should be the LRU victim of the minimum frequency")
-	}
-	if _, ok := c.m["new2"]; !ok {
-		t.Fatal("new2 evicted despite a more recent bump than mid")
-	}
-	if _, ok := c.m["hot"]; !ok {
-		t.Fatal("hot evicted despite being the most frequent key")
-	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
-	}
-}
-
-// TestLFUDifferential compares the bucketed LFU against a brute-force
-// reference (O(n) min-scan with a logical recency clock) over random
-// operation streams — the regression net for the minFreq bookkeeping.
-func TestLFUDifferential(t *testing.T) {
-	type refEntry struct {
-		val   int
-		freq  int
-		touch int64
-	}
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		capn := 1 + rng.Intn(5)
-		c := NewLFU[int](capn)
-		ref := make(map[string]*refEntry)
-		clock := int64(0)
-		refPut := func(k string, v int) {
-			clock++
-			if e, ok := ref[k]; ok {
-				e.val, e.freq, e.touch = v, e.freq+1, clock
-				return
-			}
-			if len(ref) >= capn {
-				var victim string
-				bestF, bestT := int(^uint(0)>>1), int64(^uint64(0)>>1)
-				for key, e := range ref {
-					if e.freq < bestF || (e.freq == bestF && e.touch < bestT) {
-						victim, bestF, bestT = key, e.freq, e.touch
-					}
-				}
-				delete(ref, victim)
-			}
-			ref[k] = &refEntry{val: v, freq: 1, touch: clock}
+	for _, capacity := range []int{1, 0, -3} { // below 1 clamps to 1
+		c := NewLRU[string](capacity)
+		c.Put("x", "1")
+		c.Put("y", "2")
+		if _, ok := c.Get("x"); ok {
+			t.Fatalf("capacity %d: x survived", capacity)
 		}
-		refGet := func(k string) (int, bool) {
-			e, ok := ref[k]
-			if !ok {
-				return 0, false
-			}
-			clock++
-			e.freq++
-			e.touch = clock
-			return e.val, true
-		}
-		for op := 0; op < 2000; op++ {
-			k := fmt.Sprintf("k%d", rng.Intn(8))
-			if rng.Intn(2) == 0 {
-				wantV, wantOK := refGet(k)
-				e, ok := c.Get(k)
-				if ok != wantOK || (ok && e.Value != wantV) {
-					t.Fatalf("seed=%d op=%d Get(%s) = (%v,%v), reference (%v,%v)",
-						seed, op, k, e.Value, ok, wantV, wantOK)
-				}
-			} else {
-				v := rng.Intn(1000)
-				c.Put(k, v, float64(op))
-				refPut(k, v)
-			}
-			if c.Len() != len(ref) {
-				t.Fatalf("seed=%d op=%d: len %d, reference %d", seed, op, c.Len(), len(ref))
-			}
+		if v, ok := c.Get("y"); !ok || v != "2" {
+			t.Fatalf("capacity %d: y missing", capacity)
 		}
 	}
-}
-
-func TestSDCStaticNeverEvicted(t *testing.T) {
-	c := NewSDC[int]([]string{"top1", "top2"}, 2)
-	c.Put("top1", 1, 0)
-	c.Put("top2", 2, 0)
-	for i := 0; i < 50; i++ {
-		c.Put(fmt.Sprintf("dyn%d", i), i, 0)
-	}
-	if _, ok := c.Get("top1"); !ok {
-		t.Fatal("static entry evicted by dynamic churn")
-	}
-	if _, ok := c.Get("top2"); !ok {
-		t.Fatal("static entry evicted by dynamic churn")
-	}
-	if c.Len() > 4 {
-		t.Fatalf("len = %d, want ≤ 4", c.Len())
-	}
-}
-
-func TestSDCBeatsLRUOnZipf(t *testing.T) {
-	// The Fagni et al. result in miniature: a Zipf query stream with a
-	// stable head. SDC (static = head, dynamic = LRU) must beat pure LRU
-	// of the same total capacity.
-	rng := rand.New(rand.NewSource(1))
-	z := randx.NewZipf(5000, 1.0)
-	const capTotal = 200
-	staticKeys := make([]string, capTotal/2)
-	for i := range staticKeys {
-		staticKeys[i] = fmt.Sprintf("q%d", i) // true popularity head
-	}
-	lru := NewLRU[int](capTotal)
-	sdc := NewSDC[int](staticKeys, capTotal/2)
-	run := func(c Cache[int]) float64 {
-		for i := 0; i < 100000; i++ {
-			key := fmt.Sprintf("q%d", z.Draw(rng))
-			if _, ok := c.Get(key); !ok {
-				c.Put(key, 1, float64(i))
-			}
-		}
-		return HitRatio(c)
-	}
-	lruRatio := run(lru)
-	sdcRatio := run(sdc)
-	if sdcRatio <= lruRatio {
-		t.Fatalf("SDC hit ratio %.3f not above LRU %.3f on Zipf stream", sdcRatio, lruRatio)
-	}
-}
-
-func TestHitRatioEmpty(t *testing.T) {
-	if HitRatio[int](NewLRU[int](4)) != 0 {
-		t.Fatal("empty cache hit ratio not 0")
-	}
-}
-
-func TestStoredAtSupportsStaleness(t *testing.T) {
-	c := NewLRU[int](4)
-	c.Put("k", 7, 100)
-	e, ok := c.Get("k")
-	if !ok {
-		t.Fatal("missing entry")
-	}
-	ttl := 50.0
-	now := 180.0
-	if fresh := now-e.StoredAt <= ttl; fresh {
-		t.Fatal("entry should be stale at t=180 with ttl=50")
-	}
-	// A failure-masking coordinator can still read the stale value.
-	if e.Value != 7 {
-		t.Fatal("stale value lost")
-	}
-}
-
-func TestCachesImplementInterface(t *testing.T) {
-	var _ Cache[int] = NewLRU[int](1)
-	var _ Cache[int] = NewLFU[int](1)
-	var _ Cache[int] = NewSDC[int](nil, 1)
 }

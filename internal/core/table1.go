@@ -99,7 +99,7 @@ func Table1() []Table1Cell {
 			PaperTopic: "Replication, caching",
 			Components: []string{
 				"replication.PrimaryBackup/Quorum/Log",
-				"cache.LRU/LFU/SDC + stale serving",
+				"qproc.ResultCache (eight cache.LRU shards), site caches with stale serving; LFU/SDC replayed in C10",
 			},
 		},
 		{

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dwr/internal/cache"
 	"dwr/internal/cluster"
 	"dwr/internal/index"
 	"dwr/internal/metrics"
@@ -45,23 +44,15 @@ func Claim10Caching() *Result {
 	const capTotal = 400
 	staticKeys := f.train.TopKeys(capTotal / 2)
 
-	replay := func(c cache.Cache[int]) float64 {
-		for i, q := range f.test.Queries {
-			if _, ok := c.Get(q.Key); !ok {
-				c.Put(q.Key, 1, float64(i))
-			}
-		}
-		return cache.HitRatio(c)
-	}
-	lru := replay(cache.NewLRU[int](capTotal))
-	lfu := replay(cache.NewLFU[int](capTotal))
-	sdc := replay(cache.NewSDC[int](staticKeys, capTotal/2))
+	lruRatio := replay(newLRU(capTotal), f.test.Queries)
+	lfuRatio := replay(newLFU(capTotal), f.test.Queries)
+	sdcRatio := replay(newSDC(staticKeys, capTotal/2), f.test.Queries)
 
 	t := metrics.NewTable(fmt.Sprintf("hit ratio on %d test queries (capacity %d)", len(f.test.Queries), capTotal),
 		"policy", "hit ratio")
-	t.AddRow("LRU", lru)
-	t.AddRow("LFU", lfu)
-	t.AddRow("SDC (static=train head)", sdc)
+	t.AddRow("LRU", lruRatio)
+	t.AddRow("LFU", lfuRatio)
+	t.AddRow("SDC (static=train head)", sdcRatio)
 	r.Tables = append(r.Tables, t)
 
 	// Failure masking: warm a multi-site cache, kill every processor,
@@ -97,24 +88,24 @@ func Claim10Caching() *Result {
 	// computed, page 2 is prefetched into the cache. Measured on the
 	// follow-up (page-2) requests that Zipf-popular queries generate.
 	prefetchHit := func(prefetch bool) float64 {
-		c := cache.NewLRU[int](capTotal)
+		c := newLRU(capTotal)
 		hits, total := 0, 0
 		rng := 0
-		for i, q := range f.test.Queries {
-			if _, ok := c.Get(q.Key + "#p1"); !ok {
-				c.Put(q.Key+"#p1", 1, float64(i))
+		for _, q := range f.test.Queries {
+			if !c.has(q.Key + "#p1") {
+				c.add(q.Key + "#p1")
 				if prefetch {
-					c.Put(q.Key+"#p2", 1, float64(i))
+					c.add(q.Key + "#p2")
 				}
 			}
 			// Every third query is followed by a page-2 request.
 			rng++
 			if rng%3 == 0 {
 				total++
-				if _, ok := c.Get(q.Key + "#p2"); ok {
+				if c.has(q.Key + "#p2") {
 					hits++
 				} else {
-					c.Put(q.Key+"#p2", 1, float64(i))
+					c.add(q.Key + "#p2")
 				}
 			}
 		}
@@ -131,7 +122,7 @@ func Claim10Caching() *Result {
 	r.Tables = append(r.Tables, pf)
 
 	r.Values = map[string]float64{
-		"lru": lru, "lfu": lfu, "sdc": sdc,
+		"lru": lruRatio, "lfu": lfuRatio, "sdc": sdcRatio,
 		"masked":      float64(withStale),
 		"unmasked":    float64(noCache),
 		"prefetch":    withPf,

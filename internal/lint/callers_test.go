@@ -183,42 +183,27 @@ func recvNamed(f *types.Func) *types.Named {
 
 // implementsWith reports whether f is a method whose receiver type, or a
 // pointer to it, implements one of ifaces that declares a method of f's
-// name. Where the receiver or the interface is generic (cache.LRU against
-// cache.Cache), go/types cannot answer without instantiating both, so the
-// receiver need only declare every method name the interface has.
+// name. A generic receiver or a generic interface never matches, since
+// go/types cannot answer without instantiating both: a generic type's
+// methods need a direct caller.
 func implementsWith(f *types.Func, ifaces []*types.Named) bool {
 	named := recvNamed(f)
-	if named == nil {
+	if named == nil || named.TypeParams().Len() > 0 {
 		return false
 	}
 	for _, iface := range ifaces {
 		it := iface.Underlying().(*types.Interface)
+		if iface.TypeParams().Len() > 0 {
+			continue
+		}
 		if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, f.Name()); obj == nil {
 			continue
 		}
-		if named.TypeParams().Len() > 0 || iface.TypeParams().Len() > 0 {
-			if declaresAll(named, it) {
-				return true
-			}
-		} else if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
 			return true
 		}
 	}
 	return false
-}
-
-// declaresAll reports whether named declares a method of every name in it.
-func declaresAll(named *types.Named, it *types.Interface) bool {
-	have := map[string]bool{}
-	for i := 0; i < named.NumMethods(); i++ {
-		have[named.Method(i).Name()] = true
-	}
-	for i := 0; i < it.NumMethods(); i++ {
-		if !have[it.Method(i).Name()] {
-			return false
-		}
-	}
-	return true
 }
 
 // funcName renders f as pkg.Func or (*pkg.Type).Method / pkg.Type.Method.

@@ -70,14 +70,15 @@ func (e *DocEngine) Health() Health {
 // stored. Degraded, refused and over-budget answers are never cached:
 // they would keep being served after the partitions recover.
 func (e *DocEngine) answer(key string, deadlineMs float64, eval func(tick int64) QueryResult) QueryResult {
-	var qr, hit QueryResult
+	var qr QueryResult
+	var hit []rank.Result
 	ok := false
 	if key != "" {
 		hit, ok = e.rcache.Get(key)
 	}
 	if ok {
 		e.hits.Add(1)
-		qr = QueryResult{Results: hit.Results, FromCache: true, LatencyMs: cacheHitMs}
+		qr = QueryResult{Results: hit, FromCache: true, LatencyMs: cacheHitMs}
 	} else {
 		e.mu.Lock()
 		e.evaluated++

@@ -3,8 +3,11 @@ package qproc
 import (
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"dwr/internal/cache"
+	"dwr/internal/rank"
 )
 
 // ResultCacheConfig sizes the broker-level result cache.
@@ -16,33 +19,101 @@ type ResultCacheConfig struct {
 
 // ResultCache is the result-cache level of Section 5's hierarchy: a
 // concurrency-safe cache of complete query results at the broker, in
-// front of all partition fan-out. It is one eight-shard LRU
-// (cache.Sharded); an entry lives until replacement evicts it or an
-// index update or a topology change (SetDown) invalidates every entry at
-// once — one atomic generation bump, no walk.
+// front of all partition fan-out. Keys are routed by FNV-1a to one of
+// eight independently locked LRU shards, so concurrent brokers contend
+// only when their queries land on the same shard. An entry lives until
+// replacement evicts it or an index update or a topology change
+// (SetDown) invalidates every entry at once — one atomic generation
+// bump, no walk.
 type ResultCache struct {
-	c *cache.Sharded[QueryResult]
+	shards [numShards]rcShard
+	gen    atomic.Uint64
 }
 
-// NewResultCache builds a result cache of cfg.Capacity entries (at
-// least one per shard).
+// numShards is the result cache's fixed lock-domain count.
+const numShards = 8
+
+// rcShard is one lock domain. Its counters live under the same mutex as
+// its LRU, so a lookup takes exactly one lock and Stats aggregates
+// lazily.
+type rcShard struct {
+	mu  sync.Mutex
+	lru *cache.LRU[stamped]
+	st  CacheStats
+}
+
+// stamped is one cached answer: the result list, the only part a hit
+// reads, and the generation it was stored under. An entry of an older
+// generation is a miss and is lazily overwritten.
+type stamped struct {
+	results []rank.Result
+	gen     uint64
+}
+
+// NewResultCache builds a result cache of cfg.Capacity entries, split
+// evenly across the shards and rounded up, so the total never falls
+// below the request and every shard holds at least one entry.
 func NewResultCache(cfg ResultCacheConfig) *ResultCache {
-	return &ResultCache{c: cache.NewSharded[QueryResult](cfg.Capacity)}
+	rc := &ResultCache{}
+	for i := range rc.shards {
+		rc.shards[i].lru = cache.NewLRU[stamped]((cfg.Capacity + numShards - 1) / numShards)
+	}
+	return rc
 }
 
-// Get returns the cached result for key if present and generation-fresh.
-func (rc *ResultCache) Get(key string) (QueryResult, bool) {
-	e, ok := rc.c.Get(key)
-	return e.Value, ok
+// shardOf routes a key to a shard with FNV-1a.
+func shardOf(key string) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return int(h % numShards)
 }
 
-// Put stores a result under the current generation. The broker cache
-// keeps no clock, so every entry is stored at time 0.
-func (rc *ResultCache) Put(key string, qr QueryResult) { rc.c.Put(key, qr, 0) }
+// Get returns the results cached under key if present and
+// generation-fresh. An entry of an older generation is a miss, counted
+// as StaleGen; it stays in its shard until replacement evicts it or a
+// Put overwrites it.
+func (rc *ResultCache) Get(key string) ([]rank.Result, bool) {
+	sh := &rc.shards[shardOf(key)]
+	gen := rc.gen.Load()
+	sh.mu.Lock()
+	e, ok := sh.lru.Get(key)
+	switch {
+	case !ok:
+		sh.st.Misses++
+	case e.gen != gen:
+		sh.st.Misses++
+		sh.st.StaleGen++
+		ok = false
+	default:
+		sh.st.Hits++
+	}
+	sh.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return e.results, true
+}
+
+// Put stores qr's results under the current generation.
+func (rc *ResultCache) Put(key string, qr QueryResult) {
+	sh := &rc.shards[shardOf(key)]
+	gen := rc.gen.Load()
+	sh.mu.Lock()
+	sh.lru.Put(key, stamped{results: qr.Results, gen: gen})
+	sh.mu.Unlock()
+}
 
 // Invalidate lazily drops every cached entry (generation bump). Engines
-// call this from segment-store change hooks and on SetDown.
-func (rc *ResultCache) Invalidate() { rc.c.Invalidate() }
+// call this from segment-store change hooks and on SetDown; it is O(1)
+// and safe while readers are in flight.
+func (rc *ResultCache) Invalidate() { rc.gen.Add(1) }
 
 // CacheStats breaks down result-cache lookups.
 type CacheStats struct {
@@ -59,10 +130,18 @@ func (s CacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Stats returns the accumulated lookup breakdown.
+// Stats returns the lookup breakdown accumulated over every shard.
 func (rc *ResultCache) Stats() CacheStats {
-	h, m := rc.c.Stats()
-	return CacheStats{Hits: h, Misses: m, StaleGen: rc.c.StaleMisses()}
+	var st CacheStats
+	for i := range rc.shards {
+		sh := &rc.shards[i]
+		sh.mu.Lock()
+		st.Hits += sh.st.Hits
+		st.Misses += sh.st.Misses
+		st.StaleGen += sh.st.StaleGen
+		sh.mu.Unlock()
+	}
+	return st
 }
 
 // NormalizeQueryKey canonicalizes a term list for cache keying: terms

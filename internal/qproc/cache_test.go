@@ -118,6 +118,127 @@ func TestConcurrentCachedQueries(t *testing.T) {
 	}
 }
 
+func TestResultCacheBasics(t *testing.T) {
+	rc := NewResultCache(ResultCacheConfig{Capacity: 64})
+	a := []rank.Result{{Doc: 1, Score: 2.5}}
+	rc.Put("a", QueryResult{Results: a, LatencyMs: 3})
+	rc.Put("b", QueryResult{Results: []rank.Result{{Doc: 2}}})
+	if got, ok := rc.Get("a"); !ok || !reflect.DeepEqual(got, a) {
+		t.Fatalf("Get(a) = %v, %v", got, ok)
+	}
+	if _, ok := rc.Get("missing"); ok {
+		t.Fatal("phantom hit")
+	}
+	if st := rc.Stats(); st != (CacheStats{Hits: 1, Misses: 1}) {
+		t.Fatalf("stats = %+v, want 1 hit 1 miss", st)
+	}
+}
+
+// TestResultCacheRoutingIsStable: the same key always lands on the same
+// shard. With one slot per shard, distinct keys on distinct shards all
+// survive — which also holds a capacity below the shard count to one
+// entry per shard.
+func TestResultCacheRoutingIsStable(t *testing.T) {
+	for _, capacity := range []int{numShards, 1} {
+		rc := NewResultCache(ResultCacheConfig{Capacity: capacity})
+		byShard := make(map[int]string)
+		for i := 0; i < 200 && len(byShard) < numShards; i++ {
+			k := fmt.Sprintf("key%d", i)
+			sh := shardOf(k)
+			if _, taken := byShard[sh]; !taken {
+				byShard[sh] = k
+				rc.Put(k, QueryResult{})
+			}
+		}
+		if len(byShard) < 4 {
+			t.Fatalf("FNV routed 200 keys onto only %d of %d shards", len(byShard), numShards)
+		}
+		for _, k := range byShard {
+			if _, ok := rc.Get(k); !ok {
+				t.Fatalf("capacity %d: key %s lost despite exclusive shard slot", capacity, k)
+			}
+		}
+	}
+}
+
+func TestResultCacheGenerationInvalidation(t *testing.T) {
+	rc := NewResultCache(ResultCacheConfig{Capacity: 16})
+	rc.Put("q", QueryResult{Results: []rank.Result{{Doc: 7}}})
+	if _, ok := rc.Get("q"); !ok {
+		t.Fatal("fresh entry missing")
+	}
+	rc.Invalidate()
+	if _, ok := rc.Get("q"); ok {
+		t.Fatal("stale-generation entry served as a hit")
+	}
+	if st := rc.Stats(); st != (CacheStats{Hits: 1, Misses: 1, StaleGen: 1}) {
+		t.Fatalf("stats = %+v, want the stale lookup counted as a StaleGen miss", st)
+	}
+	// A new Put under the current generation makes the key live again.
+	rc.Put("q", QueryResult{Results: []rank.Result{{Doc: 8}}})
+	if got, ok := rc.Get("q"); !ok || got[0].Doc != 8 {
+		t.Fatalf("re-put after invalidation = %v, %v", got, ok)
+	}
+}
+
+func TestResultCacheAggregatedStats(t *testing.T) {
+	rc := NewResultCache(ResultCacheConfig{Capacity: 32})
+	for i := 0; i < 20; i++ {
+		rc.Put(fmt.Sprintf("k%d", i), QueryResult{})
+	}
+	hits, misses := 0, 0
+	for i := 0; i < 40; i++ {
+		if _, ok := rc.Get(fmt.Sprintf("k%d", i)); ok {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	st := rc.Stats()
+	if st.Hits != hits || st.Misses != misses || st.StaleGen != 0 {
+		t.Fatalf("aggregated stats %+v, observed %d/%d", st, hits, misses)
+	}
+	if r := st.HitRatio(); r <= 0 || r >= 1 {
+		t.Fatalf("hit ratio %v out of range", r)
+	}
+}
+
+// TestResultCacheConcurrent exercises the per-shard locking under -race:
+// many goroutines hammering overlapping key ranges with interleaved
+// invalidations must neither race nor lose the cache invariants.
+func TestResultCacheConcurrent(t *testing.T) {
+	rc := NewResultCache(ResultCacheConfig{Capacity: 256})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				q := (g*31 + i) % 100
+				k := fmt.Sprintf("q%d", q)
+				if got, ok := rc.Get(k); ok {
+					if len(got) != 1 || got[0].Doc != q {
+						t.Errorf("cached %v for %s", got, k)
+						return
+					}
+					continue
+				}
+				rc.Put(k, QueryResult{Results: []rank.Result{{Doc: q}}})
+				if i%500 == 0 && g == 0 {
+					rc.Invalidate()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Every surviving fresh entry must still map key qN -> doc N.
+	for q := 0; q < 100; q++ {
+		if got, ok := rc.Get(fmt.Sprintf("q%d", q)); ok && (len(got) != 1 || got[0].Doc != q) {
+			t.Fatalf("corrupted entry q%d -> %v", q, got)
+		}
+	}
+}
+
 func TestCacheKeyNormalization(t *testing.T) {
 	a := NormalizeQueryKey([]string{"b", "a", "b", "a"})
 	if a != "b a" {

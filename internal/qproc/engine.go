@@ -88,8 +88,8 @@ func (m *MultiSite) K() int { return len(m.Sites) }
 // Stats implements Engine: the coordinator's own query and outcome
 // tally (a routed query counts once, however many site engines it
 // touched) and selection counters, and the site engines' fault and
-// broker-cache counters (the per-site WAN caches are cache.Cache
-// instances without hit counters).
+// broker-cache counters (the per-site coordinator caches keep no hit
+// counters).
 func (m *MultiSite) Stats() EngineStats {
 	m.mu.Lock()
 	st := EngineStats{Queries: m.evaluated + m.hits, Degraded: m.degraded, Failed: m.failed, Selection: m.sel}

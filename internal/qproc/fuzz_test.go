@@ -1,12 +1,14 @@
 package qproc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"dwr/internal/cluster"
 	"dwr/internal/index"
 	"dwr/internal/rank"
 )
@@ -23,6 +25,16 @@ import (
 // query a second time exactly as the first, results and counters. No
 // answer carries an Err or is Degraded; a query no document matches is
 // answered with no results.
+//
+// The bytes after k choose one to three replica sites and the ones an
+// outage holds down at the query's hour. While a site is up, MultiSite's
+// Submit answers the default DocEngine's ranking bit for bit, and a
+// replay at the same hour is that ranking again from the coordinator's
+// cache; with every site down and nothing cached, it fails with
+// ErrAllSitesDown. The same documents split disjointly over as many
+// sites answer QueryFederated's full fan-out exactly as
+// QueryExhaustiveResults merges them, and a query no document matches
+// is an empty answer there too, not a failed one.
 func FuzzEnginesAgree(f *testing.F) {
 	docBytes := []byte{
 		3, 0, 1, 2, 3, 2, 0, 0, 4, 1, 5, 0, 4, 1, 1, 1, 6, 7, 0, 0, 5, 8, 9, 10, 11, 0, 2,
@@ -34,6 +46,10 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{0, 0, 4}))
 	// The same collection, "t0 t3 t3 t19" at k=3.
 	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{3, 0, 3, 3, 19, 2}))
+	// Three sites with sites 0 and 2 down: site 1 answers "t1 t2" at k=4.
+	f.Add(slices.Concat([]byte{1, 11, 7, 3}, docBytes, []byte{1, 1, 2, 3, 2, 5}))
+	// Three sites, all down, the no-match query "t17" at k=10.
+	f.Add(slices.Concat([]byte{1, 11, 7, 3}, docBytes, []byte{0, 17, 9, 2, 7}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -60,6 +76,8 @@ func FuzzEnginesAgree(f *testing.F) {
 			q[i] = fmt.Sprintf("t%d", next()%20)
 		}
 		k := 1 + next()%20
+		nsites := 1 + next()%3
+		down := next()
 
 		central := centralIndex(docs)
 		want, _ := rank.EvaluateOR(central, rank.NewScorer(rank.FromIndex(central)), q, k)
@@ -89,6 +107,59 @@ func FuzzEnginesAgree(f *testing.F) {
 				t.Fatalf("%s:\n%s %v\ngot %v", label, engines[0].name, first, qr.Results)
 			}
 			sameRanking(t, want, qr.Results, label)
+		}
+
+		label := fmt.Sprintf("query %v, k=%d, %d docs, %d partitions", q, k, n, nparts)
+		replicas := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
+		replicas.CacheTTL = 24
+		anyUp := false
+		for s := 0; s < nsites; s++ {
+			site := NewSite(s, s, newDocEngine(t, docs, nparts), 16, 0)
+			if down&(1<<s) != 0 {
+				site.Outages = []cluster.Outage{{Start: 0, End: 2}}
+			} else {
+				anyUp = true
+			}
+			replicas.Sites = append(replicas.Sites, site)
+		}
+		label = fmt.Sprintf("%s, %d replica sites, down set %03b", label, nsites, down&7)
+		r := replicas.Submit(q, NormalizeQueryKey(q), 0, 1, k)
+		switch {
+		case !anyUp:
+			if !r.Failed || !errors.Is(r.Err, ErrAllSitesDown) {
+				t.Fatalf("%s: every site down answered %+v", label, r)
+			}
+		case r.Failed || r.Err != nil || r.Degraded || r.FromCache:
+			t.Fatalf("%s: Submit answered %+v", label, r)
+		case !slices.Equal(r.Results, first):
+			t.Fatalf("%s: Submit %v, default DocEngine %v", label, r.Results, first)
+		default:
+			again := replicas.Submit(q, NormalizeQueryKey(q), 0, 1, k)
+			if !again.FromCache || !slices.Equal(again.Results, first) {
+				t.Fatalf("%s: a replay answered %+v after %v", label, again, first)
+			}
+		}
+
+		// Site s holds every document whose position is s mod the site
+		// count: disjoint collections, none empty.
+		fed := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
+		fed.CacheTTL = 24
+		for s := 0; s < min(nsites, n); s++ {
+			var slice []index.Doc
+			for i := s; i < n; i += min(nsites, n) {
+				slice = append(slice, docs[i])
+			}
+			fed.Sites = append(fed.Sites, NewSite(s, s, newDocEngine(t, slice, nparts), 16, 0))
+		}
+		fr := fed.QueryFederated(q, NormalizeQueryKey(q), 0, 1, k)
+		if fr.Failed || fr.Err != nil || fr.Degraded || !fr.FullFanout {
+			t.Fatalf("%s over %d disjoint sites: QueryFederated answered %+v", label, len(fed.Sites), fr)
+		}
+		if ex := fed.QueryExhaustiveResults(q, 1, k); !slices.Equal(fr.Results, ex) {
+			t.Fatalf("%s over %d disjoint sites: QueryFederated %v, exhaustive %v", label, len(fed.Sites), fr.Results, ex)
+		}
+		if len(want) == 0 && len(fr.Results) != 0 {
+			t.Fatalf("%s over %d disjoint sites: no document matches, QueryFederated answered %v", label, len(fed.Sites), fr.Results)
 		}
 	})
 }

@@ -27,7 +27,6 @@ type Site struct {
 	ID      int
 	Region  int
 	Engine  *DocEngine
-	Cache   cache.Cache[[]rank.Result]
 	Outages []cluster.Outage // hours; empty = always up
 
 	// Selfish marks a site in an OPEN system (paper §5, Interaction):
@@ -42,17 +41,30 @@ type Site struct {
 	hourLoad int
 	loadHour int
 	capacity int // queries/hour before queueing delays kick in
+
+	// cache is the coordinator's result cache. Only route and probe
+	// touch it, under MultiSite's mutex: an entry is fresh for
+	// MultiSite.CacheTTL hours after it was stored, and stale after.
+	cache *cache.LRU[siteEntry]
 }
 
-// NewSite creates a site with the given engine, an LRU result cache of
-// cacheCap entries, and an hourly capacity for the load model.
+// siteEntry is one coordinator-cached answer and the virtual hour it was
+// stored at.
+type siteEntry struct {
+	results  []rank.Result
+	storedAt float64
+}
+
+// NewSite creates a site with the given engine, a coordinator cache of
+// cacheCap entries (at least one), and an hourly capacity for the load
+// model.
 func NewSite(id, region int, engine *DocEngine, cacheCap, hourlyCapacity int) *Site {
 	return &Site{
 		ID:       id,
 		Region:   region,
 		Engine:   engine,
-		Cache:    cache.NewLRU[[]rank.Result](cacheCap),
 		capacity: hourlyCapacity,
+		cache:    cache.NewLRU[siteEntry](cacheCap),
 	}
 }
 
@@ -226,7 +238,7 @@ func (m *MultiSite) route(terms []string, region int, atHours float64, k int, de
 		}
 		onTime := deadlineMs <= 0 || out.LatencyMs <= deadlineMs
 		if m.CacheTTL > 0 && out.Err == nil && !out.Degraded && onTime {
-			c.Cache.Put(key, out.Results, atHours)
+			c.cache.Put(key, siteEntry{results: out.Results, storedAt: atHours})
 		}
 		if (out.Failed || len(out.Results) == 0) && len(stale) > 0 {
 			out.Results = stale
@@ -352,14 +364,14 @@ func (m *MultiSite) probe(out *SiteQueryResult, c *Site, key string, atHours flo
 	if m.CacheTTL <= 0 {
 		return nil, false
 	}
-	e, ok := c.Cache.Get(key)
+	e, ok := c.cache.Get(key)
 	if !ok {
 		return nil, false
 	}
-	if atHours-e.StoredAt > m.CacheTTL {
-		return e.Value, false
+	if atHours-e.storedAt > m.CacheTTL {
+		return e.results, false
 	}
-	out.Results = e.Value
+	out.Results = e.results
 	out.FromCache = true
 	out.LatencyMs += cacheHitMs
 	return nil, true
