@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"sort"
 	"strings"
 
 	"dwr/internal/crawler"
@@ -35,53 +34,115 @@ type Corpus struct {
 
 // Crawl runs the first two modules of the paper's chain: generate the
 // synthetic Web of cfg.Web, crawl it with cfg.Crawl from every host's
-// front page, and parse each crawled page into a tokenized document.
+// front page, and parse each page into a tokenized document while the
+// crawl runs.
 func Crawl(cfg Config) (*Corpus, error) {
 	web := simweb.New(cfg.Web)
-	c := &Corpus{Web: web, Crawler: crawler.New(web, cfg.Crawl)}
-	c.Crawler.SeedFrontPages()
-	c.CrawlInfo = c.Crawler.Run()
-	if err := c.parse(); err != nil {
+	cr := crawler.New(web, cfg.Crawl)
+	cr.SeedFrontPages()
+	return crawl(web, cr, cr.Run)
+}
+
+// crawl drives cr with run, a pageParser on its OnPage hook, then clears
+// the hook and assembles the corpus from the terms the parser kept.
+func crawl(web *simweb.Web, cr *crawler.Crawler, run func() crawler.Stats) (*Corpus, error) {
+	pp := newPageParser(len(web.Pages))
+	cr.OnPage(pp.add)
+	info := run()
+	cr.OnPage(nil)
+	c := &Corpus{Web: web, Crawler: cr, CrawlInfo: info}
+	if err := c.assemble(pp.wait()); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// parse builds Docs and the URL table from the crawler's pages,
-// tokenizing the whole crawl against one table of distinct terms.
-func (c *Corpus) parse() error {
+// pageParser turns crawled pages into documents on one goroutine beside
+// the crawl. That goroutine owns the crawl's one textproc.Terms table
+// and keeps each page's terms by page ID (nil: no indexable text, or
+// never fetched). A refetch replaces the earlier fetch's terms, as the
+// last fetch is the one Crawler.Pages keeps.
+type pageParser struct {
+	batch   []*crawler.Page
+	batches chan []*crawler.Page
+	done    chan struct{}
+	terms   [][]string // by page ID; read only once done is closed
+}
+
+// The crawl hands the parser parseBatch pages at a time, so the parser
+// wakes once a batch, and up to parseSlack batches wait for it: a run of
+// long pages to parse does not stall the crawl, though the two stages
+// take about the same time overall.
+const (
+	parseBatch = 64
+	parseSlack = 16
+)
+
+// newPageParser starts a parser for the pages of a web of n pages.
+func newPageParser(n int) *pageParser {
+	pp := &pageParser{
+		batch:   make([]*crawler.Page, 0, parseBatch),
+		batches: make(chan []*crawler.Page, parseSlack),
+		done:    make(chan struct{}),
+		terms:   make([][]string, n),
+	}
+	go func() {
+		defer close(pp.done)
+		var ts textproc.Terms
+		for batch := range pp.batches {
+			for _, p := range batch {
+				d, _ := PageDoc(p, &ts) // no indexable text: nil terms
+				pp.terms[p.PageID] = d.Terms
+			}
+		}
+	}()
+	return pp
+}
+
+// add hands a fetched page to the parser.
+func (pp *pageParser) add(p *crawler.Page) {
+	if pp.batch = append(pp.batch, p); len(pp.batch) == parseBatch {
+		pp.batches <- pp.batch
+		pp.batch = make([]*crawler.Page, 0, parseBatch)
+	}
+}
+
+// wait ends the hand-off and returns the parser's terms by page ID.
+func (pp *pageParser) wait() [][]string {
+	pp.batches <- pp.batch
+	close(pp.batches)
+	<-pp.done
+	return pp.terms
+}
+
+// assemble builds Docs, ascending by ID, from each page's terms (by page
+// ID), and the URL table from the crawled pages' URLs.
+func (c *Corpus) assemble(terms [][]string) error {
 	pages := c.Crawler.Pages()
-	ids := make([]int, 0, len(pages))
-	var urls strings.Builder
-	n := 0
-	for pid, p := range pages {
-		ids = append(ids, pid)
-		n += len(p.URL)
+	n, docs, last := 0, 0, -1
+	for id, ts := range terms {
+		if ts != nil {
+			n += len(pages[id].URL)
+			docs++
+			last = id
+		}
+	}
+	if docs == 0 {
+		return errors.New("core: crawl produced no indexable documents")
 	}
 	if n > math.MaxUint32 {
 		return errors.New("core: the crawl's URLs exceed 4 GiB")
 	}
-	sort.Ints(ids)
-	var terms textproc.Terms
+	var urls strings.Builder
 	urls.Grow(n)
-	if len(ids) > 0 {
-		c.urlEnd = make([]uint32, 0, ids[len(ids)-1]+1)
-	}
-	for _, pid := range ids {
-		p := pages[pid]
-		d, ok := PageDoc(p, &terms)
-		if !ok {
-			continue
+	c.Docs = make([]index.Doc, 0, docs)
+	c.urlEnd = make([]uint32, last+1)
+	for id, ts := range terms[:last+1] {
+		if ts != nil {
+			c.Docs = append(c.Docs, index.Doc{Ext: id, Terms: ts})
+			urls.WriteString(pages[id].URL)
 		}
-		c.Docs = append(c.Docs, d)
-		for len(c.urlEnd) < pid {
-			c.urlEnd = append(c.urlEnd, uint32(urls.Len()))
-		}
-		urls.WriteString(p.URL)
-		c.urlEnd = append(c.urlEnd, uint32(urls.Len()))
-	}
-	if len(c.Docs) == 0 {
-		return errors.New("core: crawl produced no indexable documents")
+		c.urlEnd[id] = uint32(urls.Len())
 	}
 	c.urls = urls.String()
 	return nil

@@ -58,6 +58,126 @@ func TestCrawlDeterministic(t *testing.T) {
 	}
 }
 
+// serialParse is the oracle for Crawl's parse: the crawler's pages
+// (the last fetch of each), ascending by ID, each through PageDoc
+// against one table; URLs maps each document to its page's URL.
+func serialParse(cr *crawler.Crawler) (docs []index.Doc, urls map[int]string) {
+	pages := make([]*crawler.Page, 0, len(cr.Pages()))
+	for _, p := range cr.Pages() {
+		pages = append(pages, p)
+	}
+	slices.SortFunc(pages, func(x, y *crawler.Page) int { return x.PageID - y.PageID })
+	var ts textproc.Terms
+	urls = make(map[int]string)
+	for _, p := range pages {
+		if d, ok := PageDoc(p, &ts); ok {
+			docs = append(docs, d)
+			urls[p.PageID] = p.URL
+		}
+	}
+	return docs, urls
+}
+
+// matchSerialParse fails t unless c's documents and URL table are
+// serialParse's over its crawler.
+func matchSerialParse(t *testing.T, c *Corpus) {
+	t.Helper()
+	docs, urls := serialParse(c.Crawler)
+	if len(docs) < 100 || !reflect.DeepEqual(c.Docs, docs) {
+		t.Fatalf("Crawl parsed %d documents, the serial parse %d (or different ones)", len(c.Docs), len(docs))
+	}
+	for id := -1; id <= len(c.Web.Pages); id++ {
+		if got := c.URLOf(id); got != urls[id] {
+			t.Fatalf("ID %d resolves to %q, the serial parse says %q", id, got, urls[id])
+		}
+	}
+}
+
+// TestCrawlParsesLikeSerialOracle: the parser goroutine beside the crawl
+// yields the documents and URLs a parse after the crawl would, whether
+// it shares one core with the crawl or has its own.
+func TestCrawlParsesLikeSerialOracle(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			matchSerialParse(t, crawlCorpus(t, smallConfig()))
+		})
+	}
+}
+
+// TestCrawlRefetchLastWins: a page fetched twice is the document of its
+// last fetch. A crawl whose agent fails after a first pass refetches
+// the pages of the hosts it owned, and parses like the oracle; the
+// parser, fed two fetches of one page, keeps the second, and a textless
+// refetch takes the page out.
+func TestCrawlRefetchLastWins(t *testing.T) {
+	cfg := smallConfig()
+	web := simweb.New(cfg.Web)
+	cr := crawler.New(web, cfg.Crawl)
+	cr.SeedFrontPages()
+	c, err := crawl(web, cr, func() crawler.Stats {
+		cr.Run()
+		cr.FailAgent(0)
+		return cr.Run()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.CrawlInfo.DuplicateFetches == 0 {
+		t.Fatal("the failed agent's pages were not refetched")
+	}
+	matchSerialParse(t, c)
+	// Crawl cleared its hook: a further crawl of the corpus's crawler
+	// hands nothing to the finished parser.
+	cr.FailAgent(1)
+	cr.Run()
+
+	pp := newPageParser(3)
+	for _, p := range []crawler.Page{
+		{PageID: 1, HTML: "<p>first fetch</p>"},
+		{PageID: 2, HTML: "<p>kept text</p>"},
+		{PageID: 1, HTML: "<p>second fetch</p>"},
+		{PageID: 2, HTML: "<p> - </p>"},
+	} {
+		pp.add(&p)
+	}
+	want := [][]string{nil, {"second", "fetch"}, nil}
+	if got := pp.wait(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parser kept %q, want %q", got, want)
+	}
+}
+
+// TestLiveIngestKnownTermsAllocatesNoStrings: Live tokenizes against
+// its one table, so ingesting a new page ID whose terms it has seen
+// allocates no term strings — its allocations (text, term slice,
+// writer) stay far below its count of distinct terms, where the
+// table-less tokenizer allocates one string for each token.
+func TestLiveIngestKnownTermsAllocatesNoStrings(t *testing.T) {
+	live, err := NewLive(1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := crawlCorpus(t, smallConfig())
+	d := c.Docs[len(c.Docs)/2]
+	p := *c.Crawler.Pages()[d.Ext]
+	sorted := slices.Clone(d.Terms)
+	slices.Sort(sorted)
+	distinct := len(slices.Compact(sorted))
+	if _, ok := live.Ingest(&p); !ok || distinct < 20 {
+		t.Fatalf("page %d: ingested %v, %d distinct terms", p.PageID, ok, distinct)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		p.PageID += len(c.Web.Pages)
+		if _, ok := live.Ingest(&p); !ok {
+			t.Fatalf("page %d was not ingested", p.PageID)
+		}
+	})
+	t.Logf("%.1f allocations per ingest of %d tokens over %d distinct terms", allocs, len(d.Terms), distinct)
+	if allocs >= float64(distinct)/4 {
+		t.Fatalf("%.1f allocations per ingest of a page of %d known distinct terms", allocs, distinct)
+	}
+}
+
 // TestBuildIsCrawlThenIndex: Build adds nothing to Crawl but the
 // partitioning and the engine — its documents are Crawl's, and its
 // answers (results and work accounting alike) are those of a DocEngine
@@ -161,8 +281,12 @@ func TestURLTableEdgeCases(t *testing.T) {
 	for _, id := range textless {
 		pages[id].HTML = "<html><body> <p> - </p></body></html>"
 	}
+	pp := newPageParser(len(crawled.Web.Pages))
+	for _, p := range pages {
+		pp.add(p)
+	}
 	c := &Corpus{Web: crawled.Web, Crawler: crawled.Crawler}
-	if err := c.parse(); err != nil {
+	if err := c.assemble(pp.wait()); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Docs) != len(crawled.Docs)-len(textless) {
@@ -267,6 +391,18 @@ func BenchmarkBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(ms.HeapAlloc)/float64(tokens), "retained-B/token")
 	runtime.KeepAlive(e)
+}
+
+// BenchmarkCrawl is Crawl at smallConfig: the web, the crawl and the
+// parse beside it, behind crawler.crawl_s and textproc.parse_us_per_doc
+// in bench's set-up.
+func BenchmarkCrawl(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Crawl(smallConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkPageDoc is PageDoc over every page of a smallConfig crawl,

@@ -7,6 +7,7 @@ import (
 	"dwr/internal/crawler"
 	"dwr/internal/index"
 	"dwr/internal/qproc"
+	"dwr/internal/textproc"
 )
 
 // Live is the continuous form of the pipeline: instead of indexing a
@@ -19,6 +20,7 @@ type Live struct {
 	Query   *qproc.LiveEngine
 	stores  []*index.SegmentStore
 	writers []*index.SegmentWriter
+	terms   textproc.Terms // every ingested page is tokenized against it
 }
 
 // NewLive assembles partitions empty segment stores (merge radix 3), a
@@ -46,12 +48,13 @@ func NewLive(partitions, segDocs int, opts ...qproc.Option) (*Live, error) {
 	return l, nil
 }
 
-// Ingest parses a crawled page (PageDoc) and hands the document to the
-// writer of partition PageID mod K. ok is false when nothing was added:
+// Ingest parses a crawled page (PageDoc, against the one table of the
+// terms ingested so far) and hands the document to the writer of
+// partition PageID mod K. ok is false when nothing was added:
 // the page has no indexable text, or it is a refetch of a page the
 // partition already holds.
 func (l *Live) Ingest(p *crawler.Page) (part int, ok bool) {
-	d, ok := PageDoc(p, nil)
+	d, ok := PageDoc(p, &l.terms)
 	if !ok {
 		return 0, false
 	}

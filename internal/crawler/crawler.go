@@ -150,7 +150,10 @@ type Crawler struct {
 // successful page download, in the crawler's deterministic fetch order.
 // This is the streaming hook that lets indexing run while the crawl is
 // still in progress; the callback must not retain p.HTML beyond the
-// call if it wants to keep memory bounded. Set before Run.
+// call if it wants to keep memory bounded. The callback may hand p off
+// to another goroutine: the crawl never mutates a delivered page (a
+// refetch delivers a new one), and only Recrawl, after Run, updates
+// pages in place. Set before Run.
 func (c *Crawler) OnPage(fn func(p *Page)) { c.onPage = fn }
 
 // regionAssign keeps each host's crawl traffic inside its region: the

@@ -1,8 +1,8 @@
 package simweb
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"dwr/internal/randx"
@@ -100,19 +100,24 @@ func (w *Web) RenderHTML(pageID, revision int) string {
 	var b strings.Builder
 	b.Grow(len(p.Terms)*8 + len(p.Links)*40 + 256)
 
-	title := fmt.Sprintf("%s %s rev%d", h.Name, p.Path, revision)
+	var num [20]byte
+	title := func() {
+		b.WriteString(h.Name)
+		b.WriteByte(' ')
+		b.WriteString(p.Path)
+		b.WriteString(" rev")
+		b.Write(strconv.AppendInt(num[:0], int64(revision), 10))
+	}
+	b.WriteString("<html><head><title>")
+	title()
 	if h.Malformed {
-		b.WriteString("<html><head><title>")
-		b.WriteString(title)
 		// Malformed: title never closed, head never closed.
 		b.WriteString("<body>")
 	} else {
-		b.WriteString("<html><head><title>")
-		b.WriteString(title)
 		b.WriteString("</title></head><body>")
 	}
 	b.WriteString("<h1>")
-	b.WriteString(title)
+	title()
 	if !h.Malformed {
 		b.WriteString("</h1>")
 	}
@@ -130,16 +135,24 @@ func (w *Web) RenderHTML(pageID, revision int) string {
 	}
 	for i, target := range p.Links {
 		tp := w.Pages[target]
-		var href string
-		if tp.Host == p.Host && i%2 == 0 {
-			href = tp.Path // relative link, same server
-		} else {
-			href = "http://" + w.Hosts[tp.Host].Name + tp.Path
+		// Malformed hosts leave every third anchor unquoted and unclosed.
+		broken := h.Malformed && i%3 == 0
+		b.WriteString("<a href=")
+		if !broken {
+			b.WriteByte('"')
 		}
-		if h.Malformed && i%3 == 0 {
-			fmt.Fprintf(&b, `<a href=%s>link %d`, href, i) // unquoted, unclosed
-		} else {
-			fmt.Fprintf(&b, `<a href="%s">link %d</a>`, href, i)
+		if tp.Host != p.Host || i%2 != 0 { // else relative, same server
+			b.WriteString("http://")
+			b.WriteString(w.Hosts[tp.Host].Name)
+		}
+		b.WriteString(tp.Path)
+		if !broken {
+			b.WriteByte('"')
+		}
+		b.WriteString(">link ")
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		if !broken {
+			b.WriteString("</a>")
 		}
 	}
 	if h.Malformed {
