@@ -265,7 +265,7 @@ type partEval struct {
 
 // queryScratch is evaluate's pooled per-query working set: the views,
 // and per target slot its partition, scorer, bound, schedule position
-// and answer, the wave being dispatched, and the merger's heap. Nothing
+// and answer, the wave being dispatched, and the merger's buffers. Nothing
 // in it outlives the query — the merger's Results copy out — and release
 // clears the pointer slots, so a pooled scratch pins no manifest, scorer
 // or partition answer.
@@ -466,9 +466,11 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 		})
 	}
 
-	// Each worker writes only its own evals slot; every wave's gather
-	// aggregates serially in schedule order under the engine lock, so
-	// results and accounting are identical to the serial broker.
+	// Each worker writes only its own evals slot. Every wave's gather
+	// books its calls serially in schedule order under the engine lock,
+	// then sums and merges the answered slots after releasing it: integer
+	// sums and a total-order merge do not depend on order, so results and
+	// accounting are identical to the serial broker.
 	sc.evals = resize(sc.evals, len(targets))
 	evals := sc.evals
 	merger := &sc.merger
@@ -513,6 +515,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 			budget = opt.DeadlineMs - round1Max - slowest
 		}
 		var waveSlowest float64
+		answered := ws[:0] // the slots whose answer arrived
 		e.mu.Lock()
 		for _, i := range ws {
 			ms, ok := e.call(tick, targets[i], serviceMs(evals[i].es.PostingsDecoded), budget, &qr)
@@ -523,10 +526,13 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 				lost++
 				continue
 			}
+			answered = append(answered, i)
+		}
+		e.mu.Unlock()
+		for _, i := range answered {
 			qr.addEval(evals[i].es, len(evals[i].rs))
 			merger.Add(evals[i].rs)
 		}
-		e.mu.Unlock()
 		slowest += waveSlowest
 		if shared {
 			waveSize *= 2

@@ -50,6 +50,10 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add(slices.Concat([]byte{1, 11, 7, 3}, docBytes, []byte{1, 1, 2, 3, 2, 5}))
 	// Three sites, all down, the no-match query "t17" at k=10.
 	f.Add(slices.Concat([]byte{1, 11, 7, 3}, docBytes, []byte{0, 17, 9, 2, 7}))
+	// Two partitions, six documents: four "t0" and two "t0 t3", each
+	// score shared by documents of both partitions; "t0" at k=8, above
+	// the match count, on two sites.
+	f.Add([]byte{1, 5, 0, 0, 0, 0, 0, 0, 1, 0, 3, 1, 0, 3, 0, 0, 0, 0, 0, 0, 7, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -389,7 +389,7 @@ func (t *topK) offer(r Result) {
 	}
 	if worse(t.rs[0], r) && !t.isDead(r.Doc) {
 		t.rs[0] = r
-		t.down(0)
+		siftDown(t.rs, 0)
 	}
 }
 
@@ -407,9 +407,10 @@ func (t *topK) up(i int) {
 	h[i] = r
 }
 
-// down sifts rs[i] toward the leaves past every child worse than it.
-func (t *topK) down(i int) {
-	h, r := t.rs, t.rs[i]
+// siftDown sifts h[i] toward the leaves of the min-heap h past every
+// child worse than it.
+func siftDown(h []Result, i int) {
+	r := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
@@ -429,10 +430,15 @@ func (t *topK) down(i int) {
 
 func (t *topK) isDead(ext int) bool { return len(t.dead) > 0 && t.dead[ext] }
 
+// results returns a copy of the heap's k best, best first, sorted in
+// place by heap extraction (each step moves the heap's worst to its end).
 func (t *topK) results() []Result {
 	out := make([]Result, len(t.rs))
 	copy(out, t.rs)
-	SortResults(out)
+	for n := len(out) - 1; n > 0; n-- {
+		out[0], out[n] = out[n], out[0]
+		siftDown(out[:n], 0)
+	}
 	return out
 }
 
@@ -449,57 +455,81 @@ func SortResults(rs []Result) {
 	})
 }
 
-// MergeResults merges per-partition result lists into a global top k —
-// the broker's merge step in a document-partitioned system. Scores must
-// be comparable across lists (i.e. computed from the same statistics)
-// for the merge to equal a centralized ranking; comparing the two is
-// exactly experiment C9.
+// MergeResults merges per-partition result lists, each best first as
+// every evaluator returns it, into a global top k — the broker's merge
+// step in a document-partitioned system. Scores must be comparable
+// across lists (i.e. computed from the same statistics) for the merge to
+// equal a centralized ranking; comparing the two is exactly experiment
+// C9.
 func MergeResults(k int, lists ...[]Result) []Result {
-	tk := &topK{k: k}
+	var m TopKMerger
+	m.Reset(k)
 	for _, l := range lists {
-		for _, r := range l {
-			tk.offer(r)
-		}
+		m.Add(l)
 	}
-	return tk.results()
+	return m.Results()
 }
 
-// TopKMerger is an incremental MergeResults for brokers that gather
-// partition answers in waves: results are offered as they arrive and the
-// running k-th best score is readable between waves as a threshold seed.
-// Because topK.offer implements a total order (score desc, doc asc) and
-// document partitions are disjoint, the final Results are identical to a
-// single MergeResults over all lists regardless of Add order. The zero
-// value keeps nothing until Reset gives it a k.
+// TopKMerger is the broker's merge for partition answers gathered in
+// waves: each answer is merged as it arrives, in one linear pass over
+// two best-first lists, and the running k-th best score is readable
+// between waves as a threshold seed. Because worse is a total order and
+// document partitions are disjoint, the final Results are identical to
+// a single MergeResults over all lists regardless of Add order. The
+// zero value keeps nothing until Reset gives it a k.
 type TopKMerger struct {
-	tk topK
+	k int
+	// rs is the running top k, best first; next is the buffer Add merges
+	// into before the two swap.
+	rs, next []Result
 }
 
 // Reset empties the merger and makes it keep the k best results, reusing
-// its heap's storage: a broker pooling its per-query state merges every
-// query into one merger.
-func (m *TopKMerger) Reset(k int) { m.tk = topK{k: k, rs: m.tk.rs[:0]} }
+// its storage: a broker pooling its per-query state merges every query
+// into one merger.
+func (m *TopKMerger) Reset(k int) { m.k, m.rs = k, m.rs[:0] }
 
-// Add offers one partition's result list to the merge.
+// Add merges one partition's result list into the running top k. rs
+// must be best first (score desc, doc asc), as every evaluator and
+// MergeResults return it. Once the merger is warm, Add allocates
+// nothing; it returns at once when the merger is full and rs's best
+// cannot enter.
 func (m *TopKMerger) Add(rs []Result) {
-	for _, r := range rs {
-		m.tk.offer(r)
+	kept := m.rs
+	if len(rs) == 0 || m.k <= 0 || (len(kept) >= m.k && !worse(kept[m.k-1], rs[0])) {
+		return
 	}
+	out := slices.Grow(m.next[:0], min(m.k, len(kept)+len(rs)))
+	for len(out) < m.k && len(kept) > 0 && len(rs) > 0 {
+		if worse(kept[0], rs[0]) {
+			out, rs = append(out, rs[0]), rs[1:]
+		} else {
+			out, kept = append(out, kept[0]), kept[1:]
+		}
+	}
+	// At most one of the two lists is left: its head fills what k allows.
+	out = append(out, kept[:min(len(kept), m.k-len(out))]...)
+	out = append(out, rs[:min(len(rs), m.k-len(out))]...)
+	m.rs, m.next = out, m.rs
 }
 
 // Threshold returns the current k-th best score. ok is false until k
 // results have been merged — before that there is no safe lower bound on
 // the global k-th score.
 func (m *TopKMerger) Threshold() (float64, bool) {
-	if m.tk.k <= 0 || len(m.tk.rs) < m.tk.k {
+	if m.k <= 0 || len(m.rs) < m.k {
 		return 0, false
 	}
-	return m.tk.rs[0].Score, true
+	return m.rs[m.k-1].Score, true
 }
 
-// Results returns the merged top k (score desc, doc asc). The merger
-// remains usable afterwards.
-func (m *TopKMerger) Results() []Result { return m.tk.results() }
+// Results returns a copy of the merged top k (score desc, doc asc). The
+// merger remains usable afterwards.
+func (m *TopKMerger) Results() []Result {
+	out := make([]Result, len(m.rs))
+	copy(out, m.rs)
+	return out
+}
 
 // MergeResultsDedup merges result lists that may contain the SAME
 // document (replicas of one collection), keeping each document's best

@@ -91,11 +91,60 @@ func TestTopKMatchesSortAll(t *testing.T) {
 	}
 }
 
-// TestTopKMergerMatchesSortAll: disjoint lists added in shuffled order
-// merge to the sort-all answer, and after every Add, Threshold reports
-// the k-th best score of everything added so far (not ok before k). One
-// merger serves every k through Reset, as the broker's pooled one does.
+// TestTopKMergerMatchesSortAll: best-first lists added in shuffled
+// order merge to the sort-all answer, and after every Add, Threshold
+// reports the k-th best score of everything added so far (not ok before
+// k). One merger serves every k through Reset, as the broker's pooled
+// one does. Fixed cases pin the merge's edges: ties at the k-th place
+// with documents on both sides of the cut, empty lists between full
+// ones, a list whose best cannot enter a full merger, and k above the
+// total.
 func TestTopKMergerMatchesSortAll(t *testing.T) {
+	var m TopKMerger
+	check := func(name string, k int, lists [][]Result) {
+		t.Helper()
+		m.Reset(k)
+		var added []Result
+		for _, l := range lists {
+			m.Add(l)
+			added = append(added, l...)
+			want := sortAllTakeK(added, k)
+			thr, ok := m.Threshold()
+			if full := k > 0 && len(want) == k; ok != full || (full && thr != want[k-1].Score) {
+				t.Fatalf("%s k=%d after %d results: Threshold %v ok=%v, want k-th of %v",
+					name, k, len(added), thr, ok, want)
+			}
+		}
+		if got, want := m.Results(), sortAllTakeK(added, k); !sameRanking(want, got) {
+			t.Fatalf("%s k=%d:\nmerged %v\nwant   %v", name, k, got, want)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		k     int
+		lists [][]Result
+	}{
+		{"ties across the cut", 3, [][]Result{
+			{{Doc: 1, Score: 2}, {Doc: 4, Score: 1}, {Doc: 7, Score: 1}},
+			{{Doc: 2, Score: 1}, {Doc: 5, Score: 1}},
+			{{Doc: 3, Score: 1}, {Doc: 6, Score: 0.5}},
+		}},
+		{"empty lists between full ones", 2, [][]Result{
+			{}, {{Doc: 1, Score: 3}, {Doc: 2, Score: 1}}, nil, {},
+			{{Doc: 3, Score: 2}, {Doc: 4, Score: 0}}, {},
+		}},
+		{"a best that cannot enter", 2, [][]Result{
+			{{Doc: 1, Score: 3}, {Doc: 2, Score: 2}},
+			{{Doc: 3, Score: 2}, {Doc: 4, Score: 1}},
+			{{Doc: 5, Score: 1}},
+		}},
+		{"k above the total", 10, [][]Result{
+			{{Doc: 2, Score: 1}, {Doc: 4, Score: 1}},
+			{{Doc: 1, Score: 1}, {Doc: 3, Score: 0.5}},
+		}},
+	} {
+		check(c.name, c.k, c.lists)
+	}
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(200)
@@ -106,28 +155,13 @@ func TestTopKMergerMatchesSortAll(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { all[i], all[j] = all[j], all[i] })
 		var lists [][]Result
 		for i := 0; i < n; {
-			m := min(1+rng.Intn(30), n-i)
-			lists = append(lists, sortAllTakeK(all[i:i+m], m))
-			i += m
+			size := min(1+rng.Intn(30), n-i)
+			lists = append(lists, sortAllTakeK(all[i:i+size], size))
+			i += size
 		}
-		var m TopKMerger
 		for _, k := range []int{0, 1, 2, 3, 10, 100, n + 7} {
 			rng.Shuffle(len(lists), func(i, j int) { lists[i], lists[j] = lists[j], lists[i] })
-			m.Reset(k)
-			var added []Result
-			for _, l := range lists {
-				m.Add(l)
-				added = append(added, l...)
-				want := sortAllTakeK(added, k)
-				thr, ok := m.Threshold()
-				if full := k > 0 && len(want) == k; ok != full || (full && thr != want[k-1].Score) {
-					t.Fatalf("trial %d k=%d after %d results: Threshold %v ok=%v, want k-th of %v",
-						trial, k, len(added), thr, ok, want)
-				}
-			}
-			if got, want := m.Results(), sortAllTakeK(all, k); !sameRanking(want, got) {
-				t.Fatalf("trial %d k=%d:\nmerged %v\nwant   %v", trial, k, got, want)
-			}
+			check(fmt.Sprintf("trial %d", trial), k, lists)
 		}
 	}
 }
@@ -181,8 +215,8 @@ func fullPageQuery(t testing.TB, ix *index.Index, s *Scorer, k int) []string {
 // TestKernelAllocations pins the rank kernel's allocations at k=100: an
 // evaluation allocates only the slice it returns — on a static index, on
 // a one-segment view, and on an eight-segment view with tombstones
-// pending, exhaustive or pruned — and merging a partition's answer
-// allocates nothing once the merger holds k results.
+// pending, exhaustive or pruned — a warm merger merges four partitions'
+// answers without allocating, and Results allocates only its copy.
 func TestKernelAllocations(t *testing.T) {
 	const k = 100
 	ix := pruneCorpus(95, index.DefaultOptions())
@@ -205,12 +239,23 @@ func TestKernelAllocations(t *testing.T) {
 			}
 		}
 	}
-	rs, _ := EvaluateOR(ix, s, q, 3*k)
+	rs, _ := EvaluateOR(ix, s, q, 4*k)
+	lists := make([][]Result, 4) // every fourth result: four best-first answers
+	for i, r := range rs {
+		lists[i%4] = append(lists[i%4], r)
+	}
 	var m TopKMerger
-	m.Reset(k)
-	m.Add(rs)
-	if n := testing.AllocsPerRun(100, func() { m.Add(rs) }); n != 0 {
+	merge := func() {
+		m.Reset(k)
+		for _, l := range lists {
+			m.Add(l)
+		}
+	}
+	if n := testing.AllocsPerRun(100, merge); n != 0 {
 		t.Errorf("TopKMerger.Add allocates %v times; want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Results() }); n != 1 {
+		t.Errorf("TopKMerger.Results allocates %v times; want 1 (the returned slice)", n)
 	}
 }
 
@@ -232,6 +277,34 @@ func BenchmarkEvaluateTopK(b *testing.B) {
 				postings += es.PostingsDecoded
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
+		})
+	}
+}
+
+// BenchmarkTopKMerger is the microbenchmark behind the broker's share
+// of bench/'s traced qproc.query_us: one query's merge — Reset, four
+// partitions' best-first answers, Results — at the k of static_top10
+// and static_top100, each answer k long.
+func BenchmarkTopKMerger(b *testing.B) {
+	rng := rand.New(rand.NewSource(101))
+	for _, k := range []int{10, 100} {
+		lists := make([][]Result, 4)
+		for p := range lists {
+			for i := 0; i < k; i++ {
+				lists[p] = append(lists[p], Result{Doc: 4*i + p, Score: rng.Float64()})
+			}
+			lists[p] = sortAllTakeK(lists[p], k)
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			var m TopKMerger
+			for i := 0; i < b.N; i++ {
+				m.Reset(k)
+				for _, l := range lists {
+					m.Add(l)
+				}
+				m.Results()
+			}
 		})
 	}
 }

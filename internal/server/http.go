@@ -397,13 +397,23 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
+// jsonEscaped marks the bytes appendJSONString does not copy verbatim:
+// control bytes, every byte of a non-ASCII sequence, the quote, the
+// backslash, and the HTML characters encoding/json escapes.
+var jsonEscaped = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
+	}
+	return t
+}()
+
 // appendJSONString appends s as a JSON string: verbatim when every byte
 // is printable ASCII with no escape, else as json.Marshal writes it, so
 // HTML characters, control bytes, invalid UTF-8 and U+2028/U+2029
 // escape as encoding/json escapes them.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if jsonEscaped[s[i]] {
 			q, _ := json.Marshal(s) // a string always encodes
 			return append(b, q...)
 		}

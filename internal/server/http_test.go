@@ -500,3 +500,27 @@ func TestSearchSendsItsLength(t *testing.T) {
 		t.Fatalf("decoded %d results (%v); want 100 with URLs", len(sr.Results), err)
 	}
 }
+
+// BenchmarkAppendSearch is the microbenchmark behind bench/'s traced
+// server.self_us on static_top100: one k=100 /search body, every result
+// with a URL, appended into a warm buffer. MB/s counts body bytes, the
+// size server.resp_bytes reports.
+func BenchmarkAppendSearch(b *testing.B) {
+	qr := qproc.QueryResult{LatencyMs: 0.731}
+	urls := make([]string, 100)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://h%04d.example/p/%d", i%40, i)
+		qr.Results = append(qr.Results, rank.Result{Doc: i, Score: 12.5 / float64(i*i*i+1)})
+	}
+	resolve := func(doc int) string { return urls[doc] }
+	body, err := server.AppendSearch(nil, server.StatusOK, &qr, resolve)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, _ = server.AppendSearch(body[:0], server.StatusOK, &qr, resolve)
+	}
+}

@@ -88,6 +88,10 @@ func pageChangedOn(pageID, day int, rate float64) bool {
 	return float64(x>>11)/float64(1<<53) < rate
 }
 
+// malformedTail is what a malformed host writes in place of "</p>": a
+// bare ampersand, a misspelt entity and a paragraph never closed.
+const malformedTail = " fish & chips &nbp; <p>next para never closed"
+
 // RenderHTML renders a page's HTML for the given revision day. Hosts
 // flagged Malformed emit the kinds of markup breakage Section 3 warns
 // about: unclosed tags, unquoted attributes, bare ampersands, and a
@@ -97,10 +101,39 @@ func (w *Web) RenderHTML(pageID, revision int) string {
 	p := w.Pages[pageID]
 	h := w.Hosts[p.Host]
 	vocab := w.Vocabs[h.Lang]
-	var b strings.Builder
-	b.Grow(len(p.Terms)*8 + len(p.Links)*40 + 256)
-
+	// Malformed hosts leave every third anchor unquoted and unclosed; an
+	// even anchor to the same server is a relative link.
+	broken := func(i int) bool { return h.Malformed && i%3 == 0 }
+	absolute := func(i int, tp *Page) bool { return tp.Host != p.Host || i%2 != 0 }
 	var num [20]byte
+	digits := func(v int) int { return len(strconv.AppendInt(num[:0], int64(v), 10)) }
+
+	// The page's exact length, so the builder allocates once.
+	size := len("<html><head><title><h1><p>") + 2*(len(h.Name)+len(p.Path)+len("  rev")+digits(revision))
+	if h.Malformed {
+		size += len("<body>" + malformedTail + "<div>trunc")
+	} else {
+		size += len("</title></head><body></h1></p></body></html>")
+	}
+	for i, t := range p.Terms {
+		if i > 0 {
+			size++ // the separating space
+		}
+		size += len(vocab.Word(int(t)))
+	}
+	for i, target := range p.Links {
+		tp := w.Pages[target]
+		size += len("<a href=>link ") + len(tp.Path) + digits(i)
+		if !broken(i) {
+			size += len(`""</a>`)
+		}
+		if absolute(i, tp) {
+			size += len("http://") + len(w.Hosts[tp.Host].Name)
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+
 	title := func() {
 		b.WriteString(h.Name)
 		b.WriteByte(' ')
@@ -129,29 +162,27 @@ func (w *Web) RenderHTML(pageID, revision int) string {
 		b.WriteString(vocab.Word(int(t)))
 	}
 	if h.Malformed {
-		b.WriteString(" fish & chips &nbp; <p>next para never closed")
+		b.WriteString(malformedTail)
 	} else {
 		b.WriteString("</p>")
 	}
 	for i, target := range p.Links {
 		tp := w.Pages[target]
-		// Malformed hosts leave every third anchor unquoted and unclosed.
-		broken := h.Malformed && i%3 == 0
 		b.WriteString("<a href=")
-		if !broken {
+		if !broken(i) {
 			b.WriteByte('"')
 		}
-		if tp.Host != p.Host || i%2 != 0 { // else relative, same server
+		if absolute(i, tp) {
 			b.WriteString("http://")
 			b.WriteString(w.Hosts[tp.Host].Name)
 		}
 		b.WriteString(tp.Path)
-		if !broken {
+		if !broken(i) {
 			b.WriteByte('"')
 		}
 		b.WriteString(">link ")
 		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
-		if !broken {
+		if !broken(i) {
 			b.WriteString("</a>")
 		}
 	}

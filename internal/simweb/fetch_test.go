@@ -32,6 +32,22 @@ func TestRenderHTMLMatchesFmtRenderer(t *testing.T) {
 	}
 }
 
+// TestRenderHTMLAllocatesOnce: RenderHTML sizes its builder to the page
+// before writing, so every page of a small web (malformed hosts
+// included) renders in one allocation, the string it returns.
+func TestRenderHTMLAllocatesOnce(t *testing.T) {
+	w := New(smallConfig())
+	short := 0
+	for _, p := range w.Pages {
+		if n := testing.AllocsPerRun(1, func() { w.RenderHTML(p.ID, 3) }); n != 1 {
+			short++
+		}
+	}
+	if short > 0 {
+		t.Fatalf("%d of %d pages render in more than one allocation", short, len(w.Pages))
+	}
+}
+
 // fmtRenderHTML is RenderHTML as it was written with fmt.
 func fmtRenderHTML(w *Web, pageID, revision int) string {
 	p := w.Pages[pageID]
