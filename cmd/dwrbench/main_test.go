@@ -442,8 +442,8 @@ func TestGoBenchmarksNameATracedMetric(t *testing.T) {
 // budget in plain sight. Lower a budget when a change cuts its file.
 func TestProseBudget(t *testing.T) {
 	for path, budget := range map[string]int{
-		"DESIGN.md":                      1036,
-		"README.md":                      351,
+		"DESIGN.md":                      1033,
+		"README.md":                      350,
 		".claude/skills/verify/SKILL.md": 236,
 	} {
 		raw, err := os.ReadFile(filepath.Join("../..", path))

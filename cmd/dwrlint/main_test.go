@@ -69,8 +69,8 @@ func TestCLIRecursivePattern(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stdout=%q", code, stdout)
 	}
-	if n := strings.Count(stdout, "\n"); n != 1 {
-		t.Errorf("server/... printed %d findings, want 1: %q", n, stdout)
+	if n := strings.Count(stdout, "\n"); n != 3 {
+		t.Errorf("server/... printed %d findings, want 3: %q", n, stdout)
 	}
 }
 

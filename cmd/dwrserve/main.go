@@ -4,8 +4,8 @@
 // (the paper's G/G/c model), token-bucket admission control, a bounded
 // deadline-evicting wait queue (FIFO per class, interactive dispatched
 // before batch), adaptive latency-SLO load shedding (batch before
-// interactive), and per-request deadlines propagated into the engine —
-// the same queue server.Run steps in virtual time for BENCH_serve.
+// interactive), and a per-request deadline on the front-end's wall
+// clock — the same queue server.Run steps in virtual time for BENCH_serve.
 //
 // Usage:
 //
@@ -117,7 +117,7 @@ func parseOptions(args []string, stderr io.Writer) (o options, mode string, err 
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	fs.IntVar(&o.c, "c", 150, "worker pool width (the G/G/c 'c'; the paper's 150-thread Apache configuration)")
 	fs.IntVar(&o.queueCap, "queuecap", 0, "wait queue bound across classes (0 = 2x workers, -1 = no queue)")
-	fs.Float64Var(&o.deadline, "deadline", 0, "per-request deadline in ms, propagated into the engine (0 = none)")
+	fs.Float64Var(&o.deadline, "deadline", 0, "per-request wall-clock budget in ms, arrival to verdict, judged by the front-end (0 = none)")
 	fs.Float64Var(&o.admitRate, "admitrate", 0, "token-bucket sustained admissions per second (0 = off)")
 	fs.Float64Var(&o.admitBurst, "admitburst", 0, "token-bucket burst (0 = worker count)")
 	fs.Float64Var(&o.shedTarget, "shedtarget", 0, "adaptive shedder p99 latency SLO in ms (0 = off)")

@@ -9,7 +9,9 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
+	"dwr/internal/core"
 	"dwr/internal/index"
 	"dwr/internal/rank"
 	"dwr/internal/simweb"
@@ -304,54 +306,43 @@ func TestStaticServesTheMeasuredConfiguration(t *testing.T) {
 }
 
 // TestFederateServesMediatedAnswers drives the -federate wiring: the
-// mediator is on the serving path, every site is a unit, and -deadline
-// reaches the federation — a budget below the virtual WAN round trip
-// times a remote site's answer out, a generous one serves it.
+// mediator is on the serving path and every site is a unit. -deadline
+// is the front-end's wall budget; TestEveryModeServesWithinAWallBudget
+// holds -federate to it.
 func TestFederateServesMediatedAnswers(t *testing.T) {
-	for _, tc := range []struct {
-		deadline float64
-		status   string
-		code     int
-	}{
-		{5, "timeout", http.StatusGatewayTimeout},
-		{100000, "ok", http.StatusOK},
-	} {
-		o := options{c: 4, seed: 1, hosts: 45, partitions: 2,
-			sites: 3, sampleEvery: 2, deadline: tc.deadline}
-		h, eng, err := newFederate(o)
-		if err != nil {
-			t.Fatal(err)
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 2,
+		sites: 3, sampleEvery: 2, deadline: 100000}
+	h, eng, err := newFederate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	for i := 0; i < len(eng.Docs); i += len(eng.Docs) / 12 {
+		// Queries from region 0 for a page some other site holds:
+		// the answer crosses the WAN, tens of modelled ms.
+		if hostSite(eng.URLOf(eng.Docs[i].Ext), o.sites) == 0 {
+			continue
 		}
-		srv := httptest.NewServer(h)
-		for i := 0; i < len(eng.Docs); i += len(eng.Docs) / 12 {
-			// Queries from region 0 for a page some other site holds:
-			// the answer crosses the WAN, tens of virtual ms.
-			if hostSite(eng.URLOf(eng.Docs[i].Ext), o.sites) == 0 {
-				continue
-			}
-			var got struct {
-				Status  string
-				Results []hit
-			}
-			path := "/search?q=" + url.QueryEscape(leadingWords(eng.Docs[i]))
-			if code := getJSON(t, srv, path, &got); code != tc.code || got.Status != tc.status {
-				t.Fatalf("deadline %v, %s: HTTP %d, status %q; want %d %q", tc.deadline, path, code, got.Status, tc.code, tc.status)
-			}
-			if (len(got.Results) > 0) != (tc.status == "ok") {
-				t.Fatalf("deadline %v, %s: status %q with %d results", tc.deadline, path, got.Status, len(got.Results))
-			}
+		var got struct {
+			Status  string
+			Results []hit
 		}
-		var stats struct {
-			Selection struct{ Queries int }
+		path := "/search?q=" + url.QueryEscape(leadingWords(eng.Docs[i]))
+		if code := getJSON(t, srv, path, &got); code != http.StatusOK || got.Status != "ok" || len(got.Results) == 0 {
+			t.Fatalf("%s: HTTP %d, status %q, %d results; want 200 ok with results",
+				path, code, got.Status, len(got.Results))
 		}
-		getJSON(t, srv, "/stats", &stats)
-		var health struct{ Units int }
-		getJSON(t, srv, "/healthz", &health)
-		srv.Close()
-		if stats.Selection.Queries == 0 || health.Units != o.sites {
-			t.Fatalf("deadline %v: selection.queries = %d, units = %d; want mediated queries over %d sites",
-				tc.deadline, stats.Selection.Queries, health.Units, o.sites)
-		}
+	}
+	var stats struct {
+		Selection struct{ Queries int }
+	}
+	getJSON(t, srv, "/stats", &stats)
+	var health struct{ Units int }
+	getJSON(t, srv, "/healthz", &health)
+	if stats.Selection.Queries == 0 || health.Units != o.sites {
+		t.Fatalf("selection.queries = %d, units = %d; want mediated queries over %d sites",
+			stats.Selection.Queries, health.Units, o.sites)
 	}
 }
 
@@ -373,5 +364,77 @@ func TestFederateAnswersAnUnknownWord(t *testing.T) {
 	}
 	if code := getJSON(t, srv, "/search?q=zzqxnotaword", &got); code != http.StatusOK || got.Status != "ok" || len(got.Results) != 0 {
 		t.Fatalf("unknown word: HTTP %d, status %q, %d results; want 200 \"ok\" and none", code, got.Status, len(got.Results))
+	}
+}
+
+// TestEveryModeServesWithinAWallBudget: -deadline is the front-end's
+// own wall-clock budget, never charged with the engine's modelled
+// latency. Set to ten times the round trip measured without a deadline,
+// and never below 100 ms so a GC pause or a slow scheduler cannot
+// spend it, a matching query answers 200 with results in every mode.
+// -federate's query needs a remote site, whose answer the cost model
+// puts at 127 to 251 ms over the WAN: above the budget it is not
+// charged against.
+func TestEveryModeServesWithinAWallBudget(t *testing.T) {
+	o := options{c: 4, seed: 1, hosts: 45, partitions: 3, segDocs: 32, sites: 3}
+	corpus, err := core.Crawl(corpusConfig(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var path string
+	for _, d := range corpus.Docs {
+		if hostSite(corpus.URLOf(d.Ext), o.sites) != 0 {
+			path = "/search?q=" + url.QueryEscape(leadingWords(d))
+			break
+		}
+	}
+	modes := []struct {
+		name  string
+		build func(options) (http.Handler, error)
+	}{
+		{"static", func(o options) (http.Handler, error) {
+			h, _, err := newStatic(o)
+			return h, err
+		}},
+		{"live", func(o options) (http.Handler, error) {
+			h, _, crawl, err := newLive(o)
+			if err == nil {
+				crawl()
+			}
+			return h, err
+		}},
+		{"federate", func(o options) (http.Handler, error) {
+			h, _, err := newFederate(o)
+			return h, err
+		}},
+	}
+	for _, m := range modes {
+		// serve answers path five times under -deadline d, each a 200 ok
+		// with results when d is set, and returns the slowest round trip.
+		serve := func(d float64) (rtt time.Duration) {
+			o.deadline = d
+			h, err := m.build(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+			for i := 0; i < 5; i++ {
+				var got struct {
+					Status  string
+					Results []hit
+				}
+				start := time.Now()
+				code := getJSON(t, srv, path, &got)
+				rtt = max(rtt, time.Since(start))
+				if d > 0 && (code != http.StatusOK || got.Status != "ok" || len(got.Results) == 0) {
+					t.Errorf("%s, -deadline %.2f, %s: HTTP %d, status %q, %d results; want 200 ok with results",
+						m.name, d, path, code, got.Status, len(got.Results))
+				}
+			}
+			return rtt
+		}
+		rtt := serve(0)
+		serve(max(10*float64(rtt)/float64(time.Millisecond), 100))
 	}
 }

@@ -2,19 +2,16 @@ package lint
 
 import "go/ast"
 
-// The deadline-discipline analyzer ([deadline]) covers the serving
-// paths (internal/server, cmd/dwrserve): a front-end that calls
-// QueryTopK instead of QueryTopKWithin silently discards the request's
-// remaining budget, so partition retries, hedges, and pipeline
-// truncation no longer see the deadline — exactly the failure mode the
-// deadline-propagation work exists to prevent. The match is by method
-// name, on any receiver, so a front-end cannot dodge it behind a local
-// interface.
-//
-// Test files are skipped: stub engines there implement and delegate
-// QueryTopK as part of exercising the non-deadline path. The one
-// production fallback (a front-end configured without a deadline has no
-// budget to propagate) carries a //dwrlint:allow deadline annotation.
+// The deadline-discipline analyzer ([deadline]) keeps each budget on one
+// clock on the serving paths (internal/server, cmd/dwrserve).
+// QueryTopKWithin's budget is the cost model's virtual ms, and the one
+// driver stepping virtual time is server.Run: its (simState).start
+// hands the engine the remainder. Every other serving call site judges
+// its deadline on the wall clock and asks with QueryTopK, so a
+// QueryTopKWithin call anywhere else in the unit is the finding,
+// whichever file computed its budget. The match is by method name, on
+// any receiver. Test files are skipped: stubs there implement
+// QueryTopKWithin.
 func analyzeDeadline(m *module, report moduleReport) {
 	for _, p := range m.packages() {
 		if !deadlineUnits[p.unit] {
@@ -22,10 +19,13 @@ func analyzeDeadline(m *module, report moduleReport) {
 		}
 		for _, mf := range p.files {
 			ast.Inspect(mf.ast, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "QueryTopK" {
-						report(mf, call.Pos(), "deadline", "",
-							"QueryTopK drops the request deadline on a serving path: use QueryTopKWithin(terms, k, remainingMs) so the budget propagates")
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					return p.unit != "server" || funcLabel(n) != "(simState).start"
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "QueryTopKWithin" {
+						report(mf, n.Pos(), "deadline", "",
+							"QueryTopKWithin takes a modelled-ms budget, which only (simState).start steps: judge the deadline on this path's clock and call QueryTopK")
 					}
 				}
 				return true

@@ -9,7 +9,7 @@
 // internal/randx, deterministic packages never read the wall clock,
 // fan-out goes through internal/conc's ordered gathers, cache keys
 // encode every result-affecting option, gathers fold every counter, and
-// serving paths propagate deadlines. One stray time.Now() or dropped
+// serving paths judge a deadline on one clock. One stray time.Now() or dropped
 // counter silently breaks the paper-shape experiments, so the
 // conventions are machine-checked here rather than reviewed-for.
 //
@@ -28,8 +28,9 @@
 //   - determinism: [wallclock] time.Now/Since/Sleep/... and
 //     [globalrand] top-level math/rand references in deterministic
 //     packages, test files included
-//   - deadline-discipline: [deadline] QueryTopK where QueryTopKWithin
-//     must be used so deadlines propagate (non-test files)
+//   - deadline-discipline: [deadline] QueryTopKWithin, a modelled-ms
+//     budget, on a serving path outside the virtual driver (non-test
+//     files)
 //   - seed-plumbing: [seed] *rand.Rand values not derived from
 //     internal/randx (or an explicit seed in tests)
 //   - determinism-taint: [taint] a call, inside a deterministic
@@ -107,8 +108,8 @@ var deterministic = map[string]bool{
 	"selection": true, "replication": true, "experiments": true,
 }
 
-// deadlineUnits is the set of units whose query call sites must
-// propagate deadlines (the serving paths).
+// deadlineUnits is the set of units whose query call sites must keep a
+// deadline on one clock (the serving paths).
 var deadlineUnits = map[string]bool{"server": true, "dwrserve": true}
 
 // directives holds a file's dwrlint allow annotations.

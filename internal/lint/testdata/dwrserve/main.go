@@ -2,10 +2,12 @@
 // "dwrserve").
 package main
 
+import "time"
+
 type engine interface {
-	QueryTopK(terms []string, k int) int
+	QueryTopKWithin(terms []string, k int, deadlineMs float64) int
 }
 
-func serve(e engine, terms []string) int {
-	return e.QueryTopK(terms, 10) // want deadline
+func serve(e engine, terms []string, deadline time.Time) int {
+	return e.QueryTopKWithin(terms, 10, float64(time.Until(deadline).Milliseconds())) // want deadline
 }

@@ -1,7 +1,11 @@
 // Fixture: test files on serving paths are exempt from the deadline
-// rule — stub engines legitimately implement and delegate QueryTopK.
+// rule — stub engines legitimately implement and delegate
+// QueryTopKWithin.
 package server
 
+import "time"
+
 func stubDrive(q querier, terms []string) int {
-	return q.QueryTopK(terms, 10)
+	time.Sleep(time.Millisecond)
+	return q.QueryTopKWithin(terms, 10, 5)
 }

@@ -16,9 +16,9 @@ func precedingAllow() {
 }
 
 // wrongRule shows a directive for one rule does not leak to another:
-// the deadline allow below is irrelevant here, so the wallclock finding
+// the seed allow below is irrelevant here, so the wallclock finding
 // stands.
 func wrongRule() time.Time {
-	//dwrlint:allow deadline justification for the wrong rule
+	//dwrlint:allow seed justification for the wrong rule
 	return time.Now() // want wallclock
 }

@@ -7,10 +7,10 @@ import (
 
 // ErrDeadlineExceeded is returned (via QueryResult.Err) when a query
 // carried an explicit latency budget (DocQueryOptions.DeadlineMs or
-// QueryTopKWithin) and the engine could not deliver the answer inside
-// it. The caller — typically a serving front-end that promised its user
-// a response time — gets no results and a latency capped at the budget:
-// that is when it would have stopped waiting. Inspect with errors.Is.
+// QueryTopKWithin) and the cost model puts the answer past it. The
+// caller — a driver stepping virtual time, such as server.Run — gets no
+// results and a latency capped at the budget: that is when it would have
+// stopped waiting. Inspect with errors.Is.
 var ErrDeadlineExceeded = errors.New("qproc: query deadline exceeded")
 
 // QueryTopKWithin implements Engine: QueryTopK with a latency budget

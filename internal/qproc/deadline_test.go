@@ -112,9 +112,9 @@ func TestDeadlineCacheInteraction(t *testing.T) {
 	}
 }
 
-// TestLiveEngineDeadline: LiveEngine takes a front-end's budget through
-// QueryTopKWithin, as `dwrserve -live -deadline N` hands it; a budget no
-// query can meet fails without being cached.
+// TestLiveEngineDeadline: LiveEngine takes a virtual-time budget through
+// QueryTopKWithin, as server.Run hands it; a budget no query can meet
+// fails without being cached.
 func TestLiveEngineDeadline(t *testing.T) {
 	live, _ := liveFixture(t, corpus(28, 300, 200), 2, 32,
 		WithResultCache(ResultCacheConfig{Capacity: 64}))

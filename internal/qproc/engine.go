@@ -16,11 +16,11 @@ type Engine interface {
 	// unless WithPruning or WithThresholdSharing named another.
 	QueryTopK(terms []string, k int) QueryResult
 	// QueryTopKWithin is QueryTopK under a latency budget of deadlineMs
-	// virtual milliseconds (<= 0 means none): an answer that would
-	// arrive later is dropped (Err = ErrDeadlineExceeded). How deep the
-	// budget reaches depends on the engine: DocEngine bounds every
-	// partition call's retry/hedge loop by what is left of it,
-	// MultiSite checks the routed answer.
+	// virtual milliseconds, the cost model's clock (<= 0 means none): an
+	// answer the model puts later is dropped (Err = ErrDeadlineExceeded).
+	// DocEngine bounds every partition call's retry/hedge loop by what is
+	// left of it, MultiSite checks the routed answer. Its callers step
+	// virtual time (server.Run, dwrbench's faults scenario).
 	QueryTopKWithin(terms []string, k int, deadlineMs float64) QueryResult
 	// K returns the engine's unit count: partitions or sites.
 	K() int

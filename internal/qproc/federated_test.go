@@ -488,8 +488,8 @@ func TestFederationServesAndSamplesRecall(t *testing.T) {
 }
 
 // TestFederationHonoursDeadline: the mediated MultiSite takes a
-// front-end's budget through QueryTopKWithin, as `dwrserve -federate
-// -deadline N` hands it. A budget no routed answer can meet
+// virtual-time budget through QueryTopKWithin, as server.Run hands it.
+// A budget no routed answer can meet
 // is refused with no results; a generous one changes nothing — answers,
 // site fan-out and recall sampling replay QueryTopK's exactly.
 func TestFederationHonoursDeadline(t *testing.T) {

@@ -35,6 +35,12 @@ import (
 // sites answer QueryFederated's full fan-out exactly as
 // QueryExhaustiveResults merges them, and a query no document matches
 // is an empty answer there too, not a failed one.
+//
+// The last byte holds partitions down (SetDown). With some down, the
+// default and the exhaustive DocEngine answer Degraded, with no Err, and
+// their ranking is rank.EvaluateOR's over the up partitions' documents,
+// merged, bit for bit; a query is unanswered (no partition contacted or
+// skipped) only when no partition is up.
 func FuzzEnginesAgree(f *testing.F) {
 	docBytes := []byte{
 		3, 0, 1, 2, 3, 2, 0, 0, 4, 1, 5, 0, 4, 1, 1, 1, 6, 7, 0, 0, 5, 8, 9, 10, 11, 0, 2,
@@ -54,6 +60,10 @@ func FuzzEnginesAgree(f *testing.F) {
 	// score shared by documents of both partitions; "t0" at k=8, above
 	// the match count, on two sites.
 	f.Add([]byte{1, 5, 0, 0, 0, 0, 0, 0, 1, 0, 3, 1, 0, 3, 0, 0, 0, 0, 0, 0, 7, 1, 0})
+	// Four partitions, twelve documents, "t0 t3" at k=6 with partitions
+	// 1 and 3 down; then with all four down.
+	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{1, 0, 3, 5, 0, 0, 0b1010}))
+	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{1, 0, 3, 5, 0, 0, 0b1111}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -82,6 +92,7 @@ func FuzzEnginesAgree(f *testing.F) {
 		k := 1 + next()%20
 		nsites := 1 + next()%3
 		down := next()
+		partsDown := next()
 
 		central := centralIndex(docs)
 		want, _ := rank.EvaluateOR(central, rank.NewScorer(rank.FromIndex(central)), q, k)
@@ -114,6 +125,10 @@ func FuzzEnginesAgree(f *testing.F) {
 		}
 
 		label := fmt.Sprintf("query %v, k=%d, %d docs, %d partitions", q, k, n, nparts)
+		if partsDown%(1<<nparts) != 0 {
+			downPartitions(t, docs, nparts, partsDown, q, k, label)
+		}
+
 		replicas := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
 		replicas.CacheTTL = 24
 		anyUp := false
@@ -166,4 +181,41 @@ func FuzzEnginesAgree(f *testing.F) {
 			t.Fatalf("%s over %d disjoint sites: no document matches, QueryFederated answered %v", label, len(fed.Sites), fr.Results)
 		}
 	})
+}
+
+// downPartitions is FuzzEnginesAgree's partition-down arm: partition p
+// of nparts is down when bit p of mask is set, and at least one is.
+func downPartitions(t *testing.T, docs []index.Doc, nparts, mask int, q []string, k int, label string) {
+	t.Helper()
+	ref := newDocEngine(t, docs, nparts)
+	var up []int
+	for p := 0; p < nparts; p++ {
+		if mask&(1<<p) == 0 {
+			up = append(up, p)
+		}
+	}
+	// Scored with the whole collection's precomputed statistics, the
+	// down partitions' documents included, as the engine scores them.
+	scorer := rank.NewScorer(rank.FromGlobal(ref.GlobalStats()))
+	lists := make([][]rank.Result, len(up))
+	for i, p := range up {
+		lists[i], _ = rank.EvaluateOR(ref.PartIndex(p), scorer, q, k)
+	}
+	want := rank.MergeResults(k, lists...)
+
+	label = fmt.Sprintf("%s, partitions down %04b", label, mask%(1<<nparts))
+	for _, e := range []*DocEngine{ref, newDocEngine(t, docs, nparts, exhaustiveOpts...)} {
+		for p := 0; p < nparts; p++ {
+			e.SetDown(p, mask&(1<<p) != 0)
+		}
+		qr := e.QueryTopK(q, k)
+		switch {
+		case qr.Err != nil || !qr.Degraded:
+			t.Fatalf("%s: err=%v degraded=%v", label, qr.Err, qr.Degraded)
+		case qr.unanswered() != (len(up) == 0):
+			t.Fatalf("%s: unanswered %v with %d partitions up: %+v", label, qr.unanswered(), len(up), qr)
+		case !slices.Equal(qr.Results, want):
+			t.Fatalf("%s:\nengine %v\nEvaluateOR over the up partitions %v", label, qr.Results, want)
+		}
+	}
 }

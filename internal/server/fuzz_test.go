@@ -22,6 +22,8 @@ import (
 // Report must satisfy. Each arrival byte is a gap (b>>1 ms) and a class
 // (b&1: batch); each service byte is one call's latency in ms, cycled.
 // Negative workers and queue caps exercise the documented defaults.
+// Under a deadline no served request outlasts it, whether or not the
+// engine honours the budget it is handed (aware).
 func FuzzRun(f *testing.F) {
 	f.Add([]byte{2, 3, 4, 5, 0, 1, 200}, []byte{10, 250, 3}, int8(1), int16(2), uint16(0), uint16(0), uint16(0), true)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1}, []byte{40}, int8(2), int16(-1), uint16(30), uint16(0), uint16(0), false)
@@ -105,7 +107,7 @@ func FuzzRun(f *testing.F) {
 		if rep.Utilization < 0 || rep.Utilization > 1+1e-9 {
 			t.Fatalf("utilization %v outside [0, 1]", rep.Utilization)
 		}
-		if aware && deadlineMs > 0 {
+		if deadlineMs > 0 {
 			for _, cl := range rep.Class {
 				if cl.MaxMs > cfg.DeadlineMs+1e-6 {
 					t.Fatalf("served request took %v ms past a %v ms deadline", cl.MaxMs, cfg.DeadlineMs)
@@ -129,13 +131,14 @@ type searchHit struct {
 type searchResponse struct {
 	Status    string      `json:"status"`
 	Results   []searchHit `json:"results,omitempty"`
-	LatencyMs float64     `json:"latency_ms"`
+	LatencyMs any         `json:"latency_ms"` // a json.Number in 'e' form, the float when non-finite
 	Degraded  bool        `json:"degraded,omitempty"`
 	FromCache bool        `json:"from_cache,omitempty"`
 }
 
 // FuzzSearchBody: WriteSearch answers byte for byte what encoding/json
-// answers for the same response — status code, content type and body —
+// answers for the same response, latency_ms written as a json.Number
+// to four significant digits — status code, content type and body —
 // for any document ID, any score and latency bit pattern, any status
 // and flags, and URLs that need escaping; and a NaN or an infinity
 // answers the JSON 500. Result i is document doc+i with score bits
@@ -164,6 +167,9 @@ func FuzzSearchBody(f *testing.F) {
 		want := searchResponse{Status: st.String(), LatencyMs: qr.LatencyMs,
 			Degraded: qr.Degraded, FromCache: qr.FromCache}
 		nonFinite := math.IsNaN(qr.LatencyMs) || math.IsInf(qr.LatencyMs, 0)
+		if !nonFinite {
+			want.LatencyMs = json.Number(strconv.FormatFloat(qr.LatencyMs, 'e', 3, 64))
+		}
 		for i := 0; i < int(n%5); i++ {
 			res := rank.Result{Doc: int(doc) + i, Score: math.Float64frombits(bits.RotateLeft64(scoreBits, i))}
 			qr.Results = append(qr.Results, res)

@@ -83,6 +83,8 @@ type Frontend struct {
 	// (optional).
 	Resolve func(doc int) string
 
+	eng qproc.Engine
+
 	// mu guards q and lat. The clock (seconds since start) is read under
 	// it, so the queue sees time that never runs backwards.
 	mu    sync.Mutex
@@ -94,8 +96,9 @@ type Frontend struct {
 // NewFrontend wraps eng behind the serving pipeline cfg describes.
 func NewFrontend(eng qproc.Engine, cfg Config) *Frontend {
 	return &Frontend{
+		eng:   eng,
 		start: time.Now(),
-		q:     newQueue(eng, cfg),
+		q:     newQueue(cfg),
 		lat:   metrics.NewHistogram(metrics.DefaultLatencyBounds()),
 		Tokenize: func(s string) []string {
 			return strings.Fields(strings.ToLower(s))
@@ -104,8 +107,8 @@ func NewFrontend(eng qproc.Engine, cfg Config) *Frontend {
 }
 
 // Serve runs one request through admission, the queue, and a worker.
-// The QueryResult is the engine's — the answer on StatusOK — and zero
-// for a request that never reached a worker.
+// It returns the engine's QueryResult (no results unless StatusOK; zero
+// short of a worker) with LatencyMs the wall time Serve took.
 func (f *Frontend) Serve(ctx context.Context, req Request) (qr qproc.QueryResult, st Status) {
 	f.mu.Lock()
 	a := Arrival{At: time.Since(f.start).Seconds(), Req: req}
@@ -114,17 +117,16 @@ func (f *Frontend) Serve(ctx context.Context, req Request) (qr qproc.QueryResult
 		t.wake = make(chan Status, 1) // holds the one verdict the ticket gets
 	}
 	f.mu.Unlock()
-	start := a.At
+	defer func() { qr.LatencyMs = (time.Since(f.start).Seconds() - a.At) * 1000 }()
 	if t != nil {
 		st = f.wait(ctx, t)
-		start = t.start
 	}
 	if st != StatusOK {
 		return qr, st
 	}
 	qr.Err = errAborted
 	defer func() { st = f.complete(a, &qr) }()
-	qr = f.q.query(a, start)
+	qr = f.eng.QueryTopK(req.Terms, req.topK())
 	return qr, st
 }
 
@@ -235,7 +237,7 @@ func (f *Frontend) Stats() FrontStats {
 		P99Ms:         f.servedQuantile(0.99),
 	}
 	f.mu.Unlock()
-	es := f.q.eng.Stats()
+	es := f.eng.Stats()
 	st.EngineQueries = es.Queries
 	st.EngineDegraded = es.Degraded
 	st.EngineFailed = es.Failed
@@ -250,7 +252,7 @@ func (f *Frontend) Stats() FrontStats {
 			MeanRecall:     es.Selection.MeanRecall(),
 		}
 	}
-	h := f.q.eng.Health()
+	h := f.eng.Health()
 	st.UnitsLive = h.Live()
 	st.Units = h.Units
 	return st
@@ -314,12 +316,13 @@ var searchBodies = sync.Pool{New: func() interface{} { return new([]byte) }}
 // encoding/json writes for
 //
 //	{"status", "results" (omitempty): [{"doc", "score", "url" (omitempty)}],
-//	 "latency_ms", "degraded" (omitempty), "from_cache" (omitempty)}
+//	 "latency_ms" (a json.Number), "degraded" (omitempty), "from_cache" (omitempty)}
 //
 // — including the 500 a NaN or infinite score or latency answers.
-// "latency_ms" is the engine's modelled latency (qproc's cost model,
-// which grows with the postings a query decodes), not wall time: a
-// change that moves postings moves the body's length, not its answer.
+// "latency_ms" is qr.LatencyMs — from Serve, the front-end's wall time
+// from arrival to verdict — to four significant digits in 'e' form
+// (6.420e-01): nine bytes for any latency from 1e-99 to 1e99, so the
+// body's length never moves with the clock.
 func writeSearch(w http.ResponseWriter, st Status, qr *qproc.QueryResult, resolve func(doc int) string) {
 	bp := searchBodies.Get().(*[]byte)
 	defer searchBodies.Put(bp)
@@ -364,9 +367,10 @@ func appendSearch(b []byte, st Status, qr *qproc.QueryResult, resolve func(doc i
 		b = append(b, ']')
 	}
 	b = append(b, `,"latency_ms":`...)
-	if b, err = appendJSONFloat(b, qr.LatencyMs); err != nil {
-		return b, err
+	if math.IsNaN(qr.LatencyMs) || math.IsInf(qr.LatencyMs, 0) {
+		return appendJSONFloat(b, qr.LatencyMs) // encoding/json's error for it
 	}
+	b = strconv.AppendFloat(b, qr.LatencyMs, 'e', 3, 64)
 	if qr.Degraded {
 		b = append(b, `,"degraded":true`...)
 	}
@@ -428,7 +432,7 @@ func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := f.q.eng.Health()
+	h := f.eng.Health()
 	code := http.StatusOK
 	if !h.Healthy() {
 		code = http.StatusServiceUnavailable

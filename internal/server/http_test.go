@@ -320,6 +320,44 @@ func (sleepEngine) K() int                   { return 1 }
 func (sleepEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
 func (sleepEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }
 
+// TestFrontendJudgesItsOwnClock: the front-end holds the deadline to
+// its own wall clock, arrival to verdict, and /search reports that time.
+// An engine whose cost model says 1e6 ms but which answers at once is
+// served; one that outlasts the budget in wall time is a 504, counted
+// once in /stats.
+func TestFrontendJudgesItsOwnClock(t *testing.T) {
+	search := func(f *server.Frontend) (code int, body map[string]any) {
+		t.Helper()
+		srv := httptest.NewServer(f.Handler())
+		defer srv.Close()
+		resp, err := http.Get(srv.URL + "/search?q=a&k=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	code, body := search(server.NewFrontend(hitsEngine{modelledMs: 1e6}, server.Config{Workers: 1, DeadlineMs: 50}))
+	lat, _ := body["latency_ms"].(float64)
+	if hits, _ := body["results"].([]any); code != http.StatusOK || len(hits) != 3 || lat >= 50 {
+		t.Errorf("a modelled 1e6 ms answered at once under a 50 ms budget: HTTP %d, %d results, latency_ms %v; want 200, 3, below 50",
+			code, len(hits), lat)
+	}
+
+	f := server.NewFrontend(sleepEngine{50 * time.Millisecond}, server.Config{Workers: 1, DeadlineMs: 5})
+	code, body = search(f)
+	if lat, _ := body["latency_ms"].(float64); code != http.StatusGatewayTimeout || body["status"] != "timeout" || lat < 50 {
+		t.Errorf("a 50 ms answer under a 5 ms budget: HTTP %d %v; want 504 timeout after at least 50 ms", code, body)
+	}
+	if s := f.Stats(); s.Timeout != 1 || s.Failed != 0 || s.EngineFailed != 0 || s.Served != 0 {
+		t.Errorf("/stats after one late answer: %+v; want timeout 1, failed 0, engine_failed 0", s)
+	}
+}
+
 // TestFrontendShedsDoNotFeedShedder: only requests that held a worker
 // feed the shedding controller and the /stats quantiles. Two slow
 // completions close a control window and raise the level; the ~0 ms
@@ -454,18 +492,51 @@ func TestSearchBodyAllocatesNothing(t *testing.T) {
 	}
 }
 
-// hitsEngine answers every query with k results.
-type hitsEngine struct{}
+// TestSearchBodyLengthIgnoresTheClock: latency_ms is wall time, so a
+// body's length must not move with it — bench/ counts
+// server.resp_bytes as work done, to repeat exactly for a seed.
+func TestSearchBodyLengthIgnoresTheClock(t *testing.T) {
+	var want int
+	for i, ms := range []float64{0, 0.001, 0.12, 0.731, 9.999, 12.5, 1000, 86400000} {
+		qr := qproc.QueryResult{LatencyMs: ms, Results: []rank.Result{{Doc: 3, Score: 1.5}}}
+		b, err := server.AppendSearch(nil, server.StatusOK, &qr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr struct {
+			LatencyMs float64 `json:"latency_ms"`
+		}
+		if err := json.Unmarshal(b, &sr); err != nil || math.Abs(sr.LatencyMs-ms) > ms*1e-3 {
+			t.Errorf("latency %v ms: body %q decodes to %v (%v)", ms, b, sr.LatencyMs, err)
+		}
+		if i == 0 {
+			want = len(b)
+		} else if len(b) != want {
+			t.Errorf("latency %v ms: %d-byte body %q; %d bytes at 0 ms", ms, len(b), b, want)
+		}
+	}
+}
 
-func (hitsEngine) QueryTopK(_ []string, k int) qproc.QueryResult {
-	qr := qproc.QueryResult{LatencyMs: 0.5}
+// hitsEngine answers every query at once with k results and a modelled
+// latency of modelledMs.
+type hitsEngine struct{ modelledMs float64 }
+
+func (e hitsEngine) QueryTopK(_ []string, k int) qproc.QueryResult {
+	qr := qproc.QueryResult{LatencyMs: e.modelledMs}
 	for i := 0; i < k; i++ {
 		qr.Results = append(qr.Results, rank.Result{Doc: 1000 + i, Score: 9.75 - float64(i)/64})
 	}
 	return qr
 }
-func (e hitsEngine) QueryTopKWithin(terms []string, k int, _ float64) qproc.QueryResult {
-	return e.QueryTopK(terms, k)
+
+// QueryTopKWithin drops an answer whose modelled latency busts the
+// budget, as the qproc engines do.
+func (e hitsEngine) QueryTopKWithin(terms []string, k int, deadlineMs float64) qproc.QueryResult {
+	qr := e.QueryTopK(terms, k)
+	if deadlineMs > 0 && qr.LatencyMs > deadlineMs {
+		qr = qproc.QueryResult{Err: qproc.ErrDeadlineExceeded, LatencyMs: deadlineMs}
+	}
+	return qr
 }
 func (hitsEngine) K() int                   { return 1 }
 func (hitsEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }

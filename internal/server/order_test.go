@@ -19,7 +19,7 @@ type orderCase struct {
 	parked      []parkedReq
 	wantOrder   []string // the order requests reach the engine in
 	wantFull    int      // shed because the queue was full
-	wantTimeout int      // evicted past the deadline, without reaching the engine
+	wantTimeout int      // evicted past the deadline, or answered past it
 }
 
 type parkedReq struct {
@@ -50,11 +50,13 @@ var orderCases = []orderCase{{
 	wantOrder: []string{"w"},
 	wantFull:  1,
 }, {
+	// "w" holds the worker past the 20 ms budget under both clocks, so it
+	// is answered late: a timeout too.
 	name:        "deadline eviction never reaches the engine",
 	cfg:         server.Config{Workers: 1, QueueCap: 8, DeadlineMs: 20},
 	parked:      []parkedReq{{"i1", ia}, {"b1", ba}},
 	wantOrder:   []string{"w"},
-	wantTimeout: 2,
+	wantTimeout: 3,
 }}
 
 // TestQueueOrder runs every scripted scenario through Run and through
@@ -104,24 +106,30 @@ func orderUnderRun(t *testing.T, tc orderCase) ([]string, int, int) {
 	}
 	eng := &scriptEngine{}
 	rep := server.Run(eng, tc.cfg, src)
-	if rep.Offered != len(src) || rep.Served != len(eng.order) {
-		t.Errorf("offered %d served %d for %d arrivals, %d engine calls",
-			rep.Offered, rep.Served, len(src), len(eng.order))
+	if rep.Offered != len(src) || rep.Served+rep.EngineDeadline != len(eng.order) {
+		t.Errorf("offered %d, served %d and answered late %d for %d arrivals, %d engine calls",
+			rep.Offered, rep.Served, rep.EngineDeadline, len(src), len(eng.order))
 	}
 	return eng.order, rep.ShedQueueFull, rep.EvictedDeadline + rep.EngineDeadline
 }
 
 // orderUnderFrontend: "w" blocks in the engine; each parked request is
 // accounted for (queued, shed or timed out) before the next arrives.
+// With a deadline, every waiter is evicted before "w" is released.
 func orderUnderFrontend(t *testing.T, tc orderCase) ([]string, int, int) {
 	eng := &blockingEngine{release: make(chan struct{})}
 	f := server.NewFrontend(eng, tc.cfg)
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	verdict := map[string]server.Status{}
 	serve := func(label string, class server.Class) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.Serve(context.Background(), server.Request{Terms: []string{label}, Class: class})
+			_, st := f.Serve(context.Background(), server.Request{Terms: []string{label}, Class: class})
+			mu.Lock()
+			verdict[label] = st
+			mu.Unlock()
 		}()
 	}
 	serve("w", server.Interactive)
@@ -133,13 +141,19 @@ func orderUnderFrontend(t *testing.T, tc orderCase) ([]string, int, int) {
 			return s.Queued+s.ShedQueueFull+s.Timeout == int64(i+1)
 		})
 	}
-	waitFor(t, "deadline evictions", func() bool { return f.Stats().Timeout == int64(tc.wantTimeout) })
+	waitFor(t, "deadline evictions", func() bool { return tc.cfg.DeadlineMs == 0 || f.Stats().Queued == 0 })
 	close(eng.release)
 	wg.Wait()
 
+	late := 0
+	for _, label := range eng.order {
+		if verdict[label] == server.StatusTimeout {
+			late++
+		}
+	}
 	s := f.Stats()
-	if s.Offered != int64(len(tc.parked)+1) || s.Served != int64(len(eng.order)) || s.Queued != 0 || f.Busy() != 0 {
-		t.Errorf("after draining: %+v, busy %d, %d engine calls", s, f.Busy(), len(eng.order))
+	if s.Offered != int64(len(tc.parked)+1) || s.Served+int64(late) != int64(len(eng.order)) || s.Queued != 0 || f.Busy() != 0 {
+		t.Errorf("after draining: %+v, answered late %d, busy %d, %d engine calls", s, late, f.Busy(), len(eng.order))
 	}
 	return eng.order, int(s.ShedQueueFull), int(s.Timeout)
 }

@@ -21,7 +21,6 @@ import (
 // passes now in seconds and serializes the calls — Run from its event
 // loop in virtual time, Frontend under its mutex on the wall clock.
 type queue struct {
-	eng qproc.Engine
 	cfg Config
 
 	bucket *TokenBucket
@@ -35,15 +34,13 @@ type queue struct {
 
 // ticket is one request waiting in the queue.
 type ticket struct {
-	a     Arrival
-	start float64     // when dispatch gave it a worker
-	wake  chan Status // the driver's: carries the verdict to Frontend's parked goroutine, nil under Run
+	a    Arrival
+	wake chan Status // the driver's: carries the verdict to Frontend's parked goroutine, nil under Run
 }
 
-func newQueue(eng qproc.Engine, cfg Config) *queue {
+func newQueue(cfg Config) *queue {
 	cfg = cfg.withDefaults()
 	return &queue{
-		eng:    eng,
 		cfg:    cfg,
 		bucket: NewTokenBucket(cfg.AdmitRate, cfg.AdmitBurst),
 		shed:   NewShedder(cfg.Shed),
@@ -63,8 +60,8 @@ func (q *queue) lose(c Class, reason *int, st Status) Status {
 
 // arrive decides one arrival at time now. A shed status is terminal and
 // already booked. StatusOK with no ticket means a holds a worker: the
-// caller runs query, then complete. A ticket means a waits: dispatch
-// hands the ticket back when its turn or its deadline comes.
+// caller evaluates a, then calls complete. A ticket means a waits:
+// dispatch hands the ticket back when its turn or its deadline comes.
 func (q *queue) arrive(a Arrival, now float64) (*ticket, Status) {
 	c := a.Req.Class
 	q.rep.Offered++
@@ -88,31 +85,21 @@ func (q *queue) arrive(a Arrival, now float64) (*ticket, Status) {
 	return t, StatusOK
 }
 
-// query evaluates a on the worker that took it at time start, handing
-// the engine what is left of the deadline budget (positive: arrive
-// starts a request at once and dispatch evicts the expired).
-func (q *queue) query(a Arrival, start float64) qproc.QueryResult {
-	k := a.Req.K
-	if k <= 0 {
-		k = defaultK
-	}
-	if q.cfg.DeadlineMs > 0 {
-		return q.eng.QueryTopKWithin(a.Req.Terms, k, q.cfg.DeadlineMs-(start-a.At)*1000)
-	}
-	//dwrlint:allow deadline no deadline is configured; there is no budget to propagate
-	return q.eng.QueryTopK(a.Req.Terms, k)
-}
-
 // complete frees the worker a held and books the engine's answer. Its
 // arrival-to-completion latency (returned, ms) feeds the shedder: only
 // requests that held a worker do, so sheds cannot dilute the quantile
-// the controller defends. The caller dispatches next.
+// the controller defends. An error-free answer past DeadlineMs on the
+// caller's clock is a timeout and loses its results; an engine error
+// keeps the engine's verdict. The caller dispatches next.
 func (q *queue) complete(a Arrival, qr *qproc.QueryResult, now float64) (Status, float64) {
 	q.busy--
 	latMs := (now - a.At) * 1000
 	q.shed.Observe(latMs)
 	c := a.Req.Class
 	switch {
+	case qr.Err == nil && q.cfg.DeadlineMs > 0 && latMs > q.cfg.DeadlineMs:
+		qr.Results = nil
+		return q.lose(c, &q.rep.EngineDeadline, StatusTimeout), latMs
 	case qr.Err == nil:
 		q.rep.Served++
 		q.rep.Class[c].Served++
@@ -128,9 +115,9 @@ func (q *queue) complete(a Arrival, qr *qproc.QueryResult, now float64) (Status,
 }
 
 // dispatch pops the next waiter while a worker is free. StatusOK means
-// the ticket holds the worker from ticket.start = now on; StatusTimeout
-// means its deadline passed in the queue — it is booked, holds nothing,
-// and the caller asks again. A nil ticket means nothing can start.
+// the ticket holds the worker from now on; StatusTimeout means its
+// deadline passed in the queue — it is booked, holds nothing, and the
+// caller asks again. A nil ticket means nothing can start.
 func (q *queue) dispatch(now float64) (*ticket, Status) {
 	for c := Class(0); c < numClasses && q.busy < q.cfg.Workers; c++ {
 		w := q.fifo[c]
@@ -144,7 +131,6 @@ func (q *queue) dispatch(now float64) (*ticket, Status) {
 			return t, q.lose(c, &q.rep.EvictedDeadline, StatusTimeout)
 		}
 		q.busy++
-		t.start = now
 		return t, StatusOK
 	}
 	return nil, StatusOK

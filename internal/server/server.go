@@ -48,11 +48,16 @@ func (c Class) String() string {
 type Request struct {
 	Terms []string
 	Class Class
-	K     int // top-k to return (<= 0 picks defaultK = 10)
+	K     int // top-k to return (<= 0 picks 10)
 }
 
-// defaultK is the top-k a request that names none gets.
-const defaultK = 10
+// topK is the k the engine is asked for: K, or 10 when it names none.
+func (r Request) topK() int {
+	if r.K > 0 {
+		return r.K
+	}
+	return 10
+}
 
 // Arrival is one request arriving at a point in time, as produced by an
 // internal/loadgen source. At is in seconds since the run start —
@@ -87,9 +92,9 @@ type Config struct {
 	// QueueCap bounds the wait queue, all classes together (< 0 means
 	// no queue at all; 0 picks 2×Workers). A full queue sheds.
 	QueueCap int
-	// DeadlineMs is the per-request latency budget: requests still
-	// queued past it are evicted, and the remaining budget is propagated
-	// into the engine call (QueryTopKWithin). <= 0 disables.
+	// DeadlineMs is the per-request budget, arrival to verdict, on the
+	// driver's clock (Run's virtual ms, Frontend's wall ms): a request
+	// queued or answered past it times out. <= 0 disables.
 	DeadlineMs float64
 	// AdmitRate is the token bucket's sustained admission rate per
 	// second (<= 0 disables admission control).
@@ -143,7 +148,7 @@ type Report struct {
 	ShedAdmission   int // token bucket
 	ShedQueueFull   int // bounded queue overflow
 	EvictedDeadline int // queued past the deadline, never started
-	EngineDeadline  int // started, but the engine busted the propagated budget
+	EngineDeadline  int // started, but answered past the budget (or refused it, under Run)
 	EngineFailed    int // engine refused (fail-fast fault policy, all sites down)
 
 	Degraded int // served, but with partitions missing

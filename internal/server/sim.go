@@ -19,7 +19,7 @@ import (
 // (Config.Seed plus whatever the source was built with), so a run is
 // exactly reproducible.
 func Run(eng qproc.Engine, cfg Config, src Source) Report {
-	s := &simState{q: newQueue(eng, cfg), src: src, firstArr: -1}
+	s := &simState{eng: eng, q: newQueue(cfg), src: src, firstArr: -1}
 	for _, a := range src.Init() {
 		s.push(event{t: a.At, kind: evArrival, a: a})
 	}
@@ -75,6 +75,7 @@ func (h *eventHeap) Pop() interface{} {
 }
 
 type simState struct {
+	eng qproc.Engine
 	q   *queue
 	src Source
 
@@ -117,9 +118,11 @@ func (s *simState) arrive(a Arrival, t float64) {
 }
 
 // start runs the engine evaluation and occupies the worker a took at t
-// for its virtual duration.
+// for its virtual duration. The engine gets what is left of the deadline
+// in virtual ms, its own clock: positive, as arrive starts a request at
+// once and dispatch evicts the expired; <= 0, no budget, without one.
 func (s *simState) start(a Arrival, t float64) {
-	qr := s.q.query(a, t)
+	qr := s.eng.QueryTopKWithin(a.Req.Terms, a.Req.topK(), s.q.cfg.DeadlineMs-(t-a.At)*1000)
 	service := qr.LatencyMs / 1000
 	s.started++
 	s.busySec += service

@@ -351,7 +351,7 @@ func (s *closedStubSrc) OnDone(a server.Arrival, at float64) (server.Arrival, bo
 }
 
 // noDeadlineEngine ignores the budget it is handed, so the front-end
-// must enforce budgets alone (queue eviction).
+// must enforce budgets alone (queue eviction, late answers).
 type noDeadlineEngine struct{ e *stubEngine }
 
 func (n noDeadlineEngine) QueryTopK(terms []string, k int) qproc.QueryResult {
@@ -365,9 +365,10 @@ func (n noDeadlineEngine) Stats() qproc.EngineStats { return n.e.Stats() }
 func (n noDeadlineEngine) Health() qproc.Health     { return n.e.Health() }
 
 // TestRunDeadlineEnforcement: one slow worker, 10x overload, tight
-// deadline. A deadline-blind engine forces queue-side eviction; a
-// deadline-aware engine converts the backlog into engine-side deadline
-// failures and keeps every served latency inside the budget.
+// deadline. A deadline-blind engine forces queue-side eviction, and the
+// queue books its late answers as timeouts; a deadline-aware engine
+// converts the backlog into engine-side deadline failures. Either way
+// every served latency stays inside the budget.
 func TestRunDeadlineEnforcement(t *testing.T) {
 	cfg := server.Config{Workers: 1, QueueCap: 1000, DeadlineMs: 150, Seed: 17}
 
@@ -376,6 +377,9 @@ func TestRunDeadlineEnforcement(t *testing.T) {
 			openStub(18, 100, 500, 0)) // 100 qps at ~10/s capacity
 		if rep.EvictedDeadline == 0 {
 			t.Fatalf("tight deadline evicted nothing: %+v", rep)
+		}
+		if it := rep.Class[server.Interactive]; it.MaxMs > cfg.DeadlineMs+1e-9 {
+			t.Fatalf("served request took %.1f ms past a %v ms deadline", it.MaxMs, cfg.DeadlineMs)
 		}
 		if rep.Served+rep.EvictedDeadline+rep.EngineDeadline != rep.Offered {
 			t.Fatalf("taxonomy does not add up: %+v", rep)
