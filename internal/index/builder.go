@@ -246,6 +246,7 @@ func (b *MemBuilder) BuildParallel(workers int) *Index {
 	ix := b.index(b.opts)
 	b.buf.appendTo(ix, workers)
 	b.buf = postingBuffer{}
+	ix.deriveFrontiers()
 	return ix
 }
 
@@ -353,6 +354,7 @@ func (b *SortBuilder) Build() (*Index, error) {
 		}
 		ix.addTerm(term, encodePostings(ps, b.opts, ix.docs))
 	}
+	ix.deriveFrontiers()
 	return ix, nil
 }
 

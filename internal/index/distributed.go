@@ -118,5 +118,6 @@ func BuildPipeline(opts Options, docs []Doc, stages int) (*Index, error) {
 	for s := range bufs {
 		bufs[s].appendTo(ix, 1)
 	}
+	ix.deriveFrontiers()
 	return ix, nil
 }

@@ -25,6 +25,7 @@ type Index struct {
 	docs     []docEntry
 	docByExt map[int]int
 	totalLen int64
+	front    frontiers // every multi-block list's block frontiers
 }
 
 type termEntry struct {
@@ -72,7 +73,7 @@ func (ix *Index) InternalID(ext int) int32 {
 // DF returns the document frequency of term in this index (0 if absent).
 func (ix *Index) DF(term string) int {
 	if i, ok := ix.terms[term]; ok {
-		return ix.termList[i].pl.count
+		return int(ix.termList[i].pl.count)
 	}
 	return 0
 }
@@ -103,7 +104,9 @@ func (ix *Index) postings(term string, withPos bool) *Iterator {
 	if !ok {
 		return nil
 	}
-	return newIterator(&ix.termList[i].pl, ix.opts.blockSize(), withPos)
+	it := newIterator(&ix.termList[i].pl, ix.opts.blockSize(), withPos)
+	it.fr = &ix.front
+	return it
 }
 
 // PostingsInto is Postings with caller-owned iterator storage: it
@@ -117,6 +120,7 @@ func (ix *Index) PostingsInto(it *Iterator, term string) *Iterator {
 		return nil
 	}
 	it.reset(&ix.termList[i].pl, ix.opts.blockSize(), false)
+	it.fr = &ix.front
 	return it
 }
 
@@ -189,7 +193,7 @@ func (ix *Index) LocalStats(terms []string) Stats {
 	if terms == nil {
 		for i := range ix.termList {
 			e := &ix.termList[i]
-			st.DF[e.term] = e.pl.count
+			st.DF[e.term] = int(e.pl.count)
 		}
 		return st
 	}

@@ -104,13 +104,13 @@ func (m *Manifest) LocalStats(terms []string) Stats {
 	for _, s := range m.segments {
 		if terms == nil {
 			for i := range s.termList {
-				st.DF[s.termList[i].term] += s.termList[i].pl.count
+				st.DF[s.termList[i].term] += int(s.termList[i].pl.count)
 			}
 			continue
 		}
 		for i, t := range terms {
 			if j, ok := s.terms[t]; ok && !slices.Contains(terms[:i], t) {
-				st.DF[t] += s.termList[j].pl.count
+				st.DF[t] += int(s.termList[j].pl.count)
 			}
 		}
 	}

@@ -114,5 +114,6 @@ func mergeParts(opts Options, parts []*Index, order mergeOrder, drop map[int]boo
 			ix.addTerm(t, lists[i])
 		}
 	}
+	ix.deriveFrontiers()
 	return ix, dropped, nil
 }

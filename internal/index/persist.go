@@ -244,7 +244,7 @@ func Read(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: reading doc count: %w", err)
 	}
-	const maxEntities = 1 << 31
+	const maxEntities = math.MaxInt32 // ordinals and posting counts are 32-bit
 	if nDocs > maxEntities {
 		return nil, fmt.Errorf("index: implausible doc count %d", nDocs)
 	}
@@ -336,7 +336,7 @@ func Read(r io.Reader) (*Index, error) {
 			}
 			blocks = append(blocks, blockMeta{lastDoc: int32(lastDoc), offset: uint32(off)})
 		}
-		pl := postingList{count: int(count), data: data, blocks: blocks}
+		pl := postingList{count: int32(count), data: data, blocks: blocks}
 		if err := pl.validate(opts.blockSize(), len(ix.docs), ix.docs, nil); err != nil {
 			return nil, fmt.Errorf("index: term %d: %w", i, err)
 		}
@@ -351,5 +351,6 @@ func Read(r io.Reader) (*Index, error) {
 	if got := binary.LittleEndian.Uint32(crcBytes[:]); got != wantCRC {
 		return nil, fmt.Errorf("index: checksum mismatch: file %08x, computed %08x (corrupt index)", got, wantCRC)
 	}
+	ix.deriveFrontiers()
 	return ix, nil
 }

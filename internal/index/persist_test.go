@@ -154,7 +154,7 @@ func TestReadRejectsUnwalkableBlockTable(t *testing.T) {
 		{"a block too many", func(pl *postingList, _ int) { pl.count -= 2 }},
 		{"last documents out of order", func(pl *postingList, _ int) { pl.blocks[1].lastDoc = pl.blocks[0].lastDoc }},
 		{"last document outside the table", func(pl *postingList, n int) { pl.blocks[len(pl.blocks)-1].lastDoc = int32(n) }},
-		{"more postings than documents", func(pl *postingList, n int) { pl.count = n + 1 }},
+		{"more postings than documents", func(pl *postingList, n int) { pl.count = int32(n + 1) }},
 		{"doc width past 32 bits", func(pl *postingList, _ int) { pl.data[0] = 33 }},
 		{"TF width past 31 bits", func(pl *postingList, _ int) { pl.data[1] = 32 }},
 		{"packed docs past the block", func(pl *postingList, _ int) { pl.data[0] = 32 }},

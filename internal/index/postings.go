@@ -59,14 +59,108 @@ type blockMeta struct {
 // postingList is one term's block-encoded postings, its skip table and
 // its score-bound summary, kept resident so evaluator and broker can
 // bound the list's score without touching a posting byte. Only count,
-// data and blocks are persisted: cf and meta are what the postings and
-// the document table imply, derived again when a file is read.
+// data and blocks are persisted: cf, meta and the block frontiers front
+// points to are what the postings and the document table imply, derived
+// again when a file is read.
 type postingList struct {
-	count  int
-	cf     int64 // collection frequency: total TF over all docs
+	count  int32
+	front  uint32 // a multi-block list's first entry in its index's frontiers.bounds
+	cf     int64  // collection frequency: total TF over all docs
 	data   []byte
 	blocks []blockMeta
 	meta   TermScoreMeta
+}
+
+// FrontierPoint is one posting of a block reduced to what its score
+// depends on: its tf and its document's length.
+type FrontierPoint struct {
+	TF  int32
+	Len int32
+}
+
+// frontiers is an index's one arena of block frontiers. A block's
+// frontier is its Pareto frontier of (tf↑, length↓): the postings no
+// other posting of the block dominates with a tf at least as high in a
+// document at least as short, by descending tf (and so descending
+// length). Term scores rise with tf and fall with length, so the best
+// score over a block's frontier is the best over the block, under any
+// statistics. Only lists of two or more blocks keep one — a one-block
+// list's bound is its list bound — and the list's front indexes its
+// blocks' boundaries: block b holds points[bounds[front+b]:bounds[front+b+1]].
+type frontiers struct {
+	points []FrontierPoint
+	bounds []uint32
+}
+
+// frontierKey packs one posting for addBlock's sort: descending tf, then
+// ascending length.
+func frontierKey(tf int32, length int) uint64 {
+	return uint64(^uint32(tf))<<32 | uint64(uint32(length))
+}
+
+// addBlock appends the frontier of the block whose postings are keys
+// (frontierKey each; addBlock reorders them) and closes the block's
+// range. The frontier runs from a, the least key (the highest tf, the
+// shortest document on a tie), to z, the shortest document (the highest
+// tf on a tie); a posting between them is dominated unless its document
+// is shorter than a's and its tf higher than z's, so only those few are
+// sorted. After the sort, a posting is on the frontier iff its document
+// is shorter than every posting's before it.
+func (fr *frontiers) addBlock(keys []uint64) {
+	a, z := keys[0], keys[0]
+	for _, k := range keys {
+		a = min(a, k)
+		if uint32(k) < uint32(z) || uint32(k) == uint32(z) && k < z {
+			z = k
+		}
+	}
+	m := 0
+	for _, k := range keys {
+		if k == a || k == z || uint32(k) < uint32(a) && k>>32 < z>>32 {
+			keys[m] = k
+			m++
+		}
+	}
+	slices.Sort(keys[:m])
+	shortest := uint32(math.MaxUint32)
+	for _, k := range keys[:m] {
+		if l := uint32(k); l < shortest {
+			shortest = l
+			fr.points = append(fr.points, FrontierPoint{TF: int32(^uint32(k >> 32)), Len: int32(l)})
+		}
+	}
+	fr.bounds = append(fr.bounds, uint32(len(fr.points)))
+}
+
+// deriveFrontiers derives ix's block frontiers from its postings and
+// document table into one exactly sized arena, which stays resident as
+// long as ix does. Every path that makes an Index ends here — a build,
+// a merge, Read — so a frontier is never stored, and never trusted from
+// a file.
+func (ix *Index) deriveFrontiers() {
+	var fr frontiers
+	var keys []uint64 // one block's frontierKeys
+	var it Iterator
+	for i := range ix.termList {
+		pl := &ix.termList[i].pl
+		if len(pl.blocks) < 2 {
+			continue
+		}
+		pl.front = uint32(len(fr.bounds))
+		fr.bounds = append(fr.bounds, uint32(len(fr.points)))
+		it.reset(pl, ix.opts.blockSize(), false)
+		for b := range pl.blocks {
+			keys = keys[:0]
+			for n := it.OpenBlock(b); ; it.Next() {
+				keys = append(keys, frontierKey(it.TF(), ix.docs[it.Doc()].length))
+				if n--; n == 0 {
+					break
+				}
+			}
+			fr.addBlock(keys)
+		}
+	}
+	ix.front = frontiers{points: slices.Clone(fr.points), bounds: slices.Clone(fr.bounds)}
 }
 
 // tailPad is the run of zero bytes that ends every non-empty list's data:
@@ -87,7 +181,7 @@ const tailPad = 8
 // unsafe.
 func encodePostings(ps []Posting, opts Options, docs []docEntry) postingList {
 	var pl postingList
-	pl.count = len(ps)
+	pl.count = int32(len(ps))
 	if len(ps) == 0 {
 		return pl
 	}
@@ -177,6 +271,7 @@ func packedAt(sec []byte, i int, w uint) uint32 {
 // asked, so nothing is decoded that the cursor does not read.
 type Iterator struct {
 	pl      *postingList
+	fr      *frontiers // the index's block frontiers
 	withPos bool
 	bs      int     // postings per block
 	bi      int     // index of the open block; -1 before any, len(blocks) once exhausted
@@ -210,7 +305,7 @@ func newIterator(pl *postingList, bs int, withPos bool) *Iterator {
 func (it *Iterator) openBlock(b int) {
 	pl := it.pl
 	off := int(pl.blocks[b].offset)
-	n := min(it.bs, pl.count-b*it.bs)
+	n := min(it.bs, int(pl.count)-b*it.bs)
 	it.low = 0
 	if b > 0 {
 		it.low = pl.blocks[b-1].lastDoc + 1
@@ -310,7 +405,29 @@ func (it *Iterator) Posting() Posting {
 }
 
 // Count returns the total number of postings in the underlying list.
-func (it *Iterator) Count() int { return it.pl.count }
+func (it *Iterator) Count() int { return int(it.pl.count) }
+
+// Blocks returns the number of blocks in the underlying list.
+func (it *Iterator) Blocks() int { return len(it.pl.blocks) }
+
+// Frontier returns block b's frontier (see frontiers): the best Term
+// over it is the block's best score, bit for bit. It is empty for a
+// list of one block, whose list bound is its block bound.
+func (it *Iterator) Frontier(b int) []FrontierPoint {
+	if len(it.pl.blocks) < 2 {
+		return nil
+	}
+	at := it.pl.front + uint32(b)
+	return it.fr.points[it.fr.bounds[at]:it.fr.bounds[at+1]]
+}
+
+// OpenBlock positions the cursor on block b's first posting, charging
+// the block as SkipTo does, and returns the block's posting count n:
+// the next n-1 calls of Next stay inside the block.
+func (it *Iterator) OpenBlock(b int) int {
+	it.openBlock(b)
+	return it.n
+}
 
 // SkipTo advances to the first posting with Doc >= target, using the
 // skip table to jump over (and never open) non-containing blocks.
@@ -421,7 +538,7 @@ func (pl *postingList) validate(bs, numDocs int, docs []docEntry, emit func(Post
 		if docW > 32 || tfW > 31 {
 			return fmt.Errorf("block %d: widths %d/%d bits", b, docW, tfW)
 		}
-		n := min(bs, pl.count-b*bs)
+		n := min(bs, int(pl.count)-b*bs)
 		docOff := off + 2
 		tfOff := docOff + packedLen(n, docW)
 		p := tfOff + packedLen(n, tfW)

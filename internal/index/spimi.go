@@ -195,5 +195,6 @@ func (b *SPIMIBuilder) Build() (*Index, error) {
 		}
 	}
 	flushTerm()
+	ix.deriveFrontiers()
 	return ix, nil
 }

@@ -127,13 +127,17 @@ func (e *DocEngine) call(tick int64, part int, serviceMs, budgetMs float64, qr *
 }
 
 // degrade applies the fault policy's degradation mode to an answer that
-// is missing lost of its partitions: best-effort keeps the partial
-// answer and flags it Degraded, fail-fast refuses it with ErrUnavailable.
-func (e *DocEngine) degrade(qr *QueryResult, lost, of int) {
+// is missing lost of its of target partitions: best-effort keeps the
+// partial answer and flags it Degraded, fail-fast refuses it with
+// ErrUnavailable. An answer missing every target holds nothing to keep,
+// so best-effort refuses it too — unless it came back past deadlineMs,
+// its budget (<= 0: none), where the frame's deadline verdict stands.
+func (e *DocEngine) degrade(qr *QueryResult, lost, of int, deadlineMs float64) {
 	if lost == 0 {
 		return
 	}
-	if e.rb != nil && e.rb.policy.Mode == FailFast {
+	late := deadlineMs > 0 && qr.LatencyMs > deadlineMs
+	if e.rb != nil && e.rb.policy.Mode == FailFast || lost == of && !late {
 		qr.Err = fmt.Errorf("%d of %d partitions unavailable: %w", lost, of, ErrUnavailable)
 		qr.Results = nil
 		return

@@ -393,7 +393,7 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	down -= len(targets)
 	qr.ServersContacted = len(targets)
 	if len(targets) == 0 {
-		e.degrade(&qr, down, down)
+		e.degrade(&qr, down, down, opt.DeadlineMs)
 		return qr
 	}
 
@@ -541,6 +541,6 @@ func (e *DocEngine) evaluate(tick int64, terms []string, opt DocQueryOptions) Qu
 	qr.ServersContacted = dispatched
 	qr.Results = merger.Results()
 	qr.LatencyMs = round1Max + slowest + lanMs // stats round + eval waves + reply
-	e.degrade(&qr, lost+down, len(targets)+down)
+	e.degrade(&qr, lost+down, len(targets)+down, opt.DeadlineMs)
 	return qr
 }

@@ -36,11 +36,17 @@ import (
 // QueryExhaustiveResults merges them, and a query no document matches
 // is an empty answer there too, not a failed one.
 //
-// The last byte holds partitions down (SetDown). With some down, the
+// The next byte holds partitions down (SetDown). With some down, the
 // default and the exhaustive DocEngine answer Degraded, with no Err, and
 // their ranking is rank.EvaluateOR's over the up partitions' documents,
-// merged, bit for bit; a query is unanswered (no partition contacted or
-// skipped) only when no partition is up.
+// merged, bit for bit; with every partition down, no partition is
+// contacted or skipped and the answer is refused with ErrUnavailable,
+// and a MultiSite whose one site is that engine fails the query with
+// ErrAllSitesDown.
+//
+// The last byte, when not zero, shrinks every index's blocks to two to
+// eight postings, so one-term queries, which MaxScore evaluates best
+// block first, meet lists of many blocks.
 func FuzzEnginesAgree(f *testing.F) {
 	docBytes := []byte{
 		3, 0, 1, 2, 3, 2, 0, 0, 4, 1, 5, 0, 4, 1, 1, 1, 6, 7, 0, 0, 5, 8, 9, 10, 11, 0, 2,
@@ -64,6 +70,30 @@ func FuzzEnginesAgree(f *testing.F) {
 	// 1 and 3 down; then with all four down.
 	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{1, 0, 3, 5, 0, 0, 0b1010}))
 	f.Add(slices.Concat([]byte{3, 11, 42, 2}, docBytes, []byte{1, 0, 3, 5, 0, 0, 0b1111}))
+	// One-term queries over lists of several blocks. A term in one block
+	// only: "t9" in two of twelve documents at block size 4, k=2.
+	f.Add(oneTermSeed(2, append(repeatDoc(2, 9, 9, 1), repeatDoc(10, 1, 2)...), 9, 2, 3))
+	// A term in every document of forty over four partitions, its tf and
+	// document length varying, at block size 2 and k=3: the second wave
+	// is seeded by the first's third-best score.
+	var every [][]byte
+	for i := range 40 {
+		d := []byte{0}
+		if i%3 == 0 {
+			d = append(d, 0)
+		}
+		for range i % 4 {
+			d = append(d, byte(1+i%9))
+		}
+		every = append(every, d)
+	}
+	f.Add(oneTermSeed(4, every, 0, 3, 1))
+	// Sixteen equal documents over two partitions at block size 2: every
+	// score ties, so the fifth place is settled by external ID across
+	// blocks and partitions.
+	f.Add(oneTermSeed(2, repeatDoc(16, 0, 1), 0, 5, 1))
+	// k=20 above the five postings of "t15", at block size 2.
+	f.Add(oneTermSeed(3, append(repeatDoc(5, 15, 3), repeatDoc(9, 3)...), 15, 20, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -93,17 +123,24 @@ func FuzzEnginesAgree(f *testing.F) {
 		nsites := 1 + next()%3
 		down := next()
 		partsDown := next()
+		opts := index.DefaultOptions()
+		if bs := next(); bs != 0 {
+			opts.BlockSize = 2 + bs%7
+		}
+		docEngine := func(docs []index.Doc, options ...Option) *DocEngine {
+			return newDocEngineOf(t, opts, docs, nparts, options...)
+		}
 
 		central := centralIndex(docs)
 		want, _ := rank.EvaluateOR(central, rank.NewScorer(rank.FromIndex(central)), q, k)
-		stores, _ := liveStores(t, docs, nparts, segDocs)
+		stores, _ := liveStoresOf(t, opts, docs, nparts, segDocs)
 		engines := []struct {
 			name string
 			e    Engine
 		}{
-			{"default DocEngine", newDocEngine(t, docs, nparts)},
-			{"single-wave MaxScore DocEngine", newDocEngine(t, docs, nparts, WithThresholdSharing(false))},
-			{"exhaustive single-wave DocEngine", newDocEngine(t, docs, nparts, exhaustiveOpts...)},
+			{"default DocEngine", docEngine(docs)},
+			{"single-wave MaxScore DocEngine", docEngine(docs, WithThresholdSharing(false))},
+			{"exhaustive single-wave DocEngine", docEngine(docs, exhaustiveOpts...)},
 			{"default LiveEngine", liveOver(t, stores)},
 		}
 		var first []rank.Result
@@ -124,16 +161,16 @@ func FuzzEnginesAgree(f *testing.F) {
 			sameRanking(t, want, qr.Results, label)
 		}
 
-		label := fmt.Sprintf("query %v, k=%d, %d docs, %d partitions", q, k, n, nparts)
+		label := fmt.Sprintf("query %v, k=%d, %d docs, %d partitions, block size %d", q, k, n, nparts, opts.BlockSize)
 		if partsDown%(1<<nparts) != 0 {
-			downPartitions(t, docs, nparts, partsDown, q, k, label)
+			downPartitions(t, func(options ...Option) *DocEngine { return docEngine(docs, options...) }, nparts, partsDown, q, k, label)
 		}
 
 		replicas := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
 		replicas.CacheTTL = 24
 		anyUp := false
 		for s := 0; s < nsites; s++ {
-			site := NewSite(s, s, newDocEngine(t, docs, nparts), 16, 0)
+			site := NewSite(s, s, docEngine(docs), 16, 0)
 			if down&(1<<s) != 0 {
 				site.Outages = []cluster.Outage{{Start: 0, End: 2}}
 			} else {
@@ -168,7 +205,7 @@ func FuzzEnginesAgree(f *testing.F) {
 			for i := s; i < n; i += min(nsites, n) {
 				slice = append(slice, docs[i])
 			}
-			fed.Sites = append(fed.Sites, NewSite(s, s, newDocEngine(t, slice, nparts), 16, 0))
+			fed.Sites = append(fed.Sites, NewSite(s, s, docEngine(slice), 16, 0))
 		}
 		fr := fed.QueryFederated(q, NormalizeQueryKey(q), 0, 1, k)
 		if fr.Failed || fr.Err != nil || fr.Degraded || !fr.FullFanout {
@@ -183,11 +220,33 @@ func FuzzEnginesAgree(f *testing.F) {
 	})
 }
 
+// oneTermSeed lays out a FuzzEnginesAgree input: nparts partitions,
+// each document's terms (one to eight of t0..t15, in insertion order),
+// one segment per three documents, the one-term query term at k on one
+// site, nothing down, and the block-size byte bs.
+func oneTermSeed(nparts byte, docs [][]byte, term, k, bs byte) []byte {
+	out := []byte{nparts - 1, byte(len(docs) - 1), 5, 2}
+	for _, d := range docs {
+		out = append(append(out, byte(len(d)-1)), d...)
+	}
+	return append(out, 0, term, k-1, 0, 0, 0, bs)
+}
+
+// repeatDoc is n copies of one document's terms.
+func repeatDoc(n int, terms ...byte) [][]byte {
+	docs := make([][]byte, n)
+	for i := range docs {
+		docs[i] = terms
+	}
+	return docs
+}
+
 // downPartitions is FuzzEnginesAgree's partition-down arm: partition p
-// of nparts is down when bit p of mask is set, and at least one is.
-func downPartitions(t *testing.T, docs []index.Doc, nparts, mask int, q []string, k int, label string) {
+// of the nparts that newEngine partitions the collection into is down
+// when bit p of mask is set, and at least one is.
+func downPartitions(t *testing.T, newEngine func(...Option) *DocEngine, nparts, mask int, q []string, k int, label string) {
 	t.Helper()
-	ref := newDocEngine(t, docs, nparts)
+	ref := newEngine()
 	var up []int
 	for p := 0; p < nparts; p++ {
 		if mask&(1<<p) == 0 {
@@ -204,18 +263,29 @@ func downPartitions(t *testing.T, docs []index.Doc, nparts, mask int, q []string
 	want := rank.MergeResults(k, lists...)
 
 	label = fmt.Sprintf("%s, partitions down %04b", label, mask%(1<<nparts))
-	for _, e := range []*DocEngine{ref, newDocEngine(t, docs, nparts, exhaustiveOpts...)} {
+	for _, e := range []*DocEngine{ref, newEngine(exhaustiveOpts...)} {
 		for p := 0; p < nparts; p++ {
 			e.SetDown(p, mask&(1<<p) != 0)
 		}
 		qr := e.QueryTopK(q, k)
 		switch {
+		case len(up) == 0:
+			if !errors.Is(qr.Err, ErrUnavailable) || qr.Degraded || !qr.unanswered() {
+				t.Fatalf("%s: every partition down answered %+v", label, qr)
+			}
 		case qr.Err != nil || !qr.Degraded:
 			t.Fatalf("%s: err=%v degraded=%v", label, qr.Err, qr.Degraded)
-		case qr.unanswered() != (len(up) == 0):
-			t.Fatalf("%s: unanswered %v with %d partitions up: %+v", label, qr.unanswered(), len(up), qr)
+		case qr.unanswered():
+			t.Fatalf("%s: unanswered with %d partitions up: %+v", label, len(up), qr)
 		case !slices.Equal(qr.Results, want):
 			t.Fatalf("%s:\nengine %v\nEvaluateOR over the up partitions %v", label, qr.Results, want)
+		}
+	}
+	if len(up) == 0 { // a site over such an engine has no live query processor
+		m := NewMultiSite(cluster.NewNetwork(1), RouteGeo)
+		m.Sites = append(m.Sites, NewSite(0, 0, ref, 16, 0))
+		if r := m.Submit(q, NormalizeQueryKey(q), 0, 1, k); !r.Failed || !errors.Is(r.Err, ErrAllSitesDown) {
+			t.Fatalf("%s: a site with every partition down answered %+v", label, r)
 		}
 	}
 }

@@ -16,10 +16,16 @@ import (
 // segment writers sealing every segDocs documents.
 func liveStores(t *testing.T, docs []index.Doc, nparts, segDocs int) ([]*index.SegmentStore, []*index.SegmentWriter) {
 	t.Helper()
+	return liveStoresOf(t, index.DefaultOptions(), docs, nparts, segDocs)
+}
+
+// liveStoresOf is liveStores over segments of the given layout.
+func liveStoresOf(t *testing.T, opts index.Options, docs []index.Doc, nparts, segDocs int) ([]*index.SegmentStore, []*index.SegmentWriter) {
+	t.Helper()
 	stores := make([]*index.SegmentStore, nparts)
 	writers := make([]*index.SegmentWriter, nparts)
 	for i := range stores {
-		stores[i] = index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
+		stores[i] = index.NewSegmentStore(opts, index.MergePolicy{Radix: 3})
 		writers[i] = index.NewSegmentWriter(stores[i], segDocs)
 	}
 	for _, d := range docs {

@@ -332,11 +332,11 @@ func (m *MultiSite) callSites(out *SiteQueryResult, c *Site, targets []*Site, te
 				m.hop(out, s.Region, c.Region, resultBytes(len(qr.Results)))
 		}
 		switch {
+		case qr.unanswered():
+			err = fmt.Errorf("site %d has no live query processors: %w", s.ID, ErrAllSitesDown)
 		case qr.Err != nil:
 			// The engine's fault policy refused the answer (fail-fast).
 			err = qr.Err
-		case qr.unanswered():
-			err = fmt.Errorf("site %d has no live query processors: %w", s.ID, ErrAllSitesDown)
 		default:
 			lists = append(lists, qr.Results)
 			out.Degraded = out.Degraded || qr.Degraded

@@ -61,12 +61,18 @@ var exhaustiveOpts = []Option{WithPruning(rank.PruneNone), WithThresholdSharing(
 
 func newDocEngine(t *testing.T, docs []index.Doc, k int, options ...Option) *DocEngine {
 	t.Helper()
+	return newDocEngineOf(t, index.DefaultOptions(), docs, k, options...)
+}
+
+// newDocEngineOf is newDocEngine over partitions of the given layout.
+func newDocEngineOf(t *testing.T, opts index.Options, docs []index.Doc, k int, options ...Option) *DocEngine {
+	t.Helper()
 	ids := make([]int, len(docs))
 	for i, d := range docs {
 		ids[i] = d.Ext
 	}
 	dp := partition.RoundRobinDocs(ids, k)
-	e, err := NewDocEngine(index.DefaultOptions(), docs, dp, options...)
+	e, err := NewDocEngine(opts, docs, dp, options...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,17 @@ func (w *workTotals) add(es EvalStats) {
 // totals the evaluator produced before its candidate loop was rewritten
 // for speed. A rewrite that adds or drops a single cursor move, or opens
 // a list more or less, changes a total. The bytes also follow the block
-// layout and every total follows the list bound (TermUpperBound), so a
-// format or bound change re-pins them and nothing else. Each fixture runs
-// k = 1, 10 and 100, unseeded and seeded at the exhaustive k-th score.
+// layout and every total follows the list bound (TermUpperBound) and,
+// where one query list is present, the block maxima and their order, so
+// a format or bound change re-pins them and nothing else. Each fixture
+// runs k = 1, 10 and 100, unseeded and seeded at the exhaustive k-th
+// score.
 func TestMaxScoreWorkPinned(t *testing.T) {
 	want := map[string]workTotals{
-		"bs=8":       {postings: 132125, bytes: 198564, lists: 2077},
-		"bs=64":      {postings: 132125, bytes: 274670, lists: 2077},
-		"bs=default": {postings: 132125, bytes: 305173, lists: 2077},
-		"view":       {postings: 129544, bytes: 308442, lists: 6550},
+		"bs=8":       {postings: 122249, bytes: 187500, lists: 2077},
+		"bs=64":      {postings: 127915, bytes: 269102, lists: 2077},
+		"bs=default": {postings: 129599, bytes: 301569, lists: 2077},
+		"view":       {postings: 127898, bytes: 305086, lists: 6550},
 	}
 	got := map[string]workTotals{}
 	for _, bs := range []int{8, 64, 0} {
@@ -147,16 +149,69 @@ func TestMaxScoreTiesAtTheFloor(t *testing.T) {
 	}
 }
 
+// oneTermSeed lays out a FuzzMaxScoreEqualsExhaustive input at block
+// size 4: each document's terms (one to eight of t0..t7, in insertion
+// order), the one-term query, k, the seed pick and the tombstone mask.
+func oneTermSeed(docs [][]byte, term, k, pick, tomb byte) []byte {
+	out := []byte{0, byte(len(docs) - 1), 1}
+	for _, d := range docs {
+		out = append(append(out, byte(len(d)-1)), d...)
+	}
+	return append(out, 0, term, k-1, pick, tomb)
+}
+
+// repeatDoc is n copies of one document's terms.
+func repeatDoc(n int, terms ...byte) [][]byte {
+	docs := make([][]byte, n)
+	for i := range docs {
+		docs[i] = terms
+	}
+	return docs
+}
+
 // FuzzMaxScoreEqualsExhaustive: over a small index the fuzz bytes choose
 // — up to 64 documents over an eight-term alphabet, external IDs
 // shuffled, block size 4 or 8 — and a query of one to four terms with
 // repeats, k in 1..20 and an optional seed read off the exhaustive
 // ranking at or below its k-th score, MaxScore returns EvaluateOR's
-// ranking bit for bit and never decodes more postings than it.
+// ranking bit for bit and never decodes more postings than it. A last
+// byte, when not zero, tombstones the documents at insertion positions i
+// with bit i mod 8 set in a view of the same documents sealed as two
+// segments: there MaxScore, seeded off the view's exhaustive ranking the
+// same way, returns exhaustive evaluation's ranking of the view.
 func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 	f.Add([]byte{0, 40, 7, 3, 1, 2, 3, 9, 0})
 	f.Add([]byte{1, 63, 200, 5, 4, 4, 4, 4, 2, 19, 3})
 	f.Add([]byte{1, 17, 33, 2, 0, 0, 6, 0, 1})
+	// One-term queries, which MaxScore evaluates block by block. A term
+	// in one block only: t5 in three of twelve documents, k=2.
+	f.Add(oneTermSeed(append(repeatDoc(3, 5, 5, 1), repeatDoc(9, 1, 2)...), 5, 2, 0, 0))
+	// A term in every document, its tf and document length varying, at
+	// k=5; then seeded one place below the k-th score, as a second wave
+	// is seeded by the first.
+	var every [][]byte
+	for i := range 24 {
+		d := []byte{0}
+		if i%3 == 0 {
+			d = append(d, 0)
+		}
+		for range i % 4 {
+			d = append(d, byte(1+i%6))
+		}
+		every = append(every, d)
+	}
+	f.Add(oneTermSeed(every, 0, 5, 0, 0))
+	f.Add(oneTermSeed(every, 0, 5, 3, 0))
+	// Twelve equal documents: every score ties, so the k-th place at k=6
+	// is settled by external ID across the blocks.
+	f.Add(oneTermSeed(repeatDoc(12, 0, 1), 0, 6, 0, 0))
+	// k=20 above the five postings of t2.
+	f.Add(oneTermSeed(append(repeatDoc(5, 2, 3), repeatDoc(7, 3)...), 2, 20, 0, 0))
+	// t3 in sixteen documents whose best are the four short ones at
+	// positions 8..11, the first block of the view's second segment;
+	// positions 0..3 and 8..11 tombstoned, k=3.
+	best := slices.Concat(repeatDoc(8, 3, 1, 2, 4, 5), repeatDoc(4, 3, 3), repeatDoc(4, 3, 1, 2, 4, 5))
+	f.Add(oneTermSeed(best, 3, 3, 0, 0b1111))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -170,12 +225,14 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 		opts.BlockSize = 4 + 4*(next()&1)
 		n := 1 + next()%64
 		exts := rand.New(rand.NewSource(int64(next()))).Perm(n)
+		docs := make([]index.Doc, n)
 		b := index.NewBuilder(opts)
-		for _, ext := range exts {
+		for i, ext := range exts {
 			terms := make([]string, 1+next()%8)
 			for i := range terms {
 				terms[i] = fmt.Sprintf("t%d", next()%8)
 			}
+			docs[i] = index.Doc{Ext: ext, Terms: terms}
 			if err := b.AddDocument(ext, terms); err != nil {
 				t.Fatal(err)
 			}
@@ -186,14 +243,17 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 			q[i] = fmt.Sprintf("t%d", next()%8)
 		}
 		k := 1 + next()%20
-		s := NewScorer(FromIndex(ix))
-		seed := 0.0
-		if pick := next(); pick%2 == 1 {
-			all, _ := EvaluateOR(ix, s, q, n)
-			if j := k - 1 + pick/2; j < len(all) {
-				seed = all[j].Score
+		pick, tomb := next(), next()
+		// seedOff reads the seed off an exhaustive ranking of every match.
+		seedOff := func(all []Result) float64 {
+			if j := k - 1 + pick/2; pick%2 == 1 && j < len(all) {
+				return all[j].Score
 			}
+			return 0
 		}
+		s := NewScorer(FromIndex(ix))
+		all, _ := EvaluateOR(ix, s, q, n)
+		seed := seedOff(all)
 		want, exh := EvaluateOR(ix, s, q, k)
 		got, es := evaluateTopK(ix, s, q, k, PruneMaxScore, seed)
 		if !reflect.DeepEqual(want, got) {
@@ -201,6 +261,38 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 		}
 		if es.PostingsDecoded > exh.PostingsDecoded {
 			t.Fatalf("query %v k=%d seed %v: maxscore decoded %d postings, exhaustive %d", q, k, seed, es.PostingsDecoded, exh.PostingsDecoded)
+		}
+		if tomb == 0 {
+			return
+		}
+		st := index.NewSegmentStore(opts, index.MergePolicy{Radix: 3})
+		w := index.NewSegmentWriter(st, 1<<30)
+		for i, d := range docs {
+			if i == n/2 {
+				if err := w.Cut(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.AddDocument(d.Ext, d.Terms); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Cut(); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range docs {
+			if tomb&(1<<(i%8)) != 0 {
+				w.Delete(d.Ext)
+			}
+		}
+		view := st.Manifest()
+		vs := NewScorer(FromGlobal(view.LocalStats(nil)))
+		all, _ = EvaluateView(view, vs, q, n, PruneNone, 0)
+		seed = seedOff(all)
+		want, _ = EvaluateView(view, vs, q, k, PruneNone, 0)
+		got, _ = EvaluateView(view, vs, q, k, PruneMaxScore, seed)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("view of %d segments, tombstones %08b, query %v k=%d seed %v:\nexhaustive %v\nmaxscore   %v", len(view.Segments()), tomb, q, k, seed, want, got)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -104,7 +105,9 @@ func evaluateTopK(ix *index.Index, s *Scorer, terms []string, k int, mode Prunin
 // offering into tk. Its threshold is the tighter of seed and tk's floor
 // — for a view, the running k-th score of every segment evaluated so
 // far. The score bounds cover tombstoned postings too, so they stay
-// valid upper bounds for the live ones tk admits.
+// valid upper bounds for the live ones tk admits. A segment holding one
+// query list goes to oneList: MaxScore has no other list to make it
+// non-essential against.
 func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed float64, tk *topK, es *EvalStats) {
 	seedThr := math.Inf(-1)
 	if seed > 0 {
@@ -112,6 +115,10 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 	}
 	cursors := sc.open(ix, s, terms, es)
 	norms := s.normsFor(ix)
+	if len(cursors) == 1 {
+		sc.oneList(ix, s, norms, &cursors[0], seedThr, tk, es)
+		return
+	}
 	for i := range cursors {
 		if c := &cursors[i]; c.it.Next() {
 			es.PostingsDecoded++
@@ -229,6 +236,64 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 	for i := range cursors {
 		es.BytesDecoded += cursors[i].it.BytesDecoded()
 	}
+}
+
+// oneList is maxScore over a segment where c's list is the only query
+// list present, pruned by block. A block's maximum is the best Term over
+// its frontier, exact to the bit because the frontier holds the block's
+// best posting (a one-block list's is the list bound c.ub). Blocks are
+// opened best maximum first, ties to the lower block, and every posting
+// of an opened block is scored and offered as the one-list loop of
+// maxScore would; the first block whose maximum is below the threshold
+// ends the list, since no block after it can lift a document past that
+// threshold. The threshold is maxScore's — seed or heap floor, widened
+// by pruneSlack — so a document that ties the k-th score is never in a
+// skipped block.
+func (sc *evalScratch) oneList(ix *index.Index, s *Scorer, norms []float64, c *pruneCursor, seedThr float64, tk *topK, es *EvalStats) {
+	thr, floor := tk.bounds(seedThr)
+	if c.ub < thr { // no block can beat the threshold: leave the list unread
+		return
+	}
+	it := c.it
+	nb := it.Blocks()
+	sc.bmax = slices.Grow(sc.bmax[:0], nb)[:nb]
+	sc.order = slices.Grow(sc.order[:0], nb)[:nb]
+	bmax, order := sc.bmax, sc.order
+	for b := range bmax {
+		m := c.ub
+		if front := it.Frontier(b); len(front) > 0 {
+			m = math.Inf(-1)
+			for _, p := range front {
+				m = max(m, s.Term(p.TF, int(p.Len), c.idf))
+			}
+		}
+		bmax[b], order[b] = m, b
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if bmax[a] != bmax[b] {
+			return cmp.Compare(bmax[b], bmax[a])
+		}
+		return a - b
+	})
+	for _, b := range order {
+		if bmax[b] < thr {
+			break
+		}
+		n := it.OpenBlock(b)
+		es.PostingsDecoded += n
+		for {
+			d := it.Doc()
+			if v := s.termNorm(it.TF(), s.docNorm(norms, ix, d), c.idf); v >= floor {
+				tk.offer(Result{Doc: ix.ExtID(d), Score: v})
+				thr, floor = tk.bounds(seedThr)
+			}
+			if n--; n == 0 {
+				break
+			}
+			it.Next()
+		}
+	}
+	es.BytesDecoded += it.BytesDecoded()
 }
 
 // bounds returns maxScore's pruning threshold — the tighter of seedThr

@@ -180,6 +180,7 @@ type evalScratch struct {
 	contrib []float64
 	order   []int
 	prefix  []float64
+	bmax    []float64 // oneList's block maxima
 }
 
 var evalPool = sync.Pool{New: func() interface{} {

@@ -200,6 +200,18 @@ func TestMergeResultsDedupMatchesSortAll(t *testing.T) {
 	}
 }
 
+// longestList returns the term of ix with the most postings, the first
+// in term order on a tie.
+func longestList(ix *index.Index) string {
+	best := ""
+	for _, t := range ix.Terms() {
+		if ix.DF(t) > ix.DF(best) {
+			best = t
+		}
+	}
+	return best
+}
+
 // fullPageQuery returns a multi-term query of ix with at least k hits.
 func fullPageQuery(t testing.TB, ix *index.Index, s *Scorer, k int) []string {
 	rng := rand.New(rand.NewSource(94))
@@ -213,10 +225,11 @@ func fullPageQuery(t testing.TB, ix *index.Index, s *Scorer, k int) []string {
 }
 
 // TestKernelAllocations pins the rank kernel's allocations at k=100: an
-// evaluation allocates only the slice it returns — on a static index, on
-// a one-segment view, and on an eight-segment view with tombstones
-// pending, exhaustive or pruned — a warm merger merges four partitions'
-// answers without allocating, and Results allocates only its copy.
+// evaluation allocates only the slice it returns — on a static index,
+// one list or several, on a one-segment view, and on an eight-segment
+// view with tombstones pending, exhaustive or pruned — a warm merger
+// merges four partitions' answers without allocating, and Results
+// allocates only its copy.
 func TestKernelAllocations(t *testing.T) {
 	const k = 100
 	ix := pruneCorpus(95, index.DefaultOptions())
@@ -227,8 +240,10 @@ func TestKernelAllocations(t *testing.T) {
 		tiered, compacted := tieredView(t, viewCorpus(98, 2040), []int{7, 700, 1500, 2035})
 		ts := NewScorer(FromGlobal(tiered.LocalStats(nil)))
 		tq := fullPageQuery(t, compacted, ts, k)
+		one := []string{longestList(ix)}
 		evals := map[string]func(){
 			"EvaluateTopK":                    func() { EvaluateTopK(ix, s, q, k, PruneMaxScore) },
+			"EvaluateTopK one list":           func() { EvaluateTopK(ix, s, one, k, PruneMaxScore) },
 			"EvaluateView":                    func() { EvaluateView(view, s, q, k, PruneMaxScore, 0) },
 			"EvaluateView tiered, exhaustive": func() { EvaluateView(tiered, ts, tq, k, PruneNone, 0) },
 			"EvaluateView tiered, MaxScore":   func() { EvaluateView(tiered, ts, tq, k, PruneMaxScore, 0) },
@@ -262,22 +277,33 @@ func TestKernelAllocations(t *testing.T) {
 // BenchmarkEvaluateTopK is the microbenchmark behind bench/'s traced
 // rank.eval_ns_per_posting and rank.allocs_per_eval: unseeded MaxScore
 // over one partition-sized index, at the k of static_top10 and
-// static_top100. ns/posting is wall time per decoded posting; allocs/op
-// is allocations per evaluation.
+// static_top100, over queries of one to four terms and over the one-term
+// queries of their first terms, which take the block-at-a-time one-list
+// path. ns/posting is wall time per decoded posting; allocs/op is
+// allocations per evaluation.
 func BenchmarkEvaluateTopK(b *testing.B) {
 	ix := pruneCorpus(96, index.DefaultOptions())
 	s := NewScorer(FromIndex(ix))
 	queries := pruneQueries(rand.New(rand.NewSource(97)), ix, 200)
-	for _, k := range []int{10, 100} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			postings := 0
-			for i := 0; i < b.N; i++ {
-				_, es := EvaluateTopK(ix, s, queries[i%len(queries)], k, PruneMaxScore)
-				postings += es.PostingsDecoded
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
-		})
+	oneTerm := make([][]string, len(queries))
+	for i, q := range queries {
+		oneTerm[i] = q[:1]
+	}
+	for _, set := range []struct {
+		name    string
+		queries [][]string
+	}{{"", queries}, {"one-term/", oneTerm}} {
+		for _, k := range []int{10, 100} {
+			b.Run(fmt.Sprintf("%sk=%d", set.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				postings := 0
+				for i := 0; i < b.N; i++ {
+					_, es := EvaluateTopK(ix, s, set.queries[i%len(set.queries)], k, PruneMaxScore)
+					postings += es.PostingsDecoded
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
+			})
+		}
 	}
 }
 

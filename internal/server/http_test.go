@@ -186,6 +186,42 @@ func TestFrontendHTTP(t *testing.T) {
 	}
 }
 
+// TestEveryPartitionDownIsA502: with every partition of a real engine
+// marked down, a query has no answer to degrade to, so /search answers
+// 502 "failed", as /healthz's 503 says it must, and /stats books one
+// engine failure and nothing served.
+func TestEveryPartitionDownIsA502(t *testing.T) {
+	eng, lg := benchEngine(t)
+	for p := 0; p < eng.K(); p++ {
+		eng.SetDown(p, true)
+	}
+	f := server.NewFrontend(eng, server.Config{Workers: 1})
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	get := func(path string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz with every partition down: HTTP %d, want 503", code)
+	}
+	if code, body := get("/search?k=5&q=" + url.QueryEscape(lg.Queries[0].Key)); code != http.StatusBadGateway || body["status"] != "failed" {
+		t.Fatalf("/search with every partition down: HTTP %d %v, want 502 failed", code, body)
+	}
+	if _, body := get("/stats"); body["engine_failed"] != 1.0 || body["served"] != 0.0 {
+		t.Fatalf("/stats after one query with every partition down: %v, want engine_failed 1, served 0", body)
+	}
+}
+
 // TestStatsReportsOverflowQuantiles: once a served request outlasts the
 // last latency bucket (5 000 ms), the quantiles fall in the overflow
 // bucket. /stats must still answer a decodable 200, reporting them as
