@@ -210,8 +210,11 @@ const (
 	// resident query score upper bound: the first wave runs unseeded,
 	// every later wave is seeded with the broker's running k-th merged
 	// score, and partitions whose bound cannot beat it are skipped
-	// without being contacted. Rank-identical to the single wave, the
-	// classic scatter-gather over all target partitions at threshold 0.
+	// without being contacted. A seeded MaxScore partition answers only
+	// its top-k documents that reach the seed (rank.EvaluateView), so a
+	// later wave's answers carry no loser to the merge.
+	// Rank-identical to the single wave, the classic scatter-gather over
+	// all target partitions at threshold 0.
 	ThresholdShared
 )
 

@@ -149,16 +149,23 @@ func TestMaxScoreTiesAtTheFloor(t *testing.T) {
 	}
 }
 
-// oneTermSeed lays out a FuzzMaxScoreEqualsExhaustive input at block
-// size 4: each document's terms (one to eight of t0..t7, in insertion
-// order), the one-term query, k, the seed pick and the tombstone mask.
-func oneTermSeed(docs [][]byte, term, k, pick, tomb byte) []byte {
+// fuzzInput lays out a FuzzMaxScoreEqualsExhaustive input at block size
+// 4: each document's terms (one to eight of t0..t7, in insertion order),
+// the query's terms (one to four), k, the seed pick and the tombstone
+// mask.
+func fuzzInput(docs [][]byte, q []byte, k, pick, tomb byte) []byte {
 	out := []byte{0, byte(len(docs) - 1), 1}
 	for _, d := range docs {
 		out = append(append(out, byte(len(d)-1)), d...)
 	}
-	return append(out, 0, term, k-1, pick, tomb)
+	out = append(append(out, byte(len(q)-1)), q...)
+	return append(out, k-1, pick, tomb)
 }
+
+// seedAbove is a seed pick reading the seed off place i (0-based, below
+// k) of the exhaustive ranking: at or above the k-th score, as a second
+// wave is seeded by a first that found better documents elsewhere.
+func seedAbove(i byte) byte { return 2 + 4*i }
 
 // repeatDoc is n copies of one document's terms.
 func repeatDoc(n int, terms ...byte) [][]byte {
@@ -173,19 +180,22 @@ func repeatDoc(n int, terms ...byte) [][]byte {
 // — up to 64 documents over an eight-term alphabet, external IDs
 // shuffled, block size 4 or 8 — and a query of one to four terms with
 // repeats, k in 1..20 and an optional seed read off the exhaustive
-// ranking at or below its k-th score, MaxScore returns EvaluateOR's
-// ranking bit for bit and never decodes more postings than it. A last
-// byte, when not zero, tombstones the documents at insertion positions i
-// with bit i mod 8 set in a view of the same documents sealed as two
-// segments: there MaxScore, seeded off the view's exhaustive ranking the
-// same way, returns exhaustive evaluation's ranking of the view.
+// ranking at or below its k-th score, or above it (seedAbove), MaxScore
+// returns EvaluateOR's ranking cut at seed·(1−pruneSlack) bit for bit —
+// below-seed documents are not returned — and never decodes more
+// postings than exhaustive evaluation. A last byte, when not zero,
+// tombstones the documents at insertion positions i with bit i mod 8 set
+// in a view of the same documents sealed as two segments: there
+// MaxScore, seeded off the view's exhaustive ranking the same way,
+// returns exhaustive evaluation's ranking of the view under the same
+// cut.
 func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 	f.Add([]byte{0, 40, 7, 3, 1, 2, 3, 9, 0})
 	f.Add([]byte{1, 63, 200, 5, 4, 4, 4, 4, 2, 19, 3})
 	f.Add([]byte{1, 17, 33, 2, 0, 0, 6, 0, 1})
 	// One-term queries, which MaxScore evaluates block by block. A term
 	// in one block only: t5 in three of twelve documents, k=2.
-	f.Add(oneTermSeed(append(repeatDoc(3, 5, 5, 1), repeatDoc(9, 1, 2)...), 5, 2, 0, 0))
+	f.Add(fuzzInput(append(repeatDoc(3, 5, 5, 1), repeatDoc(9, 1, 2)...), []byte{5}, 2, 0, 0))
 	// A term in every document, its tf and document length varying, at
 	// k=5; then seeded one place below the k-th score, as a second wave
 	// is seeded by the first.
@@ -200,18 +210,27 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 		}
 		every = append(every, d)
 	}
-	f.Add(oneTermSeed(every, 0, 5, 0, 0))
-	f.Add(oneTermSeed(every, 0, 5, 3, 0))
+	f.Add(fuzzInput(every, []byte{0}, 5, 0, 0))
+	f.Add(fuzzInput(every, []byte{0}, 5, 3, 0))
 	// Twelve equal documents: every score ties, so the k-th place at k=6
 	// is settled by external ID across the blocks.
-	f.Add(oneTermSeed(repeatDoc(12, 0, 1), 0, 6, 0, 0))
+	f.Add(fuzzInput(repeatDoc(12, 0, 1), []byte{0}, 6, 0, 0))
 	// k=20 above the five postings of t2.
-	f.Add(oneTermSeed(append(repeatDoc(5, 2, 3), repeatDoc(7, 3)...), 2, 20, 0, 0))
+	f.Add(fuzzInput(append(repeatDoc(5, 2, 3), repeatDoc(7, 3)...), []byte{2}, 20, 0, 0))
 	// t3 in sixteen documents whose best are the four short ones at
 	// positions 8..11, the first block of the view's second segment;
 	// positions 0..3 and 8..11 tombstoned, k=3.
 	best := slices.Concat(repeatDoc(8, 3, 1, 2, 4, 5), repeatDoc(4, 3, 3), repeatDoc(4, 3, 1, 2, 4, 5))
-	f.Add(oneTermSeed(best, 3, 3, 0, 0b1111))
+	f.Add(fuzzInput(best, []byte{3}, 3, 0, 0b1111))
+	// Second-wave seeds, read off the third place of a k=5 answer, so two
+	// of its five documents lose to the seed: a one-term query and a
+	// three-term one, each over one segment and over the two-segment view
+	// with every third insertion position tombstoned.
+	f.Add(fuzzInput(every, []byte{0}, 5, seedAbove(2), 0b01001001))
+	f.Add(fuzzInput(every, []byte{0, 3, 5}, 5, seedAbove(2), 0b01001001))
+	// The three-term query at k=20 seeded at the best score: only the
+	// documents that tie it come back.
+	f.Add(fuzzInput(every, []byte{1, 4, 2}, 20, seedAbove(0), 0b10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -244,9 +263,18 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 		}
 		k := 1 + next()%20
 		pick, tomb := next(), next()
-		// seedOff reads the seed off an exhaustive ranking of every match.
+		// seedOff reads the seed off an exhaustive ranking of every match:
+		// an odd pick at or below the k-th place, a pick of 2 mod 4 at or
+		// above it.
 		seedOff := func(all []Result) float64 {
-			if j := k - 1 + pick/2; pick%2 == 1 && j < len(all) {
+			j := -1
+			switch {
+			case pick%2 == 1:
+				j = k - 1 + pick/2
+			case pick%4 == 2:
+				j = pick / 4 % k
+			}
+			if j >= 0 && j < len(all) {
 				return all[j].Score
 			}
 			return 0
@@ -255,6 +283,7 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 		all, _ := EvaluateOR(ix, s, q, n)
 		seed := seedOff(all)
 		want, exh := EvaluateOR(ix, s, q, k)
+		want = cutAtSeed(want, seed)
 		got, es := evaluateTopK(ix, s, q, k, PruneMaxScore, seed)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %v k=%d seed %v over %d docs (block size %d):\nexhaustive %v\nmaxscore   %v", q, k, seed, n, opts.BlockSize, want, got)
@@ -290,6 +319,7 @@ func FuzzMaxScoreEqualsExhaustive(f *testing.F) {
 		all, _ = EvaluateView(view, vs, q, n, PruneNone, 0)
 		seed = seedOff(all)
 		want, _ = EvaluateView(view, vs, q, k, PruneNone, 0)
+		want = cutAtSeed(want, seed)
 		got, _ = EvaluateView(view, vs, q, k, PruneMaxScore, seed)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("view of %d segments, tombstones %08b, query %v k=%d seed %v:\nexhaustive %v\nmaxscore   %v", len(view.Segments()), tomb, q, k, seed, want, got)

@@ -92,11 +92,12 @@ func (sc *evalScratch) open(ix *index.Index, s *Scorer, terms []string, es *Eval
 // upper bound is below threshold×(1−pruneSlack), so a document scoring
 // exactly seed still survives (its bound is ≥ seed > seed−slack) and
 // every pruned document scores strictly below the global k-th — it could
-// never enter the global top k. Documents this partition does return
-// keep scores bitwise-identical to exhaustive evaluation; the list may
-// hold fewer than k entries when the partition has fewer than k
-// seed-beating documents, which a merging broker by construction never
-// misses.
+// never enter the global top k. The seed is also the heap's admission
+// floor (topK.bounds): the answer is exactly the exhaustive top k cut at
+// seed·(1−pruneSlack), scores bitwise-identical. It holds fewer than k
+// entries when fewer than k documents reach that cut; the rest are
+// losers a merging broker would drop, so none is held, sorted, copied
+// or returned.
 func evaluateTopK(ix *index.Index, s *Scorer, terms []string, k int, mode Pruning, seed float64) ([]Result, EvalStats) {
 	return evaluateView([]*index.Index{ix}, nil, s, terms, k, false, mode, seed)
 }
@@ -188,7 +189,7 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 			contrib[i] = v
 			next = min(next, c.doc)
 		}
-		if sc.settle(ix, s, d, norm, m, partial, thr, tk, es) {
+		if sc.settle(ix, s, d, norm, m, partial, thr, floor, tk, es) {
 			thr, floor = tk.bounds(seedThr)
 			m, next = sc.essential(m, thr)
 		}
@@ -199,9 +200,10 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 	// each is scored and its cursor advanced, and only a candidate whose
 	// score bound v+rest reaches cut goes on to settle. Below the
 	// threshold settle would abandon it at the first probe; with no list
-	// left to probe (m = 0) its score is v, and below the floor the heap
-	// would refuse it. The loop ends when the threshold passes prefix[m]:
-	// then even the essential list cannot lift a document past it.
+	// left to probe (m = 0) its score is v, and below the floor settle
+	// would not offer it. The loop ends when the threshold passes
+	// prefix[m]: then even the essential list cannot lift a document past
+	// it.
 	if m == n-1 {
 		i := order[m]
 		e := &cursors[i]
@@ -223,7 +225,7 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 				continue
 			}
 			contrib[i] = v
-			if sc.settle(ix, s, d, norm, m, v, thr, tk, es) {
+			if sc.settle(ix, s, d, norm, m, v, thr, floor, tk, es) {
 				if thr, floor = tk.bounds(seedThr); prefix[m] < thr {
 					break
 				}
@@ -248,7 +250,8 @@ func (sc *evalScratch) maxScore(ix *index.Index, s *Scorer, terms []string, seed
 // ends the list, since no block after it can lift a document past that
 // threshold. The threshold is maxScore's — seed or heap floor, widened
 // by pruneSlack — so a document that ties the k-th score is never in a
-// skipped block.
+// skipped block; a scored posting is offered only at or above bounds'
+// admission floor, as settle's are.
 func (sc *evalScratch) oneList(ix *index.Index, s *Scorer, norms []float64, c *pruneCursor, seedThr float64, tk *topK, es *EvalStats) {
 	thr, floor := tk.bounds(seedThr)
 	if c.ub < thr { // no block can beat the threshold: leave the list unread
@@ -298,9 +301,12 @@ func (sc *evalScratch) oneList(ix *index.Index, s *Scorer, norms []float64, c *p
 
 // bounds returns maxScore's pruning threshold — the tighter of seedThr
 // and the heap floor widened by pruneSlack — and the admission floor, the
-// score an offer must reach: -Inf until the heap holds k results.
+// score an offer must reach: seedThr (-Inf unseeded) until the heap holds
+// k results, then the heap's worst score. Only offers at or above the
+// floor reach the heap, so a full heap's worst is never below seedThr:
+// a seeded evaluation keeps no document the seed proves a loser.
 func (t *topK) bounds(seedThr float64) (thr, floor float64) {
-	thr, floor = seedThr, math.Inf(-1)
+	thr, floor = seedThr, seedThr
 	if len(t.rs) >= t.k {
 		floor = t.rs[0].Score
 		if ht := floor - pruneSlack*math.Abs(floor); ht > thr {
@@ -331,10 +337,11 @@ func (sc *evalScratch) essential(m int, thr float64) (int, int32) {
 // contribution or 0. A survivor's score is the sum of contrib in query-
 // term order, bitwise the exhaustive evaluator's sum (a term the document
 // lacks adds +0, which changes no sum that starts at +0). It goes to the
-// heap only if it can enter: the heap is short, or the score reaches the
-// floor — a tie too, which offer settles by doc. settle reports whether
-// it offered d; only then can the heap, and the threshold, have moved.
-func (sc *evalScratch) settle(ix *index.Index, s *Scorer, d int32, norm float64, m int, partial, thr float64, tk *topK, es *EvalStats) bool {
+// heap only if it reaches floor, bounds' admission floor — a tie too,
+// which offer settles by doc — so a seeded evaluation never holds a
+// document below the seed's floor. settle reports whether it offered d;
+// only then can the heap, and the threshold, have moved.
+func (sc *evalScratch) settle(ix *index.Index, s *Scorer, d int32, norm float64, m int, partial, thr, floor float64, tk *topK, es *EvalStats) bool {
 	cursors, order, prefix, contrib := sc.pcs, sc.order, sc.prefix, sc.contrib
 	for j := m - 1; j >= 0; j-- {
 		if partial+prefix[j] < thr {
@@ -361,7 +368,7 @@ func (sc *evalScratch) settle(ix *index.Index, s *Scorer, d int32, norm float64,
 	for _, v := range contrib {
 		score += v
 	}
-	if len(tk.rs) < tk.k || score >= tk.rs[0].Score {
+	if score >= floor {
 		tk.offer(Result{Doc: ix.ExtID(d), Score: score})
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -224,12 +225,25 @@ func fullPageQuery(t testing.TB, ix *index.Index, s *Scorer, k int) []string {
 	return nil
 }
 
+// beyondTheBest returns a seed between the best score of q over v and
+// QueryBound: a partition the broker still contacts, holding no
+// document that can reach the seed.
+func beyondTheBest(t testing.TB, v *index.Manifest, s *Scorer, q []string) float64 {
+	best, _ := EvaluateView(v, s, q, 1, PruneNone, 0)
+	bound := QueryBound(v, s, q)
+	if len(best) == 0 || !(bound > best[0].Score*(1+1e-6)) {
+		t.Fatalf("query %v: bound %g leaves no room above the best score %v", q, bound, best)
+	}
+	return (best[0].Score + bound) / 2
+}
+
 // TestKernelAllocations pins the rank kernel's allocations at k=100: an
 // evaluation allocates only the slice it returns — on a static index,
 // one list or several, on a one-segment view, and on an eight-segment
-// view with tombstones pending, exhaustive or pruned — a warm merger
-// merges four partitions' answers without allocating, and Results
-// allocates only its copy.
+// view with tombstones pending, exhaustive or pruned — a seeded
+// evaluation that no document survives returns nil and allocates
+// nothing, a warm merger merges four partitions' answers without
+// allocating, and Results allocates only its copy.
 func TestKernelAllocations(t *testing.T) {
 	const k = 100
 	ix := pruneCorpus(95, index.DefaultOptions())
@@ -251,6 +265,28 @@ func TestKernelAllocations(t *testing.T) {
 		for name, f := range evals {
 			if n := testing.AllocsPerRun(100, f); n > 1 {
 				t.Errorf("%s at k=%d allocates %v times; want at most 1 (the returned slice)", name, k, n)
+			}
+		}
+		// Seeded above the best score yet below the query's bound: the
+		// broker contacts the partition, and every document it scores
+		// loses to the seed, so none is held or copied.
+		seed, tseed := beyondTheBest(t, view, s, q), beyondTheBest(t, tiered, ts, tq)
+		lost := map[string]func() []Result{
+			"EvaluateView": func() []Result {
+				rs, _ := EvaluateView(view, s, q, k, PruneMaxScore, seed)
+				return rs
+			},
+			"EvaluateView tiered": func() []Result {
+				rs, _ := EvaluateView(tiered, ts, tq, k, PruneMaxScore, tseed)
+				return rs
+			},
+		}
+		for name, f := range lost {
+			if rs := f(); rs != nil {
+				t.Errorf("%s seeded past its best score returns %v; want nil", name, rs)
+			}
+			if n := testing.AllocsPerRun(100, func() { f() }); n != 0 {
+				t.Errorf("%s seeded past its best score allocates %v times; want 0", name, n)
 			}
 		}
 	}
@@ -279,8 +315,14 @@ func TestKernelAllocations(t *testing.T) {
 // over one partition-sized index, at the k of static_top10 and
 // static_top100, over queries of one to four terms and over the one-term
 // queries of their first terms, which take the block-at-a-time one-list
-// path. ns/posting is wall time per decoded posting; allocs/op is
-// allocations per evaluation.
+// path. The seeded cases are the second-wave evaluations behind
+// qproc.query_us: the same queries, each seeded with the k-th score of
+// the exhaustive answer over 4 000 further documents of the corpus — a
+// first wave's two partitions, half the corpus when this index is one
+// of four — scored with the same statistics; a query they hold fewer
+// than k matches of runs unseeded, as the broker would run it. ns/posting
+// is wall time per decoded posting; allocs/op is allocations per
+// evaluation.
 func BenchmarkEvaluateTopK(b *testing.B) {
 	ix := pruneCorpus(96, index.DefaultOptions())
 	s := NewScorer(FromIndex(ix))
@@ -289,16 +331,34 @@ func BenchmarkEvaluateTopK(b *testing.B) {
 	for i, q := range queries {
 		oneTerm[i] = q[:1]
 	}
+	// viewCorpus(96, n) repeats pruneCorpus(96)'s 2 000 documents first.
+	ob := index.NewBuilder(index.DefaultOptions())
+	for _, d := range viewCorpus(96, 6000)[2000:] {
+		if err := ob.AddDocument(d.Ext, d.Terms); err != nil {
+			b.Fatal(err)
+		}
+	}
+	otherHalf := index.MustBuild(ob)
 	for _, set := range []struct {
 		name    string
 		queries [][]string
-	}{{"", queries}, {"one-term/", oneTerm}} {
+		seeded  bool
+	}{{"", queries, false}, {"one-term/", oneTerm, false}, {"seeded/", queries, true}} {
 		for _, k := range []int{10, 100} {
+			seeds := make([]float64, len(set.queries))
+			if set.seeded {
+				for i, q := range set.queries {
+					if rs, _ := EvaluateOR(otherHalf, s, q, k); len(rs) == k {
+						seeds[i] = rs[k-1].Score
+					}
+				}
+			}
 			b.Run(fmt.Sprintf("%sk=%d", set.name, k), func(b *testing.B) {
 				b.ReportAllocs()
 				postings := 0
 				for i := 0; i < b.N; i++ {
-					_, es := EvaluateTopK(ix, s, set.queries[i%len(set.queries)], k, PruneMaxScore)
+					j := i % len(set.queries)
+					_, es := evaluateTopK(ix, s, set.queries[j], k, PruneMaxScore, seeds[j])
 					postings += es.PostingsDecoded
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
@@ -338,8 +398,13 @@ func BenchmarkTopKMerger(b *testing.B) {
 // BenchmarkEvaluateView is the microbenchmark behind bench/'s traced
 // qproc.live_query_us: one partition of a LiveEngine, an eight-segment
 // view with tombstones pending, at k=10, exhaustive and MaxScore (every
-// engine's default). ns/posting is wall time per decoded posting; allocs/op
-// is allocations per evaluation.
+// engine's default); and a view shaped like live_ingest's — 4 000
+// documents through a SegmentWriter at 128 a segment, merged at radix 3
+// — under MaxScore at k=10, over mixed queries of one to four terms and
+// over their first terms alone. ns/posting is wall time per decoded
+// posting; allocs/op is allocations per evaluation; onelist-segs/op is
+// how many of the view's segments (segs) hold exactly one of the
+// query's lists, the segments MaxScore hands to oneList.
 func BenchmarkEvaluateView(b *testing.B) {
 	view, compacted := tieredView(b, viewCorpus(99, 2040), []int{7, 700, 1500, 2035})
 	queries := pruneQueries(rand.New(rand.NewSource(100)), compacted, 200)
@@ -357,6 +422,51 @@ func BenchmarkEvaluateView(b *testing.B) {
 				postings += es.PostingsDecoded
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
+		})
+	}
+
+	w := segmented(b, viewCorpus(101, 4000), 128)
+	live := w.View()
+	whole, err := w.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixed := pruneQueries(rand.New(rand.NewSource(102)), whole, 200)
+	oneTerm := make([][]string, len(mixed))
+	for i, q := range mixed {
+		oneTerm[i] = q[:1]
+	}
+	for _, set := range []struct {
+		name    string
+		queries [][]string
+	}{{"mixed", mixed}, {"one-term", oneTerm}} {
+		scorers := make([]*Scorer, len(set.queries))
+		oneList := 0
+		for i, q := range set.queries {
+			scorers[i] = NewScorer(FromGlobal(live.LocalStats(q)))
+			for _, seg := range live.Segments() {
+				lists := 0
+				for j, t := range q {
+					if !slices.Contains(q[:j], t) && seg.DF(t) > 0 {
+						lists++
+					}
+				}
+				if lists == 1 {
+					oneList++
+				}
+			}
+		}
+		b.Run("live_ingest-shaped/"+set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			postings := 0
+			for i := 0; i < b.N; i++ {
+				j := i % len(set.queries)
+				_, es := EvaluateView(live, scorers[j], set.queries[j], 10, PruneMaxScore, 0)
+				postings += es.PostingsDecoded
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(postings, 1)), "ns/posting")
+			b.ReportMetric(float64(oneList)/float64(len(set.queries)), "onelist-segs/op")
+			b.ReportMetric(float64(len(live.Segments())), "segs")
 		})
 	}
 }

@@ -12,9 +12,11 @@ import "dwr/internal/index"
 // of the segment's own summaries, which is safe under any statistics.
 //
 // seed (<= 0 = unseeded) must be a true lower bound on the global k-th
-// best score — a broker's running k-th merged score qualifies. Every
-// document scoring at least seed then comes back with a bitwise-identical
-// score; see evaluateTopK for the argument.
+// best score — a broker's running k-th merged score qualifies. Under
+// MaxScore the answer is then exactly the view's exhaustive top k cut at
+// seed·(1−pruneSlack), scores bitwise-identical: every document reaching
+// the seed comes back and no document below that cut does. See
+// evaluateTopK for the argument.
 //
 // A single-segment view is one evaluator call, so a static index wrapped
 // by index.ViewOf costs exactly one evaluateTopK.

@@ -40,7 +40,7 @@ func staticIndex(t *testing.T, docs []index.Doc) *index.Index {
 // segmented streams docs through a writer sealing every segDocs
 // documents and cuts the rest, leaving its store mid-cascade with
 // several tiers resident and its View equal to the store's manifest.
-func segmented(t *testing.T, docs []index.Doc, segDocs int) *index.SegmentWriter {
+func segmented(t testing.TB, docs []index.Doc, segDocs int) *index.SegmentWriter {
 	t.Helper()
 	st := index.NewSegmentStore(index.DefaultOptions(), index.MergePolicy{Radix: 3})
 	w := index.NewSegmentWriter(st, segDocs)

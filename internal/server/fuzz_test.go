@@ -141,7 +141,9 @@ type searchResponse struct {
 // to four significant digits — status code, content type and body —
 // for any document ID, any score and latency bit pattern, any status
 // and flags, and URLs that need escaping; and a NaN or an infinity
-// answers the JSON 500. Result i is document doc+i with score bits
+// answers the JSON 500. A body past net/http's 2 KiB buffer carries its
+// Content-Length; a shorter one none, as net/http then sets it. Result
+// i is document doc+i with score bits
 // scoreBits rotated by i; odd documents resolve to no URL, and flag bit
 // 2 unsets the resolver.
 func FuzzSearchBody(f *testing.F) {
@@ -198,7 +200,11 @@ func FuzzSearchBody(f *testing.F) {
 			if msg, _ := body["error"].(string); got.Code != http.StatusInternalServerError || msg == "" {
 				t.Fatalf("a non-finite value answered HTTP %d %q; want 500 with a JSON error", got.Code, got.Body.Bytes())
 			}
-		} else if cl := got.Header().Get("Content-Length"); cl != strconv.Itoa(got.Body.Len()) {
+		} else if cl, want := got.Header().Get("Content-Length"), strconv.Itoa(got.Body.Len()); got.Body.Len() <= 2048 {
+			if cl != "" { // net/http sets it (TestSearchSendsItsLength)
+				t.Fatalf("Content-Length %q set for a %d-byte body that net/http buffers", cl, got.Body.Len())
+			}
+		} else if cl != want {
 			t.Fatalf("Content-Length %q for a %d-byte body", cl, got.Body.Len())
 		}
 	})

@@ -310,9 +310,20 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 // searchBodies holds /search bodies while they are appended.
 var searchBodies = sync.Pool{New: func() interface{} { return new([]byte) }}
 
+// jsonContentType is every /search answer's Content-Type value, shared:
+// assigning it allocates nothing where Header.Set allocates a slice. Its
+// capacity is 1, so a later Header.Add copies instead of writing into it.
+var jsonContentType = []string{"application/json"}
+
+// chunkingBuffer is net/http's bufferBeforeChunkingSize: a response body
+// of at most this many bytes, written whole by a handler that sets no
+// Content-Length, is sent with a Content-Length net/http formats itself.
+const chunkingBuffer = 2048
+
 // writeSearch answers a /search request with st and qr, each result's
 // URL from resolve when it is set. The body is appended without
-// reflection and sent with its length, and it is byte for byte what
+// reflection and sent with its length — set here only past
+// chunkingBuffer, below it by net/http — and it is byte for byte what
 // encoding/json writes for
 //
 //	{"status", "results" (omitempty): [{"doc", "score", "url" (omitempty)}],
@@ -333,8 +344,10 @@ func writeSearch(w http.ResponseWriter, st Status, qr *qproc.QueryResult, resolv
 		return
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Type"] = jsonContentType
+	if len(body) > chunkingBuffer {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(st.HTTPCode())
 	_, _ = w.Write(body)
 }

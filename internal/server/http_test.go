@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -528,6 +529,43 @@ func TestSearchBodyAllocatesNothing(t *testing.T) {
 	}
 }
 
+// headerSink is a ResponseWriter that keeps one header map and discards
+// the body, so a test can count what a handler's own writes allocate.
+type headerSink struct {
+	h    http.Header
+	code int
+}
+
+func (s *headerSink) Header() http.Header         { return s.h }
+func (s *headerSink) WriteHeader(code int)        { s.code = code }
+func (s *headerSink) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWriteSearchHeadersAllocateNothing: a warm /search answer that fits
+// net/http's response buffer sets its headers without allocating — the
+// shared Content-Type value, and no Content-Length, which net/http
+// formats itself.
+func TestWriteSearchHeadersAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops Puts at random")
+	}
+	qr := qproc.QueryResult{LatencyMs: 0.731}
+	for i := range 10 {
+		qr.Results = append(qr.Results, rank.Result{Doc: 1000 + i, Score: 9.75 - float64(i)/64})
+	}
+	w := &headerSink{h: http.Header{}}
+	write := func() {
+		clear(w.h)
+		server.WriteSearch(w, server.StatusOK, &qr, nil)
+	}
+	write()
+	if got := w.h.Get("Content-Type"); got != "application/json" || w.code != http.StatusOK {
+		t.Fatalf("HTTP %d, Content-Type %q; want 200 application/json", w.code, got)
+	}
+	if n := testing.AllocsPerRun(1000, write); n != 0 {
+		t.Errorf("writing a k=10 /search answer allocates %v times; want 0", n)
+	}
+}
+
 // TestSearchBodyLengthIgnoresTheClock: latency_ms is wall time, so a
 // body's length must not move with it — bench/ counts
 // server.resp_bytes as work done, to repeat exactly for a seed.
@@ -578,33 +616,62 @@ func (hitsEngine) K() int                   { return 1 }
 func (hitsEngine) Stats() qproc.EngineStats { return qproc.EngineStats{} }
 func (hitsEngine) Health() qproc.Health     { return qproc.Health{Units: 1} }
 
-// TestSearchSendsItsLength: a k=100 /search body, past net/http's 2 KiB
-// response buffer, still goes out with its Content-Length, not chunked.
+// TestSearchSendsItsLength: every /search body goes out with its
+// Content-Length, never chunked — ones of 2 047 and 2 048 bytes, inside
+// net/http's 2 KiB response buffer, whose length net/http sets; one of
+// 2 049 bytes and a k=100 body, past it, whose length writeSearch sets.
 func TestSearchSendsItsLength(t *testing.T) {
+	var pad atomic.Int64 // the first result's URL length, when positive
 	f := server.NewFrontend(hitsEngine{}, server.Config{Workers: 1})
-	f.Resolve = func(doc int) string { return fmt.Sprintf("http://h%04d.example/page/%d", doc%97, doc) }
+	f.Resolve = func(doc int) string {
+		if n := pad.Load(); n > 0 && doc == 1000 {
+			return "http://" + strings.Repeat("u", int(n))
+		}
+		return fmt.Sprintf("http://h%04d.example/page/%d", doc%97, doc)
+	}
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/search?q=a&k=100")
-	if err != nil {
-		t.Fatal(err)
+	get := func(k int) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/search?q=a&k=%d", srv.URL, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("HTTP %d (read: %v); want a 200", resp.StatusCode, err)
+		}
+		return resp, body
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || len(body) <= 2048 {
-		t.Fatalf("HTTP %d, %d-byte body (read: %v); want a 200 past 2 KiB", resp.StatusCode, len(body), err)
-	}
-	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want its length, unchunked",
-			resp.ContentLength, resp.TransferEncoding, len(body))
-	}
-	var sr struct {
-		Results []struct {
-			URL string `json:"url"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(body, &sr); err != nil || len(sr.Results) != 100 || sr.Results[99].URL == "" {
-		t.Fatalf("decoded %d results (%v); want 100 with URLs", len(sr.Results), err)
+	// latency_ms is nine bytes at any latency, so one URL byte more is
+	// one body byte more.
+	pad.Store(1)
+	_, one := get(1)
+	for _, size := range []int{2047, 2048, 2049, 0} {
+		k := 100
+		if size > 0 {
+			k = 1
+			pad.Store(int64(1 + size - len(one)))
+		}
+		resp, body := get(k)
+		if size > 0 && len(body) != size {
+			t.Fatalf("k=1 body of %d bytes; the fixture wants %d", len(body), size)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want its length, unchunked",
+				resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if size == 0 {
+			var sr struct {
+				Results []struct {
+					URL string `json:"url"`
+				} `json:"results"`
+			}
+			if err := json.Unmarshal(body, &sr); err != nil || len(body) <= 2048 || len(sr.Results) != 100 || sr.Results[99].URL == "" {
+				t.Fatalf("%d-byte body decoded to %d results (%v); want 100 with URLs, past 2 KiB", len(body), len(sr.Results), err)
+			}
+		}
 	}
 }
 
